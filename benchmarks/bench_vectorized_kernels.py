@@ -16,6 +16,9 @@ workload shapes:
   whole query actually costs (``--check``: >= 2x);
 * **join sweep** (Table 1 shape): the self-join's quadratic inner loop,
   blockwise vs nested per-pair (reported; it rides the scan threshold);
+* **index range probe**: per-query time of ``KIndex.range_query`` under the
+  transformation — traversal plus verification, no reference side (recorded,
+  so the trajectory shows what a traversal change did to the probe path);
 * **identity**: every vectorized result is compared against the reference
   implementation — same ids *and* identical distances (``--check`` fails on
   any mismatch).
@@ -128,7 +131,7 @@ def _reference_index_range(workload, records, query, epsilon, transformation,
     low, high = index.space.search_rectangle(query_point, epsilon)
     candidates = transformed_range_search(
         index.tree, Rect(low, high), real_map,
-        overlap=index._overlap_predicate())  # noqa: SLF001
+        periodic_dims=index.space.periodic_dimension_mask())
     answers = []
     for record_id in candidates:
         distance = _reference_distance(records[record_id], query_record,
@@ -260,6 +263,16 @@ def run_suite(num_series: int = 1200, length: int = 128,
     metrics["join_ref_ms"] = 1000.0 * ref_join
     metrics["join_speedup"] = ref_join / vec_join if vec_join else float("inf")
 
+    # -- index range probe (per-query ms, best of three passes) ----------
+    probes = [(query, radius) for radius in radii_t for query in queries]
+    passes = []
+    for _ in range(3):
+        started = time.perf_counter()
+        for query, radius in probes:
+            workload.index.range_query(query, radius, transformation=transformation)
+        passes.append(time.perf_counter() - started)
+    metrics["index_range_ms"] = 1000.0 * min(passes) / len(probes)
+
     metrics["identical"] = bool(identical)
     metrics["max_abs_diff"] = float(max_diff)
     return metrics
@@ -328,6 +341,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{name:>5}: vectorized {metrics[f'{name}_vec_ms']:8.2f} ms   "
               f"reference {metrics[f'{name}_ref_ms']:8.2f} ms   "
               f"speedup {metrics[f'{name}_speedup']:6.1f}x")
+    print(f"index range probe under the transformation: "
+          f"{metrics['index_range_ms']:.3f} ms/query")
     print(f"identical answers: {metrics['identical']}, "
           f"max |distance delta|: {metrics['max_abs_diff']:.3g}")
     if not arguments.no_record:

@@ -1,6 +1,6 @@
 """Indexing: R-tree family, the k-index, the metric (VP) index, transformed search and scans."""
 
-from .geometry import Rect, mindist, mindist_batch, minmaxdist, overlap_matrix
+from .geometry import Rect, mindist, mindist_batch, minmaxdist, rects_overlap
 from .kindex import KIndex, NearestNeighborResult, QueryStatistics, RangeQueryResult
 from .metric import MetricIndex
 from .rstar import RStarTree
@@ -15,7 +15,7 @@ from .transformed import (
 )
 
 __all__ = [
-    "Rect", "mindist", "minmaxdist", "mindist_batch", "overlap_matrix",
+    "Rect", "mindist", "minmaxdist", "mindist_batch", "rects_overlap",
     "KIndex", "MetricIndex", "RangeQueryResult", "NearestNeighborResult", "QueryStatistics",
     "RStarTree", "RTree", "RTreeEntry", "RTreeNode", "NodeAccessStats",
     "SequentialScan",

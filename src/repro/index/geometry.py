@@ -15,7 +15,7 @@ import numpy as np
 
 from ..core.errors import DimensionMismatchError
 
-__all__ = ["Rect", "mindist", "minmaxdist", "mindist_batch", "overlap_matrix"]
+__all__ = ["Rect", "mindist", "minmaxdist", "mindist_batch", "rects_overlap"]
 
 TWO_PI = 2.0 * math.pi
 
@@ -250,15 +250,14 @@ def mindist_batch(point: Sequence[float] | np.ndarray, lows: np.ndarray,
     return np.sqrt(np.sum(delta * delta, axis=1))
 
 
-def overlap_matrix(lows: np.ndarray, highs: np.ndarray,
-                   window_lows: np.ndarray, window_highs: np.ndarray,
-                   periodic_dims: np.ndarray | None = None) -> np.ndarray:
-    """Rectangle-overlap tests for every (entry, window) pair in one shot.
-
-    ``lows``/``highs`` describe ``n`` entry rectangles as ``(n, d)`` arrays;
-    ``window_lows``/``window_highs`` describe ``q`` query windows as
-    ``(q, d)`` arrays.  The result is an ``(n, q)`` boolean matrix whose
-    ``[i, j]`` element says whether entry ``i`` intersects window ``j``.
+def rects_overlap(lows: np.ndarray, highs: np.ndarray,
+                  window_lows: np.ndarray, window_highs: np.ndarray,
+                  periodic_dims: Sequence[bool] | np.ndarray | None = None
+                  ) -> np.ndarray:
+    """Rectangle-overlap tests over corner arrays that broadcast against each
+    other (last axis: the ``d`` coordinates) — the one overlap rule of every
+    index traversal.  ``(n, d)`` entries against their ``(n, d)`` windows give
+    ``(n,)`` hits; ``(n, 1, d)`` against ``(1, q, d)`` the ``(n, q)`` matrix.
 
     ``periodic_dims`` is an optional ``(d,)`` boolean mask marking wrap-around
     dimensions (the polar representation's phase angles); those dimensions use
@@ -269,27 +268,15 @@ def overlap_matrix(lows: np.ndarray, highs: np.ndarray,
     over all periodic dimensions — equivalent to, and much faster than,
     testing each shifted copy of the interval separately.
     """
-    if periodic_dims is None:
-        plain = slice(None)
-        has_periodic = False
-    else:
-        periodic_dims = np.asarray(periodic_dims, dtype=bool)
-        has_periodic = bool(periodic_dims.any())
-        plain = ~periodic_dims if has_periodic else slice(None)
-    result = np.all(
-        (lows[:, None, plain] <= window_highs[None, :, plain])
-        & (window_lows[None, :, plain] <= highs[:, None, plain]),
-        axis=-1,
-    )
-    if has_periodic:
-        angular = np.nonzero(periodic_dims)[0]
-        entry_half = (highs[:, angular] - lows[:, angular]) * 0.5
-        entry_center = lows[:, angular] + entry_half
-        window_half = (window_highs[:, angular] - window_lows[:, angular]) * 0.5
-        window_center = window_lows[:, angular] + window_half
-        gap = np.abs((entry_center[:, None, :] - window_center[None, :, :]
-                      + math.pi) % TWO_PI - math.pi)
-        hits = gap <= entry_half[:, None, :] + window_half[None, :, :]
-        wide = (entry_half >= math.pi)[:, None, :] | (window_half >= math.pi)[None, :, :]
-        result &= np.all(hits | wide, axis=-1)
-    return result
+    hits = (lows <= window_highs) & (window_lows <= highs)
+    angular = (() if periodic_dims is None
+               else np.nonzero(np.asarray(periodic_dims, dtype=bool))[0])
+    if len(angular):
+        entry_half = (highs[..., angular] - lows[..., angular]) * 0.5
+        entry_center = lows[..., angular] + entry_half
+        window_half = (window_highs[..., angular] - window_lows[..., angular]) * 0.5
+        window_center = window_lows[..., angular] + window_half
+        gap = np.abs((entry_center - window_center + math.pi) % TWO_PI - math.pi)
+        hits[..., angular] = ((gap <= entry_half + window_half)
+                              | (entry_half >= math.pi) | (window_half >= math.pi))
+    return hits.all(axis=-1)

@@ -12,14 +12,16 @@ evaluation:
    a transformation is supplied it is applied to the query features and
    lowered (safely) to a per-coordinate map for the index's space; the
    epsilon-ball around the query point becomes a search rectangle.
-2. **Search** — the R-tree is traversed, transforming every bounding
-   rectangle on the fly (Algorithm 2), yielding *candidates*.  Keeping only
+2. **Search** — the R-tree's packed levels are descended by the frontier
+   kernel (:meth:`~repro.index.rtree.RTree.window_search`), transforming each
+   level's bounding rectangles on the fly (Algorithm 2), yielding
+   *candidates*.  Keeping only
    ``k`` coefficients can produce false hits but — by Parseval — never false
    dismissals (Lemma 1).
 3. **Postprocessing** — the candidates' full records live in the index's
    :class:`~repro.storage.columnar.ColumnarRecordStore`; they are gathered
-   and their exact distances computed as **one batch kernel call per query**
-   (one per whole batch on the grouped path), instead of fetching and
+   and their exact distances computed as **one batch kernel call per batch
+   of queries** (a single probe is a batch of one), instead of fetching and
    scoring Python records one at a time.
 
 The class also supports nearest-neighbour queries and index-probe all-pairs
@@ -40,7 +42,6 @@ from ..core.spaces import PolarSpace
 from ..core.transformations import LinearTransformation, RealLinearTransformation
 from ..storage.columnar import (
     ColumnarRecordStore,
-    exact_distances,
     gathered_pair_distances,
     transform_full_record,
 )
@@ -52,10 +53,9 @@ from ..timeseries.features import (
 )
 from ..timeseries.series import TimeSeries
 from ..timeseries.transforms import SpectralTransformation
-from .geometry import Rect
 from .rstar import RStarTree
 from .rtree import RTree
-from .transformed import transformed_nearest_neighbors_iter, transformed_range_search
+from .transformed import transformed_nearest_neighbors_iter
 
 __all__ = ["QueryStatistics", "RangeQueryResult", "NearestNeighborResult", "KIndex"]
 
@@ -301,58 +301,9 @@ class KIndex:
                         b: tuple[np.ndarray, float, float]) -> float:
         return record_distance(a, b, self.extractor.include_stats)
 
-    def _overlap_predicate(self):
-        """Rectangle-overlap test aware of the polar layout's periodic angles."""
-        if not isinstance(self.space, PolarSpace):
-            return None
-        space = self.space
-
-        def overlap(a: Rect, b: Rect) -> bool:
-            for dim in range(space.dimension):
-                is_angle = dim >= space.num_extra and (dim - space.num_extra) % 2 == 1
-                if is_angle:
-                    if not PolarSpace.angle_intervals_overlap(a.low[dim], a.high[dim],
-                                                              b.low[dim], b.high[dim]):
-                        return False
-                else:
-                    if a.low[dim] > b.high[dim] or b.low[dim] > a.high[dim]:
-                        return False
-            return True
-
-        return overlap
-
     # ------------------------------------------------------------------
-    # verification kernels
+    # traversal hook (overridden by the partitioned facade)
     # ------------------------------------------------------------------
-    def _verify_candidates(self, candidates: Sequence[int],
-                           query_full: tuple[np.ndarray, float, float],
-                           transformation: SpectralTransformation | None,
-                           epsilon: float,
-                           result: RangeQueryResult) -> None:
-        """Exact-distance postprocessing of one candidate list, as a single
-        gathered kernel call over the columnar store."""
-        result.statistics.postprocessed = len(candidates)
-        if not candidates:
-            return
-        candidate_ids = np.asarray(candidates, dtype=np.intp)
-        coefficients, means, stds = self.store.transformed_arrays(transformation)
-        distances = exact_distances(coefficients, self.store.lengths, means, stds,
-                                    *query_full, self.extractor.include_stats,
-                                    row_ids=candidate_ids)
-        keep = np.nonzero(distances <= epsilon)[0]
-        order = keep[np.argsort(distances[keep], kind="stable")]
-        result.answers = [(self.store.series(int(candidate_ids[i])),
-                           float(distances[i])) for i in order]
-
-    # ------------------------------------------------------------------
-    # traversal hooks (overridden by the partitioned facade)
-    # ------------------------------------------------------------------
-    def _range_candidates(self, window: Rect,
-                          real_map: RealLinearTransformation | None) -> list[int]:
-        """Candidate record ids of one transformed window search."""
-        return transformed_range_search(self.tree, window, real_map,
-                                        overlap=self._overlap_predicate())
-
     def _nearest_candidate_iter(self, query_point: FeatureVector,
                                 real_map: RealLinearTransformation | None,
                                 distance_to_rect):
@@ -390,42 +341,9 @@ class KIndex:
             returned with their *filter* distance — useful for measuring the
             false-hit rate of the index alone.
         """
-        if epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
-        started = time.perf_counter()
-        self.tree.reset_stats()
-        linear, real_map = self._lower_transformation(transformation)
-
-        query_features = self._query_features(query)
-        if transformation is not None and transform_query:
-            query_full = self._full_transformed(query_features, transformation)
-            query_point = self._transform_point(query_features.point, linear)
-        else:
-            query_full = (query_features.full_coefficients, query_features.mean,
-                          query_features.std)
-            query_point = query_features.point
-
-        low, high = self.space.search_rectangle(query_point, epsilon)
-        window = Rect(low, high)
-        candidates = self._range_candidates(window, real_map)
-        result = RangeQueryResult()
-        result.statistics.candidates = len(candidates)
-        if exact:
-            self._verify_candidates(candidates, query_full, transformation,
-                                    epsilon, result)
-        else:
-            for record_id in candidates:
-                transformed_point = self._transform_point(
-                    FeatureVector(self._point_rows[record_id]), linear)
-                distance = self.space.distance(transformed_point, query_point)
-                if distance <= epsilon:
-                    result.answers.append((self.store.series(record_id), distance))
-            result.answers.sort(key=lambda pair: pair[1])
-        result.statistics.node_accesses = self.tree.access_stats.total
-        result.statistics.record_fetches = result.statistics.postprocessed
-        self._snapshot_tree_stats(result.statistics)
-        result.statistics.elapsed_seconds = time.perf_counter() - started
-        return result
+        return self.range_query_batch([query], epsilon, transformation=transformation,
+                                      transform_query=transform_query,
+                                      exact=exact)[0]
 
     def range_query_batch(self, queries: Sequence[TimeSeries | FeatureVector],
                           epsilon: float | Sequence[float], *,
@@ -434,17 +352,14 @@ class KIndex:
                           exact: bool = True) -> list[RangeQueryResult]:
         """Answer a batch of range queries with one shared tree traversal.
 
-        All query windows are probed together: every tree node on the way is
-        visited once for the whole batch and the entry-versus-window overlap
-        tests run as vectorised numpy kernels (see :meth:`RTree.search_many`);
-        exact-distance postprocessing gathers **all candidates of all
-        queries** into a single kernel call over the columnar store.  Answers
-        are identical to calling :meth:`range_query` once per query.
+        All query windows are probed together, with or without a
+        ``transformation``: every tree node on the way is visited once for
+        the whole batch (see :meth:`RTree.window_search`), and exact-distance
+        postprocessing gathers **all candidates of all queries** into a
+        single kernel call over the columnar store.  Answers are identical
+        to calling :meth:`range_query` once per query.
 
-        ``epsilon`` may be a single threshold or one per query.  Queries
-        under a ``transformation`` fall back to the per-query path (rectangle
-        images must be transformed node by node), still returning one result
-        per query.
+        ``epsilon`` may be a single threshold or one per query.
 
         Each result's ``node_accesses`` reports the *shared* traversal total,
         which is the batch's actual I/O cost — summing it over the batch
@@ -455,42 +370,44 @@ class KIndex:
                                    (len(queries),))
         if np.any(epsilons < 0):
             raise ValueError("epsilon must be non-negative")
-        if transformation is not None:
-            return [self.range_query(query, float(eps),
-                                     transformation=transformation,
-                                     transform_query=transform_query, exact=exact)
-                    for query, eps in zip(queries, epsilons)]
         if not queries:
             return []
         started = time.perf_counter()
         self.tree.reset_stats()
+        linear, real_map = self._lower_transformation(transformation)
         query_fulls = []
-        windows = []
         query_points = []
-        for query, eps in zip(queries, epsilons):
+        for query in queries:
             features = self._query_features(query)
-            query_fulls.append((features.full_coefficients, features.mean,
-                                features.std))
-            query_points.append(features.point)
-            low, high = self.space.search_rectangle(features.point, float(eps))
-            windows.append(Rect(low, high))
-        candidate_lists = self.tree.search_many(
-            windows, periodic_dims=self.space.periodic_dimension_mask())
+            if transformation is not None and transform_query:
+                query_fulls.append(self._full_transformed(features, transformation))
+                query_points.append(self._transform_point(features.point, linear))
+            else:
+                query_fulls.append((features.full_coefficients, features.mean,
+                                    features.std))
+                query_points.append(features.point)
+        corners = [self.space.search_rectangle(point, float(eps))
+                   for point, eps in zip(query_points, epsilons)]
+        candidate_lists = self.tree.window_search(
+            np.array([low for low, _ in corners]),
+            np.array([high for _, high in corners]),
+            real_map, self.space.periodic_dimension_mask())
         shared_accesses = self.tree.access_stats.total
         results = [RangeQueryResult() for _ in queries]
         for result, candidates in zip(results, candidate_lists):
-            result.statistics.candidates = len(candidates)
+            result.statistics.candidates = candidates.size
             result.statistics.node_accesses = shared_accesses
         if exact:
-            self._verify_batch(candidate_lists, query_fulls, epsilons, results)
+            self._verify_batch(candidate_lists, query_fulls, transformation,
+                               epsilons, results)
         else:
-            for index, candidates in enumerate(candidate_lists):
-                result = results[index]
-                for record_id in candidates:
-                    distance = self.space.distance(
-                        FeatureVector(self._point_rows[record_id]),
-                        query_points[index])
-                    if distance <= float(epsilons[index]):
+            for result, candidates, query_point, eps in zip(
+                    results, candidate_lists, query_points, epsilons):
+                for record_id in candidates.tolist():
+                    point = self._transform_point(
+                        FeatureVector(self._point_rows[record_id]), linear)
+                    distance = self.space.distance(point, query_point)
+                    if distance <= float(eps):
                         result.answers.append((self.store.series(record_id),
                                                distance))
                 result.answers.sort(key=lambda pair: pair[1])
@@ -503,31 +420,31 @@ class KIndex:
             result.statistics.elapsed_seconds = elapsed_share
         return results
 
-    def _verify_batch(self, candidate_lists: Sequence[Sequence[int]],
+    def _verify_batch(self, candidate_lists: Sequence[np.ndarray],
                       query_fulls: list[tuple[np.ndarray, float, float]],
+                      transformation: SpectralTransformation | None,
                       epsilons: np.ndarray,
                       results: list[RangeQueryResult]) -> None:
-        """One gathered verification pass for a whole batch of range queries."""
-        counts = [len(candidates) for candidates in candidate_lists]
-        total = sum(counts)
-        if total == 0:
+        """One gathered verification pass for a whole batch of range queries
+        (under a ``transformation``: against the store's transformed rows)."""
+        counts = [candidates.size for candidates in candidate_lists]
+        if not sum(counts):
             return
-        row_ids = np.concatenate([
-            np.asarray(candidates, dtype=np.intp) if len(candidates) else
-            np.zeros(0, dtype=np.intp) for candidates in candidate_lists])
+        row_ids = np.concatenate(candidate_lists)
         query_index = np.repeat(np.arange(len(candidate_lists), dtype=np.intp),
                                 counts)
         query_lengths = np.array([full[0].shape[0] for full in query_fulls],
                                  dtype=np.intp)
-        width = int(query_lengths.max()) if len(query_fulls) else 0
-        query_matrix = np.zeros((len(query_fulls), width), dtype=np.complex128)
+        query_matrix = np.zeros((len(query_fulls), int(query_lengths.max())),
+                                dtype=np.complex128)
         for position, full in enumerate(query_fulls):
             query_matrix[position, :full[0].shape[0]] = full[0]
         query_means = np.array([full[1] for full in query_fulls])
         query_stds = np.array([full[2] for full in query_fulls])
+        coefficients, means, stds = self.store.transformed_arrays(transformation)
         distances = gathered_pair_distances(
-            self.store.coefficients, self.store.lengths, self.store.means,
-            self.store.stds, self.extractor.include_stats, row_ids,
+            coefficients, self.store.lengths, means, stds,
+            self.extractor.include_stats, row_ids,
             query_matrix, query_lengths, query_means, query_stds, query_index)
         offset = 0
         for index, count in enumerate(counts):

@@ -9,8 +9,9 @@ index to everything above it.
   whose "tree" is a :class:`_PartitionForest` — one STR-bulk-loaded R-tree
   per ``partition_rows`` block of record ids.  The **whole** KIndex query
   surface (three-phase range search, incremental nearest neighbours,
-  batched traversals, gathered verification, counters) is inherited; only
-  the traversal hooks fan out across sub-trees.  One shared
+  batched traversals, gathered verification, counters) is inherited; window
+  searches fan out across sub-trees inside the forest, nearest-neighbour
+  streams through the one traversal hook.  One shared
   :class:`~repro.storage.columnar.ColumnarRecordStore` keeps record ids
   global and dense, so ``Database.columnar_store`` adoption, ``len()``, and
   ``state_token`` semantics are unchanged.
@@ -21,9 +22,9 @@ index to everything above it.
 Merging is deterministic and independent of the worker count, so answers
 are identical at any ``workers`` setting:
 
-* range candidates concatenate in partition order and flow through the
-  inherited gathered verification (final order: stable sort by exact
-  distance);
+* range candidates concatenate in partition order — ascending record id,
+  since partitions are id blocks — and flow through the inherited gathered
+  verification (final order: stable sort by exact distance);
 * nearest-neighbour candidate streams merge with a k-way heap on
   ``(filter lower bound, record id)`` — each per-partition stream is
   already ascending, so the merged stream is the ascending global stream
@@ -49,7 +50,7 @@ from ..timeseries.features import SeriesFeatureExtractor
 from .kindex import KIndex, NearestNeighborResult, RangeQueryResult
 from .metric import MetricIndex
 from .rtree import NodeAccessStats, RTree
-from .transformed import transformed_nearest_neighbors_iter, transformed_range_search
+from .transformed import transformed_nearest_neighbors_iter
 
 __all__ = ["PartitionedIndex", "PartitionedMetricIndex"]
 
@@ -75,7 +76,7 @@ class _PartitionForest:
     them in insertion order), so ``record_id // partition_rows`` names the
     owning sub-tree.  The pieces of the :class:`~repro.index.rtree.RTree`
     surface the :class:`~repro.index.kindex.KIndex` relies on — ``insert``,
-    ``bulk_load_points``, ``search_many``, ``reset_stats``,
+    ``bulk_load_points``, ``window_search``, ``reset_stats``,
     ``access_stats``, ``buffer``, ``structure_summary`` — aggregate over the
     sub-trees; traversal entry points that need a root (``root_id`` /
     ``visit``) intentionally do not exist, which is what forces partition-
@@ -109,18 +110,18 @@ class _PartitionForest:
         parallel_map(lambda tree, block, ids: tree.bulk_load_points(block, ids),
                      tasks, workers=self.workers)
 
-    def search_many(self, windows: Sequence[Any], *,
-                    periodic_dims: np.ndarray | None = None) -> list[list[Any]]:
-        """Batched window search fanned across sub-trees, merged per query
-        in partition order (deterministic at any worker count)."""
+    def window_search(self, window_lows: np.ndarray, window_highs: np.ndarray,
+                      transformation: Any = None,
+                      periodic_dims: np.ndarray | None = None) -> list[np.ndarray]:
+        """:meth:`RTree.window_search` fanned across sub-trees, merged per
+        window in partition order (deterministic at any worker count)."""
         per_tree = parallel_map(
-            lambda tree: tree.search_many(windows, periodic_dims=periodic_dims),
+            lambda tree: tree.window_search(window_lows, window_highs,
+                                            transformation, periodic_dims),
             [(tree,) for tree in self.trees], workers=self.workers)
-        merged: list[list[Any]] = [[] for _ in windows]
-        for tree_results in per_tree:
-            for query_index, candidates in enumerate(tree_results):
-                merged[query_index].extend(candidates)
-        return merged
+        if not per_tree:
+            return [np.zeros(0, dtype=np.intp) for _ in window_lows]
+        return [np.concatenate(candidates) for candidates in zip(*per_tree)]
 
     def reset_stats(self) -> None:
         for tree in self.trees:
@@ -236,19 +237,8 @@ class PartitionedIndex(KIndex):
         return index
 
     # ------------------------------------------------------------------
-    # traversal hooks: the only KIndex behaviour that changes
+    # traversal hook: the only KIndex behaviour that changes
     # ------------------------------------------------------------------
-    def _range_candidates(self, window, real_map) -> list[int]:
-        """Fan the transformed window search across sub-trees; candidates
-        concatenate in partition order (ids stay global — the inherited
-        gathered verification needs nothing else)."""
-        overlap = self._overlap_predicate()
-        lists = parallel_map(
-            lambda tree: transformed_range_search(tree, window, real_map,
-                                                  overlap=overlap),
-            [(tree,) for tree in self.tree.trees], workers=self.workers)
-        return [record_id for candidates in lists for record_id in candidates]
-
     def _nearest_candidate_iter(self, query_point, real_map, distance_to_rect):
         """K-way heap merge of the per-partition best-first streams.
 

@@ -99,7 +99,7 @@ class RStarTree(RTree):
         return best_entry
 
     def _handle_overflow(self, node: RTreeNode) -> None:
-        level = self._node_level(node)
+        level = self._depth(node)
         can_reinsert = (node.node_id != self.root_id
                         and not self._reinserting
                         and level not in self._overflow_handled_levels)
@@ -108,14 +108,6 @@ class RStarTree(RTree):
             self._forced_reinsert(node)
         else:
             self._split(node)
-
-    def _node_level(self, node: RTreeNode) -> int:
-        level = 0
-        current = node
-        while current.parent_id is not None:
-            current = self.node(current.parent_id)
-            level += 1
-        return level
 
     def _forced_reinsert(self, node: RTreeNode) -> None:
         center = node.mbr().center()
@@ -141,7 +133,7 @@ class RStarTree(RTree):
                 else:
                     # Internal-node reinsertion: reattach the subtree at the
                     # same level by choosing the best internal parent.
-                    target = self._choose_internal(self.root, entry, self._node_level(node))
+                    target = self._choose_internal(self.root, entry, self._depth(node))
                     entry_child = self.node(entry.child_id)
                     entry_child.parent_id = target.node_id
                     target.entries.append(entry)
@@ -156,7 +148,7 @@ class RStarTree(RTree):
     def _choose_internal(self, root: RTreeNode, entry: RTreeEntry, target_level: int
                          ) -> RTreeNode:
         node = root
-        level = self._node_level(node)
+        level = self._depth(node)
         while level > target_level and not node.is_leaf:
             best = min(node.entries,
                        key=lambda e: (e.rect.enlargement(entry.rect), e.rect.area()))

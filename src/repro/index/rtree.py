@@ -2,9 +2,18 @@
 
 The tree stores *records* (arbitrary Python objects — usually object ids)
 under axis-aligned rectangles; point data is stored as degenerate rectangles.
-It supports range (window) search, branch-and-bound nearest-neighbour search,
-and exposes its nodes so that :mod:`repro.index.transformed` can traverse the
-same structure under an on-the-fly transformation.
+It supports range (window) search — optionally under an on-the-fly
+transformation of its rectangles — and branch-and-bound nearest-neighbour
+search, and exposes its nodes so that :mod:`repro.index.transformed` can
+traverse the same structure.
+
+Range probes run over the tree's **packed form**: per level, the entry
+rectangles of all nodes stacked into contiguous corner arrays.  One
+level-synchronous *frontier kernel* (:meth:`RTree.window_search`) tests a
+whole level per numpy call and carries the survivors down, for one window or
+a batch of windows alike.  The packed form is brought up to date lazily by
+the first probe after a mutation, restacking only the nodes that changed
+(all of them on the first probe and when the tree grew a level).
 
 Node accesses are counted per tree (``tree.access_stats``), and when a
 :class:`~repro.storage.pages.PageStore` is supplied every node occupies one
@@ -16,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import Any
@@ -25,7 +35,7 @@ import numpy as np
 from ..core.errors import IndexError_
 from ..storage.buffer import BufferPool
 from ..storage.pages import PageStore
-from .geometry import Rect, mindist_batch, overlap_matrix
+from .geometry import Rect, mindist_batch, rects_overlap
 
 __all__ = ["RTreeEntry", "RTreeNode", "NodeAccessStats", "RTree"]
 
@@ -82,6 +92,47 @@ class NodeAccessStats:
         return self.internal + self.leaf
 
 
+class _PackedLevel:
+    """The nodes of one tree level, each in its own slot of ``width`` rows.
+
+    A changed node is restacked in place and a new node takes the next free
+    slot (the arrays grow by doubling), so repacking after an insert touches
+    the changed nodes only.  An internal entry's payload is the slot of its
+    child in the next level; a leaf entry's payload is its record.
+    """
+
+    def __init__(self, dimension: int, width: int, is_leaf: bool) -> None:
+        self.width = width
+        self.is_leaf = is_leaf
+        self.node_ids: list[int] = []                 #: slot -> node id
+        self.counts = np.zeros(0, dtype=np.intp)      #: (slots,) entries per node
+        self.lows = np.zeros((0, dimension))          #: (slots * width, d) low corners
+        self.highs = np.zeros((0, dimension))         #: (slots * width, d) high corners
+        self.payloads = np.zeros(0, dtype=np.intp)    #: (slots * width,)
+
+    def rows(self, slots: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """Row numbers of the first ``counts[i]`` entries of each ``slots[i]``."""
+        return (np.repeat(slots * self.width - np.cumsum(counts) + counts, counts)
+                + np.arange(counts.sum()))
+
+    def put(self, slots: np.ndarray, counts: np.ndarray, lows: np.ndarray,
+            highs: np.ndarray, payloads: np.ndarray) -> None:
+        """Restack the nodes in ``slots`` from their concatenated entries."""
+        if counts.max() > self.width:
+            raise IndexError_(f"a node holds more than {self.width} entries")
+        if len(self.node_ids) > self.counts.size:
+            capacity = max(len(self.node_ids), 2 * self.counts.size)
+            self.counts = _grown(self.counts, capacity)
+            self.lows = _grown(self.lows, capacity * self.width)
+            self.highs = _grown(self.highs, capacity * self.width)
+            self.payloads = _grown(self.payloads, capacity * self.width)
+        if payloads.dtype == object != self.payloads.dtype:
+            self.payloads = self.payloads.astype(object)
+        rows = self.rows(slots, counts)
+        self.counts[slots] = counts
+        self.lows[rows], self.highs[rows], self.payloads[rows] = lows, highs, payloads
+
+
 class RTree:
     """A dynamic R-tree.
 
@@ -132,6 +183,10 @@ class RTree:
                         if page_store is not None else None)
         self._node_pages: dict[int, int] = {}
         self._entry_arrays_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._packed_levels: list[_PackedLevel] | None = None
+        self._slots: dict[int, int] = {}    # node id -> slot in its packed level
+        self._dirty: set[int] = set()       # nodes changed since the last repack
+        self._pack_lock = threading.Lock()  # concurrent readers repack once
         self.root_id = self._new_node(is_leaf=True).node_id
 
     # ------------------------------------------------------------------
@@ -165,6 +220,8 @@ class RTree:
 
     def _mark_dirty(self, node: RTreeNode) -> None:
         self._entry_arrays_cache.pop(node.node_id, None)
+        if self._packed_levels is not None:
+            self._dirty.add(node.node_id)
         if self._page_store is not None:
             self._page_store.write(self._node_pages[node.node_id], node)
 
@@ -172,15 +229,70 @@ class RTree:
         """The node's entry rectangles as stacked ``(n, d)`` corner arrays.
 
         Cached per node (invalidated by :meth:`_mark_dirty` on any mutation)
-        so that repeated batched probes pay the stacking cost once.
+        so that repacking after an insert restacks the changed nodes only.
         """
         cached = self._entry_arrays_cache.get(node.node_id)
         if cached is None:
-            lows = np.vstack([entry.rect.low for entry in node.entries])
-            highs = np.vstack([entry.rect.high for entry in node.entries])
-            cached = (lows, highs)
+            if node.entries:
+                cached = (np.vstack([entry.rect.low for entry in node.entries]),
+                          np.vstack([entry.rect.high for entry in node.entries]))
+            else:
+                cached = (np.empty((0, self.dimension)),) * 2
             self._entry_arrays_cache[node.node_id] = cached
         return cached
+
+    def _packed(self) -> list[_PackedLevel]:
+        """The packed form, brought up to date: the nodes a mutation marked
+        dirty are restacked — every node on the first probe and whenever the
+        tree has a new root (which shifts every depth).  Readers probing
+        concurrently after a write serialize here, so one of them repacks and
+        the others find the form clean."""
+        with self._pack_lock:
+            levels = self._packed_levels
+            if levels is None or levels[0].node_ids[0] != self.root_id:
+                stale = [[self.root]]
+                while not stale[-1][0].is_leaf:
+                    stale.append([self.node(entry.child_id)
+                                  for node in stale[-1] for entry in node.entries])
+                levels = self._packed_levels = [
+                    _PackedLevel(self.dimension, self.max_entries, nodes[0].is_leaf)
+                    for nodes in stale]
+                self._slots = {}
+            else:
+                stale = [[] for _ in levels]
+                for node in map(self.node, sorted(self._dirty)):
+                    stale[self._depth(node)].append(node)
+            self._dirty.clear()
+            # Deepest level first: a parent's payloads are its children's slots.
+            for level, nodes in zip(reversed(levels), reversed(stale)):
+                if nodes:
+                    self._restack(level, nodes)
+            return levels
+
+    def _restack(self, level: _PackedLevel, nodes: list[RTreeNode]) -> None:
+        """Write ``nodes`` into their slots of ``level`` (new nodes take the
+        next free slots)."""
+        for node in nodes:
+            if node.node_id not in self._slots:
+                self._slots[node.node_id] = len(level.node_ids)
+                level.node_ids.append(node.node_id)
+        lows, highs = zip(*map(self._entry_arrays, nodes))
+        entries = [entry for node in nodes for entry in node.entries]
+        level.put(
+            np.array([self._slots[node.node_id] for node in nodes], dtype=np.intp),
+            np.array([len(low) for low in lows], dtype=np.intp),
+            np.concatenate(lows), np.concatenate(highs),
+            _record_array([entry.record for entry in entries]) if level.is_leaf
+            else np.array([self._slots[entry.child_id] for entry in entries],
+                          dtype=np.intp))
+
+    def _depth(self, node: RTreeNode) -> int:
+        """Levels between ``node`` and the root."""
+        depth = 0
+        while node.parent_id is not None:
+            node = self.node(node.parent_id)
+            depth += 1
+        return depth
 
     @property
     def root(self) -> RTreeNode:
@@ -408,74 +520,88 @@ class RTree:
     # ------------------------------------------------------------------
     # search
     # ------------------------------------------------------------------
+    def window_search(self, window_lows: np.ndarray, window_highs: np.ndarray,
+                      transformation: Any = None,
+                      periodic_dims: np.ndarray | None = None) -> list[np.ndarray]:
+        """Range searches for ``(q, d)`` stacked windows in one shared,
+        level-synchronous descent of the packed form (Algorithm 2).
+
+        The frontier starts as (root, window) for every window.  Per level
+        the children of the whole frontier are gathered into one pair of
+        corner arrays, mapped by ``transformation`` (a :class:`~repro.core
+        .transformations.RealLinearTransformation`: the on-the-fly image
+        rectangles) and tested against their windows in one call; the
+        survivors — their payloads are their child nodes' slots — are the
+        next frontier.  ``periodic_dims`` marks wrap-around dimensions
+        (phase angles of the polar layout) whose overlap test is taken
+        modulo ``2*pi``.  A node serving several windows is visited (and
+        counted) once, which is where batched execution gains over issuing
+        the searches one at a time.
+
+        Returns one record array per window.  Integer record ids come back
+        ascending (a scan's order); other payloads in leaf order.
+        """
+        try:
+            window_lows = np.asarray(window_lows, dtype=np.float64)
+            window_highs = np.asarray(window_highs, dtype=np.float64)
+            matched = (window_lows.ndim == 2 and window_lows.shape == window_highs.shape
+                       and window_lows.shape[1] == self.dimension)
+        except ValueError:  # rows of differing lengths
+            matched = False
+        if not matched:
+            raise IndexError_(
+                f"windows searched in a tree of dimension {self.dimension} must be "
+                f"matching (q, {self.dimension}) corner arrays")
+        num_windows = window_lows.shape[0]
+        if num_windows == 0:
+            return []
+        nodes = np.zeros(num_windows, dtype=np.intp)
+        queries = np.arange(num_windows, dtype=np.intp)
+        for level in self._packed():
+            self._charge(level, nodes)
+            counts = level.counts[nodes]
+            entries = level.rows(nodes, counts)
+            queries = np.repeat(queries, counts)
+            lows, highs = level.lows[entries], level.highs[entries]
+            if transformation is not None:
+                lows, highs = transformation.apply_bounds(lows, highs)
+            keep = rects_overlap(lows, highs, window_lows[queries],
+                                 window_highs[queries], periodic_dims)
+            nodes, queries = level.payloads[entries[keep]], queries[keep]
+        records = nodes  # the payloads of the leaf level
+        order = (np.argsort(queries, kind="stable") if records.dtype == object
+                 else np.lexsort((records, queries)))
+        cuts = np.searchsorted(queries[order], np.arange(1, num_windows))
+        return np.split(records[order], cuts)
+
+    def _charge(self, level: _PackedLevel, nodes: np.ndarray) -> None:
+        """Count the frontier's nodes as visited (and read their pages through
+        the buffer pool): each node once, however many windows opened it."""
+        opened = np.zeros(len(level.node_ids), dtype=bool)
+        opened[nodes] = True
+        if level.is_leaf:
+            self.access_stats.leaf += int(np.count_nonzero(opened))
+        else:
+            self.access_stats.internal += int(np.count_nonzero(opened))
+        if self._buffer is not None:
+            for slot in np.flatnonzero(opened).tolist():
+                self._buffer.read(self._node_pages[level.node_ids[slot]])
+
     def search(self, window: Rect) -> list[Any]:
         """All records whose rectangle intersects ``window``."""
-        results: list[Any] = []
-        self._search_node(self.root_id, window, results)
-        return results
-
-    def _search_node(self, node_id: int, window: Rect, results: list[Any]) -> None:
-        node = self.visit(node_id)
-        if node.is_leaf:
-            results.extend(entry.record for entry in node.entries
-                           if entry.rect.intersects(window))
-            return
-        for entry in node.entries:
-            if entry.rect.intersects(window):
-                self._search_node(entry.child_id, window, results)
+        return self.window_search(window.low[None, :], window.high[None, :])[0].tolist()
 
     def search_many(self, windows: Sequence[Rect], *,
                     periodic_dims: np.ndarray | None = None) -> list[list[Any]]:
-        """Range searches for a whole batch of windows in one shared traversal.
-
-        The tree is walked once: every visited node carries the subset of
-        still-active queries, and the entry-versus-window overlap tests for
-        the whole node are evaluated as one vectorised
-        :func:`~repro.index.geometry.overlap_matrix` call instead of a
-        per-entry Python loop.  A node serving several queries is therefore
-        visited (and counted) once, which is where batched execution gains
-        over issuing the searches one at a time.
-
-        ``periodic_dims`` optionally marks wrap-around dimensions (phase
-        angles of the polar feature layout) so their overlap test is taken
-        modulo ``2*pi``.
-
-        Returns one result list per window, aligned with the input order.
-        """
-        results: list[list[Any]] = [[] for _ in windows]
+        """:meth:`window_search` for a sequence of :class:`Rect` windows (a
+        thin adapter for callers holding rectangles); one result list per
+        window, aligned with the input order."""
         if not windows:
-            return results
-        for window in windows:
-            if window.dimension != self.dimension:
-                raise IndexError_(
-                    f"window of dimension {window.dimension} searched in a tree of "
-                    f"dimension {self.dimension}"
-                )
-        window_lows = np.vstack([window.low for window in windows])
-        window_highs = np.vstack([window.high for window in windows])
-        stack: list[tuple[int, np.ndarray]] = [
-            (self.root_id, np.arange(len(windows)))
-        ]
-        while stack:
-            node_id, active = stack.pop()
-            node = self.visit(node_id)
-            if not node.entries:
-                continue
-            lows, highs = self._entry_arrays(node)
-            hits = overlap_matrix(lows, highs, window_lows[active],
-                                  window_highs[active], periodic_dims)
-            if node.is_leaf:
-                entry_ids, query_ids = np.nonzero(hits)
-                for entry_index, query_index in zip(entry_ids.tolist(),
-                                                    query_ids.tolist()):
-                    results[int(active[query_index])].append(
-                        node.entries[entry_index].record)
-            else:
-                for entry_index, entry in enumerate(node.entries):
-                    survivors = active[hits[entry_index]]
-                    if survivors.size:
-                        stack.append((entry.child_id, survivors))
-        return results
+            return []
+        found = self.window_search([window.low for window in windows],
+                                   [window.high for window in windows],
+                                   periodic_dims=periodic_dims)
+        return [records.tolist() for records in found]
 
     def nearest_neighbors(self, point: Sequence[float] | np.ndarray, k: int = 1
                           ) -> list[tuple[float, Any]]:
@@ -622,6 +748,8 @@ class RTree:
             )
         if len(records) != lows.shape[0]:
             raise IndexError_("number of records must match number of rectangles")
+        if np.any(lows > highs):
+            raise ValueError("every low coordinate must be <= the matching high coordinate")
         if self._size or self.root.entries:
             raise IndexError_("bulk load requires an empty tree")
         if lows.shape[0] == 0:
@@ -637,24 +765,25 @@ class RTree:
             next_highs = np.empty((len(tiles), self.dimension))
             for tile_index, tile in enumerate(tiles):
                 node = self._new_node(is_leaf=is_leaf)
+                # The tile's rows become the node's packed-form arrays as they
+                # are, and its rects are views of them: nothing is restacked.
+                tile_lows, tile_highs = level_lows[tile], level_highs[tile]
+                tile_payloads = [payloads[i] for i in tile.tolist()]
                 if is_leaf:
                     node.entries = [
-                        RTreeEntry(rect=Rect(level_lows[i], level_highs[i]),
-                                   record=payloads[i])
-                        for i in tile.tolist()
-                    ]
+                        RTreeEntry(rect=Rect.trusted(low, high), record=record)
+                        for low, high, record in zip(tile_lows, tile_highs, tile_payloads)]
                 else:
                     node.entries = [
-                        RTreeEntry(rect=Rect(level_lows[i], level_highs[i]),
-                                   child_id=payloads[i])
-                        for i in tile.tolist()
-                    ]
-                    for entry in node.entries:
-                        self.node(entry.child_id).parent_id = node.node_id
+                        RTreeEntry(rect=Rect.trusted(low, high), child_id=child_id)
+                        for low, high, child_id in zip(tile_lows, tile_highs, tile_payloads)]
+                    for child_id in tile_payloads:
+                        self.node(child_id).parent_id = node.node_id
                 self._mark_dirty(node)
+                self._entry_arrays_cache[node.node_id] = (tile_lows, tile_highs)
                 nodes.append(node)
-                next_lows[tile_index] = level_lows[tile].min(axis=0)
-                next_highs[tile_index] = level_highs[tile].max(axis=0)
+                next_lows[tile_index] = tile_lows.min(axis=0)
+                next_highs[tile_index] = tile_highs.max(axis=0)
             if len(nodes) == 1:
                 self.root_id = nodes[0].node_id
                 nodes[0].parent_id = None
@@ -691,3 +820,23 @@ class RTree:
                    page_store=page_store)
         tree.bulk_load_points(points, records)
         return tree
+
+
+def _record_array(records: list[Any]) -> np.ndarray:
+    """Leaf payloads as an array: integer ids stay numeric (sortable,
+    gatherable into the columnar store), anything else — bools and integers
+    too large for an index included — is held as the objects given."""
+    if all(issubclass(kind, (int, np.integer)) and kind is not bool
+           for kind in set(map(type, records))):
+        try:
+            return np.array(records, dtype=np.intp)
+        except OverflowError:
+            pass
+    return np.fromiter(records, dtype=object, count=len(records))
+
+
+def _grown(array: np.ndarray, rows: int) -> np.ndarray:
+    """``array`` extended with zero rows to ``rows`` rows."""
+    grown = np.zeros((rows,) + array.shape[1:], dtype=array.dtype)
+    grown[:len(array)] = array
+    return grown

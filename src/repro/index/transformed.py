@@ -9,18 +9,19 @@ transformation with no extra storage:
 * :func:`materialize_transformed_tree` builds the transformed index
   explicitly (Algorithm 1) — mainly useful for testing and for callers that
   will reuse the transformed index many times;
-* :func:`transformed_range_search` walks the original index, transforming
-  node rectangles on the fly and descending into those that intersect the
-  query window (Algorithm 2);
+* :func:`transformed_range_search` descends the original index level by
+  level, transforming each level's rectangles on the fly and keeping those
+  that intersect the query window (Algorithm 2; a thin call into the tree's
+  frontier kernel, :meth:`~repro.index.rtree.RTree.window_search`);
 * :func:`transformed_nearest_neighbors` is the analogous best-first
   nearest-neighbour search (MINDIST pruning on transformed rectangles);
 * :func:`transformed_join` pairs up entries of two indexes (or one index with
   itself) whose transformed rectangles intersect — the spatial-join building
   block behind the all-pairs experiments.
 
-All functions accept an optional ``overlap`` predicate so callers working in
-spaces with wrap-around dimensions (the polar representation's phase angles)
-can substitute a periodic-aware intersection test.
+Callers working in spaces with wrap-around dimensions (the polar
+representation's phase angles) pass the range search and the join a
+``periodic_dims`` mask so those dimensions are intersected modulo ``2*pi``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Any
 import numpy as np
 
 from ..core.transformations import RealLinearTransformation
-from .geometry import Rect, mindist
+from .geometry import Rect, mindist, rects_overlap
 from .rtree import RTree
 
 __all__ = [
@@ -43,9 +44,6 @@ __all__ = [
     "transformed_nearest_neighbors_iter",
     "transformed_join",
 ]
-
-OverlapPredicate = Callable[[Rect, Rect], bool]
-
 
 def _transform_rect(rect: Rect, transformation: RealLinearTransformation | None) -> Rect:
     if transformation is None:
@@ -82,29 +80,15 @@ def materialize_transformed_tree(tree: RTree,
 
 def transformed_range_search(tree: RTree, window: Rect,
                              transformation: RealLinearTransformation | None = None,
-                             overlap: OverlapPredicate | None = None) -> list[Any]:
+                             periodic_dims: np.ndarray | None = None) -> list[Any]:
     """Algorithm 2: records whose transformed rectangle intersects ``window``.
 
-    ``transformation`` is applied to every node rectangle and every leaf
-    entry visited; ``None`` degenerates to a plain window query.  ``overlap``
-    overrides the rectangle-intersection test (needed for periodic
-    dimensions).
+    ``transformation`` is applied to the rectangles of every level visited;
+    ``None`` degenerates to a plain window query.  ``periodic_dims`` marks
+    wrap-around dimensions, intersected modulo ``2*pi``.
     """
-    if overlap is None:
-        overlap = Rect.intersects
-    results: list[Any] = []
-    stack = [tree.root_id]
-    while stack:
-        node = tree.visit(stack.pop())
-        for entry in node.entries:
-            image = _transform_rect(entry.rect, transformation)
-            if not overlap(image, window):
-                continue
-            if node.is_leaf:
-                results.append(entry.record)
-            else:
-                stack.append(entry.child_id)
-    return results
+    return tree.window_search(window.low[None, :], window.high[None, :],
+                              transformation, periodic_dims)[0].tolist()
 
 
 def transformed_nearest_neighbors_iter(tree: RTree, point: np.ndarray,
@@ -183,23 +167,25 @@ def transformed_join(left: RTree, right: RTree, *,
                      left_transformation: RealLinearTransformation | None = None,
                      right_transformation: RealLinearTransformation | None = None,
                      expand: float = 0.0,
-                     overlap: OverlapPredicate | None = None
+                     periodic_dims: np.ndarray | None = None
                      ) -> list[tuple[Any, Any]]:
     """Spatial join: record pairs whose transformed rectangles come within
     ``expand`` of each other.
 
     The join descends both trees simultaneously, pruning subtree pairs whose
-    transformed bounding rectangles (grown by ``expand``) do not intersect.
+    transformed bounding rectangles (grown by ``expand``) do not intersect;
+    each node pair's entries are tested against each other in one call.
     When ``left is right`` the join is a self-join and each unordered pair is
     still reported twice (once in each order), matching the accounting of the
     original experiment's method (d).
     """
-    if overlap is None:
-        overlap = Rect.intersects
+    grow = max(expand, 0.0)
 
-    def rect_of(tree: RTree, entry, transformation) -> Rect:
-        image = _transform_rect(entry.rect, transformation)
-        return image.expanded(expand) if expand > 0.0 else image
+    def corners(tree: RTree, node, transformation) -> tuple[np.ndarray, np.ndarray]:
+        lows, highs = tree._entry_arrays(node)  # noqa: SLF001
+        if transformation is not None:
+            lows, highs = transformation.apply_bounds(lows, highs)
+        return lows - grow, highs + grow
 
     results: list[tuple[Any, Any]] = []
     stack = [(left.root_id, right.root_id)]
@@ -211,18 +197,20 @@ def transformed_join(left: RTree, right: RTree, *,
         visited_pairs.add((left_id, right_id))
         left_node = left.visit(left_id)
         right_node = right.visit(right_id)
-        for left_entry in left_node.entries:
-            left_rect = rect_of(left, left_entry, left_transformation)
-            for right_entry in right_node.entries:
-                right_rect = rect_of(right, right_entry, right_transformation)
-                if not overlap(left_rect, right_rect):
-                    continue
-                if left_node.is_leaf and right_node.is_leaf:
-                    results.append((left_entry.record, right_entry.record))
-                elif left_node.is_leaf:
-                    stack.append((left_id, right_entry.child_id))
-                elif right_node.is_leaf:
-                    stack.append((left_entry.child_id, right_id))
-                else:
-                    stack.append((left_entry.child_id, right_entry.child_id))
+        left_lows, left_highs = corners(left, left_node, left_transformation)
+        right_lows, right_highs = corners(right, right_node, right_transformation)
+        hits = rects_overlap(left_lows[:, None, :], left_highs[:, None, :],
+                             right_lows[None, :, :], right_highs[None, :, :],
+                             periodic_dims)
+        for left_index, right_index in np.argwhere(hits).tolist():
+            left_entry = left_node.entries[left_index]
+            right_entry = right_node.entries[right_index]
+            if left_node.is_leaf and right_node.is_leaf:
+                results.append((left_entry.record, right_entry.record))
+            elif left_node.is_leaf:
+                stack.append((left_id, right_entry.child_id))
+            elif right_node.is_leaf:
+                stack.append((left_entry.child_id, right_id))
+            else:
+                stack.append((left_entry.child_id, right_entry.child_id))
     return results

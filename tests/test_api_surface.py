@@ -159,3 +159,33 @@ class TestFacadeSignatures:
         # PR 8: checkpoint/close and context-manager checkpointing.
         for method in ("checkpoint", "close", "__enter__", "__exit__"):
             assert callable(getattr(Session, method))
+
+
+class TestIndexProbeSignatures:
+    """The range-probe entry points take a ``periodic_dims`` mask where they
+    once took a per-entry ``overlap`` callable (ISSUE 15: one packed frontier
+    kernel, no per-entry hook)."""
+
+    def test_transformed_search(self):
+        assert _signature(repro.transformed_range_search) == (
+            "(tree: 'RTree', window: 'Rect', "
+            "transformation: 'RealLinearTransformation | None' = None, "
+            "periodic_dims: 'np.ndarray | None' = None) -> 'list[Any]'")
+        assert _signature(repro.transformed_join) == (
+            "(left: 'RTree', right: 'RTree', *, "
+            "left_transformation: 'RealLinearTransformation | None' = None, "
+            "right_transformation: 'RealLinearTransformation | None' = None, "
+            "expand: 'float' = 0.0, periodic_dims: 'np.ndarray | None' = None) "
+            "-> 'list[tuple[Any, Any]]'")
+
+    def test_tree_probes(self):
+        assert _signature(repro.RTree.window_search) == (
+            "(self, window_lows: 'np.ndarray', window_highs: 'np.ndarray', "
+            "transformation: 'Any' = None, "
+            "periodic_dims: 'np.ndarray | None' = None) -> 'list[np.ndarray]'")
+        assert _signature(repro.KIndex.range_query_batch) == (
+            "(self, queries: 'Sequence[TimeSeries | FeatureVector]', "
+            "epsilon: 'float | Sequence[float]', *, "
+            "transformation: 'SpectralTransformation | None' = None, "
+            "transform_query: 'bool' = True, exact: 'bool' = True) "
+            "-> 'list[RangeQueryResult]'")

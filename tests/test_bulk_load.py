@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.errors import IndexError_
-from repro.index.geometry import Rect, mindist, mindist_batch, overlap_matrix
+from repro.index.geometry import Rect, mindist, mindist_batch, rects_overlap
 from repro.index.kindex import KIndex
 from repro.index.rstar import RStarTree
 from repro.index.rtree import RTree
@@ -226,28 +226,30 @@ class TestBatchKernels:
         for i in range(40):
             assert batched[i] == pytest.approx(mindist(point, Rect(lows[i], highs[i])))
 
-    def test_overlap_matrix_matches_intersects(self):
+    def test_rects_overlap_matches_intersects(self):
         rng = np.random.default_rng(51)
         lows = rng.uniform(-10, 10, size=(30, 3))
         highs = lows + rng.uniform(0, 6, size=(30, 3))
         window_lows = rng.uniform(-10, 10, size=(7, 3))
         window_highs = window_lows + rng.uniform(0, 6, size=(7, 3))
-        matrix = overlap_matrix(lows, highs, window_lows, window_highs)
+        matrix = rects_overlap(lows[:, None], highs[:, None],
+                               window_lows[None], window_highs[None])
         for i in range(30):
             rect = Rect(lows[i], highs[i])
             for j in range(7):
                 window = Rect(window_lows[j], window_highs[j])
                 assert matrix[i, j] == rect.intersects(window)
 
-    def test_overlap_matrix_periodic_matches_angle_intervals(self):
+    def test_rects_overlap_periodic_matches_angle_intervals(self):
         from repro.core.spaces import PolarSpace
         rng = np.random.default_rng(52)
         lows = rng.uniform(-np.pi, np.pi, size=(50, 1))
         highs = lows + rng.uniform(0, 2 * np.pi + 0.5, size=(50, 1))
         window_lows = rng.uniform(-np.pi, np.pi, size=(9, 1))
         window_highs = window_lows + rng.uniform(0, 2 * np.pi + 0.5, size=(9, 1))
-        matrix = overlap_matrix(lows, highs, window_lows, window_highs,
-                                periodic_dims=np.array([True]))
+        matrix = rects_overlap(lows[:, None], highs[:, None],
+                               window_lows[None], window_highs[None],
+                               periodic_dims=np.array([True]))
         for i in range(50):
             for j in range(9):
                 expected = PolarSpace.angle_intervals_overlap(

@@ -71,17 +71,18 @@ class TestExecuteMany:
         with pytest.raises(QueryPlanningError):
             engine.execute_many([RANGE_TEXT] * 3, [{"q": data[0]}] * 2)
 
-    def test_batched_traversal_is_shared(self, engine, data):
+    @pytest.mark.parametrize("text", [RANGE_TEXT, RANGE_TEXT + " USING mavg8"])
+    def test_batched_traversal_is_shared(self, engine, data, text):
         bindings = [{"q": series} for series in data[:10]]
         engine.clear_caches()
-        looped_accesses = sum(
-            engine.execute(RANGE_TEXT, binding).statistics.node_accesses
-            for binding in bindings)
+        looped = [engine.execute(text, binding) for binding in bindings]
         engine.clear_caches()
-        outcomes = engine.execute_many([RANGE_TEXT] * 10, bindings)
+        outcomes = engine.execute_many([text] * 10, bindings)
         shared = outcomes[0].statistics.node_accesses
         assert all(o.statistics.node_accesses == shared for o in outcomes)
-        assert shared < looped_accesses
+        assert shared < sum(o.statistics.node_accesses for o in looped)
+        assert [[(s.object_id, d) for s, d in o.answers] for o in outcomes] == \
+            [[(s.object_id, d) for s, d in o.answers] for o in looped]
 
     def test_elapsed_uses_monotonic_clock(self, engine, data):
         outcome = engine.execute(RANGE_TEXT, {"q": data[0]})

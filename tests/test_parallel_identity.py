@@ -211,6 +211,33 @@ class TestPartitionedIndexIdentity:
         for result_s, result_p in zip(results_s, results_p):
             assert _range_fingerprint(result_p) == _range_fingerprint(result_s)
 
+    def test_transformed_batch_shares_one_traversal(self, data, indexes):
+        """Under a transformation the batch is still one fan-out: answers
+        and per-query counters equal the singletons', the shared
+        ``node_accesses`` is below their sum, at every worker count."""
+        _, serial, parallel = indexes
+        smoothing = moving_average_spectral(64, 6)
+        queries = data[:6:3] + data[6:12:3]  # lengths 64 only: the map's length
+        epsilons = [3.0, 5.0, 4.0, 6.0]
+        for index in (serial, parallel):
+            batched = index.range_query_batch(queries, epsilons,
+                                              transformation=smoothing)
+            singles = [index.range_query(query, epsilon, transformation=smoothing)
+                       for query, epsilon in zip(queries, epsilons)]
+            for result, single in zip(batched, singles):
+                assert _range_fingerprint(result)[0] == _range_fingerprint(single)[0]
+                assert result.statistics.candidates == single.statistics.candidates
+                assert result.statistics.postprocessed \
+                    == single.statistics.postprocessed
+            shared = {result.statistics.node_accesses for result in batched}
+            assert len(shared) == 1
+            assert shared.pop() < sum(single.statistics.node_accesses
+                                      for single in singles)
+        assert [_range_fingerprint(result) for result in
+                parallel.range_query_batch(queries, epsilons, transformation=smoothing)] \
+            == [_range_fingerprint(result) for result in
+                serial.range_query_batch(queries, epsilons, transformation=smoothing)]
+
     def test_incremental_insert_routes_by_partition(self, data):
         index = PartitionedIndex(SeriesFeatureExtractor(2),
                                  partition_rows=17, workers=2)
@@ -224,6 +251,12 @@ class TestPartitionedIndexIdentity:
         observed = {(series.values.tobytes(), distance) for series, distance
                     in index.range_query(data[0], 5.0).answers}
         assert observed == expected
+
+    def test_empty_index_answers_nothing(self, data):
+        index = PartitionedIndex(SeriesFeatureExtractor(2), partition_rows=17,
+                                 workers=2)
+        assert index.range_query(data[0], 5.0).answers == []
+        assert [r.answers for r in index.range_query_batch(data[:2], 5.0)] == [[], []]
 
     def test_structure_summary_keeps_the_monolithic_keys(self, indexes):
         mono, _, parallel = indexes

@@ -236,6 +236,19 @@ class TestSql:
                                     [{"q": series} for series in data[:4]])
         assert len(outcomes) == 4
 
+    def test_sql_many_shares_one_traversal_under_a_transformation(self, walk_session):
+        session, data = walk_session
+        text = "SELECT FROM walks WHERE dist(series, $q) < 2.0 USING mavg5"
+        bindings = [{"q": series} for series in data[:6]]
+        singles = [session.sql(text, binding) for binding in bindings]
+        session.clear_caches()
+        batched = session.sql_many([text] * 6, bindings)
+        assert [[(s.object_id, d) for s, d in o.answers] for o in batched] == \
+            [[(s.object_id, d) for s, d in o.answers] for o in singles]
+        shared = {outcome.statistics.node_accesses for outcome in batched}
+        assert len(shared) == 1
+        assert shared.pop() < sum(o.statistics.node_accesses for o in singles)
+
     def test_builder_queries(self, walk_session):
         session, data = walk_session
         outcome = session.sql(

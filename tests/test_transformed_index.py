@@ -66,10 +66,30 @@ class TestTransformedRangeSearch:
         assert set(transformed_range_search(tree, window)) == \
             _brute_force(points, window, None)
 
-    def test_custom_overlap_predicate(self, tree):
-        window = Rect([-1000.0] * 3, [1000.0] * 3)
-        nothing = transformed_range_search(tree, window, overlap=lambda a, b: False)
-        assert nothing == []
+    def test_periodic_dims_wrap_the_window(self, tree, points):
+        # A window one turn away along a periodic dimension finds what the
+        # window itself finds; as a plain dimension it finds nothing.
+        window = Rect([-20.0, -1.0, -20.0], [20.0, 1.0, 20.0])
+        turned = Rect(window.low + [0.0, 2 * np.pi, 0.0],
+                      window.high + [0.0, 2 * np.pi, 0.0])
+        periodic = np.array([False, True, False])
+        wrapped = transformed_range_search(tree, turned, periodic_dims=periodic)
+        inside = np.abs((points[:, 1] + np.pi) % (2 * np.pi) - np.pi) <= 1.0
+        assert set(wrapped) == set(np.nonzero(
+            inside & np.all(np.abs(points[:, [0, 2]]) <= 20.0, axis=1))[0])
+        assert set(wrapped) >= set(transformed_range_search(tree, window))
+        # The mask is read as booleans whatever sequence carries it.
+        for mask in ([False, True, False], (0, 1, 0), np.array([0, 1, 0])):
+            assert transformed_range_search(tree, turned, periodic_dims=mask) == wrapped
+            assert transformed_join(tree, tree, periodic_dims=mask) == \
+                transformed_join(tree, tree, periodic_dims=periodic)
+        assert transformed_range_search(tree, Rect([-20.0, 60.0, -20.0],
+                                                   [20.0, 62.0, 20.0])) == []
+
+    def test_candidates_come_back_in_ascending_record_id(self, tree, transformation):
+        window = Rect([-60.0] * 3, [60.0] * 3)
+        found = transformed_range_search(tree, window, transformation)
+        assert len(found) > 10 and found == sorted(found)
 
 
 class TestMaterializedTree:

@@ -231,23 +231,32 @@ class TestKIndexIdentity:
                                         transformation=scaling)
         assert_same_answers(result.answers, expected)
 
-    def test_batch_matches_singletons_and_reference(self, walks):
+    @pytest.mark.parametrize("smoothed", [False, True])
+    def test_batch_matches_singletons_and_reference(self, walks, mavg, smoothed):
+        transformation = mavg if smoothed else None
         index = KIndex()
         index.extend(walks)
         queries = [walks[0], walks[9], walks[17], walks[33]]
         epsilons = [1.0, 3.0, 6.0, 9.0]
-        batched = index.range_query_batch(queries, epsilons)
+        batched = index.range_query_batch(queries, epsilons,
+                                          transformation=transformation)
+        looped_accesses = 0
         for query, epsilon, result in zip(queries, epsilons, batched):
-            single = index.range_query(query, epsilon)
+            single = index.range_query(query, epsilon, transformation=transformation)
+            looped_accesses += single.statistics.node_accesses
             assert_same_answers(result.answers, single.answers)
-            expected = reference_scan_range(index.extractor, walks, query, epsilon)
+            expected = reference_scan_range(index.extractor, walks, query, epsilon,
+                                            transformation=transformation)
             assert_same_answers(result.answers, expected)
             # Counter exactness under batching: the per-query work counters
             # match the singleton run (only node_accesses reports the shared
-            # traversal, by documented design).
+            # traversal).
             assert result.statistics.candidates == single.statistics.candidates
             assert result.statistics.postprocessed == single.statistics.postprocessed
             assert result.statistics.record_fetches == single.statistics.record_fetches
+        # One traversal serves the batch, under a transformation too.
+        assert len({result.statistics.node_accesses for result in batched}) == 1
+        assert batched[0].statistics.node_accesses < looped_accesses
 
     def test_ragged_lengths_match_reference(self, ragged_walks):
         index = KIndex()
