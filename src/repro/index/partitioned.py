@@ -43,6 +43,7 @@ from typing import Any, Callable, Iterable, Sequence
 import numpy as np
 
 from ..core.parallel import parallel_map, resolve_workers
+from ..core.transformations import RealLinearTransformation
 from ..storage.buffer import BufferStatistics
 from ..storage.pages import PageStore
 from ..storage.partition import DEFAULT_PARTITION_ROWS
@@ -111,7 +112,7 @@ class _PartitionForest:
                      tasks, workers=self.workers)
 
     def window_search(self, window_lows: np.ndarray, window_highs: np.ndarray,
-                      transformation: Any = None,
+                      transformation: RealLinearTransformation | None = None,
                       periodic_dims: np.ndarray | None = None) -> list[np.ndarray]:
         """:meth:`RTree.window_search` fanned across sub-trees, merged per
         window in partition order (deterministic at any worker count)."""

@@ -33,6 +33,7 @@ from typing import Any
 import numpy as np
 
 from ..core.errors import IndexError_
+from ..core.transformations import RealLinearTransformation
 from ..storage.buffer import BufferPool
 from ..storage.pages import PageStore
 from .geometry import Rect, mindist_batch, rects_overlap
@@ -521,15 +522,14 @@ class RTree:
     # search
     # ------------------------------------------------------------------
     def window_search(self, window_lows: np.ndarray, window_highs: np.ndarray,
-                      transformation: Any = None,
+                      transformation: RealLinearTransformation | None = None,
                       periodic_dims: np.ndarray | None = None) -> list[np.ndarray]:
         """Range searches for ``(q, d)`` stacked windows in one shared,
         level-synchronous descent of the packed form (Algorithm 2).
 
         The frontier starts as (root, window) for every window.  Per level
         the children of the whole frontier are gathered into one pair of
-        corner arrays, mapped by ``transformation`` (a :class:`~repro.core
-        .transformations.RealLinearTransformation`: the on-the-fly image
+        corner arrays, mapped by ``transformation`` (the on-the-fly image
         rectangles) and tested against their windows in one call; the
         survivors — their payloads are their child nodes' slots — are the
         next frontier.  ``periodic_dims`` marks wrap-around dimensions
@@ -579,10 +579,11 @@ class RTree:
         the buffer pool): each node once, however many windows opened it."""
         opened = np.zeros(len(level.node_ids), dtype=bool)
         opened[nodes] = True
+        count = int(np.count_nonzero(opened))  # a plain int: stats are serialized
         if level.is_leaf:
-            self.access_stats.leaf += int(np.count_nonzero(opened))
+            self.access_stats.leaf += count
         else:
-            self.access_stats.internal += int(np.count_nonzero(opened))
+            self.access_stats.internal += count
         if self._buffer is not None:
             for slot in np.flatnonzero(opened).tolist():
                 self._buffer.read(self._node_pages[level.node_ids[slot]])

@@ -181,7 +181,7 @@ class TestIndexProbeSignatures:
     def test_tree_probes(self):
         assert _signature(repro.RTree.window_search) == (
             "(self, window_lows: 'np.ndarray', window_highs: 'np.ndarray', "
-            "transformation: 'Any' = None, "
+            "transformation: 'RealLinearTransformation | None' = None, "
             "periodic_dims: 'np.ndarray | None' = None) -> 'list[np.ndarray]'")
         assert _signature(repro.KIndex.range_query_batch) == (
             "(self, queries: 'Sequence[TimeSeries | FeatureVector]', "
