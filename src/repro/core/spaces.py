@@ -258,8 +258,16 @@ class PolarSpace(FeatureSpace):
 
     def mindist_to_rectangle(self, query: FeatureVector, low: np.ndarray,
                              high: np.ndarray) -> float:
-        """Lower bound on the *true* (complex) distance from ``query`` to any
-        point whose polar encoding lies in the rectangle ``[low, high]``.
+        """:meth:`mindist_to_rectangles` for a single rectangle."""
+        return float(self.mindist_to_rectangles(
+            query, np.asarray(low, dtype=np.float64)[None, :],
+            np.asarray(high, dtype=np.float64)[None, :])[0])
+
+    def mindist_to_rectangles(self, query: FeatureVector, lows: np.ndarray,
+                              highs: np.ndarray) -> np.ndarray:
+        """Lower bounds on the *true* (complex) distance from ``query`` to any
+        point whose polar encoding lies in each rectangle of the ``(n, d)``
+        corner arrays ``lows`` / ``highs``; an ``(n,)`` array.
 
         Plain Euclidean MINDIST in polar coordinates is not a valid lower
         bound on the complex-plane distance (an angle difference of ``d``
@@ -269,25 +277,35 @@ class PolarSpace(FeatureSpace):
         distance from the query's complex value to the annular sector the
         rectangle describes, and adds the usual interval distance for the
         extra real coordinates.
+
+        A sector is symmetric about its middle ray.  A query whose angular
+        gap from that ray is within the half-width is in the sector's angle
+        range (every query is when the range spans a full turn) and only the
+        radial gap counts; otherwise the nearest point lies on the nearer
+        edge ray, ``outside = gap - half-width`` away in angle, at the
+        radius ``r`` nearest the query's projection onto that ray.  Both
+        cases are ``(m - r)**2 + 4 m r sin(outside / 2)**2`` with
+        ``outside`` clamped at zero.
         """
         self._check_point(query)
         values = query.values
-        low = np.asarray(low, dtype=np.float64)
-        high = np.asarray(high, dtype=np.float64)
-        total = 0.0
-        for dim in range(self.num_extra):
-            if values[dim] < low[dim]:
-                total += (low[dim] - values[dim]) ** 2
-            elif values[dim] > high[dim]:
-                total += (values[dim] - high[dim]) ** 2
-        for i in range(self.num_features):
-            mag_dim = self.num_extra + 2 * i
-            ang_dim = mag_dim + 1
-            d = _sector_distance(values[mag_dim], values[ang_dim],
-                                 max(0.0, low[mag_dim]), high[mag_dim],
-                                 low[ang_dim], high[ang_dim])
-            total += d ** 2
-        return math.sqrt(total)
+        extras = self.num_extra
+        gaps = np.maximum(np.maximum(lows[:, :extras] - values[:extras],
+                                     values[:extras] - highs[:, :extras]), 0.0)
+        magnitudes, angles = values[extras::2], values[extras + 1::2]
+        radius_low = np.maximum(lows[:, extras::2], 0.0)
+        radius_high = highs[:, extras::2]
+        angle_low = lows[:, extras + 1::2]
+        half_width = (highs[:, extras + 1::2] - angle_low) * 0.5
+        turn = np.fmod(np.abs(angles - (angle_low + half_width)), TWO_PI)
+        outside = np.maximum(np.minimum(turn, TWO_PI - turn) - half_width, 0.0)
+        radius = np.minimum(np.maximum(magnitudes * np.cos(outside),
+                                       np.minimum(radius_low, radius_high)),
+                            np.maximum(radius_low, radius_high))
+        chord = np.sin(outside * 0.5)
+        squared = ((magnitudes - radius) ** 2
+                   + (4.0 * magnitudes) * radius * (chord * chord))
+        return np.sqrt((gaps * gaps).sum(axis=1) + squared.sum(axis=1))
 
     def periodic_dimension_mask(self) -> np.ndarray:
         """Phase-angle coordinates wrap around; magnitudes and extras do not."""
@@ -319,43 +337,3 @@ class PolarSpace(FeatureSpace):
             if low_b + shift <= high_a and high_b + shift >= low_a:
                 return True
         return False
-
-
-def _angular_difference(a: float, b: float) -> float:
-    """Smallest non-negative angle between two directions (in [0, pi])."""
-    diff = math.fmod(abs(a - b), TWO_PI)
-    return min(diff, TWO_PI - diff)
-
-
-def _distance_to_ray_segment(magnitude: float, angle_gap: float,
-                             radius_low: float, radius_high: float) -> float:
-    """Distance from the point (magnitude, angle gap from the ray) to the
-    segment of the ray between the two radii."""
-    projection = magnitude * math.cos(angle_gap)
-    if projection < radius_low:
-        return math.sqrt(max(0.0, magnitude ** 2 + radius_low ** 2
-                             - 2.0 * magnitude * radius_low * math.cos(angle_gap)))
-    if projection > radius_high:
-        return math.sqrt(max(0.0, magnitude ** 2 + radius_high ** 2
-                             - 2.0 * magnitude * radius_high * math.cos(angle_gap)))
-    return abs(magnitude * math.sin(angle_gap))
-
-
-def _sector_distance(magnitude: float, angle: float, radius_low: float,
-                     radius_high: float, angle_low: float, angle_high: float) -> float:
-    """Distance in the complex plane from a point (given in polar form) to the
-    annular sector {r e^{i t}: r in [radius_low, radius_high],
-    t in [angle_low, angle_high]} (the angular interval is taken modulo 2*pi)."""
-    if radius_high < radius_low:
-        radius_low, radius_high = radius_high, radius_low
-    if angle_high - angle_low >= TWO_PI:
-        # Full annulus: only the radial gap matters.
-        return max(0.0, radius_low - magnitude, magnitude - radius_high)
-    mid = (angle_low + angle_high) / 2.0
-    half_width = (angle_high - angle_low) / 2.0
-    if _angular_difference(angle, mid) <= half_width + 1e-15:
-        return max(0.0, radius_low - magnitude, magnitude - radius_high)
-    gap_low = _angular_difference(angle, angle_low)
-    gap_high = _angular_difference(angle, angle_high)
-    return min(_distance_to_ray_segment(magnitude, gap_low, radius_low, radius_high),
-               _distance_to_ray_segment(magnitude, gap_high, radius_low, radius_high))

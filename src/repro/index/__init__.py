@@ -10,7 +10,6 @@ from .transformed import (
     materialize_transformed_tree,
     transformed_join,
     transformed_nearest_neighbors,
-    transformed_nearest_neighbors_iter,
     transformed_range_search,
 )
 
@@ -20,6 +19,6 @@ __all__ = [
     "RStarTree", "RTree", "RTreeEntry", "RTreeNode", "NodeAccessStats",
     "SequentialScan",
     "materialize_transformed_tree", "transformed_range_search",
-    "transformed_nearest_neighbors", "transformed_nearest_neighbors_iter",
+    "transformed_nearest_neighbors",
     "transformed_join",
 ]

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -42,22 +43,29 @@ from ..core.spaces import PolarSpace
 from ..core.transformations import LinearTransformation, RealLinearTransformation
 from ..storage.columnar import (
     ColumnarRecordStore,
+    exact_distances,
     gathered_pair_distances,
     transform_full_record,
 )
 from ..storage.pages import PageStore
-from ..timeseries.features import (
-    SeriesFeatureExtractor,
-    SeriesFeatures,
-    record_distance,
-)
+from ..timeseries.features import SeriesFeatureExtractor, SeriesFeatures
 from ..timeseries.series import TimeSeries
 from ..timeseries.transforms import SpectralTransformation
+from .geometry import mindist_batch
 from .rstar import RStarTree
 from .rtree import RTree
-from .transformed import transformed_nearest_neighbors_iter
 
 __all__ = ["QueryStatistics", "RangeQueryResult", "NearestNeighborResult", "KIndex"]
+
+#: A nearest-neighbour probe lowers every filter distance by this fraction of
+#: itself and of the query point's largest coordinate.  Filter distances
+#: (feature points) and exact distances (full records) are computed along
+#: different arithmetic paths, so in floating point a bound can exceed the
+#: distance it bounds by a few ulps of the coordinates — enough to dismiss a
+#: record that ties the k-th distance (a duplicate of the query at distance
+#: zero, say).  The margin is many orders above that error and costs nothing
+#: but the rare candidate it lets through.
+BOUND_SLACK = 1e-9
 
 
 @dataclass
@@ -297,21 +305,6 @@ class KIndex:
                                      features.std, transformation,
                                      owner="stored record")
 
-    def _exact_distance(self, a: tuple[np.ndarray, float, float],
-                        b: tuple[np.ndarray, float, float]) -> float:
-        return record_distance(a, b, self.extractor.include_stats)
-
-    # ------------------------------------------------------------------
-    # traversal hook (overridden by the partitioned facade)
-    # ------------------------------------------------------------------
-    def _nearest_candidate_iter(self, query_point: FeatureVector,
-                                real_map: RealLinearTransformation | None,
-                                distance_to_rect):
-        """``(filter lower bound, record id)`` pairs in ascending bound order."""
-        return transformed_nearest_neighbors_iter(
-            self.tree, query_point.values, transformation=real_map,
-            distance_to_rect=distance_to_rect)
-
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
@@ -464,8 +457,8 @@ class KIndex:
         """Nearest-neighbour queries for a batch, one result per query.
 
         Best-first search cannot share a traversal across different query
-        points, so batching here amortises setup only; the per-node MINDIST
-        evaluations are already vectorised inside the tree.
+        points (each has its own visiting order and stopping bound), so this
+        is one :meth:`nearest_neighbors` probe per query.
         """
         return [self.nearest_neighbors(query, k, transformation=transformation,
                                        transform_query=transform_query)
@@ -476,18 +469,15 @@ class KIndex:
                           transform_query: bool = True) -> NearestNeighborResult:
         """The ``k`` indexed series nearest to the query (exact distances).
 
-        The search pulls candidates from an incremental MINDIST
-        branch-and-bound over transformed rectangles (filter distances are
-        lower bounds on exact distances), postprocesses each with its full
-        record, and stops as soon as the next filter lower bound exceeds the
-        current k-th exact distance — so the answer is exact, not merely a
-        re-ranking of a fixed candidate pool.  Candidates arrive one at a
-        time by construction (each pull can tighten the stopping bound), so
-        verification stays incremental here; the records still come from the
-        columnar store rather than per-record Python objects.
+        One call to the tree's blocked best-first kernel
+        (:func:`~repro.index.rtree.nearest_search`): filter distances of the
+        transformed rectangles (lower bounds on exact distances) order the
+        search, candidates are verified in blocks against their full records
+        in the columnar store, and the search stops once nothing pending is
+        within the current k-th exact distance — so the answer is exact, not
+        a re-ranking of a fixed candidate pool.  Answers are ordered by
+        ``(distance, record id)``, exactly a scan's.
         """
-        if k <= 0:
-            raise ValueError("k must be positive")
         started = time.perf_counter()
         self.tree.reset_stats()
         linear, real_map = self._lower_transformation(transformation)
@@ -499,32 +489,28 @@ class KIndex:
             query_full = (query_features.full_coefficients, query_features.mean,
                           query_features.std)
             query_point = query_features.point
-        best: list[tuple[TimeSeries, float]] = []
-        pulled = 0
-        distance_to_rect = None
-        if isinstance(self.space, PolarSpace):
-            space = self.space
+        filter_distance = (partial(self.space.mindist_to_rectangles, query_point)
+                           if isinstance(self.space, PolarSpace)
+                           else partial(mindist_batch, query_point.values))
+        slack = BOUND_SLACK * float(np.abs(query_point.values).max(initial=0.0))
 
-            def distance_to_rect(point_values, rect):  # noqa: ANN001 - local closure
-                return space.mindist_to_rectangle(FeatureVector(point_values),
-                                                  rect.low, rect.high)
+        def lower_bound(lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
+            return filter_distance(lows, highs) * (1.0 - BOUND_SLACK) - slack
 
-        for lower_bound, record_id in self._nearest_candidate_iter(
-                query_point, real_map, distance_to_rect):
-            if len(best) >= k and lower_bound > best[k - 1][1]:
-                break
-            pulled += 1
-            candidate_full = transform_full_record(
-                *self.store.full_record(record_id), transformation,
-                owner="stored record")
-            distance = self._exact_distance(candidate_full, query_full)
-            best.append((self.store.series(record_id), distance))
-            best.sort(key=lambda pair: pair[1])
-            best = best[: max(k, len(best))]
-        result = NearestNeighborResult(answers=best[:k])
-        result.statistics.candidates = pulled
-        result.statistics.postprocessed = pulled
-        result.statistics.record_fetches = pulled
+        coefficients, means, stds = self.store.transformed_arrays(transformation)
+        lengths = self.store.lengths
+
+        def exact(rows: np.ndarray) -> np.ndarray:
+            return exact_distances(coefficients, lengths, means, stds, *query_full,
+                                   self.extractor.include_stats, row_ids=rows)
+
+        distances, rows = self.tree.nearest_search(k, lower_bound, exact, real_map)
+        result = NearestNeighborResult(answers=[
+            (self.store.series(row), distance)
+            for row, distance in zip(rows[:k].tolist(), distances[:k].tolist())])
+        result.statistics.candidates = rows.size
+        result.statistics.postprocessed = rows.size
+        result.statistics.record_fetches = rows.size
         result.statistics.node_accesses = self.tree.access_stats.total
         self._snapshot_tree_stats(result.statistics)
         result.statistics.elapsed_seconds = time.perf_counter() - started

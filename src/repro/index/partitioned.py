@@ -8,10 +8,11 @@ index to everything above it.
 * :class:`PartitionedIndex` is a drop-in :class:`~repro.index.kindex.KIndex`
   whose "tree" is a :class:`_PartitionForest` — one STR-bulk-loaded R-tree
   per ``partition_rows`` block of record ids.  The **whole** KIndex query
-  surface (three-phase range search, incremental nearest neighbours,
-  batched traversals, gathered verification, counters) is inherited; window
-  searches fan out across sub-trees inside the forest, nearest-neighbour
-  streams through the one traversal hook.  One shared
+  surface (three-phase range search, nearest neighbours, batched
+  traversals, gathered verification, counters) is inherited; window
+  searches fan out across sub-trees inside the forest, and a
+  nearest-neighbour probe is one best-first search seeded with every
+  sub-tree's root.  One shared
   :class:`~repro.storage.columnar.ColumnarRecordStore` keeps record ids
   global and dense, so ``Database.columnar_store`` adoption, ``len()``, and
   ``state_token`` semantics are unchanged.
@@ -25,10 +26,10 @@ are identical at any ``workers`` setting:
 * range candidates concatenate in partition order — ascending record id,
   since partitions are id blocks — and flow through the inherited gathered
   verification (final order: stable sort by exact distance);
-* nearest-neighbour candidate streams merge with a k-way heap on
-  ``(filter lower bound, record id)`` — each per-partition stream is
-  already ascending, so the merged stream is the ascending global stream
-  and the inherited stopping rule applies unchanged;
+* a nearest-neighbour probe keeps the sub-trees' pending nodes in one pool
+  ordered by filter lower bound, so the kernel's stopping rule sees the
+  whole forest at once, and answers are ordered by ``(exact distance,
+  record id)`` — no per-partition stream, nothing to merge;
 * work counters sum over partitions.  Each sub-structure's counters are
   touched by exactly one worker task, so sums taken after the fan-out
   joins are exact — no shared mutable counter is raced.
@@ -36,7 +37,6 @@ are identical at any ``workers`` setting:
 
 from __future__ import annotations
 
-import heapq
 import time
 from typing import Any, Callable, Iterable, Sequence
 
@@ -50,8 +50,7 @@ from ..storage.partition import DEFAULT_PARTITION_ROWS
 from ..timeseries.features import SeriesFeatureExtractor
 from .kindex import KIndex, NearestNeighborResult, RangeQueryResult
 from .metric import MetricIndex
-from .rtree import NodeAccessStats, RTree
-from .transformed import transformed_nearest_neighbors_iter
+from .rtree import NodeAccessStats, RTree, nearest_search
 
 __all__ = ["PartitionedIndex", "PartitionedMetricIndex"]
 
@@ -77,11 +76,10 @@ class _PartitionForest:
     them in insertion order), so ``record_id // partition_rows`` names the
     owning sub-tree.  The pieces of the :class:`~repro.index.rtree.RTree`
     surface the :class:`~repro.index.kindex.KIndex` relies on — ``insert``,
-    ``bulk_load_points``, ``window_search``, ``reset_stats``,
-    ``access_stats``, ``buffer``, ``structure_summary`` — aggregate over the
-    sub-trees; traversal entry points that need a root (``root_id`` /
-    ``visit``) intentionally do not exist, which is what forces partition-
-    aware callers through the facade's fan-out hooks.
+    ``bulk_load_points``, ``window_search``, ``nearest_search``,
+    ``reset_stats``, ``access_stats``, ``buffer``, ``structure_summary`` —
+    aggregate over the sub-trees; traversal entry points that need a single
+    root (``root_id`` / ``visit``) intentionally do not exist.
     """
 
     def __init__(self, tree_factory: Callable[[], RTree],
@@ -123,6 +121,15 @@ class _PartitionForest:
         if not per_tree:
             return [np.zeros(0, dtype=np.intp) for _ in window_lows]
         return [np.concatenate(candidates) for candidates in zip(*per_tree)]
+
+    def nearest_search(self, k: int,
+                       lower_bound: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                       exact: Callable[[np.ndarray], np.ndarray] | None = None,
+                       transformation: RealLinearTransformation | None = None
+                       ) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`~repro.index.rtree.nearest_search` seeded with every
+        sub-tree's root: one pending pool, one stopping bound."""
+        return nearest_search(self.trees, k, lower_bound, exact, transformation)
 
     def reset_stats(self) -> None:
         for tree in self.trees:
@@ -236,22 +243,6 @@ class PartitionedIndex(KIndex):
         points = np.vstack(index._point_rows)
         index.tree.bulk_load_points(points, list(range(len(series_list))))
         return index
-
-    # ------------------------------------------------------------------
-    # traversal hook: the only KIndex behaviour that changes
-    # ------------------------------------------------------------------
-    def _nearest_candidate_iter(self, query_point, real_map, distance_to_rect):
-        """K-way heap merge of the per-partition best-first streams.
-
-        Each stream yields ``(lower bound, record id)`` ascending, so the
-        merge yields the globally ascending stream and the caller's
-        stopping rule ("next bound exceeds the k-th exact distance") sees
-        exactly what a single-tree traversal would show it.
-        """
-        streams = [transformed_nearest_neighbors_iter(
-            tree, query_point.values, transformation=real_map,
-            distance_to_rect=distance_to_rect) for tree in self.tree.trees]
-        return heapq.merge(*streams)
 
     def __repr__(self) -> str:
         return (f"PartitionedIndex(size={len(self)}, "

@@ -13,8 +13,9 @@ transformation with no extra storage:
   level, transforming each level's rectangles on the fly and keeping those
   that intersect the query window (Algorithm 2; a thin call into the tree's
   frontier kernel, :meth:`~repro.index.rtree.RTree.window_search`);
-* :func:`transformed_nearest_neighbors` is the analogous best-first
-  nearest-neighbour search (MINDIST pruning on transformed rectangles);
+* :func:`transformed_nearest_neighbors` is the analogous nearest-neighbour
+  search (MINDIST pruning on the image rectangles; a thin call into the
+  blocked best-first kernel, :func:`~repro.index.rtree.nearest_search`);
 * :func:`transformed_join` pairs up entries of two indexes (or one index with
   itself) whose transformed rectangles intersect — the spatial-join building
   block behind the all-pairs experiments.
@@ -26,30 +27,21 @@ representation's phase angles) pass the range search and the join a
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from collections.abc import Callable
+from functools import partial
 from typing import Any
 
 import numpy as np
 
 from ..core.transformations import RealLinearTransformation
-from .geometry import Rect, mindist, rects_overlap
+from .geometry import Rect, mindist_batch, rects_overlap
 from .rtree import RTree
 
 __all__ = [
     "materialize_transformed_tree",
     "transformed_range_search",
     "transformed_nearest_neighbors",
-    "transformed_nearest_neighbors_iter",
     "transformed_join",
 ]
-
-def _transform_rect(rect: Rect, transformation: RealLinearTransformation | None) -> Rect:
-    if transformation is None:
-        return rect
-    low, high = transformation.apply_bounds(rect.low, rect.high)
-    return Rect(low, high)
 
 
 def materialize_transformed_tree(tree: RTree,
@@ -69,7 +61,7 @@ def materialize_transformed_tree(tree: RTree,
     for node_id, node in tree._nodes.items():  # noqa: SLF001
         new_entries = []
         for entry in node.entries:
-            new_rect = _transform_rect(entry.rect, transformation)
+            new_rect = Rect(*transformation.apply_bounds(entry.rect.low, entry.rect.high))
             new_entries.append(type(entry)(rect=new_rect, child_id=entry.child_id,
                                            record=entry.record))
         clone._nodes[node_id] = type(node)(node_id=node_id, is_leaf=node.is_leaf,  # noqa: SLF001
@@ -91,76 +83,20 @@ def transformed_range_search(tree: RTree, window: Rect,
                               transformation, periodic_dims)[0].tolist()
 
 
-def transformed_nearest_neighbors_iter(tree: RTree, point: np.ndarray,
-                                        transformation: RealLinearTransformation | None = None,
-                                        distance_to_rect: Callable[[np.ndarray, Rect], float]
-                                        | None = None):
-    """Yield ``(filter_distance, record)`` pairs in ascending filter distance.
-
-    This is the incremental form of the branch-and-bound search: callers that
-    need exact nearest neighbours after postprocessing can keep pulling
-    candidates until the next yielded lower bound exceeds their current k-th
-    exact distance, at which point the exact answer is guaranteed.
-
-    ``distance_to_rect`` overrides the lower-bound metric (default: Euclidean
-    MINDIST); the polar feature space substitutes its annular-sector bound so
-    that yielded values remain valid lower bounds on true distances.
-    """
-    point = np.asarray(point, dtype=np.float64).reshape(-1)
-    if distance_to_rect is None:
-        distance_to_rect = mindist
-    counter = itertools.count()
-    heap: list[tuple[float, int, bool, Any]] = [(0.0, next(counter), False, tree.root_id)]
-    while heap:
-        distance, _, is_record, payload = heapq.heappop(heap)
-        if is_record:
-            yield distance, payload
-            continue
-        node = tree.visit(payload)
-        for entry in node.entries:
-            image = _transform_rect(entry.rect, transformation)
-            d = distance_to_rect(point, image)
-            if node.is_leaf:
-                heapq.heappush(heap, (d, next(counter), True, entry.record))
-            else:
-                heapq.heappush(heap, (d, next(counter), False, entry.child_id))
-
-
 def transformed_nearest_neighbors(tree: RTree, point: np.ndarray, k: int = 1,
                                   transformation: RealLinearTransformation | None = None
                                   ) -> list[tuple[float, Any]]:
-    """Best-first k-nearest-neighbour search under a transformation.
+    """The ``k`` nearest records of the transformed data set.
 
-    Distances are measured from ``point`` to the *transformed* rectangles, so
-    the result is the k nearest records of the transformed data set.  Returns
-    ``(distance, record)`` pairs in ascending distance order; for leaf
-    entries the distance is to the transformed data rectangle (exact for
-    point data).
+    Distances are measured from ``point`` to the *transformed* rectangles
+    (exact for point data).  Returns ``(distance, record)`` pairs in
+    ascending distance order, integer records at equal distance by
+    ascending record.
     """
-    if k <= 0:
-        raise ValueError("k must be positive")
     point = np.asarray(point, dtype=np.float64).reshape(-1)
-    counter = itertools.count()
-    heap: list[tuple[float, int, bool, Any]] = [(0.0, next(counter), False, tree.root_id)]
-    results: list[tuple[float, Any]] = []
-    while heap:
-        distance, _, is_record, payload = heapq.heappop(heap)
-        if len(results) >= k and distance > results[-1][0]:
-            break
-        if is_record:
-            results.append((distance, payload))
-            results.sort(key=lambda pair: pair[0])
-            results = results[:k]
-            continue
-        node = tree.visit(payload)
-        for entry in node.entries:
-            image = _transform_rect(entry.rect, transformation)
-            d = mindist(point, image)
-            if node.is_leaf:
-                heapq.heappush(heap, (d, next(counter), True, entry.record))
-            else:
-                heapq.heappush(heap, (d, next(counter), False, entry.child_id))
-    return results
+    distances, records = tree.nearest_search(k, partial(mindist_batch, point),
+                                             transformation=transformation)
+    return list(zip(distances[:k].tolist(), records[:k].tolist()))
 
 
 def transformed_join(left: RTree, right: RTree, *,

@@ -144,8 +144,8 @@ def record_distance(a: tuple[np.ndarray, float, float],
     Taken over the common coefficient prefix: by Parseval still a valid
     lower bound when one side carries fewer coefficients (a bare
     feature-point query), and exact when both records are complete.  The
-    single definition backs :meth:`KIndex._exact_distance` and the
-    statistics sampler, so estimates and measurements share one formula.
+    columnar kernels (:func:`~repro.storage.columnar.exact_distances`)
+    evaluate the same formula blockwise.
     """
     common = min(a[0].shape[0], b[0].shape[0])
     total = float(np.sum(np.abs(a[0][:common] - b[0][:common]) ** 2))

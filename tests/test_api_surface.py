@@ -164,7 +164,9 @@ class TestFacadeSignatures:
 class TestIndexProbeSignatures:
     """The range-probe entry points take a ``periodic_dims`` mask where they
     once took a per-entry ``overlap`` callable (ISSUE 15: one packed frontier
-    kernel, no per-entry hook)."""
+    kernel, no per-entry hook); nearest-neighbour probes go through one
+    blocked best-first kernel that takes array-valued bound and distance
+    rules, and the incremental per-entry iterator is gone (ISSUE 16)."""
 
     def test_transformed_search(self):
         assert _signature(repro.transformed_range_search) == (
@@ -189,3 +191,25 @@ class TestIndexProbeSignatures:
             "transformation: 'SpectralTransformation | None' = None, "
             "transform_query: 'bool' = True, exact: 'bool' = True) "
             "-> 'list[RangeQueryResult]'")
+
+    def test_nearest_kernel(self):
+        import repro.index
+        from repro.index.rtree import nearest_search
+
+        kernel = ("k: 'int', "
+                  "lower_bound: 'Callable[[np.ndarray, np.ndarray], np.ndarray]', "
+                  "exact: 'Callable[[np.ndarray], np.ndarray] | None' = None, "
+                  "transformation: 'RealLinearTransformation | None' = None) "
+                  "-> 'tuple[np.ndarray, np.ndarray]'")
+        assert _signature(nearest_search) == "(trees: 'Sequence[RTree]', " + kernel
+        assert _signature(repro.RTree.nearest_search) == "(self, " + kernel
+        assert _signature(repro.transformed_nearest_neighbors) == (
+            "(tree: 'RTree', point: 'np.ndarray', k: 'int' = 1, "
+            "transformation: 'RealLinearTransformation | None' = None) "
+            "-> 'list[tuple[float, Any]]'")
+        assert _signature(repro.KIndex.nearest_neighbors) == (
+            "(self, query: 'TimeSeries | FeatureVector', k: 'int' = 1, *, "
+            "transformation: 'SpectralTransformation | None' = None, "
+            "transform_query: 'bool' = True) -> 'NearestNeighborResult'")
+        assert not hasattr(repro.index, "transformed_nearest_neighbors_iter")
+        assert "transformed_nearest_neighbors_iter" not in repro.index.__all__

@@ -1,14 +1,23 @@
-"""Differential tests of the level-synchronous frontier kernel.
+"""Differential tests of the packed-form kernels.
 
-The packed-form traversal (:meth:`RTree.window_search`) is the only range
-traversal in the index layer, so it is checked here against two things that
-share no code with it:
+The level-synchronous frontier kernel (:meth:`RTree.window_search`) is the
+only range traversal in the index layer and the blocked best-first kernel
+(:func:`repro.index.rtree.nearest_search`) the only nearest-neighbour one, so
+both are checked here against things that share no code with them.  A range
+probe against:
 
 * a **per-entry reference traversal** — a plain recursive walk over the nodes
   of :func:`materialize_transformed_tree` (Algorithm 1), one entry at a time —
   which must find the same records *and* open the same nodes;
 * a **brute-force oracle** over the raw points (and, at the ``KIndex`` level,
   the sequential scan): no false dismissals, no false hits.
+
+A nearest-neighbour probe against a **per-entry best-first walk** over node
+objects (one node per pop, one record verified per pop — which opens exactly
+the nodes, and verifies exactly the records, whose bound is within the true
+k-th distance, the fewest any exact search can), a brute-force ranking, and
+at the ``KIndex`` level the sequential scan: same ids, same order, same
+distance bits.
 
 Hypothesis draws the shapes (sizes, dimensions, builders, which scales are
 negative or zero, batch sizes) and a seed; coordinates come from a numpy
@@ -18,6 +27,8 @@ and the independent oracle formulas agree exactly.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -27,14 +38,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import KIndex, SequentialScan, SeriesFeatureExtractor, random_walk_collection
+from repro import (KIndex, PartitionedIndex, SequentialScan, SeriesFeatureExtractor,
+                   TimeSeries, random_walk_collection)
 from repro.core.errors import IndexError_
 from repro.core.spaces import PolarSpace, RectangularSpace
 from repro.core.transformations import RealLinearTransformation
+from repro.index import kindex as kindex_module
 from repro.index.geometry import Rect, rects_overlap
 from repro.index.rstar import RStarTree
-from repro.index.rtree import RTree
-from repro.index.transformed import materialize_transformed_tree, transformed_range_search
+from repro.index.rtree import NEAREST_BLOCK, RTree
+from repro.index.transformed import (materialize_transformed_tree,
+                                     transformed_nearest_neighbors,
+                                     transformed_range_search)
+from repro.storage.columnar import exact_distances
 from repro.storage.durable.serde import _deserialize_rtree, _serialize_rtree
 from repro.storage.pages import PageStore
 from repro.timeseries.transforms import moving_average_spectral, scale_spectral
@@ -224,6 +240,10 @@ class TestWindowSearchDifferential:
         assert tree.buffer.stats.accesses == tree.access_stats.total > 1
         _, visited = reference_traversal(tree, np.zeros(2), np.full(2, 60.0), None)
         assert tree.access_stats.total == len(visited)
+        tree.reset_stats()
+        tree.nearest_neighbors([50.0, 50.0], k=7)
+        # A nearest-neighbour probe opens a node once: one read each.
+        assert tree.buffer.stats.accesses == tree.access_stats.total > 1
 
     def test_concurrent_readers_after_writes_repack_once(self):
         """The server lets readers in together once a write is done: the
@@ -308,6 +328,174 @@ class TestWindowSearchDifferential:
 
 
 # ----------------------------------------------------------------------
+# nearest-neighbour probes
+# ----------------------------------------------------------------------
+def reference_nearest(trees, k, lower_bound, exact, transform=lambda low, high: (low, high)):
+    """Best-first search over node objects, an entry at a time: pop the
+    nearest pending node or record (records first at equal bounds), open the
+    node or verify the record, stop at the first bound beyond the k-th exact
+    distance.  Returns (the ``(distance, record)`` answers, nodes opened,
+    records verified)."""
+    order = itertools.count()
+    heap = [(0.0, 1, next(order), tree, tree.root_id) for tree in trees]
+    heapq.heapify(heap)
+    verified, opened = [], 0
+    while heap:
+        bound, is_node, _, tree, payload = heapq.heappop(heap)
+        if len(verified) >= k and bound > sorted(verified)[k - 1][0]:
+            break
+        if not is_node:
+            verified.append((exact(payload), payload))
+            continue
+        opened += 1
+        node = tree.node(payload)
+        for entry in node.entries:
+            entry_bound = lower_bound(*transform(entry.rect.low, entry.rect.high))
+            heapq.heappush(heap, (entry_bound, 0 if node.is_leaf else 1, next(order), tree,
+                                  entry.record if node.is_leaf else entry.child_id))
+    return sorted(verified)[:k], opened, len(verified)
+
+
+def block_allowance(opened):
+    """Every step of the blocked kernel opens at least one node the reference
+    opens too, so it takes at most ``opened`` steps, each with at most its
+    block size less one extra nodes."""
+    return sum(min(2 ** step, NEAREST_BLOCK) - 1 for step in range(min(opened, 64)))
+
+
+def scalar_mindist(point, low, high):
+    return float(np.sqrt(np.sum(np.square(point - np.clip(point, low, high)))))
+
+
+def check_tree_nearest(tree, points, transformation, queries, ks=(1, 5, 10)):
+    """Kernel == per-entry best-first == brute force, to the bit; its node
+    visits between the reference's and that plus the block allowance."""
+    clone = tree if transformation is None else \
+        materialize_transformed_tree(tree, transformation)
+    images = points if transformation is None else transformation.apply(points)
+    for query in queries:
+        distances = np.sqrt(np.sum(np.square(query - images), axis=1))
+        ranked = [(float(distances[record]), int(record))
+                  for record in np.lexsort((np.arange(len(points)), distances))]
+        for k in ks + (len(points) + 3,):
+            expected, opened, _ = reference_nearest(
+                [clone], k, lambda low, high: scalar_mindist(query, low, high),
+                lambda record: float(distances[record]))
+            tree.reset_stats()
+            got = transformed_nearest_neighbors(tree, query, k, transformation)
+            assert got == expected == ranked[:k]
+            assert opened <= tree.access_stats.total <= opened + block_allowance(opened)
+    assert type(tree.access_stats.internal) is type(tree.access_stats.leaf) is int
+
+
+class TestNearestSearchDifferential:
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(0, 140),
+           space=st.sampled_from(sorted(SPACES)), builder=st.sampled_from(BUILDERS),
+           signs=st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=1, max_size=6),
+           transformed=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_kernel_equals_reference_and_oracle(self, seed, count, space, builder,
+                                                signs, transformed):
+        rng = np.random.default_rng(seed)
+        periodic = SPACES[space].periodic_dimension_mask()
+        points = _points(rng, count, periodic)
+        tree = _build(builder, points)
+        transformation = _map(rng, periodic.shape[0], signs) if transformed else None
+        queries = _points(rng, 3, periodic)
+        if transformation is not None:
+            queries = transformation.apply(queries)
+        check_tree_nearest(tree, points, transformation, queries)
+
+    @given(seed=st.integers(0, 2**32 - 1), builder=st.sampled_from(BUILDERS),
+           first=st.integers(0, 60), more=st.integers(1, 60),
+           stride=st.integers(3, 9))
+    @settings(max_examples=20, deadline=None)
+    def test_probe_insert_probe(self, seed, builder, first, more, stride):
+        """A nearest-neighbour probe brings the packed form up to date
+        exactly as a range probe does."""
+        rng = np.random.default_rng(seed)
+        periodic = SPACES["polar2"].periodic_dimension_mask()
+        points = _points(rng, first + more, periodic)
+        tree = _build(builder, points[:first])
+        transformation = _map(rng, periodic.shape[0], [1.0, -1.0])
+        queries = transformation.apply(_points(rng, 2, periodic))
+        check_tree_nearest(tree, points[:first], transformation, queries, ks=(1, 5))
+        for record in range(first, first + more):
+            tree.insert(points[record], record)
+            if (record - first) % stride == 0:
+                check_tree_nearest(tree, points[:record + 1], transformation,
+                                   queries, ks=(1, 5))
+        check_tree_nearest(tree, points, transformation, queries)
+
+    @pytest.mark.parametrize("builder", BUILDERS)
+    def test_tree_rebuilt_from_its_serialized_pages(self, builder):
+        rng = np.random.default_rng(17)
+        periodic = SPACES["polar2"].periodic_dimension_mask()
+        points = _points(rng, 90, periodic)
+        restored = _deserialize_rtree(_serialize_rtree(_build(builder, points)))
+        transformation = _map(rng, periodic.shape[0], [-1.0, 1.0, 0.0])
+        check_tree_nearest(restored, points, transformation,
+                           transformation.apply(_points(rng, 4, periodic)))
+
+    def test_concurrent_readers_after_writes(self):
+        rng = np.random.default_rng(13)
+        points = rng.uniform(0, 100, size=(1200, 3))
+        tree = _build("str", points[:300])
+        query = np.full(3, 50.0)
+        tree.nearest_neighbors(query, k=10)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                for written in range(300, 1200, 150):
+                    for record in range(written, written + 150):
+                        tree.insert(points[record], record)
+                    distances = np.sqrt(np.sum(np.square(query - points[:written + 150]),
+                                               axis=1))
+                    expected = [(float(distances[i]), int(i))
+                                for i in np.argsort(distances, kind="stable")[:10]]
+                    probes = [pool.submit(tree.nearest_neighbors, query, 10)
+                              for _ in range(8)]
+                    assert all(probe.result(timeout=30) == expected for probe in probes)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_empty_tree_and_single_leaf_root(self):
+        for tree in (RTree(3), RStarTree.bulk_load(np.zeros((0, 3)), [])):
+            tree.reset_stats()
+            assert tree.nearest_neighbors(np.zeros(3), k=4) == []
+            assert (tree.access_stats.leaf, tree.access_stats.internal) == (1, 0)
+        leaf = RTree(2, max_entries=8)
+        for record, point in enumerate([[0.0, 0.0], [3.0, 4.0], [3.0, 4.0]]):
+            leaf.insert(point, record)
+        leaf.reset_stats()
+        assert leaf.nearest_neighbors([0.0, 0.0], k=2) == [(0.0, 0), (5.0, 1)]
+        assert leaf.nearest_neighbors([0.0, 0.0], k=9) == [(0.0, 0), (5.0, 1), (5.0, 2)]
+        assert leaf.access_stats.total == leaf.access_stats.leaf == 2
+
+    def test_non_positive_k_is_one_error(self):
+        """Every nearest-neighbour entry point hands ``k`` to the kernel."""
+        tree = RTree.bulk_load(np.random.default_rng(11).uniform(size=(20, 3)),
+                               list(range(20)))
+        data = random_walk_collection(8, 32, seed=1)
+        for probe in (lambda: tree.nearest_neighbors(np.zeros(3), k=0),
+                      lambda: transformed_nearest_neighbors(tree, np.zeros(3), k=-1),
+                      lambda: KIndex.bulk_load(data).nearest_neighbors(data[0], k=0),
+                      lambda: PartitionedIndex.bulk_load(data, partition_rows=4)
+                      .nearest_neighbors(data[0], k=0)):
+            with pytest.raises(ValueError, match="k must be positive"):
+                probe()
+
+    def test_non_integer_records_rank_by_distance(self):
+        tree = RTree(2, max_entries=4)
+        for step in range(30):
+            tree.insert([float(step), 0.0], ("row", step))
+        assert tree.nearest_neighbors([11.2, 0.0], k=3) == [
+            (pytest.approx(0.2), ("row", 11)), (pytest.approx(0.8), ("row", 12)),
+            (pytest.approx(1.2), ("row", 10))]
+
+
+# ----------------------------------------------------------------------
 # the k-index against the scan
 # ----------------------------------------------------------------------
 class TestKIndexAgainstScan:
@@ -350,3 +538,147 @@ class TestKIndexAgainstScan:
         index.extend(data[count + 1:])
         scan.extend(data[count:])
         compare()
+
+
+def _as_pairs(answers):
+    return [(series.object_id, distance) for series, distance in answers]
+
+
+def reference_index_nearest(index, query, k, transformation):
+    """The per-entry walk at the k-index level: image rectangles one at a
+    time, the space's scalar lower bound, one full record scored per pop.
+    Returns (``(id, distance)`` answers, nodes opened, verified)."""
+    linear, real_map = index._lower_transformation(transformation)
+    features = index._query_features(query)
+    full = (features.full_coefficients, features.mean, features.std)
+    point = features.point
+    if transformation is not None:
+        full = index._full_transformed(features, transformation)
+        point = index._transform_point(point, linear)
+    slack = kindex_module.BOUND_SLACK
+    scale = max(map(abs, point.values), default=0.0)
+
+    def lower_bound(low, high):
+        bound = (index.space.mindist_to_rectangle(point, low, high)
+                 if isinstance(index.space, PolarSpace)
+                 else scalar_mindist(point.values, low, high))
+        return bound * (1.0 - slack) - slack * scale
+
+    coefficients, means, stds = index.store.transformed_arrays(transformation)
+
+    def exact(record):
+        row = slice(record, record + 1)  # the scan's kernel, a record at a time
+        return float(exact_distances(coefficients[row], index.store.lengths[row],
+                                     means[row], stds[row], *full,
+                                     index.extractor.include_stats)[0])
+
+    trees = getattr(index.tree, "trees", [index.tree])
+    found, opened, verified = reference_nearest(
+        trees, k, lower_bound, exact,
+        (lambda low, high: (low, high)) if real_map is None else real_map.apply_bounds)
+    brute = sorted((exact(record), record) for record in range(len(index)))[:k]
+    assert found == brute
+    return [(index.store.series(record).object_id, distance)
+            for distance, record in found], opened, verified
+
+
+def check_index_nearest(index, scan, queries, transformation, ks):
+    for query in queries:
+        for k in ks:
+            expected, opened, verified = reference_index_nearest(index, query, k,
+                                                                 transformation)
+            result = index.nearest_neighbors(query, k, transformation=transformation)
+            assert _as_pairs(result.answers) == expected == _as_pairs(
+                scan.nearest_neighbors(query, k, transformation=transformation))
+            work = result.statistics
+            assert opened <= work.node_accesses <= opened + block_allowance(opened)
+            assert work.node_accesses == (work.internal_node_accesses
+                                          + work.leaf_node_accesses)
+            assert verified <= work.candidates == work.postprocessed == work.record_fetches
+
+
+class TestKIndexNearestAgainstScan:
+    @given(seed=st.integers(0, 10_000), count=st.integers(0, 60),
+           representation=st.sampled_from(["polar", "rectangular"]),
+           bulk=st.booleans(), workers=st.sampled_from([None, 1, 2, 4]),
+           factor=st.sampled_from([None, -1.5, 0.0, 0.5, "mavg"]),
+           distinct=st.sampled_from([None, 7]))
+    @settings(max_examples=50, deadline=None)
+    def test_nearest_equals_reference_brute_force_and_scan(
+            self, seed, count, representation, bulk, workers, factor, distinct):
+        """Monolithic (``workers=None``) and partitioned indexes at any
+        worker count; ``distinct`` repeats a few walks many times, so ties
+        straddle the cut and only the ``(distance, id)`` order is right."""
+        walks = random_walk_collection(count + 10, 32, seed=seed)
+        data = [TimeSeries(walks[n % (distinct or len(walks))].values, name=f"s{n}")
+                for n in range(count + 10)]
+        extractor = SeriesFeatureExtractor(2, representation=representation)
+        if factor == "mavg":
+            if representation == "rectangular":
+                return  # a complex multiplier is not safe in Srect
+            transformation = moving_average_spectral(32, 5)
+        else:
+            transformation = None if factor is None else scale_spectral(32, factor)
+        kind, options = ((KIndex, {}) if workers is None else
+                         (PartitionedIndex, {"partition_rows": 16, "workers": workers}))
+        index = (kind.bulk_load(data[:count], extractor, **options) if bulk
+                 else kind(extractor, **options))
+        if not bulk:
+            index.extend(data[:count])
+        scan = SequentialScan(extractor)
+        scan.extend(data[:count])
+        queries = [data[0], walks[-1]]
+        check_index_nearest(index, scan, queries, transformation, (1, 5, count + 3))
+        # Staleness: probe, grow through both mutation paths, probe again.
+        index.insert(data[count])
+        index.extend(data[count + 1:])
+        scan.extend(data[count:])
+        check_index_nearest(index, scan, queries, transformation, (1, 10))
+
+    def test_ties_at_the_cut_follow_the_scan(self):
+        """400 series drawn from 40 walks: the k-th distance is shared by
+        records the cut separates, and the scan keeps the lowest ids."""
+        walks = random_walk_collection(40, 64, seed=3)
+        rng = np.random.default_rng(5)
+        data = [TimeSeries(walks[int(pick)].values, name=f"s{n}")
+                for n, pick in enumerate(rng.integers(0, 40, size=400))]
+        extractor = SeriesFeatureExtractor(2)
+        scan = SequentialScan(extractor)
+        scan.extend(data)
+        indexes = [KIndex.bulk_load(data, extractor)] + [
+            PartitionedIndex.bulk_load(data, extractor, partition_rows=64, workers=workers)
+            for workers in (1, 2, 4)]
+        for query in random_walk_collection(40, 64, seed=9):
+            expected = _as_pairs(scan.nearest_neighbors(query, 5))
+            for index in indexes:
+                assert _as_pairs(index.nearest_neighbors(query, 5).answers) == expected
+
+    def test_counters_count_the_rows_gathered(self, monkeypatch):
+        data = random_walk_collection(600, 64, seed=4)
+        index = KIndex.bulk_load(data, SeriesFeatureExtractor(2))
+        gathered = []
+        kernel = kindex_module.exact_distances
+
+        def counting(*args, row_ids, **kwargs):
+            gathered.append(len(row_ids))
+            return kernel(*args, row_ids=row_ids, **kwargs)
+
+        monkeypatch.setattr(kindex_module, "exact_distances", counting)
+        total = reference_total = 0
+        for query in random_walk_collection(12, 64, seed=6):
+            del gathered[:]
+            work = index.nearest_neighbors(query, 5).statistics
+            assert (work.candidates == work.postprocessed == work.record_fetches
+                    == sum(gathered))
+            total += work.node_accesses
+            reference_total += reference_index_nearest(index, query, 5, None)[1]
+        # The block schedule's price in node visits over the fewest any exact
+        # search opens, summed over the probes (239 against 201 here; the
+        # share shrinks as the tree grows).
+        assert reference_total <= total <= 1.25 * reference_total
+
+    def test_empty_index(self):
+        for index in (KIndex(), PartitionedIndex(partition_rows=8)):
+            result = index.nearest_neighbors(random_walk_collection(1, 32, seed=2)[0], 3)
+            assert result.answers == []
+            assert result.statistics.candidates == 0

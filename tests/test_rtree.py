@@ -143,7 +143,7 @@ class TestNearestNeighbors:
             assert got == want
 
     def test_k_validation(self, factory):
-        with pytest.raises(IndexError_):
+        with pytest.raises(ValueError):
             factory(2).nearest_neighbors([0.0, 0.0], k=0)
 
 

@@ -164,3 +164,117 @@ class TestPolarSpace:
         point = space.encode([2 + 2j], [5.0])
         low, high = space.search_rectangle(point, 0.5)
         assert space.mindist_to_rectangle(point, low, high) == pytest.approx(0.0)
+
+
+# ----------------------------------------------------------------------
+# the array form of the polar lower bound against a scalar reference
+# ----------------------------------------------------------------------
+def _angular_difference(a, b):
+    diff = math.fmod(abs(a - b), 2.0 * math.pi)
+    return min(diff, 2.0 * math.pi - diff)
+
+
+def _distance_to_ray_segment(magnitude, angle_gap, radius_low, radius_high):
+    projection = magnitude * math.cos(angle_gap)
+    if projection < radius_low:
+        return math.sqrt(max(0.0, magnitude ** 2 + radius_low ** 2
+                             - 2.0 * magnitude * radius_low * math.cos(angle_gap)))
+    if projection > radius_high:
+        return math.sqrt(max(0.0, magnitude ** 2 + radius_high ** 2
+                             - 2.0 * magnitude * radius_high * math.cos(angle_gap)))
+    return abs(magnitude * math.sin(angle_gap))
+
+
+def _sector_distance(magnitude, angle, radius_low, radius_high, angle_low, angle_high):
+    """Distance from a point in polar form to an annular sector: radial gap
+    when the angle is inside the sector's range, else the nearer of the two
+    edge-ray segments, each measured on its own."""
+    if radius_high < radius_low:
+        radius_low, radius_high = radius_high, radius_low
+    radial = max(0.0, radius_low - magnitude, magnitude - radius_high)
+    if angle_high - angle_low >= 2.0 * math.pi:
+        return radial
+    mid, half_width = (angle_low + angle_high) / 2.0, (angle_high - angle_low) / 2.0
+    if _angular_difference(angle, mid) <= half_width + 1e-15:
+        return radial
+    return min(_distance_to_ray_segment(magnitude, _angular_difference(angle, edge),
+                                        radius_low, radius_high)
+               for edge in (angle_low, angle_high))
+
+
+def reference_polar_mindist(space, values, low, high):
+    """One rectangle at a time, one coordinate at a time."""
+    total = 0.0
+    for dim in range(space.num_extra):
+        if values[dim] < low[dim]:
+            total += (low[dim] - values[dim]) ** 2
+        elif values[dim] > high[dim]:
+            total += (values[dim] - high[dim]) ** 2
+    for feature in range(space.num_features):
+        mag, ang = space.num_extra + 2 * feature, space.num_extra + 2 * feature + 1
+        total += _sector_distance(values[mag], values[ang], max(0.0, low[mag]),
+                                  high[mag], low[ang], high[ang]) ** 2
+    return math.sqrt(total)
+
+
+class TestPolarMindistArrayForm:
+    @staticmethod
+    def _cases(rng, space, count):
+        """A query and ``count`` rectangles: sectors that wrap past ``pi``,
+        span more than a full turn, start below zero magnitude, have their
+        radii swapped, or are single points; the query sometimes at zero
+        magnitude."""
+        extras, features = space.num_extra, space.num_features
+        query = rng.normal(scale=5.0, size=space.dimension)
+        query[extras::2] = np.abs(query[extras::2]) * (rng.random(features) > 0.15)
+        query[extras + 1::2] = rng.uniform(-math.pi, math.pi, size=features)
+        lows = rng.normal(scale=5.0, size=(count, space.dimension))
+        highs = lows + rng.uniform(0.0, 4.0, size=lows.shape) * (rng.random(lows.shape) > 0.1)
+        radius_low = np.abs(lows[:, extras::2]) - 2.0 * (rng.random((count, features)) < 0.3)
+        radius_high = np.maximum(radius_low, 0.0) + rng.uniform(0.0, 4.0, (count, features))
+        swapped = rng.random((count, features)) < 0.1
+        lows[:, extras::2] = np.where(swapped, radius_high, radius_low)
+        highs[:, extras::2] = np.where(swapped, np.maximum(radius_low, 0.0), radius_high)
+        angle_low = rng.uniform(-math.pi, math.pi, size=(count, features))
+        width = rng.uniform(0.0, 2.0, size=(count, features))
+        width[rng.random((count, features)) < 0.2] = rng.uniform(5.0, 9.0)
+        angle_low += 7.0 * (rng.random((count, features)) < 0.1)  # un-normalised
+        lows[:, extras + 1::2], highs[:, extras + 1::2] = angle_low, angle_low + width
+        return query, lows, highs
+
+    @pytest.mark.parametrize("features,extras", [(1, 0), (1, 1), (2, 2), (3, 0)])
+    def test_equals_scalar_reference(self, features, extras):
+        space = PolarSpace(features, extras)
+        rng = np.random.default_rng(100 * features + extras)
+        for _ in range(150):
+            query, lows, highs = self._cases(rng, space, 12)
+            point = space.encode(query[extras::2] * np.exp(1j * query[extras + 1::2]),
+                                 query[:extras])
+            got = space.mindist_to_rectangles(point, lows, highs)
+            assert got.shape == (12,)
+            for row, (low, high) in enumerate(zip(lows, highs)):
+                want = reference_polar_mindist(space, point.values, low, high)
+                assert got[row] == pytest.approx(want, rel=1e-12, abs=1e-12)
+                # The scalar method is a one-row call of the array form.
+                assert space.mindist_to_rectangle(point, low, high) == got[row]
+
+    def test_never_exceeds_the_distance_to_a_point_of_the_sector(self):
+        space = PolarSpace(2, 1)
+        rng = np.random.default_rng(21)
+        for _ in range(150):
+            query, lows, highs = self._cases(rng, space, 12)
+            point = space.encode(query[1::2] * np.exp(1j * query[2::2]), query[:1])
+            bounds = space.mindist_to_rectangles(point, lows, highs)
+            for _ in range(8):
+                inside = rng.uniform(np.minimum(lows, highs), np.maximum(lows, highs))
+                inside[:, 1::2] = np.maximum(inside[:, 1::2], 0.0)
+                true = np.sqrt((inside[:, 0] - query[0]) ** 2 + np.sum(np.abs(
+                    inside[:, 1::2] * np.exp(1j * inside[:, 2::2])
+                    - query[1::2] * np.exp(1j * query[2::2])) ** 2, axis=1))
+                assert np.all(bounds <= true + 1e-9)
+
+    def test_empty_block(self):
+        space = PolarSpace(2, 2)
+        point = space.encode([1 + 1j, 2j], [0.0, 1.0])
+        assert space.mindist_to_rectangles(point, np.zeros((0, 6)),
+                                           np.zeros((0, 6))).shape == (0,)

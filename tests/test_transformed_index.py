@@ -12,7 +12,6 @@ from repro.index.transformed import (
     materialize_transformed_tree,
     transformed_join,
     transformed_nearest_neighbors,
-    transformed_nearest_neighbors_iter,
     transformed_range_search,
 )
 
@@ -120,13 +119,6 @@ class TestTransformedNearestNeighbors:
                 (np.linalg.norm(transformation.apply(points[i]) - query), i)
                 for i in range(len(points)))[:4]]
             assert got == want
-
-    def test_iterator_yields_nondecreasing_bounds(self, tree, transformation):
-        query = np.zeros(3)
-        iterator = transformed_nearest_neighbors_iter(tree, query,
-                                                      transformation=transformation)
-        bounds = [bound for bound, _ in (next(iterator) for _ in range(50))]
-        assert all(bounds[i] <= bounds[i + 1] + 1e-9 for i in range(len(bounds) - 1))
 
     def test_k_validation(self, tree):
         with pytest.raises(ValueError):
