@@ -190,13 +190,7 @@ def mindist(point: Sequence[float] | np.ndarray, rect: Rect) -> float:
     the distance from the point to any object stored under the rectangle, so
     it is safe for pruning nearest-neighbour search.
     """
-    p = np.asarray(point, dtype=np.float64).reshape(-1)
-    if p.shape[0] != rect.dimension:
-        raise DimensionMismatchError(
-            f"point of dimension {p.shape[0]} vs rectangle of dimension {rect.dimension}"
-        )
-    clamped = np.clip(p, rect.low, rect.high)
-    return float(np.linalg.norm(p - clamped))
+    return float(mindist_batch(point, rect.low[None, :], rect.high[None, :])[0])
 
 
 def minmaxdist(point: Sequence[float] | np.ndarray, rect: Rect) -> float:

@@ -845,14 +845,11 @@ def nearest_search(trees: Sequence[RTree], k: int,
     """
     if k <= 0:
         raise ValueError("k must be positive")
-    levels: list[_PackedLevel] = []
-    owners: list[RTree] = []
+    levels: list[tuple[RTree, _PackedLevel]] = []
     roots = []
     for tree in trees:
         roots.append(len(levels) * _SLOT_SPAN)
-        packed = tree._packed()  # noqa: SLF001
-        levels.extend(packed)
-        owners.extend([tree] * len(packed))
+        levels.extend((tree, level) for level in tree._packed())  # noqa: SLF001
     node_bounds = np.zeros(len(roots))            # pending nodes, ascending bound
     node_refs = np.array(roots, dtype=np.int64)
     record_bounds = np.zeros(0)                   # pending leaf records, any order
@@ -869,8 +866,8 @@ def nearest_search(trees: Sequence[RTree], k: int,
         block = min(2 * block, NEAREST_BLOCK)
         lows, highs, children = [], [], []
         for number, slots in opened.items():
-            level, slots = levels[number], np.array(slots, dtype=np.intp)
-            owners[number]._charge(level, slots)  # noqa: SLF001
+            (tree, level), slots = levels[number], np.array(slots, dtype=np.intp)
+            tree._charge(level, slots)  # noqa: SLF001
             rows = level.rows(slots, level.counts[slots])
             lows.append(level.lows[rows])
             highs.append(level.highs[rows])
