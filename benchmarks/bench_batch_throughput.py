@@ -49,10 +49,8 @@ def _make_session(data, *, bulk_load: bool, max_entries: int = 16,
     """A session over one relation of ``data``; answer cache off by default
     so throughput numbers measure execution, not memoisation."""
     session = connect(answer_cache_size=answer_cache_size)
-    if bulk_load:
-        index = KIndex.bulk_load(data, _make_extractor(), max_entries=max_entries)
-    else:
-        index = KIndex(_make_extractor(), max_entries=max_entries)
+    build = KIndex.bulk_load if bulk_load else KIndex.build_by_insertion
+    index = build(data, _make_extractor(), max_entries=max_entries)
     session.relation("walks").insert_many(data).with_index(index)
     return session
 
@@ -90,11 +88,8 @@ def bench_run_many(benchmark, batch_setup):
 @pytest.mark.benchmark(group="bulk-load")
 def bench_insert_build(benchmark):
     data, _ = _workload(800, 128, 1)
-    def build():
-        index = KIndex(_make_extractor(), max_entries=16)
-        index.extend(data)
-        return index
-    benchmark(build)
+    benchmark(lambda: KIndex.build_by_insertion(data, _make_extractor(),
+                                                max_entries=16))
 
 
 @pytest.mark.benchmark(group="bulk-load")

@@ -12,11 +12,21 @@ the same logical state:
   WAL tail, re-running every insert and rebuilding every index from its
   logged spec (``cold_index_builds`` counts).
 
-The ``--check`` floors the CI durability job enforces:
+What ``--check`` (the CI durability job) enforces is what the warm path is
+*for*, first of all in counts:
 
-* the warm reopen is at least **5x** faster than the cold rebuild, and
+* the warm reopen replays **0** WAL records, deserializes every index and
+  cold-builds none; the cold reopen replays the log and cold-builds;
 * answers after *both* recovery paths are **bit-identical** (ids, answer
-  bytes and exact float distances) to the pre-crash session's.
+  bytes and exact float distances) to the pre-crash session's;
+* the warm reopen is at least **3x** faster than the cold one.
+
+The floor was 5x while the cold path replayed every insert as an R*-tree
+descent with forced reinsertion (92x measured at 1000 walks).  A replayed
+insert is now one block append to the index's unindexed tail, which made
+the cold path ~10x faster: four runs on the development host read 6.5x,
+8.5x, 10.3x and 10.5x — still above 5, but too close to it for a shared CI
+machine, and keeping cold slow is not what the check is for.
 
 Runnable under pytest-benchmark like the other ``bench_*`` files, or
 directly as a script; the CI durability job runs the script with
@@ -40,7 +50,7 @@ from repro.bench.recording import record_run
 from repro.timeseries.generators import random_walk_collection
 
 #: The ``--check`` floor: minimum warm-over-cold reopen speedup.
-REOPEN_SPEEDUP_FLOOR = 5.0
+REOPEN_SPEEDUP_FLOOR = 3.0
 
 RANGE_SQL = "SELECT FROM walks WHERE dist(series, $q) < 6.0"
 
@@ -113,6 +123,7 @@ def run_suite(num_series: int = 1000, length: int = 64,
             results[name] = {
                 "deserialized_indexes": session.database.deserialized_indexes,
                 "cold_index_builds": session.database.cold_index_builds,
+                "replayed_wal_records": session.database.replayed_wal_records,
                 "identical": [_fingerprint(session.sql(RANGE_SQL, q=query))
                               for query in queries] == reference,
             }
@@ -128,7 +139,9 @@ def run_suite(num_series: int = 1000, length: int = 64,
         "reopen_speedup": round(cold_ms / max(warm_ms, 1e-9), 3),
         "warm_deserialized_indexes": results["warm"]["deserialized_indexes"],
         "warm_cold_index_builds": results["warm"]["cold_index_builds"],
+        "warm_replayed_wal_records": results["warm"]["replayed_wal_records"],
         "cold_index_builds": results["cold"]["cold_index_builds"],
+        "cold_replayed_wal_records": results["cold"]["replayed_wal_records"],
         "warm_identical": results["warm"]["identical"],
         "cold_identical": results["cold"]["identical"],
     }
@@ -148,7 +161,11 @@ def check(metrics: dict) -> list[str]:
     if metrics["warm_cold_index_builds"] != 0:
         failures.append("warm reopen cold-built an index instead of "
                         "deserializing it")
-    if metrics["cold_index_builds"] < 1:
+    if metrics["warm_replayed_wal_records"] != 0:
+        failures.append(
+            f"warm reopen replayed {metrics['warm_replayed_wal_records']} WAL "
+            "records — the checkpoint did not roll the log")
+    if metrics["cold_index_builds"] < 1 or metrics["cold_replayed_wal_records"] < 1:
         failures.append("cold reopen did not exercise the WAL-replay "
                         "rebuild path this benchmark exists to race")
     if metrics["reopen_speedup"] < REOPEN_SPEEDUP_FLOOR:
@@ -185,8 +202,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="measure only; do not touch the trajectory file")
     parser.add_argument("--check", action="store_true",
                         help="fail unless both recovery paths return "
-                             "bit-identical answers and the warm reopen "
-                             "beats the cold rebuild by the recorded floor")
+                             "bit-identical answers, the warm one replays "
+                             "nothing and rebuilds nothing, and it beats "
+                             "the cold one by the recorded floor")
     arguments = parser.parse_args(argv)
     if arguments.series < 50 or arguments.queries < 1 or arguments.length < 16:
         parser.error("--series >= 50, --queries >= 1, --length >= 16 required")
@@ -194,9 +212,11 @@ def main(argv: list[str] | None = None) -> int:
     print(f"== durable reopen: serialized indexes vs cold rebuild "
           f"({metrics['num_series']} walks x {metrics['length']}) ==")
     print(f"  warm reopen (checkpointed): {metrics['warm_open_ms']:9.2f} ms  "
-          f"(deserialized {metrics['warm_deserialized_indexes']} index(es))")
+          f"(deserialized {metrics['warm_deserialized_indexes']} index(es), "
+          f"replayed {metrics['warm_replayed_wal_records']} WAL records)")
     print(f"  cold reopen (WAL replay):   {metrics['cold_open_ms']:9.2f} ms  "
-          f"(cold-built {metrics['cold_index_builds']} index(es))")
+          f"(cold-built {metrics['cold_index_builds']} index(es), "
+          f"replayed {metrics['cold_replayed_wal_records']} WAL records)")
     print(f"  speedup: {metrics['reopen_speedup']:.2f}x   "
           f"bit-identical: warm={metrics['warm_identical']} "
           f"cold={metrics['cold_identical']}")

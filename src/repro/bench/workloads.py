@@ -114,11 +114,9 @@ def _build(
     extractor = SeriesFeatureExtractor(
         num_coefficients=num_coefficients, representation=representation
     )
-    if bulk_load:
-        index = KIndex.bulk_load(data, extractor, tree_kind=tree_kind)
-    else:
-        index = KIndex(extractor, tree_kind=tree_kind)
-        index.extend(data)
+    # The evaluation's figures were measured on a dynamically built tree.
+    build = KIndex.bulk_load if bulk_load else KIndex.build_by_insertion
+    index = build(data, extractor, tree_kind=tree_kind)
     scan = SequentialScan(extractor)
     scan.extend(data)
     return ExperimentFixture(
@@ -146,7 +144,8 @@ def synthetic_workload(
     """Random-walk sequences following the evaluation's generation recipe.
 
     ``bulk_load=True`` builds the index with the Sort-Tile-Recursive loader
-    instead of one-at-a-time insertion (identical answers, packed tree).
+    instead of one-at-a-time insertion into a dynamic tree
+    (:meth:`KIndex.build_by_insertion`; identical answers, packed tree).
     """
     data = random_walk_collection(num_series, length, seed=seed)
     return _build(

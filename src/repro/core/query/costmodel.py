@@ -289,11 +289,16 @@ class QueryCostModel:
                      + tree["internal_count"] * internal_hit)
             nodes = max(tree["height"], min(tree["node_count"], nodes))
             structural = True
+        # The unindexed tail is filtered whole: the pages the probe charges.
+        tail_pages = tree.get("tail_pages", 0.0) if tree else 0.0
+        nodes += tail_pages
         io = nodes + candidates  # one record fetch per candidate
         return _estimate(io, candidates, candidates,
                          can_estimate=measured and structural,
-                         detail=f"~{nodes:.1f} nodes + {candidates:.1f} "
-                                "candidate fetches")
+                         detail=f"~{nodes:.1f} nodes"
+                                + (f" ({tail_pages:.0f} of them tail pages)"
+                                   if tail_pages else "")
+                                + f" + {candidates:.1f} candidate fetches")
 
     def scan_nearest(self, stats: RelationStatistics | None,
                      cardinality: int, k: int) -> CostEstimate:
@@ -310,7 +315,8 @@ class QueryCostModel:
             # Without a histogram assume a well-behaved search: root-to-leaf
             # descent plus a handful of candidates around k.
             tree = stats.tree_summary if stats is not None else None
-            height = tree["height"] if tree else math.log(max(2, cardinality), 8)
+            height = (tree["height"] + tree.get("tail_pages", 0.0) if tree
+                      else math.log(max(2, cardinality), 8))
             candidates = float(4 * k)
             return _estimate(height + candidates, candidates, candidates,
                              can_estimate=False,

@@ -84,8 +84,10 @@ class RelationHandle:
     silently miss rows.  The batch is validated first and the relation
     commits *after* the index updates: a failing index insert raises before
     the rows are stored, so the relation never holds rows its indexes
-    rejected (with several indexes, ones updated before the failure may
-    hold the rejected object — a loud extra, never a silent miss).
+    rejected.  A k-index takes a batch whole or not at all (it extracts
+    every row before it stores any), so it stays the relation's size; with
+    several indexes, ones updated before another's failure may hold the
+    rejected objects — a loud extra, never a silent miss.
     Mutating the relation *below* the handle (``handle.relation.insert``,
     or the ``Database`` directly) bypasses this and leaves registered
     indexes to the caller.

@@ -76,7 +76,34 @@ class FeatureSpace:
     # ------------------------------------------------------------------
     def encode(self, complex_features: Sequence[complex] | np.ndarray,
                extra: Sequence[float] | np.ndarray | None = None) -> FeatureVector:
-        """Lay out complex features (plus optional extra reals) as a real point."""
+        """Lay out complex features (plus optional extra reals) as a real
+        point — one row of :meth:`encode_rows`."""
+        feats = np.asarray(complex_features, dtype=np.complex128)
+        if feats.shape != (self.num_features,):
+            raise DimensionMismatchError(
+                f"expected {self.num_features} complex features, got shape {feats.shape}"
+            )
+        extra_arr = np.asarray(list(extra) if extra is not None else [],
+                               dtype=np.float64)
+        if extra_arr.shape != (self.num_extra,):
+            raise DimensionMismatchError(
+                f"expected {self.num_extra} extra coordinates, got shape {extra_arr.shape}"
+            )
+        return FeatureVector(self.encode_rows(feats[None, :], extra_arr[None, :])[0])
+
+    def encode_rows(self, complex_features: np.ndarray, extra: np.ndarray
+                    ) -> np.ndarray:
+        """:meth:`encode` for ``(n, num_features)`` complex features and
+        ``(n, num_extra)`` extra reals at once: the ``(n, dimension)`` points."""
+        coords = np.empty((complex_features.shape[0], self.dimension))
+        coords[:, : self.num_extra] = extra
+        coords[:, self.num_extra::2], coords[:, self.num_extra + 1::2] = \
+            self._coordinate_pair(complex_features)
+        return coords
+
+    def _coordinate_pair(self, complex_features: np.ndarray
+                         ) -> tuple[np.ndarray, np.ndarray]:
+        """The two real coordinates each complex feature is stored as."""
         raise NotImplementedError
 
     def decode(self, point: FeatureVector) -> tuple[np.ndarray, np.ndarray]:
@@ -149,19 +176,9 @@ class RectangularSpace(FeatureSpace):
 
     name = "Srect"
 
-    def encode(self, complex_features: Sequence[complex] | np.ndarray,
-               extra: Sequence[float] | np.ndarray | None = None) -> FeatureVector:
-        feats = np.asarray(complex_features, dtype=np.complex128)
-        if feats.shape != (self.num_features,):
-            raise DimensionMismatchError(
-                f"expected {self.num_features} complex features, got shape {feats.shape}"
-            )
-        extra_arr = self._extra_array(extra)
-        coords = np.empty(self.dimension, dtype=np.float64)
-        coords[: self.num_extra] = extra_arr
-        coords[self.num_extra::2] = feats.real
-        coords[self.num_extra + 1::2] = feats.imag
-        return FeatureVector(coords)
+    def _coordinate_pair(self, complex_features: np.ndarray
+                         ) -> tuple[np.ndarray, np.ndarray]:
+        return complex_features.real, complex_features.imag
 
     def decode(self, point: FeatureVector) -> tuple[np.ndarray, np.ndarray]:
         self._check_point(point)
@@ -181,16 +198,6 @@ class RectangularSpace(FeatureSpace):
         high = values + epsilon
         return low.copy(), high.copy()
 
-    def _extra_array(self, extra: Sequence[float] | np.ndarray | None) -> np.ndarray:
-        if extra is None:
-            extra = ()
-        arr = np.asarray(list(extra), dtype=np.float64)
-        if arr.shape != (self.num_extra,):
-            raise DimensionMismatchError(
-                f"expected {self.num_extra} extra coordinates, got shape {arr.shape}"
-            )
-        return arr
-
 
 class PolarSpace(FeatureSpace):
     """``Spol``: complex feature *i* occupies coordinates ``(2i-1, 2i)`` as
@@ -206,19 +213,9 @@ class PolarSpace(FeatureSpace):
 
     name = "Spol"
 
-    def encode(self, complex_features: Sequence[complex] | np.ndarray,
-               extra: Sequence[float] | np.ndarray | None = None) -> FeatureVector:
-        feats = np.asarray(complex_features, dtype=np.complex128)
-        if feats.shape != (self.num_features,):
-            raise DimensionMismatchError(
-                f"expected {self.num_features} complex features, got shape {feats.shape}"
-            )
-        extra_arr = RectangularSpace._extra_array(self, extra)  # same validation
-        coords = np.empty(self.dimension, dtype=np.float64)
-        coords[: self.num_extra] = extra_arr
-        coords[self.num_extra::2] = np.abs(feats)
-        coords[self.num_extra + 1::2] = np.angle(feats)
-        return FeatureVector(coords)
+    def _coordinate_pair(self, complex_features: np.ndarray
+                         ) -> tuple[np.ndarray, np.ndarray]:
+        return np.abs(complex_features), np.angle(complex_features)
 
     def decode(self, point: FeatureVector) -> tuple[np.ndarray, np.ndarray]:
         self._check_point(point)

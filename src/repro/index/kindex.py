@@ -26,6 +26,13 @@ evaluation:
 
 The class also supports nearest-neighbour queries and index-probe all-pairs
 (self-join) queries under a transformation.
+
+**Appends never descend the tree.**  New rows are extracted as one block and
+appended to the record store and to the index's point array; the rows beyond
+``len(tree)`` are the index's unindexed **tail**.  Every probe covers the tail
+exactly, with the test the tree's leaf level applies to its own entries, and a
+full tail is *sealed*: packed by STR into a fresh tree off to the side and
+published with one assignment (see :meth:`KIndex.extend`).
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -51,9 +58,9 @@ from ..storage.pages import PageStore
 from ..timeseries.features import SeriesFeatureExtractor, SeriesFeatures
 from ..timeseries.series import TimeSeries
 from ..timeseries.transforms import SpectralTransformation
-from .geometry import mindist_batch
+from .geometry import mindist_batch, rects_overlap
 from .rstar import RStarTree
-from .rtree import RTree
+from .rtree import RTree, _grown
 
 __all__ = ["QueryStatistics", "RangeQueryResult", "NearestNeighborResult", "KIndex"]
 
@@ -66,6 +73,22 @@ __all__ = ["QueryStatistics", "RangeQueryResult", "NearestNeighborResult", "KInd
 #: zero, say).  The margin is many orders above that error and costs nothing
 #: but the rare candidate it lets through.
 BOUND_SLACK = 1e-9
+
+#: The tail is sealed when it holds more than ``max(SEAL_MIN_ROWS, packed rows
+#: // SEAL_SHARE)`` rows.  The share makes a monolithic index re-pack about
+#: ``SEAL_SHARE + 1`` rows per appended row however large it grows (STR packs
+#: a row in 3–5 µs) and keeps the tail filter a fixed share of a probe; the
+#: floor keeps a small index from re-packing on every batch — filtering 256
+#: unindexed points costs ~40 µs, a tenth of a tree probe.
+SEAL_MIN_ROWS = 256
+SEAL_SHARE = 16
+
+#: ``tree_kind`` → (tree class, its split policy).
+_TREE_KINDS: dict[str, tuple[type[RTree], dict[str, str]]] = {
+    "rstar": (RStarTree, {}),
+    "rtree-quadratic": (RTree, {"split": "quadratic"}),
+    "rtree-linear": (RTree, {"split": "linear"}),
+}
 
 
 @dataclass
@@ -163,73 +186,125 @@ class KIndex:
     def __init__(self, extractor: SeriesFeatureExtractor | None = None, *,
                  tree_kind: str = "rstar", max_entries: int = 8,
                  page_store: PageStore | None = None) -> None:
+        if tree_kind not in _TREE_KINDS:
+            raise IndexError_(f"unknown tree kind {tree_kind!r}")
         self.extractor = extractor if extractor is not None else SeriesFeatureExtractor()
         self.space = self.extractor.space
-        self.tree = self._build_tree(tree_kind, max_entries, page_store)
+        self.max_entries = int(max_entries)
+        #: What every tree of this index is built with (a seal builds a new one).
+        self._tree_options = (tree_kind, max_entries, page_store)
+        self.tree = self._build_tree(*self._tree_options)
         #: Columnar full records, one row per record id (dense, insertion
         #: order).  Shared with the executor's scan fallback and the
         #: statistics sampler through ``Database.columnar_store``.
         self.store = ColumnarRecordStore()
-        self._point_rows: list[np.ndarray] = []
+        #: The indexable points, row = record id; grown by doubling, rows
+        #: ``[0, len(store))`` are valid and rows ``>= len(tree)`` are the tail.
+        self._points = np.empty((0, self.space.dimension))
 
     def _build_tree(self, tree_kind: str, max_entries: int,
                     page_store: PageStore | None) -> RTree:
-        dimension = self.space.dimension
-        if tree_kind == "rstar":
-            return RStarTree(dimension, max_entries=max_entries, page_store=page_store)
-        if tree_kind == "rtree-quadratic":
-            return RTree(dimension, max_entries=max_entries, split="quadratic",
-                         page_store=page_store)
-        if tree_kind == "rtree-linear":
-            return RTree(dimension, max_entries=max_entries, split="linear",
-                         page_store=page_store)
-        raise IndexError_(f"unknown tree kind {tree_kind!r}")
+        tree_class, split = _TREE_KINDS[tree_kind]
+        return tree_class(self.space.dimension, max_entries=max_entries,
+                          page_store=page_store, **split)
 
     # ------------------------------------------------------------------
     # loading
     # ------------------------------------------------------------------
-    def _store_record(self, series: TimeSeries, features: SeriesFeatures) -> int:
-        record_id = self.store.append(series,
-                                      full_coefficients=features.full_coefficients,
-                                      mean=features.mean, std=features.std)
-        self._point_rows.append(features.point.values)
-        return record_id
+    def _append(self, collection: Iterable[TimeSeries]) -> np.ndarray:
+        """Extract a batch and append it to the point array and the record
+        store; returns its points.  Everything is extracted before anything
+        is stored, so a batch holding a non-series leaves the index as it
+        was.  The points land first: a row counts once the store holds it."""
+        batch = list(collection)
+        points, *records = self.extractor.extract_many(batch)
+        count = len(self.store)
+        if count + len(batch) > len(self._points):
+            self._points = _grown(self._points[:count],
+                                  max(count + len(batch), 2 * len(self._points)))
+        self._points[count:count + len(batch)] = points
+        self.store.bulk_load(batch, *records)
+        return points
 
     def insert(self, series: TimeSeries) -> int:
-        """Index one series; returns its record id."""
-        features = self.extractor.extract(series)
-        record_id = self._store_record(series, features)
-        self.tree.insert(features.point.values, record_id)
-        return record_id
+        """Index one series — a one-row :meth:`extend`; returns its record id."""
+        self.extend([series])
+        return len(self.store) - 1
 
     def extend(self, collection: Iterable[TimeSeries]) -> None:
-        """Index every series of a collection."""
-        for series in collection:
-            self.insert(series)
+        """Index every series of a collection, without a tree descent.
+
+        The batch is extracted in one block
+        (:meth:`~repro.timeseries.features.SeriesFeatureExtractor.extract_many`)
+        and appended to the record store and the point array: it joins the
+        **tail**, the rows beyond ``len(tree)``, which every probe filters
+        with the leaf level's own rectangle test — so the new rows are in
+        the very next answer, and no answer is ever dismissed.  All or
+        nothing: a batch holding an object that is not a series raises
+        :class:`~repro.core.errors.IndexError_` and changes nothing.
+
+        A tail of more than ``max(SEAL_MIN_ROWS, len(tree) // SEAL_SHARE)``
+        rows is **sealed**: every point of the index is packed by STR into a
+        fresh tree, which replaces the old one in a single assignment (a
+        probe reads ``self.tree`` once, so it sees either tree with its own
+        tail).  An empty tree has nothing to amortise against, so the first
+        batch is packed whole — which is all :meth:`bulk_load` is.
+        """
+        self._append(collection)
+        self._seal()
+
+    def _seal(self) -> None:
+        """Re-pack the whole index when the tail has outgrown its bound."""
+        count, packed = len(self.store), len(self.tree)
+        if count - packed > (max(SEAL_MIN_ROWS, packed // SEAL_SHARE) if packed else 0):
+            fresh = self._build_tree(*self._tree_options)
+            fresh.bulk_load_points(self._points[:count], range(count))
+            self.tree = fresh
 
     @classmethod
     def bulk_load(cls, collection: Iterable[TimeSeries],
-                  extractor: SeriesFeatureExtractor | None = None, *,
-                  tree_kind: str = "rstar", max_entries: int = 8,
-                  page_store: PageStore | None = None) -> "KIndex":
-        """Build an index with the Sort-Tile-Recursive bulk loader.
+                  extractor: SeriesFeatureExtractor | None = None,
+                  **options: Any) -> "KIndex":
+        """Build an index over a collection: construct (``options`` are the
+        constructor's keyword arguments) and :meth:`extend`.
 
-        Feature extraction still happens per series, but the tree is packed
-        bottom-up in one pass instead of by repeated insertion — linear time
-        rather than ``O(n log n)`` tree descents, and the packed nodes are
-        fuller and overlap less, so range queries touch no more (usually
-        fewer) nodes than on an insert-built tree.
+        One block extraction, one block append, and the Sort-Tile-Recursive
+        loader packs the tree bottom-up in one pass — linear time, fuller
+        nodes and less overlap than a tree grown by insertion, so range
+        queries touch no more (usually fewer) nodes.
         """
-        index = cls(extractor, tree_kind=tree_kind, max_entries=max_entries,
-                    page_store=page_store)
-        series_list = list(collection)
-        if not series_list:
-            return index
-        for series in series_list:
-            index._store_record(series, index.extractor.extract(series))
-        points = np.vstack(index._point_rows)
-        index.tree.bulk_load_points(points, list(range(len(series_list))))
+        index = cls(extractor, **options)
+        index.extend(collection)
         return index
+
+    @classmethod
+    def build_by_insertion(cls, collection: Iterable[TimeSeries],
+                           extractor: SeriesFeatureExtractor | None = None,
+                           **options: Any) -> "KIndex":
+        """Build an index whose tree is grown from empty by one
+        :meth:`RTree.insert <repro.index.rtree.RTree.insert>` per series, in
+        order — the paper's *dynamic* R*-tree (choose-subtree, split, forced
+        reinsertion), or Guttman's with ``tree_kind="rtree-…"``.
+
+        This is the only way to a dynamically built tree, and it exists for
+        what compares against one: the evaluation's figures (whose node-access
+        numbers were measured on such a tree), the tree-variant ablation and
+        the insert-built side of differential tests.  Rows appended later
+        join the tail like any others, and the first seal re-packs the index
+        by STR.
+        """
+        index = cls(extractor, **options)
+        if not isinstance(index.tree, RTree):
+            raise IndexError_(f"{cls.__name__} has no single tree to insert into")
+        for record_id, point in enumerate(index._append(collection)):
+            index.tree.insert(point, record_id)
+        return index
+
+    @property
+    def tail_rows(self) -> int:
+        """Rows appended since the last seal: held by the store and the point
+        array, not (yet) by the tree."""
+        return len(self.store) - len(self.tree)
 
     def __len__(self) -> int:
         return len(self.store)
@@ -239,7 +314,7 @@ class KIndex:
         try:
             coefficients, mean, std = self.store.full_record(record_id)
             series = self.store.series(record_id)
-            point = FeatureVector(self._point_rows[record_id])
+            point = FeatureVector(self._points[record_id])
         except IndexError:
             raise IndexError_(f"unknown record id {record_id}") from None
         return series, SeriesFeatures(point=point, full_coefficients=coefficients,
@@ -250,20 +325,36 @@ class KIndex:
         return self.store.series_list()
 
     def structure_summary(self) -> dict[str, float]:
-        """The tree's structural facts plus the full-record size — what the
-        planner's cost model prices index traversals and scans with."""
+        """The tree's structural facts, the full-record size and the tail's
+        page count — what the planner's cost model prices index traversals
+        and scans with."""
         summary = self.tree.structure_summary()
         summary["record_bytes"] = float(self.store.record_bytes())
+        summary["tail_pages"] = float(self._pages(self.tail_rows))
         return summary
 
-    def _snapshot_tree_stats(self, statistics: QueryStatistics) -> None:
-        """Copy the tree's access (and buffer) counters into the statistics."""
-        statistics.internal_node_accesses = self.tree.access_stats.internal
-        statistics.leaf_node_accesses = self.tree.access_stats.leaf
-        buffer = getattr(self.tree, "buffer", None)
-        if buffer is not None:
-            statistics.buffer_hits = buffer.stats.hits
-            statistics.buffer_misses = buffer.stats.misses
+    def _pages(self, rows: int) -> int:
+        """Leaf pages ``rows`` unindexed points fill: what filtering them is
+        charged, so ``node_accesses`` stays the paper's page currency."""
+        return -(-rows // self.max_entries)
+
+    def _tail(self, tree: RTree) -> tuple[int, np.ndarray | tuple[()]]:
+        """``(first record id, points)`` of the rows beyond ``tree`` — the
+        caller's one snapshot of ``self.tree``, so the split cannot tear; an
+        empty tail costs no numpy call."""
+        first, count = len(tree), len(self.store)  # read before the points array
+        return first, self._points[first:count] if count > first else ()
+
+    def _work_counters(self, statistics: QueryStatistics, tree: RTree,
+                       tail_pages: int) -> None:
+        """Copy a probe's node accesses — the tree's counters plus the tail's
+        pages, which are leaf pages — and buffer counters into the statistics."""
+        statistics.internal_node_accesses = tree.access_stats.internal
+        statistics.leaf_node_accesses = tree.access_stats.leaf + tail_pages
+        statistics.node_accesses = tree.access_stats.total + tail_pages
+        if tree.buffer is not None:
+            statistics.buffer_hits = tree.buffer.stats.hits
+            statistics.buffer_misses = tree.buffer.stats.misses
 
     # ------------------------------------------------------------------
     # transformation plumbing
@@ -366,7 +457,8 @@ class KIndex:
         if not queries:
             return []
         started = time.perf_counter()
-        self.tree.reset_stats()
+        tree = self.tree  # one snapshot: the tail is the rows beyond this tree
+        tree.reset_stats()
         linear, real_map = self._lower_transformation(transformation)
         query_fulls = []
         query_points = []
@@ -381,15 +473,24 @@ class KIndex:
                 query_points.append(features.point)
         corners = [self.space.search_rectangle(point, float(eps))
                    for point, eps in zip(query_points, epsilons)]
-        candidate_lists = self.tree.window_search(
-            np.array([low for low, _ in corners]),
-            np.array([high for _, high in corners]),
-            real_map, self.space.periodic_dimension_mask())
-        shared_accesses = self.tree.access_stats.total
+        window_lows = np.array([low for low, _ in corners])
+        window_highs = np.array([high for _, high in corners])
+        periodic = self.space.periodic_dimension_mask()
+        candidate_lists = tree.window_search(window_lows, window_highs,
+                                             real_map, periodic)
+        first, tail = self._tail(tree)
+        if len(tail):
+            # The leaf level's test on the rows no leaf holds yet; their ids
+            # follow every packed id, so each list stays ascending.
+            lows, highs = (tail, tail) if real_map is None \
+                else real_map.apply_bounds(tail, tail)
+            hits = rects_overlap(lows, highs, window_lows[:, None, :],
+                                 window_highs[:, None, :], periodic)
+            candidate_lists = [np.concatenate((candidates, first + np.flatnonzero(row)))
+                               for candidates, row in zip(candidate_lists, hits)]
         results = [RangeQueryResult() for _ in queries]
         for result, candidates in zip(results, candidate_lists):
             result.statistics.candidates = candidates.size
-            result.statistics.node_accesses = shared_accesses
         if exact:
             self._verify_batch(candidate_lists, query_fulls, transformation,
                                epsilons, results)
@@ -398,7 +499,7 @@ class KIndex:
                     results, candidate_lists, query_points, epsilons):
                 for record_id in candidates.tolist():
                     point = self._transform_point(
-                        FeatureVector(self._point_rows[record_id]), linear)
+                        FeatureVector(self._points[record_id]), linear)
                     distance = self.space.distance(point, query_point)
                     if distance <= float(eps):
                         result.answers.append((self.store.series(record_id),
@@ -409,7 +510,7 @@ class KIndex:
             if exact:
                 result.statistics.postprocessed = result.statistics.candidates
             result.statistics.record_fetches = result.statistics.postprocessed
-            self._snapshot_tree_stats(result.statistics)
+            self._work_counters(result.statistics, tree, self._pages(len(tail)))
             result.statistics.elapsed_seconds = elapsed_share
         return results
 
@@ -479,7 +580,8 @@ class KIndex:
         ``(distance, record id)``, exactly a scan's.
         """
         started = time.perf_counter()
-        self.tree.reset_stats()
+        tree = self.tree  # one snapshot: the tail is the rows beyond this tree
+        tree.reset_stats()
         linear, real_map = self._lower_transformation(transformation)
         query_features = self._query_features(query)
         if transformation is not None and transform_query:
@@ -504,15 +606,17 @@ class KIndex:
             return exact_distances(coefficients, lengths, means, stds, *query_full,
                                    self.extractor.include_stats, row_ids=rows)
 
-        distances, rows = self.tree.nearest_search(k, lower_bound, exact, real_map)
+        first, tail = self._tail(tree)
+        distances, rows = tree.nearest_search(
+            k, lower_bound, exact, real_map,
+            (tail, np.arange(first, first + len(tail))) if len(tail) else None)
         result = NearestNeighborResult(answers=[
             (self.store.series(row), distance)
             for row, distance in zip(rows[:k].tolist(), distances[:k].tolist())])
         result.statistics.candidates = rows.size
         result.statistics.postprocessed = rows.size
         result.statistics.record_fetches = rows.size
-        result.statistics.node_accesses = self.tree.access_stats.total
-        self._snapshot_tree_stats(result.statistics)
+        self._work_counters(result.statistics, tree, self._pages(len(tail)))
         result.statistics.elapsed_seconds = time.perf_counter() - started
         return result
 
@@ -569,6 +673,7 @@ class KIndex:
         return linear.apply_point(point, self.space)
 
     def __repr__(self) -> str:
-        return (f"KIndex(size={len(self)}, k={self.extractor.num_coefficients}, "
+        return (f"KIndex(size={len(self)}, tail_rows={self.tail_rows}, "
+                f"k={self.extractor.num_coefficients}, "
                 f"representation={self.extractor.representation!r}, "
                 f"tree={type(self.tree).__name__})")

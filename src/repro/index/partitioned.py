@@ -9,10 +9,12 @@ index to everything above it.
   whose "tree" is a :class:`_PartitionForest` — one STR-bulk-loaded R-tree
   per ``partition_rows`` block of record ids.  The **whole** KIndex query
   surface (three-phase range search, nearest neighbours, batched
-  traversals, gathered verification, counters) is inherited; window
-  searches fan out across sub-trees inside the forest, and a
-  nearest-neighbour probe is one best-first search seeded with every
-  sub-tree's root.  One shared
+  traversals, gathered verification, counters, the unindexed tail) is
+  inherited; window searches fan out across sub-trees inside the forest,
+  and a nearest-neighbour probe is one best-first search seeded with every
+  sub-tree's root.  Appended rows wait in the tail until they complete a
+  ``partition_rows`` block, which is then packed into the next sub-tree —
+  no sub-tree is ever touched again once built.  One shared
   :class:`~repro.storage.columnar.ColumnarRecordStore` keeps record ids
   global and dense, so ``Database.columnar_store`` adoption, ``len()``, and
   ``state_token`` semantics are unchanged.
@@ -70,44 +72,23 @@ class _AggregateBuffer:
 
 
 class _PartitionForest:
-    """A list of per-partition R-trees wearing the single-tree interface.
+    """A tuple of per-partition R-trees wearing the single-tree interface.
 
-    Record ids are assumed dense and ascending (they are: the store assigns
-    them in insertion order), so ``record_id // partition_rows`` names the
-    owning sub-tree.  The pieces of the :class:`~repro.index.rtree.RTree`
-    surface the :class:`~repro.index.kindex.KIndex` relies on — ``insert``,
-    ``bulk_load_points``, ``window_search``, ``nearest_search``,
-    ``reset_stats``, ``access_stats``, ``buffer``, ``structure_summary`` —
-    aggregate over the sub-trees; traversal entry points that need a single
-    root (``root_id`` / ``visit``) intentionally do not exist.
+    Sub-trees hold consecutive blocks of record ids, in order.  The pieces of
+    the :class:`~repro.index.rtree.RTree` surface the
+    :class:`~repro.index.kindex.KIndex` relies on — ``window_search``,
+    ``nearest_search``, ``reset_stats``, ``access_stats``, ``buffer``,
+    ``structure_summary``, ``len`` — aggregate over the sub-trees; traversal
+    entry points that need a single root (``root_id`` / ``visit``)
+    intentionally do not exist.  A forest never changes: sealing a block
+    makes a new forest of the old sub-trees plus the new one, so a probe
+    that read ``index.tree`` once sees one consistent set of packed rows.
     """
 
-    def __init__(self, tree_factory: Callable[[], RTree],
-                 partition_rows: int, workers: int) -> None:
-        self._tree_factory = tree_factory
-        self.partition_rows = max(1, int(partition_rows))
+    def __init__(self, trees: Sequence[RTree], workers: int) -> None:
+        self.trees = tuple(trees)
         self.workers = workers
-        self.trees: list[RTree] = []
-
-    def _tree_for(self, record_id: int) -> RTree:
-        position = record_id // self.partition_rows
-        while len(self.trees) <= position:
-            self.trees.append(self._tree_factory())
-        return self.trees[position]
-
-    def insert(self, rect_or_point: Any, record_id: int) -> None:
-        self._tree_for(int(record_id)).insert(rect_or_point, record_id)
-
-    def bulk_load_points(self, points: np.ndarray, records: Sequence[Any]) -> None:
-        """STR-bulk-load each partition's block into its own sub-tree."""
-        records = list(records)
-        tasks = []
-        for start in range(0, len(records), self.partition_rows):
-            stop = min(start + self.partition_rows, len(records))
-            tasks.append((self._tree_for(int(records[start])),
-                          points[start:stop], records[start:stop]))
-        parallel_map(lambda tree, block, ids: tree.bulk_load_points(block, ids),
-                     tasks, workers=self.workers)
+        self._size = sum(len(tree) for tree in self.trees)
 
     def window_search(self, window_lows: np.ndarray, window_highs: np.ndarray,
                       transformation: RealLinearTransformation | None = None,
@@ -125,11 +106,13 @@ class _PartitionForest:
     def nearest_search(self, k: int,
                        lower_bound: Callable[[np.ndarray, np.ndarray], np.ndarray],
                        exact: Callable[[np.ndarray], np.ndarray] | None = None,
-                       transformation: RealLinearTransformation | None = None
+                       transformation: RealLinearTransformation | None = None,
+                       seeds: tuple[np.ndarray, np.ndarray] | None = None
                        ) -> tuple[np.ndarray, np.ndarray]:
         """:func:`~repro.index.rtree.nearest_search` seeded with every
         sub-tree's root: one pending pool, one stopping bound."""
-        return nearest_search(self.trees, k, lower_bound, exact, transformation)
+        return nearest_search(self.trees, k, lower_bound, exact, transformation,
+                              seeds)
 
     def reset_stats(self) -> None:
         for tree in self.trees:
@@ -147,7 +130,7 @@ class _PartitionForest:
         return _AggregateBuffer(buffers) if buffers else None
 
     def __len__(self) -> int:
-        return sum(len(tree) for tree in self.trees)
+        return self._size
 
     def structure_summary(self) -> dict[str, float]:
         """Forest-wide structural facts with the monolithic summary's keys.
@@ -185,17 +168,19 @@ class _PartitionForest:
         }
 
     def __repr__(self) -> str:
-        return (f"_PartitionForest(partitions={len(self.trees)}, "
-                f"partition_rows={self.partition_rows}, size={len(self)})")
+        return f"_PartitionForest(partitions={len(self.trees)}, size={len(self)})"
 
 
 class PartitionedIndex(KIndex):
     """A :class:`KIndex` over per-partition STR-bulk-loaded sub-trees.
 
     Behaves exactly like a ``KIndex`` (same query surface, same store and
-    counter semantics) while keeping one independently rebuildable R-tree
-    per ``partition_rows`` block of records and fanning traversals across
-    ``workers`` threads.
+    counter semantics) while keeping one independently built R-tree per
+    ``partition_rows`` block of records and fanning traversals across
+    ``workers`` threads.  Where the monolithic index seals its tail by
+    re-packing everything, this one packs each completed block into the
+    next sub-tree, once; the rows of the last, incomplete block are the
+    tail, so it never holds ``partition_rows`` rows.
 
     Parameters (beyond :class:`KIndex`'s)
     -------------------------------------
@@ -219,33 +204,28 @@ class PartitionedIndex(KIndex):
 
     def _build_tree(self, tree_kind: str, max_entries: int,
                     page_store: PageStore | None) -> "_PartitionForest":
-        def factory() -> RTree:
-            return KIndex._build_tree(self, tree_kind, max_entries, page_store)
+        return _PartitionForest((), self.workers)
 
-        return _PartitionForest(factory, self.partition_rows, self.workers)
+    def _seal(self) -> None:
+        """STR-pack every completed block beyond the forest into its own
+        sub-tree (in parallel) and publish the grown forest."""
+        forest, rows = self.tree, self.partition_rows
+        starts = range(len(forest), len(self.store) - rows + 1, rows)
 
-    @classmethod
-    def bulk_load(cls, collection: Iterable[Any],
-                  extractor: SeriesFeatureExtractor | None = None, *,
-                  tree_kind: str = "rstar", max_entries: int = 8,
-                  page_store: PageStore | None = None,
-                  partition_rows: int = DEFAULT_PARTITION_ROWS,
-                  workers: int | None = None) -> "PartitionedIndex":
-        """Bulk build: STR-pack every partition's sub-tree (in parallel)."""
-        index = cls(extractor, tree_kind=tree_kind, max_entries=max_entries,
-                    page_store=page_store, partition_rows=partition_rows,
-                    workers=workers)
-        series_list = list(collection)
-        if not series_list:
-            return index
-        for series in series_list:
-            index._store_record(series, index.extractor.extract(series))
-        points = np.vstack(index._point_rows)
-        index.tree.bulk_load_points(points, list(range(len(series_list))))
-        return index
+        def packed(start: int) -> RTree:
+            tree = KIndex._build_tree(self, *self._tree_options)
+            tree.bulk_load_points(self._points[start:start + rows],
+                                  range(start, start + rows))
+            return tree
+
+        if starts:
+            self.tree = _PartitionForest(
+                forest.trees + tuple(parallel_map(
+                    packed, [(start,) for start in starts], workers=self.workers)),
+                self.workers)
 
     def __repr__(self) -> str:
-        return (f"PartitionedIndex(size={len(self)}, "
+        return (f"PartitionedIndex(size={len(self)}, tail_rows={self.tail_rows}, "
                 f"partitions={len(self.tree.trees)}, "
                 f"partition_rows={self.partition_rows}, workers={self.workers}, "
                 f"k={self.extractor.num_coefficients})")

@@ -611,10 +611,11 @@ class RTree:
     def nearest_search(self, k: int,
                        lower_bound: Callable[[np.ndarray, np.ndarray], np.ndarray],
                        exact: Callable[[np.ndarray], np.ndarray] | None = None,
-                       transformation: RealLinearTransformation | None = None
+                       transformation: RealLinearTransformation | None = None,
+                       seeds: tuple[np.ndarray, np.ndarray] | None = None
                        ) -> tuple[np.ndarray, np.ndarray]:
         """:func:`nearest_search` over this tree alone."""
-        return nearest_search([self], k, lower_bound, exact, transformation)
+        return nearest_search([self], k, lower_bound, exact, transformation, seeds)
 
     def nearest_neighbors(self, point: Sequence[float] | np.ndarray, k: int = 1
                           ) -> list[tuple[float, Any]]:
@@ -817,7 +818,8 @@ _SLOT_SPAN = 1 << 32  # a pending node is ``packed level number * span + slot``
 def nearest_search(trees: Sequence[RTree], k: int,
                    lower_bound: Callable[[np.ndarray, np.ndarray], np.ndarray],
                    exact: Callable[[np.ndarray], np.ndarray] | None = None,
-                   transformation: RealLinearTransformation | None = None
+                   transformation: RealLinearTransformation | None = None,
+                   seeds: tuple[np.ndarray, np.ndarray] | None = None
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Best-first ``k``-nearest-neighbour search over the packed form of one
     tree or several (a partition forest: one pool seeded with every root),
@@ -827,13 +829,15 @@ def nearest_search(trees: Sequence[RTree], k: int,
     mapped by ``transformation``, the on-the-fly image rectangles — to ``(n,)``
     lower bounds on the query's distance to anything inside; ``exact(records)``
     gives the true distances of an array of leaf records (``None``: a leaf
-    entry's bound *is* its distance).
+    entry's bound *is* its distance).  ``seeds`` is ``(points, records)``:
+    leaf entries no tree holds (a k-index's unindexed tail), pending from the
+    start at the bound of their mapped points.
 
-    Each step opens the nearest pending nodes whose bound is at most the
-    current k-th exact distance — 1, 2, 4, then :data:`NEAREST_BLOCK` of
-    them — bounding all their children in one ``lower_bound`` call, and then
-    verifies in one ``exact`` call every pending record no farther than both
-    the next pending node and the k-th distance.  The search ends when
+    Each step verifies in one ``exact`` call every pending record no farther
+    than both the next pending node and the current k-th exact distance, and
+    then opens the nearest pending nodes whose bound is at most that
+    distance — 1, 2, 4, then :data:`NEAREST_BLOCK` of them — bounding all
+    their children in one ``lower_bound`` call.  The search ends when
     nothing pending is within the k-th distance.  Nothing whose bound
     *equals* that distance is pruned, so records tied at the cut are all
     verified.
@@ -854,11 +858,30 @@ def nearest_search(trees: Sequence[RTree], k: int,
     node_refs = np.array(roots, dtype=np.int64)
     record_bounds = np.zeros(0)                   # pending leaf records, any order
     records = np.zeros(0, dtype=np.intp)
-    found_distances, found_records = [np.zeros(0)], [records]
+    if seeds is not None:
+        lows, highs = (seeds[0],) * 2 if transformation is None \
+            else transformation.apply_bounds(seeds[0], seeds[0])
+        record_bounds, records = lower_bound(lows, highs), seeds[1]
+    found_distances, found_records = [np.zeros(0)], [records[:0]]
     nearest = np.zeros(0)                         # the k smallest exact distances
     kth = math.inf
     block = 1
-    while node_bounds.size:
+    while True:
+        ready = record_bounds <= min(node_bounds[0] if node_bounds.size else math.inf, kth)
+        if np.count_nonzero(ready):
+            distances = (record_bounds[ready] if exact is None
+                         else exact(records[ready]))
+            found_distances.append(distances)
+            found_records.append(records[ready])
+            record_bounds, records = record_bounds[~ready], records[~ready]
+            nearest = np.concatenate((nearest, distances))
+            if nearest.size >= k:
+                nearest = np.partition(nearest, k - 1)[:k]
+                kth = float(nearest[k - 1])
+        within = int(np.searchsorted(node_bounds, kth, side="right"))
+        node_bounds, node_refs = node_bounds[:within], node_refs[:within]
+        if not within:
+            break
         opened: dict[int, list[int]] = {}
         for ref in node_refs[:block].tolist():
             opened.setdefault(ref // _SLOT_SPAN, []).append(ref % _SLOT_SPAN)
@@ -889,19 +912,6 @@ def nearest_search(trees: Sequence[RTree], k: int,
         if node_bounds.size > pending:
             order = np.argsort(node_bounds, kind="stable")
             node_bounds, node_refs = node_bounds[order], node_refs[order]
-        ready = record_bounds <= min(node_bounds[0] if node_bounds.size else math.inf, kth)
-        if np.count_nonzero(ready):
-            distances = (record_bounds[ready] if exact is None
-                         else exact(records[ready]))
-            found_distances.append(distances)
-            found_records.append(records[ready])
-            record_bounds, records = record_bounds[~ready], records[~ready]
-            nearest = np.concatenate((nearest, distances))
-            if nearest.size >= k:
-                nearest = np.partition(nearest, k - 1)[:k]
-                kth = float(nearest[k - 1])
-        within = int(np.searchsorted(node_bounds, kth, side="right"))
-        node_bounds, node_refs = node_bounds[:within], node_refs[:within]
     distances, records = np.concatenate(found_distances), np.concatenate(found_records)
     order = (np.argsort(distances, kind="stable") if records.dtype == object
              else np.lexsort((records, distances)))

@@ -137,13 +137,15 @@ class SequentialScan:
 
     def insert(self, series: TimeSeries) -> None:
         """Add one series to the scanned relation."""
-        position = self.store.append(series)
-        self._account_record(position)
+        self.extend([series])
 
     def extend(self, collection: Iterable[TimeSeries]) -> None:
-        """Add every series of a collection."""
-        for series in collection:
-            self.insert(series)
+        """Add every series of a collection (one block extraction, see
+        :meth:`ColumnarRecordStore.extend`)."""
+        start = len(self.store)
+        self.store.extend(collection)
+        for position in range(start, len(self.store)):
+            self._account_record(position)
 
     def __len__(self) -> int:
         return len(self.store)

@@ -14,7 +14,7 @@ loops over every query; this module stores them **columnar** instead:
   path);
 * ``means`` / ``stds`` — the two extra statistics dimensions.
 
-The arrays grow amortised-doubling on insert/extend, so loading stays
+The arrays grow amortised-doubling as blocks are appended, so loading stays
 linear, and a monotone :attr:`ColumnarRecordStore.version` lets derived
 caches (e.g. transformed-coefficient matrices) invalidate on growth.  One
 store serves a whole relation: the :class:`~repro.core.database.Database`
@@ -80,19 +80,6 @@ ABANDON_CHUNK = 8
 _PRUNE_SLACK = 1e-9
 
 
-def _full_record_of(series: Any) -> tuple[np.ndarray, float, float]:
-    """Extract (full normal-form coefficients, mean, std) from a series.
-
-    Late imports keep the storage layer free of a hard dependency cycle on
-    the time-series package at module load.
-    """
-    from ..timeseries.dft import dft
-    from ..timeseries.normalform import normal_form_values
-
-    values, mean, std = normal_form_values(series.values)
-    return dft(values)[1:], float(mean), float(std)
-
-
 class ColumnarRecordStore:
     """Contiguous full-record arrays for one relation of series.
 
@@ -115,42 +102,34 @@ class ColumnarRecordStore:
     # ------------------------------------------------------------------
     # loading
     # ------------------------------------------------------------------
-    def append(self, series: Any,
-               full_coefficients: np.ndarray | None = None,
-               mean: float | None = None, std: float | None = None) -> int:
-        """Store one series; returns its dense record id.
-
-        Callers that already extracted the full record (the k-index, whose
-        feature extraction also produces the indexable point) pass it in so
-        the spectrum is computed once.
-        """
-        if full_coefficients is None:
-            full_coefficients, mean, std = _full_record_of(series)
-        full_coefficients = np.asarray(full_coefficients, dtype=np.complex128)
-        record_id = self._count
-        self._reserve(record_id + 1, full_coefficients.shape[0])
-        self._coefficients[record_id, :full_coefficients.shape[0]] = full_coefficients
-        self._lengths[record_id] = full_coefficients.shape[0]
-        self._means[record_id] = float(mean)
-        self._stds[record_id] = float(std)
-        self._series.append(series)
-        self._count += 1
-        self._transformed_cache.clear()
-        return record_id
+    def append(self, series: Any) -> int:
+        """Store one series (a one-row :meth:`extend`); returns its dense
+        record id."""
+        self.extend([series])
+        return self._count - 1
 
     def extend(self, collection: Iterable[Any]) -> None:
-        """Append every series of a collection."""
-        for series in collection:
-            self.append(series)
+        """Append every series of a collection: their full records come from
+        one call of the block extraction kernel
+        (:func:`~repro.timeseries.features.spectral_records`) and land with
+        one :meth:`bulk_load`.  Nothing is stored when any object of the
+        collection is not a series."""
+        # A late import keeps the storage layer free of a dependency cycle on
+        # the time-series package at module load.
+        from ..timeseries.features import spectral_records
+
+        collection = list(collection)
+        self.bulk_load(collection, *spectral_records(collection))
 
     def bulk_load(self, collection: Sequence[Any], coefficients: np.ndarray,
                   lengths: np.ndarray, means: np.ndarray,
                   stds: np.ndarray) -> None:
         """Append a whole block of pre-extracted records in one array copy.
 
-        Recovery's bulk path: durable segment files already hold the padded
-        spectra matrix, so loading is a block copy instead of per-record
-        appends — and never an FFT.  ``coefficients`` rows must be
+        The one way records enter the store: from the extraction kernel
+        (:meth:`extend`, the k-index's appends) or from durable segment
+        files, which already hold the padded spectra matrix — so recovery is
+        a block copy and never an FFT.  ``coefficients`` rows must be
         zero-padded beyond each row's true ``lengths`` entry, exactly as
         this store pads them.
         """

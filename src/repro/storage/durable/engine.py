@@ -392,8 +392,7 @@ class DurableDatabase(Database):
             rows = [self._decode_row(encoded) for encoded in record["rows"]]
             prepared = relation._prepare_batch(rows)
             for index in self.indexes_on(record["relation"]).values():
-                for row in prepared:
-                    index.insert(row.obj)
+                index.extend([row.obj for row in prepared])
             relation._commit_batch(prepared)
         elif op == "register_index":
             relation = self.relation(record["relation"])

@@ -22,7 +22,9 @@ __all__ = ["MANIFEST_NAME", "FORMAT_VERSION", "write_manifest", "load_manifest"]
 MANIFEST_NAME = "MANIFEST.json"
 
 #: Bumped on any incompatible layout change; recovery refuses the future.
-FORMAT_VERSION = 1
+#: 2: a k-index document holds its construction spec, its points and a list
+#: of the trees it has (the rows beyond them are its unindexed tail).
+FORMAT_VERSION = 2
 
 
 def _fsync_directory(directory: str) -> None:

@@ -2,13 +2,14 @@
 
 A checkpoint writes each registered index as a JSON document holding its
 *construction configuration* plus its *built structure* — for the R-tree
-family the full node/entry graph (the pages an STR bulk load would have
-packed), for the vantage-point family the pivot tree with objects
-referenced by position.  Recovery deserializes the document instead of
-re-running ``bulk_load`` / ``_build``: an ``O(pages)`` decode in place of
-``O(n log n)`` tree construction and, for k-indexes, zero FFTs (the
-feature points are part of the document and the record store is rebuilt
-from the segments' saved spectra).
+family the feature points of every row and the full node/entry graph of the
+tree(s) the index has (the pages an STR bulk load would have packed; the
+rows beyond them are the index's unindexed tail and come back as such), for
+the vantage-point family the pivot tree with objects referenced by position.
+Recovery deserializes the document instead of re-running ``bulk_load`` /
+``_build``: an ``O(pages)`` decode in place of tree construction and, for
+k-indexes, zero FFTs (the feature points are part of the document and the
+record store is rebuilt from the segments' saved spectra).
 
 Object identity is preserved by construction: deserialized k-indexes are
 handed the relation's recovered :class:`~repro.storage.columnar
@@ -28,7 +29,8 @@ from ...core.errors import StorageError
 from ...index.geometry import Rect
 from ...index.kindex import KIndex
 from ...index.metric import MetricIndex, _Inner, _Leaf
-from ...index.partitioned import PartitionedIndex, PartitionedMetricIndex
+from ...index.partitioned import (PartitionedIndex, PartitionedMetricIndex,
+                                  _PartitionForest)
 from ...index.rstar import RStarTree
 from ...index.rtree import RTree, RTreeEntry, RTreeNode
 from ...storage.columnar import ColumnarRecordStore
@@ -61,16 +63,6 @@ def _tree_kind_of(tree: RTree) -> str:
     return f"rtree-{tree.split_policy}"
 
 
-def _sample_tree(index: KIndex) -> RTree:
-    """A tree carrying the index's construction configuration: the tree
-    itself for a monolithic index, a factory-fresh sub-tree for a forest
-    (which may be empty)."""
-    tree = index.tree
-    if hasattr(tree, "trees"):  # _PartitionForest
-        return tree.trees[0] if tree.trees else tree._tree_factory()
-    return tree
-
-
 # ----------------------------------------------------------------------
 # R-tree family
 # ----------------------------------------------------------------------
@@ -84,15 +76,14 @@ def _serialize_rtree(tree: RTree) -> dict[str, Any]:
                         for entry in node.entries]})
     return {"kind": _tree_kind_of(tree), "dimension": tree.dimension,
             "max_entries": tree.max_entries, "min_entries": tree.min_entries,
-            "paged": tree._page_store is not None,
             "root_id": tree.root_id, "size": tree._size, "nodes": nodes}
 
 
-def _deserialize_rtree(payload: dict[str, Any]) -> RTree:
+def _deserialize_rtree(payload: dict[str, Any],
+                       page_store: PageStore | None) -> RTree:
+    """Rebuild a tree; a paged one re-allocates its node pages in
+    ``page_store``, one per node, same as a live build."""
     kind = payload["kind"]
-    # A deserialized paged tree gets a fresh in-memory page store: node
-    # pages are re-allocated below, one per node, same as a live build.
-    page_store = PageStore() if payload.get("paged") else None
     if kind == "rstar":
         tree: RTree = RStarTree(payload["dimension"],
                                 max_entries=payload["max_entries"],
@@ -189,21 +180,15 @@ def _restore_metric(payload: dict[str, Any],
 # ----------------------------------------------------------------------
 def serialize_index(index: Any) -> dict[str, Any]:
     """An index as a JSON-safe document (configuration + built structure)."""
-    if isinstance(index, PartitionedIndex):
-        sample = _sample_tree(index)
-        return {"kind": "partitioned-kindex",
-                "extractor": _extractor_config(index.extractor),
-                "tree_kind": _tree_kind_of(sample),
-                "max_entries": sample.max_entries,
-                "partition_rows": index.partition_rows,
-                "workers": index.workers,
-                "point_rows": [row.tolist() for row in index._point_rows],
-                "trees": [_serialize_rtree(tree) for tree in index.tree.trees]}
     if isinstance(index, KIndex):
-        return {"kind": "kindex",
-                "extractor": _extractor_config(index.extractor),
-                "point_rows": [row.tolist() for row in index._point_rows],
-                "tree": _serialize_rtree(index.tree)}
+        # The points of every row, and the tree(s) the index has: the rows
+        # beyond them are its unindexed tail, on disk as in memory.
+        forest = isinstance(index, PartitionedIndex)
+        tree = index.tree  # read once: a seal replaces it
+        return {**index_spec(index), "paged": index._tree_options[2] is not None,
+                "point_rows": index._points[:len(index)].tolist(),
+                "trees": [_serialize_rtree(part)
+                          for part in (tree.trees if forest else [tree])]}
     if isinstance(index, PartitionedMetricIndex):
         return {"kind": "partitioned-metric",
                 "leaf_capacity": index.leaf_capacity,
@@ -234,25 +219,19 @@ def deserialize_index(payload: dict[str, Any], *,
         if store is None:
             raise StorageError(
                 "deserializing a k-index needs the relation's record store")
-        if kind == "kindex":
-            index: KIndex = KIndex(_restore_extractor(payload["extractor"]))
-            index.tree = _deserialize_rtree(payload["tree"])
-        else:
-            index = PartitionedIndex(
-                _restore_extractor(payload["extractor"]),
-                tree_kind=payload["tree_kind"],
-                max_entries=payload["max_entries"],
-                partition_rows=payload["partition_rows"],
-                workers=payload["workers"])
-            index.tree.trees = [_deserialize_rtree(tree)
-                                for tree in payload["trees"]]
+        page_store = PageStore() if payload["paged"] else None
+        index: KIndex = _empty_kindex(payload, page_store)
+        trees = [_deserialize_rtree(tree, page_store) for tree in payload["trees"]]
+        index.tree = (_PartitionForest(trees, index.workers)
+                      if kind == "partitioned-kindex" else trees[0])
         index.store = store
-        index._point_rows = [np.array(row, dtype=np.float64)
-                             for row in payload["point_rows"]]
-        if len(index._point_rows) != len(store):
+        index._points = np.array(payload["point_rows"], dtype=np.float64
+                                 ).reshape(-1, index.space.dimension)
+        if len(index._points) != len(store) or len(index.tree) > len(store):
             raise StorageError(
-                f"serialized k-index holds {len(index._point_rows)} points "
-                f"but the recovered store holds {len(store)} records")
+                f"serialized k-index holds {len(index._points)} points "
+                f"({len(index.tree)} of them packed) but the recovered store "
+                f"holds {len(store)} records")
         return index
     if kind == "metric" or kind == "partitioned-metric":
         if distance is None:
@@ -282,19 +261,14 @@ def index_spec(index: Any) -> dict[str, Any]:
     the relation's contents at that point in the log.  (Checkpointed
     indexes never take this path; they deserialize.)
     """
-    if isinstance(index, PartitionedIndex):
-        sample = _sample_tree(index)
-        return {"kind": "partitioned-kindex",
-                "extractor": _extractor_config(index.extractor),
-                "tree_kind": _tree_kind_of(sample),
-                "max_entries": sample.max_entries,
-                "partition_rows": index.partition_rows,
-                "workers": index.workers}
     if isinstance(index, KIndex):
-        return {"kind": "kindex",
-                "extractor": _extractor_config(index.extractor),
-                "tree_kind": _tree_kind_of(index.tree),
-                "max_entries": index.tree.max_entries}
+        tree_kind, max_entries, _ = index._tree_options
+        spec = {"kind": "kindex", "extractor": _extractor_config(index.extractor),
+                "tree_kind": tree_kind, "max_entries": max_entries}
+        if isinstance(index, PartitionedIndex):
+            spec.update(kind="partitioned-kindex",
+                        partition_rows=index.partition_rows, workers=index.workers)
+        return spec
     if isinstance(index, PartitionedMetricIndex):
         return {"kind": "partitioned-metric",
                 "leaf_capacity": index.leaf_capacity,
@@ -306,19 +280,27 @@ def index_spec(index: Any) -> dict[str, Any]:
         f"indexes of type {type(index).__name__} have no durable spec")
 
 
+def _empty_kindex(spec: dict[str, Any],
+                  page_store: PageStore | None = None) -> KIndex:
+    """An empty k-index of the configuration a spec (or a serialized
+    document, which embeds one) names."""
+    options = {"tree_kind": spec["tree_kind"], "max_entries": spec["max_entries"],
+               "page_store": page_store}
+    if spec["kind"] == "partitioned-kindex":
+        return PartitionedIndex(_restore_extractor(spec["extractor"]), **options,
+                                partition_rows=spec["partition_rows"],
+                                workers=spec["workers"])
+    return KIndex(_restore_extractor(spec["extractor"]), **options)
+
+
 def build_index_from_spec(spec: dict[str, Any], objects: Sequence[Any],
                           distance: Callable[[Any, Any], float] | None) -> Any:
     """Cold-build an index per a WAL spec from the relation's objects."""
     kind = spec.get("kind")
-    if kind == "kindex":
-        return KIndex.bulk_load(objects, _restore_extractor(spec["extractor"]),
-                                tree_kind=spec["tree_kind"],
-                                max_entries=spec["max_entries"])
-    if kind == "partitioned-kindex":
-        return PartitionedIndex.bulk_load(
-            objects, _restore_extractor(spec["extractor"]),
-            tree_kind=spec["tree_kind"], max_entries=spec["max_entries"],
-            partition_rows=spec["partition_rows"], workers=spec["workers"])
+    if kind == "kindex" or kind == "partitioned-kindex":
+        index = _empty_kindex(spec)
+        index.extend(objects)
+        return index
     if kind == "metric":
         if distance is None:
             raise StorageError(

@@ -14,22 +14,38 @@ trick) while the coefficients support the richer transformations.
 :class:`SeriesFeatureExtractor` bundles the configuration (how many
 coefficients, polar or rectangular layout, whether to include the extra
 dimensions) and provides both the indexable prefix point and the *full*
-record used by postprocessing.
+record used by postprocessing — for one series
+(:meth:`~SeriesFeatureExtractor.extract`, which every query goes through)
+and for a whole batch (:meth:`~SeriesFeatureExtractor.extract_many`, which
+every load path goes through: index appends and bulk loads, record-store
+top-ups, recovery).  The batch form runs the same arithmetic over ``(n, L)``
+blocks — :func:`spectral_records` — and its rows are bit for bit the
+per-series results, so it does not matter which of the two a record came
+through.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Sequence
 
 import numpy as np
 
+from ..core.errors import IndexError_
 from ..core.objects import FeatureVector
 from ..core.spaces import FeatureSpace, PolarSpace, RectangularSpace
 from . import dft as dft_module
 from .normalform import normal_form_values
 from .series import TimeSeries
 
-__all__ = ["SeriesFeatures", "SeriesFeatureExtractor", "series_features"]
+__all__ = ["SeriesFeatures", "SeriesFeatureExtractor", "series_features",
+           "spectral_records"]
+
+#: Series per block of :func:`spectral_records`.  A block of 128-point series
+#: holds about 1.5 MB of values, normal forms and spectra at a time: large
+#: enough that the numpy calls amortise, small enough that extracting a whole
+#: relation adds nothing measurable to the process's peak memory.
+EXTRACT_CHUNK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -95,6 +111,30 @@ class SeriesFeatureExtractor:
         point = self.space.encode(prefix, extra)
         return SeriesFeatures(point=point, full_coefficients=full, mean=mean, std=std)
 
+    def extract_many(self, collection: Sequence[TimeSeries]
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
+                                np.ndarray]:
+        """:meth:`extract` for a whole batch, as arrays.
+
+        Returns ``(points, coefficients, lengths, means, stds)``: the
+        ``(n, d)`` indexable points, and the full records in the columnar
+        store's layout (see :func:`spectral_records`) — ready for
+        :meth:`~repro.storage.columnar.ColumnarRecordStore.bulk_load`.  Row
+        ``i`` holds exactly the bits ``extract(collection[i])`` computes.
+        Raises :class:`~repro.core.errors.IndexError_` naming the first
+        object that is not a series, before anything is returned.
+        """
+        coefficients, lengths, means, stds = spectral_records(collection)
+        # Rows are zero beyond their own length, so a record shorter than the
+        # prefix comes out zero-padded, as in ``extract``.
+        prefix = np.zeros((len(lengths), self.num_coefficients), dtype=np.complex128)
+        width = min(self.num_coefficients, coefficients.shape[1])
+        prefix[:, :width] = coefficients[:, :width]
+        extra = (np.stack([means, stds], axis=1) if self.include_stats
+                 else np.empty((len(lengths), 0)))
+        return (self.space.encode_rows(prefix, extra), coefficients, lengths,
+                means, stds)
+
     def point(self, series: TimeSeries) -> FeatureVector:
         """Just the indexable point for ``series``."""
         return self.extract(series).point
@@ -119,6 +159,57 @@ class SeriesFeatureExtractor:
     def __repr__(self) -> str:
         return (f"SeriesFeatureExtractor(k={self.num_coefficients}, "
                 f"representation={self.representation!r}, include_stats={self.include_stats})")
+
+
+def spectral_records(collection: Sequence[Any]
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The full spectral records of many series: ``(coefficients, lengths,
+    means, stds)`` in the columnar store's layout.
+
+    ``coefficients`` is the ``(n, width)`` complex matrix of normal-form DFT
+    coefficients 1.. of every series, zero-padded on the right to the longest
+    record; ``lengths`` the true coefficient count of each row; ``means`` /
+    ``stds`` the statistics of the original series.  Series are grouped by
+    length and taken :data:`EXTRACT_CHUNK_ROWS` at a time: mean, deviation,
+    normal form and one FFT along the last axis of each ``(rows, L)`` block —
+    the operations of :meth:`SeriesFeatureExtractor.extract` in the same
+    order on the same values, hence the same bits.  Raises
+    :class:`~repro.core.errors.IndexError_` naming the first object that
+    carries no ``values``.
+    """
+    values = []
+    for series in collection:
+        array = getattr(series, "values", None)
+        if array is None:
+            raise IndexError_(
+                f"{series!r} is not a time series: it has no values to take "
+                "a spectral record from")
+        values.append(np.asarray(array, dtype=np.float64))
+    sizes = np.array([array.shape[0] for array in values], dtype=np.intp)
+    lengths = np.maximum(sizes - 1, 0)  # coefficient 0 is dropped
+    coefficients = np.zeros((len(values), int(lengths.max(initial=0))),
+                            dtype=np.complex128)
+    means = np.empty(len(values))
+    stds = np.empty(len(values))
+    for size in np.unique(sizes).tolist():
+        same = np.flatnonzero(sizes == size)
+        for start in range(0, same.size, EXTRACT_CHUNK_ROWS):
+            rows = same[start:start + EXTRACT_CHUNK_ROWS]
+            block = np.array([values[row] for row in rows.tolist()])
+            mean = np.mean(block, axis=-1)
+            std = np.std(block, axis=-1)
+            varying = std != 0.0  # a constant series has the all-zero normal form
+            if varying.all():
+                normal = (block - mean[:, None]) / std[:, None]
+            else:
+                normal = np.zeros_like(block)
+                normal[varying] = ((block[varying] - mean[varying, None])
+                                   / std[varying, None])
+            spectrum = np.fft.fft(normal.astype(np.complex128), norm="ortho", axis=-1)
+            coefficients[rows, :max(size - 1, 0)] = spectrum[:, 1:]
+            means[rows] = mean
+            stds[rows] = std
+    return coefficients, lengths, means, stds
 
 
 #: Bytes of the (mean, std) pair stored alongside a full coefficient record.

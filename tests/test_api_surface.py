@@ -166,7 +166,9 @@ class TestIndexProbeSignatures:
     once took a per-entry ``overlap`` callable (ISSUE 15: one packed frontier
     kernel, no per-entry hook); nearest-neighbour probes go through one
     blocked best-first kernel that takes array-valued bound and distance
-    rules, and the incremental per-entry iterator is gone (ISSUE 16)."""
+    rules, and the incremental per-entry iterator is gone (ISSUE 16); the
+    k-index's write path is a block extraction plus an unindexed tail, with
+    the dynamic tree behind one named classmethod (ISSUE 17)."""
 
     def test_transformed_search(self):
         assert _signature(repro.transformed_range_search) == (
@@ -199,7 +201,8 @@ class TestIndexProbeSignatures:
         kernel = ("k: 'int', "
                   "lower_bound: 'Callable[[np.ndarray, np.ndarray], np.ndarray]', "
                   "exact: 'Callable[[np.ndarray], np.ndarray] | None' = None, "
-                  "transformation: 'RealLinearTransformation | None' = None) "
+                  "transformation: 'RealLinearTransformation | None' = None, "
+                  "seeds: 'tuple[np.ndarray, np.ndarray] | None' = None) "
                   "-> 'tuple[np.ndarray, np.ndarray]'")
         assert _signature(nearest_search) == "(trees: 'Sequence[RTree]', " + kernel
         assert _signature(repro.RTree.nearest_search) == "(self, " + kernel
@@ -213,3 +216,27 @@ class TestIndexProbeSignatures:
             "transform_query: 'bool' = True) -> 'NearestNeighborResult'")
         assert not hasattr(repro.index, "transformed_nearest_neighbors_iter")
         assert "transformed_nearest_neighbors_iter" not in repro.index.__all__
+
+    def test_write_path(self):
+        loader = ("collection: 'Iterable[TimeSeries]', "
+                  "extractor: 'SeriesFeatureExtractor | None' = None, "
+                  "**options: 'Any') -> \"'KIndex'\"")
+        for kind in (repro.KIndex, repro.PartitionedIndex):
+            assert _signature(kind.bulk_load) == "(" + loader
+            assert _signature(kind.build_by_insertion) == "(" + loader
+            assert _signature(kind.extend) == (
+                "(self, collection: 'Iterable[TimeSeries]') -> 'None'")
+            assert _signature(kind.insert) == "(self, series: 'TimeSeries') -> 'int'"
+            assert isinstance(kind.tail_rows, property) and kind.tail_rows.fset is None
+        # One body: the partitioned index inherits its loaders.
+        assert "bulk_load" not in vars(repro.PartitionedIndex)
+        assert _signature(repro.SeriesFeatureExtractor.extract_many) == (
+            "(self, collection: 'Sequence[TimeSeries]') -> "
+            "'tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]'")
+        assert _signature(repro.ColumnarRecordStore.extend) == (
+            "(self, collection: 'Iterable[Any]') -> 'None'")
+        # The seal and chunk sizes are constants, not options.
+        from repro.index import kindex
+        from repro.timeseries import features
+        assert (kindex.SEAL_MIN_ROWS, kindex.SEAL_SHARE) == (256, 16)
+        assert features.EXTRACT_CHUNK_ROWS == 512

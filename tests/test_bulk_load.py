@@ -7,11 +7,13 @@ import pytest
 
 from repro.core.errors import IndexError_
 from repro.index.geometry import Rect, mindist, mindist_batch, rects_overlap
-from repro.index.kindex import KIndex
+from repro.index.kindex import SEAL_MIN_ROWS, SEAL_SHARE, KIndex
+from repro.index.partitioned import PartitionedIndex
 from repro.index.rstar import RStarTree
 from repro.index.rtree import RTree
 from repro.timeseries.features import SeriesFeatureExtractor
 from repro.timeseries.generators import random_walk_collection
+from repro.timeseries.series import TimeSeries
 
 
 def _check_invariants(tree: RTree) -> None:
@@ -33,6 +35,15 @@ def _check_invariants(tree: RTree) -> None:
                 assert entry.rect.contains(child.mbr()), (
                     f"entry rectangle of node {node_id} does not contain child MBR")
     assert seen_records == len(tree)
+
+
+def _shape(tree: RTree) -> list:
+    """The node graph as nested record lists (leaf entry order included)."""
+    def walk(node_id):
+        node = tree.node(node_id)
+        return [entry.record if node.is_leaf else walk(entry.child_id)
+                for entry in node.entries]
+    return walk(tree.root_id)
 
 
 def _insert_built(cls, points: np.ndarray, max_entries: int = 8) -> RTree:
@@ -123,10 +134,10 @@ class TestSTRBulkLoad:
 
 
 class TestKIndexBulkLoad:
-    def test_same_query_answers_as_extend(self, walk_collection, polar_extractor):
-        inserted = KIndex(polar_extractor)
-        inserted.extend(walk_collection)
+    def test_same_query_answers_as_insert_built(self, walk_collection, polar_extractor):
+        inserted = KIndex.build_by_insertion(walk_collection, polar_extractor)
         loaded = KIndex.bulk_load(walk_collection, polar_extractor)
+        assert inserted.tail_rows == loaded.tail_rows == 0
         for query in walk_collection[:10]:
             a = inserted.range_query(query, 3.0)
             b = loaded.range_query(query, 3.0)
@@ -141,12 +152,11 @@ class TestKIndexBulkLoad:
         loaded = KIndex.bulk_load(walk_collection, polar_extractor)
         _check_invariants(loaded.tree)
 
-    def test_no_more_accesses_than_extend(self):
+    def test_no_more_accesses_than_insert_built(self):
         data = random_walk_collection(600, 64, seed=23)
         extractor = SeriesFeatureExtractor(num_coefficients=2,
                                            representation="polar")
-        inserted = KIndex(extractor)
-        inserted.extend(data)
+        inserted = KIndex.build_by_insertion(data, extractor)
         loaded = KIndex.bulk_load(data, extractor)
         queries = data[:20]
         inserted_accesses = sum(
@@ -158,6 +168,50 @@ class TestKIndexBulkLoad:
     def test_empty_collection(self, polar_extractor):
         loaded = KIndex.bulk_load([], polar_extractor)
         assert len(loaded) == 0
+
+    def test_insert_built_tree_is_the_dynamic_tree(self, walk_collection,
+                                                   polar_extractor):
+        """``build_by_insertion`` grows exactly the tree one ``RTree.insert``
+        per point grows — the evaluation's figures depend on it."""
+        for tree_kind, cls in (("rstar", RStarTree), ("rtree-linear", RTree)):
+            index = KIndex.build_by_insertion(walk_collection, polar_extractor,
+                                              tree_kind=tree_kind, max_entries=6)
+            points = polar_extractor.extract_many(walk_collection)[0]
+            tree = cls(points.shape[1], max_entries=6,
+                       **({} if cls is RStarTree else {"split": "linear"}))
+            for record, point in enumerate(points):
+                tree.insert(point, record)
+            assert type(index.tree) is cls and len(index.tree) == len(walk_collection)
+            _check_invariants(index.tree)
+            assert _shape(index.tree) == _shape(tree)
+        with pytest.raises(IndexError_, match="no single tree"):
+            PartitionedIndex.build_by_insertion(walk_collection, polar_extractor)
+
+    def test_seals_pack_a_bounded_number_of_rows(self, monkeypatch):
+        """Counted, not timed: over 10 000 rows appended 16 at a time the STR
+        loader is handed at most ``SEAL_SHARE + 2`` rows per appended row
+        (12.7 here; a seal at ``n`` rows packs ``n`` and the next comes
+        ``n // SEAL_SHARE`` rows later, a geometric series), and the tail
+        never outgrows its bound."""
+        rows = 10_000
+        rng = np.random.default_rng(31)
+        data = [TimeSeries(values) for values in rng.normal(size=(rows, 8)).cumsum(axis=1)]
+        packed = []
+        loader = RTree.bulk_load_points
+
+        def counting(tree, points, records):
+            packed.append(len(points))
+            return loader(tree, points, records)
+
+        monkeypatch.setattr(RTree, "bulk_load_points", counting)
+        index = KIndex(SeriesFeatureExtractor(2))
+        for start in range(0, rows, 16):
+            index.extend(data[start:start + 16])
+            assert index.tail_rows <= max(SEAL_MIN_ROWS, len(index.tree) // SEAL_SHARE)
+        assert len(index) == rows and packed == sorted(packed)
+        assert sum(packed) <= (SEAL_SHARE + 2) * rows
+        # The floor dominates while the tree is small, the share afterwards.
+        assert len(packed) < rows / SEAL_MIN_ROWS
 
 
 class TestBatchedProbes:

@@ -25,7 +25,8 @@ from repro import (
     edit_distance_provider,
     random_walk_collection,
 )
-from repro.core.errors import StorageError
+from repro.core.errors import IndexError_, StorageError
+from repro.index import kindex as kindex_module
 from repro.storage.durable import DurableDatabase, WriteAheadLog
 from repro.storage.durable.wal import wal_filename
 
@@ -163,22 +164,40 @@ class TestCrashInjection:
     """Truncate the WAL at randomized byte offsets — including mid-record —
     and assert recovery lands exactly on an acknowledged prefix."""
 
-    def _build_workload(self, path):
-        data = random_walk_collection(16, 32, seed=31)
+    @pytest.fixture(params=["bare", "indexed"])
+    def indexed(self, request, monkeypatch):
+        """The same kill points over a bare relation, a row per record, and
+        over an indexed one fed five rows per record — with the seal floor
+        lowered so that the stream seals the index's tail five times, and
+        recovery replays its way across every one of those seals."""
+        if request.param == "indexed":
+            monkeypatch.setattr(kindex_module, "SEAL_MIN_ROWS", 8)
+        return request.param == "indexed"
+
+    def _build_workload(self, path, indexed):
+        data = random_walk_collection(60 if indexed else 16, 32, seed=31)
         session = repro.connect(path=path, wal_sync="always")
         handle = session.relation("walks")
         snapshots = {0: ([], [])}  # row count -> (ids, answers)
-        for series in data:
-            handle.insert(series)
+        if indexed:
+            handle.with_index(KIndex())
+        packed = set()
+        for start in range(0, len(data), 5 if indexed else 1):
+            if indexed:
+                handle.insert_many(data[start:start + 5])
+                packed.add(len(session.database.index("walks").tree))
+            else:
+                handle.insert(data[start])
             snapshots[len(handle)] = (_ids(session),
                                       _answers(session, data[0]))
+        assert len(packed) == (6 if indexed else 0)  # the first load + five seals
         token = session.database.state_token("walks")
         del session  # crash
         return data, snapshots, token
 
-    def test_randomized_truncation_recovers_acknowledged_prefix(self, tmp_path):
+    def test_randomized_truncation_recovers_acknowledged_prefix(self, tmp_path, indexed):
         path = str(tmp_path / "db")
-        data, snapshots, final_token = self._build_workload(path)
+        data, snapshots, final_token = self._build_workload(path, indexed)
         wal_path = os.path.join(path, wal_filename(0))
         wal_size = os.path.getsize(wal_path)
         assert wal_size > 0
@@ -204,6 +223,8 @@ class TestCrashInjection:
             expected_ids, expected_answers = snapshots[count]
             assert _ids(reopened) == expected_ids
             assert _answers(reopened, data[0]) == expected_answers
+            if indexed and database.has_index("walks"):
+                assert len(database.index("walks")) == count
             # Epoch monotonicity: the reopened catalog version sorts
             # strictly after the crashed process's, so no token the old
             # process handed out can alias the recovered state.
@@ -211,9 +232,9 @@ class TestCrashInjection:
             assert token[0] > final_token[0]
             reopened.close()
 
-    def test_full_wal_recovers_final_state_with_newer_token(self, tmp_path):
+    def test_full_wal_recovers_final_state_with_newer_token(self, tmp_path, indexed):
         path = str(tmp_path / "db")
-        data, snapshots, final_token = self._build_workload(path)
+        data, snapshots, final_token = self._build_workload(path, indexed)
         reopened = repro.connect(path=path)
         count = len(reopened.relation("walks"))
         assert count == len(data)
@@ -250,6 +271,133 @@ class TestCrashInjection:
         assert replayed == [{"op": "insert", "n": i}
                             for i in range(len(replayed))]
         assert len(replayed) < 4
+
+
+NEAREST_SQL = "SELECT FROM walks NEAREST 3 TO $q"
+
+
+class TestTheTailIsDurable:
+    """A k-index's unindexed tail survives checkpoints, reopens and crashes:
+    whatever happened to the process, answers, ``len(index)`` and the order
+    of state tokens are those of a twin that was never interrupted.  (How
+    the rows split between tree and tail is the index's own business.)"""
+
+    def _pair(self, tmp_path, data, loaded=300, **options):
+        """A durable session and its in-memory twin over the same index."""
+        sessions = [repro.connect(path=str(tmp_path / "db"), **options),
+                    repro.connect()]
+        for session in sessions:
+            session.relation("walks").insert_many(data[:loaded]).with_index(
+                KIndex.bulk_load(data[:loaded]))
+        return sessions
+
+    @staticmethod
+    def _feed(sessions, data, start, stop, batch=40):
+        for begin in range(start, stop, batch):
+            for session in sessions:
+                session.relation("walks").insert_many(data[begin:min(begin + batch, stop)])
+
+    @staticmethod
+    def _agree(durable, twin, queries):
+        index, other = durable.database.index("walks"), twin.database.index("walks")
+        assert len(index) == len(other) == len(durable.relation("walks"))
+        def pairs(answers):
+            return [(obj.object_id, distance) for obj, distance in answers]
+
+        for query in queries:
+            for sql in (RANGE_SQL, NEAREST_SQL):  # whatever plan each picks
+                assert pairs(durable.sql(sql, q=query).answers) == \
+                    pairs(twin.sql(sql, q=query).answers)
+            assert pairs(index.range_query(query, 3.0).answers) == \
+                pairs(other.range_query(query, 3.0).answers)
+            assert pairs(index.nearest_neighbors(query, 3).answers) == \
+                pairs(other.nearest_neighbors(query, 3).answers)
+
+    def test_checkpoint_with_a_tail_leaves_the_live_index_alone(self, tmp_path):
+        data = random_walk_collection(700, 32, seed=61)
+        durable, twin = self._pair(tmp_path, data)
+        self._feed([durable, twin], data, 300, 420)
+        index = durable.database.index("walks")
+        assert index.tail_rows == 120
+        tokens = [durable.database.state_token("walks")]
+        durable.checkpoint()
+        document = json.load(open(os.path.join(durable.database.path, "indexes",
+                                               "walks", "default.json")))
+        assert len(document["point_rows"]) == 420
+        assert [tree["size"] for tree in document["trees"]] == [300]
+        assert index.tail_rows == 120
+        self._agree(durable, twin, [data[0], data[419], data[-1]])
+        self._feed([durable, twin], data, 420, 700)  # seals on the way
+        assert len(index.tree) > 420
+        tokens.append(durable.database.state_token("walks"))
+        assert tokens == sorted(tokens) and tokens[0] != tokens[1]
+        self._agree(durable, twin, [data[0], data[419], data[-1]])
+        durable.close()
+
+    def test_reopen_restores_the_tail_as_the_rows_beyond_the_tree(self, tmp_path):
+        data = random_walk_collection(700, 32, seed=62)
+        durable, twin = self._pair(tmp_path, data)
+        self._feed([durable, twin], data, 300, 420)
+        before = durable.database.state_token("walks")
+        durable.checkpoint()
+        durable.close()
+        durable = repro.connect(path=str(tmp_path / "db"))
+        database = durable.database
+        assert (database.deserialized_indexes, database.cold_index_builds,
+                database.replayed_wal_records) == (1, 0, 0)
+        index = database.index("walks")
+        assert (len(index.tree), index.tail_rows) == (300, 120)
+        assert database.columnar_store("walks") is index.store
+        assert database.state_token("walks") > before
+        self._agree(durable, twin, [data[0], data[419], data[-1]])
+        self._feed([durable, twin], data, 420, 700)  # the restored tail seals
+        assert len(index.tree) > 420
+        self._agree(durable, twin, [data[0], data[419], data[-1]])
+        durable.close()
+
+    @pytest.mark.parametrize("checkpointed_rows", [300, 500])
+    def test_crash_whose_wal_spans_a_seal(self, tmp_path, checkpointed_rows):
+        """One ``index.extend`` per replayed insert record carries the index
+        across the seal the crashed process had already made (or, from a
+        checkpointed tail of 200 rows, was about to)."""
+        data = random_walk_collection(700, 32, seed=63)
+        durable, twin = self._pair(tmp_path, data, wal_sync="always")
+        self._feed([durable, twin], data, 300, checkpointed_rows)
+        durable.checkpoint()
+        self._feed([durable, twin], data, checkpointed_rows, 660)
+        assert len(durable.database.index("walks").tree) > 300  # it sealed
+        before = durable.database.state_token("walks")
+        del durable  # crash: no checkpoint, no close
+        durable = repro.connect(path=str(tmp_path / "db"))
+        database = durable.database
+        assert database.deserialized_indexes == 1 and database.cold_index_builds == 0
+        assert database.replayed_wal_records == -(-(660 - checkpointed_rows) // 40)
+        assert database.state_token("walks") > before
+        assert len(database.index("walks").tree) > 300
+        self._agree(durable, twin, [data[0], data[659], data[-1]])
+        self._feed([durable, twin], data, 660, 700)
+        self._agree(durable, twin, [data[0], data[699], data[-1]])
+        durable.close()
+
+    def test_failed_batch_reaches_neither_the_index_nor_the_log(self, tmp_path):
+        data = random_walk_collection(42, 32, seed=64)
+        path = str(tmp_path / "db")
+        session = repro.connect(path=path, wal_sync="always")
+        handle = session.relation("w").insert_many(data[:40]).with_index(
+            KIndex.bulk_load(data[:40]))
+        index = session.database.index("w")
+        log = os.path.join(path, wal_filename(0))
+        records = len(WriteAheadLog.replay(log))
+        with pytest.raises(IndexError_, match="is not a time series"):
+            handle.insert_many([data[40], data[41], StringObject("oops")])
+        assert len(index) == len(handle) == 40
+        assert len(WriteAheadLog.replay(log)) == records
+        handle.insert_many(data[40:])
+        assert len(WriteAheadLog.replay(log)) == records + 1
+        del session, handle  # crash
+        reopened = repro.connect(path=path)
+        assert len(reopened.database.index("w")) == len(reopened.relation("w")) == 42
+        reopened.close()
 
 
 class TestDurableGuards:

@@ -4,8 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.errors import IndexError_
 from repro.core.spaces import PolarSpace, RectangularSpace
+from repro.storage.columnar import ColumnarRecordStore
+from repro.timeseries import features as features_module
 from repro.timeseries.distances import dtw_distance, dynamic_time_warping, normalized_euclidean
 from repro.timeseries.features import SeriesFeatureExtractor
 from repro.timeseries.generators import (
@@ -68,6 +73,69 @@ class TestFeatureExtractor:
         series = TimeSeries(np.random.default_rng(73).uniform(0, 5, 32))
         extractor = SeriesFeatureExtractor(3)
         assert extractor.point(series) == extractor.point(TimeSeries(series.values.copy()))
+
+
+class TestExtractMany:
+    """The block kernel behind every load path is ``extract``, bit for bit."""
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           lengths=st.lists(st.sampled_from([1, 2, 3, 4, 7, 33, 100, 127, 128]),
+                            min_size=0, max_size=40),
+           constant=st.sets(st.integers(0, 39)),
+           num_coefficients=st.sampled_from([1, 2, 5]),
+           representation=st.sampled_from(["polar", "rectangular"]),
+           include_stats=st.booleans(), chunk=st.sampled_from([1, 3, 512]))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_equal_the_per_series_loop(self, seed, lengths, constant,
+                                            num_coefficients, representation,
+                                            include_stats, chunk):
+        """Ragged lengths (shorter than the prefix included: zero-padded),
+        constant series (``std == 0``), batches crossing the chunk size."""
+        rng = np.random.default_rng(seed)
+        batch = [TimeSeries(np.full(length, rng.normal()) if row in constant
+                            else rng.normal(scale=30.0, size=length).cumsum())
+                 for row, length in enumerate(lengths)]
+        extractor = SeriesFeatureExtractor(num_coefficients, representation,
+                                           include_stats)
+        original = features_module.EXTRACT_CHUNK_ROWS
+        features_module.EXTRACT_CHUNK_ROWS = chunk
+        try:
+            points, coefficients, counts, means, stds = extractor.extract_many(batch)
+        finally:
+            features_module.EXTRACT_CHUNK_ROWS = original
+        singles = [extractor.extract(series) for series in batch]
+        assert points.shape == (len(batch), extractor.space.dimension)
+        assert coefficients.shape == (
+            len(batch), max((len(one.full_coefficients) for one in singles), default=0))
+        for row, one in enumerate(singles):
+            size = len(one.full_coefficients)
+            assert counts[row] == size == len(batch[row]) - 1
+            assert np.array_equal(points[row], one.point.values)
+            assert np.array_equal(coefficients[row, :size], one.full_coefficients)
+            assert not coefficients[row, size:].any()
+            assert (means[row], stds[row]) == (one.mean, one.std)
+
+    def test_the_store_loads_through_the_same_kernel(self):
+        data = random_walk_collection(9, 48, seed=3) + random_walk_collection(4, 20, seed=4)
+        store = ColumnarRecordStore()
+        store.extend(data[:5])
+        assert store.append(data[5]) == 5
+        store.extend(data[6:])
+        extractor = SeriesFeatureExtractor()
+        for record, series in enumerate(data):
+            coefficients, mean, std = store.full_record(record)
+            one = extractor.extract(series)
+            assert np.array_equal(coefficients, one.full_coefficients)
+            assert (mean, std) == (one.mean, one.std)
+
+    def test_a_non_series_is_named_and_nothing_is_stored(self):
+        data = random_walk_collection(3, 16, seed=5)
+        with pytest.raises(IndexError_, match="'oops' is not a time series"):
+            SeriesFeatureExtractor().extract_many(data + ["oops"])
+        store = ColumnarRecordStore()
+        with pytest.raises(IndexError_, match="not a time series"):
+            store.extend(data + [object()])
+        assert len(store) == 0
 
 
 class TestGenerators:

@@ -220,7 +220,8 @@ class TestWindowSearchDifferential:
         periodic = SPACES["polar2"].periodic_dimension_mask()
         points = _points(rng, 90, periodic)
         tree = _build(builder, points, page_store=PageStore() if paged else None)
-        restored = _deserialize_rtree(_serialize_rtree(tree))
+        restored = _deserialize_rtree(_serialize_rtree(tree),
+                                      PageStore() if paged else None)
         assert (restored.buffer is not None) == paged
         transformation = _map(rng, periodic.shape[0], [-1.0, 1.0, 0.0])
         lows, highs = _windows(rng, 4, periodic, transformation)
@@ -330,14 +331,18 @@ class TestWindowSearchDifferential:
 # ----------------------------------------------------------------------
 # nearest-neighbour probes
 # ----------------------------------------------------------------------
-def reference_nearest(trees, k, lower_bound, exact, transform=lambda low, high: (low, high)):
+def reference_nearest(trees, k, lower_bound, exact, transform=lambda low, high: (low, high),
+                      seeds=()):
     """Best-first search over node objects, an entry at a time: pop the
     nearest pending node or record (records first at equal bounds), open the
     node or verify the record, stop at the first bound beyond the k-th exact
-    distance.  Returns (the ``(distance, record)`` answers, nodes opened,
-    records verified)."""
+    distance.  ``seeds`` are ``(point, record)`` leaf entries no tree holds,
+    pending from the start.  Returns (the ``(distance, record)`` answers,
+    nodes opened, records verified)."""
     order = itertools.count()
     heap = [(0.0, 1, next(order), tree, tree.root_id) for tree in trees]
+    heap += [(lower_bound(*transform(point, point)), 0, next(order), None, record)
+             for point, record in seeds]
     heapq.heapify(heap)
     verified, opened = [], 0
     while heap:
@@ -432,7 +437,7 @@ class TestNearestSearchDifferential:
         rng = np.random.default_rng(17)
         periodic = SPACES["polar2"].periodic_dimension_mask()
         points = _points(rng, 90, periodic)
-        restored = _deserialize_rtree(_serialize_rtree(_build(builder, points)))
+        restored = _deserialize_rtree(_serialize_rtree(_build(builder, points)), None)
         transformation = _map(rng, periodic.shape[0], [-1.0, 1.0, 0.0])
         check_tree_nearest(restored, points, transformation,
                            transformation.apply(_points(rng, 4, periodic)))
@@ -514,10 +519,8 @@ class TestKIndexAgainstScan:
             transformation = moving_average_spectral(32, 5)
         else:
             transformation = None if factor is None else scale_spectral(32, factor)
-        index = (KIndex.bulk_load(data[:count], extractor) if bulk
-                 else KIndex(extractor))
-        if not bulk:
-            index.extend(data[:count])
+        index = (KIndex.bulk_load if bulk else KIndex.build_by_insertion)(
+            data[:count], extractor)
         scan = SequentialScan(extractor)
         scan.extend(data[:count])
 
@@ -572,14 +575,24 @@ def reference_index_nearest(index, query, k, transformation):
                                      means[row], stds[row], *full,
                                      index.extractor.include_stats)[0])
 
-    trees = getattr(index.tree, "trees", [index.tree])
     found, opened, verified = reference_nearest(
-        trees, k, lower_bound, exact,
-        (lambda low, high: (low, high)) if real_map is None else real_map.apply_bounds)
+        _trees(index), k, lower_bound, exact,
+        (lambda low, high: (low, high)) if real_map is None else real_map.apply_bounds,
+        [(index._points[record], record)
+         for record in range(len(index.tree), len(index))])
     brute = sorted((exact(record), record) for record in range(len(index)))[:k]
     assert found == brute
     return [(index.store.series(record).object_id, distance)
             for distance, record in found], opened, verified
+
+
+def _trees(index):
+    return getattr(index.tree, "trees", [index.tree])
+
+
+def _tail_pages(index):
+    """What a probe is charged for filtering the unindexed tail."""
+    return -(-index.tail_rows // index.max_entries)
 
 
 def check_index_nearest(index, scan, queries, transformation, ks):
@@ -591,7 +604,9 @@ def check_index_nearest(index, scan, queries, transformation, ks):
             assert _as_pairs(result.answers) == expected == _as_pairs(
                 scan.nearest_neighbors(query, k, transformation=transformation))
             work = result.statistics
-            assert opened <= work.node_accesses <= opened + block_allowance(opened)
+            visits = work.node_accesses - _tail_pages(index)
+            assert visits == sum(tree.access_stats.total for tree in _trees(index))
+            assert opened <= visits <= opened + block_allowance(opened)
             assert work.node_accesses == (work.internal_node_accesses
                                           + work.leaf_node_accesses)
             assert verified <= work.candidates == work.postprocessed == work.record_fetches
@@ -621,10 +636,15 @@ class TestKIndexNearestAgainstScan:
             transformation = None if factor is None else scale_spectral(32, factor)
         kind, options = ((KIndex, {}) if workers is None else
                          (PartitionedIndex, {"partition_rows": 16, "workers": workers}))
-        index = (kind.bulk_load(data[:count], extractor, **options) if bulk
-                 else kind(extractor, **options))
-        if not bulk:
-            index.extend(data[:count])
+        # Insert-built: the dynamic tree, or (a forest has none) block by block.
+        if bulk:
+            index = kind.bulk_load(data[:count], extractor, **options)
+        elif kind is KIndex:
+            index = KIndex.build_by_insertion(data[:count], extractor)
+        else:
+            index = kind(extractor, **options)
+            for start in range(0, count, 7):
+                index.extend(data[start:min(start + 7, count)])
         scan = SequentialScan(extractor)
         scan.extend(data[:count])
         queries = [data[0], walks[-1]]
@@ -682,3 +702,241 @@ class TestKIndexNearestAgainstScan:
             result = index.nearest_neighbors(random_walk_collection(1, 32, seed=2)[0], 3)
             assert result.answers == []
             assert result.statistics.candidates == 0
+
+
+# ----------------------------------------------------------------------
+# the unindexed tail
+# ----------------------------------------------------------------------
+def reference_index_range(index, query, epsilon, transformation):
+    """Candidates of a range probe, an entry at a time: the per-entry walk of
+    every tree the index has, then one rectangle test per tail row.  Returns
+    (ascending candidate ids, the nodes visited as ``(tree, node id)``)."""
+    linear, real_map = index._lower_transformation(transformation)
+    point = index._transform_point(index._query_features(query).point, linear)
+    low, high = index.space.search_rectangle(point, epsilon)
+    periodic = index.space.periodic_dimension_mask()
+    found, visited = [], set()
+    for number, tree in enumerate(_trees(index)):
+        clone = tree if real_map is None else materialize_transformed_tree(tree, real_map)
+        records, nodes = reference_traversal(clone, low, high, periodic)
+        found += records
+        visited |= {(number, node) for node in nodes}
+    for record in range(len(index.tree), len(index)):
+        image = index._points[record]
+        if real_map is not None:
+            image = real_map.apply(image)
+        if rects_overlap(image, image, low, high, periodic):
+            found.append(record)
+    return sorted(found), visited
+
+
+def brute_force_range(index, query, epsilon, transformation):
+    """``(object id, distance)`` of every row within ``epsilon``, by the
+    scan's kernel a record at a time, in ``(distance, record id)`` order."""
+    features = index._query_features(query)
+    full = index._full_transformed(features, transformation)
+    coefficients, means, stds = index.store.transformed_arrays(transformation)
+    ranked = []
+    for record in range(len(index)):
+        row = slice(record, record + 1)
+        distance = float(exact_distances(coefficients[row], index.store.lengths[row],
+                                         means[row], stds[row], *full,
+                                         index.extractor.include_stats)[0])
+        if distance <= epsilon:
+            ranked.append((distance, record))
+    return [(index.store.series(record).object_id, distance)
+            for distance, record in sorted(ranked)]
+
+
+def check_index_range(index, scan, queries, epsilon, transformation, gathered):
+    """Single == batched == scan == brute force, bit for bit; candidates are
+    the per-entry reference's; counters count what was done."""
+    pages = _tail_pages(index)
+    union = set()
+    batched = index.range_query_batch(queries, epsilon, transformation=transformation)
+    batch_visits = sum(tree.access_stats.total for tree in _trees(index))
+    for query, from_batch in zip(queries, batched):
+        candidates, visited = reference_index_range(index, query, epsilon, transformation)
+        union |= visited
+        del gathered[:]
+        single = index.range_query(query, epsilon, transformation=transformation)
+        expected = _as_pairs(scan.range_query(query, epsilon,
+                                              transformation=transformation).answers)
+        assert _as_pairs(single.answers) == _as_pairs(from_batch.answers) == expected \
+            == brute_force_range(index, query, epsilon, transformation)
+        work = single.statistics
+        assert (work.candidates == work.postprocessed == work.record_fetches
+                == sum(gathered) == len(candidates) == from_batch.statistics.candidates)
+        assert work.node_accesses == len(visited) + pages
+        assert work.node_accesses == work.internal_node_accesses + work.leaf_node_accesses
+        # Unverified: the candidates whose filter distance is within epsilon —
+        # every answer among them (Lemma 1), none from outside the candidates.
+        loose = index.range_query(query, epsilon, transformation=transformation,
+                                  exact=False)
+        ids = {series.object_id for series, _ in loose.answers}
+        assert {object_id for object_id, _ in expected} <= ids \
+            <= {index.store.series(record).object_id for record in candidates}
+        assert loose.statistics.candidates == len(candidates)
+        assert loose.statistics.postprocessed == loose.statistics.record_fetches == 0
+    assert batch_visits == len(union)
+    assert batched[0].statistics.node_accesses == len(union) + pages
+
+
+def check_all_pairs(index, scan, epsilon, transformation):
+    pairs, work = index.all_pairs(epsilon, transformation=transformation)
+    expected, _ = scan.all_pairs(epsilon, transformation=transformation)
+    # The index join reports ordered pairs, the scan each unordered pair once.
+    assert sorted((a.object_id, b.object_id, d) for a, b, d in pairs) == sorted(
+        pair for a, b, d in expected
+        for pair in ((a.object_id, b.object_id, d), (b.object_id, a.object_id, d)))
+    assert work.candidates == work.postprocessed == work.record_fetches
+
+
+@pytest.fixture
+def gathered(monkeypatch):
+    """Rows the verification kernels gathered since the list was cleared."""
+    counts = []
+    pairs, exact = kindex_module.gathered_pair_distances, kindex_module.exact_distances
+
+    def counting_pairs(*args):
+        counts.append(len(args[5]))
+        return pairs(*args)
+
+    def counting_exact(*args, row_ids, **kwargs):
+        counts.append(len(row_ids))
+        return exact(*args, row_ids=row_ids, **kwargs)
+
+    monkeypatch.setattr(kindex_module, "gathered_pair_distances", counting_pairs)
+    monkeypatch.setattr(kindex_module, "exact_distances", counting_exact)
+    return counts
+
+
+#: kind → (constructor options, rows loaded first, then (rows appended, the
+#: tail expected after them)…): tails of 0, 1, seal − 1, just sealed, two
+#: seals later — with ``SEAL_MIN_ROWS`` lowered to 12 for the monolithic index.
+TAIL_WALKS = {
+    "monolithic": ({}, 40, [(1, 1), (11, 12), (1, 0), (13, 0), (16, 0), (3, 3)]),
+    "partitioned": ({"partition_rows": 16}, 32,
+                    [(1, 1), (14, 15), (1, 0), (16, 0), (21, 5)]),
+}
+
+
+class TestTailDifferential:
+    @pytest.mark.parametrize("representation", ["polar", "rectangular"])
+    @pytest.mark.parametrize("kind,workers", [("monolithic", None), ("partitioned", 1),
+                                              ("partitioned", 2), ("partitioned", 4)])
+    def test_every_probe_equals_the_scan_at_every_tail_size(
+            self, kind, workers, representation, gathered, monkeypatch):
+        """Probe → extend → probe, across seals: range (single, batched,
+        ``mavg``, ``scale(-1.5)``, unverified), k-NN and all-pairs."""
+        monkeypatch.setattr(kindex_module, "SEAL_MIN_ROWS", 12)
+        options, loaded, steps = TAIL_WALKS[kind]
+        data = random_walk_collection(loaded + sum(rows for rows, _ in steps) + 2, 32,
+                                      seed=21)
+        extractor = SeriesFeatureExtractor(2, representation=representation)
+        index = (KIndex.bulk_load(data[:loaded], extractor) if workers is None else
+                 PartitionedIndex.bulk_load(data[:loaded], extractor, workers=workers,
+                                            **options))
+        scan = SequentialScan(extractor)
+        scan.extend(data[:loaded])
+        transformations = [None, scale_spectral(32, -1.5)] + (
+            [moving_average_spectral(32, 5)] if representation == "polar" else [])
+        stored = loaded
+        for rows, tail in [(0, 0)] + steps:
+            index.extend(data[stored:stored + rows])
+            scan.extend(data[stored:stored + rows])
+            stored += rows
+            assert (index.tail_rows, len(index)) == (tail, stored)
+            # One query in the packed rows, one in the newest, one in neither.
+            queries = [data[3], data[stored - 1], data[-1]]
+            for transformation in transformations:
+                check_index_range(index, scan, queries, 4.0, transformation, gathered)
+                check_index_nearest(index, scan, queries[1:], transformation,
+                                    (1, 5, stored + 3))
+            if tail in (0, 12, 15):
+                check_all_pairs(index, scan, 3.0, transformations[-1])
+
+    @pytest.mark.parametrize("factor", [None, -1.5])
+    @pytest.mark.parametrize("kind", [KIndex, PartitionedIndex])
+    def test_duplicate_of_the_query_in_the_tail(self, kind, factor):
+        """A tail row and a packed row both at distance zero: ascending id."""
+        data = random_walk_collection(300, 32, seed=22)
+        index = kind.bulk_load(data, SeriesFeatureExtractor(2))
+        packed = len(index.tree)
+        twin = TimeSeries(data[7].values, name="twin")
+        index.extend([twin])
+        assert index.tail_rows == len(index) - packed > 0
+        transformation = None if factor is None else scale_spectral(32, factor)
+        found = index.range_query(data[7], 1e-6, transformation=transformation)
+        assert _as_pairs(found.answers) == [(data[7].object_id, 0.0),
+                                            (twin.object_id, 0.0)]
+        nearest = index.nearest_neighbors(data[7], 1, transformation=transformation)
+        assert _as_pairs(nearest.answers) == [(data[7].object_id, 0.0)]
+        nearest = index.nearest_neighbors(twin, 2, transformation=transformation)
+        assert _as_pairs(nearest.answers) == [(data[7].object_id, 0.0),
+                                              (twin.object_id, 0.0)]
+
+    def test_the_seal_rule_with_its_real_constants(self):
+        """An empty tree packs its first batch whole; after that the tail
+        holds up to ``max(SEAL_MIN_ROWS, len(tree) // SEAL_SHARE)`` rows."""
+        data = random_walk_collection(600, 32, seed=23)
+        index = KIndex(SeriesFeatureExtractor(2))
+        index.extend(data[:5])
+        assert (len(index.tree), index.tail_rows) == (5, 0)
+        index.extend(data[5:5 + kindex_module.SEAL_MIN_ROWS])
+        assert (len(index.tree), index.tail_rows) == (5, kindex_module.SEAL_MIN_ROWS)
+        scan = SequentialScan(index.extractor)
+        scan.extend(data[:len(index)])
+        assert _as_pairs(index.nearest_neighbors(data[-1], 5).answers) == _as_pairs(
+            scan.nearest_neighbors(data[-1], 5))
+        index.insert(data[5 + kindex_module.SEAL_MIN_ROWS])
+        assert (len(index.tree), index.tail_rows) == (len(index), 0)
+        assert isinstance(index.tree, RStarTree)
+
+    def test_a_failed_batch_changes_nothing(self):
+        data = random_walk_collection(40, 32, seed=24)
+        for index in (KIndex.bulk_load(data[:30]),
+                      PartitionedIndex.bulk_load(data[:30], partition_rows=8)):
+            tree, before = index.tree, index.range_query(data[0], 5.0)
+            with pytest.raises(IndexError_, match="'oops' is not a time series"):
+                index.extend(data[30:] + ["oops"])
+            assert len(index) == len(index.store) == 30 and index.tree is tree
+            assert _as_pairs(index.range_query(data[0], 5.0).answers) == \
+                _as_pairs(before.answers)
+            with pytest.raises(IndexError_):
+                index.insert(None)
+            assert len(index) == 30
+
+    def test_concurrent_readers_across_seals(self, monkeypatch):
+        """Readers the server lets in together after each write, some of
+        which sealed the tail: all see every row written so far."""
+        monkeypatch.setattr(kindex_module, "SEAL_MIN_ROWS", 40)
+        data = random_walk_collection(420, 32, seed=25)
+        extractor = SeriesFeatureExtractor(2)
+        scan = SequentialScan(extractor)
+        scan.extend(data[:100])
+        indexes = [KIndex.bulk_load(data[:100], extractor),
+                   PartitionedIndex.bulk_load(data[:100], extractor, partition_rows=48,
+                                              workers=2)]
+        query = data[-1]
+        trees = [index.tree for index in indexes]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                for written in range(100, 400, 25):
+                    scan.extend(data[written:written + 25])
+                    ranged = _as_pairs(scan.range_query(query, 6.0).answers)
+                    nearest = _as_pairs(scan.nearest_neighbors(query, 7))
+                    for index in indexes:
+                        index.extend(data[written:written + 25])
+                        probes = [pool.submit(index.range_query, query, 6.0)
+                                  for _ in range(4)]
+                        probes += [pool.submit(index.nearest_neighbors, query, 7)
+                                   for _ in range(4)]
+                        found = [_as_pairs(probe.result(timeout=30).answers)
+                                 for probe in probes]
+                        assert found == [ranged] * 4 + [nearest] * 4
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(index.tree is not tree for index, tree in zip(indexes, trees))

@@ -238,12 +238,16 @@ class TestPartitionedIndexIdentity:
             == [_range_fingerprint(result) for result in
                 serial.range_query_batch(queries, epsilons, transformation=smoothing)]
 
-    def test_incremental_insert_routes_by_partition(self, data):
+    def test_incremental_extend_packs_completed_partitions(self, data):
         index = PartitionedIndex(SeriesFeatureExtractor(2),
                                  partition_rows=17, workers=2)
-        index.extend(data)
-        assert len(index) == len(data)
-        assert len(index.tree.trees) == -(-len(data) // 17)
+        for start in range(0, len(data), 10):
+            index.extend(data[start:start + 10])
+            assert len(index) == min(start + 10, len(data))
+            # Every completed 17-row block has its sub-tree; the rest waits.
+            assert len(index.tree.trees) == len(index) // 17
+            assert index.tail_rows == len(index) % 17
+        assert [len(tree) for tree in index.tree.trees] == [17] * (len(data) // 17)
         mono = KIndex(SeriesFeatureExtractor(2))
         mono.extend(data)
         expected = {(series.values.tobytes(), distance) for series, distance

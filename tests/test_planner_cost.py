@@ -52,9 +52,7 @@ def _session(num_series: int, build: str, seed: int = 23):
     if build == "str":
         handle.with_index(KIndex.bulk_load(data, extractor))
     elif build == "insert":
-        index = KIndex(extractor)
-        index.extend(data)
-        handle.with_index(index)
+        handle.with_index(KIndex.build_by_insertion(data, extractor))
     return session, data
 
 
@@ -173,6 +171,50 @@ class TestDecisionTable:
         assert isinstance(outcome.plan, IndexRangePlan)
         measured = outcome.statistics.io_total
         assert measured / 4 <= estimate.total <= measured * 4
+
+
+class TestTheTailIsPriced:
+    """An index probe filters its unindexed tail whole; the planner adds the
+    pages the probe charges for that, for both index layouts."""
+
+    @pytest.mark.parametrize("kind", ["monolithic", "partitioned"])
+    def test_estimate_and_explain_carry_the_tail_pages(self, kind):
+        from repro import PartitionedIndex
+        from repro.core.query.costmodel import QueryCostModel
+
+        data = random_walk_collection(460, LENGTH, seed=29)
+        session = connect(answer_cache_size=0)
+        extractor = SeriesFeatureExtractor(2)
+        index = (KIndex.bulk_load(data[:400], extractor) if kind == "monolithic"
+                 else PartitionedIndex.bulk_load(data[:400], extractor,
+                                                 partition_rows=200))
+        handle = session.relation("walks").insert_many(data[:400]).with_index(index)
+        assert index.tail_rows == 0 and index.structure_summary()["tail_pages"] == 0.0
+        sealed = session.analyze("walks")
+        handle.insert_many(data[400:])
+        assert index.tail_rows == 60 and "tail_rows=60" in repr(index)
+        assert index.structure_summary()["tail_pages"] == 8.0  # ceil(60 / 8)
+        grown = session.analyze("walks")
+        assert grown.tree_summary["tail_pages"] == 8.0
+        model = QueryCostModel()
+        radius = grown.answer_quantile(0.01)
+        flat = dict(grown.tree_summary, tail_pages=0.0)
+        for estimate in (model.index_range, lambda *args: model.index_nearest(*args[:2], 3)):
+            with_tail = estimate(grown, 460, radius)
+            grown.tree_summary, kept = flat, grown.tree_summary
+            without = estimate(grown, 460, radius)
+            grown.tree_summary = kept
+            assert with_tail.io_accesses == pytest.approx(without.io_accesses + 8.0)
+        assert sealed.tree_summary["tail_pages"] == 0.0
+        text = f"SELECT FROM walks WHERE dist(series, $q) < {radius!r}"
+        outcome = session.sql(text, q=data[450])
+        assert isinstance(outcome.plan, IndexRangePlan)
+        assert "(8 of them tail pages)" in session.explain(text)
+        # The probe charged the same eight pages on top of its tree visits.
+        probe = index.range_query(data[450], radius)
+        assert probe.statistics.node_accesses == 8 + sum(
+            tree.access_stats.total for tree in getattr(index.tree, "trees", [index.tree]))
+        assert data[450].object_id in {s.object_id for s, _ in outcome.answers}
 
 
 class TestStatisticsLifecycle:

@@ -21,6 +21,7 @@ from repro import (
     moving_average_spectral,
     random_walk_collection,
 )
+from repro.core.errors import IndexError_
 from repro.strings import edit_distance_provider
 
 LENGTH = 32
@@ -174,6 +175,48 @@ class TestRelationHandle:
             handle.insert_many([data[5]])
         assert len(handle) == 5  # relation did not outrun its index
         assert handle.relation.version == before_version
+
+    def test_failed_batch_leaves_the_index_in_step_with_the_relation(self):
+        """Regression: the rows before the offending one used to be indexed
+        (relation 40 / index 42, for good) and the error was an
+        ``AttributeError``.  The index extracts the whole batch before it
+        stores any of it."""
+        data = random_walk_collection(42, LENGTH, seed=35)
+        session = connect()
+        handle = (session.relation("w").insert_many(data[:40])
+                  .with_index(KIndex.bulk_load(data[:40], SeriesFeatureExtractor(2))))
+        index = session.database.index("w")
+        with pytest.raises(IndexError_, match="oops.*is not a time series"):
+            handle.insert_many([data[40], data[41], StringObject("oops")])
+        with pytest.raises(IndexError_):
+            handle.insert(StringObject("oops"))
+        assert len(index) == len(index.store) == len(handle) == 40
+        handle.insert_many(data[40:])  # the size guards still agree
+        assert len(index) == len(handle) == 42 and index.tail_rows == 2
+        assert session.database.columnar_store("w") is index.store
+
+    def test_a_row_in_the_tail_is_in_the_very_next_answer(self):
+        """With the answer cache on: the insert bumps the relation's version,
+        and the probe filters the unindexed tail."""
+        data = random_walk_collection(301, LENGTH, seed=36)
+        session = connect()
+        handle = (session.relation("walks").insert_many(data[:300])
+                  .with_index(KIndex.bulk_load(data[:300], SeriesFeatureExtractor(2))))
+        newcomer = data[300]
+        ranged = "SELECT FROM walks WHERE dist(series, $q) < 1.0"
+        nearest = "SELECT FROM walks NEAREST 1 TO $q"
+        for text in (ranged, nearest):
+            session.sql(text, q=newcomer)
+            assert session.sql(text, q=newcomer).from_cache
+        assert session.sql(ranged, q=newcomer).answers == []
+        handle.insert(newcomer)
+        assert session.database.index("walks").tail_rows == 1
+        for text in (ranged, nearest):
+            outcome = session.sql(text, q=newcomer)
+            assert not outcome.from_cache
+            assert type(outcome.plan).__name__.startswith("Index")
+            assert [(s.object_id, d) for s, d in outcome.answers] == \
+                [(newcomer.object_id, 0.0)]
 
     def test_relation_rows_argument_propagates_to_indexes(self):
         data = random_walk_collection(6, LENGTH, seed=33)
