@@ -190,9 +190,8 @@ class KIndex:
             raise IndexError_(f"unknown tree kind {tree_kind!r}")
         self.extractor = extractor if extractor is not None else SeriesFeatureExtractor()
         self.space = self.extractor.space
-        self.max_entries = int(max_entries)
         #: What every tree of this index is built with (a seal builds a new one).
-        self._tree_options = (tree_kind, max_entries, page_store)
+        self._tree_options = (tree_kind, int(max_entries), page_store)
         self.tree = self._build_tree(*self._tree_options)
         #: Columnar full records, one row per record id (dense, insertion
         #: order).  Shared with the executor's scan fallback and the
@@ -259,7 +258,8 @@ class KIndex:
         if count - packed > (max(SEAL_MIN_ROWS, packed // SEAL_SHARE) if packed else 0):
             fresh = self._build_tree(*self._tree_options)
             fresh.bulk_load_points(self._points[:count], range(count))
-            self.tree = fresh
+            stale, self.tree = self.tree, fresh
+            stale.release_pages()
 
     @classmethod
     def bulk_load(cls, collection: Iterable[TimeSeries],
@@ -336,7 +336,7 @@ class KIndex:
     def _pages(self, rows: int) -> int:
         """Leaf pages ``rows`` unindexed points fill: what filtering them is
         charged, so ``node_accesses`` stays the paper's page currency."""
-        return -(-rows // self.max_entries)
+        return -(-rows // self._tree_options[1])
 
     def _tail(self, tree: RTree) -> tuple[int, np.ndarray | tuple[()]]:
         """``(first record id, points)`` of the rows beyond ``tree`` — the
@@ -506,11 +506,12 @@ class KIndex:
                                                distance))
                 result.answers.sort(key=lambda pair: pair[1])
         elapsed_share = (time.perf_counter() - started) / len(queries)
+        tail_pages = self._pages(len(tail))
         for result in results:
             if exact:
                 result.statistics.postprocessed = result.statistics.candidates
             result.statistics.record_fetches = result.statistics.postprocessed
-            self._work_counters(result.statistics, tree, self._pages(len(tail)))
+            self._work_counters(result.statistics, tree, tail_pages)
             result.statistics.elapsed_seconds = elapsed_share
         return results
 

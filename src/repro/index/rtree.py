@@ -223,6 +223,14 @@ class RTree:
             self._buffer.read(self._node_pages[node_id])
         return node
 
+    def release_pages(self) -> None:
+        """Free every simulated page this tree's nodes occupy: the tree is
+        being discarded (or, in ``serde``, its node graph replaced)."""
+        if self._page_store is not None:
+            for page_id in self._node_pages.values():
+                self._page_store.free(page_id)
+        self._node_pages.clear()
+
     def _mark_dirty(self, node: RTreeNode) -> None:
         self._entry_arrays_cache.pop(node.node_id, None)
         if self._packed_levels is not None:

@@ -96,11 +96,8 @@ def _deserialize_rtree(payload: dict[str, Any],
     else:
         raise StorageError(f"unknown serialized tree kind {kind!r}")
     # Drop the constructor's placeholder root, then rebuild the node graph.
-    if page_store is not None:
-        for page_id in tree._node_pages.values():
-            page_store.free(page_id)
+    tree.release_pages()
     tree._nodes.clear()
-    tree._node_pages.clear()
     tree._entry_arrays_cache.clear()
     max_id = -1
     for record in payload["nodes"]:

@@ -186,7 +186,7 @@ def spectral_records(collection: Sequence[Any]
                 "a spectral record from")
         values.append(np.asarray(array, dtype=np.float64))
     sizes = np.array([array.shape[0] for array in values], dtype=np.intp)
-    lengths = np.maximum(sizes - 1, 0)  # coefficient 0 is dropped
+    lengths = sizes - 1  # coefficient 0 is dropped
     coefficients = np.zeros((len(values), int(lengths.max(initial=0))),
                             dtype=np.complex128)
     means = np.empty(len(values))
@@ -206,7 +206,7 @@ def spectral_records(collection: Sequence[Any]
                 normal[varying] = ((block[varying] - mean[varying, None])
                                    / std[varying, None])
             spectrum = np.fft.fft(normal.astype(np.complex128), norm="ortho", axis=-1)
-            coefficients[rows, :max(size - 1, 0)] = spectrum[:, 1:]
+            coefficients[rows, :size - 1] = spectrum[:, 1:]
             means[rows] = mean
             stds[rows] = std
     return coefficients, lengths, means, stds

@@ -592,7 +592,7 @@ def _trees(index):
 
 def _tail_pages(index):
     """What a probe is charged for filtering the unindexed tail."""
-    return -(-index.tail_rows // index.max_entries)
+    return -(-index.tail_rows // index._tree_options[1])  # its trees' node capacity
 
 
 def check_index_nearest(index, scan, queries, transformation, ks):
@@ -892,6 +892,24 @@ class TestTailDifferential:
         index.insert(data[5 + kindex_module.SEAL_MIN_ROWS])
         assert (len(index.tree), index.tail_rows) == (len(index), 0)
         assert isinstance(index.tree, RStarTree)
+
+    def test_a_seal_frees_the_pages_of_the_tree_it_replaces(self, monkeypatch):
+        monkeypatch.setattr(kindex_module, "SEAL_MIN_ROWS", 8)
+        data = random_walk_collection(120, 32, seed=26)
+        pages = PageStore()
+        index = KIndex(SeriesFeatureExtractor(2), page_store=pages)
+        seals = 0
+        for start in range(0, 120, 6):
+            tree = index.tree
+            index.extend(data[start:start + 6])
+            seals += index.tree is not tree
+        assert seals > 5
+        # What is left: the live tree's nodes, and the placeholder root page
+        # every bulk load orphans — not the dozen trees sealed away.
+        assert len(index.tree._nodes) <= len(pages) <= len(index.tree._nodes) + seals + 1
+        found = index.range_query(data[0], 3.0)
+        assert found.statistics.buffer_hits + found.statistics.buffer_misses == \
+            found.statistics.node_accesses - _tail_pages(index)
 
     def test_a_failed_batch_changes_nothing(self):
         data = random_walk_collection(40, 32, seed=24)
