@@ -132,6 +132,13 @@ class ColumnarRecordStore:
         a block copy and never an FFT.  ``coefficients`` rows must be
         zero-padded beyond each row's true ``lengths`` entry, exactly as
         this store pads them.
+
+        An *empty* store takes a matrix that owns its memory over instead of
+        copying it — the caller must not write to it afterwards (the store
+        never does: it only appends, and growing reallocates).  Loading a
+        relation therefore never holds its spectra twice: a second
+        relation-sized block, freed a moment later, is what the allocator
+        keeps resident or not from one run to the next.
         """
         coefficients = np.asarray(coefficients, dtype=np.complex128)
         count = coefficients.shape[0]
@@ -142,12 +149,19 @@ class ColumnarRecordStore:
         if count == 0:
             return
         start = self._count
-        self._reserve(start + count, coefficients.shape[1])
-        self._coefficients[start:start + count,
-                           :coefficients.shape[1]] = coefficients
-        self._lengths[start:start + count] = lengths
-        self._means[start:start + count] = means
-        self._stds[start:start + count] = stds
+        flags = coefficients.flags
+        if start == 0 and flags.owndata and flags.writeable and flags.c_contiguous:
+            self._coefficients = coefficients
+            self._lengths = np.array(lengths, dtype=np.intp)
+            self._means = np.array(means, dtype=np.float64)
+            self._stds = np.array(stds, dtype=np.float64)
+        else:
+            self._reserve(start + count, coefficients.shape[1])
+            self._coefficients[start:start + count,
+                               :coefficients.shape[1]] = coefficients
+            self._lengths[start:start + count] = lengths
+            self._means[start:start + count] = means
+            self._stds[start:start + count] = stds
         self._series.extend(collection)
         self._count += count
         self._transformed_cache.clear()

@@ -42,9 +42,11 @@ __all__ = ["SeriesFeatures", "SeriesFeatureExtractor", "series_features",
            "spectral_records"]
 
 #: Series per block of :func:`spectral_records`.  A block of 128-point series
-#: holds about 1.5 MB of values, normal forms and spectra at a time: large
-#: enough that the numpy calls amortise, small enough that extracting a whole
-#: relation adds nothing measurable to the process's peak memory.
+#: holds about 4 MB of values, normal forms, spectra and their temporaries at
+#: a time: large enough that the numpy calls amortise, small enough that
+#: extracting a whole relation adds little to the process's peak memory — the
+#: result matrix itself is allocated once and handed to the record store,
+#: which keeps it (``ColumnarRecordStore.bulk_load``).
 EXTRACT_CHUNK_ROWS = 512
 
 

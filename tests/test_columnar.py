@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,8 @@ from repro.storage.columnar import (
     pairwise_distances,
     transform_full_record,
 )
-from repro.timeseries.features import SeriesFeatureExtractor, record_distance
+from repro.timeseries.features import (EXTRACT_CHUNK_ROWS, SeriesFeatureExtractor,
+                                       record_distance, spectral_records)
 from repro.timeseries.generators import make_rng, random_walk, random_walk_collection
 from repro.timeseries.transforms import moving_average_spectral
 
@@ -96,6 +99,65 @@ class TestStore:
     def test_short_transformation_raises(self, store):
         with pytest.raises(DimensionMismatchError):
             store.transformed_arrays(moving_average_spectral(16, 4))
+
+    def test_an_empty_store_takes_the_block_over(self, walks):
+        """The first block becomes the store's matrix; the store never writes
+        to it; later blocks, views and read-only blocks are copied."""
+        records = spectral_records(walks)
+        kept = records[0].copy()
+        s = ColumnarRecordStore()
+        s.bulk_load(walks, *records)
+        assert np.shares_memory(s.coefficients, records[0])
+        assert not np.shares_memory(s.means, records[2])
+        s.extend(walks[:3])  # growing reallocates
+        assert not np.shares_memory(s.coefficients, records[0])
+        assert np.array_equal(records[0], kept)
+        assert np.array_equal(s.coefficients[:len(walks)], kept)
+        frozen = kept.copy()
+        frozen.flags.writeable = False
+        for block in (kept[:], frozen, kept.T.copy().T):
+            copied = ColumnarRecordStore()
+            copied.bulk_load(walks, block, *records[1:])
+            assert not np.shares_memory(copied.coefficients, block)
+            assert np.array_equal(copied.coefficients, kept)
+
+
+class TestLoadingHoldsTheSpectraOnce:
+    """No load path allocates a second relation-sized block beside the
+    store's matrix: a block that large, freed a moment later, is what the
+    allocator keeps resident or not from one run to the next (the benchmark's
+    ``peak_rss_mb`` spread).  Counted with ``tracemalloc``, not timed."""
+
+    LENGTH = 128
+    #: What one extraction chunk may hold at a time: values, normal form,
+    #: complex copy, spectrum and their temporaries.
+    WORKING_SET = 6 * EXTRACT_CHUNK_ROWS * LENGTH * 16
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        return random_walk_collection(8 * EXTRACT_CHUNK_ROWS, self.LENGTH, seed=8)
+
+    @staticmethod
+    def _peak(call):
+        tracemalloc.start()
+        try:
+            result = call()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_store_extend(self, data):
+        def load():
+            s = ColumnarRecordStore()
+            s.extend(data)
+            return s
+        s, peak = self._peak(load)
+        assert peak < s.coefficients.nbytes + self.WORKING_SET
+
+    def test_index_bulk_load(self, data):
+        index, peak = self._peak(lambda: KIndex.bulk_load(
+            data, SeriesFeatureExtractor(2), max_entries=64))
+        assert peak < index.store.coefficients.nbytes + self.WORKING_SET
 
 
 class TestKernels:
