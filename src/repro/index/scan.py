@@ -14,9 +14,11 @@ Both flavours execute as **blockwise kernels** over the relation's
 :class:`~repro.storage.columnar.ColumnarRecordStore` — contiguous coefficient
 matrices instead of per-record Python tuples.  Early abandoning becomes
 chunked cumulative partial sums with mask-and-refine compaction
-(:func:`~repro.storage.columnar.early_abandon_candidates`); survivors are
-re-scored exactly, so the two flavours return identical answers and differ
-only in work.  Transformation semantics match the
+(:func:`~repro.storage.columnar.early_abandon_candidates` for one query
+against the relation, :func:`~repro.storage.columnar.pair_block_distances`
+for the self-join's flat (anchor, other) pairs); survivors are re-scored
+exactly, so the two flavours return identical answers and differ only in
+work.  Transformation semantics match the
 :class:`~repro.index.kindex.KIndex` (the test suite asserts the results are
 identical).
 
@@ -32,9 +34,11 @@ and the merge steps reproduce the serial orders exactly:
 * NN — per-partition stable top-``k`` lists, already ordered by
   ``(distance, global id)``, are combined with a k-way heap merge, which
   is precisely the serial stable argsort's order;
-* join — contiguous anchor blocks each run the serial per-anchor kernel
-  body against the anchor's suffix, and blocks concatenate in anchor
-  order.
+* join — the flat pair order (every anchor against the rows after it) is
+  cut into blocks of equal pair count, each block one call of the pair
+  kernel, and blocks concatenate in pair order.  The block is the same at
+  every worker count — one worker simply runs them in turn — and a pair's
+  distance does not depend on which block holds it.
 
 Work counters are unaffected: a scan's counted work (candidates,
 postprocessed pairs, data pages) is a function of the relation's size, not
@@ -49,12 +53,13 @@ from typing import Iterable
 
 import numpy as np
 
-from ..core.cancel import checkpoint
 from ..core.parallel import parallel_map, resolve_workers
 from ..storage.columnar import (
     ColumnarRecordStore,
     early_abandon_candidates,
     exact_distances,
+    pair_block_distances,
+    pair_blocks,
     transform_full_record,
 )
 from ..storage.pages import PageStore, records_per_page as page_capacity
@@ -95,8 +100,9 @@ class SequentialScan:
         Worker threads for partition-parallel execution (``None``/1 serial,
         0 = all cores).  Answers are bit-identical at any worker count.
     partition_rows:
-        Rows per partition for the parallel fan-out (default
-        :data:`~repro.storage.partition.DEFAULT_PARTITION_ROWS`).
+        Minimum rows per partition for the range/NN fan-out (default
+        :data:`~repro.storage.partition.DEFAULT_PARTITION_ROWS`); the join
+        fans out by pair blocks instead.
     """
 
     def __init__(self, extractor: SeriesFeatureExtractor | None = None, *,
@@ -215,20 +221,6 @@ class SequentialScan:
         block = max(self.partition_rows, -(-count // self.workers))
         return partition_spans(count, block)
 
-    def _join_spans(self, count: int) -> list[tuple[int, int]]:
-        """Anchor blocks for the parallel self-join.
-
-        Join work per anchor shrinks with its position (anchors sweep only
-        their suffix), so fixed-size partitions leave the first worker with
-        most of the quadratic work.  Finer blocks — several per worker —
-        let the pool queue balance the skew: heavy early blocks are claimed
-        first and light late blocks fill the stragglers.
-        """
-        if self.workers <= 1:
-            return [(0, count)] if count else []
-        block = max(1, min(self.partition_rows, -(-count // (self.workers * 8))))
-        return partition_spans(count, block)
-
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
@@ -328,10 +320,14 @@ class SequentialScan:
         ``early_abandon=False`` reproduces method (a) of the join experiment
         (every distance computed in full); ``True`` reproduces method (b).
         Each unordered pair appears once, as in the original's accounting for
-        those two methods.  The outer loop stays per-anchor, but the inner
-        loop — the quadratic part — runs as one kernel call per anchor over
-        the suffix block.
+        those two methods.  Both run the pair kernel
+        (:func:`~repro.storage.columnar.pair_block_distances`) over blocks
+        of the flat (anchor, other) pair order — method (a) without a
+        threshold, method (b) abandoning against ``epsilon`` — and keep the
+        pairs whose exact distance is within it.
         """
+        if epsilon < 0:
+            raise ValueError("epsilon must be non-negative")
         started = time.perf_counter()
         stats = QueryStatistics()
         count = len(self.store)
@@ -341,41 +337,26 @@ class SequentialScan:
             coefficients, means, stds = self._data_arrays(transformation)
             lengths = self.store.lengths
             include_stats = self.extractor.include_stats
+            series = self.store.series_list()
 
-            def join_block(first: int, last: int) -> list[tuple[int, int, float]]:
-                """Qualifying (anchor, other, distance) triples for a
-                contiguous anchor block — the serial per-anchor body,
-                each anchor swept against its *global* suffix."""
-                found: list[tuple[int, int, float]] = []
-                for anchor in range(first, min(last, count - 1)):
-                    # Joins are quadratic; one block holds many anchors, so
-                    # the cancellation seam must be finer than the block.
-                    checkpoint()
-                    anchor_record = (coefficients[anchor, :int(lengths[anchor])],
-                                     float(means[anchor]), float(stds[anchor]))
-                    suffix = slice(anchor + 1, count)
-                    if early_abandon:
-                        survivors = early_abandon_candidates(
-                            coefficients[suffix], lengths[suffix], means[suffix],
-                            stds[suffix], *anchor_record, include_stats, epsilon)
-                    else:
-                        survivors = np.arange(count - anchor - 1, dtype=np.intp)
-                    distances = exact_distances(
-                        coefficients[suffix], lengths[suffix], means[suffix],
-                        stds[suffix], *anchor_record, include_stats,
-                        row_ids=survivors)
-                    keep = np.nonzero(distances <= epsilon)[0]
-                    for i in keep.tolist():
-                        found.append((anchor, anchor + 1 + int(survivors[i]),
-                                      float(distances[i])))
-                return found
+            def join_block(first: int, last: int
+                           ) -> list[tuple[TimeSeries, TimeSeries, float]]:
+                """The qualifying pairs of one block, in pair order."""
+                left, right, distances = pair_block_distances(
+                    coefficients, lengths, means, stds, include_stats,
+                    first, last, epsilon=epsilon if early_abandon else None)
+                keep = distances <= epsilon
+                return [(series[anchor], series[other], distance)
+                        for anchor, other, distance
+                        in zip(left[keep].tolist(), right[keep].tolist(),
+                               distances[keep].tolist())]
 
-            # Anchor blocks concatenate in anchor order, so the pair list is
-            # the serial one verbatim.
-            blocks = parallel_map(join_block, self._join_spans(count),
-                                  workers=self.workers)
-            pairs = [(self.store.series(anchor), self.store.series(other), distance)
-                     for block in blocks for anchor, other, distance in block]
+            # One block is one task, and parallel_map polls the cancellation
+            # token before every task: a running join stops within a block.
+            # Blocks concatenate in pair order, so the list is the serial one.
+            for block in parallel_map(join_block, pair_blocks(count),
+                                      workers=self.workers):
+                pairs.extend(block)
         stats.postprocessed = count * (count - 1) // 2
         stats.candidates = stats.postprocessed
         stats.node_accesses = self.data_pages

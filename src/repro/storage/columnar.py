@@ -41,6 +41,15 @@ The module-level **kernels** implement exact record distances blockwise:
   whole batch: arbitrary (row, query) pairs scored in a single kernel
   call, which is how ``execute_many`` groups and the k-index batch path
   verify all their candidates at once;
+* :func:`pair_block_distances` — the **pair kernel** behind every scan-side
+  pair computation (both scan methods of the self-join, and
+  :func:`pairwise_distances` for the statistics sampler, the advisor and
+  threshold samples): one block of the flat "every anchor against the rows
+  after it" pair order at a time — the same abandoning rounds run over
+  ``(left, right)`` index arrays, every survivor re-scored through
+  :func:`gathered_pair_distances` in slices, bit-identical to one
+  :func:`exact_distances` call per anchor, with no temporary larger than
+  :data:`PAIR_BLOCK` allows;
 * :func:`transform_full_record` / :meth:`ColumnarRecordStore.transformed_arrays`
   — a spectral transformation applied to one record or to the whole matrix
   (cached per store version).
@@ -53,6 +62,7 @@ shortcuts.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -64,6 +74,8 @@ __all__ = [
     "exact_distances",
     "early_abandon_candidates",
     "gathered_pair_distances",
+    "pair_blocks",
+    "pair_block_distances",
     "pairwise_distances",
     "transform_full_record",
 ]
@@ -78,6 +90,12 @@ ABANDON_CHUNK = 8
 #: when its partial sum *clearly* exceeds the limit, and every survivor is
 #: re-scored exactly — so abandoning changes timing, never answers.
 _PRUNE_SLACK = 1e-9
+
+#: Pairs per block of the pair kernel — at once its memory bound (a pruning
+#: round gathers at most ``PAIR_BLOCK * ABANDON_CHUNK`` coefficients, 1 MB,
+#: and the exact pass ``PAIR_BLOCK`` coefficients a slice, 128 KB), the scan
+#: join's cancellation seam and the unit it fans across workers.
+PAIR_BLOCK = 8192
 
 
 class ColumnarRecordStore:
@@ -438,6 +456,115 @@ def gathered_pair_distances(coefficients: np.ndarray, lengths: np.ndarray,
     return np.sqrt(totals)
 
 
+def pair_blocks(count: int) -> list[tuple[int, int]]:
+    """``[first, last)`` blocks of :data:`PAIR_BLOCK` pairs (the last one
+    shorter) covering the condensed pair order of ``count`` rows."""
+    total = count * (count - 1) // 2
+    return [(first, min(first + PAIR_BLOCK, total))
+            for first in range(0, total, PAIR_BLOCK)]
+
+
+def _pair_rows(count: int, first: int, last: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(left, right)`` rows of the condensed pairs ``[first, last)`` of
+    ``count`` rows: every anchor against the rows after it, anchor-major,
+    other ascending — a block may begin and end inside an anchor's run."""
+    def run_start(anchor):
+        """Condensed position of the pair ``(anchor, anchor + 1)``."""
+        return anchor * (2 * count - anchor - 1) // 2
+
+    # The anchor holding pair ``first``: the integer root of
+    # run_start(a) <= first, which the floored square root overshoots by
+    # at most one.
+    anchor = (2 * count - 1
+              - math.isqrt((2 * count - 1) ** 2 - 8 * first)) // 2
+    if run_start(anchor) > first:
+        anchor -= 1
+    # Every anchor holds at least one pair, so last - first anchors suffice.
+    anchors = np.arange(anchor, min(anchor + last - first, count - 1),
+                        dtype=np.intp)
+    sizes = (np.minimum(run_start(anchors + 1), last)
+             - np.maximum(run_start(anchors), first))
+    left = np.repeat(anchors, np.maximum(sizes, 0))
+    right = np.arange(first, last, dtype=np.intp) - run_start(left) + left + 1
+    return left, right
+
+
+def pair_block_distances(coefficients: np.ndarray, lengths: np.ndarray,
+                         means: np.ndarray, stds: np.ndarray,
+                         include_stats: bool, first: int, last: int, *,
+                         epsilon: float | None = None
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pair kernel: ``(left, right, distances)`` of one block of the
+    self-join's condensed pair order (see :func:`pair_blocks`).
+
+    Without ``epsilon`` every pair of the block is scored.  With one, pairs
+    are first abandoned by the rounds of :func:`early_abandon_candidates`
+    run over the flat pair arrays — statistics terms, then
+    :data:`ABANDON_CHUNK` coefficient columns at a time against the same
+    conservative bound, compacting ``left`` / ``right`` / totals together —
+    and only the survivors (a superset of the pairs within ``epsilon``) are
+    returned.  A round's partial sums only have to stay within the bound's
+    slack of the exact ones, so they add squared real and imaginary parts
+    directly instead of squaring a complex modulus.
+
+    Either way each returned pair is scored exactly as ``exact_distances``
+    scores row ``right`` against the record of row ``left``: the same
+    reduction over the same ``lengths[left]`` columns, so distances are
+    bit-identical to the per-anchor computation on uniform and ragged
+    relations alike.
+
+    Every temporary is bounded by :data:`PAIR_BLOCK`, never by the relation
+    or the number of survivors: a pruning round gathers at most
+    ``PAIR_BLOCK * ABANDON_CHUNK`` coefficients and the exact pass walks the
+    survivors in row slices of ``PAIR_BLOCK`` coefficients.
+    """
+    left, right = _pair_rows(coefficients.shape[0], first, last)
+    if epsilon is not None:
+        bound = float(epsilon) ** 2 * (1.0 + _PRUNE_SLACK) + 1e-12
+        if include_stats:
+            totals = (means[right] - means[left]) ** 2 \
+                + (stds[right] - stds[left]) ** 2
+            alive = totals <= bound
+            left, right, totals = left[alive], right[alive], totals[alive]
+        else:
+            totals = np.zeros(left.size, dtype=np.float64)
+        common = np.minimum(lengths[left], lengths[right])
+        columns = int(common.max()) if common.size else 0
+        ragged = not np.all(common == columns)
+        for start in range(0, columns, ABANDON_CHUNK):
+            if left.size == 0:
+                break
+            chunk = coefficients[:, start:min(start + ABANDON_CHUNK, columns)]
+            difference = chunk.take(right, axis=0)
+            difference -= chunk.take(left, axis=0)
+            if ragged:
+                beyond = np.arange(start, start + chunk.shape[1]) >= common[:, None]
+                difference[beyond] = 0.0
+            parts = difference.view(np.float64)
+            totals += np.einsum("ij,ij->i", parts, parts)
+            alive = totals <= bound
+            if not alive.all():
+                left, right, totals = left[alive], right[alive], totals[alive]
+                common = common[alive]
+    distances = np.empty(left.size, dtype=np.float64)
+    # exact_distances reduces over min(width, len(anchor)) columns, and the
+    # bits of a pairwise sum depend on how many it reduces over — so a slice
+    # of the exact pass never spans two anchor lengths.
+    anchor_lengths = lengths[left]
+    edges = [0, *(np.flatnonzero(np.diff(anchor_lengths)) + 1).tolist(), left.size]
+    for run_first, run_last in zip(edges[:-1], edges[1:]):
+        if run_first == run_last:
+            continue
+        columns = int(anchor_lengths[run_first])
+        rows = max(1, PAIR_BLOCK // max(1, columns))
+        for start in range(run_first, run_last, rows):
+            piece = slice(start, min(start + rows, run_last))
+            distances[piece] = gathered_pair_distances(
+                coefficients, lengths, means, stds, include_stats, right[piece],
+                coefficients[:, :columns], lengths, means, stds, left[piece])
+    return left, right, distances
+
+
 def pairwise_distances(coefficients: np.ndarray, lengths: np.ndarray,
                        means: np.ndarray, stds: np.ndarray,
                        include_stats: bool, *,
@@ -445,9 +572,9 @@ def pairwise_distances(coefficients: np.ndarray, lengths: np.ndarray,
                        ) -> np.ndarray:
     """Condensed upper-triangle distance vector over rows (or ``row_ids``).
 
-    Backs the statistics sampler: each anchor row is scored against the rows
-    after it with one :func:`exact_distances` call, so sampling shares the
-    query kernels instead of a per-pair Python loop.
+    Backs the statistics sampler, the advisor and Table 1's threshold
+    sample: the pair kernel without a threshold, block by block, so sampling
+    shares the join's kernel instead of a loop of its own.
     """
     if row_ids is not None:
         row_ids = np.asarray(row_ids, dtype=np.intp)
@@ -456,14 +583,8 @@ def pairwise_distances(coefficients: np.ndarray, lengths: np.ndarray,
         means = means[row_ids]
         stds = stds[row_ids]
     count = coefficients.shape[0]
-    blocks = []
-    for anchor in range(count - 1):
-        length = int(lengths[anchor])
-        blocks.append(exact_distances(
-            coefficients[anchor + 1:], lengths[anchor + 1:],
-            means[anchor + 1:], stds[anchor + 1:],
-            coefficients[anchor, :length], float(means[anchor]),
-            float(stds[anchor]), include_stats))
-    if not blocks:
-        return np.zeros(0, dtype=np.float64)
-    return np.concatenate(blocks)
+    condensed = np.empty(count * (count - 1) // 2, dtype=np.float64)
+    for first, last in pair_blocks(count):
+        condensed[first:last] = pair_block_distances(
+            coefficients, lengths, means, stds, include_stats, first, last)[2]
+    return condensed

@@ -243,7 +243,11 @@ def record_distance(a: tuple[np.ndarray, float, float],
     common = min(a[0].shape[0], b[0].shape[0])
     total = float(np.sum(np.abs(a[0][:common] - b[0][:common]) ** 2))
     if include_stats:
-        total += (a[1] - b[1]) ** 2 + (a[2] - b[2]) ** 2
+        # Multiplied out, as the kernels' array ``** 2`` is: a scalar power
+        # goes through libm's pow, which rounds about one square in a
+        # thousand differently.
+        mean_gap, std_gap = a[1] - b[1], a[2] - b[2]
+        total += mean_gap * mean_gap + std_gap * std_gap
     return float(np.sqrt(total))
 
 

@@ -23,6 +23,8 @@ from repro.core.cancel import (
 )
 from repro.core.errors import DeadlineExceededError, QueryCancelledError
 from repro.core.parallel import get_pool, parallel_map, shutdown_pools
+from repro.index import scan as scan_module
+from repro.storage import columnar
 
 
 class TestCancellationToken:
@@ -247,3 +249,54 @@ class TestEngineCancellation:
         thread.join(timeout=10.0)
         assert outcome == {"cancelled": True}
         assert slow.calls < 200
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_cross_thread_cancel_interrupts_running_join(self, workers, monkeypatch):
+        """A scan join already under way stops at its next block — the pair
+        kernel's block is the cancellation seam — and leaves the session (and
+        the pool) as if it had never run."""
+        data = random_walk_collection(120, 32, seed=21)
+        sql = "SELECT PAIRS FROM walks WHERE dist < 3.0"
+        session = repro.connect(workers=workers)
+        session.relation("walks").insert_many(data)
+        kernel = scan_module.pair_block_distances
+        first_block = threading.Event()
+        calls = []
+
+        def paced(*args, **kwargs):
+            calls.append(None)
+            first_block.set()
+            time.sleep(0.005)
+            return kernel(*args, **kwargs)
+        with monkeypatch.context() as patch:
+            # 7 140 pairs in 112 blocks of at least 5 ms each.
+            patch.setattr(columnar, "PAIR_BLOCK", 64)
+            patch.setattr(scan_module, "pair_block_distances", paced)
+            token = CancellationToken()
+            outcome: dict = {}
+
+            def run():
+                with cancel_scope(token):
+                    try:
+                        session.sql(sql)
+                        outcome["finished"] = True
+                    except QueryCancelledError:
+                        outcome["cancelled"] = True
+            thread = threading.Thread(target=run)
+            thread.start()
+            assert first_block.wait(5.0)
+            token.cancel()
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
+        assert outcome == {"cancelled": True}
+        assert 0 < len(calls) < 56  # well before the full join's 112 blocks
+
+        clean = session.sql(sql)
+        assert type(clean.plan).__name__ == "ScanJoinPlan"
+        assert clean.from_cache is False
+        fresh = repro.connect()
+        fresh.relation("walks").insert_many(data)
+        expected = fresh.sql(sql)
+        assert len(expected) > 0
+        assert [(a.object_id, b.object_id, d) for a, b, d in clean.answers] \
+            == [(a.object_id, b.object_id, d) for a, b, d in expected.answers]

@@ -41,6 +41,7 @@ from repro import (
 )
 from repro.core.parallel import get_pool, parallel_map, resolve_workers
 from repro.core.query.cache import LRUCache
+from repro.storage import columnar
 from repro.storage.buffer import BufferPool
 from repro.storage.partition import (
     DEFAULT_PARTITION_ROWS,
@@ -128,12 +129,19 @@ class TestScanIdentity:
         assert _nn_fingerprint(parallel.nearest_neighbors(data[4], k)) \
             == _nn_fingerprint(serial.nearest_neighbors(data[4], k))
 
-    @pytest.mark.parametrize("workers", [2, 4])
+    @pytest.mark.parametrize("workers", [1, 2, 4])
     @pytest.mark.parametrize("epsilon", [2.0, 8.0, 30.0])
-    def test_join_pairs_and_counters(self, data, serial, workers, epsilon):
+    @pytest.mark.parametrize("early_abandon", [True, False])
+    def test_join_pairs_and_counters(self, data, serial, workers, epsilon,
+                                     early_abandon, monkeypatch):
         parallel = self._parallel(serial, workers, 7)
-        expected_pairs, expected_stats = serial.all_pairs(epsilon)
-        observed_pairs, observed_stats = parallel.all_pairs(epsilon)
+        # The serial side runs its 1 830 pairs as one block; the other side
+        # cuts them into 19, mid-anchor, for the pool to finish in any order.
+        expected_pairs, expected_stats = serial.all_pairs(
+            epsilon, early_abandon=early_abandon)
+        monkeypatch.setattr(columnar, "PAIR_BLOCK", 97)
+        observed_pairs, observed_stats = parallel.all_pairs(
+            epsilon, early_abandon=early_abandon)
         assert [(a.values.tobytes(), b.values.tobytes(), d)
                 for a, b, d in observed_pairs] \
             == [(a.values.tobytes(), b.values.tobytes(), d)

@@ -28,6 +28,19 @@ class TestScanQueries:
         with pytest.raises(ValueError):
             loaded_scan.range_query(walk_collection[0], -1.0)
 
+    def test_join_epsilon_validation(self):
+        """The scan plan of a join rejects what the index plan rejects
+        (``KIndex.all_pairs``), with the same message and before any I/O."""
+        store = PageStore()
+        scan = SequentialScan(page_store=store, records_per_page=4)
+        scan.extend(random_walk_collection(8, 32, seed=9))
+        for early_abandon in (True, False):
+            with pytest.raises(ValueError, match="epsilon must be non-negative"):
+                scan.all_pairs(-1.0, early_abandon=early_abandon)
+        assert store.stats.reads == 0
+        with pytest.raises(ValueError, match="epsilon must be non-negative"):
+            SequentialScan().all_pairs(-1.0)
+
     def test_nearest_neighbors_k_validation(self, loaded_scan, walk_collection):
         with pytest.raises(ValueError):
             loaded_scan.nearest_neighbors(walk_collection[0], k=0)
