@@ -46,8 +46,9 @@ def main() -> None:
     prepared = session.prepare(Q.from_("walks").within(EPSILON).of(Q.param("q")))
     bindings = [{"q": series} for series in data[:NUM_QUERIES]]
 
+    summary = index.structure_summary()
     print(f"bulk-loaded {len(walks)} series; tree height "
-          f"{index.tree.height()}, {len(index.tree._nodes)} nodes")
+          f"{summary['height']:.0f}, {summary['node_count']:.0f} nodes")
     print(f"prepared: {prepared.text}\n")
 
     started = time.perf_counter()

@@ -41,12 +41,18 @@ The package is organised as:
     The time-series domain: DFT, normal forms, spectral transformations,
     generators and feature extraction.
 ``repro.index``
-    R-tree / R*-tree, the k-index, transformed-index search and the
-    sequential-scan baselines.
+    The packed R-tree and the dynamic R-/R*-trees that grow one, the
+    k-index, the metric (vantage-point) index, their partitioned forms,
+    transformed-index search and the sequential-scan baselines.
 ``repro.strings``
     A second domain instantiation (weighted edit transformations).
 ``repro.storage``
-    Simulated pages and buffer pool for I/O accounting.
+    The columnar record store and its kernels, row partitions, the scan's
+    page store and buffer pool, and — ``repro.storage.durable`` — the
+    persistent catalog: segments, write-ahead log, manifest, index pages.
+``repro.server``
+    The asyncio wire server over a ``Session`` and — ``repro.client`` — the
+    retrying client for it.
 ``repro.bench``
     The experiment harness reproducing the evaluation's figures and table.
 """
@@ -124,7 +130,7 @@ from .index.kindex import KIndex, NearestNeighborResult, RangeQueryResult
 from .index.metric import MetricIndex
 from .index.partitioned import PartitionedIndex, PartitionedMetricIndex
 from .index.rstar import RStarTree
-from .index.rtree import RTree
+from .index.rtree import PackedRTree, RTree
 from .index.scan import SequentialScan
 from .index.transformed import (
     materialize_transformed_tree,
@@ -205,7 +211,7 @@ __all__ = [
     "Rect", "mindist", "minmaxdist",
     "KIndex", "MetricIndex", "RangeQueryResult", "NearestNeighborResult",
     "PartitionedIndex", "PartitionedMetricIndex",
-    "RTree", "RStarTree", "SequentialScan",
+    "PackedRTree", "RTree", "RStarTree", "SequentialScan",
     "materialize_transformed_tree", "transformed_range_search",
     "transformed_nearest_neighbors", "transformed_join",
     "PageStore", "BufferPool", "ColumnarRecordStore",

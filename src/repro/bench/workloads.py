@@ -106,7 +106,6 @@ def _build(
     *,
     num_coefficients: int,
     representation: str,
-    tree_kind: str,
     num_queries: int,
     query_seed: int,
     bulk_load: bool = False,
@@ -116,7 +115,7 @@ def _build(
     )
     # The evaluation's figures were measured on a dynamically built tree.
     build = KIndex.bulk_load if bulk_load else KIndex.build_by_insertion
-    index = build(data, extractor, tree_kind=tree_kind)
+    index = build(data, extractor)
     scan = SequentialScan(extractor)
     scan.extend(data)
     return ExperimentFixture(
@@ -136,7 +135,6 @@ def synthetic_workload(
     seed: int = 11,
     num_coefficients: int = 2,
     representation: str = "polar",
-    tree_kind: str = "rstar",
     num_queries: int = 10,
     query_seed: int = 97,
     bulk_load: bool = False,
@@ -153,7 +151,6 @@ def synthetic_workload(
         data,
         num_coefficients=num_coefficients,
         representation=representation,
-        tree_kind=tree_kind,
         num_queries=num_queries,
         query_seed=query_seed,
         bulk_load=bulk_load,
@@ -165,7 +162,6 @@ def stock_workload(
     *,
     num_coefficients: int = 2,
     representation: str = "polar",
-    tree_kind: str = "rstar",
     num_queries: int = 10,
     query_seed: int = 101,
 ) -> ExperimentFixture:
@@ -177,7 +173,6 @@ def stock_workload(
         data,
         num_coefficients=num_coefficients,
         representation=representation,
-        tree_kind=tree_kind,
         num_queries=num_queries,
         query_seed=query_seed,
     )

@@ -4,7 +4,7 @@ from .geometry import Rect, mindist, mindist_batch, minmaxdist, rects_overlap
 from .kindex import KIndex, NearestNeighborResult, QueryStatistics, RangeQueryResult
 from .metric import MetricIndex
 from .rstar import RStarTree
-from .rtree import NodeAccessStats, RTree, RTreeEntry, RTreeNode
+from .rtree import NodeAccessStats, PackedRTree, RTree, RTreeEntry, RTreeNode
 from .scan import SequentialScan
 from .transformed import (
     materialize_transformed_tree,
@@ -16,7 +16,7 @@ from .transformed import (
 __all__ = [
     "Rect", "mindist", "minmaxdist", "mindist_batch", "rects_overlap",
     "KIndex", "MetricIndex", "RangeQueryResult", "NearestNeighborResult", "QueryStatistics",
-    "RStarTree", "RTree", "RTreeEntry", "RTreeNode", "NodeAccessStats",
+    "PackedRTree", "RStarTree", "RTree", "RTreeEntry", "RTreeNode", "NodeAccessStats",
     "SequentialScan",
     "materialize_transformed_tree", "transformed_range_search",
     "transformed_nearest_neighbors",

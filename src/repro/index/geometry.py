@@ -53,21 +53,6 @@ class Rect:
         return cls(arr, arr)
 
     @classmethod
-    def trusted(cls, low: Sequence[float] | np.ndarray,
-                high: Sequence[float] | np.ndarray) -> "Rect":
-        """Construct without the shape/order validation or defensive copy.
-
-        For coordinates this library produced itself (deserializing its own
-        index pages): the invariants held when the rect was written, and
-        the arrays are fresh, so revalidating every rect of a large tree is
-        pure overhead on the recovery path.
-        """
-        rect = object.__new__(cls)
-        rect.low = np.asarray(low, dtype=np.float64)
-        rect.high = np.asarray(high, dtype=np.float64)
-        return rect
-
-    @classmethod
     def union_of(cls, rects: Iterable["Rect"]) -> "Rect":
         """The minimum bounding rectangle of a non-empty collection."""
         rects = list(rects)

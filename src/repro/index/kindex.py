@@ -4,8 +4,8 @@ A ``k``-index stores, for every series, the point
 
 ``(mean, std, coefficients 1..k of the normal form)``
 
-in either the polar or the rectangular complex layout, inside an R-tree
-variant.  Queries are answered in three phases, exactly as in the companion
+in either the polar or the rectangular complex layout, inside a packed
+R-tree.  Queries are answered in three phases, exactly as in the companion
 evaluation:
 
 1. **Preprocessing** — the query series is reduced to the same features; when
@@ -13,7 +13,7 @@ evaluation:
    lowered (safely) to a per-coordinate map for the index's space; the
    epsilon-ball around the query point becomes a search rectangle.
 2. **Search** — the R-tree's packed levels are descended by the frontier
-   kernel (:meth:`~repro.index.rtree.RTree.window_search`), transforming each
+   kernel (:meth:`~repro.index.rtree.PackedRTree.window_search`), transforming each
    level's bounding rectangles on the fly (Algorithm 2), yielding
    *candidates*.  Keeping only
    ``k`` coefficients can produce false hits but — by Parseval — never false
@@ -54,13 +54,12 @@ from ..storage.columnar import (
     gathered_pair_distances,
     transform_full_record,
 )
-from ..storage.pages import PageStore
 from ..timeseries.features import SeriesFeatureExtractor, SeriesFeatures
 from ..timeseries.series import TimeSeries
 from ..timeseries.transforms import SpectralTransformation
 from .geometry import mindist_batch, rects_overlap
 from .rstar import RStarTree
-from .rtree import RTree, _grown
+from .rtree import PackedRTree
 
 __all__ = ["QueryStatistics", "RangeQueryResult", "NearestNeighborResult", "KIndex"]
 
@@ -83,13 +82,6 @@ BOUND_SLACK = 1e-9
 SEAL_MIN_ROWS = 256
 SEAL_SHARE = 16
 
-#: ``tree_kind`` → (tree class, its split policy).
-_TREE_KINDS: dict[str, tuple[type[RTree], dict[str, str]]] = {
-    "rstar": (RStarTree, {}),
-    "rtree-quadratic": (RTree, {"split": "quadratic"}),
-    "rtree-linear": (RTree, {"split": "linear"}),
-}
-
 
 @dataclass
 class QueryStatistics:
@@ -101,10 +93,11 @@ class QueryStatistics:
     gets for free with the pages it already read.  ``io_total`` combines the
     two into the evaluation's "disk access" currency, which is what the
     cost-based planner estimates and the crossover benchmark compares.  The
-    ``internal/leaf`` split and the buffer counters are snapshots of
-    :class:`~repro.index.rtree.NodeAccessStats` and
-    :class:`~repro.storage.buffer.BufferStatistics` taken per query (per
-    *batch* for grouped traversals, whose shared totals expose the saving).
+    ``internal/leaf`` split is a snapshot of
+    :class:`~repro.index.rtree.NodeAccessStats` taken per query (per *batch*
+    for grouped traversals, whose shared totals expose the saving); the buffer
+    counters are a scan's, read through its
+    :class:`~repro.storage.buffer.BufferPool`.
 
     Batched execution keeps every counter **exact**: kernels verify gathered
     candidate blocks, and the counters are derived from the block shapes —
@@ -175,24 +168,15 @@ class KIndex:
         whether mean/std are stored).  Defaults to the evaluation's setup:
         two coefficients in polar layout plus mean and standard deviation
         (a six-dimensional index).
-    tree_kind:
-        ``"rstar"`` (default), ``"rtree-quadratic"`` or ``"rtree-linear"``.
     max_entries:
-        Node capacity of the underlying tree.
-    page_store:
-        Optional simulated page store for I/O accounting.
+        Node capacity of every tree the index packs.
     """
 
     def __init__(self, extractor: SeriesFeatureExtractor | None = None, *,
-                 tree_kind: str = "rstar", max_entries: int = 8,
-                 page_store: PageStore | None = None) -> None:
-        if tree_kind not in _TREE_KINDS:
-            raise IndexError_(f"unknown tree kind {tree_kind!r}")
+                 max_entries: int = 8) -> None:
         self.extractor = extractor if extractor is not None else SeriesFeatureExtractor()
         self.space = self.extractor.space
-        #: What every tree of this index is built with (a seal builds a new one).
-        self._tree_options = (tree_kind, int(max_entries), page_store)
-        self.tree = self._build_tree(*self._tree_options)
+        self.max_entries = int(max_entries)
         #: Columnar full records, one row per record id (dense, insertion
         #: order).  Shared with the executor's scan fallback and the
         #: statistics sampler through ``Database.columnar_store``.
@@ -200,12 +184,14 @@ class KIndex:
         #: The indexable points, row = record id; grown by doubling, rows
         #: ``[0, len(store))`` are valid and rows ``>= len(tree)`` are the tail.
         self._points = np.empty((0, self.space.dimension))
+        #: The packed rows: a :class:`PackedRTree` (a forest of them in a
+        #: :class:`PartitionedIndex`), never changed — a seal publishes a new one.
+        self.tree = self._packed_tree(0, 0)
 
-    def _build_tree(self, tree_kind: str, max_entries: int,
-                    page_store: PageStore | None) -> RTree:
-        tree_class, split = _TREE_KINDS[tree_kind]
-        return tree_class(self.space.dimension, max_entries=max_entries,
-                          page_store=page_store, **split)
+    def _packed_tree(self, start: int, stop: int) -> PackedRTree:
+        """Rows ``[start, stop)`` of the point array, STR-packed."""
+        return PackedRTree.bulk_load(self._points[start:stop], np.arange(start, stop),
+                                     max_entries=self.max_entries)
 
     # ------------------------------------------------------------------
     # loading
@@ -256,10 +242,7 @@ class KIndex:
         """Re-pack the whole index when the tail has outgrown its bound."""
         count, packed = len(self.store), len(self.tree)
         if count - packed > (max(SEAL_MIN_ROWS, packed // SEAL_SHARE) if packed else 0):
-            fresh = self._build_tree(*self._tree_options)
-            fresh.bulk_load_points(self._points[:count], range(count))
-            stale, self.tree = self.tree, fresh
-            stale.release_pages()
+            self.tree = self._packed_tree(0, count)
 
     @classmethod
     def bulk_load(cls, collection: Iterable[TimeSeries],
@@ -284,20 +267,21 @@ class KIndex:
         """Build an index whose tree is grown from empty by one
         :meth:`RTree.insert <repro.index.rtree.RTree.insert>` per series, in
         order — the paper's *dynamic* R*-tree (choose-subtree, split, forced
-        reinsertion), or Guttman's with ``tree_kind="rtree-…"``.
+        reinsertion) — and then handed over as its packed form.
 
         This is the only way to a dynamically built tree, and it exists for
         what compares against one: the evaluation's figures (whose node-access
-        numbers were measured on such a tree), the tree-variant ablation and
-        the insert-built side of differential tests.  Rows appended later
-        join the tail like any others, and the first seal re-packs the index
-        by STR.
+        numbers were measured on such a tree) and the insert-built side of
+        differential tests.  Rows appended later join the tail like any
+        others, and the first seal re-packs the index by STR.
         """
         index = cls(extractor, **options)
-        if not isinstance(index.tree, RTree):
+        if not isinstance(index.tree, PackedRTree):
             raise IndexError_(f"{cls.__name__} has no single tree to insert into")
+        grower = RStarTree(index.space.dimension, max_entries=index.max_entries)
         for record_id, point in enumerate(index._append(collection)):
-            index.tree.insert(point, record_id)
+            grower.insert(point, record_id)
+        index.tree = grower.packed()
         return index
 
     @property
@@ -336,25 +320,22 @@ class KIndex:
     def _pages(self, rows: int) -> int:
         """Leaf pages ``rows`` unindexed points fill: what filtering them is
         charged, so ``node_accesses`` stays the paper's page currency."""
-        return -(-rows // self._tree_options[1])
+        return -(-rows // self.max_entries)
 
-    def _tail(self, tree: RTree) -> tuple[int, np.ndarray | tuple[()]]:
+    def _tail(self, tree: PackedRTree) -> tuple[int, np.ndarray | tuple[()]]:
         """``(first record id, points)`` of the rows beyond ``tree`` — the
         caller's one snapshot of ``self.tree``, so the split cannot tear; an
         empty tail costs no numpy call."""
         first, count = len(tree), len(self.store)  # read before the points array
         return first, self._points[first:count] if count > first else ()
 
-    def _work_counters(self, statistics: QueryStatistics, tree: RTree,
+    def _work_counters(self, statistics: QueryStatistics, tree: PackedRTree,
                        tail_pages: int) -> None:
         """Copy a probe's node accesses — the tree's counters plus the tail's
-        pages, which are leaf pages — and buffer counters into the statistics."""
+        pages, which are leaf pages — into the statistics."""
         statistics.internal_node_accesses = tree.access_stats.internal
         statistics.leaf_node_accesses = tree.access_stats.leaf + tail_pages
         statistics.node_accesses = tree.access_stats.total + tail_pages
-        if tree.buffer is not None:
-            statistics.buffer_hits = tree.buffer.stats.hits
-            statistics.buffer_misses = tree.buffer.stats.misses
 
     # ------------------------------------------------------------------
     # transformation plumbing
@@ -438,7 +419,7 @@ class KIndex:
 
         All query windows are probed together, with or without a
         ``transformation``: every tree node on the way is visited once for
-        the whole batch (see :meth:`RTree.window_search`), and exact-distance
+        the whole batch (see :meth:`PackedRTree.window_search`), and exact-distance
         postprocessing gathers **all candidates of all queries** into a
         single kernel call over the columnar store.  Answers are identical
         to calling :meth:`range_query` once per query.
@@ -676,5 +657,11 @@ class KIndex:
     def __repr__(self) -> str:
         return (f"KIndex(size={len(self)}, tail_rows={self.tail_rows}, "
                 f"k={self.extractor.num_coefficients}, "
-                f"representation={self.extractor.representation!r}, "
-                f"tree={type(self.tree).__name__})")
+                f"representation={self.extractor.representation!r})")
+
+
+def _grown(array: np.ndarray, rows: int) -> np.ndarray:
+    """``array`` extended with zero rows to ``rows`` rows."""
+    grown = np.zeros((rows,) + array.shape[1:], dtype=array.dtype)
+    grown[:len(array)] = array
+    return grown

@@ -6,8 +6,9 @@ loaded structure, behind a facade that looks exactly like the monolithic
 index to everything above it.
 
 * :class:`PartitionedIndex` is a drop-in :class:`~repro.index.kindex.KIndex`
-  whose "tree" is a :class:`_PartitionForest` — one STR-bulk-loaded R-tree
-  per ``partition_rows`` block of record ids.  The **whole** KIndex query
+  whose "tree" is a :class:`_PartitionForest` — one STR-packed
+  :class:`~repro.index.rtree.PackedRTree` per ``partition_rows`` block of
+  record ids.  The **whole** KIndex query
   surface (three-phase range search, nearest neighbours, batched
   traversals, gathered verification, counters, the unindexed tail) is
   inherited; window searches fan out across sub-trees inside the forest,
@@ -46,46 +47,30 @@ import numpy as np
 
 from ..core.parallel import parallel_map, resolve_workers
 from ..core.transformations import RealLinearTransformation
-from ..storage.buffer import BufferStatistics
-from ..storage.pages import PageStore
 from ..storage.partition import DEFAULT_PARTITION_ROWS
 from ..timeseries.features import SeriesFeatureExtractor
 from .kindex import KIndex, NearestNeighborResult, RangeQueryResult
 from .metric import MetricIndex
-from .rtree import NodeAccessStats, RTree, nearest_search
+from .rtree import NodeAccessStats, PackedRTree, nearest_search
 
 __all__ = ["PartitionedIndex", "PartitionedMetricIndex"]
 
 
-class _AggregateBuffer:
-    """A read-only view summing the sub-trees' buffer-pool statistics."""
-
-    def __init__(self, buffers: Sequence[Any]) -> None:
-        self._buffers = list(buffers)
-
-    @property
-    def stats(self) -> BufferStatistics:
-        return BufferStatistics(
-            hits=sum(buffer.stats.hits for buffer in self._buffers),
-            misses=sum(buffer.stats.misses for buffer in self._buffers),
-            evictions=sum(buffer.stats.evictions for buffer in self._buffers))
-
-
 class _PartitionForest:
-    """A tuple of per-partition R-trees wearing the single-tree interface.
+    """A tuple of per-partition packed R-trees wearing the single-tree
+    interface.
 
     Sub-trees hold consecutive blocks of record ids, in order.  The pieces of
-    the :class:`~repro.index.rtree.RTree` surface the
+    the :class:`~repro.index.rtree.PackedRTree` surface the
     :class:`~repro.index.kindex.KIndex` relies on — ``window_search``,
-    ``nearest_search``, ``reset_stats``, ``access_stats``, ``buffer``,
-    ``structure_summary``, ``len`` — aggregate over the sub-trees; traversal
-    entry points that need a single root (``root_id`` / ``visit``)
-    intentionally do not exist.  A forest never changes: sealing a block
+    ``nearest_search``, ``reset_stats``, ``access_stats``,
+    ``structure_summary``, ``len`` — aggregate over the sub-trees.  A forest
+    never changes: sealing a block
     makes a new forest of the old sub-trees plus the new one, so a probe
     that read ``index.tree`` once sees one consistent set of packed rows.
     """
 
-    def __init__(self, trees: Sequence[RTree], workers: int) -> None:
+    def __init__(self, trees: Sequence[PackedRTree], workers: int) -> None:
         self.trees = tuple(trees)
         self.workers = workers
         self._size = sum(len(tree) for tree in self.trees)
@@ -93,7 +78,7 @@ class _PartitionForest:
     def window_search(self, window_lows: np.ndarray, window_highs: np.ndarray,
                       transformation: RealLinearTransformation | None = None,
                       periodic_dims: np.ndarray | None = None) -> list[np.ndarray]:
-        """:meth:`RTree.window_search` fanned across sub-trees, merged per
+        """:meth:`PackedRTree.window_search` fanned across sub-trees, merged per
         window in partition order (deterministic at any worker count)."""
         per_tree = parallel_map(
             lambda tree: tree.window_search(window_lows, window_highs,
@@ -124,11 +109,6 @@ class _PartitionForest:
             internal=sum(tree.access_stats.internal for tree in self.trees),
             leaf=sum(tree.access_stats.leaf for tree in self.trees))
 
-    @property
-    def buffer(self) -> _AggregateBuffer | None:
-        buffers = [tree.buffer for tree in self.trees if tree.buffer is not None]
-        return _AggregateBuffer(buffers) if buffers else None
-
     def __len__(self) -> int:
         return self._size
 
@@ -142,7 +122,7 @@ class _PartitionForest:
         """
         summaries = [tree.structure_summary() for tree in self.trees]
         if not summaries:
-            return RTree(1).structure_summary()
+            return PackedRTree.bulk_load(np.zeros((0, 1)), ()).structure_summary()
 
         def total(key: str) -> float:
             return sum(summary[key] for summary in summaries)
@@ -192,36 +172,24 @@ class PartitionedIndex(KIndex):
     """
 
     def __init__(self, extractor: SeriesFeatureExtractor | None = None, *,
-                 tree_kind: str = "rstar", max_entries: int = 8,
-                 page_store: PageStore | None = None,
+                 max_entries: int = 8,
                  partition_rows: int = DEFAULT_PARTITION_ROWS,
                  workers: int | None = None) -> None:
-        # _build_tree runs inside super().__init__ and needs these.
+        super().__init__(extractor, max_entries=max_entries)
         self.partition_rows = max(1, int(partition_rows))
         self.workers = resolve_workers(workers)
-        super().__init__(extractor, tree_kind=tree_kind,
-                         max_entries=max_entries, page_store=page_store)
-
-    def _build_tree(self, tree_kind: str, max_entries: int,
-                    page_store: PageStore | None) -> "_PartitionForest":
-        return _PartitionForest((), self.workers)
+        self.tree = _PartitionForest((), self.workers)
 
     def _seal(self) -> None:
         """STR-pack every completed block beyond the forest into its own
         sub-tree (in parallel) and publish the grown forest."""
         forest, rows = self.tree, self.partition_rows
         starts = range(len(forest), len(self.store) - rows + 1, rows)
-
-        def packed(start: int) -> RTree:
-            tree = KIndex._build_tree(self, *self._tree_options)
-            tree.bulk_load_points(self._points[start:start + rows],
-                                  range(start, start + rows))
-            return tree
-
         if starts:
             self.tree = _PartitionForest(
                 forest.trees + tuple(parallel_map(
-                    packed, [(start,) for start in starts], workers=self.workers)),
+                    self._packed_tree, [(start, start + rows) for start in starts],
+                    workers=self.workers)),
                 self.workers)
 
     def __repr__(self) -> str:

@@ -2,8 +2,9 @@
 
 The companion evaluation was implemented on top of Beckmann's R*-tree; this
 module provides the variant as a subclass of the plain
-:class:`~repro.index.rtree.RTree` so the two share search code and access
-accounting.  The R*-tree improvements implemented here are:
+:class:`~repro.index.rtree.RTree` so the two share the node graph and the
+hand-over to the packed form every probe runs on.  The R*-tree improvements
+implemented here are:
 
 * **choose-subtree** — at the level just above the leaves the child with the
   least *overlap enlargement* is chosen (ties broken by area enlargement then
@@ -22,7 +23,6 @@ import math
 
 import numpy as np
 
-from ..core.errors import IndexError_
 from .geometry import Rect
 from .rtree import RTree, RTreeEntry, RTreeNode
 
@@ -36,11 +36,9 @@ class RStarTree(RTree):
     REINSERT_FRACTION = 0.3
 
     def __init__(self, dimension: int, max_entries: int = 8,
-                 min_entries: int | None = None, page_store=None,
-                 buffer_capacity: int = 64) -> None:
+                 min_entries: int | None = None) -> None:
         super().__init__(dimension, max_entries=max_entries, min_entries=min_entries,
-                         split="quadratic", page_store=page_store,
-                         buffer_capacity=buffer_capacity)
+                         split="quadratic")
         self._reinserting = False
         self._overflow_handled_levels: set[int] = set()
 
@@ -50,25 +48,6 @@ class RStarTree(RTree):
     def insert(self, rect_or_point, record) -> None:  # noqa: D102 - inherits docstring
         self._overflow_handled_levels = set()
         super().insert(rect_or_point, record)
-
-    @classmethod
-    def bulk_load(cls, points: np.ndarray, records, *, max_entries: int = 8,
-                  min_entries: int | None = None,
-                  page_store=None) -> "RStarTree":
-        """Sort-Tile-Recursive bulk load (see :meth:`RTree.bulk_load`).
-
-        The R*-tree insertion heuristics play no role in a bottom-up build;
-        the resulting tree only differs from a bulk-loaded plain R-tree in
-        how later dynamic inserts behave.
-        """
-        points = np.asarray(points, dtype=np.float64)
-        if points.ndim != 2:
-            raise IndexError_("bulk_load expects a 2-d array of points")
-        tree = cls(dimension=points.shape[1] or 1,
-                   max_entries=max_entries, min_entries=min_entries,
-                   page_store=page_store)
-        tree.bulk_load_points(points, records)
-        return tree
 
     def _choose_leaf(self, node: RTreeNode, entry: RTreeEntry) -> RTreeNode:
         while not node.is_leaf:
@@ -117,7 +96,6 @@ class RStarTree(RTree):
         count = max(1, int(self.REINSERT_FRACTION * len(node.entries)))
         to_reinsert = ranked[:count]
         node.entries = [entry for entry in node.entries if entry not in to_reinsert]
-        self._mark_dirty(node)
         self._adjust_upward(node)
         self._reinserting = True
         try:
@@ -125,7 +103,6 @@ class RStarTree(RTree):
                 if node.is_leaf:
                     leaf = self._choose_leaf(self.root, entry)
                     leaf.entries.append(entry)
-                    self._mark_dirty(leaf)
                     if len(leaf.entries) > self.max_entries:
                         self._split(leaf)
                     else:
@@ -137,7 +114,6 @@ class RStarTree(RTree):
                     entry_child = self.node(entry.child_id)
                     entry_child.parent_id = target.node_id
                     target.entries.append(entry)
-                    self._mark_dirty(target)
                     if len(target.entries) > self.max_entries:
                         self._split(target)
                     else:

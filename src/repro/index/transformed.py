@@ -7,12 +7,13 @@ can be done lazily while searching, so one physical index serves every safe
 transformation with no extra storage:
 
 * :func:`materialize_transformed_tree` builds the transformed index
-  explicitly (Algorithm 1) — mainly useful for testing and for callers that
-  will reuse the transformed index many times;
+  explicitly (Algorithm 1; :meth:`~repro.index.rtree.PackedRTree.transformed`)
+  — mainly useful for testing and for callers that will reuse the
+  transformed index many times;
 * :func:`transformed_range_search` descends the original index level by
   level, transforming each level's rectangles on the fly and keeping those
   that intersect the query window (Algorithm 2; a thin call into the tree's
-  frontier kernel, :meth:`~repro.index.rtree.RTree.window_search`);
+  frontier kernel, :meth:`~repro.index.rtree.PackedRTree.window_search`);
 * :func:`transformed_nearest_neighbors` is the analogous nearest-neighbour
   search (MINDIST pruning on the image rectangles; a thin call into the
   blocked best-first kernel, :func:`~repro.index.rtree.nearest_search`);
@@ -20,6 +21,8 @@ transformation with no extra storage:
   itself) whose transformed rectangles intersect — the spatial-join building
   block behind the all-pairs experiments.
 
+Every function takes a :class:`~repro.index.rtree.PackedRTree` or a grower
+(:class:`~repro.index.rtree.RTree`), which is probed through its packed form.
 Callers working in spaces with wrap-around dimensions (the polar
 representation's phase angles) pass the range search and the join a
 ``periodic_dims`` mask so those dimensions are intersected modulo ``2*pi``.
@@ -34,7 +37,7 @@ import numpy as np
 
 from ..core.transformations import RealLinearTransformation
 from .geometry import Rect, mindist_batch, rects_overlap
-from .rtree import RTree
+from .rtree import PackedRTree, RTree
 
 __all__ = [
     "materialize_transformed_tree",
@@ -44,33 +47,23 @@ __all__ = [
 ]
 
 
-def materialize_transformed_tree(tree: RTree,
-                                 transformation: RealLinearTransformation) -> RTree:
-    """Algorithm 1: build a new R-tree whose rectangles are ``T`` applied to
-    the original's, preserving the tree structure node for node.
+def _packed(tree: PackedRTree | RTree) -> PackedRTree:
+    return tree.packed() if isinstance(tree, RTree) else tree
+
+
+def materialize_transformed_tree(tree: PackedRTree | RTree,
+                                 transformation: RealLinearTransformation) -> PackedRTree:
+    """Algorithm 1: a new tree whose rectangles are ``T`` applied to the
+    original's, preserving the tree structure node for node.
 
     The returned tree has the same fan-out and the same parent/child shape as
-    the input (it is *not* re-inserted), so search performance over it is the
+    the input (it is *not* re-built), so search performance over it is the
     same as searching the original under the on-the-fly transformation.
     """
-    clone = RTree(dimension=tree.dimension, max_entries=tree.max_entries,
-                  min_entries=tree.min_entries, split=tree.split_policy)
-    # Rebuild nodes with the same ids/topology, transforming every rectangle.
-    clone._nodes.clear()  # noqa: SLF001 - intentional structural clone
-    clone._size = len(tree)  # noqa: SLF001
-    for node_id, node in tree._nodes.items():  # noqa: SLF001
-        new_entries = []
-        for entry in node.entries:
-            new_rect = Rect(*transformation.apply_bounds(entry.rect.low, entry.rect.high))
-            new_entries.append(type(entry)(rect=new_rect, child_id=entry.child_id,
-                                           record=entry.record))
-        clone._nodes[node_id] = type(node)(node_id=node_id, is_leaf=node.is_leaf,  # noqa: SLF001
-                                           entries=new_entries, parent_id=node.parent_id)
-    clone.root_id = tree.root_id
-    return clone
+    return _packed(tree).transformed(transformation)
 
 
-def transformed_range_search(tree: RTree, window: Rect,
+def transformed_range_search(tree: PackedRTree | RTree, window: Rect,
                              transformation: RealLinearTransformation | None = None,
                              periodic_dims: np.ndarray | None = None) -> list[Any]:
     """Algorithm 2: records whose transformed rectangle intersects ``window``.
@@ -83,7 +76,8 @@ def transformed_range_search(tree: RTree, window: Rect,
                               transformation, periodic_dims)[0].tolist()
 
 
-def transformed_nearest_neighbors(tree: RTree, point: np.ndarray, k: int = 1,
+def transformed_nearest_neighbors(tree: PackedRTree | RTree, point: np.ndarray,
+                                  k: int = 1,
                                   transformation: RealLinearTransformation | None = None
                                   ) -> list[tuple[float, Any]]:
     """The ``k`` nearest records of the transformed data set.
@@ -99,7 +93,7 @@ def transformed_nearest_neighbors(tree: RTree, point: np.ndarray, k: int = 1,
     return list(zip(distances[:k].tolist(), records[:k].tolist()))
 
 
-def transformed_join(left: RTree, right: RTree, *,
+def transformed_join(left: PackedRTree | RTree, right: PackedRTree | RTree, *,
                      left_transformation: RealLinearTransformation | None = None,
                      right_transformation: RealLinearTransformation | None = None,
                      expand: float = 0.0,
@@ -110,43 +104,51 @@ def transformed_join(left: RTree, right: RTree, *,
 
     The join descends both trees simultaneously, pruning subtree pairs whose
     transformed bounding rectangles (grown by ``expand``) do not intersect;
-    each node pair's entries are tested against each other in one call.
+    each node pair's entries are tested against each other in one call, and a
+    leaf facing an internal node waits while the other side descends.
     When ``left is right`` the join is a self-join and each unordered pair is
     still reported twice (once in each order), matching the accounting of the
     original experiment's method (d).
     """
     grow = max(expand, 0.0)
+    left, right = _packed(left), _packed(right)
 
-    def corners(tree: RTree, node, transformation) -> tuple[np.ndarray, np.ndarray]:
-        lows, highs = tree._entry_arrays(node)  # noqa: SLF001
+    def open_node(tree: PackedRTree, depth: int, slot: int, transformation
+                  ) -> tuple[bool, list[Any], np.ndarray, np.ndarray]:
+        level = tree.levels[depth]
+        tree._charge(level, slot)  # noqa: SLF001
+        rows = slice(level.starts[slot], level.starts[slot] + level.counts[slot])
+        lows, highs = level.lows[rows], level.highs[rows]
         if transformation is not None:
             lows, highs = transformation.apply_bounds(lows, highs)
-        return lows - grow, highs + grow
+        return level.is_leaf, level.payloads[rows].tolist(), lows - grow, highs + grow
 
     results: list[tuple[Any, Any]] = []
-    stack = [(left.root_id, right.root_id)]
-    visited_pairs: set[tuple[int, int]] = set()
+    stack = [(0, 0, 0, 0)]  # (left depth, left slot, right depth, right slot)
+    # A waiting leaf is paired with a child of the other side once per entry
+    # of its own that overlaps the child's rectangle: open each pair once.
+    opened: set[tuple[int, int, int, int]] = set()
     while stack:
-        left_id, right_id = stack.pop()
-        if (left_id, right_id) in visited_pairs:
+        pair = left_depth, left_slot, right_depth, right_slot = stack.pop()
+        if pair in opened:
             continue
-        visited_pairs.add((left_id, right_id))
-        left_node = left.visit(left_id)
-        right_node = right.visit(right_id)
-        left_lows, left_highs = corners(left, left_node, left_transformation)
-        right_lows, right_highs = corners(right, right_node, right_transformation)
+        opened.add(pair)
+        left_leaf, left_payloads, left_lows, left_highs = open_node(
+            left, left_depth, left_slot, left_transformation)
+        right_leaf, right_payloads, right_lows, right_highs = open_node(
+            right, right_depth, right_slot, right_transformation)
         hits = rects_overlap(left_lows[:, None, :], left_highs[:, None, :],
                              right_lows[None, :, :], right_highs[None, :, :],
                              periodic_dims)
         for left_index, right_index in np.argwhere(hits).tolist():
-            left_entry = left_node.entries[left_index]
-            right_entry = right_node.entries[right_index]
-            if left_node.is_leaf and right_node.is_leaf:
-                results.append((left_entry.record, right_entry.record))
-            elif left_node.is_leaf:
-                stack.append((left_id, right_entry.child_id))
-            elif right_node.is_leaf:
-                stack.append((left_entry.child_id, right_id))
+            left_payload = left_payloads[left_index]
+            right_payload = right_payloads[right_index]
+            if left_leaf and right_leaf:
+                results.append((left_payload, right_payload))
+            elif left_leaf:
+                stack.append((left_depth, left_slot, right_depth + 1, right_payload))
+            elif right_leaf:
+                stack.append((left_depth + 1, left_payload, right_depth, right_slot))
             else:
-                stack.append((left_entry.child_id, right_entry.child_id))
+                stack.append((left_depth + 1, left_payload, right_depth + 1, right_payload))
     return results

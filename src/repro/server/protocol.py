@@ -211,10 +211,15 @@ def decode_param(payload: Any, *, fresh_id: bool = False) -> Any:
     (they are transient and never stored).
     """
     if isinstance(payload, dict) and "_obj" in payload:
-        record = dict(payload["_obj"])
-        if fresh_id:
-            record["id"] = None
-        return decode_object(record)
+        try:
+            record = dict(payload["_obj"])
+            if fresh_id:
+                record["id"] = None
+            return decode_object(record)
+        except (KeyError, TypeError, ValueError) as error:
+            # A record no object can be built from — a field missing, a
+            # series holding nan — is the sender's fault, not the server's.
+            raise ProtocolError(f"malformed object payload: {error!r}") from error
     return payload
 
 

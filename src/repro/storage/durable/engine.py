@@ -368,13 +368,23 @@ class DurableDatabase(Database):
             self.register_distance(name, factory())
         for index_name, file_name in entry["indexes"].items():
             path = os.path.join(self.path, "indexes", name, file_name)
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
             distance = (self._distance_providers[name].distance
                         if name in self._distance_providers else None)
-            index = deserialize_index(payload, store=store,
-                                      objects=relation.objects(),
-                                      distance=distance)
+            # The page is outside input: whatever is wrong with it — cut
+            # short, not JSON, a field missing or of the wrong type, a
+            # structure the decoder's checks refuse — is one typed error
+            # naming the file, raised before the index is registered.
+            try:
+                with open(path, "r", encoding="utf-8") as handle:
+                    payload = json.load(handle)
+                index = deserialize_index(payload, store=store,
+                                          objects=relation.objects(),
+                                          distance=distance)
+            except (OSError, ValueError, LookupError, TypeError, AttributeError,
+                    StorageError) as error:
+                raise StorageError(
+                    f"index page {path!r} is unreadable or inconsistent: "
+                    f"{error}") from error
             self.register_index(name, index, index_name)
             self.deserialized_indexes += 1
 

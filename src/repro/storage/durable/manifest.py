@@ -21,10 +21,14 @@ __all__ = ["MANIFEST_NAME", "FORMAT_VERSION", "write_manifest", "load_manifest"]
 
 MANIFEST_NAME = "MANIFEST.json"
 
-#: Bumped on any incompatible layout change; recovery refuses the future.
+#: Bumped on any incompatible layout change; recovery refuses every other
+#: version, older ones included — there is one decoder.
 #: 2: a k-index document holds its construction spec, its points and a list
 #: of the trees it has (the rows beyond them are its unindexed tail).
-FORMAT_VERSION = 2
+#: 3: a tree is its packed per-level arrays (counts, corners, payloads; the
+#: leaf level counts and record ids only), not a node/entry graph; index
+#: documents carry the version themselves; specs name no tree variant.
+FORMAT_VERSION = 3
 
 
 def _fsync_directory(directory: str) -> None:

@@ -2,14 +2,21 @@
 
 A checkpoint writes each registered index as a JSON document holding its
 *construction configuration* plus its *built structure* — for the R-tree
-family the feature points of every row and the full node/entry graph of the
-tree(s) the index has (the pages an STR bulk load would have packed; the
-rows beyond them are the index's unindexed tail and come back as such), for
-the vantage-point family the pivot tree with objects referenced by position.
-Recovery deserializes the document instead of re-running ``bulk_load`` /
-``_build``: an ``O(pages)`` decode in place of tree construction and, for
+family the feature points of every row and the level arrays of the packed
+tree(s) the index has (per level the nodes' entry counts, corners and
+payloads; a leaf level holds counts and record ids only, its corners being
+those rows of the points; the rows beyond the trees are the index's
+unindexed tail and come back as such), for the vantage-point family the
+pivot tree with objects referenced by position.  Recovery deserializes the
+document instead of re-running ``bulk_load`` / ``_build``: the lists become
+the arrays every probe runs on, with no tree construction and, for
 k-indexes, zero FFTs (the feature points are part of the document and the
 record store is rebuilt from the segments' saved spectra).
+
+An index page is outside input: :func:`deserialize_index` checks a k-index
+document once, in whole-array tests, before anything is built from it, and
+every inconsistency is a :class:`~repro.core.errors.StorageError` at open —
+never an out-of-bounds gather or a wrong answer at a later probe.
 
 Object identity is preserved by construction: deserialized k-indexes are
 handed the relation's recovered :class:`~repro.storage.columnar
@@ -20,22 +27,19 @@ reference the relation's objects by insertion position.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from ...core.errors import StorageError
-from ...index.geometry import Rect
 from ...index.kindex import KIndex
 from ...index.metric import MetricIndex, _Inner, _Leaf
 from ...index.partitioned import (PartitionedIndex, PartitionedMetricIndex,
                                   _PartitionForest)
-from ...index.rstar import RStarTree
-from ...index.rtree import RTree, RTreeEntry, RTreeNode
+from ...index.rtree import PackedRTree, _PackedLevel
 from ...storage.columnar import ColumnarRecordStore
-from ...storage.pages import PageStore
 from ...timeseries.features import SeriesFeatureExtractor
+from .manifest import FORMAT_VERSION
 
 __all__ = ["serialize_index", "deserialize_index", "index_spec",
            "build_index_from_spec"]
@@ -56,65 +60,68 @@ def _restore_extractor(config: dict[str, Any]) -> SeriesFeatureExtractor:
                                   include_stats=config["include_stats"])
 
 
-def _tree_kind_of(tree: RTree) -> str:
-    """The ``KIndex`` ``tree_kind`` string a tree was built with."""
-    if isinstance(tree, RStarTree):
-        return "rstar"
-    return f"rtree-{tree.split_policy}"
-
-
 # ----------------------------------------------------------------------
 # R-tree family
 # ----------------------------------------------------------------------
-def _serialize_rtree(tree: RTree) -> dict[str, Any]:
-    nodes = []
-    for node in tree._nodes.values():
-        nodes.append({
-            "id": node.node_id, "leaf": node.is_leaf, "parent": node.parent_id,
-            "entries": [[entry.rect.low.tolist(), entry.rect.high.tolist(),
-                         entry.child_id, entry.record]
-                        for entry in node.entries]})
-    return {"kind": _tree_kind_of(tree), "dimension": tree.dimension,
-            "max_entries": tree.max_entries, "min_entries": tree.min_entries,
-            "root_id": tree.root_id, "size": tree._size, "nodes": nodes}
+def _serialize_tree(tree: PackedRTree) -> dict[str, Any]:
+    *internal, leaves = tree.levels
+    return {"size": len(tree),
+            "levels": [{"counts": level.counts.tolist(), "lows": level.lows.tolist(),
+                        "highs": level.highs.tolist(),
+                        "payloads": level.payloads.tolist()} for level in internal]
+            + [{"counts": leaves.counts.tolist(), "payloads": leaves.payloads.tolist()}]}
 
 
-def _deserialize_rtree(payload: dict[str, Any],
-                       page_store: PageStore | None) -> RTree:
-    """Rebuild a tree; a paged one re-allocates its node pages in
-    ``page_store``, one per node, same as a live build."""
-    kind = payload["kind"]
-    if kind == "rstar":
-        tree: RTree = RStarTree(payload["dimension"],
-                                max_entries=payload["max_entries"],
-                                min_entries=payload["min_entries"],
-                                page_store=page_store)
-    elif kind in ("rtree-quadratic", "rtree-linear"):
-        tree = RTree(payload["dimension"], max_entries=payload["max_entries"],
-                     min_entries=payload["min_entries"],
-                     split=kind.removeprefix("rtree-"), page_store=page_store)
-    else:
-        raise StorageError(f"unknown serialized tree kind {kind!r}")
-    # Drop the constructor's placeholder root, then rebuild the node graph.
-    tree.release_pages()
-    tree._nodes.clear()
-    tree._entry_arrays_cache.clear()
-    max_id = -1
-    for record in payload["nodes"]:
-        node = RTreeNode(
-            node_id=record["id"], is_leaf=record["leaf"],
-            parent_id=record["parent"],
-            entries=[RTreeEntry(Rect.trusted(low, high), child_id=child_id,
-                                record=stored)
-                     for low, high, child_id, stored in record["entries"]])
-        tree._nodes[node.node_id] = node
-        if page_store is not None:
-            tree._node_pages[node.node_id] = page_store.allocate(node)
-        max_id = max(max_id, node.node_id)
-    tree._node_counter = itertools.count(max_id + 1)
-    tree.root_id = payload["root_id"]
-    tree._size = payload["size"]
-    return tree
+def _array(document: dict[str, Any], key: str, dtype: type,
+           columns: int | None = None) -> np.ndarray:
+    """``document[key]`` as a flat ``dtype`` array — given ``columns``, an
+    ``(n, columns)`` one.  A list that is missing, ragged, of another shape
+    or not of such numbers (numpy would cut 1.5 down to an integer in
+    silence; a ``NaN`` is not a coordinate) is refused."""
+    try:
+        listed = np.array(document[key])
+        array = listed.astype(dtype).reshape((-1,) if columns is None else (-1, columns))
+    except (KeyError, TypeError, ValueError) as error:
+        raise StorageError(f"{key!r} is not an array of numbers: {error!r}") from None
+    if listed.size and not (listed.ndim == array.ndim and np.array_equal(listed, array)):
+        raise StorageError(f"{key!r} is not a {dtype.__name__} array of "
+                           f"{'n' if columns is None else f'n × {columns}'} finite numbers")
+    return array
+
+
+def _deserialize_tree(document: dict[str, Any], points: np.ndarray,
+                      max_entries: int) -> PackedRTree:
+    """Rebuild one packed tree over ``points`` (every row of the index),
+    checking what the kernels take on trust: node sizes, that an internal
+    level's payloads name every node of the next exactly once, that leaf
+    payloads are rows of ``points``."""
+    levels: list[_PackedLevel] = []
+    nodes = 1  # the root level holds one node
+    for depth, record in enumerate(document["levels"]):
+        is_leaf = depth == len(document["levels"]) - 1
+        counts = _array(record, "counts", np.intp)
+        payloads = _array(record, "payloads", np.intp)
+        empty_root = is_leaf and not depth and counts.tolist() == [0]
+        if len(counts) != nodes or counts.sum() != len(payloads) \
+                or np.any(counts > max_entries) or (np.any(counts < 1) and not empty_root):
+            raise StorageError(f"level {depth} does not hold {nodes} nodes of 1 to "
+                               f"{max_entries} entries")
+        if is_leaf:
+            if np.any(payloads < 0) or np.any(payloads >= len(points)):
+                raise StorageError("a leaf entry names a row the index does not hold")
+            lows = highs = points[payloads]
+        else:
+            lows = _array(record, "lows", np.float64, points.shape[1])
+            highs = _array(record, "highs", np.float64, points.shape[1])
+            nodes = len(payloads)
+            if len(lows) != nodes or len(highs) != nodes \
+                    or not np.array_equal(np.sort(payloads), np.arange(nodes)):
+                raise StorageError(f"level {depth} does not name every node of level "
+                                   f"{depth + 1} exactly once, with its corners")
+        levels.append(_PackedLevel(is_leaf, counts, lows, highs, payloads))
+    if not levels or len(levels[-1].payloads) != document["size"]:
+        raise StorageError("the leaf level does not hold the tree's recorded size")
+    return PackedRTree(points.shape[1], max_entries, levels)
 
 
 # ----------------------------------------------------------------------
@@ -182,12 +189,12 @@ def serialize_index(index: Any) -> dict[str, Any]:
         # beyond them are its unindexed tail, on disk as in memory.
         forest = isinstance(index, PartitionedIndex)
         tree = index.tree  # read once: a seal replaces it
-        return {**index_spec(index), "paged": index._tree_options[2] is not None,
+        return {**index_spec(index), "format_version": FORMAT_VERSION,
                 "point_rows": index._points[:len(index)].tolist(),
-                "trees": [_serialize_rtree(part)
+                "trees": [_serialize_tree(part)
                           for part in (tree.trees if forest else [tree])]}
     if isinstance(index, PartitionedMetricIndex):
-        return {"kind": "partitioned-metric",
+        return {"kind": "partitioned-metric", "format_version": FORMAT_VERSION,
                 "leaf_capacity": index.leaf_capacity,
                 "partition_rows": index.partition_rows,
                 "workers": index.workers,
@@ -195,7 +202,7 @@ def serialize_index(index: Any) -> dict[str, Any]:
                 "partitions": [_serialize_metric_structure(partition)
                                for partition in index._partitions]}
     if isinstance(index, MetricIndex):
-        return {"kind": "metric",
+        return {"kind": "metric", "format_version": FORMAT_VERSION,
                 "structure": _serialize_metric_structure(index)}
     raise StorageError(
         f"indexes of type {type(index).__name__} have no durable serialization")
@@ -212,23 +219,35 @@ def deserialize_index(payload: dict[str, Any], *,
     recovered objects; ``distance`` is the relation's provider distance.
     """
     kind = payload.get("kind")
+    if payload.get("format_version") != FORMAT_VERSION:
+        raise StorageError(
+            f"index document has format version {payload.get('format_version')!r}; "
+            f"this build reads version {FORMAT_VERSION}")
     if kind == "kindex" or kind == "partitioned-kindex":
         if store is None:
             raise StorageError(
                 "deserializing a k-index needs the relation's record store")
-        page_store = PageStore() if payload["paged"] else None
-        index: KIndex = _empty_kindex(payload, page_store)
-        trees = [_deserialize_rtree(tree, page_store) for tree in payload["trees"]]
+        index: KIndex = _empty_kindex(payload)
+        index.store = store
+        index._points = _array(payload, "point_rows", np.float64,
+                               index.space.dimension)
+        trees = [_deserialize_tree(tree, index._points, index.max_entries)
+                 for tree in payload["trees"]]
+        if kind == "kindex" and len(trees) != 1:
+            raise StorageError(f"a k-index has one tree, not {len(trees)}")
         index.tree = (_PartitionForest(trees, index.workers)
                       if kind == "partitioned-kindex" else trees[0])
-        index.store = store
-        index._points = np.array(payload["point_rows"], dtype=np.float64
-                                 ).reshape(-1, index.space.dimension)
-        if len(index._points) != len(store) or len(index.tree) > len(store):
+        if len(index._points) != len(store):
             raise StorageError(
-                f"serialized k-index holds {len(index._points)} points "
-                f"({len(index.tree)} of them packed) but the recovered store "
-                f"holds {len(store)} records")
+                f"serialized k-index holds {len(index._points)} points but the "
+                f"recovered store holds {len(store)} records")
+        # The tail is the rows beyond the trees, so they hold rows 0 … n - 1.
+        packed = np.sort(np.concatenate([tree.levels[-1].payloads for tree in trees]
+                                        or [np.zeros(0, dtype=np.intp)]))
+        if not np.array_equal(packed, np.arange(len(packed))):
+            raise StorageError(
+                f"the {len(packed)} leaf entries of the serialized k-index are not "
+                f"its rows 0 … {len(packed) - 1}, each once")
         return index
     if kind == "metric" or kind == "partitioned-metric":
         if distance is None:
@@ -259,9 +278,8 @@ def index_spec(index: Any) -> dict[str, Any]:
     indexes never take this path; they deserialize.)
     """
     if isinstance(index, KIndex):
-        tree_kind, max_entries, _ = index._tree_options
         spec = {"kind": "kindex", "extractor": _extractor_config(index.extractor),
-                "tree_kind": tree_kind, "max_entries": max_entries}
+                "max_entries": index.max_entries}
         if isinstance(index, PartitionedIndex):
             spec.update(kind="partitioned-kindex",
                         partition_rows=index.partition_rows, workers=index.workers)
@@ -277,17 +295,15 @@ def index_spec(index: Any) -> dict[str, Any]:
         f"indexes of type {type(index).__name__} have no durable spec")
 
 
-def _empty_kindex(spec: dict[str, Any],
-                  page_store: PageStore | None = None) -> KIndex:
+def _empty_kindex(spec: dict[str, Any]) -> KIndex:
     """An empty k-index of the configuration a spec (or a serialized
     document, which embeds one) names."""
-    options = {"tree_kind": spec["tree_kind"], "max_entries": spec["max_entries"],
-               "page_store": page_store}
     if spec["kind"] == "partitioned-kindex":
-        return PartitionedIndex(_restore_extractor(spec["extractor"]), **options,
+        return PartitionedIndex(_restore_extractor(spec["extractor"]),
+                                max_entries=spec["max_entries"],
                                 partition_rows=spec["partition_rows"],
                                 workers=spec["workers"])
-    return KIndex(_restore_extractor(spec["extractor"]), **options)
+    return KIndex(_restore_extractor(spec["extractor"]), max_entries=spec["max_entries"])
 
 
 def build_index_from_spec(spec: dict[str, Any], objects: Sequence[Any],

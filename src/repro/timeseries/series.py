@@ -28,7 +28,7 @@ class TimeSeries(DataObject):
     Parameters
     ----------
     values:
-        The observations, oldest first.
+        The observations, oldest first: at least one, all finite.
     name:
         Optional human-readable identifier (e.g. a ticker symbol).
     start:
@@ -46,6 +46,10 @@ class TimeSeries(DataObject):
             raise ValueError("a time series must be one-dimensional")
         if array.shape[0] == 0:
             raise ValueError("a time series must contain at least one value")
+        if not np.isfinite(array).all():
+            # One nan poisons every distance it enters: the index and the
+            # scan would stop agreeing on what is near it.
+            raise ValueError("every value of a time series must be finite")
         array = array.copy()
         array.setflags(write=False)
         super().__init__(object_id=object_id, name=name, payload=payload)

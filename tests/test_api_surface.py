@@ -15,6 +15,8 @@ call the break out in the changelog.
 from __future__ import annotations
 
 import inspect
+import re
+from pathlib import Path
 
 import repro
 from repro import BoundQuery, PreparedQuery, Q, RelationHandle, Session, connect
@@ -34,7 +36,7 @@ EXPECTED_ALL = [
     "KIndex", "LinearTransformation", "MaxCostModel", "MetricIndex",
     "MovingAverageTransform", "NearestNeighborQuery", "NearestNeighborResult",
     "ObjectRef",
-    "PageStore", "Param", "PartitionedIndex", "PartitionedMetricIndex",
+    "PackedRTree", "PageStore", "Param", "PartitionedIndex", "PartitionedMetricIndex",
     "Pattern", "PatternError", "Planner", "PolarSpace",
     "PredicatePattern", "PreparedQuery", "ProtocolError", "Q",
     "QueryBuildError", "QueryBuilder",
@@ -86,6 +88,17 @@ class TestAllSnapshot:
     def test_every_name_resolves(self):
         for name in repro.__all__:
             assert hasattr(repro, name), f"__all__ lists missing name {name!r}"
+
+    def test_the_version_has_one_source(self):
+        """``pyproject.toml`` reads ``repro.__version__`` and states none of
+        its own, so the two cannot disagree (read as text: ``tomllib`` is
+        newer than the oldest interpreter CI runs)."""
+        project = (Path(__file__).parent.parent / "pyproject.toml").read_text("utf-8")
+        assert re.search(r'^dynamic = \["version"\]$', project, re.MULTILINE)
+        assert re.search(r'^\[tool\.setuptools\.dynamic\]\n'
+                         r'version = \{attr = "repro\.__version__"\}$', project, re.MULTILINE)
+        assert not re.search(r'^version\s*=\s*"', project, re.MULTILINE)
+        assert re.fullmatch(r"\d+\.\d+\.\d+", repro.__version__)
 
 
 class TestFacadeSignatures:
@@ -168,25 +181,34 @@ class TestIndexProbeSignatures:
     blocked best-first kernel that takes array-valued bound and distance
     rules, and the incremental per-entry iterator is gone (ISSUE 16); the
     k-index's write path is a block extraction plus an unindexed tail, with
-    the dynamic tree behind one named classmethod (ISSUE 17)."""
+    the dynamic tree behind one named classmethod (ISSUE 17); the packed
+    per-level arrays are the tree — a public, immutable ``PackedRTree`` that
+    owns the kernels and the STR loader — ``RTree`` / ``RStarTree`` grow one
+    and hand it over, and the tree-variant and simulated-page options are
+    gone from every constructor (ISSUE 19)."""
 
     def test_transformed_search(self):
         assert _signature(repro.transformed_range_search) == (
-            "(tree: 'RTree', window: 'Rect', "
+            "(tree: 'PackedRTree | RTree', window: 'Rect', "
             "transformation: 'RealLinearTransformation | None' = None, "
             "periodic_dims: 'np.ndarray | None' = None) -> 'list[Any]'")
         assert _signature(repro.transformed_join) == (
-            "(left: 'RTree', right: 'RTree', *, "
+            "(left: 'PackedRTree | RTree', right: 'PackedRTree | RTree', *, "
             "left_transformation: 'RealLinearTransformation | None' = None, "
             "right_transformation: 'RealLinearTransformation | None' = None, "
             "expand: 'float' = 0.0, periodic_dims: 'np.ndarray | None' = None) "
             "-> 'list[tuple[Any, Any]]'")
 
+        assert _signature(repro.materialize_transformed_tree) == (
+            "(tree: 'PackedRTree | RTree', "
+            "transformation: 'RealLinearTransformation') -> 'PackedRTree'")
+
     def test_tree_probes(self):
-        assert _signature(repro.RTree.window_search) == (
-            "(self, window_lows: 'np.ndarray', window_highs: 'np.ndarray', "
-            "transformation: 'RealLinearTransformation | None' = None, "
-            "periodic_dims: 'np.ndarray | None' = None) -> 'list[np.ndarray]'")
+        for tree in (repro.PackedRTree, repro.RTree):
+            assert _signature(tree.window_search) == (
+                "(self, window_lows: 'np.ndarray', window_highs: 'np.ndarray', "
+                "transformation: 'RealLinearTransformation | None' = None, "
+                "periodic_dims: 'np.ndarray | None' = None) -> 'list[np.ndarray]'")
         assert _signature(repro.KIndex.range_query_batch) == (
             "(self, queries: 'Sequence[TimeSeries | FeatureVector]', "
             "epsilon: 'float | Sequence[float]', *, "
@@ -204,10 +226,11 @@ class TestIndexProbeSignatures:
                   "transformation: 'RealLinearTransformation | None' = None, "
                   "seeds: 'tuple[np.ndarray, np.ndarray] | None' = None) "
                   "-> 'tuple[np.ndarray, np.ndarray]'")
-        assert _signature(nearest_search) == "(trees: 'Sequence[RTree]', " + kernel
+        assert _signature(nearest_search) == "(trees: 'Sequence[PackedRTree]', " + kernel
+        assert _signature(repro.PackedRTree.nearest_search) == "(self, " + kernel
         assert _signature(repro.RTree.nearest_search) == "(self, " + kernel
         assert _signature(repro.transformed_nearest_neighbors) == (
-            "(tree: 'RTree', point: 'np.ndarray', k: 'int' = 1, "
+            "(tree: 'PackedRTree | RTree', point: 'np.ndarray', k: 'int' = 1, "
             "transformation: 'RealLinearTransformation | None' = None) "
             "-> 'list[tuple[float, Any]]'")
         assert _signature(repro.KIndex.nearest_neighbors) == (
@@ -235,8 +258,41 @@ class TestIndexProbeSignatures:
             "'tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]'")
         assert _signature(repro.ColumnarRecordStore.extend) == (
             "(self, collection: 'Iterable[Any]') -> 'None'")
+        # Constructor options: node capacity, and for the forest its shape.
+        assert _signature(repro.KIndex) == (
+            "(extractor: 'SeriesFeatureExtractor | None' = None, *, "
+            "max_entries: 'int' = 8) -> 'None'")
+        assert _signature(repro.PartitionedIndex) == (
+            "(extractor: 'SeriesFeatureExtractor | None' = None, *, "
+            "max_entries: 'int' = 8, partition_rows: 'int' = 256, "
+            "workers: 'int | None' = None) -> 'None'")
         # The seal and chunk sizes are constants, not options.
         from repro.index import kindex
         from repro.timeseries import features
         assert (kindex.SEAL_MIN_ROWS, kindex.SEAL_SHARE) == (256, 16)
         assert features.EXTRACT_CHUNK_ROWS == 512
+
+
+    def test_packed_tree_and_growers(self):
+        """One immutable tree with the loader and the probes; growers that
+        insert and hand over ``packed()``."""
+        loader = ("records: 'Sequence[Any] | np.ndarray', *, "
+                  "max_entries: 'int' = 8) -> \"'PackedRTree'\"")
+        assert _signature(repro.PackedRTree.bulk_load) == \
+            "(points: 'np.ndarray', " + loader
+        assert _signature(repro.PackedRTree.bulk_load_rects) == \
+            "(lows: 'np.ndarray', highs: 'np.ndarray', " + loader
+        assert _signature(repro.PackedRTree.transformed) == (
+            "(self, transformation: 'RealLinearTransformation') -> \"'PackedRTree'\"")
+        assert _signature(repro.RTree.packed) == "(self) -> 'PackedRTree'"
+        assert _signature(repro.RTree) == (
+            "(dimension: 'int', max_entries: 'int' = 8, "
+            "min_entries: 'int | None' = None, split: 'str' = 'quadratic') -> 'None'")
+        assert _signature(repro.RStarTree) == (
+            "(dimension: 'int', max_entries: 'int' = 8, "
+            "min_entries: 'int | None' = None) -> 'None'")
+        for gone in ("insert", "node", "root", "all_entries"):
+            assert not hasattr(repro.PackedRTree, gone)
+        for gone in ("visit", "release_pages", "buffer", "bulk_load",
+                     "bulk_load_points", "bulk_load_rects", "structure_summary"):
+            assert not hasattr(repro.RTree, gone)

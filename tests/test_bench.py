@@ -7,6 +7,7 @@ import pytest
 
 from repro.bench.experiments import (
     EXPERIMENTS,
+    _epsilon_for,
     ablation_engine_vs_dp,
     ablation_num_coefficients,
     ablation_representation,
@@ -130,6 +131,50 @@ class TestCompanionExperiments:
         dissimilar = rows[2]
         # Repeated smoothing helps only marginally for genuinely dissimilar series.
         assert dissimilar["third_moving_average"] > 0.2 * dissimilar["normal_form"]
+
+
+class TestThePapersCountsArePinned:
+    """Node accesses and candidates are the paper's currency, and they are
+    decided by how the trees are shaped: the growers' heuristics for the
+    figures (measured on a dynamically built R*-tree) and the ablation, the
+    STR loader's tiling for everything an index packs itself.  The numbers
+    are those of the commit before the packed form became the tree (the
+    harness printed 13 / 7 / 28 / 33, 10 / 39 / 74 / 140 and 533 / 266 / 146
+    at full scale there): a loader that tiles differently, a grower that
+    splits differently or a kernel that opens other nodes fails here, at a
+    scale that runs in two seconds."""
+
+    def test_figures_8_and_9_on_the_dynamic_tree(self):
+        rows = figure8_query_time_vs_length(lengths=(64, 128), repetitions=1)
+        assert [(row["node_accesses_with"], row["node_accesses_without"], row["answers"])
+                for row in rows] == [(13, 13, 3), (7, 7, 3)]
+        rows = figure9_query_time_vs_count(counts=(250, 500), repetitions=1)
+        assert [(row["node_accesses_with"], row["node_accesses_without"], row["answers"])
+                for row in rows] == [(10, 10, 2), (39, 39, 5)]
+
+    def test_tree_variant_ablation(self):
+        rows = ablation_tree_variants(num_points=600, queries=20)
+        assert [(row["variant"], row["node_accesses"], row["height"]) for row in rows] == [
+            ("rtree-linear", 197, 4), ("rtree-quadratic", 151, 4), ("rstar", 83, 4)]
+
+    @pytest.mark.parametrize("count,nodes,expected", [
+        (250, 37, [(6, 22, 8, 22), (11, 53, 15, 65), (10, 39, 15, 66), (6, 20, 7, 13),
+                   (10, 42, 16, 20)]),
+        (1000, 144, [(42, 259, 39, 77), (26, 139, 21, 19), (26, 154, 19, 36),
+                     (35, 213, 38, 131), (38, 238, 31, 39)])])
+    def test_the_str_loaders_tiling(self, count, nodes, expected):
+        """Figure 9's fixture, STR-packed: per query (range node accesses,
+        range candidates, 5-NN node accesses, 5-NN candidates)."""
+        workload = synthetic_workload(count, 128, seed=13, bulk_load=True)
+        epsilon = _epsilon_for(workload)
+        assert workload.index.structure_summary()["node_count"] == nodes
+        found = []
+        for query in workload.queries[:5]:
+            ranged = workload.index.range_query(query, epsilon).statistics
+            nearest = workload.index.nearest_neighbors(query, 5).statistics
+            found.append((ranged.node_accesses, ranged.candidates,
+                          nearest.node_accesses, nearest.candidates))
+        assert found == expected
 
 
 class TestAblations:

@@ -15,19 +15,24 @@ import os
 import random
 import shutil
 
+import numpy as np
 import pytest
 
 import repro
 from repro import (
     KIndex,
     MetricIndex,
+    PackedRTree,
+    PartitionedIndex,
     StringObject,
     edit_distance_provider,
+    moving_average_spectral,
     random_walk_collection,
 )
 from repro.core.errors import IndexError_, StorageError
 from repro.index import kindex as kindex_module
 from repro.storage.durable import DurableDatabase, WriteAheadLog
+from repro.storage.durable.manifest import FORMAT_VERSION
 from repro.storage.durable.wal import wal_filename
 
 RANGE_SQL = "SELECT FROM walks WHERE dist(series, $q) < 5.0"
@@ -40,6 +45,17 @@ def _answers(session, query_obj, sql=RANGE_SQL):
 
 def _ids(session, name="walks"):
     return [obj.object_id for obj in session.relation(name).objects()]
+
+
+def _snapshot(root):
+    """Every file under ``root``: its bytes and its modification time."""
+    found = {}
+    for directory, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(directory, name)
+            with open(path, "rb") as handle:
+                found[path] = (handle.read(), os.stat(path).st_mtime_ns)
+    return found
 
 
 class TestRoundTrip:
@@ -107,6 +123,96 @@ class TestRoundTrip:
         assert reopened.database.deserialized_indexes == 1
         assert _answers(reopened, StringObject("mitten"), sql=sql) == expected
         reopened.close()
+
+
+def _trees(index):
+    return getattr(index.tree, "trees", [index.tree])
+
+
+def _probe(index, queries, transformation):
+    """Everything a probe reports: answers with their distance bits, and
+    every counter but the clock."""
+    seen = []
+    for query in queries:
+        for found in (index.range_query(query, 4.0, transformation=transformation),
+                      index.nearest_neighbors(query, 5, transformation=transformation),
+                      *index.range_query_batch(queries, 3.0, transformation=transformation)):
+            counters = found.statistics.as_dict()
+            del counters["elapsed_seconds"]
+            seen.append(([(series.object_id, distance.hex())
+                          for series, distance in found.answers], counters))
+    return seen
+
+
+class TestIndexPageRoundTrip:
+    """The version-3 page: what is written is the level arrays, and what
+    comes back is the tree that was running — no rebuild, no first-probe
+    pack, the same answers to the bit and the same node counts."""
+
+    @pytest.mark.parametrize("build", ["str", "insertion", "partitioned", "tailed",
+                                       "partitioned-tailed"])
+    def test_reopened_index_is_the_one_checkpointed(self, tmp_path, build):
+        data = random_walk_collection(460, 32, seed=71)
+        loaded = 300 if build.endswith("tailed") else 400
+        if build == "insertion":
+            index = KIndex.build_by_insertion(data[:loaded], max_entries=6)
+        elif build.startswith("partitioned"):
+            index = PartitionedIndex.bulk_load(data[:loaded], partition_rows=128)
+        else:
+            index = KIndex.bulk_load(data[:loaded])
+        path = str(tmp_path / "db")
+        session = repro.connect(path=path)
+        handle = session.relation("walks").insert_many(data[:loaded]).with_index(index)
+        if build.endswith("tailed"):
+            handle.insert_many(data[300:400])
+            assert index.tail_rows == (100 if build == "tailed" else 400 - 3 * 128)
+        queries = [data[3], data[399], data[-1]]
+        transformation = moving_average_spectral(32, 5)
+        before = [_probe(index, queries, T) for T in (None, transformation)]
+        session.checkpoint()
+        session.close()
+
+        reopened = repro.connect(path=path)
+        database = reopened.database
+        assert (database.deserialized_indexes, database.cold_index_builds,
+                database.replayed_wal_records) == (1, 0, 0)
+        twin = database.index("walks")
+        assert type(twin) is type(index) and twin.max_entries == index.max_entries
+        assert (len(twin), len(twin.tree), twin.tail_rows) == \
+            (len(index), len(index.tree), index.tail_rows)
+        assert np.array_equal(twin._points[:len(twin)], index._points[:len(index)])
+        for tree, other in zip(_trees(index), _trees(twin), strict=True):
+            assert type(other) is PackedRTree
+            assert (tree.dimension, tree.max_entries) == (other.dimension, other.max_entries)
+            for level, restored in zip(tree.levels, other.levels, strict=True):
+                assert level.is_leaf == restored.is_leaf
+                for name in ("counts", "starts", "lows", "highs", "payloads"):
+                    written, read = getattr(level, name), getattr(restored, name)
+                    assert written.dtype == read.dtype and np.array_equal(written, read)
+        assert [_probe(twin, queries, T) for T in (None, transformation)] == before
+        assert twin.structure_summary() == index.structure_summary()
+        reopened.close()
+
+    def test_the_page_holds_arrays_not_a_node_graph(self, tmp_path):
+        data = random_walk_collection(300, 32, seed=72)
+        path = str(tmp_path / "db")
+        with repro.connect(path=path) as session:
+            session.relation("walks").insert_many(data).with_index(KIndex())
+            tree = session.database.index("walks").tree
+        page = os.path.join(path, "indexes", "walks", "default.json")
+        document = json.load(open(page))
+        assert document["format_version"] == FORMAT_VERSION == 3
+        assert "tree_kind" not in document and "paged" not in document
+        (written,) = document["trees"]
+        assert written["size"] == 300 and len(written["levels"]) == tree.height()
+        *internal, leaves = written["levels"]
+        assert all(sorted(level) == ["counts", "highs", "lows", "payloads"]
+                   for level in internal)
+        # The leaves' corners are rows of the points the page already holds.
+        assert sorted(leaves) == ["counts", "payloads"]
+        assert sorted(leaves["payloads"]) == list(range(300))
+        assert np.array_equal(np.array(document["point_rows"])[leaves["payloads"]],
+                              tree.levels[-1].lows)
 
 
 class TestWalReplay:
@@ -436,6 +542,89 @@ class TestDurableGuards:
             fh.write("{not json")
         with pytest.raises(StorageError):
             repro.connect(path=path)
+
+    def test_other_format_versions_are_refused_untouched(self, tmp_path):
+        """One decoder: a directory written by another build — older or
+        newer — is refused by the manifest check, typed, with both versions
+        in the message, and nothing on disk is touched (above all, no fresh
+        manifest is written over the one that could not be read)."""
+        path = str(tmp_path / "db")
+        with repro.connect(path=path) as session:
+            session.relation("walks").insert_many(
+                random_walk_collection(20, 32, seed=42)).with_index(KIndex())
+        manifest_path = os.path.join(path, "MANIFEST.json")
+        manifest = json.load(open(manifest_path))
+        assert manifest["format_version"] == FORMAT_VERSION
+        for other in (FORMAT_VERSION - 1, FORMAT_VERSION + 1, None):
+            manifest["format_version"] = other
+            with open(manifest_path, "w") as fh:
+                json.dump(manifest, fh)
+            before = _snapshot(path)
+            with pytest.raises(StorageError, match=rf"version {other!r}.*version "
+                                                   rf"{FORMAT_VERSION}") as refused:
+                repro.connect(path=path)
+            assert "MANIFEST.json" in str(refused.value)
+            assert _snapshot(path) == before
+
+    @pytest.mark.parametrize("damage", ["truncated", "not-json", "dangling-child",
+                                        "duplicate-leaf-id", "leaf-id-out-of-range",
+                                        "short-point-rows", "overfull-node", "empty-node",
+                                        "ragged-corners", "fractional-count", "nan-corner",
+                                        "missing-level-field", "wrong-size",
+                                        "wrong-page-version", "missing"])
+    def test_a_damaged_index_page_fails_at_open(self, tmp_path, damage):
+        """An index page is outside input.  Whatever is wrong with it is a
+        ``StorageError`` naming the file, raised by ``connect`` — not a raw
+        ``JSONDecodeError``, and not an error (or a wrong answer) from
+        whichever later probe reaches the damage."""
+        data = random_walk_collection(120, 32, seed=43)
+        path = str(tmp_path / "db")
+        with repro.connect(path=path) as session:
+            session.relation("walks").insert_many(data).with_index(KIndex())
+        page = os.path.join(path, "indexes", "walks", "default.json")
+        text = open(page).read()
+        document = json.loads(text)
+        levels = document["trees"][0]["levels"]
+        assert len(levels) == 3
+        if damage == "truncated":
+            text = text[:len(text) // 2]
+        elif damage == "not-json":
+            text = "\x00" + text
+        elif damage == "dangling-child":
+            levels[0]["payloads"][0] = 99999
+        elif damage == "duplicate-leaf-id":
+            levels[-1]["payloads"][0] = levels[-1]["payloads"][1]
+        elif damage == "leaf-id-out-of-range":
+            levels[-1]["payloads"][0] = 120
+        elif damage == "short-point-rows":
+            del document["point_rows"][-1]
+        elif damage == "overfull-node":
+            levels[1]["counts"][0] += 1
+            levels[1]["counts"][1] -= 1
+        elif damage == "empty-node":
+            levels[-1]["counts"][0] += levels[-1]["counts"][1]
+            levels[-1]["counts"][1] = 0
+        elif damage == "ragged-corners":
+            del levels[1]["lows"][0][-1]
+        elif damage == "fractional-count":
+            levels[1]["counts"][0] += 0.5
+        elif damage == "nan-corner":
+            levels[1]["highs"][0][0] = float("nan")
+        elif damage == "missing-level-field":
+            del levels[1]["highs"]
+        elif damage == "wrong-size":
+            document["trees"][0]["size"] -= 1
+        elif damage == "wrong-page-version":
+            document["format_version"] = 2
+        if damage == "missing":
+            os.remove(page)
+        else:
+            with open(page, "w") as fh:
+                fh.write(text if damage in ("truncated", "not-json")
+                         else json.dumps(document))
+        with pytest.raises(StorageError, match="default.json") as refused:
+            repro.connect(path=path)
+        assert "index page" in str(refused.value)
 
     def test_exception_in_with_block_skips_checkpoint(self, tmp_path):
         path = str(tmp_path / "db")

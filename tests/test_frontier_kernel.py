@@ -1,19 +1,20 @@
 """Differential tests of the packed-form kernels.
 
-The level-synchronous frontier kernel (:meth:`RTree.window_search`) is the
-only range traversal in the index layer and the blocked best-first kernel
+The level-synchronous frontier kernel (:meth:`PackedRTree.window_search`) is
+the only range traversal in the index layer and the blocked best-first kernel
 (:func:`repro.index.rtree.nearest_search`) the only nearest-neighbour one, so
 both are checked here against things that share no code with them.  A range
 probe against:
 
 * a **per-entry reference traversal** — a plain recursive walk over the nodes
-  of :func:`materialize_transformed_tree` (Algorithm 1), one entry at a time —
+  of :func:`materialize_transformed_tree` (Algorithm 1), one entry at a time,
+  each node read through :func:`node_entries` —
   which must find the same records *and* open the same nodes;
 * a **brute-force oracle** over the raw points (and, at the ``KIndex`` level,
   the sequential scan): no false dismissals, no false hits.
 
-A nearest-neighbour probe against a **per-entry best-first walk** over node
-objects (one node per pop, one record verified per pop — which opens exactly
+A nearest-neighbour probe against a **per-entry best-first walk** over the
+same nodes (one node per pop, one record verified per pop — which opens exactly
 the nodes, and verifies exactly the records, whose bound is within the true
 k-th distance, the fewest any exact search can), a brute-force ranking, and
 at the ``KIndex`` level the sequential scan: same ids, same order, same
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -46,19 +48,19 @@ from repro.core.transformations import RealLinearTransformation
 from repro.index import kindex as kindex_module
 from repro.index.geometry import Rect, rects_overlap
 from repro.index.rstar import RStarTree
-from repro.index.rtree import NEAREST_BLOCK, RTree
-from repro.index.transformed import (materialize_transformed_tree,
+from repro.index.rtree import NEAREST_BLOCK, PackedRTree, RTree
+from repro.index.transformed import (materialize_transformed_tree, transformed_join,
                                      transformed_nearest_neighbors,
                                      transformed_range_search)
 from repro.storage.columnar import exact_distances
-from repro.storage.durable.serde import _deserialize_rtree, _serialize_rtree
-from repro.storage.pages import PageStore
+from repro.storage.durable.serde import _deserialize_tree, _serialize_tree
 from repro.timeseries.transforms import moving_average_spectral, scale_spectral
 
 TWO_PI = 2.0 * math.pi
 SPACES = {"rect": RectangularSpace(1, 1), "polar": PolarSpace(1, 1),
           "polar2": PolarSpace(2, 2)}
-BUILDERS = ("rstar-insert", "linear-insert", "str")
+GROWERS = ("rstar-insert", "linear-insert")
+BUILDERS = GROWERS + ("str",)
 
 
 # ----------------------------------------------------------------------
@@ -71,17 +73,17 @@ def _points(rng, count, periodic):
     return points
 
 
-def _build(builder, points, max_entries=5, page_store=None):
+def _build(builder, points, max_entries=5):
+    """A grower fed a point at a time, or (``"str"``) a packed tree loaded
+    in one go; the probes and counters of both read the same."""
     dimension = points.shape[1]
     records = list(range(points.shape[0]))
-    if builder == "linear-insert":
-        tree = RTree(dimension, max_entries=max_entries, split="linear",
-                     page_store=page_store)
-    else:
-        tree = RStarTree(dimension, max_entries=max_entries, page_store=page_store)
     if builder == "str":
-        tree.bulk_load_points(points, records)
-        return tree
+        return PackedRTree.bulk_load(points, records, max_entries=max_entries)
+    if builder == "linear-insert":
+        tree = RTree(dimension, max_entries=max_entries, split="linear")
+    else:
+        tree = RStarTree(dimension, max_entries=max_entries)
     for record, point in zip(records, points):
         tree.insert(point, record)
     return tree
@@ -113,23 +115,47 @@ def _windows(rng, count, periodic, transformation):
 # ----------------------------------------------------------------------
 # references
 # ----------------------------------------------------------------------
+ROOT = (0, 0)
+
+
+def node_entries(tree, node):
+    """The one place the per-entry references read a packed tree: the entries
+    of ``node`` — a ``(depth, slot)`` pair, the root being ``(0, 0)`` — as
+    ``(low, high, child node or record)`` triples, and whether it is a leaf."""
+    depth, slot = node
+    level = (tree.packed() if isinstance(tree, RTree) else tree).levels[depth]
+    first = int(level.starts[slot])
+    rows = range(first, first + int(level.counts[slot]))
+    payloads = level.payloads[rows.start:rows.stop].tolist()
+    return level.is_leaf, [
+        (level.lows[row], level.highs[row],
+         payload if level.is_leaf else (depth + 1, payload))
+        for row, payload in zip(rows, payloads)]
+
+
 def reference_traversal(tree, window_low, window_high, periodic):
-    """Per-entry recursive window search; returns (records, visited node ids)."""
+    """Per-entry recursive window search; returns (records, visited nodes)."""
     found, visited = [], set()
 
-    def walk(node_id):
-        visited.add(node_id)
-        node = tree.node(node_id)
-        for entry in node.entries:
-            if rects_overlap(entry.rect.low, entry.rect.high,
-                             window_low, window_high, periodic):
-                if node.is_leaf:
-                    found.append(entry.record)
+    def walk(node):
+        visited.add(node)
+        is_leaf, entries = node_entries(tree, node)
+        for low, high, below in entries:
+            if rects_overlap(low, high, window_low, window_high, periodic):
+                if is_leaf:
+                    found.append(below)
                 else:
-                    walk(entry.child_id)
+                    walk(below)
 
-    walk(tree.root_id)
+    walk(ROOT)
     return sorted(found), visited
+
+
+def _restored(packed, points):
+    """``packed`` through its ``serde`` document — as JSON text, the way a
+    checkpoint writes it — and back over ``points``, its leaves' corners."""
+    document = json.loads(json.dumps(_serialize_tree(packed)))
+    return _deserialize_tree(document, points, packed.max_entries)
 
 
 def brute_force(points, transformation, window_low, window_high, periodic):
@@ -189,14 +215,18 @@ class TestWindowSearchDifferential:
         lows, highs = _windows(rng, batch, periodic, transformation)
         check_tree(tree, points, transformation, lows, highs, periodic)
 
-    @given(seed=st.integers(0, 2**32 - 1), builder=st.sampled_from(BUILDERS),
+    @given(seed=st.integers(0, 2**32 - 1), builder=st.sampled_from(GROWERS),
            first=st.integers(0, 60), more=st.integers(1, 60),
            stride=st.integers(1, 9))
     @settings(max_examples=40, deadline=None)
     def test_probe_insert_probe(self, seed, builder, first, more, stride):
-        """A probe restacks the nodes the inserts before it changed — in
-        place, into new slots after splits and reinsertions, all over again
-        under a new root — and sees every record inserted so far."""
+        """A probe after inserts runs on a fresh pack of the grower — through
+        splits, reinsertions and new roots — and sees every record inserted
+        so far.  Both insert builders; the ``"str"`` arm this test once had
+        inserted into a bulk-loaded tree, which no longer exists: an
+        STR-packed tree is immutable (``test_bulk_load.py`` checks that it
+        has no ``insert``), and a k-index grows by tail and seal
+        (``TestTailDifferential``)."""
         rng = np.random.default_rng(seed)
         periodic = SPACES["polar2"].periodic_dimension_mask()
         points = _points(rng, first + more, periodic)
@@ -211,47 +241,31 @@ class TestWindowSearchDifferential:
                            periodic)
         check_tree(tree, points, transformation, lows, highs, periodic)
 
-    @pytest.mark.parametrize("paged", [False, True])
     @pytest.mark.parametrize("builder", BUILDERS)
-    def test_tree_rebuilt_from_its_serialized_pages(self, builder, paged):
-        """``serde`` fills ``_nodes`` directly; the packed form is assembled
-        from whatever the first probe finds there."""
+    def test_tree_rebuilt_from_its_serialized_pages(self, builder):
+        """``serde`` writes the level arrays (the leaf level without its
+        corners: they are the points) and reads them back bit for bit."""
         rng = np.random.default_rng(7)
         periodic = SPACES["polar2"].periodic_dimension_mask()
         points = _points(rng, 90, periodic)
-        tree = _build(builder, points, page_store=PageStore() if paged else None)
-        restored = _deserialize_rtree(_serialize_rtree(tree),
-                                      PageStore() if paged else None)
-        assert (restored.buffer is not None) == paged
+        tree = _build(builder, points)
+        packed = tree.packed() if isinstance(tree, RTree) else tree
+        restored = _restored(packed, points)
+        for level, twin in zip(packed.levels, restored.levels, strict=True):
+            assert level.is_leaf == twin.is_leaf
+            for name in ("counts", "starts", "lows", "highs", "payloads"):
+                assert np.array_equal(getattr(level, name), getattr(twin, name))
+                assert getattr(level, name).dtype == getattr(twin, name).dtype
         transformation = _map(rng, periodic.shape[0], [-1.0, 1.0, 0.0])
         lows, highs = _windows(rng, 4, periodic, transformation)
         check_tree(restored, points, transformation, lows, highs, periodic)
-        restored.insert(points[0], 90)
-        assert 90 in restored.search(Rect(points[0] - 1e-6, points[0] + 1e-6))
 
-    def test_buffer_reads_follow_node_visits(self):
-        rng = np.random.default_rng(8)
-        points = rng.uniform(0, 100, size=(120, 2))
-        tree = RTree(2, max_entries=4, page_store=PageStore(), buffer_capacity=512)
-        for record, point in enumerate(points):
-            tree.insert(point, record)
-        tree.reset_stats()
-        tree.search_many([Rect([0.0, 0.0], [60.0, 60.0])] * 3)
-        # Three identical windows share every node: one read each.
-        assert tree.buffer.stats.accesses == tree.access_stats.total > 1
-        _, visited = reference_traversal(tree, np.zeros(2), np.full(2, 60.0), None)
-        assert tree.access_stats.total == len(visited)
-        tree.reset_stats()
-        tree.nearest_neighbors([50.0, 50.0], k=7)
-        # A nearest-neighbour probe opens a node once: one read each.
-        assert tree.buffer.stats.accesses == tree.access_stats.total > 1
-
-    def test_concurrent_readers_after_writes_repack_once(self):
-        """The server lets readers in together once a write is done: the
-        first repacks the dirty nodes, none probes a half-written level."""
+    def test_concurrent_readers_after_writes_pack_once(self):
+        """Readers let in together once a write is done: the first packs the
+        grower, the others wait for it and probe the same pack."""
         rng = np.random.default_rng(12)
         points = rng.uniform(0, 100, size=(1800, 3))
-        tree = _build("str", points[:600])
+        tree = _build("linear-insert", points[:600])
         window = Rect([10.0] * 3, [80.0] * 3)
         tree.search(window)
         interval = sys.getswitchinterval()
@@ -263,13 +277,16 @@ class TestWindowSearchDifferential:
                         tree.insert(points[record], record)
                     expected = brute_force(points[:written + 150], None, window.low,
                                            window.high, np.zeros(3, dtype=bool))
-                    probes = [pool.submit(tree.search, window) for _ in range(8)]
-                    assert all(probe.result(timeout=30) == expected for probe in probes)
+                    probes = [pool.submit(lambda: (tree.search(window), tree.packed()))
+                              for _ in range(8)]
+                    found = [probe.result(timeout=30) for probe in probes]
+                    assert all(records == expected for records, _ in found)
+                    assert len({id(pack) for _, pack in found}) == 1
         finally:
             sys.setswitchinterval(interval)
 
     def test_empty_tree_and_single_leaf_root(self):
-        for tree in (RTree(3), RStarTree.bulk_load(np.zeros((0, 3)), [])):
+        for tree in (RTree(3), PackedRTree.bulk_load(np.zeros((0, 3)), [])):
             tree.reset_stats()
             assert tree.search(Rect([-1.0] * 3, [1.0] * 3)) == []
             assert tree.search_many([]) == []
@@ -285,8 +302,8 @@ class TestWindowSearchDifferential:
     def test_dimension_mismatch_is_one_error(self):
         """Every range entry point hands its windows to the kernel, which
         rejects a wrong shape itself: same error from all of them."""
-        tree = RTree.bulk_load(np.random.default_rng(11).uniform(size=(20, 3)),
-                               list(range(20)))
+        tree = PackedRTree.bulk_load(np.random.default_rng(11).uniform(size=(20, 3)),
+                                     list(range(20)))
         flat = Rect([0.0, 0.0], [1.0, 1.0])
         solid = Rect([0.0] * 3, [1.0] * 3)
         for probe in (lambda: tree.search(flat),
@@ -308,7 +325,7 @@ class TestWindowSearchDifferential:
 
     def test_records_come_back_as_inserted(self):
         """Only integers that fit an index take the numeric path; a later
-        record of another kind turns an already packed level into objects."""
+        record of another kind makes the next pack's leaf level one of objects."""
         everywhere = Rect([0.0, 0.0], [10.0, 10.0])
         tree = RTree(2, max_entries=4)
         rng = np.random.default_rng(10)
@@ -324,7 +341,7 @@ class TestWindowSearchDifferential:
         flags = RTree(2)
         flags.insert([1.0, 1.0], True)
         assert flags.search(everywhere)[0] is True
-        huge = RTree.bulk_load(np.ones((2, 2)), [2**70, 1])
+        huge = PackedRTree.bulk_load(np.ones((2, 2)), [2**70, 1])
         assert sorted(huge.search(everywhere)) == [1, 2**70]
 
 
@@ -333,14 +350,14 @@ class TestWindowSearchDifferential:
 # ----------------------------------------------------------------------
 def reference_nearest(trees, k, lower_bound, exact, transform=lambda low, high: (low, high),
                       seeds=()):
-    """Best-first search over node objects, an entry at a time: pop the
+    """Best-first search over the trees' nodes, an entry at a time: pop the
     nearest pending node or record (records first at equal bounds), open the
     node or verify the record, stop at the first bound beyond the k-th exact
     distance.  ``seeds`` are ``(point, record)`` leaf entries no tree holds,
     pending from the start.  Returns (the ``(distance, record)`` answers,
     nodes opened, records verified)."""
     order = itertools.count()
-    heap = [(0.0, 1, next(order), tree, tree.root_id) for tree in trees]
+    heap = [(0.0, 1, next(order), tree, ROOT) for tree in trees]
     heap += [(lower_bound(*transform(point, point)), 0, next(order), None, record)
              for point, record in seeds]
     heapq.heapify(heap)
@@ -353,11 +370,10 @@ def reference_nearest(trees, k, lower_bound, exact, transform=lambda low, high: 
             verified.append((exact(payload), payload))
             continue
         opened += 1
-        node = tree.node(payload)
-        for entry in node.entries:
-            entry_bound = lower_bound(*transform(entry.rect.low, entry.rect.high))
-            heapq.heappush(heap, (entry_bound, 0 if node.is_leaf else 1, next(order), tree,
-                                  entry.record if node.is_leaf else entry.child_id))
+        is_leaf, entries = node_entries(tree, payload)
+        for low, high, below in entries:
+            heapq.heappush(heap, (lower_bound(*transform(low, high)), 0 if is_leaf else 1,
+                                  next(order), tree, below))
     return sorted(verified)[:k], opened, len(verified)
 
 
@@ -411,13 +427,14 @@ class TestNearestSearchDifferential:
             queries = transformation.apply(queries)
         check_tree_nearest(tree, points, transformation, queries)
 
-    @given(seed=st.integers(0, 2**32 - 1), builder=st.sampled_from(BUILDERS),
+    @given(seed=st.integers(0, 2**32 - 1), builder=st.sampled_from(GROWERS),
            first=st.integers(0, 60), more=st.integers(1, 60),
            stride=st.integers(3, 9))
     @settings(max_examples=20, deadline=None)
     def test_probe_insert_probe(self, seed, builder, first, more, stride):
-        """A nearest-neighbour probe brings the packed form up to date
-        exactly as a range probe does."""
+        """A nearest-neighbour probe after inserts runs on a fresh pack
+        exactly as a range probe does (both insert builders; as there, the
+        ``"str"`` arm is gone with mutable bulk-loaded trees)."""
         rng = np.random.default_rng(seed)
         periodic = SPACES["polar2"].periodic_dimension_mask()
         points = _points(rng, first + more, periodic)
@@ -437,7 +454,8 @@ class TestNearestSearchDifferential:
         rng = np.random.default_rng(17)
         periodic = SPACES["polar2"].periodic_dimension_mask()
         points = _points(rng, 90, periodic)
-        restored = _deserialize_rtree(_serialize_rtree(_build(builder, points)), None)
+        tree = _build(builder, points)
+        restored = _restored(tree.packed() if isinstance(tree, RTree) else tree, points)
         transformation = _map(rng, periodic.shape[0], [-1.0, 1.0, 0.0])
         check_tree_nearest(restored, points, transformation,
                            transformation.apply(_points(rng, 4, periodic)))
@@ -445,7 +463,7 @@ class TestNearestSearchDifferential:
     def test_concurrent_readers_after_writes(self):
         rng = np.random.default_rng(13)
         points = rng.uniform(0, 100, size=(1200, 3))
-        tree = _build("str", points[:300])
+        tree = _build("linear-insert", points[:300])
         query = np.full(3, 50.0)
         tree.nearest_neighbors(query, k=10)
         interval = sys.getswitchinterval()
@@ -466,7 +484,7 @@ class TestNearestSearchDifferential:
             sys.setswitchinterval(interval)
 
     def test_empty_tree_and_single_leaf_root(self):
-        for tree in (RTree(3), RStarTree.bulk_load(np.zeros((0, 3)), [])):
+        for tree in (RTree(3), PackedRTree.bulk_load(np.zeros((0, 3)), [])):
             tree.reset_stats()
             assert tree.nearest_neighbors(np.zeros(3), k=4) == []
             assert (tree.access_stats.leaf, tree.access_stats.internal) == (1, 0)
@@ -480,8 +498,8 @@ class TestNearestSearchDifferential:
 
     def test_non_positive_k_is_one_error(self):
         """Every nearest-neighbour entry point hands ``k`` to the kernel."""
-        tree = RTree.bulk_load(np.random.default_rng(11).uniform(size=(20, 3)),
-                               list(range(20)))
+        tree = PackedRTree.bulk_load(np.random.default_rng(11).uniform(size=(20, 3)),
+                                     list(range(20)))
         data = random_walk_collection(8, 32, seed=1)
         for probe in (lambda: tree.nearest_neighbors(np.zeros(3), k=0),
                       lambda: transformed_nearest_neighbors(tree, np.zeros(3), k=-1),
@@ -498,6 +516,90 @@ class TestNearestSearchDifferential:
         assert tree.nearest_neighbors([11.2, 0.0], k=3) == [
             (pytest.approx(0.2), ("row", 11)), (pytest.approx(0.8), ("row", 12)),
             (pytest.approx(1.2), ("row", 10))]
+
+
+# ----------------------------------------------------------------------
+# the index join
+# ----------------------------------------------------------------------
+def reference_join(left, right, left_map, right_map, expand, periodic):
+    """Spatial join a node pair and an entry pair at a time; returns (the
+    record pairs, how many node pairs were opened)."""
+    pairs, opened = [], set()
+    images = [(lambda low, high: (low, high)) if mapping is None else mapping.apply_bounds
+              for mapping in (left_map, right_map)]
+
+    def walk(left_node, right_node):
+        if (left_node, right_node) in opened:
+            return  # a waiting leaf meets a child once per entry that overlaps it
+        opened.add((left_node, right_node))
+        left_leaf, left_entries = node_entries(left, left_node)
+        right_leaf, right_entries = node_entries(right, right_node)
+        for left_low, left_high, left_below in left_entries:
+            left_low, left_high = images[0](left_low, left_high)
+            for right_low, right_high, right_below in right_entries:
+                right_low, right_high = images[1](right_low, right_high)
+                if not rects_overlap(left_low - expand, left_high + expand,
+                                     right_low - expand, right_high + expand, periodic):
+                    continue
+                if left_leaf and right_leaf:
+                    pairs.append((left_below, right_below))
+                else:  # a leaf waits while the other side descends
+                    walk(left_node if left_leaf else left_below,
+                         right_node if right_leaf else right_below)
+
+    walk(ROOT, ROOT)
+    return pairs, len(opened)
+
+
+class TestJoinDifferential:
+    @given(seed=st.integers(0, 2**32 - 1), left_count=st.integers(0, 120),
+           right_count=st.integers(0, 120), builders=st.tuples(
+               st.sampled_from(BUILDERS), st.sampled_from(BUILDERS)),
+           signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=1, max_size=4),
+           polar=st.booleans(), self_join=st.booleans(), expand=st.floats(0.0, 6.0))
+    @settings(max_examples=40, deadline=None)
+    def test_join_equals_reference_and_brute_force(self, seed, left_count, right_count,
+                                                   builders, signs, polar, self_join,
+                                                   expand):
+        """Trees of any two heights (one may be a lone leaf, or empty), either
+        side mapped, plain and periodic dimensions: the pairs of the per-pair
+        reference, and two node visits for every node pair it opens."""
+        rng = np.random.default_rng(seed)
+        periodic = SPACES["polar2" if polar else "rect"].periodic_dimension_mask()
+        left_points = _points(rng, left_count, periodic)
+        right_points = left_points if self_join else _points(rng, right_count, periodic)
+        left = _build(builders[0], left_points)
+        right = left if self_join else _build(builders[1], right_points)
+        left_map = _map(rng, periodic.shape[0], signs)
+        right_map = left_map if self_join else None
+        expected, opened = reference_join(left, right, left_map, right_map, expand,
+                                          periodic)
+        left.reset_stats()
+        right.reset_stats()
+        found = transformed_join(left, right, left_transformation=left_map,
+                                 right_transformation=right_map, expand=expand,
+                                 periodic_dims=periodic)
+        assert sorted(found) == sorted(expected)
+        visits = left.access_stats.total + (0 if left is right else right.access_stats.total)
+        assert visits == 2 * opened
+        if not polar:
+            gaps = np.abs(left_map.apply(left_points)[:, None, :]
+                          - (right_points if right_map is None
+                             else right_map.apply(right_points))[None, :, :])
+            assert sorted(map(list, found)) == np.argwhere(
+                (gaps <= 2 * expand).all(axis=2)).tolist()
+
+    def test_record_pairs_keep_their_objects(self):
+        rng = np.random.default_rng(14)
+        left = RTree(2, max_entries=4)
+        for step, point in enumerate(rng.uniform(0, 10, size=(40, 2))):
+            left.insert(point, ("L", step))
+        right = PackedRTree.bulk_load(rng.uniform(0, 10, size=(5, 2)),
+                                      [("R", step) for step in range(5)])
+        assert left.height() > right.height() == 1
+        pairs = transformed_join(left, right, expand=1.0)
+        assert pairs and all(a[0] == "L" and b[0] == "R" for a, b in pairs)
+        assert sorted(pairs) == sorted(reference_join(left, right, None, None, 1.0, None)[0])
 
 
 # ----------------------------------------------------------------------
@@ -592,7 +694,7 @@ def _trees(index):
 
 def _tail_pages(index):
     """What a probe is charged for filtering the unindexed tail."""
-    return -(-index.tail_rows // index._tree_options[1])  # its trees' node capacity
+    return -(-index.tail_rows // index.max_entries)  # its trees' node capacity
 
 
 def check_index_nearest(index, scan, queries, transformation, ks):
@@ -891,25 +993,7 @@ class TestTailDifferential:
             scan.nearest_neighbors(data[-1], 5))
         index.insert(data[5 + kindex_module.SEAL_MIN_ROWS])
         assert (len(index.tree), index.tail_rows) == (len(index), 0)
-        assert isinstance(index.tree, RStarTree)
-
-    def test_a_seal_frees_the_pages_of_the_tree_it_replaces(self, monkeypatch):
-        monkeypatch.setattr(kindex_module, "SEAL_MIN_ROWS", 8)
-        data = random_walk_collection(120, 32, seed=26)
-        pages = PageStore()
-        index = KIndex(SeriesFeatureExtractor(2), page_store=pages)
-        seals = 0
-        for start in range(0, 120, 6):
-            tree = index.tree
-            index.extend(data[start:start + 6])
-            seals += index.tree is not tree
-        assert seals > 5
-        # What is left: the live tree's nodes, and the placeholder root page
-        # every bulk load orphans — not the dozen trees sealed away.
-        assert len(index.tree._nodes) <= len(pages) <= len(index.tree._nodes) + seals + 1
-        found = index.range_query(data[0], 3.0)
-        assert found.statistics.buffer_hits + found.statistics.buffer_misses == \
-            found.statistics.node_accesses - _tail_pages(index)
+        assert isinstance(index.tree, PackedRTree)
 
     def test_a_failed_batch_changes_nothing(self):
         data = random_walk_collection(40, 32, seed=24)

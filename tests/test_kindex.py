@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.errors import IndexError_, UnsafeTransformationError
 from repro.index.kindex import KIndex
+from repro.index.rtree import PackedRTree
 from repro.index.scan import SequentialScan
 from repro.timeseries.features import SeriesFeatureExtractor
 from repro.timeseries.generators import noisy_copy
@@ -23,12 +24,17 @@ def _ids(answers):
 
 
 class TestConstruction:
-    def test_tree_kinds(self):
-        for kind in ("rstar", "rtree-quadratic", "rtree-linear"):
-            index = KIndex(tree_kind=kind)
-            assert len(index) == 0
+    def test_an_index_is_born_with_an_empty_packed_tree(self):
+        """No tree variant to choose (a grower's is ``RTree(split=…)``), no
+        simulated page store: the options are gone, not ignored."""
+        index = KIndex(max_entries=4)
+        assert len(index) == len(index.tree) == 0
+        assert isinstance(index.tree, PackedRTree) and index.tree.max_entries == 4
+        for option in ({"tree_kind": "rstar"}, {"page_store": None}):
+            with pytest.raises(TypeError):
+                KIndex(**option)
         with pytest.raises(IndexError_):
-            KIndex(tree_kind="btree")
+            KIndex(max_entries=1)
 
     def test_insert_and_record_lookup(self, walk_collection):
         index = KIndex()

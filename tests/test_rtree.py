@@ -1,4 +1,5 @@
-"""Tests for the R-tree (and shared behaviour of its R* subclass)."""
+"""Tests for the growers — the dynamic R-tree and its R* subclass — probed
+through the packed form they hand over."""
 
 from __future__ import annotations
 
@@ -10,8 +11,7 @@ from hypothesis import strategies as st
 from repro.core.errors import IndexError_
 from repro.index.geometry import Rect
 from repro.index.rstar import RStarTree
-from repro.index.rtree import RTree
-from repro.storage.pages import PageStore
+from repro.index.rtree import PackedRTree, RTree
 
 
 def _brute_force_range(points: np.ndarray, window: Rect) -> set[int]:
@@ -46,6 +46,23 @@ class TestConstruction:
         tree = RTree(3)
         with pytest.raises(IndexError_):
             tree.insert([1.0, 2.0], 0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_corners_are_refused(self, bad):
+        """No window can ever find a ``nan`` point: taking one would be a
+        silent false dismissal, so it is an error at the door — of a grower
+        and of the loader alike — and nothing is stored."""
+        tree = RTree(2)
+        tree.insert([1.0, 2.0], 0)
+        for corner in ([bad, 2.0], Rect([0.0, 0.0], [1.0, np.inf])):
+            with pytest.raises(IndexError_, match="finite"):
+                tree.insert(corner, 1)
+        assert len(tree) == 1 and tree.search(Rect([0.0, 0.0], [5.0, 5.0])) == [0]
+        points = np.array([[1.0, 2.0], [3.0, bad]])
+        with pytest.raises(IndexError_, match="finite"):
+            PackedRTree.bulk_load(points, [0, 1])
+        with pytest.raises(IndexError_, match="finite"):
+            PackedRTree.bulk_load_rects(np.zeros((2, 2)), np.abs(points), [0, 1])
 
     def test_empty_tree(self):
         tree = RTree(2)
@@ -160,26 +177,32 @@ class TestAccessAccounting:
         tree.reset_stats()
         assert tree.access_stats.total == 0
 
-    def test_page_store_backed_tree(self):
-        store = PageStore()
-        tree = RTree(2, max_entries=4, page_store=store, buffer_capacity=8)
+    def test_counters_are_the_packed_forms(self):
+        """A grower counts nothing itself: its counters are those of the pack
+        its probes ran on, and an insert starts a fresh pack from zero."""
+        tree = RTree(2, max_entries=4)
         rng = np.random.default_rng(28)
         for i in range(100):
             tree.insert(rng.uniform(0, 100, size=2), i)
-        assert len(store) > 0
-        tree.reset_stats()
         tree.search(Rect([0.0, 0.0], [50.0, 50.0]))
-        assert tree.buffer is not None
-        assert tree.buffer.stats.accesses == tree.access_stats.total
+        pack = tree.packed()
+        assert tree.access_stats is pack.access_stats and pack.access_stats.total > 1
+        assert tree.packed() is pack  # kept until the next insert
+        for option in ({"page_store": None}, {"buffer_capacity": 8}):
+            with pytest.raises(TypeError):
+                RTree(2, **option)
+        tree.insert([1.0, 1.0], 100)
+        assert tree.packed() is not pack and tree.access_stats.total == 0
+        assert len(tree.packed()) == len(tree) == 101
 
     def test_bulk_load_equivalent_answers(self):
         rng = np.random.default_rng(29)
         points = rng.uniform(0, 100, size=(400, 2))
-        loaded = RTree.bulk_load(points, list(range(400)), max_entries=8)
+        loaded = PackedRTree.bulk_load(points, list(range(400)), max_entries=8)
         window = Rect([10.0, 10.0], [40.0, 40.0])
         assert set(loaded.search(window)) == _brute_force_range(points, window)
         with pytest.raises(IndexError_):
-            RTree.bulk_load(points, list(range(5)))
+            PackedRTree.bulk_load(points, list(range(5)))
 
 
 class TestRStarSpecifics:

@@ -28,6 +28,22 @@ class TestTimeSeries:
         with pytest.raises(ValueError):
             TimeSeries(np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_values(self, bad):
+        """"A finite sequence of real values", checked where outside data
+        enters: a stored ``nan`` made the index answer a 7-nearest query over
+        7 rows with 6 series where the scan answered 7 (the last at distance
+        ``nan``), and a ``nan`` query was accepted.  The wire decoder and WAL
+        replay construct through here, so they are covered too."""
+        for values in ([1.0, bad, 3.0], np.array([bad]), (v for v in (0.0, bad))):
+            with pytest.raises(ValueError, match="finite"):
+                TimeSeries(values)
+        from repro.storage.durable.segments import decode_object
+        with pytest.raises(ValueError, match="finite"):
+            decode_object({"type": "timeseries", "values": [1.0, bad], "name": "w",
+                           "id": 7})
+        assert len(TimeSeries([1e308, -1e308, 5e-324])) == 3  # large is not infinite
+
     def test_values_read_only(self):
         series = TimeSeries([1.0, 2.0])
         with pytest.raises(ValueError):

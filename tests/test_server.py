@@ -219,6 +219,29 @@ class TestServing:
         # The connection survives a rejected query.
         assert client.sql(RANGE_SQL, q=data[0]).answers
 
+    def test_non_finite_series_is_the_senders_fault(self, served):
+        """A client can no longer build a series holding ``nan``, so the frame
+        is written by hand: the decoder's ``ValueError`` is answered as
+        ``PROTOCOL_ERROR`` — not ``INTERNAL`` — for a query parameter and for
+        an inserted row alike, nothing is stored, and the connection goes on
+        serving."""
+        handle, _, session, data = served
+        record = encode_param(data[0])
+        record["_obj"]["values"] = [1.0, float("nan")] + record["_obj"]["values"][2:]
+        rows = len(session.relation("walks"))
+        with socket.create_connection(handle.address, timeout=5.0) as raw:
+            for request in ({"op": "sql", "query": RANGE_SQL, "params": {"q": record}},
+                            {"op": "insert_many", "relation": "walks", "rows": [record]}):
+                send_frame(raw, {"id": 1, **request})
+                reply = recv_frame(raw)
+                assert (reply["ok"], reply["code"]) == (False, "PROTOCOL_ERROR")
+                assert "finite" in reply["error"]
+            send_frame(raw, {"id": 2, "op": "sql", "query": RANGE_SQL,
+                             "params": {"q": encode_param(data[0])}})
+            reply = recv_frame(raw)
+            assert reply["ok"] and reply["answers"]
+        assert len(session.relation("walks")) == rows
+
     def test_insert_bumps_epoch_and_answers(self, served):
         _, client, session, data = served
         before = client.sql(RANGE_SQL, q=data[0])

@@ -102,9 +102,26 @@ class TestMaterializedTree:
                 set(transformed_range_search(tree, window, transformation))
 
     def test_same_structure(self, tree, transformation):
+        """Algorithm 1 maps the rectangles and keeps the structure: level for
+        level the same nodes, the same payloads, every corner the image of
+        the original's (a negative scale swaps low and high)."""
         clone = materialize_transformed_tree(tree, transformation)
+        packed = tree.packed()
+        assert clone is not packed and len(clone) == len(packed) == len(tree)
         assert clone.height() == tree.height()
-        assert len(list(clone.all_entries())) == len(list(tree.all_entries()))
+        for mapped, level in zip(clone.levels, packed.levels):
+            assert mapped.is_leaf == level.is_leaf
+            assert np.array_equal(mapped.counts, level.counts)
+            assert np.array_equal(mapped.payloads, level.payloads)
+            images = np.stack([transformation.apply(level.lows),
+                               transformation.apply(level.highs)])
+            assert np.array_equal(mapped.lows, images.min(axis=0))
+            assert np.array_equal(mapped.highs, images.max(axis=0))
+        # A packed tree is taken as it is; the original is left alone.
+        again = materialize_transformed_tree(packed, transformation)
+        assert all(np.array_equal(a.lows, b.lows) and np.array_equal(a.highs, b.highs)
+                   for a, b in zip(again.levels, clone.levels))
+        assert np.array_equal(packed.levels[-1].lows, packed.levels[-1].highs)
 
 
 class TestTransformedNearestNeighbors:
