@@ -713,9 +713,8 @@ class RTree:
                        transformation: RealLinearTransformation | None = None,
                        seeds: tuple[np.ndarray, np.ndarray] | None = None
                        ) -> tuple[np.ndarray, np.ndarray]:
-        """:func:`nearest_search` over :meth:`packed`."""
-        return nearest_search([self.packed()], k, lower_bound, exact, transformation,
-                              seeds)
+        """:meth:`PackedRTree.nearest_search` over :meth:`packed`."""
+        return self.packed().nearest_search(k, lower_bound, exact, transformation, seeds)
 
     def nearest_neighbors(self, point: Sequence[float] | np.ndarray, k: int = 1
                           ) -> list[tuple[float, Any]]:

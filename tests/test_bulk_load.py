@@ -81,6 +81,40 @@ def packed_shape(tree: PackedRTree, depth: int = 0, slot: int = 0) -> list:
             for row in rows]
 
 
+def reference_summary(tree: RTree) -> dict[str, float]:
+    """``structure_summary`` as it was: a walk of the node graph, one
+    ``Rect.union_of`` per node, radii added up in visiting order."""
+    leaf_count = internal_count = leaf_entries = internal_entries = 0
+    leaf_radius_total = internal_radius_total = 0.0
+    pending = [tree.root_id]
+    while pending:
+        node = tree.node(pending.pop())
+        radius = 0.0
+        if node.entries:
+            mbr = node.mbr()
+            radius = 0.5 * float(np.linalg.norm(mbr.high - mbr.low))
+        if node.is_leaf:
+            leaf_count += 1
+            leaf_entries += len(node.entries)
+            leaf_radius_total += radius
+        else:
+            internal_count += 1
+            internal_entries += len(node.entries)
+            internal_radius_total += radius
+            pending.extend(entry.child_id for entry in node.entries)
+    return {
+        "height": float(tree.height()),
+        "leaf_count": float(leaf_count),
+        "internal_count": float(internal_count),
+        "node_count": float(leaf_count + internal_count),
+        "avg_leaf_fanout": leaf_entries / leaf_count if leaf_count else 0.0,
+        "avg_internal_fanout": internal_entries / internal_count if internal_count else 0.0,
+        "avg_leaf_radius": leaf_radius_total / leaf_count if leaf_count else 0.0,
+        "avg_internal_radius": (internal_radius_total / internal_count
+                                if internal_count else 0.0),
+    }
+
+
 def _check_invariants(tree: PackedRTree) -> None:
     """Structural invariants every STR-packed tree must satisfy."""
     minimum = rtree_module._min_entries(tree.max_entries)
@@ -162,6 +196,53 @@ class TestLoaderAndPackDifferential:
             assert packed_shape(pack) == graph_shape(tree)
             assert (len(pack), pack.height()) == (len(tree), tree.height())
             assert (pack.dimension, pack.max_entries) == (dimension, max_entries)
+
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(0, 300),
+           dimension=st.integers(1, 6), max_entries=st.integers(2, 12),
+           builder=st.sampled_from(["str", "rstar", "linear"]))
+    @settings(max_examples=40, deadline=None)
+    def test_structure_summary_equals_the_node_walk(self, seed, count, dimension,
+                                                    max_entries, builder):
+        """Same keys; counts and fanouts exactly, radii to 1e-12 relative (one
+        ``reduceat`` and one sum per level add them up in another order)."""
+        points = _cloud(np.random.default_rng(seed), count, dimension, "uniform")
+        if builder == "str":
+            graph = reference_bulk_load(points, list(range(count)), max_entries)
+            packed = PackedRTree.bulk_load(points, np.arange(count), max_entries=max_entries)
+        else:
+            graph = (RStarTree(dimension, max_entries=max_entries) if builder == "rstar"
+                     else RTree(dimension, max_entries=max_entries, split="linear"))
+            for record, point in enumerate(points[:120]):
+                graph.insert(point, record)
+            packed = graph.packed()
+        expected, summary = reference_summary(graph), packed.structure_summary()
+        assert list(summary) == list(expected)
+        for key, value in expected.items():
+            assert summary[key] == (pytest.approx(value, rel=1e-12, abs=0.0)
+                                    if key.endswith("radius") else value)
+
+    def test_index_summaries_equal_the_node_walk(self, walk_collection, polar_extractor):
+        """Monolithic and partitioned: every tree an index holds."""
+        for grown, index in (
+                (False, KIndex.bulk_load(walk_collection, polar_extractor)),
+                (True, KIndex.build_by_insertion(walk_collection[:150], polar_extractor)),
+                (False, PartitionedIndex.bulk_load(walk_collection, polar_extractor,
+                                                   partition_rows=64))):
+            trees = getattr(index.tree, "trees", [index.tree])
+            assert sum(map(len, trees)) == len(index) - index.tail_rows > 0
+            for tree in trees:
+                rows = np.sort(tree.levels[-1].payloads)
+                if grown:
+                    graph = RStarTree(tree.dimension, max_entries=tree.max_entries)
+                    for row in rows.tolist():
+                        graph.insert(index._points[row], row)
+                else:
+                    graph = reference_bulk_load(index._points[rows], rows.tolist(),
+                                                tree.max_entries)
+                expected, summary = reference_summary(graph), tree.structure_summary()
+                assert list(summary) == list(expected)
+                for key, value in expected.items():
+                    assert summary[key] == pytest.approx(value, rel=1e-12, abs=0.0)
 
     def test_rectangle_data_and_object_records(self):
         rng = np.random.default_rng(40)
