@@ -38,9 +38,10 @@ from __future__ import annotations
 
 import asyncio
 import collections
+import ctypes
 import json
+import sys
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -804,6 +805,38 @@ class ServerHandle:
         return f"ServerHandle(address={self._server.address}, {state})"
 
 
+#: glibc's ``mallopt`` parameters, and the ceiling of its own sliding
+#: heuristic for the first (the second slides at twice the first).
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD_CEILING = 32 << 20
+
+
+def _keep_request_memory() -> bool:
+    """Stop glibc handing every request's temporaries back to the kernel.
+
+    A query's temporaries are a few megabytes (the gathered candidate rows
+    and what is computed from them), allocated and freed on an executor
+    thread.  Once more than the *trim threshold* is free at the top of a
+    thread's heap glibc returns it, and the next request faults the same
+    pages in again — about a thousand minor faults, a third of a range
+    query's time.  The threshold starts at 128 KB and slides up only when
+    the process happens to free a larger block, so whether a server was
+    fast depended on whether loading had left such a block behind.  A
+    serving process wants the memory of its last request for its next one:
+    pin both sliding thresholds where glibc's own heuristic stops.  Returns
+    whether the C library took the settings (``False`` off Linux, or where
+    it has no ``mallopt``); nothing depends on the answer.
+    """
+    if not sys.platform.startswith("linux"):
+        return False
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return False
+    return bool(mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_CEILING)
+                and mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_CEILING))
+
+
 def serve(session: Session | None = None, *,
           config: ServerConfig | None = None,
           path: str | None = None,
@@ -828,5 +861,6 @@ def serve(session: Session | None = None, *,
         raise ProtocolError(
             "pass either an existing session or connection arguments "
             "(path/...), not both")
+    _keep_request_memory()
     server = QueryServer(session, config)
     return ServerHandle(server, owns_session=owns_session)._start()

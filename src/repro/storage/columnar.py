@@ -293,7 +293,12 @@ class ColumnarRecordStore:
         width = self.coefficients.shape[1]
         multiplier = transformation.multiplier[1:1 + width]
         offset = transformation.offset[1:1 + width]
-        coefficients = self.coefficients * multiplier + offset
+        # The product is the result and the offset is added in place: written
+        # as one expression, ``a * m + o`` holds a second relation-sized block
+        # for the length of the addition, and the hole it leaves in the heap
+        # is what a process's peak RSS then varies by from run to run.
+        coefficients = self.coefficients * multiplier
+        coefficients += offset
         extra = np.stack([self.means, self.stds], axis=1)
         extra = extra * transformation.extra_multiplier + transformation.extra_offset
         entry = (transformation, coefficients, extra[:, 0].copy(), extra[:, 1].copy())

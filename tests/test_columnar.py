@@ -124,9 +124,10 @@ class TestStore:
 
 class TestLoadingHoldsTheSpectraOnce:
     """No load path allocates a second relation-sized block beside the
-    store's matrix: a block that large, freed a moment later, is what the
-    allocator keeps resident or not from one run to the next (the benchmark's
-    ``peak_rss_mb`` spread).  Counted with ``tracemalloc``, not timed."""
+    store's matrix, and a transformed view none beside its result: a block
+    that large, freed a moment later, is what the allocator keeps resident or
+    not from one run to the next (the benchmark's ``peak_rss_mb`` spread).
+    Counted with ``tracemalloc``, not timed."""
 
     LENGTH = 128
     #: What one extraction chunk may hold at a time: values, normal form,
@@ -158,6 +159,19 @@ class TestLoadingHoldsTheSpectraOnce:
         index, peak = self._peak(lambda: KIndex.bulk_load(
             data, SeriesFeatureExtractor(2), max_entries=64))
         assert peak < index.store.coefficients.nbytes + self.WORKING_SET
+
+    def test_transformed_view(self, data):
+        s = ColumnarRecordStore()
+        s.extend(data)
+        transformation = moving_average_spectral(self.LENGTH, 10)
+        (coefficients, _, _), peak = self._peak(
+            lambda: s.transformed_arrays(transformation))
+        assert coefficients.nbytes == s.coefficients.nbytes
+        # The result, the two statistics columns and small change: written as
+        # ``a * m + o`` the peak is two such matrices.
+        assert peak < 1.1 * coefficients.nbytes
+        assert np.array_equal(coefficients, s.coefficients * transformation.multiplier[1:]
+                              + transformation.offset[1:])
 
 
 class TestKernels:

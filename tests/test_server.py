@@ -12,6 +12,7 @@ ran.
 
 from __future__ import annotations
 
+import platform
 import socket
 import threading
 import time
@@ -168,6 +169,27 @@ class TestServing:
         assert isinstance(ref, ObjectRef)
         assert ref.name == "walk-0"
         assert isinstance(distance, float)
+
+    def test_allocator_setting_is_a_courtesy(self, data, monkeypatch):
+        """``serve`` asks glibc to keep a request's memory for the next one;
+        where there is no ``mallopt`` to ask, the server starts and answers
+        all the same."""
+        from repro.server import service
+
+        def no_c_library(name):
+            raise OSError("no C library")
+        monkeypatch.setattr(service.ctypes, "CDLL", no_c_library)
+        assert service._keep_request_memory() is False
+        session = repro.connect()
+        session.relation("walks").insert_many(data).with_index(KIndex())
+        with serve(session) as handle:
+            client = repro.client.connect(handle.address, timeout_s=5.0)
+            assert len(client.sql(RANGE_SQL, q=data[0])) == len(session.sql(RANGE_SQL, q=data[0]))
+            client.close()
+        session.close()
+        monkeypatch.undo()
+        if platform.libc_ver()[0] == "glibc":
+            assert service._keep_request_memory() is True
 
     def test_second_query_served_from_cache(self, served):
         _, client, _, data = served
