@@ -82,9 +82,12 @@ class SequentialScan:
         exact-distance definition; the index prefix itself plays no role in
         scanning).
     page_store:
-        Optional simulated page store: records are laid out on pages and the
-        scan charges one read per page, so its I/O profile can be compared
-        with the index's.
+        Optional page store the scan charges its passes to, so its I/O
+        profile can be compared with the index's.  Pages are arithmetic —
+        page ``p`` covers rows ``[p * records_per_page, (p + 1) *
+        records_per_page)`` — so the scan allocates nothing from the store:
+        one pass is one ``read_run(0, data_pages)``, counted as one read
+        per page.
     records_per_page:
         How many full records are assumed to fit on one simulated page.
         When omitted it is derived from the first record's size with the
@@ -125,22 +128,12 @@ class SequentialScan:
         self.buffer = buffer
         self._records_per_page = (max(1, int(records_per_page))
                                   if records_per_page is not None else None)
-        self._pages: list[int] = []
         #: (hits, misses) charged by the most recent scan pass.
         self.last_buffer_io = (0, 0)
-        for position in range(len(self.store)):
-            self._account_record(position)
 
     # ------------------------------------------------------------------
     # loading
     # ------------------------------------------------------------------
-    def _account_record(self, position: int) -> None:
-        """Page bookkeeping for the record at ``position`` in the store."""
-        if self._records_per_page is None:
-            self._records_per_page = page_capacity(self.store.record_bytes())
-        if self._page_store is not None and position % self._records_per_page == 0:
-            self._pages.append(self._page_store.allocate(payload=[]))
-
     def insert(self, series: TimeSeries) -> None:
         """Add one series to the scanned relation."""
         self.extend([series])
@@ -148,10 +141,7 @@ class SequentialScan:
     def extend(self, collection: Iterable[TimeSeries]) -> None:
         """Add every series of a collection (one block extraction, see
         :meth:`ColumnarRecordStore.extend`)."""
-        start = len(self.store)
         self.store.extend(collection)
-        for position in range(start, len(self.store)):
-            self._account_record(position)
 
     def __len__(self) -> int:
         return len(self.store)
@@ -160,7 +150,11 @@ class SequentialScan:
     def records_per_page(self) -> int:
         """Records per simulated data page (derived from the record size
         unless fixed at construction; 1 before any record is stored)."""
-        return self._records_per_page if self._records_per_page else 1
+        if self._records_per_page is not None:
+            return self._records_per_page
+        if len(self.store) == 0:
+            return 1
+        return page_capacity(self.store.record_bytes())
 
     @property
     def data_pages(self) -> int:
@@ -170,23 +164,17 @@ class SequentialScan:
         return -(-len(self.store) // self.records_per_page)
 
     def _charge_scan_io(self) -> None:
-        """One read per data page — through the buffer pool when one is
-        attached, so resident pages are hits rather than device reads.
-        The pass's (hits, misses) delta lands in :attr:`last_buffer_io`."""
+        """One read per data page, asked for as the one run of pages
+        ``[0, data_pages)`` — through the buffer pool when one is attached,
+        so resident pages are hits rather than device reads.  The pass's
+        (hits, misses) lands in :attr:`last_buffer_io`."""
+        self.last_buffer_io = (0, 0)
         if self._page_store is None:
-            self.last_buffer_io = (0, 0)
             return
         if self.buffer is not None:
-            hits_before = self.buffer.stats.hits
-            misses_before = self.buffer.stats.misses
-            for page_id in self._pages:
-                self.buffer.read(page_id)
-            self.last_buffer_io = (self.buffer.stats.hits - hits_before,
-                                   self.buffer.stats.misses - misses_before)
-            return
-        for page_id in self._pages:
-            self._page_store.read(page_id)
-        self.last_buffer_io = (0, 0)
+            self.last_buffer_io = self.buffer.read_run(0, self.data_pages)
+        else:
+            self._page_store.read_run(0, self.data_pages)
 
     # ------------------------------------------------------------------
     # query-side helpers

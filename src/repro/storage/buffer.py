@@ -89,6 +89,52 @@ class BufferPool:
             self._insert(page_id, payload)
             return payload
 
+    def read_run(self, first: int, stop: int) -> tuple[int, int]:
+        """Request the consecutive pages ``[first, stop)``; returns the
+        run's ``(hits, misses)``.
+
+        Exactly the effect of ``read(p)`` for each ``p`` in order — the
+        same counters, the same resident set in the same LRU order, the
+        same write-backs — under one lock acquisition, and with each
+        maximal run of consecutive *missed* pages fetched by one
+        ``store.read_run`` instead of a store call per page.  A run
+        carries no payloads: a page it brings in is resident as ``None``.
+        """
+        with self._lock:
+            frames, dirty, store = self._frames, self._dirty, self.store
+            hits = evictions = 0
+            pending = None  # first page of the run of misses not yet fetched
+            for page_id in range(first, stop):
+                if page_id in frames:
+                    if pending is not None:
+                        store.read_run(pending, page_id)
+                        pending = None
+                    hits += 1
+                    frames.move_to_end(page_id)
+                    continue
+                if pending is None:
+                    pending = page_id
+                frames[page_id] = None
+                while len(frames) > self.capacity:
+                    victim, victim_payload = frames.popitem(last=False)
+                    if victim in dirty:
+                        # The store sees reads and writes in the per-page
+                        # order: fetch the pending run, up to and including
+                        # this page, before the victim is written back.
+                        if pending is not None:
+                            store.read_run(pending, page_id + 1)
+                            pending = None
+                        store.write(victim, victim_payload)
+                        dirty.discard(victim)
+                    evictions += 1
+            if pending is not None:
+                store.read_run(pending, stop)
+            misses = max(0, stop - first) - hits
+            self.stats.hits += hits
+            self.stats.misses += misses
+            self.stats.evictions += evictions
+            return hits, misses
+
     def write(self, page_id: int, payload: Any) -> None:
         """Update the cached copy and mark the page dirty.
 

@@ -359,6 +359,10 @@ class DurableDatabase(Database):
             # Prime the catalog's store cache: scans, samplers and adopted
             # k-indexes all read these arrays (and these series objects).
             self._columnar[name] = (relation, relation.version, store, True)
+        elif not rows:
+            # A relation checkpointed empty is of kind "objects", yet may
+            # carry a k-index, whose decoder adopts a store: an empty one.
+            store = ColumnarRecordStore()
         if entry.get("provider"):
             factory = PROVIDER_FACTORIES.get(entry["provider"])
             if factory is None:
@@ -439,18 +443,15 @@ class DurableDatabase(Database):
         """Scan-construction keywords for a relation with on-disk segments.
 
         Each call hands out a *fresh* page store over the shared mappings
-        plus a fresh bounded buffer pool (a scan's page ids are allocation-
-        ordered, so page stores cannot be shared across scan instances);
-        the pool is also remembered so EXPLAIN consumers and benchmarks
-        can read the cumulative hit rate via :meth:`buffer_pool`.
+        plus a fresh bounded buffer pool, so a scan's counters are its own
+        (the executor builds a scan per relation version); the pool is
+        also remembered so EXPLAIN consumers and benchmarks can read the
+        cumulative hit rate via :meth:`buffer_pool`.
         """
         arrays = self._segment_arrays.get(relation_name)
         if not arrays:
             return None
-        try:
-            record_bytes = self.columnar_store(relation_name).record_bytes()
-        except Exception:
-            return None
+        record_bytes = self.columnar_store(relation_name).record_bytes()
         page_store = SegmentPageStore(arrays, record_bytes)
         pool = BufferPool(page_store, capacity=self.buffer_pages)
         self._backends[relation_name] = {"page_store": page_store,

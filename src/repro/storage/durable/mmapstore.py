@@ -1,21 +1,21 @@
 """A page store backed by memory-mapped segment files.
 
 :class:`SegmentPageStore` subclasses the simulated
-:class:`~repro.storage.pages.PageStore` but makes ``read`` *real*: page
+:class:`~repro.storage.pages.PageStore` but makes reads *real*: page
 ``p`` covers rows ``[p * records_per_page, (p + 1) * records_per_page)``
-of a relation's persisted columnar segments, and reading it touches those
-rows' bytes in the ``mmap``-loaded coefficient arrays — a demand-paged
-device read the first time, a page-cache hit after.  The allocation-order
-page-id contract of the base class is preserved (the sequential scan
-allocates one accounting page per ``records_per_page`` rows, in row
-order), so the scan's page ids line up with segment row blocks with no
-translation table.
+of a relation's persisted columnar segments — the same arithmetic the
+sequential scan numbers its data pages with — and reading it touches those
+rows' bytes in the ``mmap``-loaded coefficient arrays: a demand-paged
+device read the first time, a page-cache hit after.  A scan asks for a
+*run* of consecutive pages (:meth:`SegmentPageStore.read_run`), which
+faults every mapped byte of the run with one reduction per segment array
+it overlaps instead of one per page.
 
-Rows inserted after reopen live past the mapped segments until the next
-checkpoint; their pages fall back to the base class's in-memory
-behaviour.  A :class:`~repro.storage.buffer.BufferPool` in front decides
-which resident pages are re-touched at all — its hit rate over this store
-is the *measured* I/O the cost model consumes.
+Rows inserted since the last checkpoint live past the mapped segments;
+their pages are counted and touch nothing.  A
+:class:`~repro.storage.buffer.BufferPool` in front decides which resident
+pages are re-touched at all — its hit rate over this store is the
+*measured* I/O the cost model consumes.
 """
 
 from __future__ import annotations
@@ -57,15 +57,16 @@ class SegmentPageStore(PageStore):
         self.mapped_reads = 0
 
     def _touch_rows(self, start: int, stop: int) -> int:
-        """Fault the mapped bytes of rows ``[start, stop)`` in; returns a
-        checksum so the access cannot be optimised away."""
+        """Fault the mapped bytes of rows ``[start, stop)`` in — every byte,
+        read as 8-byte words, one reduction per segment array the rows
+        overlap; returns a checksum of what was read."""
         checksum = 0
         low = 0
         for array, high in zip(self._arrays, self._bounds):
             if start < high and stop > low:
                 block = array[max(start - low, 0):min(stop - low, high - low)]
                 if block.size:
-                    checksum ^= int(np.asarray(block.view(np.uint8)).sum())
+                    checksum ^= int(block.view(np.uint64).sum())
             low = high
             if low >= stop:
                 break
@@ -81,6 +82,17 @@ class SegmentPageStore(PageStore):
                                         self.mapped_rows))
             self.mapped_reads += 1
         return payload
+
+    def read_run(self, first: int, stop: int) -> None:
+        """Read the pages ``[first, stop)``: counted page by page, and the
+        mapped rows they cover touched as one row range."""
+        super().read_run(first, stop)
+        start = first * self.records_per_page
+        end = min(stop * self.records_per_page, self.mapped_rows)
+        if start < end:
+            self._touch_rows(start, end)
+            # A page is a mapped read when its first row is mapped.
+            self.mapped_reads += -(-end // self.records_per_page) - first
 
     def __repr__(self) -> str:
         return (f"SegmentPageStore(segments={len(self._arrays)}, "

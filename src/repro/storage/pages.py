@@ -7,9 +7,9 @@ reads and writes, and (optionally) charges a synthetic latency so that
 benchmark timings reflect the I/O asymmetry between index traversal and
 sequential scanning, not just Python CPU time.
 
-The R-tree/R*-tree map each node to one page; the sequential-scan baselines
-read the data file page by page.  Nothing is ever written to the real file
-system.
+The sequential-scan baselines read the data file as runs of consecutive
+pages (:meth:`PageStore.read_run`: one call, one counted read per page).
+Nothing is ever written to the real file system.
 """
 
 from __future__ import annotations
@@ -117,6 +117,19 @@ class PageStore:
         if self.read_penalty > 0.0:
             _spin(self.read_penalty)
         return page.payload
+
+    def read_run(self, first: int, stop: int) -> None:
+        """Read the consecutive pages ``[first, stop)`` in one call, counted
+        as ``stop - first`` disk reads (and as many read penalties).
+
+        A run names its pages by arithmetic, so nothing need have been
+        allocated, and it hands back no payloads — it is how a sequential
+        scan charges a pass over its data pages.
+        """
+        count = max(0, stop - first)
+        self.stats.reads += count
+        if self.read_penalty > 0.0:
+            _spin(self.read_penalty * count)
 
     def write(self, page_id: int, payload: Any) -> None:
         """Overwrite a page's payload (counted as one disk write)."""

@@ -20,10 +20,14 @@ import pytest
 
 import repro
 from repro import (
+    BufferPool,
     KIndex,
     MetricIndex,
     PackedRTree,
+    PageStore,
     PartitionedIndex,
+    SequentialScan,
+    SeriesFeatureExtractor,
     StringObject,
     edit_distance_provider,
     moving_average_spectral,
@@ -192,6 +196,48 @@ class TestIndexPageRoundTrip:
         assert [_probe(twin, queries, T) for T in (None, transformation)] == before
         assert twin.structure_summary() == index.structure_summary()
         reopened.close()
+
+    def test_an_empty_indexed_relation_reopens_and_grows(self, tmp_path):
+        """A relation checkpointed with an index and no rows is of kind
+        ``"objects"`` on disk; its k-index page must still decode (it did
+        not: ``connect`` raised and the directory was lost), and the index
+        that comes back must take rows like any other."""
+        path = str(tmp_path / "db")
+        session = repro.connect(path=path)
+        session.relation("walks").with_index(KIndex(SeriesFeatureExtractor(2)))
+        session.checkpoint()
+        session.close()
+
+        data = random_walk_collection(90, 32, seed=73)
+        scan = SequentialScan()
+        scan.extend(data)
+
+        def pairs(answers):
+            return [(series.object_id, distance) for series, distance in answers]
+
+        def index_agrees_with_the_scan(database):
+            index = database.index("walks")
+            assert len(index) == len(database.relation("walks")) == 90
+            for query in (data[0], data[57], random_walk_collection(1, 32, seed=74)[0]):
+                assert pairs(index.range_query(query, 4.0).answers) == \
+                    pairs(scan.range_query(query, 4.0).answers)
+                assert pairs(index.nearest_neighbors(query, 5).answers) == \
+                    pairs(scan.nearest_neighbors(query, 5))
+
+        reopened = repro.connect(path=path)
+        database = reopened.database
+        assert (database.deserialized_indexes, database.cold_index_builds) == (1, 0)
+        assert len(database.index("walks")) == 0
+        reopened.relation("walks").insert_many(data)
+        index_agrees_with_the_scan(database)
+        reopened.checkpoint()
+        reopened.close()
+
+        again = repro.connect(path=path)
+        assert (again.database.deserialized_indexes, again.database.cold_index_builds,
+                again.database.replayed_wal_records) == (1, 0, 0)
+        index_agrees_with_the_scan(again.database)
+        again.close()
 
     def test_the_page_holds_arrays_not_a_node_graph(self, tmp_path):
         data = random_walk_collection(300, 32, seed=72)
@@ -691,6 +737,85 @@ class TestMeasuredIO:
         assert _answers(tiny, data[0]) == expected
         assert tiny.database.page_io("walks").reads > 0
         tiny.close()
+
+    @pytest.mark.parametrize("buffer_pages", [5, 16, 40],
+                             ids=["below", "equal", "above"])
+    def test_every_scan_family_reports_the_per_page_counts(self, tmp_path,
+                                                           buffer_pages):
+        """Range, k-NN and join scans through pools smaller than, equal to
+        and larger than the 16 mapped pages report the hits and misses of
+        the per-page pass — one ``pool.read`` per page over pages the scan
+        allocated, kept here as the reference — also once rows live past
+        the mapped segments, and after the checkpoint that maps them."""
+        data = random_walk_collection(64 + 10, 64, seed=54)
+        path = str(tmp_path / "db")
+        with repro.connect(path=path) as session:
+            session.relation("walks").insert_many(data[:64])
+        session = repro.connect(path=path, buffer_pages=buffer_pages,
+                                answer_cache_size=0)
+        database = session.database
+        queries = ((RANGE_SQL, {"q": data[2]}), (NEAREST_SQL, {"q": data[3]}),
+                   ("SELECT PAIRS FROM walks WHERE dist < 2.0", {}))
+
+        def passes_agree(pages):
+            # The executor builds a scan — with a fresh store and pool — per
+            # relation version and per checkpoint; so does the reference.
+            store = PageStore()
+            for _ in range(pages):
+                store.allocate(payload=[])
+            reference = BufferPool(store, capacity=buffer_pages)
+            reads = store.stats.reads
+            for _ in range(2):  # cold, then whatever the pool kept
+                for sql, parameters in queries:
+                    hits, misses = reference.stats.hits, reference.stats.misses
+                    for page_id in range(pages):
+                        reference.read(page_id)
+                    outcome = session.sql(sql, **parameters)
+                    work = outcome.statistics
+                    assert work.node_accesses == pages
+                    assert (work.buffer_hits, work.buffer_misses) == (
+                        reference.stats.hits - hits, reference.stats.misses - misses)
+                    assert f"buffer: {work.buffer_hits}/{pages} hits" \
+                        in session.explain(outcome)
+            pool = database.buffer_pool("walks")
+            assert pool.stats == reference.stats and len(pool) == len(reference)
+            assert database.page_io("walks").reads == store.stats.reads - reads
+            assert database.page_io("walks").allocations == 0
+            return database._backends["walks"]["page_store"]  # noqa: SLF001
+
+        # 64 rows, 4 to a page: every page is mapped.
+        mapped = passes_agree(16)
+        assert mapped.mapped_reads == mapped.stats.reads > 0
+        # Ten more rows: pages 16 … 18 are counted and touch no mapping.
+        session.relation("walks").insert_many(data[64:])
+        grown = passes_agree(19)
+        assert grown.mapped_rows == 64
+        assert grown.stats.reads - grown.mapped_reads == \
+            3 * grown.stats.reads // 19 > 0
+        session.checkpoint()
+        remapped = passes_agree(19)
+        assert remapped.mapped_rows == 74
+        assert remapped.mapped_reads == remapped.stats.reads
+        session.close()
+
+    def test_scan_backend_lets_failures_surface(self, tmp_path, monkeypatch):
+        """A failure while sizing the pages is an error, not a scan that
+        silently stops charging I/O."""
+        path = str(tmp_path / "db")
+        with repro.connect(path=path) as session:
+            session.relation("walks").insert_many(
+                random_walk_collection(8, 32, seed=55))
+        database = repro.connect(path=path).database
+        assert database.scan_backend("walks") is not None
+        assert database.scan_backend("nothing-mapped") is None
+
+        def broken(name):
+            raise RuntimeError(f"no store for {name}")
+
+        monkeypatch.setattr(database, "columnar_store", broken)
+        with pytest.raises(RuntimeError, match="no store for walks"):
+            database.scan_backend("walks")
+        database.close()
 
     def test_checkpoint_mid_session_attaches_backends(self, tmp_path):
         data = random_walk_collection(60, 64, seed=53)

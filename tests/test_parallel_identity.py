@@ -425,6 +425,52 @@ class TestBufferPoolThreadSafety:
         assert len(pool) <= 16
         assert pool.stats.hits + pool.stats.misses == 8 * 400
 
+    def test_concurrent_runs_and_reads_count_every_page(self):
+        """Page runs racing single reads, seven to one: more threads than
+        cores, a short switch interval and enough passes that a run made
+        without the pool's lock fails more often than not
+        (``move_to_end`` of a page another thread has just evicted)."""
+        import sys
+
+        store = PageStore()
+        pages = [store.allocate(payload=i) for i in range(100)]
+        pool = BufferPool(store, capacity=16)
+        requested = [0] * 16
+        errors = []
+
+        def hammer(worker_id: int) -> None:
+            try:
+                for i in range(2500):
+                    first = (worker_id * 13 + i * 7) % len(pages)
+                    if (worker_id + i) % 8:
+                        stop = min(first + 1 + i % 40, len(pages))
+                        hits, misses = pool.read_run(first, stop)
+                        assert hits + misses == stop - first
+                        requested[worker_id] += stop - first
+                    else:
+                        assert pool.read(pages[first]) in (first, None)
+                        requested[worker_id] += 1
+                    assert len(pool) <= 16
+            except Exception as error:  # noqa: BLE001
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(n,)) for n in range(16)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert len(pool) <= 16
+        assert pool.stats.hits + pool.stats.misses == sum(requested)
+        assert store.stats.reads == pool.stats.misses
+        assert pool.stats.evictions == pool.stats.misses - len(pool)
+
     def test_concurrent_writes_and_invalidations(self):
         store = PageStore()
         pages = [store.allocate(payload=0) for _ in range(20)]

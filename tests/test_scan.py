@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from repro.index.scan import SequentialScan
-from repro.storage.columnar import transform_full_record
-from repro.storage.pages import PageStore
+from repro.storage.buffer import BufferPool
+from repro.storage.columnar import ColumnarRecordStore, transform_full_record
+from repro.storage.pages import PageStore, records_per_page
 from repro.timeseries.features import SeriesFeatureExtractor
 from repro.timeseries.generators import random_walk_collection
 from repro.timeseries.transforms import moving_average_spectral
@@ -125,10 +126,64 @@ class TestScanQueries:
             assert all(np.isfinite(distance) for _, _, distance in pairs)
 
     def test_page_store_charged_per_query(self):
+        """Pages are arithmetic: a pass is charged one read per data page
+        and the scan allocates nothing from its page store — not over a
+        pre-filled store, not when it grows, not when it is queried."""
+        data = random_walk_collection(27, 32, seed=9)
+        filled = ColumnarRecordStore()
+        filled.extend(data[:20])
         store = PageStore()
+        scan = SequentialScan(page_store=store, records_per_page=4, store=filled)
+        assert scan.data_pages == 5  # 20 records / 4 per page
+        assert store.stats.snapshot()["total"] == 0
+        scan.extend(data[20:])
+        assert scan.data_pages == 7  # the last page holds 3 of its 4 records
+        assert store.stats.allocations == 0 and len(store) == 0
+        range_work = scan.range_query(data[0], 1.0).statistics
+        assert store.stats.reads == 7
+        scan.nearest_neighbors(data[0], 3)
+        assert store.stats.reads == 14
+        _, join_work = scan.all_pairs(1.0)
+        assert store.stats.reads == 21
+        assert range_work.node_accesses == join_work.node_accesses == 7
+        assert store.stats.allocations == 0 and len(store) == 0
+        assert scan.last_buffer_io == (0, 0)  # no pool, nothing to hit
+
+    def test_a_pass_is_one_run_and_no_page_reads(self):
+        class CountingStore(PageStore):
+            calls: list = []
+
+            def read(self, page_id):
+                self.calls.append(("read", page_id))
+                return super().read(page_id)
+
+            def read_run(self, first, stop):
+                self.calls.append(("read_run", first, stop))
+                super().read_run(first, stop)
+
+        data = random_walk_collection(22, 32, seed=9)
+        store = CountingStore()
         scan = SequentialScan(page_store=store, records_per_page=4)
-        scan.extend(random_walk_collection(20, 32, seed=9))
-        reads_before = store.stats.reads
-        scan.range_query(scan.store.series(0), 1.0)
-        assert store.stats.reads - reads_before == len(scan._pages)  # noqa: SLF001
-        assert len(scan._pages) == 5  # noqa: SLF001 - 20 records / 4 per page
+        scan.extend(data)
+        scan.range_query(data[0], 1.0)
+        scan.nearest_neighbors(data[1], 2)
+        scan.all_pairs(1.0)
+        assert store.calls == [("read_run", 0, 6)] * 3
+        # Behind a pool the scan asks the pool, and the pool the store:
+        # one run while everything misses, nothing once it is resident.
+        del store.calls[:]
+        pooled = SequentialScan(page_store=store, records_per_page=4,
+                                store=scan.store, buffer=BufferPool(store, 8))
+        cold = pooled.range_query(data[0], 1.0).statistics
+        warm = pooled.all_pairs(1.0)[1]
+        assert (cold.buffer_hits, cold.buffer_misses) == (0, 6)
+        assert (warm.buffer_hits, warm.buffer_misses) == (6, 0)
+        assert store.calls == [("read_run", 0, 6)]
+
+    def test_records_per_page_follows_the_first_record(self):
+        scan = SequentialScan()
+        assert scan.records_per_page == 1 and scan.data_pages == 0
+        scan.extend(random_walk_collection(9, 64, seed=3))
+        expected = records_per_page(scan.store.record_bytes())
+        assert scan.records_per_page == expected
+        assert scan.data_pages == -(-9 // expected)

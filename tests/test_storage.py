@@ -1,11 +1,18 @@
-"""Tests for the simulated page store and buffer pool."""
+"""Tests for the simulated page store, the buffer pool and the mapped
+segment store — among them the differentials of a *page run*
+(``read_run``) against the per-page loop it replaced in the scan, which is
+kept here as the reference and shares no code with it."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import StorageError
 from repro.storage.buffer import BufferPool
+from repro.storage.durable import SegmentPageStore
 from repro.storage.pages import PageStore
 
 
@@ -135,3 +142,253 @@ class TestBufferPool:
 
     def test_hit_ratio_with_no_accesses(self):
         assert BufferPool(PageStore()).stats.hit_ratio == 0.0
+
+
+# ----------------------------------------------------------------------
+# page runs against the per-page loop
+# ----------------------------------------------------------------------
+def per_page_pass(reader, first: int, stop: int) -> None:
+    """The loop ``read_run`` replaced — one ``read`` per page, in order —
+    kept as the reference for pools and stores alike."""
+    for page_id in range(first, stop):
+        reader.read(page_id)
+
+
+class LoggingStore(PageStore):
+    """A page store that records what reaches it: every page read and
+    written, in order, and the runs it was asked for."""
+
+    def __init__(self, pages: int) -> None:
+        super().__init__()
+        for _ in range(pages):
+            self.allocate(payload=[])
+        self.stats.reset()
+        self.log: list[tuple[str, int]] = []
+        self.runs: list[tuple[int, int]] = []
+        self.single_reads = 0
+
+    def read(self, page_id):
+        self.single_reads += 1
+        self.log.append(("read", page_id))
+        return super().read(page_id)
+
+    def read_run(self, first, stop):
+        self.runs.append((first, stop))
+        self.log.extend(("read", page_id) for page_id in range(first, stop))
+        super().read_run(first, stop)
+
+    def write(self, page_id, payload):
+        self.log.append(("write", page_id))
+        super().write(page_id, payload)
+
+
+def maximal_read_runs(log: list[tuple[str, int]]) -> list[tuple[int, int]]:
+    """The device's view of a per-page pass cut into runs: adjacent log
+    entries that read consecutive pages (a hit leaves a gap in the ids, a
+    write-back an entry in between)."""
+    runs: list[tuple[int, int]] = []
+    previous = None
+    for entry in log:
+        if entry[0] == "read" and previous == ("read", entry[1] - 1):
+            runs[-1] = (runs[-1][0], entry[1] + 1)
+        elif entry[0] == "read":
+            runs.append((entry[1], entry[1] + 1))
+        previous = entry
+    return runs
+
+
+PAGES = 40
+_page = st.integers(0, PAGES - 1)
+_single = st.tuples(st.sampled_from(["read", "write"]), _page)
+_run = st.tuples(st.just("run"), st.integers(0, PAGES), st.integers(0, 30))
+
+
+def pool_state(pool: BufferPool, store: LoggingStore):
+    return (pool.stats.hits, pool.stats.misses, pool.stats.evictions,
+            list(pool._frames), set(pool._dirty),  # noqa: SLF001
+            store.stats.reads, store.stats.writes, store.log)
+
+
+class TestReadRunEqualsThePerPageLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(capacity=st.integers(1, 12),
+           before=st.lists(_single, max_size=30),
+           steps=st.lists(st.one_of(_run, _run, _single), min_size=1, max_size=12))
+    def test_pool_run_equals_the_loop_after_every_step(self, capacity, before, steps):
+        """Frames in arbitrary LRU order, some dirty; then runs — empty, one
+        page, longer than the pool, overlapping the resident set anywhere,
+        repeated — between single reads and writes."""
+        reference_store, run_store = LoggingStore(PAGES), LoggingStore(PAGES)
+        reference = BufferPool(reference_store, capacity)
+        pool = BufferPool(run_store, capacity)
+        for kind, *arguments in before + steps:
+            if kind == "run":
+                first, length = arguments
+                stop = min(first + length, PAGES)
+                mark = len(reference_store.log)
+                hits, misses = reference.stats.hits, reference.stats.misses
+                per_page_pass(reference, first, stop)
+                run_store.runs.clear()
+                singles = run_store.single_reads
+                assert pool.read_run(first, stop) == (
+                    reference.stats.hits - hits, reference.stats.misses - misses)
+                # One store call per maximal run of misses, none per page.
+                assert run_store.runs == maximal_read_runs(reference_store.log[mark:])
+                assert run_store.single_reads == singles
+            elif kind == "read":
+                reference.read(arguments[0])
+                pool.read(arguments[0])
+            else:
+                reference.write(arguments[0], "dirty")
+                pool.write(arguments[0], "dirty")
+            assert pool_state(pool, run_store) == pool_state(reference, reference_store)
+
+    def test_a_dirty_victim_is_written_back_between_the_reads_around_it(self):
+        reference_store, run_store = LoggingStore(8), LoggingStore(8)
+        pools = [BufferPool(reference_store, 2), BufferPool(run_store, 2)]
+        for pool in pools:
+            pool.write(6, "dirty")
+            pool.read(7)
+        per_page_pass(pools[0], 0, 4)
+        assert pools[1].read_run(0, 4) == (0, 4)
+        assert run_store.log == reference_store.log == [
+            ("read", 7), ("read", 0), ("write", 6), ("read", 1), ("read", 2),
+            ("read", 3)]
+        assert run_store.runs == [(0, 1), (1, 4)]
+
+    def test_a_pass_that_misses_everywhere_is_one_lock_and_one_store_call(self):
+        class CountingLock:
+            def __init__(self, lock):
+                self.lock, self.acquisitions = lock, 0
+
+            def __enter__(self):
+                self.acquisitions += 1
+                return self.lock.__enter__()
+
+            def __exit__(self, *exc_info):
+                return self.lock.__exit__(*exc_info)
+
+        store = LoggingStore(0)  # a run names pages by arithmetic
+        pool = BufferPool(store, capacity=16)
+        pool._lock = CountingLock(pool._lock)  # noqa: SLF001
+        assert pool.read_run(0, 100) == (0, 100)
+        assert pool._lock.acquisitions == 1  # noqa: SLF001
+        assert store.runs == [(0, 100)] and store.single_reads == 0
+        assert (store.stats.reads, store.stats.allocations) == (100, 0)
+        assert list(pool._frames) == list(range(84, 100))  # noqa: SLF001
+        assert pool.stats.evictions == 84
+        # Resident pages are hits and reach no store; the pages after them
+        # are one more run.
+        assert pool.read_run(90, 100) == (10, 0)
+        assert pool.read_run(98, 102) == (2, 2)
+        assert store.runs == [(0, 100), (100, 102)]
+
+    def test_a_run_resident_page_has_no_payload(self):
+        store = LoggingStore(4)
+        pool = BufferPool(store, capacity=4)
+        pool.read_run(0, 2)
+        assert pool.read(1) is None and pool.read(2) == []
+        assert (pool.stats.hits, pool.stats.misses) == (1, 3)
+
+    def test_store_run_counts_reads_and_penalties(self, monkeypatch):
+        from repro.storage import pages
+
+        spun = []
+        monkeypatch.setattr(pages, "_spin", spun.append)
+        store = PageStore(read_penalty=0.5)
+        store.read_run(3, 7)
+        store.read_run(5, 5)
+        assert store.stats.snapshot() == {"reads": 4, "writes": 0,
+                                          "allocations": 0, "total": 4}
+        assert spun == [2.0, 0.0]
+
+
+class CountingMap(np.memmap):
+    """A mapping that counts the reductions run over it (slices and dtype
+    views of a mapping are mappings of the same class)."""
+
+    reductions = 0
+
+    def sum(self, *args, **kwargs):
+        CountingMap.reductions += 1
+        return super().sum(*args, **kwargs)
+
+
+class TestSegmentStoreRuns:
+    """``SegmentPageStore.read_run`` on real ``.npy`` mappings: 13 mapped
+    rows in segments of 5, 5 and 3, three rows to a page — so page 1
+    straddles a segment boundary, page 4 is partial (row 12 alone), and
+    pages 5 … 7 lie wholly past the mapped rows."""
+
+    SEGMENT_ROWS = (5, 5, 3)
+    LAST_PAGE = 8
+
+    def stores(self, tmp_path):
+        rng = np.random.default_rng(5)
+        arrays = []
+        for number, rows in enumerate(self.SEGMENT_ROWS):
+            path = tmp_path / f"seg-{number}.npy"
+            np.save(path, rng.normal(size=(rows, 4)) + 1j * rng.normal(size=(rows, 4)))
+            arrays.append(np.load(path, mmap_mode="r").view(CountingMap))
+        made = []
+        for _ in range(2):
+            store = SegmentPageStore(arrays, record_bytes=100, page_size=300)
+            assert store.records_per_page == 3 and store.mapped_rows == 13
+            store.touched = []
+            touch = store._touch_rows  # noqa: SLF001
+            store._touch_rows = (  # noqa: SLF001
+                lambda start, stop, store=store, touch=touch:
+                (store.touched.extend(range(start, stop)), touch(start, stop))[1])
+            made.append(store)
+        reference, run = made
+        for _ in range(self.LAST_PAGE):
+            reference.allocate(payload=[])
+        reference.stats.reset()
+        return reference, run
+
+    def segments_overlapped(self, first, stop):
+        rows = set(range(first * 3, min(stop * 3, 13)))
+        bounds = np.cumsum((0,) + self.SEGMENT_ROWS)
+        return sum(1 for low, high in zip(bounds[:-1], bounds[1:])
+                   if rows & set(range(low, high)))
+
+    def test_every_run_equals_the_per_page_loop(self, tmp_path):
+        """All 45 runs ``0 <= first <= stop <= 8``: inside one segment
+        (0, 1), across two (1, 3), across all (0, 5), the straddling page
+        alone (1, 2), the partial page (4, 5), across ``mapped_rows``
+        (3, 7), wholly past it (5, 8), empty (2, 2)."""
+        reference, run = self.stores(tmp_path)
+        for first in range(self.LAST_PAGE + 1):
+            for stop in range(first, self.LAST_PAGE + 1):
+                reference.touched.clear()
+                run.touched.clear()
+                per_page_pass(reference, first, stop)
+                CountingMap.reductions = 0
+                run.read_run(first, stop)
+                assert CountingMap.reductions == self.segments_overlapped(first, stop)
+                assert sorted(run.touched) == sorted(reference.touched)
+                assert len(set(run.touched)) == len(run.touched)  # each byte once
+                assert run.stats.reads == reference.stats.reads
+                assert run.mapped_reads == reference.mapped_reads
+        assert run.stats.allocations == 0
+
+    def test_the_named_runs(self, tmp_path):
+        _, run = self.stores(tmp_path)
+        for first, stop, rows, mapped_pages in [
+                (0, 1, range(0, 3), 1), (1, 3, range(3, 9), 2),
+                (0, 5, range(0, 13), 5), (1, 2, range(3, 6), 1),
+                (4, 5, range(12, 13), 1), (3, 7, range(9, 13), 2),
+                (5, 8, range(0), 0), (2, 2, range(0), 0)]:
+            run.touched.clear()
+            reads, mapped = run.stats.reads, run.mapped_reads
+            run.read_run(first, stop)
+            assert run.touched == list(rows)
+            assert run.stats.reads - reads == stop - first
+            assert run.mapped_reads - mapped == mapped_pages
+
+    def test_a_run_reads_every_mapped_byte(self, tmp_path):
+        _, run = self.stores(tmp_path)
+        expected = 0
+        for array in run._arrays:  # noqa: SLF001
+            expected ^= int(np.asarray(array).view(np.uint64).sum())
+        assert run._touch_rows(0, 13) == expected  # noqa: SLF001
