@@ -37,6 +37,8 @@ class SegmentPageStore(PageStore):
     arrays:
         The relation's segment coefficient arrays in row order (typically
         ``numpy.load(..., mmap_mode="r")`` results), logically concatenated.
+        Rows are read as 8-byte words, so a row's size is a multiple of 8
+        (the spectra are ``complex128``).
     record_bytes:
         Bytes per stored record — fixes ``records_per_page`` with the same
         arithmetic the scan and the cost model use.
