@@ -102,6 +102,7 @@ class BufferPool:
         """
         with self._lock:
             frames, dirty, store = self._frames, self._dirty, self.store
+            capacity = self.capacity
             hits = evictions = 0
             pending = None  # first page of the run of misses not yet fetched
             for page_id in range(first, stop):
@@ -115,7 +116,7 @@ class BufferPool:
                 if pending is None:
                     pending = page_id
                 frames[page_id] = None
-                while len(frames) > self.capacity:
+                while len(frames) > capacity:
                     victim, victim_payload = frames.popitem(last=False)
                     if victim in dirty:
                         # The store sees reads and writes in the per-page

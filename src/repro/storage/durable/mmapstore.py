@@ -74,27 +74,28 @@ class SegmentPageStore(PageStore):
                 break
         return checksum
 
-    def read(self, page_id: int) -> Any:
-        """Read a page: counted like every page read, and — for pages that
-        cover mapped segment rows — served by touching the mapping."""
-        payload = super().read(page_id)
-        start = page_id * self.records_per_page
-        if start < self.mapped_rows:
-            self._touch_rows(start, min(start + self.records_per_page,
-                                        self.mapped_rows))
-            self.mapped_reads += 1
-        return payload
-
-    def read_run(self, first: int, stop: int) -> None:
-        """Read the pages ``[first, stop)``: counted page by page, and the
-        mapped rows they cover touched as one row range."""
-        super().read_run(first, stop)
+    def _touch_pages(self, first: int, stop: int) -> None:
+        """Serve the mapped part of pages ``[first, stop)``: the mapped rows
+        they cover are touched as one row range, and a page counts as a
+        mapped read when its first row is mapped."""
         start = first * self.records_per_page
         end = min(stop * self.records_per_page, self.mapped_rows)
         if start < end:
             self._touch_rows(start, end)
-            # A page is a mapped read when its first row is mapped.
             self.mapped_reads += -(-end // self.records_per_page) - first
+
+    def read(self, page_id: int) -> Any:
+        """Read a page: counted like every page read, and — for pages that
+        cover mapped segment rows — served by touching the mapping."""
+        payload = super().read(page_id)
+        self._touch_pages(page_id, page_id + 1)
+        return payload
+
+    def read_run(self, first: int, stop: int) -> None:
+        """Read the pages ``[first, stop)``: counted page by page, their
+        mapped rows touched at once."""
+        super().read_run(first, stop)
+        self._touch_pages(first, stop)
 
     def __repr__(self) -> str:
         return (f"SegmentPageStore(segments={len(self._arrays)}, "

@@ -151,7 +151,9 @@ class TestScanQueries:
 
     def test_a_pass_is_one_run_and_no_page_reads(self):
         class CountingStore(PageStore):
-            calls: list = []
+            def __init__(self):
+                super().__init__()
+                self.calls = []
 
             def read(self, page_id):
                 self.calls.append(("read", page_id))

@@ -1,7 +1,9 @@
 """Tests for the simulated page store, the buffer pool and the mapped
 segment store — among them the differentials of a *page run*
 (``read_run``) against the per-page loop it replaced in the scan, which is
-kept here as the reference and shares no code with it."""
+kept here as the reference: the pool's ``read`` and ``read_run`` share no
+code, the segment store's only the touch of a row range, which the tests
+spy on and check against literal row sets."""
 
 from __future__ import annotations
 
@@ -334,17 +336,25 @@ class TestSegmentStoreRuns:
         for _ in range(2):
             store = SegmentPageStore(arrays, record_bytes=100, page_size=300)
             assert store.records_per_page == 3 and store.mapped_rows == 13
-            store.touched = []
-            touch = store._touch_rows  # noqa: SLF001
-            store._touch_rows = (  # noqa: SLF001
-                lambda start, stop, store=store, touch=touch:
-                (store.touched.extend(range(start, stop)), touch(start, stop))[1])
+            self.spy_on_touches(store)
             made.append(store)
         reference, run = made
         for _ in range(self.LAST_PAGE):
             reference.allocate(payload=[])
         reference.stats.reset()
         return reference, run
+
+    @staticmethod
+    def spy_on_touches(store):
+        """Record the rows every ``_touch_rows`` call covers."""
+        store.touched = []
+        touch = store._touch_rows  # noqa: SLF001
+
+        def touch_and_record(start, stop):
+            store.touched.extend(range(start, stop))
+            return touch(start, stop)
+
+        store._touch_rows = touch_and_record  # noqa: SLF001
 
     def segments_overlapped(self, first, stop):
         rows = set(range(first * 3, min(stop * 3, 13)))
