@@ -1,22 +1,22 @@
-"""Experiment harness: workloads, per-figure reproduction functions, the
-seeded workload generator + replay runner, reporting, and the recorded
-baseline trajectory (``BENCH_perf.json``)."""
+"""The paper's evaluation in its own currency: per-figure experiment
+functions behind ``python -m repro.bench.harness``, the classic fixtures,
+the seeded workload generator and its replay runner.  Wall-clock lives in
+``benchmarks/perf/`` (``BENCHMARK.json``), guarantees in ``tests/``."""
 
 from .experiments import EXPERIMENTS, run_experiment
 from .harness import (CONFIGURATIONS, ExecutionResult, ReplayReport,
                       prepare_session, replay_workload)
-from .recording import latest_metrics, load_trajectory, machine_key, record_run
-from .reporting import format_markdown_table, format_table, summarize_ratio
+from .reporting import format_table
 from .workloads import (ExperimentFixture, Workload, WorkloadQuery,
                         WorkloadSpec, generate_workload, pick_queries,
-                        stock_workload, synthetic_workload)
+                        standard_mixes, stock_workload, synthetic_workload)
 
 __all__ = [
     "EXPERIMENTS", "run_experiment",
-    "format_table", "format_markdown_table", "summarize_ratio",
+    "format_table",
     "ExperimentFixture", "pick_queries", "stock_workload", "synthetic_workload",
     "Workload", "WorkloadQuery", "WorkloadSpec", "generate_workload",
+    "standard_mixes",
     "CONFIGURATIONS", "ExecutionResult", "ReplayReport",
     "prepare_session", "replay_workload",
-    "machine_key", "load_trajectory", "record_run", "latest_metrics",
 ]

@@ -70,23 +70,18 @@ def _epsilon_for(workload: ExperimentFixture, target_fraction: float = 0.01,
                  transformation=None) -> float:
     """A threshold returning roughly ``target_fraction`` of the workload.
 
-    Estimated from the exact distances of one query series to a sample of the
+    Read off the exact distances of one query series to every series of the
     data, so experiments stay comparable across sizes without hand-tuning.
     """
     if not workload.data:
         return 1.0
     query = workload.queries[0] if workload.queries else workload.data[0]
-    sample = workload.data[:: max(1, len(workload.data) // 200)]
-    distances = []
-    for series in sample:
-        result = workload.scan.range_query(query, float("inf"),
-                                           transformation=transformation,
-                                           early_abandon=False)
-        distances = [d for _, d in result.answers]
-        break
+    result = workload.scan.range_query(query, float("inf"),
+                                       transformation=transformation,
+                                       early_abandon=False)
+    distances = sorted(d for _, d in result.answers)
     if not distances:
         return 1.0
-    distances.sort()
     position = max(1, int(target_fraction * len(distances))) - 1
     return float(distances[min(position, len(distances) - 1)]) + 1e-9
 

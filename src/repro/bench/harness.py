@@ -1,11 +1,14 @@
-"""Experiment CLI plus the reproducible workload-replay runner.
+"""The paper's figures from the command line, and the workload-replay runner.
 
 Two entry points live here:
 
-* the original command line — ``python -m repro.bench.harness
-  [experiment ...]`` — runs the named per-figure experiments at their quick
-  default sizes and prints one text table each (``--paper-scale`` switches
-  to the original data sizes);
+* the command line — ``python -m repro.bench.harness [experiment ...]`` —
+  is the repo's driver for the paper's evaluation: it runs the named
+  experiments of :data:`~repro.bench.experiments.EXPERIMENTS` (Figs. 8–12,
+  Table 1, the §2 examples and the ablations) at their quick default sizes
+  and prints one text table each, rows carrying node accesses, candidates
+  and I/O beside milliseconds (``--paper-scale`` switches to the original
+  data sizes, ``--list`` prints the names);
 
 * :func:`replay_workload` — replays a seeded
   :class:`~repro.bench.workloads.Workload` through a fresh
@@ -15,7 +18,13 @@ Two entry points live here:
   split), measured I/O and distance computations in the paper's currency,
   and whether the answer cache served the query.  Replays of the same
   workload are deterministic: same seed, same per-query plan choices, same
-  answers — which is exactly what the CI ``workload-replay`` gate asserts.
+  answers — ``tests/test_workloads.py::TestReplayDeterminism`` holds that,
+  and holds the advisor to within 15% of the best configuration on the
+  three standard mixes.
+
+The milliseconds in either's rows are for reading beside the counts; a
+wall-clock *claim* is measured by ``BENCHMARK.json`` + ``benchmarks/perf/``,
+parent against change on one host.
 
 The measured *weighted cost* mirrors the cost model's currency —
 ``io_total`` plus distance computations at the model's exchange rate
@@ -96,22 +105,6 @@ class ExecutionResult:
     answer_digest: str
     from_cache: bool
 
-    def as_row(self) -> dict:
-        """Flat dictionary form (the per-query result table / artifact)."""
-        return {
-            "label": self.label,
-            "family": self.family,
-            "plan": self.plan_family,
-            "opt_ms": round(self.optimization_seconds * 1e3, 3),
-            "exec_ms": round(self.execution_seconds * 1e3, 3),
-            "io": self.io_accesses,
-            "distances": self.distance_computations,
-            "weighted_cost": round(self.weighted_cost, 2),
-            "answers": self.answer_count,
-            "digest": self.answer_digest,
-            "cached": self.from_cache,
-        }
-
 
 @dataclass
 class ReplayReport:
@@ -127,24 +120,8 @@ class ReplayReport:
         return sum(result.weighted_cost for result in self.results)
 
     @property
-    def total_io(self) -> int:
-        return sum(result.io_accesses for result in self.results)
-
-    @property
-    def total_distance_computations(self) -> int:
-        return sum(result.distance_computations for result in self.results)
-
-    @property
     def cache_hits(self) -> int:
         return sum(1 for result in self.results if result.from_cache)
-
-    @property
-    def optimization_seconds(self) -> float:
-        return sum(result.optimization_seconds for result in self.results)
-
-    @property
-    def execution_seconds(self) -> float:
-        return sum(result.execution_seconds for result in self.results)
 
     def plan_signature(self) -> tuple[str, ...]:
         """Per-query plan choices, in arrival order (determinism witness)."""
@@ -153,23 +130,6 @@ class ReplayReport:
     def answer_signature(self) -> tuple[str, ...]:
         """Per-query answer digests, in arrival order."""
         return tuple(result.answer_digest for result in self.results)
-
-    def as_rows(self) -> list[dict]:
-        return [result.as_row() for result in self.results]
-
-    def summary(self) -> dict:
-        """Aggregate metrics (what the BENCH recorder stores)."""
-        return {
-            "configuration": self.configuration,
-            "detail": self.detail,
-            "queries": len(self.results),
-            "weighted_cost": round(self.total_weighted_cost, 2),
-            "io": self.total_io,
-            "distances": self.total_distance_computations,
-            "cache_hits": self.cache_hits,
-            "opt_ms": round(self.optimization_seconds * 1e3, 2),
-            "exec_ms": round(self.execution_seconds * 1e3, 2),
-        }
 
 
 def answer_digest(answers: list[Any]) -> str:
@@ -299,7 +259,7 @@ def replay_workload(
 
 
 # ----------------------------------------------------------------------
-# experiment CLI (unchanged surface)
+# experiment CLI
 # ----------------------------------------------------------------------
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns a process exit code."""

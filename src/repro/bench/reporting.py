@@ -1,16 +1,16 @@
-"""Plain-text and markdown rendering of experiment results.
+"""Plain-text rendering of experiment results.
 
-Every experiment returns a list of row dictionaries; these helpers turn them
-into aligned text tables (for the console) or markdown tables (for
-``EXPERIMENTS.md``), without depending on any plotting library.
+Every experiment returns a list of row dictionaries; :func:`format_table`
+turns them into the aligned text table the harness CLI prints, without
+depending on any plotting library.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from typing import Any
 
-__all__ = ["format_table", "format_markdown_table", "summarize_ratio"]
+__all__ = ["format_table"]
 
 
 def _render_cell(value: Any) -> str:
@@ -51,27 +51,3 @@ def format_table(rows: Sequence[Mapping[str, Any]],
     ]
     lines = ([title] if title else []) + [header, separator] + body
     return "\n".join(lines)
-
-
-def format_markdown_table(rows: Sequence[Mapping[str, Any]],
-                          columns: Sequence[str] | None = None) -> str:
-    """Render rows as a GitHub-flavoured markdown table."""
-    if not rows:
-        return "(no rows)"
-    names = _column_order(rows, columns)
-    lines = ["| " + " | ".join(names) + " |",
-             "|" + "|".join("---" for _ in names) + "|"]
-    for row in rows:
-        lines.append("| " + " | ".join(_render_cell(row.get(name, "")) for name in names) + " |")
-    return "\n".join(lines)
-
-
-def summarize_ratio(rows: Iterable[Mapping[str, Any]], numerator: str,
-                    denominator: str) -> float:
-    """Average ratio ``numerator / denominator`` over rows (ignores zero denominators)."""
-    ratios = []
-    for row in rows:
-        denom = float(row.get(denominator, 0.0))
-        if denom > 0:
-            ratios.append(float(row.get(numerator, 0.0)) / denom)
-    return sum(ratios) / len(ratios) if ratios else 0.0

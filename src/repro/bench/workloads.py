@@ -53,6 +53,7 @@ __all__ = [
     "WorkloadSpec",
     "generate_workload",
     "pick_queries",
+    "standard_mixes",
     "stock_workload",
     "synthetic_workload",
 ]
@@ -538,3 +539,57 @@ def generate_workload(spec: WorkloadSpec) -> Workload:
         queries.append(query)
         by_family[family].append(query)
     return Workload(spec=spec, queries=tuple(queries))
+
+
+def standard_mixes() -> dict[str, WorkloadSpec]:
+    """The three standard mixes the advisor is held to.
+
+    * ``uniform`` — unskewed range/nearest traffic at low selectivity:
+      indexes beat the scan handily, and the advisor must rank the
+      in-memory metric index against k-index page traversals;
+    * ``skewed-repeat`` — Zipf-skewed anchors with a high repetition
+      coefficient: the answer cache absorbs repeats and the advisor must
+      still price the distinct shapes correctly;
+    * ``join-heavy`` — all-pairs joins mixed with ranges: the quadratic
+      provider join makes a metric index a trap, and the optimised scan
+      join beats per-record index probes — k-index/"no index" territory.
+    """
+    return {
+        "uniform": WorkloadSpec(
+            name="uniform",
+            num_series=600,
+            length=128,
+            data_seed=11,
+            seed=101,
+            num_queries=36,
+            mix={"range": 0.75, "nearest": 0.25},
+            skew=0.0,
+            repetition=0.0,
+            selectivity=(0.002, 0.02),
+            k_choices=(1, 5, 10),
+        ),
+        "skewed-repeat": WorkloadSpec(
+            name="skewed-repeat",
+            num_series=600,
+            length=128,
+            data_seed=12,
+            seed=202,
+            num_queries=60,
+            mix={"range": 1.0},
+            skew=1.1,
+            repetition=0.55,
+            selectivity=(0.002, 0.015),
+        ),
+        "join-heavy": WorkloadSpec(
+            name="join-heavy",
+            num_series=240,
+            length=64,
+            data_seed=13,
+            seed=303,
+            num_queries=16,
+            mix={"join": 0.4, "range": 0.6},
+            skew=0.0,
+            repetition=0.0,
+            selectivity=(0.01, 0.05),
+        ),
+    }

@@ -84,8 +84,10 @@ class BufferPool:
                 self.stats.hits += 1
                 self._frames.move_to_end(page_id)
                 return self._frames[page_id]
-            self.stats.misses += 1
             payload = self.store.read(page_id)
+            # Counted once the store has answered: a refused read is not
+            # a miss the pool served.
+            self.stats.misses += 1
             self._insert(page_id, payload)
             return payload
 

@@ -46,7 +46,7 @@ from .segments import (ColumnSegment, decode_object, encode_row, load_segment,
                        relation_kind, write_segment)
 from .serde import (build_index_from_spec, deserialize_index, index_spec,
                     serialize_index)
-from .wal import WriteAheadLog, wal_filename
+from .wal import SYNC_MODES, WriteAheadLog, wal_filename
 
 __all__ = ["DurableDatabase", "DurableRelation", "register_provider_factory"]
 
@@ -124,6 +124,9 @@ class DurableDatabase(Database):
         regime: forced evictions, measured device reads.
     partition_rows:
         Segment span size; matches the partition-parallel layout.
+
+    An unknown ``wal_sync`` or a ``buffer_pages`` / ``partition_rows`` below
+    one is a :class:`StorageError` raised before the directory is touched.
     """
 
     def __init__(self, path: str, *, wal_sync: str = "batch",
@@ -131,14 +134,24 @@ class DurableDatabase(Database):
                  buffer_pages: int = 256,
                  partition_rows: int = DEFAULT_PARTITION_ROWS,
                  name: str | None = None) -> None:
+        # Options are checked before the directory is created: a mistyped
+        # one must not leave a fresh manifest behind, nor quietly become a
+        # different pool or span size.
+        if wal_sync not in SYNC_MODES:
+            raise StorageError(
+                f"unknown wal_sync {wal_sync!r}; choose from {SYNC_MODES}")
+        for option, value in (("buffer_pages", buffer_pages),
+                              ("partition_rows", partition_rows)):
+            if value < 1:
+                raise StorageError(f"{option} must be at least 1, got {value!r}")
         resolved = os.path.abspath(path)
         super().__init__(name or (os.path.basename(resolved) or "db"))
         self.path = resolved
         self.wal_sync = wal_sync
         self.wal_batch_size = int(wal_batch_size)
         self.wal_batch_interval_ms = float(wal_batch_interval_ms)
-        self.buffer_pages = max(1, int(buffer_pages))
-        self.partition_rows = max(1, int(partition_rows))
+        self.buffer_pages = int(buffer_pages)
+        self.partition_rows = int(partition_rows)
         self._replaying = False
         self._wal: WriteAheadLog | None = None
         self._epoch = 0

@@ -20,8 +20,6 @@ pages are re-touched at all — its hit rate over this store is the
 
 from __future__ import annotations
 
-from typing import Any
-
 import numpy as np
 
 from ..pages import PAGE_SIZE_BYTES, PageStore, records_per_page
@@ -84,12 +82,12 @@ class SegmentPageStore(PageStore):
             self._touch_rows(start, end)
             self.mapped_reads += -(-end // self.records_per_page) - first
 
-    def read(self, page_id: int) -> Any:
-        """Read a page: counted like every page read, and — for pages that
-        cover mapped segment rows — served by touching the mapping."""
-        payload = super().read(page_id)
-        self._touch_pages(page_id, page_id + 1)
-        return payload
+    def read(self, page_id: int) -> None:
+        """Read one page — the one-page case of :meth:`read_run`: counted,
+        its mapped rows touched.  These pages are arithmetic over the
+        segments, never allocated, so there is nothing to look up and no
+        payload to hand back."""
+        self.read_run(page_id, page_id + 1)
 
     def read_run(self, first: int, stop: int) -> None:
         """Read the pages ``[first, stop)``: counted page by page, their

@@ -21,7 +21,7 @@ from repro.bench.experiments import (
     section2_distance_trajectories,
     table1_spatial_join,
 )
-from repro.bench.reporting import format_markdown_table, format_table, summarize_ratio
+from repro.bench.reporting import format_table
 from repro.bench.workloads import pick_queries, stock_workload, synthetic_workload
 from repro.timeseries.stockdata import StockArchiveConfig
 
@@ -54,17 +54,6 @@ class TestReporting:
         assert "demo" in text
         assert "a" in text and "b" in text
         assert format_table([]) == "(no rows)"
-
-    def test_format_markdown(self):
-        rows = [{"x": 1}]
-        markdown = format_markdown_table(rows)
-        assert markdown.startswith("| x |")
-        assert format_markdown_table([]) == "(no rows)"
-
-    def test_summarize_ratio(self):
-        rows = [{"n": 2.0, "d": 1.0}, {"n": 6.0, "d": 2.0}]
-        assert summarize_ratio(rows, "n", "d") == pytest.approx(2.5)
-        assert summarize_ratio([{"n": 1.0, "d": 0.0}], "n", "d") == 0.0
 
 
 class TestCompanionExperiments:

@@ -589,6 +589,19 @@ class TestDurableGuards:
         with pytest.raises(StorageError):
             repro.connect(path=path)
 
+    @pytest.mark.parametrize("opener, option, value", [
+        (repro.connect, "wal_sync", "sometimes"),
+        (repro.connect, "buffer_pages", 0),
+        (repro.connect, "buffer_pages", -5),
+        (DurableDatabase, "partition_rows", 0),  # not a session option
+    ])
+    def test_a_bad_option_is_refused_before_the_disk_is_touched(
+            self, tmp_path, opener, option, value):
+        path = str(tmp_path / "db")
+        with pytest.raises(StorageError, match=f"{option}.*{value!r}"):
+            opener(path=path, **{option: value})
+        assert not os.path.exists(path)
+
     def test_other_format_versions_are_refused_untouched(self, tmp_path):
         """One decoder: a directory written by another build — older or
         newer — is refused by the manifest check, typed, with both versions

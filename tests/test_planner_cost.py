@@ -4,7 +4,8 @@ Covers the PR-4 planner rewrite:
 
 * a parametrized decision grid over relation size x epsilon selectivity x
   index availability, asserting the chosen plan family *and* that the
-  estimated-cost ordering agrees with measured I/O on STR-bulk-loaded data;
+  estimated-cost ordering agrees with measured I/O on STR-bulk-loaded data,
+  and a ten-step radius sweep across the index/scan crossover;
 * every plan carries its estimate and the rejected alternatives;
 * ``analyze`` bumps the state token and invalidates the plan/answer caches,
   while lazy statistics collection does not;
@@ -54,6 +55,26 @@ def _session(num_series: int, build: str, seed: int = 23):
     elif build == "insert":
         handle.with_index(KIndex.build_by_insertion(data, extractor))
     return session, data
+
+
+def _measured_io(session, data, radius, num_queries: int = 6):
+    """Measured I/O of both range plans at one radius: the index's node
+    reads plus record fetches averaged over evenly spaced queries, and the
+    scan's data pages (the same for every query)."""
+    index = session.database.index("walks")
+    queries = data[:: max(1, len(data) // num_queries)][:num_queries]
+    measured_index = sum(
+        index.range_query(q, radius).statistics.io_total
+        for q in queries) / len(queries)
+    scan = SequentialScan(SeriesFeatureExtractor(2))
+    scan.extend(data)
+    measured_scan = scan.range_query(queries[0], radius).statistics.io_total
+    return measured_index, measured_scan
+
+
+#: Answer-set fractions the radius sweep targets (through the sampled
+#: distance histogram), "a handful of answers" to "most of the relation".
+SWEEP_FRACTIONS = [0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.35, 0.55, 0.8]
 
 
 class TestDecisionTable:
@@ -138,14 +159,7 @@ class TestDecisionTable:
         session, data = _session(num_series, build="str")
         stats = session.analyze("walks")
         radius = stats.answer_quantile(fraction)
-        index = session.database.index("walks")
-        queries = data[:: max(1, len(data) // 6)][:6]
-        measured_index = sum(
-            index.range_query(q, radius).statistics.io_total
-            for q in queries) / len(queries)
-        scan = SequentialScan(SeriesFeatureExtractor(2))
-        scan.extend(data)
-        measured_scan = scan.range_query(queries[0], radius).statistics.io_total
+        measured_index, measured_scan = _measured_io(session, data, radius)
         plan = session.engine.plan(
             f"SELECT FROM walks WHERE dist(series, $q) < {radius!r}")
         alternatives = {p.family: p.estimate for p in plan.rejected}
@@ -153,12 +167,44 @@ class TestDecisionTable:
         estimated_index = alternatives["IndexRangePlan"].total
         estimated_scan = alternatives["ScanRangePlan"].total
         # Near a measured tie either ordering is acceptable (the 15% band of
-        # the crossover benchmark); when the measurements are decisively
+        # the radius sweep below); when the measurements are decisively
         # apart, the estimates must order the same way.
         if abs(measured_index - measured_scan) \
                 > 0.25 * max(measured_index, measured_scan):
             assert (estimated_index < estimated_scan) == \
                 (measured_index < measured_scan)
+
+    def test_radius_sweep_flips_where_the_measured_curves_cross(self):
+        """Figs. 10–12 locate an index/scan crossover; the planner must
+        decide it.  Across the whole selectivity spectrum the chosen plan
+        is never more than 15% worse in measured I/O than the alternative,
+        the planner flips index → scan within one sweep step of where the
+        measured curves cross, and ``explain()`` shows the rejected plan at
+        a higher estimate."""
+        session, data = _session(500, build="str", seed=17)
+        stats = session.analyze("walks")
+        radii = [stats.answer_quantile(fraction) for fraction in SWEEP_FRACTIONS]
+        assert 0 < radii[0] and radii == sorted(set(radii))  # ten distinct steps
+        families, index_wins = [], []
+        for radius in radii:
+            measured = dict(zip(("IndexRangePlan", "ScanRangePlan"),
+                                _measured_io(session, data, radius, num_queries=8)))
+            text = f"SELECT FROM walks WHERE dist(series, $q) < {radius!r}"
+            plan = session.engine.plan(text)
+            family = type(plan).__name__
+            assert measured[family] <= 1.15 * min(measured.values()) + 0.5, (radius, measured)
+            (rejected,) = plan.rejected
+            assert f"rejected {rejected.family}" in session.explain(text)
+            # The index keeps a near tie; a scan is only ever chosen at a
+            # strictly lower estimate.
+            assert (rejected.estimate.total > plan.estimated_cost.total
+                    or (family == "IndexRangePlan" and "tie band" in rejected.reason))
+            families.append(family)
+            index_wins.append(measured["IndexRangePlan"] <= measured["ScanRangePlan"])
+        assert families[0] == "IndexRangePlan" and families[-1] == "ScanRangePlan"
+        planner_flip = families.index("ScanRangePlan")
+        assert set(families[planner_flip:]) == {"ScanRangePlan"}  # it flips once
+        assert abs(planner_flip - index_wins.index(False)) <= 1
 
     def test_chosen_plan_estimate_tracks_measured_io(self):
         """The winning estimate is within a small factor of measured I/O."""

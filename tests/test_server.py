@@ -13,6 +13,7 @@ ran.
 from __future__ import annotations
 
 import platform
+import random
 import socket
 import threading
 import time
@@ -436,6 +437,65 @@ class TestAdmission:
                 thread.join(timeout=10.0)
             blocker.close()
         session.close()
+
+
+    def test_answers_under_pressure_are_a_quiet_sessions(self):
+        """64 clients x 10 seeded range / NN / explain requests against
+        eight slots and a queue of 32: refusals are retried, and every
+        request is answered, none failed — with the quiet session's answer,
+        bit for bit.  No latency ceiling: how long it takes is the contract
+        benchmark's business."""
+        clients, requests, targets = 64, 10, 16
+        data = random_walk_collection(300, 64, seed=17)
+        session = repro.connect(answer_cache_size=0)  # every request executes
+        session.relation("walks").insert_many(data).with_index(KIndex())
+        sqls = ("SELECT FROM walks WHERE dist(series, $q) < 6.0",
+                "SELECT FROM walks NEAREST 5 TO $q")
+        quiet = {(sql, target): [(obj.object_id, distance) for obj, distance
+                                 in session.sql(sql, q=data[target]).answers]
+                 for sql in sqls for target in range(targets)}
+        plan_line = session.explain(sqls[0]).split(" | ")[0]
+        config = ServerConfig(max_in_flight=8, max_queue_depth=32, executor_threads=8)
+        start = threading.Barrier(clients)
+        answered: list[bool] = []
+        failures: list[Exception] = []
+        retries: list[int] = []
+
+        with serve(session, config=config) as handle:
+            def run(slot: int) -> None:
+                rng = random.Random(1000 + slot)
+                client = repro.client.connect(
+                    handle.address, timeout_s=60.0,
+                    backoff=BackoffPolicy(base_ms=10.0, cap_ms=200.0, attempts=50, seed=slot))
+                try:
+                    client.ping()
+                    start.wait(timeout=30.0)
+                    for _ in range(requests):
+                        kind, target = rng.random(), rng.randrange(targets)
+                        if kind < 0.9:
+                            sql = sqls[kind >= 0.6]
+                            outcome = client.sql(sql, q=data[target])
+                            answered.append([(ref.object_id, distance) for ref, distance
+                                             in outcome.answers] == quiet[sql, target])
+                        else:
+                            answered.append(client.explain(sqls[0]).startswith(plan_line))
+                except Exception as error:  # noqa: BLE001 — asserted empty below
+                    failures.append(error)
+                finally:
+                    retries.append(client.retries)
+                    client.close()
+
+            threads = [threading.Thread(target=run, args=(slot,)) for slot in range(clients)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            assert not any(thread.is_alive() for thread in threads)
+            rejected = handle.server.stats["rejected"]
+        session.close()
+        assert not failures
+        assert len(answered) == clients * requests and all(answered)
+        assert sum(retries) == rejected > 0  # pressure was real, and each refusal retried
 
 
 class TestBackoffPolicy:

@@ -257,9 +257,13 @@ class TestRequestFaults:
 # kill points: the server dies between WAL commit and acknowledgement
 # ---------------------------------------------------------------------------
 class TestKillPoints:
-    def _run_kill(self, tmp_path, kill_after: int) -> None:
+    #: The kill sweep: commits before the scheduled death in each of twenty
+    #: rounds — ``random.Random(29).randrange(1, 6)``, twenty draws.
+    KILL_AFTER = [5, 1, 3, 5, 5, 3, 1, 5, 3, 4, 4, 1, 1, 1, 4, 2, 3, 1, 4, 3]
+
+    def _run_kill(self, tmp_path, round_index: int, kill_after: int) -> None:
         directory = str(tmp_path / f"kill{kill_after}.db")
-        base = random_walk_collection(12, 24, seed=kill_after)
+        base = random_walk_collection(12, 24, seed=round_index)
         plan = FaultPlan(kill_after_commits=kill_after)
         handle = serve(path=directory, wal_sync="always",
                        config=ServerConfig(fault_plan=plan))
@@ -272,7 +276,7 @@ class TestKillPoints:
             died = False
             for i in range(kill_after + 3):
                 name = f"committed-{i}"
-                row = random_walk(24, seed=100 + i, name=name)
+                row = random_walk(24, seed=100 * (round_index + 1) + i, name=name)
                 try:
                     ack = client.insert_many("walks", [row])
                 except (ConnectionLostError, RetryExhaustedError):
@@ -301,9 +305,9 @@ class TestKillPoints:
             assert len(again.relation("walks")) >= 12 + len(acked)
         shutil.rmtree(directory, ignore_errors=True)
 
-    @pytest.mark.parametrize("kill_after", [1, 2, 4])
-    def test_acked_writes_survive_kill(self, tmp_path, kill_after):
-        self._run_kill(tmp_path, kill_after)
+    @pytest.mark.parametrize("round_index, kill_after", enumerate(KILL_AFTER))
+    def test_acked_writes_survive_kill(self, tmp_path, round_index, kill_after):
+        self._run_kill(tmp_path, round_index, kill_after)
 
     def test_killed_server_refuses_further_work(self, tmp_path, data):
         directory = str(tmp_path / "dead.db")

@@ -2,8 +2,9 @@
 segment store — among them the differentials of a *page run*
 (``read_run``) against the per-page loop it replaced in the scan, which is
 kept here as the reference: the pool's ``read`` and ``read_run`` share no
-code, the segment store's only the touch of a row range, which the tests
-spy on and check against literal row sets."""
+code; the segment store's ``read`` is the one-page run, so there the loop
+checks that a run equals its one-page pieces, and the rows touched are
+spied on and checked against literal row sets."""
 
 from __future__ import annotations
 
@@ -12,10 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.core.errors import StorageError
 from repro.storage.buffer import BufferPool
 from repro.storage.durable import SegmentPageStore
 from repro.storage.pages import PageStore
+from repro.timeseries.generators import random_walk_collection
 
 
 class TestPageStore:
@@ -137,6 +140,12 @@ class TestBufferPool:
         assert pool.stats.misses == 2
         pool.clear()
         assert len(pool) == 0
+
+    def test_a_refused_read_is_not_a_miss(self):
+        pool = BufferPool(PageStore(), capacity=2)
+        with pytest.raises(StorageError):
+            pool.read(0)
+        assert (pool.stats.misses, len(pool)) == (0, 0)
 
     def test_capacity_validation(self):
         with pytest.raises(StorageError):
@@ -338,11 +347,7 @@ class TestSegmentStoreRuns:
             assert store.records_per_page == 3 and store.mapped_rows == 13
             self.spy_on_touches(store)
             made.append(store)
-        reference, run = made
-        for _ in range(self.LAST_PAGE):
-            reference.allocate(payload=[])
-        reference.stats.reset()
-        return reference, run
+        return made
 
     @staticmethod
     def spy_on_touches(store):
@@ -381,6 +386,33 @@ class TestSegmentStoreRuns:
                 assert run.stats.reads == reference.stats.reads
                 assert run.mapped_reads == reference.mapped_reads
         assert run.stats.allocations == 0
+
+    def test_the_per_page_pass_runs_on_an_engine_built_backend(self, tmp_path):
+        """What ``scan_backend()`` hands out after a checkpoint allocates no
+        pages: the per-page loop runs there all the same and leaves pool and
+        store exactly as the runs do — a pool smaller than the data, rows
+        inserted since the checkpoint past the mappings, a second pass
+        that hits what the first left resident, a third that evicts it."""
+        path = str(tmp_path / "db")
+        with repro.connect(path=path) as session:  # checkpoints on exit
+            session.relation("walks").insert_many(random_walk_collection(40, 32, seed=3))
+        session = repro.connect(path=path, buffer_pages=4)
+        session.relation("walks").insert_many(random_walk_collection(10, 32, seed=4))
+        states = []
+        for one_pass in (per_page_pass, BufferPool.read_run):
+            backend = session.database.scan_backend("walks")
+            pool, store = backend["buffer"], backend["page_store"]
+            data_pages = -(-50 // backend["records_per_page"])
+            assert store.mapped_rows == 40 and len(store) == 0 and data_pages > 6
+            self.spy_on_touches(store)
+            for first, stop in [(0, data_pages), (data_pages - 3, data_pages), (0, 2)]:
+                one_pass(pool, first, stop)
+            assert pool.stats.hits == 3 and pool.stats.evictions == data_pages - 2
+            states.append((pool.stats, list(pool._frames), store.stats,  # noqa: SLF001
+                           store.mapped_reads, store.touched))
+        session.close()
+        assert states[0] == states[1]
+        assert 0 < states[0][3] < states[0][2].reads  # some pages lie past the mappings
 
     def test_the_named_runs(self, tmp_path):
         _, run = self.stores(tmp_path)

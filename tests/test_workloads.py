@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.harness import replay_workload
+from repro.bench.harness import CONFIGURATIONS, replay_workload
 from repro.bench.workloads import (QUERY_FAMILIES, Workload, WorkloadSpec,
-                                   generate_workload)
+                                   generate_workload, standard_mixes)
 
 GOLDEN_SPEC = WorkloadSpec(
     name="golden", num_series=64, length=32, data_seed=5, seed=21,
@@ -114,31 +114,57 @@ class TestGeneratedStream:
         assert len(profile) == fresh < len(workload)
 
 
-class TestReplayDeterminism:
-    SPEC = WorkloadSpec(
+REPLAY_SPECS = {
+    "replay": WorkloadSpec(
         name="replay", num_series=48, length=16, data_seed=3, seed=9,
         num_queries=10, mix={"range": 0.7, "nearest": 0.3},
-        repetition=0.5, selectivity=(0.05, 0.2))
+        repetition=0.5, selectivity=(0.05, 0.2)),
+    **standard_mixes(),
+}
 
-    def test_same_workload_same_plans_and_answers(self):
-        workload = generate_workload(self.SPEC)
-        first = replay_workload(workload, configuration="kindex")
-        second = replay_workload(workload, configuration="kindex")
-        assert first.plan_signature() == second.plan_signature()
-        assert first.answer_signature() == second.answer_signature()
+#: The advisor's measured weighted cost may exceed the best hand-picked
+#: configuration's by at most this factor.
+ADVISOR_TOLERANCE = 1.15
 
-    def test_configurations_agree_on_answers(self):
-        workload = generate_workload(self.SPEC)
-        signatures = {
-            configuration:
-                replay_workload(workload, configuration=configuration)
-                .answer_signature()
-            for configuration in ("none", "kindex", "metric")
-        }
-        assert signatures["none"] == signatures["kindex"] == signatures["metric"]
+
+@pytest.fixture(scope="module", params=sorted(REPLAY_SPECS))
+def replayed(request):
+    """One workload — the small replay spec or a standard mix — replayed
+    under every configuration."""
+    workload = generate_workload(REPLAY_SPECS[request.param])
+    return workload, {
+        configuration: replay_workload(workload, configuration=configuration)
+        for configuration in CONFIGURATIONS}
+
+
+class TestReplayDeterminism:
+    def test_same_workload_same_plans_and_answers(self, replayed):
+        """The advisor's second replay is the witness: what it installs,
+        what the planner then picks and what comes back all repeat."""
+        workload, reports = replayed
+        again = replay_workload(workload, configuration="advisor")
+        assert again.detail == reports["advisor"].detail
+        assert again.plan_signature() == reports["advisor"].plan_signature()
+        assert again.answer_signature() == reports["advisor"].answer_signature()
+
+    def test_configurations_agree_on_answers(self, replayed):
+        _, reports = replayed
+        for report in reports.values():
+            assert report.answer_signature() == reports["none"].answer_signature()
+
+    def test_advisor_stays_within_15_percent_of_the_best_configuration(self, replayed):
+        """In measured weighted cost — ``io_total`` plus distance
+        computations at the cost model's exchange rate, the currency the
+        advisor optimised in."""
+        _, reports = replayed
+        costs = {name: report.total_weighted_cost for name, report in reports.items()}
+        best = min(costs, key=costs.get)
+        assert costs["advisor"] <= ADVISOR_TOLERANCE * costs[best] + 0.5, (
+            f"{reports['advisor'].detail!r} at {costs['advisor']:.1f} against "
+            f"{best!r} at {costs[best]:.1f}")
 
     def test_high_repetition_hits_the_answer_cache(self):
-        report = replay_workload(generate_workload(self.SPEC),
+        report = replay_workload(generate_workload(REPLAY_SPECS["replay"]),
                                  configuration="none")
         assert report.cache_hits > 0
         for result in report.results:
