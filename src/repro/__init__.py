@@ -51,8 +51,8 @@ The package is organised as:
     page store and buffer pool, and — ``repro.storage.durable`` — the
     persistent catalog: segments, write-ahead log, manifest, index pages.
 ``repro.server``
-    The asyncio wire server over a ``Session`` and — ``repro.client`` — the
-    retrying client for it.
+    The wire server over a ``Session`` (a thread per connection) and —
+    ``repro.client`` — the retrying client for it.
 ``repro.bench``
     The experiment harness reproducing the evaluation's figures and table.
 """

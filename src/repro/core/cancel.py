@@ -7,8 +7,9 @@ seam*.  This module is that seam's vocabulary:
 * a :class:`CancellationToken` carries an optional absolute deadline and a
   manual ``cancel()`` flag;
 * :func:`cancel_scope` installs a token for the current context (a
-  ``contextvars`` scope, so concurrent queries on different threads or
-  asyncio tasks never see each other's tokens);
+  ``contextvars`` scope, so concurrent queries on different threads — the
+  query server runs each on its connection's own — never see each other's
+  tokens);
 * :func:`checkpoint` is the polling call sprinkled through the fan-out
   loops — partition spans, join anchors, provider candidates.  It is a
   single dictionary read when no token is installed, so serial callers pay
@@ -91,7 +92,7 @@ class CancellationToken:
             raise DeadlineExceededError("query ran past its deadline")
 
 
-#: The token installed for the current context (thread / asyncio task).
+#: The token installed for the current context (one per thread).
 current_token: ContextVar[CancellationToken | None] = ContextVar(
     "repro_cancellation_token", default=None)
 

@@ -6,9 +6,9 @@ Four modules, one promise each:
     Length-prefixed, CRC-framed JSON messages (the WAL's framing, on a
     socket) plus the object/answer codecs.
 :mod:`~repro.server.service`
-    The asyncio server — snapshot reads under a readers-writer lock,
-    admission control with explicit ``RETRY_LATER`` backpressure,
-    cooperative per-request deadlines, connection timeouts.
+    The server, one thread per connection — snapshot reads under a
+    readers-writer lock, admission control with explicit ``RETRY_LATER``
+    backpressure, cooperative per-request deadlines, connection timeouts.
 :mod:`~repro.server.client`
     The synchronous client mirroring the Session API, with capped
     jittered backoff and idempotency-aware automatic retry.

@@ -13,8 +13,9 @@ frames *detectable* instead of silently poisonous: a frame whose checksum
 does not verify raises :class:`~repro.core.errors.ProtocolError` at the
 receiving end, never yields a half-decoded message.
 
-Both transport ends live here: the asyncio reader/writer used by the
-server and the blocking-socket reader used by the synchronous client.
+Both transport ends live here, each on a blocking socket: the server's
+reader (:func:`recv_request`: a clean hangup is not an error, and a frame
+that has started must finish in time) and the client's (:func:`recv_frame`).
 Object payloads (query parameters, inserted rows, answers) reuse the
 durable layer's JSON object codec, so a series means the same bytes in the
 WAL, in a segment, and on the wire.
@@ -22,10 +23,10 @@ WAL, in a segment, and on the wire.
 
 from __future__ import annotations
 
-import asyncio
 import json
 import socket
 import struct
+import time
 import zlib
 from typing import Any, Mapping
 
@@ -36,8 +37,8 @@ from ..storage.durable.segments import decode_object, encode_object
 __all__ = [
     "MAX_FRAME_BYTES",
     "encode_frame",
-    "read_frame_async",
     "recv_frame",
+    "recv_request",
     "send_frame",
     "encode_param",
     "decode_param",
@@ -83,53 +84,36 @@ def _decode_payload(header: bytes, payload: bytes) -> dict[str, Any]:
     return message
 
 
-async def read_frame_async(reader: asyncio.StreamReader, *,
-                           max_bytes: int = MAX_FRAME_BYTES,
-                           idle_timeout: float | None = None,
-                           frame_timeout: float | None = None
-                           ) -> dict[str, Any] | None:
-    """Read one frame from an asyncio stream.
+def _recv_exactly(sock: socket.socket, count: int, deadline: float | None) -> bytes:
+    """``count`` more bytes of a frame that has started.  ``deadline`` (a
+    :func:`time.monotonic` instant) bounds the whole read, however the peer
+    slices it; without one each ``recv`` waits the socket's own timeout."""
+    chunks = []
+    remaining = count
+    while remaining:
+        if deadline is not None:
+            left = deadline - time.monotonic()
+            if left <= 0:
+                raise TimeoutError("peer stalled mid-frame")
+            sock.settimeout(left)
+        chunk = sock.recv(remaining)
+        if not chunk:
+            raise ProtocolError("connection closed mid-frame")
+        chunks.append(chunk)
+        remaining -= len(chunk)
+    return b"".join(chunks)
 
-    Returns ``None`` on a clean EOF *between* frames (the peer hung up at a
-    message boundary).  EOF inside a frame, a length overrunning
-    ``max_bytes``, a checksum mismatch or bad JSON raise
-    :class:`ProtocolError`.  ``idle_timeout`` bounds the wait for the first
-    header byte (an idle connection); ``frame_timeout`` bounds the rest of
-    the frame once the header started arriving (a stalled or torn send) —
-    both surface as :class:`asyncio.TimeoutError` for the caller to map to
-    its close policy.
-    """
-    try:
-        header = await asyncio.wait_for(reader.readexactly(_HEADER.size),
-                                        timeout=idle_timeout)
-    except asyncio.IncompleteReadError as error:
-        if not error.partial:
-            return None  # clean EOF at a frame boundary
-        raise ProtocolError("connection closed mid-header") from error
+
+def _finish_frame(sock: socket.socket, header: bytes, max_bytes: int,
+                  deadline: float | None) -> dict[str, Any]:
+    """The rest of a frame whose first bytes are ``header``."""
+    if len(header) < _HEADER.size:
+        header += _recv_exactly(sock, _HEADER.size - len(header), deadline)
     length, _ = _HEADER.unpack(header)
     if length > max_bytes:
         raise ProtocolError(
             f"frame length {length} exceeds the {max_bytes}-byte limit")
-    try:
-        payload = await asyncio.wait_for(reader.readexactly(length),
-                                         timeout=frame_timeout)
-    except asyncio.IncompleteReadError as error:
-        raise ProtocolError("connection closed mid-frame") from error
-    return _decode_payload(header, payload)
-
-
-def _recv_exactly(sock: socket.socket, count: int) -> bytes:
-    chunks = []
-    remaining = count
-    while remaining:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            raise ProtocolError(
-                "connection closed mid-frame" if len(chunks) or count != remaining
-                else "connection closed")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+    return _decode_payload(header, _recv_exactly(sock, length, deadline))
 
 
 def recv_frame(sock: socket.socket, *,
@@ -141,16 +125,33 @@ def recv_frame(sock: socket.socket, *,
     only reads when it expects a response, so *any* hangup there is a lost
     reply, never a normal shutdown.
     """
-    first = sock.recv(1)
-    if not first:
+    header = sock.recv(_HEADER.size)
+    if not header:
         raise ProtocolError("connection closed before a response arrived")
-    header = first + _recv_exactly(sock, _HEADER.size - 1)
-    length, _ = _HEADER.unpack(header)
-    if length > max_bytes:
-        raise ProtocolError(
-            f"frame length {length} exceeds the {max_bytes}-byte limit")
-    payload = _recv_exactly(sock, length)
-    return _decode_payload(header, payload)
+    return _finish_frame(sock, header, max_bytes, None)
+
+
+def recv_request(sock: socket.socket, *, max_bytes: int = MAX_FRAME_BYTES,
+                 idle_timeout: float | None = None,
+                 frame_timeout: float | None = None) -> dict[str, Any] | None:
+    """Read one frame from a blocking socket (the server side).
+
+    Returns ``None`` on a clean EOF *between* frames (the peer hung up at a
+    message boundary).  EOF inside a frame, a length overrunning
+    ``max_bytes`` (refused before a byte of the payload is read), a
+    checksum mismatch or bad JSON raise :class:`ProtocolError`.
+    ``idle_timeout`` bounds the wait for the frame's first byte (an idle
+    connection); ``frame_timeout`` bounds the rest of the frame once it has
+    started (a stalled or torn send) — both surface as :class:`TimeoutError`
+    for the caller to map to its close policy.
+    """
+    sock.settimeout(idle_timeout)
+    header = sock.recv(_HEADER.size)
+    if not header:
+        return None  # clean EOF at a frame boundary
+    sock.settimeout(frame_timeout)
+    deadline = None if frame_timeout is None else time.monotonic() + frame_timeout
+    return _finish_frame(sock, header, max_bytes, deadline)
 
 
 def send_frame(sock: socket.socket, message: Mapping[str, Any]) -> None:

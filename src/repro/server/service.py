@@ -1,4 +1,12 @@
-"""The query server: an asyncio front door over a :class:`Session`.
+"""The query server: a thread per connection over a :class:`Session`.
+
+The engine is synchronous Python under one interpreter lock, so the server
+is synchronous too.  An accept thread gives every connection a daemon thread
+of its own, which loops *read a frame → dispatch → send the response* on a
+blocking socket and runs each query inline: no event loop, no executor hop,
+and a connection's requests always land on the same warm thread (and its
+malloc arena).  The price is that an idle connection holds a parked thread
+rather than a descriptor in a selector.
 
 Robustness is the design center, and every mechanism here exists to keep
 one of four promises:
@@ -19,8 +27,9 @@ converts overload into timeouts.  Per-connection cursor results are held
 against a byte budget with oldest-first eviction.
 
 **Bounded waiting.**  A request's ``deadline_ms`` becomes a
-:class:`~repro.core.cancel.CancellationToken` installed around the
-executor call; the engine's scan and index fan-out loops poll it at their
+:class:`~repro.core.cancel.CancellationToken` that bounds the wait for an
+execution slot and is installed on the connection's thread around the
+engine call; the engine's scan and index fan-out loops poll it at their
 checkpoints, so a query that outlives its deadline stops *cooperatively*
 — mid-fan-out, with pool slots released and caches untouched — rather
 than running to completion for a client that stopped listening.  Idle
@@ -36,25 +45,37 @@ just written down.
 
 from __future__ import annotations
 
-import asyncio
 import collections
 import ctypes
 import json
+import socket
 import sys
 import threading
-from dataclasses import dataclass, field
-from typing import Any, Mapping
+import time
+from contextlib import contextmanager
+from dataclasses import dataclass
+from typing import Any, Callable, Iterator, Mapping
 
 from ..core.cancel import CancellationToken, cancel_scope
-from ..core.errors import (DeadlineExceededError, ProtocolError,
-                           QueryCancelledError, ReproError, RetryLaterError,
-                           ServerError)
+from ..core.errors import (
+    DeadlineExceededError,
+    ProtocolError,
+    QueryCancelledError,
+    ReproError,
+    RetryLaterError,
+    ServerError,
+)
+from ..core.query.ast import Query
 from ..core.session import Session, connect
-from .faults import FaultPlan, FrameFaults, ServerKilled
-from .protocol import (MAX_FRAME_BYTES, encode_answer, encode_frame,
-                       decode_param, read_frame_async)
+from .faults import FaultPlan, FrameFaults, ServerKilled, corrupt_frame
+from .protocol import MAX_FRAME_BYTES, decode_param, encode_answer, encode_frame, recv_request
 
 __all__ = ["ServerConfig", "QueryServer", "ServerHandle", "serve"]
+
+#: How long ``stop`` / ``kill`` wait for the server's threads to notice their
+#: sockets are shut.  A request still executing past it is abandoned to its
+#: daemon thread: stopping is bounded even when a query is not.
+_STOP_GRACE_S = 1.0
 
 
 @dataclass
@@ -66,10 +87,9 @@ class ServerConfig:
 
     Admission: at most ``max_in_flight`` requests execute concurrently;
     up to ``max_queue_depth`` more wait; beyond that ``RETRY_LATER`` with
-    the advisory ``retry_after_ms``.  Executor threads are sized
-    separately (``executor_threads``) and the server owns its pool — it
-    never borrows the engine's partition-scan workers, so a saturated
-    server cannot deadlock a parallel scan (or vice versa).
+    the advisory ``retry_after_ms``.  A request runs on its connection's
+    thread — the server never borrows the engine's partition-scan workers,
+    so a saturated server cannot deadlock a parallel scan (or vice versa).
 
     Budgets: ``client_cache_bytes`` bounds one connection's open cursor
     results (oldest cursors are evicted first); ``max_frame_bytes``
@@ -79,7 +99,7 @@ class ServerConfig:
     carries none (``None`` = unbounded); ``idle_timeout_s`` closes
     connections with no traffic; ``frame_timeout_s`` closes connections
     that started a frame and stalled (a torn or wedged peer must not hold
-    a reader task forever).
+    a connection thread forever).
 
     Faults: an optional :class:`FaultPlan` threaded through the response
     stream and the commit path — production servers leave it ``None``.
@@ -90,7 +110,6 @@ class ServerConfig:
     max_in_flight: int = 8
     max_queue_depth: int = 16
     retry_after_ms: float = 50.0
-    executor_threads: int = 8
     client_cache_bytes: int = 1 << 20
     max_frame_bytes: int = MAX_FRAME_BYTES
     default_deadline_ms: float | None = None
@@ -100,7 +119,7 @@ class ServerConfig:
 
 
 class _ReadWriteLock:
-    """An asyncio readers-writer lock with writer preference.
+    """A readers-writer lock with writer preference.
 
     Many readers share it; one writer excludes everyone.  Readers arriving
     while a writer waits are held back, so a steady stream of queries
@@ -108,88 +127,107 @@ class _ReadWriteLock:
     """
 
     def __init__(self) -> None:
-        self._condition = asyncio.Condition()
+        self._condition = threading.Condition()
         self._readers = 0
         self._writer_active = False
         self._writers_waiting = 0
 
-    async def acquire_read(self) -> None:
-        async with self._condition:
+    @contextmanager
+    def reading(self) -> Iterator[None]:
+        with self._condition:
             while self._writer_active or self._writers_waiting:
-                await self._condition.wait()
+                self._condition.wait()
             self._readers += 1
+        try:
+            yield
+        finally:
+            with self._condition:
+                self._readers -= 1
+                if not self._readers:
+                    self._condition.notify_all()
 
-    async def release_read(self) -> None:
-        async with self._condition:
-            self._readers -= 1
-            self._condition.notify_all()
-
-    async def acquire_write(self) -> None:
-        async with self._condition:
+    @contextmanager
+    def writing(self) -> Iterator[None]:
+        with self._condition:
             self._writers_waiting += 1
-            try:
-                while self._writer_active or self._readers:
-                    await self._condition.wait()
-            finally:
-                self._writers_waiting -= 1
+            while self._writer_active or self._readers:
+                self._condition.wait()
+            self._writers_waiting -= 1
             self._writer_active = True
-
-    async def release_write(self) -> None:
-        async with self._condition:
-            self._writer_active = False
-            self._condition.notify_all()
+        try:
+            yield
+        finally:
+            with self._condition:
+                self._writer_active = False
+                self._condition.notify_all()
 
 
 class _Admission:
-    """Bounded in-flight slots with a bounded wait queue.
+    """Bounded in-flight slots with a bounded FIFO of waiters.
 
-    Single-threaded by construction (all calls run on the event loop), so
-    plain counters are race-free.  A request past both bounds is refused
-    synchronously — backpressure must cost nothing to apply.
+    A request past both bounds is refused without waiting — backpressure
+    must cost nothing to apply — and ``rejected`` counts those refusals
+    under the same lock that decides them, so the count is exact however
+    many connection threads are refused at once.  A finishing request hands
+    its slot to the longest waiter; a waiter gives up when its request's
+    deadline passes, so queue time can never outlast the deadline.
     """
 
-    def __init__(self, max_in_flight: int, max_queue_depth: int,
-                 retry_after_ms: float) -> None:
+    def __init__(self, max_in_flight: int, max_queue_depth: int, retry_after_ms: float) -> None:
         self.max_in_flight = max(1, int(max_in_flight))
         self.max_queue_depth = max(0, int(max_queue_depth))
         self.retry_after_ms = retry_after_ms
         self.in_flight = 0
         self.rejected = 0
-        self._queue: collections.deque[asyncio.Future] = collections.deque()
+        self._condition = threading.Condition()
+        self._queue: collections.deque[object] = collections.deque()
 
     @property
     def queued(self) -> int:
         return len(self._queue)
 
-    async def acquire(self) -> None:
-        if self.in_flight < self.max_in_flight:
-            self.in_flight += 1
-            return
-        if len(self._queue) >= self.max_queue_depth:
-            self.rejected += 1
-            raise RetryLaterError(
-                f"server saturated: {self.in_flight} in flight, "
-                f"{len(self._queue)} queued; retry after "
-                f"{self.retry_after_ms:g} ms",
-                retry_after_ms=self.retry_after_ms)
-        waiter = asyncio.get_running_loop().create_future()
-        self._queue.append(waiter)
+    @contextmanager
+    def slot(self, token: CancellationToken) -> Iterator[None]:
+        self._acquire(token)
         try:
-            await waiter  # the releasing request hands its slot over
-        except asyncio.CancelledError:
-            if waiter in self._queue:
-                self._queue.remove(waiter)
-            elif waiter.done() and not waiter.cancelled():
-                self.release()  # slot was handed over mid-cancellation
-            raise
+            yield
+        finally:
+            with self._condition:
+                if self._queue:
+                    # The slot transfers: leaving the queue is being admitted.
+                    self._queue.popleft()
+                    self._condition.notify_all()
+                else:
+                    self.in_flight -= 1
 
-    def release(self) -> None:
-        while self._queue:
-            waiter = self._queue.popleft()
-            if not waiter.done():
-                waiter.set_result(None)  # slot transfers, in_flight unchanged
+    def _acquire(self, token: CancellationToken) -> None:
+        with self._condition:
+            if self.in_flight < self.max_in_flight:
+                self.in_flight += 1
                 return
-        self.in_flight -= 1
+            if len(self._queue) >= self.max_queue_depth:
+                self.rejected += 1
+                raise RetryLaterError(
+                    f"server saturated: {self.in_flight} in flight, "
+                    f"{len(self._queue)} queued; retry after "
+                    f"{self.retry_after_ms:g} ms",
+                    retry_after_ms=self.retry_after_ms,
+                )
+            ticket = object()
+            self._queue.append(ticket)
+            while ticket in self._queue:
+                remaining = token.remaining()
+                if remaining is not None and remaining <= 0:
+                    self._queue.remove(ticket)
+                    raise DeadlineExceededError(
+                        "request spent its whole deadline queued for an execution slot"
+                    )
+                self._condition.wait(remaining)
+
+
+def _failure(request_id: Any, code: str, error: str, **extra: Any) -> dict[str, Any]:
+    """The one wire shape of every failure."""
+    return {"id": request_id, "ok": False, "code": code, "error": error, **extra}
 
 
 class _Cursor:
@@ -203,20 +241,20 @@ class _Cursor:
 
 
 class _Connection:
-    """Per-connection state: stream, statements, cursors, fault schedule."""
+    """Per-connection state: socket, statements, cursors, fault schedule.
 
-    def __init__(self, writer: asyncio.StreamWriter,
-                 faults: FrameFaults | None, cache_budget: int) -> None:
-        self.writer = writer
+    Touched only by the connection's own thread, but for :meth:`shut`.
+    """
+
+    def __init__(self, sock: socket.socket, faults: FrameFaults | None, cache_budget: int) -> None:
+        self.sock = sock
         self.faults = faults
         self.cache_budget = cache_budget
         self.statements: dict[int, Any] = {}
-        self.cursors: "collections.OrderedDict[int, _Cursor]" = \
-            collections.OrderedDict()
+        self.cursors: collections.OrderedDict[int, _Cursor] = collections.OrderedDict()
         self.cache_bytes = 0
         self._next_statement = 1
         self._next_cursor = 1
-        self.stalled = False
 
     def register_statement(self, prepared: Any) -> int:
         statement_id = self._next_statement
@@ -232,9 +270,9 @@ class _Connection:
                 f"result set of {cursor.size_bytes} bytes exceeds this "
                 f"connection's {self.cache_budget}-byte cursor budget; "
                 "narrow the query or raise client_cache_bytes",
-                code="CACHE_BUDGET")
-        while self.cursors and \
-                self.cache_bytes + cursor.size_bytes > self.cache_budget:
+                code="CACHE_BUDGET",
+            )
+        while self.cursors and self.cache_bytes + cursor.size_bytes > self.cache_budget:
             _, evicted = self.cursors.popitem(last=False)
             self.cache_bytes -= evicted.size_bytes
         cursor_id = self._next_cursor
@@ -248,199 +286,218 @@ class _Connection:
         if cursor is not None:
             self.cache_bytes -= cursor.size_bytes
 
-    async def send(self, message: Mapping[str, Any]) -> None:
-        """Send one response frame through the fault schedule."""
-        if self.stalled:
-            return
+    def send(self, message: Mapping[str, Any]) -> None:
+        """Send one response frame through the fault schedule (which sends
+        nothing for a dropped frame, or for any frame once it has stalled)."""
         frame = encode_frame(message)
         if self.faults is None:
-            self.writer.write(frame)
-            await self.writer.drain()
+            self.sock.sendall(frame)
             return
         action, delay = self.faults.next_action()
         if delay:
-            await asyncio.sleep(delay)
-        if action == FrameFaults.STALL:
-            self.stalled = True
-            return
-        if action == FrameFaults.DROP:
-            return
-        if action == FrameFaults.CORRUPT:
-            from .faults import corrupt_frame
-            self.writer.write(corrupt_frame(frame))
-            await self.writer.drain()
-            return
-        if action == FrameFaults.TRUNCATE:
-            self.writer.write(frame[:max(1, len(frame) // 2)])
-            await self.writer.drain()
-            self.writer.transport.abort()
-            return
-        self.writer.write(frame)
-        await self.writer.drain()
+            time.sleep(delay)
+        if action == FrameFaults.PASS:
+            self.sock.sendall(frame)
+        elif action == FrameFaults.CORRUPT:
+            self.sock.sendall(corrupt_frame(frame))
+        elif action == FrameFaults.TRUNCATE:
+            self.sock.sendall(frame[: max(1, len(frame) // 2)])
+            self.shut()
+
+    def shut(self) -> None:
+        """Shut the socket down (any thread may): a ``recv`` blocked on it
+        returns, and the connection's own thread then closes it."""
+        try:
+            self.sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # the peer, or the connection's thread, got there first
 
 
 class QueryServer:
-    """The asyncio server proper: accepts framed requests, dispatches ops.
+    """The server proper: accepts framed requests, dispatches ops.
 
-    Run it inside an event loop (``await start()`` / ``await stop()``), or
-    through :func:`serve`, which hosts the loop in a daemon thread and
-    returns a synchronous :class:`ServerHandle`.
+    ``start()`` binds the listening socket and starts the accept thread;
+    ``stop()`` and ``kill()`` shut every socket down, which is what ends the
+    threads blocked on them.  :func:`serve` wraps one in a
+    :class:`ServerHandle` that also knows who owns the session.
     """
 
-    def __init__(self, session: Session,
-                 config: ServerConfig | None = None) -> None:
+    def __init__(self, session: Session, config: ServerConfig | None = None) -> None:
         self.session = session
         self.config = config or ServerConfig()
         self.address: tuple[str, int] | None = None
-        self._server: asyncio.AbstractServer | None = None
-        self._lock = _ReadWriteLock()
-        self._admission = _Admission(self.config.max_in_flight,
-                                     self.config.max_queue_depth,
-                                     self.config.retry_after_ms)
-        from concurrent.futures import ThreadPoolExecutor
-        self._executor = ThreadPoolExecutor(
-            max_workers=max(1, self.config.executor_threads),
-            thread_name_prefix="repro-server")
-        self._connections: set[_Connection] = set()
         self.killed = False
-        self._kill_event: threading.Event = threading.Event()
-        #: Observability counters (read by tests and the load benchmark).
-        self.stats = {"accepted": 0, "completed": 0, "rejected": 0,
-                      "cancelled": 0, "protocol_errors": 0, "commits": 0}
+        self._lock = _ReadWriteLock()
+        self._admission = _Admission(
+            self.config.max_in_flight, self.config.max_queue_depth, self.config.retry_after_ms
+        )
+        self._kill_event = threading.Event()
+        #: Guards the counters, the connection registry and ``_closing``.
+        self._state_lock = threading.Lock()
+        self._closing = False
+        self._listener: socket.socket | None = None
+        self._acceptor: threading.Thread | None = None
+        self._connections: dict[_Connection, threading.Thread] = {}
+        self._counters = dict.fromkeys(
+            ("accepted", "completed", "cancelled", "protocol_errors", "commits"), 0
+        )
+
+    @property
+    def stats(self) -> dict[str, int]:
+        """Observability counters, as of one instant.  ``rejected`` is the
+        admission gate's own count: one refusal, one place that counts it."""
+        with self._state_lock:
+            return {**self._counters, "rejected": self._admission.rejected}
+
+    def _count(self, counter: str) -> None:
+        with self._state_lock:
+            self._counters[counter] += 1
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    async def start(self) -> tuple[str, int]:
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port)
-        self.address = self._server.sockets[0].getsockname()[:2]
+    def start(self) -> tuple[str, int]:
+        listener = socket.create_server((self.config.host, self.config.port))
+        self._listener = listener
+        self.address = listener.getsockname()[:2]
+        self._acceptor = threading.Thread(
+            target=self._accept, args=(listener,), name="repro-server-accept", daemon=True
+        )
+        self._acceptor.start()
         return self.address
 
-    async def stop(self) -> None:
-        """Graceful stop: refuse new connections, close existing ones, shut
-        the executor down.  The session is left to its owner."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        for connection in list(self._connections):
-            try:
-                connection.writer.close()
-            except Exception:
-                pass
-        self._executor.shutdown(wait=False, cancel_futures=True)
+    def stop(self) -> None:
+        """Graceful stop: refuse new connections, close existing ones and
+        give their threads a moment to end.  The session is left to its
+        owner."""
+        self._shut_sockets()
+        self.join(_STOP_GRACE_S)
 
     def kill(self) -> None:
-        """Die abruptly: abort every transport, stop accepting, leave the
+        """Die abruptly: shut every socket, stop accepting, leave the
         session un-checkpointed and un-closed — exactly what a process
         crash leaves behind.  Durability then rests on what the WAL policy
         already made persistent, which is the point of the fault tests."""
         self.killed = True
-        if self._server is not None:
-            self._server.close()
-            self._server = None
-        for connection in list(self._connections):
-            try:
-                connection.writer.transport.abort()
-            except Exception:
-                pass
-        self._executor.shutdown(wait=False, cancel_futures=True)
+        self._shut_sockets()
         self._kill_event.set()
 
     def wait_killed(self, timeout: float | None = None) -> bool:
         return self._kill_event.wait(timeout)
 
+    def join(self, timeout: float) -> None:
+        """Wait — ``timeout`` seconds in all — for the accept thread and the
+        connection threads to end (the calling thread excepted: a kill point
+        fires on a connection's own thread)."""
+        deadline = time.monotonic() + timeout
+        with self._state_lock:
+            threads = [self._acceptor, *self._connections.values()]
+        for thread in threads:
+            if thread is not None and thread is not threading.current_thread():
+                thread.join(max(0.0, deadline - time.monotonic()))
+
+    def _shut_sockets(self) -> None:
+        with self._state_lock:
+            self._closing = True
+            listener, self._listener = self._listener, None
+            connections = list(self._connections)
+        if listener is not None:
+            try:
+                # Wakes the accept thread; while it is blocked in accept(),
+                # close() alone would leave the port listening.
+                listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # platforms that refuse to shut a listener wake on close
+            listener.close()
+        for connection in connections:
+            connection.shut()
+
     # ------------------------------------------------------------------
-    # connection loop
+    # accept and connection loops
     # ------------------------------------------------------------------
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
+    def _accept(self, listener: socket.socket) -> None:
         plan = self.config.fault_plan
-        faults = plan.frame_faults() if plan is not None \
-            and plan.touches_frames else None
-        connection = _Connection(writer, faults, self.config.client_cache_bytes)
-        self._connections.add(connection)
+        while True:
+            try:
+                sock, _ = listener.accept()
+            except OSError:
+                if self._closing:
+                    return
+                time.sleep(0.05)  # a peer reset in the backlog, or no descriptors left
+                continue
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            faults = plan.frame_faults() if plan is not None and plan.touches_frames else None
+            connection = _Connection(sock, faults, self.config.client_cache_bytes)
+            thread = threading.Thread(
+                target=self._serve, args=(connection,), name="repro-server-connection", daemon=True
+            )
+            with self._state_lock:
+                if self._closing:
+                    sock.close()
+                    return
+                self._connections[connection] = thread
+                thread.start()
+
+    def _serve(self, connection: _Connection) -> None:
+        config = self.config
         try:
             while not self.killed:
                 try:
-                    request = await read_frame_async(
-                        reader, max_bytes=self.config.max_frame_bytes,
-                        idle_timeout=self.config.idle_timeout_s,
-                        frame_timeout=self.config.frame_timeout_s)
-                except asyncio.TimeoutError:
+                    request = recv_request(
+                        connection.sock,
+                        max_bytes=config.max_frame_bytes,
+                        idle_timeout=config.idle_timeout_s,
+                        frame_timeout=config.frame_timeout_s,
+                    )
+                except TimeoutError:
                     break  # idle or stalled peer: reclaim the connection
                 except ProtocolError as error:
                     # One best-effort diagnostic, then drop: after a torn
                     # or corrupt request frame the stream offset is
                     # untrustworthy, so resynchronising is impossible.
-                    self.stats["protocol_errors"] += 1
-                    try:
-                        await connection.send({"id": None, "ok": False,
-                                               "code": "PROTOCOL_ERROR",
-                                               "error": str(error)})
-                    except Exception:
-                        pass
+                    self._count("protocol_errors")
+                    connection.send(_failure(None, "PROTOCOL_ERROR", str(error)))
                     break
                 if request is None:
                     break  # clean EOF
                 try:
-                    response = await self._dispatch(connection, request)
+                    response = self._dispatch(connection, request)
                 except ServerKilled:
                     self.kill()
                     break
-                await connection.send(response)
-        except (ConnectionError, asyncio.CancelledError):
-            pass
+                connection.send(response)
+        except OSError:
+            pass  # the peer went away, or stop()/kill() shut the socket
         finally:
-            self._connections.discard(connection)
+            with self._state_lock:
+                self._connections.pop(connection, None)
             connection.statements.clear()
             connection.cursors.clear()
-            try:
-                writer.close()
-            except Exception:
-                pass
+            connection.sock.close()
 
     # ------------------------------------------------------------------
     # dispatch
     # ------------------------------------------------------------------
-    async def _dispatch(self, connection: _Connection,
-                        request: Mapping[str, Any]) -> dict[str, Any]:
+    def _dispatch(self, connection: _Connection, request: Mapping[str, Any]) -> dict[str, Any]:
         request_id = request.get("id")
         op = request.get("op")
         handler = self._OPS.get(op)
         if handler is None:
-            return {"id": request_id, "ok": False, "code": "PROTOCOL_ERROR",
-                    "error": f"unknown op {op!r}"}
+            return _failure(request_id, "PROTOCOL_ERROR", f"unknown op {op!r}")
         try:
-            body = await handler(self, connection, request)
+            body = handler(self, connection, request)
         except RetryLaterError as error:
-            self.stats["rejected"] += 1
-            return {"id": request_id, "ok": False, "code": error.code,
-                    "error": str(error),
-                    "retry_after_ms": error.retry_after_ms}
-        except DeadlineExceededError as error:
-            self.stats["cancelled"] += 1
-            return {"id": request_id, "ok": False,
-                    "code": "DEADLINE_EXCEEDED", "error": str(error)}
+            return _failure(request_id, error.code, str(error), retry_after_ms=error.retry_after_ms)
         except QueryCancelledError as error:
-            self.stats["cancelled"] += 1
-            return {"id": request_id, "ok": False, "code": "CANCELLED",
-                    "error": str(error)}
-        except ProtocolError as error:
-            return {"id": request_id, "ok": False, "code": "PROTOCOL_ERROR",
-                    "error": str(error)}
-        except ServerError as error:
-            return {"id": request_id, "ok": False, "code": error.code,
-                    "error": str(error)}
+            self._count("cancelled")
+            code = "DEADLINE_EXCEEDED" if isinstance(error, DeadlineExceededError) else "CANCELLED"
+            return _failure(request_id, code, str(error))
+        except ServerError as error:  # a ProtocolError's code is PROTOCOL_ERROR
+            return _failure(request_id, error.code, str(error))
         except ReproError as error:
-            return {"id": request_id, "ok": False, "code": "QUERY_ERROR",
-                    "error": f"{type(error).__name__}: {error}"}
-        except ServerKilled:
-            raise
+            return _failure(request_id, "QUERY_ERROR", f"{type(error).__name__}: {error}")
         except Exception as error:  # noqa: BLE001 — one wire shape for all
-            return {"id": request_id, "ok": False, "code": "INTERNAL",
-                    "error": f"{type(error).__name__}: {error}"}
+            return _failure(request_id, "INTERNAL", f"{type(error).__name__}: {error}")
         body["id"] = request_id
         body.setdefault("ok", True)
         return body
@@ -449,57 +506,42 @@ class QueryServer:
     # helpers
     # ------------------------------------------------------------------
     def _deadline_token(self, request: Mapping[str, Any]) -> CancellationToken:
-        deadline_ms = request.get("deadline_ms",
-                                  self.config.default_deadline_ms)
+        deadline_ms = request.get("deadline_ms", self.config.default_deadline_ms)
         if deadline_ms is None:
             return CancellationToken()
         return CancellationToken.after(float(deadline_ms) / 1000.0)
 
-    async def _run_read(self, work, token: CancellationToken):
-        """Admission → read lock → executor, with the token installed in
-        the worker thread so engine checkpoints observe it."""
-        await self._admission.acquire()
-        try:
+    def _run_read(self, work: Callable[[], Any], token: CancellationToken) -> Any:
+        """Admission → read lock → ``work()`` on this thread, with the token
+        installed so engine checkpoints observe it."""
+        with self._admission.slot(token):
             token.check()  # queue time counts against the deadline
-            await self._lock.acquire_read()
-            try:
-                self.stats["accepted"] += 1
-
-                def on_thread():
-                    with cancel_scope(token):
-                        return work()
-                result = await asyncio.get_running_loop().run_in_executor(
-                    self._executor, on_thread)
-                self.stats["completed"] += 1
+            with self._lock.reading():
+                self._count("accepted")
+                with cancel_scope(token):
+                    result = work()
+                self._count("completed")
                 return result
-            finally:
-                await self._lock.release_read()
-        finally:
-            self._admission.release()
 
-    async def _run_write(self, work):
-        """Admission → write lock → executor.  Writes carry no deadline:
-        cancelling a half-applied commit would be the one thing worse than
-        a slow one."""
-        await self._admission.acquire()
-        try:
-            await self._lock.acquire_write()
-            try:
-                self.stats["accepted"] += 1
-                result = await asyncio.get_running_loop().run_in_executor(
-                    self._executor, work)
-                self.stats["completed"] += 1
-                return result
-            finally:
-                await self._lock.release_write()
-        finally:
-            self._admission.release()
+    def _run_write(self, work: Callable[[], Any]) -> Any:
+        """Admission → write lock → ``work()`` on this thread.  Writes carry
+        no deadline: cancelling a half-applied commit would be the one thing
+        worse than a slow one."""
+        with self._admission.slot(CancellationToken()), self._lock.writing():
+            self._count("accepted")
+            result = work()
+            self._count("completed")
+            return result
 
-    def _epoch(self, query: Any) -> list:
-        """The pinned snapshot token of the query's relation, JSON-shaped."""
-        node = self.session.engine._coerce_query(query)
-        token = self.session.database.state_token(node.relation)
-        return json.loads(json.dumps(token))
+    def _parse(self, source: Any) -> Query:
+        """The request's query as its AST — parsed here, once, for the epoch
+        pin and the engine alike.  A syntax error is the caller's typed
+        ``QUERY_ERROR``: every op handler runs inside ``_dispatch``'s guard."""
+        return self.session.engine._coerce_query(source)
+
+    def _epoch(self, relation_name: str) -> tuple:
+        """The relation's snapshot token (JSON makes its tuples lists)."""
+        return self.session.database.state_token(relation_name)
 
     @staticmethod
     def _decode_params(payload: Mapping[str, Any] | None) -> dict[str, Any]:
@@ -508,63 +550,73 @@ class QueryServer:
         return {name: decode_param(value) for name, value in payload.items()}
 
     @staticmethod
-    def _encode_outcome(outcome: Any, epoch: list) -> dict[str, Any]:
-        return {"answers": [encode_answer(answer)
-                            for answer in outcome.answers],
-                "epoch": epoch,
-                "elapsed_ms": outcome.elapsed_seconds * 1000.0,
-                "from_cache": outcome.from_cache}
+    def _encode_outcome(outcome: Any, epoch: tuple) -> dict[str, Any]:
+        return {
+            "answers": [encode_answer(answer) for answer in outcome.answers],
+            "epoch": epoch,
+            "elapsed_ms": outcome.elapsed_seconds * 1000.0,
+            "from_cache": outcome.from_cache,
+        }
 
     # ------------------------------------------------------------------
     # operations
     # ------------------------------------------------------------------
-    async def _op_ping(self, connection, request) -> dict[str, Any]:
+    def _op_ping(self, connection, request) -> dict[str, Any]:
         return {"pong": True}
 
-    async def _op_stats(self, connection, request) -> dict[str, Any]:
-        return {"stats": dict(self.stats),
-                "in_flight": self._admission.in_flight,
-                "queued": self._admission.queued,
-                "rejected": self._admission.rejected}
+    def _op_stats(self, connection, request) -> dict[str, Any]:
+        stats = self.stats
+        return {
+            "stats": stats,
+            "in_flight": self._admission.in_flight,
+            "queued": self._admission.queued,
+            "rejected": stats["rejected"],
+        }
 
-    async def _op_sql(self, connection, request) -> dict[str, Any]:
+    def _op_sql(self, connection, request) -> dict[str, Any]:
         token = self._deadline_token(request)
-        source = request.get("query")
+        query = self._parse(request.get("query"))
         parameters = self._decode_params(request.get("params"))
 
         def work():
-            epoch = self._epoch(source)
-            outcome = self.session.engine.execute(source, parameters)
-            return outcome, epoch
-        outcome, epoch = await self._run_read(work, token)
+            epoch = self._epoch(query.relation)
+            return self.session.engine.execute(query, parameters), epoch
+
+        outcome, epoch = self._run_read(work, token)
         if request.get("cursor"):
             rows = [encode_answer(answer) for answer in outcome.answers]
             size = len(json.dumps(rows, separators=(",", ":")))
             cursor_id = connection.register_cursor(_Cursor(rows, size, epoch))
-            return {"cursor": cursor_id, "count": len(rows), "epoch": epoch,
-                    "from_cache": outcome.from_cache}
+            return {
+                "cursor": cursor_id,
+                "count": len(rows),
+                "epoch": epoch,
+                "from_cache": outcome.from_cache,
+            }
         return self._encode_outcome(outcome, epoch)
 
-    async def _op_sql_many(self, connection, request) -> dict[str, Any]:
+    def _op_sql_many(self, connection, request) -> dict[str, Any]:
         token = self._deadline_token(request)
-        sources = request.get("queries") or []
+        queries = [self._parse(source) for source in request.get("queries") or []]
         bindings = request.get("params")
         if bindings is not None:
             bindings = [self._decode_params(binding) for binding in bindings]
 
         def work():
-            epochs = [self._epoch(source) for source in sources]
-            outcomes = self.session.engine.execute_many(sources, bindings)
-            return outcomes, epochs
-        outcomes, epochs = await self._run_read(work, token)
-        return {"results": [self._encode_outcome(outcome, epoch)
-                            for outcome, epoch in zip(outcomes, epochs)]}
+            epochs = [self._epoch(query.relation) for query in queries]
+            return self.session.engine.execute_many(queries, bindings), epochs
 
-    async def _op_prepare(self, connection, request) -> dict[str, Any]:
+        outcomes, epochs = self._run_read(work, token)
+        return {"results": [self._encode_outcome(*pair) for pair in zip(outcomes, epochs)]}
+
+    def _op_prepare(self, connection, request) -> dict[str, Any]:
         prepared = self.session.prepare(request.get("query"))
         statement_id = connection.register_statement(prepared)
-        return {"statement": statement_id, "text": prepared.text,
-                "relation": prepared.query.relation}
+        return {
+            "statement": statement_id,
+            "text": prepared.text,
+            "relation": prepared.query.relation,
+        }
 
     def _statement(self, connection: _Connection, request) -> Any:
         statement_id = request.get("statement")
@@ -572,91 +624,83 @@ class QueryServer:
         if prepared is None:
             raise ProtocolError(
                 f"unknown statement id {statement_id!r} on this connection "
-                "(statements do not survive reconnects; prepare again)")
+                "(statements do not survive reconnects; prepare again)"
+            )
         return prepared
 
-    async def _op_execute(self, connection, request) -> dict[str, Any]:
+    def _op_execute(self, connection, request) -> dict[str, Any]:
         token = self._deadline_token(request)
         prepared = self._statement(connection, request)
-        bindings = request.get("bindings")
-        if bindings is not None:
-            decoded = [self._decode_params(binding) for binding in bindings]
-
-            def work_many():
-                epoch = self._epoch(prepared.query)
-                return prepared.run_many(decoded), epoch
-            outcomes, epoch = await self._run_read(work_many, token)
-            return {"results": [self._encode_outcome(outcome, epoch)
-                                for outcome in outcomes]}
-        parameters = self._decode_params(request.get("params"))
+        many = request.get("bindings")
+        if many is not None:
+            decoded = [self._decode_params(binding) for binding in many]
+        else:
+            decoded = self._decode_params(request.get("params"))
 
         def work():
-            epoch = self._epoch(prepared.query)
-            return prepared.run(parameters), epoch
-        outcome, epoch = await self._run_read(work, token)
-        return self._encode_outcome(outcome, epoch)
+            epoch = self._epoch(prepared.query.relation)
+            run = prepared.run if many is None else prepared.run_many
+            return run(decoded), epoch
 
-    async def _op_close_statement(self, connection, request) -> dict[str, Any]:
+        result, epoch = self._run_read(work, token)
+        if many is None:
+            return self._encode_outcome(result, epoch)
+        return {"results": [self._encode_outcome(outcome, epoch) for outcome in result]}
+
+    def _op_close_statement(self, connection, request) -> dict[str, Any]:
         connection.statements.pop(request.get("statement"), None)
         return {}
 
-    async def _op_explain(self, connection, request) -> dict[str, Any]:
+    def _op_explain(self, connection, request) -> dict[str, Any]:
         if "statement" in request:
-            prepared = self._statement(connection, request)
-            source: Any = prepared.query
+            query = self._statement(connection, request).query
         else:
-            source = request.get("query")
+            query = self._parse(request.get("query"))
         token = self._deadline_token(request)
-        plan_text, = await self._run_read(
-            lambda: (self.session.explain(source),), token)
-        return {"plan": plan_text}
+        return {"plan": self._run_read(lambda: self.session.explain(query), token)}
 
-    async def _op_fetch(self, connection, request) -> dict[str, Any]:
+    def _op_fetch(self, connection, request) -> dict[str, Any]:
         cursor_id = request.get("cursor")
         cursor = connection.cursors.get(cursor_id)
         if cursor is None:
             raise ProtocolError(
                 f"unknown cursor id {cursor_id!r} on this connection "
-                "(closed, fully consumed, or evicted by the byte budget)")
+                "(closed, fully consumed, or evicted by the byte budget)"
+            )
         count = int(request.get("count", 128))
-        rows = cursor.rows[cursor.position:cursor.position + count]
+        rows = cursor.rows[cursor.position : cursor.position + count]
         cursor.position += len(rows)
         done = cursor.position >= len(cursor.rows)
         if done:
             connection.drop_cursor(cursor_id)
         return {"answers": rows, "done": done, "epoch": cursor.epoch}
 
-    async def _op_close_cursor(self, connection, request) -> dict[str, Any]:
+    def _op_close_cursor(self, connection, request) -> dict[str, Any]:
         connection.drop_cursor(request.get("cursor"))
         return {}
 
-    async def _op_insert_many(self, connection, request) -> dict[str, Any]:
+    def _op_insert_many(self, connection, request) -> dict[str, Any]:
         relation_name = request.get("relation")
         encoded_rows = request.get("rows") or []
         plan = self.config.fault_plan
 
         def work():
-            objects = [decode_param(row, fresh_id=True)
-                       for row in encoded_rows]
+            objects = [decode_param(row, fresh_id=True) for row in encoded_rows]
             self.session.relation(relation_name).insert_many(objects)
             # The write (and its WAL append, for durable stores) has
             # committed; a scheduled kill point fires HERE — after the
             # commit, before the acknowledgement leaves the server.
-            self.stats["commits"] += 1
+            self._count("commits")
             if plan is not None:
                 plan.commit_landed()
             return [obj.object_id for obj in objects]
-        ids = await self._run_write(work)
-        return {"count": len(ids), "ids": ids,
-                "epoch": self._epoch_of_relation(relation_name)}
 
-    async def _op_checkpoint(self, connection, request) -> dict[str, Any]:
-        await self._run_write(self.session.checkpoint)
+        ids = self._run_write(work)
+        return {"count": len(ids), "ids": ids, "epoch": self._epoch(relation_name)}
+
+    def _op_checkpoint(self, connection, request) -> dict[str, Any]:
+        self._run_write(self.session.checkpoint)
         return {}
-
-    def _epoch_of_relation(self, relation_name: str) -> list:
-        token = self.session.database.state_token(relation_name)
-        return json.loads(json.dumps(token))
 
     _OPS = {
         "ping": _op_ping,
@@ -675,59 +719,18 @@ class QueryServer:
 
 
 class ServerHandle:
-    """A running server hosted on a daemon thread, with a sync surface.
+    """A started server plus who owns its session, as :func:`serve` returns it.
 
-    Obtained from :func:`serve`.  ``stop()`` shuts down gracefully;
-    ``kill()`` simulates a crash (transports aborted, session left dirty);
-    both are idempotent.  Usable as a context manager (stops on exit).
+    ``stop()`` shuts down gracefully; ``kill()`` simulates a crash (sockets
+    shut, session left dirty); both are idempotent.  Usable as a context
+    manager (stops on exit).
     """
 
     def __init__(self, server: QueryServer, *, owns_session: bool) -> None:
         self._server = server
         self._owns_session = owns_session
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
-        self._ready = threading.Event()
-        self._startup_error: BaseException | None = None
         self._stopped = False
 
-    # -- startup (called by serve) -------------------------------------
-    def _run(self) -> None:
-        loop = asyncio.new_event_loop()
-        self._loop = loop
-        asyncio.set_event_loop(loop)
-        try:
-            loop.run_until_complete(self._server.start())
-        except BaseException as error:  # noqa: BLE001 — report to starter
-            self._startup_error = error
-            self._ready.set()
-            loop.close()
-            return
-        self._ready.set()
-        try:
-            loop.run_forever()
-        finally:
-            pending = asyncio.all_tasks(loop)
-            for task in pending:
-                task.cancel()
-            if pending:
-                loop.run_until_complete(
-                    asyncio.gather(*pending, return_exceptions=True))
-            loop.close()
-
-    def _start(self, timeout: float = 10.0) -> "ServerHandle":
-        thread = threading.Thread(target=self._run, name="repro-server-loop",
-                                  daemon=True)
-        self._thread = thread
-        thread.start()
-        if not self._ready.wait(timeout):
-            raise ProtocolError("server failed to start within "
-                                f"{timeout:g} seconds")
-        if self._startup_error is not None:
-            raise self._startup_error
-        return self
-
-    # -- surface --------------------------------------------------------
     @property
     def address(self) -> tuple[str, int]:
         assert self._server.address is not None
@@ -755,20 +758,10 @@ class ServerHandle:
         if self._stopped:
             return
         self._stopped = True
-        loop = self._loop
-        if loop is not None and loop.is_running():
-            future = asyncio.run_coroutine_threadsafe(
-                self._server.stop(), loop)
-            try:
-                future.result(timeout=10.0)
-            except Exception:
-                pass
-            loop.call_soon_threadsafe(loop.stop)
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
-        if self._owns_session and not self._server.session.closed \
-                and not self._server.killed:
-            self._server.session.close()
+        self._server.stop()
+        session = self._server.session
+        if self._owns_session and not session.closed and not self._server.killed:
+            session.close()
 
     def kill(self) -> None:
         """Crash the server from outside (tests use scheduled kill points
@@ -776,21 +769,12 @@ class ServerHandle:
         The session is deliberately NOT closed — a crash would not have."""
         if self._stopped:
             return
-        self._stopped = True
-        loop = self._loop
-        if loop is not None and loop.is_running():
-            loop.call_soon_threadsafe(self._server.kill)
-            loop.call_soon_threadsafe(loop.stop)
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
+        self._server.kill()
+        self.join_after_kill(_STOP_GRACE_S)
 
     def join_after_kill(self, timeout: float = 10.0) -> None:
-        """After a scheduled kill point fired, stop the loop thread."""
-        loop = self._loop
-        if loop is not None and loop.is_running():
-            loop.call_soon_threadsafe(loop.stop)
-        if self._thread is not None:
-            self._thread.join(timeout=timeout)
+        """After a kill (scheduled or not), wait for the server's threads."""
+        self._server.join(timeout)
         self._stopped = True
 
     def __enter__(self) -> "ServerHandle":
@@ -800,8 +784,7 @@ class ServerHandle:
         self.stop()
 
     def __repr__(self) -> str:
-        state = "killed" if self.killed else \
-            ("stopped" if self._stopped else "running")
+        state = "killed" if self.killed else ("stopped" if self._stopped else "running")
         return f"ServerHandle(address={self._server.address}, {state})"
 
 
@@ -815,7 +798,7 @@ def _keep_request_memory() -> bool:
     """Stop glibc handing every request's temporaries back to the kernel.
 
     A query's temporaries are a few megabytes (the gathered candidate rows
-    and what is computed from them), allocated and freed on an executor
+    and what is computed from them), allocated and freed on a connection's
     thread.  Once more than the *trim threshold* is free at the top of a
     thread's heap glibc returns it, and the next request faults the same
     pages in again — about a thousand minor faults, a third of a range
@@ -833,15 +816,20 @@ def _keep_request_memory() -> bool:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError):
         return False
-    return bool(mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_CEILING)
-                and mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_CEILING))
+    return bool(
+        mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_CEILING)
+        and mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_CEILING)
+    )
 
 
-def serve(session: Session | None = None, *,
-          config: ServerConfig | None = None,
-          path: str | None = None,
-          **connect_kwargs: Any) -> ServerHandle:
-    """Start a query server on a background thread; return its handle.
+def serve(
+    session: Session | None = None,
+    *,
+    config: ServerConfig | None = None,
+    path: str | None = None,
+    **connect_kwargs: Any,
+) -> ServerHandle:
+    """Start a query server on background threads; return its handle.
 
     Serve an existing session (``serve(session)``), or let the server open
     its own — in-memory by default, durable with ``path=...`` (extra
@@ -859,8 +847,9 @@ def serve(session: Session | None = None, *,
         session = connect(path=path, **connect_kwargs)
     elif path is not None or connect_kwargs:
         raise ProtocolError(
-            "pass either an existing session or connection arguments "
-            "(path/...), not both")
+            "pass either an existing session or connection arguments (path/...), not both"
+        )
     _keep_request_memory()
     server = QueryServer(session, config)
-    return ServerHandle(server, owns_session=owns_session)._start()
+    server.start()
+    return ServerHandle(server, owns_session=owns_session)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,20 @@ from repro.index.scan import SequentialScan
 def rng() -> np.random.Generator:
     """A deterministic random generator shared by the whole session."""
     return np.random.default_rng(20260614)
+
+
+@pytest.fixture()
+def short_gil_turns():
+    """Interleave threads finely for one test.  The interpreter lock changes
+    hands every 5 ms by default — long enough for a thread to serve a request
+    whole, so threads sharing a gate or a counter may never meet at it.  A
+    0.1 ms turn makes them meet, the way separate processes would."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.fixture(scope="session")
