@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -30,6 +31,19 @@ def short_gil_turns():
         yield
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.fixture()
+def wait_until():
+    """``wait_until(condition, timeout_s=30.0)``: poll until it holds, or fail."""
+
+    def wait(condition, timeout_s: float = 30.0) -> None:
+        deadline = time.monotonic() + timeout_s
+        while not condition():
+            assert time.monotonic() < deadline, "condition never held"
+            time.sleep(0.005)
+
+    return wait
 
 
 @pytest.fixture(scope="session")

@@ -382,13 +382,6 @@ class _GatedDistance:
         return 0.0
 
 
-def _wait_until(condition, timeout_s: float = 30.0) -> None:
-    deadline = time.monotonic() + timeout_s
-    while not condition():
-        assert time.monotonic() < deadline, "condition never held"
-        time.sleep(0.005)
-
-
 class TestAdmission:
     def test_saturation_yields_retry_later(self):
         gate = _GatedDistance()
@@ -458,7 +451,7 @@ class TestAdmission:
         session.close()
 
 
-    def test_answers_under_pressure_are_a_quiet_sessions(self, short_gil_turns):
+    def test_answers_under_pressure_are_a_quiet_sessions(self, short_gil_turns, wait_until):
         """64 clients x 10 seeded range / NN / explain requests against
         eight slots and a queue of 32: refusals are retried, and every
         request is answered, none failed — with the quiet session's answer,
@@ -520,11 +513,11 @@ class TestAdmission:
             occupants = [threading.Thread(target=occupy) for _ in range(config.max_in_flight)]
             for thread in occupants:
                 thread.start()
-            _wait_until(lambda: watcher.stats()["in_flight"] == config.max_in_flight)
+            wait_until(lambda: watcher.stats()["in_flight"] == config.max_in_flight)
             threads = [threading.Thread(target=run, args=(slot,)) for slot in range(clients)]
             for thread in threads:
                 thread.start()
-            _wait_until(lambda: watcher.stats()["rejected"] >= clients - config.max_queue_depth)
+            wait_until(lambda: watcher.stats()["rejected"] >= clients - config.max_queue_depth)
             gate.release.set()
             watcher.close()
             threads += occupants

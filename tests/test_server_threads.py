@@ -29,15 +29,6 @@ RANGE_SQL = "SELECT FROM walks WHERE dist(series, $q) < 5.0"
 WORD_SQL = "SELECT FROM words WHERE dist(object, $q) < 99.0"
 
 
-def wait_until(condition, timeout_s: float = 5.0) -> float:
-    """Poll until ``condition()`` holds; the seconds it took."""
-    started = time.monotonic()
-    while not condition():
-        assert time.monotonic() - started < timeout_s, "condition never held"
-        time.sleep(0.005)
-    return time.monotonic() - started
-
-
 @pytest.fixture()
 def data():
     return random_walk_collection(60, 32, seed=7)
@@ -126,7 +117,7 @@ class TestOneThreadPerConnection:
         assert seen[0] != seen[1]
         assert threading.get_ident() not in seen[0] | seen[1]
 
-    def test_threads_come_and_go_with_connections(self, walks, data):
+    def test_threads_come_and_go_with_connections(self, walks, data, wait_until):
         with serve(walks) as handle:
             baseline = threading.active_count()
             client = repro.client.connect(handle.address, timeout_s=5.0)
@@ -235,7 +226,9 @@ class TestConnectionBounds:
             assert client.ping()
             client.close()
 
-    def test_idle_connection_is_reclaimed_and_the_next_read_reconnects(self, walks, data):
+    def test_idle_connection_is_reclaimed_and_the_next_read_reconnects(
+        self, walks, data, wait_until
+    ):
         with serve(walks, config=ServerConfig(idle_timeout_s=0.2)) as handle:
             baseline = threading.active_count()
             client = repro.client.connect(
@@ -294,7 +287,7 @@ class TestAdmissionDeadline:
 
 
 class TestReadWriteLock:
-    def test_a_waiting_writer_holds_back_later_readers(self):
+    def test_a_waiting_writer_holds_back_later_readers(self, wait_until):
         lock = _ReadWriteLock()
         order: list[str] = []
         first_reader_in, let_first_reader_go = threading.Event(), threading.Event()
