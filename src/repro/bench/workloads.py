@@ -39,6 +39,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..core.query.ast import AllPairsQuery, NearestNeighborQuery, RangeQuery
+from ..core.stats import sample_positions
 from ..index.kindex import KIndex
 from ..index.scan import SequentialScan
 from ..timeseries.features import SeriesFeatureExtractor
@@ -424,20 +425,12 @@ class Workload:
 # ----------------------------------------------------------------------
 # expansion
 # ----------------------------------------------------------------------
-def _sample_positions(count: int, sample_size: int) -> np.ndarray:
-    """Deterministic evenly spaced positions (mirrors the statistics
-    sampler: no RNG, so calibration is reproducible by construction)."""
-    if count <= sample_size:
-        return np.arange(count)
-    return np.unique(np.linspace(0, count - 1, sample_size).astype(np.intp))
-
-
 def _calibration_distances(data: list[TimeSeries]) -> np.ndarray:
     """Sorted exact full-record distances between sampled series pairs."""
     extractor = SeriesFeatureExtractor(1)
     features = [
         extractor.extract(data[int(i)])
-        for i in _sample_positions(len(data), CALIBRATION_SAMPLE)
+        for i in sample_positions(len(data), CALIBRATION_SAMPLE)
     ]
     out = []
     for i, left in enumerate(features):

@@ -36,15 +36,19 @@ from dataclasses import dataclass
 from dataclasses import replace as replace_fields
 from typing import Any
 
-import numpy as np
-
 from ..index.kindex import KIndex
 from ..index.metric import MetricIndex
 from ..timeseries.features import SeriesFeatureExtractor
 from .database import Database, DistanceProvider
 from .errors import CatalogError
 from .query.costmodel import CostEstimate, QueryCostModel
-from .stats import DistanceHistogram, RelationStatistics
+from .stats import (
+    SAMPLE_SIZE,
+    RelationStatistics,
+    collect_by_extraction,
+    filter_histogram,
+    sample_positions,
+)
 
 __all__ = [
     "ADVISOR_PROVIDER_NAME",
@@ -70,9 +74,6 @@ PREFIX_LENGTHS = (1, 2, 3)
 #: within the band the *simpler* configuration wins (no index < k-index <
 #: metric index), mirroring the planner's own tie rule.
 TIE_TOLERANCE = 0.05
-
-#: Series sampled for per-prefix filter histograms (pairs are quadratic).
-_SAMPLE_SIZE = 48
 
 
 def series_exact_distance() -> Callable[[Any, Any], float]:
@@ -378,16 +379,16 @@ class IndexAdvisor:
         candidates = [
             CandidateConfiguration(kind="none", num_coefficients=None, statistics=none_stats)
         ]
-        positions = _sample_positions(len(objects), _SAMPLE_SIZE)
-        sampled = [objects[int(i)] for i in positions]
+        # The statistics sampler's positions: a what-if filter histogram is
+        # the one ``analyze`` would collect with the candidate installed.
+        positions = sample_positions(len(objects), SAMPLE_SIZE)
         for prefix in self.prefix_lengths:
-            extractor = SeriesFeatureExtractor(prefix)
-            index = KIndex.bulk_load(objects, extractor)
+            index = KIndex.bulk_load(objects, SeriesFeatureExtractor(prefix))
             stats = replace_fields(
                 base,
                 kind="feature-indexed",
                 tree_summary=index.structure_summary(),
-                filter_histogram=self._filter_histogram(extractor, sampled),
+                filter_histogram=filter_histogram(index, positions),
             )
             candidates.append(
                 CandidateConfiguration(
@@ -417,49 +418,7 @@ class IndexAdvisor:
         # Provider-configured series relation (a previous autotune moved it
         # onto the metric path): rebuild the feature view from the shared
         # columnar store, the same arrays the scan and sampler read.
-        from ..storage.columnar import pairwise_distances
-
-        relation = database.relation(relation_name)
-        store = database.columnar_store(relation_name)
-        positions = _sample_positions(len(store), _SAMPLE_SIZE)
-        answer = None
-        if len(positions) >= 2:
-            answer = DistanceHistogram(
-                pairwise_distances(
-                    store.coefficients,
-                    store.lengths,
-                    store.means,
-                    store.stds,
-                    True,
-                    row_ids=positions,
-                )
-            )
-        return RelationStatistics(
-            relation=relation_name,
-            cardinality=len(relation),
-            kind="feature",
-            record_bytes=store.record_bytes() if len(store) else 64,
-            answer_histogram=answer,
-        )
-
-    @staticmethod
-    def _filter_histogram(
-        extractor: SeriesFeatureExtractor, sampled: list[Any]
-    ) -> DistanceHistogram | None:
-        if len(sampled) < 2:
-            return None
-        points = [extractor.point(series) for series in sampled]
-        values = []
-        for i, left in enumerate(points):
-            for right in points[i + 1 :]:
-                values.append(float(extractor.space.distance(left, right)))
-        return DistanceHistogram(np.asarray(values, dtype=np.float64))
-
-
-def _sample_positions(count: int, sample_size: int) -> np.ndarray:
-    if count <= sample_size:
-        return np.arange(count)
-    return np.unique(np.linspace(0, count - 1, sample_size).astype(np.intp))
+        return collect_by_extraction(database, database.relation(relation_name), SAMPLE_SIZE)
 
 
 # ----------------------------------------------------------------------

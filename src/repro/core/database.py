@@ -486,30 +486,42 @@ class Database:
         Lazy collection keeps epoch 0 — indistinguishable from "never
         analyzed" in :meth:`state_token`, so it does not invalidate caches.
         Statistics whose basis went stale (the relation grew past a size
-        band, or the index set changed) are refreshed in place, again
-        without an epoch bump: the state token already changed through the
-        relation/index components, so the caches were invalidated anyway.
-        With ``collect=False`` returns ``None`` instead of collecting.
+        band, the index set changed, the spatial index sealed) are replaced
+        by a fresh collection, again without an epoch bump and with the
+        learned corrections carried: the state token already changed through
+        the relation/index components, so the caches were invalidated anyway.
+        The front-door writes do that themselves (:meth:`refresh_statistics`),
+        so a plan finds a stale basis only after a mutation below the handle.
+        With ``collect=False`` returns what is stored — ``None`` if nothing
+        is — instead of collecting.
         """
         from .stats import collect_statistics, statistics_basis
 
         if relation_name not in self._relations:
             return None
         stats = self._statistics.get(relation_name)
-        if stats is not None \
-                and stats.basis == statistics_basis(self, relation_name):
-            return stats
-        if not collect:
+        if not collect or (stats is not None and
+                           stats.basis == statistics_basis(self, relation_name)):
             return stats
         fresh = collect_statistics(self, relation_name)
         if stats is not None:
-            # Lazy refresh: keep the epoch and carry the learned corrections.
+            # A refresh: keep the epoch and carry the learned corrections.
             fresh.epoch = stats.epoch
             fresh.candidate_correction = stats.candidate_correction
             fresh.answer_correction = stats.answer_correction
             fresh.observations = stats.observations
         self._statistics[relation_name] = fresh
         return fresh
+
+    def refresh_statistics(self, relation_name: str) -> None:
+        """What a write ends with: statistics that exist and whose basis the
+        write moved are collected again, here, by the writer — never by the
+        read that would otherwise find them stale (reads run concurrently;
+        collecting is a write to shared catalog state).  A relation nobody
+        has planned against or analyzed has none, and gets none: loading is
+        not charged for a first collection."""
+        if relation_name in self._statistics:
+            self.statistics_for(relation_name)
 
     def stats_epoch(self, relation_name: str) -> int:
         """The relation's statistics epoch (0 until the first ``analyze``)."""

@@ -269,7 +269,12 @@ class QueryCostModel:
         return self._fan_out(base, cardinality * answer_fraction)
 
     def index_range(self, stats: RelationStatistics | None,
-                    cardinality: int, epsilon: float) -> CostEstimate:
+                    cardinality: int, epsilon: float, *,
+                    tail_pages: float = 0.0) -> CostEstimate:
+        """``tail_pages`` is the index's unindexed tail *now*
+        (:attr:`KIndex.tail_pages <repro.index.kindex.KIndex.tail_pages>`,
+        read at plan time): every probe filters it whole, whatever the tree
+        looked like when the statistics were collected."""
         candidate_fraction, measured = self._candidate_fraction(stats, epsilon)
         candidates = cardinality * candidate_fraction
         tree = stats.tree_summary if stats is not None else None
@@ -289,8 +294,6 @@ class QueryCostModel:
                      + tree["internal_count"] * internal_hit)
             nodes = max(tree["height"], min(tree["node_count"], nodes))
             structural = True
-        # The unindexed tail is filtered whole: the pages the probe charges.
-        tail_pages = tree.get("tail_pages", 0.0) if tree else 0.0
         nodes += tail_pages
         io = nodes + candidates  # one record fetch per candidate
         return _estimate(io, candidates, candidates,
@@ -309,19 +312,21 @@ class QueryCostModel:
         return self._fan_out(base, float(self.workers * k))
 
     def index_nearest(self, stats: RelationStatistics | None,
-                      cardinality: int, k: int) -> CostEstimate:
+                      cardinality: int, k: int, *,
+                      tail_pages: float = 0.0) -> CostEstimate:
         radius = self._nearest_radius(stats, cardinality, k)
         if radius is None:
             # Without a histogram assume a well-behaved search: root-to-leaf
             # descent plus a handful of candidates around k.
             tree = stats.tree_summary if stats is not None else None
-            height = (tree["height"] + tree.get("tail_pages", 0.0) if tree
-                      else math.log(max(2, cardinality), 8))
+            height = (tree["height"] if tree
+                      else math.log(max(2, cardinality), 8)) + tail_pages
             candidates = float(4 * k)
             return _estimate(height + candidates, candidates, candidates,
                              can_estimate=False,
                              detail="assumed k-neighbourhood descent")
-        estimate = self.index_range(stats, cardinality, radius)
+        estimate = self.index_range(stats, cardinality, radius,
+                                    tail_pages=tail_pages)
         candidates = max(float(k), estimate.candidates)
         return _estimate(estimate.io_accesses - estimate.candidates + candidates,
                          candidates, candidates,
@@ -346,8 +351,10 @@ class QueryCostModel:
         return self._fan_out(base, comparisons * pair_fraction)
 
     def index_join(self, stats: RelationStatistics | None,
-                   cardinality: int, epsilon: float) -> CostEstimate:
-        per_probe = self.index_range(stats, cardinality, epsilon)
+                   cardinality: int, epsilon: float, *,
+                   tail_pages: float = 0.0) -> CostEstimate:
+        per_probe = self.index_range(stats, cardinality, epsilon,
+                                     tail_pages=tail_pages)
         io = cardinality * per_probe.io_accesses
         candidates = cardinality * per_probe.candidates
         return _estimate(io, candidates, candidates,

@@ -407,8 +407,11 @@ class Planner:
         scan_estimate = scan_estimator(stats, cardinality)
         alternatives = []
         if usable:
-            estimate = (index_estimator(stats, cardinality) if known
-                        else self._unknown_kind_estimate(scan_estimate))
+            # The tail is read off the index now, not off the statistics:
+            # it moves with every append, and every append re-plans.
+            estimate = (index_estimator(
+                stats, cardinality, self.database.index(query.relation).tail_pages)
+                if known else self._unknown_kind_estimate(scan_estimate))
             alternatives.append(index_plan_type(
                 query=query, reason=reason, estimated_cost=estimate))
         scan_reason = (f"sequential scan over {cardinality} records"
@@ -420,19 +423,22 @@ class Planner:
     def _plan_range(self, query: RangeQuery, transformation) -> Plan:
         return self._plan_feature(
             query, transformation, IndexRangePlan, ScanRangePlan,
-            lambda stats, n: self.cost_model.index_range(stats, n, query.epsilon),
+            lambda stats, n, tail: self.cost_model.index_range(
+                stats, n, query.epsilon, tail_pages=tail),
             lambda stats, n: self.cost_model.scan_range(stats, n, query.epsilon))
 
     def _plan_nearest(self, query: NearestNeighborQuery, transformation) -> Plan:
         return self._plan_feature(
             query, transformation, IndexNearestPlan, ScanNearestPlan,
-            lambda stats, n: self.cost_model.index_nearest(stats, n, query.k),
+            lambda stats, n, tail: self.cost_model.index_nearest(
+                stats, n, query.k, tail_pages=tail),
             lambda stats, n: self.cost_model.scan_nearest(stats, n, query.k))
 
     def _plan_join(self, query: AllPairsQuery, transformation) -> Plan:
         return self._plan_feature(
             query, transformation, IndexJoinPlan, ScanJoinPlan,
-            lambda stats, n: self.cost_model.index_join(stats, n, query.epsilon),
+            lambda stats, n, tail: self.cost_model.index_join(
+                stats, n, query.epsilon, tail_pages=tail),
             lambda stats, n: self.cost_model.scan_join(stats, n, query.epsilon))
 
 

@@ -107,7 +107,22 @@ class FeatureSpace:
         raise NotImplementedError
 
     def decode(self, point: FeatureVector) -> tuple[np.ndarray, np.ndarray]:
-        """Invert :meth:`encode`; returns ``(extra, complex_features)``."""
+        """Invert :meth:`encode`; returns ``(extra, complex_features)`` — one
+        row of :meth:`decode_rows`."""
+        self._check_point(point)
+        extra, feats = self.decode_rows(point.values)
+        return extra.copy(), feats
+
+    def decode_rows(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Invert :meth:`encode_rows`: the ``(n, num_extra)`` extra reals (a
+        view) and the ``(n, num_features)`` complex features of ``(n,
+        dimension)`` points."""
+        return points[..., : self.num_extra], self._complex_features(
+            points[..., self.num_extra::2], points[..., self.num_extra + 1::2])
+
+    def _complex_features(self, first: np.ndarray, second: np.ndarray
+                          ) -> np.ndarray:
+        """The complex features stored as a :meth:`_coordinate_pair`."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -138,6 +153,22 @@ class FeatureSpace:
         d2 = float(np.sum(np.abs(feats_a - feats_b) ** 2))
         d2 += float(np.sum((extra_a - extra_b) ** 2))
         return math.sqrt(d2)
+
+    def distances_to(self, point: FeatureVector, points: np.ndarray) -> np.ndarray:
+        """:meth:`distance` from ``point`` to every row of ``(n, dimension)``
+        points, as one ``float64[n]`` — the same operations in the same
+        order, so each value has the scalar form's bits."""
+        extra, feats = self.decode_rows(points)
+        point_extra, point_feats = self.decode(point)
+        return _norms(feats - point_feats, extra - point_extra)
+
+    def pairwise(self, points: np.ndarray) -> np.ndarray:
+        """:meth:`distance` between every two rows of ``(n, dimension)``
+        points, as one ``float64[n * (n - 1) / 2]``: row 0 against each row
+        after it, then row 1, … — bit for bit the scalar form's values."""
+        extra, feats = self.decode_rows(points)
+        left, right = np.triu_indices(len(points), 1)
+        return _norms(feats[left] - feats[right], extra[left] - extra[right])
 
     def periodic_dimension_mask(self) -> np.ndarray:
         """Boolean mask over coordinates that wrap around (modulo ``2*pi``).
@@ -170,6 +201,13 @@ class FeatureSpace:
         return hash((type(self).__name__, self.num_features, self.num_extra))
 
 
+def _norms(feature_deltas: np.ndarray, extra_deltas: np.ndarray) -> np.ndarray:
+    """Row norms of complex feature differences beside real extra ones,
+    summed in :meth:`FeatureSpace.distance`'s order."""
+    return np.sqrt(np.sum(np.abs(feature_deltas) ** 2, axis=1)
+                   + np.sum(extra_deltas ** 2, axis=1))
+
+
 class RectangularSpace(FeatureSpace):
     """``Srect``: complex feature *i* occupies coordinates ``(2i-1, 2i)`` as
     (real part, imaginary part)."""
@@ -180,13 +218,9 @@ class RectangularSpace(FeatureSpace):
                          ) -> tuple[np.ndarray, np.ndarray]:
         return complex_features.real, complex_features.imag
 
-    def decode(self, point: FeatureVector) -> tuple[np.ndarray, np.ndarray]:
-        self._check_point(point)
-        values = point.values
-        extra = values[: self.num_extra].copy()
-        real = values[self.num_extra::2]
-        imag = values[self.num_extra + 1::2]
-        return extra, real + 1j * imag
+    def _complex_features(self, first: np.ndarray, second: np.ndarray
+                          ) -> np.ndarray:
+        return first + 1j * second
 
     def search_rectangle(self, query: FeatureVector, epsilon: float
                          ) -> tuple[np.ndarray, np.ndarray]:
@@ -217,13 +251,9 @@ class PolarSpace(FeatureSpace):
                          ) -> tuple[np.ndarray, np.ndarray]:
         return np.abs(complex_features), np.angle(complex_features)
 
-    def decode(self, point: FeatureVector) -> tuple[np.ndarray, np.ndarray]:
-        self._check_point(point)
-        values = point.values
-        extra = values[: self.num_extra].copy()
-        magnitude = values[self.num_extra::2]
-        angle = values[self.num_extra + 1::2]
-        return extra, magnitude * np.exp(1j * angle)
+    def _complex_features(self, first: np.ndarray, second: np.ndarray
+                          ) -> np.ndarray:
+        return first * np.exp(1j * second)
 
     def search_rectangle(self, query: FeatureVector, epsilon: float
                          ) -> tuple[np.ndarray, np.ndarray]:

@@ -24,6 +24,18 @@ an ``epoch`` that folds into
 :meth:`~repro.core.database.Database.state_token` — so an explicit
 ``analyze`` invalidates cached plans and answers by construction, while lazy
 collection (epoch 0, indistinguishable from "never analyzed") does not.
+Once they exist, **the writer keeps them fresh**: the front-door write that
+moves their basis (:func:`statistics_basis` — a cardinality band crossed, the
+index set changed, the spatial index sealed) ends by re-collecting them, so
+no read pays for a collection another request's write made necessary.
+
+Collection is array code.  An indexed relation is measured off the index's
+own arrays — :meth:`KIndex.points <repro.index.kindex.KIndex.points>` rows
+through :meth:`FeatureSpace.pairwise <repro.core.spaces.FeatureSpace.pairwise>`
+for the filter histogram, column reductions for extents and spread, the
+columnar store's pair kernel for the exact distances — with no per-record
+object and no temporary sized by the relation (2.5 ms at 5000×128, most of it
+the exact pair kernel).
 
 A bounded-EWMA **feedback loop** closes the gap between estimates and
 reality: after every executed range query the engine reports the observed
@@ -39,8 +51,7 @@ from typing import Any
 
 import numpy as np
 
-__all__ = ["DistanceHistogram", "RelationStatistics", "collect_statistics",
-           "statistics_basis"]
+__all__ = ["DistanceHistogram", "RelationStatistics", "collect_statistics", "statistics_basis"]
 
 #: Objects sampled per relation when collecting statistics (pair count is
 #: quadratic in this, so keep it modest; ~1k exact distances per collection).
@@ -102,8 +113,10 @@ class DistanceHistogram:
     def __repr__(self) -> str:
         if len(self) == 0:
             return "DistanceHistogram(empty)"
-        return (f"DistanceHistogram(n={len(self)}, min={self.values[0]:.3g}, "
-                f"median={self.quantile(0.5):.3g}, max={self.values[-1]:.3g})")
+        return (
+            f"DistanceHistogram(n={len(self)}, min={self.values[0]:.3g}, "
+            f"median={self.quantile(0.5):.3g}, max={self.values[-1]:.3g})"
+        )
 
 
 def _clamp(value: float, bounds: tuple[float, float]) -> float:
@@ -186,9 +199,13 @@ class RelationStatistics:
     # ------------------------------------------------------------------
     # feedback
     # ------------------------------------------------------------------
-    def observe_range(self, epsilon: float, *,
-                      candidate_fraction: float | None = None,
-                      answer_fraction: float | None = None) -> None:
+    def observe_range(
+        self,
+        epsilon: float,
+        *,
+        candidate_fraction: float | None = None,
+        answer_fraction: float | None = None,
+    ) -> None:
         """Fold one executed range query's measurements back in.
 
         Each observed/predicted ratio is clamped (a single outlier cannot
@@ -203,12 +220,12 @@ class RelationStatistics:
         if candidate_fraction is not None:
             if self.kind == "provider":
                 histogram = self.answer_histogram
-                predicted = (histogram.pair_fraction_within(epsilon)
-                             if histogram is not None else 0.0)
+                predicted = (
+                    histogram.pair_fraction_within(epsilon) if histogram is not None else 0.0
+                )
             else:
                 histogram = self.filter_histogram or self.answer_histogram
-                predicted = (histogram.fraction_within(epsilon)
-                             if histogram is not None else 0.0)
+                predicted = histogram.fraction_within(epsilon) if histogram is not None else 0.0
             self._fold("candidate_correction", candidate_fraction, predicted)
         self.observations += 1
 
@@ -225,25 +242,33 @@ class RelationStatistics:
     # ------------------------------------------------------------------
     def describe(self) -> str:
         """One-paragraph summary (what ``session.analyze`` reports)."""
-        parts = [f"statistics for {self.relation!r} (epoch {self.epoch}): "
-                 f"{self.cardinality} objects, kind {self.kind}, "
-                 f"~{self.record_bytes} bytes/record"]
+        parts = [
+            f"statistics for {self.relation!r} (epoch {self.epoch}): "
+            f"{self.cardinality} objects, kind {self.kind}, "
+            f"~{self.record_bytes} bytes/record"
+        ]
         if self.answer_histogram is not None and len(self.answer_histogram):
             parts.append(f"distance sample {self.answer_histogram!r}")
         if self.tree_summary is not None:
             t = self.tree_summary
-            parts.append(f"tree height {t['height']:.0f}, "
-                         f"{t['leaf_count']:.0f} leaves / "
-                         f"{t['internal_count']:.0f} internals")
+            parts.append(
+                f"tree height {t['height']:.0f}, "
+                f"{t['leaf_count']:.0f} leaves / "
+                f"{t['internal_count']:.0f} internals"
+            )
         if self.observations:
-            parts.append(f"{self.observations} feedback observations "
-                         f"(candidate x{self.candidate_correction:.2f}, "
-                         f"answer x{self.answer_correction:.2f})")
+            parts.append(
+                f"{self.observations} feedback observations "
+                f"(candidate x{self.candidate_correction:.2f}, "
+                f"answer x{self.answer_correction:.2f})"
+            )
         return "; ".join(parts)
 
     def __repr__(self) -> str:
-        return (f"RelationStatistics({self.relation!r}, n={self.cardinality}, "
-                f"kind={self.kind!r}, epoch={self.epoch})")
+        return (
+            f"RelationStatistics({self.relation!r}, n={self.cardinality}, "
+            f"kind={self.kind!r}, epoch={self.epoch})"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -254,20 +279,29 @@ def statistics_basis(database: Any, relation_name: str) -> tuple:
 
     Cardinality is bucketed (factor-of-1.25 bands) rather than exact, so
     ordinary inserts do not mark statistics stale on every row — only growth
-    past a band boundary (or a change to the registered index set) triggers
-    a lazy refresh.
+    past a band boundary, a change to the registered index set, or a *seal*
+    of the spatial index (its packed-row count: the tree the structure
+    summary describes was replaced) does.  The write that moves the basis
+    refreshes the statistics (:meth:`Database.refresh_statistics`).
     """
-    relation = database.relation(relation_name)
-    count = len(relation)
+    count = len(database.relation(relation_name))
     bucket = 0 if count == 0 else int(np.floor(np.log(count) / np.log(1.25)))
-    index_signature = tuple(sorted(
-        (name, type(index).__name__)
-        for name, index in database.indexes_on(relation_name).items()))
-    has_provider = database.has_distance_provider(relation_name)
-    return (bucket, index_signature, has_provider)
+    index_signature = tuple(
+        sorted(
+            (name, type(index).__name__)
+            for name, index in database.indexes_on(relation_name).items()
+        )
+    )
+    spatial = _spatial_index_for(database, relation_name)
+    return (
+        bucket,
+        index_signature,
+        database.has_distance_provider(relation_name),
+        None if spatial is None else len(spatial.tree),
+    )
 
 
-def _sample_positions(count: int, sample_size: int) -> np.ndarray:
+def sample_positions(count: int, sample_size: int) -> np.ndarray:
     """Deterministic, evenly spaced sample positions (no RNG: analyze must
     be reproducible for the regression tests and the benchmark)."""
     if count <= sample_size:
@@ -275,19 +309,13 @@ def _sample_positions(count: int, sample_size: int) -> np.ndarray:
     return np.unique(np.linspace(0, count - 1, sample_size).astype(np.intp))
 
 
-def _pairwise(values: list, distance) -> np.ndarray:
-    out = []
-    for i, left in enumerate(values):
-        for right in values[i + 1:]:
-            out.append(float(distance(left, right)))
-    return np.asarray(out, dtype=np.float64)
-
-
 def _spatial_index_for(database: Any, relation_name: str):
     """The registered KIndex-like index (has a tree and an extractor)."""
     for index in database.indexes_on(relation_name).values():
-        if getattr(index, "tree", None) is not None \
-                and getattr(index, "extractor", None) is not None:
+        if (
+            getattr(index, "tree", None) is not None
+            and getattr(index, "extractor", None) is not None
+        ):
             return index
     return None
 
@@ -299,43 +327,55 @@ def _metric_index_for(database: Any, relation_name: str):
     return None
 
 
-def collect_statistics(database: Any, relation_name: str, *,
-                       sample_size: int = SAMPLE_SIZE) -> RelationStatistics:
+def collect_statistics(
+    database: Any, relation_name: str, *, sample_size: int = SAMPLE_SIZE
+) -> RelationStatistics:
     """Measure a relation: cardinality, extents, structure, histograms.
 
-    Never raises for odd relations (heterogeneous objects, empty relations,
-    exotic indexes): whatever cannot be measured is simply left ``None`` and
-    the cost model degrades to its default selectivity for those estimates.
+    Whatever cannot be measured (an empty relation's extents, objects that
+    are not series-like, a provider distance that raises) is left ``None``
+    and the cost model degrades to its default selectivity for those
+    estimates; a registered spatial index that cannot describe itself is an
+    error, not a missing estimate.
     """
     relation = database.relation(relation_name)
     count = len(relation)
     basis = statistics_basis(database, relation_name)
     if database.has_distance_provider(relation_name):
-        stats = _collect_provider(database, relation, min(sample_size,
-                                                          PROVIDER_SAMPLE_SIZE))
+        stats = _collect_provider(database, relation, min(sample_size, PROVIDER_SAMPLE_SIZE))
+    elif (index := _spatial_index_for(database, relation_name)) is not None:
+        stats = _collect_from_index(relation, index, sample_size)
     else:
-        stats = _collect_feature(database, relation, sample_size)
+        stats = collect_by_extraction(database, relation, sample_size)
     stats.cardinality = count
     stats.basis = basis
     return stats
 
 
-def _collect_provider(database: Any, relation, sample_size: int
-                      ) -> RelationStatistics:
+def _collect_provider(database: Any, relation, sample_size: int) -> RelationStatistics:
     provider = database.distance_provider(relation.name)
     objects = relation.objects()
-    sampled = [objects[int(i)] for i in
-               _sample_positions(len(objects), sample_size)]
+    sampled = [objects[int(i)] for i in sample_positions(len(objects), sample_size)]
     histogram = None
     if len(sampled) >= 2:
         try:
-            histogram = DistanceHistogram(_pairwise(sampled, provider.distance))
+            histogram = DistanceHistogram(
+                [
+                    provider.distance(left, right)
+                    for i, left in enumerate(sampled)
+                    for right in sampled[i + 1 :]
+                ]
+            )
         except Exception:  # noqa: BLE001 - estimates only, never fail a plan
             histogram = None
     sizes = [len(getattr(obj, "text", "")) or 64 for obj in sampled] or [64]
     stats = RelationStatistics(
-        relation=relation.name, cardinality=len(objects), kind="provider",
-        record_bytes=int(np.mean(sizes)), answer_histogram=histogram)
+        relation=relation.name,
+        cardinality=len(objects),
+        kind="provider",
+        record_bytes=int(np.mean(sizes)),
+        answer_histogram=histogram,
+    )
     metric_index = _metric_index_for(database, relation.name)
     if metric_index is not None:
         summary = getattr(metric_index, "structure_summary", None)
@@ -347,79 +387,69 @@ def _collect_provider(database: Any, relation, sample_size: int
     return stats
 
 
-def _collect_feature(database: Any, relation, sample_size: int
-                     ) -> RelationStatistics:
-    index = _spatial_index_for(database, relation.name)
-    if index is not None:
-        return _collect_from_index(relation, index, sample_size)
-    return _collect_by_extraction(database, relation, sample_size)
+def _exact_histogram(store, positions: np.ndarray, include_stats: bool) -> DistanceHistogram | None:
+    """Exact distances between the sampled rows of a columnar store — the
+    arrays, and the pair kernel, the query paths use; ``None`` under two rows."""
+    from ..storage.columnar import pairwise_distances
+
+    if len(positions) < 2:
+        return None
+    arrays = (store.coefficients, store.lengths, store.means, store.stds)
+    return DistanceHistogram(pairwise_distances(*arrays, include_stats, row_ids=positions))
+
+
+def filter_histogram(index, positions: np.ndarray) -> DistanceHistogram | None:
+    """Filter (feature point) distances between the index's sampled rows, as
+    one array expression over its point rows; ``None`` under two rows."""
+    if len(positions) < 2:
+        return None
+    return DistanceHistogram(index.space.pairwise(index.points(positions)))
 
 
 def _collect_from_index(relation, index, sample_size: int) -> RelationStatistics:
-    from ..storage.columnar import pairwise_distances
-
+    """Indexed feature relations: everything is read off the index's arrays
+    — exact distances from its columnar store, filter distances, extents
+    and spread from its point rows — never a record at a time."""
     count = len(index)
-    positions = _sample_positions(count, sample_size)
-    include_stats = bool(getattr(index.extractor, "include_stats", True))
-    store = index.store
-    points = [index.record(int(i))[1].point for i in positions]
-    answer = filter_hist = None
-    if len(positions) >= 2:
-        # Exact sampled distances come straight off the columnar store —
-        # the same arrays (and the same kernel) the query paths use.
-        answer = DistanceHistogram(pairwise_distances(
-            store.coefficients, store.lengths, store.means, store.stds,
-            include_stats, row_ids=positions))
-        try:
-            filter_hist = DistanceHistogram(_pairwise(points, index.space.distance))
-        except Exception:  # noqa: BLE001 - heterogeneous points
-            filter_hist = None
+    positions = sample_positions(count, sample_size)
+    answer = _exact_histogram(index.store, positions, index.extractor.include_stats)
     extent_low = extent_high = spread = None
-    try:
-        all_points = np.vstack(
-            [index.record(int(i))[1].point.values
-             for i in _sample_positions(count, EXTENT_SAMPLE_SIZE)])
-        extent_low = all_points.min(axis=0)
-        extent_high = all_points.max(axis=0)
-        spread = all_points.std(axis=0)
-    except Exception:  # noqa: BLE001 - empty or ragged
-        pass
-    tree_summary = None
-    summary = getattr(index, "structure_summary", None)
-    if callable(summary):
-        try:
-            tree_summary = summary()
-        except Exception:  # noqa: BLE001
-            tree_summary = None
+    if count:
+        points = index.points(sample_positions(count, EXTENT_SAMPLE_SIZE))
+        extent_low = points.min(axis=0)
+        extent_high = points.max(axis=0)
+        spread = points.std(axis=0)
     return RelationStatistics(
-        relation=relation.name, cardinality=count, kind="feature-indexed",
-        record_bytes=store.record_bytes() if count else 64,
+        relation=relation.name,
+        cardinality=count,
+        kind="feature-indexed",
+        record_bytes=index.store.record_bytes() if count else 64,
         extent_low=extent_low,
-        extent_high=extent_high, spread=spread, tree_summary=tree_summary,
-        answer_histogram=answer, filter_histogram=filter_hist)
+        extent_high=extent_high,
+        spread=spread,
+        tree_summary=index.structure_summary(),
+        answer_histogram=answer,
+        filter_histogram=filter_histogram(index, positions),
+    )
 
 
-def _collect_by_extraction(database: Any, relation,
-                           sample_size: int) -> RelationStatistics:
+def collect_by_extraction(database: Any, relation, sample_size: int) -> RelationStatistics:
     """Scan-only feature relations: sample the relation's shared columnar
     store — the exact arrays the executor's sequential scan reads — instead
     of re-extracting records here."""
-    from ..storage.columnar import pairwise_distances
-
-    count = len(relation)
     answer = None
     record_bytes = 64
     try:
         store = database.columnar_store(relation.name)
-        positions = _sample_positions(len(store), sample_size)
         if len(store):
             record_bytes = store.record_bytes()
-        if len(positions) >= 2:
-            answer = DistanceHistogram(pairwise_distances(
-                store.coefficients, store.lengths, store.means, store.stds,
-                True, row_ids=positions))
+        answer = _exact_histogram(store, sample_positions(len(store), sample_size), True)
     except Exception:  # noqa: BLE001 - not series-like; stay minimal
         answer = None
     return RelationStatistics(
-        relation=relation.name, cardinality=count, kind="feature",
-        record_bytes=record_bytes, answer_histogram=answer)
+        relation=relation.name,
+        cardinality=len(relation),
+        kind="feature",
+        record_bytes=record_bytes,
+        answer_histogram=answer,
+    )

@@ -293,6 +293,24 @@ class KIndex:
     def __len__(self) -> int:
         return len(self.store)
 
+    @property
+    def tail_pages(self) -> int:
+        """Leaf pages the tail's rows fill: what every probe is charged for
+        filtering them now, and what the planner adds to an index estimate
+        at plan time (statistics hold no copy — it would go stale with the
+        next append)."""
+        return self._pages(self.tail_rows)
+
+    def points(self, positions: np.ndarray) -> np.ndarray:
+        """The indexed points of the given record ids, one row each (a copy):
+        what the statistics sampler and the advisor read instead of building
+        a :meth:`record` per row."""
+        count = len(self.store)  # read before the points array, as in _tail
+        try:
+            return self._points[:count][positions]
+        except IndexError:
+            raise IndexError_(f"unknown record id among {positions!r}") from None
+
     def record(self, record_id: int) -> tuple[TimeSeries, SeriesFeatures]:
         """The stored series and its extracted features."""
         try:
@@ -309,12 +327,12 @@ class KIndex:
         return self.store.series_list()
 
     def structure_summary(self) -> dict[str, float]:
-        """The tree's structural facts, the full-record size and the tail's
-        page count — what the planner's cost model prices index traversals
-        and scans with."""
+        """The tree's structural facts and the full-record size — what the
+        planner's cost model prices index traversals and scans with.  The
+        tail is not here: a summary is kept in the statistics, and the tail
+        changes with every append (see :attr:`tail_pages`)."""
         summary = self.tree.structure_summary()
         summary["record_bytes"] = float(self.store.record_bytes())
-        summary["tail_pages"] = float(self._pages(self.tail_rows))
         return summary
 
     def _pages(self, rows: int) -> int:
@@ -478,14 +496,16 @@ class KIndex:
         else:
             for result, candidates, query_point, eps in zip(
                     results, candidate_lists, query_points, epsilons):
-                for record_id in candidates.tolist():
-                    point = self._transform_point(
-                        FeatureVector(self._points[record_id]), linear)
-                    distance = self.space.distance(point, query_point)
-                    if distance <= float(eps):
-                        result.answers.append((self.store.series(record_id),
-                                               distance))
-                result.answers.sort(key=lambda pair: pair[1])
+                points = self.points(candidates)
+                if linear is not None:
+                    extra, feats = linear.apply_features(
+                        *self.space.decode_rows(points))
+                    points = self.space.encode_rows(feats, extra)
+                distances = self.space.distances_to(query_point, points)
+                keep = np.flatnonzero(distances <= float(eps))
+                result.answers = [
+                    (self.store.series(int(candidates[i])), float(distances[i]))
+                    for i in keep[np.argsort(distances[keep], kind="stable")]]
         elapsed_share = (time.perf_counter() - started) / len(queries)
         tail_pages = self._pages(len(tail))
         for result in results:

@@ -273,6 +273,25 @@ class TestIndexProbeSignatures:
         assert features.EXTRACT_CHUNK_ROWS == 512
 
 
+    def test_statistics_array_forms(self):
+        """What statistics collection reads (ISSUE 23): the index's point
+        rows by record id, and a feature space's distances as arrays; the
+        tail's page count is a live property, not a structure-summary key."""
+        for kind in (repro.KIndex, repro.PartitionedIndex):
+            assert _signature(kind.points) == "(self, positions: 'np.ndarray') -> 'np.ndarray'"
+            assert isinstance(kind.tail_pages, property) and kind.tail_pages.fset is None
+        assert "points" not in vars(repro.PartitionedIndex)
+        for space in (repro.PolarSpace, repro.RectangularSpace):
+            assert _signature(space.pairwise) == "(self, points: 'np.ndarray') -> 'np.ndarray'"
+            assert _signature(space.distances_to) == (
+                "(self, point: 'FeatureVector', points: 'np.ndarray') -> 'np.ndarray'")
+            assert _signature(space.decode_rows) == (
+                "(self, points: 'np.ndarray') -> 'tuple[np.ndarray, np.ndarray]'")
+        from repro.core.query.costmodel import QueryCostModel
+        for estimate in ("index_range", "index_nearest", "index_join"):
+            assert "*, tail_pages: 'float' = 0.0) -> 'CostEstimate'" in _signature(
+                getattr(QueryCostModel, estimate))
+
     def test_packed_tree_and_growers(self):
         """One immutable tree with the loader and the probes; growers that
         insert and hand over ``packed()``."""

@@ -221,7 +221,8 @@ class TestDecisionTable:
 
 class TestTheTailIsPriced:
     """An index probe filters its unindexed tail whole; the planner adds the
-    pages the probe charges for that, for both index layouts."""
+    pages the probe charges for that, for both index layouts — read off the
+    index at plan time, never off the statistics, which hold no copy."""
 
     @pytest.mark.parametrize("kind", ["monolithic", "partitioned"])
     def test_estimate_and_explain_carry_the_tail_pages(self, kind):
@@ -235,23 +236,20 @@ class TestTheTailIsPriced:
                  else PartitionedIndex.bulk_load(data[:400], extractor,
                                                  partition_rows=200))
         handle = session.relation("walks").insert_many(data[:400]).with_index(index)
-        assert index.tail_rows == 0 and index.structure_summary()["tail_pages"] == 0.0
-        sealed = session.analyze("walks")
+        assert index.tail_rows == 0 and index.tail_pages == 0
         handle.insert_many(data[400:])
         assert index.tail_rows == 60 and "tail_rows=60" in repr(index)
-        assert index.structure_summary()["tail_pages"] == 8.0  # ceil(60 / 8)
+        assert index.tail_pages == 8  # ceil(60 / 8)
         grown = session.analyze("walks")
-        assert grown.tree_summary["tail_pages"] == 8.0
+        assert "tail_pages" not in grown.tree_summary == index.structure_summary()
         model = QueryCostModel()
         radius = grown.answer_quantile(0.01)
-        flat = dict(grown.tree_summary, tail_pages=0.0)
-        for estimate in (model.index_range, lambda *args: model.index_nearest(*args[:2], 3)):
-            with_tail = estimate(grown, 460, radius)
-            grown.tree_summary, kept = flat, grown.tree_summary
+        for estimate in (model.index_range, model.index_join,
+                         lambda *args, **tail: model.index_nearest(*args[:2], 3, **tail)):
+            with_tail = estimate(grown, 460, radius, tail_pages=8)
             without = estimate(grown, 460, radius)
-            grown.tree_summary = kept
-            assert with_tail.io_accesses == pytest.approx(without.io_accesses + 8.0)
-        assert sealed.tree_summary["tail_pages"] == 0.0
+            probes = 460 if estimate == model.index_join else 1
+            assert with_tail.io_accesses == pytest.approx(without.io_accesses + 8.0 * probes)
         text = f"SELECT FROM walks WHERE dist(series, $q) < {radius!r}"
         outcome = session.sql(text, q=data[450])
         assert isinstance(outcome.plan, IndexRangePlan)
@@ -261,6 +259,57 @@ class TestTheTailIsPriced:
         assert probe.statistics.node_accesses == 8 + sum(
             tree.access_stats.total for tree in getattr(index.tree, "trees", [index.tree]))
         assert data[450].object_id in {s.object_id for s, _ in outcome.answers}
+
+    TEXT = "SELECT FROM walks WHERE dist(series, $q) < 1.0"
+
+    def _grown_session(self):
+        """4 000 rows indexed, 200 appended (tail 200: no seal), analyzed."""
+        data = random_walk_collection(4600, LENGTH, seed=31)
+        session = connect(answer_cache_size=0)
+        index = KIndex.bulk_load(data[:4000], SeriesFeatureExtractor(2))
+        handle = session.relation("walks").insert_many(data[:4000]).with_index(index)
+        handle.insert_many(data[4000:4200])
+        assert (len(index.tree), index.tail_pages) == (4000, 25)
+        return session, handle, index, data, session.analyze("walks")
+
+    def _tail_pages_in_explain(self, session) -> int:
+        line = next(line for line in session.explain(self.TEXT).splitlines()
+                    if "candidate fetches" in line and "nodes" in line)
+        return int(line.split("(")[1].split()[0]) if "tail pages" in line else 0
+
+    def test_a_seal_after_analyze_is_planned_as_sealed(self):
+        """At the parent commit the statistics kept saying 25 tail pages and
+        500 leaves where the index had 0 and 533 — until the next band."""
+        session, handle, index, data, analyzed = self._grown_session()
+        assert analyzed.tree_summary["leaf_count"] == 500.0
+        assert self._tail_pages_in_explain(session) == 25
+        handle.insert_many(data[4200:4216])  # the rows in between: tail 216
+        assert index.tail_rows == 216 and self._tail_pages_in_explain(session) == 27
+        assert session.database.statistics_for("walks") is analyzed  # nothing moved
+        handle.insert_many(data[4216:4260])  # tail 260 > 256: the index seals
+        assert (len(index.tree), index.tail_rows) == (4260, 0)
+        sealed = session.database.statistics_for("walks", collect=False)
+        assert sealed is not analyzed and sealed.epoch == analyzed.epoch
+        assert sealed.tree_summary == index.structure_summary()
+        assert sealed.tree_summary["leaf_count"] == 533.0
+        assert self._tail_pages_in_explain(session) == 0
+
+    def test_a_tail_grown_after_analyze_is_charged(self):
+        """The mirror case: statistics collected right after a seal, then a
+        256-row tail — 32 pages every probe reads and no estimate charged."""
+        session, handle, index, data, _ = self._grown_session()
+        handle.insert_many(data[4200:4260])  # seals
+        analyzed = session.analyze("walks")
+        assert self._tail_pages_in_explain(session) == 0
+        handle.insert_many(data[4260:4516])  # tail 256: not past max(256, 4260 // 16)
+        assert (len(index.tree), index.tail_rows, index.tail_pages) == (4260, 256, 32)
+        assert session.database.statistics_for("walks") is analyzed  # same band, no seal
+        assert self._tail_pages_in_explain(session) == 32
+        plan = session.engine.plan(self.TEXT)
+        flat = session.engine.planner.cost_model.index_range(analyzed, 4516, 1.0)
+        assert plan.estimated_cost.io_accesses == pytest.approx(flat.io_accesses + 32.0)
+        probe = index.range_query(data[0], 1.0)
+        assert probe.statistics.node_accesses == 32 + index.tree.access_stats.total
 
 
 class TestStatisticsLifecycle:

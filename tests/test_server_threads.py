@@ -7,7 +7,8 @@ lifecycle (threads come and go with connections; ``stop`` and ``kill`` are
 bounded even when a query is not), the three bounds a connection thread
 enforces on its socket (a stalled frame, an idle peer, an oversized length
 prefix), and the two primitives the threads meet at: the admission gate, whose
-wait is bounded by the request's deadline, and the readers-writer lock.
+wait is bounded by the request's deadline, and the readers-writer lock — under
+whose *write* side, and nowhere else, optimizer statistics are re-collected.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import pytest
 
 import repro
 from repro import BackoffPolicy, KIndex, ServerConfig, random_walk_collection, serve
+from repro.core import stats as stats_module
 from repro.core.errors import DeadlineExceededError, ServerError
 from repro.server.protocol import encode_frame, recv_frame
 from repro.server.service import _ReadWriteLock
@@ -320,3 +322,87 @@ class TestReadWriteLock:
             thread.join(timeout=5.0)
         assert not any(thread.is_alive() for thread in threads)
         assert order == ["first reader leaves", "writer", "late reader"]
+
+
+# ---------------------------------------------------------------------------
+# statistics are collected by the write that stales them, never by a read
+# ---------------------------------------------------------------------------
+class TestTheWriterKeepsStatisticsFresh:
+    def test_reads_beside_an_insert_across_a_band_collect_nothing(
+        self, monkeypatch, short_gil_turns
+    ):
+        """Eight connections read while a ninth grows the relation 100 → 140
+        rows in five batches, across two cardinality bands (108.4, 135.5).
+        Every collection happens under the write lock, inside the inserting
+        request; the reads beside it leave what it installed in place, and
+        each read's answers are those of a quiet session holding exactly the
+        batches its snapshot epoch names."""
+        rows = random_walk_collection(140, 32, seed=9)
+        base, batches = rows[:100], [rows[100 + 8 * i : 108 + 8 * i] for i in range(5)]
+        session = repro.connect(answer_cache_size=0)
+        session.relation("walks").insert_many(base).with_index(KIndex())
+        analyzed = session.analyze("walks")
+        collect, collected = stats_module.collect_statistics, []
+        reads: list[tuple[int, int, list]] = []
+        failures: list[Exception] = []
+        with serve(session, config=ServerConfig(max_in_flight=9)) as handle:
+            lock = handle.server._lock
+
+            def watched(database, relation_name, **options):
+                fresh = collect(database, relation_name, **options)
+                collected.append((fresh, lock._writer_active, lock._readers))
+                return fresh
+
+            monkeypatch.setattr(stats_module, "collect_statistics", watched)
+
+            def read(slot: int) -> None:
+                try:
+                    with repro.client.connect(handle.address, timeout_s=30.0) as client:
+                        for i in range(30):
+                            query = (slot * 13 + i) % len(base)
+                            outcome = client.sql(RANGE_SQL, q=base[query])
+                            reads.append((query, outcome.epoch[1], outcome.answers))
+                except Exception as error:  # noqa: BLE001 — asserted empty below
+                    failures.append(error)
+
+            def write() -> None:
+                try:
+                    with repro.client.connect(handle.address, timeout_s=30.0) as client:
+                        for batch in batches:
+                            time.sleep(0.01)  # let reads in between the commits
+                            assert client.insert_many("walks", batch)["count"] == len(batch)
+                except Exception as error:  # noqa: BLE001 — asserted empty below
+                    failures.append(error)
+
+            threads = [threading.Thread(target=read, args=(slot,)) for slot in range(8)]
+            threads.append(threading.Thread(target=write))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not failures
+            # One collection per band, each by the writer, alone under its lock.
+            assert [(active, readers) for _, active, readers in collected] == [(True, 0)] * 2
+            installed = session.database._statistics["walks"]
+            assert installed is collected[-1][0] and installed is not analyzed
+            with repro.client.connect(handle.address, timeout_s=30.0) as client:
+                for series in base[::9]:
+                    client.sql(RANGE_SQL, q=series)
+            assert session.database._statistics["walks"] is installed  # reads replace nothing
+            assert len(collected) == 2
+        assert (installed.cardinality, installed.epoch) == (140, analyzed.epoch)
+        session.close()
+        # The quiesced twins: one per snapshot a read can have seen.
+        assert len(reads) == 8 * 30 and {version for _, version, _ in reads} <= set(range(1, 7))
+        twins = {}
+        for query, version, answers in reads:
+            if version not in twins:
+                twins[version] = repro.connect(answer_cache_size=0)
+                twins[version].relation("walks").insert_many(
+                    base + [row for batch in batches[: version - 1] for row in batch]
+                ).with_index(KIndex())
+            expected = twins[version].sql(RANGE_SQL, q=base[query]).answers
+            assert [(ref.name, distance) for ref, distance in answers] == [
+                (series.name, distance) for series, distance in expected
+            ]
