@@ -42,8 +42,8 @@ The package is organised as:
     generators and feature extraction.
 ``repro.index``
     The packed R-tree and the dynamic R-/R*-trees that grow one, the
-    k-index, the metric (vantage-point) index, their partitioned forms,
-    transformed-index search and the sequential-scan baselines.
+    k-index, the metric (vantage-point) index, transformed-index search
+    and the sequential-scan baselines.
 ``repro.strings``
     A second domain instantiation (weighted edit transformations).
 ``repro.storage``
@@ -128,13 +128,11 @@ from .server import (
 )
 from .index.kindex import KIndex, NearestNeighborResult, RangeQueryResult
 from .index.metric import MetricIndex
-from .index.partitioned import PartitionedIndex, PartitionedMetricIndex
 from .index.rstar import RStarTree
 from .index.rtree import PackedRTree, RTree
 from .index.scan import SequentialScan
 from .index.transformed import (
     materialize_transformed_tree,
-    transformed_join,
     transformed_nearest_neighbors,
     transformed_range_search,
 )
@@ -210,10 +208,9 @@ __all__ = [
     "ComposedTransformation", "LinearTransformation", "RealLinearTransformation",
     "Rect", "mindist", "minmaxdist",
     "KIndex", "MetricIndex", "RangeQueryResult", "NearestNeighborResult",
-    "PartitionedIndex", "PartitionedMetricIndex",
     "PackedRTree", "RTree", "RStarTree", "SequentialScan",
     "materialize_transformed_tree", "transformed_range_search",
-    "transformed_nearest_neighbors", "transformed_join",
+    "transformed_nearest_neighbors",
     "PageStore", "BufferPool", "ColumnarRecordStore",
     "ColumnSegment", "DurableDatabase", "SegmentPageStore", "WriteAheadLog",
     "StringObject", "weighted_edit_distance", "transformation_edit_distance",

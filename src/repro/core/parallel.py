@@ -1,7 +1,7 @@
 """Shared worker-pool plumbing for partition-parallel execution.
 
-The execution layer fans partitioned kernels (scan range/NN/join blocks,
-per-partition index probes) across a **thread** pool: the NumPy kernels in
+The sequential scan fans its partitioned kernels (range/NN row spans, join
+pair blocks) across a **thread** pool: the NumPy kernels in
 :mod:`repro.storage.columnar` release the GIL for the duration of each block
 operation, so threads scale on multi-core machines without the serialization
 cost and copy semantics of process pools — and, crucially for correctness,
@@ -25,7 +25,7 @@ Three deliberate properties:
   runs — a tripped deadline makes queued partitions raise immediately,
   releasing their pool slots instead of computing abandoned answers.
 
-``workers`` resolution is uniform everywhere (scan, indexes, cost model,
+``workers`` resolution is uniform everywhere (scan, planner, cost model,
 :func:`repro.connect`): ``None`` and ``1`` mean serial, ``0`` means "all
 cores" (``os.cpu_count()``), any other positive integer is taken literally.
 """

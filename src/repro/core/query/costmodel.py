@@ -155,9 +155,8 @@ class QueryCostModel:
         Worker threads the executor fans sequential scans across (``None``
         and ``1`` mean serial, ``0`` means one per CPU core).  Scan-family
         estimates reprice their ``total`` as the parallel critical path;
-        index estimates are left serial — per-record probe fan-out only
-        applies to the partitioned index facades, whose presence the model
-        cannot see from relation statistics alone.
+        index estimates stay serial, because an index probe is one traversal
+        of one tree on one thread.
     """
 
     def __init__(self, default_selectivity: float = 0.33, *,

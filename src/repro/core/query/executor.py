@@ -556,13 +556,8 @@ class QueryEngine:
                         transformation: SpectralTransformation | None,
                         parameters: Mapping[str, Any],
                         index: KIndex) -> QueryOutcome:
-        if isinstance(node, RangeQuery):
-            query_series = self._parameter(node.parameter, parameters)
-            result = index.range_query(query_series, node.epsilon,
-                                       transformation=transformation,
-                                       transform_query=node.transform_query)
-            return QueryOutcome(plan=plan, answers=result.answers,
-                                statistics=result.statistics)
+        # Index *range* plans never reach here: execute_many batches them
+        # through _run_index_range_group (see _group_key).
         if isinstance(node, NearestNeighborQuery):
             query_series = self._parameter(node.parameter, parameters)
             result = index.nearest_neighbors(query_series, node.k,

@@ -8,7 +8,6 @@ from .rtree import NodeAccessStats, PackedRTree, RTree, RTreeEntry, RTreeNode
 from .scan import SequentialScan
 from .transformed import (
     materialize_transformed_tree,
-    transformed_join,
     transformed_nearest_neighbors,
     transformed_range_search,
 )
@@ -20,5 +19,4 @@ __all__ = [
     "SequentialScan",
     "materialize_transformed_tree", "transformed_range_search",
     "transformed_nearest_neighbors",
-    "transformed_join",
 ]

@@ -184,13 +184,12 @@ class KIndex:
         #: The indexable points, row = record id; grown by doubling, rows
         #: ``[0, len(store))`` are valid and rows ``>= len(tree)`` are the tail.
         self._points = np.empty((0, self.space.dimension))
-        #: The packed rows: a :class:`PackedRTree` (a forest of them in a
-        #: :class:`PartitionedIndex`), never changed — a seal publishes a new one.
-        self.tree = self._packed_tree(0, 0)
+        #: The packed rows, never changed — a seal publishes a new tree.
+        self.tree = self._packed_tree(0)
 
-    def _packed_tree(self, start: int, stop: int) -> PackedRTree:
-        """Rows ``[start, stop)`` of the point array, STR-packed."""
-        return PackedRTree.bulk_load(self._points[start:stop], np.arange(start, stop),
+    def _packed_tree(self, stop: int) -> PackedRTree:
+        """Rows ``[0, stop)`` of the point array, STR-packed."""
+        return PackedRTree.bulk_load(self._points[:stop], np.arange(stop),
                                      max_entries=self.max_entries)
 
     # ------------------------------------------------------------------
@@ -242,7 +241,7 @@ class KIndex:
         """Re-pack the whole index when the tail has outgrown its bound."""
         count, packed = len(self.store), len(self.tree)
         if count - packed > (max(SEAL_MIN_ROWS, packed // SEAL_SHARE) if packed else 0):
-            self.tree = self._packed_tree(0, count)
+            self.tree = self._packed_tree(count)
 
     @classmethod
     def bulk_load(cls, collection: Iterable[TimeSeries],
@@ -276,8 +275,6 @@ class KIndex:
         others, and the first seal re-packs the index by STR.
         """
         index = cls(extractor, **options)
-        if not isinstance(index.tree, PackedRTree):
-            raise IndexError_(f"{cls.__name__} has no single tree to insert into")
         grower = RStarTree(index.space.dimension, max_entries=index.max_entries)
         for record_id, point in enumerate(index._append(collection)):
             grower.insert(point, record_id)
@@ -573,13 +570,13 @@ class KIndex:
         """The ``k`` indexed series nearest to the query (exact distances).
 
         One call to the tree's blocked best-first kernel
-        (:func:`~repro.index.rtree.nearest_search`): filter distances of the
-        transformed rectangles (lower bounds on exact distances) order the
-        search, candidates are verified in blocks against their full records
-        in the columnar store, and the search stops once nothing pending is
-        within the current k-th exact distance — so the answer is exact, not
-        a re-ranking of a fixed candidate pool.  Answers are ordered by
-        ``(distance, record id)``, exactly a scan's.
+        (:meth:`~repro.index.rtree.PackedRTree.nearest_search`): filter
+        distances of the transformed rectangles (lower bounds on exact
+        distances) order the search, candidates are verified in blocks
+        against their full records in the columnar store, and the search
+        stops once nothing pending is within the current k-th exact distance
+        — so the answer is exact, not a re-ranking of a fixed candidate pool.
+        Answers are ordered by ``(distance, record id)``, exactly a scan's.
         """
         started = time.perf_counter()
         tree = self.tree  # one snapshot: the tail is the rows beyond this tree

@@ -8,11 +8,10 @@ built in one pass by the Sort-Tile-Recursive loader
 (:meth:`PackedRTree.bulk_load`).  One level-synchronous *frontier kernel*
 (:meth:`PackedRTree.window_search`) tests a whole level per numpy call and
 carries the survivors down, for one window or a batch of windows alike; one
-*blocked best-first kernel* (:func:`nearest_search`) opens the nearest
-pending nodes a block at a time and verifies pending records in blocks, for
-one tree or a forest of them — both optionally under an on-the-fly
-transformation of the rectangles.  Node accesses are counted per tree
-(``tree.access_stats``).
+*blocked best-first kernel* (:meth:`PackedRTree.nearest_search`) opens the
+nearest pending nodes a block at a time and verifies pending records in
+blocks — both optionally under an on-the-fly transformation of the
+rectangles.  Node accesses are counted per tree (``tree.access_stats``).
 
 :class:`RTree` (Guttman, 1984: linear and quadratic node splits) and its
 subclass :class:`~repro.index.rstar.RStarTree` are *growers*: a graph of
@@ -40,8 +39,7 @@ from ..core.errors import IndexError_
 from ..core.transformations import RealLinearTransformation
 from .geometry import Rect, mindist_batch, rects_overlap
 
-__all__ = ["RTreeEntry", "RTreeNode", "NodeAccessStats", "PackedRTree", "RTree",
-           "nearest_search"]
+__all__ = ["RTreeEntry", "RTreeNode", "NodeAccessStats", "PackedRTree", "RTree"]
 
 
 @dataclass
@@ -133,6 +131,16 @@ class _PackedLevel:
         extents = (np.maximum.reduceat(self.highs, self.starts)
                    - np.minimum.reduceat(self.lows, self.starts))
         return 0.5 * np.sqrt(np.sum(extents * extents, axis=1))
+
+
+#: Most pending nodes one step of :meth:`PackedRTree.nearest_search` opens;
+#: the block doubles from 1 up to it.  A wider block means fewer
+#: (dispatch-bound) numpy steps per probe but opens nodes a one-at-a-time walk
+#: would have pruned: on 5000 series, 1 / 8 / 64 take 94 / 15 / 7 steps a
+#: probe and open 0 / 5.5 / 15 % more nodes than the fewest possible.
+NEAREST_BLOCK = 8
+
+_SLOT_SPAN = 1 << 32  # a pending node is ``packed level number * span + slot``
 
 
 class PackedRTree:
@@ -294,8 +302,95 @@ class PackedRTree:
                        transformation: RealLinearTransformation | None = None,
                        seeds: tuple[np.ndarray, np.ndarray] | None = None
                        ) -> tuple[np.ndarray, np.ndarray]:
-        """:func:`nearest_search` over this tree alone."""
-        return nearest_search([self], k, lower_bound, exact, transformation, seeds)
+        """Best-first ``k``-nearest-neighbour search, a block of nodes per step.
+
+        ``lower_bound(lows, highs)`` maps ``(n, d)`` rectangle corners —
+        already mapped by ``transformation``, the on-the-fly image rectangles
+        — to ``(n,)`` lower bounds on the query's distance to anything inside;
+        ``exact(records)`` gives the true distances of an array of leaf
+        records (``None``: a leaf entry's bound *is* its distance).  ``seeds``
+        is ``(points, records)``: leaf entries the tree does not hold (a
+        k-index's unindexed tail), pending from the start at the bound of
+        their mapped points.
+
+        Each step verifies in one ``exact`` call every pending record no
+        farther than both the next pending node and the current k-th exact
+        distance, and then opens the nearest pending nodes whose bound is at
+        most that distance — 1, 2, 4, then :data:`NEAREST_BLOCK` of them —
+        bounding all their children in one ``lower_bound`` call.  The search
+        ends when nothing pending is within the k-th distance.  Nothing whose
+        bound *equals* that distance is pruned, so records tied at the cut are
+        all verified.
+
+        Returns ``(distances, records)`` of every verified record, ascending
+        by distance (integer records at equal distance by ascending record — a
+        scan's order): the first ``k`` are the answer, the length is the
+        number of candidates verified.
+        """
+        if k <= 0:
+            raise ValueError("k must be positive")
+        node_bounds = np.zeros(1)                     # pending nodes, ascending bound
+        node_refs = np.zeros(1, dtype=np.int64)       # the root: level 0, slot 0
+        record_bounds = np.zeros(0)                   # pending leaf records, any order
+        records = np.zeros(0, dtype=np.intp)
+        if seeds is not None:
+            lows, highs = (seeds[0],) * 2 if transformation is None \
+                else transformation.apply_bounds(seeds[0], seeds[0])
+            record_bounds, records = lower_bound(lows, highs), seeds[1]
+        found_distances, found_records = [np.zeros(0)], [records[:0]]
+        nearest = np.zeros(0)                         # the k smallest exact distances
+        kth = math.inf
+        block = 1
+        while True:
+            ready = record_bounds <= min(node_bounds[0] if node_bounds.size else math.inf, kth)
+            if np.count_nonzero(ready):
+                distances = (record_bounds[ready] if exact is None
+                             else exact(records[ready]))
+                found_distances.append(distances)
+                found_records.append(records[ready])
+                record_bounds, records = record_bounds[~ready], records[~ready]
+                nearest = np.concatenate((nearest, distances))
+                if nearest.size >= k:
+                    nearest = np.partition(nearest, k - 1)[:k]
+                    kth = float(nearest[k - 1])
+            within = int(np.searchsorted(node_bounds, kth, side="right"))
+            node_bounds, node_refs = node_bounds[:within], node_refs[:within]
+            if not within:
+                break
+            opened: dict[int, list[int]] = {}
+            for ref in node_refs[:block].tolist():
+                opened.setdefault(ref // _SLOT_SPAN, []).append(ref % _SLOT_SPAN)
+            node_bounds, node_refs = node_bounds[block:], node_refs[block:]
+            block = min(2 * block, NEAREST_BLOCK)
+            lows, highs, children = [], [], []
+            for number, slots in opened.items():
+                level, slots = self.levels[number], np.array(slots, dtype=np.intp)
+                self._charge(level, slots)
+                rows = level.rows(slots, level.counts[slots])
+                lows.append(level.lows[rows])
+                highs.append(level.highs[rows])
+                children.append((level.payloads[rows],
+                                 None if level.is_leaf else (number + 1) * _SLOT_SPAN))
+            lows, highs = np.concatenate(lows), np.concatenate(highs)
+            if transformation is not None:
+                lows, highs = transformation.apply_bounds(lows, highs)
+            bounds = lower_bound(lows, highs)
+            stop, pending = 0, node_bounds.size
+            for payloads, below in children:
+                start, stop = stop, stop + payloads.size
+                if below is None:
+                    record_bounds = np.concatenate((record_bounds, bounds[start:stop]))
+                    records = np.concatenate((records, payloads))
+                else:
+                    node_bounds = np.concatenate((node_bounds, bounds[start:stop]))
+                    node_refs = np.concatenate((node_refs, below + payloads))
+            if node_bounds.size > pending:
+                order = np.argsort(node_bounds, kind="stable")
+                node_bounds, node_refs = node_bounds[order], node_refs[order]
+        distances, records = np.concatenate(found_distances), np.concatenate(found_records)
+        order = (np.argsort(distances, kind="stable") if records.dtype == object
+                 else np.lexsort((records, distances)))
+        return distances[order], records[order]
 
     def nearest_neighbors(self, point: Sequence[float] | np.ndarray, k: int = 1
                           ) -> list[tuple[float, Any]]:
@@ -356,119 +451,6 @@ class PackedRTree:
         """STR load of point data (stored as degenerate rectangles)."""
         points = np.asarray(points, dtype=np.float64)
         return cls.bulk_load_rects(points, points, records, max_entries=max_entries)
-
-
-#: Most pending nodes one step of :func:`nearest_search` opens; the block
-#: doubles from 1 up to it.  A wider block means fewer (dispatch-bound) numpy
-#: steps per probe but opens nodes a one-at-a-time walk would have pruned: on
-#: 5000 series, 1 / 8 / 64 take 94 / 15 / 7 steps a probe and open 0 / 5.5 /
-#: 15 % more nodes than the fewest possible.
-NEAREST_BLOCK = 8
-
-_SLOT_SPAN = 1 << 32  # a pending node is ``packed level number * span + slot``
-
-
-def nearest_search(trees: Sequence[PackedRTree], k: int,
-                   lower_bound: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                   exact: Callable[[np.ndarray], np.ndarray] | None = None,
-                   transformation: RealLinearTransformation | None = None,
-                   seeds: tuple[np.ndarray, np.ndarray] | None = None
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Best-first ``k``-nearest-neighbour search over one packed tree or
-    several (a partition forest: one pool seeded with every root), a block of
-    nodes per step.
-
-    ``lower_bound(lows, highs)`` maps ``(n, d)`` rectangle corners — already
-    mapped by ``transformation``, the on-the-fly image rectangles — to ``(n,)``
-    lower bounds on the query's distance to anything inside; ``exact(records)``
-    gives the true distances of an array of leaf records (``None``: a leaf
-    entry's bound *is* its distance).  ``seeds`` is ``(points, records)``:
-    leaf entries no tree holds (a k-index's unindexed tail), pending from the
-    start at the bound of their mapped points.
-
-    Each step verifies in one ``exact`` call every pending record no farther
-    than both the next pending node and the current k-th exact distance, and
-    then opens the nearest pending nodes whose bound is at most that
-    distance — 1, 2, 4, then :data:`NEAREST_BLOCK` of them — bounding all
-    their children in one ``lower_bound`` call.  The search ends when
-    nothing pending is within the k-th distance.  Nothing whose bound
-    *equals* that distance is pruned, so records tied at the cut are all
-    verified.
-
-    Returns ``(distances, records)`` of every verified record, ascending by
-    distance (integer records at equal distance by ascending record — a
-    scan's order): the first ``k`` are the answer, the length is the number
-    of candidates verified.
-    """
-    if k <= 0:
-        raise ValueError("k must be positive")
-    levels: list[tuple[PackedRTree, _PackedLevel]] = []
-    roots = []
-    for tree in trees:
-        roots.append(len(levels) * _SLOT_SPAN)
-        levels.extend((tree, level) for level in tree.levels)
-    node_bounds = np.zeros(len(roots))            # pending nodes, ascending bound
-    node_refs = np.array(roots, dtype=np.int64)
-    record_bounds = np.zeros(0)                   # pending leaf records, any order
-    records = np.zeros(0, dtype=np.intp)
-    if seeds is not None:
-        lows, highs = (seeds[0],) * 2 if transformation is None \
-            else transformation.apply_bounds(seeds[0], seeds[0])
-        record_bounds, records = lower_bound(lows, highs), seeds[1]
-    found_distances, found_records = [np.zeros(0)], [records[:0]]
-    nearest = np.zeros(0)                         # the k smallest exact distances
-    kth = math.inf
-    block = 1
-    while True:
-        ready = record_bounds <= min(node_bounds[0] if node_bounds.size else math.inf, kth)
-        if np.count_nonzero(ready):
-            distances = (record_bounds[ready] if exact is None
-                         else exact(records[ready]))
-            found_distances.append(distances)
-            found_records.append(records[ready])
-            record_bounds, records = record_bounds[~ready], records[~ready]
-            nearest = np.concatenate((nearest, distances))
-            if nearest.size >= k:
-                nearest = np.partition(nearest, k - 1)[:k]
-                kth = float(nearest[k - 1])
-        within = int(np.searchsorted(node_bounds, kth, side="right"))
-        node_bounds, node_refs = node_bounds[:within], node_refs[:within]
-        if not within:
-            break
-        opened: dict[int, list[int]] = {}
-        for ref in node_refs[:block].tolist():
-            opened.setdefault(ref // _SLOT_SPAN, []).append(ref % _SLOT_SPAN)
-        node_bounds, node_refs = node_bounds[block:], node_refs[block:]
-        block = min(2 * block, NEAREST_BLOCK)
-        lows, highs, children = [], [], []
-        for number, slots in opened.items():
-            (tree, level), slots = levels[number], np.array(slots, dtype=np.intp)
-            tree._charge(level, slots)  # noqa: SLF001
-            rows = level.rows(slots, level.counts[slots])
-            lows.append(level.lows[rows])
-            highs.append(level.highs[rows])
-            children.append((level.payloads[rows],
-                             None if level.is_leaf else (number + 1) * _SLOT_SPAN))
-        lows, highs = np.concatenate(lows), np.concatenate(highs)
-        if transformation is not None:
-            lows, highs = transformation.apply_bounds(lows, highs)
-        bounds = lower_bound(lows, highs)
-        stop, pending = 0, node_bounds.size
-        for payloads, below in children:
-            start, stop = stop, stop + payloads.size
-            if below is None:
-                record_bounds = np.concatenate((record_bounds, bounds[start:stop]))
-                records = np.concatenate((records, payloads))
-            else:
-                node_bounds = np.concatenate((node_bounds, bounds[start:stop]))
-                node_refs = np.concatenate((node_refs, below + payloads))
-        if node_bounds.size > pending:
-            order = np.argsort(node_bounds, kind="stable")
-            node_bounds, node_refs = node_bounds[order], node_refs[order]
-    distances, records = np.concatenate(found_distances), np.concatenate(found_records)
-    order = (np.argsort(distances, kind="stable") if records.dtype == object
-             else np.lexsort((records, distances)))
-    return distances[order], records[order]
 
 
 def _record_array(records: Sequence[Any] | np.ndarray) -> np.ndarray:

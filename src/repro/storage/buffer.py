@@ -53,8 +53,8 @@ class BufferStatistics:
 class BufferPool:
     """A fixed-capacity LRU cache of page payloads.
 
-    All operations are thread-safe: partitioned index probes share one pool
-    across worker threads, and LRU bookkeeping (``move_to_end`` racing
+    All operations are thread-safe: concurrent readers of one scan share
+    its pool, and LRU bookkeeping (``move_to_end`` racing
     ``popitem``) corrupts silently without a lock.  The lock is reentrant so
     ``read``/``write`` can call ``_insert`` while holding it.
 

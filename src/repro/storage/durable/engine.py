@@ -210,8 +210,7 @@ class DurableDatabase(Database):
                        index_name: str = "default") -> None:
         if not self._replaying:
             spec = index_spec(index)  # validates serializability up front
-            if spec["kind"].endswith("metric") \
-                    and not self.has_distance_provider(relation_name):
+            if spec["kind"] == "metric" and not self.has_distance_provider(relation_name):
                 raise StorageError(
                     f"a durable metric index on {relation_name!r} needs the "
                     "relation's distance provider registered first (recovery "

@@ -2,12 +2,12 @@
 
 A checkpoint writes each registered index as a JSON document holding its
 *construction configuration* plus its *built structure* — for the R-tree
-family the feature points of every row and the level arrays of the packed
-tree(s) the index has (per level the nodes' entry counts, corners and
-payloads; a leaf level holds counts and record ids only, its corners being
-those rows of the points; the rows beyond the trees are the index's
-unindexed tail and come back as such), for the vantage-point family the
-pivot tree with objects referenced by position.  Recovery deserializes the
+family the feature points of every row and the level arrays of the index's
+packed tree (per level the nodes' entry counts, corners and payloads; a leaf
+level holds counts and record ids only, its corners being those rows of the
+points; the rows beyond the tree are the index's unindexed tail and come
+back as such), for the vantage-point family the pivot tree with objects
+referenced by position.  Recovery deserializes the
 document instead of re-running ``bulk_load`` / ``_build``: the lists become
 the arrays every probe runs on, with no tree construction and, for
 k-indexes, zero FFTs (the feature points are part of the document and the
@@ -34,8 +34,6 @@ import numpy as np
 from ...core.errors import StorageError
 from ...index.kindex import KIndex
 from ...index.metric import MetricIndex, _Inner, _Leaf
-from ...index.partitioned import (PartitionedIndex, PartitionedMetricIndex,
-                                  _PartitionForest)
 from ...index.rtree import PackedRTree, _PackedLevel
 from ...storage.columnar import ColumnarRecordStore
 from ...timeseries.features import SeriesFeatureExtractor
@@ -185,22 +183,12 @@ def _restore_metric(payload: dict[str, Any],
 def serialize_index(index: Any) -> dict[str, Any]:
     """An index as a JSON-safe document (configuration + built structure)."""
     if isinstance(index, KIndex):
-        # The points of every row, and the tree(s) the index has: the rows
-        # beyond them are its unindexed tail, on disk as in memory.
-        forest = isinstance(index, PartitionedIndex)
+        # The points of every row, and the tree: the rows beyond it are the
+        # unindexed tail, on disk as in memory.
         tree = index.tree  # read once: a seal replaces it
         return {**index_spec(index), "format_version": FORMAT_VERSION,
                 "point_rows": index._points[:len(index)].tolist(),
-                "trees": [_serialize_tree(part)
-                          for part in (tree.trees if forest else [tree])]}
-    if isinstance(index, PartitionedMetricIndex):
-        return {"kind": "partitioned-metric", "format_version": FORMAT_VERSION,
-                "leaf_capacity": index.leaf_capacity,
-                "partition_rows": index.partition_rows,
-                "workers": index.workers,
-                "count": len(index),
-                "partitions": [_serialize_metric_structure(partition)
-                               for partition in index._partitions]}
+                "trees": [_serialize_tree(tree)]}
     if isinstance(index, MetricIndex):
         return {"kind": "metric", "format_version": FORMAT_VERSION,
                 "structure": _serialize_metric_structure(index)}
@@ -223,47 +211,35 @@ def deserialize_index(payload: dict[str, Any], *,
         raise StorageError(
             f"index document has format version {payload.get('format_version')!r}; "
             f"this build reads version {FORMAT_VERSION}")
-    if kind == "kindex" or kind == "partitioned-kindex":
+    if kind == "kindex":
         if store is None:
             raise StorageError(
                 "deserializing a k-index needs the relation's record store")
-        index: KIndex = _empty_kindex(payload)
+        index = _empty_kindex(payload)
         index.store = store
         index._points = _array(payload, "point_rows", np.float64,
                                index.space.dimension)
-        trees = [_deserialize_tree(tree, index._points, index.max_entries)
-                 for tree in payload["trees"]]
-        if kind == "kindex" and len(trees) != 1:
-            raise StorageError(f"a k-index has one tree, not {len(trees)}")
-        index.tree = (_PartitionForest(trees, index.workers)
-                      if kind == "partitioned-kindex" else trees[0])
+        if len(payload["trees"]) != 1:
+            raise StorageError(f"a k-index has one tree, not {len(payload['trees'])}")
+        index.tree = _deserialize_tree(payload["trees"][0], index._points,
+                                       index.max_entries)
         if len(index._points) != len(store):
             raise StorageError(
                 f"serialized k-index holds {len(index._points)} points but the "
                 f"recovered store holds {len(store)} records")
-        # The tail is the rows beyond the trees, so they hold rows 0 … n - 1.
-        packed = np.sort(np.concatenate([tree.levels[-1].payloads for tree in trees]
-                                        or [np.zeros(0, dtype=np.intp)]))
+        # The tail is the rows beyond the tree, so it holds rows 0 … n - 1.
+        packed = np.sort(index.tree.levels[-1].payloads)
         if not np.array_equal(packed, np.arange(len(packed))):
             raise StorageError(
                 f"the {len(packed)} leaf entries of the serialized k-index are not "
                 f"its rows 0 … {len(packed) - 1}, each once")
         return index
-    if kind == "metric" or kind == "partitioned-metric":
+    if kind == "metric":
         if distance is None:
             raise StorageError(
                 "deserializing a metric index needs the relation's "
                 "distance provider")
-        if kind == "metric":
-            return _restore_metric(payload["structure"], distance, objects)
-        index = PartitionedMetricIndex(
-            distance, leaf_capacity=payload["leaf_capacity"],
-            partition_rows=payload["partition_rows"],
-            workers=payload["workers"])
-        index._partitions = [_restore_metric(part, distance, objects)
-                             for part in payload["partitions"]]
-        index._count = payload["count"]
-        return index
+        return _restore_metric(payload["structure"], distance, objects)
     raise StorageError(f"unknown serialized index kind {kind!r}")
 
 
@@ -278,17 +254,8 @@ def index_spec(index: Any) -> dict[str, Any]:
     indexes never take this path; they deserialize.)
     """
     if isinstance(index, KIndex):
-        spec = {"kind": "kindex", "extractor": _extractor_config(index.extractor),
+        return {"kind": "kindex", "extractor": _extractor_config(index.extractor),
                 "max_entries": index.max_entries}
-        if isinstance(index, PartitionedIndex):
-            spec.update(kind="partitioned-kindex",
-                        partition_rows=index.partition_rows, workers=index.workers)
-        return spec
-    if isinstance(index, PartitionedMetricIndex):
-        return {"kind": "partitioned-metric",
-                "leaf_capacity": index.leaf_capacity,
-                "partition_rows": index.partition_rows,
-                "workers": index.workers}
     if isinstance(index, MetricIndex):
         return {"kind": "metric", "leaf_capacity": index.leaf_capacity}
     raise StorageError(
@@ -298,11 +265,6 @@ def index_spec(index: Any) -> dict[str, Any]:
 def _empty_kindex(spec: dict[str, Any]) -> KIndex:
     """An empty k-index of the configuration a spec (or a serialized
     document, which embeds one) names."""
-    if spec["kind"] == "partitioned-kindex":
-        return PartitionedIndex(_restore_extractor(spec["extractor"]),
-                                max_entries=spec["max_entries"],
-                                partition_rows=spec["partition_rows"],
-                                workers=spec["workers"])
     return KIndex(_restore_extractor(spec["extractor"]), max_entries=spec["max_entries"])
 
 
@@ -310,7 +272,7 @@ def build_index_from_spec(spec: dict[str, Any], objects: Sequence[Any],
                           distance: Callable[[Any, Any], float] | None) -> Any:
     """Cold-build an index per a WAL spec from the relation's objects."""
     kind = spec.get("kind")
-    if kind == "kindex" or kind == "partitioned-kindex":
+    if kind == "kindex":
         index = _empty_kindex(spec)
         index.extend(objects)
         return index
@@ -319,15 +281,6 @@ def build_index_from_spec(spec: dict[str, Any], objects: Sequence[Any],
             raise StorageError(
                 "rebuilding a metric index needs the relation's provider")
         index = MetricIndex(distance, leaf_capacity=spec["leaf_capacity"])
-        index.extend(objects)
-        return index
-    if kind == "partitioned-metric":
-        if distance is None:
-            raise StorageError(
-                "rebuilding a metric index needs the relation's provider")
-        index = PartitionedMetricIndex(
-            distance, leaf_capacity=spec["leaf_capacity"],
-            partition_rows=spec["partition_rows"], workers=spec["workers"])
         index.extend(objects)
         return index
     raise StorageError(f"unknown index spec kind {kind!r}")

@@ -36,7 +36,7 @@ EXPECTED_ALL = [
     "KIndex", "LinearTransformation", "MaxCostModel", "MetricIndex",
     "MovingAverageTransform", "NearestNeighborQuery", "NearestNeighborResult",
     "ObjectRef",
-    "PackedRTree", "PageStore", "Param", "PartitionedIndex", "PartitionedMetricIndex",
+    "PackedRTree", "PageStore", "Param",
     "Pattern", "PatternError", "Planner", "PolarSpace",
     "PredicatePattern", "PreparedQuery", "ProtocolError", "Q",
     "QueryBuildError", "QueryBuilder",
@@ -68,7 +68,7 @@ EXPECTED_ALL = [
     "random_walk_collection", "reverse_spectral", "scale_spectral",
     "serve",
     "shift_spectral", "time_warp_linear", "transformation_distance",
-    "transformation_edit_distance", "transformed_join",
+    "transformation_edit_distance",
     "transformed_nearest_neighbors", "transformed_range_search",
     "weighted_edit_distance",
 ]
@@ -192,12 +192,7 @@ class TestIndexProbeSignatures:
             "(tree: 'PackedRTree | RTree', window: 'Rect', "
             "transformation: 'RealLinearTransformation | None' = None, "
             "periodic_dims: 'np.ndarray | None' = None) -> 'list[Any]'")
-        assert _signature(repro.transformed_join) == (
-            "(left: 'PackedRTree | RTree', right: 'PackedRTree | RTree', *, "
-            "left_transformation: 'RealLinearTransformation | None' = None, "
-            "right_transformation: 'RealLinearTransformation | None' = None, "
-            "expand: 'float' = 0.0, periodic_dims: 'np.ndarray | None' = None) "
-            "-> 'list[tuple[Any, Any]]'")
+        assert not hasattr(repro.index, "transformed_join")
 
         assert _signature(repro.materialize_transformed_tree) == (
             "(tree: 'PackedRTree | RTree', "
@@ -218,7 +213,6 @@ class TestIndexProbeSignatures:
 
     def test_nearest_kernel(self):
         import repro.index
-        from repro.index.rtree import nearest_search
 
         kernel = ("k: 'int', "
                   "lower_bound: 'Callable[[np.ndarray, np.ndarray], np.ndarray]', "
@@ -226,7 +220,7 @@ class TestIndexProbeSignatures:
                   "transformation: 'RealLinearTransformation | None' = None, "
                   "seeds: 'tuple[np.ndarray, np.ndarray] | None' = None) "
                   "-> 'tuple[np.ndarray, np.ndarray]'")
-        assert _signature(nearest_search) == "(trees: 'Sequence[PackedRTree]', " + kernel
+        assert not hasattr(repro.index.rtree, "nearest_search")
         assert _signature(repro.PackedRTree.nearest_search) == "(self, " + kernel
         assert _signature(repro.RTree.nearest_search) == "(self, " + kernel
         assert _signature(repro.transformed_nearest_neighbors) == (
@@ -244,28 +238,22 @@ class TestIndexProbeSignatures:
         loader = ("collection: 'Iterable[TimeSeries]', "
                   "extractor: 'SeriesFeatureExtractor | None' = None, "
                   "**options: 'Any') -> \"'KIndex'\"")
-        for kind in (repro.KIndex, repro.PartitionedIndex):
-            assert _signature(kind.bulk_load) == "(" + loader
-            assert _signature(kind.build_by_insertion) == "(" + loader
-            assert _signature(kind.extend) == (
-                "(self, collection: 'Iterable[TimeSeries]') -> 'None'")
-            assert _signature(kind.insert) == "(self, series: 'TimeSeries') -> 'int'"
-            assert isinstance(kind.tail_rows, property) and kind.tail_rows.fset is None
-        # One body: the partitioned index inherits its loaders.
-        assert "bulk_load" not in vars(repro.PartitionedIndex)
+        kind = repro.KIndex
+        assert _signature(kind.bulk_load) == "(" + loader
+        assert _signature(kind.build_by_insertion) == "(" + loader
+        assert _signature(kind.extend) == (
+            "(self, collection: 'Iterable[TimeSeries]') -> 'None'")
+        assert _signature(kind.insert) == "(self, series: 'TimeSeries') -> 'int'"
+        assert isinstance(kind.tail_rows, property) and kind.tail_rows.fset is None
         assert _signature(repro.SeriesFeatureExtractor.extract_many) == (
             "(self, collection: 'Sequence[TimeSeries]') -> "
             "'tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]'")
         assert _signature(repro.ColumnarRecordStore.extend) == (
             "(self, collection: 'Iterable[Any]') -> 'None'")
-        # Constructor options: node capacity, and for the forest its shape.
+        # Constructor options: the extractor and the node capacity.
         assert _signature(repro.KIndex) == (
             "(extractor: 'SeriesFeatureExtractor | None' = None, *, "
             "max_entries: 'int' = 8) -> 'None'")
-        assert _signature(repro.PartitionedIndex) == (
-            "(extractor: 'SeriesFeatureExtractor | None' = None, *, "
-            "max_entries: 'int' = 8, partition_rows: 'int' = 256, "
-            "workers: 'int | None' = None) -> 'None'")
         # The seal and chunk sizes are constants, not options.
         from repro.index import kindex
         from repro.timeseries import features
@@ -277,10 +265,9 @@ class TestIndexProbeSignatures:
         """What statistics collection reads (ISSUE 23): the index's point
         rows by record id, and a feature space's distances as arrays; the
         tail's page count is a live property, not a structure-summary key."""
-        for kind in (repro.KIndex, repro.PartitionedIndex):
-            assert _signature(kind.points) == "(self, positions: 'np.ndarray') -> 'np.ndarray'"
-            assert isinstance(kind.tail_pages, property) and kind.tail_pages.fset is None
-        assert "points" not in vars(repro.PartitionedIndex)
+        kind = repro.KIndex
+        assert _signature(kind.points) == "(self, positions: 'np.ndarray') -> 'np.ndarray'"
+        assert isinstance(kind.tail_pages, property) and kind.tail_pages.fset is None
         for space in (repro.PolarSpace, repro.RectangularSpace):
             assert _signature(space.pairwise) == "(self, points: 'np.ndarray') -> 'np.ndarray'"
             assert _signature(space.distances_to) == (

@@ -21,7 +21,6 @@ from repro.core.errors import IndexError_
 from repro.index import rtree as rtree_module
 from repro.index.geometry import Rect, mindist, mindist_batch, rects_overlap
 from repro.index.kindex import SEAL_MIN_ROWS, SEAL_SHARE, KIndex
-from repro.index.partitioned import PartitionedIndex
 from repro.index.rstar import RStarTree
 from repro.index.rtree import PackedRTree, RTree, RTreeEntry
 from repro.timeseries.features import SeriesFeatureExtractor
@@ -222,27 +221,24 @@ class TestLoaderAndPackDifferential:
                                     if key.endswith("radius") else value)
 
     def test_index_summaries_equal_the_node_walk(self, walk_collection, polar_extractor):
-        """Monolithic and partitioned: every tree an index holds."""
+        """STR-packed and insert-built: the tree an index holds."""
         for grown, index in (
                 (False, KIndex.bulk_load(walk_collection, polar_extractor)),
-                (True, KIndex.build_by_insertion(walk_collection[:150], polar_extractor)),
-                (False, PartitionedIndex.bulk_load(walk_collection, polar_extractor,
-                                                   partition_rows=64))):
-            trees = getattr(index.tree, "trees", [index.tree])
-            assert sum(map(len, trees)) == len(index) - index.tail_rows > 0
-            for tree in trees:
-                rows = np.sort(tree.levels[-1].payloads)
-                if grown:
-                    graph = RStarTree(tree.dimension, max_entries=tree.max_entries)
-                    for row in rows.tolist():
-                        graph.insert(index._points[row], row)
-                else:
-                    graph = reference_bulk_load(index._points[rows], rows.tolist(),
-                                                tree.max_entries)
-                expected, summary = reference_summary(graph), tree.structure_summary()
-                assert list(summary) == list(expected)
-                for key, value in expected.items():
-                    assert summary[key] == pytest.approx(value, rel=1e-12, abs=0.0)
+                (True, KIndex.build_by_insertion(walk_collection[:150], polar_extractor))):
+            tree = index.tree
+            assert len(tree) == len(index) - index.tail_rows > 0
+            rows = np.sort(tree.levels[-1].payloads)
+            if grown:
+                graph = RStarTree(tree.dimension, max_entries=tree.max_entries)
+                for row in rows.tolist():
+                    graph.insert(index._points[row], row)
+            else:
+                graph = reference_bulk_load(index._points[rows], rows.tolist(),
+                                            tree.max_entries)
+            expected, summary = reference_summary(graph), tree.structure_summary()
+            assert list(summary) == list(expected)
+            for key, value in expected.items():
+                assert summary[key] == pytest.approx(value, rel=1e-12, abs=0.0)
 
     def test_rectangle_data_and_object_records(self):
         rng = np.random.default_rng(40)
@@ -413,8 +409,6 @@ class TestKIndexBulkLoad:
         with pytest.raises(TypeError):
             KIndex.build_by_insertion(walk_collection, polar_extractor,
                                       tree_kind="rtree-linear")
-        with pytest.raises(IndexError_, match="no single tree"):
-            PartitionedIndex.build_by_insertion(walk_collection, polar_extractor)
 
     def test_seals_pack_a_bounded_number_of_rows(self, monkeypatch):
         """Counted, not timed: over 10 000 rows appended 16 at a time the STR

@@ -21,15 +21,16 @@ import pytest
 import repro
 from repro import (
     BufferPool,
+    ColumnarRecordStore,
     KIndex,
     MetricIndex,
     PackedRTree,
     PageStore,
-    PartitionedIndex,
     SequentialScan,
     SeriesFeatureExtractor,
     StringObject,
     edit_distance_provider,
+    euclidean,
     moving_average_spectral,
     random_walk_collection,
 )
@@ -37,6 +38,8 @@ from repro.core.errors import IndexError_, StorageError
 from repro.index import kindex as kindex_module
 from repro.storage.durable import DurableDatabase, WriteAheadLog
 from repro.storage.durable.manifest import FORMAT_VERSION
+from repro.storage.durable.serde import (build_index_from_spec, deserialize_index,
+                                        index_spec, serialize_index)
 from repro.storage.durable.wal import wal_filename
 
 RANGE_SQL = "SELECT FROM walks WHERE dist(series, $q) < 5.0"
@@ -129,10 +132,6 @@ class TestRoundTrip:
         reopened.close()
 
 
-def _trees(index):
-    return getattr(index.tree, "trees", [index.tree])
-
-
 def _probe(index, queries, transformation):
     """Everything a probe reports: answers with their distance bits, and
     every counter but the clock."""
@@ -153,23 +152,20 @@ class TestIndexPageRoundTrip:
     comes back is the tree that was running — no rebuild, no first-probe
     pack, the same answers to the bit and the same node counts."""
 
-    @pytest.mark.parametrize("build", ["str", "insertion", "partitioned", "tailed",
-                                       "partitioned-tailed"])
+    @pytest.mark.parametrize("build", ["str", "insertion", "tailed"])
     def test_reopened_index_is_the_one_checkpointed(self, tmp_path, build):
         data = random_walk_collection(460, 32, seed=71)
-        loaded = 300 if build.endswith("tailed") else 400
+        loaded = 300 if build == "tailed" else 400
         if build == "insertion":
             index = KIndex.build_by_insertion(data[:loaded], max_entries=6)
-        elif build.startswith("partitioned"):
-            index = PartitionedIndex.bulk_load(data[:loaded], partition_rows=128)
         else:
             index = KIndex.bulk_load(data[:loaded])
         path = str(tmp_path / "db")
         session = repro.connect(path=path)
         handle = session.relation("walks").insert_many(data[:loaded]).with_index(index)
-        if build.endswith("tailed"):
+        if build == "tailed":
             handle.insert_many(data[300:400])
-            assert index.tail_rows == (100 if build == "tailed" else 400 - 3 * 128)
+            assert index.tail_rows == 100
         queries = [data[3], data[399], data[-1]]
         transformation = moving_average_spectral(32, 5)
         before = [_probe(index, queries, T) for T in (None, transformation)]
@@ -185,14 +181,14 @@ class TestIndexPageRoundTrip:
         assert (len(twin), len(twin.tree), twin.tail_rows) == \
             (len(index), len(index.tree), index.tail_rows)
         assert np.array_equal(twin._points[:len(twin)], index._points[:len(index)])
-        for tree, other in zip(_trees(index), _trees(twin), strict=True):
-            assert type(other) is PackedRTree
-            assert (tree.dimension, tree.max_entries) == (other.dimension, other.max_entries)
-            for level, restored in zip(tree.levels, other.levels, strict=True):
-                assert level.is_leaf == restored.is_leaf
-                for name in ("counts", "starts", "lows", "highs", "payloads"):
-                    written, read = getattr(level, name), getattr(restored, name)
-                    assert written.dtype == read.dtype and np.array_equal(written, read)
+        tree, other = index.tree, twin.tree
+        assert type(other) is PackedRTree
+        assert (tree.dimension, tree.max_entries) == (other.dimension, other.max_entries)
+        for level, restored in zip(tree.levels, other.levels, strict=True):
+            assert level.is_leaf == restored.is_leaf
+            for name in ("counts", "starts", "lows", "highs", "payloads"):
+                written, read = getattr(level, name), getattr(restored, name)
+                assert written.dtype == read.dtype and np.array_equal(written, read)
         assert [_probe(twin, queries, T) for T in (None, transformation)] == before
         assert twin.structure_summary() == index.structure_summary()
         reopened.close()
@@ -684,6 +680,43 @@ class TestDurableGuards:
         with pytest.raises(StorageError, match="default.json") as refused:
             repro.connect(path=path)
         assert "index page" in str(refused.value)
+
+    @pytest.mark.parametrize("where", ["page", "wal"])
+    @pytest.mark.parametrize("kind", ["partitioned-kindex", "partitioned-metric"])
+    def test_a_partitioned_kind_is_refused_by_name(self, tmp_path, kind, where):
+        """There are no partitioned index kinds.  An index page or a logged
+        ``register_index`` spec naming one is a ``StorageError`` that names
+        the kind — from the decoders and from ``connect`` alike, never a
+        ``KeyError`` for a field the kind carried — and a refused reopen
+        leaves every file as it found it."""
+        data = random_walk_collection(40, 32, seed=44)
+        path = str(tmp_path / "db")
+        with repro.connect(path=path) as session:
+            session.relation("walks").insert_many(data).with_index(KIndex())
+            document = serialize_index(session.database.index("walks"))
+        # The configuration the partitioned kinds carried.
+        spec = ({**index_spec(KIndex()), "kind": kind} if kind == "partitioned-kindex"
+                else {"kind": kind, "leaf_capacity": 8})
+        spec.update(partition_rows=128, workers=1)
+        page = {**document, **spec}
+        with pytest.raises(StorageError, match=kind):
+            deserialize_index(page, store=ColumnarRecordStore(), objects=data,
+                              distance=euclidean)
+        with pytest.raises(StorageError, match=kind):
+            build_index_from_spec(spec, data, euclidean)
+        if where == "page":
+            with open(os.path.join(path, "indexes", "walks", "default.json"), "w") as fh:
+                json.dump(page, fh)
+        else:
+            manifest = json.load(open(os.path.join(path, "MANIFEST.json")))
+            with WriteAheadLog(os.path.join(path, manifest["wal"]), sync="always") as wal:
+                wal.append({"op": "register_index", "relation": "walks",
+                            "index_name": "legacy", "spec": spec})
+        before = _snapshot(path)
+        for _ in range(2):  # refused alike twice: the first attempt left nothing behind
+            with pytest.raises(StorageError, match=kind):
+                repro.connect(path=path)
+        assert _snapshot(path) == before
 
     def test_exception_in_with_block_skips_checkpoint(self, tmp_path):
         path = str(tmp_path / "db")

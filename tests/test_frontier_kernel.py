@@ -2,7 +2,7 @@
 
 The level-synchronous frontier kernel (:meth:`PackedRTree.window_search`) is
 the only range traversal in the index layer and the blocked best-first kernel
-(:func:`repro.index.rtree.nearest_search`) the only nearest-neighbour one, so
+(:meth:`PackedRTree.nearest_search`) the only nearest-neighbour one, so
 both are checked here against things that share no code with them.  A range
 probe against:
 
@@ -40,8 +40,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import (KIndex, PartitionedIndex, SequentialScan, SeriesFeatureExtractor,
-                   TimeSeries, random_walk_collection)
+from repro import (KIndex, SequentialScan, SeriesFeatureExtractor, TimeSeries,
+                   random_walk_collection)
 from repro.core.errors import IndexError_
 from repro.core.spaces import PolarSpace, RectangularSpace
 from repro.core.transformations import RealLinearTransformation
@@ -49,7 +49,7 @@ from repro.index import kindex as kindex_module
 from repro.index.geometry import Rect, rects_overlap
 from repro.index.rstar import RStarTree
 from repro.index.rtree import NEAREST_BLOCK, PackedRTree, RTree
-from repro.index.transformed import (materialize_transformed_tree, transformed_join,
+from repro.index.transformed import (materialize_transformed_tree,
                                      transformed_nearest_neighbors,
                                      transformed_range_search)
 from repro.storage.columnar import exact_distances
@@ -348,22 +348,22 @@ class TestWindowSearchDifferential:
 # ----------------------------------------------------------------------
 # nearest-neighbour probes
 # ----------------------------------------------------------------------
-def reference_nearest(trees, k, lower_bound, exact, transform=lambda low, high: (low, high),
+def reference_nearest(tree, k, lower_bound, exact, transform=lambda low, high: (low, high),
                       seeds=()):
-    """Best-first search over the trees' nodes, an entry at a time: pop the
+    """Best-first search over the tree's nodes, an entry at a time: pop the
     nearest pending node or record (records first at equal bounds), open the
     node or verify the record, stop at the first bound beyond the k-th exact
-    distance.  ``seeds`` are ``(point, record)`` leaf entries no tree holds,
-    pending from the start.  Returns (the ``(distance, record)`` answers,
-    nodes opened, records verified)."""
+    distance.  ``seeds`` are ``(point, record)`` leaf entries the tree does
+    not hold, pending from the start.  Returns (the ``(distance, record)``
+    answers, nodes opened, records verified)."""
     order = itertools.count()
-    heap = [(0.0, 1, next(order), tree, ROOT) for tree in trees]
-    heap += [(lower_bound(*transform(point, point)), 0, next(order), None, record)
+    heap = [(0.0, 1, next(order), ROOT)]
+    heap += [(lower_bound(*transform(point, point)), 0, next(order), record)
              for point, record in seeds]
     heapq.heapify(heap)
     verified, opened = [], 0
     while heap:
-        bound, is_node, _, tree, payload = heapq.heappop(heap)
+        bound, is_node, _, payload = heapq.heappop(heap)
         if len(verified) >= k and bound > sorted(verified)[k - 1][0]:
             break
         if not is_node:
@@ -373,7 +373,7 @@ def reference_nearest(trees, k, lower_bound, exact, transform=lambda low, high: 
         is_leaf, entries = node_entries(tree, payload)
         for low, high, below in entries:
             heapq.heappush(heap, (lower_bound(*transform(low, high)), 0 if is_leaf else 1,
-                                  next(order), tree, below))
+                                  next(order), below))
     return sorted(verified)[:k], opened, len(verified)
 
 
@@ -400,7 +400,7 @@ def check_tree_nearest(tree, points, transformation, queries, ks=(1, 5, 10)):
                   for record in np.lexsort((np.arange(len(points)), distances))]
         for k in ks + (len(points) + 3,):
             expected, opened, _ = reference_nearest(
-                [clone], k, lambda low, high: scalar_mindist(query, low, high),
+                clone, k, lambda low, high: scalar_mindist(query, low, high),
                 lambda record: float(distances[record]))
             tree.reset_stats()
             got = transformed_nearest_neighbors(tree, query, k, transformation)
@@ -503,9 +503,7 @@ class TestNearestSearchDifferential:
         data = random_walk_collection(8, 32, seed=1)
         for probe in (lambda: tree.nearest_neighbors(np.zeros(3), k=0),
                       lambda: transformed_nearest_neighbors(tree, np.zeros(3), k=-1),
-                      lambda: KIndex.bulk_load(data).nearest_neighbors(data[0], k=0),
-                      lambda: PartitionedIndex.bulk_load(data, partition_rows=4)
-                      .nearest_neighbors(data[0], k=0)):
+                      lambda: KIndex.bulk_load(data).nearest_neighbors(data[0], k=0)):
             with pytest.raises(ValueError, match="k must be positive"):
                 probe()
 
@@ -516,90 +514,6 @@ class TestNearestSearchDifferential:
         assert tree.nearest_neighbors([11.2, 0.0], k=3) == [
             (pytest.approx(0.2), ("row", 11)), (pytest.approx(0.8), ("row", 12)),
             (pytest.approx(1.2), ("row", 10))]
-
-
-# ----------------------------------------------------------------------
-# the index join
-# ----------------------------------------------------------------------
-def reference_join(left, right, left_map, right_map, expand, periodic):
-    """Spatial join a node pair and an entry pair at a time; returns (the
-    record pairs, how many node pairs were opened)."""
-    pairs, opened = [], set()
-    images = [(lambda low, high: (low, high)) if mapping is None else mapping.apply_bounds
-              for mapping in (left_map, right_map)]
-
-    def walk(left_node, right_node):
-        if (left_node, right_node) in opened:
-            return  # a waiting leaf meets a child once per entry that overlaps it
-        opened.add((left_node, right_node))
-        left_leaf, left_entries = node_entries(left, left_node)
-        right_leaf, right_entries = node_entries(right, right_node)
-        for left_low, left_high, left_below in left_entries:
-            left_low, left_high = images[0](left_low, left_high)
-            for right_low, right_high, right_below in right_entries:
-                right_low, right_high = images[1](right_low, right_high)
-                if not rects_overlap(left_low - expand, left_high + expand,
-                                     right_low - expand, right_high + expand, periodic):
-                    continue
-                if left_leaf and right_leaf:
-                    pairs.append((left_below, right_below))
-                else:  # a leaf waits while the other side descends
-                    walk(left_node if left_leaf else left_below,
-                         right_node if right_leaf else right_below)
-
-    walk(ROOT, ROOT)
-    return pairs, len(opened)
-
-
-class TestJoinDifferential:
-    @given(seed=st.integers(0, 2**32 - 1), left_count=st.integers(0, 120),
-           right_count=st.integers(0, 120), builders=st.tuples(
-               st.sampled_from(BUILDERS), st.sampled_from(BUILDERS)),
-           signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=1, max_size=4),
-           polar=st.booleans(), self_join=st.booleans(), expand=st.floats(0.0, 6.0))
-    @settings(max_examples=40, deadline=None)
-    def test_join_equals_reference_and_brute_force(self, seed, left_count, right_count,
-                                                   builders, signs, polar, self_join,
-                                                   expand):
-        """Trees of any two heights (one may be a lone leaf, or empty), either
-        side mapped, plain and periodic dimensions: the pairs of the per-pair
-        reference, and two node visits for every node pair it opens."""
-        rng = np.random.default_rng(seed)
-        periodic = SPACES["polar2" if polar else "rect"].periodic_dimension_mask()
-        left_points = _points(rng, left_count, periodic)
-        right_points = left_points if self_join else _points(rng, right_count, periodic)
-        left = _build(builders[0], left_points)
-        right = left if self_join else _build(builders[1], right_points)
-        left_map = _map(rng, periodic.shape[0], signs)
-        right_map = left_map if self_join else None
-        expected, opened = reference_join(left, right, left_map, right_map, expand,
-                                          periodic)
-        left.reset_stats()
-        right.reset_stats()
-        found = transformed_join(left, right, left_transformation=left_map,
-                                 right_transformation=right_map, expand=expand,
-                                 periodic_dims=periodic)
-        assert sorted(found) == sorted(expected)
-        visits = left.access_stats.total + (0 if left is right else right.access_stats.total)
-        assert visits == 2 * opened
-        if not polar:
-            gaps = np.abs(left_map.apply(left_points)[:, None, :]
-                          - (right_points if right_map is None
-                             else right_map.apply(right_points))[None, :, :])
-            assert sorted(map(list, found)) == np.argwhere(
-                (gaps <= 2 * expand).all(axis=2)).tolist()
-
-    def test_record_pairs_keep_their_objects(self):
-        rng = np.random.default_rng(14)
-        left = RTree(2, max_entries=4)
-        for step, point in enumerate(rng.uniform(0, 10, size=(40, 2))):
-            left.insert(point, ("L", step))
-        right = PackedRTree.bulk_load(rng.uniform(0, 10, size=(5, 2)),
-                                      [("R", step) for step in range(5)])
-        assert left.height() > right.height() == 1
-        pairs = transformed_join(left, right, expand=1.0)
-        assert pairs and all(a[0] == "L" and b[0] == "R" for a, b in pairs)
-        assert sorted(pairs) == sorted(reference_join(left, right, None, None, 1.0, None)[0])
 
 
 # ----------------------------------------------------------------------
@@ -678,7 +592,7 @@ def reference_index_nearest(index, query, k, transformation):
                                      index.extractor.include_stats)[0])
 
     found, opened, verified = reference_nearest(
-        _trees(index), k, lower_bound, exact,
+        index.tree, k, lower_bound, exact,
         (lambda low, high: (low, high)) if real_map is None else real_map.apply_bounds,
         [(index._points[record], record)
          for record in range(len(index.tree), len(index))])
@@ -688,13 +602,9 @@ def reference_index_nearest(index, query, k, transformation):
             for distance, record in found], opened, verified
 
 
-def _trees(index):
-    return getattr(index.tree, "trees", [index.tree])
-
-
 def _tail_pages(index):
     """What a probe is charged for filtering the unindexed tail."""
-    return -(-index.tail_rows // index.max_entries)  # its trees' node capacity
+    return -(-index.tail_rows // index.max_entries)  # its tree's node capacity
 
 
 def check_index_nearest(index, scan, queries, transformation, ks):
@@ -707,7 +617,7 @@ def check_index_nearest(index, scan, queries, transformation, ks):
                 scan.nearest_neighbors(query, k, transformation=transformation))
             work = result.statistics
             visits = work.node_accesses - _tail_pages(index)
-            assert visits == sum(tree.access_stats.total for tree in _trees(index))
+            assert visits == index.tree.access_stats.total
             assert opened <= visits <= opened + block_allowance(opened)
             assert work.node_accesses == (work.internal_node_accesses
                                           + work.leaf_node_accesses)
@@ -717,15 +627,14 @@ def check_index_nearest(index, scan, queries, transformation, ks):
 class TestKIndexNearestAgainstScan:
     @given(seed=st.integers(0, 10_000), count=st.integers(0, 60),
            representation=st.sampled_from(["polar", "rectangular"]),
-           bulk=st.booleans(), workers=st.sampled_from([None, 1, 2, 4]),
-           factor=st.sampled_from([None, -1.5, 0.0, 0.5, "mavg"]),
+           bulk=st.booleans(), factor=st.sampled_from([None, -1.5, 0.0, 0.5, "mavg"]),
            distinct=st.sampled_from([None, 7]))
     @settings(max_examples=50, deadline=None)
     def test_nearest_equals_reference_brute_force_and_scan(
-            self, seed, count, representation, bulk, workers, factor, distinct):
-        """Monolithic (``workers=None``) and partitioned indexes at any
-        worker count; ``distinct`` repeats a few walks many times, so ties
-        straddle the cut and only the ``(distance, id)`` order is right."""
+            self, seed, count, representation, bulk, factor, distinct):
+        """STR-packed and insert-built trees; ``distinct`` repeats a few walks
+        many times, so ties straddle the cut and only the ``(distance, id)``
+        order is right."""
         walks = random_walk_collection(count + 10, 32, seed=seed)
         data = [TimeSeries(walks[n % (distinct or len(walks))].values, name=f"s{n}")
                 for n in range(count + 10)]
@@ -736,17 +645,8 @@ class TestKIndexNearestAgainstScan:
             transformation = moving_average_spectral(32, 5)
         else:
             transformation = None if factor is None else scale_spectral(32, factor)
-        kind, options = ((KIndex, {}) if workers is None else
-                         (PartitionedIndex, {"partition_rows": 16, "workers": workers}))
-        # Insert-built: the dynamic tree, or (a forest has none) block by block.
-        if bulk:
-            index = kind.bulk_load(data[:count], extractor, **options)
-        elif kind is KIndex:
-            index = KIndex.build_by_insertion(data[:count], extractor)
-        else:
-            index = kind(extractor, **options)
-            for start in range(0, count, 7):
-                index.extend(data[start:min(start + 7, count)])
+        index = (KIndex.bulk_load if bulk else KIndex.build_by_insertion)(
+            data[:count], extractor)
         scan = SequentialScan(extractor)
         scan.extend(data[:count])
         queries = [data[0], walks[-1]]
@@ -767,13 +667,10 @@ class TestKIndexNearestAgainstScan:
         extractor = SeriesFeatureExtractor(2)
         scan = SequentialScan(extractor)
         scan.extend(data)
-        indexes = [KIndex.bulk_load(data, extractor)] + [
-            PartitionedIndex.bulk_load(data, extractor, partition_rows=64, workers=workers)
-            for workers in (1, 2, 4)]
+        index = KIndex.bulk_load(data, extractor)
         for query in random_walk_collection(40, 64, seed=9):
-            expected = _as_pairs(scan.nearest_neighbors(query, 5))
-            for index in indexes:
-                assert _as_pairs(index.nearest_neighbors(query, 5).answers) == expected
+            assert _as_pairs(index.nearest_neighbors(query, 5).answers) == _as_pairs(
+                scan.nearest_neighbors(query, 5))
 
     def test_counters_count_the_rows_gathered(self, monkeypatch):
         data = random_walk_collection(600, 64, seed=4)
@@ -800,10 +697,9 @@ class TestKIndexNearestAgainstScan:
         assert reference_total <= total <= 1.25 * reference_total
 
     def test_empty_index(self):
-        for index in (KIndex(), PartitionedIndex(partition_rows=8)):
-            result = index.nearest_neighbors(random_walk_collection(1, 32, seed=2)[0], 3)
-            assert result.answers == []
-            assert result.statistics.candidates == 0
+        result = KIndex().nearest_neighbors(random_walk_collection(1, 32, seed=2)[0], 3)
+        assert result.answers == []
+        assert result.statistics.candidates == 0
 
 
 # ----------------------------------------------------------------------
@@ -811,18 +707,15 @@ class TestKIndexNearestAgainstScan:
 # ----------------------------------------------------------------------
 def reference_index_range(index, query, epsilon, transformation):
     """Candidates of a range probe, an entry at a time: the per-entry walk of
-    every tree the index has, then one rectangle test per tail row.  Returns
-    (ascending candidate ids, the nodes visited as ``(tree, node id)``)."""
+    the index's tree, then one rectangle test per tail row.  Returns
+    (ascending candidate ids, the nodes visited)."""
     linear, real_map = index._lower_transformation(transformation)
     point = index._transform_point(index._query_features(query).point, linear)
     low, high = index.space.search_rectangle(point, epsilon)
     periodic = index.space.periodic_dimension_mask()
-    found, visited = [], set()
-    for number, tree in enumerate(_trees(index)):
-        clone = tree if real_map is None else materialize_transformed_tree(tree, real_map)
-        records, nodes = reference_traversal(clone, low, high, periodic)
-        found += records
-        visited |= {(number, node) for node in nodes}
+    tree = index.tree
+    clone = tree if real_map is None else materialize_transformed_tree(tree, real_map)
+    found, visited = reference_traversal(clone, low, high, periodic)
     for record in range(len(index.tree), len(index)):
         image = index._points[record]
         if real_map is not None:
@@ -856,7 +749,7 @@ def check_index_range(index, scan, queries, epsilon, transformation, gathered):
     pages = _tail_pages(index)
     union = set()
     batched = index.range_query_batch(queries, epsilon, transformation=transformation)
-    batch_visits = sum(tree.access_stats.total for tree in _trees(index))
+    batch_visits = index.tree.access_stats.total
     for query, from_batch in zip(queries, batched):
         candidates, visited = reference_index_range(index, query, epsilon, transformation)
         union |= visited
@@ -913,32 +806,29 @@ def gathered(monkeypatch):
     return counts
 
 
-#: kind → (constructor options, rows loaded first, then (rows appended, the
-#: tail expected after them)…): tails of 0, 1, seal − 1, just sealed, two
-#: seals later — with ``SEAL_MIN_ROWS`` lowered to 12 for the monolithic index.
-TAIL_WALKS = {
-    "monolithic": ({}, 40, [(1, 1), (11, 12), (1, 0), (13, 0), (16, 0), (3, 3)]),
-    "partitioned": ({"partition_rows": 16}, 32,
-                    [(1, 1), (14, 15), (1, 0), (16, 0), (21, 5)]),
-}
+#: Rows loaded first, then (rows appended, the tail expected after them)…:
+#: tails of 0, 1, seal − 1, just sealed, two seals later — with
+#: ``SEAL_MIN_ROWS`` lowered to 12.
+TAIL_WALK = (40, [(1, 1), (11, 12), (1, 0), (13, 0), (16, 0), (3, 3)])
 
 
 class TestTailDifferential:
+    @pytest.mark.parametrize("max_entries", [4, 8])
+    @pytest.mark.parametrize("build", ["str", "insertion"])
     @pytest.mark.parametrize("representation", ["polar", "rectangular"])
-    @pytest.mark.parametrize("kind,workers", [("monolithic", None), ("partitioned", 1),
-                                              ("partitioned", 2), ("partitioned", 4)])
     def test_every_probe_equals_the_scan_at_every_tail_size(
-            self, kind, workers, representation, gathered, monkeypatch):
+            self, representation, build, max_entries, gathered, monkeypatch):
         """Probe → extend → probe, across seals: range (single, batched,
-        ``mavg``, ``scale(-1.5)``, unverified), k-NN and all-pairs."""
+        ``mavg``, ``scale(-1.5)``, unverified), k-NN and all-pairs — from an
+        STR-packed or an insert-built first tree (the first seal re-packs
+        either by STR), at two node capacities (the tail's page charge)."""
         monkeypatch.setattr(kindex_module, "SEAL_MIN_ROWS", 12)
-        options, loaded, steps = TAIL_WALKS[kind]
+        loaded, steps = TAIL_WALK
         data = random_walk_collection(loaded + sum(rows for rows, _ in steps) + 2, 32,
                                       seed=21)
         extractor = SeriesFeatureExtractor(2, representation=representation)
-        index = (KIndex.bulk_load(data[:loaded], extractor) if workers is None else
-                 PartitionedIndex.bulk_load(data[:loaded], extractor, workers=workers,
-                                            **options))
+        build_index = KIndex.bulk_load if build == "str" else KIndex.build_by_insertion
+        index = build_index(data[:loaded], extractor, max_entries=max_entries)
         scan = SequentialScan(extractor)
         scan.extend(data[:loaded])
         transformations = [None, scale_spectral(32, -1.5)] + (
@@ -955,15 +845,16 @@ class TestTailDifferential:
                 check_index_range(index, scan, queries, 4.0, transformation, gathered)
                 check_index_nearest(index, scan, queries[1:], transformation,
                                     (1, 5, stored + 3))
-            if tail in (0, 12, 15):
+            if tail in (0, 12):
                 check_all_pairs(index, scan, 3.0, transformations[-1])
 
+    @pytest.mark.parametrize("build", ["str", "insertion"])
     @pytest.mark.parametrize("factor", [None, -1.5])
-    @pytest.mark.parametrize("kind", [KIndex, PartitionedIndex])
-    def test_duplicate_of_the_query_in_the_tail(self, kind, factor):
+    def test_duplicate_of_the_query_in_the_tail(self, factor, build):
         """A tail row and a packed row both at distance zero: ascending id."""
         data = random_walk_collection(300, 32, seed=22)
-        index = kind.bulk_load(data, SeriesFeatureExtractor(2))
+        build_index = KIndex.bulk_load if build == "str" else KIndex.build_by_insertion
+        index = build_index(data, SeriesFeatureExtractor(2))
         packed = len(index.tree)
         twin = TimeSeries(data[7].values, name="twin")
         index.extend([twin])
@@ -997,17 +888,16 @@ class TestTailDifferential:
 
     def test_a_failed_batch_changes_nothing(self):
         data = random_walk_collection(40, 32, seed=24)
-        for index in (KIndex.bulk_load(data[:30]),
-                      PartitionedIndex.bulk_load(data[:30], partition_rows=8)):
-            tree, before = index.tree, index.range_query(data[0], 5.0)
-            with pytest.raises(IndexError_, match="'oops' is not a time series"):
-                index.extend(data[30:] + ["oops"])
-            assert len(index) == len(index.store) == 30 and index.tree is tree
-            assert _as_pairs(index.range_query(data[0], 5.0).answers) == \
-                _as_pairs(before.answers)
-            with pytest.raises(IndexError_):
-                index.insert(None)
-            assert len(index) == 30
+        index = KIndex.bulk_load(data[:30])
+        tree, before = index.tree, index.range_query(data[0], 5.0)
+        with pytest.raises(IndexError_, match="'oops' is not a time series"):
+            index.extend(data[30:] + ["oops"])
+        assert len(index) == len(index.store) == 30 and index.tree is tree
+        assert _as_pairs(index.range_query(data[0], 5.0).answers) == \
+            _as_pairs(before.answers)
+        with pytest.raises(IndexError_):
+            index.insert(None)
+        assert len(index) == 30
 
     def test_concurrent_readers_across_seals(self, monkeypatch):
         """Readers the server lets in together after each write, some of
@@ -1017,11 +907,9 @@ class TestTailDifferential:
         extractor = SeriesFeatureExtractor(2)
         scan = SequentialScan(extractor)
         scan.extend(data[:100])
-        indexes = [KIndex.bulk_load(data[:100], extractor),
-                   PartitionedIndex.bulk_load(data[:100], extractor, partition_rows=48,
-                                              workers=2)]
+        index = KIndex.bulk_load(data[:100], extractor)
         query = data[-1]
-        trees = [index.tree for index in indexes]
+        tree = index.tree
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -1030,15 +918,14 @@ class TestTailDifferential:
                     scan.extend(data[written:written + 25])
                     ranged = _as_pairs(scan.range_query(query, 6.0).answers)
                     nearest = _as_pairs(scan.nearest_neighbors(query, 7))
-                    for index in indexes:
-                        index.extend(data[written:written + 25])
-                        probes = [pool.submit(index.range_query, query, 6.0)
-                                  for _ in range(4)]
-                        probes += [pool.submit(index.nearest_neighbors, query, 7)
-                                   for _ in range(4)]
-                        found = [_as_pairs(probe.result(timeout=30).answers)
-                                 for probe in probes]
-                        assert found == [ranged] * 4 + [nearest] * 4
+                    index.extend(data[written:written + 25])
+                    probes = [pool.submit(index.range_query, query, 6.0)
+                              for _ in range(4)]
+                    probes += [pool.submit(index.nearest_neighbors, query, 7)
+                               for _ in range(4)]
+                    found = [_as_pairs(probe.result(timeout=30).answers)
+                             for probe in probes]
+                    assert found == [ranged] * 4 + [nearest] * 4
         finally:
             sys.setswitchinterval(interval)
-        assert all(index.tree is not tree for index, tree in zip(indexes, trees))
+        assert index.tree is not tree

@@ -1,22 +1,17 @@
 """Partition-parallel execution is bit-identical to serial execution.
 
-The PR-7 contract: fanning queries across worker threads changes wall time
-and nothing else.  These tests pin it down where it is most likely to break
-— **ragged-length and zero-padded rows straddling partition boundaries** —
-across every parallel surface:
-
-* the sequential scan (range / NN / join, early-abandoning and exact),
-* the partitioned k-index facade (three-phase range, incremental NN,
-  batched traversals),
-* the partitioned metric index (shared-traversal batches, merged top-k),
-
-comparing ids AND distances exactly (``==`` on floats: bit identity, not
-tolerance), plus the exact work counters — including under batching, where
-per-partition counters must sum to the serial totals.
+Fanning the sequential scan's queries (range / NN / join, early-abandoning
+and exact) across worker threads changes wall time and nothing else.  These
+tests pin it down where it is most likely to break — **ragged-length and
+zero-padded rows straddling partition boundaries** — comparing ids AND
+distances exactly (``==`` on floats: bit identity, not tolerance), plus the
+exact work counters.  An index plan does not fan out at all: through
+``repro.connect(workers=N)`` its answers and counters are the serial
+session's at every worker count.
 
 The thread-safety tests for the shared :class:`LRUCache` and
-:class:`BufferPool` live here too: partition-parallel probes hammer both
-from many threads at once.
+:class:`BufferPool` live here too: concurrent readers hammer both from many
+threads at once.
 """
 
 from __future__ import annotations
@@ -26,29 +21,30 @@ import threading
 import numpy as np
 import pytest
 
+import repro
 from repro import (
     KIndex,
     MetricIndex,
     PageStore,
-    PartitionedIndex,
-    PartitionedMetricIndex,
     SequentialScan,
     SeriesFeatureExtractor,
     StringObject,
+    edit_distance_provider,
     moving_average_spectral,
     random_walk,
-    weighted_edit_distance,
+    random_walk_collection,
 )
 from repro.core.parallel import get_pool, parallel_map, resolve_workers
 from repro.core.query.cache import LRUCache
+from repro.core.query.planner import (
+    EngineNearestPlan,
+    EngineRangePlan,
+    IndexNearestPlan,
+    IndexRangePlan,
+)
 from repro.storage import columnar
 from repro.storage.buffer import BufferPool
-from repro.storage.partition import (
-    DEFAULT_PARTITION_ROWS,
-    StorePartition,
-    partition_spans,
-    store_partitions,
-)
+from repro.storage.partition import DEFAULT_PARTITION_ROWS, partition_spans
 
 
 def _ragged_walks(count: int, seed: int = 41):
@@ -156,204 +152,100 @@ class TestScanIdentity:
         assert scan.all_pairs(1.0)[0] == []
 
 
-class TestPartitionedIndexIdentity:
-    """PartitionedIndex == itself serial == the monolithic KIndex."""
+def _outcome_fingerprint(outcome):
+    work = outcome.statistics
+    return (type(outcome.plan).__name__,
+            [(obj.object_id, distance) for obj, distance in outcome.answers],
+            work.node_accesses, work.candidates, work.postprocessed,
+            work.record_fetches, work.io_total)
+
+
+def _indexed_session(workers, walks, words):
+    session = repro.connect(workers=workers, answer_cache_size=0)
+    session.with_transformation("mavg6", moving_average_spectral(64, 6))
+    session.relation("walks").insert_many(walks).with_index(KIndex())
+    provider = edit_distance_provider()
+    (session.relation("words").insert_many(words).with_distance(provider)
+        .with_index(MetricIndex(provider.distance, leaf_capacity=4)))
+    return session
+
+
+class TestIndexPlansAtEveryWorkerCount:
+    """A session's ``workers`` fans out the scan and nothing else: a k-index
+    or metric-index plan is one traversal on the calling thread, so its
+    answers and counters are the serial session's at every worker count
+    (``0`` is one worker per core)."""
+
+    WALK_SQL = {
+        "range": "SELECT FROM walks WHERE dist(series, $q) < 3.0",
+        "range-mavg": "SELECT FROM walks WHERE dist(series, $q) < 3.0 USING mavg6",
+        "nearest": "SELECT FROM walks NEAREST 5 TO $q",
+        "nearest-mavg": "SELECT FROM walks NEAREST 5 TO $q USING mavg6",
+    }
+    WORD_SQL = {
+        "range": "SELECT FROM words WHERE dist(object, $q) < 1.0",
+        "nearest": "SELECT FROM words NEAREST 3 TO $q",
+    }
 
     @pytest.fixture(scope="class")
-    def data(self):
-        return _ragged_walks(75, seed=43)
+    def walks(self):
+        # 2 000 rows: enough that the planner picks the k-index for every
+        # query here at every worker count, scans repriced or not.
+        return random_walk_collection(2000, 64, seed=43)
 
     @pytest.fixture(scope="class")
-    def indexes(self, data):
-        extractor = SeriesFeatureExtractor(2)
-        mono = KIndex.bulk_load(data, extractor)
-        serial = PartitionedIndex.bulk_load(
-            data, extractor, partition_rows=17, workers=1)
-        parallel = PartitionedIndex.bulk_load(
-            data, extractor, partition_rows=17, workers=4)
-        return mono, serial, parallel
-
-    @pytest.mark.parametrize("epsilon", [1.0, 5.0, 15.0])
-    def test_range_parallel_equals_serial_exactly(self, data, indexes, epsilon):
-        _, serial, parallel = indexes
-        for query in data[:3]:
-            assert _range_fingerprint(parallel.range_query(query, epsilon)) \
-                == _range_fingerprint(serial.range_query(query, epsilon))
-
-    @pytest.mark.parametrize("epsilon", [1.0, 5.0, 15.0])
-    def test_range_answers_match_the_monolithic_index(self, data, indexes,
-                                                      epsilon):
-        mono, _, parallel = indexes
-        for query in data[:3]:
-            expected = {(series.values.tobytes(), distance) for series, distance
-                        in mono.range_query(query, epsilon).answers}
-            observed = {(series.values.tobytes(), distance) for series, distance
-                        in parallel.range_query(query, epsilon).answers}
-            assert observed == expected
-
-    @pytest.mark.parametrize("k", [1, 4, 20])
-    def test_nearest_parallel_equals_serial_exactly(self, data, indexes, k):
-        _, serial, parallel = indexes
-        result_s = serial.nearest_neighbors(data[5], k)
-        result_p = parallel.nearest_neighbors(data[5], k)
-        assert _nn_fingerprint(result_p.answers) \
-            == _nn_fingerprint(result_s.answers)
-        assert result_p.statistics.postprocessed \
-            == result_s.statistics.postprocessed
-
-    @pytest.mark.parametrize("k", [1, 4, 20])
-    def test_nearest_distances_match_the_monolithic_index(self, data, indexes, k):
-        mono, _, parallel = indexes
-        expected = [d for _, d in mono.nearest_neighbors(data[5], k).answers]
-        observed = [d for _, d in parallel.nearest_neighbors(data[5], k).answers]
-        assert observed == expected
-
-    def test_batch_counters_are_exact_sums(self, data, indexes):
-        """Batched traversal counters: parallel batch == serial batch, and
-        per-partition work sums — no double counting, none lost."""
-        _, serial, parallel = indexes
-        queries = data[:5]
-        epsilons = [4.0] * len(queries)
-        results_s = serial.range_query_batch(queries, epsilons)
-        results_p = parallel.range_query_batch(queries, epsilons)
-        for result_s, result_p in zip(results_s, results_p):
-            assert _range_fingerprint(result_p) == _range_fingerprint(result_s)
-
-    def test_transformed_batch_shares_one_traversal(self, data, indexes):
-        """Under a transformation the batch is still one fan-out: answers
-        and per-query counters equal the singletons', the shared
-        ``node_accesses`` is below their sum, at every worker count."""
-        _, serial, parallel = indexes
-        smoothing = moving_average_spectral(64, 6)
-        queries = data[:6:3] + data[6:12:3]  # lengths 64 only: the map's length
-        epsilons = [3.0, 5.0, 4.0, 6.0]
-        for index in (serial, parallel):
-            batched = index.range_query_batch(queries, epsilons,
-                                              transformation=smoothing)
-            singles = [index.range_query(query, epsilon, transformation=smoothing)
-                       for query, epsilon in zip(queries, epsilons)]
-            for result, single in zip(batched, singles):
-                assert _range_fingerprint(result)[0] == _range_fingerprint(single)[0]
-                assert result.statistics.candidates == single.statistics.candidates
-                assert result.statistics.postprocessed \
-                    == single.statistics.postprocessed
-            shared = {result.statistics.node_accesses for result in batched}
-            assert len(shared) == 1
-            assert shared.pop() < sum(single.statistics.node_accesses
-                                      for single in singles)
-        assert [_range_fingerprint(result) for result in
-                parallel.range_query_batch(queries, epsilons, transformation=smoothing)] \
-            == [_range_fingerprint(result) for result in
-                serial.range_query_batch(queries, epsilons, transformation=smoothing)]
-
-    def test_incremental_extend_packs_completed_partitions(self, data):
-        index = PartitionedIndex(SeriesFeatureExtractor(2),
-                                 partition_rows=17, workers=2)
-        for start in range(0, len(data), 10):
-            index.extend(data[start:start + 10])
-            assert len(index) == min(start + 10, len(data))
-            # Every completed 17-row block has its sub-tree; the rest waits.
-            assert len(index.tree.trees) == len(index) // 17
-            assert index.tail_rows == len(index) % 17
-        assert [len(tree) for tree in index.tree.trees] == [17] * (len(data) // 17)
-        mono = KIndex(SeriesFeatureExtractor(2))
-        mono.extend(data)
-        expected = {(series.values.tobytes(), distance) for series, distance
-                    in mono.range_query(data[0], 5.0).answers}
-        observed = {(series.values.tobytes(), distance) for series, distance
-                    in index.range_query(data[0], 5.0).answers}
-        assert observed == expected
-
-    def test_empty_index_answers_nothing(self, data):
-        index = PartitionedIndex(SeriesFeatureExtractor(2), partition_rows=17,
-                                 workers=2)
-        assert index.range_query(data[0], 5.0).answers == []
-        assert [r.answers for r in index.range_query_batch(data[:2], 5.0)] == [[], []]
-
-    def test_structure_summary_keeps_the_monolithic_keys(self, indexes):
-        mono, _, parallel = indexes
-        assert set(parallel.structure_summary()) == set(mono.structure_summary())
-
-
-class TestPartitionedMetricIndexIdentity:
-    WORDS = ["pattern", "patter", "matter", "mutter", "butter", "bitter",
-             "better", "batter", "query", "quarts", "quartz", "relation",
-             "revelation", "revolution", "resolution", "solution", "dilution",
-             "pollution", "evolution", "elocution", "locution", "lotion",
-             "motion", "notion", "nation", "ration", "station"]
+    def words(self):
+        # 600 short strings over five letters: enough that the metric index
+        # beats comparing every object for every query here.
+        rng = np.random.default_rng(47)
+        return [StringObject("".join(rng.choice(list("abcde"), size=int(rng.integers(4, 9)))))
+                for _ in range(600)]
 
     @pytest.fixture(scope="class")
-    def objects(self):
-        return [StringObject(word) for word in self.WORDS]
+    def serial(self, walks, words):
+        session = _indexed_session(None, walks, words)
+        yield session
+        session.close()
 
-    @pytest.fixture(scope="class")
-    def indexes(self, objects):
-        mono = MetricIndex(weighted_edit_distance, leaf_capacity=4)
-        mono.extend(objects)
-        serial = PartitionedMetricIndex(weighted_edit_distance,
-                                        leaf_capacity=4, partition_rows=5,
-                                        workers=1)
-        serial.extend(objects)
-        parallel = PartitionedMetricIndex(weighted_edit_distance,
-                                          leaf_capacity=4, partition_rows=5,
-                                          workers=4)
-        parallel.extend(objects)
-        return mono, serial, parallel
+    @pytest.fixture(scope="class", params=[0, 2, 3, 4])
+    def parallel(self, request, walks, words):
+        session = _indexed_session(request.param, walks, words)
+        yield session
+        session.close()
 
-    @pytest.mark.parametrize("epsilon", [1.0, 2.0, 4.0])
-    def test_range_parallel_equals_serial_exactly(self, objects, indexes,
-                                                  epsilon):
-        _, serial, parallel = indexes
-        query = StringObject("potion")
-        result_s = serial.range_query(query, epsilon)
-        result_p = parallel.range_query(query, epsilon)
-        assert [(obj.text, d) for obj, d in result_p.answers] \
-            == [(obj.text, d) for obj, d in result_s.answers]
-        assert result_p.statistics.postprocessed \
-            == result_s.statistics.postprocessed
-        assert result_p.statistics.node_accesses \
-            == result_s.statistics.node_accesses
+    @pytest.mark.parametrize("kind", sorted(WALK_SQL))
+    def test_k_index_probe(self, serial, parallel, walks, kind):
+        for query in walks[:3]:
+            expected = serial.sql(self.WALK_SQL[kind], q=query)
+            assert isinstance(expected.plan, (IndexRangePlan, IndexNearestPlan))
+            assert _outcome_fingerprint(parallel.sql(self.WALK_SQL[kind], q=query)) \
+                == _outcome_fingerprint(expected)
 
-    def test_range_answers_match_the_monolithic_index(self, indexes):
-        mono, _, parallel = indexes
-        query = StringObject("potion")
-        expected = {(obj.text, d) for obj, d
-                    in mono.range_query(query, 3.0).answers}
-        observed = {(obj.text, d) for obj, d
-                    in parallel.range_query(query, 3.0).answers}
-        assert observed == expected
+    @pytest.mark.parametrize("kind", ["range", "range-mavg"])
+    def test_k_index_batch(self, serial, parallel, walks, kind):
+        bindings = [{"q": query} for query in walks[:6]]
+        expected = serial.prepare(self.WALK_SQL[kind]).run_many(bindings)
+        observed = parallel.prepare(self.WALK_SQL[kind]).run_many(bindings)
+        assert all(isinstance(outcome.plan, IndexRangePlan) for outcome in expected)
+        assert [_outcome_fingerprint(outcome) for outcome in observed] \
+            == [_outcome_fingerprint(outcome) for outcome in expected]
 
-    def test_batch_equals_looped_single_queries(self, objects, indexes):
-        """Counter exactness under batching: the batch's per-query counters
-        equal the single-query counters at any worker count."""
-        _, serial, parallel = indexes
-        queries = [StringObject(w) for w in ("nation", "butter", "query")]
-        epsilons = [2.0, 3.0, 1.5]
-        batched = parallel.range_query_batch(queries, epsilons)
-        for query, epsilon, result in zip(queries, epsilons, batched):
-            single = serial.range_query(query, epsilon)
-            assert [(obj.text, d) for obj, d in result.answers] \
-                == [(obj.text, d) for obj, d in single.answers]
-            assert result.statistics.postprocessed \
-                == single.statistics.postprocessed
-            assert result.statistics.candidates \
-                == single.statistics.candidates
+    @pytest.mark.parametrize("kind", sorted(WORD_SQL))
+    def test_metric_index_probe(self, serial, parallel, words, kind):
+        for query in (StringObject("abcab"), words[0], words[1]):
+            expected = serial.sql(self.WORD_SQL[kind], q=query)
+            assert isinstance(expected.plan, (EngineRangePlan, EngineNearestPlan))
+            assert expected.plan.index_name == "default"
+            assert _outcome_fingerprint(parallel.sql(self.WORD_SQL[kind], q=query)) \
+                == _outcome_fingerprint(expected)
 
-    @pytest.mark.parametrize("k", [1, 3, 10])
-    def test_nearest_parallel_equals_serial_exactly(self, indexes, k):
-        _, serial, parallel = indexes
-        query = StringObject("potion")
-        result_s = serial.nearest_neighbors(query, k)
-        result_p = parallel.nearest_neighbors(query, k)
-        assert [(obj.text, d) for obj, d in result_p.answers] \
-            == [(obj.text, d) for obj, d in result_s.answers]
-
-    def test_nearest_distances_match_the_monolithic_index(self, indexes):
-        mono, _, parallel = indexes
-        query = StringObject("potion")
-        expected = [d for _, d in mono.nearest_neighbors(query, 5).answers]
-        observed = [d for _, d in parallel.nearest_neighbors(query, 5).answers]
-        assert observed == expected
+    def test_metric_index_batch(self, serial, parallel, words):
+        bindings = [{"q": query} for query in words[:4]]
+        expected = serial.prepare(self.WORD_SQL["range"]).run_many(bindings)
+        observed = parallel.prepare(self.WORD_SQL["range"]).run_many(bindings)
+        assert all(outcome.plan.index_name == "default" for outcome in expected)
+        assert [_outcome_fingerprint(outcome) for outcome in observed] \
+            == [_outcome_fingerprint(outcome) for outcome in expected]
 
 
 class TestLRUCacheThreadSafety:
@@ -516,28 +408,12 @@ class TestParallelPlumbing:
         assert parallel_map(lambda i: -i, [(1,), (2,)], workers=1) == [-1, -2]
         assert parallel_map(lambda i: -i, [], workers=4) == []
 
-
-class TestStorePartitions:
     def test_partition_spans(self):
         assert partition_spans(0, 4) == []
         assert partition_spans(10, 4) == [(0, 4), (4, 8), (8, 10)]
         assert partition_spans(8, 4) == [(0, 4), (4, 8)]
         with pytest.raises(ValueError):
             partition_spans(10, 0)
-
-    def test_partition_views_are_slices_of_the_store(self):
-        data = _ragged_walks(23, seed=47)
-        scan = SequentialScan(SeriesFeatureExtractor(2))
-        scan.extend(data)
-        store = scan.store
-        partitions = store_partitions(store, 7)
-        assert [len(p.lengths) for p in partitions] == [7, 7, 7, 2]
-        rebuilt = np.concatenate([p.coefficients for p in partitions])
-        assert rebuilt.tobytes() == store.coefficients.tobytes()
-        last = partitions[-1]
-        assert isinstance(last, StorePartition)
-        assert last.global_id(1) == 22
-        assert last.series(1).values.tobytes() == data[22].values.tobytes()
 
     def test_default_partition_rows_is_sane(self):
         assert DEFAULT_PARTITION_ROWS >= 1

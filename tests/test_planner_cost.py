@@ -221,20 +221,15 @@ class TestDecisionTable:
 
 class TestTheTailIsPriced:
     """An index probe filters its unindexed tail whole; the planner adds the
-    pages the probe charges for that, for both index layouts — read off the
-    index at plan time, never off the statistics, which hold no copy."""
+    pages the probe charges for that — read off the index at plan time,
+    never off the statistics, which hold no copy."""
 
-    @pytest.mark.parametrize("kind", ["monolithic", "partitioned"])
-    def test_estimate_and_explain_carry_the_tail_pages(self, kind):
-        from repro import PartitionedIndex
+    def test_estimate_and_explain_carry_the_tail_pages(self):
         from repro.core.query.costmodel import QueryCostModel
 
         data = random_walk_collection(460, LENGTH, seed=29)
         session = connect(answer_cache_size=0)
-        extractor = SeriesFeatureExtractor(2)
-        index = (KIndex.bulk_load(data[:400], extractor) if kind == "monolithic"
-                 else PartitionedIndex.bulk_load(data[:400], extractor,
-                                                 partition_rows=200))
+        index = KIndex.bulk_load(data[:400], SeriesFeatureExtractor(2))
         handle = session.relation("walks").insert_many(data[:400]).with_index(index)
         assert index.tail_rows == 0 and index.tail_pages == 0
         handle.insert_many(data[400:])
@@ -256,8 +251,7 @@ class TestTheTailIsPriced:
         assert "(8 of them tail pages)" in session.explain(text)
         # The probe charged the same eight pages on top of its tree visits.
         probe = index.range_query(data[450], radius)
-        assert probe.statistics.node_accesses == 8 + sum(
-            tree.access_stats.total for tree in getattr(index.tree, "trees", [index.tree]))
+        assert probe.statistics.node_accesses == 8 + index.tree.access_stats.total
         assert data[450].object_id in {s.object_id for s, _ in outcome.answers}
 
     TEXT = "SELECT FROM walks WHERE dist(series, $q) < 1.0"

@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 import repro
 from repro import (
     KIndex,
-    PartitionedIndex,
     SeriesFeatureExtractor,
     moving_average_spectral,
     random_walk_collection,
@@ -214,12 +213,14 @@ class TestTheOddRelations:
         assert np.array_equal(stats.spread, np.zeros_like(point))
         assert stats.tree_summary == index.structure_summary()
 
-    def test_a_partitioned_index_with_an_open_tail(self, walk_collection):
-        index = PartitionedIndex(SeriesFeatureExtractor(2), partition_rows=50)
-        stats = indexed_session(index, walk_collection).analyze("walks")
+    def test_an_index_with_an_open_tail(self, walk_collection):
+        index = KIndex(SeriesFeatureExtractor(2))
+        session = indexed_session(index, walk_collection[:100])
+        session.relation("walks").insert_many(walk_collection[100:])
+        stats = session.analyze("walks")
         assert (len(index.tree), index.tail_rows) == (100, 20)
         assert_statistics_match_the_reference(stats, index)
-        assert stats.basis[-1] == 100  # the packed rows: the next sealed block moves it
+        assert stats.basis[-1] == 100  # the packed rows: the next seal moves it
 
     def test_a_rectangular_three_coefficient_index(self, walk_collection):
         index = KIndex(SeriesFeatureExtractor(3, "rectangular"))

@@ -10,7 +10,6 @@ from repro.index.geometry import Rect
 from repro.index.rstar import RStarTree
 from repro.index.transformed import (
     materialize_transformed_tree,
-    transformed_join,
     transformed_nearest_neighbors,
     transformed_range_search,
 )
@@ -80,8 +79,6 @@ class TestTransformedRangeSearch:
         # The mask is read as booleans whatever sequence carries it.
         for mask in ([False, True, False], (0, 1, 0), np.array([0, 1, 0])):
             assert transformed_range_search(tree, turned, periodic_dims=mask) == wrapped
-            assert transformed_join(tree, tree, periodic_dims=mask) == \
-                transformed_join(tree, tree, periodic_dims=periodic)
         assert transformed_range_search(tree, Rect([-20.0, 60.0, -20.0],
                                                    [20.0, 62.0, 20.0])) == []
 
@@ -140,38 +137,3 @@ class TestTransformedNearestNeighbors:
     def test_k_validation(self, tree):
         with pytest.raises(ValueError):
             transformed_nearest_neighbors(tree, np.zeros(3), k=0)
-
-
-class TestTransformedJoin:
-    def test_self_join_matches_brute_force(self, points):
-        small = points[:120]
-        tree = RStarTree(3, max_entries=6)
-        for i, point in enumerate(small):
-            tree.insert(point, i)
-        expand = 3.0
-        pairs = transformed_join(tree, tree, expand=expand)
-        got = {(a, b) for a, b in pairs if a != b}
-        want = set()
-        for i in range(len(small)):
-            for j in range(len(small)):
-                if i != j and np.all(np.abs(small[i] - small[j]) <= 2 * expand):
-                    want.add((i, j))
-        assert got == want
-
-    def test_join_under_transformation(self, points):
-        left_points = points[:80]
-        right_points = points[80:160]
-        left = RStarTree(3, max_entries=6)
-        right = RStarTree(3, max_entries=6)
-        for i, point in enumerate(left_points):
-            left.insert(point, ("L", i))
-        for i, point in enumerate(right_points):
-            right.insert(point, ("R", i))
-        flip = RealLinearTransformation([-1.0, 1.0, 1.0], [0.0, 0.0, 0.0], name="flip-x")
-        pairs = transformed_join(left, right, left_transformation=flip, expand=2.0)
-        want = set()
-        for i in range(len(left_points)):
-            for j in range(len(right_points)):
-                if np.all(np.abs(flip.apply(left_points[i]) - right_points[j]) <= 4.0):
-                    want.add((("L", i), ("R", j)))
-        assert set(pairs) == want
