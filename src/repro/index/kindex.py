@@ -40,6 +40,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import accumulate
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -51,8 +52,8 @@ from ..core.transformations import LinearTransformation, RealLinearTransformatio
 from ..storage.columnar import (
     ColumnarRecordStore,
     exact_distances,
-    gathered_pair_distances,
     transform_full_record,
+    verify_pairs,
 )
 from ..timeseries.features import SeriesFeatureExtractor, SeriesFeatures
 from ..timeseries.series import TimeSeries
@@ -434,10 +435,12 @@ class KIndex:
 
         All query windows are probed together, with or without a
         ``transformation``: every tree node on the way is visited once for
-        the whole batch (see :meth:`PackedRTree.window_search`), and exact-distance
-        postprocessing gathers **all candidates of all queries** into a
-        single kernel call over the columnar store.  Answers are identical
-        to calling :meth:`range_query` once per query.
+        the whole batch (see :meth:`PackedRTree.window_search`), and
+        postprocessing verifies all candidates of all queries in one call
+        of :func:`~repro.storage.columnar.verify_pairs` — bounded blocks of
+        (candidate, query) pairs, each abandoned chunk by chunk against its
+        own query's epsilon before the survivors are scored exactly.
+        Answers are identical to calling :meth:`range_query` once per query.
 
         ``epsilon`` may be a single threshold or one per query.
 
@@ -448,7 +451,7 @@ class KIndex:
         queries = list(queries)
         epsilons = np.broadcast_to(np.asarray(epsilon, dtype=np.float64),
                                    (len(queries),))
-        if np.any(epsilons < 0):
+        if not np.all(epsilons >= 0):  # NaN too
             raise ValueError("epsilon must be non-negative")
         if not queries:
             return []
@@ -518,8 +521,9 @@ class KIndex:
                       transformation: SpectralTransformation | None,
                       epsilons: np.ndarray,
                       results: list[RangeQueryResult]) -> None:
-        """One gathered verification pass for a whole batch of range queries
-        (under a ``transformation``: against the store's transformed rows)."""
+        """One abandoning verification pass (:func:`verify_pairs`) over every
+        candidate of a batch of range queries (under a ``transformation``:
+        against the store's transformed rows)."""
         counts = [candidates.size for candidates in candidate_lists]
         if not sum(counts):
             return
@@ -535,19 +539,20 @@ class KIndex:
         query_means = np.array([full[1] for full in query_fulls])
         query_stds = np.array([full[2] for full in query_fulls])
         coefficients, means, stds = self.store.transformed_arrays(transformation)
-        distances = gathered_pair_distances(
+        positions, distances = verify_pairs(
             coefficients, self.store.lengths, means, stds,
             self.extractor.include_stats, row_ids,
-            query_matrix, query_lengths, query_means, query_stds, query_index)
-        offset = 0
-        for index, count in enumerate(counts):
-            block = distances[offset:offset + count]
-            ids = row_ids[offset:offset + count]
-            offset += count
-            keep = np.nonzero(block <= float(epsilons[index]))[0]
-            order = keep[np.argsort(block[keep], kind="stable")]
+            query_matrix, query_lengths, query_means, query_stds, query_index,
+            epsilons)
+        # Positions ascend, so each query's answers are one run of them, in
+        # candidate order.
+        edges = np.searchsorted(positions, list(accumulate(counts, initial=0)))
+        for index, (low, high) in enumerate(zip(edges[:-1], edges[1:])):
+            block = distances[low:high]
+            ids = row_ids[positions[low:high]]
             results[index].answers = [(self.store.series(int(ids[i])),
-                                       float(block[i])) for i in order]
+                                       float(block[i]))
+                                      for i in np.argsort(block, kind="stable")]
 
     def nearest_neighbors_batch(self, queries: Sequence[TimeSeries | FeatureVector],
                                 k: int = 1, *,
@@ -627,10 +632,12 @@ class KIndex:
         Implemented as one index probe per stored series (methods (c)/(d) of
         the original join experiment): each series becomes a range query
         posed to the index, under the same transformation on both sides.
-        Each probe's candidate verification runs through the gathered
-        kernel, so the quadratic postprocessing is vectorised even though
-        the probes stay per-record.
+        Each probe's candidates are verified by the abandoning pair kernel
+        (:func:`~repro.storage.columnar.verify_pairs`), so the quadratic
+        postprocessing is vectorised even though the probes stay per-record.
         """
+        if not epsilon >= 0:  # NaN too
+            raise ValueError("epsilon must be non-negative")
         started = time.perf_counter()
         pairs: list[tuple[TimeSeries, TimeSeries, float]] = []
         stats = QueryStatistics()

@@ -217,7 +217,7 @@ class SequentialScan:
                     transform_query: bool = True,
                     early_abandon: bool = True) -> RangeQueryResult:
         """All series within ``epsilon`` of the query (scan of the whole relation)."""
-        if epsilon < 0:
+        if not epsilon >= 0:  # NaN too
             raise ValueError("epsilon must be non-negative")
         started = time.perf_counter()
         query_record = self._query_record(query, transformation, transform_query)
@@ -314,7 +314,7 @@ class SequentialScan:
         threshold, method (b) abandoning against ``epsilon`` — and keep the
         pairs whose exact distance is within it.
         """
-        if epsilon < 0:
+        if not epsilon >= 0:  # NaN too
             raise ValueError("epsilon must be non-negative")
         started = time.perf_counter()
         stats = QueryStatistics()

@@ -37,10 +37,16 @@ The module-level **kernels** implement exact record distances blockwise:
   *conservative* (a tiny slack keeps borderline rows alive), so the
   surviving rows are re-scored by :func:`exact_distances` and the answers
   are exactly those of the non-abandoning path;
-* :func:`gathered_pair_distances` — one gathered verification pass for a
-  whole batch: arbitrary (row, query) pairs scored in a single kernel
-  call, which is how ``execute_many`` groups and the k-index batch path
-  verify all their candidates at once;
+* :func:`gathered_pair_distances` — the exact scorer under both abandoning
+  pair kernels: arbitrary (row, query) pairs scored in one call, which the
+  kernels below hand their survivors to in slices of at most
+  :data:`PAIR_BLOCK` coefficients;
+* :func:`verify_pairs` — **candidate verification** for the k-index, a
+  single probe being a batch of one: flat (row, query) pairs taken
+  :data:`PAIR_BLOCK` at a time, abandoned chunk by chunk against each
+  query's own threshold, and only the survivors scored exactly —
+  bit-identical to scoring every candidate with
+  :func:`gathered_pair_distances`;
 * :func:`pair_block_distances` — the **pair kernel** behind every scan-side
   pair computation (both scan methods of the self-join, and
   :func:`pairwise_distances` for the statistics sampler, the advisor and
@@ -78,6 +84,7 @@ __all__ = [
     "pair_block_distances",
     "pairwise_distances",
     "transform_full_record",
+    "verify_pairs",
 ]
 
 #: Coefficient columns consumed per early-abandon round.  The DFT
@@ -439,9 +446,10 @@ def gathered_pair_distances(coefficients: np.ndarray, lengths: np.ndarray,
     """One exact distance per (stored row, query) pair, in a single pass.
 
     ``row_ids[t]`` names the stored record and ``query_index[t]`` the row of
-    the stacked query arrays it is verified against — the shape produced by
-    batched traversals, where each query contributes a candidate list and
-    all candidates of all queries are verified together.
+    the stacked query arrays it is verified against.  It holds a full row
+    per pair, so the abandoning kernels (:func:`verify_pairs`,
+    :func:`pair_block_distances`) call it on their survivors in slices of
+    at most :data:`PAIR_BLOCK` coefficients.
     """
     if row_ids.size == 0:
         return np.zeros(0, dtype=np.float64)
@@ -459,6 +467,79 @@ def gathered_pair_distances(coefficients: np.ndarray, lengths: np.ndarray,
         totals = totals + ((means[row_ids] - query_means[query_index]) ** 2
                            + (stds[row_ids] - query_stds[query_index]) ** 2)
     return np.sqrt(totals)
+
+
+def verify_pairs(coefficients: np.ndarray, lengths: np.ndarray,
+                 means: np.ndarray, stds: np.ndarray, include_stats: bool,
+                 row_ids: np.ndarray, query_matrix: np.ndarray,
+                 query_lengths: np.ndarray, query_means: np.ndarray,
+                 query_stds: np.ndarray, query_index: np.ndarray,
+                 epsilons: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate verification: ``(positions, distances)`` of the (stored row,
+    query) pairs whose exact distance is within their query's epsilon.
+
+    The pairs are those of :func:`gathered_pair_distances` — ``row_ids[t]``
+    against row ``query_index[t]`` of the stacked query arrays, and
+    ``epsilons[q]`` is query ``q``'s threshold — taken :data:`PAIR_BLOCK` at a
+    time.  A block is first abandoned in rounds like the pair kernel's (the
+    statistics term, then :data:`ABANDON_CHUNK` coefficient columns at a
+    time, each gathered from the two matrices), and only its survivors are
+    scored exactly, by :func:`gathered_pair_distances` in slices of at most
+    ``PAIR_BLOCK`` coefficients — the same reduction over the same columns as
+    one call over every pair, so distances are bit-identical to it.
+
+    ``positions`` index the pair arrays, ascending; no temporary is sized by
+    the number of pairs or of survivors.
+    """
+    found: list[tuple[np.ndarray, np.ndarray]] = []
+    width = min(coefficients.shape[1], query_matrix.shape[1])
+    piece = max(1, PAIR_BLOCK // max(1, width))
+    limits = epsilons ** 2 * (1.0 + _PRUNE_SLACK) + 1e-12
+    for first in range(0, row_ids.size, PAIR_BLOCK):
+        rows = row_ids[first:first + PAIR_BLOCK]
+        queries = query_index[first:first + PAIR_BLOCK]
+        if include_stats:
+            totals = (means[rows] - query_means[queries]) ** 2 \
+                + (stds[rows] - query_stds[queries]) ** 2
+        else:
+            totals = np.zeros(rows.size, dtype=np.float64)
+        bounds = limits[queries]
+        survivors = np.nonzero(totals <= bounds)[0]
+        rows, queries = rows[survivors], queries[survivors]
+        # A round costs about what scoring its pairs outright would, so
+        # rounds run only while the survivors' remaining columns overflow
+        # one exact slice (a probe with few candidates runs none).
+        if survivors.size * width > PAIR_BLOCK:
+            totals, bounds = totals[survivors], bounds[survivors]
+            common = np.minimum(lengths[rows], query_lengths[queries])
+            columns = int(common.max())
+            ragged = not np.all(common == columns)
+            for start in range(0, columns, ABANDON_CHUNK):
+                if survivors.size * (columns - start) <= PAIR_BLOCK:
+                    break
+                stop = min(start + ABANDON_CHUNK, columns)
+                difference = coefficients[rows, start:stop]
+                difference -= query_matrix[queries, start:stop]
+                if ragged:
+                    difference[np.arange(start, stop) >= common[:, None]] = 0.0
+                parts = difference.view(np.float64)
+                totals += np.einsum("ij,ij->i", parts, parts)
+                alive = totals <= bounds
+                if not alive.all():
+                    survivors, rows, queries = survivors[alive], rows[alive], queries[alive]
+                    common, totals, bounds = common[alive], totals[alive], bounds[alive]
+        for start in range(0, survivors.size, piece):
+            pairs = slice(start, start + piece)
+            distances = gathered_pair_distances(
+                coefficients, lengths, means, stds, include_stats, rows[pairs],
+                query_matrix, query_lengths, query_means, query_stds, queries[pairs])
+            keep = distances <= epsilons[queries[pairs]]
+            found.append((first + survivors[pairs][keep], distances[keep]))
+    if len(found) < 2:
+        return found[0] if found else (np.zeros(0, dtype=np.intp),
+                                       np.zeros(0, dtype=np.float64))
+    return (np.concatenate([positions for positions, _ in found]),
+            np.concatenate([distances for _, distances in found]))
 
 
 def pair_blocks(count: int) -> list[tuple[int, int]]:

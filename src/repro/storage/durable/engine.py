@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import os
+import weakref
 from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
@@ -85,24 +86,40 @@ def register_provider_factory(name: str,
 class DurableRelation(Relation):
     """A relation whose committed batches append to the engine's WAL."""
 
-    #: Set by the owning engine right after construction; ``None`` while
-    #: the constructor's own ``extend`` runs (nothing to log yet — the
-    #: ``create_relation`` WAL record carries the initial rows).
-    _engine: "DurableDatabase | None" = None
+    #: A weak reference to the owning engine, set right after construction;
+    #: ``None`` while the constructor's own ``extend`` runs (nothing to log
+    #: yet — the ``create_relation`` WAL record carries the initial rows).
+    #: Weak because the engine holds its relations: a strong back-reference
+    #: would make every durable catalog a cycle, and a dropped session's
+    #: arrays would live on until the cycle collector happened to run.
+    _engine_ref: "weakref.ref[DurableDatabase] | None" = None
+
+    def _logging_engine(self) -> "DurableDatabase | None":
+        """The engine a write must be logged to (``None``: nothing to log).
+        Called before the write, so a write that could not be logged does
+        not happen either."""
+        if self._engine_ref is None:
+            return None
+        engine = self._engine_ref()
+        if engine is None:
+            raise StorageError(
+                f"relation {self.name!r} outlived its durable database; "
+                "a write to it could not be logged")
+        return None if engine._replaying else engine
 
     def insert(self, row: Row | DataObject,
                attributes: Mapping[str, Any] | None = None) -> Row:
+        engine = self._logging_engine()
         stored = super().insert(row, attributes)
-        engine = self._engine
-        if engine is not None and not engine._replaying:
+        if engine is not None:
             engine._log({"op": "insert", "relation": self.name,
                          "rows": [encode_row(stored)]})
         return stored
 
     def _commit_batch(self, rows: list[Row]) -> None:
+        engine = self._logging_engine()
         super()._commit_batch(rows)
-        engine = self._engine
-        if rows and engine is not None and not engine._replaying:
+        if rows and engine is not None:
             engine._log({"op": "insert", "relation": self.name,
                          "rows": [encode_row(row) for row in rows]})
 
@@ -192,7 +209,7 @@ class DurableDatabase(Database):
         relation = super().create_relation(name, objects)
         # Same storage, durable behaviour: committed batches hit the WAL.
         relation.__class__ = DurableRelation
-        relation._engine = self
+        relation._engine_ref = weakref.ref(self)
         if self._wal is not None and not self._replaying:
             # Guarded here, not in _log: encoding every row is wasted work
             # on the recovery path, where the log is silenced anyway.

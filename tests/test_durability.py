@@ -10,10 +10,12 @@ whose last record survived, never on a torn or invented one.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import random
 import shutil
+import weakref
 
 import numpy as np
 import pytest
@@ -923,6 +925,44 @@ class TestCheckpointHousekeeping:
         session.checkpoint()
         assert not os.listdir(os.path.join(path, "segments", "walks"))
         session.close()
+
+
+class TestADroppedSessionIsFreed:
+    """A durable catalog is not a reference cycle: the last reference to a
+    session going away frees its arrays there and then, not whenever the
+    cycle collector next runs."""
+
+    def test_without_the_cycle_collector(self, tmp_path):
+        data = random_walk_collection(30, 32, seed=65)
+        path = str(tmp_path / "db")
+        gc.collect()
+        gc.disable()
+        try:
+            session = repro.connect(path=path)
+            session.relation("walks").insert_many(data).with_index(KIndex())
+            session.checkpoint()
+            _answers(session, data[0])
+            session.relation("walks").insert_many(random_walk_collection(3, 32, seed=66))
+            session.close()
+            database = weakref.ref(session.database)
+            del session
+            assert database() is None
+        finally:
+            gc.enable()
+
+    def test_a_relation_that_outlived_its_database_refuses_writes(self, tmp_path):
+        path = str(tmp_path / "db")
+        session = repro.connect(path=path)
+        session.relation("walks").insert_many(random_walk_collection(4, 32, seed=67))
+        relation = session.database.relation("walks")
+        session.close()
+        del session
+        gc.collect()
+        with pytest.raises(StorageError, match="outlived its durable database"):
+            relation.extend(random_walk_collection(2, 32, seed=68))
+        with pytest.raises(StorageError, match="outlived its durable database"):
+            relation.insert(random_walk_collection(1, 32, seed=69)[0])
+        assert len(relation) == 4
 
 
 class TestWalTimeBound:

@@ -791,7 +791,7 @@ def check_all_pairs(index, scan, epsilon, transformation):
 def gathered(monkeypatch):
     """Rows the verification kernels gathered since the list was cleared."""
     counts = []
-    pairs, exact = kindex_module.gathered_pair_distances, kindex_module.exact_distances
+    pairs, exact = kindex_module.verify_pairs, kindex_module.exact_distances
 
     def counting_pairs(*args):
         counts.append(len(args[5]))
@@ -801,7 +801,7 @@ def gathered(monkeypatch):
         counts.append(len(row_ids))
         return exact(*args, row_ids=row_ids, **kwargs)
 
-    monkeypatch.setattr(kindex_module, "gathered_pair_distances", counting_pairs)
+    monkeypatch.setattr(kindex_module, "verify_pairs", counting_pairs)
     monkeypatch.setattr(kindex_module, "exact_distances", counting_exact)
     return counts
 
