@@ -106,7 +106,8 @@ class ServerError(ReproError):
 
 
 class ProtocolError(ServerError):
-    """A wire frame was malformed: bad length, CRC mismatch, invalid JSON.
+    """A wire frame was malformed: bad length, CRC mismatch, a payload
+    that does not decode.
 
     Either transport end raises this when the peer's frame does not verify
     — which is how injected torn/corrupt frames surface."""

@@ -256,6 +256,9 @@ def rects_overlap(lows: np.ndarray, highs: np.ndarray,
         window_half = (window_highs[..., angular] - window_lows[..., angular]) * 0.5
         window_center = window_lows[..., angular] + window_half
         gap = np.abs((entry_center - window_center + math.pi) % TWO_PI - math.pi)
-        hits[..., angular] = ((gap <= entry_half + window_half)
+        # Or-ed with the plain test, which is exact: the centre arithmetic
+        # rounds, and alone it put an edge point an ulp outside a zero-width
+        # window (a false dismissal at ε = 0).
+        hits[..., angular] |= ((gap <= entry_half + window_half)
                               | (entry_half >= math.pi) | (window_half >= math.pi))
     return hits.all(axis=-1)

@@ -459,19 +459,25 @@ class KIndex:
         tree = self.tree  # one snapshot: the tail is the rows beyond this tree
         tree.reset_stats()
         linear, real_map = self._lower_transformation(transformation)
+        moved = transformation is not None and transform_query
         query_fulls = []
         query_points = []
-        for query in queries:
+        corners = []
+        for query, eps in zip(queries, epsilons):
             features = self._query_features(query)
-            if transformation is not None and transform_query:
+            centre = features.point
+            if moved:
                 query_fulls.append(self._full_transformed(features, transformation))
-                query_points.append(self._transform_point(features.point, linear))
+                # The window is centred on the query's image under the map
+                # that moves the rectangles, by the same arithmetic: at
+                # ε = 0 a stored copy of the query is then on the window
+                # exactly, not an ulp beside it.
+                centre = real_map.apply_point(centre)
             else:
                 query_fulls.append((features.full_coefficients, features.mean,
                                     features.std))
-                query_points.append(features.point)
-        corners = [self.space.search_rectangle(point, float(eps))
-                   for point, eps in zip(query_points, epsilons)]
+            query_points.append(features.point)
+            corners.append(self.space.search_rectangle(centre, float(eps)))
         window_lows = np.array([low for low, _ in corners])
         window_highs = np.array([high for _, high in corners])
         periodic = self.space.periodic_dimension_mask()
@@ -496,6 +502,8 @@ class KIndex:
         else:
             for result, candidates, query_point, eps in zip(
                     results, candidate_lists, query_points, epsilons):
+                if moved:
+                    query_point = self._transform_point(query_point, linear)
                 points = self.points(candidates)
                 if linear is not None:
                     extra, feats = linear.apply_features(

@@ -193,7 +193,7 @@ class MetricIndex:
         if len(queries) != len(epsilons):
             raise ValueError("one epsilon is required per query")
         for epsilon in epsilons:
-            if epsilon < 0:
+            if not epsilon >= 0:  # NaN too
                 raise ValueError("epsilon must be non-negative")
         started = time.perf_counter()
         self._ensure_built()

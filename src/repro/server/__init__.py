@@ -3,8 +3,8 @@
 Four modules, one promise each:
 
 :mod:`~repro.server.protocol`
-    Length-prefixed, CRC-framed JSON messages (the WAL's framing, on a
-    socket) plus the object/answer codecs.
+    Length-prefixed, CRC-framed codec messages (the WAL's framing and
+    record codec, on a socket) plus the object and answer encodings.
 :mod:`~repro.server.service`
     The server, one thread per connection — snapshot reads under a
     readers-writer lock, admission control with explicit ``RETRY_LATER``

@@ -38,7 +38,7 @@ from ..core.errors import (ConnectionLostError, DeadlineExceededError,
                            RetryExhaustedError, RetryLaterError, ServerError)
 from ..core.objects import DataObject
 from .faults import FaultPlan, FrameFaults, corrupt_frame
-from .protocol import decode_answer, encode_frame, encode_param, recv_frame
+from .protocol import decode_answers, encode_frame, encode_param, recv_frame
 
 __all__ = ["BackoffPolicy", "RemoteOutcome", "RemoteStatement",
            "RemoteCursor", "ServerClient", "connect"]
@@ -184,7 +184,7 @@ class RemoteCursor:
             {"op": "fetch", "cursor": self._cursor_id, "count": count},
             idempotent=False)  # a fetch advances server state: not replayable
         self._done = bool(response["done"])
-        return [decode_answer(row) for row in response["answers"]]
+        return decode_answers(response["answers"])
 
     def __iter__(self):
         while not self._done:
@@ -210,7 +210,7 @@ def _encode_params(parameters: Mapping[str, Any]) -> dict[str, Any]:
 
 def _decode_outcome(payload: Mapping[str, Any]) -> RemoteOutcome:
     return RemoteOutcome(
-        answers=[decode_answer(row) for row in payload["answers"]],
+        answers=decode_answers(payload["answers"]),
         epoch=payload.get("epoch", []),
         elapsed_ms=float(payload.get("elapsed_ms", 0.0)),
         from_cache=bool(payload.get("from_cache", False)))

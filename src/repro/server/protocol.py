@@ -1,37 +1,43 @@
-"""The wire protocol: length-prefixed, CRC-framed JSON messages.
+"""The wire protocol: length-prefixed, CRC-framed codec messages.
 
 Framing is the same shape the write-ahead log uses (deliberately — one
 torn-frame discipline across the system)::
 
-    [u32 payload length][u32 crc32(payload)][payload: UTF-8 JSON]
+    [u32 payload length][u32 crc32(payload)][payload: one codec message]
 
-Little-endian header, JSON body.  JSON round-trips floats bit-exactly
-(``json.dumps`` serialises through ``repr``), which the snapshot-read
-bit-identity guarantee leans on: a distance that crosses the wire decodes
-to the very float the executor computed.  The CRC makes torn and corrupted
-frames *detectable* instead of silently poisonous: a frame whose checksum
-does not verify raises :class:`~repro.core.errors.ProtocolError` at the
-receiving end, never yields a half-decoded message.
+Little-endian header; the payload is :mod:`repro.storage.codec`'s compact
+JSON header with every array moved out into a little-endian 8-byte block.
+A series sent as a query parameter or an inserted row, and the distances
+of an answer list, cross as their own float64 bytes, which the
+snapshot-read bit-identity guarantee leans on: a distance that crosses the
+wire decodes to the very float the executor computed.  The CRC makes torn
+and corrupted frames *detectable* instead of silently poisonous: a frame
+whose checksum does not verify raises
+:class:`~repro.core.errors.ProtocolError` at the receiving end, never
+yields a half-decoded message.
 
 Both transport ends live here, each on a blocking socket: the server's
 reader (:func:`recv_request`: a clean hangup is not an error, and a frame
 that has started must finish in time) and the client's (:func:`recv_frame`).
-Object payloads (query parameters, inserted rows, answers) reuse the
-durable layer's JSON object codec, so a series means the same bytes in the
-WAL, in a segment, and on the wire.
+Object payloads (query parameters, inserted rows) reuse the durable layer's
+object codec, so a series means the same bytes in the WAL, in a segment,
+and on the wire.  Answer lists travel as columns (:func:`encode_answers`):
+ids and names as JSON lists, distances as one block.
 """
 
 from __future__ import annotations
 
-import json
 import socket
 import struct
 import time
 import zlib
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
+
+import numpy as np
 
 from ..core.errors import ProtocolError
 from ..core.objects import DataObject
+from ..storage import codec
 from ..storage.durable.segments import decode_object, encode_object
 
 __all__ = [
@@ -43,7 +49,8 @@ __all__ = [
     "encode_param",
     "decode_param",
     "encode_answer",
-    "decode_answer",
+    "encode_answers",
+    "decode_answers",
     "ObjectRef",
 ]
 
@@ -59,11 +66,12 @@ MAX_FRAME_BYTES = 16 * 1024 * 1024
 # framing
 # ----------------------------------------------------------------------
 def encode_frame(message: Mapping[str, Any]) -> bytes:
-    """One message as a complete wire frame (header + JSON payload)."""
+    """One message as a complete wire frame (header + codec payload)."""
     try:
-        payload = json.dumps(message, separators=(",", ":")).encode("utf-8")
-    except (TypeError, ValueError) as error:
-        raise ProtocolError(f"message is not JSON-serialisable: {error}") from error
+        payload = codec.encode(message)
+    except codec.CodecError as error:
+        raise ProtocolError(
+            f"message is not encodable as a JSON header plus array blocks: {error}") from error
     if len(payload) > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"frame payload of {len(payload)} bytes exceeds the "
@@ -76,11 +84,11 @@ def _decode_payload(header: bytes, payload: bytes) -> dict[str, Any]:
     if zlib.crc32(payload) != checksum:
         raise ProtocolError("frame checksum mismatch (corrupt or torn frame)")
     try:
-        message = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise ProtocolError(f"frame payload is not valid JSON: {error}") from error
+        message = codec.decode(payload)
+    except codec.CodecError as error:
+        raise ProtocolError(f"frame payload does not decode: {error}") from error
     if not isinstance(message, dict):
-        raise ProtocolError("frame payload must be a JSON object")
+        raise ProtocolError("frame payload must be a message object")
     return message
 
 
@@ -139,7 +147,8 @@ def recv_request(sock: socket.socket, *, max_bytes: int = MAX_FRAME_BYTES,
     Returns ``None`` on a clean EOF *between* frames (the peer hung up at a
     message boundary).  EOF inside a frame, a length overrunning
     ``max_bytes`` (refused before a byte of the payload is read), a
-    checksum mismatch or bad JSON raise :class:`ProtocolError`.
+    checksum mismatch or a payload that does not decode raise
+    :class:`ProtocolError`.
     ``idle_timeout`` bounds the wait for the frame's first byte (an idle
     connection); ``frame_timeout`` bounds the rest of the frame once it has
     started (a stalled or torn send) — both surface as :class:`TimeoutError`
@@ -188,9 +197,10 @@ class ObjectRef(tuple):
 
 
 def encode_param(value: Any) -> Any:
-    """A query parameter (or inserted row) as a JSON-safe payload.
+    """A query parameter (or inserted row) as a codec-ready payload.
 
-    Data objects go through the durable layer's codec; JSON scalars pass
+    Data objects go through the durable layer's object codec (a series'
+    values stay a float64 array, sent as a block); JSON scalars pass
     through untouched (wrapped so a dict-valued scalar cannot be mistaken
     for an encoded object).
     """
@@ -226,7 +236,8 @@ def decode_param(payload: Any, *, fresh_id: bool = False) -> Any:
 
 def encode_answer(answer: tuple) -> dict[str, Any]:
     """One answer tuple — (object, distance) or (left, right, distance) —
-    as references plus the exact float distance."""
+    as a self-describing record of references plus the exact distance.
+    Whole answer lists go as columns instead (:func:`encode_answers`)."""
     if len(answer) == 3:
         left, right, distance = answer
         return {"l": [left.object_id, left.name],
@@ -235,9 +246,33 @@ def encode_answer(answer: tuple) -> dict[str, Any]:
     return {"o": [obj.object_id, obj.name], "d": float(distance)}
 
 
-def decode_answer(payload: dict[str, Any]) -> tuple:
-    """Invert :func:`encode_answer` into reference tuples."""
-    if "l" in payload:
-        return (ObjectRef(*payload["l"]), ObjectRef(*payload["r"]),
-                payload["d"])
-    return (ObjectRef(*payload["o"]), payload["d"])
+def encode_answers(answers: Sequence[tuple]) -> dict[str, Any]:
+    """An answer list as columns: ``ids`` and ``names`` lists and the
+    distances ``d`` as one float64 array; a join's answers add the right
+    side's ``right_ids`` and ``right_names``."""
+    columns: dict[str, Any] = {
+        "ids": [answer[0].object_id for answer in answers],
+        "names": [answer[0].name for answer in answers],
+        "d": np.array([answer[-1] for answer in answers], dtype=np.float64),
+    }
+    if answers and len(answers[0]) == 3:
+        columns["right_ids"] = [answer[1].object_id for answer in answers]
+        columns["right_names"] = [answer[1].name for answer in answers]
+    return columns
+
+
+def decode_answers(columns: Mapping[str, Any]) -> list[tuple]:
+    """Invert :func:`encode_answers` into (:class:`ObjectRef`, distance)
+    tuples, or (left, right, distance) for a join."""
+    try:
+        names = ("ids", "names", "right_ids", "right_names") if "right_ids" in columns \
+            else ("ids", "names")
+        distances = columns["d"].tolist()
+        lists = [columns[name] for name in names]
+    except (KeyError, TypeError, AttributeError) as error:
+        raise ProtocolError(f"malformed answer columns: {error!r}") from error
+    if not all(isinstance(column, list) and len(column) == len(distances)
+               for column in lists):
+        raise ProtocolError("answer columns are not lists of one length")
+    sides = [map(ObjectRef, lists[i], lists[i + 1]) for i in range(0, len(lists), 2)]
+    return list(zip(*sides, distances))

@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import collections
 import ctypes
-import json
 import socket
 import sys
 import threading
@@ -67,8 +66,9 @@ from ..core.errors import (
 )
 from ..core.query.ast import Query
 from ..core.session import Session, connect
+from ..storage import codec
 from .faults import FaultPlan, FrameFaults, ServerKilled, corrupt_frame
-from .protocol import MAX_FRAME_BYTES, decode_param, encode_answer, encode_frame, recv_request
+from .protocol import MAX_FRAME_BYTES, decode_param, encode_answers, encode_frame, recv_request
 
 __all__ = ["ServerConfig", "QueryServer", "ServerHandle", "serve"]
 
@@ -231,10 +231,14 @@ def _failure(request_id: Any, code: str, error: str, **extra: Any) -> dict[str, 
 
 
 class _Cursor:
-    __slots__ = ("rows", "position", "size_bytes", "epoch")
+    """A result set held for paging: its answer columns, how many rows are
+    fetched, and its encoded size (what it counts against the budget)."""
 
-    def __init__(self, rows: list[dict], size_bytes: int, epoch: Any) -> None:
-        self.rows = rows
+    __slots__ = ("columns", "count", "position", "size_bytes", "epoch")
+
+    def __init__(self, columns: dict[str, Any], size_bytes: int, epoch: Any) -> None:
+        self.columns = columns
+        self.count = len(columns["ids"])
         self.position = 0
         self.size_bytes = size_bytes
         self.epoch = epoch
@@ -552,7 +556,7 @@ class QueryServer:
     @staticmethod
     def _encode_outcome(outcome: Any, epoch: tuple) -> dict[str, Any]:
         return {
-            "answers": [encode_answer(answer) for answer in outcome.answers],
+            "answers": encode_answers(outcome.answers),
             "epoch": epoch,
             "elapsed_ms": outcome.elapsed_seconds * 1000.0,
             "from_cache": outcome.from_cache,
@@ -584,12 +588,12 @@ class QueryServer:
 
         outcome, epoch = self._run_read(work, token)
         if request.get("cursor"):
-            rows = [encode_answer(answer) for answer in outcome.answers]
-            size = len(json.dumps(rows, separators=(",", ":")))
-            cursor_id = connection.register_cursor(_Cursor(rows, size, epoch))
+            columns = encode_answers(outcome.answers)
+            cursor = _Cursor(columns, len(codec.encode(columns)), epoch)
+            cursor_id = connection.register_cursor(cursor)
             return {
                 "cursor": cursor_id,
-                "count": len(rows),
+                "count": cursor.count,
                 "epoch": epoch,
                 "from_cache": outcome.from_cache,
             }
@@ -667,13 +671,13 @@ class QueryServer:
                 f"unknown cursor id {cursor_id!r} on this connection "
                 "(closed, fully consumed, or evicted by the byte budget)"
             )
-        count = int(request.get("count", 128))
-        rows = cursor.rows[cursor.position : cursor.position + count]
-        cursor.position += len(rows)
-        done = cursor.position >= len(cursor.rows)
+        start = cursor.position
+        cursor.position = min(cursor.count, start + max(0, int(request.get("count", 128))))
+        page = {name: column[start : cursor.position] for name, column in cursor.columns.items()}
+        done = cursor.position >= cursor.count
         if done:
             connection.drop_cursor(cursor_id)
-        return {"answers": rows, "done": done, "epoch": cursor.epoch}
+        return {"answers": page, "done": done, "epoch": cursor.epoch}
 
     def _op_close_cursor(self, connection, request) -> dict[str, Any]:
         connection.drop_cursor(request.get("cursor"))

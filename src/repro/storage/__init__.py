@@ -1,4 +1,5 @@
-"""Simulated storage: pages, an LRU buffer pool and the columnar record store."""
+"""Simulated storage: pages, an LRU buffer pool and the columnar record store;
+:mod:`~repro.storage.codec` is the record codec of the WAL and the wire."""
 
 from .buffer import BufferPool, BufferStatistics
 from .columnar import ColumnarRecordStore

@@ -28,7 +28,9 @@ MANIFEST_NAME = "MANIFEST.json"
 #: 3: a tree is its packed per-level arrays (counts, corners, payloads; the
 #: leaf level counts and record ids only), not a node/entry graph; index
 #: documents carry the version themselves; specs name no tree variant.
-FORMAT_VERSION = 3
+#: 4: WAL records and object segments are binary codec messages (a JSON
+#: header plus little-endian float64 blocks), not JSON text.
+FORMAT_VERSION = 4
 
 
 def _fsync_directory(directory: str) -> None:

@@ -26,12 +26,17 @@ Two formats cover the catalog's relation kinds:
     re-populates the shared record store from the saved coefficients —
     **no FFT is recomputed on recovery**.
 
-``objects`` (provider relations: strings, generic feature objects)
-    One ``<stem>-objects.json`` holding fully encoded rows.
+``objects`` (every relation that is not all series: strings, generic
+feature objects, mixed rows)
+    One ``<stem>-objects.bin`` holding the fully encoded rows as one
+    :mod:`repro.storage.codec` message.
 
 The row codecs (:func:`encode_object` / :func:`decode_object`) are also
-what WAL insert records carry, so log replay and segment load agree on
-object identity (ids are explicit, never re-allocated).
+what WAL insert records and wire messages carry, so log replay, segment
+load and the server agree on object identity (ids are explicit, never
+re-allocated) and on every value's bits: a series' values and a generic
+object's features stay float64 arrays, which the codec writes as
+little-endian blocks.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ from ...core.errors import StorageError
 from ...core.objects import DataObject, GenericObject
 from ...strings.objects import StringObject
 from ...timeseries.series import TimeSeries
+from .. import codec
 from ..columnar import ColumnarRecordStore
 
 __all__ = ["ColumnSegment", "encode_object", "decode_object",
@@ -58,7 +64,11 @@ __all__ = ["ColumnSegment", "encode_object", "decode_object",
 # row codecs
 # ----------------------------------------------------------------------
 def _json_safe(value: Any, what: str) -> Any:
-    """Reject metadata that would not survive a JSON round trip, loudly."""
+    """Reject metadata that would not survive a JSON round trip, loudly.
+
+    The record codec refuses what JSON cannot carry too, but it carries a
+    numpy array as a block, so only this check keeps an array out of a
+    payload, a start or an attribute dict (and it names the object)."""
     try:
         json.dumps(value)
     except (TypeError, ValueError) as error:
@@ -69,19 +79,19 @@ def _json_safe(value: Any, what: str) -> Any:
 
 
 def encode_object(obj: DataObject) -> dict[str, Any]:
-    """One object as a JSON-safe record (explicit id — never re-allocated)."""
+    """One object as a codec record (explicit id — never re-allocated):
+    JSON-safe metadata, and the values or features as a float64 array."""
     base = {"id": int(obj.object_id), "name": obj.name,
             "payload": _json_safe(obj.payload, f"payload of object {obj.object_id}")}
     if isinstance(obj, TimeSeries):
-        base.update(type="timeseries", values=obj.values.tolist(),
+        base.update(type="timeseries", values=obj.values,
                     start=_json_safe(obj.start, f"start of object {obj.object_id}"))
         return base
     if isinstance(obj, StringObject):
         base.update(type="string", text=obj.text)
         return base
     if isinstance(obj, GenericObject):
-        base.update(type="generic",
-                    features=[float(v) for v in obj.feature_vector().values])
+        base.update(type="generic", features=obj.feature_vector().values)
         return base
     raise StorageError(
         f"objects of type {type(obj).__name__} have no durable encoding; "
@@ -105,7 +115,7 @@ def decode_object(record: dict[str, Any]) -> DataObject:
 
 
 def encode_row(row: Row) -> dict[str, Any]:
-    """A full relation row (object + attributes) as a JSON-safe record."""
+    """A full relation row (object + attributes) as a codec record."""
     record = encode_object(row.obj)
     if row.attributes:
         record["attributes"] = _json_safe(
@@ -147,7 +157,7 @@ class ColumnSegment:
         """The file names (relative to the relation directory) this segment
         owns — what a checkpoint's garbage sweep keeps."""
         if self.kind == "objects":
-            return [f"{self.stem}-objects.json"]
+            return [f"{self.stem}-objects.bin"]
         return [f"{self.stem}-{part}.npy"
                 for part in ("coeffs", "lengths", "means", "stds",
                              "values", "offsets")] + [f"{self.stem}-meta.json"]
@@ -171,8 +181,13 @@ def write_segment(directory: str, segment: ColumnSegment,
         return
     start, stop = segment.start, segment.start + segment.count
     if segment.kind == "objects":
-        _write_json(os.path.join(directory, f"{segment.stem}-objects.json"),
-                    {"rows": [encode_row(row) for row in rows]})
+        try:
+            payload = codec.encode({"rows": [encode_row(row) for row in rows]})
+        except codec.CodecError as error:
+            raise StorageError(
+                f"rows of {segment.relation!r} are not encodable: {error}") from error
+        with open(os.path.join(directory, f"{segment.stem}-objects.bin"), "wb") as handle:
+            handle.write(payload)
         return
     if store is None or len(store) < stop:
         raise StorageError(
@@ -231,11 +246,15 @@ def load_segment(directory: str, segment: ColumnSegment) -> LoadedSegment:
     """Reconstruct a span's rows (bit-exact values, original ids — and for
     columnar segments, the saved spectra, so no FFT is recomputed)."""
     if segment.kind == "objects":
-        path = os.path.join(directory, f"{segment.stem}-objects.json")
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+        path = os.path.join(directory, f"{segment.stem}-objects.bin")
+        with open(path, "rb") as handle:
+            payload = handle.read()
+        try:
+            records = codec.decode(payload)["rows"]
+        except (codec.CodecError, TypeError, LookupError) as error:
+            raise StorageError(f"object segment {path!r} does not decode: {error}") from error
         rows = [Row(decode_object(record), record.get("attributes"))
-                for record in data["rows"]]
+                for record in records]
         return LoadedSegment(segment, rows, None, None, None, None)
     stem = os.path.join(directory, segment.stem)
     coefficients = np.load(f"{stem}-coeffs.npy", mmap_mode="r")

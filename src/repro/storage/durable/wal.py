@@ -7,15 +7,18 @@ recovery replays the log tail on top of the last checkpointed snapshot.
 
 Record framing is deliberately minimal::
 
-    [u32 payload length][u32 crc32(payload)][payload: UTF-8 JSON]
+    [u32 payload length][u32 crc32(payload)][payload: one codec message]
 
-JSON keeps the payloads debuggable (``python -m json.tool`` on any frame)
-and — because :func:`json.dumps` serialises floats through ``repr`` —
-round-trips every float bit-exactly, which the bit-identical-recovery
-guarantee relies on.  The CRC is what makes a *torn tail* detectable:
-:meth:`WriteAheadLog.replay` stops at the first frame whose header is
-short, whose length overruns the file, or whose checksum or JSON does not
-verify, and everything before the tear is trusted.
+The payload is :mod:`repro.storage.codec`'s: a compact JSON header with
+every array (a series' values, a generic object's features) moved out into
+a little-endian float64 block, so a float is logged as its own eight bytes
+and recovery is bit-identical.  The CRC is what makes a *torn tail*
+detectable: :meth:`WriteAheadLog.replay` stops quietly at the first frame
+whose header is short, whose length overruns the file or is shorter than
+any payload (a zero-filled tail), or whose checksum does not verify, and everything before the tear is trusted.  A frame whose
+checksum verifies but whose payload does not decode was written whole by
+something else (another codec version, a bug) — that is a
+:class:`~repro.core.errors.StorageError`, never a silent end of the log.
 
 Durability knobs (``sync``):
 
@@ -34,7 +37,6 @@ Durability knobs (``sync``):
 
 from __future__ import annotations
 
-import json
 import os
 import struct
 import threading
@@ -43,6 +45,7 @@ import zlib
 from typing import Any, Callable
 
 from ...core.errors import StorageError
+from .. import codec
 
 __all__ = ["WriteAheadLog", "wal_filename"]
 
@@ -64,7 +67,7 @@ def wal_filename(epoch: int) -> str:
 
 
 class WriteAheadLog:
-    """An append-only log of JSON mutation records with CRC framing.
+    """An append-only log of mutation records with CRC framing.
 
     Parameters
     ----------
@@ -120,10 +123,9 @@ class WriteAheadLog:
         ``batch_interval_ms`` milliseconds, whichever comes first.
         """
         try:
-            payload = json.dumps(record, separators=(",", ":")).encode("utf-8")
-        except (TypeError, ValueError) as error:
-            raise StorageError(
-                f"WAL record is not JSON-serialisable: {error}") from error
+            payload = codec.encode(record)
+        except codec.CodecError as error:
+            raise StorageError(f"WAL record is not encodable: {error}") from error
         with self._lock:
             if self._file.closed:
                 raise StorageError(f"write-ahead log {self.path!r} is closed")
@@ -221,11 +223,13 @@ class WriteAheadLog:
         """Decode every intact record of a log file, in append order.
 
         Tolerant of a torn tail by design: a short header, a length that
-        overruns the remaining bytes, a CRC mismatch, or undecodable JSON
-        all mean "the crash landed mid-frame" — replay stops there and the
-        intact prefix is the recovered history.  A missing file is an
-        empty history (a checkpoint creates the next epoch's log before
-        any record lands in it).
+        overruns the remaining bytes or is shorter than any payload, or a
+        CRC mismatch all mean "the crash landed mid-frame" — replay stops there and the intact prefix is the
+        recovered history.  A record whose CRC verifies but which does not
+        decode to a dict is a :class:`StorageError` naming its offset: the
+        records after it were acknowledged, and dropping them quietly would
+        lose them.  A missing file is an empty history (a checkpoint creates
+        the next epoch's log before any record lands in it).
         """
         try:
             with open(path, "rb") as handle:
@@ -233,6 +237,7 @@ class WriteAheadLog:
         except FileNotFoundError:
             return []
         records: list[dict[str, Any]] = []
+        view = memoryview(data)
         offset = 0
         while offset + _HEADER.size <= len(data):
             length, checksum = _HEADER.unpack_from(data, offset)
@@ -240,15 +245,24 @@ class WriteAheadLog:
             stop = start + length
             if stop > len(data):
                 break  # torn frame: length written, payload incomplete
-            payload = data[start:stop]
+            if length < codec.MIN_PAYLOAD:
+                # No codec payload is this short: a zero-filled tail (the
+                # file's size reached disk, its data did not) reads as
+                # length 0 with crc32(b"") == 0, which would verify.
+                break
+            payload = view[start:stop]
             if zlib.crc32(payload) != checksum:
                 break  # torn or corrupt frame
             try:
-                record = json.loads(payload.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                break
+                record = codec.decode(payload)
+            except codec.CodecError as error:
+                raise StorageError(
+                    f"WAL record at offset {offset} of {path!r} verifies but "
+                    f"does not decode: {error}") from error
             if not isinstance(record, dict):
-                break
+                raise StorageError(
+                    f"WAL record at offset {offset} of {path!r} is a "
+                    f"{type(record).__name__}, not a record")
             records.append(record)
             offset = stop
         return records

@@ -24,6 +24,7 @@ import repro
 from repro import (
     BufferPool,
     ColumnarRecordStore,
+    GenericObject,
     KIndex,
     MetricIndex,
     PackedRTree,
@@ -131,6 +132,42 @@ class TestRoundTrip:
         reopened = repro.connect(path=path)
         assert reopened.database.deserialized_indexes == 1
         assert _answers(reopened, StringObject("mitten"), sql=sql) == expected
+        reopened.close()
+
+    @pytest.mark.parametrize("crash", [False, True])
+    def test_a_mixed_relation_reopens_bit_for_bit(self, tmp_path, crash):
+        """A relation that is not all series is an object segment, series
+        rows included: written at checkpoint, read at reopen (and, after a
+        crash, replayed from the log) with every value's bits, id, name,
+        payload and attributes as they were."""
+        walks = random_walk_collection(3, 16, seed=15)
+        rows = [*walks, StringObject("ab", payload={"k": [1, None]}),
+                GenericObject([-0.0, 5e-324, 1e308], name="g")]
+        path = str(tmp_path / "db")
+        database = DurableDatabase(path, wal_sync="always")
+        relation = database.create_relation("mixed", rows[:2])
+        relation.insert(rows[2], {"tag": "third"})
+        for obj in rows[3:]:
+            relation.insert(obj)
+        if not crash:
+            database.checkpoint()
+            segments = os.listdir(os.path.join(path, "segments", "mixed"))
+            assert segments == ["seg-00000000-000005-objects.bin"]
+        database.close()
+
+        reopened = DurableDatabase(path)
+        assert reopened.replayed_wal_records == (4 if crash else 0)
+        restored = list(reopened.relation("mixed").rows())
+        assert [row.obj.object_id for row in restored] == [obj.object_id for obj in rows]
+        for row, obj in zip(restored, rows):
+            assert type(row.obj) is type(obj) and row.obj.name == obj.name
+            assert row.obj.payload == obj.payload
+        assert [row.attributes for row in restored][2] == {"tag": "third"}
+        for row, walk in zip(restored, walks):
+            assert row.obj.values.tobytes() == walk.values.tobytes()
+        assert restored[3].obj.text == "ab"
+        assert restored[4].obj.feature_vector().values.tobytes() == \
+            rows[4].feature_vector().values.tobytes()
         reopened.close()
 
 
@@ -245,7 +282,7 @@ class TestIndexPageRoundTrip:
             tree = session.database.index("walks").tree
         page = os.path.join(path, "indexes", "walks", "default.json")
         document = json.load(open(page))
-        assert document["format_version"] == FORMAT_VERSION == 3
+        assert document["format_version"] == FORMAT_VERSION == 4
         assert "tree_kind" not in document and "paged" not in document
         (written,) = document["trees"]
         assert written["size"] == 300 and len(written["levels"]) == tree.height()

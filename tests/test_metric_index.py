@@ -60,6 +60,15 @@ class TestRangeQuery:
         with pytest.raises(ValueError):
             index.range_query(StringObject("abc"), -0.5)
 
+    def test_nan_epsilon_rejected(self, index):
+        """A NaN threshold passed ``epsilon < 0`` and answered nothing; it is
+        refused like a negative one, as ``KIndex`` and the scan refuse it."""
+        with pytest.raises(ValueError, match="non-negative"):
+            index.range_query(StringObject("abc"), float("nan"))
+        with pytest.raises(ValueError, match="non-negative"):
+            index.range_query_batch([StringObject("abc"), StringObject("ab")],
+                                    [1.0, float("nan")])
+
     def test_empty_index(self):
         empty = MetricIndex(weighted_edit_distance)
         assert len(empty) == 0
