@@ -1,20 +1,13 @@
 """The wire protocol: length-prefixed, CRC-framed codec messages.
 
-Framing is the same shape the write-ahead log uses (deliberately — one
-torn-frame discipline across the system)::
-
-    [u32 payload length][u32 crc32(payload)][payload: one codec message]
-
-Little-endian header; the payload is :mod:`repro.storage.codec`'s compact
-JSON header with every array moved out into a little-endian 8-byte block.
-A series sent as a query parameter or an inserted row, and the distances
-of an answer list, cross as their own float64 bytes, which the
-snapshot-read bit-identity guarantee leans on: a distance that crosses the
-wire decodes to the very float the executor computed.  The CRC makes torn
-and corrupted frames *detectable* instead of silently poisonous: a frame
-whose checksum does not verify raises
-:class:`~repro.core.errors.ProtocolError` at the receiving end, never
-yields a half-decoded message.
+A message crosses the wire as one :func:`repro.storage.codec.frame`, the
+frame of the write-ahead log and of every framed file (one torn-frame
+discipline across the system).  A series sent as a query parameter or an
+inserted row, and the distances of an answer list, cross as their own
+float64 bytes, which the snapshot-read bit-identity guarantee leans on.  A
+frame that is torn, fails its checksum or does not decode raises
+:class:`~repro.core.errors.ProtocolError` at the receiving end, never yields
+a half-decoded message.
 
 Both transport ends live here, each on a blocking socket: the server's
 reader (:func:`recv_request`: a clean hangup is not an error, and a frame
@@ -28,9 +21,7 @@ ids and names as JSON lists, distances as one block.
 from __future__ import annotations
 
 import socket
-import struct
 import time
-import zlib
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -54,9 +45,6 @@ __all__ = [
     "ObjectRef",
 ]
 
-#: Frame header: little-endian (payload length, crc32 of payload).
-_HEADER = struct.Struct("<II")
-
 #: Default upper bound on one frame's payload — a malformed or hostile
 #: length prefix must not make the receiver allocate unbounded memory.
 MAX_FRAME_BYTES = 16 * 1024 * 1024
@@ -68,28 +56,17 @@ MAX_FRAME_BYTES = 16 * 1024 * 1024
 def encode_frame(message: Mapping[str, Any]) -> bytes:
     """One message as a complete wire frame (header + codec payload)."""
     try:
-        payload = codec.encode(message)
+        framed = codec.frame(message)
     except codec.CodecError as error:
         raise ProtocolError(
-            f"message is not encodable as a JSON header plus array blocks: {error}") from error
-    if len(payload) > MAX_FRAME_BYTES:
+            f"message is not encodable as a JSON header plus array blocks: {error}"
+        ) from error
+    if len(framed) - codec.FRAME_HEADER > MAX_FRAME_BYTES:
         raise ProtocolError(
-            f"frame payload of {len(payload)} bytes exceeds the "
-            f"{MAX_FRAME_BYTES}-byte limit")
-    return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
-
-
-def _decode_payload(header: bytes, payload: bytes) -> dict[str, Any]:
-    length, checksum = _HEADER.unpack(header)
-    if zlib.crc32(payload) != checksum:
-        raise ProtocolError("frame checksum mismatch (corrupt or torn frame)")
-    try:
-        message = codec.decode(payload)
-    except codec.CodecError as error:
-        raise ProtocolError(f"frame payload does not decode: {error}") from error
-    if not isinstance(message, dict):
-        raise ProtocolError("frame payload must be a message object")
-    return message
+            f"frame payload of {len(framed) - codec.FRAME_HEADER} bytes exceeds the "
+            f"{MAX_FRAME_BYTES}-byte limit"
+        )
+    return framed
 
 
 def _recv_exactly(sock: socket.socket, count: int, deadline: float | None) -> bytes:
@@ -112,20 +89,27 @@ def _recv_exactly(sock: socket.socket, count: int, deadline: float | None) -> by
     return b"".join(chunks)
 
 
-def _finish_frame(sock: socket.socket, header: bytes, max_bytes: int,
-                  deadline: float | None) -> dict[str, Any]:
+def _finish_frame(
+    sock: socket.socket, header: bytes, max_bytes: int, deadline: float | None
+) -> dict[str, Any]:
     """The rest of a frame whose first bytes are ``header``."""
-    if len(header) < _HEADER.size:
-        header += _recv_exactly(sock, _HEADER.size - len(header), deadline)
-    length, _ = _HEADER.unpack(header)
+    if len(header) < codec.FRAME_HEADER:
+        header += _recv_exactly(sock, codec.FRAME_HEADER - len(header), deadline)
+    length = codec.frame_length(header)
     if length > max_bytes:
-        raise ProtocolError(
-            f"frame length {length} exceeds the {max_bytes}-byte limit")
-    return _decode_payload(header, _recv_exactly(sock, length, deadline))
+        raise ProtocolError(f"frame length {length} exceeds the {max_bytes}-byte limit")
+    try:
+        message, _ = codec.unframe(header + _recv_exactly(sock, length, deadline))
+    except codec.TornFrame as error:
+        raise ProtocolError(f"corrupt or torn frame: {error}") from error
+    except codec.CodecError as error:
+        raise ProtocolError(f"frame payload does not decode: {error}") from error
+    if not isinstance(message, dict):
+        raise ProtocolError("frame payload must be a message object")
+    return message
 
 
-def recv_frame(sock: socket.socket, *,
-               max_bytes: int = MAX_FRAME_BYTES) -> dict[str, Any]:
+def recv_frame(sock: socket.socket, *, max_bytes: int = MAX_FRAME_BYTES) -> dict[str, Any]:
     """Read one frame from a blocking socket (the client side).
 
     A clean EOF before any header byte raises
@@ -133,15 +117,19 @@ def recv_frame(sock: socket.socket, *,
     only reads when it expects a response, so *any* hangup there is a lost
     reply, never a normal shutdown.
     """
-    header = sock.recv(_HEADER.size)
+    header = sock.recv(codec.FRAME_HEADER)
     if not header:
         raise ProtocolError("connection closed before a response arrived")
     return _finish_frame(sock, header, max_bytes, None)
 
 
-def recv_request(sock: socket.socket, *, max_bytes: int = MAX_FRAME_BYTES,
-                 idle_timeout: float | None = None,
-                 frame_timeout: float | None = None) -> dict[str, Any] | None:
+def recv_request(
+    sock: socket.socket,
+    *,
+    max_bytes: int = MAX_FRAME_BYTES,
+    idle_timeout: float | None = None,
+    frame_timeout: float | None = None,
+) -> dict[str, Any] | None:
     """Read one frame from a blocking socket (the server side).
 
     Returns ``None`` on a clean EOF *between* frames (the peer hung up at a
@@ -155,7 +143,7 @@ def recv_request(sock: socket.socket, *, max_bytes: int = MAX_FRAME_BYTES,
     for the caller to map to its close policy.
     """
     sock.settimeout(idle_timeout)
-    header = sock.recv(_HEADER.size)
+    header = sock.recv(codec.FRAME_HEADER)
     if not header:
         return None  # clean EOF at a frame boundary
     sock.settimeout(frame_timeout)
@@ -210,7 +198,8 @@ def encode_param(value: Any) -> Any:
         return value
     raise ProtocolError(
         f"cannot send a {type(value).__name__} as a query parameter; "
-        "supported: data objects and JSON scalars")
+        "supported: data objects and JSON scalars"
+    )
 
 
 def decode_param(payload: Any, *, fresh_id: bool = False) -> Any:
@@ -240,8 +229,11 @@ def encode_answer(answer: tuple) -> dict[str, Any]:
     Whole answer lists go as columns instead (:func:`encode_answers`)."""
     if len(answer) == 3:
         left, right, distance = answer
-        return {"l": [left.object_id, left.name],
-                "r": [right.object_id, right.name], "d": float(distance)}
+        return {
+            "l": [left.object_id, left.name],
+            "r": [right.object_id, right.name],
+            "d": float(distance),
+        }
     obj, distance = answer
     return {"o": [obj.object_id, obj.name], "d": float(distance)}
 
@@ -265,14 +257,14 @@ def decode_answers(columns: Mapping[str, Any]) -> list[tuple]:
     """Invert :func:`encode_answers` into (:class:`ObjectRef`, distance)
     tuples, or (left, right, distance) for a join."""
     try:
-        names = ("ids", "names", "right_ids", "right_names") if "right_ids" in columns \
-            else ("ids", "names")
+        names = ("ids", "names", "right_ids", "right_names")
+        if "right_ids" not in columns:
+            names = names[:2]
         distances = columns["d"].tolist()
         lists = [columns[name] for name in names]
     except (KeyError, TypeError, AttributeError) as error:
         raise ProtocolError(f"malformed answer columns: {error!r}") from error
-    if not all(isinstance(column, list) and len(column) == len(distances)
-               for column in lists):
+    if not all(isinstance(column, list) and len(column) == len(distances) for column in lists):
         raise ProtocolError("answer columns are not lists of one length")
     sides = [map(ObjectRef, lists[i], lists[i + 1]) for i in range(0, len(lists), 2)]
     return list(zip(*sides, distances))

@@ -1,7 +1,8 @@
-"""The record codec: one compact JSON header plus little-endian array blocks.
+"""The record codec: one compact JSON header plus little-endian array blocks,
+and the checksummed frame around it.
 
-Every payload the system frames — a write-ahead log record, a wire message,
-an object segment — is one encoded message::
+Every message the system writes or sends — a write-ahead log record, a wire
+message, an index page, a segment's rows — is one encoded payload::
 
     [u8 version][u32 header length][header: compact JSON][pad to 8][blocks]
 
@@ -21,23 +22,48 @@ The key ``"\\x00"`` is reserved for references: a message in which user data
 (a payload, an attribute dict) uses it is refused at encode, so a decoder
 never takes user data for a block.  Decoded arrays are read-only views of the
 payload they came from.
+
+The log, the wire and every ``.bin`` file put one frame around a payload,
+``[u32 payload length][u32 crc32(payload)][payload]`` (little-endian):
+:func:`frame` writes it, :func:`unframe` reads it back.  A *torn* frame (a
+header cut short, a length that overruns the bytes or is shorter than any
+payload, a checksum that does not verify) is a :class:`TornFrame`; a frame
+that verifies but does not decode is a plain :class:`CodecError`.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+import zlib
 from typing import Any
 
 import numpy as np
 
-__all__ = ["CODEC_VERSION", "MIN_PAYLOAD", "CodecError", "encode", "decode"]
+__all__ = [
+    "CODEC_VERSION",
+    "FRAME_HEADER",
+    "MIN_PAYLOAD",
+    "CodecError",
+    "TornFrame",
+    "encode",
+    "decode",
+    "frame",
+    "frame_length",
+    "unframe",
+]
 
 #: The payload layout version (the first byte of every payload).
 CODEC_VERSION = 1
 
 #: Payload prefix: little-endian (codec version, header length).
 _PREFIX = struct.Struct("<BI")
+
+#: Frame header: little-endian (payload length, crc32 of the payload).
+_FRAME = struct.Struct("<II")
+
+#: Bytes a frame holds before its payload.
+FRAME_HEADER = _FRAME.size
 
 #: The shortest payload :func:`encode` writes: the prefix and a header of at
 #: least one byte, padded to 8.
@@ -53,6 +79,11 @@ _DTYPES = {"f8": np.dtype("<f8"), "i8": np.dtype("<i8")}
 
 class CodecError(ValueError):
     """A message that cannot be encoded, or a payload that does not decode."""
+
+
+class TornFrame(CodecError):
+    """A frame that was not written whole, or was damaged since: its header is
+    cut short, its length does not fit, or its checksum does not verify."""
 
 
 def _block_start(header_length: int) -> int:
@@ -143,3 +174,39 @@ def decode(payload: bytes | memoryview) -> Any:
     if cursor != area:
         raise CodecError(f"references cover {cursor} of {area} block bytes")
     return message
+
+
+def frame(message: Any) -> bytes:
+    """One message as a frame: its header, then its payload."""
+    payload = encode(message)
+    return _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
+
+
+def frame_length(header: bytes) -> int:
+    """The payload length a frame announces in its first
+    :data:`FRAME_HEADER` bytes (a socket reader bounds it before reading on)."""
+    return _FRAME.unpack_from(header)[0]
+
+
+def unframe(data: bytes | memoryview, offset: int = 0) -> tuple[Any, int]:
+    """The message of the frame at ``data[offset:]``, and the offset where that
+    frame ends.  A torn frame is a :class:`TornFrame`; a frame that verifies
+    but does not decode is a :class:`CodecError`."""
+    view = memoryview(data)
+    if offset + _FRAME.size > len(view):
+        raise TornFrame(f"frame header at byte {offset} is cut short")
+    length, checksum = _FRAME.unpack_from(view, offset)
+    start = offset + _FRAME.size
+    if start + length > len(view):
+        raise TornFrame(
+            f"frame of {length} bytes overruns the {len(view) - start} bytes after its header"
+        )
+    if length < MIN_PAYLOAD:
+        # No payload is this short: a zero-filled tail (a file whose size
+        # reached the disk and whose data did not) reads as length 0 with
+        # crc32(b"") == 0, which would verify.
+        raise TornFrame(f"frame length {length} is shorter than any payload")
+    payload = view[start : start + length]
+    if zlib.crc32(payload) != checksum:
+        raise TornFrame("frame checksum does not verify")
+    return decode(payload), start + length

@@ -4,10 +4,12 @@
 catalog lives in a directory::
 
     <path>/
-      MANIFEST.json                    # atomically-swapped recovery root
+      MANIFEST.json                    # atomically-swapped recovery root (JSON)
       wal-<epoch>.log                  # the current epoch's write-ahead log
-      segments/<relation>/seg-*        # partition-aligned columnar segments
-      indexes/<relation>/<name>.json   # serialized index structures
+      segments/<relation>/seg-*        # partition-aligned segments
+      indexes/<relation>/<name>.bin    # serialized index structures
+
+The log and every ``.bin`` file are :func:`repro.storage.codec.frame` frames.
 
 Every mutation appends a WAL record *before* returning (fsync policy per
 ``wal_sync``); :meth:`checkpoint` persists segments and serialized
@@ -27,7 +29,6 @@ hit rate the cost model consumes — is measured against the mappings.
 
 from __future__ import annotations
 
-import json
 import os
 import weakref
 from typing import Any, Callable, Iterable, Mapping
@@ -38,15 +39,15 @@ from ...core.database import Database, DistanceProvider, Relation, Row
 from ...core.errors import StorageError
 from ...core.objects import DataObject, _DEFAULT_ALLOCATOR
 from ...core.rules import TransformationRuleSet
+from .. import codec
 from ..buffer import BufferPool
 from ..columnar import ColumnarRecordStore
 from ..partition import DEFAULT_PARTITION_ROWS, partition_spans
-from .manifest import load_manifest, write_manifest
+from .manifest import load_manifest, replace_atomically, write_manifest
 from .mmapstore import SegmentPageStore
-from .segments import (ColumnSegment, decode_object, encode_row, load_segment,
+from .segments import (ColumnSegment, decode_row, encode_row, load_segments,
                        relation_kind, write_segment)
-from .serde import (build_index_from_spec, deserialize_index, index_spec,
-                    serialize_index)
+from .serde import build_index_from_spec, index_spec, load_index_page, serialize_index
 from .wal import SYNC_MODES, WriteAheadLog, wal_filename
 
 __all__ = ["DurableDatabase", "DurableRelation", "register_provider_factory"]
@@ -81,6 +82,12 @@ def register_provider_factory(name: str,
                               factory: Callable[[], DistanceProvider]) -> None:
     """Teach durable catalogs to reconstruct a provider by name."""
     PROVIDER_FACTORIES[str(name)] = factory
+
+
+def _segments(name: str, entry: dict[str, Any]) -> list[ColumnSegment]:
+    """The segments a relation's manifest entry names."""
+    return [ColumnSegment(name, segment["start"], segment["count"], entry["kind"])
+            for segment in entry["segments"]]
 
 
 class DurableRelation(Relation):
@@ -299,14 +306,9 @@ class DurableDatabase(Database):
             index_directory = os.path.join(self.path, "indexes", name)
             for index_name, index in self.indexes_on(name).items():
                 os.makedirs(index_directory, exist_ok=True)
-                file_name = f"{index_name}.json"
-                target = os.path.join(index_directory, file_name)
-                with open(target + ".tmp", "w", encoding="utf-8") as handle:
-                    json.dump(serialize_index(index), handle,
-                              separators=(",", ":"))
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                os.replace(target + ".tmp", target)
+                file_name = f"{index_name}.bin"
+                replace_atomically(os.path.join(index_directory, file_name),
+                                   codec.frame(serialize_index(index)))
                 index_files[index_name] = file_name
             provider = self._distance_providers.get(name)
             relations_manifest[name] = {
@@ -365,26 +367,22 @@ class DurableDatabase(Database):
 
     def _recover_relation(self, name: str, entry: dict[str, Any]) -> None:
         directory = self._segment_directory(name)
-        loaded = [load_segment(directory,
-                               ColumnSegment(name, segment["start"],
-                                             segment["count"], entry["kind"]))
-                  for segment in entry["segments"]]
-        rows = [row for segment in loaded for row in segment.rows]
+        # Segment files are outside input, like index pages: whatever is
+        # wrong with them is one typed error naming the files (load_segments
+        # names the very file where it can tell), raised before anything is
+        # registered.
+        try:
+            rows, store = load_segments(directory, _segments(name, entry))
+        except (ValueError, LookupError, TypeError, AttributeError) as error:
+            raise StorageError(f"segment files of {name!r} in {directory!r} are "
+                               f"inconsistent: {error}") from error
         if len(rows) != int(entry["count"]):
             raise StorageError(
                 f"relation {name!r} recovered {len(rows)} rows, manifest "
                 f"says {entry['count']}")
         relation = self.create_relation(name, rows)
         relation.version = max(relation.version, int(entry.get("version", 0)))
-        store: ColumnarRecordStore | None = None
-        if entry["kind"] == "columnar":
-            # Rebuild the shared record store from the saved spectra — the
-            # append path with explicit coefficients never runs an FFT.
-            store = ColumnarRecordStore()
-            for segment in loaded:
-                store.bulk_load([row.obj for row in segment.rows],
-                                segment.coefficients, segment.lengths,
-                                segment.means, segment.stds)
+        if store is not None:
             # Prime the catalog's store cache: scans, samplers and adopted
             # k-indexes all read these arrays (and these series objects).
             self._columnar[name] = (relation, relation.version, store, True)
@@ -403,21 +401,8 @@ class DurableDatabase(Database):
             path = os.path.join(self.path, "indexes", name, file_name)
             distance = (self._distance_providers[name].distance
                         if name in self._distance_providers else None)
-            # The page is outside input: whatever is wrong with it — cut
-            # short, not JSON, a field missing or of the wrong type, a
-            # structure the decoder's checks refuse — is one typed error
-            # naming the file, raised before the index is registered.
-            try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    payload = json.load(handle)
-                index = deserialize_index(payload, store=store,
-                                          objects=relation.objects(),
-                                          distance=distance)
-            except (OSError, ValueError, LookupError, TypeError, AttributeError,
-                    StorageError) as error:
-                raise StorageError(
-                    f"index page {path!r} is unreadable or inconsistent: "
-                    f"{error}") from error
+            index = load_index_page(path, store=store, objects=relation.objects(),
+                                    distance=distance)
             self.register_index(name, index, index_name)
             self.deserialized_indexes += 1
 
@@ -425,14 +410,12 @@ class DurableDatabase(Database):
         """Replay one WAL record (mirrors the live mutation paths)."""
         op = record.get("op")
         if op == "create_relation":
-            self.create_relation(record["name"],
-                                 [self._decode_row(encoded)
-                                  for encoded in record["rows"]])
+            self.create_relation(record["name"], [decode_row(row) for row in record["rows"]])
         elif op == "drop_relation":
             self.drop_relation(record["name"])
         elif op == "insert":
             relation = self.relation(record["relation"])
-            rows = [self._decode_row(encoded) for encoded in record["rows"]]
+            rows = [decode_row(encoded) for encoded in record["rows"]]
             prepared = relation._prepare_batch(rows)
             for index in self.indexes_on(record["relation"]).values():
                 index.extend([row.obj for row in prepared])
@@ -460,10 +443,6 @@ class DurableDatabase(Database):
             self.drop_distance(record["relation"])
         else:
             raise StorageError(f"unknown WAL operation {op!r}")
-
-    @staticmethod
-    def _decode_row(encoded: dict[str, Any]) -> Row:
-        return Row(decode_object(encoded), encoded.get("attributes"))
 
     # ------------------------------------------------------------------
     # measured scan I/O
@@ -505,13 +484,8 @@ class DurableDatabase(Database):
             if entry["kind"] != "columnar":
                 continue
             directory = self._segment_directory(name)
-            arrays = []
-            for segment in entry["segments"]:
-                stem = ColumnSegment(name, segment["start"],
-                                     segment["count"], "columnar").stem
-                arrays.append(np.load(os.path.join(directory,
-                                                   f"{stem}-coeffs.npy"),
-                                      mmap_mode="r"))
+            arrays = [np.load(os.path.join(directory, f"{segment.stem}-coeffs.npy"),
+                              mmap_mode="r") for segment in _segments(name, entry)]
             if arrays:
                 self._segment_arrays[name] = arrays
 
@@ -561,15 +535,8 @@ class DurableDatabase(Database):
     @staticmethod
     def _live_segment_files(relations_manifest: dict[str, Any]
                             ) -> dict[str, set[str]]:
-        live: dict[str, set[str]] = {}
-        for name, entry in relations_manifest.items():
-            files: set[str] = set()
-            for segment in entry["segments"]:
-                files.update(ColumnSegment(name, segment["start"],
-                                           segment["count"],
-                                           entry["kind"]).files())
-            live[name] = files
-        return live
+        return {name: {file for segment in _segments(name, entry) for file in segment.files()}
+                for name, entry in relations_manifest.items()}
 
     @staticmethod
     def _live_index_files(relations_manifest: dict[str, Any]

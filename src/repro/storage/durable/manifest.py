@@ -7,6 +7,10 @@ replay.  It is replaced with the classic write-new-then-rename protocol —
 write ``MANIFEST.json.tmp``, ``fsync`` it, ``os.replace`` over the real
 name, then ``fsync`` the directory — so a crash at any point leaves either
 the old complete manifest or the new complete manifest, never a hybrid.
+
+It stays indented JSON, where every other file but the segments' ``.npy``
+arrays is a codec frame, on purpose: it is tiny, the swap rules out a torn
+one, and a person reading a directory starts here.
 """
 
 from __future__ import annotations
@@ -17,20 +21,16 @@ from typing import Any
 
 from ...core.errors import StorageError
 
-__all__ = ["MANIFEST_NAME", "FORMAT_VERSION", "write_manifest", "load_manifest"]
+__all__ = ["MANIFEST_NAME", "FORMAT_VERSION", "replace_atomically", "write_manifest",
+           "load_manifest"]
 
 MANIFEST_NAME = "MANIFEST.json"
 
 #: Bumped on any incompatible layout change; recovery refuses every other
-#: version, older ones included — there is one decoder.
-#: 2: a k-index document holds its construction spec, its points and a list
-#: of the trees it has (the rows beyond them are its unindexed tail).
-#: 3: a tree is its packed per-level arrays (counts, corners, payloads; the
-#: leaf level counts and record ids only), not a node/entry graph; index
-#: documents carry the version themselves; specs name no tree variant.
-#: 4: WAL records and object segments are binary codec messages (a JSON
-#: header plus little-endian float64 blocks), not JSON text.
-FORMAT_VERSION = 4
+#: version, older ones included — there is one decoder.  Version 5: WAL
+#: records, index pages and segment rows are framed codec messages, and
+#: ``-coeffs.npy`` / ``-values.npy`` are the only other data files.
+FORMAT_VERSION = 5
 
 
 def _fsync_directory(directory: str) -> None:
@@ -49,18 +49,22 @@ def _fsync_directory(directory: str) -> None:
         os.close(fd)
 
 
-def write_manifest(root: str, manifest: dict[str, Any]) -> None:
-    """Atomically install a manifest (write-new, fsync, rename, fsync dir)."""
-    manifest = dict(manifest)
-    manifest["format_version"] = FORMAT_VERSION
-    path = os.path.join(root, MANIFEST_NAME)
+def replace_atomically(path: str, data: bytes) -> None:
+    """Install ``data`` at ``path`` whole or not at all (write-new, fsync,
+    rename, fsync the directory)."""
     temporary = path + ".tmp"
-    with open(temporary, "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=1)
+    with open(temporary, "wb") as handle:
+        handle.write(data)
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(temporary, path)
-    _fsync_directory(root)
+    _fsync_directory(os.path.dirname(path))
+
+
+def write_manifest(root: str, manifest: dict[str, Any]) -> None:
+    """Atomically install a manifest."""
+    text = json.dumps({**manifest, "format_version": FORMAT_VERSION}, indent=1)
+    replace_atomically(os.path.join(root, MANIFEST_NAME), text.encode("utf-8"))
 
 
 def load_manifest(root: str) -> dict[str, Any] | None:

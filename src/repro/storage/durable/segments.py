@@ -11,16 +11,17 @@ checkpoint therefore re-serialises at most one partition's worth of rows.
 Two formats cover the catalog's relation kinds:
 
 ``columnar`` (relations of :class:`~repro.timeseries.TimeSeries`)
-    The natural serialisation of :class:`~repro.storage.columnar
-    .ColumnarRecordStore`'s contiguous arrays, one ``.npy`` file per
-    column (loaded back with ``mmap_mode="r"`` so reads are demand-paged):
+    The two data-sized arrays of :class:`~repro.storage.columnar
+    .ColumnarRecordStore` as ``.npy`` files (loaded back with
+    ``mmap_mode="r"`` where reads are demand-paged), and everything else in
+    one framed codec message:
 
     * ``<stem>-coeffs.npy`` — complex DFT coefficient rows, span-local width
-    * ``<stem>-lengths.npy`` / ``-means.npy`` / ``-stds.npy`` — per-row stats
     * ``<stem>-values.npy`` — the raw observations, one float64 blob
-    * ``<stem>-offsets.npy`` — prefix offsets into the blob (``count + 1``)
-    * ``<stem>-meta.json`` — per-row metadata (id, name, start, payload,
-      row attributes)
+    * ``<stem>-rows.bin`` — per-row ids (an int64 block), names, starts,
+      payloads and attributes, and the ``lengths`` / ``means`` / ``stds``
+      columns and the ``offsets`` of each row's values in the blob
+      (``count + 1`` prefix offsets)
 
     Reopening reconstructs each series bit-exactly from the blob and
     re-populates the shared record store from the saved coefficients —
@@ -28,20 +29,22 @@ Two formats cover the catalog's relation kinds:
 
 ``objects`` (every relation that is not all series: strings, generic
 feature objects, mixed rows)
-    One ``<stem>-objects.bin`` holding the fully encoded rows as one
-    :mod:`repro.storage.codec` message.
+    One ``<stem>-objects.bin`` holding the fully encoded rows as one framed
+    codec message.
 
-The row codecs (:func:`encode_object` / :func:`decode_object`) are also
-what WAL insert records and wire messages carry, so log replay, segment
-load and the server agree on object identity (ids are explicit, never
-re-allocated) and on every value's bits: a series' values and a generic
-object's features stay float64 arrays, which the codec writes as
+Every ``.bin`` file is one :func:`repro.storage.codec.frame`, read back
+through :func:`read_framed`: a file that is missing, torn, longer than its
+frame or does not decode is a :class:`~repro.core.errors.StorageError`
+naming it.  The row codecs (:func:`encode_object` / :func:`decode_object`)
+are also what WAL insert records and wire messages carry, so log replay,
+segment load and the server agree on object identity (ids are explicit,
+never re-allocated) and on every value's bits: a series' values and a
+generic object's features stay float64 arrays, which the codec writes as
 little-endian blocks.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from typing import Any
@@ -56,36 +59,40 @@ from ...timeseries.series import TimeSeries
 from .. import codec
 from ..columnar import ColumnarRecordStore
 
-__all__ = ["ColumnSegment", "encode_object", "decode_object",
-           "write_segment", "load_segment", "segment_stem"]
+__all__ = ["ColumnSegment", "encode_object", "decode_object", "write_segment", "load_segments"]
 
 
 # ----------------------------------------------------------------------
 # row codecs
 # ----------------------------------------------------------------------
-def _json_safe(value: Any, what: str) -> Any:
-    """Reject metadata that would not survive a JSON round trip, loudly.
-
-    The record codec refuses what JSON cannot carry too, but it carries a
-    numpy array as a block, so only this check keeps an array out of a
-    payload, a start or an attribute dict (and it names the object)."""
-    try:
-        json.dumps(value)
-    except (TypeError, ValueError) as error:
+def _metadata(value: Any, what: str, obj: DataObject) -> Any:
+    """``value`` (``obj``'s payload, start or attributes), refused naming the
+    object when a numpy array hides in it: the codec would carry the array
+    as a block and hand back a read-only array where a list was meant.
+    Anything else the codec cannot carry it refuses itself, at encode."""
+    if isinstance(value, np.ndarray):
         raise StorageError(
-            f"{what} is not JSON-serialisable and cannot be persisted: "
-            f"{error}") from error
+            f"{what} of object {obj.object_id} holds a numpy array and cannot be persisted"
+        )
+    if isinstance(value, dict):
+        for item in value.values():
+            _metadata(item, what, obj)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            _metadata(item, what, obj)
     return value
 
 
 def encode_object(obj: DataObject) -> dict[str, Any]:
     """One object as a codec record (explicit id — never re-allocated):
     JSON-safe metadata, and the values or features as a float64 array."""
-    base = {"id": int(obj.object_id), "name": obj.name,
-            "payload": _json_safe(obj.payload, f"payload of object {obj.object_id}")}
+    base = {
+        "id": int(obj.object_id),
+        "name": obj.name,
+        "payload": _metadata(obj.payload, "payload", obj),
+    }
     if isinstance(obj, TimeSeries):
-        base.update(type="timeseries", values=obj.values,
-                    start=_json_safe(obj.start, f"start of object {obj.object_id}"))
+        base.update(type="timeseries", values=obj.values, start=_metadata(obj.start, "start", obj))
         return base
     if isinstance(obj, StringObject):
         base.update(type="string", text=obj.text)
@@ -95,32 +102,34 @@ def encode_object(obj: DataObject) -> dict[str, Any]:
         return base
     raise StorageError(
         f"objects of type {type(obj).__name__} have no durable encoding; "
-        "durable relations hold TimeSeries, StringObject or GenericObject rows")
+        "durable relations hold TimeSeries, StringObject or GenericObject rows"
+    )
 
 
 def decode_object(record: dict[str, Any]) -> DataObject:
     """Reconstruct an object from :func:`encode_object`'s record."""
     kind = record.get("type")
+    if kind not in ("timeseries", "string", "generic"):
+        raise StorageError(f"unknown durable object type {kind!r}")
+    common = {"name": record["name"], "object_id": record["id"], "payload": record.get("payload")}
     if kind == "timeseries":
-        return TimeSeries(record["values"], name=record["name"],
-                          start=record.get("start"), object_id=record["id"],
-                          payload=record.get("payload"))
+        return TimeSeries(record["values"], start=record.get("start"), **common)
     if kind == "string":
-        return StringObject(record["text"], name=record["name"],
-                            object_id=record["id"], payload=record.get("payload"))
-    if kind == "generic":
-        return GenericObject(record["features"], name=record["name"],
-                             object_id=record["id"], payload=record.get("payload"))
-    raise StorageError(f"unknown durable object type {kind!r}")
+        return StringObject(record["text"], **common)
+    return GenericObject(record["features"], **common)
 
 
 def encode_row(row: Row) -> dict[str, Any]:
     """A full relation row (object + attributes) as a codec record."""
     record = encode_object(row.obj)
     if row.attributes:
-        record["attributes"] = _json_safe(
-            row.attributes, f"attributes of object {row.obj.object_id}")
+        record["attributes"] = _metadata(row.attributes, "attributes", row.obj)
     return record
+
+
+def decode_row(record: dict[str, Any]) -> Row:
+    """Invert :func:`encode_row`."""
+    return Row(decode_object(record), record.get("attributes"))
 
 
 def relation_kind(relation: Relation) -> str:
@@ -132,14 +141,42 @@ def relation_kind(relation: Relation) -> str:
 
 
 # ----------------------------------------------------------------------
+# framed files
+# ----------------------------------------------------------------------
+def read_framed(path: str) -> Any:
+    """The one message a framed file holds.  A file that cannot be read, is
+    torn, holds bytes after its frame or does not decode is a
+    :class:`StorageError` naming it."""
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+        message, stop = codec.unframe(data)
+    except (OSError, codec.CodecError) as error:
+        raise StorageError(f"{path!r} is unreadable: {error}") from error
+    if stop != len(data):
+        raise StorageError(f"{path!r} holds {len(data) - stop} bytes after its frame")
+    return message
+
+
+def _write_framed(path: str, message: dict[str, Any], relation: str) -> None:
+    try:
+        framed = codec.frame(message)
+    except codec.CodecError as error:
+        raise StorageError(f"rows of {relation!r} are not encodable: {error}") from error
+    with open(path, "wb") as handle:
+        handle.write(framed)
+
+
+def _load_array(path: str, **options: Any) -> np.ndarray:
+    try:
+        return np.load(path, allow_pickle=False, **options)
+    except (OSError, ValueError, EOFError) as error:
+        raise StorageError(f"{path!r} is unreadable: {error}") from error
+
+
+# ----------------------------------------------------------------------
 # segments
 # ----------------------------------------------------------------------
-def segment_stem(start: int, count: int) -> str:
-    """File-name stem of a span's segment (count in the name means a grown
-    tail span lands under a fresh stem instead of mutating files in place)."""
-    return f"seg-{int(start):08d}-{int(count):06d}"
-
-
 @dataclass(frozen=True)
 class ColumnSegment:
     """Descriptor of one persisted row span of a relation."""
@@ -151,134 +188,131 @@ class ColumnSegment:
 
     @property
     def stem(self) -> str:
-        return segment_stem(self.start, self.count)
+        """File-name stem (the count in the name makes a grown tail span land
+        under a fresh stem instead of mutating files in place)."""
+        return f"seg-{int(self.start):08d}-{int(self.count):06d}"
 
     def files(self) -> list[str]:
         """The file names (relative to the relation directory) this segment
-        owns — what a checkpoint's garbage sweep keeps."""
+        owns — what a checkpoint's garbage sweep keeps.  The last one is
+        written last: once it exists, the segment is whole."""
         if self.kind == "objects":
             return [f"{self.stem}-objects.bin"]
-        return [f"{self.stem}-{part}.npy"
-                for part in ("coeffs", "lengths", "means", "stds",
-                             "values", "offsets")] + [f"{self.stem}-meta.json"]
+        return [f"{self.stem}-coeffs.npy", f"{self.stem}-values.npy", f"{self.stem}-rows.bin"]
 
 
-def _write_json(path: str, value: Any) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(value, handle, separators=(",", ":"))
-
-
-def write_segment(directory: str, segment: ColumnSegment,
-                  rows: list[Row], store: ColumnarRecordStore | None) -> None:
+def write_segment(
+    directory: str, segment: ColumnSegment, rows: list[Row], store: ColumnarRecordStore | None
+) -> None:
     """Persist one span.  Existing files under the segment's stem are
     trusted: full spans are immutable (same stem ⇒ same contents by
     construction) and a grown tail has a new stem, so rewriting is skipped
-    whenever the marker file is already present."""
+    whenever the segment's last file is already present."""
     os.makedirs(directory, exist_ok=True)
-    marker = os.path.join(directory, segment.files()[-1] if segment.kind == "columnar"
-                          else segment.files()[0])
+    *arrays, marker = (os.path.join(directory, name) for name in segment.files())
     if os.path.exists(marker):
         return
-    start, stop = segment.start, segment.start + segment.count
     if segment.kind == "objects":
-        try:
-            payload = codec.encode({"rows": [encode_row(row) for row in rows]})
-        except codec.CodecError as error:
-            raise StorageError(
-                f"rows of {segment.relation!r} are not encodable: {error}") from error
-        with open(os.path.join(directory, f"{segment.stem}-objects.bin"), "wb") as handle:
-            handle.write(payload)
+        _write_framed(marker, {"rows": [encode_row(row) for row in rows]}, segment.relation)
         return
+    start, stop = segment.start, segment.start + segment.count
     if store is None or len(store) < stop:
         raise StorageError(
             f"columnar segment [{start}, {stop}) of {segment.relation!r} "
-            "has no backing record store")
+            "has no backing record store"
+        )
     lengths = store.lengths[start:stop]
     width = int(lengths.max()) if segment.count else 0
-    np.save(os.path.join(directory, f"{segment.stem}-coeffs.npy"),
-            np.ascontiguousarray(store.coefficients[start:stop, :width]))
-    np.save(os.path.join(directory, f"{segment.stem}-lengths.npy"),
-            np.ascontiguousarray(lengths))
-    np.save(os.path.join(directory, f"{segment.stem}-means.npy"),
-            np.ascontiguousarray(store.means[start:stop]))
-    np.save(os.path.join(directory, f"{segment.stem}-stds.npy"),
-            np.ascontiguousarray(store.stds[start:stop]))
-    blobs = [row.obj.values for row in rows]
-    offsets = np.zeros(len(blobs) + 1, dtype=np.intp)
-    np.cumsum([blob.shape[0] for blob in blobs], out=offsets[1:])
-    np.save(os.path.join(directory, f"{segment.stem}-values.npy"),
-            np.concatenate(blobs) if blobs else np.zeros(0, dtype=np.float64))
-    np.save(os.path.join(directory, f"{segment.stem}-offsets.npy"), offsets)
-    # Metadata is columnar too — flat parallel lists parse an order of
-    # magnitude faster than one dict per row, and recovery latency is
-    # exactly this file's parse time plus array loads.
-    meta = {
-        "ids": [int(row.obj.object_id) for row in rows],
-        "names": [row.obj.name for row in rows],
-        "starts": [_json_safe(row.obj.start,
-                              f"start of object {row.obj.object_id}")
-                   for row in rows],
-        "payloads": [_json_safe(row.obj.payload,
-                                f"payload of object {row.obj.object_id}")
-                     for row in rows],
-        "attributes": [_json_safe(row.attributes,
-                                  f"attributes of object {row.obj.object_id}")
-                       if row.attributes else None for row in rows],
+    objects = [row.obj for row in rows]
+    values = [obj.values for obj in objects]
+    offsets = np.zeros(len(values) + 1, dtype=np.int64)
+    np.cumsum([len(blob) for blob in values], out=offsets[1:])
+    coeffs_path, values_path = arrays
+    np.save(coeffs_path, np.ascontiguousarray(store.coefficients[start:stop, :width]))
+    np.save(values_path, np.concatenate(values) if values else np.zeros(0, dtype=np.float64))
+    # Metadata is columnar: flat parallel lists and blocks decode an order
+    # of magnitude faster than one dict per row, and recovery latency is
+    # this file's decode time plus the array loads.  (Column by column, not
+    # from ``encode_row`` records: a dict per row made peak RSS bimodal.)
+    columns = {
+        "ids": np.array([obj.object_id for obj in objects], dtype=np.int64),
+        "names": [obj.name for obj in objects],
+        "starts": [_metadata(obj.start, "start", obj) for obj in objects],
+        "payloads": [_metadata(obj.payload, "payload", obj) for obj in objects],
+        "attributes": [_metadata(row.attributes, "attributes", row.obj) or None for row in rows],
+        "lengths": lengths,
+        "means": store.means[start:stop],
+        "stds": store.stds[start:stop],
+        "offsets": offsets,
     }
-    _write_json(os.path.join(directory, f"{segment.stem}-meta.json"), meta)
+    _write_framed(marker, columns, segment.relation)
 
 
-@dataclass
-class LoadedSegment:
-    """One segment's rows back in memory (arrays still memory-mapped)."""
+def load_segments(
+    directory: str, segments: list[ColumnSegment]
+) -> tuple[list[Row], ColumnarRecordStore | None]:
+    """A relation's rows, segment after segment (bit-exact values, original
+    ids), and for columnar segments the record store of their saved spectra,
+    so no FFT is recomputed.  A file that is damaged, or that disagrees with
+    the others or with the manifest's row count, is a :class:`StorageError`
+    naming it."""
+    loaded = [_load_segment(directory, segment) for segment in segments]
+    rows = [row for segment_rows, _ in loaded for row in segment_rows]
+    spectra = [spectrum for _, spectrum in loaded if spectrum is not None]
+    if not spectra:
+        return rows, None
+    # One matrix at its final size, which the store keeps: a store grown a
+    # segment at a time doubles, and the blocks it frees among the rows'
+    # small arrays left peak RSS different from one run to the next.
+    width = max(coefficients.shape[1] for coefficients, *_ in spectra)
+    matrix = np.zeros((len(rows), width), dtype=np.complex128)
+    start = 0
+    for coefficients, *_ in spectra:
+        matrix[start : start + len(coefficients), : coefficients.shape[1]] = coefficients
+        start += len(coefficients)
+    lengths, means, stds = (np.concatenate(column) for column in list(zip(*spectra))[1:])
+    store = ColumnarRecordStore()
+    store.bulk_load([row.obj for row in rows], matrix, lengths, means, stds)
+    return rows, store
 
-    segment: ColumnSegment
-    rows: list[Row]
-    #: Memory-mapped coefficient rows (``None`` for object segments); kept
-    #: alive by the engine's page store so scans charge real device reads.
-    coefficients: np.ndarray | None
-    lengths: np.ndarray | None
-    means: np.ndarray | None
-    stds: np.ndarray | None
 
-
-def load_segment(directory: str, segment: ColumnSegment) -> LoadedSegment:
-    """Reconstruct a span's rows (bit-exact values, original ids — and for
-    columnar segments, the saved spectra, so no FFT is recomputed)."""
+def _load_segment(directory: str, segment: ColumnSegment) -> tuple[list[Row], tuple | None]:
+    """One segment's rows and, when it is columnar, its saved
+    ``(coefficients, lengths, means, stds)``."""
+    paths = [os.path.join(directory, name) for name in segment.files()]
+    count = segment.count
     if segment.kind == "objects":
-        path = os.path.join(directory, f"{segment.stem}-objects.bin")
-        with open(path, "rb") as handle:
-            payload = handle.read()
-        try:
-            records = codec.decode(payload)["rows"]
-        except (codec.CodecError, TypeError, LookupError) as error:
-            raise StorageError(f"object segment {path!r} does not decode: {error}") from error
-        rows = [Row(decode_object(record), record.get("attributes"))
-                for record in records]
-        return LoadedSegment(segment, rows, None, None, None, None)
-    stem = os.path.join(directory, segment.stem)
-    coefficients = np.load(f"{stem}-coeffs.npy", mmap_mode="r")
-    lengths = np.load(f"{stem}-lengths.npy")
-    means = np.load(f"{stem}-means.npy")
-    stds = np.load(f"{stem}-stds.npy")
+        (path,) = paths
+        records = read_framed(path)["rows"]
+        if len(records) != count:
+            raise StorageError(f"{path!r} does not hold {count} rows")
+        return [decode_row(record) for record in records], None
+    coeffs_path, values_path, rows_path = paths
+    columns = read_framed(rows_path)
+    keys = ("ids", "names", "starts", "payloads", "attributes", "lengths", "means", "stds")
+    listed = [columns[key] for key in keys]
+    ids, names, starts, payloads, attributes, lengths, means, stds = listed
+    offsets = columns["offsets"].tolist()
+    # The offsets rise strictly from 0: every series holds at least one value.
+    partition = offsets[:1] == [0] and sorted(set(offsets)) == offsets
+    if not partition or len(offsets) != count + 1 or any(len(c) != count for c in listed):
+        raise StorageError(f"{rows_path!r} does not hold the columns of {count} rows")
+    coefficients = _load_array(coeffs_path, mmap_mode="r")
+    if coefficients.dtype != np.complex128 or coefficients.ndim != 2 or len(coefficients) != count:
+        raise StorageError(f"{coeffs_path!r} does not hold {count} rows of complex spectra")
     # Values are loaded eagerly: every row's array is materialized below
     # anyway, and slicing a memmap 10^3 times costs more than one read.
-    values = np.load(f"{stem}-values.npy")
-    offsets = np.load(f"{stem}-offsets.npy")
-    with open(f"{stem}-meta.json", "r", encoding="utf-8") as handle:
-        meta = json.load(handle)
-    ids = meta["ids"]
-    if len(ids) != segment.count:
-        raise StorageError(
-            f"segment {segment.stem} of {segment.relation!r} holds "
-            f"{len(ids)} rows, manifest says {segment.count}")
-    names, starts = meta["names"], meta["starts"]
-    payloads, attributes = meta["payloads"], meta["attributes"]
-    rows = []
-    for position in range(segment.count):
-        series = TimeSeries(
-            np.asarray(values[offsets[position]:offsets[position + 1]]),
-            name=names[position], start=starts[position],
-            object_id=ids[position], payload=payloads[position])
-        rows.append(Row(series, attributes[position]))
-    return LoadedSegment(segment, rows, coefficients, lengths, means, stds)
+    values = _load_array(values_path)
+    if values.dtype != np.float64 or values.shape != (offsets[-1],):
+        raise StorageError(f"{values_path!r} does not hold the {offsets[-1]} values of its rows")
+    try:
+        series = [
+            TimeSeries(values[a:b], name=name, start=start, object_id=object_id, payload=payload)
+            for a, b, name, start, object_id, payload in zip(
+                offsets, offsets[1:], names, starts, ids.tolist(), payloads
+            )
+        ]
+    except ValueError as error:  # a value that is not finite
+        raise StorageError(f"{values_path!r} holds a row that is not a series: {error}") from error
+    rows = [Row(obj, row_attributes) for obj, row_attributes in zip(series, attributes)]
+    return rows, (coefficients, lengths, means, stds)

@@ -5,19 +5,11 @@ or distance provider) is appended to the log *before* it is acknowledged,
 so a crash between acknowledgement and the next checkpoint loses nothing:
 recovery replays the log tail on top of the last checkpointed snapshot.
 
-Record framing is deliberately minimal::
-
-    [u32 payload length][u32 crc32(payload)][payload: one codec message]
-
-The payload is :mod:`repro.storage.codec`'s: a compact JSON header with
-every array (a series' values, a generic object's features) moved out into
-a little-endian float64 block, so a float is logged as its own eight bytes
-and recovery is bit-identical.  The CRC is what makes a *torn tail*
-detectable: :meth:`WriteAheadLog.replay` stops quietly at the first frame
-whose header is short, whose length overruns the file or is shorter than
-any payload (a zero-filled tail), or whose checksum does not verify, and everything before the tear is trusted.  A frame whose
-checksum verifies but whose payload does not decode was written whole by
-something else (another codec version, a bug) — that is a
+Each record is one :func:`repro.storage.codec.frame`; a series' values are
+logged as their own eight-byte floats, so recovery is bit-identical.
+:meth:`WriteAheadLog.replay` stops quietly at the first torn frame and trusts
+everything before it.  A frame that verifies but does not decode was written
+whole by something else (another codec version, a bug): that is a
 :class:`~repro.core.errors.StorageError`, never a silent end of the log.
 
 Durability knobs (``sync``):
@@ -38,19 +30,14 @@ Durability knobs (``sync``):
 from __future__ import annotations
 
 import os
-import struct
 import threading
 import time
-import zlib
 from typing import Any, Callable
 
 from ...core.errors import StorageError
 from .. import codec
 
 __all__ = ["WriteAheadLog", "wal_filename"]
-
-#: Frame header: little-endian (payload length, crc32 of payload).
-_HEADER = struct.Struct("<II")
 
 #: Supported fsync policies.
 SYNC_MODES = ("always", "batch", "off")
@@ -87,13 +74,18 @@ class WriteAheadLog:
         themselves; the decision logic is identical either way.
     """
 
-    def __init__(self, path: str, *, sync: str = "batch",
-                 batch_size: int = 32, batch_interval_ms: float = 50.0,
-                 clock: Callable[[], float] = time.monotonic,
-                 start_timer: bool = True) -> None:
+    def __init__(
+        self,
+        path: str,
+        *,
+        sync: str = "batch",
+        batch_size: int = 32,
+        batch_interval_ms: float = 50.0,
+        clock: Callable[[], float] = time.monotonic,
+        start_timer: bool = True,
+    ) -> None:
         if sync not in SYNC_MODES:
-            raise StorageError(
-                f"unknown WAL sync mode {sync!r}; choose from {SYNC_MODES}")
+            raise StorageError(f"unknown WAL sync mode {sync!r}; choose from {SYNC_MODES}")
         self.path = str(path)
         self.sync = sync
         self.batch_size = max(1, int(batch_size))
@@ -123,20 +115,18 @@ class WriteAheadLog:
         ``batch_interval_ms`` milliseconds, whichever comes first.
         """
         try:
-            payload = codec.encode(record)
+            framed = codec.frame(record)
         except codec.CodecError as error:
             raise StorageError(f"WAL record is not encodable: {error}") from error
         with self._lock:
             if self._file.closed:
                 raise StorageError(f"write-ahead log {self.path!r} is closed")
-            self._file.write(_HEADER.pack(len(payload), zlib.crc32(payload)))
-            self._file.write(payload)
+            self._file.write(framed)
             self.records_appended += 1
             self._pending += 1
             if self._pending_since is None:
                 self._pending_since = self._clock()
-            if self.sync == "always" or (self.sync == "batch"
-                                         and self._pending >= self.batch_size):
+            if self.sync == "always" or (self.sync == "batch" and self._pending >= self.batch_size):
                 self.flush()
             elif self.sync == "batch":
                 self._arm_timer()
@@ -147,8 +137,7 @@ class WriteAheadLog:
             return
         if self._timer is not None:
             return  # already armed for the oldest pending record
-        timer = threading.Timer(self.batch_interval_ms / 1000.0,
-                                self._timer_fired)
+        timer = threading.Timer(self.batch_interval_ms / 1000.0, self._timer_fired)
         timer.daemon = True
         self._timer = timer
         timer.start()
@@ -212,8 +201,10 @@ class WriteAheadLog:
         self.close()
 
     def __repr__(self) -> str:
-        return (f"WriteAheadLog(path={self.path!r}, sync={self.sync!r}, "
-                f"records_appended={self.records_appended})")
+        return (
+            f"WriteAheadLog(path={self.path!r}, sync={self.sync!r}, "
+            f"records_appended={self.records_appended})"
+        )
 
     # ------------------------------------------------------------------
     # recovery
@@ -222,9 +213,8 @@ class WriteAheadLog:
     def replay(path: str) -> list[dict[str, Any]]:
         """Decode every intact record of a log file, in append order.
 
-        Tolerant of a torn tail by design: a short header, a length that
-        overruns the remaining bytes or is shorter than any payload, or a
-        CRC mismatch all mean "the crash landed mid-frame" — replay stops there and the intact prefix is the
+        Tolerant of a torn tail by design: a torn frame means "the crash
+        landed mid-frame" — replay stops there and the intact prefix is the
         recovered history.  A record whose CRC verifies but which does not
         decode to a dict is a :class:`StorageError` naming its offset: the
         records after it were acknowledged, and dropping them quietly would
@@ -237,32 +227,22 @@ class WriteAheadLog:
         except FileNotFoundError:
             return []
         records: list[dict[str, Any]] = []
-        view = memoryview(data)
         offset = 0
-        while offset + _HEADER.size <= len(data):
-            length, checksum = _HEADER.unpack_from(data, offset)
-            start = offset + _HEADER.size
-            stop = start + length
-            if stop > len(data):
-                break  # torn frame: length written, payload incomplete
-            if length < codec.MIN_PAYLOAD:
-                # No codec payload is this short: a zero-filled tail (the
-                # file's size reached disk, its data did not) reads as
-                # length 0 with crc32(b"") == 0, which would verify.
-                break
-            payload = view[start:stop]
-            if zlib.crc32(payload) != checksum:
-                break  # torn or corrupt frame
+        while offset < len(data):
             try:
-                record = codec.decode(payload)
+                record, stop = codec.unframe(data, offset)
+            except codec.TornFrame:
+                break
             except codec.CodecError as error:
                 raise StorageError(
                     f"WAL record at offset {offset} of {path!r} verifies but "
-                    f"does not decode: {error}") from error
+                    f"does not decode: {error}"
+                ) from error
             if not isinstance(record, dict):
                 raise StorageError(
                     f"WAL record at offset {offset} of {path!r} is a "
-                    f"{type(record).__name__}, not a record")
+                    f"{type(record).__name__}, not a record"
+                )
             records.append(record)
             offset = stop
         return records

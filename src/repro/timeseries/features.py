@@ -102,16 +102,10 @@ class SeriesFeatureExtractor:
     def extract(self, series: TimeSeries) -> SeriesFeatures:
         """Full extraction: indexable point plus the complete coefficient record."""
         values, mean, std = normal_form_values(series.values)
-        spectrum = dft_module.dft(values)
-        full = spectrum[1:]
-        prefix = full[: self.num_coefficients]
-        if prefix.shape[0] < self.num_coefficients:
-            prefix = np.concatenate([
-                prefix, np.zeros(self.num_coefficients - prefix.shape[0],
-                                 dtype=np.complex128)])
-        extra = (mean, std) if self.include_stats else ()
-        point = self.space.encode(prefix, extra)
-        return SeriesFeatures(point=point, full_coefficients=full, mean=mean, std=std)
+        full = dft_module.dft(values)[1:]
+        point = self.points_of(full[None, :], np.array([mean]), np.array([std]))[0]
+        return SeriesFeatures(point=FeatureVector(point), full_coefficients=full,
+                              mean=mean, std=std)
 
     def extract_many(self, collection: Sequence[TimeSeries]
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
@@ -127,15 +121,22 @@ class SeriesFeatureExtractor:
         object that is not a series, before anything is returned.
         """
         coefficients, lengths, means, stds = spectral_records(collection)
+        return (self.points_of(coefficients, means, stds), coefficients, lengths,
+                means, stds)
+
+    def points_of(self, coefficients: np.ndarray, means: np.ndarray,
+                  stds: np.ndarray) -> np.ndarray:
+        """The ``(n, d)`` indexable points of full records in the columnar
+        store's layout — bit for bit what :meth:`extract_many` returns for
+        the series the records came from."""
         # Rows are zero beyond their own length, so a record shorter than the
-        # prefix comes out zero-padded, as in ``extract``.
-        prefix = np.zeros((len(lengths), self.num_coefficients), dtype=np.complex128)
+        # prefix comes out zero-padded.
+        prefix = np.zeros((len(coefficients), self.num_coefficients), dtype=np.complex128)
         width = min(self.num_coefficients, coefficients.shape[1])
         prefix[:, :width] = coefficients[:, :width]
         extra = (np.stack([means, stds], axis=1) if self.include_stats
-                 else np.empty((len(lengths), 0)))
-        return (self.space.encode_rows(prefix, extra), coefficients, lengths,
-                means, stds)
+                 else np.empty((len(coefficients), 0)))
+        return self.space.encode_rows(prefix, extra)
 
     def point(self, series: TimeSeries) -> FeatureVector:
         """Just the indexable point for ``series``."""

@@ -368,3 +368,40 @@ class TestReplayNeverDropsAVerifiedRecord:
         with open(path, "wb") as handle:
             handle.write(data)
         assert WriteAheadLog.replay(path) == [{"op": "a"}, {"op": "b"}]
+
+
+class TestTheFrame:
+    """The one frame reader behind the log, the wire and every framed file:
+    a torn frame is a ``TornFrame``, a frame that verifies but does not
+    decode a plain ``CodecError``, and each caller decides what either means."""
+
+    def test_frames_follow_one_another(self):
+        messages = [_series_message(), {"op": "a"}, {"v": np.arange(3)}]
+        data = b"".join(map(codec.frame, messages))
+        offset, read = 0, []
+        while offset < len(data):
+            message, offset = codec.unframe(data, offset)
+            read.append(message)
+        assert offset == len(data) and same(read, messages)
+        assert codec.frame_length(data) == len(codec.encode(messages[0]))
+
+    @pytest.mark.parametrize("tear", ["short-header", "overrun", "short-length", "checksum"])
+    def test_a_torn_frame_is_a_torn_frame(self, tear):
+        payload = codec.encode({"op": "c"})
+        if tear == "short-header":
+            data = codec.frame({"op": "c"})[:5]
+        elif tear == "overrun":
+            data = _FRAME.pack(len(payload) + 1, zlib.crc32(payload)) + payload
+        elif tear == "short-length":
+            data = bytes(_FRAME.size + len(payload))  # crc32(b"") == 0 verifies
+        else:
+            data = _FRAME.pack(len(payload), zlib.crc32(payload) ^ 1) + payload
+        with pytest.raises(codec.TornFrame):
+            codec.unframe(data)
+
+    def test_a_verified_frame_that_does_not_decode_is_not_torn(self):
+        payload = bytearray(codec.encode({"op": "x"}))
+        payload[0] = codec.CODEC_VERSION + 1
+        with pytest.raises(codec.CodecError, match="version") as refused:
+            codec.unframe(_recrc(_FRAME.pack(0, 0) + bytes(payload)))
+        assert not isinstance(refused.value, codec.TornFrame)

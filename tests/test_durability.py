@@ -15,7 +15,9 @@ import json
 import os
 import random
 import shutil
+import struct
 import weakref
+import zlib
 
 import numpy as np
 import pytest
@@ -39,10 +41,12 @@ from repro import (
 )
 from repro.core.errors import IndexError_, StorageError
 from repro.index import kindex as kindex_module
+from repro.storage import codec
 from repro.storage.durable import DurableDatabase, WriteAheadLog
 from repro.storage.durable.manifest import FORMAT_VERSION
+from repro.storage.durable.segments import ColumnSegment
 from repro.storage.durable.serde import (build_index_from_spec, deserialize_index,
-                                        index_spec, serialize_index)
+                                        index_spec, load_index_page, serialize_index)
 from repro.storage.durable.wal import wal_filename
 
 RANGE_SQL = "SELECT FROM walks WHERE dist(series, $q) < 5.0"
@@ -55,6 +59,36 @@ def _answers(session, query_obj, sql=RANGE_SQL):
 
 def _ids(session, name="walks"):
     return [obj.object_id for obj in session.relation(name).objects()]
+
+
+def _read_page(path):
+    """The codec message of a framed file, every block a writable copy."""
+    def thawed(value):
+        if isinstance(value, np.ndarray):
+            return value.copy()
+        if isinstance(value, dict):
+            return {key: thawed(item) for key, item in value.items()}
+        if isinstance(value, list):
+            return [thawed(item) for item in value]
+        return value
+
+    with open(path, "rb") as handle:
+        return thawed(codec.unframe(handle.read())[0])
+
+
+def _framed(payload):
+    """Any bytes as a frame whose length and checksum fit them."""
+    return struct.pack("<II", len(payload), zlib.crc32(payload)) + payload
+
+
+def _damages(valid):
+    """Every single-byte flip and every truncation of ``valid``."""
+    for position in range(len(valid)):
+        flipped = bytearray(valid)
+        flipped[position] ^= 0xFF
+        yield bytes(flipped)
+    for stop in range(len(valid)):
+        yield valid[:stop]
 
 
 def _snapshot(root):
@@ -280,20 +314,22 @@ class TestIndexPageRoundTrip:
         with repro.connect(path=path) as session:
             session.relation("walks").insert_many(data).with_index(KIndex())
             tree = session.database.index("walks").tree
-        page = os.path.join(path, "indexes", "walks", "default.json")
-        document = json.load(open(page))
-        assert document["format_version"] == FORMAT_VERSION == 4
+        page = os.path.join(path, "indexes", "walks", "default.bin")
+        document = _read_page(page)
+        assert document["format_version"] == FORMAT_VERSION == 5
         assert "tree_kind" not in document and "paged" not in document
         (written,) = document["trees"]
         assert written["size"] == 300 and len(written["levels"]) == tree.height()
         *internal, leaves = written["levels"]
         assert all(sorted(level) == ["counts", "highs", "lows", "payloads"]
                    for level in internal)
+        assert all(block.dtype == np.int64 for level in written["levels"]
+                   for block in (level["counts"], level["payloads"]))
         # The leaves' corners are rows of the points the page already holds.
         assert sorted(leaves) == ["counts", "payloads"]
-        assert sorted(leaves["payloads"]) == list(range(300))
-        assert np.array_equal(np.array(document["point_rows"])[leaves["payloads"]],
-                              tree.levels[-1].lows)
+        assert np.sort(leaves["payloads"]).tolist() == list(range(300))
+        points = document["point_rows"].reshape(300, -1)
+        assert np.array_equal(points[leaves["payloads"]], tree.levels[-1].lows)
 
 
 class TestWalReplay:
@@ -508,9 +544,9 @@ class TestTheTailIsDurable:
         assert index.tail_rows == 120
         tokens = [durable.database.state_token("walks")]
         durable.checkpoint()
-        document = json.load(open(os.path.join(durable.database.path, "indexes",
-                                               "walks", "default.json")))
-        assert len(document["point_rows"]) == 420
+        document = _read_page(os.path.join(durable.database.path, "indexes",
+                                           "walks", "default.bin"))
+        assert len(document["point_rows"]) == 420 * index.space.dimension
         assert [tree["size"] for tree in document["trees"]] == [300]
         assert index.tail_rows == 120
         self._agree(durable, twin, [data[0], data[419], data[-1]])
@@ -660,30 +696,32 @@ class TestDurableGuards:
             assert "MANIFEST.json" in str(refused.value)
             assert _snapshot(path) == before
 
-    @pytest.mark.parametrize("damage", ["truncated", "not-json", "dangling-child",
+    @pytest.mark.parametrize("damage", ["truncated", "not-a-codec-payload", "dangling-child",
                                         "duplicate-leaf-id", "leaf-id-out-of-range",
                                         "short-point-rows", "overfull-node", "empty-node",
                                         "ragged-corners", "fractional-count", "nan-corner",
                                         "missing-level-field", "wrong-size",
-                                        "wrong-page-version", "missing"])
+                                        "wrong-page-version", "missing",
+                                        "box-short-of-its-child"])
     def test_a_damaged_index_page_fails_at_open(self, tmp_path, damage):
         """An index page is outside input.  Whatever is wrong with it is a
         ``StorageError`` naming the file, raised by ``connect`` — not a raw
-        ``JSONDecodeError``, and not an error (or a wrong answer) from
-        whichever later probe reaches the damage."""
+        ``CodecError``, and not an error (or a wrong answer) from whichever
+        later probe reaches the damage.  Every case but the two that damage
+        the bytes themselves is a frame that verifies."""
         data = random_walk_collection(120, 32, seed=43)
         path = str(tmp_path / "db")
         with repro.connect(path=path) as session:
             session.relation("walks").insert_many(data).with_index(KIndex())
-        page = os.path.join(path, "indexes", "walks", "default.json")
-        text = open(page).read()
-        document = json.loads(text)
+        page = os.path.join(path, "indexes", "walks", "default.bin")
+        raw = open(page, "rb").read()
+        document = _read_page(page)
         levels = document["trees"][0]["levels"]
         assert len(levels) == 3
         if damage == "truncated":
-            text = text[:len(text) // 2]
-        elif damage == "not-json":
-            text = "\x00" + text
+            raw = raw[:len(raw) // 2]
+        elif damage == "not-a-codec-payload":
+            raw = _framed(b"\x00" + raw[codec.FRAME_HEADER:])
         elif damage == "dangling-child":
             levels[0]["payloads"][0] = 99999
         elif damage == "duplicate-leaf-id":
@@ -691,7 +729,7 @@ class TestDurableGuards:
         elif damage == "leaf-id-out-of-range":
             levels[-1]["payloads"][0] = 120
         elif damage == "short-point-rows":
-            del document["point_rows"][-1]
+            document["point_rows"] = document["point_rows"][:-len(document["point_rows"]) // 120]
         elif damage == "overfull-node":
             levels[1]["counts"][0] += 1
             levels[1]["counts"][1] -= 1
@@ -699,26 +737,111 @@ class TestDurableGuards:
             levels[-1]["counts"][0] += levels[-1]["counts"][1]
             levels[-1]["counts"][1] = 0
         elif damage == "ragged-corners":
-            del levels[1]["lows"][0][-1]
+            levels[1]["lows"] = levels[1]["lows"][:-1]
         elif damage == "fractional-count":
+            levels[1]["counts"] = levels[1]["counts"].astype(np.float64)  # an f8 block
             levels[1]["counts"][0] += 0.5
         elif damage == "nan-corner":
-            levels[1]["highs"][0][0] = float("nan")
+            levels[1]["highs"][0] = float("nan")
         elif damage == "missing-level-field":
             del levels[1]["highs"]
         elif damage == "wrong-size":
             document["trees"][0]["size"] -= 1
         elif damage == "wrong-page-version":
             document["format_version"] = 2
+        elif damage == "box-short-of-its-child":
+            # Every box of the root collapses to its low corner: the page
+            # decoded before its boxes were checked, and 118 of 120
+            # self-queries at epsilon 3 then lost answers.
+            levels[0]["highs"] = levels[0]["lows"].copy()
         if damage == "missing":
             os.remove(page)
         else:
-            with open(page, "w") as fh:
-                fh.write(text if damage in ("truncated", "not-json")
-                         else json.dumps(document))
-        with pytest.raises(StorageError, match="default.json") as refused:
+            with open(page, "wb") as fh:
+                fh.write(raw if damage in ("truncated", "not-a-codec-payload")
+                         else codec.frame(document))
+        with pytest.raises(StorageError, match="default.bin") as refused:
             repro.connect(path=path)
         assert "index page" in str(refused.value)
+
+    def test_every_flip_and_truncation_of_a_page_is_refused(self, tmp_path):
+        """Every single-byte flip and every truncation of a small page is a
+        ``StorageError`` naming the file; with the checksum recomputed, so
+        that the codec and the decoder's checks have to catch it, it is a
+        ``StorageError`` or an index whose answers are the scan's."""
+        data = random_walk_collection(24, 16, seed=45)
+        path = str(tmp_path / "db")
+        with repro.connect(path=path) as session:
+            session.relation("walks").insert_many(data).with_index(KIndex(max_entries=4))
+        database = DurableDatabase(path)
+        assert database.index("walks").tree.height() == 3
+        store, objects = database.columnar_store("walks"), list(database.relation("walks").objects())
+        database.close()
+        page = os.path.join(path, "indexes", "walks", "default.bin")
+        valid = open(page, "rb").read()
+        scan = SequentialScan()
+        scan.extend(data)
+        queries = [(query, epsilon) for query in data[::5] for epsilon in (1.0, 3.0)]
+        expected = [[(obj.object_id, distance) for obj, distance
+                     in scan.range_query(query, epsilon).answers] for query, epsilon in queries]
+
+        def load(raw):
+            with open(page, "wb") as fh:
+                fh.write(raw)
+            return load_index_page(page, store=store, objects=objects)
+
+        for damaged in _damages(valid):
+            with pytest.raises(StorageError, match="default.bin"):
+                load(damaged)
+        decoded = 0
+        for damaged in _damages(valid[codec.FRAME_HEADER:]):
+            try:
+                index = load(_framed(damaged))
+            except StorageError as error:
+                assert "default.bin" in str(error)
+                continue
+            decoded += 1
+            assert [[(obj.object_id, distance) for obj, distance
+                     in index.range_query(query, epsilon).answers]
+                    for query, epsilon in queries] == expected
+        assert decoded  # flips deep in the corners survive every check
+
+    @pytest.mark.parametrize("damage", ["truncated", "flipped"])
+    @pytest.mark.parametrize("kind", ["columnar", "objects"])
+    def test_a_damaged_segment_fails_at_open_untouched(self, tmp_path, kind, damage):
+        """A segment file is outside input too: cut short or with its first
+        byte flipped, each file a segment owns is a ``StorageError`` naming
+        it, raised by ``connect`` — not a raw ``ValueError`` from numpy or the
+        codec — and the refused reopen leaves every file as it found it.
+        (The ``.npy`` arrays carry no checksum of their data: a flip past
+        their header is not detectable; every ``.bin`` byte is.)"""
+        rows = random_walk_collection(12, 16, seed=46)
+        if kind == "objects":
+            rows.append(StringObject("ab"))
+        path = str(tmp_path / "db")
+        with repro.connect(path=path) as session:
+            session.relation("r").insert_many(rows)
+        directory = os.path.join(path, "segments", "r")
+        names = ColumnSegment("r", 0, len(rows), kind).files()
+        assert sorted(os.listdir(directory)) == sorted(names)
+        for name in names:
+            file = os.path.join(directory, name)
+            valid = open(file, "rb").read()
+            damaged = bytearray(valid[:len(valid) // 2] if damage == "truncated" else valid)
+            if damage == "flipped":
+                damaged[0] ^= 0xFF
+            with open(file, "wb") as fh:
+                fh.write(damaged)
+            before = _snapshot(path)
+            with pytest.raises(StorageError, match=name):
+                repro.connect(path=path)
+            assert _snapshot(path) == before
+            with open(file, "wb") as fh:
+                fh.write(valid)
+        reopened = repro.connect(path=path)
+        assert [obj.object_id for obj in reopened.relation("r").objects()] == \
+            [obj.object_id for obj in rows]
+        reopened.close()
 
     @pytest.mark.parametrize("where", ["page", "wal"])
     @pytest.mark.parametrize("kind", ["partitioned-kindex", "partitioned-metric"])
@@ -744,8 +867,8 @@ class TestDurableGuards:
         with pytest.raises(StorageError, match=kind):
             build_index_from_spec(spec, data, euclidean)
         if where == "page":
-            with open(os.path.join(path, "indexes", "walks", "default.json"), "w") as fh:
-                json.dump(page, fh)
+            with open(os.path.join(path, "indexes", "walks", "default.bin"), "wb") as fh:
+                fh.write(codec.frame(page))
         else:
             manifest = json.load(open(os.path.join(path, "MANIFEST.json")))
             with WriteAheadLog(os.path.join(path, manifest["wal"]), sync="always") as wal:

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -52,6 +51,7 @@ from repro.index.rtree import NEAREST_BLOCK, PackedRTree, RTree
 from repro.index.transformed import (materialize_transformed_tree,
                                      transformed_nearest_neighbors,
                                      transformed_range_search)
+from repro.storage import codec
 from repro.storage.columnar import exact_distances
 from repro.storage.durable.serde import _deserialize_tree, _serialize_tree
 from repro.timeseries.transforms import moving_average_spectral, scale_spectral
@@ -152,9 +152,9 @@ def reference_traversal(tree, window_low, window_high, periodic):
 
 
 def _restored(packed, points):
-    """``packed`` through its ``serde`` document — as JSON text, the way a
+    """``packed`` through its ``serde`` page — as codec bytes, the way a
     checkpoint writes it — and back over ``points``, its leaves' corners."""
-    document = json.loads(json.dumps(_serialize_tree(packed)))
+    document = codec.decode(codec.encode(_serialize_tree(packed)))
     return _deserialize_tree(document, points, packed.max_entries)
 
 
