@@ -41,9 +41,11 @@ The package is organised as:
     The time-series domain: DFT, normal forms, spectral transformations,
     generators and feature extraction.
 ``repro.index``
-    The packed R-tree and the dynamic R-/R*-trees that grow one, the
-    k-index, the metric (vantage-point) index, transformed-index search
-    and the sequential-scan baselines.
+    The packed R-tree (searched under a transformation by
+    ``PackedRTree.window_search`` / ``nearest_search``) and the dynamic
+    R-/R*-trees that grow one, the two indexes the catalog holds — the
+    k-index and the metric (vantage-point) index — and the sequential-scan
+    baselines.
 ``repro.strings``
     A second domain instantiation (weighted edit transformations).
 ``repro.storage``
@@ -131,11 +133,6 @@ from .index.metric import MetricIndex
 from .index.rstar import RStarTree
 from .index.rtree import PackedRTree, RTree
 from .index.scan import SequentialScan
-from .index.transformed import (
-    materialize_transformed_tree,
-    transformed_nearest_neighbors,
-    transformed_range_search,
-)
 from .storage.buffer import BufferPool
 from .storage.columnar import ColumnarRecordStore
 from .storage.durable import (
@@ -209,8 +206,6 @@ __all__ = [
     "Rect", "mindist", "minmaxdist",
     "KIndex", "MetricIndex", "RangeQueryResult", "NearestNeighborResult",
     "PackedRTree", "RTree", "RStarTree", "SequentialScan",
-    "materialize_transformed_tree", "transformed_range_search",
-    "transformed_nearest_neighbors",
     "PageStore", "BufferPool", "ColumnarRecordStore",
     "ColumnSegment", "DurableDatabase", "SegmentPageStore", "WriteAheadLog",
     "StringObject", "weighted_edit_distance", "transformation_edit_distance",

@@ -161,7 +161,7 @@ def _answer_name(obj: Any) -> str:
 
 def _measured_weight(plan: Any) -> float:
     """The cost model's exchange rate for this plan's distance counter."""
-    if isinstance(plan, (ScanRangePlan, ScanJoinPlan)) and getattr(plan, "early_abandon", True):
+    if isinstance(plan, (ScanRangePlan, ScanJoinPlan)):
         return EARLY_ABANDON_WEIGHT
     return CPU_WEIGHT
 

@@ -281,11 +281,24 @@ class Database:
     # ------------------------------------------------------------------
     def register_index(self, relation_name: str, index: Any,
                        index_name: str = "default") -> None:
-        """Attach an index object to a relation under ``index_name``."""
-        if relation_name not in self._relations:
-            raise CatalogError(f"unknown relation {relation_name!r}")
+        """Attach a :class:`~repro.index.kindex.KIndex` or a
+        :class:`~repro.index.metric.MetricIndex` to a relation under
+        ``index_name``; anything else is refused with :class:`CatalogError`."""
+        self._check_index(relation_name, index)
         self._indexes.setdefault(relation_name, {})[index_name] = index
         self._catalog_version += 1
+
+    def _check_index(self, relation_name: str, index: Any) -> None:
+        """Refuse an unknown relation, or an index of neither kind."""
+        from ..index.kindex import KIndex
+        from ..index.metric import MetricIndex
+
+        if relation_name not in self._relations:
+            raise CatalogError(f"unknown relation {relation_name!r}")
+        if not isinstance(index, (KIndex, MetricIndex)):
+            raise CatalogError(
+                f"cannot register a {type(index).__name__} as an index: the "
+                "catalog holds a KIndex or a MetricIndex")
 
     def index(self, relation_name: str, index_name: str = "default") -> Any:
         """Retrieve a registered index."""
@@ -310,9 +323,7 @@ class Database:
         relation = self.relation(relation_name)
         index_map = self._indexes.get(relation_name)
         index_sizes = () if not index_map else tuple(sorted(
-            (name, len(index) if hasattr(index, "__len__") else -1)
-            for name, index in index_map.items()
-        ))
+            (name, len(index)) for name, index in index_map.items()))
         return (self._catalog_version, relation.version, index_sizes,
                 self.stats_epoch(relation_name))
 
@@ -334,6 +345,7 @@ class Database:
         relation's objects are not series-like (no spectral record can be
         extracted) — provider relations never take this path.
         """
+        from ..index.kindex import KIndex
         from ..storage.columnar import ColumnarRecordStore
 
         relation = self.relation(relation_name)
@@ -349,12 +361,11 @@ class Database:
         store = None
         owned = False
         for index in self.indexes_on(relation_name).values():
-            candidate = getattr(index, "store", None)
-            if isinstance(candidate, ColumnarRecordStore) \
-                    and len(candidate) == len(relation) \
+            if isinstance(index, KIndex) \
+                    and len(index.store) == len(relation) \
                     and all(stored is row.obj for stored, row
-                            in zip(candidate.series_list(), relation.rows())):
-                store = candidate
+                            in zip(index.store.series_list(), relation.rows())):
+                store = index.store
                 break
         if store is None:
             owned = True

@@ -27,10 +27,10 @@ The inputs come from :class:`~repro.core.stats.RelationStatistics`:
 * bounded-cost ``SIM`` predicates multiply the surviving candidates by a
   frontier bound for the similarity engine's uniform-cost search.
 
-When a relation has never been sampled (or an index is of unknown kind) the
-model degrades to a configurable *default selectivity* and flags the
-estimate ``can_estimate=False`` so the planner makes it lose cost ties
-instead of silently assuming the index is good.
+When a relation has never been sampled (or its statistics hold no tree
+summary) the model degrades to a configurable *default selectivity* and
+flags the estimate ``can_estimate=False`` so the planner makes it lose cost
+ties instead of silently assuming the index is good.
 
 The model is **parallelism-aware**: when constructed with ``workers > 1``
 (the executor fans sequential scans across that many threads), scan-family

@@ -33,7 +33,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, Sequence
 
-from ...index.kindex import KIndex, QueryStatistics
+from ...index.kindex import QueryStatistics
 from ...index.scan import SequentialScan
 from ...timeseries.transforms import SpectralTransformation
 from ..cancel import checkpoint
@@ -237,12 +237,8 @@ class QueryEngine:
                     continue
             groups.setdefault(self._group_key(node, plan), []).append(index)
         for group_key, members in groups.items():
-            if group_key is not None and group_key[0] == "kindex":
-                self._run_index_range_group(members, nodes, bindings, plans,
-                                            outcomes)
-            elif group_key is not None and group_key[0] == "metric":
-                self._run_metric_range_group(members, nodes, bindings, plans,
-                                             outcomes)
+            if group_key is not None:
+                self._run_range_group(members, nodes, bindings, plans, outcomes)
             else:
                 for index in members:
                     checkpoint()
@@ -380,52 +376,43 @@ class QueryEngine:
     def _group_key(node: Query, plan: Plan) -> tuple | None:
         """Batch-compatibility key; ``None`` means "run individually".
 
-        The first element names the batch runner: ``"kindex"`` groups share a
-        vectorised R-tree traversal, ``"metric"`` groups share one
-        triangle-inequality-pruned metric-tree traversal.
+        Range queries over one index share a batch: a k-index group (same
+        transformation) one vectorised R-tree traversal, a metric-index
+        group one triangle-inequality-pruned traversal.
         """
         if isinstance(plan, IndexRangePlan) and isinstance(node, RangeQuery):
-            return ("kindex", node.relation, plan.index_name, node.transformation,
+            return (node.relation, plan.index_name, node.transformation,
                     node.transform_query)
         if isinstance(plan, EngineRangePlan) and isinstance(node, RangeQuery) \
                 and plan.index_name is not None and not plan.via_engine:
-            return ("metric", node.relation, plan.index_name)
+            return (node.relation, plan.index_name)
         return None
 
-    def _run_index_range_group(self, members: list[int], nodes: list[Query],
-                               bindings: list[Mapping[str, Any]],
-                               plans: list[Plan | None],
-                               outcomes: list[QueryOutcome | None]) -> None:
-        """Run a group of compatible index range queries as one batch."""
-        started = time.perf_counter()
-        first = nodes[members[0]]
-        plan = plans[members[0]]
-        index = self.database.index(first.relation, plan.index_name)
-        transformation = self.transformation(first.transformation)
-        series = [self._parameter(nodes[i].parameter, bindings[i]) for i in members]
-        epsilons = [nodes[i].epsilon for i in members]
-        results = index.range_query_batch(series, epsilons,
-                                          transformation=transformation,
-                                          transform_query=first.transform_query)
-        share = (time.perf_counter() - started) / len(members)
-        for member, result in zip(members, results):
-            outcomes[member] = QueryOutcome(plan=plans[member],
-                                            answers=result.answers,
-                                            statistics=result.statistics,
-                                            elapsed_seconds=share)
+    @staticmethod
+    def _probe_options(plan: Plan, node: Query,
+                       transformation: SpectralTransformation | None
+                       ) -> dict[str, Any]:
+        """What a probe of the plan's index takes besides the query and its
+        radius or ``k``: a k-index is probed under the query's
+        transformation, a metric index under none."""
+        if isinstance(plan, (EngineRangePlan, EngineNearestPlan)):
+            return {}
+        return {"transformation": transformation,
+                "transform_query": node.transform_query}
 
-    def _run_metric_range_group(self, members: list[int], nodes: list[Query],
-                                bindings: list[Mapping[str, Any]],
-                                plans: list[Plan | None],
-                                outcomes: list[QueryOutcome | None]) -> None:
-        """Run a group of metric index range queries as one shared traversal."""
+    def _run_range_group(self, members: list[int], nodes: list[Query],
+                         bindings: list[Mapping[str, Any]],
+                         plans: list[Plan | None],
+                         outcomes: list[QueryOutcome | None]) -> None:
+        """Run a group of range queries over one index as one batch."""
         started = time.perf_counter()
-        first = nodes[members[0]]
-        plan = plans[members[0]]
+        first, plan = nodes[members[0]], plans[members[0]]
         index = self.database.index(first.relation, plan.index_name)
         queries = [self._parameter(nodes[i].parameter, bindings[i]) for i in members]
         epsilons = [nodes[i].epsilon for i in members]
-        results = index.range_query_batch(queries, epsilons)
+        results = index.range_query_batch(
+            queries, epsilons, **self._probe_options(
+                plan, first, self.transformation(first.transformation)))
         share = (time.perf_counter() - started) / len(members)
         for member, result in zip(members, results):
             outcomes[member] = QueryOutcome(plan=plans[member],
@@ -436,11 +423,23 @@ class QueryEngine:
     def _run(self, plan: Plan, node: Query,
              transformation: SpectralTransformation | None,
              parameters: Mapping[str, Any]) -> QueryOutcome:
+        # Range plans over an index never reach here: execute_many batches
+        # them through _run_range_group (see _group_key).
+        if isinstance(plan, (IndexNearestPlan, EngineNearestPlan)) \
+                and plan.index_name is not None:
+            index = self.database.index(node.relation, plan.index_name)
+            result = index.nearest_neighbors(
+                self._parameter(node.parameter, parameters), node.k,
+                **self._probe_options(plan, node, transformation))
+            return QueryOutcome(plan=plan, answers=result.answers,
+                                statistics=result.statistics)
+        if isinstance(plan, IndexJoinPlan):
+            index = self.database.index(node.relation, plan.index_name)
+            pairs, statistics = index.all_pairs(node.epsilon,
+                                                transformation=transformation)
+            return QueryOutcome(plan=plan, answers=pairs, statistics=statistics)
         if isinstance(plan, (EngineRangePlan, EngineNearestPlan, EngineJoinPlan)):
             return self._run_with_provider(plan, node, parameters)
-        if isinstance(plan, (IndexRangePlan, IndexNearestPlan, IndexJoinPlan)):
-            index = self.database.index(node.relation, getattr(plan, "index_name", "default"))
-            return self._run_with_index(plan, node, transformation, parameters, index)
         return self._run_with_scan(plan, node, transformation, parameters)
 
     # -- provider (domain-generic) plans ---------------------------------
@@ -451,14 +450,6 @@ class QueryEngine:
         if isinstance(plan, EngineRangePlan) and plan.via_engine:
             query_obj = self._parameter(node.parameter, parameters)
             return self._run_similarity_search(plan, node, provider, query_obj)
-        # Metric-index *range* plans never reach here: execute_many batches
-        # them through _run_metric_range_group (see _group_key).
-        if isinstance(plan, EngineNearestPlan) and plan.index_name is not None:
-            index = self.database.index(node.relation, plan.index_name)
-            query_obj = self._parameter(node.parameter, parameters)
-            result = index.nearest_neighbors(query_obj, node.k)
-            return QueryOutcome(plan=plan, answers=result.answers,
-                                statistics=result.statistics)
         objects = self.database.relation(node.relation).objects()
         statistics = QueryStatistics(candidates=len(objects))
         if isinstance(plan, EngineJoinPlan):
@@ -551,25 +542,6 @@ class QueryEngine:
         # not under-budget the sequence length by one.
         return max(1, min(cap, int(cost_bound / cheapest.cost + 1e-9)))
 
-    # -- index plans -----------------------------------------------------
-    def _run_with_index(self, plan: Plan, node: Query,
-                        transformation: SpectralTransformation | None,
-                        parameters: Mapping[str, Any],
-                        index: KIndex) -> QueryOutcome:
-        # Index *range* plans never reach here: execute_many batches them
-        # through _run_index_range_group (see _group_key).
-        if isinstance(node, NearestNeighborQuery):
-            query_series = self._parameter(node.parameter, parameters)
-            result = index.nearest_neighbors(query_series, node.k,
-                                             transformation=transformation,
-                                             transform_query=node.transform_query)
-            return QueryOutcome(plan=plan, answers=result.answers,
-                                statistics=result.statistics)
-        if isinstance(node, AllPairsQuery):
-            pairs, statistics = index.all_pairs(node.epsilon, transformation=transformation)
-            return QueryOutcome(plan=plan, answers=pairs, statistics=statistics)
-        raise QueryPlanningError(f"index plan cannot run {type(node).__name__}")
-
     # -- scan plans ------------------------------------------------------
     def drop_relation(self, name: str) -> None:
         """Drop a relation from the database and evict engine-side state.
@@ -636,34 +608,22 @@ class QueryEngine:
                        transformation: SpectralTransformation | None,
                        parameters: Mapping[str, Any]) -> QueryOutcome:
         scan = self._scan_for(node.relation)
+        if isinstance(node, AllPairsQuery):
+            pairs, statistics = scan.all_pairs(node.epsilon, transformation=transformation)
+            return QueryOutcome(plan=plan, answers=pairs, statistics=statistics)
+        query_series = self._parameter(node.parameter, parameters)
         if isinstance(node, RangeQuery):
-            query_series = self._parameter(node.parameter, parameters)
-            early = plan.early_abandon if isinstance(plan, ScanRangePlan) else True
             result = scan.range_query(query_series, node.epsilon,
                                       transformation=transformation,
-                                      transform_query=node.transform_query,
-                                      early_abandon=early)
-            return QueryOutcome(plan=plan, answers=result.answers,
-                                statistics=result.statistics)
-        if isinstance(node, NearestNeighborQuery):
-            query_series = self._parameter(node.parameter, parameters)
-            answers = scan.nearest_neighbors(query_series, node.k,
-                                             transformation=transformation,
-                                             transform_query=node.transform_query)
-            hits, misses = scan.last_buffer_io
-            statistics = QueryStatistics(node_accesses=scan.data_pages,
-                                         candidates=len(scan),
-                                         postprocessed=len(scan),
-                                         buffer_hits=hits,
-                                         buffer_misses=misses)
-            return QueryOutcome(plan=plan, answers=answers,
-                                statistics=statistics)
-        if isinstance(node, AllPairsQuery):
-            early = plan.early_abandon if isinstance(plan, ScanJoinPlan) else True
-            pairs, statistics = scan.all_pairs(node.epsilon, transformation=transformation,
-                                               early_abandon=early)
-            return QueryOutcome(plan=plan, answers=pairs, statistics=statistics)
-        raise QueryPlanningError(f"scan plan cannot run {type(node).__name__}")
+                                      transform_query=node.transform_query)
+        elif isinstance(node, NearestNeighborQuery):
+            result = scan.nearest_neighbors(query_series, node.k,
+                                            transformation=transformation,
+                                            transform_query=node.transform_query)
+        else:
+            raise QueryPlanningError(f"scan plan cannot run {type(node).__name__}")
+        return QueryOutcome(plan=plan, answers=result.answers,
+                            statistics=result.statistics)
 
     @staticmethod
     def _parameter(name: str, parameters: Mapping[str, Any]) -> Any:

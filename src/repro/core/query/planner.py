@@ -31,12 +31,6 @@ Plan families:
   (``cost_bounds_distance``), screening candidates at the expanded radius
   ``cost_bound + epsilon`` is admissible by the triangle inequality.
 
-An index of **unknown kind** (no feature space, no extractor, not metric) is
-still enumerated — it may well work — but its cost cannot be estimated, so
-it is priced equal to the scan with ``can_estimate=False`` and *loses the
-tie*: the planner never silently assumes an unknown index is good, and the
-assumption is stated in the ``explain()`` output instead of hidden.
-
 The planner produces small plan dataclasses; the executor interprets them.
 The ``explain`` helper renders a plan (optionally with the measured
 statistics of an execution) as a short multi-line report.
@@ -47,8 +41,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+from ...index.kindex import KIndex
+from ...index.metric import MetricIndex
 from ..database import Database
-from ..errors import QueryPlanningError
+from ..errors import (
+    DimensionMismatchError,
+    IndexError_,
+    QueryPlanningError,
+    UnsafeTransformationError,
+)
 from ..parallel import resolve_workers
 from .ast import AllPairsQuery, NearestNeighborQuery, Query, RangeQuery, SimilarityQuery
 from .costmodel import CostEstimate, QueryCostModel
@@ -111,8 +112,6 @@ class IndexRangePlan(Plan):
 class ScanRangePlan(Plan):
     """Answer a range query with a sequential scan."""
 
-    early_abandon: bool = True
-
 
 @dataclass(frozen=True)
 class IndexNearestPlan(Plan):
@@ -136,8 +135,6 @@ class IndexJoinPlan(Plan):
 @dataclass(frozen=True)
 class ScanJoinPlan(Plan):
     """Answer an all-pairs query with a nested scan."""
-
-    early_abandon: bool = True
 
 
 @dataclass(frozen=True)
@@ -281,7 +278,7 @@ class Planner:
     def _metric_index_name(self, relation: str) -> str | None:
         """Name of a registered metric index usable for the relation, if any."""
         for index_name, index in self.database.indexes_on(relation).items():
-            if getattr(index, "is_metric", False):
+            if isinstance(index, MetricIndex):
                 return index_name
         return None
 
@@ -365,57 +362,41 @@ class Planner:
     # ------------------------------------------------------------------
     # feature-space (time-series) planning
     # ------------------------------------------------------------------
-    def _index_usable(self, query: Query, transformation
-                      ) -> tuple[bool, str, bool]:
-        """``(usable, reason, kind known)`` for the relation's default index.
-
-        An index of unknown kind (no feature space / extractor) remains
-        *usable* — it may answer the query — but ``kind known`` is ``False``:
-        its cost cannot be estimated, so the planner makes it lose cost ties
-        to the scan instead of assuming compatibility silently.
-        """
+    def _feature_index(self, query: Query, transformation
+                       ) -> tuple[KIndex | None, str]:
+        """The relation's k-index and why it can answer the query, or
+        ``None`` and why not — the index itself judges the transformation
+        (:meth:`KIndex.lower_transformation`), so plan and probe cannot
+        disagree about safety."""
         if not self.database.has_index(query.relation):
-            return False, "no index registered for the relation", False
+            return None, "no index registered for the relation"
         index = self.database.index(query.relation)
-        space = getattr(index, "space", None)
-        extractor = getattr(index, "extractor", None)
-        if space is None or extractor is None:
-            return True, ("index of unknown kind — compatibility assumed, "
-                          "not verified"), False
+        if not isinstance(index, KIndex):
+            return None, "the relation's index is not a k-index"
         if transformation is None:
-            return True, "index available", True
+            return index, "index available"
         try:
-            linear = transformation.to_linear(extractor.num_coefficients,
-                                              include_extra=extractor.include_stats)
-        except Exception as error:  # noqa: BLE001 - any failure means "cannot push down"
-            return False, f"transformation cannot be applied to the index ({error})", True
-        if not linear.is_safe_for(space):
-            return False, "transformation is not safe for the index's feature space", True
-        return True, "index available and transformation is safe", True
-
-    def _unknown_kind_estimate(self, scan_estimate: CostEstimate) -> CostEstimate:
-        """Price an unknown-kind index exactly at the scan's cost, flagged
-        unestimable — so it is chosen only when nothing else is and its tie
-        against the scan is always lost."""
-        return replace(scan_estimate, can_estimate=False,
-                       detail="unknown index kind: assumed no better than the scan")
+            index.lower_transformation(transformation)
+        except UnsafeTransformationError:
+            return None, "transformation is not safe for the index's feature space"
+        except (IndexError_, DimensionMismatchError, ValueError) as error:
+            return None, f"transformation cannot be applied to the index ({error})"
+        return index, "index available and transformation is safe"
 
     def _plan_feature(self, query: Query, transformation, index_plan_type,
                       scan_plan_type, index_estimator, scan_estimator) -> Plan:
-        usable, reason, known = self._index_usable(query, transformation)
+        index, reason = self._feature_index(query, transformation)
         stats, cardinality = self._relation_facts(query.relation)
         scan_estimate = scan_estimator(stats, cardinality)
         alternatives = []
-        if usable:
+        if index is not None:
             # The tail is read off the index now, not off the statistics:
             # it moves with every append, and every append re-plans.
-            estimate = (index_estimator(
-                stats, cardinality, self.database.index(query.relation).tail_pages)
-                if known else self._unknown_kind_estimate(scan_estimate))
             alternatives.append(index_plan_type(
-                query=query, reason=reason, estimated_cost=estimate))
+                query=query, reason=reason,
+                estimated_cost=index_estimator(stats, cardinality, index.tail_pages)))
         scan_reason = (f"sequential scan over {cardinality} records"
-                       if usable else reason)
+                       if index is not None else reason)
         alternatives.append(scan_plan_type(
             query=query, reason=scan_reason, estimated_cost=scan_estimate))
         return self._choose(alternatives)

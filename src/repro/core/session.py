@@ -161,7 +161,8 @@ class RelationHandle:
 
     # -- registration ------------------------------------------------------
     def with_index(self, index: Any, name: str = "default") -> RelationHandle:
-        """Register an index over this relation.
+        """Register a :class:`~repro.index.kindex.KIndex` or a
+        :class:`~repro.index.metric.MetricIndex` over this relation.
 
         An empty index is loaded from the relation's objects; a pre-loaded
         index must match the relation's size — a mismatch is rejected loudly
@@ -170,15 +171,12 @@ class RelationHandle:
         over *different* objects cannot be detected cheaply and remains the
         caller's responsibility.  Indexes deliberately built over a subset
         belong on the lower-level :meth:`Database.register_index`, which
-        does not check.
+        does not check.  Anything else is refused with
+        :class:`CatalogError` before it is touched.
         """
         self._check_live()
-        if not hasattr(index, "__len__"):
-            raise CatalogError(
-                f"cannot verify that an unsized index covers relation "
-                f"{self.name!r}; register it through Database.register_index "
-                "if the coverage is your responsibility")
-        if len(index) == 0 and hasattr(index, "extend"):
+        self._session.database._check_index(self.name, index)
+        if len(index) == 0:
             index.extend(self.relation)
         elif len(index) != len(self.relation):
             raise CatalogError(

@@ -51,6 +51,9 @@ from typing import Any
 
 import numpy as np
 
+from ..index.kindex import KIndex
+from ..index.metric import MetricIndex
+
 __all__ = ["DistanceHistogram", "RelationStatistics", "collect_statistics", "statistics_basis"]
 
 #: Objects sampled per relation when collecting statistics (pair count is
@@ -292,7 +295,7 @@ def statistics_basis(database: Any, relation_name: str) -> tuple:
             for name, index in database.indexes_on(relation_name).items()
         )
     )
-    spatial = _spatial_index_for(database, relation_name)
+    spatial = _index_of(database, relation_name, KIndex)
     return (
         bucket,
         index_signature,
@@ -309,20 +312,10 @@ def sample_positions(count: int, sample_size: int) -> np.ndarray:
     return np.unique(np.linspace(0, count - 1, sample_size).astype(np.intp))
 
 
-def _spatial_index_for(database: Any, relation_name: str):
-    """The registered KIndex-like index (has a tree and an extractor)."""
+def _index_of(database: Any, relation_name: str, kind: type):
+    """The first index of ``kind`` registered on the relation, if any."""
     for index in database.indexes_on(relation_name).values():
-        if (
-            getattr(index, "tree", None) is not None
-            and getattr(index, "extractor", None) is not None
-        ):
-            return index
-    return None
-
-
-def _metric_index_for(database: Any, relation_name: str):
-    for index in database.indexes_on(relation_name).values():
-        if getattr(index, "is_metric", False):
+        if isinstance(index, kind):
             return index
     return None
 
@@ -343,7 +336,7 @@ def collect_statistics(
     basis = statistics_basis(database, relation_name)
     if database.has_distance_provider(relation_name):
         stats = _collect_provider(database, relation, min(sample_size, PROVIDER_SAMPLE_SIZE))
-    elif (index := _spatial_index_for(database, relation_name)) is not None:
+    elif (index := _index_of(database, relation_name, KIndex)) is not None:
         stats = _collect_from_index(relation, index, sample_size)
     else:
         stats = collect_by_extraction(database, relation, sample_size)
@@ -376,14 +369,12 @@ def _collect_provider(database: Any, relation, sample_size: int) -> RelationStat
         record_bytes=int(np.mean(sizes)),
         answer_histogram=histogram,
     )
-    metric_index = _metric_index_for(database, relation.name)
+    metric_index = _index_of(database, relation.name, MetricIndex)
     if metric_index is not None:
-        summary = getattr(metric_index, "structure_summary", None)
-        if callable(summary):
-            try:
-                stats.metric_summary = summary()
-            except Exception:  # noqa: BLE001
-                stats.metric_summary = None
+        try:
+            stats.metric_summary = metric_index.structure_summary()
+        except Exception:  # noqa: BLE001 - estimates only, never fail a plan
+            stats.metric_summary = None
     return stats
 
 

@@ -41,11 +41,11 @@ import time
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ..core.errors import IndexError_, UnsafeTransformationError
+from ..core.errors import IndexError_
 from ..core.objects import FeatureVector
 from ..core.spaces import PolarSpace
 from ..core.transformations import LinearTransformation, RealLinearTransformation
@@ -157,6 +157,9 @@ class NearestNeighborResult:
 
     def __len__(self) -> int:
         return len(self.answers)
+
+    def __iter__(self) -> Iterator[tuple[TimeSeries, float]]:
+        return iter(self.answers)
 
 
 class KIndex:
@@ -356,11 +359,22 @@ class KIndex:
     # ------------------------------------------------------------------
     # transformation plumbing
     # ------------------------------------------------------------------
-    def _lower_transformation(self, transformation: SpectralTransformation |
+    def lower_transformation(self, transformation: SpectralTransformation |
                               LinearTransformation | None
                               ) -> tuple[LinearTransformation | None,
                                          RealLinearTransformation | None]:
-        """Derive (prefix linear transformation, per-coordinate real map)."""
+        """Derive (prefix linear transformation, per-coordinate real map).
+
+        The one place a transformation is judged against the index: the
+        planner asks it whether an index plan exists, a probe asks it for
+        the maps it runs.  Raises :class:`UnsafeTransformationError` when
+        the map is not safe for the index's feature space (the check
+        :meth:`LinearTransformation.to_real` makes),
+        :class:`IndexError_` for a transformation of another type or
+        coefficient count, :class:`DimensionMismatchError` for a linear one
+        of other extra dimensions, and ``ValueError`` when a spectral one is
+        shorter than the prefix.
+        """
         if transformation is None:
             return None, None
         if isinstance(transformation, SpectralTransformation):
@@ -377,11 +391,6 @@ class KIndex:
         else:
             raise IndexError_(
                 "transformation must be a SpectralTransformation or LinearTransformation"
-            )
-        if not linear.is_safe_for(self.space):
-            raise UnsafeTransformationError(
-                f"transformation {linear.name!r} is not safe for the index space "
-                f"{self.space.name}; pick the other representation or drop the offset"
             )
         return linear, linear.to_real(self.space)
 
@@ -458,7 +467,7 @@ class KIndex:
         started = time.perf_counter()
         tree = self.tree  # one snapshot: the tail is the rows beyond this tree
         tree.reset_stats()
-        linear, real_map = self._lower_transformation(transformation)
+        linear, real_map = self.lower_transformation(transformation)
         moved = transformation is not None and transform_query
         query_fulls = []
         query_points = []
@@ -594,7 +603,7 @@ class KIndex:
         started = time.perf_counter()
         tree = self.tree  # one snapshot: the tail is the rows beyond this tree
         tree.reset_stats()
-        linear, real_map = self._lower_transformation(transformation)
+        linear, real_map = self.lower_transformation(transformation)
         query_features = self._query_features(query)
         if transformation is not None and transform_query:
             query_full = self._full_transformed(query_features, transformation)

@@ -92,9 +92,6 @@ class MetricIndex:
         Maximum bucket size of a leaf (the pivot is stored on top of it).
     """
 
-    #: Lets the planner recognise metric indexes without an import cycle.
-    is_metric = True
-
     def __init__(self, distance: Callable[[Any, Any], float], *,
                  leaf_capacity: int = 8) -> None:
         self.distance = distance

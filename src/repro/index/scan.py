@@ -67,7 +67,7 @@ from ..storage.partition import DEFAULT_PARTITION_ROWS, partition_spans
 from ..timeseries.features import SeriesFeatureExtractor
 from ..timeseries.series import TimeSeries
 from ..timeseries.transforms import SpectralTransformation
-from .kindex import QueryStatistics, RangeQueryResult
+from .kindex import NearestNeighborResult, QueryStatistics, RangeQueryResult
 
 __all__ = ["SequentialScan"]
 
@@ -128,8 +128,6 @@ class SequentialScan:
         self.buffer = buffer
         self._records_per_page = (max(1, int(records_per_page))
                                   if records_per_page is not None else None)
-        #: (hits, misses) charged by the most recent scan pass.
-        self.last_buffer_io = (0, 0)
 
     # ------------------------------------------------------------------
     # loading
@@ -163,18 +161,18 @@ class SequentialScan:
             return 0
         return -(-len(self.store) // self.records_per_page)
 
-    def _charge_scan_io(self) -> None:
+    def _charge_scan_io(self, statistics: QueryStatistics) -> None:
         """One read per data page, asked for as the one run of pages
         ``[0, data_pages)`` — through the buffer pool when one is attached,
         so resident pages are hits rather than device reads.  The pass's
-        (hits, misses) lands in :attr:`last_buffer_io`."""
-        self.last_buffer_io = (0, 0)
-        if self._page_store is None:
-            return
-        if self.buffer is not None:
-            self.last_buffer_io = self.buffer.read_run(0, self.data_pages)
-        else:
-            self._page_store.read_run(0, self.data_pages)
+        pages and (hits, misses) land in ``statistics``, the pass's own: one
+        scan serves concurrent readers, so nothing is kept on the scan."""
+        statistics.node_accesses = self.data_pages
+        if self.buffer is not None and self._page_store is not None:
+            statistics.buffer_hits, statistics.buffer_misses = \
+                self.buffer.read_run(0, statistics.node_accesses)
+        elif self._page_store is not None:
+            self._page_store.read_run(0, statistics.node_accesses)
 
     # ------------------------------------------------------------------
     # query-side helpers
@@ -221,8 +219,8 @@ class SequentialScan:
             raise ValueError("epsilon must be non-negative")
         started = time.perf_counter()
         query_record = self._query_record(query, transformation, transform_query)
-        self._charge_scan_io()
         result = RangeQueryResult()
+        self._charge_scan_io(result.statistics)
         count = len(self.store)
         if count:
             coefficients, means, stds = self._data_arrays(transformation)
@@ -254,27 +252,28 @@ class SequentialScan:
             order = np.argsort(distances, kind="stable")
             result.answers = [(self.store.series(int(ids[i])),
                                float(distances[i])) for i in order]
-        result.statistics.postprocessed = count
-        result.statistics.candidates = count
         # One sequential pass over the data pages; exact distances come with
         # the pages already read, so no per-candidate record fetches.
-        result.statistics.node_accesses = self.data_pages
-        result.statistics.buffer_hits, result.statistics.buffer_misses = self.last_buffer_io
+        result.statistics.postprocessed = count
+        result.statistics.candidates = count
         result.statistics.elapsed_seconds = time.perf_counter() - started
         return result
 
     def nearest_neighbors(self, query: TimeSeries, k: int = 1, *,
                           transformation: SpectralTransformation | None = None,
-                          transform_query: bool = True
-                          ) -> list[tuple[TimeSeries, float]]:
+                          transform_query: bool = True) -> NearestNeighborResult:
         """The ``k`` nearest series by exhaustive comparison."""
         if k <= 0:
             raise ValueError("k must be positive")
+        started = time.perf_counter()
         query_record = self._query_record(query, transformation, transform_query)
-        self._charge_scan_io()
+        result = NearestNeighborResult()
+        self._charge_scan_io(result.statistics)
         count = len(self.store)
+        result.statistics.postprocessed = count
+        result.statistics.candidates = count
         if count == 0:
-            return []
+            return result
         coefficients, means, stds = self._data_arrays(transformation)
         lengths = self.store.lengths
         include_stats = self.extractor.include_stats
@@ -296,8 +295,10 @@ class SequentialScan:
         parts = parallel_map(nearest_in_span, self._spans(count),
                              workers=self.workers)
         merged = heapq.merge(*parts)
-        return [(self.store.series(row_id), distance)
-                for distance, row_id in list(merged)[:k]]
+        result.answers = [(self.store.series(row_id), distance)
+                          for distance, row_id in list(merged)[:k]]
+        result.statistics.elapsed_seconds = time.perf_counter() - started
+        return result
 
     def all_pairs(self, epsilon: float, *,
                   transformation: SpectralTransformation | None = None,
@@ -320,7 +321,7 @@ class SequentialScan:
         stats = QueryStatistics()
         count = len(self.store)
         pairs: list[tuple[TimeSeries, TimeSeries, float]] = []
-        self._charge_scan_io()
+        self._charge_scan_io(stats)
         if count:
             coefficients, means, stds = self._data_arrays(transformation)
             lengths = self.store.lengths
@@ -347,7 +348,5 @@ class SequentialScan:
                 pairs.extend(block)
         stats.postprocessed = count * (count - 1) // 2
         stats.candidates = stats.postprocessed
-        stats.node_accesses = self.data_pages
-        stats.buffer_hits, stats.buffer_misses = self.last_buffer_io
         stats.elapsed_seconds = time.perf_counter() - started
         return pairs, stats

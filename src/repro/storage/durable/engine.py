@@ -43,7 +43,7 @@ from .. import codec
 from ..buffer import BufferPool
 from ..columnar import ColumnarRecordStore
 from ..partition import DEFAULT_PARTITION_ROWS, partition_spans
-from .manifest import load_manifest, replace_atomically, write_manifest
+from .manifest import MANIFEST_NAME, load_manifest, replace_atomically, write_manifest
 from .mmapstore import SegmentPageStore
 from .segments import (ColumnSegment, decode_row, encode_row, load_segments,
                        relation_kind, write_segment)
@@ -233,7 +233,8 @@ class DurableDatabase(Database):
     def register_index(self, relation_name: str, index: Any,
                        index_name: str = "default") -> None:
         if not self._replaying:
-            spec = index_spec(index)  # validates serializability up front
+            self._check_index(relation_name, index)
+            spec = index_spec(index)
             if spec["kind"] == "metric" and not self.has_distance_provider(relation_name):
                 raise StorageError(
                     f"a durable metric index on {relation_name!r} needs the "
@@ -346,9 +347,15 @@ class DurableDatabase(Database):
     def _recover(self, manifest: dict[str, Any]) -> None:
         self._replaying = True
         try:
-            self._epoch = int(manifest["epoch"])
+            self._epoch = manifest["epoch"]
             for name, entry in manifest["relations"].items():
-                self._recover_relation(name, entry)
+                try:
+                    self._recover_relation(name, entry)
+                except StorageError as error:
+                    # The manifest named these files and their shape: say so.
+                    raise StorageError(
+                        f"relation {name!r} of {os.path.join(self.path, MANIFEST_NAME)!r} "
+                        f"cannot be recovered: {error}") from error
             records = WriteAheadLog.replay(
                 os.path.join(self.path, manifest["wal"]))
             for record in records:
@@ -359,9 +366,8 @@ class DurableDatabase(Database):
         # The reopened catalog's state token must sort after every token
         # the previous process handed out at this catalog version.
         self._catalog_version = max(self._catalog_version,
-                                    int(manifest["catalog_version"])) + 1
-        _DEFAULT_ALLOCATOR.advance_past(max(int(manifest["watermark"]),
-                                            self._watermark()))
+                                    manifest["catalog_version"]) + 1
+        _DEFAULT_ALLOCATOR.advance_past(max(manifest["watermark"], self._watermark()))
         self.recovered = True
         self._load_backends(manifest["relations"])
 
@@ -376,12 +382,12 @@ class DurableDatabase(Database):
         except (ValueError, LookupError, TypeError, AttributeError) as error:
             raise StorageError(f"segment files of {name!r} in {directory!r} are "
                                f"inconsistent: {error}") from error
-        if len(rows) != int(entry["count"]):
+        if len(rows) != entry["count"]:
             raise StorageError(
                 f"relation {name!r} recovered {len(rows)} rows, manifest "
                 f"says {entry['count']}")
         relation = self.create_relation(name, rows)
-        relation.version = max(relation.version, int(entry.get("version", 0)))
+        relation.version = max(relation.version, entry["version"])
         if store is not None:
             # Prime the catalog's store cache: scans, samplers and adopted
             # k-indexes all read these arrays (and these series objects).

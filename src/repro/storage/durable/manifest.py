@@ -67,8 +67,36 @@ def write_manifest(root: str, manifest: dict[str, Any]) -> None:
     replace_atomically(os.path.join(root, MANIFEST_NAME), text.encode("utf-8"))
 
 
+#: The keys recovery reads, and their types: of the manifest, of each
+#: relation's entry, and of each segment an entry lists.
+_MANIFEST_KEYS = {"epoch": int, "catalog_version": int, "watermark": int,
+                  "wal": str, "relations": dict}
+_RELATION_KEYS = {"kind": str, "count": int, "version": int, "segments": list,
+                  "indexes": dict, "provider": (str, type(None))}
+_SEGMENT_KEYS = {"start": int, "count": int}
+
+
+def _check_keys(path: str, where: str, record: Any, keys: dict[str, Any]) -> None:
+    if not isinstance(record, dict):
+        raise StorageError(f"manifest {path!r}: {where} is not an object")
+    for key, kind in keys.items():
+        value = record.get(key)
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise StorageError(
+                f"manifest {path!r}: {where} key {key!r} is missing or holds "
+                f"{value!r}, not a {kind.__name__ if isinstance(kind, type) else 'str'}")
+
+
 def load_manifest(root: str) -> dict[str, Any] | None:
-    """The installed manifest, or ``None`` for a fresh (empty) database."""
+    """The installed manifest, or ``None`` for a fresh (empty) database.
+
+    The swap is atomic, so a damaged manifest is real corruption, not a
+    crash artefact: whatever recovery would read from it — a key missing or
+    of the wrong type, here or in a relation's entry — is one
+    :class:`StorageError` naming the manifest and the key, raised before
+    anything is read on its word, rather than a silent reinitialisation
+    over existing data.
+    """
     path = os.path.join(root, MANIFEST_NAME)
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -76,14 +104,21 @@ def load_manifest(root: str) -> dict[str, Any] | None:
     except FileNotFoundError:
         return None
     except (json.JSONDecodeError, UnicodeDecodeError) as error:
-        # The swap is atomic, so a damaged manifest is real corruption,
-        # not a crash artefact — refuse loudly rather than silently
-        # reinitialising over existing data.
         raise StorageError(
             f"manifest {path!r} is unreadable: {error}") from error
-    version = manifest.get("format_version")
+    version = manifest.get("format_version") if isinstance(manifest, dict) else None
     if version != FORMAT_VERSION:
         raise StorageError(
             f"manifest {path!r} has format version {version!r}; this build "
             f"reads version {FORMAT_VERSION}")
+    _check_keys(path, "the manifest", manifest, _MANIFEST_KEYS)
+    for name, entry in manifest["relations"].items():
+        _check_keys(path, f"relation {name!r}", entry, _RELATION_KEYS)
+        for segment in entry["segments"]:
+            _check_keys(path, f"a segment of {name!r}", segment, _SEGMENT_KEYS)
+        for index_name, file_name in entry["indexes"].items():
+            if not isinstance(file_name, str):
+                raise StorageError(
+                    f"manifest {path!r}: index {index_name!r} of {name!r} "
+                    f"names {file_name!r}, not a file")
     return manifest

@@ -203,7 +203,7 @@ def _restore_metric(
 # ----------------------------------------------------------------------
 # whole indexes
 # ----------------------------------------------------------------------
-def serialize_index(index: Any) -> dict[str, Any]:
+def serialize_index(index: KIndex | MetricIndex) -> dict[str, Any]:
     """An index as a codec message (configuration + built structure)."""
     if isinstance(index, KIndex):
         # The points of every row, and the tree: the rows beyond it are the
@@ -215,13 +215,11 @@ def serialize_index(index: Any) -> dict[str, Any]:
             "point_rows": index._points[: len(index)].ravel(),
             "trees": [_serialize_tree(tree)],
         }
-    if isinstance(index, MetricIndex):
-        return {
-            "kind": "metric",
-            "format_version": FORMAT_VERSION,
-            "structure": _serialize_metric_structure(index),
-        }
-    raise StorageError(f"indexes of type {type(index).__name__} have no durable serialization")
+    return {
+        "kind": "metric",
+        "format_version": FORMAT_VERSION,
+        "structure": _serialize_metric_structure(index),
+    }
 
 
 def deserialize_index(
@@ -297,7 +295,7 @@ def load_index_page(path: str, **relation: Any) -> Any:
 # ----------------------------------------------------------------------
 # WAL index specs (rebuild-from-relation, for the uncheckpointed tail)
 # ----------------------------------------------------------------------
-def index_spec(index: Any) -> dict[str, Any]:
+def index_spec(index: KIndex | MetricIndex) -> dict[str, Any]:
     """The construction recipe a WAL ``register_index`` record carries.
 
     A spec names only configuration — replay rebuilds the structure from
@@ -305,12 +303,14 @@ def index_spec(index: Any) -> dict[str, Any]:
     indexes never take this path; they deserialize.)
     """
     if isinstance(index, KIndex):
-        options = ("num_coefficients", "representation", "include_stats")
-        extractor = {option: getattr(index.extractor, option) for option in options}
-        return {"kind": "kindex", "extractor": extractor, "max_entries": index.max_entries}
-    if isinstance(index, MetricIndex):
-        return {"kind": "metric", "leaf_capacity": index.leaf_capacity}
-    raise StorageError(f"indexes of type {type(index).__name__} have no durable spec")
+        extractor = index.extractor
+        options = {
+            "num_coefficients": extractor.num_coefficients,
+            "representation": extractor.representation,
+            "include_stats": extractor.include_stats,
+        }
+        return {"kind": "kindex", "extractor": options, "max_entries": index.max_entries}
+    return {"kind": "metric", "leaf_capacity": index.leaf_capacity}
 
 
 def _empty_kindex(spec: dict[str, Any]) -> KIndex:

@@ -14,6 +14,7 @@ call the break out in the changelog.
 
 from __future__ import annotations
 
+import importlib.util
 import inspect
 import re
 from pathlib import Path
@@ -62,14 +63,13 @@ EXPECTED_ALL = [
     "client", "connect", "dft", "dtw_distance",
     "edit_distance_provider", "euclidean", "euclidean_with_early_abandon",
     "explain", "identity_spectral", "inverse_dft", "is_similar",
-    "make_stock_archive", "materialize_transformed_tree", "mindist",
+    "make_stock_archive", "mindist",
     "minmaxdist", "moving_average_spectral", "noisy_copy", "normalize",
     "normalized_euclidean", "opposite_copy", "parse_query", "random_walk",
     "random_walk_collection", "reverse_spectral", "scale_spectral",
     "serve",
     "shift_spectral", "time_warp_linear", "transformation_distance",
     "transformation_edit_distance",
-    "transformed_nearest_neighbors", "transformed_range_search",
     "weighted_edit_distance",
 ]
 
@@ -188,15 +188,16 @@ class TestIndexProbeSignatures:
     gone from every constructor (ISSUE 19)."""
 
     def test_transformed_search(self):
-        assert _signature(repro.transformed_range_search) == (
-            "(tree: 'PackedRTree | RTree', window: 'Rect', "
-            "transformation: 'RealLinearTransformation | None' = None, "
-            "periodic_dims: 'np.ndarray | None' = None) -> 'list[Any]'")
-        assert not hasattr(repro.index, "transformed_join")
-
-        assert _signature(repro.materialize_transformed_tree) == (
-            "(tree: 'PackedRTree | RTree', "
-            "transformation: 'RealLinearTransformation') -> 'PackedRTree'")
+        """Search under a transformation is the tree's own: Algorithm 1 is
+        ``PackedRTree.transformed``, Algorithm 2 ``window_search`` and the
+        nearest-neighbour analogue ``nearest_search``; the module of
+        one-line wrappers over them is gone."""
+        assert _signature(repro.PackedRTree.transformed) == (
+            "(self, transformation: 'RealLinearTransformation') -> \"'PackedRTree'\"")
+        for name in ("transformed_join", "transformed_range_search",
+                     "materialize_transformed_tree", "transformed_nearest_neighbors"):
+            assert not hasattr(repro.index, name) and not hasattr(repro, name)
+        assert importlib.util.find_spec("repro.index.transformed") is None
 
     def test_tree_probes(self):
         for tree in (repro.PackedRTree, repro.RTree):
@@ -223,10 +224,6 @@ class TestIndexProbeSignatures:
         assert not hasattr(repro.index.rtree, "nearest_search")
         assert _signature(repro.PackedRTree.nearest_search) == "(self, " + kernel
         assert _signature(repro.RTree.nearest_search) == "(self, " + kernel
-        assert _signature(repro.transformed_nearest_neighbors) == (
-            "(tree: 'PackedRTree | RTree', point: 'np.ndarray', k: 'int' = 1, "
-            "transformation: 'RealLinearTransformation | None' = None) "
-            "-> 'list[tuple[float, Any]]'")
         assert _signature(repro.KIndex.nearest_neighbors) == (
             "(self, query: 'TimeSeries | FeatureVector', k: 'int' = 1, *, "
             "transformation: 'SpectralTransformation | None' = None, "

@@ -131,7 +131,10 @@ class TestThePapersCountsArePinned:
     harness printed 13 / 7 / 28 / 33, 10 / 39 / 74 / 140 and 533 / 266 / 146
     at full scale there): a loader that tiles differently, a grower that
     splits differently or a kernel that opens other nodes fails here, at a
-    scale that runs in two seconds."""
+    scale that runs in two seconds.  Figs. 10–12 and Table 1 are pinned the
+    same way, by the counts the harness reports for them at reduced sizes:
+    a scan or index kernel that reads other pages, fetches other candidates
+    or computes other distances fails here too."""
 
     def test_figures_8_and_9_on_the_dynamic_tree(self):
         rows = figure8_query_time_vs_length(lengths=(64, 128), repetitions=1)
@@ -164,6 +167,34 @@ class TestThePapersCountsArePinned:
             found.append((ranged.node_accesses, ranged.candidates,
                           nearest.node_accesses, nearest.candidates))
         assert found == expected
+
+
+    def test_figures_10_and_11_index_against_scan(self):
+        """Per row: index I/O (node accesses plus one record fetch per
+        candidate), scan I/O (its data pages), candidates, answers."""
+        rows = figure10_index_vs_scan_length(lengths=(64,), num_series=250,
+                                             repetitions=1)
+        assert [(row["index_io"], row["scan_io"], row["candidates"], row["answers"])
+                for row in rows] == [(20, 63, 11, 2)]
+        rows = figure11_index_vs_scan_count(counts=(100, 200), length=64,
+                                            repetitions=1)
+        assert [(row["index_io"], row["scan_io"]) for row in rows] == [(4, 25), (12, 50)]
+
+    def test_figure_12_answer_set_sweep(self):
+        rows = figure12_answer_set_size(num_series=150, length=64,
+                                        fractions=(0.01, 0.1, 0.4))
+        assert [(row["answer_set_size"], row["index_io"], row["scan_io"],
+                 row["candidates"]) for row in rows] == [
+            (1, 4, 38, 1), (15, 64, 38, 50), (60, 103, 38, 83)]
+
+    def test_table_1_self_join(self):
+        """Methods (a)/(b) by distance computations, (c)/(d) by node
+        accesses; the answer-set sizes keep the original's pair counting."""
+        rows = table1_spatial_join(num_series=80, length=64)
+        assert [(row["method"][0], row["answer_set_size"],
+                 row.get("distances_computed"), row.get("node_accesses"))
+                for row in rows] == [("a", 13, 3160, None), ("b", 13, 3160, None),
+                                     ("c", 4, None, 351), ("d", 26, None, 374)]
 
 
 class TestAblations:

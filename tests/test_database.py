@@ -7,10 +7,20 @@ import pytest
 from repro.core.database import Database, Relation, Row
 from repro.core.errors import CatalogError
 from repro.core.objects import GenericObject
+from repro.index.metric import MetricIndex
+from repro.index.scan import SequentialScan
 
 
 def _objects(count: int):
     return [GenericObject([float(i)], name=f"o{i}") for i in range(count)]
+
+
+def _index(size: int = 0) -> MetricIndex:
+    """A real index holding ``size`` objects: the catalog admits a KIndex or
+    a MetricIndex and nothing else."""
+    index = MetricIndex(lambda x, y: abs(x - y))
+    index.extend(range(size))
+    return index
 
 
 class TestRelation:
@@ -77,7 +87,7 @@ class TestDatabase:
     def test_register_and_get_index(self):
         database = Database()
         database.create_relation("r")
-        marker = object()
+        marker = _index()
         database.register_index("r", marker)
         assert database.index("r") is marker
         assert database.has_index("r")
@@ -86,7 +96,17 @@ class TestDatabase:
 
     def test_index_requires_relation(self):
         with pytest.raises(CatalogError):
-            Database().register_index("missing", object())
+            Database().register_index("missing", _index())
+
+    @pytest.mark.parametrize("candidate", [object(), [1, 2, 3], SequentialScan()])
+    def test_register_index_refuses_a_non_index(self, candidate):
+        database = Database()
+        database.create_relation("r")
+        before = database.state_token("r")
+        with pytest.raises(CatalogError, match="KIndex or a MetricIndex"):
+            database.register_index("r", candidate)
+        assert not database.has_index("r")
+        assert database.state_token("r") == before
 
     def test_missing_index(self):
         database = Database()
@@ -97,7 +117,7 @@ class TestDatabase:
     def test_drop_relation_removes_indexes(self):
         database = Database()
         database.create_relation("r")
-        database.register_index("r", object())
+        database.register_index("r", _index())
         database.drop_relation("r")
         assert "r" not in database
         assert database.indexes() == []
@@ -107,7 +127,7 @@ class TestDatabase:
     def test_drop_index(self):
         database = Database()
         database.create_relation("r")
-        database.register_index("r", object())
+        database.register_index("r", _index())
         before = database.state_token("r")
         database.drop_index("r")
         assert not database.has_index("r")
@@ -118,8 +138,8 @@ class TestDatabase:
     def test_drop_index_keeps_siblings(self):
         database = Database()
         database.create_relation("r")
-        database.register_index("r", object(), index_name="a")
-        database.register_index("r", object(), index_name="b")
+        database.register_index("r", _index(), index_name="a")
+        database.register_index("r", _index(), index_name="b")
         database.drop_index("r", "a")
         assert not database.has_index("r", "a")
         assert database.has_index("r", "b")
@@ -210,36 +230,36 @@ class TestStateTokenScoping:
         database = Database()
         database.create_relation("a", _objects(2))
         database.create_relation("b")
-        database.register_index("a", [1, 2, 3], "primary")
-        database.register_index("b", [1])
+        database.register_index("a", _index(3), "primary")
+        database.register_index("b", _index(1))
         _, _, index_sizes, _ = database.state_token("a")
         assert index_sizes == (("primary", 3),)
 
     def test_token_changes_on_own_index_growth(self):
         database = Database()
         database.create_relation("a", _objects(2))
-        index = [1]
+        index = _index(1)
         database.register_index("a", index)
         before = database.state_token("a")
-        index.append(2)
+        index.insert(2)
         assert database.state_token("a") != before
 
     def test_token_order_independent_of_registration_order(self):
         first = Database()
         first.create_relation("a")
-        first.register_index("a", [1], "x")
-        first.register_index("a", [1, 2], "y")
+        first.register_index("a", _index(1), "x")
+        first.register_index("a", _index(2), "y")
         second = Database()
         second.create_relation("a")
-        second.register_index("a", [1, 2], "y")
-        second.register_index("a", [1], "x")
+        second.register_index("a", _index(2), "y")
+        second.register_index("a", _index(1), "x")
         assert first.state_token("a")[2] == second.state_token("a")[2]
 
     def test_indexes_on_lists_one_relations_indexes(self):
         database = Database()
         database.create_relation("a")
         database.create_relation("b")
-        primary, other = object(), object()
+        primary, other = _index(), _index()
         database.register_index("a", primary, "primary")
         database.register_index("b", other)
         assert database.indexes_on("a") == {"primary": primary}

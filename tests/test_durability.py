@@ -31,6 +31,7 @@ from repro import (
     MetricIndex,
     PackedRTree,
     PageStore,
+    QueryEngine,
     SequentialScan,
     SeriesFeatureExtractor,
     StringObject,
@@ -659,6 +660,50 @@ class TestDurableGuards:
             fh.write("{not json")
         with pytest.raises(StorageError):
             repro.connect(path=path)
+
+    def test_every_flip_and_truncation_of_the_manifest(self, tmp_path):
+        """The manifest is outside input too.  Every one-bit flip and every
+        truncation of a small one reopens to a ``StorageError`` naming
+        ``MANIFEST.json`` — never a bare ``KeyError`` from whichever line
+        reads the damaged key — or to the undamaged directory's answers (a
+        flipped watermark or epoch, which recovery only takes a maximum
+        with or counts on from, say).  A refused reopen touches nothing, so
+        the directory is copied afresh only after one that succeeded."""
+        data = random_walk_collection(24, 32, seed=47)
+        base, work = str(tmp_path / "base"), str(tmp_path / "work")
+        with repro.connect(path=base) as session:
+            session.relation("walks").insert_many(data).with_index(
+                KIndex(SeriesFeatureExtractor(2)))
+        valid = open(os.path.join(base, "MANIFEST.json"), "rb").read()
+
+        def answers(database):
+            engine = QueryEngine(database, answer_cache_size=0)
+            found = [[(obj.object_id, distance) for obj, distance
+                      in engine.execute(sql, {"q": query}).answers]
+                     for query in data[:3]
+                     for sql in (RANGE_SQL, "SELECT FROM walks NEAREST 3 TO $q")]
+            database.close()
+            return found
+
+        shutil.copytree(base, work)
+        expected = answers(DurableDatabase(work))
+        flips = [valid[:at] + bytes([valid[at] ^ (1 << bit)]) + valid[at + 1:]
+                 for at in range(len(valid)) for bit in range(8)]
+        truncations = [valid[:stop] for stop in range(len(valid))]
+        reopened = 0
+        for damaged in flips + truncations:
+            with open(os.path.join(work, "MANIFEST.json"), "wb") as fh:
+                fh.write(damaged)
+            try:
+                database = DurableDatabase(work)
+            except StorageError as error:
+                assert "MANIFEST.json" in str(error)
+                continue
+            reopened += 1
+            assert answers(database) == expected
+            shutil.rmtree(work)
+            shutil.copytree(base, work)
+        assert reopened  # flips in the numbers recovery tolerates
 
     @pytest.mark.parametrize("opener, option, value", [
         (repro.connect, "wal_sync", "sometimes"),

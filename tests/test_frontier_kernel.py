@@ -7,7 +7,7 @@ both are checked here against things that share no code with them.  A range
 probe against:
 
 * a **per-entry reference traversal** — a plain recursive walk over the nodes
-  of :func:`materialize_transformed_tree` (Algorithm 1), one entry at a time,
+  of :meth:`PackedRTree.transformed` (Algorithm 1), one entry at a time,
   each node read through :func:`node_entries` —
   which must find the same records *and* open the same nodes;
 * a **brute-force oracle** over the raw points (and, at the ``KIndex`` level,
@@ -33,6 +33,7 @@ import itertools
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
@@ -45,12 +46,9 @@ from repro.core.errors import IndexError_
 from repro.core.spaces import PolarSpace, RectangularSpace
 from repro.core.transformations import RealLinearTransformation
 from repro.index import kindex as kindex_module
-from repro.index.geometry import Rect, rects_overlap
+from repro.index.geometry import Rect, mindist_batch, rects_overlap
 from repro.index.rstar import RStarTree
 from repro.index.rtree import NEAREST_BLOCK, PackedRTree, RTree
-from repro.index.transformed import (materialize_transformed_tree,
-                                     transformed_nearest_neighbors,
-                                     transformed_range_search)
 from repro.storage import codec
 from repro.storage.columnar import exact_distances
 from repro.storage.durable.serde import _deserialize_tree, _serialize_tree
@@ -133,6 +131,12 @@ def node_entries(tree, node):
         for row, payload in zip(rows, payloads)]
 
 
+def transformed(tree, transformation):
+    """Algorithm 1 on the packed form — a grower is read through
+    :meth:`RTree.packed`, as :func:`node_entries` reads it."""
+    return (tree.packed() if isinstance(tree, RTree) else tree).transformed(transformation)
+
+
 def reference_traversal(tree, window_low, window_high, periodic):
     """Per-entry recursive window search; returns (records, visited nodes)."""
     found, visited = [], set()
@@ -171,15 +175,14 @@ def brute_force(points, transformation, window_low, window_high, periodic):
 
 def check_tree(tree, points, transformation, window_lows, window_highs, periodic):
     """Kernel == reference traversal == brute force, singly and batched."""
-    clone = tree if transformation is None else \
-        materialize_transformed_tree(tree, transformation)
+    clone = tree if transformation is None else transformed(tree, transformation)
     union = set()
     for low, high in zip(window_lows, window_highs):
         expected, visited = reference_traversal(clone, low, high, periodic)
         union |= visited
         tree.reset_stats()
-        got = transformed_range_search(tree, Rect(low, high), transformation,
-                                       periodic_dims=periodic)
+        got = tree.window_search(low[None, :], high[None, :], transformation,
+                                 periodic)[0].tolist()
         assert got == expected == brute_force(points, transformation, low, high,
                                               periodic)
         assert tree.access_stats.total == len(visited)
@@ -309,7 +312,7 @@ class TestWindowSearchDifferential:
         for probe in (lambda: tree.search(flat),
                       lambda: tree.search_many([flat, flat]),
                       lambda: tree.search_many([solid, flat]),
-                      lambda: transformed_range_search(tree, flat),
+                      lambda: tree.window_search(flat.low[None, :], flat.high[None, :]),
                       lambda: tree.window_search(np.zeros(3), np.ones(3)),
                       lambda: tree.window_search(np.zeros((2, 3)), np.ones((1, 3)))):
             with pytest.raises(IndexError_, match="tree of dimension 3"):
@@ -391,8 +394,7 @@ def scalar_mindist(point, low, high):
 def check_tree_nearest(tree, points, transformation, queries, ks=(1, 5, 10)):
     """Kernel == per-entry best-first == brute force, to the bit; its node
     visits between the reference's and that plus the block allowance."""
-    clone = tree if transformation is None else \
-        materialize_transformed_tree(tree, transformation)
+    clone = tree if transformation is None else transformed(tree, transformation)
     images = points if transformation is None else transformation.apply(points)
     for query in queries:
         distances = np.sqrt(np.sum(np.square(query - images), axis=1))
@@ -403,7 +405,9 @@ def check_tree_nearest(tree, points, transformation, queries, ks=(1, 5, 10)):
                 clone, k, lambda low, high: scalar_mindist(query, low, high),
                 lambda record: float(distances[record]))
             tree.reset_stats()
-            got = transformed_nearest_neighbors(tree, query, k, transformation)
+            found, records = tree.nearest_search(k, partial(mindist_batch, query),
+                                                 transformation=transformation)
+            got = list(zip(found[:k].tolist(), records[:k].tolist()))
             assert got == expected == ranked[:k]
             assert opened <= tree.access_stats.total <= opened + block_allowance(opened)
     assert type(tree.access_stats.internal) is type(tree.access_stats.leaf) is int
@@ -502,7 +506,7 @@ class TestNearestSearchDifferential:
                                      list(range(20)))
         data = random_walk_collection(8, 32, seed=1)
         for probe in (lambda: tree.nearest_neighbors(np.zeros(3), k=0),
-                      lambda: transformed_nearest_neighbors(tree, np.zeros(3), k=-1),
+                      lambda: tree.nearest_search(-1, partial(mindist_batch, np.zeros(3))),
                       lambda: KIndex.bulk_load(data).nearest_neighbors(data[0], k=0)):
             with pytest.raises(ValueError, match="k must be positive"):
                 probe()
@@ -567,7 +571,7 @@ def reference_index_nearest(index, query, k, transformation):
     """The per-entry walk at the k-index level: image rectangles one at a
     time, the space's scalar lower bound, one full record scored per pop.
     Returns (``(id, distance)`` answers, nodes opened, verified)."""
-    linear, real_map = index._lower_transformation(transformation)
+    linear, real_map = index.lower_transformation(transformation)
     features = index._query_features(query)
     full = (features.full_coefficients, features.mean, features.std)
     point = features.point
@@ -709,12 +713,12 @@ def reference_index_range(index, query, epsilon, transformation):
     """Candidates of a range probe, an entry at a time: the per-entry walk of
     the index's tree, then one rectangle test per tail row.  Returns
     (ascending candidate ids, the nodes visited)."""
-    linear, real_map = index._lower_transformation(transformation)
+    linear, real_map = index.lower_transformation(transformation)
     point = index._transform_point(index._query_features(query).point, linear)
     low, high = index.space.search_rectangle(point, epsilon)
     periodic = index.space.periodic_dimension_mask()
     tree = index.tree
-    clone = tree if real_map is None else materialize_transformed_tree(tree, real_map)
+    clone = tree if real_map is None else tree.transformed(real_map)
     found, visited = reference_traversal(clone, low, high, periodic)
     for record in range(len(index.tree), len(index)):
         image = index._points[record]

@@ -9,7 +9,8 @@ Covers the PR-4 planner rewrite:
 * every plan carries its estimate and the rejected alternatives;
 * ``analyze`` bumps the state token and invalidates the plan/answer caches,
   while lazy statistics collection does not;
-* indexes of unknown kind lose cost ties to the scan, loudly;
+* the feature family prices the relation's k-index, the provider family
+  its metric index, and an index of the other kind is no alternative;
 * the cost model's workers dimension reprices scan plans at the parallel
   critical path (counters stay totals), shifting the index/scan crossover,
   and the removed ``Planner(selectivity_crossover=...)`` path stays removed;
@@ -352,37 +353,36 @@ class TestStatisticsLifecycle:
         assert refreshed.tree_summary is not None
 
 
-class TestUnknownIndexKind:
-    """An index the planner cannot price must not win by silent assumption."""
+class TestIndexKinds:
+    """Each plan family prices its own kind of index and no other."""
 
-    def _database(self):
+    def test_a_metric_index_is_no_feature_alternative(self):
         data = random_walk_collection(40, LENGTH, seed=3)
         database = Database()
         database.create_relation("walks", data)
-        database.register_index("walks", [1, 2, 3])  # no space, no extractor
-        return database
-
-    def test_unknown_kind_loses_the_tie_to_the_scan(self):
-        planner = Planner(self._database())
-        plan = planner.plan(RangeQuery(relation="walks", epsilon=1.0))
-        assert isinstance(plan, ScanRangePlan)
-        rejected = {entry.family: entry for entry in plan.rejected}
-        assert "IndexRangePlan" in rejected
-        assert not rejected["IndexRangePlan"].estimate.can_estimate
-
-    def test_the_assumption_is_stated_in_explain(self):
-        planner = Planner(self._database())
-        plan = planner.plan(RangeQuery(relation="walks", epsilon=1.0))
-        text = explain(plan)
-        assert "unknown kind" in text
-        assert "rejected IndexRangePlan" in text
-
-    def test_unknown_kind_applies_to_all_families(self):
-        planner = Planner(self._database())
-        for query in (NearestNeighborQuery(relation="walks", k=2),
+        metric = MetricIndex(lambda x, y: float(abs(x.values - y.values).sum()))
+        metric.extend(data)
+        database.register_index("walks", metric)
+        planner = Planner(database)
+        for query in (RangeQuery(relation="walks", epsilon=1.0),
+                      NearestNeighborQuery(relation="walks", k=2),
                       AllPairsQuery(relation="walks", epsilon=1.0)):
             plan = planner.plan(query)
             assert type(plan).__name__.startswith("Scan")
+            assert plan.rejected == ()
+            assert "not a k-index" in plan.reason
+
+    def test_a_k_index_is_no_provider_alternative(self):
+        database = Database()
+        database.create_relation(
+            "words", [StringObject(w) for w in ("pattern", "patter", "lantern")])
+        database.register_distance("words", edit_distance_provider())
+        database.register_index("words", KIndex())
+        planner = Planner(database)
+        for query in (RangeQuery(relation="words", epsilon=1.0),
+                      NearestNeighborQuery(relation="words", k=2)):
+            plan = planner.plan(query)
+            assert plan.index_name is None and plan.rejected == ()
 
 
 class TestWorkersDimension:

@@ -47,7 +47,7 @@ class TestScanQueries:
             loaded_scan.nearest_neighbors(walk_collection[0], k=0)
 
     def test_nearest_neighbors_sorted(self, loaded_scan, walk_collection):
-        answers = loaded_scan.nearest_neighbors(walk_collection[1], k=5)
+        answers = loaded_scan.nearest_neighbors(walk_collection[1], k=5).answers
         distances = [d for _, d in answers]
         assert distances == sorted(distances)
         assert answers[0][0].object_id == walk_collection[1].object_id
@@ -141,13 +141,14 @@ class TestScanQueries:
         assert store.stats.allocations == 0 and len(store) == 0
         range_work = scan.range_query(data[0], 1.0).statistics
         assert store.stats.reads == 7
-        scan.nearest_neighbors(data[0], 3)
+        nearest_work = scan.nearest_neighbors(data[0], 3).statistics
         assert store.stats.reads == 14
         _, join_work = scan.all_pairs(1.0)
         assert store.stats.reads == 21
-        assert range_work.node_accesses == join_work.node_accesses == 7
+        for work in (range_work, nearest_work, join_work):
+            assert work.node_accesses == 7
+            assert work.buffer_hits == work.buffer_misses == 0  # no pool, nothing to hit
         assert store.stats.allocations == 0 and len(store) == 0
-        assert scan.last_buffer_io == (0, 0)  # no pool, nothing to hit
 
     def test_a_pass_is_one_run_and_no_page_reads(self):
         class CountingStore(PageStore):
@@ -181,6 +182,35 @@ class TestScanQueries:
         assert (cold.buffer_hits, cold.buffer_misses) == (0, 6)
         assert (warm.buffer_hits, warm.buffer_misses) == (6, 0)
         assert store.calls == [("read_run", 0, 6)]
+
+    @pytest.mark.parametrize("outer", ["range", "nearest", "join"])
+    def test_interleaved_passes_report_their_own_buffer_counts(self, outer):
+        """One scan serves concurrent readers, so a pass that runs while
+        another sits between charging its pages and reporting them must not
+        hand the other its buffer counts.  The second pass runs inside the
+        first — deterministically, from the first's read of the arrays."""
+        data = random_walk_collection(22, 32, seed=9)
+        store = PageStore()
+        scan = SequentialScan(page_store=store, records_per_page=4,
+                              buffer=BufferPool(store, 8))
+        scan.extend(data)
+        passes = {"range": lambda: scan.range_query(data[0], 1.0).statistics,
+                  "nearest": lambda: scan.nearest_neighbors(data[1], 2).statistics,
+                  "join": lambda: scan.all_pairs(1.0)[1]}
+        inner = []
+        arrays = scan.store.transformed_arrays
+
+        def interleaved(transformation):
+            scan.store.transformed_arrays = arrays  # the second pass runs plain
+            inner.append(passes["nearest" if outer == "range" else "range"]())
+            return arrays(transformation)
+
+        scan.store.transformed_arrays = interleaved
+        first = passes[outer]()
+        assert len(inner) == 1
+        assert (first.buffer_hits, first.buffer_misses) == (0, 6)  # cold pool
+        assert (inner[0].buffer_hits, inner[0].buffer_misses) == (6, 0)
+        assert first.node_accesses == inner[0].node_accesses == 6
 
     def test_records_per_page_follows_the_first_record(self):
         scan = SequentialScan()

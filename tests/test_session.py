@@ -88,13 +88,26 @@ class TestRelationHandle:
             session.relation("walks").insert_many(data).with_index(half_index)
         assert not session.database.has_index("walks")
 
-    def test_with_index_rejects_an_unsized_index(self):
-        session = connect()
+    @pytest.mark.parametrize("durable", [False, True])
+    def test_with_index_rejects_a_non_index(self, durable, tmp_path):
+        """The catalog admits a KIndex or a MetricIndex: anything else is
+        refused before it is loaded, registered or logged — on the durable
+        catalog too, whose reopened directory holds no trace of it."""
+        path = str(tmp_path / "db") if durable else None
+        session = connect(path=path)
         handle = session.relation("walks",
                                   random_walk_collection(3, LENGTH, seed=37))
-        with pytest.raises(CatalogError, match="unsized"):
-            handle.with_index(object())
+        for candidate in (object(), [1, 2, 3]):
+            with pytest.raises(CatalogError, match="KIndex or a MetricIndex"):
+                handle.with_index(candidate)
+            with pytest.raises(CatalogError, match="KIndex or a MetricIndex"):
+                session.database.register_index("walks", candidate)
         assert not session.database.has_index("walks")
+        if durable:
+            session.close()
+            with connect(path=path) as reopened:
+                assert len(reopened.database.relation("walks")) == 3
+                assert not reopened.database.has_index("walks")
 
     def test_with_index_keeps_preloaded_index(self):
         data = random_walk_collection(10, LENGTH, seed=3)
@@ -152,27 +165,15 @@ class TestRelationHandle:
     def test_failed_index_insert_leaves_relation_unchanged(self):
         """A handle insert commits the relation only after every registered
         index accepted the object — no silent relation/index divergence."""
-        data = random_walk_collection(6, LENGTH, seed=34)
+        data = random_walk_collection(5, LENGTH, seed=34)
         session = connect()
-
-        class RejectingIndex:
-            def __len__(self):
-                return 5
-
-            def insert(self, obj):
-                raise RuntimeError("index refuses the object")
-
-            def extend(self, objects):
-                for obj in objects:
-                    self.insert(obj)
-
-        handle = session.relation("walks").insert_many(data[:5]) \
-            .with_index(RejectingIndex())
+        handle = session.relation("walks").insert_many(data) \
+            .with_index(KIndex(SeriesFeatureExtractor(2)))
         before_version = handle.relation.version
-        with pytest.raises(RuntimeError):
-            handle.insert(data[5])
-        with pytest.raises(RuntimeError):
-            handle.insert_many([data[5]])
+        with pytest.raises(IndexError_, match="is not a time series"):
+            handle.insert(StringObject("refused"))
+        with pytest.raises(IndexError_, match="is not a time series"):
+            handle.insert_many([StringObject("refused")])
         assert len(handle) == 5  # relation did not outrun its index
         assert handle.relation.version == before_version
 

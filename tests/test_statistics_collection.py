@@ -84,7 +84,7 @@ def reference_filter_only(index, query, epsilon: float, transformation=None) -> 
     """``range_query(exact=False)``'s per-candidate loop as it stood, run over
     every row: a point within ``epsilon`` is inside the search rectangle, so
     the candidates are the only rows that can pass."""
-    linear, _ = index._lower_transformation(transformation)
+    linear, _ = index.lower_transformation(transformation)
     query_point = index._transform_point(index.extractor.extract(query).point, linear)
     answers = []
     for record_id in range(len(index)):
