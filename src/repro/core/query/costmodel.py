@@ -62,10 +62,13 @@ __all__ = ["CostEstimate", "QueryCostModel", "CPU_WEIGHT",
 CPU_WEIGHT = 0.25
 
 #: Exchange rate for the *early-abandoned* record checks of an optimised
-#: range scan: the DFT concentrates energy in the first coefficients, so a
-#: non-answer is rejected after a short prefix — an order of magnitude
-#: cheaper than a full computation.  This keeps the range-query cost model
-#: I/O-dominated, as in the evaluation's page-access figures.
+#: range scan: a real series' spectrum keeps its energy in the lowest
+#: frequencies, which a stored record holds at both of its ends (conjugate
+#: symmetry), and the abandoning kernels visit those columns first, in
+#: mirror pairs — so a non-answer is rejected after a round or two of
+#: columns, an order of magnitude cheaper than a full computation.  This
+#: keeps the range-query cost model I/O-dominated, as in the evaluation's
+#: page-access figures.
 EARLY_ABANDON_WEIGHT = 0.02
 
 #: Exchange rate for combining per-partition partial results (k-way heap

@@ -33,7 +33,10 @@ The module-level **kernels** implement exact record distances blockwise:
 * :func:`early_abandon_candidates` — chunked cumulative partial sums with
   mask-and-refine compaction: rows whose running sum clearly exceeds the
   threshold are dropped after each coefficient chunk, mirroring the
-  classic early-abandon scan but over whole array blocks.  Pruning is
+  classic early-abandon scan but over whole array blocks.  Like the two
+  pair kernels below it takes the columns in conjugate pairs
+  (:func:`_abandon_order`), where a real series' spectrum keeps its
+  energy.  Pruning is
   *conservative* (a tiny slack keeps borderline rows alive), so the
   surviving rows are re-scored by :func:`exact_distances` and the answers
   are exactly those of the non-abandoning path;
@@ -87,9 +90,16 @@ __all__ = [
     "verify_pairs",
 ]
 
-#: Coefficient columns consumed per early-abandon round.  The DFT
-#: concentrates energy in the first coefficients, so most non-answers are
-#: dropped after the first chunk or two.
+#: Coefficient columns consumed per early-abandon round.  A stored record is
+#: the DFT of a real series without its DC term, conjugate-symmetric: column
+#: ``j`` mirrors column ``W - 1 - j``, so its energy sits at *both* ends.  The
+#: rounds visit each low-frequency column beside its mirror
+#: (:func:`_abandon_order`), and most non-answers are dropped after the first
+#: chunk or two.  So the kernels stop abandoning after a round whose dropped
+#: rows, times the columns the exact pass would have read of each, are no
+#: more than the columns the next round would read of the rows it kept: by
+#: then the columns left hold little energy, and the survivors (nearly all
+#: answers) go to the exact pass as they are.
 ABANDON_CHUNK = 8
 
 #: Relative slack applied to the early-abandon threshold so pruning stays
@@ -349,6 +359,35 @@ def transform_full_record(full_coefficients: np.ndarray, mean: float, std: float
 # ---------------------------------------------------------------------------
 # kernels
 # ---------------------------------------------------------------------------
+def _abandon_order(columns: int) -> np.ndarray:
+    """The order the abandoning rounds visit ``columns`` coefficient columns
+    in: each beside its conjugate mirror, ``0, W-1, 1, W-2, ...``.
+
+    A real series' spectrum holds the energy of frequency ``f`` in columns
+    ``f - 1`` and ``W - f``, and a random walk's energy falls off with
+    frequency, so this order front-loads the partial sums.  Any order is
+    safe: a partial sum over any set of columns is at most the total, so no
+    answer is ever dropped.
+    """
+    order = np.empty(columns, dtype=np.intp)
+    order[0::2] = np.arange((columns + 1) // 2)
+    order[1::2] = np.arange(columns - 1, (columns - 1) // 2, -1)
+    return order
+
+
+def _gather_columns(matrix: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``matrix[rows[:, None], cols]``, a fresh array.
+
+    numpy's (row, column) gather costs about twice a copy of the columns
+    followed by a row take, so it goes that way when the matrix has no more
+    rows than are gathered: the copy is then no larger than the result, and
+    no temporary outgrows the gather.
+    """
+    if matrix.shape[0] <= rows.size:
+        return matrix.take(cols, axis=1).take(rows, axis=0)
+    return matrix[rows[:, None], cols]
+
+
 def _coefficient_sums(coefficients: np.ndarray, lengths: np.ndarray,
                       query_coefficients: np.ndarray, query_length: int
                       ) -> np.ndarray:
@@ -398,12 +437,13 @@ def early_abandon_candidates(coefficients: np.ndarray, lengths: np.ndarray,
     """Row indices surviving a vectorized early-abandoning scan.
 
     Accumulates squared differences chunkwise (statistics terms first, then
-    coefficients from the lowest frequency up — largest contributions first,
-    which is what makes abandoning effective), dropping rows whose running
-    sum clearly exceeds ``epsilon**2`` after each chunk and compacting the
-    active set.  Pruned rows are *guaranteed* non-answers (partial sums only
-    grow and a small slack absorbs float reassociation), so callers re-score
-    only the survivors with :func:`exact_distances`.
+    coefficients in conjugate pairs from the lowest frequency up, see
+    :func:`_abandon_order` — largest contributions first, which is what
+    makes abandoning effective), dropping rows whose running sum clearly
+    exceeds ``epsilon**2`` after each chunk and compacting the active set.
+    Pruned rows are *guaranteed* non-answers (partial sums only grow and a
+    small slack absorbs float reassociation), so callers re-score only the
+    survivors with :func:`exact_distances`.
     """
     count = coefficients.shape[0]
     if count == 0:
@@ -420,20 +460,23 @@ def early_abandon_candidates(coefficients: np.ndarray, lengths: np.ndarray,
     columns = min(coefficients.shape[1], len(query_coefficients))
     common = np.minimum(lengths, len(query_coefficients))
     ragged = not np.all(common == columns)
+    order = _abandon_order(columns)
     for start in range(0, columns, chunk):
         if active.size == 0:
             break
-        stop = min(start + chunk, columns)
-        squared = np.abs(coefficients[active, start:stop]
-                         - query_coefficients[start:stop]) ** 2
+        cols = order[start:start + chunk]
+        difference = _gather_columns(coefficients, active, cols)
+        difference -= query_coefficients[cols]
         if ragged:
-            mask = np.arange(start, stop)[None, :] < common[active][:, None]
-            squared = np.where(mask, squared, 0.0)
-        totals = totals + np.sum(squared, axis=1)
+            difference[cols >= common[active][:, None]] = 0.0
+        parts = difference.view(np.float64)
+        totals += np.einsum("ij,ij->i", parts, parts)
         alive = totals <= bound
-        if not alive.all():
-            active = active[alive]
-            totals = totals[alive]
+        dropped = alive.size - int(np.count_nonzero(alive))
+        if dropped:
+            active, totals = active[alive], totals[alive]
+        if dropped * columns <= active.size * chunk:
+            break
     return active
 
 
@@ -514,20 +557,28 @@ def verify_pairs(coefficients: np.ndarray, lengths: np.ndarray,
             common = np.minimum(lengths[rows], query_lengths[queries])
             columns = int(common.max())
             ragged = not np.all(common == columns)
+            order = _abandon_order(columns)
+            # The rows of the batch this block's queries span: a round's
+            # gather copies their columns, not the whole batch's.
+            low = int(queries.min())
+            spanned = query_matrix[low:int(queries.max()) + 1]
             for start in range(0, columns, ABANDON_CHUNK):
                 if survivors.size * (columns - start) <= PAIR_BLOCK:
                     break
-                stop = min(start + ABANDON_CHUNK, columns)
-                difference = coefficients[rows, start:stop]
-                difference -= query_matrix[queries, start:stop]
+                cols = order[start:start + ABANDON_CHUNK]
+                difference = _gather_columns(coefficients, rows, cols)
+                difference -= _gather_columns(spanned, queries - low, cols)
                 if ragged:
-                    difference[np.arange(start, stop) >= common[:, None]] = 0.0
+                    difference[cols >= common[:, None]] = 0.0
                 parts = difference.view(np.float64)
                 totals += np.einsum("ij,ij->i", parts, parts)
                 alive = totals <= bounds
-                if not alive.all():
+                dropped = alive.size - int(np.count_nonzero(alive))
+                if dropped:
                     survivors, rows, queries = survivors[alive], rows[alive], queries[alive]
                     common, totals, bounds = common[alive], totals[alive], bounds[alive]
+                if dropped * columns <= survivors.size * ABANDON_CHUNK:
+                    break
         for start in range(0, survivors.size, piece):
             pairs = slice(start, start + piece)
             distances = gathered_pair_distances(
@@ -617,21 +668,24 @@ def pair_block_distances(coefficients: np.ndarray, lengths: np.ndarray,
         common = np.minimum(lengths[left], lengths[right])
         columns = int(common.max()) if common.size else 0
         ragged = not np.all(common == columns)
+        order = _abandon_order(columns)
         for start in range(0, columns, ABANDON_CHUNK):
             if left.size == 0:
                 break
-            chunk = coefficients[:, start:min(start + ABANDON_CHUNK, columns)]
-            difference = chunk.take(right, axis=0)
-            difference -= chunk.take(left, axis=0)
+            cols = order[start:start + ABANDON_CHUNK]
+            difference = _gather_columns(coefficients, right, cols)
+            difference -= _gather_columns(coefficients, left, cols)
             if ragged:
-                beyond = np.arange(start, start + chunk.shape[1]) >= common[:, None]
-                difference[beyond] = 0.0
+                difference[cols >= common[:, None]] = 0.0
             parts = difference.view(np.float64)
             totals += np.einsum("ij,ij->i", parts, parts)
             alive = totals <= bound
-            if not alive.all():
+            dropped = alive.size - int(np.count_nonzero(alive))
+            if dropped:
                 left, right, totals = left[alive], right[alive], totals[alive]
                 common = common[alive]
+            if dropped * columns <= left.size * ABANDON_CHUNK:
+                break
     distances = np.empty(left.size, dtype=np.float64)
     # exact_distances reduces over min(width, len(anchor)) columns, and the
     # bits of a pairwise sum depend on how many it reduces over — so a slice

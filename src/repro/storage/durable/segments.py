@@ -207,10 +207,16 @@ def write_segment(
     """Persist one span.  Existing files under the segment's stem are
     trusted: full spans are immutable (same stem ⇒ same contents by
     construction) and a grown tail has a new stem, so rewriting is skipped
-    whenever the segment's last file is already present."""
+    whenever the segment's last file is already there *and its frame
+    verifies* — a checkpoint killed while writing it leaves a torn marker,
+    and the segment is written again."""
     os.makedirs(directory, exist_ok=True)
     *arrays, marker = (os.path.join(directory, name) for name in segment.files())
-    if os.path.exists(marker):
+    try:
+        read_framed(marker)
+    except StorageError:
+        pass  # missing or torn: write the whole segment
+    else:
         return
     if segment.kind == "objects":
         _write_framed(marker, {"rows": [encode_row(row) for row in rows]}, segment.relation)

@@ -44,6 +44,7 @@ from repro.core.errors import IndexError_, StorageError
 from repro.index import kindex as kindex_module
 from repro.storage import codec
 from repro.storage.durable import DurableDatabase, WriteAheadLog
+from repro.storage.durable import segments as segments_module
 from repro.storage.durable.manifest import FORMAT_VERSION
 from repro.storage.durable.segments import ColumnSegment
 from repro.storage.durable.serde import (build_index_from_spec, deserialize_index,
@@ -1130,6 +1131,50 @@ class TestCheckpointHousekeeping:
         session.checkpoint()
         assert not os.listdir(os.path.join(path, "segments", "walks"))
         session.close()
+
+
+class _Killed(BaseException):
+    """The process dying inside a write: nothing below may catch it."""
+
+
+class TestATornSegmentIsRewritten:
+    """A checkpoint killed while writing a segment's last file leaves that
+    file torn under the segment's stem.  The next checkpoint must not trust
+    it: it rewrites the segment before the manifest names it and the WAL
+    that still holds the rows is retired."""
+
+    @pytest.mark.parametrize("share", [0.0, 0.1, 0.5, 0.99])
+    def test_acknowledged_rows_survive_the_next_checkpoint(self, tmp_path, monkeypatch, share):
+        path = str(tmp_path / "db")
+        data = random_walk_collection(40, 32, seed=65)
+        session = repro.connect(path=path, wal_sync="always")
+        session.relation("walks").insert_many(data)
+        expected_ids = _ids(session)
+        expected = _answers(session, data[3])
+        assert len(expected_ids) == 40
+
+        def torn(target, message, relation):
+            framed = codec.frame(message)
+            with open(target, "wb") as handle:
+                handle.write(framed[: int(len(framed) * share)])
+            raise _Killed(target)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(segments_module, "_write_framed", torn)
+            with pytest.raises(_Killed, match="-rows.bin"):
+                session.checkpoint()
+        del session  # the process is gone: no close
+
+        reopened = repro.connect(path=path)
+        assert _ids(reopened) == expected_ids
+        reopened.checkpoint()
+        del reopened
+
+        reopened = repro.connect(path=path)
+        assert reopened.database.replayed_wal_records == 0
+        assert _ids(reopened) == expected_ids
+        assert _answers(reopened, data[3]) == expected
+        reopened.close()
 
 
 class TestADroppedSessionIsFreed:
