@@ -8,6 +8,7 @@ nearest-neighbour search.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterable, Sequence
 
@@ -15,7 +16,8 @@ import numpy as np
 
 from ..core.errors import DimensionMismatchError
 
-__all__ = ["Rect", "mindist", "minmaxdist", "mindist_batch", "rects_overlap"]
+__all__ = ["Rect", "mindist", "minmaxdist", "mindist_batch", "rects_overlap",
+           "angular_dims", "angular_halves"]
 
 TWO_PI = 2.0 * math.pi
 
@@ -229,14 +231,54 @@ def mindist_batch(point: Sequence[float] | np.ndarray, lows: np.ndarray,
     return np.sqrt(np.sum(delta * delta, axis=1))
 
 
+def angular_dims(periodic_dims: Sequence[bool] | np.ndarray | None
+                 ) -> slice | np.ndarray | None:
+    """The wrap-around coordinates a ``(d,)`` boolean mask marks, as an index
+    for the last axis: a slice when they are evenly spaced (the polar
+    layout's phase angles are every other coordinate), so that indexing with
+    it is a view and copies nothing; an index array otherwise; ``None`` when
+    the mask marks none."""
+    if periodic_dims is None:
+        return None
+    return _angular_dims(np.asarray(periodic_dims, dtype=bool).tobytes())
+
+
+@functools.lru_cache(maxsize=64)
+def _angular_dims(mask: bytes) -> slice | np.ndarray | None:
+    dims = np.flatnonzero(np.frombuffer(mask, dtype=bool))
+    if not len(dims):
+        return None
+    steps = np.diff(dims)
+    if len(dims) == 1 or np.all(steps == steps[0]):
+        step = int(steps[0]) if len(steps) else 1
+        return slice(int(dims[0]), int(dims[-1]) + 1, step)
+    return dims
+
+
+def angular_halves(lows: np.ndarray, highs: np.ndarray, angular: slice | np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray | float]:
+    """``(centre, half-width)`` of the rectangles' ``angular`` coordinates —
+    the parts of the modulo-``2*pi`` test in :func:`rects_overlap` that
+    depend on one side only.  Points (``highs is lows``) have the coordinate
+    itself as centre and a half-width of ``0.0``, exactly what the interval
+    arithmetic gives them (``l + 0.0 == l``)."""
+    if highs is lows:
+        return lows[..., angular], 0.0
+    half = (highs[..., angular] - lows[..., angular]) * 0.5
+    return lows[..., angular] + half, half
+
+
 def rects_overlap(lows: np.ndarray, highs: np.ndarray,
                   window_lows: np.ndarray, window_highs: np.ndarray,
-                  periodic_dims: Sequence[bool] | np.ndarray | None = None
+                  periodic_dims: Sequence[bool] | np.ndarray | None = None, *,
+                  halves: tuple[np.ndarray, np.ndarray | float] | None = None,
+                  window_halves: tuple[np.ndarray, np.ndarray | float] | None = None
                   ) -> np.ndarray:
     """Rectangle-overlap tests over corner arrays that broadcast against each
     other (last axis: the ``d`` coordinates) — the one overlap rule of every
     index traversal.  ``(n, d)`` entries against their ``(n, d)`` windows give
-    ``(n,)`` hits; ``(n, 1, d)`` against ``(1, q, d)`` the ``(n, q)`` matrix.
+    ``(n,)`` hits; ``(n, 1, d)`` against ``(1, q, d)`` the ``(n, q)`` matrix;
+    ``(n, d)`` against one ``(1, d)`` window the ``(n,)`` hits of that window.
 
     ``periodic_dims`` is an optional ``(d,)`` boolean mask marking wrap-around
     dimensions (the polar representation's phase angles); those dimensions use
@@ -246,15 +288,20 @@ def rects_overlap(lows: np.ndarray, highs: np.ndarray,
     ``2*pi`` wide overlap everything), which evaluates as one fused kernel
     over all periodic dimensions — equivalent to, and much faster than,
     testing each shifted copy of the interval separately.
+
+    A caller that tests the same rectangles or windows many times may pass
+    their :func:`angular_halves` as ``halves`` / ``window_halves`` (the
+    frontier kernel keeps a level's and derives a search's windows' once);
+    the result is the same, bit for bit, as when they are derived here.
+    Point entries (``highs is lows``) are tested as points: a half-width of
+    zero, no arithmetic on the second corner.
     """
     hits = (lows <= window_highs) & (window_lows <= highs)
-    angular = (() if periodic_dims is None
-               else np.nonzero(np.asarray(periodic_dims, dtype=bool))[0])
-    if len(angular):
-        entry_half = (highs[..., angular] - lows[..., angular]) * 0.5
-        entry_center = lows[..., angular] + entry_half
-        window_half = (window_highs[..., angular] - window_lows[..., angular]) * 0.5
-        window_center = window_lows[..., angular] + window_half
+    angular = angular_dims(periodic_dims)
+    if angular is not None:
+        entry_center, entry_half = halves or angular_halves(lows, highs, angular)
+        window_center, window_half = (window_halves
+                                      or angular_halves(window_lows, window_highs, angular))
         gap = np.abs((entry_center - window_center + math.pi) % TWO_PI - math.pi)
         # Or-ed with the plain test, which is exact: the centre arithmetic
         # rounds, and alone it put an edge point an ulp outside a zero-width

@@ -13,8 +13,9 @@ evaluation:
    lowered (safely) to a per-coordinate map for the index's space; the
    epsilon-ball around the query point becomes a search rectangle.
 2. **Search** — the R-tree's packed levels are descended by the frontier
-   kernel (:meth:`~repro.index.rtree.PackedRTree.window_search`), transforming each
-   level's bounding rectangles on the fly (Algorithm 2), yielding
+   kernel (:meth:`~repro.index.rtree.PackedRTree.window_search`) — under a
+   transformation, those of the tree's image, every bounding rectangle
+   mapped once per tree and map (Algorithms 1 and 2) — yielding
    *candidates*.  Keeping only
    ``k`` coefficients can produce false hits but — by Parseval — never false
    dismissals (Lemma 1).
@@ -190,6 +191,10 @@ class KIndex:
         self._points = np.empty((0, self.space.dimension))
         #: The packed rows, never changed — a seal publishes a new tree.
         self.tree = self._packed_tree(0)
+        #: id(transformation) → (transformation, linear, real map): what
+        #: :meth:`lower_transformation` derived, for at most 8 of them.
+        self._lowered: dict[int, tuple[Any, LinearTransformation,
+                                       RealLinearTransformation]] = {}
 
     def _packed_tree(self, stop: int) -> PackedRTree:
         """Rows ``[0, stop)`` of the point array, STR-packed."""
@@ -374,9 +379,19 @@ class KIndex:
         coefficient count, :class:`DimensionMismatchError` for a linear one
         of other extra dimensions, and ``ValueError`` when a spectral one is
         shorter than the prefix.
+
+        The maps depend on the transformation and the feature space alone,
+        so they are kept per transformation object (at most 8, as the
+        store's :meth:`~repro.storage.columnar.ColumnarRecordStore.transformed_arrays`):
+        the planner and the probe get the same maps, and the tree the same
+        image (:meth:`PackedRTree.transformed` keys on the map).  A map that
+        is not safe is never kept, so it raises on every call.
         """
         if transformation is None:
             return None, None
+        cached = self._lowered.get(id(transformation))
+        if cached is not None and cached[0] is transformation:
+            return cached[1], cached[2]
         if isinstance(transformation, SpectralTransformation):
             linear = transformation.to_linear(self.extractor.num_coefficients,
                                               skip_first=True,
@@ -392,7 +407,11 @@ class KIndex:
             raise IndexError_(
                 "transformation must be a SpectralTransformation or LinearTransformation"
             )
-        return linear, linear.to_real(self.space)
+        real_map = linear.to_real(self.space)
+        if len(self._lowered) >= 8:
+            self._lowered.clear()
+        self._lowered[id(transformation)] = (transformation, linear, real_map)
+        return linear, real_map
 
     def _full_transformed(self, features: SeriesFeatures,
                           transformation: SpectralTransformation | None
@@ -496,9 +515,8 @@ class KIndex:
         if len(tail):
             # The leaf level's test on the rows no leaf holds yet; their ids
             # follow every packed id, so each list stays ascending.
-            lows, highs = (tail, tail) if real_map is None \
-                else real_map.apply_bounds(tail, tail)
-            hits = rects_overlap(lows, highs, window_lows[:, None, :],
+            points = tail if real_map is None else real_map.apply(tail)
+            hits = rects_overlap(points, points, window_lows[:, None, :],
                                  window_highs[:, None, :], periodic)
             candidate_lists = [np.concatenate((candidates, first + np.flatnonzero(row)))
                                for candidates, row in zip(candidate_lists, hits)]
