@@ -141,7 +141,6 @@ from .storage.durable import (
     SegmentPageStore,
     WriteAheadLog,
 )
-from .storage.pages import PageStore
 from .strings.distance import transformation_edit_distance, weighted_edit_distance
 from .strings.provider import edit_distance_provider
 from .strings.objects import StringObject
@@ -206,7 +205,7 @@ __all__ = [
     "Rect", "mindist", "minmaxdist",
     "KIndex", "MetricIndex", "RangeQueryResult", "NearestNeighborResult",
     "PackedRTree", "RTree", "RStarTree", "SequentialScan",
-    "PageStore", "BufferPool", "ColumnarRecordStore",
+    "BufferPool", "ColumnarRecordStore",
     "ColumnSegment", "DurableDatabase", "SegmentPageStore", "WriteAheadLog",
     "StringObject", "weighted_edit_distance", "transformation_edit_distance",
     "edit_distance_provider",

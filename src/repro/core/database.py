@@ -382,6 +382,19 @@ class Database:
         self._columnar[relation_name] = (relation, relation.version, store, owned)
         return store
 
+    def scan_backend(self, relation_name: str) -> dict[str, Any] | None:
+        """Extra :class:`~repro.index.scan.SequentialScan` keywords for the
+        relation's scans: ``None`` in memory, where a pass's pages are only
+        counted; a durable catalog hands out a buffer pool over its mapped
+        segments."""
+        return None
+
+    def checkpoint(self) -> None:
+        """Persist the catalog: nothing to do in memory."""
+
+    def close(self) -> None:
+        """Release the catalog's resources: none in memory."""
+
     def drop_index(self, relation_name: str, index_name: str = "default") -> None:
         """Remove a registered index.
 

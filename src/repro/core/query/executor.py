@@ -589,18 +589,12 @@ class QueryEngine:
         # The scan is a view over the relation's shared columnar store (the
         # same arrays a registered k-index and the statistics sampler read);
         # constructing it extracts nothing.  A durable database additionally
-        # supplies a memory-mapped page store and a buffer pool, so the
+        # supplies a buffer pool over its memory-mapped segments, so the
         # scan's page charges become real segment reads with measured
         # hit/miss counters.
-        backend_for = getattr(self.database, "scan_backend", None)
-        backend = backend_for(relation_name) if backend_for is not None else None
-        scan_kwargs: dict[str, Any] = {}
-        if backend is not None:
-            scan_kwargs = {"page_store": backend["page_store"],
-                           "buffer": backend["buffer"],
-                           "records_per_page": backend["records_per_page"]}
+        backend = self.database.scan_backend(relation_name) or {}
         scan = SequentialScan(store=self.database.columnar_store(relation_name),
-                              workers=self.workers, **scan_kwargs)
+                              workers=self.workers, **backend)
         self._scans[relation_name] = (relation, relation.version, scan)
         return scan
 

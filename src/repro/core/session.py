@@ -516,12 +516,10 @@ class Session:
         After a checkpoint, reopening skips both WAL replay and index
         rebuilds.  A no-op for in-memory sessions."""
         self._check_open()
-        checkpoint = getattr(self.database, "checkpoint", None)
-        if checkpoint is not None:
-            checkpoint()
-            # The checkpoint re-mmapped the segment files; materialised
-            # scans must re-attach to the new page stores and pools.
-            self.engine.invalidate_scans()
+        self.database.checkpoint()
+        # A durable checkpoint re-mmapped the segment files; materialised
+        # scans must re-attach to new page stores and pools.
+        self.engine.invalidate_scans()
 
     def close(self) -> None:
         """Close the session: flush and close a durable database's
@@ -532,9 +530,7 @@ class Session:
         close means two owners each believe the session is theirs."""
         self._check_open()
         self._closed = True
-        close = getattr(self.database, "close", None)
-        if close is not None:
-            close()
+        self.database.close()
 
     def __enter__(self) -> Session:
         return self

@@ -98,8 +98,10 @@ class QueryStatistics:
     ``internal/leaf`` split is a snapshot of
     :class:`~repro.index.rtree.NodeAccessStats` taken per query (per *batch*
     for grouped traversals, whose shared totals expose the saving); the buffer
-    counters are a scan's, read through its
-    :class:`~repro.storage.buffer.BufferPool`.
+    counters are a scan pass's hits and misses on its
+    :class:`~repro.storage.buffer.BufferPool` — a durable relation's pool
+    over its mapped segments — and stay 0 for a scan without one and for an
+    index probe.
 
     Batched execution keeps every counter **exact**: kernels verify gathered
     candidate blocks, and the counters are derived from the block shapes —

@@ -62,7 +62,8 @@ from ..storage.columnar import (
     pair_blocks,
     transform_full_record,
 )
-from ..storage.pages import PageStore, records_per_page as page_capacity
+from ..storage.buffer import BufferPool
+from ..storage.pages import records_per_page as page_capacity
 from ..storage.partition import DEFAULT_PARTITION_ROWS, partition_spans
 from ..timeseries.features import SeriesFeatureExtractor
 from ..timeseries.series import TimeSeries
@@ -81,19 +82,6 @@ class SequentialScan:
         The feature configuration (used for query-side extraction and the
         exact-distance definition; the index prefix itself plays no role in
         scanning).
-    page_store:
-        Optional page store the scan charges its passes to, so its I/O
-        profile can be compared with the index's.  Pages are arithmetic —
-        page ``p`` covers rows ``[p * records_per_page, (p + 1) *
-        records_per_page)`` — so the scan allocates nothing from the store:
-        one pass is one ``read_run(0, data_pages)``, counted as one read
-        per page.
-    records_per_page:
-        How many full records are assumed to fit on one simulated page.
-        When omitted it is derived from the first record's size with the
-        shared :func:`~repro.storage.pages.records_per_page` arithmetic —
-        the same arithmetic the planner's cost model prices scans with, so
-        estimated and reported scan I/O agree by construction.
     store:
         An existing :class:`ColumnarRecordStore` to scan — how the executor
         shares one store per relation between the scan fallback, the
@@ -106,28 +94,27 @@ class SequentialScan:
         Minimum rows per partition for the range/NN fan-out (default
         :data:`~repro.storage.partition.DEFAULT_PARTITION_ROWS`); the join
         fans out by pair blocks instead.
+    buffer:
+        Optional buffer pool over a page store (a durable relation's mapped
+        segments) that the scan charges its passes to.  Pages are
+        arithmetic — page ``p`` covers rows ``[p * records_per_page,
+        (p + 1) * records_per_page)`` — so one pass is one
+        ``buffer.read_run(0, data_pages)``: resident pages are hits, and the
+        pool's hit/miss deltas land in each query's statistics.
     """
 
     def __init__(self, extractor: SeriesFeatureExtractor | None = None, *,
-                 page_store: PageStore | None = None,
-                 records_per_page: int | None = None,
                  store: ColumnarRecordStore | None = None,
                  workers: int | None = None,
                  partition_rows: int | None = None,
-                 buffer: "BufferPool | None" = None) -> None:
+                 buffer: BufferPool | None = None) -> None:
         self.extractor = extractor if extractor is not None else SeriesFeatureExtractor()
         self.store = store if store is not None else ColumnarRecordStore()
         self.workers = resolve_workers(workers)
         self.partition_rows = (max(1, int(partition_rows))
                                if partition_rows is not None
                                else DEFAULT_PARTITION_ROWS)
-        self._page_store = page_store
-        #: Optional buffer pool in front of the page store: page reads go
-        #: through it, so resident pages cost no device read and the pool's
-        #: hit/miss deltas land in each query's statistics.
         self.buffer = buffer
-        self._records_per_page = (max(1, int(records_per_page))
-                                  if records_per_page is not None else None)
 
     # ------------------------------------------------------------------
     # loading
@@ -146,33 +133,32 @@ class SequentialScan:
 
     @property
     def records_per_page(self) -> int:
-        """Records per simulated data page (derived from the record size
-        unless fixed at construction; 1 before any record is stored)."""
-        if self._records_per_page is not None:
-            return self._records_per_page
+        """Records per data page, derived from the record size with the
+        shared :func:`~repro.storage.pages.records_per_page` arithmetic —
+        the same arithmetic the planner's cost model prices scans with and
+        a durable relation's page store maps its segments with (1 before
+        any record is stored)."""
         if len(self.store) == 0:
             return 1
         return page_capacity(self.store.record_bytes())
 
     @property
     def data_pages(self) -> int:
-        """Simulated data pages one full pass over the relation reads."""
+        """Data pages one full pass over the relation reads."""
         if len(self.store) == 0:
             return 0
         return -(-len(self.store) // self.records_per_page)
 
     def _charge_scan_io(self, statistics: QueryStatistics) -> None:
-        """One read per data page, asked for as the one run of pages
-        ``[0, data_pages)`` — through the buffer pool when one is attached,
-        so resident pages are hits rather than device reads.  The pass's
-        pages and (hits, misses) land in ``statistics``, the pass's own: one
-        scan serves concurrent readers, so nothing is kept on the scan."""
+        """A pass reads ``data_pages`` pages; with a buffer pool attached they
+        are asked of it as the one run ``[0, data_pages)``, so resident pages
+        are hits rather than device reads.  The pass's pages and (hits,
+        misses) land in ``statistics``, the pass's own: one scan serves
+        concurrent readers, so nothing is kept on the scan."""
         statistics.node_accesses = self.data_pages
-        if self.buffer is not None and self._page_store is not None:
+        if self.buffer is not None:
             statistics.buffer_hits, statistics.buffer_misses = \
                 self.buffer.read_run(0, statistics.node_accesses)
-        elif self._page_store is not None:
-            self._page_store.read_run(0, statistics.node_accesses)
 
     # ------------------------------------------------------------------
     # query-side helpers

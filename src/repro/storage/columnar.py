@@ -47,9 +47,8 @@ The module-level **kernels** implement exact record distances blockwise:
 * :func:`verify_pairs` — **candidate verification** for the k-index, a
   single probe being a batch of one: flat (row, query) pairs taken
   :data:`PAIR_BLOCK` at a time, abandoned chunk by chunk against each
-  query's own threshold, and only the survivors scored exactly —
-  bit-identical to scoring every candidate with
-  :func:`gathered_pair_distances`;
+  query's own threshold, and only the survivors scored exactly over their
+  own query's columns — bit-identical to a probe of each query alone;
 * :func:`pair_block_distances` — the **pair kernel** behind every scan-side
   pair computation (both scan methods of the self-join, and
   :func:`pairwise_distances` for the statistics sampler, the advisor and
@@ -72,7 +71,7 @@ shortcuts.
 from __future__ import annotations
 
 import math
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -512,6 +511,26 @@ def gathered_pair_distances(coefficients: np.ndarray, lengths: np.ndarray,
     return np.sqrt(totals)
 
 
+def _exact_slices(widths: np.ndarray) -> Iterator[tuple[slice, int]]:
+    """``(piece, columns)`` slices of an exact pass whose pair ``t`` is
+    scored over ``widths[t]`` columns: cut wherever the width changes, and
+    at most :data:`PAIR_BLOCK` coefficients each.
+
+    The bits of a pairwise sum depend on how many terms it reduces over, so
+    a pair is scored against the query side sliced to its own width — the
+    reduction a probe of that query alone runs — and never padded to the
+    widest query of a slice.
+    """
+    edges = [0, *(np.flatnonzero(np.diff(widths)) + 1).tolist(), widths.size]
+    for run_first, run_last in zip(edges[:-1], edges[1:]):
+        if run_first == run_last:
+            continue
+        columns = int(widths[run_first])
+        rows = max(1, PAIR_BLOCK // max(1, columns))
+        for start in range(run_first, run_last, rows):
+            yield slice(start, min(start + rows, run_last)), columns
+
+
 def verify_pairs(coefficients: np.ndarray, lengths: np.ndarray,
                  means: np.ndarray, stds: np.ndarray, include_stats: bool,
                  row_ids: np.ndarray, query_matrix: np.ndarray,
@@ -527,16 +546,16 @@ def verify_pairs(coefficients: np.ndarray, lengths: np.ndarray,
     time.  A block is first abandoned in rounds like the pair kernel's (the
     statistics term, then :data:`ABANDON_CHUNK` coefficient columns at a
     time, each gathered from the two matrices), and only its survivors are
-    scored exactly, by :func:`gathered_pair_distances` in slices of at most
-    ``PAIR_BLOCK`` coefficients — the same reduction over the same columns as
-    one call over every pair, so distances are bit-identical to it.
+    scored exactly, by :func:`gathered_pair_distances` in the slices of
+    :func:`_exact_slices`: a pair reduces over its own query's columns, so a
+    query's distances are bit-identical to a batch holding it alone, however
+    long the other queries of the batch are.
 
     ``positions`` index the pair arrays, ascending; no temporary is sized by
     the number of pairs or of survivors.
     """
     found: list[tuple[np.ndarray, np.ndarray]] = []
     width = min(coefficients.shape[1], query_matrix.shape[1])
-    piece = max(1, PAIR_BLOCK // max(1, width))
     limits = epsilons ** 2 * (1.0 + _PRUNE_SLACK) + 1e-12
     for first in range(0, row_ids.size, PAIR_BLOCK):
         rows = row_ids[first:first + PAIR_BLOCK]
@@ -579,11 +598,12 @@ def verify_pairs(coefficients: np.ndarray, lengths: np.ndarray,
                     common, totals, bounds = common[alive], totals[alive], bounds[alive]
                 if dropped * columns <= survivors.size * ABANDON_CHUNK:
                     break
-        for start in range(0, survivors.size, piece):
-            pairs = slice(start, start + piece)
+        widths = np.minimum(query_lengths[queries], coefficients.shape[1])
+        for pairs, columns in _exact_slices(widths):
             distances = gathered_pair_distances(
                 coefficients, lengths, means, stds, include_stats, rows[pairs],
-                query_matrix, query_lengths, query_means, query_stds, queries[pairs])
+                query_matrix[:, :columns], query_lengths, query_means, query_stds,
+                queries[pairs])
             keep = distances <= epsilons[queries[pairs]]
             found.append((first + survivors[pairs][keep], distances[keep]))
     if len(found) < 2:
@@ -687,21 +707,16 @@ def pair_block_distances(coefficients: np.ndarray, lengths: np.ndarray,
             if dropped * columns <= left.size * ABANDON_CHUNK:
                 break
     distances = np.empty(left.size, dtype=np.float64)
-    # exact_distances reduces over min(width, len(anchor)) columns, and the
-    # bits of a pairwise sum depend on how many it reduces over — so a slice
-    # of the exact pass never spans two anchor lengths.
+    # exact_distances reduces over min(width, len(anchor)) columns.  The
+    # lengths stay referenced until the return: freed when the slices run
+    # out, their block (up to 64 KB) leaves a heap hole, and the
+    # embedded-scan-join benchmark then lands more often in its ~9 MB higher
+    # peak-RSS mode.
     anchor_lengths = lengths[left]
-    edges = [0, *(np.flatnonzero(np.diff(anchor_lengths)) + 1).tolist(), left.size]
-    for run_first, run_last in zip(edges[:-1], edges[1:]):
-        if run_first == run_last:
-            continue
-        columns = int(anchor_lengths[run_first])
-        rows = max(1, PAIR_BLOCK // max(1, columns))
-        for start in range(run_first, run_last, rows):
-            piece = slice(start, min(start + rows, run_last))
-            distances[piece] = gathered_pair_distances(
-                coefficients, lengths, means, stds, include_stats, right[piece],
-                coefficients[:, :columns], lengths, means, stds, left[piece])
+    for piece, columns in _exact_slices(anchor_lengths):
+        distances[piece] = gathered_pair_distances(
+            coefficients, lengths, means, stds, include_stats, right[piece],
+            coefficients[:, :columns], lengths, means, stds, left[piece])
     return left, right, distances
 
 

@@ -20,11 +20,11 @@ tail.  Reopen deserializes indexes instead of rebuilding them and
 re-populates each columnar relation's record store from the segments'
 saved spectra (no FFT), so recovery cost is I/O-shaped, not build-shaped.
 
-Real reads: each columnar relation gets a :class:`~repro.storage.durable
-.mmapstore.SegmentPageStore` over its memory-mapped segments plus a
-bounded :class:`~repro.storage.buffer.BufferPool`; the executor picks
-these up through :meth:`scan_backend`, so scan I/O — and the buffer-pool
-hit rate the cost model consumes — is measured against the mappings.
+Real reads: each columnar relation's scan gets a bounded
+:class:`~repro.storage.buffer.BufferPool` over a :class:`~repro.storage
+.durable.mmapstore.SegmentPageStore` on its memory-mapped segments, handed
+out by :meth:`scan_backend`, so scan I/O — and the buffer-pool hit rate
+the cost model consumes — is measured against the mappings.
 """
 
 from __future__ import annotations
@@ -181,8 +181,6 @@ class DurableDatabase(Database):
         self._epoch = 0
         #: relation -> list of mmapped segment coefficient arrays.
         self._segment_arrays: dict[str, list[np.ndarray]] = {}
-        #: relation -> the live scan backend (page store + buffer pool).
-        self._backends: dict[str, dict[str, Any]] = {}
         #: Observability for the reopen-skips-rebuild guarantee.
         self.recovered = False
         self.replayed_wal_records = 0
@@ -227,7 +225,6 @@ class DurableDatabase(Database):
     def drop_relation(self, name: str) -> None:
         super().drop_relation(name)
         self._segment_arrays.pop(name, None)
-        self._backends.pop(name, None)
         self._log({"op": "drop_relation", "name": name})
 
     def register_index(self, relation_name: str, index: Any,
@@ -333,7 +330,7 @@ class DurableDatabase(Database):
             old_wal.close()
             self._remove_quietly(old_wal.path)
         self._sweep(relations_manifest)
-        self._load_backends(relations_manifest)
+        self._map_segments(relations_manifest)
 
     def close(self) -> None:
         """Flush and close the WAL (the manifest on disk stays whatever the
@@ -369,7 +366,7 @@ class DurableDatabase(Database):
                                     manifest["catalog_version"]) + 1
         _DEFAULT_ALLOCATOR.advance_past(max(manifest["watermark"], self._watermark()))
         self.recovered = True
-        self._load_backends(manifest["relations"])
+        self._map_segments(manifest["relations"])
 
     def _recover_relation(self, name: str, entry: dict[str, Any]) -> None:
         directory = self._segment_directory(name)
@@ -453,39 +450,23 @@ class DurableDatabase(Database):
     # ------------------------------------------------------------------
     # measured scan I/O
     # ------------------------------------------------------------------
-    def scan_backend(self, relation_name: str) -> dict[str, Any] | None:
-        """Scan-construction keywords for a relation with on-disk segments.
-
-        Each call hands out a *fresh* page store over the shared mappings
-        plus a fresh bounded buffer pool, so a scan's counters are its own
-        (the executor builds a scan per relation version); the pool is
-        also remembered so EXPLAIN consumers and benchmarks can read the
-        cumulative hit rate via :meth:`buffer_pool`.
+    def scan_backend(self, relation_name: str) -> dict[str, BufferPool] | None:
+        """Scan-construction keywords for a relation with on-disk segments:
+        ``{"buffer": pool}``, a *fresh* bounded buffer pool over a fresh
+        page store on the shared mappings, so a scan's counters are its own
+        (the executor builds a scan per relation version); ``None`` for a
+        relation without segments.
         """
         arrays = self._segment_arrays.get(relation_name)
         if not arrays:
             return None
         record_bytes = self.columnar_store(relation_name).record_bytes()
-        page_store = SegmentPageStore(arrays, record_bytes)
-        pool = BufferPool(page_store, capacity=self.buffer_pages)
-        self._backends[relation_name] = {"page_store": page_store,
-                                         "buffer": pool}
-        return {"page_store": page_store, "buffer": pool,
-                "records_per_page": page_store.records_per_page}
+        store = SegmentPageStore(arrays, record_bytes)
+        return {"buffer": BufferPool(store, capacity=self.buffer_pages)}
 
-    def buffer_pool(self, relation_name: str) -> BufferPool | None:
-        """The most recently issued scan buffer pool for a relation."""
-        backend = self._backends.get(relation_name)
-        return backend["buffer"] if backend else None
-
-    def page_io(self, relation_name: str) -> Any:
-        """The most recent backend's device-side I/O statistics."""
-        backend = self._backends.get(relation_name)
-        return backend["page_store"].stats if backend else None
-
-    def _load_backends(self, relations_manifest: dict[str, Any]) -> None:
+    def _map_segments(self, relations_manifest: dict[str, Any]) -> None:
+        """Map every columnar relation's segment coefficient files."""
         self._segment_arrays.clear()
-        self._backends.clear()
         for name, entry in relations_manifest.items():
             if entry["kind"] != "columnar":
                 continue

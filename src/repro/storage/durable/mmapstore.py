@@ -1,15 +1,13 @@
 """A page store backed by memory-mapped segment files.
 
-:class:`SegmentPageStore` subclasses the simulated
-:class:`~repro.storage.pages.PageStore` but makes reads *real*: page
-``p`` covers rows ``[p * records_per_page, (p + 1) * records_per_page)``
-of a relation's persisted columnar segments — the same arithmetic the
-sequential scan numbers its data pages with — and reading it touches those
-rows' bytes in the ``mmap``-loaded coefficient arrays: a demand-paged
-device read the first time, a page-cache hit after.  A scan asks for a
-*run* of consecutive pages (:meth:`SegmentPageStore.read_run`), which
-faults every mapped byte of the run with one reduction per segment array
-it overlaps instead of one per page.
+Page ``p`` of a :class:`SegmentPageStore` covers rows ``[p *
+records_per_page, (p + 1) * records_per_page)`` of a relation's persisted
+columnar segments — the same arithmetic the sequential scan numbers its data
+pages with — and reading it touches those rows' bytes in the
+``mmap``-loaded coefficient arrays: a demand-paged device read the first
+time, a page-cache hit after.  A scan asks for a *run* of consecutive pages
+(:meth:`SegmentPageStore.read_run`), which faults every mapped byte of the
+run with one reduction per segment array it overlaps.
 
 Rows inserted since the last checkpoint live past the mapped segments;
 their pages are counted and touch nothing.  A
@@ -20,14 +18,24 @@ pages are re-touched at all — its hit rate over this store is the
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from ..pages import PAGE_SIZE_BYTES, PageStore, records_per_page
+from ..pages import PAGE_SIZE_BYTES, records_per_page
 
 __all__ = ["SegmentPageStore"]
 
 
-class SegmentPageStore(PageStore):
+@dataclass
+class IOStatistics:
+    """Device-side counters of a :class:`SegmentPageStore`."""
+
+    #: Pages read, mapped or past the mappings.
+    reads: int = 0
+
+
+class SegmentPageStore:
     """Pages over the mmapped columnar segments of one relation.
 
     Parameters
@@ -44,7 +52,7 @@ class SegmentPageStore(PageStore):
 
     def __init__(self, arrays: list[np.ndarray], record_bytes: int,
                  page_size: int = PAGE_SIZE_BYTES) -> None:
-        super().__init__(page_size=page_size)
+        self.stats = IOStatistics()
         self._arrays = list(arrays)
         self._bounds: list[int] = []
         total = 0
@@ -72,28 +80,18 @@ class SegmentPageStore(PageStore):
                 break
         return checksum
 
-    def _touch_pages(self, first: int, stop: int) -> None:
-        """Serve the mapped part of pages ``[first, stop)``: the mapped rows
-        they cover are touched as one row range, and a page counts as a
-        mapped read when its first row is mapped."""
+    def read_run(self, first: int, stop: int) -> None:
+        """Read the pages ``[first, stop)``: counted page by page, their
+        mapped rows touched at once, and a page counted as a mapped read
+        when its first row is mapped.  Pages are arithmetic over the
+        segments, so there is nothing to look up and no payload to hand
+        back."""
+        self.stats.reads += max(0, stop - first)
         start = first * self.records_per_page
         end = min(stop * self.records_per_page, self.mapped_rows)
         if start < end:
             self._touch_rows(start, end)
             self.mapped_reads += -(-end // self.records_per_page) - first
-
-    def read(self, page_id: int) -> None:
-        """Read one page — the one-page case of :meth:`read_run`: counted,
-        its mapped rows touched.  These pages are arithmetic over the
-        segments, never allocated, so there is nothing to look up and no
-        payload to hand back."""
-        self.read_run(page_id, page_id + 1)
-
-    def read_run(self, first: int, stop: int) -> None:
-        """Read the pages ``[first, stop)``: counted page by page, their
-        mapped rows touched at once."""
-        super().read_run(first, stop)
-        self._touch_pages(first, stop)
 
     def __repr__(self) -> str:
         return (f"SegmentPageStore(segments={len(self._arrays)}, "

@@ -109,7 +109,6 @@ def reference_verify_pairs(
     block = columnar.PAIR_BLOCK
     found = []
     width = min(coefficients.shape[1], query_matrix.shape[1])
-    piece = max(1, block // max(1, width))
     limits = epsilons**2 * (1.0 + columnar._PRUNE_SLACK) + 1e-12
     for first in range(0, row_ids.size, block):
         rows = row_ids[first : first + block]
@@ -142,23 +141,26 @@ def reference_verify_pairs(
                 if not alive.all():
                     survivors, rows, queries = survivors[alive], rows[alive], queries[alive]
                     common, totals, bounds = common[alive], totals[alive], bounds[alive]
-        for start in range(0, survivors.size, piece):
-            pairs = slice(start, start + piece)
-            distances = gathered_pair_distances(
+        # Each query's pairs are scored over that query's own columns.
+        distances = np.empty(survivors.size, dtype=np.float64)
+        for query in np.unique(queries):
+            mine = np.flatnonzero(queries == query)
+            columns = min(coefficients.shape[1], int(query_lengths[query]))
+            distances[mine] = gathered_pair_distances(
                 coefficients,
                 lengths,
                 means,
                 stds,
                 include_stats,
-                rows[pairs],
-                query_matrix,
+                rows[mine],
+                query_matrix[:, :columns],
                 query_lengths,
                 query_means,
                 query_stds,
-                queries[pairs],
+                queries[mine],
             )
-            keep = distances <= epsilons[queries[pairs]]
-            found.append((first + survivors[pairs][keep], distances[keep]))
+        keep = distances <= epsilons[queries]
+        found.append((first + survivors[keep], distances[keep]))
     if not found:
         return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.float64)
     positions = np.concatenate([positions for positions, _ in found])

@@ -37,7 +37,7 @@ EXPECTED_ALL = [
     "KIndex", "LinearTransformation", "MaxCostModel", "MetricIndex",
     "MovingAverageTransform", "NearestNeighborQuery", "NearestNeighborResult",
     "ObjectRef",
-    "PackedRTree", "PageStore", "Param",
+    "PackedRTree", "Param",
     "Pattern", "PatternError", "Planner", "PolarSpace",
     "PredicatePattern", "PreparedQuery", "ProtocolError", "Q",
     "QueryBuildError", "QueryBuilder",
@@ -84,6 +84,14 @@ class TestAllSnapshot:
 
     def test_no_duplicates(self):
         assert len(repro.__all__) == len(set(repro.__all__))
+
+    def test_storage_exports_page_arithmetic_and_no_simulated_pages(self):
+        """A page is arithmetic over the rows: the storage package exports
+        no page objects, no page store of its own and no I/O counters."""
+        import repro.storage
+
+        assert sorted(repro.storage.__all__) == [
+            "BufferPool", "BufferStatistics", "ColumnarRecordStore", "PAGE_SIZE_BYTES"]
 
     def test_every_name_resolves(self):
         for name in repro.__all__:

@@ -28,6 +28,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro import KIndex, SequentialScan, SeriesFeatureExtractor, TimeSeries
 from repro.index import kindex as kindex_module
 from repro.storage import columnar
@@ -137,13 +138,9 @@ def observed(result):
 
 
 def check_verification(index, queries, epsilons, transformation=None):
-    """Batched and single probes against the reference, bit for bit.
-
-    A batch's answers are compared with the reference's batch, not with the
-    single probes: on a ragged relation the reference reduces a batch over
-    its widest query's columns, so a distance may differ from the single
-    probe's in its last bit.
-    """
+    """Single probes against the reference, and a batch against the single
+    probes, bit for bit — on a ragged relation too, where the batch's
+    queries differ in length: each is scored over its own columns."""
     batched = [
         observed(result)
         for result in index.range_query_batch(queries, epsilons, transformation=transformation)
@@ -152,11 +149,8 @@ def check_verification(index, queries, epsilons, transformation=None):
         observed(index.range_query(query, epsilon, transformation=transformation))
         for query, epsilon in zip(queries, epsilons)
     ]
+    assert [answers for answers, _ in batched] == [answers for answers, _ in singles]
     with mock.patch.object(KIndex, "_verify_batch", reference_verify_batch):
-        assert batched == [
-            observed(result)
-            for result in index.range_query_batch(queries, epsilons, transformation=transformation)
-        ]
         assert singles == [
             observed(index.range_query(query, epsilon, transformation=transformation))
             for query, epsilon in zip(queries, epsilons)
@@ -292,6 +286,29 @@ class TestVerificationEqualsTheGatheredPass:
             np.ones(1),
         )
         assert positions.size == distances.size == 0
+
+
+class TestABatchScoresEachQueryOverItsOwnLength:
+    def test_sql_many_answers_what_sql_answers(self):
+        """Walks of length 300 or 700 behind a k-index: a batch of queries of
+        both lengths returns each query's answers with the distance bits of
+        the query run alone — the shorter queries are not scored over the
+        longer ones' padded width."""
+        rng = np.random.default_rng(3)
+        data = [random_walk(int(rng.choice([300, 700])), seed=rng) for _ in range(400)]
+        index = KIndex.bulk_load(data, SeriesFeatureExtractor())
+        session = repro.connect(answer_cache_size=0)
+        session.relation("walks").insert_many(data).with_index(index)
+        sql = "SELECT FROM walks WHERE dist(series, $q) < 25"
+        queries = data[:8]
+        assert {len(query) for query in queries} == {300, 700}
+        batch = session.sql_many([sql] * len(queries), [{"q": query} for query in queries])
+        for query, outcome in zip(queries, batch):
+            alone = session.sql(sql, q=query)
+            assert type(outcome.plan).__name__ == type(alone.plan).__name__ == "IndexRangePlan"
+            assert len(alone.answers) > 1
+            assert observed(outcome)[0] == observed(alone)[0]
+        session.close()
 
 
 # ----------------------------------------------------------------------

@@ -24,13 +24,11 @@ import pytest
 
 import repro
 from repro import (
-    BufferPool,
     ColumnarRecordStore,
     GenericObject,
     KIndex,
     MetricIndex,
     PackedRTree,
-    PageStore,
     QueryEngine,
     SequentialScan,
     SeriesFeatureExtractor,
@@ -50,6 +48,7 @@ from repro.storage.durable.segments import ColumnSegment
 from repro.storage.durable.serde import (build_index_from_spec, deserialize_index,
                                         index_spec, load_index_page, serialize_index)
 from repro.storage.durable.wal import wal_filename
+from test_storage import LoggingStore, PerPagePool
 
 RANGE_SQL = "SELECT FROM walks WHERE dist(series, $q) < 5.0"
 
@@ -962,10 +961,11 @@ class TestMeasuredIO:
         assert first.statistics.buffer_hits == 0
         assert second.statistics.buffer_hits == first.statistics.buffer_misses
         assert second.statistics.buffer_misses == 0
-        # The device-side counters saw real mmap touches.
-        database = reopened.database
-        assert database.page_io("walks").reads == first.statistics.buffer_misses
-        assert database._backends["walks"]["page_store"].mapped_reads > 0
+        # The device-side counters of the scan the queries ran saw real
+        # mmap touches.
+        store = reopened.engine._scan_for("walks").buffer.store  # noqa: SLF001
+        assert store.stats.reads == first.statistics.buffer_misses
+        assert store.mapped_reads > 0
         # EXPLAIN renders the measured hit rate.
         assert "buffer: " in reopened.explain(second)
         assert "100.0% hit rate" in reopened.explain(second)
@@ -983,13 +983,13 @@ class TestMeasuredIO:
         tiny = repro.connect(path=path, buffer_pages=2)
         tiny.sql(RANGE_SQL, q=data[0])
         outcome = tiny.sql(RANGE_SQL, q=data[0])
-        pool = tiny.database.buffer_pool("walks")
+        pool = tiny.engine._scan_for("walks").buffer  # noqa: SLF001
         assert pool.capacity == 2
         assert pool.stats.evictions > 0
         # Bounded memory changes the I/O profile, never the answers.
         assert outcome.statistics.buffer_misses > 0
         assert _answers(tiny, data[0]) == expected
-        assert tiny.database.page_io("walks").reads > 0
+        assert pool.store.stats.reads > 0
         tiny.close()
 
     @pytest.mark.parametrize("buffer_pages", [5, 16, 40],
@@ -998,32 +998,26 @@ class TestMeasuredIO:
                                                            buffer_pages):
         """Range, k-NN and join scans through pools smaller than, equal to
         and larger than the 16 mapped pages report the hits and misses of
-        the per-page pass — one ``pool.read`` per page over pages the scan
-        allocated, kept here as the reference — also once rows live past
-        the mapped segments, and after the checkpoint that maps them."""
+        the per-page pass — ``test_storage.PerPagePool``, one ``read`` per
+        page — also once rows live past the mapped segments, and after the
+        checkpoint that maps them."""
         data = random_walk_collection(64 + 10, 64, seed=54)
         path = str(tmp_path / "db")
         with repro.connect(path=path) as session:
             session.relation("walks").insert_many(data[:64])
         session = repro.connect(path=path, buffer_pages=buffer_pages,
                                 answer_cache_size=0)
-        database = session.database
         queries = ((RANGE_SQL, {"q": data[2]}), (NEAREST_SQL, {"q": data[3]}),
                    ("SELECT PAIRS FROM walks WHERE dist < 2.0", {}))
 
         def passes_agree(pages):
             # The executor builds a scan — with a fresh store and pool — per
             # relation version and per checkpoint; so does the reference.
-            store = PageStore()
-            for _ in range(pages):
-                store.allocate(payload=[])
-            reference = BufferPool(store, capacity=buffer_pages)
-            reads = store.stats.reads
+            reference = PerPagePool(LoggingStore(), capacity=buffer_pages)
             for _ in range(2):  # cold, then whatever the pool kept
                 for sql, parameters in queries:
                     hits, misses = reference.stats.hits, reference.stats.misses
-                    for page_id in range(pages):
-                        reference.read(page_id)
+                    reference.read_pages(0, pages)
                     outcome = session.sql(sql, **parameters)
                     work = outcome.statistics
                     assert work.node_accesses == pages
@@ -1031,11 +1025,10 @@ class TestMeasuredIO:
                         reference.stats.hits - hits, reference.stats.misses - misses)
                     assert f"buffer: {work.buffer_hits}/{pages} hits" \
                         in session.explain(outcome)
-            pool = database.buffer_pool("walks")
+            pool = session.engine._scan_for("walks").buffer  # noqa: SLF001
             assert pool.stats == reference.stats and len(pool) == len(reference)
-            assert database.page_io("walks").reads == store.stats.reads - reads
-            assert database.page_io("walks").allocations == 0
-            return database._backends["walks"]["page_store"]  # noqa: SLF001
+            assert pool.store.stats == reference.store.stats
+            return pool.store
 
         # 64 rows, 4 to a page: every page is mapped.
         mapped = passes_agree(16)

@@ -25,7 +25,6 @@ import repro
 from repro import (
     KIndex,
     MetricIndex,
-    PageStore,
     SequentialScan,
     SeriesFeatureExtractor,
     StringObject,
@@ -44,6 +43,7 @@ from repro.core.query.planner import (
 )
 from repro.storage import columnar
 from repro.storage.buffer import BufferPool
+from repro.storage.durable.mmapstore import IOStatistics, SegmentPageStore
 from repro.storage.partition import DEFAULT_PARTITION_ROWS, partition_spans
 
 
@@ -292,40 +292,26 @@ class TestLRUCacheThreadSafety:
         assert cache.total_bytes == 64 * len(cache)
 
 
+class CountingStore:
+    """A page store stub that only counts the pages read."""
+
+    def __init__(self) -> None:
+        self.stats = IOStatistics()
+
+    def read_run(self, first: int, stop: int) -> None:
+        self.stats.reads += max(0, stop - first)
+
+
 class TestBufferPoolThreadSafety:
-    def test_concurrent_reads_count_every_access(self):
-        store = PageStore()
-        pages = [store.allocate(payload=f"payload-{i}") for i in range(100)]
-        pool = BufferPool(store, capacity=16)
-        errors = []
-
-        def hammer(worker_id: int) -> None:
-            try:
-                for i in range(400):
-                    page = pages[(worker_id * 13 + i) % len(pages)]
-                    payload = pool.read(page)
-                    assert payload == f"payload-{pages.index(page)}"
-            except Exception as error:  # noqa: BLE001
-                errors.append(error)
-
-        threads = [threading.Thread(target=hammer, args=(n,)) for n in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert not errors
-        assert len(pool) <= 16
-        assert pool.stats.hits + pool.stats.misses == 8 * 400
-
-    def test_concurrent_runs_and_reads_count_every_page(self):
-        """Page runs racing single reads, seven to one: more threads than
+    def test_concurrent_runs_count_every_page(self):
+        """Page runs of 1 to 40 pages from sixteen threads: more threads than
         cores, a short switch interval and enough passes that a run made
         without the pool's lock fails more often than not
         (``move_to_end`` of a page another thread has just evicted)."""
         import sys
 
-        store = PageStore()
-        pages = [store.allocate(payload=i) for i in range(100)]
+        pages = 100
+        store = CountingStore()
         pool = BufferPool(store, capacity=16)
         requested = [0] * 16
         errors = []
@@ -333,15 +319,11 @@ class TestBufferPoolThreadSafety:
         def hammer(worker_id: int) -> None:
             try:
                 for i in range(2500):
-                    first = (worker_id * 13 + i * 7) % len(pages)
-                    if (worker_id + i) % 8:
-                        stop = min(first + 1 + i % 40, len(pages))
-                        hits, misses = pool.read_run(first, stop)
-                        assert hits + misses == stop - first
-                        requested[worker_id] += stop - first
-                    else:
-                        assert pool.read(pages[first]) in (first, None)
-                        requested[worker_id] += 1
+                    first = (worker_id * 13 + i * 7) % pages
+                    stop = min(first + 1 + (i % 40 if (worker_id + i) % 8 else 0), pages)
+                    hits, misses = pool.read_run(first, stop)
+                    assert hits + misses == stop - first
+                    requested[worker_id] += stop - first
                     assert len(pool) <= 16
             except Exception as error:  # noqa: BLE001
                 errors.append(error)
@@ -363,25 +345,72 @@ class TestBufferPoolThreadSafety:
         assert store.stats.reads == pool.stats.misses
         assert pool.stats.evictions == pool.stats.misses - len(pool)
 
-    def test_concurrent_writes_and_invalidations(self):
-        store = PageStore()
-        pages = [store.allocate(payload=0) for _ in range(20)]
+    def test_concurrent_runs_over_mapped_segments_count_every_page(self):
+        """The same race over a real segment store: every missed page
+        reaches the store once, and its mapped reads are the missed pages
+        that lie within the mapped rows."""
+        arrays = [np.ones((rows, 4), dtype=np.complex128) for rows in (30, 30, 20)]
+        store = SegmentPageStore(arrays, record_bytes=64, page_size=128)  # 40 mapped pages
         pool = BufferPool(store, capacity=8)
+        requested = [0] * 8
+        errors = []
 
         def hammer(worker_id: int) -> None:
-            for i in range(200):
-                page = pages[(worker_id + i) % len(pages)]
-                pool.write(page, (worker_id, i))
-                pool.read(page)
-                if i % 17 == 0:
-                    pool.invalidate(page)
+            try:
+                for i in range(500):
+                    first = (worker_id * 11 + i * 5) % 50  # pages 40 … 49 are past the mappings
+                    stop = min(first + 1 + i % 12, 50)
+                    hits, misses = pool.read_run(first, stop)
+                    assert hits + misses == stop - first
+                    requested[worker_id] += stop - first
+            except Exception as error:  # noqa: BLE001
+                errors.append(error)
 
-        threads = [threading.Thread(target=hammer, args=(n,)) for n in range(6)]
+        threads = [threading.Thread(target=hammer, args=(n,)) for n in range(8)]
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join()
-        assert len(pool) <= 8
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert pool.stats.hits + pool.stats.misses == sum(requested)
+        assert store.stats.reads == pool.stats.misses
+        assert 0 < store.mapped_reads < store.stats.reads
+
+    def test_concurrent_passes_of_one_scan_report_their_own_pages(self):
+        """Readers sharing one scan and its pool: each pass reports the
+        ``data_pages`` it asked for, and the pool's counters are the sum of
+        the passes'."""
+        data = random_walk_collection(40, 64, seed=21)
+        store = CountingStore()
+        scan = SequentialScan(buffer=BufferPool(store, capacity=6))
+        scan.extend(data)
+        pages = scan.data_pages
+        assert pages > 6  # a pool smaller than the pass
+        reports = []
+        errors = []
+
+        def reader(worker_id: int) -> None:
+            try:
+                for i in range(5):
+                    query = data[(worker_id + i) % len(data)]
+                    reports.append(scan.range_query(query, 2.0).statistics)
+            except Exception as error:  # noqa: BLE001
+                errors.append(error)
+
+        threads = [threading.Thread(target=reader, args=(n,)) for n in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors and len(reports) == 20
+        for work in reports:
+            assert work.node_accesses == pages
+            assert work.buffer_hits + work.buffer_misses == pages
+        assert scan.buffer.stats.hits == sum(work.buffer_hits for work in reports)
+        assert scan.buffer.stats.misses == sum(work.buffer_misses for work in reports)
+        assert store.stats.reads == scan.buffer.stats.misses
 
 
 class TestParallelPlumbing:

@@ -8,10 +8,11 @@ import pytest
 from repro.index.scan import SequentialScan
 from repro.storage.buffer import BufferPool
 from repro.storage.columnar import ColumnarRecordStore, transform_full_record
-from repro.storage.pages import PageStore, records_per_page
+from repro.storage.pages import records_per_page
 from repro.timeseries.features import SeriesFeatureExtractor
 from repro.timeseries.generators import random_walk_collection
 from repro.timeseries.transforms import moving_average_spectral
+from test_storage import LoggingStore
 
 
 class TestScanQueries:
@@ -20,8 +21,9 @@ class TestScanQueries:
         for epsilon in (0.5, 3.0, 10.0):
             fast = loaded_scan.range_query(query, epsilon, early_abandon=True)
             slow = loaded_scan.range_query(query, epsilon, early_abandon=False)
-            assert sorted(s.object_id for s, _ in fast.answers) == \
-                sorted(s.object_id for s, _ in slow.answers)
+            assert sorted(s.object_id for s, _ in fast.answers) == sorted(
+                s.object_id for s, _ in slow.answers
+            )
             for (_, a), (_, b) in zip(fast.answers, slow.answers):
                 assert a == pytest.approx(b)
 
@@ -32,13 +34,13 @@ class TestScanQueries:
     def test_join_epsilon_validation(self):
         """The scan plan of a join rejects what the index plan rejects
         (``KIndex.all_pairs``), with the same message and before any I/O."""
-        store = PageStore()
-        scan = SequentialScan(page_store=store, records_per_page=4)
+        store = LoggingStore()
+        scan = SequentialScan(buffer=BufferPool(store, 8))
         scan.extend(random_walk_collection(8, 32, seed=9))
         for early_abandon in (True, False):
             with pytest.raises(ValueError, match="epsilon must be non-negative"):
                 scan.all_pairs(-1.0, early_abandon=early_abandon)
-        assert store.stats.reads == 0
+        assert store.stats.reads == scan.buffer.stats.accesses == 0
         with pytest.raises(ValueError, match="epsilon must be non-negative"):
             SequentialScan().all_pairs(-1.0)
 
@@ -67,8 +69,9 @@ class TestScanQueries:
         smoothing = moving_average_spectral(32, 5)
         fast, _ = scan.all_pairs(3.0, transformation=smoothing, early_abandon=True)
         slow, _ = scan.all_pairs(3.0, transformation=smoothing, early_abandon=False)
-        assert {frozenset((a.object_id, b.object_id)) for a, b, _ in fast} == \
-            {frozenset((a.object_id, b.object_id)) for a, b, _ in slow}
+        assert {frozenset((a.object_id, b.object_id)) for a, b, _ in fast} == {
+            frozenset((a.object_id, b.object_id)) for a, b, _ in slow
+        }
 
     def test_transformed_distances_match_full_definition(self, walk_collection):
         """The scan's transformed distance equals the distance between fully
@@ -78,25 +81,28 @@ class TestScanQueries:
         scan.extend(walk_collection[:10])
         smoothing = moving_average_spectral(64, 10)
         query = walk_collection[0]
-        result = scan.range_query(query, 1e9, transformation=smoothing,
-                                  early_abandon=False)
+        result = scan.range_query(query, 1e9, transformation=smoothing, early_abandon=False)
         query_features = extractor.extract(query)
         query_record = transform_full_record(
-            query_features.full_coefficients, query_features.mean,
-            query_features.std, smoothing)
+            query_features.full_coefficients, query_features.mean, query_features.std, smoothing
+        )
         for series, distance in result.answers:
             features = extractor.extract(series)
-            record = transform_full_record(features.full_coefficients,
-                                           features.mean, features.std, smoothing)
-            expected = np.sqrt(np.sum(np.abs(record[0] - query_record[0]) ** 2)
-                               + (record[1] - query_record[1]) ** 2
-                               + (record[2] - query_record[2]) ** 2)
+            record = transform_full_record(
+                features.full_coefficients, features.mean, features.std, smoothing
+            )
+            expected = np.sqrt(
+                np.sum(np.abs(record[0] - query_record[0]) ** 2)
+                + (record[1] - query_record[1]) ** 2
+                + (record[2] - query_record[2]) ** 2
+            )
             assert distance == pytest.approx(float(expected), rel=1e-9)
 
     def test_short_transformation_raises_clear_error(self, walk_collection):
         """Regression: a transformation built for a shorter series length
         used to surface as a raw numpy broadcast error mid-scan."""
         from repro.core.errors import DimensionMismatchError
+
         scan = SequentialScan()
         scan.extend(walk_collection[:5])  # length-64 series
         too_short = moving_average_spectral(16, 4)
@@ -107,6 +113,7 @@ class TestScanQueries:
         """The same guard protects the index path's full-record postprocessing."""
         from repro.core.errors import DimensionMismatchError
         from repro.index.kindex import KIndex
+
         index = KIndex(SeriesFeatureExtractor(2))
         index.extend(walk_collection[:5])
         too_short = moving_average_spectral(16, 4)
@@ -125,63 +132,63 @@ class TestScanQueries:
             assert all(distance <= 4.0 for _, _, distance in pairs)
             assert all(np.isfinite(distance) for _, _, distance in pairs)
 
-    def test_page_store_charged_per_query(self):
-        """Pages are arithmetic: a pass is charged one read per data page
-        and the scan allocates nothing from its page store — not over a
-        pre-filled store, not when it grows, not when it is queried."""
-        data = random_walk_collection(27, 32, seed=9)
+    def test_a_pass_charges_one_read_per_data_page(self):
+        """Pages are arithmetic: a pass reads ``data_pages`` pages — over a
+        pre-filled store, after it grows, for every query family — and
+        through a pool too small to hit, every one reaches the page store."""
+        data = random_walk_collection(27, 64, seed=9)  # four records to a page
         filled = ColumnarRecordStore()
         filled.extend(data[:20])
-        store = PageStore()
-        scan = SequentialScan(page_store=store, records_per_page=4, store=filled)
-        assert scan.data_pages == 5  # 20 records / 4 per page
-        assert store.stats.snapshot()["total"] == 0
-        scan.extend(data[20:])
-        assert scan.data_pages == 7  # the last page holds 3 of its 4 records
-        assert store.stats.allocations == 0 and len(store) == 0
-        range_work = scan.range_query(data[0], 1.0).statistics
-        assert store.stats.reads == 7
-        nearest_work = scan.nearest_neighbors(data[0], 3).statistics
-        assert store.stats.reads == 14
-        _, join_work = scan.all_pairs(1.0)
+        plain = SequentialScan(store=filled)
+        assert (plain.records_per_page, plain.data_pages) == (4, 5)
+        plain.extend(data[20:])
+        assert plain.data_pages == 7  # the last page holds 3 of its 4 records
+        store = LoggingStore()
+        pooled = SequentialScan(store=filled, buffer=BufferPool(store, 1))
+        for scan in (plain, pooled):
+            range_work = scan.range_query(data[0], 1.0).statistics
+            nearest_work = scan.nearest_neighbors(data[0], 3).statistics
+            _, join_work = scan.all_pairs(1.0)
+            for work in (range_work, nearest_work, join_work):
+                assert work.node_accesses == 7
+                assert work.buffer_hits == 0
+                assert work.buffer_misses == (0 if scan is plain else 7)
         assert store.stats.reads == 21
-        for work in (range_work, nearest_work, join_work):
-            assert work.node_accesses == 7
-            assert work.buffer_hits == work.buffer_misses == 0  # no pool, nothing to hit
-        assert store.stats.allocations == 0 and len(store) == 0
 
-    def test_a_pass_is_one_run_and_no_page_reads(self):
-        class CountingStore(PageStore):
-            def __init__(self):
-                super().__init__()
-                self.calls = []
+    def test_a_pass_is_one_run(self):
+        """The scan asks its pool for one run a pass, and the pool its store
+        for one run while everything misses, nothing once it is resident."""
 
-            def read(self, page_id):
-                self.calls.append(("read", page_id))
-                return super().read(page_id)
-
+        class CountingPool(BufferPool):
             def read_run(self, first, stop):
-                self.calls.append(("read_run", first, stop))
-                super().read_run(first, stop)
+                self.calls.append((first, stop))
+                return super().read_run(first, stop)
 
-        data = random_walk_collection(22, 32, seed=9)
-        store = CountingStore()
-        scan = SequentialScan(page_store=store, records_per_page=4)
+        data = random_walk_collection(22, 64, seed=9)
+        store = LoggingStore()
+        pool = CountingPool(store, 8)
+        pool.calls = []
+        scan = SequentialScan(buffer=pool)
         scan.extend(data)
-        scan.range_query(data[0], 1.0)
-        scan.nearest_neighbors(data[1], 2)
-        scan.all_pairs(1.0)
-        assert store.calls == [("read_run", 0, 6)] * 3
-        # Behind a pool the scan asks the pool, and the pool the store:
-        # one run while everything misses, nothing once it is resident.
-        del store.calls[:]
-        pooled = SequentialScan(page_store=store, records_per_page=4,
-                                store=scan.store, buffer=BufferPool(store, 8))
-        cold = pooled.range_query(data[0], 1.0).statistics
-        warm = pooled.all_pairs(1.0)[1]
+        cold = scan.range_query(data[0], 1.0).statistics
+        nearest = scan.nearest_neighbors(data[1], 2).statistics
+        warm = scan.all_pairs(1.0)[1]
+        assert pool.calls == [(0, 6)] * 3
         assert (cold.buffer_hits, cold.buffer_misses) == (0, 6)
+        assert (nearest.buffer_hits, nearest.buffer_misses) == (6, 0)
         assert (warm.buffer_hits, warm.buffer_misses) == (6, 0)
-        assert store.calls == [("read_run", 0, 6)]
+        assert store.runs == [(0, 6)]
+
+    def test_a_pass_over_an_empty_relation_reads_no_page(self):
+        store = LoggingStore()
+        scan = SequentialScan(buffer=BufferPool(store, 8))
+        assert scan.data_pages == 0
+        walk = random_walk_collection(1, 64, seed=9)[0]
+        for work in (scan.range_query(walk, 1.0).statistics,
+                     scan.nearest_neighbors(walk, 2).statistics,
+                     scan.all_pairs(1.0)[1]):
+            assert (work.node_accesses, work.buffer_hits, work.buffer_misses) == (0, 0, 0)
+        assert store.runs == [] and scan.buffer.stats.accesses == 0
 
     @pytest.mark.parametrize("outer", ["range", "nearest", "join"])
     def test_interleaved_passes_report_their_own_buffer_counts(self, outer):
@@ -189,14 +196,14 @@ class TestScanQueries:
         another sits between charging its pages and reporting them must not
         hand the other its buffer counts.  The second pass runs inside the
         first — deterministically, from the first's read of the arrays."""
-        data = random_walk_collection(22, 32, seed=9)
-        store = PageStore()
-        scan = SequentialScan(page_store=store, records_per_page=4,
-                              buffer=BufferPool(store, 8))
+        data = random_walk_collection(22, 64, seed=9)
+        scan = SequentialScan(buffer=BufferPool(LoggingStore(), 8))
         scan.extend(data)
-        passes = {"range": lambda: scan.range_query(data[0], 1.0).statistics,
-                  "nearest": lambda: scan.nearest_neighbors(data[1], 2).statistics,
-                  "join": lambda: scan.all_pairs(1.0)[1]}
+        passes = {
+            "range": lambda: scan.range_query(data[0], 1.0).statistics,
+            "nearest": lambda: scan.nearest_neighbors(data[1], 2).statistics,
+            "join": lambda: scan.all_pairs(1.0)[1],
+        }
         inner = []
         arrays = scan.store.transformed_arrays
 

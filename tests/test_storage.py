@@ -1,12 +1,13 @@
-"""Tests for the simulated page store, the buffer pool and the mapped
-segment store — among them the differentials of a *page run*
-(``read_run``) against the per-page loop it replaced in the scan, which is
-kept here as the reference: the pool's ``read`` and ``read_run`` share no
-code; the segment store's ``read`` is the one-page run, so there the loop
-checks that a run equals its one-page pieces, and the rows touched are
-spied on and checked against literal row sets."""
+"""Tests for the page arithmetic, the buffer pool and the mapped segment
+store — among them the differentials of a *page run* (``read_run``) against
+the per-page loop it replaced in the scan.  That loop is kept here as the
+reference: :class:`PerPagePool` is the pool's old one-page ``read``, and on
+a segment store the reference is the run cut into one-page runs, with the
+rows touched spied on and checked against literal row sets."""
 
 from __future__ import annotations
+
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -15,257 +16,235 @@ from hypothesis import strategies as st
 
 import repro
 from repro.core.errors import StorageError
-from repro.storage.buffer import BufferPool
+from repro.storage.buffer import BufferPool, BufferStatistics
 from repro.storage.durable import SegmentPageStore
-from repro.storage.pages import PageStore
+from repro.storage.durable.mmapstore import IOStatistics
+from repro.storage.pages import PAGE_SIZE_BYTES, records_per_page
 from repro.timeseries.generators import random_walk_collection
 
 
-class TestPageStore:
-    def test_allocate_and_read(self):
-        store = PageStore()
-        page_id = store.allocate(payload={"a": 1})
-        assert store.read(page_id) == {"a": 1}
-        assert page_id in store
-        assert len(store) == 1
-
-    def test_write_overwrites(self):
-        store = PageStore()
-        page_id = store.allocate("old")
-        store.write(page_id, "new")
-        assert store.read(page_id) == "new"
-
-    def test_counters(self):
-        store = PageStore()
-        page_id = store.allocate()
-        store.read(page_id)
-        store.read(page_id)
-        store.write(page_id, 1)
-        assert store.stats.reads == 2
-        assert store.stats.writes == 2  # allocation counts as one write
-        assert store.stats.allocations == 1
-        assert store.stats.total == 4
-        store.stats.reset()
-        assert store.stats.total == 0
-
-    def test_free(self):
-        store = PageStore()
-        page_id = store.allocate()
-        store.free(page_id)
-        assert page_id not in store
-        with pytest.raises(StorageError):
-            store.read(page_id)
-
-    def test_missing_page(self):
-        with pytest.raises(StorageError):
-            PageStore().read(12345)
-
-    def test_entries_per_page(self):
-        store = PageStore(page_size=4096)
-        assert store.entries_per_page(100) == 40
-        assert store.entries_per_page(10000) == 1
-        with pytest.raises(StorageError):
-            store.entries_per_page(0)
+class TestRecordsPerPage:
+    def test_records_per_page(self):
+        assert PAGE_SIZE_BYTES == 4096
+        assert records_per_page(100) == 40
+        assert records_per_page(10000) == 1
+        assert records_per_page(0) == 4096  # a record takes at least a byte
+        assert records_per_page(100, page_size=300) == 3
 
     def test_invalid_page_size(self):
         with pytest.raises(StorageError):
-            PageStore(page_size=0)
+            records_per_page(100, page_size=0)
 
-    def test_snapshot(self):
-        store = PageStore()
-        store.allocate()
-        snapshot = store.stats.snapshot()
-        assert snapshot["allocations"] == 1
-        assert "total" in snapshot
+    def test_a_page_holds_whole_records_only(self):
+        """A record never straddles two pages: the count rounds down, and
+        a record larger than a page still gets a page of its own."""
+        assert records_per_page(4096) == 1
+        assert records_per_page(4097) == 1
+        assert records_per_page(2048) == 2
+        assert records_per_page(2049) == 1
+        assert records_per_page(1040) == 3  # a length-64 series' record
+
+
+# ----------------------------------------------------------------------
+# the reference and a store that records what reaches it
+# ----------------------------------------------------------------------
+class PerPagePool:
+    """The per-page ``BufferPool.read`` that ``read_run`` replaced, kept as
+    the reference: one request per page, a missed page fetched from the
+    store on its own, the least recently used page evicted past capacity."""
+
+    def __init__(self, store, capacity: int) -> None:
+        self.store = store
+        self.capacity = capacity
+        self.stats = BufferStatistics()
+        self._frames: OrderedDict[int, None] = OrderedDict()
+
+    def read(self, page_id: int) -> None:
+        if page_id in self._frames:
+            self.stats.hits += 1
+            self._frames.move_to_end(page_id)
+            return
+        self.store.read_run(page_id, page_id + 1)
+        self.stats.misses += 1
+        self._frames[page_id] = None
+        while len(self._frames) > self.capacity:
+            self._frames.popitem(last=False)
+            self.stats.evictions += 1
+
+    def read_pages(self, first: int, stop: int) -> None:
+        """The per-page pass: one ``read`` per page, in order."""
+        for page_id in range(first, stop):
+            self.read(page_id)
+
+    def __len__(self) -> int:
+        return len(self._frames)
+
+
+class LoggingStore:
+    """A stand-in page store that records what reaches it: every page read,
+    in order, and the runs it was asked for.  Pages are arithmetic, so any
+    page id can be read."""
+
+    def __init__(self) -> None:
+        self.stats = IOStatistics()
+        self.log: list[int] = []
+        self.runs: list[tuple[int, int]] = []
+
+    def read_run(self, first: int, stop: int) -> None:
+        self.runs.append((first, stop))
+        self.log.extend(range(first, stop))
+        self.stats.reads += max(0, stop - first)
+
+
+def maximal_read_runs(log: list[int]) -> list[tuple[int, int]]:
+    """The device's view of a per-page pass cut into runs: adjacent log
+    entries that read consecutive pages (a hit leaves a gap in the ids)."""
+    runs: list[tuple[int, int]] = []
+    for page_id in log:
+        if runs and runs[-1][1] == page_id:
+            runs[-1] = (runs[-1][0], page_id + 1)
+        else:
+            runs.append((page_id, page_id + 1))
+    return runs
+
+
+def pool_state(pool, store: LoggingStore):
+    return (
+        pool.stats.hits,
+        pool.stats.misses,
+        pool.stats.evictions,
+        list(pool._frames),  # noqa: SLF001
+        store.stats.reads,
+        store.log,
+    )
 
 
 class TestBufferPool:
     def test_miss_then_hit(self):
-        store = PageStore()
-        page_id = store.allocate("payload")
+        store = LoggingStore()
         pool = BufferPool(store, capacity=4)
-        assert pool.read(page_id) == "payload"
-        assert pool.read(page_id) == "payload"
-        assert pool.stats.misses == 1
-        assert pool.stats.hits == 1
+        assert pool.read_run(3, 4) == (0, 1)
+        assert pool.read_run(3, 4) == (1, 0)
+        assert (pool.stats.misses, pool.stats.hits) == (1, 1)
         assert pool.stats.hit_ratio == pytest.approx(0.5)
+        assert store.log == [3]
 
     def test_eviction_lru(self):
-        store = PageStore()
-        ids = [store.allocate(i) for i in range(5)]
+        store = LoggingStore()
         pool = BufferPool(store, capacity=2)
-        pool.read(ids[0])
-        pool.read(ids[1])
-        pool.read(ids[2])  # evicts ids[0]
+        pool.read_run(0, 3)  # page 2 evicts page 0
         assert pool.stats.evictions == 1
-        store_reads_before = store.stats.reads
-        pool.read(ids[1])  # still resident
-        assert store.stats.reads == store_reads_before
-        pool.read(ids[0])  # miss again
-        assert pool.stats.misses == 4
-
-    def test_write_back(self):
-        store = PageStore()
-        page_id = store.allocate("v1")
-        pool = BufferPool(store, capacity=2)
-        writes_before = store.stats.writes
-        pool.write(page_id, "v2")
-        # No write-through: the store is untouched until flush/eviction.
-        assert store.stats.writes == writes_before
-        assert store.read(page_id) == "v1"
-        assert pool.read(page_id) == "v2"
-        assert pool.stats.hits == 1  # the cached copy served the read
-        assert pool.flush() == 1
-        assert store.read(page_id) == "v2"
-        assert pool.flush() == 0  # clean after the write-back
-
-    def test_write_back_on_eviction(self):
-        store = PageStore()
-        ids = [store.allocate(f"v{i}") for i in range(3)]
-        pool = BufferPool(store, capacity=2)
-        pool.write(ids[0], "dirty0")
-        pool.read(ids[1])
-        pool.read(ids[2])  # evicts ids[0], which is dirty
-        assert pool.stats.evictions == 1
-        assert store.read(ids[0]) == "dirty0"
-        assert pool.flush() == 0  # the eviction already wrote it back
-
-    def test_invalidate_and_clear(self):
-        store = PageStore()
-        page_id = store.allocate("x")
-        pool = BufferPool(store, capacity=2)
-        pool.read(page_id)
-        pool.invalidate(page_id)
-        pool.read(page_id)
-        assert pool.stats.misses == 2
-        pool.clear()
-        assert len(pool) == 0
-
-    def test_a_refused_read_is_not_a_miss(self):
-        pool = BufferPool(PageStore(), capacity=2)
-        with pytest.raises(StorageError):
-            pool.read(0)
-        assert (pool.stats.misses, len(pool)) == (0, 0)
+        assert pool.read_run(1, 2) == (1, 0)  # still resident, now the newest
+        assert store.stats.reads == 3
+        assert pool.read_run(0, 1) == (0, 1)  # a miss again; evicts page 2
+        assert list(pool._frames) == [1, 0]  # noqa: SLF001
+        assert (pool.stats.misses, pool.stats.evictions) == (4, 2)
 
     def test_capacity_validation(self):
         with pytest.raises(StorageError):
-            BufferPool(PageStore(), capacity=0)
+            BufferPool(LoggingStore(), capacity=0)
 
     def test_hit_ratio_with_no_accesses(self):
-        assert BufferPool(PageStore()).stats.hit_ratio == 0.0
+        assert BufferPool(LoggingStore()).stats.hit_ratio == 0.0
+
+    def test_an_empty_or_reversed_run_is_no_request(self):
+        store = LoggingStore()
+        pool = BufferPool(store, capacity=4)
+        assert pool.read_run(5, 5) == (0, 0)
+        assert pool.read_run(5, 3) == (0, 0)
+        assert store.runs == [] and store.stats.reads == 0
+        assert pool.stats == BufferStatistics() and len(pool) == 0
+
+    def test_a_pool_smaller_than_the_pass_never_hits(self):
+        """LRU flooding: every page of a full pass evicts the page the next
+        pass asks for first, so no pass hits and every page is a device
+        read."""
+        store = LoggingStore()
+        pool = BufferPool(store, capacity=8)
+        for _ in range(3):
+            assert pool.read_run(0, 10) == (0, 10)
+        assert store.runs == [(0, 10)] * 3 and store.stats.reads == 30
+        assert (pool.stats.evictions, len(pool)) == (22, 8)
+        assert pool.stats.hit_ratio == 0.0
+
+    def test_a_pool_as_large_as_the_pass_hits_from_the_second_pass_on(self):
+        store = LoggingStore()
+        pool = BufferPool(store, capacity=10)
+        assert pool.read_run(0, 10) == (0, 10)
+        for _ in range(3):
+            assert pool.read_run(0, 10) == (10, 0)
+        assert store.runs == [(0, 10)] and pool.stats.evictions == 0
+        assert pool.stats.accesses == 40
+        assert pool.stats.hit_ratio == pytest.approx(0.75)
+
+    def test_resident_pages_cut_a_run_into_device_reads(self):
+        store = LoggingStore()
+        pool = BufferPool(store, capacity=16)
+        pool.read_run(3, 4)
+        pool.read_run(6, 7)
+        store.runs.clear()
+        assert pool.read_run(0, 10) == (2, 8)
+        assert store.runs == [(0, 3), (4, 6), (7, 10)]
+        assert list(pool._frames) == list(range(10))  # noqa: SLF001
+
+    def test_repr(self):
+        pool = BufferPool(LoggingStore(), capacity=4)
+        pool.read_run(3, 4)
+        pool.read_run(3, 4)
+        assert repr(pool) == "BufferPool(capacity=4, resident=1, hit_ratio=0.50)"
+
+    def test_one_page_path(self):
+        """The pool and the segment store share one way of reading pages —
+        a run — and neither keeps a one-page read, a write path or a
+        simulated page beside it."""
+        from repro.storage import pages
+
+        for name in ("read", "write", "flush", "invalidate", "clear"):
+            assert not hasattr(BufferPool, name)
+        assert not hasattr(SegmentPageStore, "read")
+        assert SegmentPageStore.__bases__ == (object,)
+        assert pages.__all__ == ["PAGE_SIZE_BYTES", "records_per_page"]
+        for name in ("Page", "PageStore", "IOStatistics"):
+            assert not hasattr(pages, name)
 
 
 # ----------------------------------------------------------------------
 # page runs against the per-page loop
 # ----------------------------------------------------------------------
-def per_page_pass(reader, first: int, stop: int) -> None:
-    """The loop ``read_run`` replaced — one ``read`` per page, in order —
-    kept as the reference for pools and stores alike."""
-    for page_id in range(first, stop):
-        reader.read(page_id)
-
-
-class LoggingStore(PageStore):
-    """A page store that records what reaches it: every page read and
-    written, in order, and the runs it was asked for."""
-
-    def __init__(self, pages: int) -> None:
-        super().__init__()
-        for _ in range(pages):
-            self.allocate(payload=[])
-        self.stats.reset()
-        self.log: list[tuple[str, int]] = []
-        self.runs: list[tuple[int, int]] = []
-        self.single_reads = 0
-
-    def read(self, page_id):
-        self.single_reads += 1
-        self.log.append(("read", page_id))
-        return super().read(page_id)
-
-    def read_run(self, first, stop):
-        self.runs.append((first, stop))
-        self.log.extend(("read", page_id) for page_id in range(first, stop))
-        super().read_run(first, stop)
-
-    def write(self, page_id, payload):
-        self.log.append(("write", page_id))
-        super().write(page_id, payload)
-
-
-def maximal_read_runs(log: list[tuple[str, int]]) -> list[tuple[int, int]]:
-    """The device's view of a per-page pass cut into runs: adjacent log
-    entries that read consecutive pages (a hit leaves a gap in the ids, a
-    write-back an entry in between)."""
-    runs: list[tuple[int, int]] = []
-    previous = None
-    for entry in log:
-        if entry[0] == "read" and previous == ("read", entry[1] - 1):
-            runs[-1] = (runs[-1][0], entry[1] + 1)
-        elif entry[0] == "read":
-            runs.append((entry[1], entry[1] + 1))
-        previous = entry
-    return runs
-
-
 PAGES = 40
-_page = st.integers(0, PAGES - 1)
-_single = st.tuples(st.sampled_from(["read", "write"]), _page)
+_single = st.tuples(st.just("read"), st.integers(0, PAGES - 1))
 _run = st.tuples(st.just("run"), st.integers(0, PAGES), st.integers(0, 30))
-
-
-def pool_state(pool: BufferPool, store: LoggingStore):
-    return (pool.stats.hits, pool.stats.misses, pool.stats.evictions,
-            list(pool._frames), set(pool._dirty),  # noqa: SLF001
-            store.stats.reads, store.stats.writes, store.log)
 
 
 class TestReadRunEqualsThePerPageLoop:
     @settings(max_examples=300, deadline=None)
-    @given(capacity=st.integers(1, 12),
-           before=st.lists(_single, max_size=30),
-           steps=st.lists(st.one_of(_run, _run, _single), min_size=1, max_size=12))
+    @given(
+        capacity=st.integers(1, 12),
+        before=st.lists(_single, max_size=30),
+        steps=st.lists(st.one_of(_run, _run, _single), min_size=1, max_size=12),
+    )
     def test_pool_run_equals_the_loop_after_every_step(self, capacity, before, steps):
-        """Frames in arbitrary LRU order, some dirty; then runs — empty, one
-        page, longer than the pool, overlapping the resident set anywhere,
-        repeated — between single reads and writes."""
-        reference_store, run_store = LoggingStore(PAGES), LoggingStore(PAGES)
-        reference = BufferPool(reference_store, capacity)
+        """Frames in arbitrary LRU order; then runs — empty, one page,
+        longer than the pool, overlapping the resident set anywhere,
+        repeated — between single-page requests."""
+        reference_store, run_store = LoggingStore(), LoggingStore()
+        reference = PerPagePool(reference_store, capacity)
         pool = BufferPool(run_store, capacity)
         for kind, *arguments in before + steps:
             if kind == "run":
                 first, length = arguments
                 stop = min(first + length, PAGES)
-                mark = len(reference_store.log)
-                hits, misses = reference.stats.hits, reference.stats.misses
-                per_page_pass(reference, first, stop)
-                run_store.runs.clear()
-                singles = run_store.single_reads
-                assert pool.read_run(first, stop) == (
-                    reference.stats.hits - hits, reference.stats.misses - misses)
-                # One store call per maximal run of misses, none per page.
-                assert run_store.runs == maximal_read_runs(reference_store.log[mark:])
-                assert run_store.single_reads == singles
-            elif kind == "read":
-                reference.read(arguments[0])
-                pool.read(arguments[0])
             else:
-                reference.write(arguments[0], "dirty")
-                pool.write(arguments[0], "dirty")
+                first, stop = arguments[0], arguments[0] + 1
+            mark = len(reference_store.log)
+            hits, misses = reference.stats.hits, reference.stats.misses
+            reference.read_pages(first, stop)
+            run_store.runs.clear()
+            expected = (reference.stats.hits - hits, reference.stats.misses - misses)
+            assert pool.read_run(first, stop) == expected
+            # One store call per maximal run of misses, none per page.
+            assert run_store.runs == maximal_read_runs(reference_store.log[mark:])
             assert pool_state(pool, run_store) == pool_state(reference, reference_store)
-
-    def test_a_dirty_victim_is_written_back_between_the_reads_around_it(self):
-        reference_store, run_store = LoggingStore(8), LoggingStore(8)
-        pools = [BufferPool(reference_store, 2), BufferPool(run_store, 2)]
-        for pool in pools:
-            pool.write(6, "dirty")
-            pool.read(7)
-        per_page_pass(pools[0], 0, 4)
-        assert pools[1].read_run(0, 4) == (0, 4)
-        assert run_store.log == reference_store.log == [
-            ("read", 7), ("read", 0), ("write", 6), ("read", 1), ("read", 2),
-            ("read", 3)]
-        assert run_store.runs == [(0, 1), (1, 4)]
 
     def test_a_pass_that_misses_everywhere_is_one_lock_and_one_store_call(self):
         class CountingLock:
@@ -279,13 +258,12 @@ class TestReadRunEqualsThePerPageLoop:
             def __exit__(self, *exc_info):
                 return self.lock.__exit__(*exc_info)
 
-        store = LoggingStore(0)  # a run names pages by arithmetic
+        store = LoggingStore()
         pool = BufferPool(store, capacity=16)
         pool._lock = CountingLock(pool._lock)  # noqa: SLF001
         assert pool.read_run(0, 100) == (0, 100)
         assert pool._lock.acquisitions == 1  # noqa: SLF001
-        assert store.runs == [(0, 100)] and store.single_reads == 0
-        assert (store.stats.reads, store.stats.allocations) == (100, 0)
+        assert store.runs == [(0, 100)] and store.stats.reads == 100
         assert list(pool._frames) == list(range(84, 100))  # noqa: SLF001
         assert pool.stats.evictions == 84
         # Resident pages are hits and reach no store; the pages after them
@@ -293,25 +271,6 @@ class TestReadRunEqualsThePerPageLoop:
         assert pool.read_run(90, 100) == (10, 0)
         assert pool.read_run(98, 102) == (2, 2)
         assert store.runs == [(0, 100), (100, 102)]
-
-    def test_a_run_resident_page_has_no_payload(self):
-        store = LoggingStore(4)
-        pool = BufferPool(store, capacity=4)
-        pool.read_run(0, 2)
-        assert pool.read(1) is None and pool.read(2) == []
-        assert (pool.stats.hits, pool.stats.misses) == (1, 3)
-
-    def test_store_run_counts_reads_and_penalties(self, monkeypatch):
-        from repro.storage import pages
-
-        spun = []
-        monkeypatch.setattr(pages, "_spin", spun.append)
-        store = PageStore(read_penalty=0.5)
-        store.read_run(3, 7)
-        store.read_run(5, 5)
-        assert store.stats.snapshot() == {"reads": 4, "writes": 0,
-                                          "allocations": 0, "total": 4}
-        assert spun == [2.0, 0.0]
 
 
 class CountingMap(np.memmap):
@@ -323,6 +282,12 @@ class CountingMap(np.memmap):
     def sum(self, *args, **kwargs):
         CountingMap.reductions += 1
         return super().sum(*args, **kwargs)
+
+
+def one_page_runs(store, first: int, stop: int) -> None:
+    """A store's per-page pass: the run cut into one-page runs."""
+    for page_id in range(first, stop):
+        store.read_run(page_id, page_id + 1)
 
 
 class TestSegmentStoreRuns:
@@ -364,8 +329,7 @@ class TestSegmentStoreRuns:
     def segments_overlapped(self, first, stop):
         rows = set(range(first * 3, min(stop * 3, 13)))
         bounds = np.cumsum((0,) + self.SEGMENT_ROWS)
-        return sum(1 for low, high in zip(bounds[:-1], bounds[1:])
-                   if rows & set(range(low, high)))
+        return sum(1 for low, high in zip(bounds[:-1], bounds[1:]) if rows & set(range(low, high)))
 
     def test_every_run_equals_the_per_page_loop(self, tmp_path):
         """All 45 runs ``0 <= first <= stop <= 8``: inside one segment
@@ -377,39 +341,44 @@ class TestSegmentStoreRuns:
             for stop in range(first, self.LAST_PAGE + 1):
                 reference.touched.clear()
                 run.touched.clear()
-                per_page_pass(reference, first, stop)
+                one_page_runs(reference, first, stop)
                 CountingMap.reductions = 0
                 run.read_run(first, stop)
                 assert CountingMap.reductions == self.segments_overlapped(first, stop)
                 assert sorted(run.touched) == sorted(reference.touched)
                 assert len(set(run.touched)) == len(run.touched)  # each byte once
-                assert run.stats.reads == reference.stats.reads
+                assert run.stats == reference.stats
                 assert run.mapped_reads == reference.mapped_reads
-        assert run.stats.allocations == 0
 
     def test_the_per_page_pass_runs_on_an_engine_built_backend(self, tmp_path):
-        """What ``scan_backend()`` hands out after a checkpoint allocates no
-        pages: the per-page loop runs there all the same and leaves pool and
-        store exactly as the runs do — a pool smaller than the data, rows
-        inserted since the checkpoint past the mappings, a second pass
-        that hits what the first left resident, a third that evicts it."""
+        """What ``scan_backend()`` hands out after a checkpoint: the
+        reference pool over a store built the same way ends exactly where the
+        backend's pool ends — a pool smaller than the data, rows inserted
+        since the checkpoint past the mappings, a second pass that hits what
+        the first left resident, a third that evicts it."""
         path = str(tmp_path / "db")
         with repro.connect(path=path) as session:  # checkpoints on exit
             session.relation("walks").insert_many(random_walk_collection(40, 32, seed=3))
         session = repro.connect(path=path, buffer_pages=4)
         session.relation("walks").insert_many(random_walk_collection(10, 32, seed=4))
         states = []
-        for one_pass in (per_page_pass, BufferPool.read_run):
-            backend = session.database.scan_backend("walks")
-            pool, store = backend["buffer"], backend["page_store"]
-            data_pages = -(-50 // backend["records_per_page"])
-            assert store.mapped_rows == 40 and len(store) == 0 and data_pages > 6
+        for per_page in (True, False):
+            pool = session.database.scan_backend("walks")["buffer"]
+            store = pool.store
+            if per_page:
+                pool = PerPagePool(store, pool.capacity)
+            data_pages = -(-50 // store.records_per_page)
+            assert store.mapped_rows == 40 and data_pages > 6
             self.spy_on_touches(store)
             for first, stop in [(0, data_pages), (data_pages - 3, data_pages), (0, 2)]:
-                one_pass(pool, first, stop)
+                if per_page:
+                    pool.read_pages(first, stop)
+                else:
+                    pool.read_run(first, stop)
             assert pool.stats.hits == 3 and pool.stats.evictions == data_pages - 2
-            states.append((pool.stats, list(pool._frames), store.stats,  # noqa: SLF001
-                           store.mapped_reads, store.touched))
+            frames = list(pool._frames)  # noqa: SLF001
+            state = (pool.stats, frames, store.stats, store.mapped_reads, sorted(store.touched))
+            states.append(state)
         session.close()
         assert states[0] == states[1]
         assert 0 < states[0][3] < states[0][2].reads  # some pages lie past the mappings
@@ -417,10 +386,15 @@ class TestSegmentStoreRuns:
     def test_the_named_runs(self, tmp_path):
         _, run = self.stores(tmp_path)
         for first, stop, rows, mapped_pages in [
-                (0, 1, range(0, 3), 1), (1, 3, range(3, 9), 2),
-                (0, 5, range(0, 13), 5), (1, 2, range(3, 6), 1),
-                (4, 5, range(12, 13), 1), (3, 7, range(9, 13), 2),
-                (5, 8, range(0), 0), (2, 2, range(0), 0)]:
+            (0, 1, range(0, 3), 1),
+            (1, 3, range(3, 9), 2),
+            (0, 5, range(0, 13), 5),
+            (1, 2, range(3, 6), 1),
+            (4, 5, range(12, 13), 1),
+            (3, 7, range(9, 13), 2),
+            (5, 8, range(0), 0),
+            (2, 2, range(0), 0),
+        ]:
             run.touched.clear()
             reads, mapped = run.stats.reads, run.mapped_reads
             run.read_run(first, stop)
@@ -434,3 +408,46 @@ class TestSegmentStoreRuns:
         for array in run._arrays:  # noqa: SLF001
             expected ^= int(np.asarray(array).view(np.uint64).sum())
         assert run._touch_rows(0, 13) == expected  # noqa: SLF001
+
+
+class TestSegmentStore:
+    """A :class:`SegmentPageStore` over in-memory arrays: its page
+    arithmetic, its counters and the pages that lie past the mappings."""
+
+    @staticmethod
+    def arrays(*rows):
+        return [np.arange(4 * count, dtype=np.complex128).reshape(count, 4) for count in rows]
+
+    def test_records_per_page_is_the_scan_arithmetic(self):
+        assert SegmentPageStore([], record_bytes=100).records_per_page == records_per_page(100)
+        store = SegmentPageStore(self.arrays(5, 2), record_bytes=64, page_size=128)
+        assert (store.records_per_page, store.mapped_rows) == (2, 7)
+        with pytest.raises(StorageError):
+            SegmentPageStore([], record_bytes=64, page_size=0)
+
+    def test_counters_start_at_zero(self):
+        store = SegmentPageStore(self.arrays(3), record_bytes=64)
+        assert store.stats == IOStatistics() and store.stats.reads == 0
+        assert store.mapped_reads == 0
+
+    def test_an_empty_or_reversed_run_reads_nothing(self):
+        store = SegmentPageStore(self.arrays(5, 2), record_bytes=64, page_size=128)
+        store.read_run(2, 2)
+        store.read_run(3, 1)
+        assert (store.stats.reads, store.mapped_reads) == (0, 0)
+
+    def test_pages_past_the_mappings_are_counted_and_touch_nothing(self):
+        """Rows inserted since the last checkpoint lie past the mapped
+        segments: their pages are reads, none of them a mapped read."""
+        empty = SegmentPageStore([], record_bytes=64, page_size=128)
+        empty.read_run(0, 5)
+        assert (empty.stats.reads, empty.mapped_reads, empty.mapped_rows) == (5, 0, 0)
+        store = SegmentPageStore(self.arrays(5, 2), record_bytes=64, page_size=128)
+        store.read_run(2, 9)  # rows 4 … 6 are mapped: pages 2 and 3
+        assert (store.stats.reads, store.mapped_reads) == (7, 2)
+
+    def test_repr(self):
+        store = SegmentPageStore(self.arrays(5, 2), record_bytes=64, page_size=128)
+        store.read_run(0, 3)
+        assert repr(store) == ("SegmentPageStore(segments=2, mapped_rows=7, "
+                               "records_per_page=2, reads=3)")
