@@ -27,7 +27,7 @@ traversal intersects against.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -38,10 +38,45 @@ __all__ = [
     "FeatureSpace",
     "RectangularSpace",
     "PolarSpace",
+    "RectangleBound",
     "TWO_PI",
 ]
 
 TWO_PI = 2.0 * math.pi
+
+
+class RectangleBound:
+    """A query's lower bound on the distance to anything inside each of many
+    rectangles, split at the query.
+
+    ``table(lows, highs)`` depends on the ``(n, d)`` rectangle corners alone:
+    a coordinate-major array whose every column is one rectangle, which a
+    caller bounding the same rectangles for many queries builds once (a
+    packed tree keeps one per level).  ``of_table(columns)`` maps any of its
+    columns to their ``(m,)`` bounds.  Called as ``bound(lows, highs)`` it
+    is both: a bound has one path, whichever way it is called.
+    """
+
+    __slots__ = ("table", "of_table")
+
+    def __init__(self, table: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                 of_table: Callable[[np.ndarray], np.ndarray]) -> None:
+        self.table = table
+        self.of_table = of_table
+
+    def __call__(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
+        return self.of_table(self.table(lows, highs))
+
+
+def coordinate_sums(columns: np.ndarray) -> np.ndarray:
+    """Sums down the coordinates (the leading axis) of a coordinate-major
+    block, with the bits of numpy's sums along the rows of the row-major
+    block the bounds are defined by.  numpy adds fewer than eight terms in
+    order, as a sum down the columns does; from eight on it sums each row
+    pairwise, so the block is transposed first."""
+    if len(columns) < 8:
+        return np.add.reduce(columns, axis=0)
+    return np.add.reduce(np.ascontiguousarray(columns.T), axis=1)
 
 
 class FeatureSpace:
@@ -294,7 +329,8 @@ class PolarSpace(FeatureSpace):
                               highs: np.ndarray) -> np.ndarray:
         """Lower bounds on the *true* (complex) distance from ``query`` to any
         point whose polar encoding lies in each rectangle of the ``(n, d)``
-        corner arrays ``lows`` / ``highs``; an ``(n,)`` array.
+        corner arrays ``lows`` / ``highs``; an ``(n,)`` array — a call of
+        :meth:`sector_bound`.
 
         Plain Euclidean MINDIST in polar coordinates is not a valid lower
         bound on the complex-plane distance (an angle difference of ``d``
@@ -314,25 +350,62 @@ class PolarSpace(FeatureSpace):
         cases are ``(m - r)**2 + 4 m r sin(outside / 2)**2`` with
         ``outside`` clamped at zero.
         """
-        self._check_point(query)
-        values = query.values
+        return self.sector_bound(query)(lows, highs)
+
+    def sector_table(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
+        """The query-independent part of :meth:`mindist_to_rectangles`, one
+        column per rectangle: the extras' lows and highs, then per feature
+        the sector's inner and outer radius (the magnitude interval clamped
+        at zero), its middle ray and its half-width.
+
+        Points (``highs is lows``) whose magnitudes are all non-negative are
+        held as their coordinates: at half-width zero and radius ``r >= 0``
+        the sector arithmetic gives, bit for bit, the distance to the point
+        ``(m - r)**2 + 4 m r sin(gap / 2)**2`` and the extras' squared gaps.
+        """
         extras = self.num_extra
-        gaps = np.maximum(np.maximum(lows[:, :extras] - values[:extras],
-                                     values[:extras] - highs[:, :extras]), 0.0)
-        magnitudes, angles = values[extras::2], values[extras + 1::2]
+        if highs is lows and not np.any(lows[:, extras::2] < 0.0):
+            return np.ascontiguousarray(lows.T)
         radius_low = np.maximum(lows[:, extras::2], 0.0)
         radius_high = highs[:, extras::2]
         angle_low = lows[:, extras + 1::2]
         half_width = (highs[:, extras + 1::2] - angle_low) * 0.5
-        turn = np.fmod(np.abs(angles - (angle_low + half_width)), TWO_PI)
-        outside = np.maximum(np.minimum(turn, TWO_PI - turn) - half_width, 0.0)
-        radius = np.minimum(np.maximum(magnitudes * np.cos(outside),
-                                       np.minimum(radius_low, radius_high)),
-                            np.maximum(radius_low, radius_high))
-        chord = np.sin(outside * 0.5)
-        squared = ((magnitudes - radius) ** 2
-                   + (4.0 * magnitudes) * radius * (chord * chord))
-        return np.sqrt((gaps * gaps).sum(axis=1) + squared.sum(axis=1))
+        return np.ascontiguousarray(np.concatenate(
+            (lows[:, :extras], highs[:, :extras],
+             np.minimum(radius_low, radius_high), np.maximum(radius_low, radius_high),
+             angle_low + half_width, half_width), axis=1).T)
+
+    def sector_bound(self, query: FeatureVector) -> RectangleBound:
+        """:meth:`mindist_to_rectangles` from ``query``, split at the query:
+        :meth:`sector_table` and the per-query rest, which reads a table's
+        point columns as points and its sector columns as sectors."""
+        self._check_point(query)
+        values = query.values
+        extras, features, dimension = self.num_extra, self.num_features, self.dimension
+        extra = values[:extras, None]
+        magnitudes, angles = values[extras::2, None], values[extras + 1::2, None]
+        scale = 4.0 * magnitudes
+
+        def of_table(table: np.ndarray) -> np.ndarray:
+            if len(table) == dimension:
+                gaps = table[:extras] - extra
+                radius = table[extras::2]
+                turn = np.fmod(np.abs(angles - table[extras + 1::2]), TWO_PI)
+                outside = np.minimum(turn, TWO_PI - turn)
+            else:
+                gaps = np.maximum(np.maximum(table[:extras] - extra,
+                                             extra - table[extras:2 * extras]), 0.0)
+                inner, outer, middle, half_width = (
+                    table[2 * extras + part * features:2 * extras + (part + 1) * features]
+                    for part in range(4))
+                turn = np.fmod(np.abs(angles - middle), TWO_PI)
+                outside = np.maximum(np.minimum(turn, TWO_PI - turn) - half_width, 0.0)
+                radius = np.minimum(np.maximum(magnitudes * np.cos(outside), inner), outer)
+            chord = np.sin(outside * 0.5)
+            squared = (magnitudes - radius) ** 2 + scale * radius * (chord * chord)
+            return np.sqrt(coordinate_sums(gaps * gaps) + coordinate_sums(squared))
+
+        return RectangleBound(self.sector_table, of_table)
 
     def periodic_dimension_mask(self) -> np.ndarray:
         """Phase-angle coordinates wrap around; magnitudes and extras do not."""

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import accumulate
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -48,7 +47,7 @@ import numpy as np
 
 from ..core.errors import IndexError_
 from ..core.objects import FeatureVector
-from ..core.spaces import PolarSpace
+from ..core.spaces import PolarSpace, RectangleBound
 from ..core.transformations import LinearTransformation, RealLinearTransformation
 from ..storage.columnar import (
     ColumnarRecordStore,
@@ -59,7 +58,7 @@ from ..storage.columnar import (
 from ..timeseries.features import SeriesFeatureExtractor, SeriesFeatures
 from ..timeseries.series import TimeSeries
 from ..timeseries.transforms import SpectralTransformation
-from .geometry import mindist_batch, rects_overlap
+from .geometry import box_bound, rects_overlap
 from .rstar import RStarTree
 from .rtree import PackedRTree
 
@@ -540,9 +539,9 @@ class KIndex:
                     points = self.space.encode_rows(feats, extra)
                 distances = self.space.distances_to(query_point, points)
                 keep = np.flatnonzero(distances <= float(eps))
-                result.answers = [
-                    (self.store.series(int(candidates[i])), float(distances[i]))
-                    for i in keep[np.argsort(distances[keep], kind="stable")]]
+                keep = keep[np.argsort(distances[keep], kind="stable")]
+                result.answers = list(zip(self.store.series_at(candidates[keep]),
+                                          distances[keep].tolist()))
         elapsed_share = (time.perf_counter() - started) / len(queries)
         tail_pages = self._pages(len(tail))
         for result in results:
@@ -586,10 +585,10 @@ class KIndex:
         edges = np.searchsorted(positions, list(accumulate(counts, initial=0)))
         for index, (low, high) in enumerate(zip(edges[:-1], edges[1:])):
             block = distances[low:high]
-            ids = row_ids[positions[low:high]]
-            results[index].answers = [(self.store.series(int(ids[i])),
-                                       float(block[i]))
-                                      for i in np.argsort(block, kind="stable")]
+            order = np.argsort(block, kind="stable")
+            results[index].answers = list(zip(
+                self.store.series_at(row_ids[positions[low:high]][order]),
+                block[order].tolist()))
 
     def nearest_neighbors_batch(self, queries: Sequence[TimeSeries | FeatureVector],
                                 k: int = 1, *,
@@ -614,10 +613,12 @@ class KIndex:
         One call to the tree's blocked best-first kernel
         (:meth:`~repro.index.rtree.PackedRTree.nearest_search`): filter
         distances of the transformed rectangles (lower bounds on exact
-        distances) order the search, candidates are verified in blocks
-        against their full records in the columnar store, and the search
-        stops once nothing pending is within the current k-th exact distance
-        — so the answer is exact, not a re-ranking of a fixed candidate pool.
+        distances, split at the query so that the tree keeps their
+        query-independent part per level) order the search, candidates are
+        verified in blocks against their full records in the columnar store,
+        and the search stops once nothing pending is within the current k-th
+        exact distance — so the answer is exact, not a re-ranking of a fixed
+        candidate pool.
         Answers are ordered by ``(distance, record id)``, exactly a scan's.
         """
         started = time.perf_counter()
@@ -632,13 +633,12 @@ class KIndex:
             query_full = (query_features.full_coefficients, query_features.mean,
                           query_features.std)
             query_point = query_features.point
-        filter_distance = (partial(self.space.mindist_to_rectangles, query_point)
-                           if isinstance(self.space, PolarSpace)
-                           else partial(mindist_batch, query_point.values))
+        bound = (self.space.sector_bound(query_point) if isinstance(self.space, PolarSpace)
+                 else box_bound(query_point.values))
         slack = BOUND_SLACK * float(np.abs(query_point.values).max(initial=0.0))
 
-        def lower_bound(lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
-            return filter_distance(lows, highs) * (1.0 - BOUND_SLACK) - slack
+        def lower_bound(table: np.ndarray) -> np.ndarray:
+            return bound.of_table(table) * (1.0 - BOUND_SLACK) - slack
 
         coefficients, means, stds = self.store.transformed_arrays(transformation)
         lengths = self.store.lengths
@@ -649,11 +649,10 @@ class KIndex:
 
         first, tail = self._tail(tree)
         distances, rows = tree.nearest_search(
-            k, lower_bound, exact, real_map,
+            k, RectangleBound(bound.table, lower_bound), exact, real_map,
             (tail, np.arange(first, first + len(tail))) if len(tail) else None)
-        result = NearestNeighborResult(answers=[
-            (self.store.series(row), distance)
-            for row, distance in zip(rows[:k].tolist(), distances[:k].tolist())])
+        result = NearestNeighborResult(answers=list(zip(
+            self.store.series_at(rows[:k]), distances[:k].tolist())))
         result.statistics.candidates = rows.size
         result.statistics.postprocessed = rows.size
         result.statistics.record_fetches = rows.size

@@ -20,9 +20,12 @@ and its leaves are tested as points.  Each level keeps its corners, and the
 angular centres and half-widths the periodic overlap test needs, in one
 coordinate-major table derived on first use: a level is one gather and one
 :func:`~repro.index.geometry.rects_overlap` call.  A single window is
-broadcast, not repeated per entry.  Node accesses are counted per tree and
-per thread (``tree.access_stats``), so concurrent readers of one tree each
-read their own.
+broadcast, not repeated per entry.  A nearest-neighbour step keeps its
+pending nodes in a heap, slices a node's entries out of its level, and bounds
+them from the level's table of what the bound needs of them alone (a point
+leaf's coordinates, a rectangle's sector), kept like the corner table.  Node
+accesses are counted per tree and per thread (``tree.access_stats``), so
+concurrent readers of one tree each read their own.
 
 :class:`RTree` (Guttman, 1984: linear and quadratic node splits) and its
 subclass :class:`~repro.index.rstar.RStarTree` are *growers*: a graph of
@@ -36,6 +39,7 @@ that.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import threading
@@ -47,8 +51,9 @@ from typing import Any
 import numpy as np
 
 from ..core.errors import IndexError_
+from ..core.spaces import RectangleBound
 from ..core.transformations import RealLinearTransformation
-from .geometry import Rect, angular_dims, angular_halves, mindist_batch, rects_overlap
+from .geometry import Rect, angular_dims, corner_table, mindist_batch, rects_overlap
 
 __all__ = ["RTreeEntry", "RTreeNode", "NodeAccessStats", "PackedRTree", "RTree"]
 
@@ -140,20 +145,41 @@ class _PackedLevel:
         self.highs = highs                          #: (entries, d) high corners
         self.payloads = payloads                    #: (entries,)
         self._table: tuple[Any, np.ndarray] | None = None  # see corners()
+        self._tables: dict[Callable[..., np.ndarray], np.ndarray] = {}  # see table()
+        self._nodes: tuple[list[int], list[int], list[int] | None] | None = None
 
     def corners(self, entries: np.ndarray, angular: slice | np.ndarray | None
                 ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
         """``(lows, highs, halves)`` of the given rows, in one gather from
-        the level's :func:`_corner_table` (derived on first use): what
-        :func:`~repro.index.geometry.rects_overlap` tests them by.  A level
-        of points gathers its one corner array — the test derives a point's
-        halves for free — and a level of rectangles its corners together with
-        the :func:`~repro.index.geometry.angular_halves` of its ``angular``
-        coordinates."""
+        the level's :func:`~repro.index.geometry.corner_table` (derived on
+        first use): what :func:`~repro.index.geometry.rects_overlap` tests
+        them by.  A level of points gathers its one corner array — the test
+        derives a point's halves for free — and a level of rectangles its
+        corners together with the :func:`~repro.index.geometry.angular_halves`
+        of its ``angular`` coordinates."""
         table = self._table
         if table is None or table[0] is not angular:
-            table = self._table = (angular, _corner_table(self.lows, self.highs, angular))
+            table = self._table = (angular, corner_table(self.lows, self.highs, angular))
         return _split_corners(table[1].take(entries, axis=1).T, self.lows.shape[1])
+
+    def table(self, build: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
+        """``build(lows, highs)`` — a bound's query-independent table of the
+        level (:class:`~repro.core.spaces.RectangleBound`) — built on first
+        use and kept: the level never changes."""
+        table = self._tables.get(build)
+        if table is None:
+            table = self._tables[build] = build(self.lows, self.highs)
+        return table
+
+    def nodes(self) -> tuple[list[int], list[int], list[int] | None]:
+        """``(starts, stops, children)`` as Python ints, derived on first use:
+        node ``slot`` owns rows ``starts[slot]`` … ``stops[slot]``, and an
+        internal row's child slot is ``children[row]`` (``None`` for leaves).
+        A best-first step slices nodes by them without a numpy call."""
+        if self._nodes is None:
+            self._nodes = (self.starts.tolist(), (self.starts + self.counts).tolist(),
+                           None if self.is_leaf else self.payloads.tolist())
+        return self._nodes
 
     def distinct(self, slots: np.ndarray) -> int:
         """How many distinct nodes ``slots`` names (a plain int: stats are
@@ -176,29 +202,19 @@ class _PackedLevel:
         return 0.5 * np.sqrt(np.sum(extents * extents, axis=1))
 
 
-def _corner_table(lows: np.ndarray, highs: np.ndarray, angular: slice | np.ndarray | None
-                  ) -> np.ndarray:
-    """``(n, d)`` rectangles as one coordinate-major ``(k, n)`` array: for
-    points (``highs is lows``) their ``d`` coordinates, else ``lows``,
-    ``highs`` and the ``angular`` centres and half-widths.  Gathering
-    rectangles from it is one ``take`` of its columns, and the transposed
-    gather is an ``(m, k)`` Fortran-ordered array, whose every coordinate is
-    contiguous: the overlap test then runs along the rectangles, not across
-    the few coordinates of each one (on ~1 000 six-dimensional points, the
-    gather takes a third and the test half the time of the row-major
-    layout's)."""
-    parts = [lows]
-    if highs is not lows:
-        parts.append(highs)
-        if angular is not None:
-            parts.extend(angular_halves(lows, highs, angular))
-    return np.ascontiguousarray(np.concatenate(parts, axis=-1).T)
+def _bound_corners(lower_bound: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                   dimension: int, columns: np.ndarray) -> np.ndarray:
+    """A plain ``lower_bound(lows, highs)`` of the rectangles in columns of a
+    :func:`~repro.index.geometry.corner_table`."""
+    lows, highs, _ = _split_corners(columns.T, dimension)
+    return lower_bound(lows, highs)
 
 
 def _split_corners(rows: np.ndarray, dimension: int
                    ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
     """The ``(lows, highs, halves)`` views of ``(m, k)`` rows of a
-    :func:`_corner_table` — points' ``highs`` are their ``lows``."""
+    :func:`~repro.index.geometry.corner_table` — points' ``highs`` are their
+    ``lows``."""
     if rows.shape[-1] == dimension:
         return rows, rows, None
     lows, highs = rows[..., :dimension], rows[..., dimension:2 * dimension]
@@ -212,10 +228,13 @@ def _split_corners(rows: np.ndarray, dimension: int
 #: the block doubles from 1 up to it.  A wider block means fewer
 #: (dispatch-bound) numpy steps per probe but opens nodes a one-at-a-time walk
 #: would have pruned: on 5000 series, 1 / 8 / 64 take 94 / 15 / 7 steps a
-#: probe and open 0 / 5.5 / 15 % more nodes than the fewest possible.
+#: probe and open 0 / 5.5 / 15 % more nodes than the fewest possible.  On the
+#: benchmark's k mix (stream seeds 7, 11 and 1501) a probe takes 5 steps and
+#: opens 24 nodes at k = 1 (0.42 ms on a 2-vCPU VM); at k = 5 or 10 it takes
+#: 19 steps, opens 129 nodes, bounds 1 022 entries in 24 calls (one per level
+#: a step opens) and verifies 264 records in 13 calls (1.83 ms: 0.57 ms of
+#: bounds, 0.49 ms of verification, 0.62 ms of the steps' own work).
 NEAREST_BLOCK = 8
-
-_SLOT_SPAN = 1 << 32  # a pending node is ``packed level number * span + slot``
 
 #: Most images :meth:`PackedRTree.transformed` keeps per tree (as many as the
 #: record store keeps transformed matrices); one more clears them.
@@ -362,7 +381,7 @@ class PackedRTree:
         tree = self if transformation is None else self.transformed(transformation)
         stats = self.access_stats
         angular = angular_dims(periodic_dims)
-        windows = _corner_table(window_lows, window_highs, angular)
+        windows = corner_table(window_lows, window_highs, angular)
         single = num_windows == 1
         if single:
             window = _split_corners(windows.T, self.dimension)
@@ -433,10 +452,21 @@ class PackedRTree:
         farther than both the next pending node and the current k-th exact
         distance, and then opens the nearest pending nodes whose bound is at
         most that distance — 1, 2, 4, then :data:`NEAREST_BLOCK` of them —
-        bounding all their children in one ``lower_bound`` call.  The search
-        ends when nothing pending is within the k-th distance.  Nothing whose
-        bound *equals* that distance is pruned, so records tied at the cut are
-        all verified.
+        bounding the children of the opened nodes of one level in one call.
+        The search ends when nothing pending is within the k-th distance.
+        Nothing whose bound *equals* that distance is pruned, so records tied
+        at the cut are all verified.
+
+        A step does only per-query work.  Pending nodes wait in a heap of
+        ``(bound, sequence, level, slot)``: equal bounds leave in the order
+        they were pushed, and a node bounded beyond the k-th distance — which
+        only falls — is never pushed.  A node's entries are a slice of its
+        level (:meth:`_PackedLevel.nodes`), and what a bound needs of them
+        that does not depend on the query is one table per level, built on
+        first use and kept (:meth:`_PackedLevel.table`): a
+        :class:`~repro.core.spaces.RectangleBound` names its own table, and
+        a plain callable is handed the rows of the level's
+        :func:`~repro.index.geometry.corner_table`.
 
         Returns ``(distances, records)`` of every verified record, ascending
         by distance (integer records at equal distance by ascending record — a
@@ -447,8 +477,13 @@ class PackedRTree:
             raise ValueError("k must be positive")
         tree = self if transformation is None else self.transformed(transformation)
         stats = self.access_stats
-        node_bounds = np.zeros(1)                     # pending nodes, ascending bound
-        node_refs = np.zeros(1, dtype=np.int64)       # the root: level 0, slot 0
+        if isinstance(lower_bound, RectangleBound):
+            build, bound = lower_bound.table, lower_bound.of_table
+        else:  # a plain callable bounds the rows of the levels' corner tables
+            build = corner_table
+            bound = partial(_bound_corners, lower_bound, self.dimension)
+        pending = [(0.0, 0, 0, 0)]  # heap of (bound, sequence, level number, slot): the root
+        sequence = itertools.count(1)
         record_bounds = np.zeros(0)                   # pending leaf records, any order
         records = np.zeros(0, dtype=np.intp)
         if seeds is not None:
@@ -459,53 +494,56 @@ class PackedRTree:
         kth = math.inf
         block = 1
         while True:
-            ready = record_bounds <= min(node_bounds[0] if node_bounds.size else math.inf, kth)
-            if np.count_nonzero(ready):
-                distances = (record_bounds[ready] if exact is None
-                             else exact(records[ready]))
-                found_distances.append(distances)
-                found_records.append(records[ready])
-                record_bounds, records = record_bounds[~ready], records[~ready]
-                nearest = np.concatenate((nearest, distances))
-                if nearest.size >= k:
-                    nearest = np.partition(nearest, k - 1)[:k]
-                    kth = float(nearest[k - 1])
-            within = int(np.searchsorted(node_bounds, kth, side="right"))
-            node_bounds, node_refs = node_bounds[:within], node_refs[:within]
-            if not within:
-                break
+            if record_bounds.size:
+                ready = record_bounds <= (min(pending[0][0], kth) if pending else kth)
+                if np.count_nonzero(ready):
+                    verified, later = records[ready], ~ready
+                    distances = record_bounds[ready] if exact is None else exact(verified)
+                    found_distances.append(distances)
+                    found_records.append(verified)
+                    record_bounds, records = record_bounds[later], records[later]
+                    nearest = np.concatenate((nearest, distances))
+                    if nearest.size >= k:
+                        nearest = np.partition(nearest, k - 1)[:k]
+                        kth = float(nearest[k - 1])
             opened: dict[int, list[int]] = {}
-            for ref in node_refs[:block].tolist():
-                opened.setdefault(ref // _SLOT_SPAN, []).append(ref % _SLOT_SPAN)
-            node_bounds, node_refs = node_bounds[block:], node_refs[block:]
+            for _ in range(block):
+                if not pending or pending[0][0] > kth:
+                    break
+                _, _, number, slot = heapq.heappop(pending)
+                opened.setdefault(number, []).append(slot)
+            if not opened:
+                break
             block = min(2 * block, NEAREST_BLOCK)
-            lows, highs, children = [], [], []
             for number, slots in opened.items():
-                level, slots = tree.levels[number], np.array(slots, dtype=np.intp)
+                level = tree.levels[number]
+                starts, stops, children = level.nodes()
+                table = level.table(build)
+                spans = [(starts[slot], stops[slot]) for slot in slots]
+                if len(spans) == 1:
+                    (start, stop), = spans
+                    columns = table[:, start:stop]
+                else:
+                    columns = np.concatenate([table[:, start:stop] for start, stop in spans],
+                                             axis=1)
+                bounds = bound(columns)
                 # A pending node is pending once: the slots are distinct.
-                if level.is_leaf:
+                if children is None:
                     stats.leaf += len(slots)
+                    payloads = level.payloads
+                    record_bounds = np.concatenate((record_bounds, bounds))
+                    records = np.concatenate(
+                        [records] + [payloads[start:stop] for start, stop in spans])
                 else:
+                    # A node bounded beyond the k-th distance is never opened
+                    # (that distance only falls), so it is never pushed.
                     stats.internal += len(slots)
-                rows = level.rows(slots, level.counts[slots])
-                lows.append(level.lows[rows])
-                highs.append(level.highs[rows])
-                children.append((level.payloads[rows],
-                                 None if level.is_leaf else (number + 1) * _SLOT_SPAN))
-            lows, highs = np.concatenate(lows), np.concatenate(highs)
-            bounds = lower_bound(lows, highs)
-            stop, pending = 0, node_bounds.size
-            for payloads, below in children:
-                start, stop = stop, stop + payloads.size
-                if below is None:
-                    record_bounds = np.concatenate((record_bounds, bounds[start:stop]))
-                    records = np.concatenate((records, payloads))
-                else:
-                    node_bounds = np.concatenate((node_bounds, bounds[start:stop]))
-                    node_refs = np.concatenate((node_refs, below + payloads))
-            if node_bounds.size > pending:
-                order = np.argsort(node_bounds, kind="stable")
-                node_bounds, node_refs = node_bounds[order], node_refs[order]
+                    below = number + 1
+                    for value, child in zip(bounds.tolist(),
+                                            [child for start, stop in spans
+                                             for child in children[start:stop]]):
+                        if value <= kth:
+                            heapq.heappush(pending, (value, next(sequence), below, child))
         distances, records = np.concatenate(found_distances), np.concatenate(found_records)
         order = (np.argsort(distances, kind="stable") if records.dtype == object
                  else np.lexsort((records, distances)))

@@ -236,8 +236,8 @@ class SequentialScan:
             ids = np.concatenate([part[0] for part in parts])
             distances = np.concatenate([part[1] for part in parts])
             order = np.argsort(distances, kind="stable")
-            result.answers = [(self.store.series(int(ids[i])),
-                               float(distances[i])) for i in order]
+            result.answers = list(zip(self.store.series_at(ids[order]),
+                                      distances[order].tolist()))
         # One sequential pass over the data pages; exact distances come with
         # the pages already read, so no per-candidate record fetches.
         result.statistics.postprocessed = count

@@ -260,6 +260,15 @@ class ColumnarRecordStore:
             raise IndexError(f"unknown record id {record_id}")
         return self._series[record_id]
 
+    def series_at(self, record_ids: np.ndarray) -> list[Any]:
+        """The stored series of an array of record ids, in its order: one
+        bounds check for the array (raises ``IndexError`` when an id is
+        unknown), then plain list reads."""
+        if record_ids.size and not (0 <= record_ids.min() and record_ids.max() < self._count):
+            raise IndexError(f"unknown record id among {record_ids!r}")
+        series = self._series
+        return [series[record_id] for record_id in record_ids.tolist()]
+
     def series_list(self) -> list[Any]:
         """All stored series, in insertion order."""
         return list(self._series)
