@@ -216,16 +216,12 @@ class SequentialScan:
             def scan_span(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
                 """Kept (global row ids, distances) of one partition, in row
                 order — the serial computation restricted to its rows."""
-                rows = slice(start, stop)
-                if early_abandon:
-                    survivors = early_abandon_candidates(
-                        coefficients[rows], lengths[rows], means[rows],
-                        stds[rows], *query_record, include_stats, epsilon)
-                else:
-                    survivors = np.arange(stop - start, dtype=np.intp)
-                distances = exact_distances(
-                    coefficients[rows], lengths[rows], means[rows], stds[rows],
-                    *query_record, include_stats, row_ids=survivors)
+                span = (coefficients[start:stop], lengths[start:stop],
+                        means[start:stop], stds[start:stop])
+                survivors = (early_abandon_candidates(*span, *query_record, include_stats, epsilon)
+                             if early_abandon else np.arange(stop - start, dtype=np.intp))
+                distances = exact_distances(*span, *query_record, include_stats,
+                                            row_ids=survivors)
                 keep = np.nonzero(distances <= epsilon)[0]
                 return survivors[keep] + start, distances[keep]
 
@@ -268,10 +264,8 @@ class SequentialScan:
             """A partition's stable top-``k`` as (distance, global id) pairs
             in ascending order — every global answer is in its partition's
             top-``k``, so merging these lists loses nothing."""
-            rows = slice(start, stop)
-            distances = exact_distances(
-                coefficients[rows], lengths[rows], means[rows], stds[rows],
-                *query_record, include_stats)
+            distances = exact_distances(coefficients, lengths, means, stds, *query_record,
+                                        include_stats, row_ids=np.arange(start, stop))
             order = np.argsort(distances, kind="stable")[:k]
             return [(float(distances[i]), start + int(i)) for i in order]
 

@@ -25,8 +25,11 @@ record list.
 
 The module-level **kernels** implement exact record distances blockwise:
 
-* :func:`exact_distances` — one query against many rows, with the
-  common-prefix semantics of
+* :func:`gathered_pair_distances` — the **exact core** under every exact
+  pass (scan, k-index verification and k-NN, join): (row, query) pairs
+  scored with the rows gathered once and the arithmetic done in place;
+* :func:`exact_distances` — one query against many rows, on that core in
+  bounded blocks, with the common-prefix semantics of
   :func:`~repro.timeseries.features.record_distance` (and bit-identical
   results on equal-length data: both reduce with ``np.sum`` over the same
   values in the same order);
@@ -40,10 +43,6 @@ The module-level **kernels** implement exact record distances blockwise:
   *conservative* (a tiny slack keeps borderline rows alive), so the
   surviving rows are re-scored by :func:`exact_distances` and the answers
   are exactly those of the non-abandoning path;
-* :func:`gathered_pair_distances` — the exact scorer under both abandoning
-  pair kernels: arbitrary (row, query) pairs scored in one call, which the
-  kernels below hand their survivors to in slices of at most
-  :data:`PAIR_BLOCK` coefficients;
 * :func:`verify_pairs` — **candidate verification** for the k-index, a
   single probe being a batch of one: flat (row, query) pairs taken
   :data:`PAIR_BLOCK` at a time, abandoned chunk by chunk against each
@@ -110,7 +109,8 @@ _PRUNE_SLACK = 1e-9
 #: Pairs per block of the pair kernel — at once its memory bound (a pruning
 #: round gathers at most ``PAIR_BLOCK * ABANDON_CHUNK`` coefficients, 1 MB,
 #: and the exact pass ``PAIR_BLOCK`` coefficients a slice, 128 KB), the scan
-#: join's cancellation seam and the unit it fans across workers.
+#: join's cancellation seam and the unit it fans across workers.  A block of
+#: :func:`exact_distances` holds at most a pruning round's coefficients.
 PAIR_BLOCK = 8192
 
 
@@ -389,28 +389,23 @@ def _gather_columns(matrix: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> n
     numpy's (row, column) gather costs about twice a copy of the columns
     followed by a row take, so it goes that way when the matrix has no more
     rows than are gathered: the copy is then no larger than the result, and
-    no temporary outgrows the gather.
+    no temporary outgrows the gather.  A C-contiguous matrix with more rows
+    is gathered by a flat ``take`` of element offsets, 25-40 % cheaper; a
+    view is not (``take`` would first copy it whole).
     """
     if matrix.shape[0] <= rows.size:
         return matrix.take(cols, axis=1).take(rows, axis=0)
+    if matrix.flags.c_contiguous:
+        return matrix.take(rows[:, None] * matrix.shape[1] + cols)
     return matrix[rows[:, None], cols]
 
 
-def _coefficient_sums(coefficients: np.ndarray, lengths: np.ndarray,
-                      query_coefficients: np.ndarray, query_length: int
-                      ) -> np.ndarray:
-    """Sum of squared coefficient differences over each row's common prefix."""
-    width = coefficients.shape[1]
-    columns = min(width, query_length)
-    if columns == 0:
-        return np.zeros(coefficients.shape[0], dtype=np.float64)
-    squared = np.abs(coefficients[:, :columns]
-                     - query_coefficients[:columns]) ** 2
-    common = np.minimum(lengths, query_length)
-    if np.all(common == columns):
-        return np.sum(squared, axis=1)
-    mask = np.arange(columns)[None, :] < common[:, None]
-    return np.sum(np.where(mask, squared, 0.0), axis=1)
+def _take_rows(matrix: np.ndarray, rows: np.ndarray | int, columns: int) -> np.ndarray:
+    """``matrix[rows, :columns]``: a row ``take`` when the full width of a
+    C-contiguous matrix is read (``take`` copies a strided view whole)."""
+    if columns == matrix.shape[1] and matrix.flags.c_contiguous:
+        return matrix.take(rows, axis=0)
+    return matrix[rows, :columns]
 
 
 def exact_distances(coefficients: np.ndarray, lengths: np.ndarray,
@@ -422,18 +417,20 @@ def exact_distances(coefficients: np.ndarray, lengths: np.ndarray,
 
     The common-prefix semantics (and, on equal-length data, the bit pattern)
     of :func:`~repro.timeseries.features.record_distance`, evaluated for all
-    rows — or the gathered ``row_ids`` — in one kernel call.
+    rows — or the gathered ``row_ids`` — by :func:`gathered_pair_distances`
+    against a one-row query matrix, in blocks of at most
+    ``PAIR_BLOCK * ABANDON_CHUNK`` coefficients (a pruning round's).
     """
-    if row_ids is not None:
-        coefficients = coefficients[row_ids]
-        lengths = lengths[row_ids]
-        means = means[row_ids]
-        stds = stds[row_ids]
-    totals = _coefficient_sums(coefficients, lengths,
-                               np.asarray(query_coefficients), len(query_coefficients))
-    if include_stats:
-        totals = totals + ((means - query_mean) ** 2 + (stds - query_std) ** 2)
-    return np.sqrt(totals)
+    query = np.asarray(query_coefficients)
+    query_side = (query[None, :], (query.shape[0],), (query_mean,), (query_std,), None)
+    if row_ids is None:
+        row_ids = np.arange(coefficients.shape[0])
+    rows = max(1, PAIR_BLOCK * ABANDON_CHUNK // max(1, min(coefficients.shape[1], query.shape[0])))
+    arrays = (coefficients, lengths, means, stds, include_stats)
+    if row_ids.size <= rows:
+        return gathered_pair_distances(*arrays, row_ids, *query_side)
+    return np.concatenate([gathered_pair_distances(*arrays, row_ids[at:at + rows], *query_side)
+                           for at in range(0, row_ids.size, rows)])
 
 
 def early_abandon_candidates(coefficients: np.ndarray, lengths: np.ndarray,
@@ -493,21 +490,28 @@ def gathered_pair_distances(coefficients: np.ndarray, lengths: np.ndarray,
                             include_stats: bool, row_ids: np.ndarray,
                             query_matrix: np.ndarray, query_lengths: np.ndarray,
                             query_means: np.ndarray, query_stds: np.ndarray,
-                            query_index: np.ndarray) -> np.ndarray:
-    """One exact distance per (stored row, query) pair, in a single pass.
+                            query_index: np.ndarray | None) -> np.ndarray:
+    """One exact distance per (stored row, query) pair, in a single pass:
+    the exact core under every exact distance of the engine.
 
     ``row_ids[t]`` names the stored record and ``query_index[t]`` the row of
-    the stacked query arrays it is verified against.  It holds a full row
-    per pair, so the abandoning kernels (:func:`verify_pairs`,
-    :func:`pair_block_distances`) call it on their survivors in slices of
-    at most :data:`PAIR_BLOCK` coefficients.
+    the stacked query arrays it is verified against; a one-row query matrix
+    is broadcast instead (``query_index`` unread, its statistics may be
+    1-tuples).  It holds a full row per pair, so the abandoning kernels
+    (:func:`verify_pairs`, :func:`pair_block_distances`) call it on their
+    survivors in slices of at most :data:`PAIR_BLOCK` coefficients.  The rows
+    are gathered once, the query subtracted and the moduli squared in place
+    (``a *= a``, the bits of ``** 2``), then reduced once.
     """
-    if row_ids.size == 0:
-        return np.zeros(0, dtype=np.float64)
     columns = min(coefficients.shape[1], query_matrix.shape[1])
-    gathered = coefficients[row_ids, :columns]
-    queries = query_matrix[query_index, :columns]
-    squared = np.abs(gathered - queries) ** 2
+    if query_matrix.shape[0] == 1:
+        query_index, queries = 0, query_matrix[0, :columns]
+    else:
+        queries = _take_rows(query_matrix, query_index, columns)
+    gathered = _take_rows(coefficients, row_ids, columns)
+    gathered -= queries
+    squared = np.abs(gathered)
+    squared *= squared
     common = np.minimum(lengths[row_ids], query_lengths[query_index])
     if np.all(common == columns):
         totals = np.sum(squared, axis=1)
@@ -587,7 +591,8 @@ def verify_pairs(coefficients: np.ndarray, lengths: np.ndarray,
             ragged = not np.all(common == columns)
             order = _abandon_order(columns)
             # The rows of the batch this block's queries span: a round's
-            # gather copies their columns, not the whole batch's.
+            # gather copies their columns, not the whole batch's, and one
+            # query's columns are broadcast, not gathered pair by pair.
             low = int(queries.min())
             spanned = query_matrix[low:int(queries.max()) + 1]
             for start in range(0, columns, ABANDON_CHUNK):
@@ -595,7 +600,8 @@ def verify_pairs(coefficients: np.ndarray, lengths: np.ndarray,
                     break
                 cols = order[start:start + ABANDON_CHUNK]
                 difference = _gather_columns(coefficients, rows, cols)
-                difference -= _gather_columns(spanned, queries - low, cols)
+                difference -= (spanned[0, cols] if spanned.shape[0] == 1
+                               else _gather_columns(spanned, queries - low, cols))
                 if ragged:
                     difference[cols >= common[:, None]] = 0.0
                 parts = difference.view(np.float64)
