@@ -320,12 +320,15 @@ class Database:
         map keeps the token O(indexes on *this* relation) — it runs on every
         cache probe of every query, so it must not scan the whole catalog.
         """
-        relation = self.relation(relation_name)
+        relation = self._relations.get(relation_name)
+        if relation is None:
+            relation = self.relation(relation_name)  # raises the catalog's error
         index_map = self._indexes.get(relation_name)
         index_sizes = () if not index_map else tuple(sorted(
             (name, len(index)) for name, index in index_map.items()))
+        stats = self._statistics.get(relation_name)
         return (self._catalog_version, relation.version, index_sizes,
-                self.stats_epoch(relation_name))
+                0 if stats is None else stats.epoch)
 
     def columnar_store(self, relation_name: str) -> Any:
         """The relation's shared :class:`~repro.storage.columnar.ColumnarRecordStore`.

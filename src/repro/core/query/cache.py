@@ -1,25 +1,22 @@
-"""Query-result memoisation: a small LRU cache with hit/miss accounting.
+"""Query memoisation, statement → plan → answer: small LRU caches with
+hit/miss accounting, three of which live in the
+:class:`~repro.core.query.executor.QueryEngine`:
 
-Two caches built on this live in the :class:`~repro.core.query.executor.QueryEngine`:
+* the **statement memo**: query text → a parsed
+  :class:`~repro.core.query.executor.Statement` that keeps the plan it last
+  ran under beside the relation's state token, so a repeat over an unchanged
+  catalog reaches its plan with one token comparison (a plan-cache hit).
+  ``Session.sql(text)`` is an implicitly prepared statement; a
+  :class:`~repro.core.session.PreparedQuery` holds the same one;
+* the **plan cache**, keyed on the normalised AST and the state token —
+  shared by equal ASTs from text, fluent ``Q`` builders and prepared queries;
+* the **answer cache**, keyed on the AST, a fingerprint of the bound
+  parameter and the same token; an entry is built once per execution (a
+  list copy and a shallow counter copy), never while the cache is off.
 
-* the **plan cache**, keyed on the normalised query AST (parsing already
-  normalises the textual surface syntax), the transformation name and the
-  relation's version token — so catalog or data changes simply miss;
-* the **answer cache**, keyed on the AST, a fingerprint of the bound query
-  parameters and the same version token — repeated parameterised queries
-  skip execution entirely until the relation (or an index on it) mutates.
-
-Version tokens come from :meth:`~repro.core.database.Database.state_token`;
-because the token participates in the key, *invalidation on mutation* falls
-out of the keying scheme and stale entries age out of the LRU order rather
-than needing an explicit flush.
-
-Every front end shares these caches, because every front end compiles to the
-same AST: textual queries, fluent ``Q`` builders and prepared statements all
-hit the same plan-cache entries.  A
-:class:`~repro.core.session.PreparedQuery` leans on exactly this — "plan at
-most once per catalog state" is nothing more than a guaranteed plan-cache hit
-until the state token moves.
+Tokens come from :meth:`~repro.core.database.Database.state_token`, so
+*invalidation on mutation* falls out of the keys: stale entries age out of
+the LRU order.  The memo and the plan cache share ``plan_cache_size``.
 """
 
 from __future__ import annotations
@@ -31,6 +28,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, Hashable
 
 __all__ = ["CacheStats", "LRUCache", "estimate_size"]
+
+_MISSING = object()
 
 
 def estimate_size(value: Any, *, _depth: int = 0) -> int:
@@ -130,14 +129,20 @@ class LRUCache:
     def get(self, key: Hashable, default: Any = None) -> Any:
         """The cached value (refreshing its recency), or ``default``."""
         with self._lock:
-            try:
-                value = self._items[key]
-            except KeyError:
+            value = self._items.get(key, _MISSING)
+            if value is _MISSING:  # no exception: most answer lookups miss
                 self.stats.misses += 1
                 return default
             self._items.move_to_end(key)
             self.stats.hits += 1
             return value
+
+    def count_hit(self) -> None:
+        """Count a lookup served by a holder of this cache's value (a
+        statement reusing its own plan), so the hit rate stays the share of
+        lookups served without a miss."""
+        with self._lock:
+            self.stats.hits += 1
 
     def put(self, key: Hashable, value: Any) -> None:
         """Store a value, evicting least recently used entries while the
@@ -150,10 +155,11 @@ class LRUCache:
             if size > self.max_bytes:
                 return
         with self._lock:
-            if key in self._items:
+            entries = len(self._items)
+            self._items[key] = value
+            if len(self._items) == entries:  # replaced: refresh recency and size
                 self._items.move_to_end(key)
                 self._total_bytes -= self._sizes.pop(key, 0)
-            self._items[key] = value
             if self.max_bytes is not None:
                 self._sizes[key] = size
                 self._total_bytes += size

@@ -13,13 +13,14 @@ The :class:`QueryEngine` ties the pieces together:
 * query objects are bound by name at execution time (``$param``).
 
 Queries enter the engine through :meth:`QueryEngine.execute_many`: a batch is
-parsed, planned (through an LRU **plan cache** keyed on the normalised AST),
-probed against the **answer cache** (keyed on the AST, the bound parameters
-and the relation's version token, so any :class:`Database` mutation
-invalidates it), and the remaining misses are grouped by relation and plan
-shape.  Groups of spatial index range queries run as one shared, vectorised
-R-tree traversal (:meth:`KIndex.range_query_batch`); groups of metric index
-range queries share one triangle-inequality-pruned traversal
+parsed (once per text: a :class:`Statement` memo), planned (once per catalog
+state: see :mod:`repro.core.query.cache`), probed against the **answer
+cache** (keyed on the AST, the bound parameters and the relation's state
+token, so any :class:`Database` mutation invalidates it), and the remaining
+misses are grouped by relation and plan shape.  Groups of spatial index
+range queries run as one shared, vectorised R-tree traversal
+(:meth:`KIndex.range_query_batch`); groups of metric index range queries
+share one triangle-inequality-pruned traversal
 (:meth:`MetricIndex.range_query_batch`); everything else runs through the
 per-query interpreters.  ``execute`` is a thin wrapper over the batch path.
 Each query yields a :class:`QueryOutcome` carrying the answers, the chosen
@@ -30,15 +31,16 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
-from typing import Any, Mapping, Sequence
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Any
 
 from ...index.kindex import QueryStatistics
 from ...index.scan import SequentialScan
 from ...timeseries.transforms import SpectralTransformation
 from ..cancel import checkpoint
 from ..database import Database, DistanceProvider, Relation
-from ..errors import QueryPlanningError
+from ..errors import CatalogError, QueryPlanningError
 from ..parallel import resolve_workers
 from ..similarity import SimilarityEngine
 from .ast import AllPairsQuery, NearestNeighborQuery, Query, RangeQuery, SimilarityQuery
@@ -58,7 +60,7 @@ from .planner import (
     ScanRangePlan,
 )
 
-__all__ = ["QueryOutcome", "QueryEngine"]
+__all__ = ["QueryOutcome", "QueryEngine", "Statement"]
 
 
 @dataclass
@@ -77,6 +79,24 @@ class QueryOutcome:
         return len(self.answers)
 
 
+class Statement:
+    """A parsed query and its last run's ``(cache generation, state token,
+    plan)`` — one reference, replaced whole, so concurrent readers never
+    pair one token with another's plan.  The plan is ``None`` while the
+    engine's plan cache is off."""
+
+    __slots__ = ("query", "last")
+
+    def __init__(self, query: Query) -> None:
+        self.query = query
+        self.last: tuple | None = None
+
+    @property
+    def token(self) -> tuple | None:
+        """The relation's state token at this statement's last run."""
+        return None if self.last is None else self.last[1]
+
+
 class QueryEngine:
     """Plans and executes similarity queries over a database.
 
@@ -89,7 +109,8 @@ class QueryEngine:
         Mapping from transformation names (as used in ``USING`` clauses) to
         :class:`SpectralTransformation` objects.
     plan_cache_size:
-        Capacity of the LRU plan cache (0 disables plan caching).
+        Capacity of the LRU plan cache and of the text → statement memo (0
+        disables both: every call parses and plans).
     answer_cache_size:
         Capacity of the LRU answer cache (0 disables answer caching).
     answer_cache_bytes:
@@ -118,6 +139,10 @@ class QueryEngine:
         self.plan_cache = LRUCache(plan_cache_size)
         self.answer_cache = LRUCache(answer_cache_size,
                                      max_bytes=answer_cache_bytes)
+        self._statements = LRUCache(plan_cache_size)
+        #: Bumped by :meth:`clear_caches`: a statement's plan from an older
+        #: generation is stale whatever its token says.
+        self._generation = 0
         self._transformations: dict[str, SpectralTransformation] = dict(transformations or {})
         self._scans: dict[str, tuple[Relation, int, SequentialScan]] = {}
 
@@ -147,32 +172,41 @@ class QueryEngine:
                 f"unknown transformation {name!r}; registered: {known}") from None
 
     def clear_caches(self) -> None:
-        """Drop every cached plan and answer (for benchmarks and tests)."""
+        """Drop every cached statement, plan and answer (for benchmarks and
+        tests); statements held elsewhere re-plan on their next run."""
         self.plan_cache.clear()
         self.answer_cache.clear()
+        self._statements.clear()
+        self._generation += 1
 
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    @staticmethod
-    def _coerce_query(query: str | Query | Any) -> Query:
-        """Accept query text, an AST node, a fluent builder (anything with a
-        ``build()`` producing an AST node) or a prepared query (anything
-        carrying its AST as ``.query``) — the front doors all meet at the
-        same AST, so plans and cached answers are shared between them.
+    def _statement(self, query: str | Query | Any) -> Statement:
+        """Accept query text (parsed once per engine: the memo hands every
+        repeat the same statement), a statement, an AST node, a fluent
+        builder (anything with a ``build()`` producing an AST node) or a
+        prepared query (anything carrying its statement, or its AST as
+        ``.query``) — the front doors all meet at the same AST, so plans and
+        cached answers are shared between them.
         """
         if isinstance(query, str):
-            return parse(query)
-        if isinstance(query, Query):
-            return query
-        build = getattr(query, "build", None)
-        if callable(build):
+            statement = self._statements.get(query)
+            if statement is None:
+                statement = Statement(parse(query))
+                self._statements.put(query, statement)
+            return statement
+        statement = query if isinstance(query, Statement) \
+            else getattr(query, "_statement", None)
+        if isinstance(statement, Statement):
+            return statement
+        node, build = query, getattr(query, "build", None)
+        if not isinstance(node, Query) and callable(build):
             node = build()
-            if isinstance(node, Query):
-                return node
-        node = getattr(query, "query", None)
+        if not isinstance(node, Query):
+            node = getattr(query, "query", None)
         if isinstance(node, Query):
-            return node
+            return Statement(node)
         raise QueryPlanningError(
             f"cannot execute a {type(query).__name__}: expected query text, a "
             "Query AST node, a Q builder, or a prepared query")
@@ -180,12 +214,12 @@ class QueryEngine:
     def plan(self, query: str | Query | Any) -> Plan:
         """The physical plan the engine would execute for ``query`` right now.
 
-        Goes through the plan cache, so a subsequent ``execute`` of the same
-        query (at the same catalog state) runs exactly this plan — which is
-        what ``Session.explain`` and prepared statements rely on.
+        Goes through the statement and the plan cache, so a subsequent
+        ``execute`` of the same query (at the same catalog state) runs exactly
+        this plan — which is what ``Session.explain`` and prepared statements
+        rely on.
         """
-        node = self._coerce_query(query)
-        return self._plan_cached(node, self.transformation(node.transformation))
+        return self._plan_statement(self._statement(query))[0]
 
     def execute(self, query: str | Query | Any,
                 parameters: Mapping[str, Any] | None = None) -> QueryOutcome:
@@ -212,54 +246,53 @@ class QueryEngine:
         :meth:`execute`; per-query ``elapsed_seconds`` of batched queries is
         the group's wall time divided evenly across its members.
         """
-        nodes = [self._coerce_query(query) for query in queries]
+        statements = [self._statement(query) for query in queries]
+        nodes = [statement.query for statement in statements]
         bindings = self._normalize_bindings(parameters, len(nodes))
         outcomes: list[QueryOutcome | None] = [None] * len(nodes)
         plans: list[Plan | None] = [None] * len(nodes)
-        answer_keys: list[tuple | None] = [None] * len(nodes)
+        #: Queries the answer cache did not serve: index -> (state token,
+        #: answer key or None).
+        runs: dict[int, tuple] = {}
         groups: dict[tuple | None, list[int]] = {}
-        for index, (node, binding) in enumerate(zip(nodes, bindings)):
+        answer_cache = self.answer_cache if self.answer_cache.capacity else None
+        for index, statement in enumerate(statements):
             lookup_started = time.perf_counter()
-            transformation = self.transformation(node.transformation)
-            plan = self._plan_cached(node, transformation)
+            node = statement.query
+            plan, token = self._plan_statement(statement)
             plans[index] = plan
-            key = self._answer_cache_key(node, binding)
-            answer_keys[index] = key
-            if key is not None:
-                cached = self.answer_cache.get(key)
-                if cached is not None:
-                    cached_plan, cached_answers, cached_statistics = cached
-                    outcomes[index] = QueryOutcome(
-                        plan=cached_plan, answers=list(cached_answers),
-                        statistics=replace(cached_statistics),
-                        elapsed_seconds=time.perf_counter() - lookup_started,
-                        from_cache=True)
-                    continue
+            key = None if answer_cache is None \
+                else self._answer_cache_key(node, bindings[index], token)
+            cached = None if key is None else answer_cache.get(key)
+            if cached is not None:
+                outcomes[index] = QueryOutcome(
+                    plan=cached[0], answers=list(cached[1]), statistics=cached[2].copy(),
+                    elapsed_seconds=time.perf_counter() - lookup_started, from_cache=True)
+                continue
+            runs[index] = (token, key)
             groups.setdefault(self._group_key(node, plan), []).append(index)
         for group_key, members in groups.items():
             if group_key is not None:
                 self._run_range_group(members, nodes, bindings, plans, outcomes)
-            else:
-                for index in members:
-                    checkpoint()
-                    started = time.perf_counter()
-                    outcome = self._run(plans[index], nodes[index],
-                                        self.transformation(nodes[index].transformation),
-                                        bindings[index])
-                    outcome.elapsed_seconds = time.perf_counter() - started
-                    outcomes[index] = outcome
-        for index, outcome in enumerate(outcomes):
-            if outcome.from_cache:
                 continue
-            self._observe_outcome(nodes[index], outcome)
-            if answer_keys[index] is not None:
+            for index in members:
+                node = nodes[index]
+                checkpoint()
+                started = time.perf_counter()
+                outcome = self._run(plans[index], node, self.transformation(node.transformation),
+                                    bindings[index])
+                outcome.elapsed_seconds = time.perf_counter() - started
+                outcomes[index] = outcome
+        for index, (token, key) in runs.items():
+            outcome = outcomes[index]
+            self._observe_outcome(nodes[index], outcome, token)
+            if key is not None:
                 self.answer_cache.put(
-                    answer_keys[index],
-                    (outcome.plan, list(outcome.answers),
-                     replace(outcome.statistics)))
+                    key, (outcome.plan, list(outcome.answers), outcome.statistics.copy()))
         return outcomes
 
-    def _observe_outcome(self, node: Query, outcome: QueryOutcome) -> None:
+    def _observe_outcome(self, node: Query, outcome: QueryOutcome,
+                         token: tuple) -> None:
         """Feedback loop: fold an executed range query's observed candidate
         and answer fractions into the relation's statistics (bounded EWMA —
         see :meth:`RelationStatistics.observe_range`), so repeated workloads
@@ -271,6 +304,10 @@ class QueryEngine:
         Scan-family plans additionally feed their buffer-pool counters into
         the cost model (durable storage routes scan page reads through a
         pool), so scan I/O estimates track the observed hit rate.
+
+        The statistics and cardinality are the planner's facts under the
+        token the query ran at; the fold runs per query, because the next
+        plan must see every correction.
         """
         if isinstance(outcome.plan, (ScanRangePlan, ScanNearestPlan,
                                      ScanJoinPlan)):
@@ -280,12 +317,8 @@ class QueryEngine:
                 self.planner.cost_model.observe_buffer(hits, misses)
         if not isinstance(node, RangeQuery) or node.transformation is not None:
             return
-        if node.relation not in self.database:
-            return
-        stats = self.database.statistics_for(node.relation, collect=False)
-        if stats is None:
-            return
-        count = len(self.database.relation(node.relation))
+        facts = self.planner.facts(node.relation, token)
+        stats, count = facts.statistics, facts.cardinality
         if count == 0:
             return
         plan = outcome.plan
@@ -308,69 +341,62 @@ class QueryEngine:
     @staticmethod
     def _normalize_bindings(parameters, count: int
                             ) -> list[Mapping[str, Any]]:
+        """One mapping per query (a caller's mapping is only read: not copied)."""
         if parameters is None:
-            return [{} for _ in range(count)]
-        if isinstance(parameters, Mapping):
+            return [{}] * count
+        if not isinstance(parameters, (list, tuple)) and isinstance(parameters, Mapping):
             return [parameters] * count
-        bindings = [dict(binding or {}) for binding in parameters]
+        bindings = [binding if type(binding) is dict or isinstance(binding, Mapping)
+                    else dict(binding or {}) for binding in parameters]
         if len(bindings) != count:
             raise QueryPlanningError(
                 f"{count} queries but {len(bindings)} parameter bindings")
         return bindings
 
     # -- planning & caching ----------------------------------------------
-    def _plan_cached(self, node: Query,
-                     transformation: SpectralTransformation | None) -> Plan:
-        if node.relation not in self.database:
-            # Let the planner raise its usual error for unknown relations.
-            return self.planner.plan(node, transformation=transformation)
-        token = self.database.state_token(node.relation)
-        key = (node, node.transformation, token)
+    def _plan_statement(self, statement: Statement) -> tuple[Plan, tuple]:
+        """The statement's plan and state token: its own plan when neither
+        the token nor the cache generation moved, else the plan cache's
+        (keyed on the AST), else a fresh one."""
+        node = statement.query
+        transformation = self.transformation(node.transformation)
+        try:
+            token = self.database.state_token(node.relation)
+        except CatalogError:  # the planner's own error for unknown relations
+            return self.planner.plan(node, transformation=transformation), None
+        last = statement.last
+        if last is not None and last[2] is not None and last[1] == token \
+                and last[0] == self._generation:
+            self.plan_cache.count_hit()
+            return last[2], token
+        key = (node, token)
         plan = self.plan_cache.get(key)
         if plan is None:
-            plan = self.planner.plan(node, transformation=transformation)
+            plan = self.planner._plan(node, transformation, token)
             self.plan_cache.put(key, plan)
-        return plan
+        statement.last = (self._generation, token, plan if self.plan_cache.capacity else None)
+        return plan, token
 
-    def _answer_cache_key(self, node: Query,
-                          binding: Mapping[str, Any]) -> tuple | None:
+    def _answer_cache_key(self, node: Query, binding: Mapping[str, Any],
+                          token: tuple) -> tuple | None:
         """Cache key for a query's answers, or ``None`` when not cacheable.
 
-        The key combines the normalised AST, a byte-level fingerprint of the
-        bound parameter the query references, and the relation's version
+        The key combines the normalised AST (which names the parameter), a
+        content fingerprint of the bound object, and the relation's state
         token — so both rebinding and database mutation miss naturally.
+        The fingerprint works for any domain exposing raw content: numeric
+        ``values`` (time series, feature vectors: their bytes) or ``text``
+        (strings: the text, never equal to bytes).  Other objects are not
+        cacheable — the query still runs, it just bypasses the answer cache.
         """
-        if node.relation not in self.database:
-            return None
-        if isinstance(node, (RangeQuery, NearestNeighborQuery, SimilarityQuery)):
-            content = self._parameter_fingerprint(binding.get(node.parameter))
-            if content is None:
-                return None
-            fingerprint = (node.parameter, content)
-        else:
-            fingerprint = ()
-        return (node, fingerprint, self.database.state_token(node.relation))
-
-    @staticmethod
-    def _parameter_fingerprint(parameter: Any) -> tuple | None:
-        """A hashable content fingerprint of a bound query object.
-
-        Works for any domain exposing raw content: numeric ``values`` (time
-        series, feature vectors) or ``text`` (strings).  ``None`` marks the
-        object uncacheable — the query still runs, it just bypasses the
-        answer cache.
-        """
-        if parameter is None:
-            return None
+        if isinstance(node, AllPairsQuery):
+            return (node, (), token)
+        parameter = binding.get(node.parameter)
         values = getattr(parameter, "values", None)
         if values is not None and hasattr(values, "tobytes"):
-            return ("values", values.tobytes())
-        text = getattr(parameter, "text", None)
-        if isinstance(text, str):
-            return ("text", text)
-        if isinstance(parameter, str):
-            return ("text", parameter)
-        return None
+            return (node, values.tobytes(), token)
+        text = parameter if isinstance(parameter, str) else getattr(parameter, "text", None)
+        return (node, text, token) if isinstance(text, str) else None
 
     @staticmethod
     def _group_key(node: Query, plan: Plan) -> tuple | None:
@@ -517,7 +543,7 @@ class QueryEngine:
             result = engine.similar(obj, query_obj, cost_bound=node.cost_bound,
                                     epsilon=node.epsilon, first_match=True)
             statistics.postprocessed += 1
-            statistics.node_accesses += result.states_explored
+            statistics.states_explored += result.states_explored
             if result.similar:
                 answers.append((obj, result.distance))
         answers.sort(key=lambda pair: pair[1])

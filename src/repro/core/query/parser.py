@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import QuerySyntaxError
 from .ast import AllPairsQuery, NearestNeighborQuery, Query, RangeQuery, SimilarityQuery
@@ -66,193 +66,144 @@ _TOKEN_PATTERN = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     value: str
     position: int
 
 
+def _scan(text: str) -> list[tuple[str, str, int]]:
+    """``(kind, value, position)`` per token, in one pass of the pattern;
+    an unrecognised character is reported at the start of the blank run
+    before it, if any."""
+    tokens = []
+    position = 0
+    for match in _TOKEN_PATTERN.finditer(text):
+        if match.start() != position:
+            break
+        kind = match.lastgroup
+        value = match[kind]
+        position = match.end()
+        tokens.append((kind, value, position - len(value)))
+    if text[position:].strip():
+        raise QuerySyntaxError(f"unexpected character {text[position]!r}", position)
+    return tokens
+
+
 def tokenize(text: str) -> list[_Token]:
     """Split query text into tokens; raises on unrecognised characters."""
-    tokens: list[_Token] = []
-    position = 0
-    while position < len(text):
-        match = _TOKEN_PATTERN.match(text, position)
-        if match is None or match.end() == position:
-            if text[position:].strip() == "":
-                break
-            raise QuerySyntaxError(f"unexpected character {text[position]!r}", position)
-        position = match.end()
-        for kind in ("number", "param", "ident", "symbol"):
-            value = match.group(kind)
-            if value is not None:
-                tokens.append(_Token(kind, value, match.start(kind)))
-                break
-    return tokens
+    return [_Token(*token) for token in _scan(text)]
+
+
+# What the parser expects next: (token kind, what the error names, accepted
+# upper-cased values — empty for any value of the kind).
+def _keyword(word: str) -> tuple:
+    return ("ident", word, (word,))
+
+
+def _symbol(symbol: str) -> tuple:
+    return ("symbol", repr(symbol), (symbol,))
+
+
+_IDENT = ("ident", "an identifier", ())
+_PARAM = ("param", "a $parameter", ())
+_NUMBER = ("number", "a number", ())
+_SELECT, _FROM, _WHERE, _DIST, _TO, _QUERY = map(
+    _keyword, ("SELECT", "FROM", "WHERE", "DIST", "TO", "QUERY"))
+#: ``( OBJECT , $param ) < number`` after DIST or SIM; SERIES is the
+#: time-series spelling of OBJECT.
+_PREDICATE = (_symbol("("), ("ident", "OBJECT or SERIES", ("OBJECT", "SERIES")),
+              _symbol(","), _PARAM, _symbol(")"), _symbol("<"), _NUMBER)
 
 
 class _Parser:
     """Recursive-descent parser over the token list."""
 
-    def __init__(self, tokens: list[_Token], text: str) -> None:
-        self.tokens = tokens
+    def __init__(self, text: str) -> None:
+        self.tokens = _scan(text)
         self.text = text
         self.index = 0
 
-    # -- token utilities ---------------------------------------------------
-    def _peek(self) -> _Token | None:
-        return self.tokens[self.index] if self.index < len(self.tokens) else None
+    def _expect(self, *items: tuple) -> list[str]:
+        """The next tokens' text, one token per item; the syntax error naming
+        what was expected at the first token that does not fit."""
+        tokens, index, found = self.tokens, self.index, []
+        for kind, expected, values in items:
+            if index >= len(tokens):
+                raise QuerySyntaxError("unexpected end of query", len(self.text))
+            token_kind, value, position = tokens[index]
+            if token_kind != kind or (values and value.upper() not in values):
+                raise QuerySyntaxError(f"expected {expected}, found {value!r}", position)
+            found.append(value)
+            index += 1
+        self.index = index
+        return found
 
-    def _advance(self) -> _Token:
-        token = self._peek()
-        if token is None:
-            raise QuerySyntaxError("unexpected end of query", len(self.text))
-        self.index += 1
-        return token
-
-    def _expect_keyword(self, keyword: str) -> None:
-        token = self._advance()
-        if token.kind != "ident" or token.value.upper() != keyword:
-            raise QuerySyntaxError(f"expected {keyword}, found {token.value!r}",
-                                   token.position)
-
-    def _expect_symbol(self, symbol: str) -> None:
-        token = self._advance()
-        if token.kind != "symbol" or token.value != symbol:
-            raise QuerySyntaxError(f"expected {symbol!r}, found {token.value!r}",
-                                   token.position)
-
-    def _accept_keyword(self, keyword: str) -> bool:
-        token = self._peek()
-        if token is not None and token.kind == "ident" and token.value.upper() == keyword:
-            self.index += 1
-            return True
+    def _accept(self, keyword: str) -> bool:
+        if self.index < len(self.tokens):
+            kind, value, _ = self.tokens[self.index]
+            if kind == "ident" and value.upper() == keyword:
+                self.index += 1
+                return True
         return False
-
-    def _identifier(self) -> str:
-        token = self._advance()
-        if token.kind != "ident":
-            raise QuerySyntaxError(f"expected an identifier, found {token.value!r}",
-                                   token.position)
-        return token.value
-
-    def _parameter(self) -> str:
-        token = self._advance()
-        if token.kind != "param":
-            raise QuerySyntaxError(f"expected a $parameter, found {token.value!r}",
-                                   token.position)
-        return token.value[1:]
-
-    def _number(self) -> float:
-        token = self._advance()
-        if token.kind != "number":
-            raise QuerySyntaxError(f"expected a number, found {token.value!r}",
-                                   token.position)
-        return float(token.value)
-
-    def _positive_integer(self) -> int:
-        token = self._peek()
-        value = self._number()
-        if not value.is_integer() or value < 1:
-            raise QuerySyntaxError(
-                f"expected a positive integer, found {token.value!r}",
-                token.position)
-        return int(value)
-
-    def _object_keyword(self) -> None:
-        """``OBJECT`` or, for backwards compatibility, ``SERIES``."""
-        token = self._advance()
-        if token.kind != "ident" or token.value.upper() not in ("OBJECT", "SERIES"):
-            raise QuerySyntaxError(
-                f"expected OBJECT or SERIES, found {token.value!r}", token.position)
 
     # -- grammar -------------------------------------------------------------
     def parse(self) -> Query:
-        self._expect_keyword("SELECT")
-        if self._accept_keyword("PAIRS"):
-            return self._pairs_query()
-        self._expect_keyword("FROM")
-        relation = self._identifier()
-        if self._accept_keyword("WHERE"):
-            return self._range_query(relation)
-        if self._accept_keyword("NEAREST"):
-            return self._nn_query(relation)
-        token = self._peek()
-        raise QuerySyntaxError("expected WHERE or NEAREST",
-                               token.position if token else len(self.text))
-
-    def _range_query(self, relation: str) -> RangeQuery | SimilarityQuery:
-        if self._accept_keyword("SIM"):
-            return self._sim_query(relation)
-        self._expect_keyword("DIST")
-        self._expect_symbol("(")
-        self._object_keyword()
-        self._expect_symbol(",")
-        parameter = self._parameter()
-        self._expect_symbol(")")
-        self._expect_symbol("<")
-        epsilon = self._number()
-        transformation, transform_query = self._suffix()
-        self._end()
-        return RangeQuery(relation=relation, transformation=transformation,
-                          parameter=parameter, epsilon=epsilon,
-                          transform_query=transform_query)
-
-    def _sim_query(self, relation: str) -> SimilarityQuery:
-        self._expect_symbol("(")
-        self._object_keyword()
-        self._expect_symbol(",")
-        parameter = self._parameter()
-        self._expect_symbol(")")
-        self._expect_symbol("<")
-        epsilon = self._number()
-        cost_bound = math.inf
-        if self._accept_keyword("COST"):
-            cost_bound = self._number()
-        self._end()
-        return SimilarityQuery(relation=relation, parameter=parameter,
-                               epsilon=epsilon, cost_bound=cost_bound)
-
-    def _nn_query(self, relation: str) -> NearestNeighborQuery:
-        k = self._positive_integer()
-        self._expect_keyword("TO")
-        parameter = self._parameter()
-        transformation, transform_query = self._suffix()
-        self._end()
-        return NearestNeighborQuery(relation=relation, transformation=transformation,
-                                    parameter=parameter, k=k,
-                                    transform_query=transform_query)
-
-    def _pairs_query(self) -> AllPairsQuery:
-        self._expect_keyword("FROM")
-        relation = self._identifier()
-        self._expect_keyword("WHERE")
-        self._expect_keyword("DIST")
-        self._expect_symbol("<")
-        epsilon = self._number()
-        transformation, _ = self._suffix()
-        self._end()
-        return AllPairsQuery(relation=relation, transformation=transformation,
-                             epsilon=epsilon)
+        self._expect(_SELECT)
+        if self._accept("PAIRS"):
+            _, relation, _, _, _, epsilon = self._expect(
+                _FROM, _IDENT, _WHERE, _DIST, _symbol("<"), _NUMBER)
+            transformation, _ = self._suffix()
+            return AllPairsQuery(relation=relation, transformation=transformation,
+                                 epsilon=float(epsilon))
+        _, relation = self._expect(_FROM, _IDENT)
+        if self._accept("WHERE"):
+            if self._accept("SIM"):
+                _, _, _, parameter, _, _, epsilon = self._expect(*_PREDICATE)
+                cost_bound = math.inf
+                if self._accept("COST"):
+                    cost_bound = float(self._expect(_NUMBER)[0])
+                self._end()
+                return SimilarityQuery(relation=relation, parameter=parameter[1:],
+                                       epsilon=float(epsilon), cost_bound=cost_bound)
+            _, _, _, _, parameter, _, _, epsilon = self._expect(_DIST, *_PREDICATE)
+            transformation, transform_query = self._suffix()
+            return RangeQuery(relation=relation, transformation=transformation,
+                              parameter=parameter[1:], epsilon=float(epsilon),
+                              transform_query=transform_query)
+        if self._accept("NEAREST"):
+            k = float(self._expect(_NUMBER)[0])
+            if not k.is_integer() or k < 1:
+                _, value, position = self.tokens[self.index - 1]
+                raise QuerySyntaxError(f"expected a positive integer, found {value!r}",
+                                       position)
+            _, parameter = self._expect(_TO, _PARAM)
+            transformation, transform_query = self._suffix()
+            return NearestNeighborQuery(relation=relation, transformation=transformation,
+                                        parameter=parameter[1:], k=int(k),
+                                        transform_query=transform_query)
+        self._end("expected WHERE or NEAREST")
+        raise QuerySyntaxError("expected WHERE or NEAREST", len(self.text))
 
     def _suffix(self) -> tuple[str | None, bool]:
-        transformation = None
-        transform_query = True
-        if self._accept_keyword("USING"):
-            transformation = self._identifier()
-        if self._accept_keyword("RAW"):
-            self._expect_keyword("QUERY")
-            transform_query = False
+        """``[USING ident] [RAW QUERY]``, then the end of the text."""
+        transformation = self._expect(_IDENT)[0] if self._accept("USING") else None
+        transform_query = not self._accept("RAW")
+        if not transform_query:
+            self._expect(_QUERY)
+        self._end()
         return transformation, transform_query
 
-    def _end(self) -> None:
-        token = self._peek()
-        if token is not None:
-            raise QuerySyntaxError(f"unexpected trailing input {token.value!r}",
-                                   token.position)
+    def _end(self, message: str = "") -> None:
+        """Raise at the next token, if there is one: ``message``, or the
+        trailing input named."""
+        if self.index < len(self.tokens):
+            _, value, position = self.tokens[self.index]
+            raise QuerySyntaxError(message or f"unexpected trailing input {value!r}",
+                                   position)
 
 
 def parse(text: str) -> Query:
-    """Parse query text into an AST node."""
-    return _Parser(tokenize(text), text).parse()
+    """Parse query text into an AST node.  A pure function with no memo of
+    its own: a session keeps its parsed statements per engine."""
+    return _Parser(text).parse()

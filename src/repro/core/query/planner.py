@@ -39,7 +39,7 @@ statistics of an execution) as a short multi-line report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ...index.kindex import KIndex
 from ...index.metric import MetricIndex
@@ -171,6 +171,61 @@ def _beats(challenger: CostEstimate, incumbent: CostEstimate) -> bool:
     return challenger.total < incumbent.total * (1.0 - TIE_TOLERANCE)
 
 
+class _RelationFacts:
+    """What planning over one relation reads that only a move of its state
+    token can change: the statistics (basis checked once), the cardinality,
+    the distance provider, the index and its verdict per transformation,
+    the k-index's tail.  A plan under the same token pays only its own
+    radius: histogram positions and the cost arithmetic."""
+
+    __slots__ = ("token", "statistics", "cardinality", "provider", "index_name",
+                 "index", "reason", "tail_pages", "verdicts")
+
+    def __init__(self, database: Database, relation: str, token: tuple) -> None:
+        self.token = token
+        self.statistics = database.statistics_for(relation)
+        self.cardinality = len(database.relation(relation))
+        indexes = database.indexes_on(relation)
+        if database.has_distance_provider(relation):
+            self.provider = database.distance_provider(relation)
+            self.index_name = next((name for name, index in indexes.items()
+                                    if isinstance(index, MetricIndex)), None)
+            return
+        self.provider = None
+        index = indexes.get("default")
+        if index is None:
+            self.index, self.reason = None, "no index registered for the relation"
+        elif not isinstance(index, KIndex):
+            self.index, self.reason = None, "the relation's index is not a k-index"
+        else:
+            self.index, self.reason = index, "index available"
+            self.tail_pages = index.tail_pages
+        #: id(transformation) -> (transformation, index or None, reason).
+        self.verdicts: dict[int, tuple] = {}
+
+    def feature_index(self, transformation) -> tuple[KIndex | None, str]:
+        """The k-index and why it can answer under ``transformation``, or
+        ``None`` and why not — the index itself judges the transformation
+        (:meth:`KIndex.lower_transformation`), so plan and probe cannot
+        disagree about safety."""
+        if transformation is None or self.index is None:
+            return self.index, self.reason
+        verdict = self.verdicts.get(id(transformation))
+        if verdict is None or verdict[0] is not transformation:
+            try:
+                self.index.lower_transformation(transformation)
+                verdict = (transformation, self.index,
+                           "index available and transformation is safe")
+            except UnsafeTransformationError:
+                verdict = (transformation, None,
+                           "transformation is not safe for the index's feature space")
+            except (IndexError_, DimensionMismatchError, ValueError) as error:
+                verdict = (transformation, None,
+                           f"transformation cannot be applied to the index ({error})")
+            self.verdicts[id(transformation)] = verdict
+        return verdict[1], verdict[2]
+
+
 class Planner:
     """Chooses a physical plan given the database catalog.
 
@@ -195,6 +250,7 @@ class Planner:
         #: "re-plan at most once per (AST, catalog state)"; tests and
         #: benchmarks read this counter to hold them to it.
         self.invocations = 0
+        self._facts: dict[str, _RelationFacts] = {}
 
     def plan(self, query: Query, *, transformation=None) -> Plan:
         """Produce the physical plan for a parsed query.
@@ -203,94 +259,85 @@ class Planner:
         — the planner needs it to check index safety; name resolution happens
         in the executor, which passes the object down.
         """
+        return self._plan(query, transformation, None)
+
+    def facts(self, relation: str, token: tuple | None = None) -> _RelationFacts:
+        """The relation's facts under ``token`` (its current state token when
+        ``None``), read once per token: every change to what they hold —
+        rows, indexes, provider, statistics epoch — moves the token."""
+        if token is None:
+            token = self.database.state_token(relation)
+        facts = self._facts.get(relation)
+        if facts is None or facts.token != token:
+            for name in list(self._facts):  # a dropped relation's facts pin its index
+                if name not in self.database:
+                    self._facts.pop(name, None)
+            facts = self._facts[relation] = _RelationFacts(self.database, relation, token)
+        return facts
+
+    def _plan(self, query: Query, transformation, token: tuple | None) -> Plan:
         self.invocations += 1
-        if query.relation not in self.database:
-            raise QueryPlanningError(f"unknown relation {query.relation!r}")
-        if self.database.has_distance_provider(query.relation):
-            return self._plan_provider(query, transformation)
+        relation = query.relation
+        if relation not in self.database:
+            raise QueryPlanningError(f"unknown relation {relation!r}")
+        if self.database.has_distance_provider(relation):
+            if transformation is not None:
+                raise QueryPlanningError(
+                    f"relation {relation!r} is compared through the distance "
+                    f"provider {self.database.distance_provider(relation).name!r}; USING "
+                    "transformations only apply to feature-space (time-series) relations")
+            return self._plan_provider(query, self.facts(relation, token))
         if isinstance(query, SimilarityQuery):
             raise QueryPlanningError(
-                f"relation {query.relation!r} has no distance provider; SIM queries "
+                f"relation {relation!r} has no distance provider; SIM queries "
                 "need one registered with Database.register_distance")
+        model = self.cost_model
         if isinstance(query, RangeQuery):
-            return self._plan_range(query, transformation)
+            return self._plan_feature(
+                query, transformation, token, IndexRangePlan, ScanRangePlan,
+                model.index_range, model.scan_range, query.epsilon)
         if isinstance(query, NearestNeighborQuery):
-            return self._plan_nearest(query, transformation)
+            return self._plan_feature(
+                query, transformation, token, IndexNearestPlan, ScanNearestPlan,
+                model.index_nearest, model.scan_nearest, query.k)
         if isinstance(query, AllPairsQuery):
-            return self._plan_join(query, transformation)
+            return self._plan_feature(
+                query, transformation, token, IndexJoinPlan, ScanJoinPlan,
+                model.index_join, model.scan_join, query.epsilon)
         raise QueryPlanningError(f"cannot plan query of type {type(query).__name__}")
 
     # ------------------------------------------------------------------
     # choice machinery
     # ------------------------------------------------------------------
-    def _relation_facts(self, relation_name: str):
-        stats = self.database.statistics_for(relation_name)
-        cardinality = len(self.database.relation(relation_name))
-        return stats, cardinality
-
-    def _choose(self, alternatives: list[Plan]) -> Plan:
+    @staticmethod
+    def _choose(alternatives: list[Plan]) -> Plan:
         """Pick the argmin-estimated plan; record the others as rejected."""
         best = alternatives[0]
         for challenger in alternatives[1:]:
             if _beats(challenger.estimated_cost, best.estimated_cost):
                 best = challenger
-        rejected = tuple(
-            RejectedPlan(family=type(plan).__name__,
-                         access_path=_access_path(plan),
-                         estimate=plan.estimated_cost,
-                         reason=self._why_not(plan, best))
-            for plan in alternatives if plan is not best)
-        return replace(best, reason=self._decorate(best, alternatives),
-                       rejected=rejected)
-
-    @staticmethod
-    def _why_not(plan: Plan, chosen: Plan) -> str:
-        estimate, winner = plan.estimated_cost, chosen.estimated_cost
-        if not estimate.can_estimate:
-            return (f"{plan.reason}; cost could not be estimated, so it loses "
-                    f"the tie to the chosen plan's {winner.total:.1f}")
-        if estimate.total >= winner.total:
-            return (f"estimated cost {estimate.total:.1f} exceeds the chosen "
-                    f"plan's {winner.total:.1f}")
-        return (f"estimated cost {estimate.total:.1f} is within the tie band "
-                f"of the chosen plan's {winner.total:.1f}; the preferred "
-                "access path is kept")
-
-    @staticmethod
-    def _decorate(best: Plan, alternatives: list[Plan]) -> str:
         others = [plan for plan in alternatives if plan is not best]
         if not others:
-            return best.reason
+            return best
+        winner = best.estimated_cost.total
+        rejected = tuple(
+            RejectedPlan(family=type(plan).__name__, access_path=_access_path(plan),
+                         estimate=plan.estimated_cost, reason=_why_not(plan, winner))
+            for plan in others)
         runner_up = min(others, key=lambda plan: plan.estimated_cost.total)
-        text = (f"{best.reason}; estimated cost {best.estimated_cost.total:.1f} "
-                f"vs {type(runner_up).__name__} "
-                f"{runner_up.estimated_cost.total:.1f}")
-        scan_families = (ScanRangePlan, ScanNearestPlan, ScanJoinPlan)
-        index_families = (IndexRangePlan, IndexNearestPlan, IndexJoinPlan)
-        if isinstance(best, scan_families) and \
-                any(isinstance(plan, index_families) for plan in others):
-            text += " — past the index/scan crossover"
-        return text
+        reason = (f"{best.reason}; estimated cost {winner:.1f} vs "
+                  f"{type(runner_up).__name__} {runner_up.estimated_cost.total:.1f}")
+        if isinstance(best, _SCAN_FAMILIES) and \
+                any(isinstance(plan, _INDEX_FAMILIES) for plan in others):
+            reason += " — past the index/scan crossover"
+        return type(best)(**{**vars(best), "reason": reason, "rejected": rejected})
 
     # ------------------------------------------------------------------
     # provider-backed (domain-generic) planning
     # ------------------------------------------------------------------
-    def _metric_index_name(self, relation: str) -> str | None:
-        """Name of a registered metric index usable for the relation, if any."""
-        for index_name, index in self.database.indexes_on(relation).items():
-            if isinstance(index, MetricIndex):
-                return index_name
-        return None
-
-    def _plan_provider(self, query: Query, transformation) -> Plan:
-        provider = self.database.distance_provider(query.relation)
-        if transformation is not None:
-            raise QueryPlanningError(
-                f"relation {query.relation!r} is compared through the distance "
-                f"provider {provider.name!r}; USING transformations only apply to "
-                "feature-space (time-series) relations")
-        stats, cardinality = self._relation_facts(query.relation)
-        index_name = self._metric_index_name(query.relation)
+    def _plan_provider(self, query: Query, facts: _RelationFacts) -> Plan:
+        provider, index_name = facts.provider, facts.index_name
+        stats, cardinality = facts.statistics, facts.cardinality
         if isinstance(query, SimilarityQuery):
             return self._plan_sim(query, provider, stats, cardinality, index_name)
         if isinstance(query, RangeQuery):
@@ -362,65 +409,41 @@ class Planner:
     # ------------------------------------------------------------------
     # feature-space (time-series) planning
     # ------------------------------------------------------------------
-    def _feature_index(self, query: Query, transformation
-                       ) -> tuple[KIndex | None, str]:
-        """The relation's k-index and why it can answer the query, or
-        ``None`` and why not — the index itself judges the transformation
-        (:meth:`KIndex.lower_transformation`), so plan and probe cannot
-        disagree about safety."""
-        if not self.database.has_index(query.relation):
-            return None, "no index registered for the relation"
-        index = self.database.index(query.relation)
-        if not isinstance(index, KIndex):
-            return None, "the relation's index is not a k-index"
-        if transformation is None:
-            return index, "index available"
-        try:
-            index.lower_transformation(transformation)
-        except UnsafeTransformationError:
-            return None, "transformation is not safe for the index's feature space"
-        except (IndexError_, DimensionMismatchError, ValueError) as error:
-            return None, f"transformation cannot be applied to the index ({error})"
-        return index, "index available and transformation is safe"
+    def _plan_feature(self, query: Query, transformation, token: tuple | None,
+                      index_plan_type, scan_plan_type, index_estimator,
+                      scan_estimator, argument) -> Plan:
+        """Index plan (when the k-index can answer) against the scan, each
+        priced at the query's radius or ``k`` (``argument``)."""
+        facts = self.facts(query.relation, token)
+        index, reason = facts.feature_index(transformation)
+        stats, cardinality = facts.statistics, facts.cardinality
+        scan_estimate = scan_estimator(stats, cardinality, argument)
+        if index is None:
+            return self._choose([scan_plan_type(query=query, reason=reason,
+                                                estimated_cost=scan_estimate)])
+        # The tail is read off the index, not off the statistics: it moves
+        # with every append, and every append moves the token.
+        return self._choose([
+            index_plan_type(query=query, reason=reason, estimated_cost=index_estimator(
+                stats, cardinality, argument, tail_pages=facts.tail_pages)),
+            scan_plan_type(query=query, reason=f"sequential scan over {cardinality} records",
+                           estimated_cost=scan_estimate)])
 
-    def _plan_feature(self, query: Query, transformation, index_plan_type,
-                      scan_plan_type, index_estimator, scan_estimator) -> Plan:
-        index, reason = self._feature_index(query, transformation)
-        stats, cardinality = self._relation_facts(query.relation)
-        scan_estimate = scan_estimator(stats, cardinality)
-        alternatives = []
-        if index is not None:
-            # The tail is read off the index now, not off the statistics:
-            # it moves with every append, and every append re-plans.
-            alternatives.append(index_plan_type(
-                query=query, reason=reason,
-                estimated_cost=index_estimator(stats, cardinality, index.tail_pages)))
-        scan_reason = (f"sequential scan over {cardinality} records"
-                       if index is not None else reason)
-        alternatives.append(scan_plan_type(
-            query=query, reason=scan_reason, estimated_cost=scan_estimate))
-        return self._choose(alternatives)
 
-    def _plan_range(self, query: RangeQuery, transformation) -> Plan:
-        return self._plan_feature(
-            query, transformation, IndexRangePlan, ScanRangePlan,
-            lambda stats, n, tail: self.cost_model.index_range(
-                stats, n, query.epsilon, tail_pages=tail),
-            lambda stats, n: self.cost_model.scan_range(stats, n, query.epsilon))
+_SCAN_FAMILIES = (ScanRangePlan, ScanNearestPlan, ScanJoinPlan)
+_INDEX_FAMILIES = (IndexRangePlan, IndexNearestPlan, IndexJoinPlan)
 
-    def _plan_nearest(self, query: NearestNeighborQuery, transformation) -> Plan:
-        return self._plan_feature(
-            query, transformation, IndexNearestPlan, ScanNearestPlan,
-            lambda stats, n, tail: self.cost_model.index_nearest(
-                stats, n, query.k, tail_pages=tail),
-            lambda stats, n: self.cost_model.scan_nearest(stats, n, query.k))
 
-    def _plan_join(self, query: AllPairsQuery, transformation) -> Plan:
-        return self._plan_feature(
-            query, transformation, IndexJoinPlan, ScanJoinPlan,
-            lambda stats, n, tail: self.cost_model.index_join(
-                stats, n, query.epsilon, tail_pages=tail),
-            lambda stats, n: self.cost_model.scan_join(stats, n, query.epsilon))
+def _why_not(plan: Plan, winner: float) -> str:
+    """Why a priced alternative lost to the chosen plan's ``winner`` total."""
+    estimate = plan.estimated_cost
+    if not estimate.can_estimate:
+        return (f"{plan.reason}; cost could not be estimated, so it loses "
+                f"the tie to the chosen plan's {winner:.1f}")
+    if estimate.total >= winner:
+        return f"estimated cost {estimate.total:.1f} exceeds the chosen plan's {winner:.1f}"
+    return (f"estimated cost {estimate.total:.1f} is within the tie band "
+            f"of the chosen plan's {winner:.1f}; the preferred access path is kept")
 
 
 def _access_path(plan: Plan) -> str:
@@ -461,8 +484,9 @@ def explain(plan: Plan, statistics=None) -> str:
     Plans produced by the cost-based planner add indented lines: the
     estimated cost, the measured cost when ``statistics`` (a
     :class:`~repro.index.kindex.QueryStatistics`, e.g. from an executed
-    :class:`QueryOutcome`) is supplied, and one "why not" line per rejected
-    alternative with its estimate.
+    :class:`QueryOutcome`) is supplied (a ``SIM`` search's explored states
+    in their own currency), and one "why not" line per rejected alternative
+    with its estimate.
     """
     lines = [f"{type(plan).__name__} on {plan.query.relation!r}: "
              f"{plan.query.describe()} | {_access_path(plan)} — {plan.reason}"]
@@ -474,7 +498,9 @@ def explain(plan: Plan, statistics=None) -> str:
             f"({statistics.node_accesses} node/page reads + "
             f"{statistics.record_fetches} record fetches), "
             f"{statistics.candidates} candidates, "
-            f"{statistics.postprocessed} postprocessed")
+            f"{statistics.postprocessed} postprocessed"
+            + (f", {statistics.states_explored} similarity-engine states explored"
+               if statistics.states_explored else ""))
         probes = statistics.buffer_hits + statistics.buffer_misses
         if probes:
             lines.append(

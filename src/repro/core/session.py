@@ -24,13 +24,14 @@ through one object::
     prepared.run(q=series)                       # plan reused, not re-planned
     prepared.run_many([{"q": s} for s in batch]) # joins execute_many batching
 
-A :class:`PreparedQuery` pays the parse once (at ``prepare``) and the plan at
-most once per catalog state: execution goes through the engine's plan cache,
-which keys on the AST and the relation's
-:meth:`~repro.core.database.Database.state_token`, so a thousand ``run``
-calls against an unchanged catalog invoke the planner exactly once — and a
-mutation re-plans exactly once more.  ``session.explain`` goes through the
-same cache, so what it prints is the plan that will actually run.
+``session.sql(text)`` is an implicitly prepared statement: the engine's
+memo hands every repeat of a text the same parsed statement, which keeps its
+plan beside the relation's :meth:`~repro.core.database.Database.state_token`
+(:mod:`repro.core.query.cache`).  A :class:`PreparedQuery` is that statement
+held by the caller: a thousand ``run`` calls against an unchanged catalog
+invoke the planner exactly once — and a mutation re-plans exactly once more.
+``session.explain`` goes through the same statement, so what it prints is
+the plan that will actually run.
 
 The old surface keeps working: ``Session`` is a facade over the same
 ``QueryEngine`` (exposed as :attr:`Session.engine`), and constructing
@@ -55,7 +56,9 @@ __all__ = ["Session", "PreparedQuery", "BoundQuery", "RelationHandle", "connect"
 
 
 def _merge_parameters(parameters: Mapping[str, Any] | None,
-                      keyword_parameters: Mapping[str, Any]) -> dict[str, Any]:
+                      keyword_parameters: Mapping[str, Any]) -> Mapping[str, Any]:
+    if not keyword_parameters:  # the engine only reads bindings: no copy
+        return {} if parameters is None else parameters
     merged = dict(parameters) if parameters else {}
     merged.update(keyword_parameters)
     return merged
@@ -246,29 +249,30 @@ class BoundQuery:
 class PreparedQuery:
     """Parse once, plan once per catalog state, bind and run many times.
 
-    Obtained from :meth:`Session.prepare`.  The source text (or builder) is
-    parsed exactly once, at preparation; planning happens lazily through the
-    engine's plan cache, whose key includes the relation's state token — so
-    repeated :meth:`run` / :meth:`run_many` calls against an unchanged
-    catalog never invoke the planner again, while any catalog or data
-    mutation transparently re-plans on the next run.  :meth:`run_many` hands
-    the whole binding list to
+    Obtained from :meth:`Session.prepare`: the engine's statement for the
+    source, the one ``session.sql`` of the same text runs.  Planning happens
+    lazily and the plan stays with the statement beside the relation's
+    state token — so repeated :meth:`run` / :meth:`run_many` calls against
+    an unchanged catalog never invoke the planner again, while any catalog
+    or data mutation transparently re-plans on the next run.
+    :meth:`run_many` hands the whole binding list to
     :meth:`~repro.core.query.executor.QueryEngine.execute_many`, so
     compatible bindings share one batched index traversal.
     """
 
-    __slots__ = ("_session", "query", "text")
+    __slots__ = ("_session", "_statement", "query", "text")
 
     def __init__(self, session: Session, source: str | Query | Any) -> None:
         self._session = session
-        self.query: Query = QueryEngine._coerce_query(source)
+        self._statement = session.engine._statement(source)
+        self.query: Query = self._statement.query
         #: Canonical surface text of the prepared query.
         self.text: str = source if isinstance(source, str) else self.query.describe()
 
     def plan(self) -> Plan:
         """The plan the next ``run`` will execute (through the plan cache)."""
         self._session._check_open()
-        return self._session.engine.plan(self.query)
+        return self._session.engine.plan(self._statement)
 
     def explain(self) -> str:
         """One-line rendering of :meth:`plan`."""
@@ -284,7 +288,7 @@ class PreparedQuery:
         """Execute once with the given parameters."""
         self._session._check_open()
         merged = _merge_parameters(parameters, keyword_parameters)
-        return self._session.engine.execute(self.query, merged)
+        return self._session.engine.execute(self._statement, merged)
 
     def run_many(self, bindings: Sequence[Mapping[str, Any] | None]
                  ) -> list[QueryOutcome]:
@@ -297,7 +301,7 @@ class PreparedQuery:
                 "execution); for a single binding use run(...) or "
                 "run_many([binding])")
         bindings = list(bindings)
-        return self._session.engine.execute_many([self.query] * len(bindings),
+        return self._session.engine.execute_many([self._statement] * len(bindings),
                                                  bindings)
 
     def __repr__(self) -> str:
@@ -462,7 +466,8 @@ class Session:
             parameters: Mapping[str, Any] | None = None,
             **keyword_parameters: Any) -> QueryOutcome:
         """Parse, plan and run one query (text, AST node or ``Q`` builder);
-        parameters go in a mapping, as keywords, or both."""
+        parameters go in a mapping, as keywords, or both.  Text is parsed
+        once per session and planned once per catalog state."""
         self._check_open()
         return self.engine.execute(query,
                                    _merge_parameters(parameters, keyword_parameters))
@@ -475,7 +480,7 @@ class Session:
         return self.engine.execute_many(queries, parameters)
 
     def prepare(self, query: str | Query | Any) -> PreparedQuery:
-        """Parse now; plan lazily, at most once per catalog state."""
+        """Parse now (once per text); plan lazily, once per catalog state."""
         self._check_open()
         return PreparedQuery(self, query)
 

@@ -46,6 +46,7 @@ workloads converge on the measured crossover without hand-tuning.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -82,21 +83,25 @@ class DistanceHistogram:
     and ``pair_fraction_within`` the self-difference CDF
     ``P(|D1 - D2| <= eps)`` for two independent draws (the fraction of
     objects a vantage-point pivot fails to prune at radius ``eps``).
+    The CDF bisects a list built here (``np.searchsorted(side="right")``'s
+    position, NaN sorting last), not a numpy call per plan or fold.
     """
 
-    __slots__ = ("values",)
+    __slots__ = ("values", "_numbers")
 
     def __init__(self, values: np.ndarray) -> None:
         self.values = np.sort(np.asarray(values, dtype=np.float64))
+        self._numbers = self.values[~np.isnan(self.values)].tolist()
 
     def __len__(self) -> int:
         return int(self.values.shape[0])
 
     def fraction_within(self, epsilon: float) -> float:
         """Empirical ``P(D <= epsilon)``."""
-        if len(self) == 0:
+        count = len(self.values)
+        if count == 0:
             return 0.0
-        return float(np.searchsorted(self.values, epsilon, side="right")) / len(self)
+        return (count if epsilon != epsilon else bisect_right(self._numbers, epsilon)) / count
 
     def quantile(self, fraction: float) -> float:
         """Smallest sampled distance ``d`` with ``P(D <= d) >= fraction``."""
@@ -124,6 +129,16 @@ class DistanceHistogram:
 
 def _clamp(value: float, bounds: tuple[float, float]) -> float:
     return min(bounds[1], max(bounds[0], value))
+
+
+def _folded(current: float, observed: float, predicted: float) -> float:
+    """A correction with one observed/predicted ratio folded in by EWMA."""
+    # A near-zero prediction carries no ratio information (and an
+    # observed zero is already "as predicted" there).
+    if predicted <= 1e-9 or observed < 0.0:
+        return current
+    ratio = _clamp(observed / predicted, RATIO_BOUNDS)
+    return _clamp((1.0 - EWMA_ALPHA) * current + EWMA_ALPHA * ratio, CORRECTION_BOUNDS)
 
 
 @dataclass
@@ -219,7 +234,7 @@ class RelationStatistics:
         """
         if answer_fraction is not None and self.answer_histogram is not None:
             predicted = self.answer_histogram.fraction_within(epsilon)
-            self._fold("answer_correction", answer_fraction, predicted)
+            self.answer_correction = _folded(self.answer_correction, answer_fraction, predicted)
         if candidate_fraction is not None:
             if self.kind == "provider":
                 histogram = self.answer_histogram
@@ -229,18 +244,10 @@ class RelationStatistics:
             else:
                 histogram = self.filter_histogram or self.answer_histogram
                 predicted = histogram.fraction_within(epsilon) if histogram is not None else 0.0
-            self._fold("candidate_correction", candidate_fraction, predicted)
+            self.candidate_correction = _folded(
+                self.candidate_correction, candidate_fraction, predicted
+            )
         self.observations += 1
-
-    def _fold(self, attribute: str, observed: float, predicted: float) -> None:
-        # A near-zero prediction carries no ratio information (and an
-        # observed zero is already "as predicted" there).
-        if predicted <= 1e-9 or observed < 0.0:
-            return
-        ratio = _clamp(observed / predicted, RATIO_BOUNDS)
-        current = getattr(self, attribute)
-        updated = (1.0 - EWMA_ALPHA) * current + EWMA_ALPHA * ratio
-        setattr(self, attribute, _clamp(updated, CORRECTION_BOUNDS))
 
     # ------------------------------------------------------------------
     def describe(self) -> str:

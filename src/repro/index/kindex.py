@@ -116,11 +116,20 @@ class QueryStatistics:
     leaf_node_accesses: int = 0
     buffer_hits: int = 0
     buffer_misses: int = 0
+    #: Search states the similarity engine explored for a ``SIM`` predicate —
+    #: its own currency, never added into ``node_accesses``.
+    states_explored: int = 0
 
     @property
     def io_total(self) -> int:
         """Node/page accesses plus per-candidate record fetches."""
         return self.node_accesses + self.record_fetches
+
+    def copy(self) -> QueryStatistics:
+        """A shallow copy (what the answer cache stores and hands out)."""
+        clone = object.__new__(type(self))
+        clone.__dict__.update(self.__dict__)
+        return clone
 
     def as_dict(self) -> dict[str, float]:
         """The counters as a plain dictionary (for benchmark reports)."""
@@ -132,7 +141,8 @@ class QueryStatistics:
                 "internal_node_accesses": self.internal_node_accesses,
                 "leaf_node_accesses": self.leaf_node_accesses,
                 "buffer_hits": self.buffer_hits,
-                "buffer_misses": self.buffer_misses}
+                "buffer_misses": self.buffer_misses,
+                "states_explored": self.states_explored}
 
 
 @dataclass

@@ -64,7 +64,7 @@ from ..core.errors import (
     RetryLaterError,
     ServerError,
 )
-from ..core.query.ast import Query
+from ..core.query.executor import Statement
 from ..core.session import Session, connect
 from ..storage import codec
 from .faults import FaultPlan, FrameFaults, ServerKilled, corrupt_frame
@@ -537,14 +537,18 @@ class QueryServer:
             self._count("completed")
             return result
 
-    def _parse(self, source: Any) -> Query:
-        """The request's query as its AST — parsed here, once, for the epoch
-        pin and the engine alike.  A syntax error is the caller's typed
-        ``QUERY_ERROR``: every op handler runs inside ``_dispatch``'s guard."""
-        return self.session.engine._coerce_query(source)
+    def _parse(self, source: Any) -> Statement:
+        """The request's query as the engine's statement — the one
+        ``session.sql`` and a served ``prepare`` of the same text use, so a
+        text is parsed once per engine.  A syntax error is the caller's
+        typed ``QUERY_ERROR``: every op handler runs inside ``_dispatch``'s
+        guard."""
+        return self.session.engine._statement(source)
 
     def _epoch(self, relation_name: str) -> tuple:
-        """The relation's snapshot token (JSON makes its tuples lists)."""
+        """The relation's snapshot token (JSON makes its tuples lists).  A
+        read pins the token its statement ran under instead: under the read
+        lock no write moves it."""
         return self.session.database.state_token(relation_name)
 
     @staticmethod
@@ -579,12 +583,11 @@ class QueryServer:
 
     def _op_sql(self, connection, request) -> dict[str, Any]:
         token = self._deadline_token(request)
-        query = self._parse(request.get("query"))
+        statement = self._parse(request.get("query"))
         parameters = self._decode_params(request.get("params"))
 
         def work():
-            epoch = self._epoch(query.relation)
-            return self.session.engine.execute(query, parameters), epoch
+            return self.session.engine.execute(statement, parameters), statement.token
 
         outcome, epoch = self._run_read(work, token)
         if request.get("cursor"):
@@ -601,14 +604,14 @@ class QueryServer:
 
     def _op_sql_many(self, connection, request) -> dict[str, Any]:
         token = self._deadline_token(request)
-        queries = [self._parse(source) for source in request.get("queries") or []]
+        statements = [self._parse(source) for source in request.get("queries") or []]
         bindings = request.get("params")
         if bindings is not None:
             bindings = [self._decode_params(binding) for binding in bindings]
 
         def work():
-            epochs = [self._epoch(query.relation) for query in queries]
-            return self.session.engine.execute_many(queries, bindings), epochs
+            outcomes = self.session.engine.execute_many(statements, bindings)
+            return outcomes, [statement.token for statement in statements]
 
         outcomes, epochs = self._run_read(work, token)
         return {"results": [self._encode_outcome(*pair) for pair in zip(outcomes, epochs)]}
@@ -642,9 +645,8 @@ class QueryServer:
             decoded = self._decode_params(request.get("params"))
 
         def work():
-            epoch = self._epoch(prepared.query.relation)
             run = prepared.run if many is None else prepared.run_many
-            return run(decoded), epoch
+            return run(decoded), self._parse(prepared).token
 
         result, epoch = self._run_read(work, token)
         if many is None:
@@ -657,7 +659,7 @@ class QueryServer:
 
     def _op_explain(self, connection, request) -> dict[str, Any]:
         if "statement" in request:
-            query = self._statement(connection, request).query
+            query = self._parse(self._statement(connection, request))
         else:
             query = self._parse(request.get("query"))
         token = self._deadline_token(request)
