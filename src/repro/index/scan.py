@@ -12,13 +12,13 @@ the original join experiment:
 
 Both flavours execute as **blockwise kernels** over the relation's
 :class:`~repro.storage.columnar.ColumnarRecordStore` — contiguous coefficient
-matrices instead of per-record Python tuples.  Early abandoning becomes
-chunked cumulative partial sums with mask-and-refine compaction
-(:func:`~repro.storage.columnar.early_abandon_candidates` for one query
-against the relation, :func:`~repro.storage.columnar.pair_block_distances`
-for the self-join's flat (anchor, other) pairs); survivors are re-scored
-exactly, so the two flavours return identical answers and differ only in
-work.  Transformation semantics match the
+matrices instead of per-record Python tuples — through the one refine kernel,
+:func:`~repro.storage.columnar.verify_pairs`: a range query is its span of
+rows against the one query, the self-join the flat (anchor, other) pairs of
+:func:`~repro.storage.columnar.pair_block_distances`.  Early abandoning is
+chunked cumulative partial sums with compaction of the surviving pairs, and
+survivors are re-scored exactly, so the two flavours return identical
+answers and differ only in work.  Transformation semantics match the
 :class:`~repro.index.kindex.KIndex` (the test suite asserts the results are
 identical).
 
@@ -56,11 +56,11 @@ import numpy as np
 from ..core.parallel import parallel_map, resolve_workers
 from ..storage.columnar import (
     ColumnarRecordStore,
-    early_abandon_candidates,
     exact_distances,
     pair_block_distances,
     pair_blocks,
     transform_full_record,
+    verify_pairs,
 )
 from ..storage.buffer import BufferPool
 from ..storage.pages import records_per_page as page_capacity
@@ -172,10 +172,6 @@ class SequentialScan:
             return transform_full_record(*record, transformation, owner="query")
         return record
 
-    def _data_arrays(self, transformation: SpectralTransformation | None
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.store.transformed_arrays(transformation)
-
     def _spans(self, count: int) -> list[tuple[int, int]]:
         """Row spans for the range/NN fan-out; one covering span when serial
         (the partitioned code path *is* the serial code path at one span).
@@ -209,21 +205,21 @@ class SequentialScan:
         self._charge_scan_io(result.statistics)
         count = len(self.store)
         if count:
-            coefficients, means, stds = self._data_arrays(transformation)
+            coefficients, means, stds = self.store.transformed_arrays(transformation)
             lengths = self.store.lengths
-            include_stats = self.extractor.include_stats
+            query_coefficients, query_mean, query_std = query_record
+            query_side = (query_coefficients[None, :], (query_coefficients.shape[0],),
+                          (query_mean,), (query_std,), None,
+                          (epsilon,) if early_abandon else None)
 
             def scan_span(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
                 """Kept (global row ids, distances) of one partition, in row
                 order — the serial computation restricted to its rows."""
-                span = (coefficients[start:stop], lengths[start:stop],
-                        means[start:stop], stds[start:stop])
-                survivors = (early_abandon_candidates(*span, *query_record, include_stats, epsilon)
-                             if early_abandon else np.arange(stop - start, dtype=np.intp))
-                distances = exact_distances(*span, *query_record, include_stats,
-                                            row_ids=survivors)
-                keep = np.nonzero(distances <= epsilon)[0]
-                return survivors[keep] + start, distances[keep]
+                positions, distances = verify_pairs(
+                    coefficients[start:stop], lengths[start:stop], means[start:stop],
+                    stds[start:stop], self.extractor.include_stats, None, *query_side)
+                keep = distances <= epsilon
+                return positions[keep] + start, distances[keep]
 
             # Partitions concatenate in partition order = global row order,
             # so the stable sort below sees exactly the serial sequence.
@@ -256,7 +252,7 @@ class SequentialScan:
         result.statistics.candidates = count
         if count == 0:
             return result
-        coefficients, means, stds = self._data_arrays(transformation)
+        coefficients, means, stds = self.store.transformed_arrays(transformation)
         lengths = self.store.lengths
         include_stats = self.extractor.include_stats
 
@@ -303,7 +299,7 @@ class SequentialScan:
         pairs: list[tuple[TimeSeries, TimeSeries, float]] = []
         self._charge_scan_io(stats)
         if count:
-            coefficients, means, stds = self._data_arrays(transformation)
+            coefficients, means, stds = self.store.transformed_arrays(transformation)
             lengths = self.store.lengths
             include_stats = self.extractor.include_stats
             series = self.store.series_list()

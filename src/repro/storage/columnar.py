@@ -33,30 +33,25 @@ The module-level **kernels** implement exact record distances blockwise:
   :func:`~repro.timeseries.features.record_distance` (and bit-identical
   results on equal-length data: both reduce with ``np.sum`` over the same
   values in the same order);
-* :func:`early_abandon_candidates` — chunked cumulative partial sums with
-  mask-and-refine compaction: rows whose running sum clearly exceeds the
-  threshold are dropped after each coefficient chunk, mirroring the
-  classic early-abandon scan but over whole array blocks.  Like the two
-  pair kernels below it takes the columns in conjugate pairs
-  (:func:`_abandon_order`), where a real series' spectrum keeps its
-  energy.  Pruning is
-  *conservative* (a tiny slack keeps borderline rows alive), so the
-  surviving rows are re-scored by :func:`exact_distances` and the answers
-  are exactly those of the non-abandoning path;
-* :func:`verify_pairs` — **candidate verification** for the k-index, a
-  single probe being a batch of one: flat (row, query) pairs taken
-  :data:`PAIR_BLOCK` at a time, abandoned chunk by chunk against each
-  query's own threshold, and only the survivors scored exactly over their
-  own query's columns — bit-identical to a probe of each query alone;
+* :func:`verify_pairs` — the one **filter-and-refine kernel**: flat (row,
+  query) pairs taken :data:`PAIR_BLOCK` at a time, dropped by the statistics
+  term and then by rounds of partial sums over the coefficient columns in
+  conjugate pairs (:func:`_abandon_order`, where a real series' spectrum
+  keeps its energy) once they clearly exceed their query's threshold, and
+  only the survivors scored exactly, over their own query's columns.
+  Pruning is *conservative* (a tiny slack keeps borderline pairs alive), so
+  the answers are exactly those of scoring every pair.  It is the scan
+  range (one query broadcast over a span of rows), k-index candidate
+  verification (a single probe being a batch of one) and, through
+  :func:`pair_block_distances`, the scan join; without a threshold it
+  scores every pair;
 * :func:`pair_block_distances` — the **pair kernel** behind every scan-side
   pair computation (both scan methods of the self-join, and
   :func:`pairwise_distances` for the statistics sampler, the advisor and
   threshold samples): one block of the flat "every anchor against the rows
-  after it" pair order at a time — the same abandoning rounds run over
-  ``(left, right)`` index arrays, every survivor re-scored through
-  :func:`gathered_pair_distances` in slices, bit-identical to one
-  :func:`exact_distances` call per anchor, with no temporary larger than
-  :data:`PAIR_BLOCK` allows;
+  after it" pair order at a time, handed to :func:`verify_pairs` with the
+  relation as its own query matrix — bit-identical to one
+  :func:`exact_distances` call per anchor;
 * :func:`transform_full_record` / :meth:`ColumnarRecordStore.transformed_arrays`
   — a spectral transformation applied to one record or to the whole matrix
   (cached per store version).
@@ -79,7 +74,6 @@ from ..core.errors import DimensionMismatchError
 __all__ = [
     "ColumnarRecordStore",
     "exact_distances",
-    "early_abandon_candidates",
     "gathered_pair_distances",
     "pair_blocks",
     "pair_block_distances",
@@ -106,11 +100,10 @@ ABANDON_CHUNK = 8
 #: re-scored exactly — so abandoning changes timing, never answers.
 _PRUNE_SLACK = 1e-9
 
-#: Pairs per block of the pair kernel — at once its memory bound (a pruning
-#: round gathers at most ``PAIR_BLOCK * ABANDON_CHUNK`` coefficients, 1 MB,
-#: and the exact pass ``PAIR_BLOCK`` coefficients a slice, 128 KB), the scan
-#: join's cancellation seam and the unit it fans across workers.  A block of
-#: :func:`exact_distances` holds at most a pruning round's coefficients.
+#: Pairs per block of the refine kernel — at once its memory bound (a
+#: pruning round gathers at most ``PAIR_BLOCK * ABANDON_CHUNK`` coefficients,
+#: 1 MB, and an exact slice at most as much, see :func:`_slice_rows`), the scan
+#: join's cancellation seam and the unit it fans across workers.
 PAIR_BLOCK = 8192
 
 
@@ -418,71 +411,19 @@ def exact_distances(coefficients: np.ndarray, lengths: np.ndarray,
     The common-prefix semantics (and, on equal-length data, the bit pattern)
     of :func:`~repro.timeseries.features.record_distance`, evaluated for all
     rows — or the gathered ``row_ids`` — by :func:`gathered_pair_distances`
-    against a one-row query matrix, in blocks of at most
-    ``PAIR_BLOCK * ABANDON_CHUNK`` coefficients (a pruning round's).
+    against a one-row query matrix, in blocks of :func:`_slice_rows` rows
+    (a pruning round's coefficients).
     """
     query = np.asarray(query_coefficients)
     query_side = (query[None, :], (query.shape[0],), (query_mean,), (query_std,), None)
     if row_ids is None:
         row_ids = np.arange(coefficients.shape[0])
-    rows = max(1, PAIR_BLOCK * ABANDON_CHUNK // max(1, min(coefficients.shape[1], query.shape[0])))
+    rows = _slice_rows(min(coefficients.shape[1], query.shape[0]), False)
     arrays = (coefficients, lengths, means, stds, include_stats)
     if row_ids.size <= rows:
         return gathered_pair_distances(*arrays, row_ids, *query_side)
     return np.concatenate([gathered_pair_distances(*arrays, row_ids[at:at + rows], *query_side)
                            for at in range(0, row_ids.size, rows)])
-
-
-def early_abandon_candidates(coefficients: np.ndarray, lengths: np.ndarray,
-                             means: np.ndarray, stds: np.ndarray,
-                             query_coefficients: np.ndarray, query_mean: float,
-                             query_std: float, include_stats: bool,
-                             epsilon: float, *,
-                             chunk: int = ABANDON_CHUNK) -> np.ndarray:
-    """Row indices surviving a vectorized early-abandoning scan.
-
-    Accumulates squared differences chunkwise (statistics terms first, then
-    coefficients in conjugate pairs from the lowest frequency up, see
-    :func:`_abandon_order` — largest contributions first, which is what
-    makes abandoning effective), dropping rows whose running sum clearly
-    exceeds ``epsilon**2`` after each chunk and compacting the active set.
-    Pruned rows are *guaranteed* non-answers (partial sums only grow and a
-    small slack absorbs float reassociation), so callers re-score only the
-    survivors with :func:`exact_distances`.
-    """
-    count = coefficients.shape[0]
-    if count == 0:
-        return np.zeros(0, dtype=np.intp)
-    limit = float(epsilon) ** 2
-    bound = limit * (1.0 + _PRUNE_SLACK) + 1e-12
-    if include_stats:
-        totals = (means - query_mean) ** 2 + (stds - query_std) ** 2
-    else:
-        totals = np.zeros(count, dtype=np.float64)
-    active = np.nonzero(totals <= bound)[0]
-    totals = totals[active]
-    query_coefficients = np.asarray(query_coefficients)
-    columns = min(coefficients.shape[1], len(query_coefficients))
-    common = np.minimum(lengths, len(query_coefficients))
-    ragged = not np.all(common == columns)
-    order = _abandon_order(columns)
-    for start in range(0, columns, chunk):
-        if active.size == 0:
-            break
-        cols = order[start:start + chunk]
-        difference = _gather_columns(coefficients, active, cols)
-        difference -= query_coefficients[cols]
-        if ragged:
-            difference[cols >= common[active][:, None]] = 0.0
-        parts = difference.view(np.float64)
-        totals += np.einsum("ij,ij->i", parts, parts)
-        alive = totals <= bound
-        dropped = alive.size - int(np.count_nonzero(alive))
-        if dropped:
-            active, totals = active[alive], totals[alive]
-        if dropped * columns <= active.size * chunk:
-            break
-    return active
 
 
 def gathered_pair_distances(coefficients: np.ndarray, lengths: np.ndarray,
@@ -497,9 +438,8 @@ def gathered_pair_distances(coefficients: np.ndarray, lengths: np.ndarray,
     ``row_ids[t]`` names the stored record and ``query_index[t]`` the row of
     the stacked query arrays it is verified against; a one-row query matrix
     is broadcast instead (``query_index`` unread, its statistics may be
-    1-tuples).  It holds a full row per pair, so the abandoning kernels
-    (:func:`verify_pairs`, :func:`pair_block_distances`) call it on their
-    survivors in slices of at most :data:`PAIR_BLOCK` coefficients.  The rows
+    1-tuples).  It holds a full row per pair, so :func:`verify_pairs` calls
+    it on its survivors in the slices of :func:`_exact_slices`.  The rows
     are gathered once, the query subtracted and the moduli squared in place
     (``a *= a``, the bits of ``** 2``), then reduced once.
     """
@@ -524,102 +464,155 @@ def gathered_pair_distances(coefficients: np.ndarray, lengths: np.ndarray,
     return np.sqrt(totals)
 
 
-def _exact_slices(widths: np.ndarray) -> Iterator[tuple[slice, int]]:
-    """``(piece, columns)`` slices of an exact pass whose pair ``t`` is
-    scored over ``widths[t]`` columns: cut wherever the width changes, and
-    at most :data:`PAIR_BLOCK` coefficients each.
+def _slice_rows(columns: int, per_pair: bool) -> int:
+    """Rows of one exact slice over ``columns`` columns: a pruning round's
+    ``PAIR_BLOCK * ABANDON_CHUNK`` coefficients (1 MB) against one broadcast
+    query — :func:`exact_distances`' block — and a quarter of that with a
+    query row gathered per pair.  Measured on the benchmark's 240-row join:
+    ~7 % faster than at half the per-pair size, ~1.7x slower at 1 MB a side
+    (its slices faulting their memory in afresh, ~1 700 minor faults a
+    join); and ``analyze``'s pairwise sample must stay under 1 MB."""
+    return max(1, PAIR_BLOCK * ABANDON_CHUNK // ((4 if per_pair else 1) * max(1, columns)))
+
+
+def _exact_slices(widths: np.ndarray | int, count: int,
+                  per_pair: bool) -> Iterator[tuple[slice, int]]:
+    """``(piece, columns)`` slices of an exact pass over ``count`` pairs,
+    pair ``t`` scored over ``widths[t]`` columns (all over ``widths`` when it
+    is one number): cut wherever the width changes, and at most
+    :func:`_slice_rows` rows each.
 
     The bits of a pairwise sum depend on how many terms it reduces over, so
     a pair is scored against the query side sliced to its own width — the
     reduction a probe of that query alone runs — and never padded to the
     widest query of a slice.
     """
-    edges = [0, *(np.flatnonzero(np.diff(widths)) + 1).tolist(), widths.size]
+    if np.ndim(widths):
+        edges = [0, *(np.flatnonzero(np.diff(widths)) + 1).tolist(), count]
+    else:
+        edges, widths = [0, count], [widths]
     for run_first, run_last in zip(edges[:-1], edges[1:]):
         if run_first == run_last:
             continue
         columns = int(widths[run_first])
-        rows = max(1, PAIR_BLOCK // max(1, columns))
+        rows = _slice_rows(columns, per_pair)
         for start in range(run_first, run_last, rows):
             yield slice(start, min(start + rows, run_last)), columns
 
 
+def _abandon(coefficients: np.ndarray, lengths: np.ndarray,
+             query_matrix: np.ndarray, query_lengths: Sequence[int],
+             survivors: np.ndarray, rows: np.ndarray, queries: np.ndarray | None,
+             totals: np.ndarray, bounds: np.ndarray | float
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The abandoning rounds of :func:`verify_pairs` over one block's pairs,
+    which it returns as ``(survivors, rows, queries)``.
+
+    A round costs about what scoring its pairs outright would, so rounds
+    run only while the survivors' remaining columns overflow
+    :data:`PAIR_BLOCK` (a probe with few candidates runs none), and stop
+    once the pairs a round drops no longer pay for the columns it reads
+    (see :data:`ABANDON_CHUNK`).
+    """
+    common = np.minimum(lengths[rows], query_lengths[0 if queries is None else queries])
+    columns = int(common.max())
+    ragged = not (common == columns).all()
+    order = _abandon_order(columns)
+    # The rows of the batch this block's queries span: a round's gather
+    # copies their columns, not the whole batch's, and one query's columns
+    # are broadcast, not gathered pair by pair.
+    low = 0 if queries is None else int(queries.min())
+    spanned = query_matrix[low:1 if queries is None else int(queries.max()) + 1]
+    for start in range(0, columns, ABANDON_CHUNK):
+        if survivors.size * (columns - start) <= PAIR_BLOCK:
+            break
+        cols = order[start:start + ABANDON_CHUNK]
+        difference = _gather_columns(coefficients, rows, cols)
+        difference -= (spanned[0, cols] if spanned.shape[0] == 1
+                       else _gather_columns(spanned, queries - low, cols))
+        if ragged:
+            difference[cols >= common[:, None]] = 0.0
+        parts = difference.view(np.float64)
+        totals += np.einsum("ij,ij->i", parts, parts)
+        # Compacted by the kept indices, not by the mask: a boolean index
+        # costs a few gathers' worth on every array it compacts.
+        alive = (totals <= bounds).nonzero()[0]
+        dropped = survivors.size - alive.size
+        if dropped:
+            survivors, rows, totals = survivors[alive], rows[alive], totals[alive]
+            if ragged:
+                common = common[alive]
+            if queries is not None:
+                queries, bounds = queries[alive], bounds[alive]
+        if dropped * columns <= survivors.size * ABANDON_CHUNK:
+            break
+    return survivors, rows, queries
+
+
 def verify_pairs(coefficients: np.ndarray, lengths: np.ndarray,
                  means: np.ndarray, stds: np.ndarray, include_stats: bool,
-                 row_ids: np.ndarray, query_matrix: np.ndarray,
-                 query_lengths: np.ndarray, query_means: np.ndarray,
-                 query_stds: np.ndarray, query_index: np.ndarray,
-                 epsilons: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate verification: ``(positions, distances)`` of the (stored row,
-    query) pairs whose exact distance is within their query's epsilon.
+                 row_ids: np.ndarray | None, query_matrix: np.ndarray,
+                 query_lengths: Sequence[int], query_means: Sequence[float],
+                 query_stds: Sequence[float], query_index: np.ndarray | None,
+                 epsilons: Sequence[float] | None) -> tuple[np.ndarray, np.ndarray]:
+    """The filter-and-refine kernel: ``(positions, distances)`` of the
+    (stored row, query) pairs whose exact distance is within their query's
+    epsilon — every scan range, scan join and index verification.
 
     The pairs are those of :func:`gathered_pair_distances` — ``row_ids[t]``
-    against row ``query_index[t]`` of the stacked query arrays, and
-    ``epsilons[q]`` is query ``q``'s threshold — taken :data:`PAIR_BLOCK` at a
-    time.  A block is first abandoned in rounds like the pair kernel's (the
-    statistics term, then :data:`ABANDON_CHUNK` coefficient columns at a
-    time, each gathered from the two matrices), and only its survivors are
-    scored exactly, by :func:`gathered_pair_distances` in the slices of
-    :func:`_exact_slices`: a pair reduces over its own query's columns, so a
-    query's distances are bit-identical to a batch holding it alone, however
-    long the other queries of the batch are.
+    (every row of the matrix in order when ``row_ids`` is ``None``) against
+    row ``query_index[t]`` of the stacked query arrays, or against the one
+    row of a one-row query matrix when ``query_index`` is ``None`` (its
+    statistics and epsilon may then be 1-tuples) — and ``epsilons[q]`` is
+    query ``q``'s threshold.  They are taken :data:`PAIR_BLOCK` at a time.
+    A block is first filtered by the statistics term, then abandoned in the
+    rounds of :func:`_abandon`; only its survivors are scored exactly, by
+    :func:`gathered_pair_distances` in the slices of :func:`_exact_slices`.
+    A pair reduces over its own query's columns, so a query's distances are
+    bit-identical to a batch holding it alone, however long the other
+    queries of the batch are.  Without ``epsilons`` every pair is scored and
+    kept.
 
     ``positions`` index the pair arrays, ascending; no temporary is sized by
     the number of pairs or of survivors.
     """
     found: list[tuple[np.ndarray, np.ndarray]] = []
     width = min(coefficients.shape[1], query_matrix.shape[1])
-    limits = epsilons ** 2 * (1.0 + _PRUNE_SLACK) + 1e-12
-    for first in range(0, row_ids.size, PAIR_BLOCK):
-        rows = row_ids[first:first + PAIR_BLOCK]
-        queries = query_index[first:first + PAIR_BLOCK]
-        if include_stats:
-            totals = (means[rows] - query_means[queries]) ** 2 \
-                + (stds[rows] - query_stds[queries]) ** 2
+    count = coefficients.shape[0] if row_ids is None else row_ids.size
+    for first in range(0, count, PAIR_BLOCK):
+        block = slice(first, min(first + PAIR_BLOCK, count))
+        # Without row ids the pairs are the matrix's rows in order, whose
+        # statistics are read as a slice, not gathered.
+        rows = block if row_ids is None else row_ids[block]
+        queries = None if query_index is None else query_index[block]
+        # One query's statistics and threshold are scalars, a batch's per pair.
+        at = 0 if queries is None else queries
+        if epsilons is None:
+            survivors = np.arange(block.stop - first)
         else:
-            totals = np.zeros(rows.size, dtype=np.float64)
-        bounds = limits[queries]
-        survivors = np.nonzero(totals <= bounds)[0]
-        rows, queries = rows[survivors], queries[survivors]
-        # A round costs about what scoring its pairs outright would, so
-        # rounds run only while the survivors' remaining columns overflow
-        # one exact slice (a probe with few candidates runs none).
-        if survivors.size * width > PAIR_BLOCK:
-            totals, bounds = totals[survivors], bounds[survivors]
-            common = np.minimum(lengths[rows], query_lengths[queries])
-            columns = int(common.max())
-            ragged = not np.all(common == columns)
-            order = _abandon_order(columns)
-            # The rows of the batch this block's queries span: a round's
-            # gather copies their columns, not the whole batch's, and one
-            # query's columns are broadcast, not gathered pair by pair.
-            low = int(queries.min())
-            spanned = query_matrix[low:int(queries.max()) + 1]
-            for start in range(0, columns, ABANDON_CHUNK):
-                if survivors.size * (columns - start) <= PAIR_BLOCK:
-                    break
-                cols = order[start:start + ABANDON_CHUNK]
-                difference = _gather_columns(coefficients, rows, cols)
-                difference -= (spanned[0, cols] if spanned.shape[0] == 1
-                               else _gather_columns(spanned, queries - low, cols))
-                if ragged:
-                    difference[cols >= common[:, None]] = 0.0
-                parts = difference.view(np.float64)
-                totals += np.einsum("ij,ij->i", parts, parts)
-                alive = totals <= bounds
-                dropped = alive.size - int(np.count_nonzero(alive))
-                if dropped:
-                    survivors, rows, queries = survivors[alive], rows[alive], queries[alive]
-                    common, totals, bounds = common[alive], totals[alive], bounds[alive]
-                if dropped * columns <= survivors.size * ABANDON_CHUNK:
-                    break
-        widths = np.minimum(query_lengths[queries], coefficients.shape[1])
-        for pairs, columns in _exact_slices(widths):
+            bounds = np.square(epsilons[at]) * (1.0 + _PRUNE_SLACK) + 1e-12
+            if include_stats:
+                totals = (means[rows] - query_means[at]) ** 2 + (stds[rows] - query_stds[at]) ** 2
+            else:
+                totals = np.zeros(block.stop - first, dtype=np.float64)
+            survivors = (totals <= bounds).nonzero()[0]
+            totals = totals[survivors]
+            if queries is not None:
+                queries, bounds = queries[survivors], bounds[survivors]
+        rows = survivors + first if row_ids is None else rows[survivors]
+        if epsilons is not None and survivors.size * width > PAIR_BLOCK:
+            survivors, rows, queries = _abandon(
+                coefficients, lengths, query_matrix, query_lengths,
+                survivors, rows, queries, totals, bounds)
+        widths = np.minimum(query_lengths[0 if queries is None else queries],
+                            coefficients.shape[1])
+        for pairs, columns in _exact_slices(widths, rows.size, query_matrix.shape[0] > 1):
             distances = gathered_pair_distances(
                 coefficients, lengths, means, stds, include_stats, rows[pairs],
                 query_matrix[:, :columns], query_lengths, query_means, query_stds,
-                queries[pairs])
-            keep = distances <= epsilons[queries[pairs]]
+                None if queries is None else queries[pairs])
+            keep = (slice(None) if epsilons is None
+                    else distances <= epsilons[0 if queries is None else queries[pairs]])
             found.append((first + survivors[pairs][keep], distances[keep]))
     if len(found) < 2:
         return found[0] if found else (np.zeros(0, dtype=np.intp),
@@ -669,70 +662,21 @@ def pair_block_distances(coefficients: np.ndarray, lengths: np.ndarray,
     """The pair kernel: ``(left, right, distances)`` of one block of the
     self-join's condensed pair order (see :func:`pair_blocks`).
 
-    Without ``epsilon`` every pair of the block is scored.  With one, pairs
-    are first abandoned by the rounds of :func:`early_abandon_candidates`
-    run over the flat pair arrays — statistics terms, then
-    :data:`ABANDON_CHUNK` coefficient columns at a time against the same
-    conservative bound, compacting ``left`` / ``right`` / totals together —
-    and only the survivors (a superset of the pairs within ``epsilon``) are
-    returned.  A round's partial sums only have to stay within the bound's
-    slack of the exact ones, so they add squared real and imaginary parts
-    directly instead of squaring a complex modulus.
-
-    Either way each returned pair is scored exactly as ``exact_distances``
-    scores row ``right`` against the record of row ``left``: the same
-    reduction over the same ``lengths[left]`` columns, so distances are
-    bit-identical to the per-anchor computation on uniform and ragged
-    relations alike.
-
-    Every temporary is bounded by :data:`PAIR_BLOCK`, never by the relation
-    or the number of survivors: a pruning round gathers at most
-    ``PAIR_BLOCK * ABANDON_CHUNK`` coefficients and the exact pass walks the
-    survivors in row slices of ``PAIR_BLOCK`` coefficients.
+    The block's pairs go to :func:`verify_pairs` with the relation as its
+    own query matrix, row ``right`` against anchor ``left``.  Without
+    ``epsilon`` every pair of the block is scored and returned; with one,
+    only the pairs within it.  Either way each pair is scored exactly as
+    ``exact_distances`` scores row ``right`` against the record of row
+    ``left``: the same reduction over the same ``lengths[left]`` columns, so
+    distances are bit-identical to the per-anchor computation on uniform and
+    ragged relations alike.
     """
     left, right = _pair_rows(coefficients.shape[0], first, last)
-    if epsilon is not None:
-        bound = float(epsilon) ** 2 * (1.0 + _PRUNE_SLACK) + 1e-12
-        if include_stats:
-            totals = (means[right] - means[left]) ** 2 \
-                + (stds[right] - stds[left]) ** 2
-            alive = totals <= bound
-            left, right, totals = left[alive], right[alive], totals[alive]
-        else:
-            totals = np.zeros(left.size, dtype=np.float64)
-        common = np.minimum(lengths[left], lengths[right])
-        columns = int(common.max()) if common.size else 0
-        ragged = not np.all(common == columns)
-        order = _abandon_order(columns)
-        for start in range(0, columns, ABANDON_CHUNK):
-            if left.size == 0:
-                break
-            cols = order[start:start + ABANDON_CHUNK]
-            difference = _gather_columns(coefficients, right, cols)
-            difference -= _gather_columns(coefficients, left, cols)
-            if ragged:
-                difference[cols >= common[:, None]] = 0.0
-            parts = difference.view(np.float64)
-            totals += np.einsum("ij,ij->i", parts, parts)
-            alive = totals <= bound
-            dropped = alive.size - int(np.count_nonzero(alive))
-            if dropped:
-                left, right, totals = left[alive], right[alive], totals[alive]
-                common = common[alive]
-            if dropped * columns <= left.size * ABANDON_CHUNK:
-                break
-    distances = np.empty(left.size, dtype=np.float64)
-    # exact_distances reduces over min(width, len(anchor)) columns.  The
-    # lengths stay referenced until the return: freed when the slices run
-    # out, their block (up to 64 KB) leaves a heap hole, and the
-    # embedded-scan-join benchmark then lands more often in its ~9 MB higher
-    # peak-RSS mode.
-    anchor_lengths = lengths[left]
-    for piece, columns in _exact_slices(anchor_lengths):
-        distances[piece] = gathered_pair_distances(
-            coefficients, lengths, means, stds, include_stats, right[piece],
-            coefficients[:, :columns], lengths, means, stds, left[piece])
-    return left, right, distances
+    epsilons = None if epsilon is None else np.broadcast_to(float(epsilon), lengths.shape)
+    positions, distances = verify_pairs(coefficients, lengths, means, stds, include_stats,
+                                        right, coefficients, lengths, means, stds, left,
+                                        epsilons)
+    return left[positions], right[positions], distances
 
 
 def pairwise_distances(coefficients: np.ndarray, lengths: np.ndarray,

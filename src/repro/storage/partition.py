@@ -8,12 +8,12 @@ record ids global, and is re-derived after an append rather than mutated.
 
 The row-independence of the columnar kernels is what makes the spans
 sufficient for bit-identical parallel answers: ``exact_distances`` and
-``early_abandon_candidates`` reduce along the coefficient axis row by row,
-so a row's distance (bit pattern included) does not depend on which other
-rows share the matrix or the exact kernel's block.  The self-join does not partition
-rows at all: its pair kernel (``pair_block_distances``) cuts the flat pair
-order into blocks of equal pair count over the whole store, and a pair's
-distance is as independent of its block as a row's is of its span.
+``verify_pairs`` reduce along the coefficient axis row by row, so a row's
+distance (bit pattern included) does not depend on which other rows share
+the matrix or the kernel's block.  The self-join does not partition rows at
+all: its pair kernel (``pair_block_distances``) cuts the flat pair order
+into blocks of equal pair count over the whole store, and a pair's distance
+is as independent of its block as a row's is of its span.
 """
 
 from __future__ import annotations

@@ -1,13 +1,16 @@
-"""Differentials for the order the abandoning kernels visit columns in.
+"""Differentials for the order the abandoning kernel visits columns in.
 
 A stored record is the DFT of a real series without its DC term, so its
 energy sits at both ends: column ``j`` mirrors column ``W - 1 - j``.  The
-three abandoning kernels of :mod:`repro.storage.columnar` —
-``early_abandon_candidates``, ``verify_pairs`` and ``pair_block_distances``
-— visit the columns in conjugate pairs, ``0, W-1, 1, W-2, ...``.  They used
-to walk them from column 0 upwards; those natural-order loops live on here as
-the reference.  A partial sum over any set of columns is at most the total,
-so every differential asks for the same two things:
+abandoning kernel of :mod:`repro.storage.columnar`, ``verify_pairs``, visits
+the columns in conjugate pairs, ``0, W-1, 1, W-2, ...``, for all three of its
+callers: the scan range, index verification and the scan join
+(``pair_block_distances``).  There used to be three round loops that walked
+the columns from column 0 upwards; those natural-order loops live on here as
+the reference, and so does ``early_abandon_candidates``, the scan's own loop
+until the scan range went through ``verify_pairs``.  A partial sum over any
+set of columns is at most the total, so every differential asks for the same
+two things:
 
     answers == the natural-order reference's, bit for bit
     survivors ⊇ the brute-force answers
@@ -28,14 +31,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import KIndex, SeriesFeatureExtractor
+from repro import KIndex, SequentialScan, SeriesFeatureExtractor
 from repro.index import kindex as kindex_module
 from repro.storage import columnar
 from repro.storage.columnar import (
+    ABANDON_CHUNK,
+    _PRUNE_SLACK,
     ColumnarRecordStore,
     _abandon_order,
+    _gather_columns,
     _pair_rows,
-    early_abandon_candidates,
     exact_distances,
     gathered_pair_distances,
     pair_block_distances,
@@ -47,8 +52,68 @@ from repro.timeseries.transforms import moving_average_spectral, scale_spectral
 
 
 # ----------------------------------------------------------------------
-# the references: the three kernels in natural column order
+# the references: the scan's own loop, and the three loops in natural
+# column order
 # ----------------------------------------------------------------------
+def early_abandon_candidates(
+    coefficients: np.ndarray,
+    lengths: np.ndarray,
+    means: np.ndarray,
+    stds: np.ndarray,
+    query_coefficients: np.ndarray,
+    query_mean: float,
+    query_std: float,
+    include_stats: bool,
+    epsilon: float,
+    *,
+    chunk: int = ABANDON_CHUNK,
+) -> np.ndarray:
+    """Row indices surviving a vectorized early-abandoning scan.
+
+    Accumulates squared differences chunkwise (statistics terms first, then
+    coefficients in conjugate pairs from the lowest frequency up, see
+    :func:`_abandon_order` — largest contributions first, which is what
+    makes abandoning effective), dropping rows whose running sum clearly
+    exceeds ``epsilon**2`` after each chunk and compacting the active set.
+    Pruned rows are *guaranteed* non-answers (partial sums only grow and a
+    small slack absorbs float reassociation), so callers re-score only the
+    survivors with :func:`exact_distances`.
+    """
+    count = coefficients.shape[0]
+    if count == 0:
+        return np.zeros(0, dtype=np.intp)
+    limit = float(epsilon) ** 2
+    bound = limit * (1.0 + _PRUNE_SLACK) + 1e-12
+    if include_stats:
+        totals = (means - query_mean) ** 2 + (stds - query_std) ** 2
+    else:
+        totals = np.zeros(count, dtype=np.float64)
+    active = np.nonzero(totals <= bound)[0]
+    totals = totals[active]
+    query_coefficients = np.asarray(query_coefficients)
+    columns = min(coefficients.shape[1], len(query_coefficients))
+    common = np.minimum(lengths, len(query_coefficients))
+    ragged = not np.all(common == columns)
+    order = _abandon_order(columns)
+    for start in range(0, columns, chunk):
+        if active.size == 0:
+            break
+        cols = order[start : start + chunk]
+        difference = _gather_columns(coefficients, active, cols)
+        difference -= query_coefficients[cols]
+        if ragged:
+            difference[cols >= common[active][:, None]] = 0.0
+        parts = difference.view(np.float64)
+        totals += np.einsum("ij,ij->i", parts, parts)
+        alive = totals <= bound
+        dropped = alive.size - int(np.count_nonzero(alive))
+        if dropped:
+            active, totals = active[alive], totals[alive]
+        if dropped * columns <= active.size * chunk:
+            break
+    return active
+
+
 def reference_early_abandon_candidates(
     coefficients,
     lengths,
@@ -308,8 +373,29 @@ class TestTheOrder:
 
 
 # ----------------------------------------------------------------------
-# early_abandon_candidates
+# the scan range
 # ----------------------------------------------------------------------
+def scan_kernel(arrays, query, include_stats, epsilon, row_ids=None):
+    """The scan range's kernel as ``SequentialScan.range_query`` runs it over
+    one span of the whole relation: ``verify_pairs`` on (row, query 0)
+    pairs, the one query broadcast, the rows in order (or the given
+    ``row_ids``).  Returns the kept positions and distances."""
+    query_coefficients, query_mean, query_std = query
+    positions, distances = verify_pairs(
+        *arrays,
+        include_stats,
+        row_ids,
+        query_coefficients[None, :],
+        (query_coefficients.shape[0],),
+        (query_mean,),
+        (query_std,),
+        None,
+        (epsilon,),
+    )
+    keep = distances <= epsilon
+    return positions[keep], distances[keep]
+
+
 def scan(kernel, arrays, query, include_stats, epsilon):
     """What a scan keeps — the kernel's survivors re-scored exactly, those
     within ``epsilon``, as (rows, distance bits) — and the survivors."""
@@ -320,25 +406,49 @@ def scan(kernel, arrays, query, include_stats, epsilon):
 
 
 def check_scan(arrays, query, include_stats, epsilon):
-    answers, survivors = scan(early_abandon_candidates, arrays, query, include_stats, epsilon)
+    """The scan kernel keeps the rows and bits of the loop it replaced and
+    of the natural-order reference, with the rows in order or given as ids,
+    and scores every brute-force answer."""
+    scored = set()
+
+    def counting(*args):
+        scored.update(args[5].tolist())
+        return gathered_pair_distances(*args)
+
+    with mock.patch.object(columnar, "gathered_pair_distances", counting):
+        rows, distances = scan_kernel(arrays, query, include_stats, epsilon)
+    answers = (rows.tolist(), bits(distances))
+    every_row = np.arange(arrays[0].shape[0])
+    rows, distances = scan_kernel(arrays, query, include_stats, epsilon, every_row)
+    assert answers == (rows.tolist(), bits(distances))
+    replaced, survivors = scan(early_abandon_candidates, arrays, query, include_stats, epsilon)
+    assert answers == replaced
     reference = reference_early_abandon_candidates
     assert answers == scan(reference, arrays, query, include_stats, epsilon)[0]
     brute = exact_distances(*arrays, *query, include_stats)
     assert set(np.flatnonzero(brute <= epsilon).tolist()) <= survivors
+    assert set(np.flatnonzero(brute <= epsilon).tolist()) <= scored
     return answers
 
 
 class TestEarlyAbandonCandidates:
     @settings(max_examples=60, deadline=None)
-    @given(case=relations, picks=st.lists(st.integers(0, 39), min_size=1, max_size=6))
-    def test_property(self, case, picks):
+    @given(
+        case=relations,
+        picks=st.lists(st.integers(0, 39), min_size=1, max_size=6),
+        block=st.sampled_from([1, 7, 64, 8192]),
+    )
+    def test_property(self, case, picks, block):
+        """At block sizes that cut the relation's pairs anywhere, the scan
+        kernel keeps the rows and distance bits of the loop it replaced."""
         arrays = drawn(case)
         include_stats = case["include_stats"]
         for pick in picks:
             query = record(arrays, pick % arrays[0].shape[0])
             at_a_distance = kth_distance(arrays, query, pick, include_stats)
             for epsilon in (0.0, 1.0, at_a_distance, math.inf):
-                check_scan(arrays, query, include_stats, epsilon)
+                with mock.patch.object(columnar, "PAIR_BLOCK", block):
+                    check_scan(arrays, query, include_stats, epsilon)
 
     @pytest.mark.parametrize("length", [6, 17, 33, 64])
     def test_fresh_queries_shorter_and_longer_than_the_rows(self, length):
@@ -523,7 +633,22 @@ class TestThePruningIsPinned:
     """On 5 000 walks of 128 points, with thresholds that keep 1-4 % of the
     relation, the rows 20 range probes score exactly are at most 1.3 times
     their answers: 1.15 here in conjugate pairs, 2.6 in natural order, whose
-    rounds see only half of each frequency's energy."""
+    rounds see only half of each frequency's energy.  The scan range and the
+    scan join are pinned the same way (1.13 and 1.11-1.16 at the time of
+    writing, the same counts as their own round loops gave before the three
+    shared one)."""
+
+    @staticmethod
+    def scored_exactly(monkeypatch):
+        """A counter of the rows handed to the exact scorer."""
+        scored = [0]
+
+        def counting(*args):
+            scored[0] += args[5].size
+            return gathered_pair_distances(*args)
+
+        monkeypatch.setattr(columnar, "gathered_pair_distances", counting)
+        return scored
 
     def test_rows_scored_exactly_per_answer(self, monkeypatch):
         data = random_walk_collection(5000, 128, seed=11)
@@ -535,13 +660,39 @@ class TestThePruningIsPinned:
         for row in rng.choice(len(data), 20, replace=False).tolist():
             rank = int(rng.integers(50, 200))
             probes.append((data[row], kth_distance(arrays, record(arrays, row), rank, True)))
-        scored = [0]
-
-        def counting(*args):
-            scored[0] += args[5].size
-            return gathered_pair_distances(*args)
-
-        monkeypatch.setattr(columnar, "gathered_pair_distances", counting)
+        scored = self.scored_exactly(monkeypatch)
         answers = sum(len(index.range_query(query, epsilon).answers) for query, epsilon in probes)
         assert answers >= 20 * 50
         assert scored[0] <= 1.3 * answers
+
+    def test_rows_scored_exactly_per_answer_of_a_scan_range(self, monkeypatch):
+        """20 scan ranges over 8 000 walks, each keeping 2-10 % of them."""
+        data = random_walk_collection(8000, 128, seed=13)
+        scan = SequentialScan()
+        scan.extend(data)
+        coefficients, means, stds = scan.store.transformed_arrays(None)
+        arrays = (coefficients, scan.store.lengths, means, stds)
+        rng = np.random.default_rng(13)
+        probes = []
+        for row in rng.choice(len(data), 20, replace=False).tolist():
+            rank = int(rng.integers(160, 800))
+            probes.append((data[row], kth_distance(arrays, record(arrays, row), rank, True)))
+        scored = self.scored_exactly(monkeypatch)
+        answers = sum(len(scan.range_query(query, epsilon).answers) for query, epsilon in probes)
+        assert answers >= 20 * 160
+        assert scored[0] <= 1.3 * answers
+
+    @pytest.mark.parametrize("share", [0.02, 0.05, 0.10])
+    def test_pairs_scored_exactly_per_answer_of_a_scan_join(self, share, monkeypatch):
+        """The join of 240 walks at a threshold keeping ``share`` of its
+        28 680 pairs."""
+        scan = SequentialScan()
+        scan.extend(random_walk_collection(240, 128, seed=13))
+        coefficients, means, stds = scan.store.transformed_arrays(None)
+        arrays = (coefficients, scan.store.lengths, means, stds)
+        sample = np.sort(columnar.pairwise_distances(*arrays, True))
+        epsilon = float(sample[int(share * sample.size)])
+        scored = self.scored_exactly(monkeypatch)
+        pairs, _ = scan.all_pairs(epsilon)
+        assert len(pairs) >= share * sample.size
+        assert scored[0] <= 1.3 * len(pairs)

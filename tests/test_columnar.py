@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from test_abandon_order import early_abandon_candidates, scan_kernel
 
 import repro
 from repro.core.database import Database
@@ -15,7 +16,6 @@ from repro.core.query.executor import QueryEngine
 from repro.index.kindex import KIndex
 from repro.storage.columnar import (
     ColumnarRecordStore,
-    early_abandon_candidates,
     exact_distances,
     gathered_pair_distances,
     pairwise_distances,
@@ -203,6 +203,9 @@ class TestKernels:
                 *query, True, epsilon).tolist())
             answers = set(np.nonzero(full <= epsilon)[0].tolist())
             assert answers <= survivors
+            arrays = (store.coefficients, store.lengths, store.means, store.stds)
+            kept, _ = scan_kernel(arrays, query, True, epsilon)
+            assert set(kept.tolist()) == answers
 
     def test_gathered_pairs_match_per_query_kernels(self, store):
         fulls = [store.full_record(i) for i in (1, 4)]

@@ -4,7 +4,8 @@ One kernel — :func:`repro.storage.columnar.pair_block_distances` — sits behi
 ``SequentialScan.all_pairs`` (both scan methods of the join experiment) and
 ``pairwise_distances`` (statistics sampler, advisor, threshold samples).  It
 replaced a loop over anchors, each swept against its suffix with
-``early_abandon_candidates`` + ``exact_distances``; that loop lives on here as
+``early_abandon_candidates`` (the scan's old loop, kept in
+``test_abandon_order.py``) + ``exact_distances``; that loop lives on here as
 the reference.  Every differential asks for the same thing:
 
     kernel == per-anchor reference == brute force over ``record_distance``
@@ -22,13 +23,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_abandon_order import early_abandon_candidates
 
 from repro import SequentialScan, SeriesFeatureExtractor, TimeSeries
 from repro.core.cancel import CancellationToken, cancel_scope
 from repro.storage import columnar
 from repro.storage.columnar import (
     _pair_rows,
-    early_abandon_candidates,
     exact_distances,
     pair_blocks,
     pairwise_distances,
