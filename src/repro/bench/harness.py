@@ -44,14 +44,6 @@ from typing import Any
 
 from ..core.advisor import ADVISOR_PROVIDER_NAME, series_exact_distance
 from ..core.database import DistanceProvider
-from ..core.query.costmodel import CPU_WEIGHT, EARLY_ABANDON_WEIGHT
-from ..core.query.planner import (
-    EngineJoinPlan,
-    EngineNearestPlan,
-    EngineRangePlan,
-    ScanJoinPlan,
-    ScanRangePlan,
-)
 from ..core.session import Session, connect
 from ..index.kindex import KIndex
 from ..index.metric import MetricIndex
@@ -159,27 +151,6 @@ def _answer_name(obj: Any) -> str:
     return str(name) if name is not None else repr(obj)
 
 
-def _measured_weight(plan: Any) -> float:
-    """The cost model's exchange rate for this plan's distance counter."""
-    if isinstance(plan, (ScanRangePlan, ScanJoinPlan)):
-        return EARLY_ABANDON_WEIGHT
-    return CPU_WEIGHT
-
-
-def _measured_io(plan: Any, io_total: int) -> int:
-    """Measured I/O in the cost model's currency for this plan family.
-
-    Engine plans (metric index / provider scan) run entirely in memory:
-    their ``record_fetches`` counter mirrors ``postprocessed`` one-for-one
-    and their ``node_accesses`` are pivot visits already charged as exact
-    distances, so counting ``io_total`` on top of the distance counter
-    would charge the same work twice in units the model prices as zero.
-    """
-    if isinstance(plan, (EngineRangePlan, EngineNearestPlan, EngineJoinPlan)):
-        return 0
-    return io_total
-
-
 # ----------------------------------------------------------------------
 # session construction per configuration
 # ----------------------------------------------------------------------
@@ -236,9 +207,12 @@ def replay_workload(
             io, computations, weighted = 0, 0, 0.0
         else:
             statistics = outcome.statistics
-            io = _measured_io(outcome.plan, int(statistics.io_total))
+            # Engine plans run in memory: their record fetches and pivot visits
+            # are charged as distances already; their I/O is priced at zero.
+            io = 0 if outcome.plan.access == "provider" else int(statistics.io_total)
             computations = int(statistics.postprocessed)
-            weighted = io + _measured_weight(outcome.plan) * computations
+            # Distances at the exchange rate the cost model priced them at.
+            weighted = io + outcome.plan.estimated_cost.cpu_weight * computations
         result = ExecutionResult(
             label=query.label,
             family=query.family,

@@ -17,10 +17,12 @@ candidate per physical design:
   :class:`~repro.core.database.DistanceProvider`, flipping the relation
   onto the planner's provider path).
 
-Each candidate's cost is the profile-weighted sum of the *existing*
-:class:`~repro.core.query.costmodel.QueryCostModel` estimates — the advisor
-invents no second cost model, so whatever the planner believes about plan
-families is exactly what the advisor believes about index configurations.
+Each candidate's cost is the profile-weighted sum of the cheapest rows of
+the planner's :data:`~repro.core.query.planner.PLAN_FAMILIES` it makes
+available, priced by the planner's own cost model — the advisor invents no
+second cost model and no second list of plan families, so whatever the
+planner believes about plan families is exactly what the advisor believes
+about index configurations.
 ``Session.advise`` returns the ranked recommendation;
 ``Session.autotune`` additionally installs it through the ordinary catalog
 APIs (``register_index`` / ``drop_index`` / ``register_distance`` /
@@ -42,6 +44,7 @@ from ..timeseries.features import SeriesFeatureExtractor
 from .database import Database, DistanceProvider
 from .errors import CatalogError
 from .query.costmodel import CostEstimate, QueryCostModel
+from .query.planner import PLAN_FAMILIES
 from .stats import (
     SAMPLE_SIZE,
     RelationStatistics,
@@ -215,16 +218,8 @@ class IndexRecommendation:
 class IndexAdvisor:
     """Prices index configurations with the planner's own cost model."""
 
-    def __init__(
-        self,
-        cost_model: QueryCostModel | None = None,
-        *,
-        prefix_lengths: tuple[int, ...] = PREFIX_LENGTHS,
-        tie_tolerance: float = TIE_TOLERANCE,
-    ) -> None:
+    def __init__(self, cost_model: QueryCostModel | None = None) -> None:
         self.cost_model = cost_model if cost_model is not None else QueryCostModel()
-        self.prefix_lengths = tuple(prefix_lengths)
-        self.tie_tolerance = float(tie_tolerance)
 
     # -- pricing -----------------------------------------------------------
     def price(
@@ -247,56 +242,27 @@ class IndexAdvisor:
 
         The planner picks the cheapest plan *available* under the installed
         configuration — an index does not force index plans — so each
-        configuration is priced as the minimum over the plan families the
-        planner would consider, not the index path unconditionally.
+        configuration is priced as the minimum over the plan-family rows it
+        makes available: those probing no index or the candidate's own.
         """
         stats = candidate.statistics
-        model = self.cost_model
-        epsilon = 0.0 if entry.epsilon is None else float(entry.epsilon)
-        k = 1 if entry.k is None else int(entry.k)
-        if candidate.kind == "kindex":
-            if entry.family == "range":
-                options = [
-                    model.index_range(stats, cardinality, epsilon),
-                    model.scan_range(stats, cardinality, epsilon),
-                ]
-            elif entry.family == "nearest":
-                options = [
-                    model.index_nearest(stats, cardinality, k),
-                    model.scan_nearest(stats, cardinality, k),
-                ]
-            else:
-                options = [
-                    model.index_join(stats, cardinality, epsilon),
-                    model.scan_join(stats, cardinality, epsilon),
-                ]
-        elif candidate.kind == "metric":
-            if entry.family == "range":
-                options = [
-                    model.metric_range(stats, cardinality, epsilon),
-                    model.provider_scan_range(stats, cardinality, epsilon),
-                ]
-            elif entry.family == "nearest":
-                options = [
-                    model.metric_nearest(stats, cardinality, k),
-                    model.provider_scan_nearest(stats, cardinality, k),
-                ]
-            else:
-                options = [model.provider_join(stats, cardinality, epsilon)]
-        elif stats.kind == "provider":
-            if entry.family == "range":
-                options = [model.provider_scan_range(stats, cardinality, epsilon)]
-            elif entry.family == "nearest":
-                options = [model.provider_scan_nearest(stats, cardinality, k)]
-            else:
-                options = [model.provider_join(stats, cardinality, epsilon)]
-        elif entry.family == "range":
-            options = [model.scan_range(stats, cardinality, epsilon)]
-        elif entry.family == "nearest":
-            options = [model.scan_nearest(stats, cardinality, k)]
+        provider = candidate.kind == "metric" or (
+            candidate.kind != "kindex" and stats.kind == "provider"
+        )
+        domain = "provider" if provider else "feature"
+        shape = entry.family if entry.family in ("range", "nearest") else "join"
+        if shape == "nearest":
+            argument = 1 if entry.k is None else int(entry.k)
         else:
-            options = [model.scan_join(stats, cardinality, epsilon)]
-        return min(options, key=lambda estimate: estimate.total)
+            argument = 0.0 if entry.epsilon is None else float(entry.epsilon)
+        return min(
+            (
+                path.estimator(self.cost_model, stats, cardinality, argument)
+                for path in PLAN_FAMILIES[domain][shape]
+                if path.index in (None, candidate.kind)
+            ),
+            key=lambda estimate: estimate.total,
+        )
 
     # -- recommendation ----------------------------------------------------
     def recommend(
@@ -322,7 +288,7 @@ class IndexAdvisor:
             raise CatalogError(f"no index candidates for relation {relation_name!r}")
         chosen = candidates[0]
         for challenger in candidates[1:]:
-            if challenger.estimated_cost < (1.0 - self.tie_tolerance) * chosen.estimated_cost:
+            if challenger.estimated_cost < (1.0 - TIE_TOLERANCE) * chosen.estimated_cost:
                 chosen = challenger
         return IndexRecommendation(
             relation=relation_name,
@@ -382,7 +348,7 @@ class IndexAdvisor:
         # The statistics sampler's positions: a what-if filter histogram is
         # the one ``analyze`` would collect with the candidate installed.
         positions = sample_positions(len(objects), SAMPLE_SIZE)
-        for prefix in self.prefix_lengths:
+        for prefix in PREFIX_LENGTHS:
             index = KIndex.bulk_load(objects, SeriesFeatureExtractor(prefix))
             stats = replace_fields(
                 base,

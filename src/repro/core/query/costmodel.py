@@ -28,7 +28,7 @@ The inputs come from :class:`~repro.core.stats.RelationStatistics`:
   frontier bound for the similarity engine's uniform-cost search.
 
 When a relation has never been sampled (or its statistics hold no tree
-summary) the model degrades to a configurable *default selectivity* and
+summary) the model degrades to :data:`DEFAULT_SELECTIVITY` and
 flags the estimate ``can_estimate=False`` so the planner makes it lose cost
 ties instead of silently assuming the index is good.
 
@@ -78,6 +78,9 @@ EARLY_ABANDON_WEIGHT = 0.02
 #: keeps the parallel repricing honest: fanning a scan out is not free, and
 #: the modelled speedup flattens as the merge share grows.
 MERGE_WEIGHT = 0.002
+
+#: Answer/candidate fraction assumed when no histogram is available.
+DEFAULT_SELECTIVITY = 0.33
 
 #: Hard caps for the similarity-engine frontier estimate (mirrors the
 #: executor's termination guarantees: ``max_steps_per_side`` cap of 12 and
@@ -152,8 +155,6 @@ class QueryCostModel:
 
     Parameters
     ----------
-    default_selectivity:
-        Answer/candidate fraction assumed when no histogram is available.
     workers:
         Worker threads the executor fans sequential scans across (``None``
         and ``1`` mean serial, ``0`` means one per CPU core).  Scan-family
@@ -162,9 +163,7 @@ class QueryCostModel:
         of one tree on one thread.
     """
 
-    def __init__(self, default_selectivity: float = 0.33, *,
-                 workers: int | None = None) -> None:
-        self.default_selectivity = float(default_selectivity)
+    def __init__(self, *, workers: int | None = None) -> None:
         self.workers = resolve_workers(workers)
         # Observed buffer-pool behaviour of executed scans (durable storage
         # routes real page reads through a pool).  Until the first
@@ -227,21 +226,21 @@ class QueryCostModel:
                         epsilon: float) -> tuple[float, bool]:
         fraction = stats.answer_fraction(epsilon) if stats is not None else None
         if fraction is None:
-            return min(1.0, self.default_selectivity), False
+            return DEFAULT_SELECTIVITY, False
         return fraction, True
 
     def _candidate_fraction(self, stats: RelationStatistics | None,
                             epsilon: float) -> tuple[float, bool]:
         fraction = stats.candidate_fraction(epsilon) if stats is not None else None
         if fraction is None:
-            return min(1.0, self.default_selectivity), False
+            return DEFAULT_SELECTIVITY, False
         return fraction, True
 
     def _pair_fraction(self, stats: RelationStatistics | None,
                        epsilon: float) -> tuple[float, bool]:
         fraction = stats.pair_fraction(epsilon) if stats is not None else None
         if fraction is None:
-            return min(1.0, 2.0 * self.default_selectivity), False
+            return min(1.0, 2.0 * DEFAULT_SELECTIVITY), False
         return fraction, True
 
     def _scan_pages(self, stats: RelationStatistics | None, cardinality: int) -> int:

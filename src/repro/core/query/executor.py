@@ -46,19 +46,7 @@ from ..similarity import SimilarityEngine
 from .ast import AllPairsQuery, NearestNeighborQuery, Query, RangeQuery, SimilarityQuery
 from .cache import LRUCache
 from .parser import parse
-from .planner import (
-    EngineJoinPlan,
-    EngineNearestPlan,
-    EngineRangePlan,
-    IndexJoinPlan,
-    IndexNearestPlan,
-    IndexRangePlan,
-    Plan,
-    Planner,
-    ScanJoinPlan,
-    ScanNearestPlan,
-    ScanRangePlan,
-)
+from .planner import Plan, Planner
 
 __all__ = ["QueryOutcome", "QueryEngine", "Statement"]
 
@@ -309,24 +297,20 @@ class QueryEngine:
         token the query ran at; the fold runs per query, because the next
         plan must see every correction.
         """
-        if isinstance(outcome.plan, (ScanRangePlan, ScanNearestPlan,
-                                     ScanJoinPlan)):
-            hits = outcome.statistics.buffer_hits
-            misses = outcome.statistics.buffer_misses
-            if hits or misses:
-                self.planner.cost_model.observe_buffer(hits, misses)
+        plan = outcome.plan
+        if plan.access == "scan":
+            self.planner.cost_model.observe_buffer(outcome.statistics.buffer_hits,
+                                                   outcome.statistics.buffer_misses)
         if not isinstance(node, RangeQuery) or node.transformation is not None:
             return
         facts = self.planner.facts(node.relation, token)
         stats, count = facts.statistics, facts.cardinality
         if count == 0:
             return
-        plan = outcome.plan
         candidate_fraction = None
-        if isinstance(plan, IndexRangePlan):
+        if plan.access == "index":
             candidate_fraction = outcome.statistics.candidates / count
-        elif isinstance(plan, EngineRangePlan) and not plan.via_engine \
-                and plan.index_name is not None:
+        elif plan.access == "provider" and plan.index_name is not None:
             # The metric index counts one pivot distance per visited node in
             # ``candidates``; the statistics' pair-fraction prediction models
             # the unpruned *bucket entries* only, so subtract the node visits
@@ -406,13 +390,12 @@ class QueryEngine:
         transformation) one vectorised R-tree traversal, a metric-index
         group one triangle-inequality-pruned traversal.
         """
-        if isinstance(plan, IndexRangePlan) and isinstance(node, RangeQuery):
+        if plan.shape != "range" or plan.index_name is None or plan.via_engine:
+            return None
+        if plan.access == "index":
             return (node.relation, plan.index_name, node.transformation,
                     node.transform_query)
-        if isinstance(plan, EngineRangePlan) and isinstance(node, RangeQuery) \
-                and plan.index_name is not None and not plan.via_engine:
-            return (node.relation, plan.index_name)
-        return None
+        return (node.relation, plan.index_name)
 
     @staticmethod
     def _probe_options(plan: Plan, node: Query,
@@ -421,7 +404,7 @@ class QueryEngine:
         """What a probe of the plan's index takes besides the query and its
         radius or ``k``: a k-index is probed under the query's
         transformation, a metric index under none."""
-        if isinstance(plan, (EngineRangePlan, EngineNearestPlan)):
+        if plan.access == "provider":
             return {}
         return {"transformation": transformation,
                 "transform_query": node.transform_query}
@@ -451,20 +434,18 @@ class QueryEngine:
              parameters: Mapping[str, Any]) -> QueryOutcome:
         # Range plans over an index never reach here: execute_many batches
         # them through _run_range_group (see _group_key).
-        if isinstance(plan, (IndexNearestPlan, EngineNearestPlan)) \
-                and plan.index_name is not None:
+        if plan.shape != "range" and plan.index_name is not None:
             index = self.database.index(node.relation, plan.index_name)
+            if plan.shape == "join":
+                pairs, statistics = index.all_pairs(node.epsilon,
+                                                    transformation=transformation)
+                return QueryOutcome(plan=plan, answers=pairs, statistics=statistics)
             result = index.nearest_neighbors(
                 self._parameter(node.parameter, parameters), node.k,
                 **self._probe_options(plan, node, transformation))
             return QueryOutcome(plan=plan, answers=result.answers,
                                 statistics=result.statistics)
-        if isinstance(plan, IndexJoinPlan):
-            index = self.database.index(node.relation, plan.index_name)
-            pairs, statistics = index.all_pairs(node.epsilon,
-                                                transformation=transformation)
-            return QueryOutcome(plan=plan, answers=pairs, statistics=statistics)
-        if isinstance(plan, (EngineRangePlan, EngineNearestPlan, EngineJoinPlan)):
+        if plan.access == "provider":
             return self._run_with_provider(plan, node, parameters)
         return self._run_with_scan(plan, node, transformation, parameters)
 
@@ -473,12 +454,12 @@ class QueryEngine:
                            parameters: Mapping[str, Any]) -> QueryOutcome:
         """Interpret the engine plan family over the relation's distance provider."""
         provider = self.database.distance_provider(node.relation)
-        if isinstance(plan, EngineRangePlan) and plan.via_engine:
+        if plan.via_engine:
             query_obj = self._parameter(node.parameter, parameters)
             return self._run_similarity_search(plan, node, provider, query_obj)
         objects = self.database.relation(node.relation).objects()
         statistics = QueryStatistics(candidates=len(objects))
-        if isinstance(plan, EngineJoinPlan):
+        if plan.shape == "join":
             pairs: list[tuple[Any, Any, float]] = []
             for i, left in enumerate(objects):
                 checkpoint()
@@ -502,7 +483,7 @@ class QueryEngine:
             answers = scored[:node.k]
         return QueryOutcome(plan=plan, answers=answers, statistics=statistics)
 
-    def _run_similarity_search(self, plan: EngineRangePlan, node: SimilarityQuery,
+    def _run_similarity_search(self, plan: Plan, node: SimilarityQuery,
                                provider: DistanceProvider,
                                query_obj: Any) -> QueryOutcome:
         """Evaluate the bounded-cost ``sim`` predicate.

@@ -10,36 +10,41 @@ alternatives with theirs, so ``explain()`` can show not just *what* will run
 but *why the others will not* — and the executor's measured counters close
 the loop by feeding observed selectivities back into the statistics.
 
-Plan families:
+Which access paths answer which query shape is written once, in
+:data:`PLAN_FAMILIES`: per domain and shape, rows in enumeration order (a
+tie goes to the first) naming plan class, estimator, reason and access-path
+text.  The planner builds every alternative from it, the
+:class:`~repro.core.advisor.IndexAdvisor` prices a configuration as the
+cheapest row it makes available, and ``explain`` reads access paths off it;
+the executor dispatches on each plan class's ``shape`` and ``access``.
 
-* relations of time series choose between an **index plan** (the registered
-  k-index, traversed under the query's transformation when it is safe for
-  the index's feature space) and a **scan plan** (sequential scan with early
-  abandoning) — the choice *is* the relation-size / selectivity /
-  answer-set-size tradeoff of the evaluation's figures, decided per query
-  from the estimates rather than assumed;
-* relations with a **distance provider** (strings and any other non-spatial
-  domain) are served by the **engine plans**: exact range/nearest-neighbour
-  evaluation through the provider's metric, accelerated by a registered
-  :class:`~repro.index.metric.MetricIndex` when its estimated
-  triangle-inequality pruning beats the brute provider scan, and
-  bounded-cost ``SIM`` predicates through the generic
+* relations of time series (``"feature"``) choose between an **index plan**
+  (the registered k-index, traversed under the query's transformation when
+  it is safe for the index's feature space) and a **scan plan** (sequential
+  scan with early abandoning) — the choice *is* the relation-size /
+  selectivity / answer-set-size tradeoff of the evaluation's figures,
+  decided per query from the estimates rather than assumed;
+* relations with a **distance provider** (``"provider"``: strings and any
+  other non-spatial domain) are served by the **engine plans**: exact
+  range/nearest-neighbour evaluation through the provider's metric,
+  accelerated by a registered :class:`~repro.index.metric.MetricIndex` when
+  its estimated triangle-inequality pruning beats the brute provider scan,
+  and bounded-cost ``SIM`` predicates through the generic
   :class:`~repro.core.similarity.SimilarityEngine` search.  A ``SIM`` query
   must not prune with the metric index at radius ``epsilon`` — the
   transformation distance lies *below* the base distance — but when the
   provider declares that rule costs bound distance movement
   (``cost_bounds_distance``), screening candidates at the expanded radius
   ``cost_bound + epsilon`` is admissible by the triangle inequality.
-
-The planner produces small plan dataclasses; the executor interprets them.
-The ``explain`` helper renders a plan (optionally with the measured
-statistics of an execution) as a short multi-line report.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
+from typing import ClassVar, NamedTuple
 
 from ...index.kindex import KIndex
 from ...index.metric import MetricIndex
@@ -67,6 +72,8 @@ __all__ = [
     "EngineRangePlan",
     "EngineNearestPlan",
     "EngineJoinPlan",
+    "AccessPath",
+    "PLAN_FAMILIES",
     "Planner",
     "explain",
 ]
@@ -100,11 +107,21 @@ class Plan:
     #: and the "why not" the explain output renders.
     rejected: tuple[RejectedPlan, ...] = ()
 
+    #: Class data: the query shape (``"range"``, ``"nearest"``, ``"join"``)
+    #: and the access family (``"index"``, ``"scan"``, ``"provider"``);
+    #: families that can probe an index or run the similarity engine
+    #: declare ``index_name`` / ``via_engine`` as fields.
+    shape: ClassVar[str] = ""
+    access: ClassVar[str] = ""
+    index_name: ClassVar[str | None] = None
+    via_engine: ClassVar[bool] = False
+
 
 @dataclass(frozen=True)
 class IndexRangePlan(Plan):
     """Answer a range query with the registered k-index."""
 
+    shape, access = "range", "index"
     index_name: str = "default"
 
 
@@ -112,11 +129,14 @@ class IndexRangePlan(Plan):
 class ScanRangePlan(Plan):
     """Answer a range query with a sequential scan."""
 
+    shape, access = "range", "scan"
+
 
 @dataclass(frozen=True)
 class IndexNearestPlan(Plan):
     """Answer a nearest-neighbour query with the registered k-index."""
 
+    shape, access = "nearest", "index"
     index_name: str = "default"
 
 
@@ -124,17 +144,22 @@ class IndexNearestPlan(Plan):
 class ScanNearestPlan(Plan):
     """Answer a nearest-neighbour query with a sequential scan."""
 
+    shape, access = "nearest", "scan"
+
 
 @dataclass(frozen=True)
 class IndexJoinPlan(Plan):
     """Answer an all-pairs query with index probes."""
 
+    shape, access = "join", "index"
     index_name: str = "default"
 
 
 @dataclass(frozen=True)
 class ScanJoinPlan(Plan):
     """Answer an all-pairs query with a nested scan."""
+
+    shape, access = "join", "scan"
 
 
 @dataclass(frozen=True)
@@ -147,6 +172,7 @@ class EngineRangePlan(Plan):
     rather than the exact base distance.
     """
 
+    shape, access = "range", "provider"
     index_name: str | None = None
     via_engine: bool = False
 
@@ -155,12 +181,98 @@ class EngineRangePlan(Plan):
 class EngineNearestPlan(Plan):
     """Answer a nearest-neighbour query through the relation's distance provider."""
 
+    shape, access = "nearest", "provider"
     index_name: str | None = None
 
 
 @dataclass(frozen=True)
 class EngineJoinPlan(Plan):
     """Answer an all-pairs query by comparing objects through the provider."""
+
+    shape, access = "join", "provider"
+
+
+# ----------------------------------------------------------------------
+# the plan-family table
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class AccessPath:
+    """One row of :data:`PLAN_FAMILIES`: one way to answer one query shape.
+
+    ``index`` is the index the path probes (``"kindex"`` or ``"metric"``,
+    the advisor's candidate kinds; ``None``: every record), ``estimator``
+    the :class:`QueryCostModel` method that prices it.  ``reason`` and
+    ``text`` (``explain``'s access path) are templates over ``{index}``,
+    ``{provider}``, ``{cardinality}`` and ``{verdict}`` (the k-index's own
+    verdict on the transformation).
+    """
+
+    plan: type[Plan]
+    index: str | None
+    estimator: Callable[..., CostEstimate]
+    reason: str
+    text: str
+
+
+_M = QueryCostModel
+_TRIANGLE = "metric index {index!r} prunes by triangle inequality"
+_EVERY = "comparing every object through {provider!r}"
+_SCAN = "sequential scan over {cardinality} records"
+_BY_INDEX, _BY_SCAN = "via index {index!r}", "via sequential scan"
+_BY_METRIC, _BY_PROVIDER = "via metric index {index!r}", "via provider scan"
+
+#: Per relation domain and query shape, the access paths that can answer it,
+#: in enumeration order: a cost tie goes to the first.  ``"sim"`` rows run
+#: the similarity engine, pricing a ``SIM`` predicate's screen at
+#: ``cost_bound + epsilon`` (``Planner._plan_sim`` says when it is admissible).
+PLAN_FAMILIES: dict[str, dict[str, tuple[AccessPath, ...]]] = {
+    "feature": {
+        "range": (AccessPath(IndexRangePlan, "kindex", _M.index_range, "{verdict}", _BY_INDEX),
+                  AccessPath(ScanRangePlan, None, _M.scan_range, _SCAN, _BY_SCAN)),
+        "nearest": (AccessPath(IndexNearestPlan, "kindex", _M.index_nearest, "{verdict}",
+                               _BY_INDEX),
+                    AccessPath(ScanNearestPlan, None, _M.scan_nearest, _SCAN, _BY_SCAN)),
+        "join": (AccessPath(IndexJoinPlan, "kindex", _M.index_join, "{verdict}", _BY_INDEX),
+                 AccessPath(ScanJoinPlan, None, _M.scan_join, _SCAN, _BY_SCAN)),
+    },
+    "provider": {
+        "range": (AccessPath(EngineRangePlan, "metric", _M.metric_range, _TRIANGLE, _BY_METRIC),
+                  AccessPath(EngineRangePlan, None, _M.provider_scan_range, _EVERY,
+                             _BY_PROVIDER)),
+        "nearest": (AccessPath(EngineNearestPlan, "metric", _M.metric_nearest, _TRIANGLE,
+                               _BY_METRIC),
+                    AccessPath(EngineNearestPlan, None, _M.provider_scan_nearest, _EVERY,
+                               _BY_PROVIDER)),
+        "join": (AccessPath(EngineJoinPlan, None, _M.provider_join,
+                            "nested comparison of all pairs through {provider!r}",
+                            "via provider nested loop"),),
+        "sim": (AccessPath(EngineRangePlan, "metric",
+                           partial(_M.sim_engine, screened_by_index=True),
+                           "metric index {index!r} screens candidates at radius cost_bound + "
+                           "epsilon, then the similarity engine verifies each",
+                           "via similarity engine, screened by metric index {index!r}"),
+                AccessPath(EngineRangePlan, None, partial(_M.sim_engine, screened_by_index=False),
+                           "bounded-cost search through the similarity engine over "
+                           "{provider!r} rules", "via similarity engine")),
+    },
+}
+
+_SHAPES = {RangeQuery: "range", NearestNeighborQuery: "nearest",
+           AllPairsQuery: "join", SimilarityQuery: "sim"}
+
+#: ``(plan class, probes an index, via the engine)`` -> access-path template.
+_TEXTS = {(row.plan, row.index is not None, shape == "sim"): row.text
+          for shapes in PLAN_FAMILIES.values() for shape, rows in shapes.items() for row in rows}
+
+
+class _Bound(NamedTuple):
+    """A table row as one relation offers it."""
+
+    path: AccessPath
+    estimate: Callable[..., CostEstimate]
+    reason: str
+    access_path: str
+    fields: dict
 
 
 def _beats(challenger: CostEstimate, incumbent: CostEstimate) -> bool:
@@ -174,56 +286,77 @@ def _beats(challenger: CostEstimate, incumbent: CostEstimate) -> bool:
 class _RelationFacts:
     """What planning over one relation reads that only a move of its state
     token can change: the statistics (basis checked once), the cardinality,
-    the distance provider, the index and its verdict per transformation,
-    the k-index's tail.  A plan under the same token pays only its own
-    radius: histogram positions and the cost arithmetic."""
+    the distance provider, the index and, per transformation, its verdict
+    and the table rows the relation offers with their texts filled in.  A
+    plan under the same token pays only its own radius: histogram
+    positions and the cost arithmetic."""
 
-    __slots__ = ("token", "statistics", "cardinality", "provider", "index_name",
-                 "index", "reason", "tail_pages", "verdicts")
+    __slots__ = ("token", "statistics", "cardinality", "provider", "domain", "index",
+                 "index_name", "reason", "tail_pages", "paths")
 
     def __init__(self, database: Database, relation: str, token: tuple) -> None:
         self.token = token
         self.statistics = database.statistics_for(relation)
         self.cardinality = len(database.relation(relation))
+        self.tail_pages, self.reason = 0.0, None
+        #: id(transformation) -> (transformation, shape -> offered rows).
+        self.paths: dict[int, tuple] = {}
         indexes = database.indexes_on(relation)
         if database.has_distance_provider(relation):
-            self.provider = database.distance_provider(relation)
+            self.provider, self.domain = database.distance_provider(relation), "provider"
             self.index_name = next((name for name, index in indexes.items()
                                     if isinstance(index, MetricIndex)), None)
             return
-        self.provider = None
-        index = indexes.get("default")
-        if index is None:
-            self.index, self.reason = None, "no index registered for the relation"
-        elif not isinstance(index, KIndex):
-            self.index, self.reason = None, "the relation's index is not a k-index"
+        self.provider, self.domain, self.index_name = None, "feature", None
+        self.index = indexes.get("default")
+        if self.index is None:
+            self.reason = "no index registered for the relation"
+        elif not isinstance(self.index, KIndex):
+            self.reason = "the relation's index is not a k-index"
         else:
-            self.index, self.reason = index, "index available"
-            self.tail_pages = index.tail_pages
-        #: id(transformation) -> (transformation, index or None, reason).
-        self.verdicts: dict[int, tuple] = {}
+            self.index_name, self.reason = "default", "index available"
+            self.tail_pages = self.index.tail_pages
 
-    def feature_index(self, transformation) -> tuple[KIndex | None, str]:
-        """The k-index and why it can answer under ``transformation``, or
-        ``None`` and why not — the index itself judges the transformation
-        (:meth:`KIndex.lower_transformation`), so plan and probe cannot
-        disagree about safety."""
-        if transformation is None or self.index is None:
-            return self.index, self.reason
-        verdict = self.verdicts.get(id(transformation))
-        if verdict is None or verdict[0] is not transformation:
+    def offered(self, shape: str, transformation=None) -> list[_Bound]:
+        """The rows of ``shape`` this relation can run under
+        ``transformation``, in table order (bound once per transformation)."""
+        entry = self.paths.get(id(transformation))
+        if entry is not None and entry[0] is transformation:
+            return entry[1][shape]
+        index_name, verdict = self.index_name, self.reason
+        if index_name is not None and transformation is not None:
+            # The k-index itself judges the transformation
+            # (:meth:`KIndex.lower_transformation`), so plan and probe
+            # cannot disagree about safety.
             try:
                 self.index.lower_transformation(transformation)
-                verdict = (transformation, self.index,
-                           "index available and transformation is safe")
+                verdict = "index available and transformation is safe"
             except UnsafeTransformationError:
-                verdict = (transformation, None,
-                           "transformation is not safe for the index's feature space")
+                index_name = None
+                verdict = "transformation is not safe for the index's feature space"
             except (IndexError_, DimensionMismatchError, ValueError) as error:
-                verdict = (transformation, None,
-                           f"transformation cannot be applied to the index ({error})")
-            self.verdicts[id(transformation)] = verdict
-        return verdict[1], verdict[2]
+                index_name = None
+                verdict = f"transformation cannot be applied to the index ({error})"
+        values = {"index": index_name, "cardinality": self.cardinality, "verdict": verdict,
+                  "provider": getattr(self.provider, "name", None)}
+        bound: dict[str, list[_Bound]] = {}
+        for row_shape, rows in PLAN_FAMILIES[self.domain].items():
+            bound[row_shape] = offered = []
+            for row in rows:
+                if row.index is not None and index_name is None:
+                    continue
+                fields = {"index_name": index_name} if row.index else {}
+                if row_shape == "sim":
+                    fields["via_engine"] = True
+                # A k-index probe filters the index's unindexed tail whole,
+                # as it is now: every append moves the token.
+                estimate = (partial(row.estimator, tail_pages=self.tail_pages)
+                            if row.index == "kindex" else row.estimator)
+                # When no k-index can answer, the scan gives the index's verdict.
+                reason = verdict if verdict and index_name is None else row.reason.format(**values)
+                offered.append(_Bound(row, estimate, reason, row.text.format(**values), fields))
+        self.paths[id(transformation)] = (transformation, bound)
+        return bound[shape]
 
 
 class Planner:
@@ -280,165 +413,74 @@ class Planner:
         relation = query.relation
         if relation not in self.database:
             raise QueryPlanningError(f"unknown relation {relation!r}")
-        if self.database.has_distance_provider(relation):
+        facts = self.facts(relation, token)
+        shape = _SHAPES.get(type(query))
+        if facts.provider is not None:
             if transformation is not None:
                 raise QueryPlanningError(
                     f"relation {relation!r} is compared through the distance "
-                    f"provider {self.database.distance_provider(relation).name!r}; USING "
-                    "transformations only apply to feature-space (time-series) relations")
-            return self._plan_provider(query, self.facts(relation, token))
-        if isinstance(query, SimilarityQuery):
+                    f"provider {facts.provider.name!r}; USING transformations "
+                    "only apply to feature-space (time-series) relations")
+        elif shape == "sim":
             raise QueryPlanningError(
                 f"relation {relation!r} has no distance provider; SIM queries "
                 "need one registered with Database.register_distance")
-        model = self.cost_model
-        if isinstance(query, RangeQuery):
-            return self._plan_feature(
-                query, transformation, token, IndexRangePlan, ScanRangePlan,
-                model.index_range, model.scan_range, query.epsilon)
-        if isinstance(query, NearestNeighborQuery):
-            return self._plan_feature(
-                query, transformation, token, IndexNearestPlan, ScanNearestPlan,
-                model.index_nearest, model.scan_nearest, query.k)
-        if isinstance(query, AllPairsQuery):
-            return self._plan_feature(
-                query, transformation, token, IndexJoinPlan, ScanJoinPlan,
-                model.index_join, model.scan_join, query.epsilon)
-        raise QueryPlanningError(f"cannot plan query of type {type(query).__name__}")
+        if shape is None:
+            raise QueryPlanningError(f"cannot plan query of type {type(query).__name__}")
+        if shape == "sim":
+            return self._plan_sim(query, facts)
+        model, stats, cardinality = self.cost_model, facts.statistics, facts.cardinality
+        argument = query.k if shape == "nearest" else query.epsilon
+        return self._choose(query, [(bound, bound.estimate(model, stats, cardinality, argument))
+                                    for bound in facts.offered(shape, transformation)])
 
-    # ------------------------------------------------------------------
-    # choice machinery
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _choose(alternatives: list[Plan]) -> Plan:
-        """Pick the argmin-estimated plan; record the others as rejected."""
-        best = alternatives[0]
-        for challenger in alternatives[1:]:
-            if _beats(challenger.estimated_cost, best.estimated_cost):
-                best = challenger
-        others = [plan for plan in alternatives if plan is not best]
-        if not others:
-            return best
-        winner = best.estimated_cost.total
-        rejected = tuple(
-            RejectedPlan(family=type(plan).__name__, access_path=_access_path(plan),
-                         estimate=plan.estimated_cost, reason=_why_not(plan, winner))
-            for plan in others)
-        runner_up = min(others, key=lambda plan: plan.estimated_cost.total)
-        reason = (f"{best.reason}; estimated cost {winner:.1f} vs "
-                  f"{type(runner_up).__name__} {runner_up.estimated_cost.total:.1f}")
-        if isinstance(best, _SCAN_FAMILIES) and \
-                any(isinstance(plan, _INDEX_FAMILIES) for plan in others):
-            reason += " — past the index/scan crossover"
-        return type(best)(**{**vars(best), "reason": reason, "rejected": rejected})
-
-    # ------------------------------------------------------------------
-    # provider-backed (domain-generic) planning
-    # ------------------------------------------------------------------
-    def _plan_provider(self, query: Query, facts: _RelationFacts) -> Plan:
-        provider, index_name = facts.provider, facts.index_name
-        stats, cardinality = facts.statistics, facts.cardinality
-        if isinstance(query, SimilarityQuery):
-            return self._plan_sim(query, provider, stats, cardinality, index_name)
-        if isinstance(query, RangeQuery):
-            alternatives = []
-            if index_name is not None:
-                alternatives.append(EngineRangePlan(
-                    query=query, index_name=index_name,
-                    reason=f"metric index {index_name!r} prunes by triangle inequality",
-                    estimated_cost=self.cost_model.metric_range(
-                        stats, cardinality, query.epsilon)))
-            alternatives.append(EngineRangePlan(
-                query=query,
-                reason=f"comparing every object through {provider.name!r}",
-                estimated_cost=self.cost_model.provider_scan_range(
-                    stats, cardinality, query.epsilon)))
-            return self._choose(alternatives)
-        if isinstance(query, NearestNeighborQuery):
-            alternatives = []
-            if index_name is not None:
-                alternatives.append(EngineNearestPlan(
-                    query=query, index_name=index_name,
-                    reason=f"metric index {index_name!r} prunes by triangle inequality",
-                    estimated_cost=self.cost_model.metric_nearest(
-                        stats, cardinality, query.k)))
-            alternatives.append(EngineNearestPlan(
-                query=query,
-                reason=f"comparing every object through {provider.name!r}",
-                estimated_cost=self.cost_model.provider_scan_nearest(
-                    stats, cardinality, query.k)))
-            return self._choose(alternatives)
-        if isinstance(query, AllPairsQuery):
-            return self._choose([EngineJoinPlan(
-                query=query,
-                reason=f"nested comparison of all pairs through {provider.name!r}",
-                estimated_cost=self.cost_model.provider_join(
-                    stats, cardinality, query.epsilon))])
-        raise QueryPlanningError(f"cannot plan query of type {type(query).__name__}")
-
-    def _plan_sim(self, query: SimilarityQuery, provider, stats, cardinality: int,
-                  index_name: str | None) -> Plan:
+    def _plan_sim(self, query: SimilarityQuery, facts: _RelationFacts) -> Plan:
+        provider = facts.provider
         if provider.rules is None:
             raise QueryPlanningError(
                 f"distance provider {provider.name!r} has no transformation "
                 "rules; SIM queries need a rule set or rule factory")
-        screening_admissible = (provider.cost_bounds_distance
-                                and math.isfinite(query.cost_bound))
-        alternatives = []
-        if screening_admissible and index_name is not None:
-            # sim(x, q) requires distance(x, q) <= cost_bound + epsilon when
-            # rules move objects by at most their cost, so the metric index
-            # can screen candidates at the expanded radius.
-            alternatives.append(EngineRangePlan(
-                query=query, via_engine=True, index_name=index_name,
-                reason=(f"metric index {index_name!r} screens candidates at "
-                        "radius cost_bound + epsilon, then the similarity "
-                        "engine verifies each"),
-                estimated_cost=self.cost_model.sim_engine(
-                    stats, cardinality, query.epsilon, query.cost_bound,
-                    provider, screened_by_index=True, direct_screen=False)))
-        alternatives.append(EngineRangePlan(
-            query=query, via_engine=True,
-            reason=(f"bounded-cost search through the similarity engine over "
-                    f"{provider.name!r} rules"),
-            estimated_cost=self.cost_model.sim_engine(
-                stats, cardinality, query.epsilon, query.cost_bound, provider,
-                screened_by_index=False, direct_screen=screening_admissible)))
-        return self._choose(alternatives)
+        # sim(x, q) requires distance(x, q) <= cost_bound + epsilon when rules
+        # move objects by at most their cost: the metric index, or without
+        # one a direct base-distance check, can screen at that radius.
+        admissible = provider.cost_bounds_distance and math.isfinite(query.cost_bound)
+        return self._choose(query, [
+            (bound, bound.estimate(
+                self.cost_model, facts.statistics, facts.cardinality, query.epsilon,
+                query.cost_bound, provider, direct_screen=admissible))
+            for bound in facts.offered("sim") if admissible or bound.path.index is None])
 
-    # ------------------------------------------------------------------
-    # feature-space (time-series) planning
-    # ------------------------------------------------------------------
-    def _plan_feature(self, query: Query, transformation, token: tuple | None,
-                      index_plan_type, scan_plan_type, index_estimator,
-                      scan_estimator, argument) -> Plan:
-        """Index plan (when the k-index can answer) against the scan, each
-        priced at the query's radius or ``k`` (``argument``)."""
-        facts = self.facts(query.relation, token)
-        index, reason = facts.feature_index(transformation)
-        stats, cardinality = facts.statistics, facts.cardinality
-        scan_estimate = scan_estimator(stats, cardinality, argument)
-        if index is None:
-            return self._choose([scan_plan_type(query=query, reason=reason,
-                                                estimated_cost=scan_estimate)])
-        # The tail is read off the index, not off the statistics: it moves
-        # with every append, and every append moves the token.
-        return self._choose([
-            index_plan_type(query=query, reason=reason, estimated_cost=index_estimator(
-                stats, cardinality, argument, tail_pages=facts.tail_pages)),
-            scan_plan_type(query=query, reason=f"sequential scan over {cardinality} records",
-                           estimated_cost=scan_estimate)])
+    @staticmethod
+    def _choose(query: Query, priced: list[tuple[_Bound, CostEstimate]]) -> Plan:
+        """Build the argmin-estimated alternative; record the others as
+        rejected."""
+        best = priced[0]
+        for challenger in priced[1:]:
+            if _beats(challenger[1], best[1]):
+                best = challenger
+        bound, estimate = best
+        others = [pair for pair in priced if pair is not best]
+        reason, rejected = bound.reason, ()
+        if others:
+            winner = estimate.total
+            rejected = tuple(
+                RejectedPlan(family=other.path.plan.__name__, access_path=other.access_path,
+                             estimate=cost, reason=_why_not(other.reason, cost, winner))
+                for other, cost in others)
+            runner_up, runner_cost = min(others, key=lambda pair: pair[1].total)
+            reason = (f"{reason}; estimated cost {winner:.1f} vs "
+                      f"{runner_up.path.plan.__name__} {runner_cost.total:.1f}")
+            if bound.path.plan.access == "scan" and any(
+                    other.path.plan.access == "index" for other, _ in others):
+                reason += " — past the index/scan crossover"
+        return bound.path.plan(query=query, reason=reason, estimated_cost=estimate,
+                               rejected=rejected, **bound.fields)
 
 
-_SCAN_FAMILIES = (ScanRangePlan, ScanNearestPlan, ScanJoinPlan)
-_INDEX_FAMILIES = (IndexRangePlan, IndexNearestPlan, IndexJoinPlan)
-
-
-def _why_not(plan: Plan, winner: float) -> str:
+def _why_not(reason: str, estimate: CostEstimate, winner: float) -> str:
     """Why a priced alternative lost to the chosen plan's ``winner`` total."""
-    estimate = plan.estimated_cost
     if not estimate.can_estimate:
-        return (f"{plan.reason}; cost could not be estimated, so it loses "
+        return (f"{reason}; cost could not be estimated, so it loses "
                 f"the tie to the chosen plan's {winner:.1f}")
     if estimate.total >= winner:
         return f"estimated cost {estimate.total:.1f} exceeds the chosen plan's {winner:.1f}"
@@ -447,27 +489,9 @@ def _why_not(plan: Plan, winner: float) -> str:
 
 
 def _access_path(plan: Plan) -> str:
-    """How the plan touches the data: index, scan, provider or engine."""
-    if isinstance(plan, (IndexRangePlan, IndexNearestPlan, IndexJoinPlan)):
-        return f"via index {plan.index_name!r}"
-    if isinstance(plan, (ScanRangePlan, ScanNearestPlan, ScanJoinPlan)):
-        return "via sequential scan"
-    if isinstance(plan, EngineRangePlan):
-        if plan.via_engine:
-            if plan.index_name is not None:
-                return ("via similarity engine, screened by metric index "
-                        f"{plan.index_name!r}")
-            return "via similarity engine"
-        if plan.index_name is not None:
-            return f"via metric index {plan.index_name!r}"
-        return "via provider scan"
-    if isinstance(plan, EngineNearestPlan):
-        if plan.index_name is not None:
-            return f"via metric index {plan.index_name!r}"
-        return "via provider scan"
-    if isinstance(plan, EngineJoinPlan):
-        return "via provider nested loop"
-    return "via unknown access path"
+    """How the plan touches the data, as its :data:`PLAN_FAMILIES` row says."""
+    text = _TEXTS.get((type(plan), plan.index_name is not None, plan.via_engine))
+    return "via unknown access path" if text is None else text.format(index=plan.index_name)
 
 
 def explain(plan: Plan, statistics=None) -> str:

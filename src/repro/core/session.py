@@ -444,7 +444,8 @@ class Session:
             raise CatalogError(
                 "advise needs a Workload (with .profile()) or a WorkloadProfile, "
                 f"got {type(workload).__name__}")
-        return IndexAdvisor().recommend(self.database, relation_name, profile)
+        advisor = IndexAdvisor(self.engine.planner.cost_model)
+        return advisor.recommend(self.database, relation_name, profile)
 
     def autotune(self, relation_name: str, workload: Any) -> IndexRecommendation:
         """Advise and *install*: self-tune a relation's index configuration.

@@ -218,7 +218,8 @@ class SequentialScan:
                 positions, distances = verify_pairs(
                     coefficients[start:stop], lengths[start:stop], means[start:stop],
                     stds[start:stop], self.extractor.include_stats, None, *query_side)
-                keep = distances <= epsilon
+                # Abandoning, the kernel kept only the rows within epsilon.
+                keep = slice(None) if early_abandon else distances <= epsilon
                 return positions[keep] + start, distances[keep]
 
             # Partitions concatenate in partition order = global row order,
@@ -310,7 +311,8 @@ class SequentialScan:
                 left, right, distances = pair_block_distances(
                     coefficients, lengths, means, stds, include_stats,
                     first, last, epsilon=epsilon if early_abandon else None)
-                keep = distances <= epsilon
+                # Abandoning, the kernel kept only the pairs within epsilon.
+                keep = slice(None) if early_abandon else distances <= epsilon
                 return [(series[anchor], series[other], distance)
                         for anchor, other, distance
                         in zip(left[keep].tolist(), right[keep].tolist(),

@@ -453,11 +453,11 @@ def gathered_pair_distances(coefficients: np.ndarray, lengths: np.ndarray,
     squared = np.abs(gathered)
     squared *= squared
     common = np.minimum(lengths[row_ids], query_lengths[query_index])
-    if np.all(common == columns):
-        totals = np.sum(squared, axis=1)
+    if (common == columns).all():
+        totals = squared.sum(axis=1)
     else:
         mask = np.arange(columns)[None, :] < common[:, None]
-        totals = np.sum(np.where(mask, squared, 0.0), axis=1)
+        totals = np.where(mask, squared, 0.0).sum(axis=1)
     if include_stats:
         totals = totals + ((means[row_ids] - query_means[query_index]) ** 2
                            + (stds[row_ids] - query_stds[query_index]) ** 2)
@@ -502,11 +502,12 @@ def _exact_slices(widths: np.ndarray | int, count: int,
 
 def _abandon(coefficients: np.ndarray, lengths: np.ndarray,
              query_matrix: np.ndarray, query_lengths: Sequence[int],
-             survivors: np.ndarray, rows: np.ndarray, queries: np.ndarray | None,
+             positions: np.ndarray, rows: np.ndarray, queries: np.ndarray | None,
              totals: np.ndarray, bounds: np.ndarray | float
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """The abandoning rounds of :func:`verify_pairs` over one block's pairs,
-    which it returns as ``(survivors, rows, queries)``.
+    which it returns as ``(positions, rows, queries)``; ``rows`` may be
+    ``positions`` itself, compacted once.
 
     A round costs about what scoring its pairs outright would, so rounds
     run only while the survivors' remaining columns overflow
@@ -523,8 +524,9 @@ def _abandon(coefficients: np.ndarray, lengths: np.ndarray,
     # are broadcast, not gathered pair by pair.
     low = 0 if queries is None else int(queries.min())
     spanned = query_matrix[low:1 if queries is None else int(queries.max()) + 1]
+    same = rows is positions
     for start in range(0, columns, ABANDON_CHUNK):
-        if survivors.size * (columns - start) <= PAIR_BLOCK:
+        if positions.size * (columns - start) <= PAIR_BLOCK:
             break
         cols = order[start:start + ABANDON_CHUNK]
         difference = _gather_columns(coefficients, rows, cols)
@@ -537,16 +539,17 @@ def _abandon(coefficients: np.ndarray, lengths: np.ndarray,
         # Compacted by the kept indices, not by the mask: a boolean index
         # costs a few gathers' worth on every array it compacts.
         alive = (totals <= bounds).nonzero()[0]
-        dropped = survivors.size - alive.size
+        dropped = positions.size - alive.size
         if dropped:
-            survivors, rows, totals = survivors[alive], rows[alive], totals[alive]
+            positions, totals = positions[alive], totals[alive]
+            rows = positions if same else rows[alive]
             if ragged:
                 common = common[alive]
             if queries is not None:
                 queries, bounds = queries[alive], bounds[alive]
-        if dropped * columns <= survivors.size * ABANDON_CHUNK:
+        if dropped * columns <= positions.size * ABANDON_CHUNK:
             break
-    return survivors, rows, queries
+    return positions, rows, queries
 
 
 def verify_pairs(coefficients: np.ndarray, lengths: np.ndarray,
@@ -599,11 +602,12 @@ def verify_pairs(coefficients: np.ndarray, lengths: np.ndarray,
             totals = totals[survivors]
             if queries is not None:
                 queries, bounds = queries[survivors], bounds[survivors]
-        rows = survivors + first if row_ids is None else rows[survivors]
-        if epsilons is not None and survivors.size * width > PAIR_BLOCK:
-            survivors, rows, queries = _abandon(
+        positions = survivors + first
+        rows = positions if row_ids is None else rows[survivors]
+        if epsilons is not None and positions.size * width > PAIR_BLOCK:
+            positions, rows, queries = _abandon(
                 coefficients, lengths, query_matrix, query_lengths,
-                survivors, rows, queries, totals, bounds)
+                positions, rows, queries, totals, bounds)
         widths = np.minimum(query_lengths[0 if queries is None else queries],
                             coefficients.shape[1])
         for pairs, columns in _exact_slices(widths, rows.size, query_matrix.shape[0] > 1):
@@ -613,7 +617,7 @@ def verify_pairs(coefficients: np.ndarray, lengths: np.ndarray,
                 None if queries is None else queries[pairs])
             keep = (slice(None) if epsilons is None
                     else distances <= epsilons[0 if queries is None else queries[pairs]])
-            found.append((first + survivors[pairs][keep], distances[keep]))
+            found.append((positions[pairs][keep], distances[keep]))
     if len(found) < 2:
         return found[0] if found else (np.zeros(0, dtype=np.intp),
                                        np.zeros(0, dtype=np.float64))

@@ -139,9 +139,10 @@ class DurableDatabase(Database):
     path:
         Directory holding the database (created if missing; reopened and
         recovered if it holds a manifest).
-    wal_sync / wal_batch_size:
+    wal_sync / wal_batch_interval_ms:
         The write-ahead log's fsync policy (see
-        :class:`~repro.storage.durable.wal.WriteAheadLog`).
+        :class:`~repro.storage.durable.wal.WriteAheadLog`, whose default
+        batch size it keeps).
     buffer_pages:
         Capacity of the per-relation scan buffer pool, in pages.  Set it
         below a relation's data-page count to run the larger-than-RAM
@@ -154,7 +155,7 @@ class DurableDatabase(Database):
     """
 
     def __init__(self, path: str, *, wal_sync: str = "batch",
-                 wal_batch_size: int = 32, wal_batch_interval_ms: float = 50.0,
+                 wal_batch_interval_ms: float = 50.0,
                  buffer_pages: int = 256,
                  partition_rows: int = DEFAULT_PARTITION_ROWS,
                  name: str | None = None) -> None:
@@ -172,7 +173,6 @@ class DurableDatabase(Database):
         super().__init__(name or (os.path.basename(resolved) or "db"))
         self.path = resolved
         self.wal_sync = wal_sync
-        self.wal_batch_size = int(wal_batch_size)
         self.wal_batch_interval_ms = float(wal_batch_interval_ms)
         self.buffer_pages = int(buffer_pages)
         self.partition_rows = int(partition_rows)
@@ -196,8 +196,7 @@ class DurableDatabase(Database):
             self._recover(manifest)
         self._wal = WriteAheadLog(
             os.path.join(self.path, wal_filename(self._epoch)),
-            sync=self.wal_sync, batch_size=self.wal_batch_size,
-            batch_interval_ms=self.wal_batch_interval_ms)
+            sync=self.wal_sync, batch_interval_ms=self.wal_batch_interval_ms)
 
     # ------------------------------------------------------------------
     # logging
@@ -324,7 +323,6 @@ class DurableDatabase(Database):
         old_wal = self._wal
         self._epoch = new_epoch
         self._wal = WriteAheadLog(new_wal_path, sync=self.wal_sync,
-                                  batch_size=self.wal_batch_size,
                                   batch_interval_ms=self.wal_batch_interval_ms)
         if old_wal is not None:
             old_wal.close()

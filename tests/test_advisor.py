@@ -14,7 +14,9 @@ from repro.core.advisor import (
 )
 from repro.core.database import DistanceProvider
 from repro.core.errors import CatalogError
+from repro.core.query.costmodel import QueryCostModel
 from repro.core.session import connect
+from repro.strings import StringObject, edit_distance_provider
 from repro.core.stats import DistanceHistogram, RelationStatistics
 from repro.bench.workloads import WorkloadSpec, generate_workload
 from repro.timeseries.generators import random_walk_collection
@@ -32,6 +34,56 @@ def _provider_stats(cardinality: int, distances) -> RelationStatistics:
 
 def _profile(*entries: ProfiledQuery) -> WorkloadProfile:
     return WorkloadProfile(relation="r", entries=entries, total_queries=len(entries))
+
+
+def reference_estimate(model, candidate, entry, cardinality):
+    """The advisor's pricing as it was: its own ladder over the families."""
+    stats = candidate.statistics
+    epsilon = 0.0 if entry.epsilon is None else float(entry.epsilon)
+    k = 1 if entry.k is None else int(entry.k)
+    if candidate.kind == "kindex":
+        if entry.family == "range":
+            options = [
+                model.index_range(stats, cardinality, epsilon),
+                model.scan_range(stats, cardinality, epsilon),
+            ]
+        elif entry.family == "nearest":
+            options = [
+                model.index_nearest(stats, cardinality, k),
+                model.scan_nearest(stats, cardinality, k),
+            ]
+        else:
+            options = [
+                model.index_join(stats, cardinality, epsilon),
+                model.scan_join(stats, cardinality, epsilon),
+            ]
+    elif candidate.kind == "metric":
+        if entry.family == "range":
+            options = [
+                model.metric_range(stats, cardinality, epsilon),
+                model.provider_scan_range(stats, cardinality, epsilon),
+            ]
+        elif entry.family == "nearest":
+            options = [
+                model.metric_nearest(stats, cardinality, k),
+                model.provider_scan_nearest(stats, cardinality, k),
+            ]
+        else:
+            options = [model.provider_join(stats, cardinality, epsilon)]
+    elif stats.kind == "provider":
+        if entry.family == "range":
+            options = [model.provider_scan_range(stats, cardinality, epsilon)]
+        elif entry.family == "nearest":
+            options = [model.provider_scan_nearest(stats, cardinality, k)]
+        else:
+            options = [model.provider_join(stats, cardinality, epsilon)]
+    elif entry.family == "range":
+        options = [model.scan_range(stats, cardinality, epsilon)]
+    elif entry.family == "nearest":
+        options = [model.scan_nearest(stats, cardinality, k)]
+    else:
+        options = [model.scan_join(stats, cardinality, epsilon)]
+    return min(options, key=lambda estimate: estimate.total)
 
 
 class TestSyntheticStatistics:
@@ -178,3 +230,83 @@ class TestLiveRecommendation:
         if recommendation.kind in ("kindex", "metric"):
             index = session.database.index("series")
             assert len(index) == len(session.database.relation("series"))
+
+
+WORDS = ["pattern", "lantern", "eastern", "western", "matter", "butter", "letter",
+         "better", "query", "quart", "quarry", "carry", "berry", "tern", "turn"]
+
+
+def _entries():
+    for epsilon in (None, 0.0, 0.5, 2.0, 6.0, 15.0, 40.0):
+        yield ProfiledQuery(family="range", epsilon=epsilon)
+        yield ProfiledQuery(family="join", epsilon=epsilon)
+    for k in (None, 1, 3, 10, 60):
+        yield ProfiledQuery(family="nearest", k=k)
+
+
+class TestPricingEqualsTheReference:
+    """Every candidate kind x query shape x radius or k prices bit for bit
+    as the advisor's own ladder did, under a serial and a parallel model."""
+
+    def _candidates(self):
+        workload = generate_workload(TestLiveRecommendation.SELECTIVE)
+        session = connect()
+        session.relation("series", workload.data())
+        session.analyze("series")
+        provider = edit_distance_provider()
+        session.relation("words").insert_many(StringObject(w) for w in WORDS).with_distance(
+            provider)
+        advisor = IndexAdvisor()
+        feature = advisor.candidates(session.database, "series")
+        strings = advisor.candidates(session.database, "words")
+        stats = _provider_stats(1000, np.linspace(5.0, 50.0, 200))
+        synthetic = [
+            CandidateConfiguration(kind=kind, num_coefficients=None, statistics=stats)
+            for kind in ("none", "metric")
+        ]
+        assert [c.kind for c in feature] == ["none", "kindex", "kindex", "kindex", "metric"]
+        assert [c.kind for c in strings] == ["none", "metric"]
+        return [(c, 150) for c in feature] + [(c, len(WORDS)) for c in strings] + [
+            (c, 1000) for c in synthetic]
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_every_kind_shape_and_argument(self, workers):
+        model = QueryCostModel(workers=workers)
+        advisor = IndexAdvisor(model)
+        for candidate, cardinality in self._candidates():
+            for entry in _entries():
+                expected = reference_estimate(model, candidate, entry, cardinality)
+                actual = advisor._estimate(candidate, entry, cardinality)
+                assert actual == expected, (candidate.describe(), entry)
+                assert actual.total == expected.total
+
+
+class TestTheAdvisorPricesWithThePlannersModel:
+    """``Session.advise`` prices with ``engine.planner.cost_model``: a
+    parallel session's scans at the critical path, a session's observed
+    buffer-pool behaviour, exactly as its planner prices them."""
+
+    def _advise(self, session):
+        spec = TestLiveRecommendation.SELECTIVE
+        workload = generate_workload(spec)
+        session.relation(spec.relation, workload.data())
+        recommendation = session.advise(spec.relation, workload)
+        planner_advisor = IndexAdvisor(session.engine.planner.cost_model)
+        fresh_advisor = IndexAdvisor()
+        moved = 0
+        for candidate in recommendation.candidates:
+            priced = planner_advisor.price(candidate, recommendation.profile, spec.num_series)
+            assert candidate.estimated_cost == priced, candidate.describe()
+            fresh = fresh_advisor.price(candidate, recommendation.profile, spec.num_series)
+            moved += fresh != priced
+        return moved
+
+    def test_a_parallel_session(self):
+        session = connect(workers=2)
+        assert session.engine.planner.cost_model.workers == 2
+        assert self._advise(session) > 0
+
+    def test_after_buffer_pool_observations(self):
+        session = connect()
+        session.engine.planner.cost_model.observe_buffer(hits=9, misses=1)
+        assert self._advise(session) > 0

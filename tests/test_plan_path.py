@@ -6,11 +6,12 @@ tail) once per state token, looks the histograms up by bisection, and builds
 its reason and rejected texts in fewer steps.  The replaced planner is kept
 below as the reference (its choice machinery, its per-plan lookups and the
 ``np.searchsorted`` histogram lookup); every plan over a sweep of radii,
-``k`` and transformations — over an indexed, a scan-only and a provider
-relation — must equal it: class, estimate, reason, rejected alternatives and
-``explain`` text.  The invalidation matrix checks that every event that can
-change a plan re-plans, with answers equal to a cache-off twin, and that
-every change of the statistics basis moves the state token.
+``k`` and transformations — over an indexed, a scan-only, a provider
+relation with a metric index and one without — must equal it: class,
+estimate, reason, rejected alternatives and ``explain`` text.  The
+invalidation matrix checks that every event that can change a plan
+re-plans, with answers equal to a cache-off twin, and that every change of
+the statistics basis moves the state token.
 """
 
 from __future__ import annotations
@@ -316,6 +317,8 @@ def _session():
     provider = edit_distance_provider()
     words = session.relation("words").insert_many(StringObject(w) for w in WORDS)
     words.with_distance(provider).with_index(MetricIndex(provider.distance, leaf_capacity=4))
+    bare = session.relation("bare").insert_many(StringObject(w) for w in WORDS)
+    bare.with_distance(provider)  # a provider and no metric index
     return session, walks
 
 
@@ -329,13 +332,14 @@ def _texts():
                 yield f"SELECT PAIRS FROM {relation} WHERE DIST < {epsilon}{using}"
             for k in (1, 3, 10, 40, 150):
                 yield f"SELECT FROM {relation} NEAREST {k} TO $q{using}"
-    for epsilon in (0.5, 1.0, 2.0, 4.0, 9.0):
-        yield f"SELECT FROM words WHERE DIST(OBJECT, $q) < {epsilon}"
-        yield f"SELECT PAIRS FROM words WHERE DIST < {epsilon}"
-        yield f"SELECT FROM words WHERE SIM(OBJECT, $q) < {epsilon / 4} COST {epsilon}"
-        yield f"SELECT FROM words WHERE SIM(OBJECT, $q) < {epsilon / 4}"
-    for k in (1, 4, 12):
-        yield f"SELECT FROM words NEAREST {k} TO $q"
+    for relation in ("words", "bare"):
+        for epsilon in (0.5, 1.0, 2.0, 4.0, 9.0):
+            yield f"SELECT FROM {relation} WHERE DIST(OBJECT, $q) < {epsilon}"
+            yield f"SELECT PAIRS FROM {relation} WHERE DIST < {epsilon}"
+            yield f"SELECT FROM {relation} WHERE SIM(OBJECT, $q) < {epsilon / 4} COST {epsilon}"
+            yield f"SELECT FROM {relation} WHERE SIM(OBJECT, $q) < {epsilon / 4}"
+        for k in (1, 4, 12):
+            yield f"SELECT FROM {relation} NEAREST {k} TO $q"
 
 
 class TestPlansEqualTheReference:
