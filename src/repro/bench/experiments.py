@@ -86,37 +86,36 @@ def _epsilon_for(workload: ExperimentFixture, target_fraction: float = 0.01,
     return float(distances[min(position, len(distances) - 1)]) + 1e-9
 
 
+def _range_each(index: Any, queries: Sequence[Any], epsilon: float,
+                transformation: Any) -> Callable[[], None]:
+    """One range query per query series, as a timed callable."""
+    def run() -> None:
+        for query in queries:
+            index.range_query(query, epsilon, transformation=transformation)
+    return run
+
+
 # ---------------------------------------------------------------------------
 # Figures 8 and 9 — index with vs without transformation
 # ---------------------------------------------------------------------------
-def figure8_query_time_vs_length(lengths: Sequence[int] = (64, 128, 256, 512),
-                                 num_series: int = 300, *, paper_scale: bool = False,
-                                 repetitions: int = 2, seed: int = 11) -> list[Row]:
-    """Range-query time as the sequence length grows, identity transformation
-    versus no transformation (Figure 8)."""
-    if paper_scale:
-        lengths, num_series = (64, 128, 256, 512, 1024), 1000
+def _transformation_sweep(axis: str, points: Sequence[tuple[int, int, int]],
+                          repetitions: int, seed: int) -> list[Row]:
+    """Range-query time through the index with the identity transformation
+    and with none, one row per ``(axis value, series count, length)``."""
     rows: list[Row] = []
-    for length in lengths:
-        workload = synthetic_workload(num_series, length, seed=seed)
+    for point, count, length in points:
+        workload = synthetic_workload(count, length, seed=seed)
         epsilon = _epsilon_for(workload)
         identity = identity_spectral(length)
         queries = workload.queries[:5] or workload.data[:1]
-
-        def run_with() -> None:
-            for query in queries:
-                workload.index.range_query(query, epsilon, transformation=identity)
-
-        def run_without() -> None:
-            for query in queries:
-                workload.index.range_query(query, epsilon)
-
-        with_seconds = _time_queries(run_with, repetitions) / len(queries)
-        without_seconds = _time_queries(run_without, repetitions) / len(queries)
+        with_seconds = _time_queries(_range_each(workload.index, queries, epsilon, identity),
+                                     repetitions) / len(queries)
+        without_seconds = _time_queries(_range_each(workload.index, queries, epsilon, None),
+                                        repetitions) / len(queries)
         sample = workload.index.range_query(queries[0], epsilon, transformation=identity)
         baseline = workload.index.range_query(queries[0], epsilon)
         rows.append({
-            "length": length,
+            axis: point,
             "with_transform_ms": 1000.0 * with_seconds,
             "without_transform_ms": 1000.0 * without_seconds,
             "node_accesses_with": sample.statistics.node_accesses,
@@ -124,6 +123,17 @@ def figure8_query_time_vs_length(lengths: Sequence[int] = (64, 128, 256, 512),
             "answers": len(sample),
         })
     return rows
+
+
+def figure8_query_time_vs_length(lengths: Sequence[int] = (64, 128, 256, 512),
+                                 num_series: int = 300, *, paper_scale: bool = False,
+                                 repetitions: int = 2, seed: int = 11) -> list[Row]:
+    """Range-query time as the sequence length grows, identity transformation
+    versus no transformation (Figure 8)."""
+    if paper_scale:
+        lengths, num_series = (64, 128, 256, 512, 1024), 1000
+    return _transformation_sweep(
+        "length", [(length, num_series, length) for length in lengths], repetitions, seed)
 
 
 def figure9_query_time_vs_count(counts: Sequence[int] = (250, 500, 1000, 2000),
@@ -133,68 +143,35 @@ def figure9_query_time_vs_count(counts: Sequence[int] = (250, 500, 1000, 2000),
     transformation versus no transformation (Figure 9)."""
     if paper_scale:
         counts = (500, 2000, 4000, 8000, 12000)
-    rows: list[Row] = []
-    identity = identity_spectral(length)
-    for count in counts:
-        workload = synthetic_workload(count, length, seed=seed)
-        epsilon = _epsilon_for(workload)
-        queries = workload.queries[:5] or workload.data[:1]
-
-        def run_with() -> None:
-            for query in queries:
-                workload.index.range_query(query, epsilon, transformation=identity)
-
-        def run_without() -> None:
-            for query in queries:
-                workload.index.range_query(query, epsilon)
-
-        with_seconds = _time_queries(run_with, repetitions) / len(queries)
-        without_seconds = _time_queries(run_without, repetitions) / len(queries)
-        sample = workload.index.range_query(queries[0], epsilon, transformation=identity)
-        baseline = workload.index.range_query(queries[0], epsilon)
-        rows.append({
-            "num_sequences": count,
-            "with_transform_ms": 1000.0 * with_seconds,
-            "without_transform_ms": 1000.0 * without_seconds,
-            "node_accesses_with": sample.statistics.node_accesses,
-            "node_accesses_without": baseline.statistics.node_accesses,
-            "answers": len(sample),
-        })
-    return rows
+    return _transformation_sweep(
+        "num_sequences", [(count, count, length) for count in counts], repetitions, seed)
 
 
 # ---------------------------------------------------------------------------
 # Figures 10 and 11 — index vs sequential scan
 # ---------------------------------------------------------------------------
-def figure10_index_vs_scan_length(lengths: Sequence[int] = (64, 128, 256, 512),
-                                  num_series: int = 300, *, paper_scale: bool = False,
-                                  repetitions: int = 2, seed: int = 17,
-                                  window: int = 20) -> list[Row]:
-    """Index-with-transformation versus sequential scan, varying length (Figure 10)."""
-    if paper_scale:
-        lengths, num_series = (64, 128, 256, 512, 1024), 1000
+def _index_vs_scan_sweep(axis: str, points: Sequence[tuple[int, int, int, int]],
+                         repetitions: int, seed: int) -> list[Row]:
+    """Range-query time and I/O through the index and by sequential scan,
+    both under a moving average, one row per ``(axis value, series count,
+    length, window)``."""
     rows: list[Row] = []
-    for length in lengths:
-        workload = synthetic_workload(num_series, length, seed=seed)
-        transformation = moving_average_spectral(length, min(window, length))
+    for point, count, length, window in points:
+        workload = synthetic_workload(count, length, seed=seed)
+        transformation = moving_average_spectral(length, window)
         epsilon = _epsilon_for(workload, transformation=transformation)
         queries = workload.queries[:5] or workload.data[:1]
-
-        def run_index() -> None:
-            for query in queries:
-                workload.index.range_query(query, epsilon, transformation=transformation)
-
-        def run_scan() -> None:
-            for query in queries:
-                workload.scan.range_query(query, epsilon, transformation=transformation)
-
-        index_seconds = _time_queries(run_index, repetitions) / len(queries)
-        scan_seconds = _time_queries(run_scan, repetitions) / len(queries)
+        index_seconds = _time_queries(
+            _range_each(workload.index, queries, epsilon, transformation),
+            repetitions) / len(queries)
+        scan_seconds = _time_queries(
+            _range_each(workload.scan, queries, epsilon, transformation),
+            repetitions) / len(queries)
         sample = workload.index.range_query(queries[0], epsilon, transformation=transformation)
         scan_sample = workload.scan.range_query(queries[0], epsilon,
                                                 transformation=transformation)
         rows.append({
-            "length": length,
+            axis: point,
             "index_ms": 1000.0 * index_seconds,
             "scan_ms": 1000.0 * scan_seconds,
             "speedup": scan_seconds / index_seconds if index_seconds > 0 else float("inf"),
@@ -211,43 +188,30 @@ def figure10_index_vs_scan_length(lengths: Sequence[int] = (64, 128, 256, 512),
     return rows
 
 
+def figure10_index_vs_scan_length(lengths: Sequence[int] = (64, 128, 256, 512),
+                                  num_series: int = 300, *, paper_scale: bool = False,
+                                  repetitions: int = 2, seed: int = 17,
+                                  window: int = 20) -> list[Row]:
+    """Index-with-transformation versus sequential scan, varying length (Figure 10)."""
+    if paper_scale:
+        lengths, num_series = (64, 128, 256, 512, 1024), 1000
+    return _index_vs_scan_sweep(
+        "length", [(length, num_series, length, min(window, length)) for length in lengths],
+        repetitions, seed)
+
+
 def figure11_index_vs_scan_count(counts: Sequence[int] = (250, 500, 1000, 2000),
                                  length: int = 128, *, paper_scale: bool = False,
                                  repetitions: int = 2, seed: int = 19,
                                  window: int = 20) -> list[Row]:
     """Index-with-transformation versus sequential scan, varying the number of
-    sequences (Figure 11)."""
+    sequences (Figure 11): times and I/O only."""
     if paper_scale:
         counts = (500, 2000, 4000, 8000, 12000)
-    transformation = moving_average_spectral(length, window)
-    rows: list[Row] = []
-    for count in counts:
-        workload = synthetic_workload(count, length, seed=seed)
-        epsilon = _epsilon_for(workload, transformation=transformation)
-        queries = workload.queries[:5] or workload.data[:1]
-
-        def run_index() -> None:
-            for query in queries:
-                workload.index.range_query(query, epsilon, transformation=transformation)
-
-        def run_scan() -> None:
-            for query in queries:
-                workload.scan.range_query(query, epsilon, transformation=transformation)
-
-        index_seconds = _time_queries(run_index, repetitions) / len(queries)
-        scan_seconds = _time_queries(run_scan, repetitions) / len(queries)
-        sample = workload.index.range_query(queries[0], epsilon,
-                                            transformation=transformation)
-        scan_sample = workload.scan.range_query(queries[0], epsilon,
-                                                transformation=transformation)
-        rows.append({
-            "num_sequences": count,
-            "index_ms": 1000.0 * index_seconds,
-            "scan_ms": 1000.0 * scan_seconds,
-            "speedup": scan_seconds / index_seconds if index_seconds > 0 else float("inf"),
-            "index_io": sample.statistics.io_total,
-            "scan_io": scan_sample.statistics.io_total,
-        })
+    rows = _index_vs_scan_sweep(
+        "num_sequences", [(count, count, length, window) for count in counts], repetitions, seed)
+    for row in rows:
+        del row["candidates"], row["answers"]
     return rows
 
 

@@ -125,21 +125,12 @@ class Relation:
             return Row(row.obj, merged)
         return row
 
-    def _append(self, row: Row) -> None:
-        if row.obj.object_id in self._by_id:
-            raise CatalogError(
-                f"object id {row.obj.object_id} already present in relation {self.name!r}"
-            )
-        self._by_id[row.obj.object_id] = len(self._rows)
-        self._rows.append(row)
-
     def insert(self, row: Row | DataObject,
                attributes: Mapping[str, Any] | None = None) -> Row:
-        """Insert a row (or wrap a bare object into one) and return it."""
-        row = self._coerce_row(row, attributes)
-        self._append(row)
-        self.version += 1
-        return row
+        """Insert a row (or wrap a bare object into one) and return it — a
+        one-row :meth:`extend`.  Indexes and statistics are the catalog's
+        (:meth:`Database.insert_rows`), not the relation's."""
+        return self.extend([self._coerce_row(row, attributes)])[0]
 
     def extend(self, objects: Iterable[Row | DataObject]) -> list[Row]:
         """Insert many rows/objects, bumping :attr:`version` once; returns
@@ -258,6 +249,38 @@ class Database:
             known = ", ".join(sorted(self._relations)) or "<none>"
             raise CatalogError(f"unknown relation {name!r}; known: {known}") from None
 
+    def insert_rows(self, relation_name: str, rows: Iterable[Row | DataObject]) -> list[Row]:
+        """Insert a batch into a relation *and* every index registered on it;
+        returns the stored rows.  The one way a batch enters the catalog:
+        the session's handles, the server's writes and WAL replay all call
+        it, so the order below is written once.
+
+        1. The batch is coerced and validated (duplicate ids, against the
+           relation or within the batch, raise before anything changes).
+        2. Every registered index is extended with the batch's objects.
+        3. The relation commits the rows with one version bump — the point
+           where a durable catalog logs them.
+        4. Statistics whose basis the batch moved are refreshed
+           (:meth:`refresh_statistics`).
+
+        The relation commits *after* its indexes, so it never holds a row an
+        index rejected: a k-index takes a batch whole or not at all, and
+        with several indexes, ones extended before another's failure may
+        hold the rejected objects — a loud extra, never a silent miss.  An
+        empty batch changes nothing.  Writing below the catalog
+        (``relation.insert``, ``index.insert``) leaves the indexes and the
+        statistics to the caller.
+        """
+        relation = self.relation(relation_name)
+        prepared = relation._prepare_batch(rows)
+        if prepared:
+            objects = [row.obj for row in prepared]
+            for index in self._indexes.get(relation_name, {}).values():
+                index.extend(objects)
+            relation._commit_batch(prepared)
+            self.refresh_statistics(relation_name)
+        return prepared
+
     def drop_relation(self, name: str) -> None:
         """Remove a relation, every index built on it and its distance provider."""
         if name not in self._relations:
@@ -287,6 +310,7 @@ class Database:
         self._check_index(relation_name, index)
         self._indexes.setdefault(relation_name, {})[index_name] = index
         self._catalog_version += 1
+        self.refresh_statistics(relation_name)
 
     def _check_index(self, relation_name: str, index: Any) -> None:
         """Refuse an unknown relation, or an index of neither kind."""
@@ -402,11 +426,10 @@ class Database:
         """Remove a registered index.
 
         The catalog-version bump invalidates cached plans and answers over
-        the relation by construction, and statistics collected under the
-        old index set go stale through their basis (see
-        :func:`~repro.core.stats.statistics_basis`), so the next plan
-        re-collects.  Raises :class:`CatalogError` when no such index is
-        registered.
+        the relation by construction, and the drop refreshes the relation's
+        statistics, whose basis names the index set (see
+        :func:`~repro.core.stats.statistics_basis`), before it returns.
+        Raises :class:`CatalogError` when no such index is registered.
         """
         index_map = self._indexes.get(relation_name)
         if not index_map or index_name not in index_map:
@@ -416,6 +439,7 @@ class Database:
         if not index_map:
             del self._indexes[relation_name]
         self._catalog_version += 1
+        self.refresh_statistics(relation_name)
 
     def has_index(self, relation_name: str, index_name: str = "default") -> bool:
         """Whether an index is registered for the relation."""
@@ -457,6 +481,7 @@ class Database:
                                         name=name or getattr(provider, "__name__", "distance"))
         self._distance_providers[relation_name] = provider
         self._catalog_version += 1
+        self.refresh_statistics(relation_name)
         return provider
 
     def drop_distance(self, relation_name: str) -> None:
@@ -469,6 +494,7 @@ class Database:
                 f"no distance provider registered for relation {relation_name!r}")
         del self._distance_providers[relation_name]
         self._catalog_version += 1
+        self.refresh_statistics(relation_name)
 
     def distance_provider(self, relation_name: str) -> DistanceProvider:
         """The distance provider registered for a relation."""
@@ -517,8 +543,10 @@ class Database:
         by a fresh collection, again without an epoch bump and with the
         learned corrections carried: the state token already changed through
         the relation/index components, so the caches were invalidated anyway.
-        The front-door writes do that themselves (:meth:`refresh_statistics`),
-        so a plan finds a stale basis only after a mutation below the handle.
+        Every catalog write does that itself (:meth:`refresh_statistics`):
+        :meth:`insert_rows` and the index and provider registrations, so a
+        plan finds a stale basis only after a write below the catalog
+        (``relation.insert``, ``index.insert`` by hand).
         With ``collect=False`` returns what is stored — ``None`` if nothing
         is — instead of collecting.
         """
@@ -541,12 +569,18 @@ class Database:
         return fresh
 
     def refresh_statistics(self, relation_name: str) -> None:
-        """What a write ends with: statistics that exist and whose basis the
+        """What every catalog write ends with — :meth:`insert_rows`,
+        :meth:`register_index`, :meth:`drop_index`, :meth:`register_distance`
+        and :meth:`drop_distance`: statistics that exist and whose basis the
         write moved are collected again, here, by the writer — never by the
         read that would otherwise find them stale (reads run concurrently;
-        collecting is a write to shared catalog state).  A relation nobody
-        has planned against or analyzed has none, and gets none: loading is
-        not charged for a first collection."""
+        collecting is a write to shared catalog state).  The write that
+        crosses a 1.25× cardinality band or seals the k-index pays the
+        collection once; every other write pays one basis comparison.
+        Epoch, corrections and observations are carried, so the state token
+        moves only by what the write itself moves.  A relation nobody has
+        planned against or analyzed has none, and gets none: loading is not
+        charged for a first collection."""
         if relation_name in self._statistics:
             self.statistics_for(relation_name)
 

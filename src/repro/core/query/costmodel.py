@@ -49,6 +49,8 @@ from typing import Any
 
 from ...storage.pages import records_per_page
 from ..parallel import resolve_workers
+from ..rules import TransformationRuleSet
+from ..similarity import engine_steps
 from ..stats import RelationStatistics
 
 __all__ = ["CostEstimate", "QueryCostModel", "CPU_WEIGHT",
@@ -82,10 +84,9 @@ MERGE_WEIGHT = 0.002
 #: Answer/candidate fraction assumed when no histogram is available.
 DEFAULT_SELECTIVITY = 0.33
 
-#: Hard caps for the similarity-engine frontier estimate (mirrors the
-#: executor's termination guarantees: ``max_steps_per_side`` cap of 12 and
-#: the engine's bounded state budget).
-_ENGINE_STEP_CAP = 12
+#: Hard cap for the similarity-engine frontier estimate (mirrors the
+#: engine's bounded state budget; its depth is the search's own,
+#: :func:`~repro.core.similarity.engine_steps`).
 _ENGINE_FRONTIER_CAP = 4096.0
 
 #: Smoothing factor for the observed buffer-pool miss fraction: recent
@@ -426,23 +427,15 @@ class QueryCostModel:
     # ------------------------------------------------------------------
     def _engine_frontier(self, provider: Any, cost_bound: float) -> float:
         """Expected uniform-cost-search states per candidate (bounded, as the
-        executor's termination guarantees bound the real search)."""
+        executor's termination guarantees bound the real search): the rule
+        count to the power of the search's own step count.  A rule factory
+        yields its rules per object pair, so it is priced at six rules over
+        the engine's default four steps."""
         rules = getattr(provider, "rules", None)
-        branching = 6.0
-        steps = 4
-        cheapest = None
-        if rules is not None and hasattr(rules, "cheapest"):
-            try:
-                cheapest_rule = rules.cheapest()
-                cheapest = getattr(cheapest_rule, "cost", None)
-                if hasattr(rules, "__len__"):
-                    branching = max(1.0, float(len(rules)))
-            except Exception:  # noqa: BLE001 - rule factories may need a pair
-                pass
-        if cheapest is not None and cheapest > 0 and math.isfinite(cost_bound):
-            steps = max(1, min(_ENGINE_STEP_CAP,
-                               int(cost_bound / cheapest + 1e-9)))
-        return min(_ENGINE_FRONTIER_CAP, branching ** min(steps, 6))
+        if not isinstance(rules, TransformationRuleSet):
+            return min(_ENGINE_FRONTIER_CAP, 6.0 ** 4)
+        branching = max(1.0, float(len(rules)))
+        return min(_ENGINE_FRONTIER_CAP, branching ** min(engine_steps(rules, cost_bound), 6))
 
     def sim_engine(self, stats: RelationStatistics | None, cardinality: int,
                    epsilon: float, cost_bound: float, provider: Any, *,

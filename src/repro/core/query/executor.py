@@ -42,7 +42,7 @@ from ..cancel import checkpoint
 from ..database import Database, DistanceProvider, Relation
 from ..errors import CatalogError, QueryPlanningError
 from ..parallel import resolve_workers
-from ..similarity import SimilarityEngine
+from ..similarity import SimilarityEngine, engine_steps
 from .ast import AllPairsQuery, NearestNeighborQuery, Query, RangeQuery, SimilarityQuery
 from .cache import LRUCache
 from .parser import parse
@@ -520,7 +520,7 @@ class QueryEngine:
             rules = provider.rules_for(obj, query_obj)
             engine = SimilarityEngine(
                 rules, provider.distance,
-                max_steps_per_side=self._engine_steps(rules, node.cost_bound))
+                max_steps_per_side=engine_steps(rules, node.cost_bound))
             result = engine.similar(obj, query_obj, cost_bound=node.cost_bound,
                                     epsilon=node.epsilon, first_match=True)
             statistics.postprocessed += 1
@@ -529,25 +529,6 @@ class QueryEngine:
                 answers.append((obj, result.distance))
         answers.sort(key=lambda pair: pair[1])
         return QueryOutcome(plan=plan, answers=answers, statistics=statistics)
-
-    @staticmethod
-    def _engine_steps(rules, cost_bound: float, *, cap: int = 12) -> int:
-        """Longest transformation sequence worth searching under a cost bound.
-
-        ``cap`` (together with the engine's ``max_states``) is the
-        termination guarantee the framework requires of ``sim`` evaluation:
-        answers beyond it would need sequences whose search frontier is
-        astronomically large anyway.  The trade-off — sound answers, bounded
-        search — is documented on :class:`SimilarityQuery`.
-        """
-        cheapest = rules.cheapest()
-        if cheapest is None:
-            return 1
-        if not math.isfinite(cost_bound) or cheapest.cost <= 0:
-            return 4  # the engine's usual default; max_states still bounds the search
-        # Tolerant floor: binary-inexact costs (0.6 / 0.1 -> 5.999...) must
-        # not under-budget the sequence length by one.
-        return max(1, min(cap, int(cost_bound / cheapest.cost + 1e-9)))
 
     # -- scan plans ------------------------------------------------------
     def drop_relation(self, name: str) -> None:

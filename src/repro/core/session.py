@@ -80,31 +80,17 @@ class RelationHandle:
     underlying :class:`~repro.core.database.Relation`, available as
     :attr:`relation` when the thinner surface is not enough.
 
-    Inserting through the handle keeps every index registered on the
-    relation in sync (new objects are propagated via the index's
-    ``insert``/``extend``), so the registration order — load then index, or
-    index then load — does not matter and index-backed answers never
-    silently miss rows.  The batch is validated first and the relation
-    commits *after* the index updates: a failing index insert raises before
-    the rows are stored, so the relation never holds rows its indexes
-    rejected.  A k-index takes a batch whole or not at all (it extracts
-    every row before it stores any), so it stays the relation's size; with
-    several indexes, ones updated before another's failure may hold the
-    rejected objects — a loud extra, never a silent miss.
-    Mutating the relation *below* the handle (``handle.relation.insert``,
-    or the ``Database`` directly) bypasses this and leaves registered
-    indexes to the caller.
-
-    Every write through the handle (``insert``, ``insert_many``,
-    ``with_index``, ``with_distance``) ends by refreshing the relation's
-    optimizer statistics **if** they exist and the write moved their basis —
-    a cardinality band crossed, the index set changed, the k-index sealed
-    (:meth:`Database.refresh_statistics`).  The write that crosses a 1.25×
-    band or seals pays the collection once (~2.5 ms at 5000×128, beside the
-    seal's own 1.5 ms) so that no read pays it inside a query; every other
-    write pays one basis comparison.  Epoch, corrections and observations
-    are carried, so the state token moves only by what the write itself
-    moves, and a relation without statistics is never given any by a write.
+    Inserting through the handle is :meth:`Database.insert_rows`, the
+    catalog's one write path: the batch is validated, every index
+    registered on the relation is extended, the relation commits (a durable
+    catalog logs there) and the optimizer statistics are refreshed — so the
+    registration order (load then index, or index then load) does not
+    matter and index-backed answers never silently miss rows.  The
+    registrations (``with_index``, ``with_distance``) are the catalog's own
+    and refresh the statistics themselves (:meth:`Database.refresh_statistics`):
+    no read pays a collection inside a query.  Writing *below* the catalog
+    (``handle.relation.insert``, ``index.insert``) leaves registered indexes
+    and statistics to the caller.
     """
 
     __slots__ = ("_session", "relation")
@@ -131,35 +117,21 @@ class RelationHandle:
                 f"stale handle: relation {self.name!r} was dropped or replaced "
                 "in the catalog; get a fresh handle via session.relation(...)")
 
-    def _registered_indexes(self) -> list[Any]:
-        return list(self._session.database.indexes_on(self.name).values())
-
     # -- loading -----------------------------------------------------------
     def insert(self, row: Row | DataObject,
                attributes: Mapping[str, Any] | None = None) -> Row:
         """Insert one row (or bare object) into the relation *and* every
         registered index; returns the stored row."""
         self._check_live()
-        prepared = self.relation._prepare_batch(
-            [Relation._coerce_row(row, attributes)])
-        for index in self._registered_indexes():
-            index.insert(prepared[0].obj)
-        self.relation._commit_batch(prepared)
-        self._session.database.refresh_statistics(self.name)
-        return prepared[0]
+        return self._session.database.insert_rows(
+            self.name, [Relation._coerce_row(row, attributes)])[0]
 
     def insert_many(self, rows: Iterable[Row | DataObject]) -> RelationHandle:
         """Bulk-insert rows into the relation and every registered index,
         with a single relation version bump (one cache invalidation for the
         whole load, not one per row)."""
         self._check_live()
-        prepared = self.relation._prepare_batch(rows)
-        if prepared:
-            objects = [row.obj for row in prepared]
-            for index in self._registered_indexes():
-                index.extend(objects)
-            self.relation._commit_batch(prepared)
-            self._session.database.refresh_statistics(self.name)
+        self._session.database.insert_rows(self.name, rows)
         return self
 
     # -- registration ------------------------------------------------------
@@ -188,7 +160,6 @@ class RelationHandle:
                 "relation (or register a deliberately partial index through "
                 "Database.register_index)")
         self._session.database.register_index(self.name, index, name)
-        self._session.database.refresh_statistics(self.name)
         return self
 
     def with_distance(self, provider: DistanceProvider | Any, **kwargs: Any
@@ -198,7 +169,6 @@ class RelationHandle:
         arguments as for :meth:`Database.register_distance`)."""
         self._check_live()
         self._session.database.register_distance(self.name, provider, **kwargs)
-        self._session.database.refresh_statistics(self.name)
         return self
 
     # -- reading -----------------------------------------------------------

@@ -53,7 +53,13 @@ __all__ = [
     "SimilarityEngine",
     "transformation_distance",
     "is_similar",
+    "engine_steps",
+    "MAX_ENGINE_STEPS",
 ]
+
+#: The longest transformation sequence a bounded-cost ``SIM`` query searches
+#: (see :func:`engine_steps`).
+MAX_ENGINE_STEPS = 12
 
 
 def default_key(obj: Any, precision: int = 9) -> Any:
@@ -343,6 +349,27 @@ class SimilarityEngine:
 # ---------------------------------------------------------------------------
 # module-level conveniences
 # ---------------------------------------------------------------------------
+def engine_steps(rules: TransformationRuleSet, cost_bound: float) -> int:
+    """Longest transformation sequence worth searching under a cost bound —
+    the executor's ``max_steps_per_side`` for a ``SIM … COST c`` candidate
+    and the cost model's depth for its frontier estimate.
+
+    :data:`MAX_ENGINE_STEPS` (together with the engine's ``max_states``) is
+    the termination guarantee the framework requires of ``sim`` evaluation:
+    answers beyond it would need sequences whose search frontier is
+    astronomically large anyway.  The trade-off — sound answers, bounded
+    search — is documented on :class:`~repro.core.query.ast.SimilarityQuery`.
+    """
+    cheapest = rules.cheapest()
+    if cheapest is None:
+        return 1
+    if not math.isfinite(cost_bound) or cheapest.cost <= 0:
+        return 4  # the engine's usual default; max_states still bounds the search
+    # Tolerant floor: binary-inexact costs (0.6 / 0.1 -> 5.999...) must
+    # not under-budget the sequence length by one.
+    return max(1, min(MAX_ENGINE_STEPS, int(cost_bound / cheapest.cost + 1e-9)))
+
+
 def transformation_distance(x: Any, y: Any, rules: TransformationRuleSet,
                             base_distance: Callable[[Any, Any], float], *,
                             cost_bound: float = math.inf,

@@ -24,10 +24,12 @@ an ``epoch`` that folds into
 :meth:`~repro.core.database.Database.state_token` — so an explicit
 ``analyze`` invalidates cached plans and answers by construction, while lazy
 collection (epoch 0, indistinguishable from "never analyzed") does not.
-Once they exist, **the writer keeps them fresh**: the front-door write that
+Once they exist, **the writer keeps them fresh**: the catalog write that
 moves their basis (:func:`statistics_basis` — a cardinality band crossed, the
-index set changed, the spatial index sealed) ends by re-collecting them, so
-no read pays for a collection another request's write made necessary.
+index set changed, the spatial index sealed) ends by re-collecting them
+(:meth:`~repro.core.database.Database.refresh_statistics`, which
+``insert_rows`` and the index and provider registrations call), so no read
+pays for a collection another request's write made necessary.
 
 Collection is array code.  An indexed relation is measured off the index's
 own arrays — :meth:`KIndex.points <repro.index.kindex.KIndex.points>` rows

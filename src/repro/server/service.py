@@ -691,15 +691,20 @@ class QueryServer:
         plan = self.config.fault_plan
 
         def work():
-            objects = [decode_param(row, fresh_id=True) for row in encoded_rows]
-            self.session.relation(relation_name).insert_many(objects)
+            # The catalog's one write path, into an existing relation: an
+            # unknown name is the caller's typed QUERY_ERROR, raised before
+            # a row is decoded, and creates nothing.
+            self.session._check_open()
+            rows = self.session.database.insert_rows(
+                relation_name, (decode_param(row, fresh_id=True) for row in encoded_rows)
+            )
             # The write (and its WAL append, for durable stores) has
             # committed; a scheduled kill point fires HERE — after the
             # commit, before the acknowledgement leaves the server.
             self._count("commits")
             if plan is not None:
                 plan.commit_landed()
-            return [obj.object_id for obj in objects]
+            return [row.obj.object_id for row in rows]
 
         ids = self._run_write(work)
         return {"count": len(ids), "ids": ids, "epoch": self._epoch(relation_name)}

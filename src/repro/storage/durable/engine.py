@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import os
 import weakref
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -91,7 +91,11 @@ def _segments(name: str, entry: dict[str, Any]) -> list[ColumnSegment]:
 
 
 class DurableRelation(Relation):
-    """A relation whose committed batches append to the engine's WAL."""
+    """A relation whose committed batches append to the engine's WAL.
+
+    ``_commit_batch`` is the one place rows are logged: every insert —
+    :meth:`Database.insert_rows` and a hand-made ``relation.insert`` /
+    ``extend`` alike — commits through it."""
 
     #: A weak reference to the owning engine, set right after construction;
     #: ``None`` while the constructor's own ``extend`` runs (nothing to log
@@ -113,15 +117,6 @@ class DurableRelation(Relation):
                 f"relation {self.name!r} outlived its durable database; "
                 "a write to it could not be logged")
         return None if engine._replaying else engine
-
-    def insert(self, row: Row | DataObject,
-               attributes: Mapping[str, Any] | None = None) -> Row:
-        engine = self._logging_engine()
-        stored = super().insert(row, attributes)
-        if engine is not None:
-            engine._log({"op": "insert", "relation": self.name,
-                         "rows": [encode_row(stored)]})
-        return stored
 
     def _commit_batch(self, rows: list[Row]) -> None:
         engine = self._logging_engine()
@@ -415,12 +410,8 @@ class DurableDatabase(Database):
         elif op == "drop_relation":
             self.drop_relation(record["name"])
         elif op == "insert":
-            relation = self.relation(record["relation"])
-            rows = [decode_row(encoded) for encoded in record["rows"]]
-            prepared = relation._prepare_batch(rows)
-            for index in self.indexes_on(record["relation"]).values():
-                index.extend([row.obj for row in prepared])
-            relation._commit_batch(prepared)
+            self.insert_rows(record["relation"],
+                             [decode_row(encoded) for encoded in record["rows"]])
         elif op == "register_index":
             relation = self.relation(record["relation"])
             distance = (self._distance_providers[record["relation"]].distance

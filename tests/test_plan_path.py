@@ -20,7 +20,6 @@ import math
 from dataclasses import replace
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,7 +31,7 @@ from repro.core.errors import (
     QueryPlanningError,
     UnsafeTransformationError,
 )
-from repro.core.query.ast import AllPairsQuery, NearestNeighborQuery, RangeQuery, SimilarityQuery
+from repro.core.query.ast import NearestNeighborQuery, RangeQuery, SimilarityQuery
 from repro.core.query.parser import parse
 from repro.core.query.planner import (
     EngineJoinPlan,

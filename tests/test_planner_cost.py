@@ -33,7 +33,6 @@ from repro import (
 )
 from repro.core.query.ast import AllPairsQuery, NearestNeighborQuery, RangeQuery
 from repro.core.query.planner import (
-    IndexJoinPlan,
     IndexNearestPlan,
     IndexRangePlan,
     Planner,

@@ -280,6 +280,34 @@ class TestServing:
         # The acked id is the server-side id: it answers queries.
         assert ack["ids"][0] in {ref.object_id for ref, _ in after.answers}
 
+    def test_insert_into_an_unknown_relation_creates_nothing(self, tmp_path, data):
+        """A served write goes into an existing relation: a misspelt name is
+        the caller's typed ``QUERY_ERROR``, and no relation is created, no
+        row stored and nothing logged."""
+        path = str(tmp_path / "db")
+        session = repro.connect(path=path)
+        session.relation("walks").insert_many(data).with_index(KIndex())
+        session.checkpoint()
+        with serve(session) as handle:
+            client = repro.client.connect(handle.address, timeout_s=5.0, backoff=_fast_backoff())
+            try:
+                with pytest.raises(ServerError) as excinfo:
+                    client.insert_many("wlaks", [repro.noisy_copy(data[0], seed=11)])
+                assert excinfo.value.code == "QUERY_ERROR"
+                assert "wlaks" in str(excinfo.value)
+                assert session.database.relations() == ["walks"]
+                assert len(session.relation("walks")) == len(data)
+                # The connection goes on serving writes to the real name.
+                ack = client.insert_many("walks", [repro.noisy_copy(data[0], seed=12)])
+                assert ack["count"] == 1
+            finally:
+                client.close()
+        session.close()
+        reopened = repro.connect(path=path)
+        assert reopened.database.relations() == ["walks"]
+        assert reopened.database.replayed_wal_records == 1
+        reopened.close()
+
     def test_stats_surface(self, served):
         _, client, _, data = served
         client.sql(RANGE_SQL, q=data[0])

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import math
 
-import pytest
-
 from repro.core.patterns import ConstantPattern, PredicatePattern, UnionPattern
 from repro.core.rules import TransformationRuleSet
 from repro.core.similarity import (

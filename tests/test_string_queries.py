@@ -12,7 +12,9 @@ import pytest
 from repro import parse_query
 from repro.core.database import Database, DistanceProvider
 from repro.core.errors import CatalogError, QueryPlanningError
+from repro.core.query import executor as executor_module
 from repro.core.query.ast import SimilarityQuery
+from repro.core.query.costmodel import QueryCostModel
 from repro.core.query.executor import QueryEngine
 from repro.core.query.planner import (
     EngineJoinPlan,
@@ -20,8 +22,11 @@ from repro.core.query.planner import (
     EngineRangePlan,
     Planner,
 )
+from repro.core.rules import TransformationRuleSet
+from repro.core.similarity import SimilarityEngine
 from repro.index.metric import MetricIndex
 from repro.strings import StringObject, edit_distance_provider, weighted_edit_distance
+from repro.strings.edit_transforms import DeleteCharacter
 
 WORDS = [
     "pattern", "lantern", "eastern", "western", "battern", "matter", "butter",
@@ -291,3 +296,44 @@ class TestDistanceProviderCatalog:
         assert engine.execute(text, parameters=binding).from_cache
         database.register_distance("words", edit_distance_provider(substitute_cost=2.0))
         assert not engine.execute(text, parameters=binding).from_cache
+
+
+class TestTheEstimateSearchesAsDeepAsTheEngine:
+    """A bounded-cost SIM candidate is priced at the depth the executor
+    searches it to: the cost model's frontier is the rule count to the power
+    of the engine's own ``max_steps_per_side`` (both read
+    :func:`repro.core.similarity.engine_steps`)."""
+
+    @pytest.mark.parametrize("costs,cost_bound,steps", [
+        ((1.0,), 1.0, 1),
+        ((1.0,), 2.5, 2),
+        ((1.0,), 6.0, 6),
+        # 0.6 / 0.1 is 5.999...: the tolerant floor still gives six steps.
+        ((0.1, 0.25), 0.6, 6),
+        ((0.1, 0.25), 0.35, 3),
+        ((0.5, 0.75, 2.0), 1.5, 3),
+        # A free rule: the engine's default depth (max_states bounds it).
+        ((0.0, 1.0), 2.0, 4),
+    ])
+    def test_steps(self, monkeypatch, costs, cost_bound, steps):
+        rules = TransformationRuleSet(
+            DeleteCharacter(position, cost=cost) for position, cost in enumerate(costs))
+        provider = DistanceProvider(distance=weighted_edit_distance, rules=rules,
+                                    name="costed-deletes")
+        database = Database()
+        database.create_relation("words", [StringObject(w) for w in ("pattern", "tern", "ox")])
+        database.register_distance("words", provider)
+        searched = []
+
+        class RecordingEngine(SimilarityEngine):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                searched.append(self.max_steps_per_side)
+
+        monkeypatch.setattr(executor_module, "SimilarityEngine", RecordingEngine)
+        QueryEngine(database).execute(
+            f"SELECT FROM words WHERE sim(object, $q) < 0.5 COST {cost_bound}",
+            parameters={"q": StringObject("patter")})
+        assert searched == [steps] * 3
+        frontier = QueryCostModel()._engine_frontier(provider, cost_bound)
+        assert frontier == len(rules) ** steps
