@@ -391,47 +391,50 @@ class IndexAdvisor:
 # installation (what Session.autotune runs)
 # ----------------------------------------------------------------------
 def reset_advisor_configuration(database: Database, relation_name: str) -> None:
-    """Drop the ``"default"`` index and any advisor-registered provider.
+    """Drop the ``"default"`` index and any advisor-registered provider, as
+    one catalog write (the statistics are refreshed once, at its end).
 
     User-registered providers (any name other than
     :data:`ADVISOR_PROVIDER_NAME`) are never touched.
     """
-    if database.has_index(relation_name):
-        database.drop_index(relation_name)
-    if (
-        database.has_distance_provider(relation_name)
-        and database.distance_provider(relation_name).name == ADVISOR_PROVIDER_NAME
-    ):
-        database.drop_distance(relation_name)
+    with database.catalog_write(relation_name):
+        if database.has_index(relation_name):
+            database.drop_index(relation_name)
+        if (
+            database.has_distance_provider(relation_name)
+            and database.distance_provider(relation_name).name == ADVISOR_PROVIDER_NAME
+        ):
+            database.drop_distance(relation_name)
 
 
 def apply_recommendation(database: Database, recommendation: IndexRecommendation) -> None:
-    """Install the chosen configuration through the ordinary catalog APIs."""
+    """Install the chosen configuration through the ordinary catalog APIs,
+    as one catalog write: the reset and the registrations refresh the
+    statistics once, at its end."""
     relation_name = recommendation.relation
-    reset_advisor_configuration(database, relation_name)
-    chosen = recommendation.chosen
-    if chosen.kind == "none":
-        return
-    relation = database.relation(relation_name)
-    if chosen.kind == "kindex":
-        index = chosen.index
-        if index is None or len(index) != len(relation):
-            # The what-if index went stale (relation grew since advising).
-            index = KIndex.bulk_load(
-                relation.objects(), SeriesFeatureExtractor(chosen.num_coefficients or 2)
+    with database.catalog_write(relation_name):
+        reset_advisor_configuration(database, relation_name)
+        chosen = recommendation.chosen
+        if chosen.kind == "none":
+            return
+        relation = database.relation(relation_name)
+        if chosen.kind == "kindex":
+            index = chosen.index
+            if index is None or len(index) != len(relation):
+                # The what-if index went stale (relation grew since advising).
+                index = KIndex.bulk_load(
+                    relation.objects(), SeriesFeatureExtractor(chosen.num_coefficients or 2)
+                )
+            database.register_index(relation_name, index)
+            return
+        if chosen.kind != "metric":
+            raise CatalogError(f"unknown recommendation kind {chosen.kind!r}")
+        if chosen.requires_provider:
+            database.register_distance(
+                relation_name,
+                DistanceProvider(distance=series_exact_distance(), name=ADVISOR_PROVIDER_NAME),
             )
-        database.register_index(relation_name, index)
-        return
-    if chosen.kind != "metric":
-        raise CatalogError(f"unknown recommendation kind {chosen.kind!r}")
-    if chosen.requires_provider:
-        database.register_distance(
-            relation_name,
-            DistanceProvider(
-                distance=series_exact_distance(), name=ADVISOR_PROVIDER_NAME
-            ),
-        )
-    distance = database.distance_provider(relation_name).distance
-    metric = MetricIndex(distance)
-    metric.extend(relation.objects())
-    database.register_index(relation_name, metric)
+        distance = database.distance_provider(relation_name).distance
+        metric = MetricIndex(distance)
+        metric.extend(relation.objects())
+        database.register_index(relation_name, metric)

@@ -20,11 +20,13 @@ queryable by registering a provider.
 
 from __future__ import annotations
 
+import weakref
+from contextlib import contextmanager
 from dataclasses import dataclass
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from typing import Any
 
-from .errors import CatalogError
+from .errors import CatalogError, StorageError
 from .objects import DataObject
 from .rules import TransformationRuleSet
 
@@ -99,6 +101,10 @@ class Row:
 class Relation:
     """An ordered collection of rows, addressable by object id."""
 
+    #: Weak reference to its catalog's journal (``None``: nothing logs its
+    #: writes); dead once the catalog is gone, and then writes are refused.
+    _journal_ref: "weakref.ref[Any] | None" = None
+
     def __init__(self, name: str, rows: Iterable[Row | DataObject] = ()) -> None:
         self.name = name
         #: Monotonic mutation counter; query caches key on it so that any
@@ -161,12 +167,23 @@ class Relation:
         return rows
 
     def _commit_batch(self, rows: list[Row]) -> None:
-        """Store an already-validated batch with one version bump."""
+        """Store an already-validated batch with one version bump, then hand
+        its ``insert`` record to the journal: the one place rows are logged."""
+        journal = None
+        if rows and self._journal_ref is not None:
+            journal = self._journal_ref()
+            if journal is None:
+                raise StorageError(
+                    f"relation {self.name!r} outlived its durable database; "
+                    "a write to it could not be logged")
+            record = journal.record("insert", self.name, rows)
         for row in rows:
             self._by_id[row.obj.object_id] = len(self._rows)
             self._rows.append(row)
         if rows:
             self.version += 1
+        if journal is not None:
+            journal.append(record)
 
     # ------------------------------------------------------------------
     # access
@@ -211,7 +228,13 @@ class Relation:
 
 
 class Database:
-    """A catalog of named relations and the indexes built over them."""
+    """A catalog of named relations and the indexes built over them.
+
+    Every write runs one order (:meth:`_write`).  A journal attached to the
+    catalog makes it durable: ``journal.record(op, relation_name, subject)``
+    returns a write's record or raises to refuse it, ``journal.append``
+    logs it.  An in-memory catalog has none.
+    """
 
     def __init__(self, name: str = "db") -> None:
         self.name = name
@@ -227,6 +250,56 @@ class Database:
         #: cached as (relation object, relation version, store, owned-here).
         self._columnar: dict[str, tuple[Relation, int, Any, bool]] = {}
         self._catalog_version = 0
+        self._journal: Any = None
+        #: Relations the open :meth:`catalog_write` touched (``None``: none open).
+        self._stale: dict[str, None] | None = None
+
+    # ------------------------------------------------------------------
+    # the order of a catalog write
+    # ------------------------------------------------------------------
+    @contextmanager
+    def catalog_write(self, relation_name: str) -> Iterator[None]:
+        """One catalog write: the statistics of every relation written inside
+        are refreshed once, when the outermost one ends (raised or not, so
+        they follow whatever was applied).  Each write opens its own; a
+        caller composing several (the advisor's install) opens an outer one."""
+        outermost = self._stale is None
+        if outermost:
+            self._stale = {}
+        self._stale[relation_name] = None
+        try:
+            yield
+        finally:
+            if outermost:
+                stale, self._stale = self._stale, None
+                for name in stale:
+                    self.refresh_statistics(name)
+
+    @contextmanager
+    def _write(self, op: str, relation_name: str, subject: Any) -> Iterator[None]:
+        """The order of a catalog write, around the ``with`` body that
+        applies it: (1) refuse it before anything changes — the caller's
+        checks ran, then the journal's (could a reopen rebuild it?); (2)
+        apply; (3) bump the catalog version; (4) hand the record to the
+        journal; (5) refresh the statistics as :meth:`catalog_write` ends.
+        A batch runs the same steps in :meth:`insert_rows`."""
+        journal = self._journal
+        record = None if journal is None else journal.record(op, relation_name, subject)
+        with self.catalog_write(relation_name):
+            yield
+            self._catalog_version += 1
+            if journal is not None:
+                journal.append(record)
+
+    def _attach_journal(self, journal: Any, *, reopened_at: int | None = None) -> None:
+        """Hand every later write to ``journal``.  A catalog reopened at a
+        checkpoint's version ``reopened_at`` moves one past it (and past its
+        replay), so its tokens sort after every one handed out before."""
+        if reopened_at is not None:
+            self._catalog_version = max(self._catalog_version, reopened_at) + 1
+        self._journal = journal
+        for relation in self._relations.values():
+            relation._journal_ref = weakref.ref(journal)
 
     # ------------------------------------------------------------------
     # relations
@@ -237,8 +310,10 @@ class Database:
         if name in self._relations:
             raise CatalogError(f"relation {name!r} already exists")
         relation = Relation(name, objects)
-        self._relations[name] = relation
-        self._catalog_version += 1
+        with self._write("create_relation", name, relation.rows()):
+            self._relations[name] = relation
+            if self._journal is not None:
+                relation._journal_ref = weakref.ref(self._journal)
         return relation
 
     def relation(self, name: str) -> Relation:
@@ -253,15 +328,10 @@ class Database:
         """Insert a batch into a relation *and* every index registered on it;
         returns the stored rows.  The one way a batch enters the catalog:
         the session's handles, the server's writes and WAL replay all call
-        it, so the order below is written once.
-
-        1. The batch is coerced and validated (duplicate ids, against the
-           relation or within the batch, raise before anything changes).
-        2. Every registered index is extended with the batch's objects.
-        3. The relation commits the rows with one version bump — the point
-           where a durable catalog logs them.
-        4. Statistics whose basis the batch moved are refreshed
-           (:meth:`refresh_statistics`).
+        it.  The batch is validated (duplicate ids, against the relation or
+        within the batch, raise before anything changes); every registered
+        index is extended; the relation commits it with one version bump
+        and hands its record to the journal; the statistics are refreshed.
 
         The relation commits *after* its indexes, so it never holds a row an
         index rejected: a k-index takes a batch whole or not at all, and
@@ -274,23 +344,23 @@ class Database:
         relation = self.relation(relation_name)
         prepared = relation._prepare_batch(rows)
         if prepared:
-            objects = [row.obj for row in prepared]
-            for index in self._indexes.get(relation_name, {}).values():
-                index.extend(objects)
-            relation._commit_batch(prepared)
-            self.refresh_statistics(relation_name)
+            with self.catalog_write(relation_name):
+                objects = [row.obj for row in prepared]
+                for index in self._indexes.get(relation_name, {}).values():
+                    index.extend(objects)
+                relation._commit_batch(prepared)
         return prepared
 
     def drop_relation(self, name: str) -> None:
-        """Remove a relation, every index built on it and its distance provider."""
+        """Remove a relation, every index built on it and its distance
+        provider.  The dropped relation object no longer logs anything."""
         if name not in self._relations:
             raise CatalogError(f"unknown relation {name!r}")
-        del self._relations[name]
-        self._indexes.pop(name, None)
-        self._distance_providers.pop(name, None)
-        self._statistics.pop(name, None)
-        self._columnar.pop(name, None)
-        self._catalog_version += 1
+        with self._write("drop_relation", name, None):
+            self._relations.pop(name)._journal_ref = None
+            for per_relation in (self._indexes, self._distance_providers,
+                                 self._statistics, self._columnar):
+                per_relation.pop(name, None)
 
     def relations(self) -> list[str]:
         """Names of all registered relations."""
@@ -308,9 +378,8 @@ class Database:
         :class:`~repro.index.metric.MetricIndex` to a relation under
         ``index_name``; anything else is refused with :class:`CatalogError`."""
         self._check_index(relation_name, index)
-        self._indexes.setdefault(relation_name, {})[index_name] = index
-        self._catalog_version += 1
-        self.refresh_statistics(relation_name)
+        with self._write("register_index", relation_name, (index_name, index)):
+            self._indexes.setdefault(relation_name, {})[index_name] = index
 
     def _check_index(self, relation_name: str, index: Any) -> None:
         """Refuse an unknown relation, or an index of neither kind."""
@@ -435,11 +504,10 @@ class Database:
         if not index_map or index_name not in index_map:
             raise CatalogError(
                 f"no index {index_name!r} registered for relation {relation_name!r}")
-        del index_map[index_name]
-        if not index_map:
-            del self._indexes[relation_name]
-        self._catalog_version += 1
-        self.refresh_statistics(relation_name)
+        with self._write("drop_index", relation_name, index_name):
+            del index_map[index_name]
+            if not index_map:
+                del self._indexes[relation_name]
 
     def has_index(self, relation_name: str, index_name: str = "default") -> bool:
         """Whether an index is registered for the relation."""
@@ -479,9 +547,8 @@ class Database:
             provider = DistanceProvider(distance=provider, rules=rules,
                                         cost_bounds_distance=cost_bounds_distance,
                                         name=name or getattr(provider, "__name__", "distance"))
-        self._distance_providers[relation_name] = provider
-        self._catalog_version += 1
-        self.refresh_statistics(relation_name)
+        with self._write("register_distance", relation_name, provider):
+            self._distance_providers[relation_name] = provider
         return provider
 
     def drop_distance(self, relation_name: str) -> None:
@@ -492,9 +559,8 @@ class Database:
         if relation_name not in self._distance_providers:
             raise CatalogError(
                 f"no distance provider registered for relation {relation_name!r}")
-        del self._distance_providers[relation_name]
-        self._catalog_version += 1
-        self.refresh_statistics(relation_name)
+        with self._write("drop_distance", relation_name, None):
+            del self._distance_providers[relation_name]
 
     def distance_provider(self, relation_name: str) -> DistanceProvider:
         """The distance provider registered for a relation."""
@@ -543,9 +609,9 @@ class Database:
         by a fresh collection, again without an epoch bump and with the
         learned corrections carried: the state token already changed through
         the relation/index components, so the caches were invalidated anyway.
-        Every catalog write does that itself (:meth:`refresh_statistics`):
-        :meth:`insert_rows` and the index and provider registrations, so a
-        plan finds a stale basis only after a write below the catalog
+        Every catalog write does that itself (:meth:`refresh_statistics`,
+        step 5 of the write order), so a plan finds a stale basis only after
+        a write below the catalog
         (``relation.insert``, ``index.insert`` by hand).
         With ``collect=False`` returns what is stored — ``None`` if nothing
         is — instead of collecting.
@@ -569,11 +635,10 @@ class Database:
         return fresh
 
     def refresh_statistics(self, relation_name: str) -> None:
-        """What every catalog write ends with — :meth:`insert_rows`,
-        :meth:`register_index`, :meth:`drop_index`, :meth:`register_distance`
-        and :meth:`drop_distance`: statistics that exist and whose basis the
-        write moved are collected again, here, by the writer — never by the
-        read that would otherwise find them stale (reads run concurrently;
+        """Step 5 of every catalog write, as the outermost
+        :meth:`catalog_write` ends: statistics that exist and whose basis
+        the write moved are collected again, here, by the writer — never by
+        the read that would otherwise find them stale (reads run concurrently;
         collecting is a write to shared catalog state).  The write that
         crosses a 1.25× cardinality band or seals the k-index pays the
         collection once; every other write pays one basis comparison.

@@ -302,7 +302,8 @@ class Session:
         not), the session opens a
         :class:`~repro.storage.durable.DurableDatabase` at that path —
         creating the directory on first use, recovering from the manifest
-        and the write-ahead log otherwise.  Durable sessions support
+        and the write-ahead log otherwise; the log is the catalog's journal
+        (see :class:`Database`).  Durable sessions support
         :meth:`checkpoint` / :meth:`close` and checkpoint automatically on
         clean ``with``-block exit.
     wal_sync:

@@ -27,8 +27,8 @@ collection (epoch 0, indistinguishable from "never analyzed") does not.
 Once they exist, **the writer keeps them fresh**: the catalog write that
 moves their basis (:func:`statistics_basis` — a cardinality band crossed, the
 index set changed, the spatial index sealed) ends by re-collecting them
-(:meth:`~repro.core.database.Database.refresh_statistics`, which
-``insert_rows`` and the index and provider registrations call), so no read
+(:meth:`~repro.core.database.Database.refresh_statistics`, the last step
+of every catalog write, once per outermost write), so no read
 pays for a collection another request's write made necessary.
 
 Collection is array code.  An indexed relation is measured off the index's

@@ -9,7 +9,7 @@ the configured fsync policy.  See the module docstrings of
 :mod:`~repro.storage.durable.manifest` for the protocol details.
 """
 
-from .engine import DurableDatabase, DurableRelation, register_provider_factory
+from .engine import DurableDatabase, register_provider_factory
 from .mmapstore import SegmentPageStore
 from .segments import ColumnSegment
 from .serde import deserialize_index, serialize_index
@@ -18,7 +18,6 @@ from .wal import WriteAheadLog
 __all__ = [
     "ColumnSegment",
     "DurableDatabase",
-    "DurableRelation",
     "SegmentPageStore",
     "WriteAheadLog",
     "deserialize_index",

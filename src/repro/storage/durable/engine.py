@@ -11,14 +11,17 @@ catalog lives in a directory::
 
 The log and every ``.bin`` file are :func:`repro.storage.codec.frame` frames.
 
-Every mutation appends a WAL record *before* returning (fsync policy per
-``wal_sync``); :meth:`checkpoint` persists segments and serialized
-indexes, rolls the log to a new epoch, and swaps the manifest atomically
-— a crash at any instant recovers to the last acknowledged state by
-loading the manifest's snapshot and replaying the named log's intact
-tail.  Reopen deserializes indexes instead of rebuilding them and
-re-populates each columnar relation's record store from the segments'
-saved spectra (no FFT), so recovery cost is I/O-shaped, not build-shaped.
+Every write runs :class:`~repro.core.database.Database`'s one order; this
+module supplies the journal it logs to: the write-ahead log (fsync policy
+per ``wal_sync``) plus the rules for what a reopen can reconstruct, checked
+before a write changes anything.  :meth:`checkpoint` persists segments and
+serialized indexes, rolls the log to a new epoch, and swaps the manifest
+atomically — a crash at any instant recovers to the last acknowledged state
+by loading the manifest's snapshot and replaying the named log's intact
+tail: the same catalog writes, before the journal is attached.  Reopen
+deserializes indexes instead of rebuilding them and re-populates each
+columnar relation's record store from the segments' saved spectra (no
+FFT), so recovery cost is I/O-shaped, not build-shaped.
 
 Real reads: each columnar relation's scan gets a bounded
 :class:`~repro.storage.buffer.BufferPool` over a :class:`~repro.storage
@@ -31,14 +34,13 @@ from __future__ import annotations
 
 import os
 import weakref
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 import numpy as np
 
-from ...core.database import Database, DistanceProvider, Relation, Row
+from ...core.database import Database, DistanceProvider, Relation
 from ...core.errors import StorageError
-from ...core.objects import DataObject, _DEFAULT_ALLOCATOR
-from ...core.rules import TransformationRuleSet
+from ...core.objects import _DEFAULT_ALLOCATOR
 from .. import codec
 from ..buffer import BufferPool
 from ..columnar import ColumnarRecordStore
@@ -50,7 +52,7 @@ from .segments import (ColumnSegment, decode_row, encode_row, load_segments,
 from .serde import build_index_from_spec, index_spec, load_index_page, serialize_index
 from .wal import SYNC_MODES, WriteAheadLog, wal_filename
 
-__all__ = ["DurableDatabase", "DurableRelation", "register_provider_factory"]
+__all__ = ["DurableDatabase", "register_provider_factory"]
 
 
 # ----------------------------------------------------------------------
@@ -84,46 +86,62 @@ def register_provider_factory(name: str,
     PROVIDER_FACTORIES[str(name)] = factory
 
 
+def _rebuilt_provider(name: str, named_by: str) -> DistanceProvider:
+    """The provider the factory registered under ``name`` builds."""
+    factory = PROVIDER_FACTORIES.get(name)
+    if factory is None:
+        raise StorageError(f"{named_by} names distance provider {name!r} but "
+                           "no factory is registered for it")
+    return factory()
+
+
 def _segments(name: str, entry: dict[str, Any]) -> list[ColumnSegment]:
     """The segments a relation's manifest entry names."""
     return [ColumnSegment(name, segment["start"], segment["count"], entry["kind"])
             for segment in entry["segments"]]
 
 
-class DurableRelation(Relation):
-    """A relation whose committed batches append to the engine's WAL.
+class _WalJournal:
+    """A durable catalog's journal: what a reopen can reconstruct, and the
+    log.  Only the catalog holds it strongly (its relations and it hold weak
+    references), so a dropped durable session is no reference cycle."""
 
-    ``_commit_batch`` is the one place rows are logged: every insert —
-    :meth:`Database.insert_rows` and a hand-made ``relation.insert`` /
-    ``extend`` alike — commits through it."""
+    def __init__(self, catalog: DurableDatabase) -> None:
+        self._catalog = weakref.ref(catalog)
 
-    #: A weak reference to the owning engine, set right after construction;
-    #: ``None`` while the constructor's own ``extend`` runs (nothing to log
-    #: yet — the ``create_relation`` WAL record carries the initial rows).
-    #: Weak because the engine holds its relations: a strong back-reference
-    #: would make every durable catalog a cycle, and a dropped session's
-    #: arrays would live on until the cycle collector happened to run.
-    _engine_ref: "weakref.ref[DurableDatabase] | None" = None
+    def record(self, op: str, relation_name: str, subject: Any) -> dict[str, Any]:
+        """The WAL record of one catalog write, or a :class:`StorageError`
+        when a reopen could not reconstruct what the write would leave."""
+        if op.endswith("_relation"):
+            record: dict[str, Any] = {"op": op, "name": relation_name}
+        else:
+            record = {"op": op, "relation": relation_name}
+        if op in ("create_relation", "insert"):
+            record["rows"] = [encode_row(row) for row in subject]
+        elif op == "register_index":
+            index_name, index = subject
+            spec = index_spec(index)
+            if spec["kind"] == "metric" \
+                    and not self._catalog().has_distance_provider(relation_name):
+                raise StorageError(
+                    f"a durable metric index on {relation_name!r} needs the "
+                    "relation's distance provider registered first (recovery "
+                    "rebinds the index to it)")
+            record.update(index_name=index_name, spec=spec)
+        elif op == "drop_index":
+            record["index_name"] = subject
+        elif op == "register_distance":
+            if subject.name not in PROVIDER_FACTORIES:
+                raise StorageError(
+                    f"distance provider {subject.name!r} is not reconstructible "
+                    "on reopen; register a factory under that name with "
+                    "repro.storage.durable.register_provider_factory first")
+            record["factory"] = subject.name
+        return record
 
-    def _logging_engine(self) -> "DurableDatabase | None":
-        """The engine a write must be logged to (``None``: nothing to log).
-        Called before the write, so a write that could not be logged does
-        not happen either."""
-        if self._engine_ref is None:
-            return None
-        engine = self._engine_ref()
-        if engine is None:
-            raise StorageError(
-                f"relation {self.name!r} outlived its durable database; "
-                "a write to it could not be logged")
-        return None if engine._replaying else engine
-
-    def _commit_batch(self, rows: list[Row]) -> None:
-        engine = self._logging_engine()
-        super()._commit_batch(rows)
-        if rows and engine is not None:
-            engine._log({"op": "insert", "relation": self.name,
-                         "rows": [encode_row(row) for row in rows]})
+    def append(self, record: dict[str, Any]) -> None:
+        """Log a write the catalog has applied."""
+        self._catalog()._wal.append(record)
 
 
 class DurableDatabase(Database):
@@ -171,11 +189,10 @@ class DurableDatabase(Database):
         self.wal_batch_interval_ms = float(wal_batch_interval_ms)
         self.buffer_pages = int(buffer_pages)
         self.partition_rows = int(partition_rows)
-        self._replaying = False
-        self._wal: WriteAheadLog | None = None
         self._epoch = 0
-        #: relation -> list of mmapped segment coefficient arrays.
-        self._segment_arrays: dict[str, list[np.ndarray]] = {}
+        #: relation name -> (the relation mapped, its mmapped segment
+        #: coefficient arrays); a dropped or recreated relation has none.
+        self._segment_arrays: dict[str, tuple[Relation, list[np.ndarray]]] = {}
         #: Observability for the reopen-skips-rebuild guarantee.
         self.recovered = False
         self.replayed_wal_records = 0
@@ -192,81 +209,8 @@ class DurableDatabase(Database):
         self._wal = WriteAheadLog(
             os.path.join(self.path, wal_filename(self._epoch)),
             sync=self.wal_sync, batch_interval_ms=self.wal_batch_interval_ms)
-
-    # ------------------------------------------------------------------
-    # logging
-    # ------------------------------------------------------------------
-    def _log(self, record: dict[str, Any]) -> None:
-        if self._wal is not None and not self._replaying:
-            self._wal.append(record)
-
-    # ------------------------------------------------------------------
-    # logged catalog mutations
-    # ------------------------------------------------------------------
-    def create_relation(self, name: str,
-                        objects: Iterable[Row | DataObject] = ()) -> Relation:
-        relation = super().create_relation(name, objects)
-        # Same storage, durable behaviour: committed batches hit the WAL.
-        relation.__class__ = DurableRelation
-        relation._engine_ref = weakref.ref(self)
-        if self._wal is not None and not self._replaying:
-            # Guarded here, not in _log: encoding every row is wasted work
-            # on the recovery path, where the log is silenced anyway.
-            self._log({"op": "create_relation", "name": name,
-                       "rows": [encode_row(row) for row in relation.rows()]})
-        return relation
-
-    def drop_relation(self, name: str) -> None:
-        super().drop_relation(name)
-        self._segment_arrays.pop(name, None)
-        self._log({"op": "drop_relation", "name": name})
-
-    def register_index(self, relation_name: str, index: Any,
-                       index_name: str = "default") -> None:
-        if not self._replaying:
-            self._check_index(relation_name, index)
-            spec = index_spec(index)
-            if spec["kind"] == "metric" and not self.has_distance_provider(relation_name):
-                raise StorageError(
-                    f"a durable metric index on {relation_name!r} needs the "
-                    "relation's distance provider registered first (recovery "
-                    "rebinds the index to it)")
-        else:
-            spec = None
-        super().register_index(relation_name, index, index_name)
-        if spec is not None:
-            self._log({"op": "register_index", "relation": relation_name,
-                       "index_name": index_name, "spec": spec})
-
-    def drop_index(self, relation_name: str, index_name: str = "default") -> None:
-        super().drop_index(relation_name, index_name)
-        self._log({"op": "drop_index", "relation": relation_name,
-                   "index_name": index_name})
-
-    def register_distance(self, relation_name: str,
-                          provider: DistanceProvider | Callable[[Any, Any], float], *,
-                          rules: TransformationRuleSet
-                          | Callable[[Any, Any], TransformationRuleSet] | None = None,
-                          cost_bounds_distance: bool = False,
-                          name: str | None = None) -> DistanceProvider:
-        registered = super().register_distance(
-            relation_name, provider, rules=rules,
-            cost_bounds_distance=cost_bounds_distance, name=name)
-        if not self._replaying and registered.name not in PROVIDER_FACTORIES:
-            # Roll the registration back before failing: a durable catalog
-            # must never hold state it cannot recover.
-            super().drop_distance(relation_name)
-            raise StorageError(
-                f"distance provider {registered.name!r} is not reconstructible "
-                "on reopen; register a factory under that name with "
-                "repro.storage.durable.register_provider_factory first")
-        self._log({"op": "register_distance", "relation": relation_name,
-                   "factory": registered.name})
-        return registered
-
-    def drop_distance(self, relation_name: str) -> None:
-        super().drop_distance(relation_name)
-        self._log({"op": "drop_distance", "relation": relation_name})
+        self._attach_journal(_WalJournal(self), reopened_at=(
+            None if manifest is None else manifest["catalog_version"]))
 
     # ------------------------------------------------------------------
     # checkpoint / close
@@ -279,8 +223,7 @@ class DurableDatabase(Database):
         log, atomically swap the manifest to point at them, and only then
         retire the old log and sweep files the manifest no longer names.
         """
-        if self._wal is not None:
-            self._wal.flush()
+        self._wal.flush()
         new_epoch = self._epoch + 1
         relations_manifest: dict[str, Any] = {}
         for name, relation in self._relations.items():
@@ -319,47 +262,39 @@ class DurableDatabase(Database):
         self._epoch = new_epoch
         self._wal = WriteAheadLog(new_wal_path, sync=self.wal_sync,
                                   batch_interval_ms=self.wal_batch_interval_ms)
-        if old_wal is not None:
-            old_wal.close()
-            self._remove_quietly(old_wal.path)
+        old_wal.close()
+        self._remove_quietly(old_wal.path)
         self._sweep(relations_manifest)
         self._map_segments(relations_manifest)
 
     def close(self) -> None:
         """Flush and close the WAL (the manifest on disk stays whatever the
         last checkpoint installed; the log tail covers the rest)."""
-        if self._wal is not None:
-            self._wal.close()
+        self._wal.close()
 
     # ------------------------------------------------------------------
     # recovery
     # ------------------------------------------------------------------
     def _recover(self, manifest: dict[str, Any]) -> None:
-        self._replaying = True
-        try:
-            self._epoch = manifest["epoch"]
-            for name, entry in manifest["relations"].items():
-                try:
-                    self._recover_relation(name, entry)
-                except StorageError as error:
-                    # The manifest named these files and their shape: say so.
-                    raise StorageError(
-                        f"relation {name!r} of {os.path.join(self.path, MANIFEST_NAME)!r} "
-                        f"cannot be recovered: {error}") from error
-            records = WriteAheadLog.replay(
-                os.path.join(self.path, manifest["wal"]))
-            for record in records:
-                self._apply(record)
-            self.replayed_wal_records = len(records)
-        finally:
-            self._replaying = False
-        # The reopened catalog's state token must sort after every token
-        # the previous process handed out at this catalog version.
-        self._catalog_version = max(self._catalog_version,
-                                    manifest["catalog_version"]) + 1
+        """Load the manifest's snapshot and replay the log's intact tail —
+        the ordinary catalog writes, before the journal is attached, so
+        nothing is refused or logged again."""
+        self._epoch = manifest["epoch"]
+        for name, entry in manifest["relations"].items():
+            try:
+                self._recover_relation(name, entry)
+            except StorageError as error:
+                # The manifest named these files and their shape: say so.
+                raise StorageError(
+                    f"relation {name!r} of {os.path.join(self.path, MANIFEST_NAME)!r} "
+                    f"cannot be recovered: {error}") from error
+        self._map_segments(manifest["relations"])
+        records = WriteAheadLog.replay(os.path.join(self.path, manifest["wal"]))
+        for record in records:
+            self._apply(record)
+        self.replayed_wal_records = len(records)
         _DEFAULT_ALLOCATOR.advance_past(max(manifest["watermark"], self._watermark()))
         self.recovered = True
-        self._map_segments(manifest["relations"])
 
     def _recover_relation(self, name: str, entry: dict[str, Any]) -> None:
         directory = self._segment_directory(name)
@@ -387,12 +322,7 @@ class DurableDatabase(Database):
             # carry a k-index, whose decoder adopts a store: an empty one.
             store = ColumnarRecordStore()
         if entry.get("provider"):
-            factory = PROVIDER_FACTORIES.get(entry["provider"])
-            if factory is None:
-                raise StorageError(
-                    f"manifest names distance provider {entry['provider']!r} "
-                    "but no factory is registered for it")
-            self.register_distance(name, factory())
+            self.register_distance(name, _rebuilt_provider(entry["provider"], "manifest"))
         for index_name, file_name in entry["indexes"].items():
             path = os.path.join(self.path, "indexes", name, file_name)
             distance = (self._distance_providers[name].distance
@@ -403,7 +333,7 @@ class DurableDatabase(Database):
             self.deserialized_indexes += 1
 
     def _apply(self, record: dict[str, Any]) -> None:
-        """Replay one WAL record (mirrors the live mutation paths)."""
+        """Replay one WAL record through the catalog write it records."""
         op = record.get("op")
         if op == "create_relation":
             self.create_relation(record["name"], [decode_row(row) for row in record["rows"]])
@@ -425,12 +355,8 @@ class DurableDatabase(Database):
         elif op == "drop_index":
             self.drop_index(record["relation"], record["index_name"])
         elif op == "register_distance":
-            factory = PROVIDER_FACTORIES.get(record["factory"])
-            if factory is None:
-                raise StorageError(
-                    f"WAL names distance provider {record['factory']!r} but "
-                    "no factory is registered for it")
-            self.register_distance(record["relation"], factory())
+            self.register_distance(record["relation"],
+                                   _rebuilt_provider(record["factory"], "WAL"))
         elif op == "drop_distance":
             self.drop_distance(record["relation"])
         else:
@@ -446,9 +372,10 @@ class DurableDatabase(Database):
         (the executor builds a scan per relation version); ``None`` for a
         relation without segments.
         """
-        arrays = self._segment_arrays.get(relation_name)
-        if not arrays:
+        mapped = self._segment_arrays.get(relation_name)
+        if mapped is None or mapped[0] is not self._relations.get(relation_name):
             return None
+        arrays = mapped[1]
         record_bytes = self.columnar_store(relation_name).record_bytes()
         store = SegmentPageStore(arrays, record_bytes)
         return {"buffer": BufferPool(store, capacity=self.buffer_pages)}
@@ -463,7 +390,7 @@ class DurableDatabase(Database):
             arrays = [np.load(os.path.join(directory, f"{segment.stem}-coeffs.npy"),
                               mmap_mode="r") for segment in _segments(name, entry)]
             if arrays:
-                self._segment_arrays[name] = arrays
+                self._segment_arrays[name] = (self._relations[name], arrays)
 
     # ------------------------------------------------------------------
     # housekeeping
@@ -473,11 +400,8 @@ class DurableDatabase(Database):
 
     def _watermark(self) -> int:
         """The highest object id the catalog currently holds."""
-        highest = -1
-        for relation in self._relations.values():
-            for row in relation.rows():
-                highest = max(highest, int(row.obj.object_id))
-        return highest
+        return max((int(row.obj.object_id) for relation in self._relations.values()
+                    for row in relation.rows()), default=-1)
 
     def _sweep(self, relations_manifest: dict[str, Any]) -> None:
         """Best-effort removal of files the new manifest no longer names

@@ -636,6 +636,36 @@ class TestDurableGuards:
         assert not database.has_distance_provider("words")
         database.close()
 
+    def test_a_refused_provider_changes_nothing(self, tmp_path, monkeypatch):
+        """The journal refuses an unreconstructible provider before the
+        catalog applies it: no registration to roll back, no statistics
+        collected, the state token and the log as they were."""
+        from repro.core import stats as stats_module
+
+        path = str(tmp_path / "db")
+        database = DurableDatabase(path, wal_sync="always")
+        database.create_relation("walks", random_walk_collection(40, 32, seed=70))
+        database.analyze("walks")
+        token = database.state_token("walks")
+        log = os.path.join(path, wal_filename(0))
+        logged = open(log, "rb").read()
+        collections = []
+        original = stats_module.collect_statistics
+
+        def counting(*args, **kwargs):
+            collections.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(stats_module, "collect_statistics", counting)
+        with pytest.raises(StorageError, match="not reconstructible"):
+            database.register_distance(
+                "walks", lambda a, b: 0.0, name="ad-hoc-constant")
+        assert collections == []
+        assert database.state_token("walks") == token
+        assert open(log, "rb").read() == logged
+        assert not database.has_distance_provider("walks")
+        database.close()
+
     def test_metric_index_requires_registered_provider(self, tmp_path):
         database = DurableDatabase(str(tmp_path / "db"))
         database.create_relation(

@@ -9,7 +9,7 @@ histogram and ``range_query(exact=False)`` take the same road.  The loops they
 replaced are kept below as the reference (one ``index.record`` and one
 ``space.distance`` at a time) and every value is compared bit for bit.
 
-**The writer keeps statistics fresh.**  Once statistics exist, the front-door
+**The writer keeps statistics fresh.**  Once statistics exist, the catalog
 write that moves their basis (a cardinality band, the index set, a seal)
 re-collects them before it returns; a read never finds them stale, and a
 relation nobody has planned against is never charged a first collection.
