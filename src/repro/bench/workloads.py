@@ -69,6 +69,11 @@ CALIBRATION_SAMPLE = 48
 #: Serialization format tag, bumped on incompatible layout changes.
 WORKLOAD_FORMAT = 1
 
+#: Node capacity of the experiment fixtures' trees: the evaluation's figures
+#: and their pinned counts were measured on 8-entry nodes, so the fixtures
+#: write it out rather than take the index's page-sized default.
+PAPER_NODE_CAPACITY = 8
+
 
 # ----------------------------------------------------------------------
 # experiment fixtures (the original per-figure bundles)
@@ -117,7 +122,7 @@ def _build(
     )
     # The evaluation's figures were measured on a dynamically built tree.
     build = KIndex.bulk_load if bulk_load else KIndex.build_by_insertion
-    index = build(data, extractor)
+    index = build(data, extractor, max_entries=PAPER_NODE_CAPACITY)
     scan = SequentialScan(extractor)
     scan.extend(data)
     return ExperimentFixture(

@@ -149,7 +149,7 @@ class Relation:
         failed ``extend`` leaves the relation unchanged.
         """
         rows = self._prepare_batch(objects)
-        self._commit_batch(rows)
+        self._commit_batch(rows, self._insert_record(rows))
         return rows
 
     def _prepare_batch(self, objects: Iterable[Row | DataObject]) -> list[Row]:
@@ -166,23 +166,30 @@ class Relation:
             seen.add(object_id)
         return rows
 
-    def _commit_batch(self, rows: list[Row]) -> None:
+    def _insert_record(self, rows: list[Row]) -> tuple[Any, Any] | None:
+        """``(journal, record)`` of a batch's ``insert``, or ``None`` when
+        nothing logs it; raises when the journal refuses the batch, before
+        the caller changes anything."""
+        if not rows or self._journal_ref is None:
+            return None
+        journal = self._journal_ref()
+        if journal is None:
+            raise StorageError(
+                f"relation {self.name!r} outlived its durable database; "
+                "a write to it could not be logged")
+        return journal, journal.record("insert", self.name, rows)
+
+    def _commit_batch(self, rows: list[Row], logged: tuple[Any, Any] | None) -> None:
         """Store an already-validated batch with one version bump, then hand
-        its ``insert`` record to the journal: the one place rows are logged."""
-        journal = None
-        if rows and self._journal_ref is not None:
-            journal = self._journal_ref()
-            if journal is None:
-                raise StorageError(
-                    f"relation {self.name!r} outlived its durable database; "
-                    "a write to it could not be logged")
-            record = journal.record("insert", self.name, rows)
+        its :meth:`_insert_record` to the journal: the one place rows are
+        logged."""
         for row in rows:
             self._by_id[row.obj.object_id] = len(self._rows)
             self._rows.append(row)
         if rows:
             self.version += 1
-        if journal is not None:
+        if logged is not None:
+            journal, record = logged
             journal.append(record)
 
     # ------------------------------------------------------------------
@@ -329,9 +336,11 @@ class Database:
         returns the stored rows.  The one way a batch enters the catalog:
         the session's handles, the server's writes and WAL replay all call
         it.  The batch is validated (duplicate ids, against the relation or
-        within the batch, raise before anything changes); every registered
-        index is extended; the relation commits it with one version bump
-        and hands its record to the journal; the statistics are refreshed.
+        within the batch, raise before anything changes) and its journal
+        record taken (a durable catalog refuses here a batch it could not
+        log or recover); every registered index is extended; the relation
+        commits it with one version bump and hands the record to the
+        journal; the statistics are refreshed.
 
         The relation commits *after* its indexes, so it never holds a row an
         index rejected: a k-index takes a batch whole or not at all, and
@@ -344,11 +353,12 @@ class Database:
         relation = self.relation(relation_name)
         prepared = relation._prepare_batch(rows)
         if prepared:
+            logged = relation._insert_record(prepared)
             with self.catalog_write(relation_name):
                 objects = [row.obj for row in prepared]
                 for index in self._indexes.get(relation_name, {}).values():
                     index.extend(objects)
-                relation._commit_batch(prepared)
+                relation._commit_batch(prepared, logged)
         return prepared
 
     def drop_relation(self, name: str) -> None:

@@ -197,13 +197,22 @@ class FeatureSpace:
         point_extra, point_feats = self.decode(point)
         return _norms(feats - point_feats, extra - point_extra)
 
-    def pairwise(self, points: np.ndarray) -> np.ndarray:
-        """:meth:`distance` between every two rows of ``(n, dimension)``
-        points, as one ``float64[n * (n - 1) / 2]``: row 0 against each row
-        after it, then row 1, … — bit for bit the scalar form's values."""
-        extra, feats = self.decode_rows(points)
-        left, right = np.triu_indices(len(points), 1)
-        return _norms(feats[left] - feats[right], extra[left] - extra[right])
+    def window_entry_distances(self, points: np.ndarray) -> np.ndarray:
+        """For every ordered pair of distinct rows ``(i, j)`` of ``(n,
+        dimension)`` points, the least ``epsilon`` at which row ``j`` lies in
+        :meth:`search_rectangle` ``(row i, epsilon)`` — the radius from which
+        a range probe at row ``i`` fetches row ``j`` as a candidate.  One
+        ``float64[n * (n - 1)]``: row 0 against every other row, then row 1,
+        …  The largest of the per-coordinate thresholds of
+        :meth:`_entry_gaps`."""
+        left, right = np.nonzero(~np.eye(len(points), dtype=bool))
+        return self._entry_gaps(points[left], points[right]).max(axis=1, initial=0.0)
+
+    def _entry_gaps(self, centres: np.ndarray, points: np.ndarray) -> np.ndarray:
+        """Per coordinate, the least ``epsilon`` at which each row of
+        ``points`` is within the search rectangle around the same row of
+        ``centres``."""
+        raise NotImplementedError
 
     def periodic_dimension_mask(self) -> np.ndarray:
         """Boolean mask over coordinates that wrap around (modulo ``2*pi``).
@@ -267,6 +276,10 @@ class RectangularSpace(FeatureSpace):
         high = values + epsilon
         return low.copy(), high.copy()
 
+    def _entry_gaps(self, centres: np.ndarray, points: np.ndarray) -> np.ndarray:
+        """The window is the ball's box: every coordinate's plain gap."""
+        return np.abs(points - centres)
+
 
 class PolarSpace(FeatureSpace):
     """``Spol``: complex feature *i* occupies coordinates ``(2i-1, 2i)`` as
@@ -317,6 +330,19 @@ class PolarSpace(FeatureSpace):
                 low[ang_dim] = angle - delta
                 high[ang_dim] = angle + delta
         return low, high
+
+    def _entry_gaps(self, centres: np.ndarray, points: np.ndarray) -> np.ndarray:
+        """Magnitudes and extras enter at their plain gap.  An angle ``Δα``
+        (wrapped into ``[0, π]``) away from the centre's, whose magnitude is
+        ``m``, enters the window's ``±asin(epsilon / m)`` at ``m * sin(Δα)``
+        while ``Δα < π / 2``, and with every other angle once ``epsilon``
+        reaches ``m``."""
+        gaps = np.abs(points - centres)
+        angles = slice(self.num_extra + 1, None, 2)
+        turns = np.minimum(gaps[:, angles], TWO_PI - gaps[:, angles])
+        gaps[:, angles] = centres[:, self.num_extra::2] * np.sin(
+            np.minimum(turns, math.pi / 2))
+        return gaps
 
     def mindist_to_rectangle(self, query: FeatureVector, low: np.ndarray,
                              high: np.ndarray) -> float:

@@ -33,8 +33,9 @@ pays for a collection another request's write made necessary.
 
 Collection is array code.  An indexed relation is measured off the index's
 own arrays — :meth:`KIndex.points <repro.index.kindex.KIndex.points>` rows
-through :meth:`FeatureSpace.pairwise <repro.core.spaces.FeatureSpace.pairwise>`
-for the filter histogram, column reductions for extents and spread, the
+through :meth:`FeatureSpace.window_entry_distances
+<repro.core.spaces.FeatureSpace.window_entry_distances>` for the filter
+histogram, column reductions for extents and spread, the
 columnar store's pair kernel for the exact distances — with no per-record
 object and no temporary sized by the relation (2.5 ms at 5000×128, most of it
 the exact pair kernel).
@@ -168,9 +169,11 @@ class RelationStatistics:
     metric_summary: dict[str, float] | None = None
     #: Exact (full-record or provider) distances between sampled pairs.
     answer_histogram: DistanceHistogram | None = None
-    #: Filter (feature point) distances between the same pairs — what the
-    #: spatial index's candidate set is governed by.  ``None`` for provider
-    #: relations (the answer histogram plays both roles there).
+    #: Window-entry distances between the same rows, every ordered pair —
+    #: the radius at which the spatial index's search rectangle around one
+    #: fetches the other, which is what its candidate set is governed by.
+    #: ``None`` for provider relations (the answer histogram plays both
+    #: roles there).
     filter_histogram: DistanceHistogram | None = None
     #: Bounded-EWMA corrections learned from executed queries.
     candidate_correction: float = 1.0
@@ -399,11 +402,14 @@ def _exact_histogram(store, positions: np.ndarray, include_stats: bool) -> Dista
 
 
 def filter_histogram(index, positions: np.ndarray) -> DistanceHistogram | None:
-    """Filter (feature point) distances between the index's sampled rows, as
-    one array expression over its point rows; ``None`` under two rows."""
+    """Window-entry distances between the index's sampled rows, every
+    ordered pair (:meth:`FeatureSpace.window_entry_distances
+    <repro.core.spaces.FeatureSpace.window_entry_distances>`): the index
+    fetches what its search *rectangle* holds, not what the ball does, so its
+    candidate fraction at ``epsilon`` is this CDF.  ``None`` under two rows."""
     if len(positions) < 2:
         return None
-    return DistanceHistogram(index.space.pairwise(index.points(positions)))
+    return DistanceHistogram(index.space.window_entry_distances(index.points(positions)))
 
 
 def _collect_from_index(relation, index, sample_size: int) -> RelationStatistics:

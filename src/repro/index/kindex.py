@@ -55,6 +55,7 @@ from ..storage.columnar import (
     transform_full_record,
     verify_pairs,
 )
+from ..storage.pages import records_per_page
 from ..timeseries.features import SeriesFeatureExtractor, SeriesFeatures
 from ..timeseries.series import TimeSeries
 from ..timeseries.transforms import SpectralTransformation
@@ -62,7 +63,8 @@ from .geometry import box_bound, rects_overlap
 from .rstar import RStarTree
 from .rtree import PackedRTree
 
-__all__ = ["QueryStatistics", "RangeQueryResult", "NearestNeighborResult", "KIndex"]
+__all__ = ["QueryStatistics", "RangeQueryResult", "NearestNeighborResult", "KIndex",
+           "page_capacity"]
 
 #: A nearest-neighbour probe lowers every filter distance by this fraction of
 #: itself and of the query point's largest coordinate.  Filter distances
@@ -82,6 +84,20 @@ BOUND_SLACK = 1e-9
 #: unindexed points costs ~40 µs, a tenth of a tree probe.
 SEAL_MIN_ROWS = 256
 SEAL_SHARE = 16
+
+
+def page_capacity(dimension: int) -> int:
+    """Entries of a ``dimension``-dimensional tree that one page holds: an
+    entry is two float64 corners and a payload, ``16 * dimension + 8``
+    bytes, so a page holds 39 at d = 6, 30 at d = 8 and 56 at d = 4.
+
+    A node is a page, as in Guttman's R-tree and the STR loader, so a node
+    access is the page access the paper's cost currency counts.  At d = 6
+    and 5 000 rows this packs 3 levels and 134 nodes where 8 entries a node
+    packed 5 levels and 717: a range probe opens ~22 nodes instead of ~105
+    and a k-NN probe ~21 instead of ~99 (``tests/test_range_probe.py`` and
+    ``tests/test_nearest_step.py`` pin both)."""
+    return records_per_page(16 * int(dimension) + 8)
 
 
 @dataclass
@@ -185,14 +201,18 @@ class KIndex:
         two coefficients in polar layout plus mean and standard deviation
         (a six-dimensional index).
     max_entries:
-        Node capacity of every tree the index packs.
+        Node capacity of every tree the index packs.  By default a node is a
+        page: :func:`page_capacity` of the space's dimension (39 for the
+        default six-dimensional space).  A durable directory records the
+        capacity its index was built with and reopens at it.
     """
 
     def __init__(self, extractor: SeriesFeatureExtractor | None = None, *,
-                 max_entries: int = 8) -> None:
+                 max_entries: int | None = None) -> None:
         self.extractor = extractor if extractor is not None else SeriesFeatureExtractor()
         self.space = self.extractor.space
-        self.max_entries = int(max_entries)
+        self.max_entries = (page_capacity(self.space.dimension) if max_entries is None
+                            else int(max_entries))
         #: Columnar full records, one row per record id (dense, insertion
         #: order).  Shared with the executor's scan fallback and the
         #: statistics sampler through ``Database.columnar_store``.

@@ -227,13 +227,16 @@ def _split_corners(rows: np.ndarray, dimension: int
 #: Most pending nodes one step of :meth:`PackedRTree.nearest_search` opens;
 #: the block doubles from 1 up to it.  A wider block means fewer
 #: (dispatch-bound) numpy steps per probe but opens nodes a one-at-a-time walk
-#: would have pruned: on 5000 series, 1 / 8 / 64 take 94 / 15 / 7 steps a
-#: probe and open 0 / 5.5 / 15 % more nodes than the fewest possible.  On the
-#: benchmark's k mix (stream seeds 7, 11 and 1501) a probe takes 5 steps and
-#: opens 24 nodes at k = 1 (0.42 ms on a 2-vCPU VM); at k = 5 or 10 it takes
-#: 19 steps, opens 129 nodes, bounds 1 022 entries in 24 calls (one per level
-#: a step opens) and verifies 264 records in 13 calls (1.83 ms: 0.57 ms of
-#: bounds, 0.49 ms of verification, 0.62 ms of the steps' own work).
+#: would have pruned.  On the benchmark's k mix (5 000 walks, the 84 plain
+#: k-NN ops of stream seeds 7, 11 and 1501; per op the best of 7, median over
+#: ops, one core of a 2-vCPU VM) at the default 39-entry nodes, a probe takes
+#: 4 steps and opens 7 nodes at k = 1 (0.38 ms); at k = 5 or 10 it takes 7
+#: steps, opens 27 nodes, bounds 1 003 entries in 6 calls (one per level a
+#: step opens) and verifies 279 records in 4 calls (1.00 ms).  Blocks of 1 /
+#: 8 / 64 take 27 / 7 / 6 steps there and open 0 / 3 / 7 % more nodes than
+#: the fewest possible (1.87 / 1.00 / 1.00 ms).  On 8-entry nodes the same
+#: k = 5 or 10 probes took 20 steps and 129 nodes (1.81 ms), and blocks of
+#: 1 / 64 took 128 / 9 steps (7.1 / 1.5 ms).
 NEAREST_BLOCK = 8
 
 #: Most images :meth:`PackedRTree.transformed` keeps per tree (as many as the

@@ -109,9 +109,11 @@ class _WalJournal:
     def __init__(self, catalog: DurableDatabase) -> None:
         self._catalog = weakref.ref(catalog)
 
-    def record(self, op: str, relation_name: str, subject: Any) -> dict[str, Any]:
-        """The WAL record of one catalog write, or a :class:`StorageError`
-        when a reopen could not reconstruct what the write would leave."""
+    def record(self, op: str, relation_name: str, subject: Any) -> bytes:
+        """The framed WAL record of one catalog write, or a
+        :class:`StorageError` when a reopen could not reconstruct what the
+        write would leave, the record is not encodable or the log is closed:
+        every refusal comes before the write applies."""
         if op.endswith("_relation"):
             record: dict[str, Any] = {"op": op, "name": relation_name}
         else:
@@ -137,11 +139,11 @@ class _WalJournal:
                     "on reopen; register a factory under that name with "
                     "repro.storage.durable.register_provider_factory first")
             record["factory"] = subject.name
-        return record
+        return self._catalog()._wal.frame(record)
 
-    def append(self, record: dict[str, Any]) -> None:
+    def append(self, record: bytes) -> None:
         """Log a write the catalog has applied."""
-        self._catalog()._wal.append(record)
+        self._catalog()._wal.append_framed(record)
 
 
 class DurableDatabase(Database):

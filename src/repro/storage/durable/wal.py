@@ -114,13 +114,27 @@ class WriteAheadLog:
         under ``"batch"`` it is durable within ``batch_size`` appends *or*
         ``batch_interval_ms`` milliseconds, whichever comes first.
         """
+        self.append_framed(self.frame(record))
+
+    def frame(self, record: dict[str, Any]) -> bytes:
+        """The frame :meth:`append_framed` would write for ``record``, or a
+        :class:`StorageError` when the record is not encodable or the log is
+        closed — a writer asks before it changes anything."""
         try:
             framed = codec.frame(record)
         except codec.CodecError as error:
             raise StorageError(f"WAL record is not encodable: {error}") from error
+        self._check_open()
+        return framed
+
+    def _check_open(self) -> None:
+        if self._file.closed:
+            raise StorageError(f"write-ahead log {self.path!r} is closed")
+
+    def append_framed(self, framed: bytes) -> None:
+        """:meth:`append` a record :meth:`frame` has already framed."""
         with self._lock:
-            if self._file.closed:
-                raise StorageError(f"write-ahead log {self.path!r} is closed")
+            self._check_open()
             self._file.write(framed)
             self.records_appended += 1
             self._pending += 1

@@ -240,6 +240,7 @@ class TestIndexProbeSignatures:
         assert "transformed_nearest_neighbors_iter" not in repro.index.__all__
 
     def test_write_path(self):
+        from repro.index import kindex
         loader = ("collection: 'Iterable[TimeSeries]', "
                   "extractor: 'SeriesFeatureExtractor | None' = None, "
                   "**options: 'Any') -> \"'KIndex'\"")
@@ -255,12 +256,13 @@ class TestIndexProbeSignatures:
             "'tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]'")
         assert _signature(repro.ColumnarRecordStore.extend) == (
             "(self, collection: 'Iterable[Any]') -> 'None'")
-        # Constructor options: the extractor and the node capacity.
+        # Constructor options: the extractor and the node capacity, which
+        # defaults to what one page holds at the extractor's dimension.
         assert _signature(repro.KIndex) == (
             "(extractor: 'SeriesFeatureExtractor | None' = None, *, "
-            "max_entries: 'int' = 8) -> 'None'")
+            "max_entries: 'int | None' = None) -> 'None'")
+        assert repro.KIndex().max_entries == kindex.page_capacity(6) == 39
         # The seal and chunk sizes are constants, not options.
-        from repro.index import kindex
         from repro.timeseries import features
         assert (kindex.SEAL_MIN_ROWS, kindex.SEAL_SHARE) == (256, 16)
         assert features.EXTRACT_CHUNK_ROWS == 512
@@ -274,7 +276,8 @@ class TestIndexProbeSignatures:
         assert _signature(kind.points) == "(self, positions: 'np.ndarray') -> 'np.ndarray'"
         assert isinstance(kind.tail_pages, property) and kind.tail_pages.fset is None
         for space in (repro.PolarSpace, repro.RectangularSpace):
-            assert _signature(space.pairwise) == "(self, points: 'np.ndarray') -> 'np.ndarray'"
+            assert _signature(space.window_entry_distances) == (
+                "(self, points: 'np.ndarray') -> 'np.ndarray'")
             assert _signature(space.distances_to) == (
                 "(self, point: 'FeatureVector', points: 'np.ndarray') -> 'np.ndarray'")
             assert _signature(space.decode_rows) == (

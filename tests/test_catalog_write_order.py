@@ -31,6 +31,7 @@ from repro.bench.workloads import WorkloadSpec, generate_workload
 from repro.core import stats as stats_module
 from repro.core.advisor import ADVISOR_PROVIDER_NAME, series_exact_distance
 from repro.core.database import DistanceProvider
+from repro.core.errors import StorageError
 from repro.index.metric import MetricIndex
 from repro.storage import codec
 from repro.storage import durable as durable_package
@@ -156,7 +157,7 @@ class TestTheRecordStream:
                         "representation": "polar",
                         "include_stats": True,
                     },
-                    "max_entries": 8,
+                    "max_entries": 39,
                 },
             },
             {
@@ -256,3 +257,48 @@ class TestOneRefreshPerWrite:
         reopened = DurableDatabase(path)
         assert registrations(reopened) == live
         reopened.close()
+
+
+# ---------------------------------------------------------------------------
+# the refusal
+# ---------------------------------------------------------------------------
+class TestARefusedWriteAppliesNothing:
+    """A durable catalog's journal frames a write's record before the write
+    applies, so a write the log could not take — a row attribute the codec
+    cannot encode, a log already closed — is refused with the relation, its
+    k-index and the reopened directory all at the row count before it."""
+
+    @pytest.mark.parametrize("how", ["set-valued-attribute", "after-close"])
+    def test_a_batch_is_refused_before_any_index_extends(self, tmp_path, how):
+        path = str(tmp_path / "db")
+        data = random_walk_collection(5, 16, seed=9)
+        database = DurableDatabase(path)
+        database.create_relation("walks", data[:4])
+        database.register_index("walks", KIndex.bulk_load(data[:4], SeriesFeatureExtractor(2)))
+        index = database.indexes_on("walks")["default"]
+        if how == "set-valued-attribute":
+            batch, message = [Row(data[4], {"tags": {1, 2}})], "not encodable"
+        else:
+            database.close()
+            batch, message = [data[4]], "is closed"
+        with pytest.raises(StorageError, match=message):
+            database.insert_rows("walks", batch)
+        with pytest.raises(StorageError, match=message):
+            database.relation("walks").insert(batch[0])
+        assert (len(database.relation("walks")), len(index)) == (4, 4)
+        database.close()
+        reopened = DurableDatabase(path)
+        assert len(reopened.relation("walks")) == 4
+        assert len(reopened.indexes_on("walks")["default"]) == 4
+        reopened.close()
+
+    def test_a_registration_after_close_is_refused_before_it_applies(self, tmp_path):
+        path = str(tmp_path / "db")
+        database = DurableDatabase(path)
+        database.create_relation("walks", random_walk_collection(4, 16, seed=9))
+        database.close()
+        with pytest.raises(StorageError, match="is closed"):
+            database.register_index("walks", KIndex(SeriesFeatureExtractor(2)))
+        with pytest.raises(StorageError, match="is closed"):
+            database.create_relation("pairs")
+        assert (database.indexes(), database.relations()) == ([], ["walks"])

@@ -771,23 +771,35 @@ class TestDurableGuards:
             assert "MANIFEST.json" in str(refused.value)
             assert _snapshot(path) == before
 
-    @pytest.mark.parametrize("damage", ["truncated", "not-a-codec-payload", "dangling-child",
-                                        "duplicate-leaf-id", "leaf-id-out-of-range",
-                                        "short-point-rows", "overfull-node", "empty-node",
-                                        "ragged-corners", "fractional-count", "nan-corner",
-                                        "missing-level-field", "wrong-size",
-                                        "wrong-page-version", "missing",
-                                        "box-short-of-its-child"])
+    DAMAGES = ["truncated", "not-a-codec-payload", "dangling-child", "duplicate-leaf-id",
+               "leaf-id-out-of-range", "short-point-rows", "overfull-node", "empty-node",
+               "ragged-corners", "fractional-count", "nan-corner", "missing-level-field",
+               "wrong-size", "wrong-page-version", "missing", "box-short-of-its-child"]
+
+    @pytest.mark.parametrize("damage", DAMAGES)
     def test_a_damaged_index_page_fails_at_open(self, tmp_path, damage):
         """An index page is outside input.  Whatever is wrong with it is a
         ``StorageError`` naming the file, raised by ``connect`` — not a raw
         ``CodecError``, and not an error (or a wrong answer) from whichever
         later probe reaches the damage.  Every case but the two that damage
         the bytes themselves is a frame that verifies."""
-        data = random_walk_collection(120, 32, seed=43)
+        self._damaged_page_fails_at_open(tmp_path, damage,
+                                         random_walk_collection(120, 32, seed=43), 8)
+
+    @pytest.mark.parametrize("damage", DAMAGES)
+    def test_a_damaged_page_capacity_index_fails_at_open(self, tmp_path, damage):
+        """The same damages to a tree of page-sized (39-entry) nodes: 1 600
+        rows give it three levels too."""
+        self._damaged_page_fails_at_open(tmp_path, damage,
+                                         random_walk_collection(1600, 32, seed=43), None)
+
+    @staticmethod
+    def _damaged_page_fails_at_open(tmp_path, damage, data, max_entries):
+        rows = len(data)
         path = str(tmp_path / "db")
         with repro.connect(path=path) as session:
-            session.relation("walks").insert_many(data).with_index(KIndex())
+            session.relation("walks").insert_many(data).with_index(
+                KIndex(max_entries=max_entries))
         page = os.path.join(path, "indexes", "walks", "default.bin")
         raw = open(page, "rb").read()
         document = _read_page(page)
@@ -802,9 +814,9 @@ class TestDurableGuards:
         elif damage == "duplicate-leaf-id":
             levels[-1]["payloads"][0] = levels[-1]["payloads"][1]
         elif damage == "leaf-id-out-of-range":
-            levels[-1]["payloads"][0] = 120
+            levels[-1]["payloads"][0] = rows
         elif damage == "short-point-rows":
-            document["point_rows"] = document["point_rows"][:-len(document["point_rows"]) // 120]
+            document["point_rows"] = document["point_rows"][:-len(document["point_rows"]) // rows]
         elif damage == "overfull-node":
             levels[1]["counts"][0] += 1
             levels[1]["counts"][1] -= 1

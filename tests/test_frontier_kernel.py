@@ -677,8 +677,24 @@ class TestKIndexNearestAgainstScan:
                 scan.nearest_neighbors(query, 5))
 
     def test_counters_count_the_rows_gathered(self, monkeypatch):
+        total, reference_total = self._gathered(monkeypatch, max_entries=8)
+        # The block schedule's price in node visits over the fewest any exact
+        # search opens, summed over the probes (239 against 201 here; the
+        # share shrinks as the tree grows).
+        assert reference_total <= total <= 1.25 * reference_total
+
+    def test_counters_count_the_rows_gathered_at_the_page_capacity(self, monkeypatch):
+        # Two levels of 39-entry nodes: a block of 8 is a larger share of
+        # the ~4 nodes the fewest search opens per probe.
+        assert self._gathered(monkeypatch) == (70, 52)
+
+    @staticmethod
+    def _gathered(monkeypatch, **options):
+        """Node visits of twelve 5-NN probes, and the fewest an exact search
+        opens, with every probe's counters checked against the rows its
+        verification gathered."""
         data = random_walk_collection(600, 64, seed=4)
-        index = KIndex.bulk_load(data, SeriesFeatureExtractor(2))
+        index = KIndex.bulk_load(data, SeriesFeatureExtractor(2), **options)
         gathered = []
         kernel = kindex_module.exact_distances
 
@@ -695,10 +711,7 @@ class TestKIndexNearestAgainstScan:
                     == sum(gathered))
             total += work.node_accesses
             reference_total += reference_index_nearest(index, query, 5, None)[1]
-        # The block schedule's price in node visits over the fewest any exact
-        # search opens, summed over the probes (239 against 201 here; the
-        # share shrinks as the tree grows).
-        assert reference_total <= total <= 1.25 * reference_total
+        return total, reference_total
 
     def test_empty_index(self):
         result = KIndex().nearest_neighbors(random_walk_collection(1, 32, seed=2)[0], 3)

@@ -507,20 +507,24 @@ class TestTheBenchmarksNearestWorkIsPinned:
     """The 28 k-NN probes of the ``embedded-index`` stream at seed 5 (k = 1,
     5 and 10) on its relation — 5 000 walks of 128 points, data seed 11, a
     2-coefficient k-index: the node accesses, candidates and answers they sum
-    to are those of the kernel this one replaced.  A block schedule or a
-    bound that moves fails here."""
+    to are those of the kernel this one replaced, on 8-entry nodes, and at
+    the page capacity the index packs by default.  A block schedule or a
+    bound that moves fails here; the answers are the same at both."""
 
     #: (internal visits, leaf visits, candidates, sha256 of the answers'
     #: record ids and distance bits, first 16 hex digits).
     PINNED = (561, 2218, 5331, "592c7c31070c99c6")
+    #: The same at the page capacity (39 entries a node, 3 levels).
+    PINNED_AT_THE_PAGE_CAPACITY = (84, 511, 5714, "592c7c31070c99c6")
 
-    def test_counts(self):
+    @staticmethod
+    def _counts(**options):
         stream = _benchmark_workloads().build_stream("embedded-index", 5)
         probes = [op for op in stream.ops if op.family == "nearest"]
         assert len(probes) == 28 and {op.k for op in probes} == {1, 5, 10}
         data = random_walk_collection(5000, 128, seed=11)
         rows = {id(series): row for row, series in enumerate(data)}
-        index = KIndex.bulk_load(data, SeriesFeatureExtractor(2))
+        index = KIndex.bulk_load(data, SeriesFeatureExtractor(2), **options)
         internal = leaf = candidates = 0
         digest = hashlib.sha256()
         for op in probes:
@@ -530,4 +534,11 @@ class TestTheBenchmarksNearestWorkIsPinned:
             candidates += result.statistics.candidates
             for series, distance in result.answers:
                 digest.update(f"{rows[id(series)]}:{float(distance).hex()};".encode())
-        assert (internal, leaf, candidates, digest.hexdigest()[:16]) == self.PINNED
+        return internal, leaf, candidates, digest.hexdigest()[:16]
+
+    def test_counts(self):
+        internal, leaf, candidates, digest = self._counts(max_entries=8)
+        assert (internal, leaf, candidates, digest) == self.PINNED
+
+    def test_counts_at_the_page_capacity(self):
+        assert self._counts() == self.PINNED_AT_THE_PAGE_CAPACITY

@@ -229,7 +229,7 @@ class TestTheTailIsPriced:
 
         data = random_walk_collection(460, LENGTH, seed=29)
         session = connect(answer_cache_size=0)
-        index = KIndex.bulk_load(data[:400], SeriesFeatureExtractor(2))
+        index = KIndex.bulk_load(data[:400], SeriesFeatureExtractor(2), max_entries=8)
         handle = session.relation("walks").insert_many(data[:400]).with_index(index)
         assert index.tail_rows == 0 and index.tail_pages == 0
         handle.insert_many(data[400:])
@@ -256,14 +256,15 @@ class TestTheTailIsPriced:
 
     TEXT = "SELECT FROM walks WHERE dist(series, $q) < 1.0"
 
-    def _grown_session(self):
+    def _grown_session(self, max_entries=8):
         """4 000 rows indexed, 200 appended (tail 200: no seal), analyzed."""
         data = random_walk_collection(4600, LENGTH, seed=31)
         session = connect(answer_cache_size=0)
-        index = KIndex.bulk_load(data[:4000], SeriesFeatureExtractor(2))
+        index = KIndex.bulk_load(data[:4000], SeriesFeatureExtractor(2),
+                                 max_entries=max_entries)
         handle = session.relation("walks").insert_many(data[:4000]).with_index(index)
         handle.insert_many(data[4000:4200])
-        assert (len(index.tree), index.tail_pages) == (4000, 25)
+        assert (len(index.tree), index.tail_pages) == (4000, -(-200 // index.max_entries))
         return session, handle, index, data, session.analyze("walks")
 
     def _tail_pages_in_explain(self, session) -> int:
@@ -304,6 +305,28 @@ class TestTheTailIsPriced:
         assert plan.estimated_cost.io_accesses == pytest.approx(flat.io_accesses + 32.0)
         probe = index.range_query(data[0], 1.0)
         assert probe.statistics.node_accesses == 32 + index.tree.access_stats.total
+
+    def test_the_tail_at_the_page_capacity(self):
+        """Both cases at the capacity the index packs by default: a tail
+        fills 39-entry leaf pages, and the planner charges those."""
+        session, handle, index, data, analyzed = self._grown_session(max_entries=None)
+        assert index.max_entries == 39 and analyzed.tree_summary["leaf_count"] == 103.0
+        assert self._tail_pages_in_explain(session) == 6  # ceil(200 / 39)
+        handle.insert_many(data[4200:4260])  # seals
+        assert (len(index.tree), index.tail_rows) == (4260, 0)
+        sealed = session.database.statistics_for("walks", collect=False)
+        assert sealed.tree_summary == index.structure_summary()
+        assert sealed.tree_summary["leaf_count"] == 110.0
+        assert self._tail_pages_in_explain(session) == 0
+        analyzed = session.analyze("walks")
+        handle.insert_many(data[4260:4516])
+        assert (index.tail_rows, index.tail_pages) == (256, 7)
+        assert self._tail_pages_in_explain(session) == 7
+        plan = session.engine.plan(self.TEXT)
+        flat = session.engine.planner.cost_model.index_range(analyzed, 4516, 1.0)
+        assert plan.estimated_cost.io_accesses == pytest.approx(flat.io_accesses + 7.0)
+        probe = index.range_query(data[0], 1.0)
+        assert probe.statistics.node_accesses == 7 + index.tree.access_stats.total
 
 
 class TestStatisticsLifecycle:

@@ -216,15 +216,31 @@ class TestTheKernelIsTheReplacedLoop:
 class TestTheCurrencyIsPinned:
     """24 noisy range probes on 5 000 walks of 128 points, plain and under
     ``mavg10``: the node accesses, candidates and answers they sum to are the
-    counts of the kernel this one replaced."""
+    counts of the kernel this one replaced, on 8-entry nodes, and at the page
+    capacity the index packs by default (the same candidates and answers)."""
 
     #: transformation → (node accesses, internal, candidates, answers,
     #: node accesses of the 24 as one batch).
     PINNED = {None: (2524, 395, 13104, 118, 697), "mavg10": (2524, 395, 13131, 382, 697)}
+    #: The same at the page capacity (39 entries a node, 3 levels).
+    PINNED_AT_THE_PAGE_CAPACITY = {
+        None: (522, 61, 13104, 118, 130),
+        "mavg10": (522, 61, 13131, 382, 130),
+    }
 
     def test_counts(self):
         data = random_walk_collection(5000, 128, seed=11)
+        self._check(KIndex.bulk_load(data, SeriesFeatureExtractor(2), max_entries=8), self.PINNED)
+
+    def test_counts_at_the_page_capacity(self):
+        data = random_walk_collection(5000, 128, seed=11)
         index = KIndex.bulk_load(data, SeriesFeatureExtractor(2))
+        assert index.max_entries == 39
+        self._check(index, self.PINNED_AT_THE_PAGE_CAPACITY)
+
+    @staticmethod
+    def _check(index, pins):
+        data = index.series_list()
         rng = np.random.default_rng(32)
         probes = [
             (
@@ -233,7 +249,7 @@ class TestTheCurrencyIsPinned:
             )
             for row in rng.choice(len(data), 24, replace=False).tolist()
         ]
-        for name, pinned in self.PINNED.items():
+        for name, pinned in pins.items():
             transformation = None if name is None else moving_average_spectral(128, 10)
             results = [
                 index.range_query(query, epsilon, transformation=transformation)

@@ -3,11 +3,14 @@
 Two mechanisms are held here.
 
 **Collection reads arrays.**  ``analyze`` on an indexed relation measures the
-index's own arrays — ``KIndex.points`` rows through ``FeatureSpace.pairwise``,
-column reductions for extents and spread — and the advisor's what-if filter
-histogram and ``range_query(exact=False)`` take the same road.  The loops they
-replaced are kept below as the reference (one ``index.record`` and one
-``space.distance`` at a time) and every value is compared bit for bit.
+index's own arrays — ``KIndex.points`` rows through
+``FeatureSpace.window_entry_distances``, column reductions for extents and
+spread — and the advisor's what-if filter histogram and
+``range_query(exact=False)`` take the same road.  The loops they replaced are
+kept below as the reference (one ``index.record`` or one ``space.distance`` at
+a time) and every value is compared bit for bit.  A window-entry distance is
+checked against the filter's own test: ``search_rectangle`` and
+``rects_overlap`` admit the pair's row just above it and refuse it just below.
 
 **The writer keeps statistics fresh.**  Once statistics exist, the catalog
 write that moves their basis (a cardinality band, the index set, a seal)
@@ -37,6 +40,7 @@ from repro.core.errors import IndexError_
 from repro.core.objects import FeatureVector
 from repro.core.spaces import FeatureSpace, PolarSpace, RectangularSpace
 from repro.core.stats import EXTENT_SAMPLE_SIZE, SAMPLE_SIZE, sample_positions, statistics_basis
+from repro.index.geometry import rects_overlap
 
 LENGTH = 64
 SPACES = {"polar": PolarSpace, "rectangular": RectangularSpace}
@@ -45,20 +49,39 @@ SPACES = {"polar": PolarSpace, "rectangular": RectangularSpace}
 # ---------------------------------------------------------------------------
 # the replaced loops, kept as the reference
 # ---------------------------------------------------------------------------
-def reference_pairwise(values: list, distance) -> np.ndarray:
-    """``core.stats._pairwise`` as it stood: one scalar distance per pair."""
-    out = []
-    for i, left in enumerate(values):
-        for right in values[i + 1 :]:
-            out.append(float(distance(left, right)))
-    return np.asarray(out, dtype=np.float64)
+#: A window-entry distance admits its row at ``(1 + SLACK)`` times itself and
+#: refuses it at ``(1 - SLACK)`` times: the window's own arithmetic (an
+#: ``asin`` for a phase angle) rounds, the threshold does not move by more.
+SLACK = 1e-9
+
+
+def enters(space, centre: np.ndarray, point: np.ndarray, epsilon: float) -> bool:
+    """The filter's own test: is ``point`` in the search rectangle around
+    ``centre`` at ``epsilon``?"""
+    low, high = space.search_rectangle(FeatureVector(centre), epsilon)
+    return bool(rects_overlap(point, point, low, high, space.periodic_dimension_mask()))
+
+
+def assert_window_entry(space, points: np.ndarray, values: np.ndarray) -> None:
+    """Each ordered pair's window-entry distance, against the filter's test:
+    the pair's second row enters the rectangle around its first just above
+    the value (at it, when it is zero) and stays out just below it."""
+    assert values.dtype == np.float64 and values.shape == (len(points) * (len(points) - 1),)
+    pairs = [(i, j) for i in range(len(points)) for j in range(len(points)) if i != j]
+    for (i, j), value in zip(pairs, values.tolist()):
+        assert enters(space, points[i], points[j], value * (1.0 + SLACK))
+        if value > 0.0:
+            assert not enters(space, points[i], points[j], value * (1.0 - SLACK))
 
 
 def reference_filter_distances(index, sample_size: int = SAMPLE_SIZE) -> np.ndarray:
-    """The filter histogram's values, a record and a ``space.distance`` at a time."""
+    """The filter histogram's values over ``record()``-built points, each
+    checked against the filter's test."""
     positions = sample_positions(len(index), sample_size)
-    points = [index.record(int(i))[1].point for i in positions]
-    return np.sort(reference_pairwise(points, index.space.distance))
+    points = np.vstack([index.record(int(i))[1].point.values for i in positions])
+    values = index.space.window_entry_distances(points)
+    assert_window_entry(index.space, points, values)
+    return np.sort(values)
 
 
 def reference_extents(index) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -73,11 +96,13 @@ def reference_extents(index) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def reference_advisor_histogram(extractor, objects: list) -> np.ndarray:
-    """``IndexAdvisor._filter_histogram`` as it stood: every sampled series
-    re-extracted through ``extractor.point``."""
+    """``IndexAdvisor._filter_histogram``'s points as they stood: every
+    sampled series re-extracted through ``extractor.point``."""
     sampled = [objects[int(i)] for i in sample_positions(len(objects), SAMPLE_SIZE)]
-    points = [extractor.point(series) for series in sampled]
-    return np.sort(reference_pairwise(points, extractor.space.distance))
+    points = np.vstack([extractor.point(series).values for series in sampled])
+    values = extractor.space.window_entry_distances(points)
+    assert_window_entry(extractor.space, points, values)
+    return np.sort(values)
 
 
 def reference_filter_only(index, query, epsilon: float, transformation=None) -> list:
@@ -122,13 +147,9 @@ class TestArrayFormsEqualTheScalarLoops:
         extractor = SeriesFeatureExtractor(k, representation, include_stats)
         index = KIndex.bulk_load(walk_collection, extractor)
         stats = indexed_session(index, walk_collection).analyze("walks")
-        assert len(stats.filter_histogram) == SAMPLE_SIZE * (SAMPLE_SIZE - 1) // 2
+        assert len(stats.filter_histogram) == SAMPLE_SIZE * (SAMPLE_SIZE - 1)
         assert_statistics_match_the_reference(stats, index)
         points = index.points(np.arange(len(index)))
-        assert np.array_equal(
-            index.space.pairwise(points[:20]),
-            reference_pairwise([FeatureVector(p) for p in points[:20]], index.space.distance),
-        )
         assert np.array_equal(
             index.space.distances_to(FeatureVector(points[3]), points),
             [index.space.distance(FeatureVector(p), FeatureVector(points[3])) for p in points],
@@ -142,7 +163,7 @@ class TestArrayFormsEqualTheScalarLoops:
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=80, deadline=None)
-    def test_pairwise_on_random_points(self, representation, k, num_extra, count, seed):
+    def test_window_entry_on_random_points(self, representation, k, num_extra, count, seed):
         space = SPACES[representation](k, num_extra)
         rng = np.random.default_rng(seed)
         points = rng.normal(scale=4.0, size=(count, space.dimension))
@@ -153,9 +174,7 @@ class TestArrayFormsEqualTheScalarLoops:
                 [-np.pi, np.pi, 0.0, *rng.uniform(-np.pi, np.pi, size=5)], size=(count, k)
             )
         vectors = [FeatureVector(point) for point in points]
-        pairs = space.pairwise(points)
-        assert pairs.dtype == np.float64 and pairs.shape == (count * (count - 1) // 2,)
-        assert np.array_equal(pairs, reference_pairwise(vectors, space.distance))
+        assert_window_entry(space, points, space.window_entry_distances(points))
         extra, feats = space.decode_rows(points)
         for row, vector in enumerate(vectors):
             assert np.array_equal(extra[row], space.decode(vector)[0])
@@ -275,7 +294,7 @@ class TestTheMechanism:
         monkeypatch.setattr(FeatureSpace, "distance", counted_distance)
         stats = benchmark_sized.analyze("walks")
         assert calls == {"record": 0, "distance": 0}
-        assert len(stats.filter_histogram) == 1128 and stats.spread.shape == (6,)
+        assert len(stats.filter_histogram) == 2256 and stats.spread.shape == (6,)
 
     def test_analyze_holds_no_relation_sized_temporary(self, benchmark_sized):
         benchmark_sized.analyze("walks")  # imports and caches settle outside the trace

@@ -39,7 +39,7 @@ def reference_insert(database, name, row, attributes=None):
     prepared = relation._prepare_batch([Relation._coerce_row(row, attributes)])
     for index in list(database.indexes_on(name).values()):
         index.insert(prepared[0].obj)
-    relation._commit_batch(prepared)
+    relation._commit_batch(prepared, relation._insert_record(prepared))
     database.refresh_statistics(name)
     return prepared[0]
 
@@ -52,7 +52,7 @@ def reference_insert_many(database, name, rows):
         objects = [row.obj for row in prepared]
         for index in list(database.indexes_on(name).values()):
             index.extend(objects)
-        relation._commit_batch(prepared)
+        relation._commit_batch(prepared, relation._insert_record(prepared))
         database.refresh_statistics(name)
     return prepared
 
