@@ -10,8 +10,8 @@ candidate per physical design:
 * **no index** — sequential scan (or a bare provider scan);
 * **k-index** with each considered feature-prefix length; the candidate
   index is actually bulk-loaded (a *what-if* index), so its
-  ``structure_summary()`` and per-prefix filter histogram feed the cost
-  model real numbers rather than fanout guesses;
+  ``structure_summary()`` and per-prefix filter and bound histograms feed
+  the cost model real numbers rather than fanout guesses;
 * **metric index** over the exact full-record distance (for series
   relations this registers an advisor-owned
   :class:`~repro.core.database.DistanceProvider`, flipping the relation
@@ -49,7 +49,7 @@ from .stats import (
     SAMPLE_SIZE,
     RelationStatistics,
     collect_by_extraction,
-    filter_histogram,
+    index_histograms,
     sample_positions,
 )
 
@@ -163,8 +163,9 @@ class CandidateConfiguration:
 
     ``statistics`` describe the relation *as if* the candidate were
     installed (k-index candidates carry the bulk-loaded what-if tree's
-    structure summary and prefix filter histogram); ``index`` keeps the
-    what-if index itself so ``autotune`` installs exactly what was priced.
+    structure summary and prefix filter and bound histograms); ``index``
+    keeps the what-if index itself so ``autotune`` installs exactly what was
+    priced.
     """
 
     kind: str  # "none" | "kindex" | "metric"
@@ -345,7 +346,7 @@ class IndexAdvisor:
         candidates = [
             CandidateConfiguration(kind="none", num_coefficients=None, statistics=none_stats)
         ]
-        # The statistics sampler's positions: a what-if filter histogram is
+        # The statistics sampler's positions: a what-if histogram is
         # the one ``analyze`` would collect with the candidate installed.
         positions = sample_positions(len(objects), SAMPLE_SIZE)
         for prefix in PREFIX_LENGTHS:
@@ -354,7 +355,7 @@ class IndexAdvisor:
                 base,
                 kind="feature-indexed",
                 tree_summary=index.structure_summary(),
-                filter_histogram=filter_histogram(index, positions),
+                **index_histograms(index, positions),
             )
             candidates.append(
                 CandidateConfiguration(

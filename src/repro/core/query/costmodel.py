@@ -22,8 +22,10 @@ The inputs come from :class:`~repro.core.stats.RelationStatistics`:
 * vantage-point (metric) plans derive the unpruned fraction from the
   self-difference distribution ``P(|D1 - D2| <= eps)`` of the sampled
   distances — exactly the triangle-inequality test the tree applies;
-* nearest-neighbour queries are priced as range queries at the radius the
-  histogram expects to capture ``k`` answers;
+* nearest-neighbour queries are priced as tree probes at the radius the
+  histogram expects to capture ``k`` answers, admitting what the sampled
+  feature-distance CDF holds within it: the probe prunes by that lower bound,
+  a ball, where a range probe filters by a rectangle;
 * bounded-cost ``SIM`` predicates multiply the surviving candidates by a
   frontier bound for the similarity engine's uniform-cost search.
 
@@ -47,7 +49,9 @@ import math
 from dataclasses import dataclass, replace
 from typing import Any
 
+from ...index.kindex import page_capacity
 from ...storage.pages import records_per_page
+from ...timeseries.features import SeriesFeatureExtractor
 from ..parallel import resolve_workers
 from ..rules import TransformationRuleSet
 from ..similarity import engine_steps
@@ -139,6 +143,15 @@ class CostEstimate:
         if self.detail:
             text += f" [{self.detail}]"
         return text
+
+
+def _assumed_fanout(stats: RelationStatistics | None) -> int:
+    """Node capacity of the tree assumed when none was measured: the k-index
+    default, a page (:func:`~repro.index.kindex.page_capacity`) at the
+    sampled points' dimension, or at the default extractor's without them."""
+    low = stats.extent_low if stats is not None else None
+    dimension = SeriesFeatureExtractor().space.dimension if low is None else len(low)
+    return page_capacity(dimension)
 
 
 def _estimate(io: float, candidates: float, computations: float, *,
@@ -237,6 +250,13 @@ class QueryCostModel:
             return DEFAULT_SELECTIVITY, False
         return fraction, True
 
+    def _bound_fraction(self, stats: RelationStatistics | None,
+                        epsilon: float) -> tuple[float, bool]:
+        fraction = stats.bound_fraction(epsilon) if stats is not None else None
+        if fraction is None:
+            return DEFAULT_SELECTIVITY, False
+        return fraction, True
+
     def _pair_fraction(self, stats: RelationStatistics | None,
                        epsilon: float) -> tuple[float, bool]:
         fraction = stats.pair_fraction(epsilon) if stats is not None else None
@@ -277,20 +297,27 @@ class QueryCostModel:
         (:attr:`KIndex.tail_pages <repro.index.kindex.KIndex.tail_pages>`,
         read at plan time): every probe filters it whole, whatever the tree
         looked like when the statistics were collected."""
-        candidate_fraction, measured = self._candidate_fraction(stats, epsilon)
+        return self._probe(stats, cardinality, epsilon, self._candidate_fraction, tail_pages)
+
+    def _probe(self, stats: RelationStatistics | None, cardinality: int, epsilon: float,
+               fraction, tail_pages: float) -> CostEstimate:
+        """One tree probe at ``epsilon``: ``fraction(stats, radius)`` is the
+        share of rows the probe admits at ``radius`` — its candidates at
+        ``epsilon``, and, at ``epsilon`` enlarged by a node's average radius,
+        the share of nodes it opens."""
+        candidate_fraction, measured = fraction(stats, epsilon)
         candidates = cardinality * candidate_fraction
         tree = stats.tree_summary if stats is not None else None
         if tree is None or tree.get("node_count", 0) <= 0:
-            # No structural knowledge: assume a packed tree of fanout 8.
-            leaf_count = max(1.0, cardinality / 8.0)
-            nodes = 1.0 + math.log(max(1.0, leaf_count), 8.0) \
+            # No structural knowledge: assume a packed tree of page-sized nodes.
+            fanout = _assumed_fanout(stats)
+            leaf_count = max(1.0, cardinality / fanout)
+            nodes = 1.0 + math.log(max(1.0, leaf_count), fanout) \
                 + leaf_count * candidate_fraction
             structural = False
         else:
-            leaf_hit, _ = self._candidate_fraction(
-                stats, epsilon + tree.get("avg_leaf_radius", 0.0))
-            internal_hit, _ = self._candidate_fraction(
-                stats, epsilon + tree.get("avg_internal_radius", 0.0))
+            leaf_hit, _ = fraction(stats, epsilon + tree.get("avg_leaf_radius", 0.0))
+            internal_hit, _ = fraction(stats, epsilon + tree.get("avg_internal_radius", 0.0))
             nodes = (tree["height"]
                      + tree["leaf_count"] * leaf_hit
                      + tree["internal_count"] * internal_hit)
@@ -322,13 +349,14 @@ class QueryCostModel:
             # descent plus a handful of candidates around k.
             tree = stats.tree_summary if stats is not None else None
             height = (tree["height"] if tree
-                      else math.log(max(2, cardinality), 8)) + tail_pages
+                      else math.log(max(2, cardinality), _assumed_fanout(stats))) + tail_pages
             candidates = float(4 * k)
             return _estimate(height + candidates, candidates, candidates,
                              can_estimate=False,
                              detail="assumed k-neighbourhood descent")
-        estimate = self.index_range(stats, cardinality, radius,
-                                    tail_pages=tail_pages)
+        # The probe prunes by its lower bound — a feature-space distance, a
+        # ball — not by the range filter's rectangle.
+        estimate = self._probe(stats, cardinality, radius, self._bound_fraction, tail_pages)
         candidates = max(float(k), estimate.candidates)
         return _estimate(estimate.io_accesses - estimate.candidates + candidates,
                          candidates, candidates,

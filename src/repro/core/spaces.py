@@ -197,6 +197,14 @@ class FeatureSpace:
         point_extra, point_feats = self.decode(point)
         return _norms(feats - point_feats, extra - point_extra)
 
+    def pairwise(self, points: np.ndarray) -> np.ndarray:
+        """:meth:`distance` between every two rows of ``(n, dimension)``
+        points, as one ``float64[n * (n - 1) / 2]``: row 0 against each row
+        after it, then row 1, … — bit for bit the scalar form's values."""
+        extra, feats = self.decode_rows(points)
+        left, right = np.triu_indices(len(points), 1)
+        return _norms(feats[left] - feats[right], extra[left] - extra[right])
+
     def window_entry_distances(self, points: np.ndarray) -> np.ndarray:
         """For every ordered pair of distinct rows ``(i, j)`` of ``(n,
         dimension)`` points, the least ``epsilon`` at which row ``j`` lies in

@@ -12,8 +12,10 @@ crossover constant) needs per-relation measurements:
   registered R-tree (height, node counts, fanout, typical node radius);
 * a **sampled distance histogram**: exact distances between sampled object
   pairs.  Its CDF estimates the answer fraction of a range query at any
-  threshold; for feature relations a second histogram of *filter* (feature
-  point) distances estimates the candidate fraction the index produces; for
+  threshold; for indexed feature relations a second histogram, of the
+  radius at which the search rectangle around one point admits another,
+  estimates the candidate fraction a range probe produces, and a third, of
+  feature-point distances, the fraction a nearest-neighbour probe verifies; for
   metric/provider relations the histogram's self-difference distribution
   ``P(|D1 - D2| <= eps)`` estimates how much triangle-inequality pruning a
   vantage-point tree achieves.
@@ -34,8 +36,9 @@ pays for a collection another request's write made necessary.
 Collection is array code.  An indexed relation is measured off the index's
 own arrays — :meth:`KIndex.points <repro.index.kindex.KIndex.points>` rows
 through :meth:`FeatureSpace.window_entry_distances
-<repro.core.spaces.FeatureSpace.window_entry_distances>` for the filter
-histogram, column reductions for extents and spread, the
+<repro.core.spaces.FeatureSpace.window_entry_distances>` and
+:meth:`FeatureSpace.pairwise <repro.core.spaces.FeatureSpace.pairwise>` for
+the filter and bound histograms, column reductions for extents and spread, the
 columnar store's pair kernel for the exact distances — with no per-record
 object and no temporary sized by the relation (2.5 ms at 5000×128, most of it
 the exact pair kernel).
@@ -175,6 +178,11 @@ class RelationStatistics:
     #: ``None`` for provider relations (the answer histogram plays both
     #: roles there).
     filter_histogram: DistanceHistogram | None = None
+    #: Feature-space distances between the same rows, every unordered pair —
+    #: the lower bound a nearest-neighbour probe orders and prunes by, so
+    #: what its candidate set is governed by.  ``None`` where the filter
+    #: histogram is.
+    bound_histogram: DistanceHistogram | None = None
     #: Bounded-EWMA corrections learned from executed queries.
     candidate_correction: float = 1.0
     answer_correction: float = 1.0
@@ -205,6 +213,16 @@ class RelationStatistics:
             return None
         raw = histogram.fraction_within(epsilon)
         return min(1.0, raw * self.candidate_correction)
+
+    def bound_fraction(self, epsilon: float) -> float | None:
+        """Expected fraction a nearest-neighbour probe verifies when its
+        ``k``-th distance is ``epsilon``: the rows whose lower bound is
+        within it.  The candidate correction applies, as it does to the
+        range filter's fraction."""
+        histogram = self.bound_histogram or self.filter_histogram or self.answer_histogram
+        if histogram is None or len(histogram) == 0:
+            return None
+        return min(1.0, histogram.fraction_within(epsilon) * self.candidate_correction)
 
     def pair_fraction(self, epsilon: float) -> float | None:
         """Expected fraction a metric pivot fails to prune at ``epsilon``."""
@@ -401,15 +419,24 @@ def _exact_histogram(store, positions: np.ndarray, include_stats: bool) -> Dista
     return DistanceHistogram(pairwise_distances(*arrays, include_stats, row_ids=positions))
 
 
-def filter_histogram(index, positions: np.ndarray) -> DistanceHistogram | None:
-    """Window-entry distances between the index's sampled rows, every
-    ordered pair (:meth:`FeatureSpace.window_entry_distances
-    <repro.core.spaces.FeatureSpace.window_entry_distances>`): the index
+def index_histograms(index, positions: np.ndarray) -> dict[str, DistanceHistogram | None]:
+    """The two histograms the index's sampled rows give, as
+    :class:`RelationStatistics` fields.  ``filter_histogram``: window-entry
+    distances, every ordered pair (:meth:`FeatureSpace.window_entry_distances
+    <repro.core.spaces.FeatureSpace.window_entry_distances>`) — a range probe
     fetches what its search *rectangle* holds, not what the ball does, so its
-    candidate fraction at ``epsilon`` is this CDF.  ``None`` under two rows."""
+    candidate fraction at ``epsilon`` is this CDF.  ``bound_histogram``:
+    feature-space distances, every unordered pair (:meth:`FeatureSpace.pairwise
+    <repro.core.spaces.FeatureSpace.pairwise>`) — a nearest-neighbour probe
+    prunes by that lower bound, not by a rectangle.  Both ``None`` under two
+    rows."""
     if len(positions) < 2:
-        return None
-    return DistanceHistogram(index.space.window_entry_distances(index.points(positions)))
+        return {"filter_histogram": None, "bound_histogram": None}
+    points = index.points(positions)
+    return {
+        "filter_histogram": DistanceHistogram(index.space.window_entry_distances(points)),
+        "bound_histogram": DistanceHistogram(index.space.pairwise(points)),
+    }
 
 
 def _collect_from_index(relation, index, sample_size: int) -> RelationStatistics:
@@ -435,7 +462,7 @@ def _collect_from_index(relation, index, sample_size: int) -> RelationStatistics
         spread=spread,
         tree_summary=index.structure_summary(),
         answer_histogram=answer,
-        filter_histogram=filter_histogram(index, positions),
+        **index_histograms(index, positions),
     )
 
 

@@ -278,6 +278,7 @@ class TestIndexProbeSignatures:
         for space in (repro.PolarSpace, repro.RectangularSpace):
             assert _signature(space.window_entry_distances) == (
                 "(self, points: 'np.ndarray') -> 'np.ndarray'")
+            assert _signature(space.pairwise) == "(self, points: 'np.ndarray') -> 'np.ndarray'"
             assert _signature(space.distances_to) == (
                 "(self, point: 'FeatureVector', points: 'np.ndarray') -> 'np.ndarray'")
             assert _signature(space.decode_rows) == (

@@ -27,8 +27,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro import KIndex, SeriesFeatureExtractor, TimeSeries, random_walk_collection
+from repro import KIndex, SeriesFeatureExtractor, TimeSeries, connect, random_walk_collection
 from repro.core.objects import FeatureVector
+from repro.core.query.costmodel import QueryCostModel
 from repro.core.spaces import TWO_PI, PolarSpace, RectangleBound
 from repro.core.transformations import RealLinearTransformation
 from repro.index import kindex as kindex_module
@@ -542,3 +543,32 @@ class TestTheBenchmarksNearestWorkIsPinned:
 
     def test_counts_at_the_page_capacity(self):
         assert self._counts() == self.PINNED_AT_THE_PAGE_CAPACITY
+
+
+class TestTheBenchmarksNearestWorkIsPriced:
+    """The same 28 probes, priced.  A k-NN probe prunes by a feature-space
+    lower bound — a ball — so the cost model prices its candidates from the
+    statistics' bound histogram, not from the range filter's rectangle.  The
+    kernel verifies every row whose bound is within the k-th distance and, a
+    block of leaves at a time, some beyond it: the price stays under the
+    candidates measured, within a factor of 4.  Priced from the rectangle's
+    histogram it is over them (2.7 times at the page capacity)."""
+
+    def test_the_price_reads_the_bound(self):
+        stream = _benchmark_workloads().build_stream("embedded-index", 5)
+        probes = [op for op in stream.ops if op.family == "nearest"]
+        data = random_walk_collection(5000, 128, seed=11)
+        index = KIndex.bulk_load(data, SeriesFeatureExtractor(2))
+        session = connect()
+        session.relation("walks", data).with_index(index)
+        stats = session.analyze("walks")
+        model, count = QueryCostModel(), len(data)
+        measured = sum(
+            index.nearest_neighbors(op.params["q"], op.k).statistics.candidates for op in probes
+        )
+        priced = sum(model.index_nearest(stats, count, op.k).candidates for op in probes)
+        rectangle = sum(
+            count * stats.filter_histogram.fraction_within(stats.answer_quantile(op.k / count))
+            for op in probes
+        )
+        assert measured / 4 <= priced <= measured < rectangle

@@ -19,6 +19,9 @@ Covers the PR-4 planner rewrite:
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 
 from repro import (
@@ -32,6 +35,7 @@ from repro import (
     random_walk_collection,
 )
 from repro.core.query.ast import AllPairsQuery, NearestNeighborQuery, RangeQuery
+from repro.core.query.costmodel import QueryCostModel
 from repro.core.query.planner import (
     IndexNearestPlan,
     IndexRangePlan,
@@ -40,6 +44,7 @@ from repro.core.query.planner import (
     explain,
 )
 from repro.core.stats import DistanceHistogram, RelationStatistics
+from repro.index.kindex import page_capacity
 from repro.strings import edit_distance_provider
 
 LENGTH = 64
@@ -327,6 +332,59 @@ class TestTheTailIsPriced:
         assert plan.estimated_cost.io_accesses == pytest.approx(flat.io_accesses + 7.0)
         probe = index.range_query(data[0], 1.0)
         assert probe.statistics.node_accesses == 7 + index.tree.access_stats.total
+
+
+class TestEachProbeIsPricedByItsOwnFilter:
+    """A range probe fetches what its search rectangle holds, a k-NN probe
+    what its lower bound — a ball — admits: each estimate reads its own
+    histogram.  A tree the statistics never measured is assumed to have
+    page-sized nodes, as the k-index packs by default."""
+
+    @staticmethod
+    def _stats(**fields) -> RelationStatistics:
+        tree = {"height": 2.0, "leaf_count": 26.0, "internal_count": 1.0,
+                "node_count": 27.0, "avg_leaf_fanout": 38.5, "avg_internal_fanout": 26.0,
+                "avg_leaf_radius": 0.0, "avg_internal_radius": 0.0}
+        return RelationStatistics(**{
+            "relation": "r", "cardinality": 1000, "kind": "feature-indexed",
+            "record_bytes": 512, "tree_summary": tree,
+            "answer_histogram": DistanceHistogram([float(d) for d in range(1, 101)]),
+            "filter_histogram": DistanceHistogram([d / 4.0 for d in range(1, 101)]),
+            "bound_histogram": DistanceHistogram([d / 2.0 for d in range(1, 101)]),
+            **fields})
+
+    def test_nearest_reads_the_bound_and_range_the_window(self):
+        model, stats = QueryCostModel(), self._stats()
+        # k = 100 of 1 000 rows: the answer histogram's 0.1 quantile.
+        assert stats.answer_quantile(0.1) == 10.0
+        nearest = model.index_nearest(stats, 1000, 100)
+        assert nearest.candidates == 1000 * 0.2  # half-distances within 10
+        assert nearest.io_accesses == pytest.approx(2.0 + 27 * 0.2 + 200)
+        assert model.index_range(stats, 1000, 10.0).candidates == 1000 * 0.4
+        stats.candidate_correction = 1.5  # the feedback corrects both
+        assert model.index_nearest(stats, 1000, 100).candidates == pytest.approx(300)
+        assert model.index_range(stats, 1000, 10.0).candidates == pytest.approx(600)
+
+    def test_collected_statistics_hold_both_histograms(self):
+        session, _ = _session(60, build="str")
+        stats = session.analyze("walks")
+        assert len(stats.filter_histogram) == 48 * 47 and len(stats.bound_histogram) == 48 * 47 // 2
+        # The rectangle holds the ball: a row enters it at no larger a radius.
+        assert stats.filter_histogram.values.max() <= stats.bound_histogram.values.max()
+
+    def test_an_unmeasured_tree_has_page_sized_nodes(self):
+        model = QueryCostModel()
+        # 3 900 rows, 39 a node at six dimensions: 100 leaves under a root.
+        assert page_capacity(6) == 39
+        estimate = model.index_range(self._stats(tree_summary=None), 3900, 10.0)
+        assert not estimate.can_estimate
+        assert estimate.io_accesses == pytest.approx(1 + math.log(100, 39) + 100 * 0.4 + 1560)
+        # Without a histogram either: the root-to-leaf descent of such a tree.
+        assert model.index_nearest(None, 39 ** 2, 5).io_accesses == pytest.approx(2 + 20)
+        # Sampled points of eight dimensions: 30 a node.
+        eight = self._stats(tree_summary=None, extent_low=np.zeros(8))
+        estimate = model.index_range(eight, 3000, 10.0)
+        assert estimate.io_accesses == pytest.approx(1 + math.log(100, 30) + 100 * 0.4 + 1200)
 
 
 class TestStatisticsLifecycle:

@@ -4,13 +4,15 @@ Two mechanisms are held here.
 
 **Collection reads arrays.**  ``analyze`` on an indexed relation measures the
 index's own arrays — ``KIndex.points`` rows through
-``FeatureSpace.window_entry_distances``, column reductions for extents and
-spread — and the advisor's what-if filter histogram and
+``FeatureSpace.window_entry_distances`` and ``FeatureSpace.pairwise``, column
+reductions for extents and spread — and the advisor's what-if histograms and
 ``range_query(exact=False)`` take the same road.  The loops they replaced are
 kept below as the reference (one ``index.record`` or one ``space.distance`` at
 a time) and every value is compared bit for bit.  A window-entry distance is
 checked against the filter's own test: ``search_rectangle`` and
 ``rects_overlap`` admit the pair's row just above it and refuse it just below.
+It is never more than the pair's feature-space distance: the rectangle holds
+the ball.
 
 **The writer keeps statistics fresh.**  Once statistics exist, the catalog
 write that moves their basis (a cardinality band, the index set, a seal)
@@ -49,6 +51,15 @@ SPACES = {"polar": PolarSpace, "rectangular": RectangularSpace}
 # ---------------------------------------------------------------------------
 # the replaced loops, kept as the reference
 # ---------------------------------------------------------------------------
+def reference_pairwise(values: list, distance) -> np.ndarray:
+    """``FeatureSpace.pairwise``'s loop: one scalar distance per pair."""
+    out = []
+    for i, left in enumerate(values):
+        for right in values[i + 1 :]:
+            out.append(float(distance(left, right)))
+    return np.asarray(out, dtype=np.float64)
+
+
 #: A window-entry distance admits its row at ``(1 + SLACK)`` times itself and
 #: refuses it at ``(1 - SLACK)`` times: the window's own arithmetic (an
 #: ``asin`` for a phase angle) rounds, the threshold does not move by more.
@@ -84,6 +95,13 @@ def reference_filter_distances(index, sample_size: int = SAMPLE_SIZE) -> np.ndar
     return np.sort(values)
 
 
+def reference_bound_distances(index, sample_size: int = SAMPLE_SIZE) -> np.ndarray:
+    """The bound histogram's values, a record and a ``space.distance`` at a time."""
+    positions = sample_positions(len(index), sample_size)
+    points = [index.record(int(i))[1].point for i in positions]
+    return np.sort(reference_pairwise(points, index.space.distance))
+
+
 def reference_extents(index) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Extents and spread over ``record()``-built points, stacked."""
     all_points = np.vstack(
@@ -95,14 +113,16 @@ def reference_extents(index) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return all_points.min(axis=0), all_points.max(axis=0), all_points.std(axis=0)
 
 
-def reference_advisor_histogram(extractor, objects: list) -> np.ndarray:
-    """``IndexAdvisor._filter_histogram``'s points as they stood: every
-    sampled series re-extracted through ``extractor.point``."""
+def reference_advisor_histogram(extractor, objects: list) -> tuple[np.ndarray, np.ndarray]:
+    """``IndexAdvisor._filter_histogram``'s points as they stood — every
+    sampled series re-extracted through ``extractor.point`` — and the window
+    and bound histograms' values over them."""
     sampled = [objects[int(i)] for i in sample_positions(len(objects), SAMPLE_SIZE)]
     points = np.vstack([extractor.point(series).values for series in sampled])
     values = extractor.space.window_entry_distances(points)
     assert_window_entry(extractor.space, points, values)
-    return np.sort(values)
+    vectors = [FeatureVector(point) for point in points]
+    return np.sort(values), np.sort(reference_pairwise(vectors, extractor.space.distance))
 
 
 def reference_filter_only(index, query, epsilon: float, transformation=None) -> list:
@@ -129,6 +149,7 @@ def indexed_session(index, data):
 
 def assert_statistics_match_the_reference(stats, index) -> None:
     assert np.array_equal(stats.filter_histogram.values, reference_filter_distances(index))
+    assert np.array_equal(stats.bound_histogram.values, reference_bound_distances(index))
     low, high, spread = reference_extents(index)
     assert np.array_equal(stats.extent_low, low)
     assert np.array_equal(stats.extent_high, high)
@@ -148,8 +169,13 @@ class TestArrayFormsEqualTheScalarLoops:
         index = KIndex.bulk_load(walk_collection, extractor)
         stats = indexed_session(index, walk_collection).analyze("walks")
         assert len(stats.filter_histogram) == SAMPLE_SIZE * (SAMPLE_SIZE - 1)
+        assert len(stats.bound_histogram) == SAMPLE_SIZE * (SAMPLE_SIZE - 1) // 2
         assert_statistics_match_the_reference(stats, index)
         points = index.points(np.arange(len(index)))
+        assert np.array_equal(
+            index.space.pairwise(points[:20]),
+            reference_pairwise([FeatureVector(p) for p in points[:20]], index.space.distance),
+        )
         assert np.array_equal(
             index.space.distances_to(FeatureVector(points[3]), points),
             [index.space.distance(FeatureVector(p), FeatureVector(points[3])) for p in points],
@@ -174,7 +200,17 @@ class TestArrayFormsEqualTheScalarLoops:
                 [-np.pi, np.pi, 0.0, *rng.uniform(-np.pi, np.pi, size=5)], size=(count, k)
             )
         vectors = [FeatureVector(point) for point in points]
-        assert_window_entry(space, points, space.window_entry_distances(points))
+        window = space.window_entry_distances(points)
+        assert_window_entry(space, points, window)
+        pairs = space.pairwise(points)
+        assert pairs.dtype == np.float64 and pairs.shape == (count * (count - 1) // 2,)
+        assert np.array_equal(pairs, reference_pairwise(vectors, space.distance))
+        # The rectangle holds the ball: either row of a pair enters the
+        # window around the other at no more than their distance.
+        ball = np.zeros((count, count))
+        ball[np.triu_indices(count, 1)] = pairs
+        ball += ball.T
+        assert np.all(window <= ball[~np.eye(count, dtype=bool)] * (1.0 + SLACK))
         extra, feats = space.decode_rows(points)
         for row, vector in enumerate(vectors):
             assert np.array_equal(extra[row], space.decode(vector)[0])
@@ -186,10 +222,9 @@ class TestArrayFormsEqualTheScalarLoops:
         session.relation("walks").insert_many(walk_collection)
         candidates = IndexAdvisor()._feature_candidates(session.database, "walks")
         candidate = next(c for c in candidates if c.num_coefficients == prefix)
-        assert np.array_equal(
-            candidate.statistics.filter_histogram.values,
-            reference_advisor_histogram(SeriesFeatureExtractor(prefix), walk_collection),
-        )
+        window, bound = reference_advisor_histogram(SeriesFeatureExtractor(prefix), walk_collection)
+        assert np.array_equal(candidate.statistics.filter_histogram.values, window)
+        assert np.array_equal(candidate.statistics.bound_histogram.values, bound)
 
     @pytest.mark.parametrize(
         ("representation", "transformed"),
