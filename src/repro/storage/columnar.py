@@ -65,6 +65,7 @@ shortcuts.
 from __future__ import annotations
 
 import math
+import mmap
 from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -73,6 +74,7 @@ from ..core.errors import DimensionMismatchError
 
 __all__ = [
     "ColumnarRecordStore",
+    "record_matrix",
     "exact_distances",
     "gathered_pair_distances",
     "pair_blocks",
@@ -105,6 +107,57 @@ _PRUNE_SLACK = 1e-9
 #: 1 MB, and an exact slice at most as much, see :func:`_slice_rows`), the scan
 #: join's cancellation seam and the unit it fans across workers.
 PAIR_BLOCK = 8192
+
+
+#: A record matrix of at least this many bytes gets a mapping of its own
+#: (:func:`record_matrix`); a smaller one is an ordinary numpy block.
+MAPPED_MATRIX_BYTES = 1 << 22
+#: A transparent huge page on x86-64 and arm64 (4 KB base pages).
+_HUGE_PAGE_BYTES = 1 << 21
+
+
+def record_matrix(rows: int, width: int) -> np.ndarray:
+    """A zeroed ``(rows, width)`` coefficient matrix for a store to keep.
+
+    A relation's matrix is megabytes (16 MB at 8 000 × 127) and lives as long
+    as its store.  Taken from the C heap, it is freed into the middle of the
+    heap when the store goes, and the small long-lived blocks allocated
+    before the next store's matrix may be carved from that hole: the next
+    matrix then no longer fits and the heap grows by its size for good.
+    Whether that happens hangs on the process's address layout, so a program
+    that loads a relation again and again peaked at one of two levels from
+    one run to the next (the benchmark's ``embedded-scan-join``: 85.8 or
+    95.3 MB).  From :data:`MAPPED_MATRIX_BYTES` on, a matrix is therefore an
+    anonymous mapping of its own, which goes back to the system whole when
+    the matrix and its views are gone and leaves no hole.
+
+    Like numpy's own large blocks, the mapping asks for transparent huge
+    pages, and its length is rounded up to whole ones: recent Linux kernels
+    place an anonymous mapping of such a length on a huge-page boundary, so
+    all of it can be huge pages.  Unrounded, a 16 MB matrix faulted in ~2 500 pages a load
+    and ``embedded-scan-join``'s ``setup_s`` rose 18 % over a heap block
+    reused; rounded, ~900 fewer and 5–9 %.  The tail past the matrix is never
+    written; it is resident only as part of a huge page the matrix ends in.
+    """
+    shape = (rows, width)
+    nbytes = rows * width * np.dtype(np.complex128).itemsize
+    if nbytes < MAPPED_MATRIX_BYTES:
+        return np.zeros(shape, dtype=np.complex128)
+    # Private: an anonymous *shared* mapping is shmem, whose pages fault in
+    # slower and take no huge pages.
+    private = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
+    length = -(-nbytes // _HUGE_PAGE_BYTES) * _HUGE_PAGE_BYTES
+    mapping = mmap.mmap(-1, length, **private)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        mapping.madvise(mmap.MADV_HUGEPAGE)
+    return np.ndarray(shape, dtype=np.complex128, buffer=mapping)
+
+
+def _owns_memory(matrix: np.ndarray) -> bool:
+    """Whether nothing but ``matrix`` refers to its memory: numpy owns it, or
+    it is the matrix :func:`record_matrix` made on a mapping."""
+    return matrix.flags.owndata or (type(matrix) is np.ndarray
+                                    and isinstance(matrix.base, mmap.mmap))
 
 
 class ColumnarRecordStore:
@@ -160,12 +213,13 @@ class ColumnarRecordStore:
         zero-padded beyond each row's true ``lengths`` entry, exactly as
         this store pads them.
 
-        An *empty* store takes a matrix that owns its memory over instead of
-        copying it — the caller must not write to it afterwards (the store
-        never does: it only appends, and growing reallocates).  Loading a
-        relation therefore never holds its spectra twice: a second
-        relation-sized block, freed a moment later, is what the allocator
-        keeps resident or not from one run to the next.
+        An *empty* store takes a matrix that owns its memory (or is a whole
+        :func:`record_matrix`) over instead of copying it — the caller must
+        not write to it afterwards (the store never does: it only appends,
+        and growing reallocates).  Loading a relation therefore never holds
+        its spectra twice: a second relation-sized block, freed a moment
+        later, is what the allocator keeps resident or not from one run to
+        the next.
         """
         coefficients = np.asarray(coefficients, dtype=np.complex128)
         count = coefficients.shape[0]
@@ -177,7 +231,8 @@ class ColumnarRecordStore:
             return
         start = self._count
         flags = coefficients.flags
-        if start == 0 and flags.owndata and flags.writeable and flags.c_contiguous:
+        if (start == 0 and _owns_memory(coefficients) and flags.writeable
+                and flags.c_contiguous):
             self._coefficients = coefficients
             self._lengths = np.array(lengths, dtype=np.intp)
             self._means = np.array(means, dtype=np.float64)
@@ -200,7 +255,7 @@ class ColumnarRecordStore:
         if rows > capacity:
             new_capacity = max(rows, 4, capacity * 2)
         if new_capacity != capacity or new_width != current_width:
-            grown = np.zeros((new_capacity, new_width), dtype=np.complex128)
+            grown = record_matrix(new_capacity, new_width)
             grown[:self._count, :current_width] = self._coefficients[:self._count]
             self._coefficients = grown
         if rows > self._lengths.shape[0]:

@@ -57,7 +57,7 @@ from ...core.objects import DataObject, GenericObject
 from ...strings.objects import StringObject
 from ...timeseries.series import TimeSeries
 from .. import codec
-from ..columnar import ColumnarRecordStore
+from ..columnar import ColumnarRecordStore, record_matrix
 
 __all__ = ["ColumnSegment", "encode_object", "decode_object", "write_segment", "load_segments"]
 
@@ -271,7 +271,7 @@ def load_segments(
     # segment at a time doubles, and the blocks it frees among the rows'
     # small arrays left peak RSS different from one run to the next.
     width = max(coefficients.shape[1] for coefficients, *_ in spectra)
-    matrix = np.zeros((len(rows), width), dtype=np.complex128)
+    matrix = record_matrix(len(rows), width)
     start = 0
     for coefficients, *_ in spectra:
         matrix[start : start + len(coefficients), : coefficients.shape[1]] = coefficients

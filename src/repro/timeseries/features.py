@@ -34,6 +34,7 @@ import numpy as np
 from ..core.errors import IndexError_
 from ..core.objects import FeatureVector
 from ..core.spaces import FeatureSpace, PolarSpace, RectangularSpace
+from ..storage.columnar import record_matrix
 from . import dft as dft_module
 from .normalform import normal_form_values
 from .series import TimeSeries
@@ -190,8 +191,7 @@ def spectral_records(collection: Sequence[Any]
         values.append(np.asarray(array, dtype=np.float64))
     sizes = np.array([array.shape[0] for array in values], dtype=np.intp)
     lengths = sizes - 1  # coefficient 0 is dropped
-    coefficients = np.zeros((len(values), int(lengths.max(initial=0))),
-                            dtype=np.complex128)
+    coefficients = record_matrix(len(values), int(lengths.max(initial=0)))
     means = np.empty(len(values))
     stds = np.empty(len(values))
     for size in np.unique(sizes).tolist():
