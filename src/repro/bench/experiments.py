@@ -285,11 +285,10 @@ def table1_spatial_join(num_series: int = 200, length: int = 128, *,
     sample_size = min(len(workload.data), 200)
     sample_indices = rng.choice(len(workload.data), size=sample_size, replace=False)
     store = workload.scan.store
-    coefficients, means, stds = store.transformed_arrays(transformation)
     sample_distances = sorted(pairwise_distances(
-        coefficients, store.lengths, means, stds,
+        store.coefficients, store.lengths, store.means, store.stds,
         workload.scan.extractor.include_stats,
-        row_ids=sample_indices).tolist())
+        row_ids=sample_indices, row_map=store.record_map(transformation)).tolist())
     total_pairs = len(workload.data) * (len(workload.data) - 1) // 2
     quantile = min(1.0, target_pairs / total_pairs)
     position = max(0, min(len(sample_distances) - 1,

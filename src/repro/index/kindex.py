@@ -412,11 +412,14 @@ class KIndex:
         shorter than the prefix.
 
         The maps depend on the transformation and the feature space alone,
-        so they are kept per transformation object (at most 8, as the
-        store's :meth:`~repro.storage.columnar.ColumnarRecordStore.transformed_arrays`):
-        the planner and the probe get the same maps, and the tree the same
-        image (:meth:`PackedRTree.transformed` keys on the map).  A map that
-        is not safe is never kept, so it raises on every call.
+        so they are kept per transformation object (at most 8): the planner
+        and the probe get the same maps, and the tree the same image
+        (:meth:`PackedRTree.transformed` keys on the map), a copy of the
+        index's rectangles that is small beside the relation.  The stored
+        records are never transformed as a whole: verification maps the
+        candidate rows it gathers
+        (:meth:`~repro.storage.columnar.ColumnarRecordStore.record_map`).  A
+        map that is not safe is never kept, so it raises on every call.
         """
         if transformation is None:
             return None, None
@@ -588,8 +591,8 @@ class KIndex:
                       epsilons: np.ndarray,
                       results: list[RangeQueryResult]) -> None:
         """One abandoning verification pass (:func:`verify_pairs`) over every
-        candidate of a batch of range queries (under a ``transformation``:
-        against the store's transformed rows)."""
+        candidate of a batch of range queries (under a ``transformation``,
+        the candidates' rows mapped as the kernel gathers them)."""
         counts = [candidates.size for candidates in candidate_lists]
         if not sum(counts):
             return
@@ -604,12 +607,12 @@ class KIndex:
             query_matrix[position, :full[0].shape[0]] = full[0]
         query_means = np.array([full[1] for full in query_fulls])
         query_stds = np.array([full[2] for full in query_fulls])
-        coefficients, means, stds = self.store.transformed_arrays(transformation)
+        store = self.store
         positions, distances = verify_pairs(
-            coefficients, self.store.lengths, means, stds,
+            store.coefficients, store.lengths, store.means, store.stds,
             self.extractor.include_stats, row_ids,
             query_matrix, query_lengths, query_means, query_stds, query_index,
-            epsilons)
+            epsilons, store.record_map(transformation))
         # Positions ascend, so each query's answers are one run of them, in
         # candidate order.
         edges = np.searchsorted(positions, list(accumulate(counts, initial=0)))
@@ -670,12 +673,13 @@ class KIndex:
         def lower_bound(table: np.ndarray) -> np.ndarray:
             return bound.of_table(table) * (1.0 - BOUND_SLACK) - slack
 
-        coefficients, means, stds = self.store.transformed_arrays(transformation)
-        lengths = self.store.lengths
+        store = self.store
+        arrays = (store.coefficients, store.lengths, store.means, store.stds)
+        row_map = store.record_map(transformation)
 
         def exact(rows: np.ndarray) -> np.ndarray:
-            return exact_distances(coefficients, lengths, means, stds, *query_full,
-                                   self.extractor.include_stats, row_ids=rows)
+            return exact_distances(*arrays, *query_full, self.extractor.include_stats,
+                                   row_ids=rows, row_map=row_map)
 
         first, tail = self._tail(tree)
         distances, rows = tree.nearest_search(

@@ -239,8 +239,11 @@ def _split_corners(rows: np.ndarray, dimension: int
 #: 1 / 64 took 128 / 9 steps (7.1 / 1.5 ms).
 NEAREST_BLOCK = 8
 
-#: Most images :meth:`PackedRTree.transformed` keeps per tree (as many as the
-#: record store keeps transformed matrices); one more clears them.
+#: Most images :meth:`PackedRTree.transformed` keeps per tree (as many as
+#: :meth:`~repro.index.kindex.KIndex.lower_transformation` keeps maps); one
+#: more clears them.  An image is a copy of the tree's rectangles, small
+#: beside the relation; the records themselves are mapped row by row as the
+#: refine kernels gather them, never held transformed.
 _IMAGES = 8
 
 

@@ -205,8 +205,9 @@ class SequentialScan:
         self._charge_scan_io(result.statistics)
         count = len(self.store)
         if count:
-            coefficients, means, stds = self.store.transformed_arrays(transformation)
-            lengths = self.store.lengths
+            row_map = self.store.record_map(transformation)
+            coefficients, lengths = self.store.coefficients, self.store.lengths
+            means, stds = self.store.means, self.store.stds
             query_coefficients, query_mean, query_std = query_record
             query_side = (query_coefficients[None, :], (query_coefficients.shape[0],),
                           (query_mean,), (query_std,), None,
@@ -217,7 +218,8 @@ class SequentialScan:
                 order — the serial computation restricted to its rows."""
                 positions, distances = verify_pairs(
                     coefficients[start:stop], lengths[start:stop], means[start:stop],
-                    stds[start:stop], self.extractor.include_stats, None, *query_side)
+                    stds[start:stop], self.extractor.include_stats, None, *query_side,
+                    row_map)
                 # Abandoning, the kernel kept only the rows within epsilon.
                 keep = slice(None) if early_abandon else distances <= epsilon
                 return positions[keep] + start, distances[keep]
@@ -253,16 +255,17 @@ class SequentialScan:
         result.statistics.candidates = count
         if count == 0:
             return result
-        coefficients, means, stds = self.store.transformed_arrays(transformation)
-        lengths = self.store.lengths
+        row_map = self.store.record_map(transformation)
+        arrays = (self.store.coefficients, self.store.lengths, self.store.means,
+                  self.store.stds)
         include_stats = self.extractor.include_stats
 
         def nearest_in_span(start: int, stop: int) -> list[tuple[float, int]]:
             """A partition's stable top-``k`` as (distance, global id) pairs
             in ascending order — every global answer is in its partition's
             top-``k``, so merging these lists loses nothing."""
-            distances = exact_distances(coefficients, lengths, means, stds, *query_record,
-                                        include_stats, row_ids=np.arange(start, stop))
+            distances = exact_distances(*arrays, *query_record, include_stats,
+                                        row_ids=np.arange(start, stop), row_map=row_map)
             order = np.argsort(distances, kind="stable")[:k]
             return [(float(distances[i]), start + int(i)) for i in order]
 
@@ -300,17 +303,17 @@ class SequentialScan:
         pairs: list[tuple[TimeSeries, TimeSeries, float]] = []
         self._charge_scan_io(stats)
         if count:
-            coefficients, means, stds = self.store.transformed_arrays(transformation)
-            lengths = self.store.lengths
-            include_stats = self.extractor.include_stats
+            row_map = self.store.record_map(transformation)
+            arrays = (self.store.coefficients, self.store.lengths, self.store.means,
+                      self.store.stds, self.extractor.include_stats)
             series = self.store.series_list()
 
             def join_block(first: int, last: int
                            ) -> list[tuple[TimeSeries, TimeSeries, float]]:
                 """The qualifying pairs of one block, in pair order."""
                 left, right, distances = pair_block_distances(
-                    coefficients, lengths, means, stds, include_stats,
-                    first, last, epsilon=epsilon if early_abandon else None)
+                    *arrays, first, last, epsilon=epsilon if early_abandon else None,
+                    row_map=row_map)
                 # Abandoning, the kernel kept only the pairs within epsilon.
                 keep = slice(None) if early_abandon else distances <= epsilon
                 return [(series[anchor], series[other], distance)

@@ -16,12 +16,11 @@ loops over every query; this module stores them **columnar** instead:
 
 The arrays grow amortised-doubling as blocks are appended, so loading stays
 linear, and a monotone :attr:`ColumnarRecordStore.version` lets derived
-caches (e.g. transformed-coefficient matrices) invalidate on growth.  One
-store serves a whole relation: the :class:`~repro.core.database.Database`
-owns one per relation (``Database.columnar_store``), shares the spatial
-index's store when its contents match, and the executor's scan fallback and
-the statistics sampler read the same arrays — no path materialises its own
-record list.
+caches invalidate on growth.  One store serves a whole relation: the
+:class:`~repro.core.database.Database` owns one per relation
+(``Database.columnar_store``), shares the spatial index's store when its
+contents match, and the executor's scan fallback and the statistics sampler
+read the same arrays — no path materialises its own record list.
 
 The module-level **kernels** implement exact record distances blockwise:
 
@@ -52,9 +51,15 @@ The module-level **kernels** implement exact record distances blockwise:
   after it" pair order at a time, handed to :func:`verify_pairs` with the
   relation as its own query matrix — bit-identical to one
   :func:`exact_distances` call per anchor;
-* :func:`transform_full_record` / :meth:`ColumnarRecordStore.transformed_arrays`
-  — a spectral transformation applied to one record or to the whole matrix
-  (cached per store version).
+* :func:`transform_full_record` / :class:`RecordMap` — a spectral
+  transformation applied to one record, or to the rows a kernel gathers.
+  The store never holds a transformed copy of its relation: every kernel
+  takes the base arrays plus the map (:meth:`ColumnarRecordStore.record_map`)
+  and runs ``*= multiplier; += offset`` in place on each block it gathers,
+  its statistics term ``means * extra_multiplier + extra_offset`` likewise —
+  the same operations per element a transformed matrix was built with, so
+  distances keep their bits, and a transformed query allocates nothing
+  relation-sized.
 
 Work accounting stays exact under batching because the kernels never skip
 *counted* work: counters (candidates, postprocessed, record fetches) are
@@ -66,7 +71,7 @@ from __future__ import annotations
 
 import math
 import mmap
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -74,6 +79,7 @@ from ..core.errors import DimensionMismatchError
 
 __all__ = [
     "ColumnarRecordStore",
+    "RecordMap",
     "record_matrix",
     "exact_distances",
     "gathered_pair_distances",
@@ -175,9 +181,6 @@ class ColumnarRecordStore:
         self._means = np.zeros(0, dtype=np.float64)
         self._stds = np.zeros(0, dtype=np.float64)
         self._count = 0
-        #: (id(transformation), version) -> (transformation, coeffs, means, stds)
-        self._transformed_cache: dict[int, tuple[Any, np.ndarray, np.ndarray,
-                                                 np.ndarray]] = {}
 
     # ------------------------------------------------------------------
     # loading
@@ -246,7 +249,6 @@ class ColumnarRecordStore:
             self._stds[start:start + count] = stds
         self._series.extend(collection)
         self._count += count
-        self._transformed_cache.clear()
 
     def _reserve(self, rows: int, width: int) -> None:
         capacity, current_width = self._coefficients.shape
@@ -338,47 +340,29 @@ class ColumnarRecordStore:
         return int(self._lengths[0]) * 16 + RECORD_STATS_BYTES
 
     # ------------------------------------------------------------------
-    # transformed views
+    # transformations
     # ------------------------------------------------------------------
-    def transformed_arrays(self, transformation: Any | None
-                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(coefficients, means, stds)`` after applying a spectral
-        transformation to every record (cached until the store grows).
+    def record_map(self, transformation: Any | None) -> RecordMap | None:
+        """A spectral transformation as the kernels apply it to this store's
+        rows (``None`` for none): its vectors sliced to the matrix's columns.
 
-        ``None`` returns the base arrays.  Rows shorter than the matrix
-        width carry transformation *offsets* in their padded region; the
-        kernels never read past a row's true length, so the padding is
-        inert.
+        Raises :class:`DimensionMismatchError` when the transformation covers
+        fewer coefficients than the widest stored record.  Nothing is kept:
+        the slices are views, and a kernel maps only the rows it gathers.
         """
         if transformation is None:
-            return self.coefficients, self.means, self.stds
-        cached = self._transformed_cache.get(id(transformation))
-        if cached is not None and cached[0] is transformation:
-            return cached[1], cached[2], cached[3]
-        lengths = self.lengths
-        max_length = int(lengths.max()) if self._count else 0
-        if transformation.multiplier.shape[0] < 1 + max_length:
+            return None
+        width = self._coefficients.shape[1]
+        if transformation.multiplier.shape[0] < 1 + width and self._count:
             raise DimensionMismatchError(
                 f"transformation {transformation.name!r} covers "
                 f"{transformation.multiplier.shape[0]} spectral coefficients but a "
-                f"stored record has {max_length} (plus DC); rebuild the "
+                f"stored record has {int(self.lengths.max())} (plus DC); rebuild the "
                 "transformation for the relation's series length")
-        width = self.coefficients.shape[1]
-        multiplier = transformation.multiplier[1:1 + width]
         offset = transformation.offset[1:1 + width]
-        # The product is the result and the offset is added in place: written
-        # as one expression, ``a * m + o`` holds a second relation-sized block
-        # for the length of the addition, and the hole it leaves in the heap
-        # is what a process's peak RSS then varies by from run to run.
-        coefficients = self.coefficients * multiplier
-        coefficients += offset
-        extra = np.stack([self.means, self.stds], axis=1)
-        extra = extra * transformation.extra_multiplier + transformation.extra_offset
-        entry = (transformation, coefficients, extra[:, 0].copy(), extra[:, 1].copy())
-        if len(self._transformed_cache) >= 8:
-            self._transformed_cache.clear()
-        self._transformed_cache[id(transformation)] = entry
-        return entry[1], entry[2], entry[3]
+        return RecordMap(transformation.multiplier[1:1 + width],
+                         offset if offset.any() else None,
+                         transformation.extra_multiplier, transformation.extra_offset)
 
     def __repr__(self) -> str:
         return (f"ColumnarRecordStore(size={self._count}, "
@@ -387,15 +371,49 @@ class ColumnarRecordStore:
 
 
 # ---------------------------------------------------------------------------
-# record-level helper shared by query-side code and the reference tests
+# transformations: of the rows a kernel gathers, and of one record
 # ---------------------------------------------------------------------------
+class RecordMap(NamedTuple):
+    """A spectral transformation over a store's columns, applied by the
+    kernels to the rows they gather (:meth:`ColumnarRecordStore.record_map`).
+
+    Column ``j`` holds spectral coefficient ``j + 1`` (a stored record has no
+    DC term), so ``multiplier`` and ``offset`` are the transformation's
+    vectors from index 1 on; a round slices them by the columns it reads.
+    Padding beyond a row's true length maps to its offset, as it did in a
+    transformed matrix: the kernels never count it.  An ``offset`` of zeros
+    is ``None`` and never added (most transformations, the moving averages
+    among them, have none): adding zero changes at most the sign of a zero,
+    which no distance sees, and the pass costs as much as the product.
+    """
+
+    multiplier: np.ndarray
+    offset: np.ndarray | None
+    extra_multiplier: np.ndarray
+    extra_offset: np.ndarray
+
+    def columns(self, block: np.ndarray, cols: np.ndarray | slice) -> np.ndarray:
+        """``block`` — fresh rows gathered over columns ``cols`` — mapped in
+        place: the product and then the sum, each element rounded as the
+        transformed matrix rounded it."""
+        block *= self.multiplier[cols]
+        if self.offset is not None:
+            block += self.offset[cols]
+        return block
+
+    def statistics(self, means: Any, stds: Any) -> tuple[Any, Any]:
+        """The (mean, std) statistics of gathered rows under the map."""
+        return (means * self.extra_multiplier[0] + self.extra_offset[0],
+                stds * self.extra_multiplier[1] + self.extra_offset[1])
+
+
 def transform_full_record(full_coefficients: np.ndarray, mean: float, std: float,
                           transformation: Any | None, *,
                           owner: str = "record"
                           ) -> tuple[np.ndarray, float, float]:
     """A spectral transformation applied to one ``(coefficients, mean, std)``
-    record — the scalar twin of :meth:`ColumnarRecordStore.transformed_arrays`,
-    used for query objects and incremental (nearest-neighbour) fetches."""
+    record — the scalar twin of :class:`RecordMap`, used for query
+    objects."""
     if transformation is None:
         return full_coefficients, mean, std
     available = full_coefficients.shape[0]
@@ -431,8 +449,10 @@ def _abandon_order(columns: int) -> np.ndarray:
     return order
 
 
-def _gather_columns(matrix: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """``matrix[rows[:, None], cols]``, a fresh array.
+def _gather_columns(matrix: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                    mapping: RecordMap | None = None) -> np.ndarray:
+    """``matrix[rows[:, None], cols]``, a fresh array — under ``mapping``,
+    mapped in place.
 
     numpy's (row, column) gather costs about twice a copy of the columns
     followed by a row take, so it goes that way when the matrix has no more
@@ -442,35 +462,52 @@ def _gather_columns(matrix: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> n
     view is not (``take`` would first copy it whole).
     """
     if matrix.shape[0] <= rows.size:
-        return matrix.take(cols, axis=1).take(rows, axis=0)
-    if matrix.flags.c_contiguous:
-        return matrix.take(rows[:, None] * matrix.shape[1] + cols)
-    return matrix[rows[:, None], cols]
+        gathered = matrix.take(cols, axis=1).take(rows, axis=0)
+    elif matrix.flags.c_contiguous:
+        gathered = matrix.take(rows[:, None] * matrix.shape[1] + cols)
+    else:
+        gathered = matrix[rows[:, None], cols]
+    return gathered if mapping is None else mapping.columns(gathered, cols)
 
 
-def _take_rows(matrix: np.ndarray, rows: np.ndarray | int, columns: int) -> np.ndarray:
-    """``matrix[rows, :columns]``: a row ``take`` when the full width of a
-    C-contiguous matrix is read (``take`` copies a strided view whole)."""
+def _take_rows(matrix: np.ndarray, rows: np.ndarray, columns: int,
+               mapping: RecordMap | None = None) -> np.ndarray:
+    """``matrix[rows, :columns]``, a fresh array — under ``mapping``, mapped
+    in place: a row ``take`` when the full width of a C-contiguous matrix is
+    read (``take`` copies a strided view whole)."""
     if columns == matrix.shape[1] and matrix.flags.c_contiguous:
-        return matrix.take(rows, axis=0)
-    return matrix[rows, :columns]
+        taken = matrix.take(rows, axis=0)
+    else:
+        taken = matrix[rows, :columns]
+    return taken if mapping is None else mapping.columns(taken, slice(columns))
+
+
+def _statistics(means: Any, stds: Any, rows: Any,
+                mapping: RecordMap | None) -> tuple[Any, Any]:
+    """``(means[rows], stds[rows])``, under ``mapping`` when there is one."""
+    if mapping is None:
+        return means[rows], stds[rows]
+    return mapping.statistics(means[rows], stds[rows])
 
 
 def exact_distances(coefficients: np.ndarray, lengths: np.ndarray,
                     means: np.ndarray, stds: np.ndarray,
                     query_coefficients: np.ndarray, query_mean: float,
                     query_std: float, include_stats: bool, *,
-                    row_ids: np.ndarray | None = None) -> np.ndarray:
+                    row_ids: np.ndarray | None = None,
+                    row_map: RecordMap | None = None) -> np.ndarray:
     """Exact record distances of many rows to one query record.
 
     The common-prefix semantics (and, on equal-length data, the bit pattern)
     of :func:`~repro.timeseries.features.record_distance`, evaluated for all
     rows — or the gathered ``row_ids`` — by :func:`gathered_pair_distances`
     against a one-row query matrix, in blocks of :func:`_slice_rows` rows
-    (a pruning round's coefficients).
+    (a pruning round's coefficients); under ``row_map`` the rows are mapped
+    as they are gathered, and the query is taken as given.
     """
     query = np.asarray(query_coefficients)
-    query_side = (query[None, :], (query.shape[0],), (query_mean,), (query_std,), None)
+    query_side = (query[None, :], (query.shape[0],), (query_mean,), (query_std,), None,
+                  row_map, None)
     if row_ids is None:
         row_ids = np.arange(coefficients.shape[0])
     rows = _slice_rows(min(coefficients.shape[1], query.shape[0]), False)
@@ -486,7 +523,9 @@ def gathered_pair_distances(coefficients: np.ndarray, lengths: np.ndarray,
                             include_stats: bool, row_ids: np.ndarray,
                             query_matrix: np.ndarray, query_lengths: np.ndarray,
                             query_means: np.ndarray, query_stds: np.ndarray,
-                            query_index: np.ndarray | None) -> np.ndarray:
+                            query_index: np.ndarray | None,
+                            row_map: RecordMap | None = None,
+                            query_map: RecordMap | None = None) -> np.ndarray:
     """One exact distance per (stored row, query) pair, in a single pass:
     the exact core under every exact distance of the engine.
 
@@ -495,15 +534,18 @@ def gathered_pair_distances(coefficients: np.ndarray, lengths: np.ndarray,
     is broadcast instead (``query_index`` unread, its statistics may be
     1-tuples).  It holds a full row per pair, so :func:`verify_pairs` calls
     it on its survivors in the slices of :func:`_exact_slices`.  The rows
-    are gathered once, the query subtracted and the moduli squared in place
+    are gathered once (and mapped by ``row_map``, the queries by
+    ``query_map``), the query subtracted and the moduli squared in place
     (``a *= a``, the bits of ``** 2``), then reduced once.
     """
     columns = min(coefficients.shape[1], query_matrix.shape[1])
     if query_matrix.shape[0] == 1:
         query_index, queries = 0, query_matrix[0, :columns]
+        if query_map is not None:
+            queries = query_map.columns(queries.copy(), slice(columns))
     else:
-        queries = _take_rows(query_matrix, query_index, columns)
-    gathered = _take_rows(coefficients, row_ids, columns)
+        queries = _take_rows(query_matrix, query_index, columns, query_map)
+    gathered = _take_rows(coefficients, row_ids, columns, row_map)
     gathered -= queries
     squared = np.abs(gathered)
     squared *= squared
@@ -514,8 +556,9 @@ def gathered_pair_distances(coefficients: np.ndarray, lengths: np.ndarray,
         mask = np.arange(columns)[None, :] < common[:, None]
         totals = np.where(mask, squared, 0.0).sum(axis=1)
     if include_stats:
-        totals = totals + ((means[row_ids] - query_means[query_index]) ** 2
-                           + (stds[row_ids] - query_stds[query_index]) ** 2)
+        row_means, row_stds = _statistics(means, stds, row_ids, row_map)
+        query_means, query_stds = _statistics(query_means, query_stds, query_index, query_map)
+        totals = totals + ((row_means - query_means) ** 2 + (row_stds - query_stds) ** 2)
     return np.sqrt(totals)
 
 
@@ -558,11 +601,13 @@ def _exact_slices(widths: np.ndarray | int, count: int,
 def _abandon(coefficients: np.ndarray, lengths: np.ndarray,
              query_matrix: np.ndarray, query_lengths: Sequence[int],
              positions: np.ndarray, rows: np.ndarray, queries: np.ndarray | None,
-             totals: np.ndarray, bounds: np.ndarray | float
+             totals: np.ndarray, bounds: np.ndarray | float,
+             row_map: RecordMap | None, query_map: RecordMap | None
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """The abandoning rounds of :func:`verify_pairs` over one block's pairs,
     which it returns as ``(positions, rows, queries)``; ``rows`` may be
-    ``positions`` itself, compacted once.
+    ``positions`` itself, compacted once.  Each round maps the columns it
+    gathers (``row_map``, ``query_map``).
 
     A round costs about what scoring its pairs outright would, so rounds
     run only while the survivors' remaining columns overflow
@@ -584,9 +629,12 @@ def _abandon(coefficients: np.ndarray, lengths: np.ndarray,
         if positions.size * (columns - start) <= PAIR_BLOCK:
             break
         cols = order[start:start + ABANDON_CHUNK]
-        difference = _gather_columns(coefficients, rows, cols)
-        difference -= (spanned[0, cols] if spanned.shape[0] == 1
-                       else _gather_columns(spanned, queries - low, cols))
+        difference = _gather_columns(coefficients, rows, cols, row_map)
+        if spanned.shape[0] == 1:
+            query = spanned[0, cols]
+            difference -= query if query_map is None else query_map.columns(query, cols)
+        else:
+            difference -= _gather_columns(spanned, queries - low, cols, query_map)
         if ragged:
             difference[cols >= common[:, None]] = 0.0
         parts = difference.view(np.float64)
@@ -612,7 +660,9 @@ def verify_pairs(coefficients: np.ndarray, lengths: np.ndarray,
                  row_ids: np.ndarray | None, query_matrix: np.ndarray,
                  query_lengths: Sequence[int], query_means: Sequence[float],
                  query_stds: Sequence[float], query_index: np.ndarray | None,
-                 epsilons: Sequence[float] | None) -> tuple[np.ndarray, np.ndarray]:
+                 epsilons: Sequence[float] | None,
+                 row_map: RecordMap | None = None,
+                 query_map: RecordMap | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The filter-and-refine kernel: ``(positions, distances)`` of the
     (stored row, query) pairs whose exact distance is within their query's
     epsilon — every scan range, scan join and index verification.
@@ -629,7 +679,8 @@ def verify_pairs(coefficients: np.ndarray, lengths: np.ndarray,
     A pair reduces over its own query's columns, so a query's distances are
     bit-identical to a batch holding it alone, however long the other
     queries of the batch are.  Without ``epsilons`` every pair is scored and
-    kept.
+    kept.  Under ``row_map`` (``query_map``) every stored (query) row is
+    mapped as it is gathered, and so are its statistics.
 
     ``positions`` index the pair arrays, ascending; no temporary is sized by
     the number of pairs or of survivors.
@@ -650,7 +701,9 @@ def verify_pairs(coefficients: np.ndarray, lengths: np.ndarray,
         else:
             bounds = np.square(epsilons[at]) * (1.0 + _PRUNE_SLACK) + 1e-12
             if include_stats:
-                totals = (means[rows] - query_means[at]) ** 2 + (stds[rows] - query_stds[at]) ** 2
+                row_means, row_stds = _statistics(means, stds, rows, row_map)
+                mean, std = _statistics(query_means, query_stds, at, query_map)
+                totals = (row_means - mean) ** 2 + (row_stds - std) ** 2
             else:
                 totals = np.zeros(block.stop - first, dtype=np.float64)
             survivors = (totals <= bounds).nonzero()[0]
@@ -662,14 +715,14 @@ def verify_pairs(coefficients: np.ndarray, lengths: np.ndarray,
         if epsilons is not None and positions.size * width > PAIR_BLOCK:
             positions, rows, queries = _abandon(
                 coefficients, lengths, query_matrix, query_lengths,
-                positions, rows, queries, totals, bounds)
+                positions, rows, queries, totals, bounds, row_map, query_map)
         widths = np.minimum(query_lengths[0 if queries is None else queries],
                             coefficients.shape[1])
         for pairs, columns in _exact_slices(widths, rows.size, query_matrix.shape[0] > 1):
             distances = gathered_pair_distances(
                 coefficients, lengths, means, stds, include_stats, rows[pairs],
                 query_matrix[:, :columns], query_lengths, query_means, query_stds,
-                None if queries is None else queries[pairs])
+                None if queries is None else queries[pairs], row_map, query_map)
             keep = (slice(None) if epsilons is None
                     else distances <= epsilons[0 if queries is None else queries[pairs]])
             found.append((positions[pairs][keep], distances[keep]))
@@ -716,13 +769,15 @@ def _pair_rows(count: int, first: int, last: int) -> tuple[np.ndarray, np.ndarra
 def pair_block_distances(coefficients: np.ndarray, lengths: np.ndarray,
                          means: np.ndarray, stds: np.ndarray,
                          include_stats: bool, first: int, last: int, *,
-                         epsilon: float | None = None
+                         epsilon: float | None = None,
+                         row_map: RecordMap | None = None
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The pair kernel: ``(left, right, distances)`` of one block of the
     self-join's condensed pair order (see :func:`pair_blocks`).
 
     The block's pairs go to :func:`verify_pairs` with the relation as its
-    own query matrix, row ``right`` against anchor ``left``.  Without
+    own query matrix, row ``right`` against anchor ``left`` — under
+    ``row_map`` both mapped as they are gathered.  Without
     ``epsilon`` every pair of the block is scored and returned; with one,
     only the pairs within it.  Either way each pair is scored exactly as
     ``exact_distances`` scores row ``right`` against the record of row
@@ -734,16 +789,17 @@ def pair_block_distances(coefficients: np.ndarray, lengths: np.ndarray,
     epsilons = None if epsilon is None else np.broadcast_to(float(epsilon), lengths.shape)
     positions, distances = verify_pairs(coefficients, lengths, means, stds, include_stats,
                                         right, coefficients, lengths, means, stds, left,
-                                        epsilons)
+                                        epsilons, row_map, row_map)
     return left[positions], right[positions], distances
 
 
 def pairwise_distances(coefficients: np.ndarray, lengths: np.ndarray,
                        means: np.ndarray, stds: np.ndarray,
                        include_stats: bool, *,
-                       row_ids: Sequence[int] | np.ndarray | None = None
-                       ) -> np.ndarray:
-    """Condensed upper-triangle distance vector over rows (or ``row_ids``).
+                       row_ids: Sequence[int] | np.ndarray | None = None,
+                       row_map: RecordMap | None = None) -> np.ndarray:
+    """Condensed upper-triangle distance vector over rows (or ``row_ids``),
+    under ``row_map`` when given.
 
     Backs the statistics sampler, the advisor and Table 1's threshold
     sample: the pair kernel without a threshold, block by block, so sampling
@@ -759,5 +815,6 @@ def pairwise_distances(coefficients: np.ndarray, lengths: np.ndarray,
     condensed = np.empty(count * (count - 1) // 2, dtype=np.float64)
     for first, last in pair_blocks(count):
         condensed[first:last] = pair_block_distances(
-            coefficients, lengths, means, stds, include_stats, first, last)[2]
+            coefficients, lengths, means, stds, include_stats, first, last,
+            row_map=row_map)[2]
     return condensed

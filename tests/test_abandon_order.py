@@ -30,6 +30,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_gathered_transform import reading_the_matrix, transformed_arrays
 
 from repro import KIndex, SequentialScan, SeriesFeatureExtractor
 from repro.index import kindex as kindex_module
@@ -169,8 +170,11 @@ def reference_verify_pairs(
     query_stds,
     query_index,
     epsilons,
+    row_map=None,
 ):
-    """``verify_pairs`` walking the columns from 0 upwards."""
+    """``verify_pairs`` walking the columns from 0 upwards, over arrays
+    already transformed (:func:`reading_the_matrix`): it maps nothing."""
+    assert row_map is None
     block = columnar.PAIR_BLOCK
     found = []
     width = min(coefficients.shape[1], query_matrix.shape[1])
@@ -311,8 +315,8 @@ def relation(lengths, seed, transformation=None):
     rng = np.random.default_rng(seed)
     store = ColumnarRecordStore()
     store.extend([random_walk(int(length), seed=rng) for length in lengths])
-    coefficients, means, stds = store.transformed_arrays(
-        TRANSFORMATIONS[transformation](max(lengths))
+    coefficients, means, stds = transformed_arrays(
+        store, TRANSFORMATIONS[transformation](max(lengths))
     )
     return coefficients, store.lengths, means, stds
 
@@ -571,7 +575,8 @@ class TestVerifyPairs:
         with mock.patch.object(columnar, "PAIR_BLOCK", 64):
             found = observed()
             with mock.patch.object(kindex_module, "verify_pairs", reference_verify_pairs):
-                assert found == observed()
+                with reading_the_matrix(index, transformation):
+                    assert found == observed()
         assert sum(len(answers) for answers in found) > len(queries)
 
 
@@ -653,7 +658,7 @@ class TestThePruningIsPinned:
     def test_rows_scored_exactly_per_answer(self, monkeypatch):
         data = random_walk_collection(5000, 128, seed=11)
         index = KIndex.bulk_load(data, SeriesFeatureExtractor(2))
-        coefficients, means, stds = index.store.transformed_arrays(None)
+        coefficients, means, stds = transformed_arrays(index.store, None)
         arrays = (coefficients, index.store.lengths, means, stds)
         rng = np.random.default_rng(11)
         probes = []
@@ -670,7 +675,7 @@ class TestThePruningIsPinned:
         data = random_walk_collection(8000, 128, seed=13)
         scan = SequentialScan()
         scan.extend(data)
-        coefficients, means, stds = scan.store.transformed_arrays(None)
+        coefficients, means, stds = transformed_arrays(scan.store, None)
         arrays = (coefficients, scan.store.lengths, means, stds)
         rng = np.random.default_rng(13)
         probes = []
@@ -688,7 +693,7 @@ class TestThePruningIsPinned:
         28 680 pairs."""
         scan = SequentialScan()
         scan.extend(random_walk_collection(240, 128, seed=13))
-        coefficients, means, stds = scan.store.transformed_arrays(None)
+        coefficients, means, stds = transformed_arrays(scan.store, None)
         arrays = (coefficients, scan.store.lengths, means, stds)
         sample = np.sort(columnar.pairwise_distances(*arrays, True))
         epsilon = float(sample[int(share * sample.size)])

@@ -27,6 +27,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_gathered_transform import transformed_arrays
 
 import repro
 from repro import KIndex, SequentialScan, SeriesFeatureExtractor, TimeSeries
@@ -88,7 +89,7 @@ def reference_verify_batch(index, candidate_lists, query_fulls, transformation, 
         query_matrix[position, : full[0].shape[0]] = full[0]
     query_means = np.array([full[1] for full in query_fulls])
     query_stds = np.array([full[2] for full in query_fulls])
-    coefficients, means, stds = index.store.transformed_arrays(transformation)
+    coefficients, means, stds = transformed_arrays(index.store, transformation)
     distances = reference_pair_distances(
         coefficients,
         index.store.lengths,
@@ -269,7 +270,7 @@ class TestVerificationEqualsTheGatheredPass:
 
     def test_no_pairs(self):
         index, _ = build_index([32] * 4, seed=9)
-        coefficients, means, stds = index.store.transformed_arrays(None)
+        coefficients, means, stds = transformed_arrays(index.store, None)
         nothing = np.zeros(0, dtype=np.intp)
         positions, distances = verify_pairs(
             coefficients,

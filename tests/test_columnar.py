@@ -17,6 +17,7 @@ from repro.core.errors import DimensionMismatchError
 from repro.core.query.cache import LRUCache, estimate_size
 from repro.core.query.executor import QueryEngine
 from repro.index.kindex import KIndex
+from repro.index.scan import SequentialScan
 from repro.storage.columnar import (
     MAPPED_MATRIX_BYTES,
     ColumnarRecordStore,
@@ -29,7 +30,7 @@ from repro.storage.columnar import (
 from repro.timeseries.features import (EXTRACT_CHUNK_ROWS, SeriesFeatureExtractor,
                                        record_distance, spectral_records)
 from repro.timeseries.generators import make_rng, random_walk, random_walk_collection
-from repro.timeseries.transforms import moving_average_spectral
+from repro.timeseries.transforms import moving_average_spectral, reverse_spectral
 
 
 @pytest.fixture(scope="module")
@@ -82,28 +83,23 @@ class TestStore:
         assert np.all(s.coefficients[0, 15:] == 0)
         assert s.full_record(0)[0].shape == (15,)
 
-    def test_transformed_arrays_match_scalar_transform(self, store, walks):
-        transformation = moving_average_spectral(32, 5)
-        coefficients, means, stds = store.transformed_arrays(transformation)
-        for i in (0, 11, 24):
+    def test_record_map_matches_scalar_transform(self, store, walks):
+        transformation = reverse_spectral(32)
+        record_map = store.record_map(transformation)
+        rows = np.array([0, 11, 24])
+        width = store.coefficients.shape[1]
+        coefficients = record_map.columns(store.coefficients[rows], slice(width))
+        means, stds = record_map.statistics(store.means[rows], store.stds[rows])
+        for position, i in enumerate(rows.tolist()):
             expected = transform_full_record(*store.full_record(i), transformation)
-            assert np.array_equal(coefficients[i, :expected[0].shape[0]],
+            assert np.array_equal(coefficients[position, :expected[0].shape[0]],
                                   expected[0])
-            assert means[i] == expected[1] and stds[i] == expected[2]
-
-    def test_transformed_arrays_cached_until_growth(self, store, walks):
-        transformation = moving_average_spectral(32, 5)
-        first = store.transformed_arrays(transformation)
-        again = store.transformed_arrays(transformation)
-        assert first[0] is again[0]
-        store.append(random_walk(32, seed=3))
-        refreshed = store.transformed_arrays(transformation)
-        assert refreshed[0] is not first[0]
-        assert refreshed[0].shape[0] == len(store)
+            assert means[position] == expected[1] and stds[position] == expected[2]
+        assert store.record_map(None) is None
 
     def test_short_transformation_raises(self, store):
         with pytest.raises(DimensionMismatchError):
-            store.transformed_arrays(moving_average_spectral(16, 4))
+            store.record_map(moving_average_spectral(16, 4))
 
     def test_an_empty_store_takes_the_block_over(self, walks):
         """The first block becomes the store's matrix; the store never writes
@@ -205,9 +201,9 @@ class TestRecordMatrix:
 
 class TestLoadingHoldsTheSpectraOnce:
     """No load path allocates a second relation-sized block beside the
-    store's matrix, and a transformed view none beside its result: a block
-    that large, freed a moment later, is what the allocator keeps resident or
-    not from one run to the next (the benchmark's ``peak_rss_mb`` spread).
+    store's matrix: a block that large, freed a moment later, is what the
+    allocator keeps resident or not from one run to the next (the benchmark's
+    ``peak_rss_mb`` spread).
     Counted with ``tracemalloc``, not timed; a mapped store matrix
     (:class:`TestRecordMatrix`) is outside what it counts, so the bound then
     leaves no room for a second one."""
@@ -243,18 +239,45 @@ class TestLoadingHoldsTheSpectraOnce:
             data, SeriesFeatureExtractor(2), max_entries=64))
         assert peak < _traced_bytes(index.store.coefficients) + self.WORKING_SET
 
-    def test_transformed_view(self, data):
-        s = ColumnarRecordStore()
-        s.extend(data)
-        transformation = moving_average_spectral(self.LENGTH, 10)
-        (coefficients, _, _), peak = self._peak(
-            lambda: s.transformed_arrays(transformation))
-        assert coefficients.nbytes == s.coefficients.nbytes
-        # The result, the two statistics columns and small change: written as
-        # ``a * m + o`` the peak is two such matrices.
-        assert peak < 1.1 * coefficients.nbytes
-        assert np.array_equal(coefficients, s.coefficients * transformation.multiplier[1:]
-                              + transformation.offset[1:])
+
+class TestATransformationCopiesNoRelation:
+    """A query under a transformation maps the rows its kernels gather and
+    holds no transformed copy of the relation, neither kept nor for a moment:
+    the copy, 6 MB here and 10 MB at the benchmark's 5 000 rows, was built
+    per transformation and kept per store, and when it was freed the next
+    one did or did not reuse its heap space — a ``peak_rss_mb`` of one of
+    two levels from run to run.  Counted with ``tracemalloc``; each query
+    under a transformation object of its own, so no cache could hide one."""
+
+    ROWS = 3000
+    LENGTH = 128
+
+    @pytest.fixture(scope="class")
+    def index(self):
+        return KIndex.bulk_load(random_walk_collection(self.ROWS, self.LENGTH, seed=8))
+
+    def test_probe_scan_and_join_peak_under_a_matrix(self, index):
+        store = index.store
+        scan = SequentialScan(store=store)
+        state = dict(vars(store))
+        series = store.series_list()
+
+        def mavg():
+            return moving_average_spectral(self.LENGTH, 10)
+
+        queries = {
+            "range probe": lambda: index.range_query(series[0], 8.0, transformation=mavg()),
+            "k-NN probe": lambda: index.nearest_neighbors(series[1], 5, transformation=mavg()),
+            "scan range": lambda: scan.range_query(series[2], 8.0, transformation=mavg()),
+            "scan k-NN": lambda: scan.nearest_neighbors(series[3], 5, transformation=mavg()),
+            "scan join": lambda: scan.all_pairs(1.0, transformation=mavg()),
+        }
+        peaks = {name: TestLoadingHoldsTheSpectraOnce._peak(query)[1]
+                 for name, query in queries.items()}
+        assert max(peaks.values()) < store.coefficients.nbytes / 2, peaks
+        # Nothing per transformation is left on the store.
+        assert vars(store).keys() == state.keys()
+        assert all(vars(store)[name] is value for name, value in state.items())
 
 
 class TestKernels:

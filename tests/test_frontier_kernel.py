@@ -39,6 +39,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_gathered_transform import transformed_arrays
 
 from repro import (KIndex, SequentialScan, SeriesFeatureExtractor, TimeSeries,
                    random_walk_collection)
@@ -587,7 +588,7 @@ def reference_index_nearest(index, query, k, transformation):
                  else scalar_mindist(point.values, low, high))
         return bound * (1.0 - slack) - slack * scale
 
-    coefficients, means, stds = index.store.transformed_arrays(transformation)
+    coefficients, means, stds = transformed_arrays(index.store, transformation)
 
     def exact(record):
         row = slice(record, record + 1)  # the scan's kernel, a record at a time
@@ -747,7 +748,7 @@ def brute_force_range(index, query, epsilon, transformation):
     scan's kernel a record at a time, in ``(distance, record id)`` order."""
     features = index._query_features(query)
     full = index._full_transformed(features, transformation)
-    coefficients, means, stds = index.store.transformed_arrays(transformation)
+    coefficients, means, stds = transformed_arrays(index.store, transformation)
     ranked = []
     for record in range(len(index)):
         row = slice(record, record + 1)

@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_gathered_transform import transformed_arrays
 
 from repro import KIndex, SeriesFeatureExtractor, TimeSeries, connect, random_walk_collection
 from repro.core.objects import FeatureVector
@@ -412,7 +413,7 @@ def reference_index_search(index, query, k, transformation):
     def lower_bound(lows, highs):
         return filter_distance(lows, highs) * (1.0 - kindex_module.BOUND_SLACK) - slack
 
-    coefficients, means, stds = index.store.transformed_arrays(transformation)
+    coefficients, means, stds = transformed_arrays(index.store, transformation)
 
     def exact(rows):
         return exact_distances(

@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_abandon_order import early_abandon_candidates
+from test_gathered_transform import transformed_arrays
 
 from repro import SequentialScan, SeriesFeatureExtractor, TimeSeries
 from repro.core.cancel import CancellationToken, cancel_scope
@@ -127,7 +128,7 @@ def build_scan(data, include_stats=True, **options):
 
 def scan_arrays(scan, transformation=None):
     """The arrays ``all_pairs`` hands the kernel, in the references' order."""
-    coefficients, means, stds = scan.store.transformed_arrays(transformation)
+    coefficients, means, stds = transformed_arrays(scan.store, transformation)
     return coefficients, scan.store.lengths, means, stds, scan.extractor.include_stats
 
 

@@ -195,7 +195,7 @@ class TestScanQueries:
         """One scan serves concurrent readers, so a pass that runs while
         another sits between charging its pages and reporting them must not
         hand the other its buffer counts.  The second pass runs inside the
-        first — deterministically, from the first's read of the arrays."""
+        first — deterministically, from the first's call for its record map."""
         data = random_walk_collection(22, 64, seed=9)
         scan = SequentialScan(buffer=BufferPool(LoggingStore(), 8))
         scan.extend(data)
@@ -205,14 +205,14 @@ class TestScanQueries:
             "join": lambda: scan.all_pairs(1.0)[1],
         }
         inner = []
-        arrays = scan.store.transformed_arrays
+        record_map = scan.store.record_map
 
         def interleaved(transformation):
-            scan.store.transformed_arrays = arrays  # the second pass runs plain
+            scan.store.record_map = record_map  # the second pass runs plain
             inner.append(passes["nearest" if outer == "range" else "range"]())
-            return arrays(transformation)
+            return record_map(transformation)
 
-        scan.store.transformed_arrays = interleaved
+        scan.store.record_map = interleaved
         first = passes[outer]()
         assert len(inner) == 1
         assert (first.buffer_hits, first.buffer_misses) == (0, 6)  # cold pool
