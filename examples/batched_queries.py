@@ -42,7 +42,7 @@ def main() -> None:
     walks = session.relation("walks").insert_many(data).with_index(index)
 
     # The fluent builder compiles to the same AST the textual parser
-    # produces — this is "SELECT FROM walks WHERE dist(series, $q) < 4.0".
+    # produces — this is "SELECT FROM walks WHERE dist(object, $q) < 4.0".
     prepared = session.prepare(Q.from_("walks").within(EPSILON).of(Q.param("q")))
     bindings = [{"q": series} for series in data[:NUM_QUERIES]]
 

@@ -284,11 +284,9 @@ def table1_spatial_join(num_series: int = 200, length: int = 128, *,
     rng = make_rng(seed)
     sample_size = min(len(workload.data), 200)
     sample_indices = rng.choice(len(workload.data), size=sample_size, replace=False)
-    store = workload.scan.store
     sample_distances = sorted(pairwise_distances(
-        store.coefficients, store.lengths, store.means, store.stds,
-        workload.scan.extractor.include_stats,
-        row_ids=sample_indices, row_map=store.record_map(transformation)).tolist())
+        workload.scan.store.records(transformation), workload.scan.extractor.include_stats,
+        row_ids=sample_indices).tolist())
     total_pairs = len(workload.data) * (len(workload.data) - 1) // 2
     quantile = min(1.0, target_pairs / total_pairs)
     position = max(0, min(len(sample_distances) - 1,

@@ -15,8 +15,8 @@ supports:
   predicate, evaluated by the generic engine).
 
 The AST is domain neutral: nothing in it assumes the relation holds time
-series — the surface syntax accepts ``DIST(OBJECT, $q)`` and
-``DIST(SERIES, $q)`` interchangeably, and which machinery answers a query
+series — the surface syntax names the stored object ``OBJECT`` in
+``DIST(OBJECT, $q)``, and which machinery answers a query
 (spatial index, metric index, sequential scan or the generic similarity
 engine) is the planner's decision, driven by the catalog.
 
@@ -67,7 +67,7 @@ class Query:
 
 @dataclass(frozen=True)
 class RangeQuery(Query):
-    """``SELECT FROM r WHERE dist(series, $q) < eps [USING t]``"""
+    """``SELECT FROM r WHERE dist(object, $q) < eps [USING t]``"""
 
     parameter: str = "query"
     epsilon: float = 0.0

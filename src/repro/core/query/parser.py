@@ -14,7 +14,7 @@ parameters)::
                     [ "USING" ident ] [ "RAW" "QUERY" ]
     pairs_query  := "SELECT" "PAIRS" "FROM" ident "WHERE" "DIST" "<" number
                     [ "USING" ident ]
-    object_kw    := "OBJECT" | "SERIES"
+    object_kw    := "OBJECT"
     param        := "$" ident
     number       := digits [ "." digits ] | "." digits, with an optional
                     exponent suffix ("1e-3", "2.5E+4", ".5")
@@ -25,9 +25,8 @@ equal to what ``parse`` produces for the textual form, and every AST node
 renders back to canonical text via ``describe()`` such that
 ``parse(node.describe()) == node``.
 
-``OBJECT`` and ``SERIES`` are interchangeable — the query language is domain
-neutral; ``SERIES`` is kept for backwards compatibility with the time-series
-surface syntax.  ``RAW QUERY`` asks the executor *not* to apply the
+``OBJECT`` names the stored object whatever the relation holds — the query
+language is domain neutral.  ``RAW QUERY`` asks the executor *not* to apply the
 transformation to the query object (by default both sides are transformed,
 which is how "compare the moving averages of the two series" reads most
 naturally).  ``SIM`` is the paper's bounded-cost similarity predicate; its
@@ -36,7 +35,7 @@ omitted).
 
 Examples
 --------
->>> parse("SELECT FROM prices WHERE dist(series, $q) < 2.5 USING mavg20")
+>>> parse("SELECT FROM prices WHERE dist(object, $q) < 2.5 USING mavg20")
 RangeQuery(relation='prices', transformation='mavg20', parameter='q', epsilon=2.5, transform_query=True)
 >>> parse("SELECT FROM words WHERE dist(object, $q) < .5")
 RangeQuery(relation='words', transformation=None, parameter='q', epsilon=0.5, transform_query=True)
@@ -110,9 +109,8 @@ _PARAM = ("param", "a $parameter", ())
 _NUMBER = ("number", "a number", ())
 _SELECT, _FROM, _WHERE, _DIST, _TO, _QUERY = map(
     _keyword, ("SELECT", "FROM", "WHERE", "DIST", "TO", "QUERY"))
-#: ``( OBJECT , $param ) < number`` after DIST or SIM; SERIES is the
-#: time-series spelling of OBJECT.
-_PREDICATE = (_symbol("("), ("ident", "OBJECT or SERIES", ("OBJECT", "SERIES")),
+#: ``( OBJECT , $param ) < number`` after DIST or SIM.
+_PREDICATE = (_symbol("("), ("ident", "OBJECT", ("OBJECT",)),
               _symbol(","), _PARAM, _symbol(")"), _symbol("<"), _NUMBER)
 
 

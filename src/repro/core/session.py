@@ -17,7 +17,7 @@ through one object::
 
     # ad-hoc text, a fluent builder, or a prepared statement — same AST,
     # same planner, same caches:
-    session.sql("SELECT FROM stocks WHERE dist(series, $q) < 2.0 USING mavg20", q=series)
+    session.sql("SELECT FROM stocks WHERE dist(object, $q) < 2.0 USING mavg20", q=series)
     session.sql(Q.from_("stocks").under("mavg20").within(2.0).of(Q.param("q")), q=series)
 
     prepared = session.prepare(Q.from_("stocks").under("mavg20").within(2.0).of(Q.param("q")))

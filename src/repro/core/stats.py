@@ -410,13 +410,13 @@ def _collect_provider(database: Any, relation, sample_size: int) -> RelationStat
 
 def _exact_histogram(store, positions: np.ndarray, include_stats: bool) -> DistanceHistogram | None:
     """Exact distances between the sampled rows of a columnar store — the
-    arrays, and the pair kernel, the query paths use; ``None`` under two rows."""
+    record set, and the pair kernel, the query paths use; ``None`` under two
+    rows."""
     from ..storage.columnar import pairwise_distances
 
     if len(positions) < 2:
         return None
-    arrays = (store.coefficients, store.lengths, store.means, store.stds)
-    return DistanceHistogram(pairwise_distances(*arrays, include_stats, row_ids=positions))
+    return DistanceHistogram(pairwise_distances(store.records(), include_stats, row_ids=positions))
 
 
 def index_histograms(index, positions: np.ndarray) -> dict[str, DistanceHistogram | None]:

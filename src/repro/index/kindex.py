@@ -52,7 +52,8 @@ from ..core.transformations import LinearTransformation, RealLinearTransformatio
 from ..storage.columnar import (
     ColumnarRecordStore,
     exact_distances,
-    transform_full_record,
+    query_record,
+    query_records,
     verify_pairs,
 )
 from ..storage.pages import records_per_page
@@ -61,7 +62,7 @@ from ..timeseries.series import TimeSeries
 from ..timeseries.transforms import SpectralTransformation
 from .geometry import box_bound, rects_overlap
 from .rstar import RStarTree
-from .rtree import PackedRTree
+from .rtree import KEPT_MAPS, PackedRTree
 
 __all__ = ["QueryStatistics", "RangeQueryResult", "NearestNeighborResult", "KIndex",
            "page_capacity"]
@@ -223,7 +224,7 @@ class KIndex:
         #: The packed rows, never changed — a seal publishes a new tree.
         self.tree = self._packed_tree(0)
         #: id(transformation) → (transformation, linear, real map): what
-        #: :meth:`lower_transformation` derived, for at most 8 of them.
+        #: :meth:`lower_transformation` derived, for at most ``KEPT_MAPS`` of them.
         self._lowered: dict[int, tuple[Any, LinearTransformation,
                                        RealLinearTransformation]] = {}
 
@@ -412,13 +413,14 @@ class KIndex:
         shorter than the prefix.
 
         The maps depend on the transformation and the feature space alone,
-        so they are kept per transformation object (at most 8): the planner
+        so they are kept per transformation object (at most
+        :data:`~repro.index.rtree.KEPT_MAPS`): the planner
         and the probe get the same maps, and the tree the same image
         (:meth:`PackedRTree.transformed` keys on the map), a copy of the
         index's rectangles that is small beside the relation.  The stored
         records are never transformed as a whole: verification maps the
         candidate rows it gathers
-        (:meth:`~repro.storage.columnar.ColumnarRecordStore.record_map`).  A
+        (:meth:`~repro.storage.columnar.ColumnarRecordStore.records`).  A
         map that is not safe is never kept, so it raises on every call.
         """
         if transformation is None:
@@ -442,18 +444,10 @@ class KIndex:
                 "transformation must be a SpectralTransformation or LinearTransformation"
             )
         real_map = linear.to_real(self.space)
-        if len(self._lowered) >= 8:
+        if len(self._lowered) >= KEPT_MAPS:
             self._lowered.clear()
         self._lowered[id(transformation)] = (transformation, linear, real_map)
         return linear, real_map
-
-    def _full_transformed(self, features: SeriesFeatures,
-                          transformation: SpectralTransformation | None
-                          ) -> tuple[np.ndarray, float, float]:
-        """Full coefficient record (and stats) after applying the transformation."""
-        return transform_full_record(features.full_coefficients, features.mean,
-                                     features.std, transformation,
-                                     owner="stored record")
 
     # ------------------------------------------------------------------
     # queries
@@ -527,17 +521,12 @@ class KIndex:
         corners = []
         for query, eps in zip(queries, epsilons):
             features = self._query_features(query)
-            centre = features.point
-            if moved:
-                query_fulls.append(self._full_transformed(features, transformation))
-                # The window is centred on the query's image under the map
-                # that moves the rectangles, by the same arithmetic: at
-                # ε = 0 a stored copy of the query is then on the window
-                # exactly, not an ulp beside it.
-                centre = real_map.apply_point(centre)
-            else:
-                query_fulls.append((features.full_coefficients, features.mean,
-                                    features.std))
+            query_fulls.append(query_record(features, transformation if moved else None))
+            # The window is centred on the query's image under the map that
+            # moves the rectangles, by the same arithmetic: at ε = 0 a
+            # stored copy of the query is then on the window exactly, not an
+            # ulp beside it.
+            centre = real_map.apply_point(features.point) if moved else features.point
             query_points.append(features.point)
             corners.append(self.space.search_rectangle(centre, float(eps)))
         window_lows = np.array([low for low, _ in corners])
@@ -599,20 +588,9 @@ class KIndex:
         row_ids = np.concatenate(candidate_lists)
         query_index = np.repeat(np.arange(len(candidate_lists), dtype=np.intp),
                                 counts)
-        query_lengths = np.array([full[0].shape[0] for full in query_fulls],
-                                 dtype=np.intp)
-        query_matrix = np.zeros((len(query_fulls), int(query_lengths.max())),
-                                dtype=np.complex128)
-        for position, full in enumerate(query_fulls):
-            query_matrix[position, :full[0].shape[0]] = full[0]
-        query_means = np.array([full[1] for full in query_fulls])
-        query_stds = np.array([full[2] for full in query_fulls])
-        store = self.store
         positions, distances = verify_pairs(
-            store.coefficients, store.lengths, store.means, store.stds,
-            self.extractor.include_stats, row_ids,
-            query_matrix, query_lengths, query_means, query_stds, query_index,
-            epsilons, store.record_map(transformation))
+            self.store.records(transformation), row_ids, query_records(query_fulls),
+            query_index, epsilons, self.extractor.include_stats)
         # Positions ascend, so each query's answers are one run of them, in
         # candidate order.
         edges = np.searchsorted(positions, list(accumulate(counts, initial=0)))
@@ -622,21 +600,6 @@ class KIndex:
             results[index].answers = list(zip(
                 self.store.series_at(row_ids[positions[low:high]][order]),
                 block[order].tolist()))
-
-    def nearest_neighbors_batch(self, queries: Sequence[TimeSeries | FeatureVector],
-                                k: int = 1, *,
-                                transformation: SpectralTransformation | None = None,
-                                transform_query: bool = True
-                                ) -> list[NearestNeighborResult]:
-        """Nearest-neighbour queries for a batch, one result per query.
-
-        Best-first search cannot share a traversal across different query
-        points (each has its own visiting order and stopping bound), so this
-        is one :meth:`nearest_neighbors` probe per query.
-        """
-        return [self.nearest_neighbors(query, k, transformation=transformation,
-                                       transform_query=transform_query)
-                for query in queries]
 
     def nearest_neighbors(self, query: TimeSeries | FeatureVector, k: int = 1, *,
                           transformation: SpectralTransformation | None = None,
@@ -658,14 +621,11 @@ class KIndex:
         tree = self.tree  # one snapshot: the tail is the rows beyond this tree
         tree.reset_stats()
         linear, real_map = self.lower_transformation(transformation)
-        query_features = self._query_features(query)
-        if transformation is not None and transform_query:
-            query_full = self._full_transformed(query_features, transformation)
-            query_point = self._transform_point(query_features.point, linear)
-        else:
-            query_full = (query_features.full_coefficients, query_features.mean,
-                          query_features.std)
-            query_point = query_features.point
+        features = self._query_features(query)
+        query_full = query_records([query_record(
+            features, transformation if transform_query else None)])
+        query_point = (self._transform_point(features.point, linear) if transform_query
+                       else features.point)
         bound = (self.space.sector_bound(query_point) if isinstance(self.space, PolarSpace)
                  else box_bound(query_point.values))
         slack = BOUND_SLACK * float(np.abs(query_point.values).max(initial=0.0))
@@ -673,13 +633,11 @@ class KIndex:
         def lower_bound(table: np.ndarray) -> np.ndarray:
             return bound.of_table(table) * (1.0 - BOUND_SLACK) - slack
 
-        store = self.store
-        arrays = (store.coefficients, store.lengths, store.means, store.stds)
-        row_map = store.record_map(transformation)
+        records = self.store.records(transformation)
 
         def exact(rows: np.ndarray) -> np.ndarray:
-            return exact_distances(*arrays, *query_full, self.extractor.include_stats,
-                                   row_ids=rows, row_map=row_map)
+            return exact_distances(records, query_full, self.extractor.include_stats,
+                                   row_ids=rows)
 
         first, tail = self._tail(tree)
         distances, rows = tree.nearest_search(

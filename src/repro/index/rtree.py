@@ -239,12 +239,13 @@ def _split_corners(rows: np.ndarray, dimension: int
 #: 1 / 64 took 128 / 9 steps (7.1 / 1.5 ms).
 NEAREST_BLOCK = 8
 
-#: Most images :meth:`PackedRTree.transformed` keeps per tree (as many as
-#: :meth:`~repro.index.kindex.KIndex.lower_transformation` keeps maps); one
-#: more clears them.  An image is a copy of the tree's rectangles, small
+#: Most transformations kept at once: the images :meth:`PackedRTree.transformed`
+#: keeps per tree, and the maps
+#: :meth:`~repro.index.kindex.KIndex.lower_transformation` keeps per index;
+#: one more clears them.  An image is a copy of the tree's rectangles, small
 #: beside the relation; the records themselves are mapped row by row as the
 #: refine kernels gather them, never held transformed.
-_IMAGES = 8
+KEPT_MAPS = 8
 
 
 class PackedRTree:
@@ -275,7 +276,7 @@ class PackedRTree:
         self._size = int(self.levels[-1].counts.sum())
         self._counters = _ThreadCounters()
         #: id(map) → (map, image): :meth:`transformed`'s images, at most
-        #: ``_IMAGES`` of them.
+        #: ``KEPT_MAPS`` of them.
         self._images: dict[int, tuple[RealLinearTransformation, PackedRTree]] = {}
 
     def __len__(self) -> int:
@@ -324,7 +325,7 @@ class PackedRTree:
 
         The tree is immutable, so its image under a map is too: it is built
         on the first call and kept with the tree — keyed by the map object,
-        at most ``_IMAGES`` of them — and the probes under that map search
+        at most ``KEPT_MAPS`` of them — and the probes under that map search
         it as it is.  The image counts its node visits on this tree's
         counters."""
         cached = self._images.get(id(transformation))
@@ -338,7 +339,7 @@ class PackedRTree:
                          level.payloads)
             for level in self.levels])
         image._counters = self._counters
-        if len(self._images) >= _IMAGES:
+        if len(self._images) >= KEPT_MAPS:
             self._images.clear()
         self._images[id(transformation)] = (transformation, image)
         return image
@@ -424,18 +425,6 @@ class PackedRTree:
     def search(self, window: Rect) -> list[Any]:
         """All records whose rectangle intersects ``window``."""
         return self.window_search(window.low[None, :], window.high[None, :])[0].tolist()
-
-    def search_many(self, windows: Sequence[Rect], *,
-                    periodic_dims: np.ndarray | None = None) -> list[list[Any]]:
-        """:meth:`window_search` for a sequence of :class:`Rect` windows (a
-        thin adapter for callers holding rectangles); one result list per
-        window, aligned with the input order."""
-        if not windows:
-            return []
-        found = self.window_search([window.low for window in windows],
-                                   [window.high for window in windows],
-                                   periodic_dims=periodic_dims)
-        return [records.tolist() for records in found]
 
     def nearest_search(self, k: int,
                        lower_bound: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -849,11 +838,6 @@ class RTree:
     def search(self, window: Rect) -> list[Any]:
         """:meth:`PackedRTree.search` over :meth:`packed`."""
         return self.packed().search(window)
-
-    def search_many(self, windows: Sequence[Rect], *,
-                    periodic_dims: np.ndarray | None = None) -> list[list[Any]]:
-        """:meth:`PackedRTree.search_many` over :meth:`packed`."""
-        return self.packed().search_many(windows, periodic_dims=periodic_dims)
 
     def nearest_search(self, k: int,
                        lower_bound: Callable[[np.ndarray, np.ndarray], np.ndarray],

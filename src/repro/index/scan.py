@@ -56,10 +56,12 @@ import numpy as np
 from ..core.parallel import parallel_map, resolve_workers
 from ..storage.columnar import (
     ColumnarRecordStore,
+    Records,
     exact_distances,
     pair_block_distances,
     pair_blocks,
-    transform_full_record,
+    query_record,
+    query_records,
     verify_pairs,
 )
 from ..storage.buffer import BufferPool
@@ -163,14 +165,12 @@ class SequentialScan:
     # ------------------------------------------------------------------
     # query-side helpers
     # ------------------------------------------------------------------
-    def _query_record(self, query: TimeSeries,
-                      transformation: SpectralTransformation | None,
-                      transform_query: bool) -> tuple[np.ndarray, float, float]:
-        features = self.extractor.extract(query)
-        record = (features.full_coefficients, features.mean, features.std)
-        if transformation is not None and transform_query:
-            return transform_full_record(*record, transformation, owner="query")
-        return record
+    def _query(self, query: TimeSeries, transformation: SpectralTransformation | None,
+               transform_query: bool) -> Records:
+        """The query's record set: its full record, transformed when the
+        query is."""
+        return query_records([query_record(self.extractor.extract(query),
+                                           transformation if transform_query else None)])
 
     def _spans(self, count: int) -> list[tuple[int, int]]:
         """Row spans for the range/NN fan-out; one covering span when serial
@@ -200,26 +200,20 @@ class SequentialScan:
         if not epsilon >= 0:  # NaN too
             raise ValueError("epsilon must be non-negative")
         started = time.perf_counter()
-        query_record = self._query_record(query, transformation, transform_query)
+        queries = self._query(query, transformation, transform_query)
         result = RangeQueryResult()
         self._charge_scan_io(result.statistics)
         count = len(self.store)
         if count:
-            row_map = self.store.record_map(transformation)
-            coefficients, lengths = self.store.coefficients, self.store.lengths
-            means, stds = self.store.means, self.store.stds
-            query_coefficients, query_mean, query_std = query_record
-            query_side = (query_coefficients[None, :], (query_coefficients.shape[0],),
-                          (query_mean,), (query_std,), None,
-                          (epsilon,) if early_abandon else None)
+            records = self.store.records(transformation)
+            epsilons = (epsilon,) if early_abandon else None
 
             def scan_span(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
                 """Kept (global row ids, distances) of one partition, in row
                 order — the serial computation restricted to its rows."""
                 positions, distances = verify_pairs(
-                    coefficients[start:stop], lengths[start:stop], means[start:stop],
-                    stds[start:stop], self.extractor.include_stats, None, *query_side,
-                    row_map)
+                    records.select(slice(start, stop)), None, queries, None, epsilons,
+                    self.extractor.include_stats)
                 # Abandoning, the kernel kept only the rows within epsilon.
                 keep = slice(None) if early_abandon else distances <= epsilon
                 return positions[keep] + start, distances[keep]
@@ -247,7 +241,7 @@ class SequentialScan:
         if k <= 0:
             raise ValueError("k must be positive")
         started = time.perf_counter()
-        query_record = self._query_record(query, transformation, transform_query)
+        queries = self._query(query, transformation, transform_query)
         result = NearestNeighborResult()
         self._charge_scan_io(result.statistics)
         count = len(self.store)
@@ -255,17 +249,15 @@ class SequentialScan:
         result.statistics.candidates = count
         if count == 0:
             return result
-        row_map = self.store.record_map(transformation)
-        arrays = (self.store.coefficients, self.store.lengths, self.store.means,
-                  self.store.stds)
+        records = self.store.records(transformation)
         include_stats = self.extractor.include_stats
 
         def nearest_in_span(start: int, stop: int) -> list[tuple[float, int]]:
             """A partition's stable top-``k`` as (distance, global id) pairs
             in ascending order — every global answer is in its partition's
             top-``k``, so merging these lists loses nothing."""
-            distances = exact_distances(*arrays, *query_record, include_stats,
-                                        row_ids=np.arange(start, stop), row_map=row_map)
+            distances = exact_distances(records, queries, include_stats,
+                                        row_ids=np.arange(start, stop))
             order = np.argsort(distances, kind="stable")[:k]
             return [(float(distances[i]), start + int(i)) for i in order]
 
@@ -303,17 +295,15 @@ class SequentialScan:
         pairs: list[tuple[TimeSeries, TimeSeries, float]] = []
         self._charge_scan_io(stats)
         if count:
-            row_map = self.store.record_map(transformation)
-            arrays = (self.store.coefficients, self.store.lengths, self.store.means,
-                      self.store.stds, self.extractor.include_stats)
+            records = self.store.records(transformation)
             series = self.store.series_list()
 
             def join_block(first: int, last: int
                            ) -> list[tuple[TimeSeries, TimeSeries, float]]:
                 """The qualifying pairs of one block, in pair order."""
                 left, right, distances = pair_block_distances(
-                    *arrays, first, last, epsilon=epsilon if early_abandon else None,
-                    row_map=row_map)
+                    records, self.extractor.include_stats, first, last,
+                    epsilon=epsilon if early_abandon else None)
                 # Abandoning, the kernel kept only the pairs within epsilon.
                 keep = slice(None) if early_abandon else distances <= epsilon
                 return [(series[anchor], series[other], distance)

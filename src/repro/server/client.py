@@ -491,7 +491,7 @@ def connect(address: tuple[str, int] | str, **kwargs: Any) -> ServerClient:
 
         handle = repro.serve(path="walks.db")
         client = repro.client.connect(handle.address)
-        client.sql("SELECT FROM walks WHERE dist(series, $q) < 2.0", q=series)
+        client.sql("SELECT FROM walks WHERE dist(object, $q) < 2.0", q=series)
     """
     client = ServerClient(address, **kwargs)
     client.ping()

@@ -1,4 +1,4 @@
-"""Columnar record storage and the vectorized distance kernels over it.
+"""Columnar record storage, the record sets the kernels read, and the kernels.
 
 Every hot path of the evaluation — the sequential-scan baselines, k-index
 candidate verification, metric-index leaf screening, the self-join inner
@@ -22,7 +22,24 @@ caches invalidate on growth.  One store serves a whole relation: the
 contents match, and the executor's scan fallback and the statistics sampler
 read the same arrays — no path materialises its own record list.
 
-The module-level **kernels** implement exact record distances blockwise:
+**Record sets.**  That layout is known here and nowhere else.  The kernels
+read a :class:`Records` value — the four arrays plus an optional
+:class:`RecordMap` — and no caller unpacks one:
+
+* :meth:`ColumnarRecordStore.records` is a relation's record set, under a
+  spectral transformation its map; the store never holds a transformed copy
+  of its relation, a kernel maps each block of rows it gathers in place
+  (``*= multiplier; += offset``, the statistics ``means * extra_multiplier +
+  extra_offset``) — the operations per element a transformed matrix was
+  built with, so distances keep their bits and a transformed query
+  allocates nothing relation-sized;
+* :func:`query_records` stacks a batch of query records, each the output
+  of :func:`query_record` — queries are transformed once, up front, by
+  :func:`transform_full_record`;
+* :meth:`Records.select` is a scan partition's span of rows, or the rows a
+  sample draws.
+
+The module-level **kernels** take a record set of rows and one of queries:
 
 * :func:`gathered_pair_distances` — the **exact core** under every exact
   pass (scan, k-index verification and k-NN, join): (row, query) pairs
@@ -48,18 +65,9 @@ The module-level **kernels** implement exact record distances blockwise:
   pair computation (both scan methods of the self-join, and
   :func:`pairwise_distances` for the statistics sampler, the advisor and
   threshold samples): one block of the flat "every anchor against the rows
-  after it" pair order at a time, handed to :func:`verify_pairs` with the
-  relation as its own query matrix — bit-identical to one
-  :func:`exact_distances` call per anchor;
-* :func:`transform_full_record` / :class:`RecordMap` — a spectral
-  transformation applied to one record, or to the rows a kernel gathers.
-  The store never holds a transformed copy of its relation: every kernel
-  takes the base arrays plus the map (:meth:`ColumnarRecordStore.record_map`)
-  and runs ``*= multiplier; += offset`` in place on each block it gathers,
-  its statistics term ``means * extra_multiplier + extra_offset`` likewise —
-  the same operations per element a transformed matrix was built with, so
-  distances keep their bits, and a transformed query allocates nothing
-  relation-sized.
+  after it" pair order at a time, handed to :func:`verify_pairs` with one
+  record set on both sides — bit-identical to one :func:`exact_distances`
+  call per anchor.
 
 Work accounting stays exact under batching because the kernels never skip
 *counted* work: counters (candidates, postprocessed, record fetches) are
@@ -80,12 +88,15 @@ from ..core.errors import DimensionMismatchError
 __all__ = [
     "ColumnarRecordStore",
     "RecordMap",
+    "Records",
     "record_matrix",
     "exact_distances",
     "gathered_pair_distances",
     "pair_blocks",
     "pair_block_distances",
     "pairwise_distances",
+    "query_record",
+    "query_records",
     "transform_full_record",
     "verify_pairs",
 ]
@@ -340,18 +351,20 @@ class ColumnarRecordStore:
         return int(self._lengths[0]) * 16 + RECORD_STATS_BYTES
 
     # ------------------------------------------------------------------
-    # transformations
+    # record sets
     # ------------------------------------------------------------------
-    def record_map(self, transformation: Any | None) -> RecordMap | None:
-        """A spectral transformation as the kernels apply it to this store's
-        rows (``None`` for none): its vectors sliced to the matrix's columns.
+    def records(self, transformation: Any | None = None) -> Records:
+        """The stored records as the kernels read them (views of the arrays)
+        — under a spectral ``transformation``, with its :class:`RecordMap`:
+        the transformation's vectors sliced to the matrix's columns.
 
         Raises :class:`DimensionMismatchError` when the transformation covers
         fewer coefficients than the widest stored record.  Nothing is kept:
         the slices are views, and a kernel maps only the rows it gathers.
         """
+        records = Records(self.coefficients, self.lengths, self.means, self.stds)
         if transformation is None:
-            return None
+            return records
         width = self._coefficients.shape[1]
         if transformation.multiplier.shape[0] < 1 + width and self._count:
             raise DimensionMismatchError(
@@ -360,9 +373,9 @@ class ColumnarRecordStore:
                 f"stored record has {int(self.lengths.max())} (plus DC); rebuild the "
                 "transformation for the relation's series length")
         offset = transformation.offset[1:1 + width]
-        return RecordMap(transformation.multiplier[1:1 + width],
-                         offset if offset.any() else None,
-                         transformation.extra_multiplier, transformation.extra_offset)
+        return records._replace(mapping=RecordMap(
+            transformation.multiplier[1:1 + width], offset if offset.any() else None,
+            transformation.extra_multiplier, transformation.extra_offset))
 
     def __repr__(self) -> str:
         return (f"ColumnarRecordStore(size={self._count}, "
@@ -371,11 +384,11 @@ class ColumnarRecordStore:
 
 
 # ---------------------------------------------------------------------------
-# transformations: of the rows a kernel gathers, and of one record
+# record sets, and the transformations the kernels read them under
 # ---------------------------------------------------------------------------
 class RecordMap(NamedTuple):
-    """A spectral transformation over a store's columns, applied by the
-    kernels to the rows they gather (:meth:`ColumnarRecordStore.record_map`).
+    """A spectral transformation over a record set's columns, applied by the
+    kernels to the rows they gather (:meth:`ColumnarRecordStore.records`).
 
     Column ``j`` holds spectral coefficient ``j + 1`` (a stored record has no
     DC term), so ``multiplier`` and ``offset`` are the transformation's
@@ -407,13 +420,95 @@ class RecordMap(NamedTuple):
                 stds * self.extra_multiplier[1] + self.extra_offset[1])
 
 
+class Records(NamedTuple):
+    """A set of full records as every kernel reads them: the record layout
+    in one value.
+
+    ``coefficients`` is a ``(size, width)`` complex matrix, each row
+    zero-padded on the right beyond its true ``lengths`` entry; ``means``
+    and ``stds`` are the two statistics.  Under ``mapping`` the records are
+    read transformed — each block of rows mapped in place as a kernel
+    gathers it, the set itself never copied.  A relation is one record set
+    (:meth:`ColumnarRecordStore.records`), a batch of queries another
+    (:func:`query_records`), and the self-join passes one as both sides.
+    """
+
+    coefficients: np.ndarray
+    lengths: np.ndarray
+    means: np.ndarray
+    stds: np.ndarray
+    mapping: RecordMap | None = None
+
+    @property
+    def size(self) -> int:
+        """The number of records."""
+        return self.coefficients.shape[0]
+
+    @property
+    def width(self) -> int:
+        """The coefficient columns of the matrix."""
+        return self.coefficients.shape[1]
+
+    def select(self, rows: slice | np.ndarray) -> Records:
+        """The records of ``rows`` under the same map: views for a slice (a
+        scan partition's span), copies for an array of row ids."""
+        return Records(self.coefficients[rows], self.lengths[rows], self.means[rows],
+                       self.stds[rows], self.mapping)
+
+    def prefix(self, columns: int) -> Records:
+        """The records over their first ``columns`` columns (a view)."""
+        return self._replace(coefficients=self.coefficients[:, :columns])
+
+    def row(self, at: int, cols: np.ndarray | slice) -> np.ndarray:
+        """Columns ``cols`` of row ``at``, to broadcast against gathered
+        rows: read as it is (a view for a slice), or mapped on a copy."""
+        row = self.coefficients[at, cols]
+        if self.mapping is None:
+            return row
+        return self.mapping.columns(row.copy() if isinstance(cols, slice) else row, cols)
+
+    def gather(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """``coefficients[rows[:, None], cols]``, a fresh array, mapped in
+        place.
+
+        numpy's (row, column) gather costs about twice a copy of the columns
+        followed by a row take, so it goes that way when the matrix has no
+        more rows than are gathered: the copy is then no larger than the
+        result, and no temporary outgrows the gather.  A C-contiguous matrix
+        with more rows is gathered by a flat ``take`` of element offsets,
+        25-40 % cheaper; a view is not (``take`` would first copy it whole).
+        """
+        matrix = self.coefficients
+        if matrix.shape[0] <= rows.size:
+            gathered = matrix.take(cols, axis=1).take(rows, axis=0)
+        elif matrix.flags.c_contiguous:
+            gathered = matrix.take(rows[:, None] * matrix.shape[1] + cols)
+        else:
+            gathered = matrix[rows[:, None], cols]
+        return gathered if self.mapping is None else self.mapping.columns(gathered, cols)
+
+    def take(self, rows: np.ndarray, columns: int) -> np.ndarray:
+        """``coefficients[rows, :columns]``, a fresh array, mapped in place: a
+        row ``take`` when the full width of a C-contiguous matrix is read
+        (``take`` copies a strided view whole)."""
+        matrix = self.coefficients
+        if columns == matrix.shape[1] and matrix.flags.c_contiguous:
+            taken = matrix.take(rows, axis=0)
+        else:
+            taken = matrix[rows, :columns]
+        return taken if self.mapping is None else self.mapping.columns(taken, slice(columns))
+
+    def statistics(self, rows: Any) -> tuple[Any, Any]:
+        """``(means[rows], stds[rows])``, under the record set's map."""
+        if self.mapping is None:
+            return self.means[rows], self.stds[rows]
+        return self.mapping.statistics(self.means[rows], self.stds[rows])
+
+
 def transform_full_record(full_coefficients: np.ndarray, mean: float, std: float,
-                          transformation: Any | None, *,
-                          owner: str = "record"
-                          ) -> tuple[np.ndarray, float, float]:
+                          transformation: Any | None) -> tuple[np.ndarray, float, float]:
     """A spectral transformation applied to one ``(coefficients, mean, std)``
-    record — the scalar twin of :class:`RecordMap`, used for query
-    objects."""
+    query record — the scalar twin of :class:`RecordMap`."""
     if transformation is None:
         return full_coefficients, mean, std
     available = full_coefficients.shape[0]
@@ -421,13 +516,34 @@ def transform_full_record(full_coefficients: np.ndarray, mean: float, std: float
         raise DimensionMismatchError(
             f"transformation {transformation.name!r} covers "
             f"{transformation.multiplier.shape[0]} spectral coefficients but the "
-            f"{owner} has {available} (plus DC); rebuild the transformation "
+            f"query has {available} (plus DC); rebuild the transformation "
             "for the relation's series length")
     coefficients = (full_coefficients * transformation.multiplier[1:1 + available]
                     + transformation.offset[1:1 + available])
     extra = (np.array([mean, std]) * transformation.extra_multiplier
              + transformation.extra_offset)
     return coefficients, float(extra[0]), float(extra[1])
+
+
+def query_record(features: Any, transformation: Any | None
+                 ) -> tuple[np.ndarray, float, float]:
+    """The full record of a query's extracted ``features`` (a
+    :class:`~repro.timeseries.features.SeriesFeatures`), under
+    ``transformation`` when one is given: queries are transformed once, up
+    front, and stacked unmapped by :func:`query_records`."""
+    return transform_full_record(features.full_coefficients, features.mean, features.std,
+                                 transformation)
+
+
+def query_records(fulls: Sequence[tuple[np.ndarray, float, float]]) -> Records:
+    """A batch of ``(coefficients, mean, std)`` query records as one record
+    set, each row zero-padded to the longest."""
+    lengths = np.array([full[0].shape[0] for full in fulls], dtype=np.intp)
+    matrix = np.zeros((len(fulls), int(lengths.max())), dtype=np.complex128)
+    for position, full in enumerate(fulls):
+        matrix[position, :full[0].shape[0]] = full[0]
+    return Records(matrix, lengths, np.array([full[1] for full in fulls], dtype=np.float64),
+                   np.array([full[2] for full in fulls], dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -449,115 +565,58 @@ def _abandon_order(columns: int) -> np.ndarray:
     return order
 
 
-def _gather_columns(matrix: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                    mapping: RecordMap | None = None) -> np.ndarray:
-    """``matrix[rows[:, None], cols]``, a fresh array — under ``mapping``,
-    mapped in place.
-
-    numpy's (row, column) gather costs about twice a copy of the columns
-    followed by a row take, so it goes that way when the matrix has no more
-    rows than are gathered: the copy is then no larger than the result, and
-    no temporary outgrows the gather.  A C-contiguous matrix with more rows
-    is gathered by a flat ``take`` of element offsets, 25-40 % cheaper; a
-    view is not (``take`` would first copy it whole).
-    """
-    if matrix.shape[0] <= rows.size:
-        gathered = matrix.take(cols, axis=1).take(rows, axis=0)
-    elif matrix.flags.c_contiguous:
-        gathered = matrix.take(rows[:, None] * matrix.shape[1] + cols)
-    else:
-        gathered = matrix[rows[:, None], cols]
-    return gathered if mapping is None else mapping.columns(gathered, cols)
-
-
-def _take_rows(matrix: np.ndarray, rows: np.ndarray, columns: int,
-               mapping: RecordMap | None = None) -> np.ndarray:
-    """``matrix[rows, :columns]``, a fresh array — under ``mapping``, mapped
-    in place: a row ``take`` when the full width of a C-contiguous matrix is
-    read (``take`` copies a strided view whole)."""
-    if columns == matrix.shape[1] and matrix.flags.c_contiguous:
-        taken = matrix.take(rows, axis=0)
-    else:
-        taken = matrix[rows, :columns]
-    return taken if mapping is None else mapping.columns(taken, slice(columns))
-
-
-def _statistics(means: Any, stds: Any, rows: Any,
-                mapping: RecordMap | None) -> tuple[Any, Any]:
-    """``(means[rows], stds[rows])``, under ``mapping`` when there is one."""
-    if mapping is None:
-        return means[rows], stds[rows]
-    return mapping.statistics(means[rows], stds[rows])
-
-
-def exact_distances(coefficients: np.ndarray, lengths: np.ndarray,
-                    means: np.ndarray, stds: np.ndarray,
-                    query_coefficients: np.ndarray, query_mean: float,
-                    query_std: float, include_stats: bool, *,
-                    row_ids: np.ndarray | None = None,
-                    row_map: RecordMap | None = None) -> np.ndarray:
+def exact_distances(rows: Records, query: Records, include_stats: bool, *,
+                    row_ids: np.ndarray | None = None) -> np.ndarray:
     """Exact record distances of many rows to one query record.
 
     The common-prefix semantics (and, on equal-length data, the bit pattern)
     of :func:`~repro.timeseries.features.record_distance`, evaluated for all
-    rows — or the gathered ``row_ids`` — by :func:`gathered_pair_distances`
-    against a one-row query matrix, in blocks of :func:`_slice_rows` rows
-    (a pruning round's coefficients); under ``row_map`` the rows are mapped
-    as they are gathered, and the query is taken as given.
+    ``rows`` — or the gathered ``row_ids`` — by
+    :func:`gathered_pair_distances` against the one-record set ``query``, in
+    blocks of :func:`_slice_rows` rows (a pruning round's coefficients).
     """
-    query = np.asarray(query_coefficients)
-    query_side = (query[None, :], (query.shape[0],), (query_mean,), (query_std,), None,
-                  row_map, None)
     if row_ids is None:
-        row_ids = np.arange(coefficients.shape[0])
-    rows = _slice_rows(min(coefficients.shape[1], query.shape[0]), False)
-    arrays = (coefficients, lengths, means, stds, include_stats)
-    if row_ids.size <= rows:
-        return gathered_pair_distances(*arrays, row_ids, *query_side)
-    return np.concatenate([gathered_pair_distances(*arrays, row_ids[at:at + rows], *query_side)
-                           for at in range(0, row_ids.size, rows)])
+        row_ids = np.arange(rows.size)
+    block = _slice_rows(min(rows.width, query.width), False)
+    if row_ids.size <= block:
+        return gathered_pair_distances(rows, row_ids, query, None, include_stats)
+    return np.concatenate([
+        gathered_pair_distances(rows, row_ids[at:at + block], query, None, include_stats)
+        for at in range(0, row_ids.size, block)])
 
 
-def gathered_pair_distances(coefficients: np.ndarray, lengths: np.ndarray,
-                            means: np.ndarray, stds: np.ndarray,
-                            include_stats: bool, row_ids: np.ndarray,
-                            query_matrix: np.ndarray, query_lengths: np.ndarray,
-                            query_means: np.ndarray, query_stds: np.ndarray,
+def gathered_pair_distances(rows: Records, row_ids: np.ndarray, queries: Records,
                             query_index: np.ndarray | None,
-                            row_map: RecordMap | None = None,
-                            query_map: RecordMap | None = None) -> np.ndarray:
+                            include_stats: bool) -> np.ndarray:
     """One exact distance per (stored row, query) pair, in a single pass:
     the exact core under every exact distance of the engine.
 
-    ``row_ids[t]`` names the stored record and ``query_index[t]`` the row of
-    the stacked query arrays it is verified against; a one-row query matrix
-    is broadcast instead (``query_index`` unread, its statistics may be
-    1-tuples).  It holds a full row per pair, so :func:`verify_pairs` calls
-    it on its survivors in the slices of :func:`_exact_slices`.  The rows
-    are gathered once (and mapped by ``row_map``, the queries by
-    ``query_map``), the query subtracted and the moduli squared in place
+    ``row_ids[t]`` names the record of ``rows`` and ``query_index[t]`` the
+    record of ``queries`` it is verified against; a one-record ``queries``
+    is broadcast instead (``query_index`` unread).  It holds a full row per
+    pair, so :func:`verify_pairs` calls it on its survivors in the slices of
+    :func:`_exact_slices`.  The rows are gathered once (mapped, on either
+    side, as they are), the query subtracted and the moduli squared in place
     (``a *= a``, the bits of ``** 2``), then reduced once.
     """
-    columns = min(coefficients.shape[1], query_matrix.shape[1])
-    if query_matrix.shape[0] == 1:
-        query_index, queries = 0, query_matrix[0, :columns]
-        if query_map is not None:
-            queries = query_map.columns(queries.copy(), slice(columns))
+    columns = min(rows.width, queries.width)
+    if queries.size == 1:
+        query_index, query = 0, queries.row(0, slice(columns))
     else:
-        queries = _take_rows(query_matrix, query_index, columns, query_map)
-    gathered = _take_rows(coefficients, row_ids, columns, row_map)
-    gathered -= queries
+        query = queries.take(query_index, columns)
+    gathered = rows.take(row_ids, columns)
+    gathered -= query
     squared = np.abs(gathered)
     squared *= squared
-    common = np.minimum(lengths[row_ids], query_lengths[query_index])
+    common = np.minimum(rows.lengths[row_ids], queries.lengths[query_index])
     if (common == columns).all():
         totals = squared.sum(axis=1)
     else:
         mask = np.arange(columns)[None, :] < common[:, None]
         totals = np.where(mask, squared, 0.0).sum(axis=1)
     if include_stats:
-        row_means, row_stds = _statistics(means, stds, row_ids, row_map)
-        query_means, query_stds = _statistics(query_means, query_stds, query_index, query_map)
+        row_means, row_stds = rows.statistics(row_ids)
+        query_means, query_stds = queries.statistics(query_index)
         totals = totals + ((row_means - query_means) ** 2 + (row_stds - query_stds) ** 2)
     return np.sqrt(totals)
 
@@ -598,16 +657,14 @@ def _exact_slices(widths: np.ndarray | int, count: int,
             yield slice(start, min(start + rows, run_last)), columns
 
 
-def _abandon(coefficients: np.ndarray, lengths: np.ndarray,
-             query_matrix: np.ndarray, query_lengths: Sequence[int],
-             positions: np.ndarray, rows: np.ndarray, queries: np.ndarray | None,
-             totals: np.ndarray, bounds: np.ndarray | float,
-             row_map: RecordMap | None, query_map: RecordMap | None
+def _abandon(rows: Records, queries: Records, positions: np.ndarray, ids: np.ndarray,
+             queried: np.ndarray | None, totals: np.ndarray, bounds: np.ndarray | float
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """The abandoning rounds of :func:`verify_pairs` over one block's pairs,
-    which it returns as ``(positions, rows, queries)``; ``rows`` may be
-    ``positions`` itself, compacted once.  Each round maps the columns it
-    gathers (``row_map``, ``query_map``).
+    """The abandoning rounds of :func:`verify_pairs` over one block's pairs
+    — record ``ids[t]`` of ``rows`` against record ``queried[t]`` of
+    ``queries`` — which it returns as ``(positions, ids, queried)``; ``ids``
+    may be ``positions`` itself, compacted once.  Each round maps the
+    columns it gathers.
 
     A round costs about what scoring its pairs outright would, so rounds
     run only while the survivors' remaining columns overflow
@@ -615,26 +672,25 @@ def _abandon(coefficients: np.ndarray, lengths: np.ndarray,
     once the pairs a round drops no longer pay for the columns it reads
     (see :data:`ABANDON_CHUNK`).
     """
-    common = np.minimum(lengths[rows], query_lengths[0 if queries is None else queries])
+    common = np.minimum(rows.lengths[ids], queries.lengths[0 if queried is None else queried])
     columns = int(common.max())
     ragged = not (common == columns).all()
     order = _abandon_order(columns)
-    # The rows of the batch this block's queries span: a round's gather
-    # copies their columns, not the whole batch's, and one query's columns
-    # are broadcast, not gathered pair by pair.
-    low = 0 if queries is None else int(queries.min())
-    spanned = query_matrix[low:1 if queries is None else int(queries.max()) + 1]
-    same = rows is positions
+    # The queries this block's pairs span: a round's gather copies their
+    # columns, not the whole batch's, and one query's columns are
+    # broadcast, not gathered pair by pair.
+    low = 0 if queried is None else int(queried.min())
+    spanned = queries.select(slice(low, 1 if queried is None else int(queried.max()) + 1))
+    same = ids is positions
     for start in range(0, columns, ABANDON_CHUNK):
         if positions.size * (columns - start) <= PAIR_BLOCK:
             break
         cols = order[start:start + ABANDON_CHUNK]
-        difference = _gather_columns(coefficients, rows, cols, row_map)
-        if spanned.shape[0] == 1:
-            query = spanned[0, cols]
-            difference -= query if query_map is None else query_map.columns(query, cols)
+        difference = rows.gather(ids, cols)
+        if spanned.size == 1:
+            difference -= spanned.row(0, cols)
         else:
-            difference -= _gather_columns(spanned, queries - low, cols, query_map)
+            difference -= spanned.gather(queried - low, cols)
         if ragged:
             difference[cols >= common[:, None]] = 0.0
         parts = difference.view(np.float64)
@@ -645,33 +701,28 @@ def _abandon(coefficients: np.ndarray, lengths: np.ndarray,
         dropped = positions.size - alive.size
         if dropped:
             positions, totals = positions[alive], totals[alive]
-            rows = positions if same else rows[alive]
+            ids = positions if same else ids[alive]
             if ragged:
                 common = common[alive]
-            if queries is not None:
-                queries, bounds = queries[alive], bounds[alive]
+            if queried is not None:
+                queried, bounds = queried[alive], bounds[alive]
         if dropped * columns <= positions.size * ABANDON_CHUNK:
             break
-    return positions, rows, queries
+    return positions, ids, queried
 
 
-def verify_pairs(coefficients: np.ndarray, lengths: np.ndarray,
-                 means: np.ndarray, stds: np.ndarray, include_stats: bool,
-                 row_ids: np.ndarray | None, query_matrix: np.ndarray,
-                 query_lengths: Sequence[int], query_means: Sequence[float],
-                 query_stds: Sequence[float], query_index: np.ndarray | None,
-                 epsilons: Sequence[float] | None,
-                 row_map: RecordMap | None = None,
-                 query_map: RecordMap | None = None) -> tuple[np.ndarray, np.ndarray]:
+def verify_pairs(rows: Records, row_ids: np.ndarray | None, queries: Records,
+                 query_index: np.ndarray | None, epsilons: Sequence[float] | None,
+                 include_stats: bool) -> tuple[np.ndarray, np.ndarray]:
     """The filter-and-refine kernel: ``(positions, distances)`` of the
     (stored row, query) pairs whose exact distance is within their query's
     epsilon — every scan range, scan join and index verification.
 
-    The pairs are those of :func:`gathered_pair_distances` — ``row_ids[t]``
-    (every row of the matrix in order when ``row_ids`` is ``None``) against
-    row ``query_index[t]`` of the stacked query arrays, or against the one
-    row of a one-row query matrix when ``query_index`` is ``None`` (its
-    statistics and epsilon may then be 1-tuples) — and ``epsilons[q]`` is
+    The pairs are those of :func:`gathered_pair_distances` — record
+    ``row_ids[t]`` of ``rows`` (every record in order when ``row_ids`` is
+    ``None``) against record ``query_index[t]`` of ``queries``, or against
+    the one record of a one-record ``queries`` when ``query_index`` is
+    ``None`` (its epsilon may then be a 1-tuple) — and ``epsilons[q]`` is
     query ``q``'s threshold.  They are taken :data:`PAIR_BLOCK` at a time.
     A block is first filtered by the statistics term, then abandoned in the
     rounds of :func:`_abandon`; only its survivors are scored exactly, by
@@ -679,52 +730,48 @@ def verify_pairs(coefficients: np.ndarray, lengths: np.ndarray,
     A pair reduces over its own query's columns, so a query's distances are
     bit-identical to a batch holding it alone, however long the other
     queries of the batch are.  Without ``epsilons`` every pair is scored and
-    kept.  Under ``row_map`` (``query_map``) every stored (query) row is
-    mapped as it is gathered, and so are its statistics.
+    kept.
 
     ``positions`` index the pair arrays, ascending; no temporary is sized by
     the number of pairs or of survivors.
     """
     found: list[tuple[np.ndarray, np.ndarray]] = []
-    width = min(coefficients.shape[1], query_matrix.shape[1])
-    count = coefficients.shape[0] if row_ids is None else row_ids.size
+    width = min(rows.width, queries.width)
+    count = rows.size if row_ids is None else row_ids.size
     for first in range(0, count, PAIR_BLOCK):
         block = slice(first, min(first + PAIR_BLOCK, count))
-        # Without row ids the pairs are the matrix's rows in order, whose
+        # Without row ids the pairs are the records in order, whose
         # statistics are read as a slice, not gathered.
-        rows = block if row_ids is None else row_ids[block]
-        queries = None if query_index is None else query_index[block]
+        ids = block if row_ids is None else row_ids[block]
+        queried = None if query_index is None else query_index[block]
         # One query's statistics and threshold are scalars, a batch's per pair.
-        at = 0 if queries is None else queries
+        at = 0 if queried is None else queried
         if epsilons is None:
             survivors = np.arange(block.stop - first)
         else:
             bounds = np.square(epsilons[at]) * (1.0 + _PRUNE_SLACK) + 1e-12
             if include_stats:
-                row_means, row_stds = _statistics(means, stds, rows, row_map)
-                mean, std = _statistics(query_means, query_stds, at, query_map)
+                row_means, row_stds = rows.statistics(ids)
+                mean, std = queries.statistics(at)
                 totals = (row_means - mean) ** 2 + (row_stds - std) ** 2
             else:
                 totals = np.zeros(block.stop - first, dtype=np.float64)
             survivors = (totals <= bounds).nonzero()[0]
             totals = totals[survivors]
-            if queries is not None:
-                queries, bounds = queries[survivors], bounds[survivors]
+            if queried is not None:
+                queried, bounds = queried[survivors], bounds[survivors]
         positions = survivors + first
-        rows = positions if row_ids is None else rows[survivors]
+        ids = positions if row_ids is None else ids[survivors]
         if epsilons is not None and positions.size * width > PAIR_BLOCK:
-            positions, rows, queries = _abandon(
-                coefficients, lengths, query_matrix, query_lengths,
-                positions, rows, queries, totals, bounds, row_map, query_map)
-        widths = np.minimum(query_lengths[0 if queries is None else queries],
-                            coefficients.shape[1])
-        for pairs, columns in _exact_slices(widths, rows.size, query_matrix.shape[0] > 1):
+            positions, ids, queried = _abandon(rows, queries, positions, ids, queried,
+                                               totals, bounds)
+        widths = np.minimum(queries.lengths[0 if queried is None else queried], rows.width)
+        for pairs, columns in _exact_slices(widths, ids.size, queries.size > 1):
             distances = gathered_pair_distances(
-                coefficients, lengths, means, stds, include_stats, rows[pairs],
-                query_matrix[:, :columns], query_lengths, query_means, query_stds,
-                None if queries is None else queries[pairs], row_map, query_map)
+                rows, ids[pairs], queries.prefix(columns),
+                None if queried is None else queried[pairs], include_stats)
             keep = (slice(None) if epsilons is None
-                    else distances <= epsilons[0 if queries is None else queries[pairs]])
+                    else distances <= epsilons[0 if queried is None else queried[pairs]])
             found.append((positions[pairs][keep], distances[keep]))
     if len(found) < 2:
         return found[0] if found else (np.zeros(0, dtype=np.intp),
@@ -766,55 +813,41 @@ def _pair_rows(count: int, first: int, last: int) -> tuple[np.ndarray, np.ndarra
     return left, right
 
 
-def pair_block_distances(coefficients: np.ndarray, lengths: np.ndarray,
-                         means: np.ndarray, stds: np.ndarray,
-                         include_stats: bool, first: int, last: int, *,
-                         epsilon: float | None = None,
-                         row_map: RecordMap | None = None
+def pair_block_distances(records: Records, include_stats: bool, first: int, last: int, *,
+                         epsilon: float | None = None
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The pair kernel: ``(left, right, distances)`` of one block of the
     self-join's condensed pair order (see :func:`pair_blocks`).
 
-    The block's pairs go to :func:`verify_pairs` with the relation as its
-    own query matrix, row ``right`` against anchor ``left`` — under
-    ``row_map`` both mapped as they are gathered.  Without
-    ``epsilon`` every pair of the block is scored and returned; with one,
-    only the pairs within it.  Either way each pair is scored exactly as
+    The block's pairs go to :func:`verify_pairs` with ``records`` on both
+    sides, record ``right`` against anchor ``left``.  Without ``epsilon``
+    every pair of the block is scored and returned; with one, only the pairs
+    within it.  Either way each pair is scored exactly as
     ``exact_distances`` scores row ``right`` against the record of row
     ``left``: the same reduction over the same ``lengths[left]`` columns, so
     distances are bit-identical to the per-anchor computation on uniform and
     ragged relations alike.
     """
-    left, right = _pair_rows(coefficients.shape[0], first, last)
-    epsilons = None if epsilon is None else np.broadcast_to(float(epsilon), lengths.shape)
-    positions, distances = verify_pairs(coefficients, lengths, means, stds, include_stats,
-                                        right, coefficients, lengths, means, stds, left,
-                                        epsilons, row_map, row_map)
+    left, right = _pair_rows(records.size, first, last)
+    epsilons = (None if epsilon is None
+                else np.broadcast_to(float(epsilon), records.lengths.shape))
+    positions, distances = verify_pairs(records, right, records, left, epsilons, include_stats)
     return left[positions], right[positions], distances
 
 
-def pairwise_distances(coefficients: np.ndarray, lengths: np.ndarray,
-                       means: np.ndarray, stds: np.ndarray,
-                       include_stats: bool, *,
-                       row_ids: Sequence[int] | np.ndarray | None = None,
-                       row_map: RecordMap | None = None) -> np.ndarray:
-    """Condensed upper-triangle distance vector over rows (or ``row_ids``),
-    under ``row_map`` when given.
+def pairwise_distances(records: Records, include_stats: bool, *,
+                       row_ids: Sequence[int] | np.ndarray | None = None) -> np.ndarray:
+    """Condensed upper-triangle distance vector over the records (or
+    ``row_ids`` of them).
 
     Backs the statistics sampler, the advisor and Table 1's threshold
     sample: the pair kernel without a threshold, block by block, so sampling
     shares the join's kernel instead of a loop of its own.
     """
     if row_ids is not None:
-        row_ids = np.asarray(row_ids, dtype=np.intp)
-        coefficients = coefficients[row_ids]
-        lengths = lengths[row_ids]
-        means = means[row_ids]
-        stds = stds[row_ids]
-    count = coefficients.shape[0]
+        records = records.select(np.asarray(row_ids, dtype=np.intp))
+    count = records.size
     condensed = np.empty(count * (count - 1) // 2, dtype=np.float64)
     for first, last in pair_blocks(count):
-        condensed[first:last] = pair_block_distances(
-            coefficients, lengths, means, stds, include_stats, first, last,
-            row_map=row_map)[2]
+        condensed[first:last] = pair_block_distances(records, include_stats, first, last)[2]
     return condensed

@@ -1,8 +1,9 @@
 """Fixed-size row spans over a :class:`ColumnarRecordStore`.
 
 The sequential scan fans its range and nearest-neighbour kernels out over
-contiguous ``[start, stop)`` row spans, and the durable engine writes one
-segment file per span.  The layout is purely positional — a pure function of
+contiguous ``[start, stop)`` row spans — each a view of the relation's record
+set (``Records.select(slice(start, stop))``) — and the durable engine writes
+one segment file per span.  The layout is purely positional — a pure function of
 ``(len(store), partition_rows)`` — so it preserves insertion order, keeps
 record ids global, and is re-derived after an append rather than mutated.
 
@@ -10,7 +11,7 @@ The row-independence of the columnar kernels is what makes the spans
 sufficient for bit-identical parallel answers: ``exact_distances`` and
 ``verify_pairs`` reduce along the coefficient axis row by row, so a row's
 distance (bit pattern included) does not depend on which other rows share
-the matrix or the kernel's block.  The self-join does not partition rows at
+the record set or the kernel's block.  The self-join does not partition rows at
 all: its pair kernel (``pair_block_distances``) cuts the flat pair order
 into blocks of equal pair count over the whole store, and a pair's distance
 is as independent of its block as a row's is of its span.

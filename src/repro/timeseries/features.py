@@ -238,8 +238,9 @@ def record_distance(a: tuple[np.ndarray, float, float],
     Taken over the common coefficient prefix: by Parseval still a valid
     lower bound when one side carries fewer coefficients (a bare
     feature-point query), and exact when both records are complete.  The
-    columnar kernels (:func:`~repro.storage.columnar.exact_distances`)
-    evaluate the same formula over row-major blocks of gathered rows.
+    columnar kernels (:func:`~repro.storage.columnar.exact_distances`) evaluate
+    the same formula over row-major blocks of gathered rows, a record set
+    against a query's (:func:`~repro.storage.columnar.query_records`).
     """
     common = min(a[0].shape[0], b[0].shape[0])
     total = float(np.sum(np.abs(a[0][:common] - b[0][:common]) ** 2))

@@ -39,13 +39,14 @@ from repro.storage.columnar import (
     ABANDON_CHUNK,
     _PRUNE_SLACK,
     ColumnarRecordStore,
+    Records,
     _abandon_order,
-    _gather_columns,
     _pair_rows,
     exact_distances,
     gathered_pair_distances,
     pair_block_distances,
     pair_blocks,
+    query_records,
     verify_pairs,
 )
 from repro.timeseries.generators import random_walk, random_walk_collection
@@ -96,11 +97,12 @@ def early_abandon_candidates(
     common = np.minimum(lengths, len(query_coefficients))
     ragged = not np.all(common == columns)
     order = _abandon_order(columns)
+    records = Records(coefficients, lengths, means, stds)
     for start in range(0, columns, chunk):
         if active.size == 0:
             break
         cols = order[start : start + chunk]
-        difference = _gather_columns(coefficients, active, cols)
+        difference = records.gather(active, cols)
         difference -= query_coefficients[cols]
         if ragged:
             difference[cols >= common[active][:, None]] = 0.0
@@ -157,24 +159,12 @@ def reference_early_abandon_candidates(
     return active
 
 
-def reference_verify_pairs(
-    coefficients,
-    lengths,
-    means,
-    stds,
-    include_stats,
-    row_ids,
-    query_matrix,
-    query_lengths,
-    query_means,
-    query_stds,
-    query_index,
-    epsilons,
-    row_map=None,
-):
+def reference_verify_pairs(rows, row_ids, queries, query_index, epsilons, include_stats):
     """``verify_pairs`` walking the columns from 0 upwards, over arrays
     already transformed (:func:`reading_the_matrix`): it maps nothing."""
-    assert row_map is None
+    coefficients, lengths, means, stds, mapping = rows
+    query_matrix, query_lengths, query_means, query_stds, query_mapping = queries
+    assert mapping is None and query_mapping is None
     block = columnar.PAIR_BLOCK
     found = []
     width = min(coefficients.shape[1], query_matrix.shape[1])
@@ -216,17 +206,11 @@ def reference_verify_pairs(
             mine = np.flatnonzero(queries == query)
             columns = min(coefficients.shape[1], int(query_lengths[query]))
             distances[mine] = gathered_pair_distances(
-                coefficients,
-                lengths,
-                means,
-                stds,
-                include_stats,
+                Records(coefficients, lengths, means, stds),
                 rows[mine],
-                query_matrix[:, :columns],
-                query_lengths,
-                query_means,
-                query_stds,
+                Records(query_matrix[:, :columns], query_lengths, query_means, query_stds),
                 queries[mine],
+                include_stats,
             )
         keep = distances <= epsilons[queries]
         found.append((first + survivors[keep], distances[keep]))
@@ -236,10 +220,9 @@ def reference_verify_pairs(
     return positions, np.concatenate([distances for _, distances in found])
 
 
-def reference_pair_block_distances(
-    coefficients, lengths, means, stds, include_stats, first, last, *, epsilon=None
-):
+def reference_pair_block_distances(records, include_stats, first, last, *, epsilon=None):
     """``pair_block_distances`` walking the columns from 0 upwards."""
+    coefficients, lengths, means, stds, _ = records
     left, right = _pair_rows(coefficients.shape[0], first, last)
     if epsilon is not None:
         bound = float(epsilon) ** 2 * (1.0 + columnar._PRUNE_SLACK) + 1e-12
@@ -279,17 +262,11 @@ def reference_pair_block_distances(
         for start in range(run_first, run_last, rows):
             piece = slice(start, min(start + rows, run_last))
             distances[piece] = gathered_pair_distances(
-                coefficients,
-                lengths,
-                means,
-                stds,
-                include_stats,
+                records,
                 right[piece],
-                anchors,
-                lengths,
-                means,
-                stds,
+                Records(anchors, lengths, means, stds),
                 left[piece],
+                include_stats,
             )
     return left, right, distances
 
@@ -337,7 +314,7 @@ def fresh_record(length, rng):
 def kth_distance(arrays, query, rank, include_stats):
     """The query's ``rank``-th smallest distance (cyclically): a threshold
     some row lies exactly on."""
-    distances = np.sort(exact_distances(*arrays, *query, include_stats))
+    distances = np.sort(exact_distances(Records(*arrays), query_records([query]), include_stats))
     return float(distances[rank % distances.size])
 
 
@@ -384,17 +361,8 @@ def scan_kernel(arrays, query, include_stats, epsilon, row_ids=None):
     one span of the whole relation: ``verify_pairs`` on (row, query 0)
     pairs, the one query broadcast, the rows in order (or the given
     ``row_ids``).  Returns the kept positions and distances."""
-    query_coefficients, query_mean, query_std = query
     positions, distances = verify_pairs(
-        *arrays,
-        include_stats,
-        row_ids,
-        query_coefficients[None, :],
-        (query_coefficients.shape[0],),
-        (query_mean,),
-        (query_std,),
-        None,
-        (epsilon,),
+        Records(*arrays), row_ids, query_records([query]), None, (epsilon,), include_stats
     )
     keep = distances <= epsilon
     return positions[keep], distances[keep]
@@ -404,7 +372,9 @@ def scan(kernel, arrays, query, include_stats, epsilon):
     """What a scan keeps — the kernel's survivors re-scored exactly, those
     within ``epsilon``, as (rows, distance bits) — and the survivors."""
     survivors = kernel(*arrays, *query, include_stats, epsilon)
-    distances = exact_distances(*arrays, *query, include_stats, row_ids=survivors)
+    distances = exact_distances(
+        Records(*arrays), query_records([query]), include_stats, row_ids=survivors
+    )
     keep = distances <= epsilon
     return (survivors[keep].tolist(), bits(distances[keep])), set(survivors.tolist())
 
@@ -416,7 +386,7 @@ def check_scan(arrays, query, include_stats, epsilon):
     scored = set()
 
     def counting(*args):
-        scored.update(args[5].tolist())
+        scored.update(args[1].tolist())
         return gathered_pair_distances(*args)
 
     with mock.patch.object(columnar, "gathered_pair_distances", counting):
@@ -429,7 +399,7 @@ def check_scan(arrays, query, include_stats, epsilon):
     assert answers == replaced
     reference = reference_early_abandon_candidates
     assert answers == scan(reference, arrays, query, include_stats, epsilon)[0]
-    brute = exact_distances(*arrays, *query, include_stats)
+    brute = exact_distances(Records(*arrays), query_records([query]), include_stats)
     assert set(np.flatnonzero(brute <= epsilon).tolist()) <= survivors
     assert set(np.flatnonzero(brute <= epsilon).tolist()) <= scored
     return answers
@@ -481,10 +451,6 @@ def pair_problem(arrays, picks, include_stats, seed):
         record(arrays, pick % count) if pick >= 0 else fresh_record(rng.choice(lengths) + 1, rng)
         for pick in picks
     ]
-    query_lengths = np.array([query[0].shape[0] for query in queries], dtype=np.intp)
-    query_matrix = np.zeros((len(queries), int(query_lengths.max())), dtype=np.complex128)
-    for position, query in enumerate(queries):
-        query_matrix[position, : query[0].shape[0]] = query[0]
     candidates = [np.sort(rng.choice(count, rng.integers(0, count + 1))) for _ in queries]
     row_ids = np.concatenate(candidates).astype(np.intp)
     query_index = np.repeat(np.arange(len(queries), dtype=np.intp), [c.size for c in candidates])
@@ -495,17 +461,7 @@ def pair_problem(arrays, picks, include_stats, seed):
             for pick, query in zip(picks, queries)
         ]
     )
-    return (
-        *arrays,
-        include_stats,
-        row_ids,
-        query_matrix,
-        query_lengths,
-        np.array([query[1] for query in queries]),
-        np.array([query[2] for query in queries]),
-        query_index,
-        epsilons,
-    )
+    return Records(*arrays), row_ids, query_records(queries), query_index, epsilons, include_stats
 
 
 #: (representation, transformation) pairs an index is probed under; the
@@ -531,11 +487,11 @@ class TestVerifyPairs:
         block sizes that make rounds run on small data, and the pairs scored
         exactly hold every pair brute force keeps."""
         problem = pair_problem(drawn(case), picks, case["include_stats"], case["seed"])
-        row_ids, query_index, epsilons = problem[5], problem[10], problem[11]
+        row_ids, query_index, epsilons = problem[1], problem[3], problem[4]
         scored = set()
 
         def counting(*args):
-            scored.update(zip(args[5].tolist(), args[10].tolist()))
+            scored.update(zip(args[1].tolist(), args[3].tolist()))
             return gathered_pair_distances(*args)
 
         with mock.patch.object(columnar, "PAIR_BLOCK", block):
@@ -544,7 +500,7 @@ class TestVerifyPairs:
             expected = reference_verify_pairs(*problem)
         assert positions.tolist() == expected[0].tolist()
         assert bits(distances) == bits(expected[1])
-        brute = gathered_pair_distances(*problem[:11])
+        brute = gathered_pair_distances(*problem[:4], problem[5])
         within = brute <= epsilons[query_index]
         assert set(zip(row_ids[within].tolist(), query_index[within].tolist())) <= scored
 
@@ -588,7 +544,9 @@ def join(kernel, arrays, include_stats, epsilon):
     and every pair the kernel handed back."""
     kept, survivors = [], set()
     for first, last in pair_blocks(arrays[0].shape[0]):
-        left, right, distances = kernel(*arrays, include_stats, first, last, epsilon=epsilon)
+        left, right, distances = kernel(
+            Records(*arrays), include_stats, first, last, epsilon=epsilon
+        )
         survivors.update(zip(left.tolist(), right.tolist()))
         keep = np.ones(left.size, dtype=bool) if epsilon is None else distances <= epsilon
         kept.extend(zip(left[keep].tolist(), right[keep].tolist(), bits(distances[keep])))
@@ -601,7 +559,9 @@ def check_join(arrays, include_stats, epsilon):
     if epsilon is not None:
         count = arrays[0].shape[0]
         left, right = _pair_rows(count, 0, count * (count - 1) // 2)
-        brute = gathered_pair_distances(*arrays, include_stats, right, *arrays, left)
+        brute = gathered_pair_distances(
+            Records(*arrays), right, Records(*arrays), left, include_stats
+        )
         within = brute <= epsilon
         assert set(zip(left[within].tolist(), right[within].tolist())) <= survivors
     return kept
@@ -614,7 +574,9 @@ class TestPairBlockDistances:
         arrays = drawn(case)
         include_stats = case["include_stats"]
         count = arrays[0].shape[0]
-        sample = pair_block_distances(*arrays, include_stats, 0, count * (count - 1) // 2)[2]
+        sample = pair_block_distances(
+            Records(*arrays), include_stats, 0, count * (count - 1) // 2
+        )[2]
         at_a_distance = float(np.sort(sample)[rank % sample.size])
         with mock.patch.object(columnar, "PAIR_BLOCK", block):
             for epsilon in (None, 0.0, 1.0, at_a_distance, math.inf):
@@ -649,7 +611,7 @@ class TestThePruningIsPinned:
         scored = [0]
 
         def counting(*args):
-            scored[0] += args[5].size
+            scored[0] += args[1].size
             return gathered_pair_distances(*args)
 
         monkeypatch.setattr(columnar, "gathered_pair_distances", counting)
@@ -695,7 +657,7 @@ class TestThePruningIsPinned:
         scan.extend(random_walk_collection(240, 128, seed=13))
         coefficients, means, stds = transformed_arrays(scan.store, None)
         arrays = (coefficients, scan.store.lengths, means, stds)
-        sample = np.sort(columnar.pairwise_distances(*arrays, True))
+        sample = np.sort(columnar.pairwise_distances(Records(*arrays), True))
         epsilon = float(sample[int(share * sample.size)])
         scored = self.scored_exactly(monkeypatch)
         pairs, _ = scan.all_pairs(epsilon)

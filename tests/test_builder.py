@@ -24,7 +24,7 @@ class TestParserEquivalence:
         (Q.from_("stocks").within(2.0).of(Q.param("q")),
          "SELECT FROM stocks WHERE dist(object, $q) < 2.0"),
         (Q.from_("stocks").under("mavg10").within(2.0).of(Q.param("q")),
-         "SELECT FROM stocks WHERE dist(series, $q) < 2.0 USING mavg10"),
+         "SELECT FROM stocks WHERE dist(object, $q) < 2.0 USING mavg10"),
         (Q.from_("stocks").within(0.5).of(Q.param("q")).raw_query(),
          "SELECT FROM stocks WHERE dist(object, $q) < .5 RAW QUERY"),
         (Q.from_("stocks").under("rev").within(1e-3).of(Q.param("q")).raw_query(),
@@ -192,7 +192,7 @@ class TestEngineIntegration:
         session.relation("walks").insert_many(data) \
             .with_index(KIndex(SeriesFeatureExtractor(2)))
         builder = Q.from_("walks").within(2.0).of(Q.param("q"))
-        text = "SELECT FROM walks WHERE dist(series, $q) < 2.0"
+        text = "SELECT FROM walks WHERE dist(object, $q) < 2.0"
         built = session.sql(builder, q=data[0])
         textual = session.sql(text, q=data[0])
         assert [s.object_id for s, _ in built.answers] \

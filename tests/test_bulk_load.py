@@ -439,17 +439,7 @@ class TestKIndexBulkLoad:
 
 
 class TestBatchedProbes:
-    def test_search_many_matches_single_searches(self):
-        rng = np.random.default_rng(48)
-        points = rng.uniform(0, 100, size=(500, 3))
-        tree = PackedRTree.bulk_load(points, list(range(500)), max_entries=8)
-        windows = [Rect(center - 5, center + 5)
-                   for center in rng.uniform(0, 100, size=(12, 3))]
-        batched = tree.search_many(windows)
-        for window, records in zip(windows, batched):
-            assert sorted(records) == sorted(tree.search(window))
-
-    def test_search_many_shares_node_accesses(self):
+    def test_window_search_shares_node_accesses(self):
         rng = np.random.default_rng(49)
         points = rng.uniform(0, 100, size=(500, 2))
         tree = PackedRTree.bulk_load(points, list(range(500)), max_entries=8)
@@ -459,7 +449,8 @@ class TestBatchedProbes:
             tree.search(window)
         single = tree.access_stats.total
         tree.reset_stats()
-        tree.search_many(windows)
+        tree.window_search(np.array([window.low for window in windows]),
+                           np.array([window.high for window in windows]))
         assert tree.access_stats.total * 2 <= single
 
     def test_range_query_batch_matches_single(self, loaded_index, walk_collection):
@@ -483,15 +474,6 @@ class TestBatchedProbes:
                                               transformation=transformation)
             assert sorted((s.object_id, round(d, 9)) for s, d in result.answers) == \
                 sorted((s.object_id, round(d, 9)) for s, d in single.answers)
-
-    def test_nearest_neighbors_batch_matches_single(self, loaded_index,
-                                                    walk_collection):
-        queries = walk_collection[:5]
-        batched = loaded_index.nearest_neighbors_batch(queries, 4)
-        for query, result in zip(queries, batched):
-            single = loaded_index.nearest_neighbors(query, 4)
-            assert [s.object_id for s, _ in result.answers] == \
-                [s.object_id for s, _ in single.answers]
 
 
 class TestBatchKernels:

@@ -198,7 +198,7 @@ class TestEngineCancellation:
         data = random_walk_collection(64, 32, seed=3)
         session = repro.connect(workers=2)
         session.relation("walks").insert_many(data).with_index(KIndex())
-        sql = "SELECT FROM walks WHERE dist(series, $q) < 100.0"
+        sql = "SELECT FROM walks WHERE dist(object, $q) < 100.0"
         for _ in range(6):
             token = CancellationToken()
             token.cancel()

@@ -33,7 +33,7 @@ import repro
 from repro import KIndex, SequentialScan, SeriesFeatureExtractor, TimeSeries
 from repro.index import kindex as kindex_module
 from repro.storage import columnar
-from repro.storage.columnar import verify_pairs
+from repro.storage.columnar import Records, verify_pairs
 from repro.timeseries.generators import random_walk, random_walk_collection
 from repro.timeseries.transforms import moving_average_spectral, scale_spectral
 
@@ -273,18 +273,12 @@ class TestVerificationEqualsTheGatheredPass:
         coefficients, means, stds = transformed_arrays(index.store, None)
         nothing = np.zeros(0, dtype=np.intp)
         positions, distances = verify_pairs(
-            coefficients,
-            index.store.lengths,
-            means,
-            stds,
-            True,
+            Records(coefficients, index.store.lengths, means, stds),
             nothing,
-            coefficients[:1],
-            index.store.lengths[:1],
-            means[:1],
-            stds[:1],
+            Records(coefficients[:1], index.store.lengths[:1], means[:1], stds[:1]),
             nothing,
             np.ones(1),
+            True,
         )
         assert positions.size == distances.size == 0
 
@@ -300,7 +294,7 @@ class TestABatchScoresEachQueryOverItsOwnLength:
         index = KIndex.bulk_load(data, SeriesFeatureExtractor())
         session = repro.connect(answer_cache_size=0)
         session.relation("walks").insert_many(data).with_index(index)
-        sql = "SELECT FROM walks WHERE dist(series, $q) < 25"
+        sql = "SELECT FROM walks WHERE dist(object, $q) < 25"
         queries = data[:8]
         assert {len(query) for query in queries} == {300, 700}
         batch = session.sql_many([sql] * len(queries), [{"q": query} for query in queries])

@@ -24,6 +24,7 @@ from repro.storage.columnar import (
     exact_distances,
     gathered_pair_distances,
     pairwise_distances,
+    query_records,
     record_matrix,
     transform_full_record,
 )
@@ -83,9 +84,9 @@ class TestStore:
         assert np.all(s.coefficients[0, 15:] == 0)
         assert s.full_record(0)[0].shape == (15,)
 
-    def test_record_map_matches_scalar_transform(self, store, walks):
+    def test_records_map_matches_scalar_transform(self, store, walks):
         transformation = reverse_spectral(32)
-        record_map = store.record_map(transformation)
+        record_map = store.records(transformation).mapping
         rows = np.array([0, 11, 24])
         width = store.coefficients.shape[1]
         coefficients = record_map.columns(store.coefficients[rows], slice(width))
@@ -95,11 +96,34 @@ class TestStore:
             assert np.array_equal(coefficients[position, :expected[0].shape[0]],
                                   expected[0])
             assert means[position] == expected[1] and stds[position] == expected[2]
-        assert store.record_map(None) is None
+        assert store.records(None).mapping is None
 
     def test_short_transformation_raises(self, store):
-        with pytest.raises(DimensionMismatchError):
-            store.record_map(moving_average_spectral(16, 4))
+        with pytest.raises(DimensionMismatchError, match="stored record"):
+            store.records(moving_average_spectral(16, 4))
+
+    def test_records_are_views_of_the_store(self, store):
+        records = store.records()
+        for name in ("coefficients", "lengths", "means", "stds"):
+            assert np.shares_memory(getattr(records, name), getattr(store, name))
+        assert (records.size, records.width) == store.coefficients.shape
+        span = records.select(slice(3, 9))
+        assert span.size == 6 and np.shares_memory(span.coefficients, store.coefficients)
+        assert np.array_equal(span.lengths, store.lengths[3:9])
+        picked = records.select(np.array([5, 1]))
+        assert not np.shares_memory(picked.coefficients, store.coefficients)
+        assert picked.means.tolist() == store.means[[5, 1]].tolist()
+        assert records.prefix(4).coefficients.shape == (len(store), 4)
+
+    def test_query_records_pad_a_batch(self, store):
+        fulls = [store.full_record(i) for i in (0, 1, 2)]
+        queries = query_records(fulls)
+        assert queries.lengths.tolist() == [full[0].shape[0] for full in fulls]
+        for position, (coefficients, mean, std) in enumerate(fulls):
+            length = coefficients.shape[0]
+            assert np.array_equal(queries.coefficients[position, :length], coefficients)
+            assert not queries.coefficients[position, length:].any()
+            assert (queries.means[position], queries.stds[position]) == (mean, std)
 
     def test_an_empty_store_takes_the_block_over(self, walks):
         """The first block becomes the store's matrix; the store never writes
@@ -283,8 +307,7 @@ class TestATransformationCopiesNoRelation:
 class TestKernels:
     def test_exact_distances_bitwise_equal_record_distance(self, store):
         query = store.full_record(3)
-        kernel = exact_distances(store.coefficients, store.lengths, store.means,
-                                 store.stds, *query, True)
+        kernel = exact_distances(store.records(), query_records([query]), True)
         loops = [record_distance(store.full_record(i), query, True)
                  for i in range(len(store))]
         assert kernel.tolist() == loops
@@ -292,17 +315,14 @@ class TestKernels:
     def test_exact_distances_gathered_rows(self, store):
         query = store.full_record(0)
         row_ids = np.array([2, 17, 5], dtype=np.intp)
-        gathered = exact_distances(store.coefficients, store.lengths,
-                                   store.means, store.stds, *query, True,
+        gathered = exact_distances(store.records(), query_records([query]), True,
                                    row_ids=row_ids)
-        full = exact_distances(store.coefficients, store.lengths, store.means,
-                               store.stds, *query, True)
+        full = exact_distances(store.records(), query_records([query]), True)
         assert gathered.tolist() == full[row_ids].tolist()
 
     def test_early_abandon_never_drops_an_answer(self, store):
         query = store.full_record(6)
-        full = exact_distances(store.coefficients, store.lengths, store.means,
-                               store.stds, *query, True)
+        full = exact_distances(store.records(), query_records([query]), True)
         for epsilon in (0.0, 0.5, 2.0, 10.0):
             survivors = set(early_abandon_candidates(
                 store.coefficients, store.lengths, store.means, store.stds,
@@ -317,16 +337,8 @@ class TestKernels:
         fulls = [store.full_record(i) for i in (1, 4)]
         row_ids = np.array([0, 5, 9, 2, 7], dtype=np.intp)
         query_index = np.array([0, 0, 0, 1, 1], dtype=np.intp)
-        width = max(full[0].shape[0] for full in fulls)
-        matrix = np.zeros((2, width), dtype=np.complex128)
-        for position, full in enumerate(fulls):
-            matrix[position, :full[0].shape[0]] = full[0]
-        result = gathered_pair_distances(
-            store.coefficients, store.lengths, store.means, store.stds, True,
-            row_ids, matrix,
-            np.array([full[0].shape[0] for full in fulls], dtype=np.intp),
-            np.array([full[1] for full in fulls]),
-            np.array([full[2] for full in fulls]), query_index)
+        result = gathered_pair_distances(store.records(), row_ids, query_records(fulls),
+                                         query_index, True)
         for position, (row, q) in enumerate(zip(row_ids, query_index)):
             expected = record_distance(store.full_record(int(row)),
                                        fulls[int(q)], True)
@@ -334,9 +346,7 @@ class TestKernels:
 
     def test_pairwise_matches_nested_loop(self, store):
         row_ids = [0, 3, 8, 15]
-        condensed = pairwise_distances(store.coefficients, store.lengths,
-                                       store.means, store.stds, True,
-                                       row_ids=row_ids)
+        condensed = pairwise_distances(store.records(), True, row_ids=row_ids)
         expected = []
         for i in range(len(row_ids)):
             for j in range(i + 1, len(row_ids)):
@@ -453,7 +463,7 @@ class TestCacheByteBudget:
     def test_answer_cache_budget_bounds_memory(self, walks):
         session = repro.connect(answer_cache_bytes=8_000)
         session.relation("walks").insert_many(walks)
-        text = "SELECT FROM walks WHERE dist(series, $q) < 100.0"
+        text = "SELECT FROM walks WHERE dist(object, $q) < 100.0"
         for query in walks[:10]:
             session.sql(text, q=query)
         cache = session.engine.answer_cache

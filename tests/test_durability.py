@@ -50,7 +50,7 @@ from repro.storage.durable.serde import (build_index_from_spec, deserialize_inde
 from repro.storage.durable.wal import wal_filename
 from test_storage import LoggingStore, PerPagePool
 
-RANGE_SQL = "SELECT FROM walks WHERE dist(series, $q) < 5.0"
+RANGE_SQL = "SELECT FROM walks WHERE dist(object, $q) < 5.0"
 
 
 def _answers(session, query_obj, sql=RANGE_SQL):

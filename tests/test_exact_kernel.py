@@ -34,9 +34,10 @@ from test_abandon_order import drawn, fresh_record, record, relation, relations
 from repro import SequentialScan
 from repro.storage import columnar
 from repro.storage.columnar import (
-    _gather_columns,
+    Records,
     exact_distances,
     gathered_pair_distances,
+    query_records,
 )
 from repro.timeseries.generators import random_walk_collection
 
@@ -224,13 +225,15 @@ class TestExactDistances:
         sizes = []
 
         def counting(*args):
-            sizes.append(args[5].size)
+            sizes.append(args[1].size)
             return gathered_pair_distances(*args)
 
         block = columnar.PAIR_BLOCK if rows is None else budget_for(rows, columns)
         with mock.patch.object(columnar, "PAIR_BLOCK", block):
             with mock.patch.object(columnar, "gathered_pair_distances", counting):
-                found = exact_distances(*arrays, *query, include_stats, row_ids=row_ids)
+                found = exact_distances(
+                    Records(*arrays), query_records([query]), include_stats, row_ids=row_ids
+                )
         expected = reference_exact_distances(
             *row_major(arrays), *query, include_stats, row_ids=row_ids
         )
@@ -250,7 +253,9 @@ class TestExactDistances:
         row_ids = picked(300, pick, np.random.default_rng(pick.encode()[0]))
         for include_stats in (True, False):
             with mock.patch.object(columnar, "PAIR_BLOCK", budget_for(rows, 127)):
-                found = exact_distances(*arrays, *query, include_stats, row_ids=row_ids)
+                found = exact_distances(
+                    Records(*arrays), query_records([query]), include_stats, row_ids=row_ids
+                )
             same_bits(
                 found, reference_exact_distances(*arrays, *query, include_stats, row_ids=row_ids)
             )
@@ -260,7 +265,7 @@ class TestExactDistances:
         for length in (1, 6, 33, 64):
             query = fresh_record(length, np.random.default_rng(length))
             with mock.patch.object(columnar, "PAIR_BLOCK", 3):
-                found = exact_distances(*arrays, *query, True)
+                found = exact_distances(Records(*arrays), query_records([query]), True)
             same_bits(found, reference_exact_distances(*arrays, *query, True))
 
     def test_an_empty_relation(self):
@@ -272,7 +277,8 @@ class TestExactDistances:
         )
         query = fresh_record(16, np.random.default_rng(0))
         same_bits(
-            exact_distances(*arrays, *query, True), reference_exact_distances(*arrays, *query, True)
+            exact_distances(Records(*arrays), query_records([query]), True),
+            reference_exact_distances(*arrays, *query, True),
         )
 
     def test_the_store_is_left_as_it_was(self):
@@ -281,8 +287,10 @@ class TestExactDistances:
         before = [array.copy() for array in arrays]
         query = fresh_record(33, np.random.default_rng(6))
         with mock.patch.object(columnar, "PAIR_BLOCK", 4):
-            exact_distances(*arrays, *query, True)
-            exact_distances(*arrays, *query, True, row_ids=np.arange(40)[::-1].copy())
+            exact_distances(Records(*arrays), query_records([query]), True)
+            exact_distances(
+                Records(*arrays), query_records([query]), True, row_ids=np.arange(40)[::-1].copy()
+            )
         for array, copy in zip(arrays, before):
             assert array.tobytes() == copy.tobytes()
 
@@ -335,7 +343,13 @@ class TestGatheredPairDistances:
             matrix = np.pad(matrix, ((0, 0), (0, 3)))[:, : matrix.shape[1]]
         arguments = (case["include_stats"], row_ids, matrix, *query_side, query_index)
         same_bits(
-            gathered_pair_distances(*arrays, *arguments),
+            gathered_pair_distances(
+                Records(*arrays),
+                row_ids,
+                Records(matrix, *query_side),
+                query_index,
+                case["include_stats"],
+            ),
             reference_gathered_pair_distances(*row_major(arrays), *arguments),
         )
 
@@ -349,9 +363,16 @@ class TestGatheredPairDistances:
         )
         for include_stats in (True, False):
             arguments = (*arrays, include_stats, row_ids, matrix, *query_side, query_index)
-            found = gathered_pair_distances(*arguments)
+            found = gathered_pair_distances(
+                Records(*arrays), row_ids, Records(matrix, *query_side), query_index, include_stats
+            )
             same_bits(found, reference_gathered_pair_distances(*arguments))
-            same_bits(found, exact_distances(*arrays, *query, include_stats, row_ids=row_ids))
+            same_bits(
+                found,
+                exact_distances(
+                    Records(*arrays), query_records([query]), include_stats, row_ids=row_ids
+                ),
+            )
 
 
 # ----------------------------------------------------------------------
@@ -380,7 +401,7 @@ class TestGatherColumns:
         }[layout]
         row_ids = rng.integers(0, shape[0], rows).astype(np.intp)
         col_ids = rng.integers(0, shape[1], cols).astype(np.intp)
-        found = _gather_columns(matrix, row_ids, col_ids)
+        found = Records(matrix, None, None, None).gather(row_ids, col_ids)
         same_bits(found, reference_gather_columns(matrix, row_ids, col_ids))
         assert not np.shares_memory(found, matrix)
 

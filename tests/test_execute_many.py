@@ -14,7 +14,7 @@ from repro.timeseries.features import SeriesFeatureExtractor
 from repro.timeseries.generators import random_walk_collection
 from repro.timeseries.transforms import moving_average_spectral
 
-RANGE_TEXT = "SELECT FROM walks WHERE dist(series, $q) < 3.0"
+RANGE_TEXT = "SELECT FROM walks WHERE dist(object, $q) < 3.0"
 NN_TEXT = "SELECT FROM walks NEAREST 3 TO $q"
 
 
@@ -54,7 +54,7 @@ class TestExecuteMany:
 
     def test_mixed_query_types(self, engine, data):
         queries = [RANGE_TEXT, NN_TEXT,
-                   "SELECT FROM walks WHERE dist(series, $q) < 2.0 USING mavg8"]
+                   "SELECT FROM walks WHERE dist(object, $q) < 2.0 USING mavg8"]
         bindings = [{"q": data[0]}, {"q": data[1]}, {"q": data[2]}]
         outcomes = engine.execute_many(queries, bindings)
         for query, binding, outcome in zip(queries, bindings, outcomes):
@@ -141,7 +141,7 @@ class TestAnswerCache:
 
     def test_reregistered_transformation_invalidates(self, engine, data):
         from repro.timeseries.transforms import identity_spectral
-        text = "SELECT FROM walks WHERE dist(series, $q) < 2.0 USING mavg8"
+        text = "SELECT FROM walks WHERE dist(object, $q) < 2.0 USING mavg8"
         binding = {"q": data[0]}
         first = engine.execute(text, binding)
         engine.register_transformation("mavg8", identity_spectral(64))

@@ -56,7 +56,7 @@ def string_session():
 class TestIndexFamily:
     def test_index_range(self, indexed_session):
         text = indexed_session.explain(
-            "SELECT FROM walks WHERE dist(series, $q) < 2.0 USING mavg5")
+            "SELECT FROM walks WHERE dist(object, $q) < 2.0 USING mavg5")
         assert text.startswith("IndexRangePlan on 'walks'")
         assert "DIST(OBJECT, $q) < 2.0" in text
         assert "USING mavg5" in text
@@ -89,7 +89,7 @@ class TestIndexFamily:
 
 class TestScanFamily:
     def test_scan_range(self, scan_session):
-        text = scan_session.explain("SELECT FROM raw WHERE dist(series, $q) < 2.0")
+        text = scan_session.explain("SELECT FROM raw WHERE dist(object, $q) < 2.0")
         assert text.startswith("ScanRangePlan on 'raw'")
         assert "DIST(OBJECT, $q) < 2.0" in text
         assert "via sequential scan" in text
@@ -148,23 +148,23 @@ class TestCostAnnotatedExplain:
 
     def test_estimated_cost_line(self, indexed_session):
         text = indexed_session.explain(
-            "SELECT FROM walks WHERE dist(series, $q) < 2.0")
+            "SELECT FROM walks WHERE dist(object, $q) < 2.0")
         assert "estimated:" in text
         assert "distance computations" in text
 
     def test_rejected_alternative_with_higher_estimate(self, indexed_session):
         text = indexed_session.explain(
-            "SELECT FROM walks WHERE dist(series, $q) < 2.0")
+            "SELECT FROM walks WHERE dist(object, $q) < 2.0")
         assert "rejected ScanRangePlan (via sequential scan)" in text
         plan = indexed_session.engine.plan(
-            "SELECT FROM walks WHERE dist(series, $q) < 2.0")
+            "SELECT FROM walks WHERE dist(object, $q) < 2.0")
         assert len(plan.rejected) == 1
         assert plan.rejected[0].estimate.total > plan.estimated_cost.total
 
     def test_outcome_explain_shows_actual_cost(self, indexed_session):
         query = next(iter(indexed_session.relation("walks")))
         outcome = indexed_session.sql(
-            "SELECT FROM walks WHERE dist(series, $q) < 2.0", q=query)
+            "SELECT FROM walks WHERE dist(object, $q) < 2.0", q=query)
         text = indexed_session.explain(outcome)
         assert "actual:" in text
         assert f"{outcome.statistics.io_total} I/O accesses" in text
@@ -179,7 +179,7 @@ class TestExplainMatchesExecution:
     """session.explain on a prepared query describes the plan that runs."""
 
     @pytest.mark.parametrize("text,param_needed", [
-        ("SELECT FROM walks WHERE dist(series, $q) < 2.0 USING mavg5", True),
+        ("SELECT FROM walks WHERE dist(object, $q) < 2.0 USING mavg5", True),
         ("SELECT FROM walks NEAREST 3 TO $q", True),
         ("SELECT PAIRS FROM walks WHERE dist < 0.5", False),
     ])

@@ -51,7 +51,7 @@ from repro.index.geometry import Rect, mindist_batch, rects_overlap
 from repro.index.rstar import RStarTree
 from repro.index.rtree import NEAREST_BLOCK, PackedRTree, RTree
 from repro.storage import codec
-from repro.storage.columnar import exact_distances
+from repro.storage.columnar import Records, exact_distances, query_record, query_records
 from repro.storage.durable.serde import _deserialize_tree, _serialize_tree
 from repro.timeseries.transforms import moving_average_spectral, scale_spectral
 
@@ -293,7 +293,7 @@ class TestWindowSearchDifferential:
         for tree in (RTree(3), PackedRTree.bulk_load(np.zeros((0, 3)), [])):
             tree.reset_stats()
             assert tree.search(Rect([-1.0] * 3, [1.0] * 3)) == []
-            assert tree.search_many([]) == []
+            assert tree.window_search(np.zeros((0, 3)), np.zeros((0, 3))) == []
             assert (tree.access_stats.leaf, tree.access_stats.internal) == (1, 0)
         leaf = RTree(2, max_entries=8)
         for record, point in enumerate([[0.0, 0.0], [1.0, 1.0], [5.0, 5.0]]):
@@ -311,8 +311,8 @@ class TestWindowSearchDifferential:
         flat = Rect([0.0, 0.0], [1.0, 1.0])
         solid = Rect([0.0] * 3, [1.0] * 3)
         for probe in (lambda: tree.search(flat),
-                      lambda: tree.search_many([flat, flat]),
-                      lambda: tree.search_many([solid, flat]),
+                      lambda: tree.window_search([flat.low, flat.low], [flat.high, flat.high]),
+                      lambda: tree.window_search([solid.low, flat.low], [solid.high, flat.high]),
                       lambda: tree.window_search(flat.low[None, :], flat.high[None, :]),
                       lambda: tree.window_search(np.zeros(3), np.ones(3)),
                       lambda: tree.window_search(np.zeros((2, 3)), np.ones((1, 3)))):
@@ -577,7 +577,7 @@ def reference_index_nearest(index, query, k, transformation):
     full = (features.full_coefficients, features.mean, features.std)
     point = features.point
     if transformation is not None:
-        full = index._full_transformed(features, transformation)
+        full = query_record(features, transformation)
         point = index._transform_point(point, linear)
     slack = kindex_module.BOUND_SLACK
     scale = max(map(abs, point.values), default=0.0)
@@ -592,9 +592,9 @@ def reference_index_nearest(index, query, k, transformation):
 
     def exact(record):
         row = slice(record, record + 1)  # the scan's kernel, a record at a time
-        return float(exact_distances(coefficients[row], index.store.lengths[row],
-                                     means[row], stds[row], *full,
-                                     index.extractor.include_stats)[0])
+        return float(exact_distances(
+            Records(coefficients[row], index.store.lengths[row], means[row], stds[row]),
+            query_records([full]), index.extractor.include_stats)[0])
 
     found, opened, verified = reference_nearest(
         index.tree, k, lower_bound, exact,
@@ -747,14 +747,14 @@ def brute_force_range(index, query, epsilon, transformation):
     """``(object id, distance)`` of every row within ``epsilon``, by the
     scan's kernel a record at a time, in ``(distance, record id)`` order."""
     features = index._query_features(query)
-    full = index._full_transformed(features, transformation)
+    full = query_records([query_record(features, transformation)])
     coefficients, means, stds = transformed_arrays(index.store, transformation)
     ranked = []
     for record in range(len(index)):
         row = slice(record, record + 1)
-        distance = float(exact_distances(coefficients[row], index.store.lengths[row],
-                                         means[row], stds[row], *full,
-                                         index.extractor.include_stats)[0])
+        distance = float(exact_distances(
+            Records(coefficients[row], index.store.lengths[row], means[row], stds[row]),
+            full, index.extractor.include_stats)[0])
         if distance <= epsilon:
             ranked.append((distance, record))
     return [(index.store.series(record).object_id, distance)
@@ -812,7 +812,7 @@ def gathered(monkeypatch):
     pairs, exact = kindex_module.verify_pairs, kindex_module.exact_distances
 
     def counting_pairs(*args):
-        counts.append(len(args[5]))
+        counts.append(len(args[1]))
         return pairs(*args)
 
     def counting_exact(*args, row_ids, **kwargs):

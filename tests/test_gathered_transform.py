@@ -2,9 +2,9 @@
 
 Under a spectral transformation every refine kernel of
 :mod:`repro.storage.columnar` — the scan range, k-index verification and
-k-NN, the scan join, the pairwise sampler — reads the store's base arrays
-and a :class:`~repro.storage.columnar.RecordMap`, and maps each block of
-rows in place as it gathers it (``*= multiplier; += offset``, the statistics
+k-NN, the scan join, the pairwise sampler — reads the store's record set,
+its base arrays with a :class:`~repro.storage.columnar.RecordMap`, and maps
+each block of rows in place as it gathers it (``*= multiplier; += offset``, the statistics
 ``* extra_multiplier + extra_offset``).  Before, the store built a
 transformed copy of the whole relation per transformation and the kernels
 read that.  The copy's build lives on here as the reference
@@ -29,8 +29,10 @@ from repro import KIndex, SequentialScan, SeriesFeatureExtractor
 from repro.index import kindex as kindex_module
 from repro.storage import columnar
 from repro.storage.columnar import (
+    Records,
     exact_distances,
     pairwise_distances,
+    query_records,
     transform_full_record,
 )
 from repro.timeseries.generators import random_walk
@@ -60,7 +62,7 @@ def transformed_arrays(store, transformation):
 
 
 class MatrixStore:
-    """A store that serves the transformed matrix as its arrays and maps
+    """A store that serves the transformed matrix as its record set and maps
     nothing: a query over it runs its kernels as they ran over the copy."""
 
     def __init__(self, store, transformation):
@@ -68,9 +70,9 @@ class MatrixStore:
         self._transformation = transformation
         self.coefficients, self.means, self.stds = transformed_arrays(store, transformation)
 
-    def record_map(self, transformation):
+    def records(self, transformation=None):
         assert transformation is self._transformation
-        return None
+        return Records(self.coefficients, self._store.lengths, self.means, self.stds)
 
     def __len__(self):
         return len(self._store)
@@ -140,7 +142,9 @@ def threshold(owner, query, transformation, rank):
     store = owner.store
     full = transform_full_record(*record_of(owner, query), transformation)
     coefficients, means, stds = transformed_arrays(store, transformation)
-    distances = exact_distances(coefficients, store.lengths, means, stds, *full, True)
+    distances = exact_distances(
+        Records(coefficients, store.lengths, means, stds), query_records([full]), True
+    )
     return float(np.sort(distances)[rank])
 
 
@@ -261,7 +265,9 @@ class TestScan:
         scan = build_scan(data[:160], representation)
         store = scan.store
         coefficients, means, stds = transformed_arrays(store, transformation)
-        sample = np.sort(pairwise_distances(coefficients, store.lengths, means, stds, True))
+        sample = np.sort(
+            pairwise_distances(Records(coefficients, store.lengths, means, stds), True)
+        )
         epsilon = float(sample[sample.size // 50])
 
         def pairs():
@@ -286,18 +292,10 @@ class TestKernels:
         scan = build_scan(data[:150], "polar")
         store = scan.store
         row_ids = np.random.default_rng(3).permutation(150)[:90] if sampled else None
-        found = pairwise_distances(
-            store.coefficients,
-            store.lengths,
-            store.means,
-            store.stds,
-            True,
-            row_ids=row_ids,
-            row_map=store.record_map(transformation),
-        )
+        found = pairwise_distances(store.records(transformation), True, row_ids=row_ids)
         coefficients, means, stds = transformed_arrays(store, transformation)
         expected = pairwise_distances(
-            coefficients, store.lengths, means, stds, True, row_ids=row_ids
+            Records(coefficients, store.lengths, means, stds), True, row_ids=row_ids
         )
         assert bits(found) == bits(expected)
 
@@ -309,20 +307,16 @@ class TestKernels:
         row_ids = np.random.default_rng(4).permutation(len(data))[:200]
         coefficients, means, stds = transformed_arrays(store, transformation)
         for query in (data[7], walks(False, count=1, seed=9)[0]):
-            full = transform_full_record(*record_of(scan, query), transformation)
+            full = query_records([transform_full_record(*record_of(scan, query), transformation)])
             for rows in (None, row_ids):
                 found = exact_distances(
-                    store.coefficients,
-                    store.lengths,
-                    store.means,
-                    store.stds,
-                    *full,
-                    include_stats,
-                    row_ids=rows,
-                    row_map=store.record_map(transformation),
+                    store.records(transformation), full, include_stats, row_ids=rows
                 )
                 expected = exact_distances(
-                    coefficients, store.lengths, means, stds, *full, include_stats, row_ids=rows
+                    Records(coefficients, store.lengths, means, stds),
+                    full,
+                    include_stats,
+                    row_ids=rows,
                 )
                 assert bits(found) == bits(expected)
 
@@ -330,10 +324,10 @@ class TestKernels:
         transformation, _ = case
         scan = build_scan(walks(True, count=40), "polar")
         before = dict(vars(scan.store))
-        row_map = scan.store.record_map(transformation)
-        assert not row_map.multiplier.flags.owndata  # a view of the transformation's
+        mapping = scan.store.records(transformation).mapping
+        assert not mapping.multiplier.flags.owndata  # a view of the transformation's
         # A zero offset is never added (``None``); a non-zero one is a view.
-        assert (row_map.offset is None) == (not transformation.offset[1:].any())
+        assert (mapping.offset is None) == (not transformation.offset[1:].any())
         scan.range_query(scan.store.series(0), 5.0, transformation=transformation)
         assert vars(scan.store).keys() == before.keys()
         assert all(vars(scan.store)[name] is value for name, value in before.items())

@@ -38,7 +38,7 @@ from repro.index.geometry import box_bound, mindist_batch
 from repro.index.rstar import RStarTree
 from repro.index.rtree import PackedRTree
 from repro.storage import codec
-from repro.storage.columnar import exact_distances
+from repro.storage.columnar import Records, exact_distances, query_record, query_records
 from repro.storage.durable.serde import _deserialize_tree, _serialize_tree
 from repro.timeseries.transforms import moving_average_spectral, scale_spectral
 
@@ -398,7 +398,7 @@ def reference_index_search(index, query, k, transformation):
     linear, real_map = index.lower_transformation(transformation)
     features = index._query_features(query)
     if transformation is not None:
-        full = index._full_transformed(features, transformation)
+        full = query_record(features, transformation)
         point = index._transform_point(features.point, linear)
     else:
         full = (features.full_coefficients, features.mean, features.std)
@@ -417,11 +417,8 @@ def reference_index_search(index, query, k, transformation):
 
     def exact(rows):
         return exact_distances(
-            coefficients,
-            index.store.lengths,
-            means,
-            stds,
-            *full,
+            Records(coefficients, index.store.lengths, means, stds),
+            query_records([full]),
             index.extractor.include_stats,
             row_ids=rows,
         )

@@ -138,9 +138,9 @@ class TestAnswersAcrossCapacities:
 
 class TestSessionsAcrossCapacities:
     SQL = (
-        "SELECT FROM walks WHERE dist(series, $q) < 4.0",
-        "SELECT FROM walks WHERE dist(series, $q) < 4.0 USING mavg10",
-        "SELECT FROM walks WHERE dist(series, $q) < 4.0 USING reverse",
+        "SELECT FROM walks WHERE dist(object, $q) < 4.0",
+        "SELECT FROM walks WHERE dist(object, $q) < 4.0 USING mavg10",
+        "SELECT FROM walks WHERE dist(object, $q) < 4.0 USING reverse",
         "SELECT FROM walks NEAREST 5 TO $q",
         "SELECT FROM walks NEAREST 10 TO $q USING mavg10",
         "SELECT FROM walks NEAREST 1 TO $q USING reverse",

@@ -30,10 +30,12 @@ from repro import SequentialScan, SeriesFeatureExtractor, TimeSeries
 from repro.core.cancel import CancellationToken, cancel_scope
 from repro.storage import columnar
 from repro.storage.columnar import (
+    Records,
     _pair_rows,
     exact_distances,
     pair_blocks,
     pairwise_distances,
+    query_records,
 )
 from repro.timeseries.features import record_distance
 from repro.timeseries.generators import random_walk, random_walk_collection
@@ -60,7 +62,9 @@ def reference_join(coefficients, lengths, means, stds, include_stats, epsilon, e
             survivors = early_abandon_candidates(*rows, *anchor_record, include_stats, epsilon)
         else:
             survivors = np.arange(count - anchor - 1, dtype=np.intp)
-        distances = exact_distances(*rows, *anchor_record, include_stats, row_ids=survivors)
+        distances = exact_distances(
+            Records(*rows), query_records([anchor_record]), include_stats, row_ids=survivors
+        )
         for i in np.nonzero(distances <= epsilon)[0].tolist():
             found.append((anchor, anchor + 1 + int(survivors[i]), float(distances[i])))
     return found
@@ -76,13 +80,21 @@ def reference_pairwise(coefficients, lengths, means, stds, include_stats, row_id
     for anchor in range(coefficients.shape[0] - 1):
         blocks.append(
             exact_distances(
-                coefficients[anchor + 1 :],
-                lengths[anchor + 1 :],
-                means[anchor + 1 :],
-                stds[anchor + 1 :],
-                coefficients[anchor, : int(lengths[anchor])],
-                float(means[anchor]),
-                float(stds[anchor]),
+                Records(
+                    coefficients[anchor + 1 :],
+                    lengths[anchor + 1 :],
+                    means[anchor + 1 :],
+                    stds[anchor + 1 :],
+                ),
+                query_records(
+                    [
+                        (
+                            coefficients[anchor, : int(lengths[anchor])],
+                            float(means[anchor]),
+                            float(stds[anchor]),
+                        )
+                    ]
+                ),
                 include_stats,
             )
         )
@@ -130,6 +142,12 @@ def scan_arrays(scan, transformation=None):
     """The arrays ``all_pairs`` hands the kernel, in the references' order."""
     coefficients, means, stds = transformed_arrays(scan.store, transformation)
     return coefficients, scan.store.lengths, means, stds, scan.extractor.include_stats
+
+
+def scan_records(scan, transformation=None):
+    """:func:`scan_arrays` as the kernels take them: ``(records, include_stats)``."""
+    *arrays, include_stats = scan_arrays(scan, transformation)
+    return Records(*arrays), include_stats
 
 
 def scan_join(scan, epsilon, **options):
@@ -290,7 +308,7 @@ class TestJoinDifferential:
         epsilon = float(np.quantile(distances, quantile, method="lower")) if distances.size else 1.0
         with mock.patch.object(columnar, "PAIR_BLOCK", block):
             check_join(scan, epsilon)
-            assert pairwise_distances(*scan_arrays(scan)).tolist() == distances.tolist()
+            assert pairwise_distances(*scan_records(scan)).tolist() == distances.tolist()
 
 
 # ----------------------------------------------------------------------
@@ -309,7 +327,7 @@ class TestPairwiseDistances:
             count = arrays[0].shape[0]
             unsorted = np.random.default_rng(29).permutation(count)[: count - 3]
             for row_ids in (None, [0, 3, 8, 15], unsorted, unsorted.tolist(), [4], []):
-                observed = pairwise_distances(*arrays, row_ids=row_ids)
+                observed = pairwise_distances(Records(*arrays[:4]), arrays[4], row_ids=row_ids)
                 expected = reference_pairwise(*arrays, row_ids=row_ids)
                 assert observed.dtype == np.float64
                 assert observed.tolist() == expected.tolist()
@@ -322,7 +340,7 @@ class TestPairwiseDistances:
             for anchor in range(count - 1)
             for other in range(anchor + 1, count)
         ]
-        assert pairwise_distances(*arrays).tolist() == expected
+        assert pairwise_distances(Records(*arrays[:4]), arrays[4]).tolist() == expected
 
 
 # ----------------------------------------------------------------------
@@ -376,7 +394,7 @@ class TestTemporariesAreBounded:
 
     @pytest.mark.parametrize("early_abandon", [True, False])
     def test_join_peak_beyond_its_answer(self, scan, early_abandon):
-        sample = pairwise_distances(*scan_arrays(scan), row_ids=np.arange(60))
+        sample = pairwise_distances(*scan_records(scan), row_ids=np.arange(60))
         epsilon = float(np.quantile(sample, 0.1))
         tracemalloc.start()
         try:

@@ -177,8 +177,8 @@ class TestIndexPlansAtEveryWorkerCount:
     (``0`` is one worker per core)."""
 
     WALK_SQL = {
-        "range": "SELECT FROM walks WHERE dist(series, $q) < 3.0",
-        "range-mavg": "SELECT FROM walks WHERE dist(series, $q) < 3.0 USING mavg6",
+        "range": "SELECT FROM walks WHERE dist(object, $q) < 3.0",
+        "range-mavg": "SELECT FROM walks WHERE dist(object, $q) < 3.0 USING mavg6",
         "nearest": "SELECT FROM walks NEAREST 5 TO $q",
         "nearest-mavg": "SELECT FROM walks NEAREST 5 TO $q USING mavg6",
     }

@@ -96,7 +96,7 @@ class TestDecisionTable:
         stats = session.analyze("walks")
         radius = stats.answer_quantile(fraction)
         plan = session.engine.plan(
-            f"SELECT FROM walks WHERE dist(series, $q) < {radius!r}")
+            f"SELECT FROM walks WHERE dist(object, $q) < {radius!r}")
         assert isinstance(plan, expected_family)
         assert plan.estimated_cost is not None
         assert len(plan.rejected) == 1
@@ -104,7 +104,7 @@ class TestDecisionTable:
     @pytest.mark.parametrize("num_series", [64, 400])
     def test_no_index_means_scan(self, num_series):
         session, _ = _session(num_series, build="none")
-        plan = session.engine.plan("SELECT FROM walks WHERE dist(series, $q) < 1.0")
+        plan = session.engine.plan("SELECT FROM walks WHERE dist(object, $q) < 1.0")
         assert isinstance(plan, ScanRangePlan)
         assert plan.rejected == ()  # nothing else was applicable
 
@@ -166,7 +166,7 @@ class TestDecisionTable:
         radius = stats.answer_quantile(fraction)
         measured_index, measured_scan = _measured_io(session, data, radius)
         plan = session.engine.plan(
-            f"SELECT FROM walks WHERE dist(series, $q) < {radius!r}")
+            f"SELECT FROM walks WHERE dist(object, $q) < {radius!r}")
         alternatives = {p.family: p.estimate for p in plan.rejected}
         alternatives[type(plan).__name__] = plan.estimated_cost
         estimated_index = alternatives["IndexRangePlan"].total
@@ -194,7 +194,7 @@ class TestDecisionTable:
         for radius in radii:
             measured = dict(zip(("IndexRangePlan", "ScanRangePlan"),
                                 _measured_io(session, data, radius, num_queries=8)))
-            text = f"SELECT FROM walks WHERE dist(series, $q) < {radius!r}"
+            text = f"SELECT FROM walks WHERE dist(object, $q) < {radius!r}"
             plan = session.engine.plan(text)
             family = type(plan).__name__
             assert measured[family] <= 1.15 * min(measured.values()) + 0.5, (radius, measured)
@@ -217,7 +217,7 @@ class TestDecisionTable:
         stats = session.analyze("walks")
         radius = stats.answer_quantile(0.02)
         outcome = session.sql(
-            f"SELECT FROM walks WHERE dist(series, $q) < {radius!r}", q=data[7])
+            f"SELECT FROM walks WHERE dist(object, $q) < {radius!r}", q=data[7])
         estimate = outcome.plan.estimated_cost
         assert isinstance(outcome.plan, IndexRangePlan)
         measured = outcome.statistics.io_total
@@ -250,7 +250,7 @@ class TestTheTailIsPriced:
             without = estimate(grown, 460, radius)
             probes = 460 if estimate == model.index_join else 1
             assert with_tail.io_accesses == pytest.approx(without.io_accesses + 8.0 * probes)
-        text = f"SELECT FROM walks WHERE dist(series, $q) < {radius!r}"
+        text = f"SELECT FROM walks WHERE dist(object, $q) < {radius!r}"
         outcome = session.sql(text, q=data[450])
         assert isinstance(outcome.plan, IndexRangePlan)
         assert "(8 of them tail pages)" in session.explain(text)
@@ -259,7 +259,7 @@ class TestTheTailIsPriced:
         assert probe.statistics.node_accesses == 8 + index.tree.access_stats.total
         assert data[450].object_id in {s.object_id for s, _ in outcome.answers}
 
-    TEXT = "SELECT FROM walks WHERE dist(series, $q) < 1.0"
+    TEXT = "SELECT FROM walks WHERE dist(object, $q) < 1.0"
 
     def _grown_session(self, max_entries=8):
         """4 000 rows indexed, 200 appended (tail 200: no seal), analyzed."""
@@ -391,7 +391,7 @@ class TestStatisticsLifecycle:
     def test_analyze_bumps_state_token_and_invalidates_caches(self):
         session, data = _session(80, build="str")
         session.engine.answer_cache.capacity = 64  # re-enable for this test
-        text = "SELECT FROM walks WHERE dist(series, $q) < 2.0"
+        text = "SELECT FROM walks WHERE dist(object, $q) < 2.0"
         session.sql(text, q=data[0])
         assert session.sql(text, q=data[0]).from_cache
         invocations = session.engine.planner.invocations
@@ -405,7 +405,7 @@ class TestStatisticsLifecycle:
     def test_lazy_collection_does_not_change_the_token(self):
         session, _ = _session(40, build="str")
         before = session.database.state_token("walks")
-        session.engine.plan("SELECT FROM walks WHERE dist(series, $q) < 2.0")
+        session.engine.plan("SELECT FROM walks WHERE dist(object, $q) < 2.0")
         assert session.database.statistics_for("walks", collect=False) is not None
         assert session.database.state_token("walks") == before
 
@@ -584,7 +584,7 @@ class TestFeedback:
     def test_executed_queries_feed_the_statistics(self):
         session, data = _session(120, build="str")
         session.analyze("walks")
-        session.sql("SELECT FROM walks WHERE dist(series, $q) < 3.0", q=data[0])
+        session.sql("SELECT FROM walks WHERE dist(object, $q) < 3.0", q=data[0])
         stats = session.database.statistics_for("walks", collect=False)
         assert stats.observations >= 1
 
@@ -594,7 +594,7 @@ class TestStatisticsSnapshots:
 
     def test_scan_plans_report_data_pages(self):
         session, data = _session(80, build="none")
-        outcome = session.sql("SELECT FROM walks WHERE dist(series, $q) < 2.0",
+        outcome = session.sql("SELECT FROM walks WHERE dist(object, $q) < 2.0",
                               q=data[0])
         assert isinstance(outcome.plan, ScanRangePlan)
         assert outcome.statistics.node_accesses > 0  # sequential pages
@@ -606,7 +606,7 @@ class TestStatisticsSnapshots:
     def test_index_plans_split_node_kinds_and_count_fetches(self):
         session, data = _session(200, build="str")
         session.analyze("walks")
-        outcome = session.sql("SELECT FROM walks WHERE dist(series, $q) < 4.0",
+        outcome = session.sql("SELECT FROM walks WHERE dist(object, $q) < 4.0",
                               q=data[0])
         stats = outcome.statistics
         assert isinstance(outcome.plan, IndexRangePlan)
@@ -617,7 +617,7 @@ class TestStatisticsSnapshots:
 
     def test_batched_members_share_the_traversal_snapshot(self):
         session, data = _session(150, build="str")
-        text = "SELECT FROM walks WHERE dist(series, $q) < 3.0"
+        text = "SELECT FROM walks WHERE dist(object, $q) < 3.0"
         outcomes = session.sql_many([text] * 6,
                                     [{"q": s} for s in data[:6]])
         shared = outcomes[0].statistics.node_accesses

@@ -26,7 +26,7 @@ from repro.timeseries.transforms import moving_average_spectral
 
 class TestParser:
     def test_tokenize(self):
-        tokens = tokenize("SELECT FROM r WHERE dist(series, $q) < 2.5")
+        tokens = tokenize("SELECT FROM r WHERE dist(object, $q) < 2.5")
         kinds = [token.kind for token in tokens]
         assert "param" in kinds and "number" in kinds and "symbol" in kinds
 
@@ -35,12 +35,12 @@ class TestParser:
             tokenize("SELECT ~ FROM r")
 
     def test_parse_range_query(self):
-        query = parse("SELECT FROM prices WHERE dist(series, $q) < 2.5 USING mavg20")
+        query = parse("SELECT FROM prices WHERE dist(object, $q) < 2.5 USING mavg20")
         assert query == RangeQuery(relation="prices", transformation="mavg20",
                                    parameter="q", epsilon=2.5, transform_query=True)
 
     def test_parse_range_query_raw(self):
-        query = parse("select from prices where dist(series, $q) < 1 using rev raw query")
+        query = parse("select from prices where dist(object, $q) < 1 using rev raw query")
         assert isinstance(query, RangeQuery)
         assert query.transform_query is False
         assert query.epsilon == 1.0
@@ -57,14 +57,18 @@ class TestParser:
 
     def test_parse_object_keyword_is_domain_neutral(self):
         neutral = parse("SELECT FROM words WHERE dist(object, $q) < 2.5")
-        legacy = parse("SELECT FROM words WHERE dist(series, $q) < 2.5")
-        assert neutral == legacy
+        assert neutral == parse("SELECT FROM words WHERE DIST(OBJECT, $q) < 2.5")
+
+    @pytest.mark.parametrize("head", ["DIST", "SIM"])
+    def test_the_series_keyword_is_gone(self, head):
+        with pytest.raises(QuerySyntaxError, match="expected OBJECT, found 'SERIES'"):
+            parse(f"SELECT FROM walks WHERE {head}(SERIES, $q) < 1")
 
     @pytest.mark.parametrize("literal,expected", [
         (".5", 0.5), ("1e-3", 0.001), ("2.5E+4", 25000.0), ("3.", 3.0), ("7", 7.0),
     ])
     def test_number_literal_forms(self, literal, expected):
-        query = parse(f"SELECT FROM r WHERE dist(series, $q) < {literal}")
+        query = parse(f"SELECT FROM r WHERE dist(object, $q) < {literal}")
         assert query.epsilon == expected
 
     def test_parse_sim_query(self):
@@ -92,10 +96,10 @@ class TestParser:
         "SELECT prices",
         "SELECT FROM prices",
         "SELECT FROM prices WHERE dist(series q) < 1",
-        "SELECT FROM prices WHERE dist(series, $q) < abc",
+        "SELECT FROM prices WHERE dist(object, $q) < abc",
         "SELECT FROM prices WHERE dist(thing, $q) < 1",
         "SELECT FROM prices NEAREST x TO $q",
-        "SELECT FROM prices WHERE dist(series, $q) < 1 trailing",
+        "SELECT FROM prices WHERE dist(object, $q) < 1 trailing",
         "SELECT PAIRS FROM prices WHERE dist < 1 USING",
         "SELECT FROM words WHERE sim(object, $q) < 1 COST",
         "SELECT FROM words WHERE sim(object) < 1",
@@ -182,7 +186,7 @@ class TestQueryEngine:
     def test_range_query_end_to_end(self, engine_setup):
         data, _, engine = engine_setup
         outcome = engine.execute(
-            "SELECT FROM prices WHERE dist(series, $q) < 3.0 USING mavg10",
+            "SELECT FROM prices WHERE dist(object, $q) < 3.0 USING mavg10",
             parameters={"q": data[0]})
         assert isinstance(outcome.plan, IndexRangePlan)
         assert any(series.object_id == data[0].object_id for series, _ in outcome.answers)
@@ -190,7 +194,7 @@ class TestQueryEngine:
 
     def test_index_and_scan_plans_agree(self, engine_setup):
         data, database, engine = engine_setup
-        query_text = "SELECT FROM prices WHERE dist(series, $q) < 4.0 USING mavg10"
+        query_text = "SELECT FROM prices WHERE dist(object, $q) < 4.0 USING mavg10"
         with_index = engine.execute(query_text, parameters={"q": data[3]})
         # A second engine over a catalog without the index must produce the
         # same answers through the scan plan.
@@ -219,12 +223,12 @@ class TestQueryEngine:
     def test_missing_parameter(self, engine_setup):
         _, _, engine = engine_setup
         with pytest.raises(QueryPlanningError):
-            engine.execute("SELECT FROM prices WHERE dist(series, $q) < 1.0")
+            engine.execute("SELECT FROM prices WHERE dist(object, $q) < 1.0")
 
     def test_unknown_transformation(self, engine_setup):
         data, _, engine = engine_setup
         with pytest.raises(QueryPlanningError):
-            engine.execute("SELECT FROM prices WHERE dist(series, $q) < 1.0 USING nope",
+            engine.execute("SELECT FROM prices WHERE dist(object, $q) < 1.0 USING nope",
                            parameters={"q": data[0]})
 
     def test_ast_input_accepted(self, engine_setup):
@@ -237,7 +241,7 @@ class TestQueryEngine:
         data, _, engine = engine_setup
         engine.register_transformation("mavg5", moving_average_spectral(64, 5))
         outcome = engine.execute(
-            "SELECT FROM prices WHERE dist(series, $q) < 2.0 USING mavg5",
+            "SELECT FROM prices WHERE dist(object, $q) < 2.0 USING mavg5",
             parameters={"q": data[2]})
         assert len(outcome) >= 1
 
@@ -253,7 +257,7 @@ class TestScanCacheLifecycle:
     def test_drop_relation_hook_evicts_scan(self, engine_setup):
         data, _, _ = engine_setup
         database, engine = self._scan_engine(data)
-        engine.execute("SELECT FROM walks WHERE dist(series, $q) < 2.0",
+        engine.execute("SELECT FROM walks WHERE dist(object, $q) < 2.0",
                        parameters={"q": data[0]})
         assert "walks" in engine._scans
         engine.drop_relation("walks")
@@ -263,7 +267,7 @@ class TestScanCacheLifecycle:
     def test_drop_recreate_churn_does_not_leak_scans(self, engine_setup):
         data, _, _ = engine_setup
         database, engine = self._scan_engine(data)
-        query = "SELECT FROM walks WHERE dist(series, $q) < 2.0"
+        query = "SELECT FROM walks WHERE dist(object, $q) < 2.0"
         reference = engine.execute(query, parameters={"q": data[0]})
         for round_number in range(5):
             database.drop_relation("walks")
@@ -277,10 +281,10 @@ class TestScanCacheLifecycle:
         data, _, _ = engine_setup
         database, engine = self._scan_engine(data)
         database.create_relation("other", data[20:40])
-        engine.execute("SELECT FROM walks WHERE dist(series, $q) < 2.0",
+        engine.execute("SELECT FROM walks WHERE dist(object, $q) < 2.0",
                        parameters={"q": data[0]})
         database.drop_relation("walks")
         # Building the scan for a different relation purges the stale entry.
-        engine.execute("SELECT FROM other WHERE dist(series, $q) < 2.0",
+        engine.execute("SELECT FROM other WHERE dist(object, $q) < 2.0",
                        parameters={"q": data[21]})
         assert set(engine._scans) == {"other"}

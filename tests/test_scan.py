@@ -120,6 +120,24 @@ class TestScanQueries:
         with pytest.raises(DimensionMismatchError, match="spectral coefficients"):
             index.range_query(walk_collection[0], 1.0, transformation=too_short)
 
+    @pytest.mark.parametrize("probe", ["range", "nearest"])
+    def test_a_too_long_query_is_named_by_index_and_scan(self, probe):
+        """A query longer than the transformation covers is the query's
+        fault: the index's paths say so as the scan's do."""
+        from repro.core.errors import DimensionMismatchError
+        from repro.index.kindex import KIndex
+
+        data = random_walk_collection(50, 64, seed=5)
+        transformation = moving_average_spectral(64, 4)
+        scan = SequentialScan(SeriesFeatureExtractor(2))
+        scan.extend(data)
+        owners = (KIndex.bulk_load(data, SeriesFeatureExtractor(2)), scan)
+        query = random_walk_collection(1, 128, seed=6)[0]
+        for owner in owners:
+            run = owner.range_query if probe == "range" else owner.nearest_neighbors
+            with pytest.raises(DimensionMismatchError, match="the query has 127"):
+                run(query, 1.0 if probe == "range" else 3, transformation=transformation)
+
     def test_all_pairs_distances_reported_for_answers(self):
         """Regression companion to removing the dead `distance is None and
         threshold is None` branch: every reported pair carries its distance
@@ -195,7 +213,7 @@ class TestScanQueries:
         """One scan serves concurrent readers, so a pass that runs while
         another sits between charging its pages and reporting them must not
         hand the other its buffer counts.  The second pass runs inside the
-        first — deterministically, from the first's call for its record map."""
+        first — deterministically, from the first's call for its record set."""
         data = random_walk_collection(22, 64, seed=9)
         scan = SequentialScan(buffer=BufferPool(LoggingStore(), 8))
         scan.extend(data)
@@ -205,14 +223,14 @@ class TestScanQueries:
             "join": lambda: scan.all_pairs(1.0)[1],
         }
         inner = []
-        record_map = scan.store.record_map
+        records = scan.store.records
 
         def interleaved(transformation):
-            scan.store.record_map = record_map  # the second pass runs plain
+            scan.store.records = records  # the second pass runs plain
             inner.append(passes["nearest" if outer == "range" else "range"]())
-            return record_map(transformation)
+            return records(transformation)
 
-        scan.store.record_map = interleaved
+        scan.store.records = interleaved
         first = passes[outer]()
         assert len(inner) == 1
         assert (first.buffer_hits, first.buffer_misses) == (0, 6)  # cold pool

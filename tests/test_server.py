@@ -46,8 +46,8 @@ from repro.server.protocol import (
     send_frame,
 )
 
-RANGE_SQL = "SELECT FROM walks WHERE dist(series, $q) < 5.0"
-WIDE_SQL = "SELECT FROM walks WHERE dist(series, $q) < 100.0"
+RANGE_SQL = "SELECT FROM walks WHERE dist(object, $q) < 5.0"
+WIDE_SQL = "SELECT FROM walks WHERE dist(object, $q) < 100.0"
 
 
 def _fast_backoff(**overrides):
@@ -236,7 +236,7 @@ class TestServing:
     def test_query_error_is_typed_not_fatal(self, served):
         _, client, _, data = served
         with pytest.raises(ServerError) as excinfo:
-            client.sql("SELECT FROM nowhere WHERE dist(series, $q) < 1.0",
+            client.sql("SELECT FROM nowhere WHERE dist(object, $q) < 1.0",
                        q=data[0])
         assert excinfo.value.code == "QUERY_ERROR"
         # The connection survives a rejected query.
@@ -500,7 +500,7 @@ class TestAdmission:
         session.relation("walks").insert_many(data).with_index(KIndex())
         gate = _GatedDistance()
         session.relation("slow", [repro.StringObject("a", name="a")]).with_distance(gate)
-        sqls = ("SELECT FROM walks WHERE dist(series, $q) < 6.0",
+        sqls = ("SELECT FROM walks WHERE dist(object, $q) < 6.0",
                 "SELECT FROM walks NEAREST 5 TO $q")
         quiet = {(sql, target): [(obj.object_id, distance) for obj, distance
                                  in session.sql(sql, q=data[target]).answers]

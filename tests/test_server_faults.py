@@ -40,7 +40,7 @@ from repro.server.client import ServerClient
 from repro.server.faults import FrameFaults, corrupt_frame
 from repro.server.protocol import encode_frame
 
-RANGE_SQL = "SELECT FROM walks WHERE dist(series, $q) < 5.0"
+RANGE_SQL = "SELECT FROM walks WHERE dist(object, $q) < 5.0"
 
 
 def _fast_backoff(**overrides):

@@ -27,7 +27,7 @@ from repro.core.errors import DeadlineExceededError, ServerError
 from repro.server.protocol import encode_frame, recv_frame
 from repro.server.service import _ReadWriteLock
 
-RANGE_SQL = "SELECT FROM walks WHERE dist(series, $q) < 5.0"
+RANGE_SQL = "SELECT FROM walks WHERE dist(object, $q) < 5.0"
 WORD_SQL = "SELECT FROM words WHERE dist(object, $q) < 99.0"
 
 

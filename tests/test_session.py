@@ -145,7 +145,7 @@ class TestRelationHandle:
             .with_index(KIndex(SeriesFeatureExtractor(2)))
             .insert_many(data))
         assert len(session.database.index("walks")) == 12
-        outcome = session.sql("SELECT FROM walks WHERE dist(series, $q) < 1.0",
+        outcome = session.sql("SELECT FROM walks WHERE dist(object, $q) < 1.0",
                               q=data[0])
         assert any(s.object_id == data[0].object_id for s, _ in outcome.answers)
 
@@ -158,7 +158,7 @@ class TestRelationHandle:
                   .with_index(KIndex(SeriesFeatureExtractor(2))))
         handle.insert(data[-1])
         assert len(session.database.index("walks")) == 12
-        outcome = session.sql("SELECT FROM walks WHERE dist(series, $q) < 1.0",
+        outcome = session.sql("SELECT FROM walks WHERE dist(object, $q) < 1.0",
                               q=data[-1])
         assert any(s.object_id == data[-1].object_id for s, _ in outcome.answers)
 
@@ -204,7 +204,7 @@ class TestRelationHandle:
         handle = (session.relation("walks").insert_many(data[:300])
                   .with_index(KIndex.bulk_load(data[:300], SeriesFeatureExtractor(2))))
         newcomer = data[300]
-        ranged = "SELECT FROM walks WHERE dist(series, $q) < 1.0"
+        ranged = "SELECT FROM walks WHERE dist(object, $q) < 1.0"
         nearest = "SELECT FROM walks NEAREST 1 TO $q"
         for text in (ranged, nearest):
             session.sql(text, q=newcomer)
@@ -261,7 +261,7 @@ class TestRelationHandle:
 class TestSql:
     def test_text_and_keyword_parameters(self, walk_session):
         session, data = walk_session
-        outcome = session.sql("SELECT FROM walks WHERE dist(series, $q) < 2.0",
+        outcome = session.sql("SELECT FROM walks WHERE dist(object, $q) < 2.0",
                               q=data[0])
         assert any(s.object_id == data[0].object_id for s, _ in outcome.answers)
 
@@ -275,14 +275,14 @@ class TestSql:
 
     def test_sql_many(self, walk_session):
         session, data = walk_session
-        text = "SELECT FROM walks WHERE dist(series, $q) < 2.0"
+        text = "SELECT FROM walks WHERE dist(object, $q) < 2.0"
         outcomes = session.sql_many([text] * 4,
                                     [{"q": series} for series in data[:4]])
         assert len(outcomes) == 4
 
     def test_sql_many_shares_one_traversal_under_a_transformation(self, walk_session):
         session, data = walk_session
-        text = "SELECT FROM walks WHERE dist(series, $q) < 2.0 USING mavg5"
+        text = "SELECT FROM walks WHERE dist(object, $q) < 2.0 USING mavg5"
         bindings = [{"q": series} for series in data[:6]]
         singles = [session.sql(text, binding) for binding in bindings]
         session.clear_caches()
@@ -304,7 +304,7 @@ class TestSql:
 class TestPreparedQuery:
     def test_prepare_parses_once_and_keeps_text(self, walk_session):
         session, _ = walk_session
-        text = "SELECT FROM walks WHERE dist(series, $q) < 2.0"
+        text = "SELECT FROM walks WHERE dist(object, $q) < 2.0"
         prepared = session.prepare(text)
         assert isinstance(prepared, PreparedQuery)
         assert prepared.text == text
@@ -357,7 +357,7 @@ class TestPreparedQuery:
 
     def test_run_many_joins_execute_many_batching(self, walk_session):
         session, data = walk_session
-        prepared = session.prepare("SELECT FROM walks WHERE dist(series, $q) < 2.0")
+        prepared = session.prepare("SELECT FROM walks WHERE dist(object, $q) < 2.0")
         bindings = [{"q": series} for series in data[:8]]
         batched = prepared.run_many(bindings)
         looped = [prepared.run(binding) for binding in bindings]
@@ -367,7 +367,7 @@ class TestPreparedQuery:
 
     def test_prepared_and_text_share_answer_cache(self, walk_session):
         session, data = walk_session
-        text = "SELECT FROM walks WHERE dist(series, $q) < 2.0"
+        text = "SELECT FROM walks WHERE dist(object, $q) < 2.0"
         session.prepare(text).run(q=data[0])
         assert session.sql(text, q=data[0]).from_cache
 
@@ -443,13 +443,13 @@ class TestClosedSessionLifecycle:
         session.relation("walks").insert_many(random_walk_collection(4, 16, seed=1))
         session.close()
         with pytest.raises(SessionClosedError):
-            session.sql("SELECT FROM walks WHERE dist(series, $q) < 1.0")
+            session.sql("SELECT FROM walks WHERE dist(object, $q) < 1.0")
         with pytest.raises(SessionClosedError):
             session.relation("walks")
         with pytest.raises(SessionClosedError):
-            session.prepare("SELECT FROM walks WHERE dist(series, $q) < 1.0")
+            session.prepare("SELECT FROM walks WHERE dist(object, $q) < 1.0")
         with pytest.raises(SessionClosedError):
-            session.explain("SELECT FROM walks WHERE dist(series, $q) < 1.0")
+            session.explain("SELECT FROM walks WHERE dist(object, $q) < 1.0")
         with pytest.raises(SessionClosedError):
             session.checkpoint()
         with pytest.raises(SessionClosedError):
@@ -458,7 +458,7 @@ class TestClosedSessionLifecycle:
     def test_prepared_statement_dies_with_its_session(self):
         session = connect()
         session.relation("walks").insert_many(random_walk_collection(4, 16, seed=2))
-        prepared = session.prepare("SELECT FROM walks WHERE dist(series, $q) < 1.0")
+        prepared = session.prepare("SELECT FROM walks WHERE dist(object, $q) < 1.0")
         session.close()
         with pytest.raises(SessionClosedError):
             prepared.run(q=random_walk_collection(1, 16, seed=3)[0])

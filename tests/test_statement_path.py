@@ -130,10 +130,8 @@ class _ReferenceParser:
 
     def _object_keyword(self) -> None:
         token = self._advance()
-        if token.kind != "ident" or token.value.upper() not in ("OBJECT", "SERIES"):
-            raise QuerySyntaxError(
-                f"expected OBJECT or SERIES, found {token.value!r}", token.position
-            )
+        if token.kind != "ident" or token.value.upper() != "OBJECT":
+            raise QuerySyntaxError(f"expected OBJECT, found {token.value!r}", token.position)
 
     def parse(self) -> Query:
         self._expect_keyword("SELECT")
@@ -276,7 +274,7 @@ def query_texts(draw) -> str:
             parts += [kw("NEAREST"), draw(_K), kw("TO"), "$" + draw(_IDENT)]
         else:
             head = kw("SIM") if form == "sim" else kw("DIST")
-            noun = kw(draw(st.sampled_from(["OBJECT", "SERIES"])))
+            noun = kw("OBJECT")
             parts += [kw("WHERE"), head, "(", noun, ",", "$" + draw(_IDENT), ")", "<"]
             parts.append(draw(_NUMBER))
     if form == "sim":

@@ -356,7 +356,7 @@ class TestTheWriterRefreshes:
         database, handle = session.database, session.relation("walks")
         analyzed = session.analyze("walks")
         for radius in (2.0, 6.0):  # something learned, to be carried
-            session.sql(f"SELECT FROM walks WHERE dist(series, $q) < {radius}", q=data[3])
+            session.sql(f"SELECT FROM walks WHERE dist(object, $q) < {radius}", q=data[3])
         learned = (
             analyzed.epoch,
             analyzed.candidate_correction,
