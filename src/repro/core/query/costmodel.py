@@ -342,7 +342,13 @@ class QueryCostModel:
 
     def index_nearest(self, stats: RelationStatistics | None,
                       cardinality: int, k: int, *,
-                      tail_pages: float = 0.0) -> CostEstimate:
+                      tail_pages: float = 0.0,
+                      bound_weight: float | None = None) -> CostEstimate:
+        """A k-index k-NN probe: the nodes and records its lower bound leaves
+        within the k-th neighbour's radius.  ``bound_weight`` is the weight
+        the probe gives the bound's coefficient term
+        (:meth:`KIndex.bound_weight <repro.index.kindex.KIndex.bound_weight>`),
+        named in the detail when given."""
         radius = self._nearest_radius(stats, cardinality, k)
         if radius is None:
             # Without a histogram assume a well-behaved search: root-to-leaf
@@ -358,11 +364,12 @@ class QueryCostModel:
         # ball — not by the range filter's rectangle.
         estimate = self._probe(stats, cardinality, radius, self._bound_fraction, tail_pages)
         candidates = max(float(k), estimate.candidates)
+        bound = {None: "", 1.0: ", paper bound", 2.0: ", mirror ×2"}[bound_weight]
         return _estimate(estimate.io_accesses - estimate.candidates + candidates,
                          candidates, candidates,
                          can_estimate=estimate.can_estimate,
-                         detail=f"range cost at the k-th neighbour radius "
-                                f"~{radius:.3g}")
+                         detail=f"lower-bound ball at the k-th neighbour radius "
+                                f"~{radius:.3g}{bound}")
 
     def scan_join(self, stats: RelationStatistics | None,
                   cardinality: int, epsilon: float) -> CostEstimate:

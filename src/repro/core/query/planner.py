@@ -349,9 +349,14 @@ class _RelationFacts:
                 if row_shape == "sim":
                     fields["via_engine"] = True
                 # A k-index probe filters the index's unindexed tail whole,
-                # as it is now: every append moves the token.
-                estimate = (partial(row.estimator, tail_pages=self.tail_pages)
-                            if row.index == "kindex" else row.estimator)
+                # as it is now: every append moves the token.  A k-NN probe's
+                # bound weighs the coefficients as the index decides.
+                estimate = row.estimator
+                if row.index == "kindex":
+                    options = {"tail_pages": self.tail_pages}
+                    if row_shape == "nearest":
+                        options["bound_weight"] = self.index.bound_weight(transformation)
+                    estimate = partial(estimate, **options)
                 # When no k-index can answer, the scan gives the index's verdict.
                 reason = verdict if verdict and index_name is None else row.reason.format(**values)
                 offered.append(_Bound(row, estimate, reason, row.text.format(**values), fields))

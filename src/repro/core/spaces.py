@@ -197,13 +197,15 @@ class FeatureSpace:
         point_extra, point_feats = self.decode(point)
         return _norms(feats - point_feats, extra - point_extra)
 
-    def pairwise(self, points: np.ndarray) -> np.ndarray:
+    def pairwise(self, points: np.ndarray, weight: float = 1.0) -> np.ndarray:
         """:meth:`distance` between every two rows of ``(n, dimension)``
         points, as one ``float64[n * (n - 1) / 2]``: row 0 against each row
-        after it, then row 1, … — bit for bit the scalar form's values."""
+        after it, then row 1, … — bit for bit the scalar form's values.
+        ``weight`` multiplies the features' squared term, as a k-NN bound's
+        (:meth:`PolarSpace.sector_bound`)."""
         extra, feats = self.decode_rows(points)
         left, right = np.triu_indices(len(points), 1)
-        return _norms(feats[left] - feats[right], extra[left] - extra[right])
+        return _norms(feats[left] - feats[right], extra[left] - extra[right], weight)
 
     def window_entry_distances(self, points: np.ndarray) -> np.ndarray:
         """For every ordered pair of distinct rows ``(i, j)`` of ``(n,
@@ -253,10 +255,12 @@ class FeatureSpace:
         return hash((type(self).__name__, self.num_features, self.num_extra))
 
 
-def _norms(feature_deltas: np.ndarray, extra_deltas: np.ndarray) -> np.ndarray:
+def _norms(feature_deltas: np.ndarray, extra_deltas: np.ndarray,
+           weight: float = 1.0) -> np.ndarray:
     """Row norms of complex feature differences beside real extra ones,
-    summed in :meth:`FeatureSpace.distance`'s order."""
-    return np.sqrt(np.sum(np.abs(feature_deltas) ** 2, axis=1)
+    summed in :meth:`FeatureSpace.distance`'s order, the features' term
+    times ``weight``."""
+    return np.sqrt(weight * np.sum(np.abs(feature_deltas) ** 2, axis=1)
                    + np.sum(extra_deltas ** 2, axis=1))
 
 
@@ -409,10 +413,19 @@ class PolarSpace(FeatureSpace):
              np.minimum(radius_low, radius_high), np.maximum(radius_low, radius_high),
              angle_low + half_width, half_width), axis=1).T)
 
-    def sector_bound(self, query: FeatureVector) -> RectangleBound:
+    def sector_bound(self, query: FeatureVector, weight: float = 1.0) -> RectangleBound:
         """:meth:`mindist_to_rectangles` from ``query``, split at the query:
         :meth:`sector_table` and the per-query rest, which reads a table's
-        point columns as points and its sector columns as sectors."""
+        point columns as points and its sector columns as sectors.
+
+        ``weight`` multiplies the features' term (the extras' is never
+        weighted): 2 counts each feature's conjugate mirror, which a k-index
+        over coefficients ``1 … k`` of real series of length ``n > 2 k``
+        may (:meth:`KIndex.bound_weight
+        <repro.index.kindex.KIndex.bound_weight>`) — the nearest point of a
+        sector is nearest per feature, so the weighted sum of the per-feature
+        minima still bounds the weighted distance from below.  At 1 the
+        bound is the plain distance, bit for bit."""
         self._check_point(query)
         values = query.values
         extras, features, dimension = self.num_extra, self.num_features, self.dimension
@@ -437,7 +450,7 @@ class PolarSpace(FeatureSpace):
                 radius = np.minimum(np.maximum(magnitudes * np.cos(outside), inner), outer)
             chord = np.sin(outside * 0.5)
             squared = (magnitudes - radius) ** 2 + scale * radius * (chord * chord)
-            return np.sqrt(coordinate_sums(gaps * gaps) + coordinate_sums(squared))
+            return np.sqrt(coordinate_sums(gaps * gaps) + weight * coordinate_sums(squared))
 
         return RectangleBound(self.sector_table, of_table)
 

@@ -312,10 +312,13 @@ def statistics_basis(database: Any, relation_name: str) -> tuple:
 
     Cardinality is bucketed (factor-of-1.25 bands) rather than exact, so
     ordinary inserts do not mark statistics stale on every row — only growth
-    past a band boundary, a change to the registered index set, or a *seal*
+    past a band boundary, a change to the registered index set, a *seal*
     of the spatial index (its packed-row count: the tree the structure
-    summary describes was replaced) does.  The write that moves the basis
-    refreshes the statistics (:meth:`Database.refresh_statistics`).
+    summary describes was replaced) or a change of the weight its k-NN
+    bound gives the coefficients (a row of another length falls it back to
+    1, and the bound histogram is collected at it) does.  The write that
+    moves the basis refreshes the statistics
+    (:meth:`Database.refresh_statistics`).
     """
     count = len(database.relation(relation_name))
     bucket = 0 if count == 0 else int(np.floor(np.log(count) / np.log(1.25)))
@@ -330,6 +333,7 @@ def statistics_basis(database: Any, relation_name: str) -> tuple:
         bucket,
         index_signature,
         database.has_distance_provider(relation_name),
+        None if spatial is None else spatial.bound_weight(),
         None if spatial is None else len(spatial.tree),
     )
 
@@ -427,15 +431,17 @@ def index_histograms(index, positions: np.ndarray) -> dict[str, DistanceHistogra
     fetches what its search *rectangle* holds, not what the ball does, so its
     candidate fraction at ``epsilon`` is this CDF.  ``bound_histogram``:
     feature-space distances, every unordered pair (:meth:`FeatureSpace.pairwise
-    <repro.core.spaces.FeatureSpace.pairwise>`) — a nearest-neighbour probe
-    prunes by that lower bound, not by a rectangle.  Both ``None`` under two
-    rows."""
+    <repro.core.spaces.FeatureSpace.pairwise>`), the coefficient term under
+    the weight the index's probes give it (:meth:`KIndex.bound_weight
+    <repro.index.kindex.KIndex.bound_weight>`, a query of the stored length)
+    — a nearest-neighbour probe prunes by that lower bound, not by a
+    rectangle.  Both ``None`` under two rows."""
     if len(positions) < 2:
         return {"filter_histogram": None, "bound_histogram": None}
     points = index.points(positions)
     return {
         "filter_histogram": DistanceHistogram(index.space.window_entry_distances(points)),
-        "bound_histogram": DistanceHistogram(index.space.pairwise(points)),
+        "bound_histogram": DistanceHistogram(index.space.pairwise(points, index.bound_weight())),
     }
 
 

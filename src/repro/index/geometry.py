@@ -230,11 +230,18 @@ def mindist_batch(point: Sequence[float] | np.ndarray, lows: np.ndarray,
     return box_bound(p)(lows, highs)
 
 
-def box_bound(point: np.ndarray) -> RectangleBound:
+def box_bound(point: np.ndarray, *, extras: int = 0, weight: float = 1.0) -> RectangleBound:
     """:func:`mindist_batch` from ``point``, split at the point: the
     rectangles' :func:`corner_table`, and the per-point rest, which reads a
     table of points as points — the clamp of a point into a degenerate box
-    is the box itself, so its gap is ``p - l``, bit for bit."""
+    is the box itself, so its gap is ``p - l``, bit for bit.
+
+    ``weight`` multiplies the squared gaps of every coordinate after the
+    first ``extras``: a k-index's rectangular layout holds the mean and the
+    standard deviation first, then each coefficient's real and imaginary
+    part, and 2 counts each coefficient's conjugate mirror
+    (:meth:`KIndex.bound_weight <repro.index.kindex.KIndex.bound_weight>`).
+    At 1 it is the plain MINDIST, bit for bit."""
     p = np.asarray(point, dtype=np.float64).reshape(-1, 1)
     dimension = len(p)
 
@@ -243,7 +250,12 @@ def box_bound(point: np.ndarray) -> RectangleBound:
             delta = p - table
         else:
             delta = p - np.clip(p, table[:dimension], table[dimension:])
-        return np.sqrt(coordinate_sums(delta * delta))
+        squared = delta * delta
+        if weight == 1.0:
+            return np.sqrt(coordinate_sums(squared))
+        features = coordinate_sums(squared[extras:])
+        features *= weight
+        return np.sqrt(coordinate_sums(squared[:extras]) + features)
 
     return RectangleBound(corner_table, of_table)
 

@@ -65,7 +65,7 @@ from .rstar import RStarTree
 from .rtree import KEPT_MAPS, PackedRTree
 
 __all__ = ["QueryStatistics", "RangeQueryResult", "NearestNeighborResult", "KIndex",
-           "page_capacity"]
+           "NEAREST_BOUNDS", "page_capacity"]
 
 #: A nearest-neighbour probe lowers every filter distance by this fraction of
 #: itself and of the query point's largest coordinate.  Filter distances
@@ -76,6 +76,17 @@ __all__ = ["QueryStatistics", "RangeQueryResult", "NearestNeighborResult", "KInd
 #: zero, say).  The margin is many orders above that error and costs nothing
 #: but the rare candidate it lets through.
 BOUND_SLACK = 1e-9
+
+#: The k-NN lower bounds a :class:`KIndex` can prune with (its
+#: ``nearest_bound``).  ``"paper"`` counts each indexed coefficient once, as
+#: the paper's filter distance does.  ``"mirror"`` (the default) also counts
+#: its conjugate mirror wherever that is provably inside the exact distance
+#: (:meth:`KIndex.bound_weight`): a real series of length ``n`` has
+#: ``X[n - f] == conj(X[f])``, so for ``f <= k < n / 2`` the exact distance
+#: holds ``|ΔX[f]|**2`` twice, and ``D**2 >= Δmean**2 + Δstd**2 + 2 *
+#: sum(|ΔX[f]|**2 for f <= k)`` (Rafiei and Mendelzon, FODO '98).  Over the
+#: benchmark's 28 k-NN probes a probe verifies half the records.
+NEAREST_BOUNDS = ("mirror", "paper")
 
 #: The tail is sealed when it holds more than ``max(SEAL_MIN_ROWS, packed rows
 #: // SEAL_SHARE)`` rows.  The share makes a monolithic index re-pack about
@@ -206,14 +217,26 @@ class KIndex:
         page: :func:`page_capacity` of the space's dimension (39 for the
         default six-dimensional space).  A durable directory records the
         capacity its index was built with and reopens at it.
+    nearest_bound:
+        The lower bound k-NN probes prune with, one of
+        :data:`NEAREST_BOUNDS`: ``"mirror"`` (default) weights the
+        coefficient term by 2 wherever :meth:`bound_weight` proves each
+        coefficient's conjugate mirror is inside the exact distance,
+        ``"paper"`` never does.  Answers are the same under both; only the
+        records a probe verifies differ.  A durable directory records it
+        beside the capacity.
     """
 
     def __init__(self, extractor: SeriesFeatureExtractor | None = None, *,
-                 max_entries: int | None = None) -> None:
+                 max_entries: int | None = None, nearest_bound: str = "mirror") -> None:
+        if nearest_bound not in NEAREST_BOUNDS:
+            raise ValueError(f"nearest_bound must be one of {NEAREST_BOUNDS}, "
+                             f"not {nearest_bound!r}")
         self.extractor = extractor if extractor is not None else SeriesFeatureExtractor()
         self.space = self.extractor.space
         self.max_entries = (page_capacity(self.space.dimension) if max_entries is None
                             else int(max_entries))
+        self.nearest_bound = nearest_bound
         #: Columnar full records, one row per record id (dense, insertion
         #: order).  Shared with the executor's scan fallback and the
         #: statistics sampler through ``Database.columnar_store``.
@@ -223,10 +246,11 @@ class KIndex:
         self._points = np.empty((0, self.space.dimension))
         #: The packed rows, never changed — a seal publishes a new tree.
         self.tree = self._packed_tree(0)
-        #: id(transformation) → (transformation, linear, real map): what
-        #: :meth:`lower_transformation` derived, for at most ``KEPT_MAPS`` of them.
+        #: id(transformation) → (transformation, linear, real map, mirrored):
+        #: what :meth:`lower_transformation` derived, for at most ``KEPT_MAPS``
+        #: of them.
         self._lowered: dict[int, tuple[Any, LinearTransformation,
-                                       RealLinearTransformation]] = {}
+                                       RealLinearTransformation, bool]] = {}
 
     def _packed_tree(self, stop: int) -> PackedRTree:
         """Rows ``[0, stop)`` of the point array, STR-packed."""
@@ -423,11 +447,19 @@ class KIndex:
         (:meth:`~repro.storage.columnar.ColumnarRecordStore.records`).  A
         map that is not safe is never kept, so it raises on every call.
         """
+        return self._lowering(transformation)[:2]
+
+    def _lowering(self, transformation: SpectralTransformation | LinearTransformation | None
+                  ) -> tuple[LinearTransformation | None, RealLinearTransformation | None, bool]:
+        """:meth:`lower_transformation`'s maps, and whether the
+        transformation keeps a real series' spectrum conjugate-symmetric
+        over the indexed coefficients (:func:`_mirrored`) — judged with the
+        maps, once per transformation object."""
         if transformation is None:
-            return None, None
+            return None, None, True
         cached = self._lowered.get(id(transformation))
         if cached is not None and cached[0] is transformation:
-            return cached[1], cached[2]
+            return cached[1:]
         if isinstance(transformation, SpectralTransformation):
             linear = transformation.to_linear(self.extractor.num_coefficients,
                                               skip_first=True,
@@ -444,10 +476,44 @@ class KIndex:
                 "transformation must be a SpectralTransformation or LinearTransformation"
             )
         real_map = linear.to_real(self.space)
+        # A prefix-only linear map says nothing of the coefficients past k.
+        mirrored = (isinstance(transformation, SpectralTransformation)
+                    and _mirrored(transformation, self.extractor.num_coefficients))
         if len(self._lowered) >= KEPT_MAPS:
             self._lowered.clear()
-        self._lowered[id(transformation)] = (transformation, linear, real_map)
-        return linear, real_map
+        self._lowered[id(transformation)] = (transformation, linear, real_map, mirrored)
+        return linear, real_map, mirrored
+
+    def bound_weight(self, transformation: SpectralTransformation | LinearTransformation
+                     | None = None, *, length: int | None = None) -> float:
+        """The weight of the coefficient term in a k-NN probe's lower bound
+        (see :data:`NEAREST_BOUNDS`): 2.0 where each indexed coefficient's
+        conjugate mirror is provably inside the exact distance, else 1.0.
+
+        ``length`` is the query series' length; ``None`` stands for a series
+        of the stored records' own length (what the planner and the
+        statistics price a probe at).  The weight is 2.0 only under the
+        ``"mirror"`` bound, when every stored record has the query's length
+        ``n`` (the store keeps the least and greatest, so this reads two
+        numbers), ``2 k < n``, and the transformation, if any, is a
+        :class:`SpectralTransformation` of length ``n`` whose multiplier and
+        offset are mirror-symmetric over the indexed coefficients.  A bare
+        :class:`~repro.core.objects.FeatureVector` query has no full record
+        — its exact distance *is* its filter distance — so a probe never
+        asks for it.
+        """
+        if self.nearest_bound != "mirror":
+            return 1.0
+        low, high = self.store.length_range  # coefficient counts: series length - 1
+        size = low + 1
+        if low != high or not low or (length is not None and length != size):
+            return 1.0
+        if 2 * self.extractor.num_coefficients >= size:
+            return 1.0
+        if transformation is not None:
+            if not self._lowering(transformation)[2] or transformation.length != size:
+                return 1.0
+        return 2.0
 
     # ------------------------------------------------------------------
     # queries
@@ -626,20 +692,25 @@ class KIndex:
             features, transformation if transform_query else None)])
         query_point = (self._transform_point(features.point, linear) if transform_query
                        else features.point)
-        bound = (self.space.sector_bound(query_point) if isinstance(self.space, PolarSpace)
-                 else box_bound(query_point.values))
+        first, tail = self._tail(tree)
+        records = self.store.records(transformation)
+        # Read after the rows the probe covers: a store records its length
+        # range before its count, so the range read here spans them all.
+        weight = (self.bound_weight(transformation, length=len(query))
+                  if isinstance(query, TimeSeries) else 1.0)
+        bound = (self.space.sector_bound(query_point, weight)
+                 if isinstance(self.space, PolarSpace)
+                 else box_bound(query_point.values, extras=self.space.num_extra,
+                                weight=weight))
         slack = BOUND_SLACK * float(np.abs(query_point.values).max(initial=0.0))
 
         def lower_bound(table: np.ndarray) -> np.ndarray:
             return bound.of_table(table) * (1.0 - BOUND_SLACK) - slack
 
-        records = self.store.records(transformation)
-
         def exact(rows: np.ndarray) -> np.ndarray:
             return exact_distances(records, query_full, self.extractor.include_stats,
                                    row_ids=rows)
 
-        first, tail = self._tail(tree)
         distances, rows = tree.nearest_search(
             k, RectangleBound(bound.table, lower_bound), exact, real_map,
             (tail, np.arange(first, first + len(tail))) if len(tail) else None)
@@ -710,6 +781,29 @@ class KIndex:
         return (f"KIndex(size={len(self)}, tail_rows={self.tail_rows}, "
                 f"k={self.extractor.num_coefficients}, "
                 f"representation={self.extractor.representation!r})")
+
+
+def _mirrored(transformation: SpectralTransformation, k: int) -> bool:
+    """Whether ``transformation`` maps a real series' spectrum to one that
+    is conjugate-symmetric over coefficients ``1 … k`` and their mirrors:
+    ``M[n - f] ≈ conj(M[f])`` and ``O[n - f] ≈ conj(O[f])`` for ``f <= k <
+    n / 2``, ``n`` its length.
+
+    Equal up to :data:`BOUND_SLACK` of their moduli, not bit for bit: a
+    moving average's multiplier (the FFT of its window) is symmetric only to
+    ~2.2e-16 (``mavg10`` at ``n = 128``), as the stored spectra themselves
+    are only to ~3.6e-16 relative — both far inside the slack every k-NN
+    bound is lowered by."""
+    size = transformation.length
+    if 2 * k >= size:
+        return False
+    f = np.arange(1, k + 1)
+    for vector in (transformation.multiplier, transformation.offset):
+        ahead, mirror = vector[f], np.conj(vector[size - f])
+        if not np.all(np.abs(ahead - mirror)
+                      <= BOUND_SLACK * np.maximum(np.abs(ahead), np.abs(mirror))):
+            return False
+    return True
 
 
 def _grown(array: np.ndarray, rows: int) -> np.ndarray:

@@ -227,16 +227,16 @@ def _split_corners(rows: np.ndarray, dimension: int
 #: Most pending nodes one step of :meth:`PackedRTree.nearest_search` opens;
 #: the block doubles from 1 up to it.  A wider block means fewer
 #: (dispatch-bound) numpy steps per probe but opens nodes a one-at-a-time walk
-#: would have pruned.  On the benchmark's k mix (5 000 walks, the 84 plain
-#: k-NN ops of stream seeds 7, 11 and 1501; per op the best of 7, median over
-#: ops, one core of a 2-vCPU VM) at the default 39-entry nodes, a probe takes
-#: 4 steps and opens 7 nodes at k = 1 (0.38 ms); at k = 5 or 10 it takes 7
-#: steps, opens 27 nodes, bounds 1 003 entries in 6 calls (one per level a
-#: step opens) and verifies 279 records in 4 calls (1.00 ms).  Blocks of 1 /
-#: 8 / 64 take 27 / 7 / 6 steps there and open 0 / 3 / 7 % more nodes than
-#: the fewest possible (1.87 / 1.00 / 1.00 ms).  On 8-entry nodes the same
-#: k = 5 or 10 probes took 20 steps and 129 nodes (1.81 ms), and blocks of
-#: 1 / 64 took 128 / 9 steps (7.1 / 1.5 ms).
+#: would have pruned, and makes their records pending at once.  On the
+#: benchmark's k mix (5 000 walks, the 84 plain k-NN ops of stream seeds 7,
+#: 11 and 1501, default 39-entry nodes and the mirror-weighted bound; per op
+#: the best of 7 with the blocks interleaved, one core of a 2-vCPU VM),
+#: blocks of 1 / 2 / 4 / 8 / 16 verify 90.3 / 92.1 / 96.6 / 103.4 / 119.5
+#: records and open 20.0 / 20.7 / 21.0 / 21.2 / 22.1 nodes a probe, at
+#: 1.91 / 1.45 / 1.13 / 1 / 0.99 times the time of 8 (median of per-op
+#: ratios; 0.46 ms a probe at 8).  No block wins on both records and time;
+#: 16 ties 8 in time for 16 % more records.  Under the paper's bound the
+#: same ops verify 189.2 … 224.9 records at the same ratios (0.57 ms at 8).
 NEAREST_BLOCK = 8
 
 #: Most transformations kept at once: the images :meth:`PackedRTree.transformed`

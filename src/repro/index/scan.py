@@ -58,6 +58,7 @@ from ..storage.columnar import (
     ColumnarRecordStore,
     Records,
     exact_distances,
+    leading_bounds,
     pair_block_distances,
     pair_blocks,
     query_record,
@@ -255,11 +256,26 @@ class SequentialScan:
         def nearest_in_span(start: int, stop: int) -> list[tuple[float, int]]:
             """A partition's stable top-``k`` as (distance, global id) pairs
             in ascending order — every global answer is in its partition's
-            top-``k``, so merging these lists loses nothing."""
-            distances = exact_distances(records, queries, include_stats,
-                                        row_ids=np.arange(start, stop))
-            order = np.argsort(distances, kind="stable")[:k]
-            return [(float(distances[i]), start + int(i)) for i in order]
+            top-``k``, so merging these lists loses nothing.
+
+            Multi-step: the ``k`` rows of the smallest
+            :func:`~repro.storage.columnar.leading_bounds` are scored
+            exactly, and the largest of their distances bounds the span's
+            ``k``-th from above; the refine kernel then returns every row
+            within that bound, exactly scored (the bits of
+            :func:`~repro.storage.columnar.exact_distances`), and abandons
+            the rest.  Rows tied at the bound are all kept, so the cut by
+            ``(distance, id)`` is the full scan's."""
+            span = records.select(slice(start, stop))
+            if stop - start <= k:
+                ids = np.arange(stop - start)
+                distances = exact_distances(span, queries, include_stats)
+            else:
+                seeds = np.argpartition(leading_bounds(span, queries, include_stats), k - 1)[:k]
+                cut = float(exact_distances(span, queries, include_stats, row_ids=seeds).max())
+                ids, distances = verify_pairs(span, None, queries, None, (cut,), include_stats)
+            order = np.lexsort((ids, distances))[:k]
+            return [(float(distances[i]), start + int(ids[i])) for i in order]
 
         # Each partition list is ordered by (distance, global id) — stable
         # argsort breaks ties by ascending local row — so the k-way heap

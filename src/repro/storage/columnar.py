@@ -92,6 +92,7 @@ __all__ = [
     "record_matrix",
     "exact_distances",
     "gathered_pair_distances",
+    "leading_bounds",
     "pair_blocks",
     "pair_block_distances",
     "pairwise_distances",
@@ -192,6 +193,8 @@ class ColumnarRecordStore:
         self._means = np.zeros(0, dtype=np.float64)
         self._stds = np.zeros(0, dtype=np.float64)
         self._count = 0
+        #: ``(min, max)`` of ``lengths``, kept at append; ``(0, 0)`` when empty.
+        self._length_range = (0, 0)
 
     # ------------------------------------------------------------------
     # loading
@@ -244,6 +247,10 @@ class ColumnarRecordStore:
         if count == 0:
             return
         start = self._count
+        lengths = np.asarray(lengths, dtype=np.intp)
+        low, high = int(lengths.min()), int(lengths.max())
+        if start:
+            low, high = min(low, self._length_range[0]), max(high, self._length_range[1])
         flags = coefficients.flags
         if (start == 0 and _owns_memory(coefficients) and flags.writeable
                 and flags.c_contiguous):
@@ -259,6 +266,7 @@ class ColumnarRecordStore:
             self._means[start:start + count] = means
             self._stds[start:start + count] = stds
         self._series.extend(collection)
+        self._length_range = (low, high)
         self._count += count
 
     def _reserve(self, rows: int, width: int) -> None:
@@ -308,12 +316,16 @@ class ColumnarRecordStore:
         return self._stds[:self._count]
 
     @property
+    def length_range(self) -> tuple[int, int]:
+        """The least and the greatest coefficient count of a stored record
+        (``(0, 0)`` when empty), kept as records are appended: O(1)."""
+        return self._length_range
+
+    @property
     def uniform_length(self) -> bool:
         """Whether every stored record has the same coefficient count."""
-        if self._count == 0:
-            return True
-        lengths = self.lengths
-        return bool(np.all(lengths == lengths[0]))
+        low, high = self._length_range
+        return low == high
 
     def series(self, record_id: int) -> Any:
         """The stored series for a record id (raises ``IndexError`` when unknown)."""
@@ -709,6 +721,29 @@ def _abandon(rows: Records, queries: Records, positions: np.ndarray, ids: np.nda
         if dropped * columns <= positions.size * ABANDON_CHUNK:
             break
     return positions, ids, queried
+
+
+def leading_bounds(rows: Records, query: Records, include_stats: bool) -> np.ndarray:
+    """Squared lower bounds on the exact distances of every record of
+    ``rows`` to the one record of ``query``: the statistics term and the
+    first :data:`ABANDON_CHUNK` columns of :func:`_abandon_order`, where a
+    real series' spectrum holds most of its energy — one gather, the first
+    round :func:`verify_pairs` would run.  What a multi-step scan ranks its
+    rows by before it scores any exactly."""
+    common = np.minimum(rows.lengths, query.lengths[0])
+    columns = int(common.max(initial=0))
+    cols = _abandon_order(columns)[:ABANDON_CHUNK]
+    difference = rows.gather(np.arange(rows.size), cols)
+    difference -= query.row(0, cols)
+    if not (common == columns).all():
+        difference[cols >= common[:, None]] = 0.0
+    parts = difference.view(np.float64)
+    totals = np.einsum("ij,ij->i", parts, parts)
+    if include_stats:
+        means, stds = rows.statistics(slice(None))
+        mean, std = query.statistics(0)
+        totals += (means - mean) ** 2 + (stds - std) ** 2
+    return totals
 
 
 def verify_pairs(rows: Records, row_ids: np.ndarray | None, queries: Records,

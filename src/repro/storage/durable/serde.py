@@ -309,14 +309,24 @@ def index_spec(index: KIndex | MetricIndex) -> dict[str, Any]:
             "representation": extractor.representation,
             "include_stats": extractor.include_stats,
         }
-        return {"kind": "kindex", "extractor": options, "max_entries": index.max_entries}
+        return {
+            "kind": "kindex",
+            "extractor": options,
+            "max_entries": index.max_entries,
+            "nearest_bound": index.nearest_bound,
+        }
     return {"kind": "metric", "leaf_capacity": index.leaf_capacity}
 
 
 def _empty_kindex(spec: dict[str, Any]) -> KIndex:
     """An empty k-index of the configuration a spec (or a serialized
-    page, which embeds one) names."""
-    return KIndex(SeriesFeatureExtractor(**spec["extractor"]), max_entries=spec["max_entries"])
+    page, which embeds one) names.  A spec written before the k-NN bound
+    was recorded names none and reopens at the default."""
+    return KIndex(
+        SeriesFeatureExtractor(**spec["extractor"]),
+        max_entries=spec["max_entries"],
+        nearest_bound=spec.get("nearest_bound", "mirror"),
+    )
 
 
 def build_index_from_spec(

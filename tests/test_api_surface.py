@@ -19,6 +19,8 @@ import inspect
 import re
 from pathlib import Path
 
+import pytest
+
 import repro
 from repro import BoundQuery, PreparedQuery, Q, RelationHandle, Session, connect
 
@@ -256,12 +258,17 @@ class TestIndexProbeSignatures:
             "'tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]'")
         assert _signature(repro.ColumnarRecordStore.extend) == (
             "(self, collection: 'Iterable[Any]') -> 'None'")
-        # Constructor options: the extractor and the node capacity, which
-        # defaults to what one page holds at the extractor's dimension.
+        # Constructor options: the extractor, the node capacity, which
+        # defaults to what one page holds at the extractor's dimension, and
+        # the k-NN bound, which defaults to counting conjugate mirrors.
         assert _signature(repro.KIndex) == (
             "(extractor: 'SeriesFeatureExtractor | None' = None, *, "
-            "max_entries: 'int | None' = None) -> 'None'")
+            "max_entries: 'int | None' = None, nearest_bound: 'str' = 'mirror') -> 'None'")
         assert repro.KIndex().max_entries == kindex.page_capacity(6) == 39
+        assert kindex.NEAREST_BOUNDS == ("mirror", "paper")
+        assert repro.KIndex().nearest_bound == "mirror"
+        with pytest.raises(ValueError, match="nearest_bound"):
+            repro.KIndex(nearest_bound="ball")
         # The seal and chunk sizes are constants, not options.
         from repro.timeseries import features
         assert (kindex.SEAL_MIN_ROWS, kindex.SEAL_SHARE) == (256, 16)
@@ -278,15 +285,20 @@ class TestIndexProbeSignatures:
         for space in (repro.PolarSpace, repro.RectangularSpace):
             assert _signature(space.window_entry_distances) == (
                 "(self, points: 'np.ndarray') -> 'np.ndarray'")
-            assert _signature(space.pairwise) == "(self, points: 'np.ndarray') -> 'np.ndarray'"
+            assert _signature(space.pairwise) == (
+                "(self, points: 'np.ndarray', weight: 'float' = 1.0) -> 'np.ndarray'")
             assert _signature(space.distances_to) == (
                 "(self, point: 'FeatureVector', points: 'np.ndarray') -> 'np.ndarray'")
             assert _signature(space.decode_rows) == (
                 "(self, points: 'np.ndarray') -> 'tuple[np.ndarray, np.ndarray]'")
         from repro.core.query.costmodel import QueryCostModel
-        for estimate in ("index_range", "index_nearest", "index_join"):
+        for estimate in ("index_range", "index_join"):
             assert "*, tail_pages: 'float' = 0.0) -> 'CostEstimate'" in _signature(
                 getattr(QueryCostModel, estimate))
+        # A k-NN estimate also names the weight its probe's bound gives the
+        # coefficients.
+        assert ("*, tail_pages: 'float' = 0.0, bound_weight: 'float | None' = None) "
+                "-> 'CostEstimate'") in _signature(QueryCostModel.index_nearest)
 
     def test_packed_tree_and_growers(self):
         """One immutable tree with the loader and the probes; growers that

@@ -158,6 +158,7 @@ class TestTheRecordStream:
                         "include_stats": True,
                     },
                     "max_entries": 39,
+                    "nearest_bound": "mirror",
                 },
             },
             {

@@ -48,17 +48,24 @@ ROOT = Path(__file__).resolve().parents[1]
 # ----------------------------------------------------------------------
 # the replaced kernel and bounds
 # ----------------------------------------------------------------------
-def reference_box_bound(point, lows, highs):
-    """``mindist_batch`` as it was: rows clamped, summed along each row."""
+def reference_box_bound(point, lows, highs, extras=0, weight=1.0):
+    """``mindist_batch`` as it was: rows clamped, summed along each row —
+    every coordinate after the first ``extras`` times ``weight``."""
     p = np.asarray(point, dtype=np.float64).reshape(-1)
     clamped = np.clip(p, lows, highs)
     delta = p - clamped
-    return np.sqrt(np.sum(delta * delta, axis=1))
+    if weight == 1.0:
+        return np.sqrt(np.sum(delta * delta, axis=1))
+    squared = delta * delta
+    return np.sqrt(
+        np.sum(squared[:, :extras], axis=1) + weight * np.sum(squared[:, extras:], axis=1)
+    )
 
 
-def reference_polar_bound(space, query, lows, highs):
+def reference_polar_bound(space, query, lows, highs, weight=1.0):
     """``PolarSpace.mindist_to_rectangles`` as it was: every sector derived
-    from its corners on every call, points included."""
+    from its corners on every call, points included — the features' term
+    times ``weight``."""
     values = query.values
     extras = space.num_extra
     gaps = np.maximum(
@@ -77,7 +84,7 @@ def reference_polar_bound(space, query, lows, highs):
     )
     chord = np.sin(outside * 0.5)
     squared = (magnitudes - radius) ** 2 + (4.0 * magnitudes) * radius * (chord * chord)
-    return np.sqrt((gaps * gaps).sum(axis=1) + squared.sum(axis=1))
+    return np.sqrt((gaps * gaps).sum(axis=1) + weight * squared.sum(axis=1))
 
 
 _SLOT_SPAN = 1 << 32  # a pending node was ``level number * span + slot``
@@ -196,19 +203,23 @@ def _points(rng, count, features, extras, polar):
     return points
 
 
-def _bounds(kind, space, query):
-    """(the split bound, the same bound as a plain callable, the reference)."""
+def _bounds(kind, space, query, extras=0, weight=1.0):
+    """(the split bound, the same bound as a plain callable, the reference);
+    the features' term (every coordinate after ``extras``) times
+    ``weight``, which only the split bound takes."""
     if space is None:
+        split = box_bound(query, extras=extras, weight=weight)
         return (
-            box_bound(query),
-            partial(mindist_batch, query),
-            partial(reference_box_bound, query),
+            split,
+            partial(mindist_batch, query) if weight == 1.0 else split,
+            partial(reference_box_bound, query, extras=extras, weight=weight),
         )
     point = FeatureVector(query)
+    split = space.sector_bound(point, weight)
     return (
-        space.sector_bound(point),
-        partial(space.mindist_to_rectangles, point),
-        partial(reference_polar_bound, space, point),
+        split,
+        partial(space.mindist_to_rectangles, point) if weight == 1.0 else split,
+        partial(reference_polar_bound, space, point, weight=weight),
     )
 
 
@@ -257,8 +268,9 @@ def _exact(points, transformation, query, names=None):
 # the bounds against the formulas they replaced
 # ----------------------------------------------------------------------
 class TestTheBoundsAreTheReplacedFormulas:
+    @pytest.mark.parametrize("weight", [1.0, 2.0])
     @pytest.mark.parametrize("kind,features,extras", SPACES, ids=SPACE_IDS)
-    def test_rectangles_points_and_negative_radii(self, kind, features, extras):
+    def test_rectangles_points_and_negative_radii(self, kind, features, extras, weight):
         space = _layout(kind, features, extras)
         rng = np.random.default_rng(3400 + 10 * features + extras + (kind == "polar"))
         dimension = extras + 2 * features
@@ -274,7 +286,7 @@ class TestTheBoundsAreTheReplacedFormulas:
             negative = points.copy()
             negative[rng.random(40) < 0.3, extras] *= -1.0  # magnitudes below zero
             query = _points(rng, 1, features, extras, space is not None)[0]
-            split, plain, reference = _bounds(kind, space, query)
+            split, plain, reference = _bounds(kind, space, query, extras, weight)
             for corners in ((lows, highs), (points, points), (negative, negative)):
                 want = reference(*corners).tobytes()
                 assert split(*corners).tobytes() == want
@@ -390,10 +402,11 @@ class TestTheKernelIsTheReplacedLoop:
 # ----------------------------------------------------------------------
 # the k-index's probes against the loop they replaced
 # ----------------------------------------------------------------------
-def reference_index_search(index, query, k, transformation):
+def reference_index_search(index, query, k, transformation, weight):
     """``KIndex.nearest_neighbors`` as it was, up to its kernel call: the
-    slackened reference bound, the store's exact distances and the tail as
-    seeds, through the reference kernel."""
+    slackened reference bound, its coefficient term times ``weight``, the
+    store's exact distances and the tail as seeds, through the reference
+    kernel."""
     tree = index.tree
     linear, real_map = index.lower_transformation(transformation)
     features = index._query_features(query)
@@ -404,9 +417,9 @@ def reference_index_search(index, query, k, transformation):
         full = (features.full_coefficients, features.mean, features.std)
         point = features.point
     filter_distance = (
-        partial(reference_polar_bound, index.space, point)
+        partial(reference_polar_bound, index.space, point, weight=weight)
         if isinstance(index.space, PolarSpace)
-        else partial(reference_box_bound, point.values)
+        else partial(reference_box_bound, point.values, extras=index.space.num_extra, weight=weight)
     )
     slack = kindex_module.BOUND_SLACK * float(np.abs(point.values).max(initial=0.0))
 
@@ -478,7 +491,9 @@ class TestKIndexProbesAreTheReplacedLoop:
 
 def check_index_search(index, query, k, transformation, kernel_calls):
     """One probe's kernel call against the reference's, and its statistics."""
-    want = reference_index_search(index, query, k, transformation)
+    want = reference_index_search(
+        index, query, k, transformation, index.bound_weight(transformation, length=len(query))
+    )
     del kernel_calls[:]
     result = index.nearest_neighbors(query, k, transformation=transformation)
     assert len(kernel_calls) == 1
@@ -506,15 +521,20 @@ class TestTheBenchmarksNearestWorkIsPinned:
     """The 28 k-NN probes of the ``embedded-index`` stream at seed 5 (k = 1,
     5 and 10) on its relation — 5 000 walks of 128 points, data seed 11, a
     2-coefficient k-index: the node accesses, candidates and answers they sum
-    to are those of the kernel this one replaced, on 8-entry nodes, and at
-    the page capacity the index packs by default.  A block schedule or a
-    bound that moves fails here; the answers are the same at both."""
+    to are those of the kernel this one replaced under the paper's bound, on
+    8-entry nodes and at the page capacity the index packs by default, and
+    under the default bound, which counts each coefficient's conjugate
+    mirror.  A block schedule or a bound that moves fails here; the answers
+    are the same at all three."""
 
     #: (internal visits, leaf visits, candidates, sha256 of the answers'
     #: record ids and distance bits, first 16 hex digits).
     PINNED = (561, 2218, 5331, "592c7c31070c99c6")
     #: The same at the page capacity (39 entries a node, 3 levels).
     PINNED_AT_THE_PAGE_CAPACITY = (84, 511, 5714, "592c7c31070c99c6")
+    #: The default bound at the page capacity: the same nodes, and about
+    #: half the candidates verified.
+    PINNED_UNDER_THE_MIRROR_BOUND = (84, 511, 2903, "592c7c31070c99c6")
 
     @staticmethod
     def _counts(**options):
@@ -536,11 +556,14 @@ class TestTheBenchmarksNearestWorkIsPinned:
         return internal, leaf, candidates, digest.hexdigest()[:16]
 
     def test_counts(self):
-        internal, leaf, candidates, digest = self._counts(max_entries=8)
+        internal, leaf, candidates, digest = self._counts(max_entries=8, nearest_bound="paper")
         assert (internal, leaf, candidates, digest) == self.PINNED
 
     def test_counts_at_the_page_capacity(self):
-        assert self._counts() == self.PINNED_AT_THE_PAGE_CAPACITY
+        assert self._counts(nearest_bound="paper") == self.PINNED_AT_THE_PAGE_CAPACITY
+
+    def test_counts_under_the_mirror_bound(self):
+        assert self._counts() == self.PINNED_UNDER_THE_MIRROR_BOUND
 
 
 class TestTheBenchmarksNearestWorkIsPriced:

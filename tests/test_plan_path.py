@@ -91,18 +91,22 @@ class ReferencePlanner:
         if isinstance(query, RangeQuery):
             return self._plan_feature(
                 query, transformation, IndexRangePlan, ScanRangePlan,
-                lambda s, n, tail: model.index_range(s, n, query.epsilon, tail_pages=tail),
+                lambda s, n, index: model.index_range(
+                    s, n, query.epsilon, tail_pages=index.tail_pages),
                 lambda s, n: model.scan_range(s, n, query.epsilon),
             )  # fmt: skip
         if isinstance(query, NearestNeighborQuery):
             return self._plan_feature(
                 query, transformation, IndexNearestPlan, ScanNearestPlan,
-                lambda s, n, tail: model.index_nearest(s, n, query.k, tail_pages=tail),
+                lambda s, n, index: model.index_nearest(
+                    s, n, query.k, tail_pages=index.tail_pages,
+                    bound_weight=index.bound_weight(transformation)),
                 lambda s, n: model.scan_nearest(s, n, query.k),
             )  # fmt: skip
         return self._plan_feature(
             query, transformation, IndexJoinPlan, ScanJoinPlan,
-            lambda s, n, tail: model.index_join(s, n, query.epsilon, tail_pages=tail),
+            lambda s, n, index: model.index_join(
+                s, n, query.epsilon, tail_pages=index.tail_pages),
             lambda s, n: model.scan_join(s, n, query.epsilon),
         )  # fmt: skip
 
@@ -282,7 +286,7 @@ class ReferencePlanner:
         scan_estimate = scan_estimator(stats, cardinality)
         alternatives = []
         if index is not None:
-            estimate = index_estimator(stats, cardinality, index.tail_pages)
+            estimate = index_estimator(stats, cardinality, index)
             alternatives.append(index_type(query=query, reason=reason, estimated_cost=estimate))
         scan_reason = f"sequential scan over {cardinality} records" if index is not None else reason
         alternatives.append(

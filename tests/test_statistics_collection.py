@@ -22,6 +22,7 @@ relation nobody has planned against is never charged a first collection.
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -60,6 +61,20 @@ def reference_pairwise(values: list, distance) -> np.ndarray:
     return np.asarray(out, dtype=np.float64)
 
 
+def weighted_distance(space, weight: float):
+    """``FeatureSpace.distance`` with the features' squared term times
+    ``weight``: a k-NN probe's lower bound between two points."""
+
+    def distance(a, b) -> float:
+        extra_a, feats_a = space.decode(a)
+        extra_b, feats_b = space.decode(b)
+        d2 = weight * float(np.sum(np.abs(feats_a - feats_b) ** 2))
+        d2 += float(np.sum((extra_a - extra_b) ** 2))
+        return math.sqrt(d2)
+
+    return distance
+
+
 #: A window-entry distance admits its row at ``(1 + SLACK)`` times itself and
 #: refuses it at ``(1 - SLACK)`` times: the window's own arithmetic (an
 #: ``asin`` for a phase angle) rounds, the threshold does not move by more.
@@ -95,11 +110,12 @@ def reference_filter_distances(index, sample_size: int = SAMPLE_SIZE) -> np.ndar
     return np.sort(values)
 
 
-def reference_bound_distances(index, sample_size: int = SAMPLE_SIZE) -> np.ndarray:
-    """The bound histogram's values, a record and a ``space.distance`` at a time."""
+def reference_bound_distances(index, weight: float, sample_size: int = SAMPLE_SIZE) -> np.ndarray:
+    """The bound histogram's values, a record and a ``space.distance`` at a
+    time, the features' term times ``weight``."""
     positions = sample_positions(len(index), sample_size)
     points = [index.record(int(i))[1].point for i in positions]
-    return np.sort(reference_pairwise(points, index.space.distance))
+    return np.sort(reference_pairwise(points, weighted_distance(index.space, weight)))
 
 
 def reference_extents(index) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -113,16 +129,20 @@ def reference_extents(index) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return all_points.min(axis=0), all_points.max(axis=0), all_points.std(axis=0)
 
 
-def reference_advisor_histogram(extractor, objects: list) -> tuple[np.ndarray, np.ndarray]:
+def reference_advisor_histogram(
+    extractor, objects: list, weight: float
+) -> tuple[np.ndarray, np.ndarray]:
     """``IndexAdvisor._filter_histogram``'s points as they stood — every
     sampled series re-extracted through ``extractor.point`` — and the window
-    and bound histograms' values over them."""
+    and bound histograms' values over them, the bound's features' term times
+    ``weight``."""
     sampled = [objects[int(i)] for i in sample_positions(len(objects), SAMPLE_SIZE)]
     points = np.vstack([extractor.point(series).values for series in sampled])
     values = extractor.space.window_entry_distances(points)
     assert_window_entry(extractor.space, points, values)
     vectors = [FeatureVector(point) for point in points]
-    return np.sort(values), np.sort(reference_pairwise(vectors, extractor.space.distance))
+    bound = reference_pairwise(vectors, weighted_distance(extractor.space, weight))
+    return np.sort(values), np.sort(bound)
 
 
 def reference_filter_only(index, query, epsilon: float, transformation=None) -> list:
@@ -149,7 +169,9 @@ def indexed_session(index, data):
 
 def assert_statistics_match_the_reference(stats, index) -> None:
     assert np.array_equal(stats.filter_histogram.values, reference_filter_distances(index))
-    assert np.array_equal(stats.bound_histogram.values, reference_bound_distances(index))
+    assert np.array_equal(
+        stats.bound_histogram.values, reference_bound_distances(index, index.bound_weight())
+    )
     low, high, spread = reference_extents(index)
     assert np.array_equal(stats.extent_low, low)
     assert np.array_equal(stats.extent_high, high)
@@ -222,7 +244,9 @@ class TestArrayFormsEqualTheScalarLoops:
         session.relation("walks").insert_many(walk_collection)
         candidates = IndexAdvisor()._feature_candidates(session.database, "walks")
         candidate = next(c for c in candidates if c.num_coefficients == prefix)
-        window, bound = reference_advisor_histogram(SeriesFeatureExtractor(prefix), walk_collection)
+        window, bound = reference_advisor_histogram(
+            SeriesFeatureExtractor(prefix), walk_collection, candidate.index.bound_weight()
+        )
         assert np.array_equal(candidate.statistics.filter_histogram.values, window)
         assert np.array_equal(candidate.statistics.bound_histogram.values, bound)
 
