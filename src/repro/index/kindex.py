@@ -376,13 +376,13 @@ class KIndex:
     def record(self, record_id: int) -> tuple[TimeSeries, SeriesFeatures]:
         """The stored series and its extracted features."""
         try:
-            coefficients, mean, std = self.store.full_record(record_id)
+            coefficients, mean, std, length = self.store.full_record(record_id)
             series = self.store.series(record_id)
             point = FeatureVector(self._points[record_id])
         except IndexError:
             raise IndexError_(f"unknown record id {record_id}") from None
         return series, SeriesFeatures(point=point, full_coefficients=coefficients,
-                                      mean=mean, std=std)
+                                      mean=mean, std=std, length=length)
 
     def series_list(self) -> list[TimeSeries]:
         """All indexed series, in insertion order."""
@@ -641,7 +641,7 @@ class KIndex:
         return results
 
     def _verify_batch(self, candidate_lists: Sequence[np.ndarray],
-                      query_fulls: list[tuple[np.ndarray, float, float]],
+                      query_fulls: list[tuple[np.ndarray, float, float, int]],
                       transformation: SpectralTransformation | None,
                       epsilons: np.ndarray,
                       results: list[RangeQueryResult]) -> None:
@@ -763,12 +763,13 @@ class KIndex:
             return self.extractor.extract(query)
         if isinstance(query, FeatureVector):
             # A bare point has no full record: treat its encoded coefficients
-            # as the complete description (exact distances then equal filter
-            # distances).
+            # as the complete description, whole and with no mirror (exact
+            # distances then equal filter distances).
             extra, feats = self.space.decode(query)
             mean = float(extra[0]) if extra.shape[0] > 0 else 0.0
             std = float(extra[1]) if extra.shape[0] > 1 else 0.0
-            return SeriesFeatures(point=query, full_coefficients=feats, mean=mean, std=std)
+            return SeriesFeatures(point=query, full_coefficients=feats, mean=mean, std=std,
+                                  length=feats.shape[0])
         raise IndexError_("query must be a TimeSeries or a FeatureVector")
 
     def _transform_point(self, point: FeatureVector,

@@ -96,8 +96,11 @@ def _rebuilt_provider(name: str, named_by: str) -> DistanceProvider:
 
 
 def _segments(name: str, entry: dict[str, Any]) -> list[ColumnSegment]:
-    """The segments a relation's manifest entry names."""
-    return [ColumnSegment(name, segment["start"], segment["count"], entry["kind"])
+    """The segments a relation's manifest entry names: of half spectra
+    unless the entry was written at format version 5, which has no
+    ``"spectrum"`` key."""
+    half = entry.get("spectrum") == "half"
+    return [ColumnSegment(name, segment["start"], segment["count"], entry["kind"], half)
             for segment in entry["segments"]]
 
 
@@ -249,7 +252,7 @@ class DurableDatabase(Database):
                 index_files[index_name] = file_name
             provider = self._distance_providers.get(name)
             relations_manifest[name] = {
-                "kind": kind, "count": len(rows),
+                "kind": kind, "count": len(rows), "spectrum": "half",
                 "version": relation.version, "segments": segments,
                 "indexes": index_files,
                 "provider": provider.name if provider is not None else None}

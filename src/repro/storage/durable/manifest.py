@@ -21,16 +21,22 @@ from typing import Any
 
 from ...core.errors import StorageError
 
-__all__ = ["MANIFEST_NAME", "FORMAT_VERSION", "replace_atomically", "write_manifest",
-           "load_manifest"]
+__all__ = ["MANIFEST_NAME", "FORMAT_VERSION", "READABLE_VERSIONS", "replace_atomically",
+           "write_manifest", "load_manifest"]
 
 MANIFEST_NAME = "MANIFEST.json"
 
-#: Bumped on any incompatible layout change; recovery refuses every other
-#: version, older ones included — there is one decoder.  Version 5: WAL
-#: records, index pages and segment rows are framed codec messages, and
-#: ``-coeffs.npy`` / ``-values.npy`` are the only other data files.
-FORMAT_VERSION = 5
+#: Bumped on any incompatible layout change.  Version 5: WAL records, index
+#: pages and segment rows are framed codec messages, and ``-coeffs.npy`` /
+#: ``-values.npy`` are the only other data files.  Version 6: a columnar
+#: segment's ``-coeffs.npy`` holds half spectra (the relation's manifest
+#: entry says ``"spectrum": "half"``).
+FORMAT_VERSION = 6
+
+#: The versions recovery reads — this one, and version 5, whose segments'
+#: whole spectra are sliced to halves as they are loaded — refusing every
+#: other, older or newer.  A checkpoint always writes :data:`FORMAT_VERSION`.
+READABLE_VERSIONS = (5, FORMAT_VERSION)
 
 
 def _fsync_directory(directory: str) -> None:
@@ -107,13 +113,18 @@ def load_manifest(root: str) -> dict[str, Any] | None:
         raise StorageError(
             f"manifest {path!r} is unreadable: {error}") from error
     version = manifest.get("format_version") if isinstance(manifest, dict) else None
-    if version != FORMAT_VERSION:
+    if version not in READABLE_VERSIONS:
         raise StorageError(
             f"manifest {path!r} has format version {version!r}; this build "
-            f"reads version {FORMAT_VERSION}")
+            f"reads version {FORMAT_VERSION} (and version 5, whose segments hold "
+            "whole spectra)")
     _check_keys(path, "the manifest", manifest, _MANIFEST_KEYS)
     for name, entry in manifest["relations"].items():
         _check_keys(path, f"relation {name!r}", entry, _RELATION_KEYS)
+        if entry.get("spectrum", "whole") not in ("half", "whole"):
+            raise StorageError(
+                f"manifest {path!r}: relation {name!r} key 'spectrum' holds "
+                f"{entry['spectrum']!r}, not 'half' or 'whole'")
         for segment in entry["segments"]:
             _check_keys(path, f"a segment of {name!r}", segment, _SEGMENT_KEYS)
         for index_name, file_name in entry["indexes"].items():

@@ -16,7 +16,9 @@ Two formats cover the catalog's relation kinds:
     ``mmap_mode="r"`` where reads are demand-paged), and everything else in
     one framed codec message:
 
-    * ``<stem>-coeffs.npy`` — complex DFT coefficient rows, span-local width
+    * ``<stem>-coeffs.npy`` — complex DFT coefficient rows, the half spectra
+      the store keeps (span-local width); a directory written at format
+      version 5 holds whole spectra here, sliced to halves as they load
     * ``<stem>-values.npy`` — the raw observations, one float64 blob
     * ``<stem>-rows.bin`` — per-row ids (an int64 block), names, starts,
       payloads and attributes, and the ``lengths`` / ``means`` / ``stds``
@@ -57,7 +59,7 @@ from ...core.objects import DataObject, GenericObject
 from ...strings.objects import StringObject
 from ...timeseries.series import TimeSeries
 from .. import codec
-from ..columnar import ColumnarRecordStore, record_matrix
+from ..columnar import ColumnarRecordStore, half_width, record_matrix
 
 __all__ = ["ColumnSegment", "encode_object", "decode_object", "write_segment", "load_segments"]
 
@@ -185,12 +187,20 @@ class ColumnSegment:
     start: int
     count: int
     kind: str  # "columnar" | "objects"
+    #: Whether a columnar segment's spectra are halves (format version 6)
+    #: rather than whole (version 5).
+    half: bool = True
 
     @property
     def stem(self) -> str:
         """File-name stem (the count in the name makes a grown tail span land
-        under a fresh stem instead of mutating files in place)."""
-        return f"seg-{int(self.start):08d}-{int(self.count):06d}"
+        under a fresh stem instead of mutating files in place).  A segment of
+        half spectra never shares a name with the whole one of its span, so
+        the first checkpoint after a version-5 directory is reopened writes
+        every span anew, and the old files go only once the new manifest is
+        installed."""
+        stem = f"seg-{int(self.start):08d}-{int(self.count):06d}"
+        return f"{stem}-half" if self.half and self.kind == "columnar" else stem
 
     def files(self) -> list[str]:
         """The file names (relative to the relation directory) this segment
@@ -228,7 +238,7 @@ def write_segment(
             "has no backing record store"
         )
     lengths = store.lengths[start:stop]
-    width = int(lengths.max()) if segment.count else 0
+    width = int(half_width(lengths.max())) if segment.count else 0
     objects = [row.obj for row in rows]
     values = [obj.values for obj in objects]
     offsets = np.zeros(len(values) + 1, dtype=np.int64)
@@ -265,6 +275,9 @@ def load_segments(
     loaded = [_load_segment(directory, segment) for segment in segments]
     rows = [row for segment_rows, _ in loaded for row in segment_rows]
     spectra = [spectrum for _, spectrum in loaded if spectrum is not None]
+    halves = [
+        segment.half for segment, (_, spectrum) in zip(segments, loaded) if spectrum is not None
+    ]
     if not spectra:
         return rows, None
     # One matrix at its final size, which the store keeps: a store grown a
@@ -273,8 +286,13 @@ def load_segments(
     width = max(coefficients.shape[1] for coefficients, *_ in spectra)
     matrix = record_matrix(len(rows), width)
     start = 0
-    for coefficients, *_ in spectra:
-        matrix[start : start + len(coefficients), : coefficients.shape[1]] = coefficients
+    for (coefficients, lengths, *_), half in zip(spectra, halves):
+        block = matrix[start : start + len(coefficients), : coefficients.shape[1]]
+        block[...] = coefficients
+        if not half:
+            # A version-5 segment's rows hold whole spectra: the columns past
+            # a shorter row's half are its mirrored coefficients, not padding.
+            block[np.arange(coefficients.shape[1]) >= half_width(lengths)[:, None]] = 0.0
         start += len(coefficients)
     lengths, means, stds = (np.concatenate(column) for column in list(zip(*spectra))[1:])
     store = ColumnarRecordStore()
@@ -306,6 +324,8 @@ def _load_segment(directory: str, segment: ColumnSegment) -> tuple[list[Row], tu
     coefficients = _load_array(coeffs_path, mmap_mode="r")
     if coefficients.dtype != np.complex128 or coefficients.ndim != 2 or len(coefficients) != count:
         raise StorageError(f"{coeffs_path!r} does not hold {count} rows of complex spectra")
+    if not segment.half:
+        coefficients = coefficients[:, : int(half_width(np.max(lengths, initial=0)))]
     # Values are loaded eagerly: every row's array is materialized below
     # anyway, and slicing a memmap 10^3 times costs more than one read.
     values = _load_array(values_path)

@@ -43,7 +43,7 @@ from ...index.metric import MetricIndex, _Inner, _Leaf
 from ...index.rtree import PackedRTree, _PackedLevel
 from ...storage.columnar import ColumnarRecordStore
 from ...timeseries.features import SeriesFeatureExtractor
-from .manifest import FORMAT_VERSION
+from .manifest import FORMAT_VERSION, READABLE_VERSIONS
 from .segments import read_framed
 
 __all__ = [
@@ -236,7 +236,7 @@ def deserialize_index(
     recovered objects; ``distance`` is the relation's provider distance.
     """
     kind = payload.get("kind")
-    if payload.get("format_version") != FORMAT_VERSION:
+    if payload.get("format_version") not in READABLE_VERSIONS:
         raise StorageError(
             f"index page has format version {payload.get('format_version')!r}; "
             f"this build reads version {FORMAT_VERSION}"
@@ -254,7 +254,7 @@ def deserialize_index(
         # whose data carries no checksum of its own.  The derived array is
         # also the one the index writes into (its next append lands there);
         # the tree's blocks stay read-only views.
-        index._points = index.extractor.points_of(store.coefficients, store.means, store.stds)
+        index._points = index.extractor.points_of(store.records())
         if not np.array_equal(points, index._points):
             raise StorageError(
                 f"the page's {len(points)} points are not the features of the "

@@ -34,7 +34,7 @@ import numpy as np
 from ..core.errors import IndexError_
 from ..core.objects import FeatureVector
 from ..core.spaces import FeatureSpace, PolarSpace, RectangularSpace
-from ..storage.columnar import record_matrix
+from ..storage.columnar import Records, half_width, record_matrix, weighted_sum, whole_spectrum
 from . import dft as dft_module
 from .normalform import normal_form_values
 from .series import TimeSeries
@@ -43,11 +43,11 @@ __all__ = ["SeriesFeatures", "SeriesFeatureExtractor", "series_features",
            "spectral_records"]
 
 #: Series per block of :func:`spectral_records`.  A block of 128-point series
-#: holds about 4 MB of values, normal forms, spectra and their temporaries at
-#: a time: large enough that the numpy calls amortise, small enough that
-#: extracting a whole relation adds little to the process's peak memory — the
-#: result matrix itself is allocated once and handed to the record store,
-#: which keeps it (``ColumnarRecordStore.bulk_load``).
+#: holds 3 MB of values, normal forms and spectra, in one workspace kept
+#: across the blocks of a length: large enough that the numpy calls amortise,
+#: small enough that extracting a whole relation adds little to the
+#: process's peak memory — the result matrix itself is allocated once and
+#: handed to the record store, which keeps it (``ColumnarRecordStore.bulk_load``).
 EXTRACT_CHUNK_ROWS = 512
 
 
@@ -56,17 +56,21 @@ class SeriesFeatures:
     """Everything extracted from one series.
 
     ``point`` is the indexable prefix (mean, std, first ``k`` coefficients)
-    encoded in the configured space; ``full_coefficients`` holds *all*
-    normal-form coefficients (excluding the zero coefficient 0) so the exact
-    distance can be computed during postprocessing without going back to the
-    raw series; ``mean`` and ``std`` are the statistics of the original
-    series.
+    encoded in the configured space; ``full_coefficients`` holds the
+    normal-form coefficients ``1 … ⌊n/2⌋`` of a series of ``n`` values — the
+    others are their conjugates, so these determine the exact distance
+    (:func:`record_distance`) without going back to the raw series — and
+    ``length`` counts the whole spectrum's, ``n - 1``.  A bare coefficient
+    vector (a feature-point query) has no mirror: its ``full_coefficients``
+    are all ``length`` of them.  ``mean`` and ``std`` are the statistics of
+    the original series.
     """
 
     point: FeatureVector
     full_coefficients: np.ndarray
     mean: float
     std: float
+    length: int
 
 
 class SeriesFeatureExtractor:
@@ -103,10 +107,12 @@ class SeriesFeatureExtractor:
     def extract(self, series: TimeSeries) -> SeriesFeatures:
         """Full extraction: indexable point plus the complete coefficient record."""
         values, mean, std = normal_form_values(series.values)
-        full = dft_module.dft(values)[1:]
-        point = self.points_of(full[None, :], np.array([mean]), np.array([std]))[0]
-        return SeriesFeatures(point=FeatureVector(point), full_coefficients=full,
-                              mean=mean, std=std)
+        length = values.shape[0] - 1
+        half = dft_module.dft(values)[1:1 + half_width(length)].copy()
+        point = self.points_of(Records(half[None, :], np.array([length]), np.array([mean]),
+                                       np.array([std])))[0]
+        return SeriesFeatures(point=FeatureVector(point), full_coefficients=half,
+                              mean=mean, std=std, length=length)
 
     def extract_many(self, collection: Sequence[TimeSeries]
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
@@ -121,22 +127,18 @@ class SeriesFeatureExtractor:
         Raises :class:`~repro.core.errors.IndexError_` naming the first
         object that is not a series, before anything is returned.
         """
-        coefficients, lengths, means, stds = spectral_records(collection)
-        return (self.points_of(coefficients, means, stds), coefficients, lengths,
-                means, stds)
+        records = spectral_records(collection)
+        return (self.points_of(Records(*records)), *records)
 
-    def points_of(self, coefficients: np.ndarray, means: np.ndarray,
-                  stds: np.ndarray) -> np.ndarray:
-        """The ``(n, d)`` indexable points of full records in the columnar
+    def points_of(self, records: Records) -> np.ndarray:
+        """The ``(n, d)`` indexable points of a record set in the columnar
         store's layout — bit for bit what :meth:`extract_many` returns for
-        the series the records came from."""
-        # Rows are zero beyond their own length, so a record shorter than the
-        # prefix comes out zero-padded.
-        prefix = np.zeros((len(coefficients), self.num_coefficients), dtype=np.complex128)
-        width = min(self.num_coefficients, coefficients.shape[1])
-        prefix[:, :width] = coefficients[:, :width]
-        extra = (np.stack([means, stds], axis=1) if self.include_stats
-                 else np.empty((len(coefficients), 0)))
+        the series the records came from.  The first ``k`` coefficients of
+        each whole spectrum: beyond a record's stored half they are the
+        conjugates of their mirrors, and beyond its length zero."""
+        prefix = records.take(np.arange(records.size), self.num_coefficients, whole=True)
+        extra = (np.stack([records.means, records.stds], axis=1) if self.include_stats
+                 else np.empty((records.size, 0)))
         return self.space.encode_rows(prefix, extra)
 
     def point(self, series: TimeSeries) -> FeatureVector:
@@ -148,17 +150,17 @@ class SeriesFeatureExtractor:
         return self.point(series)
 
     def full_distance(self, a: SeriesFeatures, b: SeriesFeatures) -> float:
-        """Exact distance between two extracted records.
+        """Exact distance between two extracted records
+        (:func:`record_distance`).
 
         The distance is Euclidean over the concatenation of (mean, std) — when
         statistics are included — and *all* normal-form coefficients.  By
         Parseval the coefficient part equals the time-domain distance between
         the two normal forms.
         """
-        total = float(np.sum(np.abs(a.full_coefficients - b.full_coefficients) ** 2))
-        if self.include_stats:
-            total += (a.mean - b.mean) ** 2 + (a.std - b.std) ** 2
-        return float(np.sqrt(total))
+        return record_distance((a.full_coefficients, a.mean, a.std, a.length),
+                               (b.full_coefficients, b.mean, b.std, b.length),
+                               self.include_stats)
 
     def __repr__(self) -> str:
         return (f"SeriesFeatureExtractor(k={self.num_coefficients}, "
@@ -170,16 +172,20 @@ def spectral_records(collection: Sequence[Any]
     """The full spectral records of many series: ``(coefficients, lengths,
     means, stds)`` in the columnar store's layout.
 
-    ``coefficients`` is the ``(n, width)`` complex matrix of normal-form DFT
-    coefficients 1.. of every series, zero-padded on the right to the longest
-    record; ``lengths`` the true coefficient count of each row; ``means`` /
-    ``stds`` the statistics of the original series.  Series are grouped by
-    length and taken :data:`EXTRACT_CHUNK_ROWS` at a time: mean, deviation,
-    normal form and one FFT along the last axis of each ``(rows, L)`` block —
-    the operations of :meth:`SeriesFeatureExtractor.extract` in the same
-    order on the same values, hence the same bits.  Raises
-    :class:`~repro.core.errors.IndexError_` naming the first object that
-    carries no ``values``.
+    ``coefficients`` is the ``(n, width)`` complex matrix of the normal-form
+    DFT coefficients ``1 … ⌊L/2⌋`` of every series of ``L`` values — the
+    others are their conjugates — zero-padded on the right to the widest
+    row; ``lengths`` the whole spectrum's coefficient count of each row,
+    ``L - 1``; ``means`` / ``stds`` the statistics of the original series.
+    Series are grouped by length and taken :data:`EXTRACT_CHUNK_ROWS` at a
+    time: mean, deviation, normal form and one FFT along the last axis of
+    each ``(rows, L)`` block — the operations of
+    :meth:`SeriesFeatureExtractor.extract` (``np.mean``, ``np.std``, the
+    normal form, the FFT) in the same order on the same values, hence the
+    same bits.  The blocks of a length share one workspace, written with
+    ``out=``: blocks allocated afresh were faulted in afresh, ~1 500 minor
+    faults an 8 000-row load.  Raises :class:`~repro.core.errors.IndexError_`
+    naming the first object that carries no ``values``.
     """
     values = []
     for series in collection:
@@ -191,27 +197,41 @@ def spectral_records(collection: Sequence[Any]
         values.append(np.asarray(array, dtype=np.float64))
     sizes = np.array([array.shape[0] for array in values], dtype=np.intp)
     lengths = sizes - 1  # coefficient 0 is dropped
-    coefficients = record_matrix(len(values), int(lengths.max(initial=0)))
+    coefficients = record_matrix(len(values), int(half_width(lengths.max(initial=0))))
     means = np.empty(len(values))
     stds = np.empty(len(values))
     for size in np.unique(sizes).tolist():
         same = np.flatnonzero(sizes == size)
+        rows = min(same.size, EXTRACT_CHUNK_ROWS)
+        workspace = (np.empty((rows, size)), np.empty((rows, size)),
+                     np.empty((rows, size), dtype=np.complex128),
+                     np.empty((rows, size), dtype=np.complex128), np.empty(rows), np.empty(rows))
         for start in range(0, same.size, EXTRACT_CHUNK_ROWS):
-            rows = same[start:start + EXTRACT_CHUNK_ROWS]
-            block = np.array([values[row] for row in rows.tolist()])
-            mean = np.mean(block, axis=-1)
-            std = np.std(block, axis=-1)
+            chunk = same[start:start + EXTRACT_CHUNK_ROWS]
+            block, normal, complex_normal, spectrum, mean, std = (
+                array[:chunk.size] for array in workspace)
+            for position, row in enumerate(chunk.tolist()):
+                block[position] = values[row]
+            # np.mean, and np.std as numpy computes it: the deviations from
+            # the mean, squared, summed and divided, and the root.
+            np.sum(block, axis=-1, out=mean)
+            np.true_divide(mean, size, out=mean)
+            np.subtract(block, mean[:, None], out=normal)
+            np.multiply(normal, normal, out=block)
+            np.sum(block, axis=-1, out=std)
+            np.true_divide(std, size, out=std)
+            np.sqrt(std, out=std)
             varying = std != 0.0  # a constant series has the all-zero normal form
             if varying.all():
-                normal = (block - mean[:, None]) / std[:, None]
+                normal /= std[:, None]
             else:
-                normal = np.zeros_like(block)
-                normal[varying] = ((block[varying] - mean[varying, None])
-                                   / std[varying, None])
-            spectrum = np.fft.fft(normal.astype(np.complex128), norm="ortho", axis=-1)
-            coefficients[rows, :size - 1] = spectrum[:, 1:]
-            means[rows] = mean
-            stds[rows] = std
+                np.divide(normal, std[:, None], out=normal, where=varying[:, None])
+                normal[~varying] = 0.0
+            np.copyto(complex_normal, normal)
+            np.fft.fft(complex_normal, norm="ortho", axis=-1, out=spectrum)
+            coefficients[chunk, :size // 2] = spectrum[:, 1:1 + size // 2]
+            means[chunk] = mean
+            stds[chunk] = std
     return coefficients, lengths, means, stds
 
 
@@ -219,36 +239,42 @@ def spectral_records(collection: Sequence[Any]
 RECORD_STATS_BYTES = 16
 
 
-def full_record_bytes(full_coefficients: np.ndarray) -> int:
-    """Estimated bytes of one stored full record (coefficients plus stats).
+def record_distance(a: tuple, b: tuple, include_stats: bool) -> float:
+    """Exact distance between two records — the scalar reference every
+    kernel of :mod:`repro.storage.columnar` reproduces bit for bit.
 
-    The shared input to :func:`repro.storage.pages.records_per_page`: the
-    sequential-scan baseline lays its pages out with it and the planner's
-    cost model prices scans with it, so measured and estimated scan I/O use
-    the same figure by construction.
+    A record is ``(coefficients, mean, std, length)``: the half spectrum of
+    a series of ``length + 1`` values (coefficients ``1 … ⌈length/2⌉``, the
+    rest being their conjugates), or all ``length`` coefficients of a bare
+    vector with no mirror (a feature-point query); ``(coefficients, mean,
+    std)`` is a bare one.  Two half spectra of one length are compared by
+    Parseval over the whole spectrum, each frequency below ``n/2`` standing
+    for itself and its mirror: ``2 · Σ_{f < n/2} |ΔX_f|² + |ΔX_{n/2}|²``
+    (the last term only for an even ``n``).  Any other pair is compared over
+    the common prefix of the two whole spectra
+    (:func:`~repro.storage.columnar.whole_spectrum`), each coefficient once:
+    by Parseval still a valid lower bound when one side carries fewer
+    coefficients (a bare feature-point query), and exact when both records
+    are complete.
     """
-    return int(full_coefficients.nbytes) + RECORD_STATS_BYTES
-
-
-def record_distance(a: tuple[np.ndarray, float, float],
-                    b: tuple[np.ndarray, float, float],
-                    include_stats: bool) -> float:
-    """Exact distance between two ``(coefficients, mean, std)`` records.
-
-    Taken over the common coefficient prefix: by Parseval still a valid
-    lower bound when one side carries fewer coefficients (a bare
-    feature-point query), and exact when both records are complete.  The
-    columnar kernels (:func:`~repro.storage.columnar.exact_distances`) evaluate
-    the same formula over row-major blocks of gathered rows, a record set
-    against a query's (:func:`~repro.storage.columnar.query_records`).
-    """
-    common = min(a[0].shape[0], b[0].shape[0])
-    total = float(np.sum(np.abs(a[0][:common] - b[0][:common]) ** 2))
+    left, right = (record if len(record) > 3 else (*record, record[0].shape[0])
+                   for record in (a, b))
+    left_length, right_length = left[3], right[3]
+    if (left_length == right_length and left[0].shape[0] < left_length
+            and right[0].shape[0] < right_length):
+        doubled, columns = left_length // 2, half_width(left_length)
+        ours, theirs = left[0], right[0]
+    else:
+        doubled, columns = 0, min(left_length, right_length)
+        ours = whole_spectrum(left[0], left_length)
+        theirs = whole_spectrum(right[0], right_length)
+    squared = np.abs(ours[:columns] - theirs[:columns]) ** 2
+    total = float(weighted_sum(squared, doubled, columns))
     if include_stats:
         # Multiplied out, as the kernels' array ``** 2`` is: a scalar power
         # goes through libm's pow, which rounds about one square in a
         # thousand differently.
-        mean_gap, std_gap = a[1] - b[1], a[2] - b[2]
+        mean_gap, std_gap = left[1] - right[1], left[2] - right[2]
         total += mean_gap * mean_gap + std_gap * std_gap
     return float(np.sqrt(total))
 

@@ -24,6 +24,7 @@ normalisation (an extra ``1/sqrt(m)`` factor).
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 
@@ -206,6 +207,15 @@ class TimeWarpTransform(Transformation):
 # ---------------------------------------------------------------------------
 # spectral (frequency-domain) descriptions
 # ---------------------------------------------------------------------------
+#: How far from conjugate-symmetric a multiplier or offset may be, relative
+#: to its largest modulus, and still map half spectra directly
+#: (:attr:`SpectralTransformation.keeps_mirror`).  A moving average's
+#: multiplier — the FFT of its real window — is symmetric to ~2e-16 of its
+#: largest modulus, and a distance under a map that far from symmetric moves
+#: by about as little.
+MIRROR_TOLERANCE = 1e-12
+
+
 class SpectralTransformation(Transformation):
     """A transformation described by its action on the full DFT spectrum.
 
@@ -237,6 +247,23 @@ class SpectralTransformation(Transformation):
     def length(self) -> int:
         """The series length ``n`` the spectral description applies to."""
         return int(self.multiplier.shape[0])
+
+    @functools.cached_property
+    def keeps_mirror(self) -> bool:
+        """Whether the map takes the spectrum of a real series of length
+        ``n`` to a conjugate-symmetric one — ``M[n - f] = conj(M[f])`` and
+        ``O[n - f] = conj(O[f])`` for ``0 < f < n/2``, to
+        :data:`MIRROR_TOLERANCE` — and so a record store's half spectrum to
+        the half of the mapped one.  The moving averages, sign reversal,
+        shift and scale all do.  Judged once: the vectors are the
+        transformation's own copies."""
+        size = self.length
+        frequencies = np.arange(1, (size + 1) // 2)
+        for vector in (self.multiplier, self.offset):
+            gaps = np.abs(vector[frequencies] - np.conj(vector[size - frequencies]))
+            if (gaps > MIRROR_TOLERANCE * np.abs(vector).max(initial=0.0)).any():
+                return False
+        return True
 
     # -- applications --------------------------------------------------------
     def apply_spectrum(self, spectrum: np.ndarray) -> np.ndarray:

@@ -1,18 +1,19 @@
 """Differentials for the order the abandoning kernel visits columns in.
 
-A stored record is the DFT of a real series without its DC term, so its
-energy sits at both ends: column ``j`` mirrors column ``W - 1 - j``.  The
-abandoning kernel of :mod:`repro.storage.columnar`, ``verify_pairs``, visits
-the columns in conjugate pairs, ``0, W-1, 1, W-2, ...``, for all three of its
-callers: the scan range, index verification and the scan join
-(``pair_block_distances``).  There used to be three round loops that walked
-the columns from column 0 upwards; those natural-order loops live on here as
-the reference, and so does ``early_abandon_candidates``, the scan's own loop
-until the scan range went through ``verify_pairs``.  A partial sum over any
-set of columns is at most the total, so every differential asks for the same
-two things:
+A stored record keeps each frequency of a real series' spectrum once,
+lowest first (the other half are their conjugates), so the abandoning kernel
+of :mod:`repro.storage.columnar`, ``verify_pairs``, visits the columns in
+order, ``0, 1, 2, ...``, each weighted by the times its frequency is in the
+exact distance, for all three of its callers: the scan range, index
+verification and the scan join (``pair_block_distances``).  There used to
+be three round loops of their own; those loops live on here as the
+reference, and so does ``early_abandon_candidates``, the scan's own loop
+until the scan range went through ``verify_pairs``.  They sum each column
+once, over the columns both sides of a pair store: a weaker lower bound, but
+one.  A partial sum over any set of columns is at most the total, so every
+differential asks for the same two things:
 
-    answers == the natural-order reference's, bit for bit
+    answers == the reference's, bit for bit
     survivors ⊇ the brute-force answers
 
 whatever the relation's lengths (uniform or ragged, odd or even column
@@ -40,10 +41,12 @@ from repro.storage.columnar import (
     _PRUNE_SLACK,
     ColumnarRecordStore,
     Records,
-    _abandon_order,
     _pair_rows,
+    _partial_sums,
+    _plan,
     exact_distances,
     gathered_pair_distances,
+    half_width,
     pair_block_distances,
     pair_blocks,
     query_records,
@@ -65,6 +68,7 @@ def early_abandon_candidates(
     query_coefficients: np.ndarray,
     query_mean: float,
     query_std: float,
+    query_length: int,
     include_stats: bool,
     epsilon: float,
     *,
@@ -73,9 +77,9 @@ def early_abandon_candidates(
     """Row indices surviving a vectorized early-abandoning scan.
 
     Accumulates squared differences chunkwise (statistics terms first, then
-    coefficients in conjugate pairs from the lowest frequency up, see
-    :func:`_abandon_order` — largest contributions first, which is what
-    makes abandoning effective), dropping rows whose running sum clearly
+    the coefficients both sides store from the lowest frequency up — largest
+    contributions first, which is what makes abandoning effective), dropping
+    rows whose running sum clearly
     exceeds ``epsilon**2`` after each chunk and compacting the active set.
     Pruned rows are *guaranteed* non-answers (partial sums only grow and a
     small slack absorbs float reassociation), so callers re-score only the
@@ -94,14 +98,13 @@ def early_abandon_candidates(
     totals = totals[active]
     query_coefficients = np.asarray(query_coefficients)
     columns = min(coefficients.shape[1], len(query_coefficients))
-    common = np.minimum(lengths, len(query_coefficients))
+    common = np.minimum(half_width(lengths), len(query_coefficients))
     ragged = not np.all(common == columns)
-    order = _abandon_order(columns)
     records = Records(coefficients, lengths, means, stds)
     for start in range(0, columns, chunk):
         if active.size == 0:
             break
-        cols = order[start : start + chunk]
+        cols = np.arange(start, min(start + chunk, columns))
         difference = records.gather(active, cols)
         difference -= query_coefficients[cols]
         if ragged:
@@ -125,10 +128,11 @@ def reference_early_abandon_candidates(
     query_coefficients,
     query_mean,
     query_std,
+    query_length,
     include_stats,
     epsilon,
 ):
-    """``early_abandon_candidates`` walking the columns from 0 upwards."""
+    """``early_abandon_candidates`` slicing the columns from 0 upwards."""
     count = coefficients.shape[0]
     if count == 0:
         return np.zeros(0, dtype=np.intp)
@@ -141,7 +145,7 @@ def reference_early_abandon_candidates(
     totals = totals[active]
     query_coefficients = np.asarray(query_coefficients)
     columns = min(coefficients.shape[1], len(query_coefficients))
-    common = np.minimum(lengths, len(query_coefficients))
+    common = np.minimum(half_width(lengths), len(query_coefficients))
     ragged = not np.all(common == columns)
     for start in range(0, columns, columnar.ABANDON_CHUNK):
         if active.size == 0:
@@ -160,14 +164,20 @@ def reference_early_abandon_candidates(
 
 
 def reference_verify_pairs(rows, row_ids, queries, query_index, epsilons, include_stats):
-    """``verify_pairs`` walking the columns from 0 upwards, over arrays
-    already transformed (:func:`reading_the_matrix`): it maps nothing."""
-    coefficients, lengths, means, stds, mapping = rows
-    query_matrix, query_lengths, query_means, query_stds, query_mapping = queries
+    """``verify_pairs`` with the round loop of its own, over arrays already
+    transformed (:func:`reading_the_matrix`): it maps nothing."""
+    coefficients, lengths, means, stds, mapping, whole = rows
+    query_matrix, query_lengths, query_means, query_stds, query_mapping, query_whole = queries
     assert mapping is None and query_mapping is None
     block = columnar.PAIR_BLOCK
     found = []
     width = min(coefficients.shape[1], query_matrix.shape[1])
+    # The columns each side stores: its half, or all of a whole record's.
+    stored, query_stored = half_width(lengths), half_width(query_lengths)
+    if whole is not None:
+        stored = np.where(whole, lengths, stored)
+    if query_whole is not None:
+        query_stored = np.where(query_whole, query_lengths, query_stored)
     limits = epsilons**2 * (1.0 + columnar._PRUNE_SLACK) + 1e-12
     for first in range(0, row_ids.size, block):
         rows = row_ids[first : first + block]
@@ -183,7 +193,7 @@ def reference_verify_pairs(rows, row_ids, queries, query_index, epsilons, includ
         rows, queries = rows[survivors], queries[survivors]
         if survivors.size * width > block:
             totals, bounds = totals[survivors], bounds[survivors]
-            common = np.minimum(lengths[rows], query_lengths[queries])
+            common = np.minimum(stored[rows], query_stored[queries])
             columns = int(common.max())
             ragged = not np.all(common == columns)
             for start in range(0, columns, columnar.ABANDON_CHUNK):
@@ -200,18 +210,13 @@ def reference_verify_pairs(rows, row_ids, queries, query_index, epsilons, includ
                 if not alive.all():
                     survivors, rows, queries = survivors[alive], rows[alive], queries[alive]
                     common, totals, bounds = common[alive], totals[alive], bounds[alive]
-        # Each query's pairs are scored over that query's own columns.
-        distances = np.empty(survivors.size, dtype=np.float64)
-        for query in np.unique(queries):
-            mine = np.flatnonzero(queries == query)
-            columns = min(coefficients.shape[1], int(query_lengths[query]))
-            distances[mine] = gathered_pair_distances(
-                Records(coefficients, lengths, means, stds),
-                rows[mine],
-                Records(query_matrix[:, :columns], query_lengths, query_means, query_stds),
-                queries[mine],
-                include_stats,
-            )
+        distances = gathered_pair_distances(
+            Records(coefficients, lengths, means, stds, whole=whole),
+            rows,
+            Records(query_matrix, query_lengths, query_means, query_stds, whole=query_whole),
+            queries,
+            include_stats,
+        )
         keep = distances <= epsilons[queries]
         found.append((first + survivors[keep], distances[keep]))
     if not found:
@@ -221,8 +226,8 @@ def reference_verify_pairs(rows, row_ids, queries, query_index, epsilons, includ
 
 
 def reference_pair_block_distances(records, include_stats, first, last, *, epsilon=None):
-    """``pair_block_distances`` walking the columns from 0 upwards."""
-    coefficients, lengths, means, stds, _ = records
+    """``pair_block_distances`` with the round loop of its own."""
+    coefficients, lengths, means, stds, _, _ = records
     left, right = _pair_rows(coefficients.shape[0], first, last)
     if epsilon is not None:
         bound = float(epsilon) ** 2 * (1.0 + columnar._PRUNE_SLACK) + 1e-12
@@ -232,7 +237,7 @@ def reference_pair_block_distances(records, include_stats, first, last, *, epsil
             left, right, totals = left[alive], right[alive], totals[alive]
         else:
             totals = np.zeros(left.size, dtype=np.float64)
-        common = np.minimum(lengths[left], lengths[right])
+        common = half_width(np.minimum(lengths[left], lengths[right]))
         columns = int(common.max()) if common.size else 0
         ragged = not np.all(common == columns)
         for start in range(0, columns, columnar.ABANDON_CHUNK):
@@ -251,23 +256,12 @@ def reference_pair_block_distances(records, include_stats, first, last, *, epsil
                 left, right, totals = left[alive], right[alive], totals[alive]
                 common = common[alive]
     distances = np.empty(left.size, dtype=np.float64)
-    anchor_lengths = lengths[left]
-    edges = [0, *(np.flatnonzero(np.diff(anchor_lengths)) + 1).tolist(), left.size]
-    for run_first, run_last in zip(edges[:-1], edges[1:]):
-        if run_first == run_last:
-            continue
-        columns = int(anchor_lengths[run_first])
-        rows = max(1, columnar.PAIR_BLOCK // max(1, columns))
-        anchors = coefficients[:, :columns]
-        for start in range(run_first, run_last, rows):
-            piece = slice(start, min(start + rows, run_last))
-            distances[piece] = gathered_pair_distances(
-                records,
-                right[piece],
-                Records(anchors, lengths, means, stds),
-                left[piece],
-                include_stats,
-            )
+    rows = max(1, columnar.PAIR_BLOCK // max(1, coefficients.shape[1]))
+    for start in range(0, left.size, rows):
+        piece = slice(start, start + rows)
+        distances[piece] = gathered_pair_distances(
+            records, right[piece], records, left[piece], include_stats
+        )
     return left, right, distances
 
 
@@ -292,16 +286,29 @@ def relation(lengths, seed, transformation=None):
     rng = np.random.default_rng(seed)
     store = ColumnarRecordStore()
     store.extend([random_walk(int(length), seed=rng) for length in lengths])
-    coefficients, means, stds = transformed_arrays(
-        store, TRANSFORMATIONS[transformation](max(lengths))
-    )
-    return coefficients, store.lengths, means, stds
+    transformation = TRANSFORMATIONS[transformation](max(lengths))
+    if transformation is None:
+        return store.coefficients, store.lengths, store.means, store.stds
+    # The stored halves mapped column by column: data to verify, whatever
+    # the map would make of the records whose length it was not built for.
+    width = store.coefficients.shape[1]
+    coefficients = store.coefficients * transformation.multiplier[1 : 1 + width]
+    coefficients += transformation.offset[1 : 1 + width]
+    extra = np.stack([store.means, store.stds], axis=1)
+    extra = extra * transformation.extra_multiplier + transformation.extra_offset
+    return coefficients, store.lengths, extra[:, 0].copy(), extra[:, 1].copy()
 
 
 def record(arrays, row):
     """Row ``row`` of the arrays as a query record over its own columns."""
     coefficients, lengths, means, stds = arrays
-    return coefficients[row, : int(lengths[row])], float(means[row]), float(stds[row])
+    length = int(lengths[row])
+    return (
+        coefficients[row, : half_width(length)],
+        float(means[row]),
+        float(stds[row]),
+        length,
+    )
 
 
 def fresh_record(length, rng):
@@ -345,12 +352,41 @@ def drawn(case):
 # the order
 # ----------------------------------------------------------------------
 class TestTheOrder:
-    @pytest.mark.parametrize("columns", [0, 1, 2, 5, 8, 15, 16, 127])
-    def test_a_permutation_in_conjugate_pairs(self, columns):
-        order = _abandon_order(columns).tolist()
-        assert sorted(order) == list(range(columns))
-        assert order[0::2] == list(range((columns + 1) // 2))
-        assert [columns - 1 - column for column in order[1::2]] == list(range(columns // 2))
+    @pytest.mark.parametrize("length", [0, 1, 2, 5, 8, 15, 16, 127])
+    def test_the_weights_count_each_coefficient_once(self, length):
+        """Two halves of one length are scored over their stored columns,
+        the first ``doubled`` of them twice: ``doubled + columns`` is the
+        whole spectrum's coefficient count, and only an even series
+        length's last column, ``n/2``, is its own mirror."""
+        arrays = relation([length + 1] * 3, seed=length)
+        ids = np.arange(3)
+        doubled, columns = _plan(Records(*arrays), ids, Records(*arrays), ids)
+        assert columns == half_width(length) == arrays[0].shape[1]
+        assert doubled + columns == length
+        assert columns - doubled == (length % 2)
+
+    @pytest.mark.parametrize("lengths", [[32] * 12, [6, 9, 16, 17, 32, 33] * 2])
+    @pytest.mark.parametrize("transformation", sorted(TRANSFORMATIONS, key=str))
+    def test_rounds_in_order_rise_to_the_exact_distance(self, lengths, transformation):
+        """The partial sums over the columns in order, a round at a time,
+        never decrease, never exceed the exact squared distance, and end on
+        it — whatever the lengths of the pair."""
+        arrays = relation(lengths, seed=5, transformation=transformation)
+        rows = Records(*arrays)
+        queries = query_records([record(arrays, 0), fresh_record(24, np.random.default_rng(1))])
+        for query in range(queries.size):
+            ids = np.arange(rows.size)
+            queried = np.full(rows.size, query)
+            plan = _plan(rows, ids, queries, queried)
+            exact = gathered_pair_distances(rows, ids, queries, queried, False) ** 2
+            totals = np.zeros(rows.size)
+            for start in range(0, int(np.max(plan[1])), ABANDON_CHUNK):
+                cols = np.arange(start, min(start + ABANDON_CHUNK, int(np.max(plan[1]))))
+                before = totals.copy()
+                totals += _partial_sums(rows, ids, queries, queried, cols, plan)
+                assert (totals >= before).all()
+                assert (totals <= exact * (1 + 1e-12) + 1e-300).all()
+            assert np.allclose(totals, exact, rtol=1e-12, atol=0.0)
 
 
 # ----------------------------------------------------------------------

@@ -27,13 +27,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from test_gathered_transform import transformed_arrays
+from test_gathered_transform import record_of_row, transformed_arrays, transformed_records
 
 import repro
 from repro import KIndex, SequentialScan, SeriesFeatureExtractor, TimeSeries
 from repro.index import kindex as kindex_module
 from repro.storage import columnar
 from repro.storage.columnar import Records, verify_pairs
+from repro.timeseries.features import record_distance
 from repro.timeseries.generators import random_walk, random_walk_collection
 from repro.timeseries.transforms import moving_average_spectral, scale_spectral
 
@@ -41,39 +42,16 @@ from repro.timeseries.transforms import moving_average_spectral, scale_spectral
 # ----------------------------------------------------------------------
 # the reference
 # ----------------------------------------------------------------------
-def reference_pair_distances(
-    coefficients,
-    lengths,
-    means,
-    stds,
-    include_stats,
-    row_ids,
-    query_matrix,
-    query_lengths,
-    query_means,
-    query_stds,
-    query_index,
-):
-    """The gathered pass verification used to be: every (row, query) pair
-    scored over every column in one call."""
-    if row_ids.size == 0:
-        return np.zeros(0, dtype=np.float64)
-    columns = min(coefficients.shape[1], query_matrix.shape[1])
-    gathered = coefficients[row_ids, :columns]
-    queries = query_matrix[query_index, :columns]
-    squared = np.abs(gathered - queries) ** 2
-    common = np.minimum(lengths[row_ids], query_lengths[query_index])
-    if np.all(common == columns):
-        totals = np.sum(squared, axis=1)
-    else:
-        mask = np.arange(columns)[None, :] < common[:, None]
-        totals = np.sum(np.where(mask, squared, 0.0), axis=1)
-    if include_stats:
-        totals = totals + (
-            (means[row_ids] - query_means[query_index]) ** 2
-            + (stds[row_ids] - query_stds[query_index]) ** 2
-        )
-    return np.sqrt(totals)
+def reference_pair_distances(records, include_stats, row_ids, query_fulls, query_index):
+    """Verification scored pair by pair with the scalar reference,
+    ``record_distance``, over a record set that maps nothing."""
+    return np.array(
+        [
+            record_distance(record_of_row(records, row), query_fulls[query], include_stats)
+            for row, query in zip(row_ids.tolist(), query_index.tolist())
+        ],
+        dtype=np.float64,
+    )
 
 
 def reference_verify_batch(index, candidate_lists, query_fulls, transformation, epsilons, results):
@@ -83,24 +61,11 @@ def reference_verify_batch(index, candidate_lists, query_fulls, transformation, 
         return
     row_ids = np.concatenate(candidate_lists)
     query_index = np.repeat(np.arange(len(candidate_lists), dtype=np.intp), counts)
-    query_lengths = np.array([full[0].shape[0] for full in query_fulls], dtype=np.intp)
-    query_matrix = np.zeros((len(query_fulls), int(query_lengths.max())), dtype=np.complex128)
-    for position, full in enumerate(query_fulls):
-        query_matrix[position, : full[0].shape[0]] = full[0]
-    query_means = np.array([full[1] for full in query_fulls])
-    query_stds = np.array([full[2] for full in query_fulls])
-    coefficients, means, stds = transformed_arrays(index.store, transformation)
     distances = reference_pair_distances(
-        coefficients,
-        index.store.lengths,
-        means,
-        stds,
+        transformed_records(index.store, transformation),
         index.extractor.include_stats,
         row_ids,
-        query_matrix,
-        query_lengths,
-        query_means,
-        query_stds,
+        query_fulls,
         query_index,
     )
     offset = 0

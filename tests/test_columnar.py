@@ -56,10 +56,11 @@ class TestStore:
     def test_full_record_matches_extractor(self, store, walks):
         extractor = SeriesFeatureExtractor()
         for i in (0, 7, 24):
-            coefficients, mean, std = store.full_record(i)
+            coefficients, mean, std, length = store.full_record(i)
             features = extractor.extract(walks[i])
             assert np.array_equal(coefficients, features.full_coefficients)
             assert mean == features.mean and std == features.std
+            assert length == features.length == 31
 
     def test_unknown_ids_raise(self, store):
         with pytest.raises(IndexError):
@@ -80,9 +81,10 @@ class TestStore:
         s.extend(series)
         assert not s.uniform_length
         assert list(s.lengths) == [15, 39, 23]
-        # Padding beyond a row's true length stays zero.
-        assert np.all(s.coefficients[0, 15:] == 0)
-        assert s.full_record(0)[0].shape == (15,)
+        # A row keeps coefficients 1 … 8 of 1 … 15; the padding beyond stays zero.
+        assert s.coefficients.shape[1] == 20
+        assert np.all(s.coefficients[0, 8:] == 0)
+        assert s.full_record(0)[0].shape == (8,)
 
     def test_records_map_matches_scalar_transform(self, store, walks):
         transformation = reverse_spectral(32)
@@ -113,17 +115,20 @@ class TestStore:
         picked = records.select(np.array([5, 1]))
         assert not np.shares_memory(picked.coefficients, store.coefficients)
         assert picked.means.tolist() == store.means[[5, 1]].tolist()
-        assert records.prefix(4).coefficients.shape == (len(store), 4)
 
     def test_query_records_pad_a_batch(self, store):
         fulls = [store.full_record(i) for i in (0, 1, 2)]
         queries = query_records(fulls)
-        assert queries.lengths.tolist() == [full[0].shape[0] for full in fulls]
-        for position, (coefficients, mean, std) in enumerate(fulls):
-            length = coefficients.shape[0]
-            assert np.array_equal(queries.coefficients[position, :length], coefficients)
-            assert not queries.coefficients[position, length:].any()
+        assert queries.lengths.tolist() == [full[3] for full in fulls]
+        assert queries.whole is None  # halves, each of a spectrum of ``length``
+        for position, (coefficients, mean, std, _) in enumerate(fulls):
+            stored = coefficients.shape[0]
+            assert np.array_equal(queries.coefficients[position, :stored], coefficients)
+            assert not queries.coefficients[position, stored:].any()
             assert (queries.means[position], queries.stds[position]) == (mean, std)
+        # A bare coefficient vector is whole: it stores all of its length.
+        bare = query_records([fulls[0][:3]])
+        assert bare.lengths.tolist() == [fulls[0][0].shape[0]] and bare.whole.tolist() == [True]
 
     def test_an_empty_store_takes_the_block_over(self, walks):
         """The first block becomes the store's matrix; the store never writes
@@ -193,7 +198,8 @@ class TestRecordMatrix:
         assert mapping() is None
 
     def test_every_load_path_keeps_a_mapped_matrix(self, tmp_path):
-        walks = random_walk_collection(self.ROWS, 128, seed=12)
+        # A store keeps 64 columns of a series of 128: twice the rows.
+        walks = random_walk_collection(2 * self.ROWS, 128, seed=12)
         store = ColumnarRecordStore()
         store.extend(walks)
         assert _mapped(store.coefficients)
@@ -211,7 +217,7 @@ class TestRecordMatrix:
             reopened.close()
 
     def test_an_empty_store_takes_a_whole_mapping_over_and_copies_its_views(self):
-        walks = random_walk_collection(self.ROWS, 128, seed=13)
+        walks = random_walk_collection(2 * self.ROWS, 128, seed=13)
         records = spectral_records(walks)
         assert _mapped(records[0])
         taken = ColumnarRecordStore()

@@ -43,7 +43,7 @@ from repro.index import kindex as kindex_module
 from repro.storage import codec
 from repro.storage.durable import DurableDatabase, WriteAheadLog
 from repro.storage.durable import segments as segments_module
-from repro.storage.durable.manifest import FORMAT_VERSION
+from repro.storage.durable.manifest import FORMAT_VERSION, READABLE_VERSIONS
 from repro.storage.durable.segments import ColumnSegment
 from repro.storage.durable.serde import (build_index_from_spec, deserialize_index,
                                         index_spec, load_index_page, serialize_index)
@@ -317,7 +317,7 @@ class TestIndexPageRoundTrip:
             tree = session.database.index("walks").tree
         page = os.path.join(path, "indexes", "walks", "default.bin")
         document = _read_page(page)
-        assert document["format_version"] == FORMAT_VERSION == 5
+        assert document["format_version"] == FORMAT_VERSION == 6
         assert "tree_kind" not in document and "paged" not in document
         (written,) = document["trees"]
         assert written["size"] == 300 and len(written["levels"]) == tree.height()
@@ -749,10 +749,11 @@ class TestDurableGuards:
         assert not os.path.exists(path)
 
     def test_other_format_versions_are_refused_untouched(self, tmp_path):
-        """One decoder: a directory written by another build — older or
-        newer — is refused by the manifest check, typed, with both versions
-        in the message, and nothing on disk is touched (above all, no fresh
-        manifest is written over the one that could not be read)."""
+        """A directory written by another build — older than version 5, whose
+        whole spectra this build still reads, or newer — is refused by the
+        manifest check, typed, with both versions in the message, and nothing
+        on disk is touched (above all, no fresh manifest is written over the
+        one that could not be read)."""
         path = str(tmp_path / "db")
         with repro.connect(path=path) as session:
             session.relation("walks").insert_many(
@@ -760,7 +761,7 @@ class TestDurableGuards:
         manifest_path = os.path.join(path, "MANIFEST.json")
         manifest = json.load(open(manifest_path))
         assert manifest["format_version"] == FORMAT_VERSION
-        for other in (FORMAT_VERSION - 1, FORMAT_VERSION + 1, None):
+        for other in (min(READABLE_VERSIONS) - 1, FORMAT_VERSION + 1, None):
             manifest["format_version"] = other
             with open(manifest_path, "w") as fh:
                 json.dump(manifest, fh)

@@ -4,13 +4,12 @@ Every exact distance of the engine — the scan's range and k-NN, the
 k-index's range verification and its k-NN ``exact`` callback, the scan join
 — is scored by one core, ``gathered_pair_distances`` in
 :mod:`repro.storage.columnar`: the rows gathered once, the query subtracted
-and the moduli squared in place, one reduction.  It gathers one query row
-per pair, or broadcasts a one-row query matrix; ``exact_distances`` runs it
-that way, in blocks of at most ``PAIR_BLOCK * ABANDON_CHUNK`` coefficients.
-The kernels they replaced (a full-width fancy gather, then
-``np.abs(rows - query) ** 2`` in fresh arrays, over all rows at once) live
-on here as the reference, as does the (row, column) gather of the
-abandoning rounds.  Every differential asks for the same thing:
+and the moduli squared in place, one weighted reduction over the half
+spectra.  It gathers one query row per pair, or broadcasts a one-row query
+matrix; ``exact_distances`` runs it that way, in blocks of at most
+``PAIR_BLOCK * ABANDON_CHUNK`` coefficients.  The reference is the scalar
+one, ``record_distance``, pair by pair, as is the (row, column) gather of
+the abandoning rounds.  Every differential asks for the same thing:
 
     kernel == reference, bit for bit (compared with ``tobytes()``)
 
@@ -37,13 +36,15 @@ from repro.storage.columnar import (
     Records,
     exact_distances,
     gathered_pair_distances,
+    half_width,
     query_records,
 )
+from repro.timeseries.features import record_distance
 from repro.timeseries.generators import random_walk_collection
 
 
 # ----------------------------------------------------------------------
-# the references: the replaced kernels, verbatim
+# the references: the scalar distance, and the replaced gather verbatim
 # ----------------------------------------------------------------------
 def reference_gather_columns(matrix, rows, cols):
     """``matrix[rows[:, None], cols]``, a fresh array.
@@ -58,18 +59,11 @@ def reference_gather_columns(matrix, rows, cols):
     return matrix[rows[:, None], cols]
 
 
-def reference_coefficient_sums(coefficients, lengths, query_coefficients, query_length):
-    """Sum of squared coefficient differences over each row's common prefix."""
-    width = coefficients.shape[1]
-    columns = min(width, query_length)
-    if columns == 0:
-        return np.zeros(coefficients.shape[0], dtype=np.float64)
-    squared = np.abs(coefficients[:, :columns] - query_coefficients[:columns]) ** 2
-    common = np.minimum(lengths, query_length)
-    if np.all(common == columns):
-        return np.sum(squared, axis=1)
-    mask = np.arange(columns)[None, :] < common[:, None]
-    return np.sum(np.where(mask, squared, 0.0), axis=1)
+def stored_record(coefficients, lengths, means, stds, row):
+    """Row ``row`` of the arrays as a ``(coefficients, mean, std, length)``
+    record: its stored half."""
+    length = int(lengths[row])
+    return coefficients[row, : half_width(length)], means[row], stds[row], length
 
 
 def reference_exact_distances(
@@ -80,68 +74,42 @@ def reference_exact_distances(
     query_coefficients,
     query_mean,
     query_std,
+    query_length,
     include_stats,
     *,
     row_ids=None,
 ):
-    """Exact record distances of many rows to one query record.
-
-    The common-prefix semantics (and, on equal-length data, the bit pattern)
-    of :func:`~repro.timeseries.features.record_distance`, evaluated for all
-    rows — or the gathered ``row_ids`` — in one kernel call.
-    """
-    if row_ids is not None:
-        coefficients = coefficients[row_ids]
-        lengths = lengths[row_ids]
-        means = means[row_ids]
-        stds = stds[row_ids]
-    totals = reference_coefficient_sums(
-        coefficients, lengths, np.asarray(query_coefficients), len(query_coefficients)
+    """Exact record distances of many rows to one query record:
+    :func:`~repro.timeseries.features.record_distance`, row by row."""
+    rows = range(coefficients.shape[0]) if row_ids is None else row_ids.tolist()
+    query = (query_coefficients, query_mean, query_std, query_length)
+    return np.array(
+        [
+            record_distance(
+                stored_record(coefficients, lengths, means, stds, row), query, include_stats
+            )
+            for row in rows
+        ],
+        dtype=np.float64,
     )
-    if include_stats:
-        totals = totals + ((means - query_mean) ** 2 + (stds - query_std) ** 2)
-    return np.sqrt(totals)
 
 
 def reference_gathered_pair_distances(
-    coefficients,
-    lengths,
-    means,
-    stds,
-    include_stats,
-    row_ids,
-    query_matrix,
-    query_lengths,
-    query_means,
-    query_stds,
-    query_index,
+    coefficients, lengths, means, stds, include_stats, row_ids, queries, query_index
 ):
-    """One exact distance per (stored row, query) pair, in a single pass.
-
-    ``row_ids[t]`` names the stored record and ``query_index[t]`` the row of
-    the stacked query arrays it is verified against.  It holds a full row
-    per pair, so the abandoning kernels (:func:`verify_pairs`,
-    :func:`pair_block_distances`) call it on their survivors in slices of
-    at most :data:`PAIR_BLOCK` coefficients.
-    """
-    if row_ids.size == 0:
-        return np.zeros(0, dtype=np.float64)
-    columns = min(coefficients.shape[1], query_matrix.shape[1])
-    gathered = coefficients[row_ids, :columns]
-    queries = query_matrix[query_index, :columns]
-    squared = np.abs(gathered - queries) ** 2
-    common = np.minimum(lengths[row_ids], query_lengths[query_index])
-    if np.all(common == columns):
-        totals = np.sum(squared, axis=1)
-    else:
-        mask = np.arange(columns)[None, :] < common[:, None]
-        totals = np.sum(np.where(mask, squared, 0.0), axis=1)
-    if include_stats:
-        totals = totals + (
-            (means[row_ids] - query_means[query_index]) ** 2
-            + (stds[row_ids] - query_stds[query_index]) ** 2
-        )
-    return np.sqrt(totals)
+    """One exact distance per (stored row, query record) pair:
+    :func:`~repro.timeseries.features.record_distance`, pair by pair."""
+    return np.array(
+        [
+            record_distance(
+                stored_record(coefficients, lengths, means, stds, row),
+                queries[query],
+                include_stats,
+            )
+            for row, query in zip(row_ids.tolist(), query_index.tolist())
+        ],
+        dtype=np.float64,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -187,8 +155,15 @@ def picked(count, pick, rng):
 
 def budget_for(rows, columns):
     """A ``PAIR_BLOCK`` whose exact blocks hold ``rows`` rows of ``columns``
-    coefficients (``rows + 1`` when fewer than ``ABANDON_CHUNK`` columns)."""
+    coefficients — or up to :func:`slack` more, the budget's unit being
+    ``ABANDON_CHUNK`` coefficients."""
     return -(-rows * columns // columnar.ABANDON_CHUNK)
+
+
+def slack(columns):
+    """The rows beyond ``rows`` a block of :func:`budget_for` may hold: one,
+    or ``ABANDON_CHUNK // columns`` when a row is narrower than a unit."""
+    return max(1, columnar.ABANDON_CHUNK // max(1, columns))
 
 
 def same_bits(found, expected):
@@ -221,7 +196,11 @@ class TestExactDistances:
             query = record(arrays, query_pick % count)
         row_ids = picked(count, pick, rng)
         include_stats = case["include_stats"]
-        columns = min(arrays[0].shape[1], query[0].shape[0])
+        # The most columns a pair is scored over: the stored halves of two
+        # records of one length, else the common prefix of whole spectra.
+        asked = np.arange(count) if row_ids is None else row_ids
+        plan = columnar._plan(Records(*arrays), asked, query_records([query]), 0)
+        columns = columnar._widest(plan)
         sizes = []
 
         def counting(*args):
@@ -241,18 +220,18 @@ class TestExactDistances:
         asked = count if row_ids is None else row_ids.size
         assert sum(sizes) == asked
         if rows is not None and asked > rows:
-            assert rows <= sizes[0] <= rows + 1
+            assert rows <= sizes[0] <= rows + slack(columns)
             assert len(sizes) == -(-asked // sizes[0])
 
     @pytest.mark.parametrize("rows", [1, 7, 64])
     @pytest.mark.parametrize("pick", PICKS)
     def test_blocks_of_a_larger_relation(self, rows, pick):
-        """300 rows of 127 columns, many blocks deep."""
+        """300 rows of 64 columns, many blocks deep."""
         arrays = relation([128] * 300, seed=rows)
         query = fresh_record(128, np.random.default_rng(rows))
         row_ids = picked(300, pick, np.random.default_rng(pick.encode()[0]))
         for include_stats in (True, False):
-            with mock.patch.object(columnar, "PAIR_BLOCK", budget_for(rows, 127)):
+            with mock.patch.object(columnar, "PAIR_BLOCK", budget_for(rows, 64)):
                 found = exact_distances(
                     Records(*arrays), query_records([query]), include_stats, row_ids=row_ids
                 )
@@ -302,15 +281,10 @@ def pair_arguments(arrays, queries, pairs, rng):
     """``gathered_pair_distances``' arguments: ``pairs`` random (row, query)
     pairs against the stacked ``queries``."""
     count = arrays[0].shape[0]
-    query_lengths = np.array([query[0].shape[0] for query in queries], dtype=np.intp)
-    query_matrix = np.zeros((len(queries), int(query_lengths.max())), dtype=np.complex128)
-    for position, query in enumerate(queries):
-        query_matrix[position, : query[0].shape[0]] = query[0]
+    stacked = query_records(queries)
     row_ids = rng.integers(0, count, pairs).astype(np.intp)
     query_index = rng.integers(0, len(queries), pairs).astype(np.intp)
-    query_means = np.array([query[1] for query in queries])
-    query_stds = np.array([query[2] for query in queries])
-    return row_ids, query_matrix, query_lengths, query_means, query_stds, query_index
+    return row_ids, stacked.coefficients, stacked.lengths, stacked.means, stacked.stds, query_index
 
 
 class TestGatheredPairDistances:
@@ -341,7 +315,7 @@ class TestGatheredPairDistances:
         elif query_layout == "sliced":
             # The pair kernel's form: the anchors' columns of a wider matrix.
             matrix = np.pad(matrix, ((0, 0), (0, 3)))[:, : matrix.shape[1]]
-        arguments = (case["include_stats"], row_ids, matrix, *query_side, query_index)
+        arguments = (case["include_stats"], row_ids, queries, query_index)
         same_bits(
             gathered_pair_distances(
                 Records(*arrays),
@@ -362,7 +336,7 @@ class TestGatheredPairDistances:
             arrays, [query], 50, np.random.default_rng(8)
         )
         for include_stats in (True, False):
-            arguments = (*arrays, include_stats, row_ids, matrix, *query_side, query_index)
+            arguments = (*arrays, include_stats, row_ids, [query], query_index)
             found = gathered_pair_distances(
                 Records(*arrays), row_ids, Records(matrix, *query_side), query_index, include_stats
             )

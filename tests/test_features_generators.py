@@ -52,7 +52,9 @@ class TestFeatureExtractor:
     def test_full_coefficients_exclude_dc_term(self):
         series = TimeSeries(np.random.default_rng(71).uniform(0, 10, 16))
         features = SeriesFeatureExtractor(2).extract(series)
-        assert features.full_coefficients.shape == (15,)
+        # Coefficients 1 … 8 of 1 … 15: the others are their conjugates.
+        assert features.full_coefficients.shape == (8,)
+        assert features.length == 15
 
     def test_full_distance_equals_normal_form_distance_plus_stats(self):
         rng = np.random.default_rng(72)
@@ -109,7 +111,8 @@ class TestExtractMany:
             len(batch), max((len(one.full_coefficients) for one in singles), default=0))
         for row, one in enumerate(singles):
             size = len(one.full_coefficients)
-            assert counts[row] == size == len(batch[row]) - 1
+            assert counts[row] == one.length == len(batch[row]) - 1
+            assert size == len(batch[row]) // 2
             assert np.array_equal(points[row], one.point.values)
             assert np.array_equal(coefficients[row, :size], one.full_coefficients)
             assert not coefficients[row, size:].any()
@@ -123,10 +126,10 @@ class TestExtractMany:
         store.extend(data[6:])
         extractor = SeriesFeatureExtractor()
         for record, series in enumerate(data):
-            coefficients, mean, std = store.full_record(record)
+            coefficients, mean, std, length = store.full_record(record)
             one = extractor.extract(series)
             assert np.array_equal(coefficients, one.full_coefficients)
-            assert (mean, std) == (one.mean, one.std)
+            assert (mean, std, length) == (one.mean, one.std, one.length)
 
     def test_a_non_series_is_named_and_nothing_is_stored(self):
         data = random_walk_collection(3, 16, seed=5)

@@ -39,7 +39,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_gathered_transform import transformed_arrays
+from test_gathered_transform import transformed_records
 
 from repro import (KIndex, SequentialScan, SeriesFeatureExtractor, TimeSeries,
                    random_walk_collection)
@@ -52,7 +52,7 @@ from repro.index.geometry import Rect, mindist_batch, rects_overlap
 from repro.index.rstar import RStarTree
 from repro.index.rtree import NEAREST_BLOCK, PackedRTree, RTree
 from repro.storage import codec
-from repro.storage.columnar import Records, exact_distances, query_record, query_records
+from repro.storage.columnar import exact_distances, query_record, query_records
 from repro.storage.durable.serde import _deserialize_tree, _serialize_tree
 from repro.timeseries.transforms import moving_average_spectral, scale_spectral
 
@@ -591,7 +591,7 @@ def reference_index_nearest(index, query, k, transformation, weight):
     distance)`` answers, nodes opened, verified)."""
     linear, real_map = index.lower_transformation(transformation)
     features = index._query_features(query)
-    full = (features.full_coefficients, features.mean, features.std)
+    full = (features.full_coefficients, features.mean, features.std, features.length)
     point = features.point
     if transformation is not None:
         full = query_record(features, transformation)
@@ -608,13 +608,12 @@ def reference_index_nearest(index, query, k, transformation, weight):
             bound = scalar_mindist(point.values, low, high)
         return bound * (1.0 - slack) - slack * scale
 
-    coefficients, means, stds = transformed_arrays(index.store, transformation)
+    records = transformed_records(index.store, transformation)
 
     def exact(record):
         row = slice(record, record + 1)  # the scan's kernel, a record at a time
         return float(exact_distances(
-            Records(coefficients[row], index.store.lengths[row], means[row], stds[row]),
-            query_records([full]), index.extractor.include_stats)[0])
+            records.select(row), query_records([full]), index.extractor.include_stats)[0])
 
     found, opened, verified = reference_nearest(
         index.tree, k, lower_bound, exact,
@@ -774,13 +773,12 @@ def brute_force_range(index, query, epsilon, transformation):
     scan's kernel a record at a time, in ``(distance, record id)`` order."""
     features = index._query_features(query)
     full = query_records([query_record(features, transformation)])
-    coefficients, means, stds = transformed_arrays(index.store, transformation)
+    records = transformed_records(index.store, transformation)
     ranked = []
     for record in range(len(index)):
         row = slice(record, record + 1)
         distance = float(exact_distances(
-            Records(coefficients[row], index.store.lengths[row], means[row], stds[row]),
-            full, index.extractor.include_stats)[0])
+            records.select(row), full, index.extractor.include_stats)[0])
         if distance <= epsilon:
             ranked.append((distance, record))
     return [(index.store.series(record).object_id, distance)

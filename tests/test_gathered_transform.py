@@ -31,9 +31,11 @@ from repro.storage import columnar
 from repro.storage.columnar import (
     Records,
     exact_distances,
+    half_width,
     pairwise_distances,
     query_records,
     transform_full_record,
+    whole_spectrum,
 )
 from repro.timeseries.generators import random_walk
 from repro.timeseries.transforms import (
@@ -46,19 +48,52 @@ from repro.timeseries.transforms import (
 # ----------------------------------------------------------------------
 # the reference: the transformed matrix
 # ----------------------------------------------------------------------
-def transformed_arrays(store, transformation):
-    """``(coefficients, means, stds)`` of every stored record under a
-    spectral transformation, built as the store used to build them: the
-    product is the result and the offset is added in place, the statistics
-    mapped as one stacked block.  ``None`` returns the base arrays."""
+def transformed_records(store, transformation):
+    """Every stored record under a spectral transformation, as a record set
+    that maps nothing, built as the store used to build its transformed
+    matrix: the product is the result and the offset is added in place, the
+    statistics mapped as one stacked block.  A record the map keeps a half
+    (it ``keeps_mirror``, and the record has its length) is mapped as one;
+    any other is made whole first and flagged whole.  ``None`` returns the
+    base record set."""
     if transformation is None:
-        return store.coefficients, store.means, store.stds
-    width = store.coefficients.shape[1]
-    coefficients = store.coefficients * transformation.multiplier[1 : 1 + width]
+        return store.records()
+    lengths = store.lengths
+    halves = transformation.keeps_mirror & (lengths + 1 == transformation.length)
+    width = store.coefficients.shape[1] if halves.all() else int(lengths.max(initial=0))
+    coefficients = np.zeros((len(store), width), dtype=np.complex128)
+    coefficients[:, : store.coefficients.shape[1]] = store.coefficients
+    for row in np.flatnonzero(~halves).tolist():
+        stored, _, _, length = store.full_record(row)
+        coefficients[row, :length] = whole_spectrum(stored, length)
+    coefficients *= transformation.multiplier[1 : 1 + width]
     coefficients += transformation.offset[1 : 1 + width]
     extra = np.stack([store.means, store.stds], axis=1)
     extra = extra * transformation.extra_multiplier + transformation.extra_offset
-    return coefficients, extra[:, 0].copy(), extra[:, 1].copy()
+    return Records(
+        coefficients,
+        lengths,
+        extra[:, 0].copy(),
+        extra[:, 1].copy(),
+        whole=None if halves.all() else ~halves,
+    )
+
+
+def record_of_row(records, row):
+    """Row ``row`` of a record set that maps nothing as a ``(coefficients,
+    mean, std, length)`` record: its stored half, or all of a whole row."""
+    length = int(records.lengths[row])
+    whole = records.whole is not None and records.whole[row]
+    stored = length if whole else half_width(length)
+    return records.coefficients[row, :stored], records.means[row], records.stds[row], length
+
+
+def transformed_arrays(store, transformation):
+    """``(coefficients, means, stds)`` of :func:`transformed_records`, for a
+    relation the transformation keeps in halves."""
+    records = transformed_records(store, transformation)
+    assert records.whole is None
+    return records.coefficients, records.means, records.stds
 
 
 class MatrixStore:
@@ -68,11 +103,11 @@ class MatrixStore:
     def __init__(self, store, transformation):
         self._store = store
         self._transformation = transformation
-        self.coefficients, self.means, self.stds = transformed_arrays(store, transformation)
+        self._records = transformed_records(store, transformation)
 
     def records(self, transformation=None):
         assert transformation is self._transformation
-        return Records(self.coefficients, self._store.lengths, self.means, self.stds)
+        return self._records
 
     def __len__(self):
         return len(self._store)
@@ -141,16 +176,15 @@ def threshold(owner, query, transformation, rank):
     transformed relation: a threshold some row lies exactly on."""
     store = owner.store
     full = transform_full_record(*record_of(owner, query), transformation)
-    coefficients, means, stds = transformed_arrays(store, transformation)
     distances = exact_distances(
-        Records(coefficients, store.lengths, means, stds), query_records([full]), True
+        transformed_records(store, transformation), query_records([full]), True
     )
     return float(np.sort(distances)[rank])
 
 
 def record_of(owner, series):
     features = owner.extractor.extract(series)
-    return features.full_coefficients, features.mean, features.std
+    return features.full_coefficients, features.mean, features.std, features.length
 
 
 @pytest.fixture(params=[False, True], ids=["uniform", "ragged"])
@@ -264,10 +298,7 @@ class TestScan:
         transformation, representation = case
         scan = build_scan(data[:160], representation)
         store = scan.store
-        coefficients, means, stds = transformed_arrays(store, transformation)
-        sample = np.sort(
-            pairwise_distances(Records(coefficients, store.lengths, means, stds), True)
-        )
+        sample = np.sort(pairwise_distances(transformed_records(store, transformation), True))
         epsilon = float(sample[sample.size // 50])
 
         def pairs():
@@ -293,9 +324,8 @@ class TestKernels:
         store = scan.store
         row_ids = np.random.default_rng(3).permutation(150)[:90] if sampled else None
         found = pairwise_distances(store.records(transformation), True, row_ids=row_ids)
-        coefficients, means, stds = transformed_arrays(store, transformation)
         expected = pairwise_distances(
-            Records(coefficients, store.lengths, means, stds), True, row_ids=row_ids
+            transformed_records(store, transformation), True, row_ids=row_ids
         )
         assert bits(found) == bits(expected)
 
@@ -305,19 +335,14 @@ class TestKernels:
         scan = build_scan(data, "polar")
         store = scan.store
         row_ids = np.random.default_rng(4).permutation(len(data))[:200]
-        coefficients, means, stds = transformed_arrays(store, transformation)
+        matrix = transformed_records(store, transformation)
         for query in (data[7], walks(False, count=1, seed=9)[0]):
             full = query_records([transform_full_record(*record_of(scan, query), transformation)])
             for rows in (None, row_ids):
                 found = exact_distances(
                     store.records(transformation), full, include_stats, row_ids=rows
                 )
-                expected = exact_distances(
-                    Records(coefficients, store.lengths, means, stds),
-                    full,
-                    include_stats,
-                    row_ids=rows,
-                )
+                expected = exact_distances(matrix, full, include_stats, row_ids=rows)
                 assert bits(found) == bits(expected)
 
     def test_a_map_keeps_nothing_on_the_store(self, case):

@@ -24,13 +24,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_abandon_order import early_abandon_candidates
-from test_gathered_transform import transformed_arrays
+from test_gathered_transform import record_of_row, transformed_records
 
 from repro import SequentialScan, SeriesFeatureExtractor, TimeSeries
 from repro.core.cancel import CancellationToken, cancel_scope
 from repro.storage import columnar
 from repro.storage.columnar import (
-    Records,
     _pair_rows,
     exact_distances,
     pair_blocks,
@@ -45,85 +44,56 @@ from repro.timeseries.transforms import SpectralTransformation, moving_average_s
 # ----------------------------------------------------------------------
 # references
 # ----------------------------------------------------------------------
-def reference_join(coefficients, lengths, means, stds, include_stats, epsilon, early_abandon):
+def reference_join(records, include_stats, epsilon, early_abandon):
     """The per-anchor join body the kernel replaced: qualifying
     ``(anchor, other, distance)`` triples, each anchor against its suffix."""
-    count = coefficients.shape[0]
+    count = records.size
     found = []
     for anchor in range(count - 1):
-        anchor_record = (
-            coefficients[anchor, : int(lengths[anchor])],
-            float(means[anchor]),
-            float(stds[anchor]),
-        )
-        suffix = slice(anchor + 1, count)
-        rows = (coefficients[suffix], lengths[suffix], means[suffix], stds[suffix])
+        anchor_record = record_of_row(records, anchor)
+        suffix = records.select(slice(anchor + 1, count))
         if early_abandon:
+            rows = (suffix.coefficients, suffix.lengths, suffix.means, suffix.stds)
             survivors = early_abandon_candidates(*rows, *anchor_record, include_stats, epsilon)
         else:
             survivors = np.arange(count - anchor - 1, dtype=np.intp)
         distances = exact_distances(
-            Records(*rows), query_records([anchor_record]), include_stats, row_ids=survivors
+            suffix, query_records([anchor_record]), include_stats, row_ids=survivors
         )
         for i in np.nonzero(distances <= epsilon)[0].tolist():
             found.append((anchor, anchor + 1 + int(survivors[i]), float(distances[i])))
     return found
 
 
-def reference_pairwise(coefficients, lengths, means, stds, include_stats, row_ids=None):
+def reference_pairwise(records, include_stats, row_ids=None):
     """The per-anchor loop ``pairwise_distances`` used to be."""
     if row_ids is not None:
-        row_ids = np.asarray(row_ids, dtype=np.intp)
-        coefficients, lengths = coefficients[row_ids], lengths[row_ids]
-        means, stds = means[row_ids], stds[row_ids]
+        records = records.select(np.asarray(row_ids, dtype=np.intp))
     blocks = [np.zeros(0, dtype=np.float64)]
-    for anchor in range(coefficients.shape[0] - 1):
+    for anchor in range(records.size - 1):
         blocks.append(
             exact_distances(
-                Records(
-                    coefficients[anchor + 1 :],
-                    lengths[anchor + 1 :],
-                    means[anchor + 1 :],
-                    stds[anchor + 1 :],
-                ),
-                query_records(
-                    [
-                        (
-                            coefficients[anchor, : int(lengths[anchor])],
-                            float(means[anchor]),
-                            float(stds[anchor]),
-                        )
-                    ]
-                ),
+                records.select(slice(anchor + 1, records.size)),
+                query_records([record_of_row(records, anchor)]),
                 include_stats,
             )
         )
     return np.concatenate(blocks)
 
 
-def brute_force_distance(coefficients, lengths, means, stds, include_stats, anchor, other):
-    """``record_distance`` of one pair over the common prefix, the prefix
-    zero-padded to the anchor's length: ``exact_distances`` reduces over the
-    query's columns with the columns beyond the common prefix masked to zero,
-    and the last bit of a pairwise sum depends on how many terms it takes."""
-    columns = int(lengths[anchor])
-    common = min(columns, int(lengths[other]))
-
-    def record(row):
-        padded = np.zeros(columns, dtype=np.complex128)
-        padded[:common] = coefficients[row, :common]
-        return padded, means[row], stds[row]
-
-    return record_distance(record(other), record(anchor), include_stats)
+def brute_force_distance(records, include_stats, anchor, other):
+    """``record_distance`` of one pair."""
+    return record_distance(
+        record_of_row(records, other), record_of_row(records, anchor), include_stats
+    )
 
 
-def brute_force_join(coefficients, lengths, means, stds, include_stats, epsilon):
-    arrays = (coefficients, lengths, means, stds, include_stats)
-    count = coefficients.shape[0]
+def brute_force_join(records, include_stats, epsilon):
+    count = records.size
     found = []
     for anchor in range(count - 1):
         for other in range(anchor + 1, count):
-            distance = brute_force_distance(*arrays, anchor, other)
+            distance = brute_force_distance(records, include_stats, anchor, other)
             if distance <= epsilon:
                 found.append((anchor, other, distance))
     return found
@@ -138,16 +108,10 @@ def build_scan(data, include_stats=True, **options):
     return scan
 
 
-def scan_arrays(scan, transformation=None):
-    """The arrays ``all_pairs`` hands the kernel, in the references' order."""
-    coefficients, means, stds = transformed_arrays(scan.store, transformation)
-    return coefficients, scan.store.lengths, means, stds, scan.extractor.include_stats
-
-
 def scan_records(scan, transformation=None):
-    """:func:`scan_arrays` as the kernels take them: ``(records, include_stats)``."""
-    *arrays, include_stats = scan_arrays(scan, transformation)
-    return Records(*arrays), include_stats
+    """The record set ``all_pairs`` reads, transformed and mapping nothing,
+    as the kernels and the references take it: ``(records, include_stats)``."""
+    return transformed_records(scan.store, transformation), scan.extractor.include_stats
 
 
 def scan_join(scan, epsilon, **options):
@@ -170,7 +134,7 @@ def ragged_walks(lengths, seed):
 
 def check_join(scan, epsilon, transformation=None):
     """Both flavours of the scan join against both references."""
-    arrays = scan_arrays(scan, transformation)
+    arrays = scan_records(scan, transformation)
     brute = brute_force_join(*arrays, epsilon)
     count = len(scan)
     for early_abandon in (True, False):
@@ -239,7 +203,7 @@ class TestJoinDifferential:
             data = with_duplicate(data[:-1])
         scan = build_scan(data, include_stats)
         transformation = moving_average_spectral(32, 5) if transformed else None
-        distances = reference_pairwise(*scan_arrays(scan, transformation))
+        distances = reference_pairwise(*scan_records(scan, transformation))
         middle = float(np.median(distances)) if distances.size else 1.0
         answers = {
             epsilon: len(check_join(scan, epsilon, transformation))
@@ -256,7 +220,7 @@ class TestJoinDifferential:
         # no two consecutive anchors reduce over the same number of columns.
         data = with_duplicate(ragged_walks([64, 48, 32, 1, 2, 128] * 6, seed=11))
         scan = build_scan(data, include_stats)
-        distances = reference_pairwise(*scan_arrays(scan))
+        distances = reference_pairwise(*scan_records(scan))
         for epsilon in (0.0, float(np.quantile(distances, 0.3)), 1e9):
             assert check_join(scan, epsilon)
 
@@ -273,7 +237,7 @@ class TestJoinDifferential:
             extra_offset=(0.25, -0.5),
         )
         scan = build_scan(ragged_walks([64, 17, 40, 64, 9, 33] * 5, seed=13))
-        distances = reference_pairwise(*scan_arrays(scan, transformation))
+        distances = reference_pairwise(*scan_records(scan, transformation))
         for epsilon in (float(np.quantile(distances, 0.2)), 1e9):
             assert check_join(scan, epsilon, transformation)
 
@@ -284,7 +248,7 @@ class TestJoinDifferential:
         # run, exactly one block, and a block larger than the join.
         lengths = [64, 48, 32] * 20 + [64] if ragged else [32] * 61
         scan = build_scan(ragged_walks(lengths, seed=17))
-        distances = reference_pairwise(*scan_arrays(scan))
+        distances = reference_pairwise(*scan_records(scan))
         monkeypatch.setattr(columnar, "PAIR_BLOCK", block)
         assert len(pair_blocks(61)) == -(-1830 // block)
         for epsilon in (float(np.quantile(distances, 0.25)), 1e9):
@@ -304,7 +268,7 @@ class TestJoinDifferential:
         meet — at a threshold that *is* one of the distances."""
         lengths = [length for length, repeat in runs for _ in range(repeat)]
         scan = build_scan(ragged_walks(lengths, seed), include_stats)
-        distances = reference_pairwise(*scan_arrays(scan))
+        distances = reference_pairwise(*scan_records(scan))
         epsilon = float(np.quantile(distances, quantile, method="lower")) if distances.size else 1.0
         with mock.patch.object(columnar, "PAIR_BLOCK", block):
             check_join(scan, epsilon)
@@ -323,24 +287,24 @@ class TestPairwiseDistances:
             random_walk_collection(25, 32, seed=5),
             ragged_walks([64, 48, 32, 1, 2, 128] * 4, seed=23),
         ):
-            arrays = scan_arrays(build_scan(data, include_stats))
-            count = arrays[0].shape[0]
+            arrays = scan_records(build_scan(data, include_stats))
+            count = arrays[0].size
             unsorted = np.random.default_rng(29).permutation(count)[: count - 3]
             for row_ids in (None, [0, 3, 8, 15], unsorted, unsorted.tolist(), [4], []):
-                observed = pairwise_distances(Records(*arrays[:4]), arrays[4], row_ids=row_ids)
+                observed = pairwise_distances(*arrays, row_ids=row_ids)
                 expected = reference_pairwise(*arrays, row_ids=row_ids)
                 assert observed.dtype == np.float64
                 assert observed.tolist() == expected.tolist()
 
     def test_equals_brute_force_in_condensed_order(self):
-        arrays = scan_arrays(build_scan(ragged_walks([64, 48, 32, 5] * 5, seed=31)))
-        count = arrays[0].shape[0]
+        arrays = scan_records(build_scan(ragged_walks([64, 48, 32, 5] * 5, seed=31)))
+        count = arrays[0].size
         expected = [
             brute_force_distance(*arrays, anchor, other)
             for anchor in range(count - 1)
             for other in range(anchor + 1, count)
         ]
-        assert pairwise_distances(Records(*arrays[:4]), arrays[4]).tolist() == expected
+        assert pairwise_distances(*arrays).tolist() == expected
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 
 from repro.index.scan import SequentialScan
 from repro.storage.buffer import BufferPool
-from repro.storage.columnar import ColumnarRecordStore, transform_full_record
+from repro.storage.columnar import ColumnarRecordStore
 from repro.storage.pages import records_per_page
 from repro.timeseries.features import SeriesFeatureExtractor
 from repro.timeseries.generators import random_walk_collection
@@ -82,15 +82,16 @@ class TestScanQueries:
         smoothing = moving_average_spectral(64, 10)
         query = walk_collection[0]
         result = scan.range_query(query, 1e9, transformation=smoothing, early_abandon=False)
-        query_features = extractor.extract(query)
-        query_record = transform_full_record(
-            query_features.full_coefficients, query_features.mean, query_features.std, smoothing
-        )
+        def transformed(series):
+            """The whole transformed spectrum of the normal form, from scratch."""
+            values = series.values
+            normal = (values - values.mean()) / values.std()
+            spectrum = smoothing.apply_spectrum(np.fft.fft(normal, norm="ortho"))
+            return spectrum[1:], values.mean(), values.std()
+
+        query_record = transformed(query)
         for series, distance in result.answers:
-            features = extractor.extract(series)
-            record = transform_full_record(
-                features.full_coefficients, features.mean, features.std, smoothing
-            )
+            record = transformed(series)
             expected = np.sqrt(
                 np.sum(np.abs(record[0] - query_record[0]) ** 2)
                 + (record[1] - query_record[1]) ** 2

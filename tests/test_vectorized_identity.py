@@ -13,14 +13,13 @@ postprocessed / record-fetch counts as running it alone.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.index.kindex import KIndex
 from repro.index.metric import MetricIndex
 from repro.index.scan import SequentialScan
 from repro.storage.columnar import transform_full_record
-from repro.timeseries.features import SeriesFeatureExtractor
+from repro.timeseries.features import SeriesFeatureExtractor, record_distance
 from repro.timeseries.generators import make_rng, random_walk, random_walk_collection
 from repro.timeseries.transforms import moving_average_spectral, scale_spectral
 
@@ -30,18 +29,17 @@ from repro.timeseries.transforms import moving_average_spectral, scale_spectral
 # ----------------------------------------------------------------------
 def reference_record(extractor, series, transformation=None):
     features = extractor.extract(series)
-    record = (features.full_coefficients, features.mean, features.std)
+    record = (features.full_coefficients, features.mean, features.std, features.length)
     if transformation is not None:
         record = transform_full_record(*record, transformation)
     return record
 
 
 def reference_distance(a, b, include_stats):
-    common = min(a[0].shape[0], b[0].shape[0])
-    total = float(np.sum(np.abs(a[0][:common] - b[0][:common]) ** 2))
-    if include_stats:
-        total += (a[1] - b[1]) ** 2 + (a[2] - b[2]) ** 2
-    return float(np.sqrt(total))
+    """The scalar reference: two halves of one length by Parseval over the
+    whole spectrum, any other pair over the common prefix of its whole
+    spectra (``record_distance``)."""
+    return record_distance(a, b, include_stats)
 
 
 def reference_scan_range(extractor, data, query, epsilon, transformation=None,
