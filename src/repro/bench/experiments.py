@@ -442,17 +442,16 @@ def ablation_tree_variants(num_points: int = 2000, dimension: int = 6, *,
     variants = [("rtree-linear", lambda: RTree(dimension, split="linear")),
                 ("rtree-quadratic", lambda: RTree(dimension, split="quadratic")),
                 ("rstar", lambda: RStarTree(dimension))]
-    from ..index.geometry import Rect
-
     for name, build in variants:
         tree = build()
         for i, point in enumerate(points):
             tree.insert(point, i)
-        tree.reset_stats()
-        answers = 0
+        answers = visits = 0
         for low, high in windows:
-            answers += len(tree.search(Rect(low, high)))
-        rows.append({"variant": name, "node_accesses": tree.access_stats.total,
+            (found,), (internal, leaf) = tree.window_search(low[None, :], high[None, :])
+            answers += len(found)
+            visits += internal + leaf
+        rows.append({"variant": name, "node_accesses": visits,
                      "height": tree.height(), "answers": answers})
     return rows
 

@@ -68,12 +68,6 @@ class CacheStats:
     misses: int = 0
     evictions: int = 0
 
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from the cache (0.0 when unused)."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     def reset(self) -> None:
         """Zero all counters."""
         self.hits = 0

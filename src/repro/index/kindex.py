@@ -122,9 +122,9 @@ class QueryStatistics:
     gets for free with the pages it already read.  ``io_total`` combines the
     two into the evaluation's "disk access" currency, which is what the
     cost-based planner estimates and the crossover benchmark compares.  The
-    ``internal/leaf`` split is a snapshot of
-    :class:`~repro.index.rtree.NodeAccessStats` taken per query (per *batch*
-    for grouped traversals, whose shared totals expose the saving); the buffer
+    ``internal/leaf`` split counts the nodes the tree's search call opened
+    for the query (for the whole *batch* in grouped traversals, whose shared
+    totals expose the saving); the buffer
     counters are a scan pass's hits and misses on its
     :class:`~repro.storage.buffer.BufferPool` — a durable relation's pool
     over its mapped segments — and stay 0 for a scan without one and for an
@@ -246,11 +246,11 @@ class KIndex:
         self._points = np.empty((0, self.space.dimension))
         #: The packed rows, never changed — a seal publishes a new tree.
         self.tree = self._packed_tree(0)
-        #: id(transformation) → (transformation, linear, real map, mirrored):
-        #: what :meth:`lower_transformation` derived, for at most ``KEPT_MAPS``
-        #: of them.
+        #: id(transformation) → (transformation, linear, real map): what
+        #: :meth:`lower_transformation` derived, for at most ``KEPT_MAPS`` of
+        #: them.
         self._lowered: dict[int, tuple[Any, LinearTransformation,
-                                       RealLinearTransformation, bool]] = {}
+                                       RealLinearTransformation]] = {}
 
     def _packed_tree(self, stop: int) -> PackedRTree:
         """Rows ``[0, stop)`` of the point array, STR-packed."""
@@ -409,13 +409,15 @@ class KIndex:
         first, count = len(tree), len(self.store)  # read before the points array
         return first, self._points[first:count] if count > first else ()
 
-    def _work_counters(self, statistics: QueryStatistics, tree: PackedRTree,
+    def _work_counters(self, statistics: QueryStatistics, visits: tuple[int, int],
                        tail_pages: int) -> None:
-        """Copy a probe's node accesses — the tree's counters plus the tail's
-        pages, which are leaf pages — into the statistics."""
-        statistics.internal_node_accesses = tree.access_stats.internal
-        statistics.leaf_node_accesses = tree.access_stats.leaf + tail_pages
-        statistics.node_accesses = tree.access_stats.total + tail_pages
+        """Copy a probe's node accesses — the ``(internal, leaf)`` nodes its
+        tree search returned plus the tail's pages, which are leaf pages —
+        into the statistics."""
+        internal, leaf = visits
+        statistics.internal_node_accesses = internal
+        statistics.leaf_node_accesses = leaf + tail_pages
+        statistics.node_accesses = internal + leaf + tail_pages
 
     # ------------------------------------------------------------------
     # transformation plumbing
@@ -447,16 +449,8 @@ class KIndex:
         (:meth:`~repro.storage.columnar.ColumnarRecordStore.records`).  A
         map that is not safe is never kept, so it raises on every call.
         """
-        return self._lowering(transformation)[:2]
-
-    def _lowering(self, transformation: SpectralTransformation | LinearTransformation | None
-                  ) -> tuple[LinearTransformation | None, RealLinearTransformation | None, bool]:
-        """:meth:`lower_transformation`'s maps, and whether the
-        transformation keeps a real series' spectrum conjugate-symmetric
-        over the indexed coefficients (:func:`_mirrored`) — judged with the
-        maps, once per transformation object."""
         if transformation is None:
-            return None, None, True
+            return None, None
         cached = self._lowered.get(id(transformation))
         if cached is not None and cached[0] is transformation:
             return cached[1:]
@@ -476,13 +470,10 @@ class KIndex:
                 "transformation must be a SpectralTransformation or LinearTransformation"
             )
         real_map = linear.to_real(self.space)
-        # A prefix-only linear map says nothing of the coefficients past k.
-        mirrored = (isinstance(transformation, SpectralTransformation)
-                    and _mirrored(transformation, self.extractor.num_coefficients))
         if len(self._lowered) >= KEPT_MAPS:
             self._lowered.clear()
-        self._lowered[id(transformation)] = (transformation, linear, real_map, mirrored)
-        return linear, real_map, mirrored
+        self._lowered[id(transformation)] = (transformation, linear, real_map)
+        return linear, real_map
 
     def bound_weight(self, transformation: SpectralTransformation | LinearTransformation
                      | None = None, *, length: int | None = None) -> float:
@@ -496,8 +487,12 @@ class KIndex:
         ``"mirror"`` bound, when every stored record has the query's length
         ``n`` (the store keeps the least and greatest, so this reads two
         numbers), ``2 k < n``, and the transformation, if any, is a
-        :class:`SpectralTransformation` of length ``n`` whose multiplier and
-        offset are mirror-symmetric over the indexed coefficients.  A bare
+        :class:`SpectralTransformation` of length ``n`` that
+        :attr:`~repro.timeseries.transforms.SpectralTransformation.keeps_mirror`
+        — the predicate under which the exact kernel scores the mapped half
+        spectra, each frequency below ``n / 2`` twice, so the weighted bound is
+        a part of the kernel's own sum.  A linear map, which says nothing of
+        the coefficients past ``k``, is weighted 1.  A bare
         :class:`~repro.core.objects.FeatureVector` query has no full record
         — its exact distance *is* its filter distance — so a probe never
         asks for it.
@@ -510,9 +505,10 @@ class KIndex:
             return 1.0
         if 2 * self.extractor.num_coefficients >= size:
             return 1.0
-        if transformation is not None:
-            if not self._lowering(transformation)[2] or transformation.length != size:
-                return 1.0
+        if transformation is not None and not (
+                isinstance(transformation, SpectralTransformation)
+                and transformation.length == size and transformation.keeps_mirror):
+            return 1.0
         return 2.0
 
     # ------------------------------------------------------------------
@@ -579,7 +575,6 @@ class KIndex:
             return []
         started = time.perf_counter()
         tree = self.tree  # one snapshot: the tail is the rows beyond this tree
-        tree.reset_stats()
         linear, real_map = self.lower_transformation(transformation)
         moved = transformation is not None and transform_query
         query_fulls = []
@@ -598,8 +593,8 @@ class KIndex:
         window_lows = np.array([low for low, _ in corners])
         window_highs = np.array([high for _, high in corners])
         periodic = self.space.periodic_dimension_mask()
-        candidate_lists = tree.window_search(window_lows, window_highs,
-                                             real_map, periodic)
+        candidate_lists, visits = tree.window_search(window_lows, window_highs,
+                                                     real_map, periodic)
         first, tail = self._tail(tree)
         if len(tail):
             # The leaf level's test on the rows no leaf holds yet; their ids
@@ -636,7 +631,7 @@ class KIndex:
             if exact:
                 result.statistics.postprocessed = result.statistics.candidates
             result.statistics.record_fetches = result.statistics.postprocessed
-            self._work_counters(result.statistics, tree, tail_pages)
+            self._work_counters(result.statistics, visits, tail_pages)
             result.statistics.elapsed_seconds = elapsed_share
         return results
 
@@ -685,7 +680,6 @@ class KIndex:
         """
         started = time.perf_counter()
         tree = self.tree  # one snapshot: the tail is the rows beyond this tree
-        tree.reset_stats()
         linear, real_map = self.lower_transformation(transformation)
         features = self._query_features(query)
         query_full = query_records([query_record(
@@ -711,7 +705,7 @@ class KIndex:
             return exact_distances(records, query_full, self.extractor.include_stats,
                                    row_ids=rows)
 
-        distances, rows = tree.nearest_search(
+        distances, rows, visits = tree.nearest_search(
             k, RectangleBound(bound.table, lower_bound), exact, real_map,
             (tail, np.arange(first, first + len(tail))) if len(tail) else None)
         result = NearestNeighborResult(answers=list(zip(
@@ -719,7 +713,7 @@ class KIndex:
         result.statistics.candidates = rows.size
         result.statistics.postprocessed = rows.size
         result.statistics.record_fetches = rows.size
-        self._work_counters(result.statistics, tree, self._pages(len(tail)))
+        self._work_counters(result.statistics, visits, self._pages(len(tail)))
         result.statistics.elapsed_seconds = time.perf_counter() - started
         return result
 
@@ -782,29 +776,6 @@ class KIndex:
         return (f"KIndex(size={len(self)}, tail_rows={self.tail_rows}, "
                 f"k={self.extractor.num_coefficients}, "
                 f"representation={self.extractor.representation!r})")
-
-
-def _mirrored(transformation: SpectralTransformation, k: int) -> bool:
-    """Whether ``transformation`` maps a real series' spectrum to one that
-    is conjugate-symmetric over coefficients ``1 … k`` and their mirrors:
-    ``M[n - f] ≈ conj(M[f])`` and ``O[n - f] ≈ conj(O[f])`` for ``f <= k <
-    n / 2``, ``n`` its length.
-
-    Equal up to :data:`BOUND_SLACK` of their moduli, not bit for bit: a
-    moving average's multiplier (the FFT of its window) is symmetric only to
-    ~2.2e-16 (``mavg10`` at ``n = 128``), as the stored spectra themselves
-    are only to ~3.6e-16 relative — both far inside the slack every k-NN
-    bound is lowered by."""
-    size = transformation.length
-    if 2 * k >= size:
-        return False
-    f = np.arange(1, k + 1)
-    for vector in (transformation.multiplier, transformation.offset):
-        ahead, mirror = vector[f], np.conj(vector[size - f])
-        if not np.all(np.abs(ahead - mirror)
-                      <= BOUND_SLACK * np.maximum(np.abs(ahead), np.abs(mirror))):
-            return False
-    return True
 
 
 def _grown(array: np.ndarray, rows: int) -> np.ndarray:

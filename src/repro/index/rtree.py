@@ -23,9 +23,10 @@ coordinate-major table derived on first use: a level is one gather and one
 broadcast, not repeated per entry.  A nearest-neighbour step keeps its
 pending nodes in a heap, slices a node's entries out of its level, and bounds
 them from the level's table of what the bound needs of them alone (a point
-leaf's coordinates, a rectangle's sector), kept like the corner table.  Node
-accesses are counted per tree and per thread (``tree.access_stats``), so
-concurrent readers of one tree each read their own.
+leaf's coordinates, a rectangle's sector), kept like the corner table.  A
+probe returns the internal and leaf nodes it opened with its answer and
+changes nothing on the tree, so concurrent readers of one tree each get
+their own counts.
 
 :class:`RTree` (Guttman, 1984: linear and quadratic node splits) and its
 subclass :class:`~repro.index.rstar.RStarTree` are *growers*: a graph of
@@ -55,7 +56,7 @@ from ..core.spaces import RectangleBound
 from ..core.transformations import RealLinearTransformation
 from .geometry import Rect, angular_dims, corner_table, mindist_batch, rects_overlap
 
-__all__ = ["RTreeEntry", "RTreeNode", "NodeAccessStats", "PackedRTree", "RTree"]
+__all__ = ["RTreeEntry", "RTreeNode", "PackedRTree", "RTree"]
 
 
 @dataclass
@@ -90,33 +91,6 @@ class RTreeNode:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-
-@dataclass
-class NodeAccessStats:
-    """Counters for node visits during searches."""
-
-    internal: int = 0
-    leaf: int = 0
-
-    def reset(self) -> None:
-        """Zero the counters."""
-        self.internal = 0
-        self.leaf = 0
-
-    @property
-    def total(self) -> int:
-        """All node visits."""
-        return self.internal + self.leaf
-
-
-class _ThreadCounters(threading.local):
-    """A tree's :class:`NodeAccessStats`, one per thread: a probe resets and
-    reads the counters of the thread it runs on, so concurrent readers of
-    one (immutable, shared) tree never count each other's visits."""
-
-    def __init__(self) -> None:
-        self.stats = NodeAccessStats()
 
 
 def _min_entries(max_entries: int, min_entries: int | None = None) -> int:
@@ -182,7 +156,7 @@ class _PackedLevel:
         return self._nodes
 
     def distinct(self, slots: np.ndarray) -> int:
-        """How many distinct nodes ``slots`` names (a plain int: stats are
+        """How many distinct nodes ``slots`` names (a plain int: counts are
         serialized)."""
         opened = np.zeros(len(self.counts), dtype=bool)
         opened[slots] = True
@@ -263,9 +237,6 @@ class PackedRTree:
         Node capacity ``M``.
     levels:
         One :class:`_PackedLevel` per tree level; the last one is the leaves.
-    access_stats:
-        Nodes the calling thread's probes visited since its last
-        :meth:`reset_stats` (each thread has its own counters).
     """
 
     def __init__(self, dimension: int, max_entries: int,
@@ -274,7 +245,6 @@ class PackedRTree:
         self.max_entries = int(max_entries)
         self.levels = tuple(levels)
         self._size = int(self.levels[-1].counts.sum())
-        self._counters = _ThreadCounters()
         #: id(map) → (map, image): :meth:`transformed`'s images, at most
         #: ``KEPT_MAPS`` of them.
         self._images: dict[int, tuple[RealLinearTransformation, PackedRTree]] = {}
@@ -285,15 +255,6 @@ class PackedRTree:
     def height(self) -> int:
         """Number of levels (1 for a tree that is just a leaf root)."""
         return len(self.levels)
-
-    @property
-    def access_stats(self) -> NodeAccessStats:
-        """The calling thread's node-visit counters."""
-        return self._counters.stats
-
-    def reset_stats(self) -> None:
-        """Zero the calling thread's access counters."""
-        self._counters.stats.reset()
 
     def structure_summary(self) -> dict[str, float]:
         """Structural facts the cost model estimates node accesses from: node
@@ -326,8 +287,7 @@ class PackedRTree:
         The tree is immutable, so its image under a map is too: it is built
         on the first call and kept with the tree — keyed by the map object,
         at most ``KEPT_MAPS`` of them — and the probes under that map search
-        it as it is.  The image counts its node visits on this tree's
-        counters."""
+        it as it is."""
         cached = self._images.get(id(transformation))
         if cached is not None and cached[0] is transformation:
             return cached[1]
@@ -338,7 +298,6 @@ class PackedRTree:
                            else transformation.apply_bounds(level.lows, level.highs)),
                          level.payloads)
             for level in self.levels])
-        image._counters = self._counters
         if len(self._images) >= KEPT_MAPS:
             self._images.clear()
         self._images[id(transformation)] = (transformation, image)
@@ -349,7 +308,8 @@ class PackedRTree:
     # ------------------------------------------------------------------
     def window_search(self, window_lows: np.ndarray, window_highs: np.ndarray,
                       transformation: RealLinearTransformation | None = None,
-                      periodic_dims: np.ndarray | None = None) -> list[np.ndarray]:
+                      periodic_dims: np.ndarray | None = None
+                      ) -> tuple[list[np.ndarray], tuple[int, int]]:
         """Range searches for ``(q, d)`` stacked windows in one shared,
         level-synchronous descent (Algorithm 2).
 
@@ -368,8 +328,10 @@ class PackedRTree:
         entry, and its frontier, holding each node once, is counted by its
         length.
 
-        Returns one record array per window.  Integer record ids come back
-        ascending (a scan's order); other payloads in leaf order.
+        Returns ``(record arrays, (internal, leaf))``: one record array per
+        window — integer record ids ascending (a scan's order), other
+        payloads in leaf order — and the internal and leaf nodes the search
+        opened.
         """
         try:
             window_lows = np.asarray(window_lows, dtype=np.float64)
@@ -384,9 +346,9 @@ class PackedRTree:
                 f"matching (q, {self.dimension}) corner arrays")
         num_windows = window_lows.shape[0]
         if num_windows == 0:
-            return []
+            return [], (0, 0)
         tree = self if transformation is None else self.transformed(transformation)
-        stats = self.access_stats
+        internal = leaf = 0
         angular = angular_dims(periodic_dims)
         windows = corner_table(window_lows, window_highs, angular)
         single = num_windows == 1
@@ -405,9 +367,9 @@ class PackedRTree:
                 queries = np.repeat(queries, counts)
                 window = _split_corners(windows.take(queries, axis=1).T, self.dimension)
             if level.is_leaf:
-                stats.leaf += opened
+                leaf += opened
             else:
-                stats.internal += opened
+                internal += opened
             lows, highs, halves = level.corners(entries, angular)
             keep = rects_overlap(lows, highs, window[0], window[1], periodic_dims,
                                  halves=halves, window_halves=window[2])
@@ -416,22 +378,22 @@ class PackedRTree:
                 queries = queries[keep]
         records = nodes  # the payloads of the leaf level
         if single:
-            return [records if records.dtype == object else np.sort(records)]
+            return [records if records.dtype == object else np.sort(records)], (internal, leaf)
         order = (np.argsort(queries, kind="stable") if records.dtype == object
                  else np.lexsort((records, queries)))
         cuts = np.searchsorted(queries[order], np.arange(1, num_windows))
-        return np.split(records[order], cuts)
+        return np.split(records[order], cuts), (internal, leaf)
 
     def search(self, window: Rect) -> list[Any]:
         """All records whose rectangle intersects ``window``."""
-        return self.window_search(window.low[None, :], window.high[None, :])[0].tolist()
+        return self.window_search(window.low[None, :], window.high[None, :])[0][0].tolist()
 
     def nearest_search(self, k: int,
                        lower_bound: Callable[[np.ndarray, np.ndarray], np.ndarray],
                        exact: Callable[[np.ndarray], np.ndarray] | None = None,
                        transformation: RealLinearTransformation | None = None,
                        seeds: tuple[np.ndarray, np.ndarray] | None = None
-                       ) -> tuple[np.ndarray, np.ndarray]:
+                       ) -> tuple[np.ndarray, np.ndarray, tuple[int, int]]:
         """Best-first ``k``-nearest-neighbour search, a block of nodes per step.
 
         ``lower_bound(lows, highs)`` maps ``(n, d)`` rectangle corners —
@@ -463,15 +425,16 @@ class PackedRTree:
         a plain callable is handed the rows of the level's
         :func:`~repro.index.geometry.corner_table`.
 
-        Returns ``(distances, records)`` of every verified record, ascending
-        by distance (integer records at equal distance by ascending record — a
-        scan's order): the first ``k`` are the answer, the length is the
-        number of candidates verified.
+        Returns ``(distances, records, (internal, leaf))``: every verified
+        record, ascending by distance (integer records at equal distance by
+        ascending record — a scan's order), the first ``k`` the answer and
+        the length the number of candidates verified; and the internal and
+        leaf nodes the search opened.
         """
         if k <= 0:
             raise ValueError("k must be positive")
         tree = self if transformation is None else self.transformed(transformation)
-        stats = self.access_stats
+        internal = leaf = 0
         if isinstance(lower_bound, RectangleBound):
             build, bound = lower_bound.table, lower_bound.of_table
         else:  # a plain callable bounds the rows of the levels' corner tables
@@ -524,7 +487,7 @@ class PackedRTree:
                 bounds = bound(columns)
                 # A pending node is pending once: the slots are distinct.
                 if children is None:
-                    stats.leaf += len(slots)
+                    leaf += len(slots)
                     payloads = level.payloads
                     record_bounds = np.concatenate((record_bounds, bounds))
                     records = np.concatenate(
@@ -532,7 +495,7 @@ class PackedRTree:
                 else:
                     # A node bounded beyond the k-th distance is never opened
                     # (that distance only falls), so it is never pushed.
-                    stats.internal += len(slots)
+                    internal += len(slots)
                     below = number + 1
                     for value, child in zip(bounds.tolist(),
                                             [child for start, stop in spans
@@ -542,7 +505,7 @@ class PackedRTree:
         distances, records = np.concatenate(found_distances), np.concatenate(found_records)
         order = (np.argsort(distances, kind="stable") if records.dtype == object
                  else np.lexsort((records, distances)))
-        return distances[order], records[order]
+        return distances[order], records[order], (internal, leaf)
 
     def nearest_neighbors(self, point: Sequence[float] | np.ndarray, k: int = 1
                           ) -> list[tuple[float, Any]]:
@@ -550,7 +513,7 @@ class PackedRTree:
         their rectangles), as ``(distance, record)`` pairs sorted by distance
         (integer records at equal distance by ascending record)."""
         point = np.asarray(point, dtype=np.float64).reshape(-1)
-        distances, records = self.nearest_search(k, partial(mindist_batch, point))
+        distances, records, _ = self.nearest_search(k, partial(mindist_batch, point))
         return list(zip(distances[:k].tolist(), records[:k].tolist()))
 
     # ------------------------------------------------------------------
@@ -819,18 +782,10 @@ class RTree:
                 self._pack = PackedRTree(self.dimension, self.max_entries, levels)
             return self._pack
 
-    @property
-    def access_stats(self) -> NodeAccessStats:
-        """The packed form's counters (a fresh pack starts from zero)."""
-        return self.packed().access_stats
-
-    def reset_stats(self) -> None:
-        """Zero the access counters."""
-        self.packed().reset_stats()
-
     def window_search(self, window_lows: np.ndarray, window_highs: np.ndarray,
                       transformation: RealLinearTransformation | None = None,
-                      periodic_dims: np.ndarray | None = None) -> list[np.ndarray]:
+                      periodic_dims: np.ndarray | None = None
+                      ) -> tuple[list[np.ndarray], tuple[int, int]]:
         """:meth:`PackedRTree.window_search` over :meth:`packed`."""
         return self.packed().window_search(window_lows, window_highs,
                                            transformation, periodic_dims)
@@ -844,7 +799,7 @@ class RTree:
                        exact: Callable[[np.ndarray], np.ndarray] | None = None,
                        transformation: RealLinearTransformation | None = None,
                        seeds: tuple[np.ndarray, np.ndarray] | None = None
-                       ) -> tuple[np.ndarray, np.ndarray]:
+                       ) -> tuple[np.ndarray, np.ndarray, tuple[int, int]]:
         """:meth:`PackedRTree.nearest_search` over :meth:`packed`."""
         return self.packed().nearest_search(k, lower_bound, exact, transformation, seeds)
 

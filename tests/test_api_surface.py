@@ -210,11 +210,19 @@ class TestIndexProbeSignatures:
         assert importlib.util.find_spec("repro.index.transformed") is None
 
     def test_tree_probes(self):
+        """A probe returns the nodes it opened beside its answer: no tree
+        keeps counters, and the counter class is gone."""
+        import repro.index
+
+        assert not hasattr(repro.index, "NodeAccessStats")
+        assert "NodeAccessStats" not in repro.index.__all__
         for tree in (repro.PackedRTree, repro.RTree):
+            assert not hasattr(tree, "access_stats") and not hasattr(tree, "reset_stats")
             assert _signature(tree.window_search) == (
                 "(self, window_lows: 'np.ndarray', window_highs: 'np.ndarray', "
                 "transformation: 'RealLinearTransformation | None' = None, "
-                "periodic_dims: 'np.ndarray | None' = None) -> 'list[np.ndarray]'")
+                "periodic_dims: 'np.ndarray | None' = None"
+                ") -> 'tuple[list[np.ndarray], tuple[int, int]]'")
         assert _signature(repro.KIndex.range_query_batch) == (
             "(self, queries: 'Sequence[TimeSeries | FeatureVector]', "
             "epsilon: 'float | Sequence[float]', *, "
@@ -230,7 +238,7 @@ class TestIndexProbeSignatures:
                   "exact: 'Callable[[np.ndarray], np.ndarray] | None' = None, "
                   "transformation: 'RealLinearTransformation | None' = None, "
                   "seeds: 'tuple[np.ndarray, np.ndarray] | None' = None) "
-                  "-> 'tuple[np.ndarray, np.ndarray]'")
+                  "-> 'tuple[np.ndarray, np.ndarray, tuple[int, int]]'")
         assert not hasattr(repro.index.rtree, "nearest_search")
         assert _signature(repro.PackedRTree.nearest_search) == "(self, " + kernel
         assert _signature(repro.RTree.nearest_search) == "(self, " + kernel

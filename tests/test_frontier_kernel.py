@@ -33,6 +33,7 @@ import itertools
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from functools import partial
 
 import numpy as np
@@ -182,23 +183,21 @@ def check_tree(tree, points, transformation, window_lows, window_highs, periodic
     for low, high in zip(window_lows, window_highs):
         expected, visited = reference_traversal(clone, low, high, periodic)
         union |= visited
-        tree.reset_stats()
-        got = tree.window_search(low[None, :], high[None, :], transformation,
-                                 periodic)[0].tolist()
-        assert got == expected == brute_force(points, transformation, low, high,
-                                              periodic)
-        assert tree.access_stats.total == len(visited)
-    tree.reset_stats()
-    batched = tree.window_search(window_lows, window_highs,
-                                 transformation=transformation,
-                                 periodic_dims=periodic)
+        (got,), visits = tree.window_search(low[None, :], high[None, :], transformation,
+                                            periodic)
+        assert got.tolist() == expected == brute_force(points, transformation, low, high,
+                                                       periodic)
+        assert sum(visits) == len(visited)
+    batched, visits = tree.window_search(window_lows, window_highs,
+                                         transformation=transformation,
+                                         periodic_dims=periodic)
     assert [found.tolist() for found in batched] == [
         reference_traversal(clone, low, high, periodic)[0]
         for low, high in zip(window_lows, window_highs)]
     # A node opened for several windows of the batch is counted once.
-    assert tree.access_stats.total == len(union)
+    assert sum(visits) == len(union)
     # Counters stay plain ints (they are serialized into JSON frames).
-    assert type(tree.access_stats.internal) is type(tree.access_stats.leaf) is int
+    assert type(visits[0]) is type(visits[1]) is int
 
 
 # ----------------------------------------------------------------------
@@ -292,17 +291,17 @@ class TestWindowSearchDifferential:
 
     def test_empty_tree_and_single_leaf_root(self):
         for tree in (RTree(3), PackedRTree.bulk_load(np.zeros((0, 3)), [])):
-            tree.reset_stats()
             assert tree.search(Rect([-1.0] * 3, [1.0] * 3)) == []
-            assert tree.window_search(np.zeros((0, 3)), np.zeros((0, 3))) == []
-            assert (tree.access_stats.leaf, tree.access_stats.internal) == (1, 0)
+            (found,), visits = tree.window_search(np.full((1, 3), -1.0), np.ones((1, 3)))
+            assert found.tolist() == [] and visits == (0, 1)
+            assert tree.window_search(np.zeros((0, 3)), np.zeros((0, 3))) == ([], (0, 0))
         leaf = RTree(2, max_entries=8)
         for record, point in enumerate([[0.0, 0.0], [1.0, 1.0], [5.0, 5.0]]):
             leaf.insert(point, record)
         assert leaf.height() == 1
-        leaf.reset_stats()
         assert leaf.search(Rect([-0.5, -0.5], [1.5, 1.5])) == [0, 1]
-        assert leaf.access_stats.total == leaf.access_stats.leaf == 1
+        (found,), visits = leaf.window_search(np.full((1, 2), -0.5), np.full((1, 2), 1.5))
+        assert found.tolist() == [0, 1] and visits == (0, 1)
 
     def test_dimension_mismatch_is_one_error(self):
         """Every range entry point hands its windows to the kernel, which
@@ -406,13 +405,12 @@ def check_tree_nearest(tree, points, transformation, queries, ks=(1, 5, 10)):
             expected, opened, _ = reference_nearest(
                 clone, k, lambda low, high: scalar_mindist(query, low, high),
                 lambda record: float(distances[record]))
-            tree.reset_stats()
-            found, records = tree.nearest_search(k, partial(mindist_batch, query),
-                                                 transformation=transformation)
+            found, records, visits = tree.nearest_search(k, partial(mindist_batch, query),
+                                                         transformation=transformation)
             got = list(zip(found[:k].tolist(), records[:k].tolist()))
             assert got == expected == ranked[:k]
-            assert opened <= tree.access_stats.total <= opened + block_allowance(opened)
-    assert type(tree.access_stats.internal) is type(tree.access_stats.leaf) is int
+            assert opened <= sum(visits) <= opened + block_allowance(opened)
+            assert type(visits[0]) is type(visits[1]) is int
 
 
 class TestNearestSearchDifferential:
@@ -491,16 +489,17 @@ class TestNearestSearchDifferential:
 
     def test_empty_tree_and_single_leaf_root(self):
         for tree in (RTree(3), PackedRTree.bulk_load(np.zeros((0, 3)), [])):
-            tree.reset_stats()
             assert tree.nearest_neighbors(np.zeros(3), k=4) == []
-            assert (tree.access_stats.leaf, tree.access_stats.internal) == (1, 0)
+            _, records, visits = tree.nearest_search(4, partial(mindist_batch, np.zeros(3)))
+            assert records.tolist() == [] and visits == (0, 1)
         leaf = RTree(2, max_entries=8)
         for record, point in enumerate([[0.0, 0.0], [3.0, 4.0], [3.0, 4.0]]):
             leaf.insert(point, record)
-        leaf.reset_stats()
         assert leaf.nearest_neighbors([0.0, 0.0], k=2) == [(0.0, 0), (5.0, 1)]
         assert leaf.nearest_neighbors([0.0, 0.0], k=9) == [(0.0, 0), (5.0, 1), (5.0, 2)]
-        assert leaf.access_stats.total == leaf.access_stats.leaf == 2
+        for k in (2, 9):
+            _, _, visits = leaf.nearest_search(k, partial(mindist_batch, np.zeros(2)))
+            assert visits == (0, 1)
 
     def test_non_positive_k_is_one_error(self):
         """Every nearest-neighbour entry point hands ``k`` to the kernel."""
@@ -626,6 +625,25 @@ def reference_index_nearest(index, query, k, transformation, weight):
             for distance, record in found], opened, verified
 
 
+@contextmanager
+def returned_visits(kernel):
+    """The ``(internal, leaf)`` visits each ``PackedRTree.<kernel>`` call
+    made in the block returned, in call order."""
+    visits = []
+    search = getattr(PackedRTree, kernel)
+
+    def spy(tree, *args, **kwargs):
+        found = search(tree, *args, **kwargs)
+        visits.append(found[-1])
+        return found
+
+    setattr(PackedRTree, kernel, spy)
+    try:
+        yield visits
+    finally:
+        setattr(PackedRTree, kernel, search)
+
+
 def _tail_pages(index):
     """What a probe is charged for filtering the unindexed tail."""
     return -(-index.tail_rows // index.max_entries)  # its tree's node capacity
@@ -637,12 +655,14 @@ def check_index_nearest(index, scan, queries, transformation, ks):
             expected, opened, verified = reference_index_nearest(
                 index, query, k, transformation,
                 index.bound_weight(transformation, length=len(query)))
-            result = index.nearest_neighbors(query, k, transformation=transformation)
+            with returned_visits("nearest_search") as returned:
+                result = index.nearest_neighbors(query, k, transformation=transformation)
             assert _as_pairs(result.answers) == expected == _as_pairs(
                 scan.nearest_neighbors(query, k, transformation=transformation))
             work = result.statistics
             visits = work.node_accesses - _tail_pages(index)
-            assert visits == index.tree.access_stats.total
+            assert returned == [(work.internal_node_accesses,
+                                 work.leaf_node_accesses - _tail_pages(index))]
             assert opened <= visits <= opened + block_allowance(opened)
             assert work.node_accesses == (work.internal_node_accesses
                                           + work.leaf_node_accesses)
@@ -790,8 +810,9 @@ def check_index_range(index, scan, queries, epsilon, transformation, gathered):
     the per-entry reference's; counters count what was done."""
     pages = _tail_pages(index)
     union = set()
-    batched = index.range_query_batch(queries, epsilon, transformation=transformation)
-    batch_visits = index.tree.access_stats.total
+    with returned_visits("window_search") as returned:
+        batched = index.range_query_batch(queries, epsilon, transformation=transformation)
+    (batch_visits,) = map(sum, returned)
     for query, from_batch in zip(queries, batched):
         candidates, visited = reference_index_range(index, query, epsilon, transformation)
         union |= visited

@@ -241,21 +241,33 @@ class TestTheWeightFallsBackToOne:
         check_against_the_scan(index, data, data[4], 5, lopsided)
         assert weights == [1.0]
 
+    def test_a_map_symmetric_only_over_the_indexed_coefficients(self, weights):
+        """Symmetric over ``f <= k`` but not beyond: the exact kernel reads
+        the records whole under it, so the bound is not weighted."""
+        data = random_walk_collection(80, LENGTH, seed=18)
+        index = KIndex.bulk_load(data)
+        multiplier = np.ones(LENGTH, dtype=np.complex128)
+        multiplier[LENGTH - 5] = 0.25  # the mirror of coefficient 5, past k = 2
+        beyond = SpectralTransformation(multiplier, name="beyond")
+        assert not beyond.keeps_mirror and index.bound_weight(beyond) == 1.0
+        check_against_the_scan(index, data, data[4], 5, beyond)
+        assert weights == [1.0]
+
     def test_a_transformation_of_another_length(self):
         index = KIndex.bulk_load(random_walk_collection(40, LENGTH, seed=13))
         assert index.bound_weight(moving_average_spectral(2 * LENGTH, 10)) == 1.0
 
     def test_symmetry_is_judged_within_the_slack(self):
         """A moving average's multiplier is mirror-symmetric only to rounding
-        (here not bit for bit); the tolerance admits it, and a mismatch well
-        above ``BOUND_SLACK`` is refused."""
+        (here not bit for bit); ``keeps_mirror``'s tolerance admits it, and a
+        mismatch well above it is refused."""
         mavg = moving_average_spectral(128, 10)
         f = np.arange(1, 3)
         gap = np.abs(mavg.multiplier[f] - np.conj(mavg.multiplier[128 - f])).max()
         assert gap < 1e-15
-        assert kindex_module._mirrored(mavg, 2)
+        assert mavg.keeps_mirror
         skewed = SpectralTransformation(mavg.multiplier * (1 + 1e-6 * (np.arange(128) == 127)))
-        assert not kindex_module._mirrored(skewed, 2)
+        assert not skewed.keeps_mirror
 
 
 class TestADirectoryRecordsTheBound:

@@ -161,14 +161,14 @@ def reference_nearest_search(tree, k, lower_bound, exact=None, transformation=No
     return distances[order], records[order], visits[False], visits[True]
 
 
-def assert_same_search(got, want, stats):
+def assert_same_search(got, want):
     """Arrays equal bit for bit, dtype included, and the visits exactly."""
-    (distances, records), (want_distances, want_records, internal, leaf) = got, want
+    (distances, records, visits), (want_distances, want_records, internal, leaf) = got, want
     assert distances.dtype == want_distances.dtype == np.float64
     assert distances.tobytes() == want_distances.tobytes()
     assert records.dtype == want_records.dtype
     assert records.tolist() == want_records.tolist()
-    assert (stats.internal, stats.leaf) == (internal, leaf)
+    assert visits == (internal, leaf)
 
 
 # ----------------------------------------------------------------------
@@ -344,9 +344,8 @@ class TestTheKernelIsTheReplacedLoop:
                         want = reference_nearest_search(
                             tree, k, bounds[2], check, transformation, seeds
                         )
-                        tree.reset_stats()
                         got = tree.nearest_search(k, bounds[k % 2], check, transformation, seeds)
-                        assert_same_search(got, want, tree.access_stats)
+                        assert_same_search(got, want)
 
     @pytest.mark.parametrize("kind,features,extras", SPACES[::3], ids=SPACE_IDS[::3])
     def test_larger_trees(self, kind, features, extras):
@@ -364,9 +363,8 @@ class TestTheKernelIsTheReplacedLoop:
                     for k in (1, 5, 10, 60, 403):
                         split, _, reference = _bounds(kind, space, query)
                         want = reference_nearest_search(tree, k, reference, exact, transformation)
-                        tree.reset_stats()
                         got = tree.nearest_search(k, split, exact, transformation)
-                        assert_same_search(got, want, tree.access_stats)
+                        assert_same_search(got, want)
 
     def test_bounds_that_tie(self):
         """Points on the eight corners of a cube around the query, under
@@ -383,9 +381,8 @@ class TestTheKernelIsTheReplacedLoop:
             tree = PackedRTree.bulk_load(points, names, max_entries=max_entries)
             for k in (1, 7, count):
                 want = reference_nearest_search(tree, k, partial(reference_box_bound, np.zeros(3)))
-                tree.reset_stats()
                 got = tree.nearest_search(k, box_bound(np.zeros(3)))
-                assert_same_search(got, want, tree.access_stats)
+                assert_same_search(got, want)
 
     def test_the_empty_tree_and_a_leaf_root(self):
         for count in (0, 3):
@@ -394,9 +391,8 @@ class TestTheKernelIsTheReplacedLoop:
             query = np.array([0.5, -1.0, 2.0])
             for k in (1, 4):
                 want = reference_nearest_search(tree, k, partial(reference_box_bound, query))
-                tree.reset_stats()
                 got = tree.nearest_search(k, box_bound(query))
-                assert_same_search(got, want, tree.access_stats)
+                assert_same_search(got, want)
 
 
 # ----------------------------------------------------------------------
@@ -443,14 +439,14 @@ def reference_index_search(index, query, k, transformation, weight):
 
 @pytest.fixture()
 def kernel_calls(monkeypatch):
-    """What each ``PackedRTree.nearest_search`` call returned, with the
-    visits it counted."""
+    """What each ``PackedRTree.nearest_search`` call returned, the visits it
+    counted included."""
     calls = []
     kernel = PackedRTree.nearest_search
 
     def spy(tree, *args, **kwargs):
         found = kernel(tree, *args, **kwargs)
-        calls.append((found, (tree.access_stats.internal, tree.access_stats.leaf)))
+        calls.append(found)
         return found
 
     monkeypatch.setattr(PackedRTree, "nearest_search", spy)
@@ -497,7 +493,7 @@ def check_index_search(index, query, k, transformation, kernel_calls):
     del kernel_calls[:]
     result = index.nearest_neighbors(query, k, transformation=transformation)
     assert len(kernel_calls) == 1
-    (distances, records), visits = kernel_calls[0]
+    distances, records, visits = kernel_calls[0]
     assert distances.tobytes() == want[0].tobytes()
     assert records.tolist() == want[1].tolist()
     assert visits == want[2:]

@@ -169,14 +169,14 @@ class TestTheKernelIsTheReplacedLoop:
                     expected, internal, leaf = reference_window_search(
                         tree, window_lows, window_highs, transformation, mask
                     )
-                    tree.reset_stats()
-                    got = tree.window_search(window_lows, window_highs, transformation, mask)
+                    got, visits = tree.window_search(
+                        window_lows, window_highs, transformation, mask
+                    )
                     assert len(got) == len(expected), name
                     for found, want in zip(got, expected):
                         assert found.dtype == want.dtype
                         assert found.tolist() == want.tolist(), name
-                    stats = tree.access_stats
-                    assert (stats.internal, stats.leaf) == (internal, leaf), name
+                    assert visits == (internal, leaf), name
 
     def test_the_overlap_rule_with_derived_halves(self):
         """Halves passed in, halves derived, a slice or an index array for
@@ -309,16 +309,22 @@ class TestConcurrentReadersCountTheirOwnNodes:
             sys.setswitchinterval(interval)
         assert all(loop == alone for loop in seen)
 
-    def test_counters_are_the_calling_threads(self):
+    def test_a_probe_returns_its_own_visits(self):
+        """An image's search returns the nodes it opened — its 5 leaves — as
+        does the source's search under the map, and a probe on another
+        thread returns its own count: nothing is counted on the tree."""
         tree = PackedRTree.bulk_load(np.arange(40.0).reshape(20, 2), np.arange(20), max_entries=4)
-        image = tree.transformed(RealLinearTransformation([2.0, -1.0], [1.0, 0.0]))
-        tree.reset_stats()
-        image.window_search(np.full((1, 2), -100.0), np.full((1, 2), 100.0))
-        here = (tree.access_stats.internal, tree.access_stats.leaf)
-        assert here[1] == 5 and image.access_stats is tree.access_stats
+        transformation = RealLinearTransformation([2.0, -1.0], [1.0, 0.0])
+        image = tree.transformed(transformation)
+        everywhere = (np.full((1, 2), -100.0), np.full((1, 2), 100.0))
+        found, here = image.window_search(*everywhere)
+        assert found[0].tolist() == list(range(20)) and here == (3, 5)
+        assert tree.window_search(*everywhere, transformation)[1] == here
+        nowhere = (np.full((1, 2), 500.0), np.full((1, 2), 600.0))
         with ThreadPoolExecutor(max_workers=1) as pool:
-            there = pool.submit(lambda: tree.access_stats.total).result()
-        assert there == 0 and (tree.access_stats.internal, tree.access_stats.leaf) == here
+            there = pool.submit(image.window_search, *nowhere).result()
+        assert there[0][0].tolist() == [] and there[1] == (1, 0)
+        assert image.window_search(*everywhere)[1] == here
 
 
 # ----------------------------------------------------------------------

@@ -19,6 +19,11 @@ def _brute_force_range(points: np.ndarray, window: Rect) -> set[int]:
             if np.all(point >= window.low) and np.all(point <= window.high)}
 
 
+def _visits(tree, window: Rect) -> int:
+    """The nodes one search of ``window`` opened."""
+    return sum(tree.window_search(window.low[None, :], window.high[None, :])[1])
+
+
 def _build(cls, points: np.ndarray, **kwargs):
     tree = cls(points.shape[1], **kwargs)
     for i, point in enumerate(points):
@@ -170,29 +175,30 @@ class TestAccessAccounting:
         rng = np.random.default_rng(27)
         for i in range(200):
             tree.insert(rng.uniform(0, 100, size=2), i)
-        tree.reset_stats()
-        tree.search(Rect([0.0, 0.0], [10.0, 10.0]))
-        assert tree.access_stats.total >= 1
-        assert tree.access_stats.internal >= 1
-        tree.reset_stats()
-        assert tree.access_stats.total == 0
+        window = (np.zeros((1, 2)), np.full((1, 2), 10.0))
+        internal, leaf = tree.window_search(*window)[1]
+        assert internal + leaf >= 1
+        assert internal >= 1
+        # A probe returns its own visits: the next one counts from zero.
+        assert tree.window_search(*window)[1] == (internal, leaf)
 
     def test_counters_are_the_packed_forms(self):
-        """A grower counts nothing itself: its counters are those of the pack
-        its probes ran on, and an insert starts a fresh pack from zero."""
+        """A grower counts nothing itself: its probes return the visits of the
+        pack they ran on, and an insert starts a fresh pack."""
         tree = RTree(2, max_entries=4)
         rng = np.random.default_rng(28)
         for i in range(100):
             tree.insert(rng.uniform(0, 100, size=2), i)
-        tree.search(Rect([0.0, 0.0], [50.0, 50.0]))
+        window = (np.zeros((1, 2)), np.full((1, 2), 50.0))
+        _, visits = tree.window_search(*window)
         pack = tree.packed()
-        assert tree.access_stats is pack.access_stats and pack.access_stats.total > 1
+        assert pack.window_search(*window)[1] == visits and sum(visits) > 1
         assert tree.packed() is pack  # kept until the next insert
         for option in ({"page_store": None}, {"buffer_capacity": 8}):
             with pytest.raises(TypeError):
                 RTree(2, **option)
         tree.insert([1.0, 1.0], 100)
-        assert tree.packed() is not pack and tree.access_stats.total == 0
+        assert tree.packed() is not pack
         assert len(tree.packed()) == len(tree) == 101
 
     def test_bulk_load_equivalent_answers(self):
@@ -221,11 +227,10 @@ class TestRStarSpecifics:
         plain = _build(RTree, points, split="linear")
         star = _build(RStarTree, points)
         windows = [Rect(center - 2, center + 2) for center in centers]
-        plain.reset_stats()
-        star.reset_stats()
         for window in windows:
             assert set(plain.search(window)) == set(star.search(window))
-        assert star.access_stats.total <= plain.access_stats.total
+        assert (sum(_visits(star, window) for window in windows)
+                <= sum(_visits(plain, window) for window in windows))
 
     @given(st.integers(min_value=20, max_value=120), st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=15, deadline=None)

@@ -38,13 +38,14 @@ def transformation() -> RealLinearTransformation:
 def _range(tree, window: Rect, transformation=None, periodic_dims=None) -> list[int]:
     """The records one window finds, through the frontier kernel."""
     lows, highs = window.low[None, :], window.high[None, :]
-    return tree.window_search(lows, highs, transformation, periodic_dims)[0].tolist()
+    (records,), _ = tree.window_search(lows, highs, transformation, periodic_dims)
+    return records.tolist()
 
 
 def _nearest(tree, point: np.ndarray, k: int, transformation) -> list[int]:
     """The ``k`` nearest records of the transformed data, nearest first."""
     bound = partial(mindist_batch, point)
-    _, records = tree.nearest_search(k, bound, transformation=transformation)
+    _, records, _ = tree.nearest_search(k, bound, transformation=transformation)
     return records[:k].tolist()
 
 
