@@ -68,12 +68,6 @@ class CacheStats:
     misses: int = 0
     evictions: int = 0
 
-    def reset(self) -> None:
-        """Zero all counters."""
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
 
 class LRUCache:
     """A least-recently-used mapping with a fixed capacity.

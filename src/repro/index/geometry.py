@@ -18,7 +18,7 @@ from ..core.errors import DimensionMismatchError
 from ..core.spaces import RectangleBound, coordinate_sums
 
 __all__ = ["Rect", "mindist", "minmaxdist", "mindist_batch", "box_bound", "rects_overlap",
-           "angular_dims", "angular_halves", "corner_table"]
+           "angular_dims", "angular_halves", "corner_table", "narrowed_windows"]
 
 TWO_PI = 2.0 * math.pi
 
@@ -316,6 +316,42 @@ def angular_halves(lows: np.ndarray, highs: np.ndarray, angular: slice | np.ndar
     return lows[..., angular] + half, half
 
 
+def narrowed_windows(window_lows: np.ndarray, window_highs: np.ndarray,
+                     periodic_dims: Sequence[bool] | np.ndarray | None
+                     ) -> tuple[np.ndarray, np.ndarray, Sequence[bool] | np.ndarray | None]:
+    """``(q, d)`` windows and their wrap-around mask, cut to the angular
+    coordinates some window narrows: what :func:`rects_overlap` needs to
+    test of them, for the same hits.
+
+    A window at least ``2*pi`` wide on an angular coordinate (half-width
+    ``>= pi``: a polar window whose ball holds the origin spans
+    ``[-pi, pi]``) overlaps every entry there — the modulo test ORs it in.
+    Where every window does, the coordinate leaves the mask and the windows
+    are opened to ``(-inf, inf)`` on it, so that the plain test passes every
+    entry, wrapped or not (a NaN corner, which the old rule let through,
+    fails it).  Returns the inputs themselves when every angular coordinate
+    is narrowed by some window, and a mask of ``None`` when none is."""
+    angular = angular_dims(periodic_dims)
+    if angular is None:
+        return window_lows, window_highs, None
+    # Each coordinate's narrowest window (a NaN corner counts as narrow).
+    half = (window_highs[:, angular] - window_lows[:, angular]) * 0.5
+    wide = half.min(axis=0) >= math.pi
+    count = np.count_nonzero(wide)
+    if not count:
+        return window_lows, window_highs, periodic_dims
+    tested = None
+    opened = angular
+    if count < wide.size:
+        opened = np.arange(window_lows.shape[-1])[angular][wide]
+        tested = np.array(periodic_dims, dtype=bool)
+        tested[opened] = False
+    window_lows, window_highs = window_lows.copy(), window_highs.copy()
+    window_lows[:, opened] = -math.inf
+    window_highs[:, opened] = math.inf
+    return window_lows, window_highs, tested
+
+
 def rects_overlap(lows: np.ndarray, highs: np.ndarray,
                   window_lows: np.ndarray, window_highs: np.ndarray,
                   periodic_dims: Sequence[bool] | np.ndarray | None = None, *,
@@ -335,7 +371,12 @@ def rects_overlap(lows: np.ndarray, highs: np.ndarray,
     their centres is at most the sum of their half-widths (intervals at least
     ``2*pi`` wide overlap everything), which evaluates as one fused kernel
     over all periodic dimensions — equivalent to, and much faster than,
-    testing each shifted copy of the interval separately.
+    testing each shifted copy of the interval separately.  It runs on every
+    coordinate the mask marks: a caller whose windows may span the whole
+    circle passes them through :func:`narrowed_windows` first, so that the
+    test runs only on the coordinates a window narrows, and not at all when
+    none does (a polar window whose radius reaches the magnitude of every
+    indexed coefficient).
 
     A caller that tests the same rectangles or windows many times may pass
     their :func:`angular_halves` as ``halves`` / ``window_halves`` (the

@@ -60,7 +60,7 @@ from ..storage.pages import records_per_page
 from ..timeseries.features import SeriesFeatureExtractor, SeriesFeatures
 from ..timeseries.series import TimeSeries
 from ..timeseries.transforms import SpectralTransformation
-from .geometry import box_bound, rects_overlap
+from .geometry import box_bound, narrowed_windows, rects_overlap
 from .rstar import RStarTree
 from .rtree import KEPT_MAPS, PackedRTree
 
@@ -600,8 +600,8 @@ class KIndex:
             # The leaf level's test on the rows no leaf holds yet; their ids
             # follow every packed id, so each list stays ascending.
             points = tail if real_map is None else real_map.apply(tail)
-            hits = rects_overlap(points, points, window_lows[:, None, :],
-                                 window_highs[:, None, :], periodic)
+            lows, highs, tested = narrowed_windows(window_lows, window_highs, periodic)
+            hits = rects_overlap(points, points, lows[:, None, :], highs[:, None, :], tested)
             candidate_lists = [np.concatenate((candidates, first + np.flatnonzero(row)))
                                for candidates, row in zip(candidate_lists, hits)]
         results = [RangeQueryResult() for _ in queries]
@@ -642,13 +642,15 @@ class KIndex:
                       results: list[RangeQueryResult]) -> None:
         """One abandoning verification pass (:func:`verify_pairs`) over every
         candidate of a batch of range queries (under a ``transformation``,
-        the candidates' rows mapped as the kernel gathers them)."""
+        the candidates' rows mapped as the kernel gathers them).  A batch of
+        one query is verified in the kernel's broadcast form, with no
+        per-pair query index or threshold."""
         counts = [candidates.size for candidates in candidate_lists]
         if not sum(counts):
             return
         row_ids = np.concatenate(candidate_lists)
-        query_index = np.repeat(np.arange(len(candidate_lists), dtype=np.intp),
-                                counts)
+        query_index = (None if len(candidate_lists) == 1 else
+                       np.repeat(np.arange(len(candidate_lists), dtype=np.intp), counts))
         positions, distances = verify_pairs(
             self.store.records(transformation), row_ids, query_records(query_fulls),
             query_index, epsilons, self.extractor.include_stats)

@@ -54,7 +54,8 @@ import numpy as np
 from ..core.errors import IndexError_
 from ..core.spaces import RectangleBound
 from ..core.transformations import RealLinearTransformation
-from .geometry import Rect, angular_dims, corner_table, mindist_batch, rects_overlap
+from .geometry import (Rect, angular_dims, corner_table, mindist_batch, narrowed_windows,
+                       rects_overlap)
 
 __all__ = ["RTreeEntry", "RTreeNode", "PackedRTree", "RTree"]
 
@@ -320,9 +321,12 @@ class PackedRTree:
         table and tested against their windows in one call; the survivors —
         their payloads are their child nodes' slots — are the next frontier.
         ``periodic_dims`` marks wrap-around dimensions (phase angles of the
-        polar layout) whose overlap test is taken modulo ``2*pi``; the
-        windows' angular centres and half-widths are derived once per
-        search.  A node serving several windows is visited (and counted)
+        polar layout) whose overlap test is taken modulo ``2*pi``, but only
+        on the coordinates some window narrows, and not at all when every
+        window spans the whole circle
+        (:func:`~repro.index.geometry.narrowed_windows`); which those are,
+        and the windows' angular centres and half-widths, are derived once
+        per search.  A node serving several windows is visited (and counted)
         once, which is where batched execution gains over issuing the
         searches one at a time.  A single window is broadcast against every
         entry, and its frontier, holding each node once, is counted by its
@@ -350,7 +354,13 @@ class PackedRTree:
         tree = self if transformation is None else self.transformed(transformation)
         internal = leaf = 0
         angular = angular_dims(periodic_dims)
-        windows = corner_table(window_lows, window_highs, angular)
+        window_lows, window_highs, tested = narrowed_windows(window_lows, window_highs,
+                                                             periodic_dims)
+        # A level's table holds the halves of every angular coordinate; when
+        # the windows narrow some of them only, the test reads those columns.
+        kept = (None if tested is None or tested is periodic_dims
+                else np.flatnonzero(np.asarray(tested)[angular]))
+        windows = corner_table(window_lows, window_highs, angular_dims(tested))
         single = num_windows == 1
         if single:
             window = _split_corners(windows.T, self.dimension)
@@ -371,7 +381,9 @@ class PackedRTree:
             else:
                 internal += opened
             lows, highs, halves = level.corners(entries, angular)
-            keep = rects_overlap(lows, highs, window[0], window[1], periodic_dims,
+            if halves is not None and kept is not None:
+                halves = (halves[0][:, kept], halves[1][:, kept])
+            keep = rects_overlap(lows, highs, window[0], window[1], tested,
                                  halves=halves, window_halves=window[2])
             nodes = level.payloads.take(entries[keep])
             if not single:

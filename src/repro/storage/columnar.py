@@ -776,8 +776,8 @@ def exact_distances(rows: Records, query: Records, include_stats: bool, *,
 
 
 def gathered_pair_distances(rows: Records, row_ids: np.ndarray, queries: Records,
-                            query_index: np.ndarray | None,
-                            include_stats: bool) -> np.ndarray:
+                            query_index: np.ndarray | None, include_stats: bool,
+                            plan: tuple[Any, Any] | None = None) -> np.ndarray:
     """One exact distance per (stored row, query) pair, in a single pass:
     the exact core under every exact distance of the engine.
 
@@ -790,9 +790,12 @@ def gathered_pair_distances(rows: Records, row_ids: np.ndarray, queries: Records
     moduli squared in place (``a *= a``, the bits of ``** 2``), then reduced
     — a pair of two half spectra of one length as ``2 · Σ`` over the
     frequencies below ``n/2`` plus the term at ``n/2``, any other over the
-    common prefix of its whole spectra (see :func:`_plan`).
+    common prefix of its whole spectra (see :func:`_plan`).  A caller that
+    already holds the pairs' ``plan`` passes it, and they are not planned
+    again.
     """
-    plan = _plan(rows, row_ids, queries, 0 if query_index is None else query_index)
+    if plan is None:
+        plan = _plan(rows, row_ids, queries, 0 if query_index is None else query_index)
     return _scored(rows, row_ids, queries, query_index, include_stats, plan)
 
 
@@ -969,7 +972,8 @@ def verify_pairs(rows: Records, row_ids: np.ndarray | None, queries: Records,
     query ``q``'s threshold.  They are taken :data:`PAIR_BLOCK` at a time.
     A block is first filtered by the statistics term, then abandoned in the
     rounds of :func:`_abandon`; only its survivors are scored exactly, by
-    :func:`gathered_pair_distances` in slices of :func:`_slice_rows` pairs.
+    :func:`gathered_pair_distances` under the plan the block already holds,
+    in slices of :func:`_slice_rows` pairs.
     A pair reduces over its own columns, so a query's distances are
     bit-identical to a batch holding it alone, however long the other
     queries of the batch are.  Without ``epsilons`` every pair is scored and
@@ -1014,7 +1018,7 @@ def verify_pairs(rows: Records, row_ids: np.ndarray | None, queries: Records,
             pairs = slice(start, start + step)
             distances = gathered_pair_distances(
                 rows, ids[pairs], queries, None if queried is None else queried[pairs],
-                include_stats)
+                include_stats, _cut(plan, pairs))
             keep = (slice(None) if epsilons is None
                     else distances <= epsilons[0 if queried is None else queried[pairs]])
             found.append((positions[pairs][keep], distances[keep]))

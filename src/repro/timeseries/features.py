@@ -105,12 +105,18 @@ class SeriesFeatureExtractor:
 
     # ------------------------------------------------------------------
     def extract(self, series: TimeSeries) -> SeriesFeatures:
-        """Full extraction: indexable point plus the complete coefficient record."""
+        """Full extraction: indexable point plus the complete coefficient
+        record.  The point is the one row :meth:`points_of` would give the
+        record, bit for bit, taken from the record itself: the first ``k``
+        coefficients of its whole spectrum, zero past its length."""
         values, mean, std = normal_form_values(series.values)
         length = values.shape[0] - 1
         half = dft_module.dft(values)[1:1 + half_width(length)].copy()
-        point = self.points_of(Records(half[None, :], np.array([length]), np.array([mean]),
-                                       np.array([std])))[0]
+        prefix = np.zeros((1, self.num_coefficients), dtype=np.complex128)
+        spectrum = whole_spectrum(half, length)[:self.num_coefficients]
+        prefix[0, :spectrum.shape[0]] = spectrum
+        extra = np.array([[mean, std]]) if self.include_stats else np.empty((1, 0))
+        point = self.space.encode_rows(prefix, extra)[0]
         return SeriesFeatures(point=FeatureVector(point), full_coefficients=half,
                               mean=mean, std=std, length=length)
 

@@ -19,6 +19,7 @@ while richer transformations remain available.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,13 +43,23 @@ class NormalForm:
 
 
 def normal_form_values(values: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Normal form of a raw value array; returns ``(normalised, mean, std)``."""
+    """Normal form of a raw value array; returns ``(normalised, mean, std)``.
+
+    ``mean`` and ``std`` are ``np.mean`` and ``np.std`` of the values, bit
+    for bit, computed by the reductions those functions run — the sum
+    divided by the count; the deviations from that mean, squared, summed,
+    divided and rooted — without their argument handling, which costs a
+    query's extraction more than the arithmetic does.  The deviations are
+    then the normal form's numerators."""
     array = np.asarray(values, dtype=np.float64)
-    mean = float(np.mean(array))
-    std = float(np.std(array))
+    size = array.size
+    mean = np.add.reduce(array, axis=None) / size
+    deviations = array - mean
+    std = math.sqrt(np.add.reduce(deviations * deviations, axis=None) / size)
     if std == 0.0:
-        return np.zeros_like(array), mean, std
-    return (array - mean) / std, mean, std
+        return np.zeros_like(array), float(mean), std
+    deviations /= std
+    return deviations, float(mean), std
 
 
 def normalize(series: TimeSeries) -> NormalForm:

@@ -32,9 +32,11 @@ from repro import (
     random_walk_collection,
 )
 from repro.core.errors import UnsafeTransformationError
+from repro.core.objects import FeatureVector
+from repro.core.spaces import PolarSpace
 from repro.core.transformations import RealLinearTransformation
 from repro.index import kindex as kindex_module
-from repro.index.geometry import angular_dims, angular_halves, rects_overlap
+from repro.index.geometry import angular_dims, angular_halves, narrowed_windows, rects_overlap
 from repro.index.rstar import RStarTree
 from repro.index.rtree import PackedRTree
 from repro.storage import codec
@@ -208,6 +210,182 @@ class TestTheKernelIsTheReplacedLoop:
                 )
                 assert got.tolist() == want.tolist()
                 assert angular_halves(points, points, angular)[1] == 0.0
+
+
+# ----------------------------------------------------------------------
+# windows that span the whole circle
+# ----------------------------------------------------------------------
+#: The polar layout of two coefficients behind the mean and deviation: the
+#: ``"polar"`` mask.
+POLAR = PolarSpace(2, 2)
+
+#: Search radii against centres whose first magnitude is in [5, 20) and
+#: second in [25, 40): past both, between them, below both.
+BOTH, FIRST, NEITHER = 50.0, 22.0, 2.0
+
+
+def _polar_windows(rng, points, transformation, radii):
+    """Windows as ``PolarSpace.search_rectangle`` builds them around stored
+    points: at a radius reaching a feature's magnitude its angle spans
+    ``[-pi, pi]``, a half-width of exactly ``pi``.  Under a map the centre is
+    mapped first, as a probe maps it."""
+    corners = []
+    for radius in radii:
+        centre = points[rng.integers(0, len(points))].copy()
+        centre[2] = rng.uniform(5.0, 20.0)
+        centre[4] = rng.uniform(25.0, 40.0)
+        if transformation is not None:
+            centre = transformation.apply(centre[None, :])[0]
+        corners.append(POLAR.search_rectangle(FeatureVector(centre), radius))
+    return np.array([low for low, _ in corners]), np.array([high for _, high in corners])
+
+
+#: Batches of radii: every window spans both circles, some windows do, every
+#: window spans the first circle only (the second stays tested), a mix of
+#: that and both, and none.
+RADII = {
+    "every": [BOTH] * 6,
+    "some": [BOTH, NEITHER, BOTH, FIRST, NEITHER, BOTH],
+    "first": [FIRST] * 5,
+    "first-and-both": [FIRST, BOTH, FIRST, BOTH],
+    "none": [NEITHER] * 5,
+}
+
+
+class TestTheNarrowedPeriodicTest:
+    """The traversal tests an angle modulo ``2*pi`` only where some window
+    narrows it, and opens the windows to the whole line where none does:
+    records and visits stay those of the rule that tested every angle, also
+    on images whose maps push angles outside ``(-pi, pi]`` (the plain test
+    alone would drop them)."""
+
+    @pytest.mark.parametrize("batch", sorted(RADII))
+    def test_polar_windows_match_the_old_rule(self, batch):
+        mask = MASKS["polar"]
+        assert mask.tolist() == POLAR.periodic_dimension_mask().tolist()
+        rng = np.random.default_rng(3300 + len(batch))
+        for name, tree, points in _trees(rng, mask):
+            for transformation in _maps(rng, mask.shape[0]):
+                lows, highs = _polar_windows(rng, points, transformation, RADII[batch])
+                batches = [(lows[i : i + 1], highs[i : i + 1]) for i in range(len(lows))]
+                batches.append((lows, highs))
+                for window_lows, window_highs in batches:
+                    expected, internal, leaf = reference_window_search(
+                        tree, window_lows, window_highs, transformation, mask
+                    )
+                    got, visits = tree.window_search(
+                        window_lows, window_highs, transformation, mask
+                    )
+                    found = [records.tolist() for records in got]
+                    assert found == [records.tolist() for records in expected], name
+                    assert visits == (internal, leaf), name
+
+    @pytest.mark.parametrize("mask_name", ["polar", "uneven"])
+    def test_circles_on_any_angular_coordinates(self, mask_name):
+        """Hand-built windows at ``[-pi, pi]`` on every angular coordinate,
+        on some, or on one window's only, under a slice and an index array
+        of angular coordinates."""
+        mask = MASKS[mask_name]
+        angular = np.flatnonzero(mask)
+        rng = np.random.default_rng(3310 + len(mask_name))
+        for name, tree, points in _trees(rng, mask):
+            for transformation in _maps(rng, mask.shape[0]):
+                for wide in (angular, angular[:1], angular[1:]):
+                    # Every window at [-pi, pi] on the wide coordinates, then
+                    # only the first window of a batch.
+                    lows, highs = _windows(rng, 6, points, mask, transformation)
+                    lows[:, wide], highs[:, wide] = -math.pi, math.pi
+                    batches = [(lows, highs), (lows[:1], highs[:1])]
+                    lows, highs = _windows(rng, 6, points, mask, transformation)
+                    lows[0, wide], highs[0, wide] = -math.pi, math.pi
+                    batches.append((lows, highs))
+                    for window_lows, window_highs in batches:
+                        expected, internal, leaf = reference_window_search(
+                            tree, window_lows, window_highs, transformation, mask
+                        )
+                        got, visits = tree.window_search(
+                            window_lows, window_highs, transformation, mask
+                        )
+                        found = [records.tolist() for records in got]
+                        assert found == [records.tolist() for records in expected], name
+                        assert visits == (internal, leaf), name
+
+    def test_what_the_narrowing_returns(self):
+        mask = MASKS["polar"]
+        rng = np.random.default_rng(3320)
+        points = _data(rng, 50, mask)
+        lows, highs = _polar_windows(rng, points, None, [NEITHER, BOTH])
+        for periodic in (mask, None):
+            returned = narrowed_windows(lows, highs, periodic)
+            assert all(got is given for got, given in zip(returned, (lows, highs, periodic)))
+        opened_lows, opened_highs, tested = narrowed_windows(lows[1:], highs[1:], mask)
+        assert tested is None
+        assert opened_lows[0, mask].tolist() == [-math.inf] * 2
+        assert opened_highs[0, mask].tolist() == [math.inf] * 2
+        assert lows[1, 3] == -math.pi  # the caller's windows are left as they were
+        _, _, tested = narrowed_windows(*_polar_windows(rng, points, None, [FIRST] * 3), mask)
+        assert tested.tolist() == [False] * 5 + [True]
+
+    @pytest.mark.parametrize("batch", sorted(RADII))
+    def test_the_unindexed_tail(self, batch):
+        """The tail's test — its points against ``(q, 1, d)`` windows — under
+        the narrowing equals the old rule, directly and in a probe."""
+        mask = MASKS["polar"]
+        rng = np.random.default_rng(3330 + len(batch))
+        points = _data(rng, 300, mask)
+        for transformation in _maps(rng, mask.shape[0]):
+            lows, highs = _polar_windows(rng, points, transformation, RADII[batch])
+            tail = points if transformation is None else transformation.apply(points)
+            want = reference_overlap(tail, tail, lows[:, None, :], highs[:, None, :], mask)
+            opened_lows, opened_highs, tested = narrowed_windows(lows, highs, mask)
+            got = rects_overlap(
+                tail, tail, opened_lows[:, None, :], opened_highs[:, None, :], tested
+            )
+            assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("name", [None, "mavg10"])
+    def test_a_probe_over_a_tail(self, name):
+        """Probes of 600 walks, 200 of them in the tail, at radii from below
+        every magnitude to past them all: one at a time and as one batch,
+        the candidates are the old rule's over the tree and the tail, and
+        the answers a scan's."""
+        data = random_walk_collection(600, 128, seed=33)
+        index = KIndex.bulk_load(data[:400], SeriesFeatureExtractor(2))
+        index.extend(data[400:])
+        assert index.tail_rows == 200
+        transformation = None if name is None else moving_average_spectral(128, 10)
+        _, real_map = index.lower_transformation(transformation)
+        _, tail = index._tail(index.tree)
+        tail = tail if real_map is None else real_map.apply(tail)
+        mask = index.space.periodic_dimension_mask()
+        scan = SequentialScan(SeriesFeatureExtractor(2))
+        scan.extend(data)
+        queries = [data[row] for row in (3, 450, 599)]
+        epsilons = [1.0, 6.0, 40.0]
+        corners = []
+        for query, epsilon in zip(queries, epsilons):
+            point = index.extractor.extract(query).point
+            centre = point if real_map is None else real_map.apply_point(point)
+            corners.append(index.space.search_rectangle(centre, epsilon))
+        lows, highs = np.array([c[0] for c in corners]), np.array([c[1] for c in corners])
+        wide = (highs - lows)[:, mask] * 0.5 >= math.pi
+        assert wide[-1].all() and not wide[0].any()
+        for batch in ([0], [1], [2], [0, 1, 2]):
+            expected, _, _ = reference_window_search(
+                index.tree, lows[batch], highs[batch], real_map, mask
+            )
+            hits = reference_overlap(
+                tail, tail, lows[batch][:, None, :], highs[batch][:, None, :], mask
+            )
+            results = index.range_query_batch(
+                [queries[i] for i in batch],
+                [epsilons[i] for i in batch],
+                transformation=transformation,
+            )
+            for result, want, row, i in zip(results, expected, hits, batch):
+                assert result.statistics.candidates == want.size + np.count_nonzero(row)
+                alone = scan.range_query(queries[i], epsilons[i], transformation=transformation)
+                assert _pairs(result.answers) == _pairs(alone.answers)
 
 
 # ----------------------------------------------------------------------
