@@ -42,10 +42,9 @@ The package is organised as:
     generators and feature extraction.
 ``repro.index``
     The packed R-tree (searched under a transformation by
-    ``PackedRTree.window_search`` / ``nearest_search``) and the dynamic
-    R-/R*-trees that grow one, the two indexes the catalog holds — the
-    k-index and the metric (vantage-point) index — and the sequential-scan
-    baselines.
+    ``PackedRTree.window_search`` / ``nearest_search``), the two indexes the
+    catalog holds — the k-index and the metric (vantage-point) index — and
+    the sequential-scan baselines.
 ``repro.strings``
     A second domain instantiation (weighted edit transformations).
 ``repro.storage``
@@ -56,7 +55,9 @@ The package is organised as:
     The wire server over a ``Session`` (a thread per connection) and —
     ``repro.client`` — the retrying client for it.
 ``repro.bench``
-    The experiment harness reproducing the evaluation's figures and table.
+    The experiment harness reproducing the evaluation's figures and table,
+    and the dynamic R-/R*-trees grown by insertion that the figures were
+    measured on.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ from .core.transformations import (
     RealLinearTransformation,
     Transformation,
 )
-from .index.geometry import Rect, mindist, minmaxdist
+from .index.geometry import Rect, mindist
 from . import client
 from .server import (
     BackoffPolicy,
@@ -130,8 +131,7 @@ from .server import (
 )
 from .index.kindex import KIndex, NearestNeighborResult, RangeQueryResult
 from .index.metric import MetricIndex
-from .index.rstar import RStarTree
-from .index.rtree import PackedRTree, RTree
+from .index.rtree import PackedRTree
 from .index.scan import SequentialScan
 from .storage.buffer import BufferPool
 from .storage.columnar import ColumnarRecordStore
@@ -202,9 +202,9 @@ __all__ = [
     "PolarSpace", "RectangularSpace",
     "Transformation", "IdentityTransformation", "FunctionTransformation",
     "ComposedTransformation", "LinearTransformation", "RealLinearTransformation",
-    "Rect", "mindist", "minmaxdist",
+    "Rect", "mindist",
     "KIndex", "MetricIndex", "RangeQueryResult", "NearestNeighborResult",
-    "PackedRTree", "RTree", "RStarTree", "SequentialScan",
+    "PackedRTree", "SequentialScan",
     "BufferPool", "ColumnarRecordStore",
     "ColumnSegment", "DurableDatabase", "SegmentPageStore", "WriteAheadLog",
     "StringObject", "weighted_edit_distance", "transformation_edit_distance",

@@ -23,8 +23,6 @@ from typing import Any, Callable
 
 import numpy as np
 
-from ..index.rstar import RStarTree
-from ..index.rtree import RTree
 from ..storage.columnar import pairwise_distances
 from ..strings.distance import transformation_edit_distance, weighted_edit_distance
 from ..timeseries.generators import make_rng
@@ -35,6 +33,7 @@ from ..timeseries.transforms import (
     moving_average_spectral,
     reverse_spectral,
 )
+from .growers import RStarTree, RTree
 from .workloads import ExperimentFixture, stock_workload, synthetic_workload
 
 __all__ = [
@@ -446,9 +445,10 @@ def ablation_tree_variants(num_points: int = 2000, dimension: int = 6, *,
         tree = build()
         for i, point in enumerate(points):
             tree.insert(point, i)
+        packed = tree.packed()
         answers = visits = 0
         for low, high in windows:
-            (found,), (internal, leaf) = tree.window_search(low[None, :], high[None, :])
+            (found,), (internal, leaf) = packed.window_search(low[None, :], high[None, :])
             answers += len(found)
             visits += internal + leaf
         rows.append({"variant": name, "node_accesses": visits,

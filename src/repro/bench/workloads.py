@@ -46,6 +46,7 @@ from ..timeseries.features import SeriesFeatureExtractor
 from ..timeseries.generators import make_rng, random_walk_collection
 from ..timeseries.series import TimeSeries
 from ..timeseries.stockdata import StockArchiveConfig, make_stock_archive
+from .growers import insertion_built
 
 __all__ = [
     "ExperimentFixture",
@@ -128,7 +129,7 @@ def _build(
         num_coefficients=num_coefficients, representation=representation
     )
     # The evaluation's figures were measured on a dynamically built tree.
-    build = KIndex.bulk_load if bulk_load else KIndex.build_by_insertion
+    build = KIndex.bulk_load if bulk_load else insertion_built
     index = build(
         data, extractor, max_entries=PAPER_NODE_CAPACITY, nearest_bound=PAPER_NEAREST_BOUND
     )
@@ -159,7 +160,8 @@ def synthetic_workload(
 
     ``bulk_load=True`` builds the index with the Sort-Tile-Recursive loader
     instead of one-at-a-time insertion into a dynamic tree
-    (:meth:`KIndex.build_by_insertion`; identical answers, packed tree).
+    (:func:`~repro.bench.growers.insertion_built`; identical answers, packed
+    tree).
     """
     data = random_walk_collection(num_series, length, seed=seed)
     return _build(

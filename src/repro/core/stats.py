@@ -166,7 +166,7 @@ class RelationStatistics:
     extent_low: np.ndarray | None = None
     extent_high: np.ndarray | None = None
     spread: np.ndarray | None = None
-    #: Structure of the registered spatial index (see RTree.structure_summary).
+    #: Structure of the registered spatial index (see PackedRTree.structure_summary).
     tree_summary: dict[str, float] | None = None
     #: Structure of the registered metric index, when one exists.
     metric_summary: dict[str, float] | None = None

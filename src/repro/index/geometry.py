@@ -2,8 +2,8 @@
 
 Everything an R-tree needs from geometry lives here: minimum bounding
 rectangles (MBRs), containment and overlap tests, enlargement, margin,
-overlap area, and the MINDIST / MINMAXDIST metrics used by branch-and-bound
-nearest-neighbour search.
+overlap area, and the MINDIST metric used by best-first nearest-neighbour
+search.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 from ..core.errors import DimensionMismatchError
 from ..core.spaces import RectangleBound, coordinate_sums
 
-__all__ = ["Rect", "mindist", "minmaxdist", "mindist_batch", "box_bound", "rects_overlap",
+__all__ = ["Rect", "mindist", "mindist_batch", "box_bound", "rects_overlap",
            "angular_dims", "angular_halves", "corner_table", "narrowed_windows"]
 
 TWO_PI = 2.0 * math.pi
@@ -179,32 +179,6 @@ def mindist(point: Sequence[float] | np.ndarray, rect: Rect) -> float:
     it is safe for pruning nearest-neighbour search.
     """
     return float(mindist_batch(point, rect.low[None, :], rect.high[None, :])[0])
-
-
-def minmaxdist(point: Sequence[float] | np.ndarray, rect: Rect) -> float:
-    """MINMAXDIST: an upper bound on the distance to the *nearest* object in ``rect``.
-
-    Along each dimension the nearest face is considered while all other
-    coordinates take their farthest value; the minimum over dimensions is an
-    upper bound on the nearest-object distance because every face of an MBR
-    touches at least one stored object (Roussopoulos et al., 1995).
-    """
-    p = np.asarray(point, dtype=np.float64).reshape(-1)
-    if p.shape[0] != rect.dimension:
-        raise DimensionMismatchError(
-            f"point of dimension {p.shape[0]} vs rectangle of dimension {rect.dimension}"
-        )
-    center = rect.center()
-    # rm_k: the coordinate of the nearer face in dimension k.
-    rm = np.where(p <= center, rect.low, rect.high)
-    # rM_k: the coordinate of the farther face in dimension k.
-    rM = np.where(p >= center, rect.low, rect.high)
-    total_far = np.sum((p - rM) ** 2)
-    best = math.inf
-    for k in range(rect.dimension):
-        value = total_far - (p[k] - rM[k]) ** 2 + (p[k] - rm[k]) ** 2
-        best = min(best, float(value))
-    return math.sqrt(max(0.0, best))
 
 
 # ----------------------------------------------------------------------

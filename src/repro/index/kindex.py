@@ -38,7 +38,6 @@ published with one assignment (see :meth:`KIndex.extend`).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Any, Iterable, Iterator, Sequence
@@ -61,7 +60,6 @@ from ..timeseries.features import SeriesFeatureExtractor, SeriesFeatures
 from ..timeseries.series import TimeSeries
 from ..timeseries.transforms import SpectralTransformation
 from .geometry import box_bound, narrowed_windows, rects_overlap
-from .rstar import RStarTree
 from .rtree import KEPT_MAPS, PackedRTree
 
 __all__ = ["QueryStatistics", "RangeQueryResult", "NearestNeighborResult", "KIndex",
@@ -132,13 +130,13 @@ class QueryStatistics:
 
     Batched execution keeps every counter **exact**: kernels verify gathered
     candidate blocks, and the counters are derived from the block shapes —
-    per-element work is counted, never estimated.
+    per-element work is counted, never estimated.  Time is not a counter:
+    the executor clocks each query once (``QueryOutcome.elapsed_seconds``).
     """
 
     node_accesses: int = 0
     candidates: int = 0
     postprocessed: int = 0
-    elapsed_seconds: float = 0.0
     record_fetches: int = 0
     internal_node_accesses: int = 0
     leaf_node_accesses: int = 0
@@ -163,7 +161,6 @@ class QueryStatistics:
         """The counters as a plain dictionary (for benchmark reports)."""
         return {"node_accesses": self.node_accesses, "candidates": self.candidates,
                 "postprocessed": self.postprocessed,
-                "elapsed_seconds": self.elapsed_seconds,
                 "record_fetches": self.record_fetches,
                 "io_total": self.io_total,
                 "internal_node_accesses": self.internal_node_accesses,
@@ -322,28 +319,6 @@ class KIndex:
         """
         index = cls(extractor, **options)
         index.extend(collection)
-        return index
-
-    @classmethod
-    def build_by_insertion(cls, collection: Iterable[TimeSeries],
-                           extractor: SeriesFeatureExtractor | None = None,
-                           **options: Any) -> "KIndex":
-        """Build an index whose tree is grown from empty by one
-        :meth:`RTree.insert <repro.index.rtree.RTree.insert>` per series, in
-        order — the paper's *dynamic* R*-tree (choose-subtree, split, forced
-        reinsertion) — and then handed over as its packed form.
-
-        This is the only way to a dynamically built tree, and it exists for
-        what compares against one: the evaluation's figures (whose node-access
-        numbers were measured on such a tree) and the insert-built side of
-        differential tests.  Rows appended later join the tail like any
-        others, and the first seal re-packs the index by STR.
-        """
-        index = cls(extractor, **options)
-        grower = RStarTree(index.space.dimension, max_entries=index.max_entries)
-        for record_id, point in enumerate(index._append(collection)):
-            grower.insert(point, record_id)
-        index.tree = grower.packed()
         return index
 
     @property
@@ -573,7 +548,6 @@ class KIndex:
             raise ValueError("epsilon must be non-negative")
         if not queries:
             return []
-        started = time.perf_counter()
         tree = self.tree  # one snapshot: the tail is the rows beyond this tree
         linear, real_map = self.lower_transformation(transformation)
         moved = transformation is not None and transform_query
@@ -625,14 +599,12 @@ class KIndex:
                 keep = keep[np.argsort(distances[keep], kind="stable")]
                 result.answers = list(zip(self.store.series_at(candidates[keep]),
                                           distances[keep].tolist()))
-        elapsed_share = (time.perf_counter() - started) / len(queries)
         tail_pages = self._pages(len(tail))
         for result in results:
             if exact:
                 result.statistics.postprocessed = result.statistics.candidates
             result.statistics.record_fetches = result.statistics.postprocessed
             self._work_counters(result.statistics, visits, tail_pages)
-            result.statistics.elapsed_seconds = elapsed_share
         return results
 
     def _verify_batch(self, candidate_lists: Sequence[np.ndarray],
@@ -680,7 +652,6 @@ class KIndex:
         candidate pool.
         Answers are ordered by ``(distance, record id)``, exactly a scan's.
         """
-        started = time.perf_counter()
         tree = self.tree  # one snapshot: the tail is the rows beyond this tree
         linear, real_map = self.lower_transformation(transformation)
         features = self._query_features(query)
@@ -716,7 +687,6 @@ class KIndex:
         result.statistics.postprocessed = rows.size
         result.statistics.record_fetches = rows.size
         self._work_counters(result.statistics, visits, self._pages(len(tail)))
-        result.statistics.elapsed_seconds = time.perf_counter() - started
         return result
 
     def all_pairs(self, epsilon: float, *,
@@ -733,7 +703,6 @@ class KIndex:
         """
         if not epsilon >= 0:  # NaN too
             raise ValueError("epsilon must be non-negative")
-        started = time.perf_counter()
         pairs: list[tuple[TimeSeries, TimeSeries, float]] = []
         stats = QueryStatistics()
         for record_id in range(len(self.store)):
@@ -748,7 +717,6 @@ class KIndex:
             for other, distance in result.answers:
                 if other.object_id != series.object_id:
                     pairs.append((series, other, distance))
-        stats.elapsed_seconds = time.perf_counter() - started
         return pairs, stats
 
     # ------------------------------------------------------------------

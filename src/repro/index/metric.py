@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import time
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
@@ -192,7 +191,6 @@ class MetricIndex:
         for epsilon in epsilons:
             if not epsilon >= 0:  # NaN too
                 raise ValueError("epsilon must be non-negative")
-        started = time.perf_counter()
         self._ensure_built()
         results = [RangeQueryResult() for _ in queries]
 
@@ -235,11 +233,9 @@ class MetricIndex:
                    and pivot_distances[i] + epsilons[i] >= node.outside_min])
 
         visit(self._root, list(range(len(queries))))
-        elapsed = time.perf_counter() - started
         for result in results:
             result.answers.sort(key=lambda pair: pair[1])
             result.statistics.record_fetches = result.statistics.postprocessed
-            result.statistics.elapsed_seconds = elapsed / max(1, len(queries))
         return results
 
     # ------------------------------------------------------------------
@@ -254,12 +250,10 @@ class MetricIndex:
         """
         if k <= 0:
             raise ValueError("k must be positive")
-        started = time.perf_counter()
         self._ensure_built()
         result = NearestNeighborResult()
         stats = result.statistics
         if self._root is None:
-            stats.elapsed_seconds = time.perf_counter() - started
             return result
         # Max-heap (negated distances) of the best k found so far.
         best: list[tuple[float, int, Any]] = []
@@ -308,7 +302,6 @@ class MetricIndex:
         result.answers = sorted(((obj, -negated) for negated, _, obj in best),
                                 key=lambda pair: pair[1])
         stats.record_fetches = stats.postprocessed
-        stats.elapsed_seconds = time.perf_counter() - started
         return result
 
     def __repr__(self) -> str:

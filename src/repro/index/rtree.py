@@ -1,4 +1,4 @@
-"""R-trees: the packed form every probe runs on, and the trees that grow one.
+"""The packed R-tree every probe runs on.
 
 A :class:`PackedRTree` **is** the index: per level, the entry rectangles of
 all nodes stacked node after node into contiguous corner arrays, immutable
@@ -28,14 +28,8 @@ probe returns the internal and leaf nodes it opened with its answer and
 changes nothing on the tree, so concurrent readers of one tree each get
 their own counts.
 
-:class:`RTree` (Guttman, 1984: linear and quadratic node splits) and its
-subclass :class:`~repro.index.rstar.RStarTree` are *growers*: a graph of
-node objects that one :meth:`RTree.insert` at a time shapes with the dynamic
-trees' heuristics, for the evaluation's figures and the tree-variant
-ablation, which were measured on such trees.  A grower answers no probe
-itself — :meth:`RTree.packed` hands over its packed form (built in one pass,
-kept until the next insert) and its probe methods are one-line calls into
-that.
+The dynamic trees the evaluation's figures were measured on are grown in
+:mod:`repro.bench.growers` and handed over as a :class:`PackedRTree`.
 """
 
 from __future__ import annotations
@@ -43,55 +37,18 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import threading
-from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass, field
-from functools import partial
+from collections.abc import Callable, Sequence
 from typing import Any
 
 import numpy as np
 
-from ..core.errors import IndexError_
+from ..core.errors import DimensionMismatchError, IndexError_
 from ..core.spaces import RectangleBound
 from ..core.transformations import RealLinearTransformation
-from .geometry import (Rect, angular_dims, corner_table, mindist_batch, narrowed_windows,
+from .geometry import (Rect, angular_dims, box_bound, corner_table, narrowed_windows,
                        rects_overlap)
 
-__all__ = ["RTreeEntry", "RTreeNode", "PackedRTree", "RTree"]
-
-
-@dataclass
-class RTreeEntry:
-    """One slot of a node: a bounding rectangle plus either a child node id
-    (internal nodes) or a data record (leaf nodes)."""
-
-    rect: Rect
-    child_id: int | None = None
-    record: Any = None
-
-    @property
-    def is_data(self) -> bool:
-        """Whether the entry points at a data record rather than a child node."""
-        return self.child_id is None
-
-
-@dataclass
-class RTreeNode:
-    """A node of a grower: a flat list of entries plus bookkeeping."""
-
-    node_id: int
-    is_leaf: bool
-    entries: list[RTreeEntry] = field(default_factory=list)
-    parent_id: int | None = None
-
-    def mbr(self) -> Rect:
-        """Minimum bounding rectangle of all entries."""
-        if not self.entries:
-            raise IndexError_("an empty node has no bounding rectangle")
-        return Rect.union_of(entry.rect for entry in self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
+__all__ = ["PackedRTree"]
 
 
 def _min_entries(max_entries: int, min_entries: int | None = None) -> int:
@@ -177,14 +134,6 @@ class _PackedLevel:
         return 0.5 * np.sqrt(np.sum(extents * extents, axis=1))
 
 
-def _bound_corners(lower_bound: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                   dimension: int, columns: np.ndarray) -> np.ndarray:
-    """A plain ``lower_bound(lows, highs)`` of the rectangles in columns of a
-    :func:`~repro.index.geometry.corner_table`."""
-    lows, highs, _ = _split_corners(columns.T, dimension)
-    return lower_bound(lows, highs)
-
-
 def _split_corners(rows: np.ndarray, dimension: int
                    ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
     """The ``(lows, highs, halves)`` views of ``(m, k)`` rows of a
@@ -227,7 +176,7 @@ class PackedRTree:
     """An immutable R-tree held as per-level arrays, root level first.
 
     Built by :meth:`bulk_load` / :meth:`bulk_load_rects` (Sort-Tile-Recursive)
-    or handed over by a grower's :meth:`RTree.packed`; nothing changes it
+    or handed over by a grower (:mod:`repro.bench.growers`); nothing changes it
     afterwards — an index that outgrows its tree packs a fresh one.
 
     Attributes
@@ -400,15 +349,16 @@ class PackedRTree:
         """All records whose rectangle intersects ``window``."""
         return self.window_search(window.low[None, :], window.high[None, :])[0][0].tolist()
 
-    def nearest_search(self, k: int,
-                       lower_bound: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    def nearest_search(self, k: int, lower_bound: RectangleBound,
                        exact: Callable[[np.ndarray], np.ndarray] | None = None,
                        transformation: RealLinearTransformation | None = None,
                        seeds: tuple[np.ndarray, np.ndarray] | None = None
                        ) -> tuple[np.ndarray, np.ndarray, tuple[int, int]]:
         """Best-first ``k``-nearest-neighbour search, a block of nodes per step.
 
-        ``lower_bound(lows, highs)`` maps ``(n, d)`` rectangle corners —
+        ``lower_bound`` is a :class:`~repro.core.spaces.RectangleBound`
+        (:func:`~repro.index.geometry.box_bound` for MINDIST): called as
+        ``lower_bound(lows, highs)`` it maps ``(n, d)`` rectangle corners —
         under a ``transformation``, those of the tree's image
         (:meth:`transformed`) — to ``(n,)`` lower bounds on the query's
         distance to anything inside; ``exact(records)`` gives the true
@@ -432,10 +382,8 @@ class PackedRTree:
         only falls — is never pushed.  A node's entries are a slice of its
         level (:meth:`_PackedLevel.nodes`), and what a bound needs of them
         that does not depend on the query is one table per level, built on
-        first use and kept (:meth:`_PackedLevel.table`): a
-        :class:`~repro.core.spaces.RectangleBound` names its own table, and
-        a plain callable is handed the rows of the level's
-        :func:`~repro.index.geometry.corner_table`.
+        first use and kept (:meth:`_PackedLevel.table`): the one the bound's
+        ``table`` builds, which its ``of_table`` reads.
 
         Returns ``(distances, records, (internal, leaf))``: every verified
         record, ascending by distance (integer records at equal distance by
@@ -447,11 +395,7 @@ class PackedRTree:
             raise ValueError("k must be positive")
         tree = self if transformation is None else self.transformed(transformation)
         internal = leaf = 0
-        if isinstance(lower_bound, RectangleBound):
-            build, bound = lower_bound.table, lower_bound.of_table
-        else:  # a plain callable bounds the rows of the levels' corner tables
-            build = corner_table
-            bound = partial(_bound_corners, lower_bound, self.dimension)
+        build, bound = lower_bound.table, lower_bound.of_table
         pending = [(0.0, 0, 0, 0)]  # heap of (bound, sequence, level number, slot): the root
         sequence = itertools.count(1)
         record_bounds = np.zeros(0)                   # pending leaf records, any order
@@ -525,7 +469,10 @@ class PackedRTree:
         their rectangles), as ``(distance, record)`` pairs sorted by distance
         (integer records at equal distance by ascending record)."""
         point = np.asarray(point, dtype=np.float64).reshape(-1)
-        distances, records, _ = self.nearest_search(k, partial(mindist_batch, point))
+        if point.shape[0] != self.dimension:
+            raise DimensionMismatchError(
+                f"point of dimension {point.shape[0]} vs tree of dimension {self.dimension}")
+        distances, records, _ = self.nearest_search(k, box_bound(point))
         return list(zip(distances[:k].tolist(), records[:k].tolist()))
 
     # ------------------------------------------------------------------
@@ -671,302 +618,3 @@ def _str_tiles(centers: np.ndarray, max_entries: int, min_entries: int
         return tiles
 
     return recurse(np.arange(centers.shape[0]), 0)
-
-
-class RTree:
-    """A dynamic R-tree: grown by :meth:`insert`, probed through :meth:`packed`.
-
-    Parameters
-    ----------
-    dimension:
-        Dimensionality of the indexed space.
-    max_entries:
-        Maximum entries per node (``M``); nodes split when it is exceeded.
-    min_entries:
-        Minimum entries per node (``m``); defaults to ``ceil(0.4 * M)``.
-    split:
-        Node split policy: ``"linear"`` or ``"quadratic"`` (Guttman's two
-        heuristics).
-    """
-
-    SPLIT_POLICIES = ("linear", "quadratic")
-
-    def __init__(self, dimension: int, max_entries: int = 8,
-                 min_entries: int | None = None, split: str = "quadratic") -> None:
-        if dimension <= 0:
-            raise IndexError_("dimension must be positive")
-        if max_entries < 2:
-            raise IndexError_("max_entries must be at least 2")
-        if split not in self.SPLIT_POLICIES:
-            raise IndexError_(f"unknown split policy {split!r}; choose from {self.SPLIT_POLICIES}")
-        self.dimension = int(dimension)
-        self.max_entries = int(max_entries)
-        self.min_entries = _min_entries(self.max_entries, min_entries)
-        self.split_policy = split
-        self._nodes: dict[int, RTreeNode] = {}
-        self._node_counter = itertools.count()
-        self._size = 0
-        self._pack: PackedRTree | None = None  # dropped by every insert
-        self._pack_lock = threading.Lock()     # concurrent readers pack once
-        self.root_id = self._new_node(is_leaf=True).node_id
-
-    # ------------------------------------------------------------------
-    # node plumbing
-    # ------------------------------------------------------------------
-    def _new_node(self, is_leaf: bool) -> RTreeNode:
-        node = RTreeNode(node_id=next(self._node_counter), is_leaf=is_leaf)
-        self._nodes[node.node_id] = node
-        return node
-
-    def node(self, node_id: int) -> RTreeNode:
-        """Fetch a node of the graph (structural use: nothing is counted)."""
-        try:
-            return self._nodes[node_id]
-        except KeyError:
-            raise IndexError_(f"unknown node id {node_id}") from None
-
-    def _depth(self, node: RTreeNode) -> int:
-        """Levels between ``node`` and the root."""
-        depth = 0
-        while node.parent_id is not None:
-            node = self.node(node.parent_id)
-            depth += 1
-        return depth
-
-    @property
-    def root(self) -> RTreeNode:
-        """The root node."""
-        return self.node(self.root_id)
-
-    def __len__(self) -> int:
-        return self._size
-
-    def height(self) -> int:
-        """Number of levels (1 for a tree that is just a leaf root)."""
-        level = 1
-        node = self.root
-        while not node.is_leaf:
-            node = self.node(node.entries[0].child_id)
-            level += 1
-        return level
-
-    def all_entries(self) -> Iterator[RTreeEntry]:
-        """Every leaf entry in the tree (structural traversal, not counted)."""
-        stack = [self.root_id]
-        while stack:
-            node = self.node(stack.pop())
-            if node.is_leaf:
-                yield from node.entries
-            else:
-                stack.extend(entry.child_id for entry in node.entries)
-
-    def __iter__(self) -> Iterator[Any]:
-        return (entry.record for entry in self.all_entries())
-
-    # ------------------------------------------------------------------
-    # the packed form, and the probes that run on it
-    # ------------------------------------------------------------------
-    def packed(self) -> PackedRTree:
-        """The tree as a :class:`PackedRTree`: one pass over the node graph,
-        level by level from the root (a level's nodes in their parents' entry
-        order, so an internal entry's child slot is its own row number), kept
-        until the next :meth:`insert`.  Readers probing concurrently after a
-        write serialize here, so one of them packs and the others find it
-        done."""
-        with self._pack_lock:
-            if self._pack is None:
-                levels, nodes = [], [self.root]
-                while True:
-                    entries = [entry for node in nodes for entry in node.entries]
-                    is_leaf = nodes[0].is_leaf
-                    levels.append(_PackedLevel(
-                        is_leaf,
-                        np.array([len(node.entries) for node in nodes], dtype=np.intp),
-                        np.array([entry.rect.low for entry in entries]
-                                 ).reshape(-1, self.dimension),
-                        np.array([entry.rect.high for entry in entries]
-                                 ).reshape(-1, self.dimension),
-                        _record_array([entry.record for entry in entries]) if is_leaf
-                        else np.arange(len(entries), dtype=np.intp)))
-                    if is_leaf:
-                        break
-                    nodes = [self.node(entry.child_id) for entry in entries]
-                self._pack = PackedRTree(self.dimension, self.max_entries, levels)
-            return self._pack
-
-    def window_search(self, window_lows: np.ndarray, window_highs: np.ndarray,
-                      transformation: RealLinearTransformation | None = None,
-                      periodic_dims: np.ndarray | None = None
-                      ) -> tuple[list[np.ndarray], tuple[int, int]]:
-        """:meth:`PackedRTree.window_search` over :meth:`packed`."""
-        return self.packed().window_search(window_lows, window_highs,
-                                           transformation, periodic_dims)
-
-    def search(self, window: Rect) -> list[Any]:
-        """:meth:`PackedRTree.search` over :meth:`packed`."""
-        return self.packed().search(window)
-
-    def nearest_search(self, k: int,
-                       lower_bound: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                       exact: Callable[[np.ndarray], np.ndarray] | None = None,
-                       transformation: RealLinearTransformation | None = None,
-                       seeds: tuple[np.ndarray, np.ndarray] | None = None
-                       ) -> tuple[np.ndarray, np.ndarray, tuple[int, int]]:
-        """:meth:`PackedRTree.nearest_search` over :meth:`packed`."""
-        return self.packed().nearest_search(k, lower_bound, exact, transformation, seeds)
-
-    def nearest_neighbors(self, point: Sequence[float] | np.ndarray, k: int = 1
-                          ) -> list[tuple[float, Any]]:
-        """:meth:`PackedRTree.nearest_neighbors` over :meth:`packed`."""
-        return self.packed().nearest_neighbors(point, k)
-
-    # ------------------------------------------------------------------
-    # insertion
-    # ------------------------------------------------------------------
-    def insert(self, rect_or_point: Rect | Sequence[float] | np.ndarray, record: Any) -> None:
-        """Insert a record under a rectangle (or a point)."""
-        rect = rect_or_point if isinstance(rect_or_point, Rect) else Rect.from_point(rect_or_point)
-        if rect.dimension != self.dimension:
-            raise IndexError_(
-                f"rectangle of dimension {rect.dimension} inserted into a tree of "
-                f"dimension {self.dimension}"
-            )
-        if not (np.isfinite(rect.low).all() and np.isfinite(rect.high).all()):
-            raise IndexError_("every rectangle corner must be finite")
-        self._pack = None
-        entry = RTreeEntry(rect=rect, record=record)
-        leaf = self._choose_leaf(self.root, entry)
-        leaf.entries.append(entry)
-        self._size += 1
-        if len(leaf.entries) > self.max_entries:
-            self._handle_overflow(leaf)
-        else:
-            self._adjust_upward(leaf)
-
-    def _choose_leaf(self, node: RTreeNode, entry: RTreeEntry) -> RTreeNode:
-        while not node.is_leaf:
-            best = min(node.entries,
-                       key=lambda e: (e.rect.enlargement(entry.rect), e.rect.area()))
-            node = self.node(best.child_id)
-        return node
-
-    def _handle_overflow(self, node: RTreeNode) -> None:
-        self._split(node)
-
-    def _split(self, node: RTreeNode) -> None:
-        group_a, group_b = self._split_entries(node.entries)
-        sibling = self._new_node(is_leaf=node.is_leaf)
-        node.entries = group_a
-        sibling.entries = group_b
-        if not node.is_leaf:
-            for entry in sibling.entries:
-                child = self.node(entry.child_id)
-                child.parent_id = sibling.node_id
-        if node.node_id == self.root_id:
-            new_root = self._new_node(is_leaf=False)
-            new_root.entries = [
-                RTreeEntry(rect=node.mbr(), child_id=node.node_id),
-                RTreeEntry(rect=sibling.mbr(), child_id=sibling.node_id),
-            ]
-            node.parent_id = new_root.node_id
-            sibling.parent_id = new_root.node_id
-            self.root_id = new_root.node_id
-            return
-        parent = self.node(node.parent_id)
-        for entry in parent.entries:
-            if entry.child_id == node.node_id:
-                entry.rect = node.mbr()
-                break
-        sibling.parent_id = parent.node_id
-        parent.entries.append(RTreeEntry(rect=sibling.mbr(), child_id=sibling.node_id))
-        if len(parent.entries) > self.max_entries:
-            self._handle_overflow(parent)
-        else:
-            self._adjust_upward(parent)
-
-    def _adjust_upward(self, node: RTreeNode) -> None:
-        while node.parent_id is not None:
-            parent = self.node(node.parent_id)
-            for entry in parent.entries:
-                if entry.child_id == node.node_id:
-                    entry.rect = node.mbr()
-                    break
-            node = parent
-
-    # -- split heuristics ----------------------------------------------------
-    def _split_entries(self, entries: list[RTreeEntry]
-                       ) -> tuple[list[RTreeEntry], list[RTreeEntry]]:
-        if self.split_policy == "linear":
-            seed_a, seed_b = self._linear_seeds(entries)
-        else:
-            seed_a, seed_b = self._quadratic_seeds(entries)
-        group_a = [entries[seed_a]]
-        group_b = [entries[seed_b]]
-        rect_a = entries[seed_a].rect
-        rect_b = entries[seed_b].rect
-        remaining = [e for i, e in enumerate(entries) if i not in (seed_a, seed_b)]
-        while remaining:
-            # If one group must take everything left to reach the minimum, do so.
-            if len(group_a) + len(remaining) == self.min_entries:
-                group_a.extend(remaining)
-                break
-            if len(group_b) + len(remaining) == self.min_entries:
-                group_b.extend(remaining)
-                break
-            entry = self._pick_next(remaining, rect_a, rect_b)
-            remaining.remove(entry)
-            grow_a = rect_a.enlargement(entry.rect)
-            grow_b = rect_b.enlargement(entry.rect)
-            if (grow_a, rect_a.area(), len(group_a)) <= (grow_b, rect_b.area(), len(group_b)):
-                group_a.append(entry)
-                rect_a = rect_a.union(entry.rect)
-            else:
-                group_b.append(entry)
-                rect_b = rect_b.union(entry.rect)
-        return group_a, group_b
-
-    def _pick_next(self, remaining: list[RTreeEntry], rect_a: Rect, rect_b: Rect) -> RTreeEntry:
-        if self.split_policy == "linear":
-            return remaining[0]
-        best_entry = remaining[0]
-        best_difference = -1.0
-        for entry in remaining:
-            difference = abs(rect_a.enlargement(entry.rect) - rect_b.enlargement(entry.rect))
-            if difference > best_difference:
-                best_difference = difference
-                best_entry = entry
-        return best_entry
-
-    @staticmethod
-    def _linear_seeds(entries: list[RTreeEntry]) -> tuple[int, int]:
-        dimension = entries[0].rect.dimension
-        best_pair = (0, 1)
-        best_separation = -1.0
-        for dim in range(dimension):
-            lows = np.array([e.rect.low[dim] for e in entries])
-            highs = np.array([e.rect.high[dim] for e in entries])
-            width = float(highs.max() - lows.min())
-            if width <= 0:
-                continue
-            highest_low = int(np.argmax(lows))
-            lowest_high = int(np.argmin(highs))
-            if highest_low == lowest_high:
-                continue
-            separation = float(lows[highest_low] - highs[lowest_high]) / width
-            if separation > best_separation:
-                best_separation = separation
-                best_pair = (highest_low, lowest_high)
-        return best_pair
-
-    @staticmethod
-    def _quadratic_seeds(entries: list[RTreeEntry]) -> tuple[int, int]:
-        best_pair = (0, 1)
-        worst_waste = -math.inf
-        for i in range(len(entries)):
-            for j in range(i + 1, len(entries)):
-                union = entries[i].rect.union(entries[j].rect)
-                waste = union.area() - entries[i].rect.area() - entries[j].rect.area()
-                if waste > worst_waste:
-                    worst_waste = waste
-                    best_pair = (i, j)
-        return best_pair

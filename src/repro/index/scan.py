@@ -48,7 +48,6 @@ of the partitioning.
 from __future__ import annotations
 
 import heapq
-import time
 from typing import Iterable
 
 import numpy as np
@@ -200,7 +199,6 @@ class SequentialScan:
         """All series within ``epsilon`` of the query (scan of the whole relation)."""
         if not epsilon >= 0:  # NaN too
             raise ValueError("epsilon must be non-negative")
-        started = time.perf_counter()
         queries = self._query(query, transformation, transform_query)
         result = RangeQueryResult()
         self._charge_scan_io(result.statistics)
@@ -232,7 +230,6 @@ class SequentialScan:
         # the pages already read, so no per-candidate record fetches.
         result.statistics.postprocessed = count
         result.statistics.candidates = count
-        result.statistics.elapsed_seconds = time.perf_counter() - started
         return result
 
     def nearest_neighbors(self, query: TimeSeries, k: int = 1, *,
@@ -241,7 +238,6 @@ class SequentialScan:
         """The ``k`` nearest series by exhaustive comparison."""
         if k <= 0:
             raise ValueError("k must be positive")
-        started = time.perf_counter()
         queries = self._query(query, transformation, transform_query)
         result = NearestNeighborResult()
         self._charge_scan_io(result.statistics)
@@ -285,7 +281,6 @@ class SequentialScan:
         merged = heapq.merge(*parts)
         result.answers = [(self.store.series(row_id), distance)
                           for distance, row_id in list(merged)[:k]]
-        result.statistics.elapsed_seconds = time.perf_counter() - started
         return result
 
     def all_pairs(self, epsilon: float, *,
@@ -305,7 +300,6 @@ class SequentialScan:
         """
         if not epsilon >= 0:  # NaN too
             raise ValueError("epsilon must be non-negative")
-        started = time.perf_counter()
         stats = QueryStatistics()
         count = len(self.store)
         pairs: list[tuple[TimeSeries, TimeSeries, float]] = []
@@ -335,5 +329,4 @@ class SequentialScan:
                 pairs.extend(block)
         stats.postprocessed = count * (count - 1) // 2
         stats.candidates = stats.postprocessed
-        stats.elapsed_seconds = time.perf_counter() - started
         return pairs, stats

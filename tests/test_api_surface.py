@@ -46,7 +46,7 @@ EXPECTED_ALL = [
     "QueryCancelledError",
     "QueryCostModel", "QueryEngine", "QueryOutcome", "QueryPlanningError",
     "QueryServer", "QuerySyntaxError",
-    "RStarTree", "RTree", "RangeQuery", "RangeQueryResult",
+    "RangeQuery", "RangeQueryResult",
     "RealLinearTransformation", "Rect", "RectangularSpace", "RejectedPlan",
     "Relation", "RelationHandle", "RelationPattern", "RelationStatistics",
     "RemoteCursor", "RemoteOutcome", "RemoteStatement",
@@ -66,7 +66,7 @@ EXPECTED_ALL = [
     "edit_distance_provider", "euclidean", "euclidean_with_early_abandon",
     "explain", "identity_spectral", "inverse_dft", "is_similar",
     "make_stock_archive", "mindist",
-    "minmaxdist", "moving_average_spectral", "noisy_copy", "normalize",
+    "moving_average_spectral", "noisy_copy", "normalize",
     "normalized_euclidean", "opposite_copy", "parse_query", "random_walk",
     "random_walk_collection", "reverse_spectral", "scale_spectral",
     "serve",
@@ -216,13 +216,13 @@ class TestIndexProbeSignatures:
 
         assert not hasattr(repro.index, "NodeAccessStats")
         assert "NodeAccessStats" not in repro.index.__all__
-        for tree in (repro.PackedRTree, repro.RTree):
-            assert not hasattr(tree, "access_stats") and not hasattr(tree, "reset_stats")
-            assert _signature(tree.window_search) == (
-                "(self, window_lows: 'np.ndarray', window_highs: 'np.ndarray', "
-                "transformation: 'RealLinearTransformation | None' = None, "
-                "periodic_dims: 'np.ndarray | None' = None"
-                ") -> 'tuple[list[np.ndarray], tuple[int, int]]'")
+        tree = repro.PackedRTree
+        assert not hasattr(tree, "access_stats") and not hasattr(tree, "reset_stats")
+        assert _signature(tree.window_search) == (
+            "(self, window_lows: 'np.ndarray', window_highs: 'np.ndarray', "
+            "transformation: 'RealLinearTransformation | None' = None, "
+            "periodic_dims: 'np.ndarray | None' = None"
+            ") -> 'tuple[list[np.ndarray], tuple[int, int]]'")
         assert _signature(repro.KIndex.range_query_batch) == (
             "(self, queries: 'Sequence[TimeSeries | FeatureVector]', "
             "epsilon: 'float | Sequence[float]', *, "
@@ -234,14 +234,13 @@ class TestIndexProbeSignatures:
         import repro.index
 
         kernel = ("k: 'int', "
-                  "lower_bound: 'Callable[[np.ndarray, np.ndarray], np.ndarray]', "
+                  "lower_bound: 'RectangleBound', "
                   "exact: 'Callable[[np.ndarray], np.ndarray] | None' = None, "
                   "transformation: 'RealLinearTransformation | None' = None, "
                   "seeds: 'tuple[np.ndarray, np.ndarray] | None' = None) "
                   "-> 'tuple[np.ndarray, np.ndarray, tuple[int, int]]'")
         assert not hasattr(repro.index.rtree, "nearest_search")
         assert _signature(repro.PackedRTree.nearest_search) == "(self, " + kernel
-        assert _signature(repro.RTree.nearest_search) == "(self, " + kernel
         assert _signature(repro.KIndex.nearest_neighbors) == (
             "(self, query: 'TimeSeries | FeatureVector', k: 'int' = 1, *, "
             "transformation: 'SpectralTransformation | None' = None, "
@@ -250,13 +249,17 @@ class TestIndexProbeSignatures:
         assert "transformed_nearest_neighbors_iter" not in repro.index.__all__
 
     def test_write_path(self):
+        from repro.bench import growers
         from repro.index import kindex
         loader = ("collection: 'Iterable[TimeSeries]', "
                   "extractor: 'SeriesFeatureExtractor | None' = None, "
                   "**options: 'Any') -> \"'KIndex'\"")
         kind = repro.KIndex
         assert _signature(kind.bulk_load) == "(" + loader
-        assert _signature(kind.build_by_insertion) == "(" + loader
+        # The insertion-built index is a benchmark fixture, not a loader.
+        assert not hasattr(kind, "build_by_insertion")
+        assert _signature(growers.insertion_built) == "(" + loader.replace(
+            "\"'KIndex'\"", "'KIndex'")
         assert _signature(kind.extend) == (
             "(self, collection: 'Iterable[TimeSeries]') -> 'None'")
         assert _signature(kind.insert) == "(self, series: 'TimeSeries') -> 'int'"
@@ -309,8 +312,12 @@ class TestIndexProbeSignatures:
                 "-> 'CostEstimate'") in _signature(QueryCostModel.index_nearest)
 
     def test_packed_tree_and_growers(self):
-        """One immutable tree with the loader and the probes; growers that
-        insert and hand over ``packed()``."""
+        """One immutable tree with the loader and the probes; growers, in
+        ``repro.bench.growers``, that insert and hand over ``packed()`` and
+        probe nothing themselves."""
+        import repro.index
+        from repro.bench.growers import RStarTree, RTree
+
         loader = ("records: 'Sequence[Any] | np.ndarray', *, "
                   "max_entries: 'int' = 8) -> \"'PackedRTree'\"")
         assert _signature(repro.PackedRTree.bulk_load) == \
@@ -319,15 +326,19 @@ class TestIndexProbeSignatures:
             "(lows: 'np.ndarray', highs: 'np.ndarray', " + loader
         assert _signature(repro.PackedRTree.transformed) == (
             "(self, transformation: 'RealLinearTransformation') -> \"'PackedRTree'\"")
-        assert _signature(repro.RTree.packed) == "(self) -> 'PackedRTree'"
-        assert _signature(repro.RTree) == (
+        assert _signature(RTree.packed) == "(self) -> 'PackedRTree'"
+        assert _signature(RTree) == (
             "(dimension: 'int', max_entries: 'int' = 8, "
             "min_entries: 'int | None' = None, split: 'str' = 'quadratic') -> 'None'")
-        assert _signature(repro.RStarTree) == (
+        assert _signature(RStarTree) == (
             "(dimension: 'int', max_entries: 'int' = 8, "
             "min_entries: 'int | None' = None) -> 'None'")
         for gone in ("insert", "node", "root", "all_entries"):
             assert not hasattr(repro.PackedRTree, gone)
         for gone in ("visit", "release_pages", "buffer", "bulk_load",
-                     "bulk_load_points", "bulk_load_rects", "structure_summary"):
-            assert not hasattr(repro.RTree, gone)
+                     "bulk_load_points", "bulk_load_rects", "structure_summary",
+                     "window_search", "search", "nearest_search", "nearest_neighbors"):
+            assert not hasattr(RTree, gone)
+        for gone in ("RTree", "RStarTree", "RTreeEntry", "RTreeNode", "minmaxdist"):
+            assert gone not in repro.index.__all__ and not hasattr(repro.index, gone)
+        assert importlib.util.find_spec("repro.index.rstar") is None

@@ -17,12 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.growers import RStarTree, RTree, RTreeEntry, insertion_built
 from repro.core.errors import IndexError_
 from repro.index import rtree as rtree_module
 from repro.index.geometry import Rect, mindist, mindist_batch, rects_overlap
 from repro.index.kindex import SEAL_MIN_ROWS, SEAL_SHARE, KIndex
-from repro.index.rstar import RStarTree
-from repro.index.rtree import PackedRTree, RTree, RTreeEntry
+from repro.index.rtree import PackedRTree
 from repro.timeseries.features import SeriesFeatureExtractor
 from repro.timeseries.generators import random_walk_collection
 from repro.timeseries.series import TimeSeries
@@ -137,11 +137,12 @@ def _check_invariants(tree: PackedRTree) -> None:
     assert tree.levels[-1].counts.sum() == len(tree)
 
 
-def _insert_built(cls, points: np.ndarray, max_entries: int = 8) -> RTree:
+def _insert_built(cls, points: np.ndarray, max_entries: int = 8) -> PackedRTree:
+    """What a grower of class ``cls`` fed the points in order hands over."""
     tree = cls(dimension=points.shape[1], max_entries=max_entries)
     for record, point in enumerate(points):
         tree.insert(point, record)
-    return tree
+    return tree.packed()
 
 
 def _visits(tree, window: Rect) -> int:
@@ -229,7 +230,7 @@ class TestLoaderAndPackDifferential:
         """STR-packed and insert-built: the tree an index holds."""
         for grown, index in (
                 (False, KIndex.bulk_load(walk_collection, polar_extractor)),
-                (True, KIndex.build_by_insertion(walk_collection[:150], polar_extractor))):
+                (True, insertion_built(walk_collection[:150], polar_extractor))):
             tree = index.tree
             assert len(tree) == len(index) - index.tail_rows > 0
             rows = np.sort(tree.levels[-1].payloads)
@@ -359,7 +360,7 @@ class TestSTRBulkLoad:
 
 class TestKIndexBulkLoad:
     def test_same_query_answers_as_insert_built(self, walk_collection, polar_extractor):
-        inserted = KIndex.build_by_insertion(walk_collection, polar_extractor)
+        inserted = insertion_built(walk_collection, polar_extractor)
         loaded = KIndex.bulk_load(walk_collection, polar_extractor)
         assert inserted.tail_rows == loaded.tail_rows == 0
         for query in walk_collection[:10]:
@@ -380,7 +381,7 @@ class TestKIndexBulkLoad:
         data = random_walk_collection(600, 64, seed=23)
         extractor = SeriesFeatureExtractor(num_coefficients=2,
                                            representation="polar")
-        inserted = KIndex.build_by_insertion(data, extractor)
+        inserted = insertion_built(data, extractor)
         loaded = KIndex.bulk_load(data, extractor)
         queries = data[:20]
         inserted_accesses = sum(
@@ -395,11 +396,10 @@ class TestKIndexBulkLoad:
 
     def test_insert_built_tree_is_the_dynamic_tree(self, walk_collection,
                                                    polar_extractor):
-        """``build_by_insertion`` hands over exactly the R*-tree one
+        """``insertion_built`` hands over exactly the R*-tree one
         ``RStarTree.insert`` per point grows — the evaluation's figures
         depend on it — as a packed tree, with no graph kept beside it."""
-        index = KIndex.build_by_insertion(walk_collection, polar_extractor,
-                                          max_entries=6)
+        index = insertion_built(walk_collection, polar_extractor, max_entries=6)
         points = polar_extractor.extract_many(walk_collection)[0]
         tree = RStarTree(points.shape[1], max_entries=6)
         for record, point in enumerate(points):
@@ -408,8 +408,7 @@ class TestKIndexBulkLoad:
         assert len(index.tree) == len(walk_collection) and index.tail_rows == 0
         assert packed_shape(index.tree) == graph_shape(tree)
         with pytest.raises(TypeError):
-            KIndex.build_by_insertion(walk_collection, polar_extractor,
-                                      tree_kind="rtree-linear")
+            insertion_built(walk_collection, polar_extractor, tree_kind="rtree-linear")
 
     def test_seals_pack_a_bounded_number_of_rows(self, monkeypatch):
         """Counted, not timed: over 10 000 rows appended 16 at a time the STR

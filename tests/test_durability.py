@@ -38,6 +38,7 @@ from repro import (
     moving_average_spectral,
     random_walk_collection,
 )
+from repro.bench.growers import insertion_built
 from repro.core.errors import IndexError_, StorageError
 from repro.index import kindex as kindex_module
 from repro.storage import codec
@@ -208,16 +209,15 @@ class TestRoundTrip:
 
 def _probe(index, queries, transformation):
     """Everything a probe reports: answers with their distance bits, and
-    every counter but the clock."""
+    every counter."""
     seen = []
     for query in queries:
         for found in (index.range_query(query, 4.0, transformation=transformation),
                       index.nearest_neighbors(query, 5, transformation=transformation),
                       *index.range_query_batch(queries, 3.0, transformation=transformation)):
-            counters = found.statistics.as_dict()
-            del counters["elapsed_seconds"]
             seen.append(([(series.object_id, distance.hex())
-                          for series, distance in found.answers], counters))
+                          for series, distance in found.answers],
+                         found.statistics.as_dict()))
     return seen
 
 
@@ -231,7 +231,7 @@ class TestIndexPageRoundTrip:
         data = random_walk_collection(460, 32, seed=71)
         loaded = 300 if build == "tailed" else 400
         if build == "insertion":
-            index = KIndex.build_by_insertion(data[:loaded], max_entries=6)
+            index = insertion_built(data[:loaded], max_entries=6)
         else:
             index = KIndex.bulk_load(data[:loaded])
         path = str(tmp_path / "db")

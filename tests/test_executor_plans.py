@@ -92,12 +92,6 @@ def _safe(index, transformation):
     return True
 
 
-def _counters(statistics):
-    counters = statistics.as_dict()
-    del counters["elapsed_seconds"]
-    return counters
-
-
 def _same(actual, expected):
     found = [(obj.object_id, distance) for obj, distance in actual]
     assert found == [(obj.object_id, distance) for obj, distance in expected]
@@ -134,7 +128,7 @@ class TestFeaturePlans:
             scanned = _run(engine, ScanRangePlan(query=node, reason=""), node, binding)
             _same(scanned.answers, expected)
             direct = scan.range_query(query, EPSILON, transformation=transformation)
-            assert _counters(scanned.statistics) == _counters(direct.statistics)
+            assert scanned.statistics.as_dict() == direct.statistics.as_dict()
             plan = IndexRangePlan(query=node, reason="")
             if not _safe(index, transformation):
                 with pytest.raises(UnsafeTransformationError):
@@ -143,7 +137,7 @@ class TestFeaturePlans:
             probed = _run(engine, plan, node, binding)
             _same(probed.answers, expected)
             direct = index.range_query(query, EPSILON, transformation=transformation)
-            assert _counters(probed.statistics) == _counters(direct.statistics)
+            assert probed.statistics.as_dict() == direct.statistics.as_dict()
 
     def test_nearest(self, walks, queries, representation, name):
         engine, index = _engine(walks, representation)
@@ -156,7 +150,7 @@ class TestFeaturePlans:
             scanned = _run(engine, ScanNearestPlan(query=node, reason=""), node, binding)
             _same(scanned.answers, expected)
             direct = scan.nearest_neighbors(query, K, transformation=transformation)
-            assert _counters(scanned.statistics) == _counters(direct.statistics)
+            assert scanned.statistics.as_dict() == direct.statistics.as_dict()
             assert scanned.statistics.node_accesses == scan.data_pages
             plan = IndexNearestPlan(query=node, reason="")
             if not _safe(index, transformation):
@@ -166,7 +160,7 @@ class TestFeaturePlans:
             probed = _run(engine, plan, node, binding)
             _same(probed.answers, expected)
             direct = index.nearest_neighbors(query, K, transformation=transformation)
-            assert _counters(probed.statistics) == _counters(direct.statistics)
+            assert probed.statistics.as_dict() == direct.statistics.as_dict()
 
     def test_join(self, walks, representation, name):
         engine, index = _engine(walks, representation)
@@ -176,7 +170,7 @@ class TestFeaturePlans:
         expected = reference_join(index.extractor, walks, EPSILON, transformation)
         _same_pairs(scanned.answers, expected)
         _, direct = engine._scan_for("walks").all_pairs(EPSILON, transformation=transformation)
-        assert _counters(scanned.statistics) == _counters(direct)
+        assert scanned.statistics.as_dict() == direct.as_dict()
         plan = IndexJoinPlan(query=node, reason="")
         if not _safe(index, transformation):
             with pytest.raises(UnsafeTransformationError):
@@ -185,7 +179,7 @@ class TestFeaturePlans:
         probed = _run(engine, plan, node, {})
         _same_pairs(probed.answers, _index_join_reference(index.extractor, walks, transformation))
         _, direct = index.all_pairs(EPSILON, transformation=transformation)
-        assert _counters(probed.statistics) == _counters(direct)
+        assert probed.statistics.as_dict() == direct.as_dict()
 
     def test_a_batched_group_is_its_queries_one_at_a_time(self, walks, representation, name):
         engine, index = _engine(walks, representation)
@@ -256,7 +250,7 @@ class TestProviderPlans:
             # The tree visits in its own order: ties may come back reordered.
             assert _by_distance(probed.answers) == _by_distance(expected)
             direct = metric.range_query(query, epsilon)
-            assert _counters(probed.statistics) == _counters(direct.statistics)
+            assert probed.statistics.as_dict() == direct.statistics.as_dict()
 
     @pytest.mark.parametrize("k", [1, 4, 40])
     def test_nearest(self, words, string_engine, k):
@@ -276,7 +270,7 @@ class TestProviderPlans:
             for obj, distance in probed.answers:
                 assert float(provider.distance(obj, query)) == distance
             direct = metric.nearest_neighbors(query, k)
-            assert _counters(probed.statistics) == _counters(direct.statistics)
+            assert probed.statistics.as_dict() == direct.statistics.as_dict()
 
     def test_a_batched_group_is_its_queries_one_at_a_time(self, words, string_engine):
         engine, _, _ = string_engine
@@ -291,4 +285,4 @@ class TestProviderPlans:
         for node, plan, binding, outcome in zip(nodes, plans, bindings, batched):
             alone = _run(engine, plan, node, binding)
             _same(outcome.answers, alone.answers)
-            assert _counters(outcome.statistics) == _counters(alone.statistics)
+            assert outcome.statistics.as_dict() == alone.statistics.as_dict()

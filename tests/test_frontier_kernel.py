@@ -34,7 +34,6 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from functools import partial
 
 import numpy as np
 import pytest
@@ -44,14 +43,14 @@ from test_gathered_transform import transformed_records
 
 from repro import (KIndex, SequentialScan, SeriesFeatureExtractor, TimeSeries,
                    random_walk_collection)
-from repro.core.errors import IndexError_
+from repro.bench.growers import RStarTree, RTree, insertion_built
+from repro.core.errors import DimensionMismatchError, IndexError_
 from repro.core.objects import FeatureVector
 from repro.core.spaces import PolarSpace, RectangularSpace
 from repro.core.transformations import RealLinearTransformation
 from repro.index import kindex as kindex_module
-from repro.index.geometry import Rect, mindist_batch, rects_overlap
-from repro.index.rstar import RStarTree
-from repro.index.rtree import NEAREST_BLOCK, PackedRTree, RTree
+from repro.index.geometry import Rect, box_bound, rects_overlap
+from repro.index.rtree import NEAREST_BLOCK, PackedRTree
 from repro.storage import codec
 from repro.storage.columnar import exact_distances, query_record, query_records
 from repro.storage.durable.serde import _deserialize_tree, _serialize_tree
@@ -74,20 +73,25 @@ def _points(rng, count, periodic):
     return points
 
 
-def _build(builder, points, max_entries=5):
-    """A grower fed a point at a time, or (``"str"``) a packed tree loaded
-    in one go; the probes and counters of both read the same."""
+def _grower(builder, points, max_entries=5):
+    """An insert builder's grower, fed the points one at a time."""
     dimension = points.shape[1]
-    records = list(range(points.shape[0]))
-    if builder == "str":
-        return PackedRTree.bulk_load(points, records, max_entries=max_entries)
     if builder == "linear-insert":
         tree = RTree(dimension, max_entries=max_entries, split="linear")
     else:
         tree = RStarTree(dimension, max_entries=max_entries)
-    for record, point in zip(records, points):
+    for record, point in enumerate(points):
         tree.insert(point, record)
     return tree
+
+
+def _build(builder, points, max_entries=5):
+    """A packed tree handed over by a grower, or (``"str"``) loaded in one
+    go; the probes and counters of both read the same."""
+    if builder == "str":
+        return PackedRTree.bulk_load(points, list(range(points.shape[0])),
+                                     max_entries=max_entries)
+    return _grower(builder, points, max_entries).packed()
 
 
 def _map(rng, dimension, signs):
@@ -124,7 +128,7 @@ def node_entries(tree, node):
     of ``node`` — a ``(depth, slot)`` pair, the root being ``(0, 0)`` — as
     ``(low, high, child node or record)`` triples, and whether it is a leaf."""
     depth, slot = node
-    level = (tree.packed() if isinstance(tree, RTree) else tree).levels[depth]
+    level = tree.levels[depth]
     first = int(level.starts[slot])
     rows = range(first, first + int(level.counts[slot]))
     payloads = level.payloads[rows.start:rows.stop].tolist()
@@ -132,12 +136,6 @@ def node_entries(tree, node):
         (level.lows[row], level.highs[row],
          payload if level.is_leaf else (depth + 1, payload))
         for row, payload in zip(rows, payloads)]
-
-
-def transformed(tree, transformation):
-    """Algorithm 1 on the packed form — a grower is read through
-    :meth:`RTree.packed`, as :func:`node_entries` reads it."""
-    return (tree.packed() if isinstance(tree, RTree) else tree).transformed(transformation)
 
 
 def reference_traversal(tree, window_low, window_high, periodic):
@@ -178,7 +176,7 @@ def brute_force(points, transformation, window_low, window_high, periodic):
 
 def check_tree(tree, points, transformation, window_lows, window_highs, periodic):
     """Kernel == reference traversal == brute force, singly and batched."""
-    clone = tree if transformation is None else transformed(tree, transformation)
+    clone = tree if transformation is None else tree.transformed(transformation)
     union = set()
     for low, high in zip(window_lows, window_highs):
         expected, visited = reference_traversal(clone, low, high, periodic)
@@ -234,16 +232,16 @@ class TestWindowSearchDifferential:
         rng = np.random.default_rng(seed)
         periodic = SPACES["polar2"].periodic_dimension_mask()
         points = _points(rng, first + more, periodic)
-        tree = _build(builder, points[:first])
+        tree = _grower(builder, points[:first])
         transformation = _map(rng, periodic.shape[0], [1.0, -1.0])
         lows, highs = _windows(rng, 3, periodic, transformation)
-        check_tree(tree, points[:first], transformation, lows, highs, periodic)
+        check_tree(tree.packed(), points[:first], transformation, lows, highs, periodic)
         for record in range(first, first + more):
             tree.insert(points[record], record)
             if (record - first) % stride == 0:
-                check_tree(tree, points[:record + 1], transformation, lows, highs,
+                check_tree(tree.packed(), points[:record + 1], transformation, lows, highs,
                            periodic)
-        check_tree(tree, points, transformation, lows, highs, periodic)
+        check_tree(tree.packed(), points, transformation, lows, highs, periodic)
 
     @pytest.mark.parametrize("builder", BUILDERS)
     def test_tree_rebuilt_from_its_serialized_pages(self, builder):
@@ -252,8 +250,7 @@ class TestWindowSearchDifferential:
         rng = np.random.default_rng(7)
         periodic = SPACES["polar2"].periodic_dimension_mask()
         points = _points(rng, 90, periodic)
-        tree = _build(builder, points)
-        packed = tree.packed() if isinstance(tree, RTree) else tree
+        packed = _build(builder, points)
         restored = _restored(packed, points)
         for level, twin in zip(packed.levels, restored.levels, strict=True):
             assert level.is_leaf == twin.is_leaf
@@ -264,33 +261,8 @@ class TestWindowSearchDifferential:
         lows, highs = _windows(rng, 4, periodic, transformation)
         check_tree(restored, points, transformation, lows, highs, periodic)
 
-    def test_concurrent_readers_after_writes_pack_once(self):
-        """Readers let in together once a write is done: the first packs the
-        grower, the others wait for it and probe the same pack."""
-        rng = np.random.default_rng(12)
-        points = rng.uniform(0, 100, size=(1800, 3))
-        tree = _build("linear-insert", points[:600])
-        window = Rect([10.0] * 3, [80.0] * 3)
-        tree.search(window)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                for written in range(600, 1800, 150):
-                    for record in range(written, written + 150):
-                        tree.insert(points[record], record)
-                    expected = brute_force(points[:written + 150], None, window.low,
-                                           window.high, np.zeros(3, dtype=bool))
-                    probes = [pool.submit(lambda: (tree.search(window), tree.packed()))
-                              for _ in range(8)]
-                    found = [probe.result(timeout=30) for probe in probes]
-                    assert all(records == expected for records, _ in found)
-                    assert len({id(pack) for _, pack in found}) == 1
-        finally:
-            sys.setswitchinterval(interval)
-
     def test_empty_tree_and_single_leaf_root(self):
-        for tree in (RTree(3), PackedRTree.bulk_load(np.zeros((0, 3)), [])):
+        for tree in (RTree(3).packed(), PackedRTree.bulk_load(np.zeros((0, 3)), [])):
             assert tree.search(Rect([-1.0] * 3, [1.0] * 3)) == []
             (found,), visits = tree.window_search(np.full((1, 3), -1.0), np.ones((1, 3)))
             assert found.tolist() == [] and visits == (0, 1)
@@ -299,6 +271,7 @@ class TestWindowSearchDifferential:
         for record, point in enumerate([[0.0, 0.0], [1.0, 1.0], [5.0, 5.0]]):
             leaf.insert(point, record)
         assert leaf.height() == 1
+        leaf = leaf.packed()
         assert leaf.search(Rect([-0.5, -0.5], [1.5, 1.5])) == [0, 1]
         (found,), visits = leaf.window_search(np.full((1, 2), -0.5), np.full((1, 2), 1.5))
         assert found.tolist() == [0, 1] and visits == (0, 1)
@@ -325,7 +298,7 @@ class TestWindowSearchDifferential:
         rng = np.random.default_rng(9)
         for label, point in zip(labels, rng.uniform(0, 10, size=(30, 2))):
             tree.insert(point, label)
-        assert sorted(tree.search(Rect([0.0, 0.0], [10.0, 10.0]))) == labels
+        assert sorted(tree.packed().search(Rect([0.0, 0.0], [10.0, 10.0]))) == labels
 
     def test_records_come_back_as_inserted(self):
         """Only integers that fit an index take the numeric path; a later
@@ -335,16 +308,16 @@ class TestWindowSearchDifferential:
         rng = np.random.default_rng(10)
         for record, point in enumerate(rng.uniform(0, 10, size=(9, 2))):
             tree.insert(point, record)
-        assert tree.search(everywhere) == list(range(9))
+        assert tree.packed().search(everywhere) == list(range(9))
         odd = [True, False, 2**70, -2**70, "nine", None]
         for record, point in zip(odd, rng.uniform(0, 10, size=(len(odd), 2))):
             tree.insert(point, record)
-            found = tree.search(everywhere)
+            found = tree.packed().search(everywhere)
             assert any(record is got for got in found)
         assert sorted(map(repr, found)) == sorted(map(repr, list(range(9)) + odd))
         flags = RTree(2)
         flags.insert([1.0, 1.0], True)
-        assert flags.search(everywhere)[0] is True
+        assert flags.packed().search(everywhere)[0] is True
         huge = PackedRTree.bulk_load(np.ones((2, 2)), [2**70, 1])
         assert sorted(huge.search(everywhere)) == [1, 2**70]
 
@@ -395,7 +368,7 @@ def scalar_mindist(point, low, high):
 def check_tree_nearest(tree, points, transformation, queries, ks=(1, 5, 10)):
     """Kernel == per-entry best-first == brute force, to the bit; its node
     visits between the reference's and that plus the block allowance."""
-    clone = tree if transformation is None else transformed(tree, transformation)
+    clone = tree if transformation is None else tree.transformed(transformation)
     images = points if transformation is None else transformation.apply(points)
     for query in queries:
         distances = np.sqrt(np.sum(np.square(query - images), axis=1))
@@ -405,7 +378,7 @@ def check_tree_nearest(tree, points, transformation, queries, ks=(1, 5, 10)):
             expected, opened, _ = reference_nearest(
                 clone, k, lambda low, high: scalar_mindist(query, low, high),
                 lambda record: float(distances[record]))
-            found, records, visits = tree.nearest_search(k, partial(mindist_batch, query),
+            found, records, visits = tree.nearest_search(k, box_bound(query),
                                                          transformation=transformation)
             got = list(zip(found[:k].tolist(), records[:k].tolist()))
             assert got == expected == ranked[:k]
@@ -442,24 +415,23 @@ class TestNearestSearchDifferential:
         rng = np.random.default_rng(seed)
         periodic = SPACES["polar2"].periodic_dimension_mask()
         points = _points(rng, first + more, periodic)
-        tree = _build(builder, points[:first])
+        tree = _grower(builder, points[:first])
         transformation = _map(rng, periodic.shape[0], [1.0, -1.0])
         queries = transformation.apply(_points(rng, 2, periodic))
-        check_tree_nearest(tree, points[:first], transformation, queries, ks=(1, 5))
+        check_tree_nearest(tree.packed(), points[:first], transformation, queries, ks=(1, 5))
         for record in range(first, first + more):
             tree.insert(points[record], record)
             if (record - first) % stride == 0:
-                check_tree_nearest(tree, points[:record + 1], transformation,
+                check_tree_nearest(tree.packed(), points[:record + 1], transformation,
                                    queries, ks=(1, 5))
-        check_tree_nearest(tree, points, transformation, queries)
+        check_tree_nearest(tree.packed(), points, transformation, queries)
 
     @pytest.mark.parametrize("builder", BUILDERS)
     def test_tree_rebuilt_from_its_serialized_pages(self, builder):
         rng = np.random.default_rng(17)
         periodic = SPACES["polar2"].periodic_dimension_mask()
         points = _points(rng, 90, periodic)
-        tree = _build(builder, points)
-        restored = _restored(tree.packed() if isinstance(tree, RTree) else tree, points)
+        restored = _restored(_build(builder, points), points)
         transformation = _map(rng, periodic.shape[0], [-1.0, 1.0, 0.0])
         check_tree_nearest(restored, points, transformation,
                            transformation.apply(_points(rng, 4, periodic)))
@@ -467,9 +439,9 @@ class TestNearestSearchDifferential:
     def test_concurrent_readers_after_writes(self):
         rng = np.random.default_rng(13)
         points = rng.uniform(0, 100, size=(1200, 3))
-        tree = _build("linear-insert", points[:300])
+        tree = _grower("linear-insert", points[:300])
         query = np.full(3, 50.0)
-        tree.nearest_neighbors(query, k=10)
+        tree.packed().nearest_neighbors(query, k=10)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -481,24 +453,26 @@ class TestNearestSearchDifferential:
                                                axis=1))
                     expected = [(float(distances[i]), int(i))
                                 for i in np.argsort(distances, kind="stable")[:10]]
-                    probes = [pool.submit(tree.nearest_neighbors, query, 10)
+                    pack = tree.packed()
+                    probes = [pool.submit(pack.nearest_neighbors, query, 10)
                               for _ in range(8)]
                     assert all(probe.result(timeout=30) == expected for probe in probes)
         finally:
             sys.setswitchinterval(interval)
 
     def test_empty_tree_and_single_leaf_root(self):
-        for tree in (RTree(3), PackedRTree.bulk_load(np.zeros((0, 3)), [])):
+        for tree in (RTree(3).packed(), PackedRTree.bulk_load(np.zeros((0, 3)), [])):
             assert tree.nearest_neighbors(np.zeros(3), k=4) == []
-            _, records, visits = tree.nearest_search(4, partial(mindist_batch, np.zeros(3)))
+            _, records, visits = tree.nearest_search(4, box_bound(np.zeros(3)))
             assert records.tolist() == [] and visits == (0, 1)
         leaf = RTree(2, max_entries=8)
         for record, point in enumerate([[0.0, 0.0], [3.0, 4.0], [3.0, 4.0]]):
             leaf.insert(point, record)
+        leaf = leaf.packed()
         assert leaf.nearest_neighbors([0.0, 0.0], k=2) == [(0.0, 0), (5.0, 1)]
         assert leaf.nearest_neighbors([0.0, 0.0], k=9) == [(0.0, 0), (5.0, 1), (5.0, 2)]
         for k in (2, 9):
-            _, _, visits = leaf.nearest_search(k, partial(mindist_batch, np.zeros(2)))
+            _, _, visits = leaf.nearest_search(k, box_bound(np.zeros(2)))
             assert visits == (0, 1)
 
     def test_non_positive_k_is_one_error(self):
@@ -507,16 +481,23 @@ class TestNearestSearchDifferential:
                                      list(range(20)))
         data = random_walk_collection(8, 32, seed=1)
         for probe in (lambda: tree.nearest_neighbors(np.zeros(3), k=0),
-                      lambda: tree.nearest_search(-1, partial(mindist_batch, np.zeros(3))),
+                      lambda: tree.nearest_search(-1, box_bound(np.zeros(3))),
                       lambda: KIndex.bulk_load(data).nearest_neighbors(data[0], k=0)):
             with pytest.raises(ValueError, match="k must be positive"):
                 probe()
+
+    def test_point_of_another_dimension_is_refused(self):
+        tree = PackedRTree.bulk_load(np.random.default_rng(11).uniform(size=(20, 3)),
+                                     list(range(20)))
+        for point in (np.zeros(1), np.zeros(2), np.zeros(4)):
+            with pytest.raises(DimensionMismatchError, match="tree of dimension 3"):
+                tree.nearest_neighbors(point, k=2)
 
     def test_non_integer_records_rank_by_distance(self):
         tree = RTree(2, max_entries=4)
         for step in range(30):
             tree.insert([float(step), 0.0], ("row", step))
-        assert tree.nearest_neighbors([11.2, 0.0], k=3) == [
+        assert tree.packed().nearest_neighbors([11.2, 0.0], k=3) == [
             (pytest.approx(0.2), ("row", 11)), (pytest.approx(0.8), ("row", 12)),
             (pytest.approx(1.2), ("row", 10))]
 
@@ -540,7 +521,7 @@ class TestKIndexAgainstScan:
             transformation = moving_average_spectral(32, 5)
         else:
             transformation = None if factor is None else scale_spectral(32, factor)
-        index = (KIndex.bulk_load if bulk else KIndex.build_by_insertion)(
+        index = (KIndex.bulk_load if bulk else insertion_built)(
             data[:count], extractor)
         scan = SequentialScan(extractor)
         scan.extend(data[:count])
@@ -690,7 +671,7 @@ class TestKIndexNearestAgainstScan:
             transformation = moving_average_spectral(32, 5)
         else:
             transformation = None if factor is None else scale_spectral(32, factor)
-        index = (KIndex.bulk_load if bulk else KIndex.build_by_insertion)(
+        index = (KIndex.bulk_load if bulk else insertion_built)(
             data[:count], extractor)
         scan = SequentialScan(extractor)
         scan.extend(data[:count])
@@ -890,7 +871,7 @@ class TestTailDifferential:
         data = random_walk_collection(loaded + sum(rows for rows, _ in steps) + 2, 32,
                                       seed=21)
         extractor = SeriesFeatureExtractor(2, representation=representation)
-        build_index = KIndex.bulk_load if build == "str" else KIndex.build_by_insertion
+        build_index = KIndex.bulk_load if build == "str" else insertion_built
         index = build_index(data[:loaded], extractor, max_entries=max_entries)
         scan = SequentialScan(extractor)
         scan.extend(data[:loaded])
@@ -916,7 +897,7 @@ class TestTailDifferential:
     def test_duplicate_of_the_query_in_the_tail(self, factor, build):
         """A tail row and a packed row both at distance zero: ascending id."""
         data = random_walk_collection(300, 32, seed=22)
-        build_index = KIndex.bulk_load if build == "str" else KIndex.build_by_insertion
+        build_index = KIndex.bulk_load if build == "str" else insertion_built
         index = build_index(data, SeriesFeatureExtractor(2))
         packed = len(index.tree)
         twin = TimeSeries(data[7].values, name="twin")

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import DimensionMismatchError
-from repro.index.geometry import Rect, mindist, minmaxdist
+from repro.index.geometry import Rect, mindist
 
 coords = st.lists(st.floats(min_value=-50, max_value=50, allow_nan=False),
                   min_size=2, max_size=4)
@@ -105,22 +105,6 @@ class TestNearestMetrics:
     def test_dimension_check(self):
         with pytest.raises(DimensionMismatchError):
             mindist([1.0], Rect([0.0, 0.0], [1.0, 1.0]))
-        with pytest.raises(DimensionMismatchError):
-            minmaxdist([1.0], Rect([0.0, 0.0], [1.0, 1.0]))
-
-    def test_minmaxdist_upper_bounds_nearest_corner_distance(self):
-        rect = Rect([0.0, 0.0], [2.0, 2.0])
-        point = np.array([3.0, 3.0])
-        nearest_corner = min(np.linalg.norm(point - np.array(corner))
-                             for corner in [(0, 0), (0, 2), (2, 0), (2, 2)])
-        assert minmaxdist(point, rect) >= nearest_corner - 1e-12
-
-    def test_mindist_not_greater_than_minmaxdist(self):
-        rng = np.random.default_rng(11)
-        for _ in range(100):
-            rect = _random_rect(rng, 3)
-            point = rng.uniform(-15, 15, size=3)
-            assert mindist(point, rect) <= minmaxdist(point, rect) + 1e-9
 
     def test_mindist_lower_bounds_distance_to_contained_points(self):
         rng = np.random.default_rng(12)

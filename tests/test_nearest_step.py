@@ -29,13 +29,13 @@ import pytest
 from test_gathered_transform import transformed_records
 
 from repro import KIndex, SeriesFeatureExtractor, TimeSeries, connect, random_walk_collection
+from repro.bench.growers import RStarTree, insertion_built
 from repro.core.objects import FeatureVector
 from repro.core.query.costmodel import QueryCostModel
 from repro.core.spaces import TWO_PI, PolarSpace, RectangleBound
 from repro.core.transformations import RealLinearTransformation
 from repro.index import kindex as kindex_module
-from repro.index.geometry import box_bound, mindist_batch
-from repro.index.rstar import RStarTree
+from repro.index.geometry import box_bound, corner_table, mindist_batch
 from repro.index.rtree import PackedRTree
 from repro.storage import codec
 from repro.storage.columnar import exact_distances, query_record, query_records
@@ -159,6 +159,26 @@ def reference_nearest_search(tree, k, lower_bound, exact=None, transformation=No
         else np.lexsort((records, distances))
     )
     return distances[order], records[order], visits[False], visits[True]
+
+
+class DeletedPlainPath(RectangleBound):
+    """The kernel's deleted plain-callable branch, as a bound: a plain
+    ``lower_bound(lows, highs)`` was handed the rows of each level's
+    :func:`~repro.index.geometry.corner_table` split back into corners (a
+    point level's rows are both), and the seeds' points as they are."""
+
+    def __init__(self, lower_bound, dimension):
+        def of_table(columns):
+            rows = columns.T
+            if rows.shape[-1] == dimension:
+                return lower_bound(rows, rows)
+            return lower_bound(rows[..., :dimension], rows[..., dimension : 2 * dimension])
+
+        super().__init__(corner_table, of_table)
+        self.plain = lower_bound
+
+    def __call__(self, lows, highs):
+        return self.plain(lows, highs)
 
 
 def assert_same_search(got, want):
@@ -323,8 +343,7 @@ class TestTheKernelIsTheReplacedLoop:
     def test_trees_maps_tails_and_every_k(self, kind, features, extras):
         """Every tree kind, under no map and a map with negative and zero
         scales, with and without a tail of seeds, with and without an
-        ``exact``, through the split bound and the plain callable, for
-        k = 1 … n + 3."""
+        ``exact``, for k = 1 … n + 3."""
         space = _layout(kind, features, extras)
         rng = np.random.default_rng(3420 + 10 * features + extras + (kind == "polar"))
         points = _points(rng, 24, features, extras, space is not None)
@@ -344,7 +363,7 @@ class TestTheKernelIsTheReplacedLoop:
                         want = reference_nearest_search(
                             tree, k, bounds[2], check, transformation, seeds
                         )
-                        got = tree.nearest_search(k, bounds[k % 2], check, transformation, seeds)
+                        got = tree.nearest_search(k, bounds[0], check, transformation, seeds)
                         assert_same_search(got, want)
 
     @pytest.mark.parametrize("kind,features,extras", SPACES[::3], ids=SPACE_IDS[::3])
@@ -393,6 +412,49 @@ class TestTheKernelIsTheReplacedLoop:
                 want = reference_nearest_search(tree, k, partial(reference_box_bound, query))
                 got = tree.nearest_search(k, box_bound(query))
                 assert_same_search(got, want)
+
+
+# ----------------------------------------------------------------------
+# the one bound protocol against the plain-callable path it replaced
+# ----------------------------------------------------------------------
+#: SPACES, plus plain points of one to three dimensions.
+PLAIN_SPACES = [("box", 0, extras) for extras in (1, 2, 3)] + SPACES
+
+
+class TestTheSplitBoundIsTheDeletedPlainPath:
+    @pytest.mark.parametrize(
+        "kind,features,extras",
+        PLAIN_SPACES,
+        ids=[f"box-{extras}d" for extras in (1, 2, 3)] + SPACE_IDS,
+    )
+    def test_bits_records_and_visits(self, kind, features, extras):
+        """``nearest_search(k, box_bound(q))`` — and a polar space's sector
+        bound — searches as the plain ``lower_bound(lows, highs)`` did, to the
+        distance bit, the record and the ``(internal, leaf)`` visit: point,
+        object and rectangle trees, grown and reopened ones, at 2 to 39
+        entries a node, under no map and a map, with and without seeds and an
+        ``exact``, for k = 1 … 19 and past the size."""
+        space = _layout(kind, features, extras)
+        rng = np.random.default_rng(3440 + 10 * features + extras + (kind == "polar"))
+        for fill in (2, 5, 39):
+            points = _points(rng, 60, features, extras, space is not None)
+            tail = _points(rng, 4, features, extras, space is not None)
+            both = np.concatenate((points, tail))
+            names = {f"r{i}": i for i in range(len(both))}
+            for _, tree in _trees(rng, points, fill):
+                for transformation in _maps(rng, points.shape[1]):
+                    image = both if transformation is None else transformation.apply(both)
+                    query = image[rng.integers(0, len(both))].copy()
+                    query += rng.normal(scale=0.5, size=points.shape[1]) * (rng.random() < 0.7)
+                    split, plain, _ = _bounds(kind, space, query)
+                    deleted = DeletedPlainPath(plain, points.shape[1])
+                    exact = _exact(both, transformation, query, names)
+                    for seeds in (None, (tail, np.arange(60, 64))):
+                        for k in (1, 2, 7, 19, 70):
+                            check = exact if k % 2 else None
+                            got = tree.nearest_search(k, split, check, transformation, seeds)
+                            want = tree.nearest_search(k, deleted, check, transformation, seeds)
+                            assert_same_search(got, (*want[:2], *want[2]))
 
 
 # ----------------------------------------------------------------------
@@ -468,7 +530,7 @@ class TestKIndexProbesAreTheReplacedLoop:
         if representation == "polar":
             maps.append(moving_average_spectral(48, 5))
         indexes = [KIndex.bulk_load(data[:120], extractor)]
-        indexes.append(KIndex.build_by_insertion(data[:120], extractor))
+        indexes.append(insertion_built(data[:120], extractor))
         reopened = KIndex.bulk_load(data[:120], extractor)
         payload = codec.decode(codec.encode(_serialize_tree(reopened.tree)))
         reopened.tree = _deserialize_tree(payload, reopened._points, reopened.max_entries)

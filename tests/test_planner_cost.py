@@ -34,6 +34,7 @@ from repro import (
     connect,
     random_walk_collection,
 )
+from repro.bench.growers import insertion_built
 from repro.core.query.ast import AllPairsQuery, NearestNeighborQuery, RangeQuery
 from repro.core.query.costmodel import QueryCostModel
 from repro.core.query.planner import (
@@ -58,7 +59,7 @@ def _session(num_series: int, build: str, seed: int = 23):
     if build == "str":
         handle.with_index(KIndex.bulk_load(data, extractor))
     elif build == "insert":
-        handle.with_index(KIndex.build_by_insertion(data, extractor))
+        handle.with_index(insertion_built(data, extractor))
     return session, data
 
 

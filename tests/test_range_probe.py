@@ -31,13 +31,13 @@ from repro import (
     TimeSeries,
     random_walk_collection,
 )
+from repro.bench.growers import RStarTree
 from repro.core.errors import UnsafeTransformationError
 from repro.core.objects import FeatureVector
 from repro.core.spaces import PolarSpace
 from repro.core.transformations import RealLinearTransformation
 from repro.index import kindex as kindex_module
 from repro.index.geometry import angular_dims, angular_halves, narrowed_windows, rects_overlap
-from repro.index.rstar import RStarTree
 from repro.index.rtree import PackedRTree
 from repro.storage import codec
 from repro.storage.durable.serde import _deserialize_tree, _serialize_tree

@@ -1,5 +1,5 @@
 """Tests for the growers — the dynamic R-tree and its R* subclass — probed
-through the packed form they hand over."""
+through the packed form they hand over (``tree.packed()``)."""
 
 from __future__ import annotations
 
@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from repro.core.errors import IndexError_
 from repro.index.geometry import Rect
-from repro.index.rstar import RStarTree
-from repro.index.rtree import PackedRTree, RTree
+from repro.bench.growers import RStarTree, RTree
+from repro.index.rtree import PackedRTree
 
 
 def _brute_force_range(points: np.ndarray, window: Rect) -> set[int]:
@@ -62,7 +62,7 @@ class TestConstruction:
         for corner in ([bad, 2.0], Rect([0.0, 0.0], [1.0, np.inf])):
             with pytest.raises(IndexError_, match="finite"):
                 tree.insert(corner, 1)
-        assert len(tree) == 1 and tree.search(Rect([0.0, 0.0], [5.0, 5.0])) == [0]
+        assert len(tree) == 1 and tree.packed().search(Rect([0.0, 0.0], [5.0, 5.0])) == [0]
         points = np.array([[1.0, 2.0], [3.0, bad]])
         with pytest.raises(IndexError_, match="finite"):
             PackedRTree.bulk_load(points, [0, 1])
@@ -73,7 +73,7 @@ class TestConstruction:
         tree = RTree(2)
         assert len(tree) == 0
         assert tree.height() == 1
-        assert tree.search(Rect([0.0, 0.0], [1.0, 1.0])) == []
+        assert tree.packed().search(Rect([0.0, 0.0], [1.0, 1.0])) == []
 
     def test_unknown_node_id(self):
         with pytest.raises(IndexError_):
@@ -88,10 +88,11 @@ class TestRangeSearch:
         tree = factory(3)
         for i, point in enumerate(points):
             tree.insert(point, i)
+        pack = tree.packed()
         for _ in range(20):
             low = rng.uniform(0, 80, size=3)
             window = Rect(low, low + rng.uniform(1, 30, size=3))
-            assert set(tree.search(window)) == _brute_force_range(points, window)
+            assert set(pack.search(window)) == _brute_force_range(points, window)
 
     def test_matches_brute_force_clustered(self, factory):
         rng = np.random.default_rng(22)
@@ -100,15 +101,16 @@ class TestRangeSearch:
         tree = factory(2)
         for i, point in enumerate(points):
             tree.insert(point, i)
+        pack = tree.packed()
         for center in centers:
             window = Rect(center - 3, center + 3)
-            assert set(tree.search(window)) == _brute_force_range(points, window)
+            assert set(pack.search(window)) == _brute_force_range(points, window)
 
     def test_duplicate_points_all_returned(self, factory):
         tree = factory(2)
         for i in range(10):
             tree.insert([1.0, 1.0], i)
-        assert sorted(tree.search(Rect([0.0, 0.0], [2.0, 2.0]))) == list(range(10))
+        assert sorted(tree.packed().search(Rect([0.0, 0.0], [2.0, 2.0]))) == list(range(10))
 
     def test_all_records_preserved(self, factory):
         rng = np.random.default_rng(23)
@@ -157,16 +159,17 @@ class TestNearestNeighbors:
         tree = factory(3)
         for i, point in enumerate(points):
             tree.insert(point, i)
+        pack = tree.packed()
         for _ in range(10):
             query = rng.uniform(0, 100, size=3)
-            got = [record for _, record in tree.nearest_neighbors(query, k=5)]
+            got = [record for _, record in pack.nearest_neighbors(query, k=5)]
             want = [i for _, i in sorted((np.linalg.norm(points[i] - query), i)
                                          for i in range(len(points)))[:5]]
             assert got == want
 
     def test_k_validation(self, factory):
         with pytest.raises(ValueError):
-            factory(2).nearest_neighbors([0.0, 0.0], k=0)
+            factory(2).packed().nearest_neighbors([0.0, 0.0], k=0)
 
 
 class TestAccessAccounting:
@@ -176,29 +179,27 @@ class TestAccessAccounting:
         for i in range(200):
             tree.insert(rng.uniform(0, 100, size=2), i)
         window = (np.zeros((1, 2)), np.full((1, 2), 10.0))
-        internal, leaf = tree.window_search(*window)[1]
+        pack = tree.packed()
+        internal, leaf = pack.window_search(*window)[1]
         assert internal + leaf >= 1
         assert internal >= 1
         # A probe returns its own visits: the next one counts from zero.
-        assert tree.window_search(*window)[1] == (internal, leaf)
+        assert pack.window_search(*window)[1] == (internal, leaf)
 
     def test_counters_are_the_packed_forms(self):
-        """A grower counts nothing itself: its probes return the visits of the
-        pack they ran on, and an insert starts a fresh pack."""
+        """A grower counts nothing itself: the visits are its pack's, and
+        every pack holds every insert made before it."""
         tree = RTree(2, max_entries=4)
         rng = np.random.default_rng(28)
         for i in range(100):
             tree.insert(rng.uniform(0, 100, size=2), i)
         window = (np.zeros((1, 2)), np.full((1, 2), 50.0))
-        _, visits = tree.window_search(*window)
-        pack = tree.packed()
-        assert pack.window_search(*window)[1] == visits and sum(visits) > 1
-        assert tree.packed() is pack  # kept until the next insert
+        _, visits = tree.packed().window_search(*window)
+        assert tree.packed().window_search(*window)[1] == visits and sum(visits) > 1
         for option in ({"page_store": None}, {"buffer_capacity": 8}):
             with pytest.raises(TypeError):
                 RTree(2, **option)
         tree.insert([1.0, 1.0], 100)
-        assert tree.packed() is not pack
         assert len(tree.packed()) == len(tree) == 101
 
     def test_bulk_load_equivalent_answers(self):
@@ -224,8 +225,8 @@ class TestRStarSpecifics:
         centers = rng.uniform(0, 100, size=(8, 4))
         points = np.vstack([center + rng.normal(0, 1.0, size=(100, 4))
                             for center in centers])
-        plain = _build(RTree, points, split="linear")
-        star = _build(RStarTree, points)
+        plain = _build(RTree, points, split="linear").packed()
+        star = _build(RStarTree, points).packed()
         windows = [Rect(center - 2, center + 2) for center in centers]
         for window in windows:
             assert set(plain.search(window)) == set(star.search(window))
@@ -240,4 +241,4 @@ class TestRStarSpecifics:
         tree = _build(RStarTree, points, max_entries=5)
         low = rng.uniform(0, 40, size=2)
         window = Rect(low, low + rng.uniform(1, 15, size=2))
-        assert set(tree.search(window)) == _brute_force_range(points, window)
+        assert set(tree.packed().search(window)) == _brute_force_range(points, window)

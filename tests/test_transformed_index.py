@@ -1,18 +1,18 @@
 """Tests for searching an R-tree under an on-the-fly transformation: the
 packed tree's own kernels, :meth:`PackedRTree.window_search` (Algorithm 2),
 :meth:`PackedRTree.transformed` (Algorithm 1) and
-:meth:`PackedRTree.nearest_search`, probed through a grown R*-tree."""
+:meth:`PackedRTree.nearest_search`, probed on what a grown R*-tree hands
+over."""
 
 from __future__ import annotations
-
-from functools import partial
 
 import numpy as np
 import pytest
 
+from repro.bench.growers import RStarTree
 from repro.core.transformations import RealLinearTransformation
-from repro.index.geometry import Rect, mindist_batch
-from repro.index.rstar import RStarTree
+from repro.index.geometry import Rect, box_bound
+from repro.index.rtree import PackedRTree
 
 
 @pytest.fixture(scope="module")
@@ -22,11 +22,11 @@ def points() -> np.ndarray:
 
 
 @pytest.fixture(scope="module")
-def tree(points) -> RStarTree:
+def tree(points) -> PackedRTree:
     tree = RStarTree(3, max_entries=6)
     for i, point in enumerate(points):
         tree.insert(point, i)
-    return tree
+    return tree.packed()
 
 
 @pytest.fixture(scope="module")
@@ -44,8 +44,7 @@ def _range(tree, window: Rect, transformation=None, periodic_dims=None) -> list[
 
 def _nearest(tree, point: np.ndarray, k: int, transformation) -> list[int]:
     """The ``k`` nearest records of the transformed data, nearest first."""
-    bound = partial(mindist_batch, point)
-    _, records, _ = tree.nearest_search(k, bound, transformation=transformation)
+    _, records, _ = tree.nearest_search(k, box_bound(point), transformation=transformation)
     return records[:k].tolist()
 
 
@@ -102,7 +101,7 @@ class TestTransformedRangeSearch:
 
 class TestMaterializedTree:
     def test_same_answers_as_lazy_search(self, tree, points, transformation):
-        clone = tree.packed().transformed(transformation)
+        clone = tree.transformed(transformation)
         rng = np.random.default_rng(43)
         for _ in range(10):
             low = rng.uniform(-80, 60, size=3)
@@ -113,8 +112,8 @@ class TestMaterializedTree:
         """Algorithm 1 maps the rectangles and keeps the structure: level for
         level the same nodes, the same payloads, every corner the image of
         the original's (a negative scale swaps low and high)."""
-        clone = tree.packed().transformed(transformation)
-        packed = tree.packed()
+        clone = tree.transformed(transformation)
+        packed = tree
         assert clone is not packed and len(clone) == len(packed) == len(tree)
         assert clone.height() == tree.height()
         for mapped, level in zip(clone.levels, packed.levels):
